@@ -82,6 +82,12 @@ type Event struct {
 	Batch []BatchItem // EvBatch payload: the batch's ops in commit order
 	At    time.Time   // commit time
 
+	// SrcDoc is the document an EvPaste copied its characters from (NilID
+	// for typed text). In-process only, never on the wire: the incremental
+	// indexer folds lineage edges from it without resolving each new
+	// instance against a snapshot.
+	SrcDoc util.ID
+
 	// VisClass is the subscriber-visibility class this event COPY was
 	// redacted for: stamped by a per-subscriber filter atomically with
 	// the redaction itself, consumed by the server as part of the wire-

@@ -400,7 +400,7 @@ func (d *Document) insertAsync(user string, pos int, text, kind string, srcDoc u
 	}
 	d.publishEventLocked(awareness.Event{
 		Doc: d.id, Kind: evKind, User: user, OpID: opID,
-		Pos: pos, Text: text, N: len(runes), IDs: ids, At: now,
+		Pos: pos, Text: text, N: len(runes), IDs: ids, At: now, SrcDoc: srcDoc,
 	})
 	return opID, lsn, nil
 }

@@ -132,14 +132,7 @@ func (s *DocSnapshot) RangeMeta(pos, n int) ([]CharMeta, error) {
 		return nil, fmt.Errorf("%w: [%d,%d) of %d", ErrRange, pos, pos+n, s.t.Len())
 	}
 	out := make([]CharMeta, 0, n)
-	i := 0
-	s.t.WalkVisible(func(ch *texttree.Char) bool {
-		if i >= pos && i < pos+n {
-			out = append(out, charMetaOf(ch))
-		}
-		i++
-		return i < pos+n
-	})
+	s.t.WalkVisibleFrom(pos, n, func(ch *texttree.Char) { out = append(out, charMetaOf(ch)) })
 	if len(out) != n {
 		return nil, fmt.Errorf("%w: [%d,%d) of %d", ErrRange, pos, pos+n, s.t.Len())
 	}

@@ -220,7 +220,10 @@ func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte) ([]RID, error) {
 	return rids, nil
 }
 
-// Update replaces the record at rid with rec under tx.
+// Update replaces the record at rid with rec under tx. A grown record that
+// no longer fits its page fails with storage.ErrPageFull and leaves nothing
+// behind — no log record, no undo entry — so the caller can relocate the
+// row with a logged delete and a logged insert.
 func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) error {
 	if err := tx.Lock(lockKey(h.tableID, rid), txn.Exclusive); err != nil {
 		return err
@@ -245,15 +248,25 @@ func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) error {
 			return ErrNotFound
 		}
 		before = append([]byte(nil), cur...)
+		// Only the page knows whether the record fits, so it is applied
+		// first and logged second: the log must never hold an update redo
+		// cannot repeat. The latch is held across both — the page cannot
+		// reach disk in between, which is all write-ahead ordering asks.
+		if err := sp.Update(rid.Slot, rec); err != nil {
+			return err
+		}
 		lsn, err := h.log.Append(&wal.Record{
 			Type: wal.RecUpdate, TxnID: tx.ID(), PrevLSN: tx.LastLSN(),
 			Page: uint64(rid.Page), Slot: uint32(rid.Slot), Op: wal.OpUpdate,
 			Owner: h.tableID, Before: before, After: rec,
 		})
 		if err != nil {
-			return err
-		}
-		if err := sp.Update(rid.Slot, rec); err != nil {
+			// Unlogged, so it must not stay applied; the old record fit
+			// before and fits again.
+			if rerr := sp.Update(rid.Slot, before); rerr != nil {
+				return fmt.Errorf("db: update page %d slot %d: %w (restoring the record: %v)",
+					rid.Page, rid.Slot, err, rerr)
+			}
 			return err
 		}
 		pg.SetLSN(uint64(lsn))

@@ -161,6 +161,11 @@ func (c *Cluster) Stats() Stats {
 		out.Applied += st.Applied
 		out.Heals += st.Heals
 		out.Lag += st.Lag
+		out.Delta += st.Delta
+		out.Full.Prime += st.Full.Prime
+		out.Full.UndoRedo += st.Full.UndoRedo
+		out.Full.RingMiss += st.Full.RingMiss
+		out.Full.SeqAhead += st.Full.SeqAhead
 	}
 	return out
 }

@@ -13,16 +13,23 @@
 // is what makes lineage folding exact under concurrency, shedding and
 // replay — counting is idempotent per instance ID.
 //
-// Freshness model: folding an event is O(1) bookkeeping (plus O(new
-// instances) for lineage); the text of a dirty document is re-tokenized
-// from its latest snapshot by a coalescing refresher, and every Query
-// first drains the dirty set — so queries are exact with respect to all
-// folded events, while a typing burst costs one re-tokenize, not one per
-// keystroke.
+// Freshness model: folding an event is bookkeeping proportional to the
+// edit — its positional items (the same stream a client replica replays to
+// converge) extend the document's set of changed ranges, and a paste adds
+// its instances to the lineage graph from the source the event names. A
+// coalescing refresher then re-tokenizes only those ranges, widened to
+// token boundaries and read by position from the snapshot the term table
+// reflects and from the current one (search.Index.PatchDoc). Whatever has
+// no known positional effect — undo/redo, a gap that outlived the op ring,
+// a snapshot ahead of the folded events when an answer is needed now —
+// re-indexes the document wholesale, which is also how it was primed.
+// Every Query first drains the dirty set, so answers are exact with
+// respect to all folded events.
 package index
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,11 +58,34 @@ func WithQueueLimit(n int) Option {
 
 // Stats is a point-in-time view of indexer progress for /metrics.
 type Stats struct {
-	Docs    int   `json:"docs"`        // documents under maintenance
-	Applied int64 `json:"applied_ops"` // events folded since Open
-	Heals   int64 `json:"heals"`       // gap heals (shed subscriptions resynced)
-	Lag     int   `json:"lag_docs"`    // docs folded but not yet re-tokenized
+	Docs    int           `json:"docs"`            // documents under maintenance
+	Applied int64         `json:"applied_ops"`     // events folded since Open
+	Heals   int64         `json:"heals"`           // gap heals (shed subscriptions resynced)
+	Lag     int           `json:"lag_docs"`        // docs folded but not yet re-tokenized
+	Delta   int64         `json:"delta_refreshes"` // refreshes that re-tokenized changed ranges only
+	Full    FullRefreshes `json:"full_refreshes"`  // wholesale re-indexes, by cause
 }
+
+// FullRefreshes counts wholesale document re-indexes by what forced them;
+// anything but Prime growing steadily means the O(edit) path is degrading.
+type FullRefreshes struct {
+	Prime    int64 `json:"prime"`     // first indexing of a document
+	UndoRedo int64 `json:"undo_redo"` // an undo/redo event: no positional items
+	RingMiss int64 `json:"ring_miss"` // a shed gap outlived the op ring
+	SeqAhead int64 `json:"seq_ahead"` // Query/Sync found a snapshot ahead of the folded events
+}
+
+// refreshCause says why a document's next refresh must be wholesale.
+type refreshCause int
+
+const (
+	causeNone refreshCause = iota // changed ranges are exact: patch
+	causePrime
+	causeUndoRedo
+	causeRingMiss
+	causeSeqAhead
+	causeCount
+)
 
 // Service is the incremental index over one engine: the live replacement
 // for the search.BuildIndex / lineage.Build rescans. All reads go through
@@ -68,7 +98,7 @@ type Service struct {
 	ix      *search.Index
 	g       *lineage.Graph
 	cites   map[util.ID]int
-	counted map[util.ID]bool // char instances already folded into g
+	counted map[util.ID]bool // pasted char instances already folded into g
 	dirty   map[util.ID]bool // docs whose text/metadata needs re-resolving
 	states  map[util.ID]*docState
 	closed  bool
@@ -77,14 +107,26 @@ type Service struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	applied atomic.Int64
-	heals   atomic.Int64
+	applied   atomic.Int64
+	heals     atomic.Int64
+	refreshes [causeCount]int64 // refreshes by cause; causeNone counts the patches (under mu)
 }
 
 type docState struct {
 	d   *core.Document
 	sub *awareness.Subscription
 	seq uint64 // highest bus sequence folded for this doc
+
+	// base is the snapshot the search index's term table reflects and
+	// changed where the text has moved on since, from the events folded
+	// after base.Seq(). A refresh patches exactly those ranges, unless
+	// full names a reason their record is incomplete.
+	base    *core.DocSnapshot
+	changed changes
+	full    refreshCause
+	// layout: the document had heading spans at the last refresh, or a
+	// layout/note event arrived since — headings need re-resolving.
+	layout bool
 }
 
 // Open attaches an incremental indexer to eng: it primes from the current
@@ -181,7 +223,7 @@ func (s *Service) addDoc(id util.ID) error {
 	}
 	st := &docState{d: d, sub: sub, seq: seq}
 	s.states[id] = st
-	s.primeLocked(id, snap)
+	s.primeLocked(id, st, snap, causePrime)
 	s.mu.Unlock()
 
 	s.wg.Add(1)
@@ -194,18 +236,23 @@ func (s *Service) addDoc(id util.ID) error {
 // when a gap outlived the op ring. It is idempotent — counting is keyed
 // by character-instance ID, and text indexing replaces the doc's
 // contribution wholesale.
-func (s *Service) primeLocked(id util.ID, snap *core.DocSnapshot) {
+func (s *Service) primeLocked(id util.ID, st *docState, snap *core.DocSnapshot, why refreshCause) {
 	snap.Tree().WalkAll(func(ch *texttree.Char, _ bool) bool {
 		s.countCharLocked(id, ch.ID, ch.SourceDoc, ch.Created)
 		return true
 	})
-	s.refreshDocLocked(id, snap)
+	// While full is set base is only a sequence floor; the wholesale
+	// refresh makes it the text the term table reflects.
+	st.base, st.full = snap, why
+	s.refreshDocLocked(id, st, snap)
 }
 
 // countCharLocked folds one character instance into the lineage graph,
-// exactly once per instance ID.
+// exactly once per instance ID. Typed characters have no source and fold
+// to nothing — not even a counted entry, so the set grows with what was
+// pasted, not with what was typed.
 func (s *Service) countCharLocked(doc, char, src util.ID, created time.Time) {
-	if s.counted[char] {
+	if src.IsNil() || src == doc || s.counted[char] {
 		return
 	}
 	s.counted[char] = true
@@ -241,54 +288,59 @@ func (s *Service) fold(id util.ID, st *docState, ev awareness.Event) {
 		return // already reflected in the priming snapshot or a heal
 	}
 	st.seq = ev.Seq
-	s.foldEventLocked(id, ev)
+	s.foldEventLocked(id, st, ev)
 }
 
 // foldEventLocked applies one event's index consequences. Presence-class
 // events (join/leave/cursor/presence) carry no document state and are
-// skipped; everything else marks the doc dirty so the refresher
-// re-resolves text and metadata against the latest snapshot.
-func (s *Service) foldEventLocked(id util.ID, ev awareness.Event) {
+// skipped; everything else marks the doc dirty so the refresher brings the
+// search index up to the latest snapshot. An event at or below the base
+// snapshot's sequence (a wholesale refresh ran ahead of the queue) is
+// already in the term table and leaves the changed ranges alone.
+func (s *Service) foldEventLocked(id util.ID, st *docState, ev awareness.Event) {
+	inBase := ev.Seq <= st.base.Seq()
 	switch ev.Kind {
 	case awareness.EvJoin, awareness.EvLeave, awareness.EvCursor, awareness.EvPresence:
 		return
-	case awareness.EvInsert, awareness.EvPaste:
-		s.countIDsLocked(id, ev.IDs)
+	case awareness.EvPaste:
+		// The event names the source and the commit time every new instance
+		// carries; no snapshot lookup per character.
+		for _, cid := range ev.IDs {
+			s.countCharLocked(id, cid, ev.SrcDoc, ev.At)
+		}
+		fallthrough
+	case awareness.EvInsert, awareness.EvDelete, awareness.EvLayout, awareness.EvNote:
+		if !inBase {
+			st.foldItem(ev.Kind, ev.Pos, ev.N)
+		}
 	case awareness.EvBatch:
-		for _, it := range ev.Batch {
-			if it.Kind == awareness.EvInsert || it.Kind == awareness.EvPaste {
-				s.countIDsLocked(id, it.IDs)
+		if !inBase {
+			for _, it := range ev.Batch {
+				st.foldItem(it.Kind, it.Pos, it.N)
 			}
 		}
 	case awareness.EvUndo, awareness.EvRedo:
-		// Restores may resurface instances the tree already held; counting
-		// is per-instance-ID, so re-deriving from the snapshot suffices.
+		// Which instances flipped is not on the event. Lineage is unmoved
+		// (restores resurface instances already counted); the text is
+		// re-derived from the snapshot.
+		if !inBase && st.full == causeNone {
+			st.full = causeUndoRedo
+		}
 	}
 	s.applied.Add(1)
 	s.markDirtyLocked(id)
 }
 
-// countIDsLocked resolves freshly created character instances against the
-// latest committed snapshot (the event may be older than the snapshot —
-// later snapshots still contain the instances, tombstoned or not).
-func (s *Service) countIDsLocked(id util.ID, ids []util.ID) {
-	if len(ids) == 0 {
-		return
-	}
-	st := s.states[id]
-	if st == nil {
-		return
-	}
-	tree := st.d.Snapshot().Tree()
-	for _, cid := range ids {
-		if s.counted[cid] {
-			continue
-		}
-		ch, ok := tree.Char(cid)
-		if !ok {
-			continue // compacted away already; the heal recount owns it
-		}
-		s.countCharLocked(id, cid, ch.SourceDoc, ch.Created)
+// foldItem records one positional item, resolved — as the bus guarantees —
+// against the document state after everything published before it.
+func (st *docState) foldItem(kind awareness.EventKind, pos, n int) {
+	switch kind {
+	case awareness.EvInsert, awareness.EvPaste:
+		st.changed = st.changed.splice(pos, 0, n)
+	case awareness.EvDelete:
+		st.changed = st.changed.splice(pos, n, 0)
+	case awareness.EvLayout, awareness.EvNote:
+		st.layout = true
 	}
 }
 
@@ -304,7 +356,7 @@ func (s *Service) healLocked(id util.ID, st *docState, gap awareness.Event) {
 				continue
 			}
 			st.seq = ev.Seq
-			s.foldEventLocked(id, ev)
+			s.foldEventLocked(id, st, ev)
 		}
 		return
 	}
@@ -314,7 +366,7 @@ func (s *Service) healLocked(id util.ID, st *docState, gap awareness.Event) {
 		seq = gap.Seq
 	}
 	st.seq = seq
-	s.primeLocked(id, snap)
+	s.primeLocked(id, st, snap, causeRingMiss)
 }
 
 func (s *Service) markDirtyLocked(id util.ID) {
@@ -326,8 +378,7 @@ func (s *Service) markDirtyLocked(id util.ID) {
 }
 
 // refresher coalesces dirty documents: a burst of N events on one doc
-// costs one re-tokenize here, which is what keeps per-keystroke
-// maintenance cost flat as the corpus grows (E19).
+// costs one refresh of the ranges they changed between them.
 func (s *Service) refresher() {
 	defer s.wg.Done()
 	for {
@@ -336,38 +387,66 @@ func (s *Service) refresher() {
 			return
 		case <-s.kick:
 			s.mu.Lock()
-			s.flushDirtyLocked()
+			s.flushDirtyLocked(false)
 			s.mu.Unlock()
 		}
 	}
 }
 
-func (s *Service) flushDirtyLocked() {
+// flushDirtyLocked refreshes the dirty documents. A latest snapshot ahead
+// of the folded events holds edits whose positions are still in the queue:
+// the eager refresher leaves such a document dirty — folding those events
+// kicks it again — while now (Query, Sync) re-indexes it wholesale rather
+// than wait.
+func (s *Service) flushDirtyLocked(now bool) {
 	for id := range s.dirty {
-		delete(s.dirty, id)
 		st := s.states[id]
 		if st == nil {
+			delete(s.dirty, id)
 			continue
 		}
-		s.refreshDocLocked(id, st.d.Snapshot())
+		snap := st.d.Snapshot()
+		if st.full == causeNone && snap.Seq() > st.seq {
+			if !now {
+				continue
+			}
+			st.full = causeSeqAhead
+		}
+		delete(s.dirty, id)
+		s.refreshDocLocked(id, st, snap)
 	}
 }
 
-// refreshDocLocked re-resolves one document's text, headings and metadata
-// from an immutable snapshot and swaps them into the search index. The
+// refreshDocLocked brings one document's search-index entry to snap: the
+// changed ranges are patched in, or — when st.full says their record is
+// incomplete — text, headings and metadata are re-resolved wholesale. The
 // docs-table row is read directly (DocInfoByID) so no document mutex is
 // ever taken on the index path.
-func (s *Service) refreshDocLocked(id util.ID, snap *core.DocSnapshot) {
+func (s *Service) refreshDocLocked(id util.ID, st *docState, snap *core.DocSnapshot) {
 	info, err := s.eng.DocInfoByID(id)
 	if err != nil {
 		return // row gone mid-shutdown; nothing to index
 	}
-	text := snap.Text()
-	spans, err := snap.Spans()
-	if err != nil {
-		spans = nil
+	s.refreshes[st.full]++
+	if st.full == causeNone {
+		s.ix.PatchDoc(info, st.base.Tree(), snap.Tree(), st.changed)
 	}
-	s.ix.UpdateDoc(info, text, search.HeadingText(text, spans, snap.SpanRange))
+	if st.full != causeNone || st.layout {
+		spans, err := snap.Spans()
+		if err != nil {
+			spans = nil
+		}
+		headings := search.HeadingText(snap, spans)
+		if st.full != causeNone {
+			s.ix.UpdateDoc(info, snap.Text(), headings)
+		} else {
+			s.ix.SetHeadings(id, headings)
+		}
+		// With a heading span in place any edit may move its text, even
+		// back from nothing; without one only a layout event can.
+		st.layout = slices.ContainsFunc(spans, func(sp core.Span) bool { return sp.Kind == core.SpanHeading })
+	}
+	st.base, st.changed, st.full = snap, st.changed[:0], causeNone
 	s.g.EnsureNode(id, info.Name, false)
 }
 
@@ -392,7 +471,7 @@ func (s *Service) Sync() {
 			}
 		}
 		if !behind {
-			s.flushDirtyLocked()
+			s.flushDirtyLocked(true)
 			s.mu.Unlock()
 			return
 		}
@@ -410,7 +489,7 @@ func (s *Service) Query(q search.Query) ([]search.Result, error) {
 	if s.closed {
 		return nil, fmt.Errorf("index: service closed")
 	}
-	s.flushDirtyLocked()
+	s.flushDirtyLocked(true)
 	if q.Rank == search.ByMostRead {
 		// Reads are recorded without a bus event; resolve them at query
 		// time, exactly as a fresh rebuild would.
@@ -459,13 +538,19 @@ func (s *Service) Graph() *lineage.Graph {
 // Stats reports indexer progress counters for /metrics.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
-	docs, lag := len(s.states), len(s.dirty)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
 	return Stats{
-		Docs:    docs,
+		Docs:    len(s.states),
 		Applied: s.applied.Load(),
 		Heals:   s.heals.Load(),
-		Lag:     lag,
+		Lag:     len(s.dirty),
+		Delta:   s.refreshes[causeNone],
+		Full: FullRefreshes{
+			Prime:    s.refreshes[causePrime],
+			UndoRedo: s.refreshes[causeUndoRedo],
+			RingMiss: s.refreshes[causeRingMiss],
+			SeqAhead: s.refreshes[causeSeqAhead],
+		},
 	}
 }
 

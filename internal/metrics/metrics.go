@@ -96,6 +96,21 @@ type IndexStats struct {
 	AppliedOps int64 `json:"applied_ops"`
 	Heals      int64 `json:"heals"`
 	LagDocs    int   `json:"lag_docs"`
+	// DeltaRefreshes counts refreshes that re-tokenized only what an edit
+	// changed; FullRefreshes the wholesale fallbacks, by cause. A cause
+	// other than prime climbing with the edit rate means typing has
+	// fallen off the O(edit) path.
+	DeltaRefreshes int64              `json:"delta_refreshes"`
+	FullRefreshes  IndexFullRefreshes `json:"full_refreshes"`
+}
+
+// IndexFullRefreshes breaks the indexer's wholesale document re-indexes
+// down by what forced them (index.FullRefreshes, field for field).
+type IndexFullRefreshes struct {
+	Prime    int64 `json:"prime"`
+	UndoRedo int64 `json:"undo_redo"`
+	RingMiss int64 `json:"ring_miss"`
+	SeqAhead int64 `json:"seq_ahead"`
 }
 
 // SetIndexStats installs the indexer progress source; fn reporting

@@ -10,6 +10,11 @@ import (
 	"tendax/internal/util"
 )
 
+// IsTokenRune reports whether r is part of a token: tokens are maximal runs
+// of letters and digits. The search index widens an edited region to the
+// nearest runes for which this is false before re-tokenizing it.
+func IsTokenRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
+
 // Tokenize lowercases text and splits it into letter/digit runs, the token
 // stream used by both text mining and the search index.
 func Tokenize(text string) []string {
@@ -22,7 +27,7 @@ func Tokenize(text string) []string {
 		}
 	}
 	for _, r := range text {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+		if IsTokenRune(r) {
 			cur.WriteRune(unicode.ToLower(r))
 		} else {
 			flush()

@@ -14,6 +14,7 @@ import (
 	"tendax/internal/folders"
 	"tendax/internal/lineage"
 	"tendax/internal/mining"
+	"tendax/internal/texttree"
 	"tendax/internal/util"
 )
 
@@ -54,6 +55,7 @@ type Index struct {
 	terms    map[util.ID]map[string]int // doc -> tf (reverse view, for diffing)
 	headings map[util.ID]string         // doc -> concatenated heading text
 	lengths  map[util.ID]int
+	tokens   int // sum of lengths: BM25's average length, kept as a running integer
 	snippets map[util.ID]string
 	docs     map[util.ID]core.DocInfo
 	cites    map[util.ID]int
@@ -111,39 +113,43 @@ func (ix *Index) indexDoc(info core.DocInfo) error {
 	if err != nil {
 		return err
 	}
-	text := d.Text()
-	spans, err := d.Spans()
+	snap := d.Snapshot()
+	spans, err := snap.Spans()
 	if err != nil {
 		return err
 	}
-	ix.UpdateDoc(d.Info(), text, HeadingText(text, spans, d.SpanRange))
+	ix.UpdateDoc(d.Info(), snap.Text(), HeadingText(snap, spans))
 	return nil
 }
 
 // HeadingText concatenates (lowercased) the text of every heading span,
-// resolved through rangeOf — a Document.SpanRange or DocSnapshot.SpanRange
-// bound method, so the rescan and snapshot paths compute byte-identical
-// heading strings.
-func HeadingText(text string, spans []core.Span, rangeOf func(core.Span) (int, int)) string {
+// each resolved and read by position against snap — so the rescan, the
+// wholesale refresh and the changed-range refresh compute byte-identical
+// heading strings, none of them rendering the whole document for it.
+func HeadingText(snap *core.DocSnapshot, spans []core.Span) string {
 	var hb strings.Builder
-	runes := []rune(text)
+	n := snap.Len()
 	for _, s := range spans {
 		if s.Kind != core.SpanHeading {
 			continue
 		}
-		from, to := rangeOf(s)
-		if from < len(runes) && to <= len(runes) && from < to {
-			hb.WriteString(string(runes[from:to]))
+		from, to := snap.SpanRange(s)
+		if from < n && to <= n && from < to {
+			hb.WriteString(snap.Tree().Slice(from, to-from))
 			hb.WriteString(" ")
 		}
 	}
 	return strings.ToLower(hb.String())
 }
 
+// snippetRunes is how much of a document's head a result shows.
+const snippetRunes = 80
+
 // UpdateDoc replaces one document's contribution to the index with the
-// given state. The update diffs the new term frequencies against the old
-// ones, so its cost is O(terms in the document) regardless of corpus size
-// — the property the incremental indexer's per-keystroke bound rests on.
+// given state: the prime path, and the fallback when the positional effect
+// of a change is unknown. The update diffs the new term frequencies
+// against the old ones, so its cost is O(terms in the document) regardless
+// of corpus size; PatchDoc is the O(edit) path for a known change.
 func (ix *Index) UpdateDoc(info core.DocInfo, text, headings string) {
 	id := info.ID
 	toks := mining.Tokenize(text)
@@ -152,34 +158,140 @@ func (ix *Index) UpdateDoc(info core.DocInfo, text, headings string) {
 		fresh[t]++
 	}
 	old := ix.terms[id]
-	for t, n := range old {
-		if fresh[t] == n {
-			continue
-		}
-		m := ix.postings[t]
-		if _, ok := fresh[t]; !ok {
-			delete(m, id)
-			if len(m) == 0 {
-				delete(ix.postings, t)
-			}
+	for t := range old {
+		if fresh[t] == 0 {
+			ix.setTF(id, t, 0)
 		}
 	}
 	for t, n := range fresh {
-		if old[t] == n {
-			continue
+		if old[t] != n {
+			ix.setTF(id, t, n)
 		}
-		m := ix.postings[t]
-		if m == nil {
-			m = make(map[util.ID]int)
-			ix.postings[t] = m
-		}
-		m[id] = n
 	}
-	ix.terms[id] = fresh
-	ix.lengths[id] = len(toks)
-	ix.snippets[id] = firstN(text, 80)
+	ix.setLength(id, len(toks))
+	ix.snippets[id] = firstN(text, snippetRunes)
 	ix.docs[id] = info
 	ix.headings[id] = headings
+}
+
+// Range is one changed region between two states of a document's text:
+// runes [OldStart, OldEnd) of the old text were replaced by runes
+// [NewStart, NewEnd) of the new one; everything outside the ranges of a
+// set is identical in both, merely shifted.
+type Range struct {
+	OldStart, OldEnd int
+	NewStart, NewEnd int
+}
+
+// PatchDoc folds a known change of an already indexed document: old is
+// the text the document's term table reflects, cur the text now, changed
+// the regions in which they differ, in order and disjoint. Only those
+// regions, widened to token boundaries, are read and re-tokenized, and the
+// term-frequency difference goes through the same posting mutation as
+// UpdateDoc's — the cost tracks the edit, not the document. Headings are
+// the caller's (SetHeadings): they depend on spans, not only on text.
+func (ix *Index) PatchDoc(info core.DocInfo, old, cur *texttree.Snapshot, changed []Range) {
+	id := info.ID
+	ix.docs[id] = info
+	if len(changed) == 0 {
+		return
+	}
+	diff := make(map[string]int)
+	length := ix.lengths[id]
+	for _, w := range tokenWindows(old, cur, changed) {
+		for _, t := range mining.Tokenize(old.Slice(w.OldStart, w.OldEnd-w.OldStart)) {
+			diff[t]--
+			length--
+		}
+		for _, t := range mining.Tokenize(cur.Slice(w.NewStart, w.NewEnd-w.NewStart)) {
+			diff[t]++
+			length++
+		}
+	}
+	for t, dn := range diff {
+		if dn != 0 {
+			ix.setTF(id, t, ix.terms[id][t]+dn)
+		}
+	}
+	ix.setLength(id, length)
+	// The snippet shows the head and whether more follows.
+	if changed[0].NewStart < snippetRunes || old.Len() <= snippetRunes || cur.Len() <= snippetRunes {
+		ix.snippets[id] = firstN(cur.Slice(0, snippetRunes+1), snippetRunes)
+	}
+}
+
+// SetHeadings replaces one document's heading text (HeadingText).
+func (ix *Index) SetHeadings(doc util.ID, headings string) { ix.headings[doc] = headings }
+
+// tokenWindows widens each changed range to token boundaries in both
+// texts and merges windows that came to touch. Outside the ranges the two
+// texts are the same, so both sides of a window widen by the same runes
+// unless they reach a neighbouring range — exactly the case the merge
+// absorbs. What lies outside the windows therefore tokenizes identically
+// in old and cur, and the windows alone carry the whole difference.
+func tokenWindows(old, cur *texttree.Snapshot, changed []Range) []Range {
+	out := make([]Range, 0, len(changed))
+	for _, c := range changed {
+		var w Range
+		w.OldStart, w.OldEnd = widen(old, c.OldStart, c.OldEnd)
+		w.NewStart, w.NewEnd = widen(cur, c.NewStart, c.NewEnd)
+		if n := len(out); n > 0 && (w.OldStart <= out[n-1].OldEnd || w.NewStart <= out[n-1].NewEnd) {
+			p := &out[n-1]
+			p.OldStart, p.OldEnd = min(p.OldStart, w.OldStart), max(p.OldEnd, w.OldEnd)
+			p.NewStart, p.NewEnd = min(p.NewStart, w.NewStart), max(p.NewEnd, w.NewEnd)
+			continue
+		}
+		out = append(out, w)
+	}
+	return out
+}
+
+// widen grows [start, end) until the runes just outside it are not token
+// runes (or the text ends), reading by position.
+func widen(t *texttree.Snapshot, start, end int) (int, int) {
+	tokenAt := func(pos int) bool {
+		ch, ok := t.CharAt(pos)
+		return ok && mining.IsTokenRune(ch.Rune)
+	}
+	for start > 0 && tokenAt(start-1) {
+		start--
+	}
+	for tokenAt(end) {
+		end++
+	}
+	return start, end
+}
+
+// setTF sets one (term, document) frequency — 0 removes the posting — in
+// both the postings and the per-document reverse view: the one place
+// postings are mutated, shared by the wholesale and the changed-range path.
+func (ix *Index) setTF(doc util.ID, term string, n int) {
+	m := ix.postings[term]
+	if n == 0 {
+		delete(ix.terms[doc], term)
+		delete(m, doc)
+		if len(m) == 0 {
+			delete(ix.postings, term)
+		}
+		return
+	}
+	if m == nil {
+		m = make(map[util.ID]int)
+		ix.postings[term] = m
+	}
+	m[doc] = n
+	tf := ix.terms[doc]
+	if tf == nil {
+		tf = make(map[string]int)
+		ix.terms[doc] = tf
+	}
+	tf[term] = n
+}
+
+// setLength records a document's token count and keeps the corpus total.
+func (ix *Index) setLength(doc util.ID, n int) {
+	ix.tokens += n - ix.lengths[doc]
+	ix.lengths[doc] = n
 }
 
 // SetCites overrides the citation count used by ByMostCited ranking
@@ -310,11 +422,9 @@ func (ix *Index) bm25(term string, doc util.ID, tf int) float64 {
 		return 0
 	}
 	idf := math.Log(1 + (float64(n)-float64(df)+0.5)/(float64(df)+0.5))
-	avgLen := 0.0
-	for _, l := range ix.lengths {
-		avgLen += float64(l)
-	}
-	avgLen /= float64(n)
+	// Lengths are integers, so the running total is exactly the float sum
+	// of ix.lengths in any order: scores stay bit-identical.
+	avgLen := float64(ix.tokens) / float64(n)
 	if avgLen == 0 {
 		avgLen = 1
 	}

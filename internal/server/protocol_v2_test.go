@@ -95,8 +95,12 @@ func TestHelloVerPinsV2(t *testing.T) {
 	if err := d.Append("hello"); err != nil {
 		t.Fatal(err)
 	}
-	if text := d.Text(); text != "hello" {
-		t.Fatalf("text %q", text)
+	// Append returns on the ack; the replica folds the edit when its push
+	// arrives, which may be a moment later.
+	for deadline := time.Now().Add(2 * time.Second); d.Text() != "hello"; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("text %q", d.Text())
+		}
 	}
 }
 

@@ -95,6 +95,8 @@ func NewCluster(cl *placement.Cluster, sec *security.Store) *Server {
 		return metrics.IndexStats{
 			Docs: st.Docs, AppliedOps: st.Applied,
 			Heals: st.Heals, LagDocs: st.Lag,
+			DeltaRefreshes: st.Delta,
+			FullRefreshes:  metrics.IndexFullRefreshes(st.Full),
 		}, true
 	})
 	return s

@@ -400,14 +400,7 @@ func (b *Buffer) Text() string {
 // Slice returns up to n visible characters starting at pos.
 func (b *Buffer) Slice(pos, n int) string {
 	var sb strings.Builder
-	i := 0
-	b.order.WalkVisible(func(id util.ID) bool {
-		if i >= pos && i < pos+n {
-			sb.WriteRune(b.chars[id].Rune)
-		}
-		i++
-		return i < pos+n
-	})
+	b.order.WalkVisibleFrom(pos, n, func(id util.ID) { sb.WriteRune(b.chars[id].Rune) })
 	return sb.String()
 }
 
@@ -424,14 +417,7 @@ func (b *Buffer) VisibleIDs() []util.ID {
 // RangeIDs returns the IDs of visible characters in [pos, pos+n).
 func (b *Buffer) RangeIDs(pos, n int) []util.ID {
 	var out []util.ID
-	i := 0
-	b.order.WalkVisible(func(id util.ID) bool {
-		if i >= pos && i < pos+n {
-			out = append(out, id)
-		}
-		i++
-		return i < pos+n
-	})
+	b.order.WalkVisibleFrom(pos, n, func(id util.ID) { out = append(out, id) })
 	return out
 }
 

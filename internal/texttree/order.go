@@ -266,6 +266,47 @@ func (o *Order) WalkVisible(fn func(id util.ID) bool) {
 	})
 }
 
+// WalkVisibleFrom visits up to n visible characters in order, starting
+// with the one at position pos; a range reaching before the first or past
+// the last character is clipped. Like VisibleAt it descends by subtree
+// visible counts, so the cost is O(log n + visited) wherever pos lies.
+func (o *Order) WalkVisibleFrom(pos, n int, fn func(id util.ID)) {
+	if pos < 0 {
+		n += pos
+		pos = 0
+	}
+	if n <= 0 {
+		return
+	}
+	o.root.walkVisibleFrom(pos, func(id util.ID) bool {
+		fn(id)
+		n--
+		return n > 0
+	})
+}
+
+func (n *onode) walkVisibleFrom(skip int, fn func(id util.ID) bool) bool {
+	if n == nil || skip >= n.vcount {
+		return true
+	}
+	if lv := n.left.vcountOf(); skip < lv {
+		if !n.left.walkVisibleFrom(skip, fn) {
+			return false
+		}
+		skip = 0
+	} else {
+		skip -= lv
+	}
+	if n.visible {
+		if skip > 0 {
+			skip--
+		} else if !fn(n.id) {
+			return false
+		}
+	}
+	return n.right.walkVisibleFrom(skip, fn)
+}
+
 // fixCountsUp recomputes sizes from n to the root.
 func (o *Order) fixCountsUp(n *onode) {
 	for ; n != nil; n = n.parent {

@@ -168,6 +168,32 @@ func pwalk(n *pnode, fn func(n *pnode) bool) bool {
 	return pwalk(n.right, fn)
 }
 
+// pwalkVisibleFrom visits the visible nodes under n in order, starting with
+// the one at visible rank skip, until fn returns false. It descends by
+// subtree visible counts — subtrees that hold nothing to visit are never
+// entered — so reading k characters at any position costs O(log n + k).
+func pwalkVisibleFrom(n *pnode, skip int, fn func(n *pnode) bool) bool {
+	if n == nil || skip >= n.vcount {
+		return true
+	}
+	if lv := n.left.vcountOf(); skip < lv {
+		if !pwalkVisibleFrom(n.left, skip, fn) {
+			return false
+		}
+		skip = 0
+	} else {
+		skip -= lv
+	}
+	if n.visible {
+		if skip > 0 {
+			skip--
+		} else if !fn(n) {
+			return false
+		}
+	}
+	return pwalkVisibleFrom(n.right, skip, fn)
+}
+
 // Snapshot is an immutable, internally consistent view of a Buffer at one
 // instant. Acquisition is O(1) and reads never take a lock: concurrent
 // writers keep publishing new versions without disturbing any snapshot a
@@ -305,17 +331,30 @@ func (s *Snapshot) WithArchive(a *Archive) *Snapshot {
 	return &Snapshot{root: s.root, head: s.head, version: s.version, arch: a}
 }
 
+// WalkVisibleFrom visits up to n visible characters in order, starting
+// with the one at position pos. A range reaching before the first or past
+// the last character is clipped. The cost is O(log n + visited) wherever
+// pos lies: the walk descends to pos by visible count instead of scanning
+// from the head.
+func (s *Snapshot) WalkVisibleFrom(pos, n int, fn func(ch *Char)) {
+	if pos < 0 {
+		n += pos
+		pos = 0
+	}
+	if n <= 0 {
+		return
+	}
+	pwalkVisibleFrom(s.root, pos, func(nd *pnode) bool {
+		fn(nd.ch)
+		n--
+		return n > 0
+	})
+}
+
 // Slice returns up to n visible characters starting at pos.
 func (s *Snapshot) Slice(pos, n int) string {
 	var sb strings.Builder
-	i := 0
-	s.WalkVisible(func(ch *Char) bool {
-		if i >= pos && i < pos+n {
-			sb.WriteRune(ch.Rune)
-		}
-		i++
-		return i < pos+n
-	})
+	s.WalkVisibleFrom(pos, n, func(ch *Char) { sb.WriteRune(ch.Rune) })
 	return sb.String()
 }
 
@@ -356,14 +395,7 @@ func (s *Snapshot) IDAt(pos int) (util.ID, bool) {
 // RangeIDs returns the IDs of visible characters in [pos, pos+n).
 func (s *Snapshot) RangeIDs(pos, n int) []util.ID {
 	var out []util.ID
-	i := 0
-	s.WalkVisible(func(ch *Char) bool {
-		if i >= pos && i < pos+n {
-			out = append(out, ch.ID)
-		}
-		i++
-		return i < pos+n
-	})
+	s.WalkVisibleFrom(pos, n, func(ch *Char) { out = append(out, ch.ID) })
 	return out
 }
 
