@@ -1941,10 +1941,7 @@ func runE17(quick bool, _ string) error {
 	// which the heal path must repair.
 	subs := make([]*awareness.Subscription, nSubs)
 	for i := range subs {
-		subs[i] = bus.Subscribe(doc.ID(), awareness.SubscribeOpts{
-			QueueLimit:     queueLimit,
-			OverflowPolicy: awareness.ShedAndResync,
-		})
+		subs[i] = bus.Subscribe(doc.ID(), awareness.SubscribeOpts{QueueLimit: queueLimit})
 	}
 	wg.Add(nSubs)
 	for i := range subs {
@@ -1953,7 +1950,8 @@ func runE17(quick bool, _ string) error {
 	start := time.Now()
 	var lsn wal.LSN
 	for i := 0; i < storm; i++ {
-		if _, lsn, err = doc.InsertTextAsync("storm", positions[i], letters[i]); err != nil {
+		op := core.EditOp{Kind: core.EditInsert, Pos: positions[i], Text: letters[i]}
+		if _, lsn, err = doc.ApplyAsync("storm", []core.EditOp{op}); err != nil {
 			return err
 		}
 	}
@@ -2161,7 +2159,7 @@ func e18Storm(n, writers, keysPer, ackEvery int, syncful bool) (rate float64, el
 			eng := cl.EngineFor(d.ID())
 			var lsn wal.LSN
 			for i := 0; i < keysPer; i++ {
-				_, l, err := d.InsertTextAsync("typist", 0, "x")
+				_, l, err := d.ApplyAsync("typist", []core.EditOp{{Kind: core.EditInsert, Text: "x"}})
 				if err != nil {
 					errc <- err
 					return

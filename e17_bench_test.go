@@ -21,10 +21,7 @@ func BenchmarkE17Fanout(b *testing.B) {
 	done := make(chan struct{})
 	subs := make([]*awareness.Subscription, subscribers)
 	for i := range subs {
-		subs[i] = bus.Subscribe(doc, awareness.SubscribeOpts{
-			QueueLimit:     64,
-			OverflowPolicy: awareness.ShedAndResync,
-		})
+		subs[i] = bus.Subscribe(doc, awareness.SubscribeOpts{QueueLimit: 64})
 		go func(s *awareness.Subscription) {
 			for {
 				if _, ok := s.Next(); !ok {
@@ -54,10 +51,7 @@ func BenchmarkE17ShedOverflow(b *testing.B) {
 	// hits the overflow path and folds into the coalesced gap marker.
 	bus := awareness.NewBus(64)
 	doc := util.ID(1)
-	sub := bus.Subscribe(doc, awareness.SubscribeOpts{
-		QueueLimit:     4,
-		OverflowPolicy: awareness.ShedAndResync,
-	})
+	sub := bus.Subscribe(doc, awareness.SubscribeOpts{QueueLimit: 4})
 	defer sub.Close()
 	ev := awareness.Event{Doc: doc, Kind: awareness.EvInsert, User: "bench", Text: "x", N: 1}
 	b.ResetTimer()

@@ -46,7 +46,7 @@ const (
 	EvPresence EventKind = "presence"
 
 	// EvGap is a synthetic in-band marker, never published by writers and
-	// never sent on the wire: a ShedAndResync subscription that overflowed
+	// never sent on the wire: a subscription that overflowed
 	// replaces its queued events with one EvGap whose Seq is the sequence
 	// number of the newest shed event and whose N counts the events shed.
 	// The consumer heals the gap from the retention ring (EventsSince) or,
@@ -60,11 +60,15 @@ const (
 // Pos is resolved against the document state after the preceding items of
 // the same batch, so sequential application reproduces the committed text.
 type BatchItem struct {
-	Kind EventKind // insert | delete | layout | note
+	Kind EventKind // insert | paste | delete | layout | note
 	Pos  int       // visible position, valid after the preceding items
-	Text string    // inserted text (insert/note)
+	Text string    // inserted text (insert/paste/note)
 	N    int       // characters affected (delete/layout)
 	IDs  []util.ID // character instance IDs created or tombstoned
+
+	// SrcDoc is a paste item's source document; in-process only, like
+	// Event.SrcDoc.
+	SrcDoc util.ID
 }
 
 // Event is one awareness notification for a document.
@@ -78,7 +82,7 @@ type Event struct {
 	Text  string      // inserted text (insert/paste/note)
 	N     int         // number of characters affected (delete)
 	Name  string      // auxiliary name (version, rename, workflow task)
-	IDs   []util.ID   // character instance IDs created (insert/paste)
+	IDs   []util.ID   // character instance IDs created (insert/paste) or tombstoned (delete)
 	Batch []BatchItem // EvBatch payload: the batch's ops in commit order
 	At    time.Time   // commit time
 
@@ -135,25 +139,16 @@ func (w *WireCache) Get(key int, build func() ([]byte, error)) ([]byte, error) {
 	return f, nil
 }
 
-// OverflowPolicy selects what happens to a subscription whose queue is
-// full when the bus publishes another event.
+// OverflowPolicy names what happens to a subscription whose queue is full
+// when the bus publishes another event. There is one policy.
 type OverflowPolicy int
 
-const (
-	// DetachLagged is the legacy policy: the subscription is detached from
-	// the bus with Lagged() true. Events queued before the overflow remain
-	// readable via Next, in order, before Next reports closure — the
-	// subscriber drains, observes the lag, and resynchronises from the
-	// database, the same contract real replication streams have.
-	DetachLagged OverflowPolicy = iota
-
-	// ShedAndResync keeps the subscription attached: the queued events are
-	// dropped and replaced with a single coalesced EvGap marker, and
-	// publishing continues behind it. The consumer heals the gap from the
-	// retention ring (O(gap) events) instead of tearing the stream down
-	// and re-reading the full document.
-	ShedAndResync
-)
+// ShedAndResync keeps the subscription attached: the queued events are
+// dropped and replaced with a single coalesced EvGap marker, and
+// publishing continues behind it. The consumer heals the gap from the
+// retention ring (O(gap) events) instead of tearing the stream down and
+// re-reading the full document.
+const ShedAndResync OverflowPolicy = 0
 
 // FilterFunc transforms or suppresses events for one subscriber. It runs
 // on the consumer's goroutine in Next — never under the bus lock — so it
@@ -171,35 +166,32 @@ type SubscribeOpts struct {
 	// (NewBus bufSize, itself defaulting to 256); negative means unbounded
 	// (the queue grows without shedding — test use only).
 	QueueLimit int
-	// OverflowPolicy selects the behaviour when the queue is full. The
-	// zero value is DetachLagged, preserving the legacy contract.
+	// OverflowPolicy is ShedAndResync, the zero value and the only policy.
 	OverflowPolicy OverflowPolicy
 }
 
 // Subscription receives events for one document through a bounded queue.
-// Consume with Next; what happens when the producer outruns the consumer
-// is governed by the subscription's OverflowPolicy.
+// Consume with Next; when the producer outruns the consumer the queue is
+// shed to one EvGap marker (ShedAndResync).
 type Subscription struct {
 	bus    *Bus
 	doc    util.ID
 	id     int
 	filter FilterFunc
 	limit  int // <0 = unbounded
-	policy OverflowPolicy
 
 	mu       sync.Mutex
 	cond     *sync.Cond
 	q        []Event
 	closed   bool
-	lagged   bool
 	sheds    int64
 	maxDepth int
 }
 
 // Next blocks until an event is available and returns it, or returns
 // ok=false once the subscription is closed and fully drained. Events
-// queued before a close or a DetachLagged overflow are always delivered,
-// in publication order, before ok=false — closure never loses them.
+// queued before a close are always delivered, in publication order, before
+// ok=false — closure never loses them.
 func (s *Subscription) Next() (Event, bool) {
 	for {
 		s.mu.Lock()
@@ -228,16 +220,8 @@ func (s *Subscription) Next() (Event, bool) {
 	}
 }
 
-// Lagged reports whether the subscription was detached due to slowness
-// (DetachLagged overflow). Sticky once set.
-func (s *Subscription) Lagged() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lagged
-}
-
-// Sheds returns how many events this subscription has dropped under
-// ShedAndResync (each coalesced EvGap accounts for its N shed events).
+// Sheds returns how many events this subscription has dropped (each
+// coalesced EvGap accounts for its N shed events).
 func (s *Subscription) Sheds() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -265,27 +249,18 @@ func (s *Subscription) MaxDepth() int {
 func (s *Subscription) Close() { s.bus.unsubscribe(s.doc, s.id) }
 
 // enqueue delivers one published event. Called with the bus lock held
-// (lock order: Bus.mu then Subscription.mu), so decisions about shedding
-// and detaching are made in publication order — a concurrent Close cannot
-// reorder the final state transitions. Returns true when the subscription
-// must be detached from the bus map (DetachLagged overflow).
-func (s *Subscription) enqueue(e Event) (detach bool) {
+// (lock order: Bus.mu then Subscription.mu), so shedding is decided in
+// publication order.
+func (s *Subscription) enqueue(e Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return false
+		return
 	}
 	if s.limit >= 0 && len(s.q) >= s.limit {
-		if s.policy == DetachLagged {
-			// Sticky-lag then close; queued events stay for draining.
-			s.lagged = true
-			s.closed = true
-			s.cond.Broadcast()
-			return true
-		}
-		// ShedAndResync: drop everything pending and leave one coalesced
-		// gap behind. A previous gap marker folds its count in without
-		// being double-counted in the shed total.
+		// Drop everything pending and leave one coalesced gap behind. A
+		// previous gap marker folds its count in without being
+		// double-counted in the shed total.
 		shedNow := int64(1) // the event that found the queue full
 		var carried int64
 		for i := range s.q {
@@ -305,7 +280,7 @@ func (s *Subscription) enqueue(e Event) (detach bool) {
 		s.q = s.q[:0]
 		s.q = append(s.q, Event{Seq: e.Seq, Doc: e.Doc, Kind: EvGap, N: int(shedNow + carried), At: e.At})
 		s.cond.Signal()
-		return false
+		return
 	}
 	s.q = append(s.q, e)
 	if len(s.q) > s.maxDepth {
@@ -315,7 +290,6 @@ func (s *Subscription) enqueue(e Event) (detach bool) {
 		s.bus.depth.Add(1)
 	}
 	s.cond.Signal()
-	return false
 }
 
 // close marks the subscription closed and wakes the consumer. Queued
@@ -355,7 +329,7 @@ type Bus struct {
 	ringCap  int
 
 	// Optional hot-path counters (set once at startup, before traffic):
-	// total events shed across all ShedAndResync subscriptions, and the
+	// total events shed across all subscriptions, and the
 	// aggregate number of events queued bus-wide right now.
 	sheds *atomic.Int64
 	depth *atomic.Int64
@@ -459,8 +433,7 @@ func (b *Bus) EventsSince(doc util.ID, since uint64) ([]Event, bool) {
 }
 
 // Subscribe registers for events on doc. The zero SubscribeOpts value
-// reproduces the legacy contract: bus-default queue limit, no filter,
-// DetachLagged on overflow.
+// means the bus-default queue limit and no filter.
 func (b *Bus) Subscribe(doc util.ID, opts SubscribeOpts) *Subscription {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -475,7 +448,6 @@ func (b *Bus) Subscribe(doc util.ID, opts SubscribeOpts) *Subscription {
 		id:     b.nextSub,
 		filter: opts.Filter,
 		limit:  limit,
-		policy: opts.OverflowPolicy,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	m := b.subs[doc]
@@ -501,8 +473,8 @@ func (b *Bus) unsubscribe(doc util.ID, id int) {
 }
 
 // Publish assigns the event its per-document sequence number and delivers
-// it to all subscribers. Slow subscribers are detached rather than blocking
-// the committer.
+// it to all subscribers. A slow subscriber's queue is shed rather than
+// blocking the committer.
 func (b *Bus) Publish(e Event) uint64 { return b.PublishWith(e, nil) }
 
 // PublishWith is Publish with a hook invoked while the bus lock is held,
@@ -527,17 +499,8 @@ func (b *Bus) PublishWith(e Event, fn func(seq uint64)) uint64 {
 		b.ring[e.Doc] = r
 	}
 	r.push(e)
-	var drop []int
-	for id, s := range b.subs[e.Doc] {
-		if s.enqueue(e) {
-			drop = append(drop, id)
-		}
-	}
-	// Detached subscriptions were closed (with lagged set) inside enqueue,
-	// under the bus lock — removing them from the map afterwards cannot
-	// race a later publish into their queue.
-	for _, id := range drop {
-		delete(b.subs[e.Doc], id)
+	for _, s := range b.subs[e.Doc] {
+		s.enqueue(e)
 	}
 	b.mu.Unlock()
 	return e.Seq

@@ -13,15 +13,16 @@ import (
 	"tendax/internal/wal"
 )
 
-// This file implements the protocol-v2 editing hot path: a batch of edit
-// operations — inserts and notes anchored by character-instance ID,
-// deletes and layouts addressing explicit instances — applied as ONE
-// database transaction under ONE document-lock acquisition, confirmed by
-// ONE group-commit wait, and announced by ONE awareness push. A pipelining
+// This file is the document's one mutation path: every text, layout and
+// note edit is a batch of edit operations — inserts and notes anchored by
+// character-instance ID or by position, deletes and layouts addressing
+// explicit instances or a positional range — applied as ONE database
+// transaction under ONE document-lock acquisition, confirmed by ONE
+// group-commit wait, and announced by ONE awareness push. A pipelining
 // client coalesces keystrokes into these batches, so the per-edit costs
-// that bound v1 typing throughput (request round-trip, lock handoff,
-// fsync wait, push fan-out) are paid once per batch instead of once per
-// keystroke.
+// (request round-trip, lock handoff, fsync wait, push fan-out) are paid
+// once per batch instead of once per keystroke; the positional methods at
+// the end of the file are one-op batches.
 
 // Edit-op kinds accepted by Apply.
 const (
@@ -39,7 +40,10 @@ const (
 //     instance created by an earlier insert of the same batch (the
 //     pipelined-typing case; the caller seeds cross-batch continuation by
 //     rewriting the first AnchorPrev op to an explicit anchor); otherwise
-//     Pos is the v1 fallback, resolved against the batch-start state.
+//     Pos is the v1 fallback, resolved against the batch-start state, with
+//     Pos < 0 meaning the end of the document (resolved under the document
+//     lock, so concurrent appenders never split each other's runs). A
+//     non-nil SrcDoc makes the insert a paste.
 //   - delete: Chars lists the instances to tombstone (already-deleted and
 //     archived ones are skipped — deletion by identity commutes);
 //     otherwise Pos/N resolves against the batch-start state.
@@ -60,6 +64,12 @@ type EditOp struct {
 	Chars      []util.ID
 	Span       string // layout span kind
 	Value      string // layout span value
+
+	// SrcDoc and SrcChars are an insert's provenance: the document the text
+	// was copied from and, rune for rune, the copied instances. In-process
+	// only — no v2 wire op carries them.
+	SrcDoc   util.ID
+	SrcChars []util.ID
 }
 
 // EditResult reports one applied op: the logged operation ID, the
@@ -231,11 +241,12 @@ type stagedOp struct {
 	opID    util.ID
 	spanID  util.ID
 	prev    util.ID         // insert: resolved predecessor
+	srcDoc  util.ID         // insert: paste source document
 	chars   []texttree.Char // insert: records as created (visible), value copies
 	deleted []util.ID       // delete: instances whose visibility flips
 	ids     []util.ID       // layout: spanned instances; note: anchor
-	text    string
-	pos     int // pos-fallback ops: requested position (apply recomputes committed pos)
+	text    string          // insert/note text; layout: "kind=value"
+	pos     int             // pos-fallback ops: requested position (apply recomputes committed pos)
 	n       int
 }
 
@@ -314,10 +325,14 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			// leak into them) and the final records (mutable via setLink,
 			// persisted with their end-of-batch state).
 			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), prev: prev,
-				text: op.Text, chars: st.arena.alloc(len(runes))}
+				srcDoc: op.SrcDoc, text: op.Text, chars: st.arena.alloc(len(runes))}
 			recs := st.arena.alloc(len(runes))
 			for j, r := range runes {
-				ch := texttree.Char{ID: ids[j], Rune: r, Author: user, Created: now}
+				ch := texttree.Char{ID: ids[j], Rune: r, Author: user, Created: now,
+					SourceDoc: op.SrcDoc}
+				if j < len(op.SrcChars) {
+					ch.SourceChar = op.SrcChars[j]
+				}
 				if j == 0 {
 					ch.Prev = prev
 				} else {
@@ -346,8 +361,12 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			st.sizeDelta += len(runes)
 			lastInsert = ids[len(ids)-1]
 			lastInsertIDs = ids
+			logKind := "insert"
+			if !op.SrcDoc.IsNil() {
+				logKind = "paste"
+			}
 			st.opRecs = append(st.opRecs, &opRecord{ID: sop.opID, User: user,
-				Kind: "insert", CharIDs: ids, Created: now})
+				Kind: logKind, CharIDs: ids, Created: now})
 			st.ops = append(st.ops, sop)
 
 		case EditDelete:
@@ -423,7 +442,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			}
 			spanID := d.eng.ids.Next()
 			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), spanID: spanID,
-				ids: ids, n: len(ids)}
+				ids: ids, n: len(ids), text: op.Span + "=" + op.Value}
 			st.spans = append(st.spans, db.Row{
 				int64(spanID), int64(d.id), op.Span, op.Value,
 				int64(ids[0]), int64(ids[len(ids)-1]), user, now, false,
@@ -500,9 +519,13 @@ func (d *Document) resolveInsertAnchorLocked(st *batchState, op EditOp, lastInse
 		}
 		return util.NilID, fmt.Errorf("core: unknown anchor %v", op.Anchor)
 	default:
-		prev, err := d.buf.PredecessorForInsert(op.Pos)
+		pos := op.Pos
+		if pos < 0 {
+			pos = d.buf.Len()
+		}
+		prev, err := d.buf.PredecessorForInsert(pos)
 		if err != nil {
-			return util.NilID, fmt.Errorf("%w: insert at %d of %d", ErrRange, op.Pos, d.buf.Len())
+			return util.NilID, fmt.Errorf("%w: insert at %d of %d", ErrRange, pos, d.buf.Len())
 		}
 		return prev, nil
 	}
@@ -571,8 +594,12 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 			for j := range sop.chars {
 				ids[j] = sop.chars[j].ID
 			}
-			items = append(items, awareness.BatchItem{Kind: awareness.EvInsert,
-				Pos: pos, Text: sop.text, N: len(ids), IDs: ids})
+			kind := awareness.EvInsert
+			if !sop.srcDoc.IsNil() {
+				kind = awareness.EvPaste
+			}
+			items = append(items, awareness.BatchItem{Kind: kind,
+				Pos: pos, Text: sop.text, N: len(ids), IDs: ids, SrcDoc: sop.srcDoc})
 			results = append(results, EditResult{OpID: sop.opID, IDs: ids, Pos: pos})
 
 		case EditDelete:
@@ -627,9 +654,10 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 }
 
 // publishBatchLocked announces the committed batch as ONE awareness event:
-// a single-item batch keeps the legacy event kind (v1 subscribers replay
-// it natively), a multi-item batch publishes EvBatch with the items in
-// order. Either way the batch consumes one sequence number.
+// a single-item batch keeps the legacy event kind and shape (v1 subscribers
+// replay it natively; a lone layout names its span as "kind=value"), a
+// multi-item batch publishes EvBatch with the items in order. Either way
+// the batch consumes one sequence number.
 func (d *Document) publishBatchLocked(user string, st *batchState, items []awareness.BatchItem, now time.Time) {
 	opID := util.NilID
 	if len(st.opRecs) > 0 {
@@ -643,9 +671,81 @@ func (d *Document) publishBatchLocked(user string, st *batchState, items []aware
 		ev.Text = it.Text
 		ev.N = it.N
 		ev.IDs = it.IDs
+		ev.SrcDoc = it.SrcDoc
+		if it.Kind == awareness.EvLayout {
+			for i := range st.ops {
+				if st.ops[i].kind == EditLayout {
+					ev.Name = st.ops[i].text
+					break
+				}
+			}
+		}
 	} else {
 		ev.Kind = awareness.EvBatch
 		ev.Batch = items
 	}
 	d.publishEventLocked(ev)
+}
+
+// The positional API: each method is a one-op batch through Apply, so it
+// stages, persists and publishes exactly as a v2 batch does.
+
+// applyOne applies op as a batch of one and returns its result.
+func (d *Document) applyOne(user string, op EditOp) (EditResult, error) {
+	res, err := d.Apply(user, []EditOp{op})
+	if err != nil {
+		return EditResult{}, err
+	}
+	return res[0], nil
+}
+
+// InsertText types text at visible position pos on behalf of user, as one
+// transaction. It returns the operation ID.
+func (d *Document) InsertText(user string, pos int, text string) (util.ID, error) {
+	res, err := d.applyOne(user, EditOp{Kind: EditInsert, Pos: pos, Text: text})
+	return res.OpID, err
+}
+
+// AppendText types text at the end of the document. Unlike InsertText with
+// a caller-computed position, the end position is resolved under the
+// document lock, so concurrent appenders never interleave inside each
+// other's runs.
+func (d *Document) AppendText(user string, text string) (util.ID, error) {
+	return d.InsertText(user, -1, text)
+}
+
+// Paste inserts clipboard content at pos, recording per-character
+// provenance links back to the source characters (the data-lineage raw
+// material, Figure 1).
+func (d *Document) Paste(user string, pos int, clip Clipboard) (util.ID, error) {
+	res, err := d.applyOne(user, EditOp{Kind: EditInsert, Pos: pos, Text: clip.Text,
+		SrcDoc: clip.SrcDoc, SrcChars: clip.SrcChars})
+	return res.OpID, err
+}
+
+// DeleteRange deletes n visible characters starting at pos, as one
+// transaction. Characters become tombstones (logical deletion), preserving
+// history, versions and provenance.
+func (d *Document) DeleteRange(user string, pos, n int) (util.ID, error) {
+	res, err := d.applyOne(user, EditOp{Kind: EditDelete, Pos: pos, N: n})
+	return res.OpID, err
+}
+
+// ApplyLayout annotates the visible range [pos, pos+n) with a layout or
+// structure span, as one transaction. Returns the new span's ID.
+func (d *Document) ApplyLayout(user string, pos, n int, kind, value string) (util.ID, error) {
+	res, err := d.applyOne(user, EditOp{Kind: EditLayout, Pos: pos, N: n, Span: kind, Value: value})
+	return res.Span, err
+}
+
+// SetHeading marks [pos, pos+n) as a heading of the given level (structure
+// definition in the paper's terms).
+func (d *Document) SetHeading(user string, pos, n, level int) (util.ID, error) {
+	return d.ApplyLayout(user, pos, n, SpanHeading, fmt.Sprintf("%d", level))
+}
+
+// InsertNote attaches a note to the visible character at pos.
+func (d *Document) InsertNote(user string, pos int, text string) (util.ID, error) {
+	res, err := d.applyOne(user, EditOp{Kind: EditNote, Pos: pos, Text: text})
+	return res.Span, err
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"tendax/internal/awareness"
@@ -360,5 +362,113 @@ func TestApplyDurableAcrossCrash(t *testing.T) {
 	}
 	if got := reload(t, e, d.ID()).Text(); got != "able" {
 		t.Fatalf("reloaded %q, want able", got)
+	}
+}
+
+// TestPositionalAPIEventShapes pins what each positional method — a one-op
+// batch through Apply — publishes and logs: the legacy event kind (never
+// EvBatch for one op), position, count, text, instance IDs, the layout's
+// "kind=value" name and the paste's source document.
+func TestPositionalAPIEventShapes(t *testing.T) {
+	e := newEngine(t)
+	ext, err := e.CreateExternalSource("https://example.org/spec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := e.CreateDocument("alice", "shapes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := e.Bus().Subscribe(d.ID(), awareness.SubscribeOpts{})
+	defer sub.Close()
+
+	for i, tc := range []struct {
+		do     func() (util.ID, error)
+		want   awareness.Event // Kind, Pos, N, Text, Name, SrcDoc
+		ids    int
+		logged string
+		text   string // committed text afterwards
+	}{
+		{func() (util.ID, error) { return d.InsertText("alice", 0, "hello") },
+			awareness.Event{Kind: awareness.EvInsert, Pos: 0, N: 5, Text: "hello"}, 5, "insert", "hello"},
+		{func() (util.ID, error) { return d.AppendText("alice", " world") },
+			awareness.Event{Kind: awareness.EvInsert, Pos: 5, N: 6, Text: " world"}, 6, "insert", "hello world"},
+		{func() (util.ID, error) { return d.Paste("alice", 5, Clipboard{Text: "XY", SrcDoc: ext}) },
+			awareness.Event{Kind: awareness.EvPaste, Pos: 5, N: 2, Text: "XY", SrcDoc: ext}, 2, "paste", "helloXY world"},
+		{func() (util.ID, error) { return d.DeleteRange("alice", 0, 3) },
+			awareness.Event{Kind: awareness.EvDelete, Pos: 0, N: 3}, 3, "delete", "loXY world"},
+		{func() (util.ID, error) { return d.ApplyLayout("alice", 1, 4, SpanBold, "true") },
+			awareness.Event{Kind: awareness.EvLayout, Pos: 1, N: 4, Name: "bold=true"}, 0, "layout", "loXY world"},
+		{func() (util.ID, error) { return d.InsertNote("alice", 2, "nb") },
+			awareness.Event{Kind: awareness.EvNote, Pos: 2, Text: "nb"}, 0, "layout", "loXY world"},
+	} {
+		id, err := tc.do()
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		ev, _ := sub.Next()
+		got := awareness.Event{Kind: ev.Kind, Pos: ev.Pos, N: ev.N, Text: ev.Text, Name: ev.Name, SrcDoc: ev.SrcDoc}
+		if !reflect.DeepEqual(got, tc.want) || len(ev.IDs) != tc.ids || len(ev.Batch) != 0 {
+			t.Fatalf("step %d: event %+v, want %+v with %d ids", i, ev, tc.want, tc.ids)
+		}
+		h := d.History()
+		if len(h) != i+1 || h[i].Kind != tc.logged || h[i].ID != ev.OpID {
+			t.Fatalf("step %d: history %+v, want %d entries ending in a %q with the event's op ID %v",
+				i, h, i+1, tc.logged, ev.OpID)
+		}
+		wantID := h[i].ID // text edits return the op ID, layout and note the span ID
+		if tc.logged == "layout" {
+			wantID = h[i].Ref
+		}
+		if id != wantID {
+			t.Fatalf("step %d: returned %v, want %v", i, id, wantID)
+		}
+		if d.Text() != tc.text {
+			t.Fatalf("step %d: text %q, want %q", i, d.Text(), tc.text)
+		}
+	}
+	if depth := sub.Depth(); depth != 0 {
+		t.Fatalf("%d extra events queued", depth)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentAppendsNeverSplit: AppendText resolves the end of the
+// document under the document lock, so two appenders racing each other
+// interleave whole runs, never characters.
+func TestConcurrentAppendsNeverSplit(t *testing.T) {
+	e := newEngine(t)
+	d, err := e.CreateDocument("alice", "appenders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds, runLen = 40, 7
+	var wg sync.WaitGroup
+	for _, r := range "ab" {
+		wg.Add(1)
+		go func(user, run string) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := d.AppendText(user, run); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(string(r), strings.Repeat(string(r), runLen))
+	}
+	wg.Wait()
+	text := d.Text()
+	if len(text) != 2*rounds*runLen {
+		t.Fatalf("committed %d chars, want %d", len(text), 2*rounds*runLen)
+	}
+	for i := 0; i < len(text); i += runLen {
+		if run := text[i : i+runLen]; strings.Count(run, run[:1]) != runLen {
+			t.Fatalf("run at %d split by the other appender: %q", i, run)
+		}
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -99,6 +99,32 @@ func (d *Document) publishEventLocked(ev awareness.Event) uint64 {
 	})
 }
 
+// commitLocked is the one lock → commit → unlock → durability-wait sequence
+// of every document mutation outside Apply: it checks that user holds
+// right, runs body — a *Locked method that commits asynchronously and
+// applies its effects — under d.mu, and waits for the commit to reach
+// stable storage only after the lock is released. Waiting for an fsync
+// under d.mu would queue every other writer of the document behind the
+// disk instead of letting them share one group commit.
+func commitLocked[T any](d *Document, user string, right Right, body func() (T, wal.LSN, error)) (T, error) {
+	var zero T
+	if err := d.eng.allowed(user, d.id, right); err != nil {
+		return zero, err
+	}
+	v, lsn, err := func() (T, wal.LSN, error) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return body()
+	}()
+	if err != nil {
+		return zero, err
+	}
+	if err := d.eng.WaitDurable(lsn); err != nil {
+		return zero, err
+	}
+	return v, nil
+}
+
 // load rebuilds the buffer from the chars table.
 func (d *Document) load() error {
 	rids, err := d.eng.tChars.LookupEq("doc", int64(d.id))
@@ -201,35 +227,6 @@ func (d *Document) Buffer() (*texttree.Buffer, error) {
 	return buf, nil
 }
 
-// InsertText types text at visible position pos on behalf of user, as one
-// transaction. It returns the operation ID.
-func (d *Document) InsertText(user string, pos int, text string) (util.ID, error) {
-	return d.insert(user, pos, text, "insert", util.NilID, nil)
-}
-
-// InsertTextAsync is InsertText without the durability wait: it returns as
-// soon as the editing transaction has committed and the document lock is
-// free, along with the commit LSN. The caller must confirm durability via
-// Engine.WaitDurable(lsn) before acknowledging the edit to its user; until
-// then a crash may roll the edit back.
-func (d *Document) InsertTextAsync(user string, pos int, text string) (util.ID, wal.LSN, error) {
-	return d.insertAsync(user, pos, text, "insert", util.NilID, nil)
-}
-
-// AppendText types text at the end of the document. Unlike InsertText with
-// a caller-computed position, the end position is resolved under the
-// document lock, so concurrent appenders never interleave inside each
-// other's runs.
-func (d *Document) AppendText(user string, text string) (util.ID, error) {
-	return d.insert(user, -1, text, "insert", util.NilID, nil)
-}
-
-// AppendTextAsync is AppendText without the durability wait; see
-// InsertTextAsync.
-func (d *Document) AppendTextAsync(user string, text string) (util.ID, wal.LSN, error) {
-	return d.insertAsync(user, -1, text, "insert", util.NilID, nil)
-}
-
 // Clipboard is the result of a Copy: the text plus the identities of the
 // copied character instances, which Paste records as provenance.
 type Clipboard struct {
@@ -241,233 +238,27 @@ type Clipboard struct {
 // Copy captures [pos, pos+n) into a clipboard and logs the copy action
 // (TeNDaX gathers metadata on all copy and paste operations).
 func (d *Document) Copy(user string, pos, n int) (Clipboard, error) {
-	if err := d.eng.allowed(user, d.id, RRead); err != nil {
-		return Clipboard{}, err
-	}
-	clip, lsn, err := d.copyAsync(user, pos, n)
-	if err != nil {
-		return Clipboard{}, err
-	}
-	if err := d.eng.WaitDurable(lsn); err != nil {
-		return Clipboard{}, err
-	}
-	return clip, nil
+	return commitLocked(d, user, RRead, func() (Clipboard, wal.LSN, error) {
+		return d.copyLocked(user, pos, n)
+	})
 }
 
-// copyAsync does Copy's locked work with an asynchronous commit; the
-// durability wait is the caller's, outside d.mu (group-commit rule).
-func (d *Document) copyAsync(user string, pos, n int) (Clipboard, wal.LSN, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (d *Document) copyLocked(user string, pos, n int) (Clipboard, wal.LSN, error) {
 	ids := d.buf.RangeIDs(pos, n)
 	if len(ids) != n {
 		return Clipboard{}, 0, fmt.Errorf("%w: copy [%d,%d) of %d chars", ErrRange, pos, pos+n, d.buf.Len())
 	}
 	clip := Clipboard{Text: d.buf.Slice(pos, n), SrcDoc: d.id, SrcChars: ids}
-	opID := d.eng.ids.Next()
-	now := d.eng.clock.Now()
+	rec := opRecord{ID: d.eng.ids.Next(), User: user, Kind: "copy", CharIDs: ids,
+		Created: d.eng.clock.Now()}
 	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
-		return d.writeOpRow(tx, &opRecord{ID: opID, User: user, Kind: "copy",
-			CharIDs: ids, Created: now})
+		return d.writeOpRow(tx, &rec)
 	})
 	if err != nil {
 		return Clipboard{}, 0, err
 	}
-	d.ops = append(d.ops, opRecord{ID: opID, User: user, Kind: "copy", CharIDs: ids, Created: now})
+	d.ops = append(d.ops, rec)
 	return clip, lsn, nil
-}
-
-// Paste inserts clipboard content at pos, recording per-character
-// provenance links back to the source characters (the data-lineage raw
-// material, Figure 1).
-func (d *Document) Paste(user string, pos int, clip Clipboard) (util.ID, error) {
-	return d.insert(user, pos, clip.Text, "paste", clip.SrcDoc, clip.SrcChars)
-}
-
-// insert is insertAsync plus the durability wait — the transactional
-// contract of the original API: when it returns, the edit is on stable
-// storage.
-func (d *Document) insert(user string, pos int, text, kind string, srcDoc util.ID, srcChars []util.ID) (util.ID, error) {
-	opID, lsn, err := d.insertAsync(user, pos, text, kind, srcDoc, srcChars)
-	if err != nil {
-		return util.NilID, err
-	}
-	if err := d.eng.WaitDurable(lsn); err != nil {
-		return util.NilID, err
-	}
-	return opID, nil
-}
-
-// insertAsync implements InsertText/Paste/notes: one transaction that
-// batch-inserts the new character rows, rewrites the two neighbour links,
-// logs the operation and refreshes document metadata. The commit is
-// asynchronous and the durability wait is left to the caller, crucially
-// outside d.mu: concurrent editors of the same document serialize only on
-// the in-memory apply and then share one group-commit fsync, instead of
-// queueing behind each other's disk writes.
-func (d *Document) insertAsync(user string, pos int, text, kind string, srcDoc util.ID, srcChars []util.ID) (util.ID, wal.LSN, error) {
-	if err := d.eng.allowed(user, d.id, RWrite); err != nil {
-		return util.NilID, 0, err
-	}
-	runes := []rune(text)
-	if len(runes) == 0 {
-		return util.NilID, 0, fmt.Errorf("core: empty %s", kind)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
-	if pos < 0 { // append: resolve under the lock
-		pos = d.buf.Len()
-	}
-	prevID, err := d.buf.PredecessorForInsert(pos)
-	if err != nil {
-		return util.NilID, 0, fmt.Errorf("%w: insert at %d of %d", ErrRange, pos, d.buf.Len())
-	}
-	succID := d.buf.ChainSuccessor(prevID)
-	now := d.eng.clock.Now()
-	opID := d.eng.ids.Next()
-
-	chars := make([]texttree.Char, len(runes))
-	ids := make([]util.ID, len(runes))
-	for i := range runes {
-		ids[i] = d.eng.ids.Next()
-	}
-	for i, r := range runes {
-		ch := texttree.Char{
-			ID: ids[i], Rune: r, Author: user, Created: now,
-			SourceDoc: srcDoc,
-		}
-		if srcChars != nil && i < len(srcChars) {
-			ch.SourceChar = srcChars[i]
-		}
-		if i == 0 {
-			ch.Prev = prevID
-		} else {
-			ch.Prev = ids[i-1]
-		}
-		if i == len(runes)-1 {
-			ch.Next = succID
-		} else {
-			ch.Next = ids[i+1]
-		}
-		chars[i] = ch
-	}
-
-	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
-		rows := make([]db.Row, len(chars))
-		for i := range chars {
-			rows[i] = d.rowFromChar(&chars[i])
-		}
-		if _, err := d.eng.tChars.InsertBatch(tx, rows); err != nil {
-			return err
-		}
-		if !prevID.IsNil() {
-			pc, _ := d.buf.Char(prevID)
-			upd := *pc
-			upd.Next = ids[0]
-			if err := d.eng.tChars.UpdateByPK(tx, int64(prevID), d.rowFromChar(&upd)); err != nil {
-				return err
-			}
-		}
-		if !succID.IsNil() {
-			sc, _ := d.buf.Char(succID)
-			upd := *sc
-			upd.Prev = ids[len(ids)-1]
-			if err := d.eng.tChars.UpdateByPK(tx, int64(succID), d.rowFromChar(&upd)); err != nil {
-				return err
-			}
-		}
-		if err := d.writeOpRow(tx, &opRecord{ID: opID, User: user, Kind: kind,
-			CharIDs: ids, Created: now}); err != nil {
-			return err
-		}
-		return d.updateDocRowLocked(tx, user, now, d.buf.Len()+len(runes))
-	})
-	if err != nil {
-		return util.NilID, 0, err
-	}
-
-	// Transaction committed: apply to the in-memory buffer with one batched
-	// splice, publish the new snapshot for readers, and notify.
-	if _, err := d.buf.InsertRun(prevID, chars); err != nil {
-		return util.NilID, 0, fmt.Errorf("core: buffer diverged: %w", err)
-	}
-	d.ops = append(d.ops, opRecord{ID: opID, User: user, Kind: kind, CharIDs: ids, Created: now})
-	d.noteAuthorLocked(user, now)
-	evKind := awareness.EvInsert
-	if kind == "paste" {
-		evKind = awareness.EvPaste
-	}
-	d.publishEventLocked(awareness.Event{
-		Doc: d.id, Kind: evKind, User: user, OpID: opID,
-		Pos: pos, Text: text, N: len(runes), IDs: ids, At: now, SrcDoc: srcDoc,
-	})
-	return opID, lsn, nil
-}
-
-// DeleteRange deletes n visible characters starting at pos, as one
-// transaction. Characters become tombstones (logical deletion), preserving
-// history, versions and provenance.
-func (d *Document) DeleteRange(user string, pos, n int) (util.ID, error) {
-	opID, lsn, err := d.DeleteRangeAsync(user, pos, n)
-	if err != nil {
-		return util.NilID, err
-	}
-	if err := d.eng.WaitDurable(lsn); err != nil {
-		return util.NilID, err
-	}
-	return opID, nil
-}
-
-// DeleteRangeAsync is DeleteRange without the durability wait; see
-// InsertTextAsync for the contract.
-func (d *Document) DeleteRangeAsync(user string, pos, n int) (util.ID, wal.LSN, error) {
-	if err := d.eng.allowed(user, d.id, RWrite); err != nil {
-		return util.NilID, 0, err
-	}
-	if n <= 0 {
-		return util.NilID, 0, fmt.Errorf("core: delete of %d chars", n)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ids := d.buf.RangeIDs(pos, n)
-	if len(ids) != n {
-		return util.NilID, 0, fmt.Errorf("%w: delete [%d,%d) of %d chars", ErrRange, pos, pos+n, d.buf.Len())
-	}
-	now := d.eng.clock.Now()
-	opID := d.eng.ids.Next()
-
-	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
-		for _, id := range ids {
-			ch, _ := d.buf.Char(id)
-			upd := *ch
-			upd.Deleted = true
-			upd.DeletedBy = user
-			upd.DeletedAt = now
-			upd.Restored = time.Time{} // a re-delete opens a fresh interval
-			if err := d.eng.tChars.UpdateByPK(tx, int64(id), d.rowFromChar(&upd)); err != nil {
-				return err
-			}
-		}
-		if err := d.writeOpRow(tx, &opRecord{ID: opID, User: user, Kind: "delete",
-			CharIDs: ids, Created: now}); err != nil {
-			return err
-		}
-		return d.updateDocRowLocked(tx, user, now, d.buf.Len()-n)
-	})
-	if err != nil {
-		return util.NilID, 0, err
-	}
-	for _, id := range ids {
-		d.buf.Delete(id, user, now)
-	}
-	d.ops = append(d.ops, opRecord{ID: opID, User: user, Kind: "delete", CharIDs: ids, Created: now})
-	d.noteAuthorLocked(user, now)
-	d.publishEventLocked(awareness.Event{
-		Doc: d.id, Kind: awareness.EvDelete, User: user, OpID: opID,
-		Pos: pos, N: n, At: now,
-	})
-	return opID, lsn, nil
 }
 
 // RecordRead logs that user read the document now (metadata for dynamic
@@ -492,21 +283,14 @@ func (d *Document) RecordRead(user string) (string, error) {
 // SetState transitions the document state (draft, review, final, …);
 // workflow uses this for document routing.
 func (d *Document) SetState(user, state string) error {
-	if err := d.eng.allowed(user, d.id, RWrite); err != nil {
-		return err
-	}
-	lsn, err := d.setStateAsync(user, state)
-	if err != nil {
-		return err
-	}
-	return d.eng.WaitDurable(lsn)
+	_, err := commitLocked(d, user, RWrite, func() (struct{}, wal.LSN, error) {
+		lsn, err := d.setStateLocked(user, state)
+		return struct{}{}, lsn, err
+	})
+	return err
 }
 
-// setStateAsync does SetState's locked work with an asynchronous commit;
-// the durability wait is the caller's, outside d.mu (group-commit rule).
-func (d *Document) setStateAsync(user, state string) (wal.LSN, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (d *Document) setStateLocked(user, state string) (wal.LSN, error) {
 	now := d.eng.clock.Now()
 	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
 		row, _, err := d.eng.tDocs.GetByPK(tx, int64(d.id))

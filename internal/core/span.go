@@ -37,146 +37,18 @@ const (
 	SpanNote    = "note"
 )
 
-// ApplyLayout annotates the visible range [pos, pos+n) with a layout or
-// structure span, as one transaction. Returns the new span's ID.
-func (d *Document) ApplyLayout(user string, pos, n int, kind, value string) (util.ID, error) {
-	if err := d.eng.allowed(user, d.id, RWrite); err != nil {
-		return util.NilID, err
-	}
-	if n <= 0 {
-		return util.NilID, fmt.Errorf("core: layout over %d chars", n)
-	}
-	spanID, lsn, err := d.applyLayoutAsync(user, pos, n, kind, value)
-	if err != nil {
-		return util.NilID, err
-	}
-	if err := d.eng.WaitDurable(lsn); err != nil {
-		return util.NilID, err
-	}
-	return spanID, nil
-}
-
-// applyLayoutAsync does ApplyLayout's locked work with an asynchronous
-// commit; the durability wait is the caller's, outside d.mu (group-commit
-// rule).
-func (d *Document) applyLayoutAsync(user string, pos, n int, kind, value string) (util.ID, wal.LSN, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ids := d.buf.RangeIDs(pos, n)
-	if len(ids) != n {
-		return util.NilID, 0, fmt.Errorf("%w: layout [%d,%d) of %d", ErrRange, pos, pos+n, d.buf.Len())
-	}
-	spanID := d.eng.ids.Next()
-	opID := d.eng.ids.Next()
-	now := d.eng.clock.Now()
-	start, end := ids[0], ids[len(ids)-1]
-
-	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
-		if _, err := d.eng.tSpans.Insert(tx, db.Row{
-			int64(spanID), int64(d.id), kind, value, int64(start), int64(end),
-			user, now, false,
-		}); err != nil {
-			return err
-		}
-		if _, err := d.eng.tOps.Insert(tx, db.Row{
-			int64(opID), int64(d.id), user, "layout", []byte{}, int64(spanID), now, false,
-		}); err != nil {
-			return err
-		}
-		return d.updateDocRowLocked(tx, user, now, d.buf.Len())
-	})
-	if err != nil {
-		return util.NilID, 0, err
-	}
-	d.ops = append(d.ops, opRecord{ID: opID, User: user, Kind: "layout", Ref: spanID, Created: now})
-	d.noteAuthorLocked(user, now)
-	d.publishEventLocked(awareness.Event{
-		Doc: d.id, Kind: awareness.EvLayout, User: user, OpID: opID,
-		Pos: pos, N: n, Name: kind + "=" + value, At: now,
-	})
-	return spanID, lsn, nil
-}
-
-// SetHeading marks [pos, pos+n) as a heading of the given level (structure
-// definition in the paper's terms).
-func (d *Document) SetHeading(user string, pos, n, level int) (util.ID, error) {
-	return d.ApplyLayout(user, pos, n, SpanHeading, fmt.Sprintf("%d", level))
-}
-
-// InsertNote attaches a note to the visible character at pos.
-func (d *Document) InsertNote(user string, pos int, text string) (util.ID, error) {
-	if err := d.eng.allowed(user, d.id, RWrite); err != nil {
-		return util.NilID, err
-	}
-	spanID, lsn, err := d.insertNoteAsync(user, pos, text)
-	if err != nil {
-		return util.NilID, err
-	}
-	if err := d.eng.WaitDurable(lsn); err != nil {
-		return util.NilID, err
-	}
-	return spanID, nil
-}
-
-// insertNoteAsync does InsertNote's locked work with an asynchronous
-// commit; the durability wait is the caller's, outside d.mu (group-commit
-// rule).
-func (d *Document) insertNoteAsync(user string, pos int, text string) (util.ID, wal.LSN, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	anchor, ok := d.buf.IDAt(pos)
-	if !ok {
-		return util.NilID, 0, fmt.Errorf("%w: note at %d of %d", ErrRange, pos, d.buf.Len())
-	}
-	spanID := d.eng.ids.Next()
-	opID := d.eng.ids.Next()
-	now := d.eng.clock.Now()
-	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
-		if _, err := d.eng.tSpans.Insert(tx, db.Row{
-			int64(spanID), int64(d.id), SpanNote, text, int64(anchor), int64(anchor),
-			user, now, false,
-		}); err != nil {
-			return err
-		}
-		if _, err := d.eng.tOps.Insert(tx, db.Row{
-			int64(opID), int64(d.id), user, "layout", []byte{}, int64(spanID), now, false,
-		}); err != nil {
-			return err
-		}
-		return d.updateDocRowLocked(tx, user, now, d.buf.Len())
-	})
-	if err != nil {
-		return util.NilID, 0, err
-	}
-	d.ops = append(d.ops, opRecord{ID: opID, User: user, Kind: "layout", Ref: spanID, Created: now})
-	d.noteAuthorLocked(user, now)
-	d.publishEventLocked(awareness.Event{
-		Doc: d.id, Kind: awareness.EvNote, User: user, OpID: opID,
-		Pos: pos, Text: text, At: now,
-	})
-	return spanID, lsn, nil
-}
-
 // RemoveSpan retracts a span (layout removal), as one transaction.
 func (d *Document) RemoveSpan(user string, spanID util.ID) error {
-	if err := d.eng.allowed(user, d.id, RWrite); err != nil {
-		return err
-	}
-	lsn, err := d.removeSpanAsync(user, spanID)
-	if err != nil {
-		return err
-	}
-	return d.eng.WaitDurable(lsn)
+	_, err := commitLocked(d, user, RWrite, func() (struct{}, wal.LSN, error) {
+		lsn, err := d.removeSpanLocked(user, spanID)
+		return struct{}{}, lsn, err
+	})
+	return err
 }
 
-// removeSpanAsync does RemoveSpan's locked work with an asynchronous
-// commit; the durability wait is the caller's, outside d.mu (group-commit
-// rule).
-func (d *Document) removeSpanAsync(user string, spanID util.ID) (wal.LSN, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	opID := d.eng.ids.Next()
+func (d *Document) removeSpanLocked(user string, spanID util.ID) (wal.LSN, error) {
 	now := d.eng.clock.Now()
+	rec := opRecord{ID: d.eng.ids.Next(), User: user, Kind: "layout-remove", Ref: spanID, Created: now}
 	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
 		row, _, err := d.eng.tSpans.GetByPK(tx, int64(spanID))
 		if err != nil {
@@ -189,9 +61,7 @@ func (d *Document) removeSpanAsync(user string, spanID util.ID) (wal.LSN, error)
 		if err := d.eng.tSpans.UpdateByPK(tx, int64(spanID), row); err != nil {
 			return err
 		}
-		if _, err := d.eng.tOps.Insert(tx, db.Row{
-			int64(opID), int64(d.id), user, "layout-remove", []byte{}, int64(spanID), now, false,
-		}); err != nil {
+		if err := d.writeOpRow(tx, &rec); err != nil {
 			return err
 		}
 		return d.updateDocRowLocked(tx, user, now, d.buf.Len())
@@ -199,10 +69,10 @@ func (d *Document) removeSpanAsync(user string, spanID util.ID) (wal.LSN, error)
 	if err != nil {
 		return 0, err
 	}
-	d.ops = append(d.ops, opRecord{ID: opID, User: user, Kind: "layout-remove", Ref: spanID, Created: now})
+	d.ops = append(d.ops, rec)
 	d.noteAuthorLocked(user, now)
 	d.publishEventLocked(awareness.Event{
-		Doc: d.id, Kind: awareness.EvLayout, User: user, OpID: opID,
+		Doc: d.id, Kind: awareness.EvLayout, User: user, OpID: rec.ID,
 		Name: "remove", At: now,
 	})
 	return lsn, nil

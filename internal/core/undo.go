@@ -215,25 +215,12 @@ func (d *Document) RedoGlobal(user string) (util.ID, error) {
 }
 
 func (d *Document) undo(user string, local bool) (util.ID, error) {
-	if err := d.eng.allowed(user, d.id, RWrite); err != nil {
-		return util.NilID, err
-	}
-	undoID, lsn, err := d.undoAsync(user, local)
-	if err != nil {
-		return util.NilID, err
-	}
-	if err := d.eng.WaitDurable(lsn); err != nil {
-		return util.NilID, err
-	}
-	return undoID, nil
+	return commitLocked(d, user, RWrite, func() (util.ID, wal.LSN, error) {
+		return d.undoLocked(user, local)
+	})
 }
 
-// undoAsync does undo's locked work with an asynchronous commit; the
-// durability wait is the caller's, outside d.mu (group-commit rule).
-func (d *Document) undoAsync(user string, local bool) (util.ID, wal.LSN, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
+func (d *Document) undoLocked(user string, local bool) (util.ID, wal.LSN, error) {
 	var target *opRecord
 	for i := len(d.ops) - 1; i >= 0; i-- {
 		op := &d.ops[i]
@@ -286,25 +273,12 @@ func (d *Document) undoAsync(user string, local bool) (util.ID, wal.LSN, error) 
 }
 
 func (d *Document) redo(user string, local bool) (util.ID, error) {
-	if err := d.eng.allowed(user, d.id, RWrite); err != nil {
-		return util.NilID, err
-	}
-	redoID, lsn, err := d.redoAsync(user, local)
-	if err != nil {
-		return util.NilID, err
-	}
-	if err := d.eng.WaitDurable(lsn); err != nil {
-		return util.NilID, err
-	}
-	return redoID, nil
+	return commitLocked(d, user, RWrite, func() (util.ID, wal.LSN, error) {
+		return d.redoLocked(user, local)
+	})
 }
 
-// redoAsync does redo's locked work with an asynchronous commit; the
-// durability wait is the caller's, outside d.mu (group-commit rule).
-func (d *Document) redoAsync(user string, local bool) (util.ID, wal.LSN, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
+func (d *Document) redoLocked(user string, local bool) (util.ID, wal.LSN, error) {
 	// Find the most recent unconsumed undo (scoped to user for local).
 	var undoOp *opRecord
 	for i := len(d.ops) - 1; i >= 0; i-- {

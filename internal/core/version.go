@@ -27,25 +27,12 @@ var ErrVersionNotFound = errors.New("core: version not found")
 
 // CreateVersion snapshots the document's current state under a name.
 func (d *Document) CreateVersion(user, name string) (Version, error) {
-	if err := d.eng.allowed(user, d.id, RWrite); err != nil {
-		return Version{}, err
-	}
-	v, lsn, err := d.createVersionAsync(user, name)
-	if err != nil {
-		return Version{}, err
-	}
-	if err := d.eng.WaitDurable(lsn); err != nil {
-		return Version{}, err
-	}
-	return v, nil
+	return commitLocked(d, user, RWrite, func() (Version, wal.LSN, error) {
+		return d.createVersionLocked(user, name)
+	})
 }
 
-// createVersionAsync does CreateVersion's locked work with an
-// asynchronous commit; the durability wait is the caller's, outside d.mu
-// (group-commit rule).
-func (d *Document) createVersionAsync(user, name string) (Version, wal.LSN, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (d *Document) createVersionLocked(user, name string) (Version, wal.LSN, error) {
 	id := d.eng.ids.Next()
 	now := d.eng.clock.Now()
 	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {

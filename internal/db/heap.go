@@ -143,7 +143,7 @@ func (h *Heap) Insert(tx *txn.Txn, rec []byte) (RID, error) {
 // InsertBatch appends recs to the heap under tx, returning one RID per
 // record in order. Unlike repeated Insert calls it fetches and latches each
 // heap page once per run of records placed on it rather than once per
-// record — the engine's hottest path (Document.insert) writes one row per
+// record — the engine's hottest path (Document.ApplyAsync) writes one row per
 // character, so a keystroke batch of n characters costs O(pages touched)
 // page acquisitions instead of O(n). Every record is still individually
 // write-ahead logged, exclusively locked and registered for undo.

@@ -209,10 +209,7 @@ func (s *Service) addDoc(id util.ID) error {
 	if err != nil {
 		return err
 	}
-	sub := s.eng.Bus().Subscribe(id, awareness.SubscribeOpts{
-		QueueLimit:     s.opts.queueLimit,
-		OverflowPolicy: awareness.ShedAndResync,
-	})
+	sub := s.eng.Bus().Subscribe(id, awareness.SubscribeOpts{QueueLimit: s.opts.queueLimit})
 	snap, seq := d.SnapshotSeq()
 
 	s.mu.Lock()
@@ -302,22 +299,12 @@ func (s *Service) foldEventLocked(id util.ID, st *docState, ev awareness.Event) 
 	switch ev.Kind {
 	case awareness.EvJoin, awareness.EvLeave, awareness.EvCursor, awareness.EvPresence:
 		return
-	case awareness.EvPaste:
-		// The event names the source and the commit time every new instance
-		// carries; no snapshot lookup per character.
-		for _, cid := range ev.IDs {
-			s.countCharLocked(id, cid, ev.SrcDoc, ev.At)
-		}
-		fallthrough
-	case awareness.EvInsert, awareness.EvDelete, awareness.EvLayout, awareness.EvNote:
-		if !inBase {
-			st.foldItem(ev.Kind, ev.Pos, ev.N)
-		}
+	case awareness.EvInsert, awareness.EvPaste, awareness.EvDelete, awareness.EvLayout, awareness.EvNote:
+		s.foldItemLocked(id, st, awareness.BatchItem{Kind: ev.Kind, Pos: ev.Pos, N: ev.N,
+			IDs: ev.IDs, SrcDoc: ev.SrcDoc}, ev.At, inBase)
 	case awareness.EvBatch:
-		if !inBase {
-			for _, it := range ev.Batch {
-				st.foldItem(it.Kind, it.Pos, it.N)
-			}
+		for _, it := range ev.Batch {
+			s.foldItemLocked(id, st, it, ev.At, inBase)
 		}
 	case awareness.EvUndo, awareness.EvRedo:
 		// Which instances flipped is not on the event. Lineage is unmoved
@@ -331,14 +318,26 @@ func (s *Service) foldEventLocked(id util.ID, st *docState, ev awareness.Event) 
 	s.markDirtyLocked(id)
 }
 
-// foldItem records one positional item, resolved — as the bus guarantees —
-// against the document state after everything published before it.
-func (st *docState) foldItem(kind awareness.EventKind, pos, n int) {
-	switch kind {
+// foldItemLocked folds one positional item — a whole single-op event or
+// one op of a batch, resolved, as the bus guarantees, against the document
+// state after everything published before it. A paste names its source and
+// the commit time every new instance carries, so lineage needs no snapshot
+// lookup per character; it is counted even when the text is already in the
+// base snapshot (counting is idempotent, the changed ranges are not).
+func (s *Service) foldItemLocked(id util.ID, st *docState, it awareness.BatchItem, at time.Time, inBase bool) {
+	if !it.SrcDoc.IsNil() {
+		for _, cid := range it.IDs {
+			s.countCharLocked(id, cid, it.SrcDoc, at)
+		}
+	}
+	if inBase {
+		return
+	}
+	switch it.Kind {
 	case awareness.EvInsert, awareness.EvPaste:
-		st.changed = st.changed.splice(pos, 0, n)
+		st.changed = st.changed.splice(it.Pos, 0, it.N)
 	case awareness.EvDelete:
-		st.changed = st.changed.splice(pos, n, 0)
+		st.changed = st.changed.splice(it.Pos, it.N, 0)
 	case awareness.EvLayout, awareness.EvNote:
 		st.layout = true
 	}

@@ -149,7 +149,26 @@ func TestServiceMatchesRebuild(t *testing.T) {
 	if _, err := late.Paste("carol", 0, clip); err != nil {
 		t.Fatal(err)
 	}
+	// A paste inside a multi-op batch: its lineage edge (late → root, the
+	// only one) reaches the fold through the batch item, not the event.
+	back, err := late.Copy("carol", 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := root.Apply("carol", []core.EditOp{
+		{Kind: core.EditInsert, Pos: 0, Text: back.Text, SrcDoc: back.SrcDoc, SrcChars: back.SrcChars},
+		{Kind: core.EditDelete, Pos: 10, N: 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	live.Sync()
+	if refs, err := live.Provenance(root.ID(), 0, 4); err != nil || len(refs) != 1 ||
+		refs[0].SrcDoc != late.ID() || refs[0].Chars != 4 {
+		t.Fatalf("batch paste provenance = %+v, %v", refs, err)
+	}
+	if got := live.CitationCount(late.ID()); got != 1 {
+		t.Fatalf("batch paste folded %d citations of the late document, want 1", got)
+	}
 
 	// Oracles over the quiesced corpus.
 	oracleIx, err := search.BuildIndex(eng)

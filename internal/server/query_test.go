@@ -263,7 +263,9 @@ func TestCrossTenantQueryLeakHunt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wd.Paste(wd.Len(), clip); err != nil {
+	// The end of the text by construction, not wd.Len(): the replica may not
+	// have folded the insert's own push yet.
+	if err := wd.Paste(len("public SECRET public "), clip); err != nil {
 		t.Fatal(err)
 	}
 	d, err := eng.OpenDocument(util.ID(wikiID))

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"tendax/internal/awareness"
 	"tendax/internal/core"
@@ -23,7 +24,6 @@ import (
 	"tendax/internal/protocol"
 	"tendax/internal/security"
 	"tendax/internal/util"
-	"tendax/internal/wal"
 )
 
 // Wire-frame cache keys for the awareness encode-once fan-out: v1 and v2
@@ -341,21 +341,6 @@ func (c *conn) handle(req *protocol.Message) *protocol.Message {
 	if req.Op != protocol.OpLogin && req.Op != protocol.OpHello && c.user == "" {
 		return fail(errors.New("server: not logged in"))
 	}
-	// Rate limiting, ahead of dispatch: edit traffic (v2 batches and the
-	// v1 single-op edits alike) and subscription churn are the two paths
-	// a noisy tenant can hammer.
-	switch req.Op {
-	case protocol.OpEdit, protocol.OpInsert, protocol.OpAppend, protocol.OpDelete:
-		if ok, retry := c.allowEdit(time.Now()); !ok {
-			c.srv.metrics.Throttles.Add(1)
-			return c.throttledResp(retry)
-		}
-	case protocol.OpSubscribe:
-		if ok, retry := c.allowSubscribe(time.Now()); !ok {
-			c.srv.metrics.Throttles.Add(1)
-			return c.throttledResp(retry)
-		}
-	}
 	switch req.Op {
 	case protocol.OpLogin:
 		return c.login(req)
@@ -389,8 +374,9 @@ func (c *conn) handle(req *protocol.Message) *protocol.Message {
 			resp.Shards = c.srv.cl.Shards()
 		}
 		return resp
-	case protocol.OpEdit:
-		return c.editBatch(req)
+	case protocol.OpEdit, protocol.OpInsert, protocol.OpAppend, protocol.OpDelete,
+		protocol.OpPaste, protocol.OpLayout, protocol.OpNote:
+		return c.edit(req)
 	case protocol.OpAnchors:
 		return c.anchors(req)
 	case protocol.OpResync:
@@ -453,41 +439,6 @@ func (c *conn) handle(req *protocol.Message) *protocol.Message {
 			return fail(err)
 		}
 		return &protocol.Message{OK: true, Text: text}
-	// The three editing hot paths commit asynchronously and confirm
-	// durability with a per-connection barrier just before the ack: while
-	// this connection sleeps in WaitDurable, every other connection keeps
-	// applying and committing, so independent editors share one WAL fsync
-	// (group commit) instead of queueing behind each other's disk writes.
-	case protocol.OpInsert:
-		d, err := c.doc(req)
-		if err != nil {
-			return fail(err)
-		}
-		opID, lsn, err := d.InsertTextAsync(c.user, req.Pos, req.Text)
-		if err != nil {
-			return fail(err)
-		}
-		return c.ackDurable(d.ID(), opID, lsn)
-	case protocol.OpAppend:
-		d, err := c.doc(req)
-		if err != nil {
-			return fail(err)
-		}
-		opID, lsn, err := d.AppendTextAsync(c.user, req.Text)
-		if err != nil {
-			return fail(err)
-		}
-		return c.ackDurable(d.ID(), opID, lsn)
-	case protocol.OpDelete:
-		d, err := c.doc(req)
-		if err != nil {
-			return fail(err)
-		}
-		opID, lsn, err := d.DeleteRangeAsync(c.user, req.Pos, req.N)
-		if err != nil {
-			return fail(err)
-		}
-		return c.ackDurable(d.ID(), opID, lsn)
 	case protocol.OpCopy:
 		d, err := c.doc(req)
 		if err != nil {
@@ -498,19 +449,6 @@ func (c *conn) handle(req *protocol.Message) *protocol.Message {
 			return fail(err)
 		}
 		return &protocol.Message{OK: true, Clip: wireClip(clip)}
-	case protocol.OpPaste:
-		d, err := c.doc(req)
-		if err != nil {
-			return fail(err)
-		}
-		if req.Clip == nil {
-			return fail(errors.New("server: paste without clip"))
-		}
-		opID, err := d.Paste(c.user, req.Pos, coreClip(req.Clip))
-		if err != nil {
-			return fail(err)
-		}
-		return &protocol.Message{OK: true, OpID: uint64(opID)}
 	case protocol.OpUndo, protocol.OpRedo:
 		d, err := c.doc(req)
 		if err != nil {
@@ -531,26 +469,6 @@ func (c *conn) handle(req *protocol.Message) *protocol.Message {
 			return fail(err)
 		}
 		return &protocol.Message{OK: true, OpID: uint64(opID)}
-	case protocol.OpLayout:
-		d, err := c.doc(req)
-		if err != nil {
-			return fail(err)
-		}
-		spanID, err := d.ApplyLayout(c.user, req.Pos, req.N, req.Kind, req.Value)
-		if err != nil {
-			return fail(err)
-		}
-		return &protocol.Message{OK: true, OpID: uint64(spanID)}
-	case protocol.OpNote:
-		d, err := c.doc(req)
-		if err != nil {
-			return fail(err)
-		}
-		spanID, err := d.InsertNote(c.user, req.Pos, req.Text)
-		if err != nil {
-			return fail(err)
-		}
-		return &protocol.Message{OK: true, OpID: uint64(spanID)}
 	case protocol.OpVersion:
 		d, err := c.doc(req)
 		if err != nil {
@@ -637,23 +555,17 @@ func (c *conn) doc(req *protocol.Message) (*core.Document, error) {
 	return c.srv.cl.OpenDocument(util.ID(req.Doc))
 }
 
-// ackDurable turns a committed-but-not-yet-durable edit into a response,
-// waiting on the owning shard's write-ahead log durable horizon first. An
-// edit is never acknowledged to the editor before it is on stable storage.
-func (c *conn) ackDurable(doc util.ID, opID util.ID, lsn wal.LSN) *protocol.Message {
-	if err := c.srv.engineFor(doc).WaitDurable(lsn); err != nil {
-		return fail(err)
-	}
-	return &protocol.Message{OK: true, OpID: uint64(opID)}
-}
-
 // subscribe registers for a document's events and starts the push pump.
-// The subscription rides the redesigned bus API: a bounded queue with the
-// ShedAndResync overflow policy (a storm drops queued events and leaves a
-// gap marker instead of detaching the subscriber), and the connection's
+// Subscription churn is rate-limited like edit traffic. The subscription
+// is a bounded queue (a storm drops queued events and leaves a gap marker
+// the pump heals from the op ring), with the connection's
 // redactor installed as the per-subscriber filter so every pushed event
 // is already ACL-filtered when the pump encodes it.
 func (c *conn) subscribe(req *protocol.Message) *protocol.Message {
+	if ok, retry := c.allowSubscribe(time.Now()); !ok {
+		c.srv.metrics.Throttles.Add(1)
+		return c.throttledResp(retry)
+	}
 	docID := util.ID(req.Doc)
 	if _, err := c.srv.cl.OpenDocument(docID); err != nil {
 		return fail(err)
@@ -669,9 +581,8 @@ func (c *conn) subscribe(req *protocol.Message) *protocol.Message {
 		return &protocol.Message{OK: true}
 	}
 	sub := bus.Subscribe(docID, awareness.SubscribeOpts{
-		Filter:         red.subscribeFilter(),
-		QueueLimit:     c.srv.subQ,
-		OverflowPolicy: awareness.ShedAndResync,
+		Filter:     red.subscribeFilter(),
+		QueueLimit: c.srv.subQ,
 	})
 	c.subs[docID] = sub
 	c.mu.Unlock()
@@ -690,7 +601,7 @@ func (c *conn) pump(docID util.ID, sub *awareness.Subscription, red *redactor) {
 	for {
 		ev, ok := sub.Next()
 		if !ok {
-			break
+			return
 		}
 		if ev.Kind == awareness.EvGap {
 			if !c.healGap(docID, ev, red, &lastSent) {
@@ -706,25 +617,6 @@ func (c *conn) pump(docID util.ID, sub *awareness.Subscription, red *redactor) {
 		}
 		lastSent = ev.Seq
 	}
-	// Closed under us. Under the legacy DetachLagged policy the bus cut
-	// the subscription while the client still believes it is subscribed —
-	// drop the dead subscription so a resubscribe takes, and push a final
-	// "lagged" event telling it to resync. (The server subscribes with
-	// ShedAndResync, so this tail only runs for an ordinary unsubscribe,
-	// where Lagged is false.)
-	if !sub.Lagged() {
-		return
-	}
-	c.mu.Lock()
-	if c.subs[docID] == sub {
-		delete(c.subs, docID)
-	}
-	dead := c.dead
-	c.mu.Unlock()
-	if dead {
-		return
-	}
-	c.pushLagged(docID)
 }
 
 // pushEvent encodes one (already filtered) event for this connection's
@@ -898,24 +790,95 @@ func (c *conn) unsubscribe(doc util.ID) {
 	}
 }
 
-// editBatch applies a protocol-v2 edit batch: anchors resolved, every op
-// committed in ONE transaction by core.Document.Apply, ONE durability
-// wait, and the per-op results (operation IDs, created instance IDs,
-// resolved positions) returned so the client learns the identities of the
-// text it typed.
-func (c *conn) editBatch(req *protocol.Message) *protocol.Message {
+// edit is the server's one editing entry point. A v2 "edit" frame carries
+// the batch; a v1 insert/append/delete/paste/layout/note frame is
+// translated to a batch of one positional op. Either way: one rate-limit
+// admission, every op committed in ONE transaction by
+// core.Document.ApplyAsync, and ONE durability wait just before the ack —
+// while this connection sleeps in it, every other connection keeps
+// applying and committing, so independent editors share one WAL fsync.
+// A v2 peer gets the per-op results (operation IDs, created instance IDs,
+// resolved positions) so it learns the identities of the text it typed; a
+// v1 peer gets the single operation (or span) ID.
+func (c *conn) edit(req *protocol.Message) *protocol.Message {
+	if ok, retry := c.allowEdit(time.Now()); !ok {
+		c.srv.metrics.Throttles.Add(1)
+		return c.throttledResp(retry)
+	}
 	d, err := c.doc(req)
 	if err != nil {
 		return fail(err)
 	}
-	if len(req.Ops) == 0 {
-		return fail(errors.New("server: empty edit batch"))
+	var ops []core.EditOp
+	if req.Op == protocol.OpEdit {
+		ops, err = c.batchOps(d.ID(), req.Ops)
+	} else {
+		ops, err = v1Ops(req)
 	}
-	ops := make([]core.EditOp, len(req.Ops))
+	if err != nil {
+		return fail(err)
+	}
+	results, lsn, err := d.ApplyAsync(c.user, ops)
+	if err != nil {
+		return fail(err)
+	}
+	var keys int64
+	for i := range ops {
+		if ops[i].Kind == core.EditInsert {
+			keys += int64(utf8.RuneCountInString(ops[i].Text))
+		}
+	}
+	m := c.srv.metrics
+	m.Batches.Add(1)
+	m.Ops.Add(int64(len(ops)))
+	m.Keystrokes.Add(keys)
+	if sc := m.Shard(c.srv.cl.ShardFor(d.ID())); sc != nil {
+		sc.Batches.Add(1)
+		sc.Ops.Add(int64(len(ops)))
+		sc.Keystrokes.Add(keys)
+	}
+	for i := len(results) - 1; i >= 0; i-- {
+		if ops[i].Kind == core.EditInsert && len(results[i].IDs) > 0 {
+			c.lastInsert[d.ID()] = results[i].IDs[len(results[i].IDs)-1]
+			break
+		}
+	}
+	// An edit is never acknowledged before it is on stable storage.
+	if err := c.srv.engineFor(d.ID()).WaitDurable(lsn); err != nil {
+		return fail(err)
+	}
+	switch req.Op {
+	case protocol.OpEdit:
+		out := make([]protocol.EditResult, len(results))
+		for i, r := range results {
+			er := protocol.EditResult{OpID: uint64(r.OpID), Span: uint64(r.Span), Pos: r.Pos}
+			if len(r.IDs) > 0 {
+				er.IDs = make([]uint64, len(r.IDs))
+				for j, id := range r.IDs {
+					er.IDs[j] = uint64(id)
+				}
+			}
+			out[i] = er
+		}
+		return &protocol.Message{OK: true, Results: out}
+	case protocol.OpLayout, protocol.OpNote:
+		return &protocol.Message{OK: true, OpID: uint64(results[0].Span)}
+	default:
+		return &protocol.Message{OK: true, OpID: uint64(results[0].OpID)}
+	}
+}
+
+// batchOps decodes a v2 batch's wire ops, resolving connection-relative
+// "prev" anchors.
+func (c *conn) batchOps(doc util.ID, wire []protocol.EditOp) ([]core.EditOp, error) {
+	if len(wire) == 0 {
+		return nil, errors.New("server: empty edit batch")
+	}
+	ops := make([]core.EditOp, len(wire))
 	seenInsert := false
-	for i, op := range req.Ops {
+	for i, op := range wire {
 		co := core.EditOp{Kind: op.Kind, Pos: op.Pos, Text: op.Text, N: op.N,
-			Span: op.Span, Value: op.Value}
+			Span: op.Span, Value: op.Value, Chars: coreIDs(op.Chars)}
 		switch {
 		case op.Prev:
 			// "Prev" chains after the connection's latest insert. Within a
@@ -927,69 +890,60 @@ func (c *conn) editBatch(req *protocol.Message) *protocol.Message {
 			if seenInsert {
 				co.AnchorPrev = true
 			} else {
-				last := c.lastInsert[d.ID()]
+				last := c.lastInsert[doc]
 				if last.IsNil() {
-					return fail(errors.New("server: prev anchor before any insert on this connection"))
+					return nil, errors.New("server: prev anchor before any insert on this connection")
 				}
 				co.Anchor, co.UseAnchor = last, true
 			}
 		case op.After != nil:
 			co.Anchor, co.UseAnchor = util.ID(*op.After), true
 		}
-		if len(op.Chars) > 0 {
-			co.Chars = make([]util.ID, len(op.Chars))
-			for j, id := range op.Chars {
-				co.Chars[j] = util.ID(id)
-			}
-		}
 		if op.Kind == protocol.EditInsert {
 			seenInsert = true
 		}
 		ops[i] = co
 	}
-	results, lsn, err := d.ApplyAsync(c.user, ops)
-	if err != nil {
-		return fail(err)
-	}
-	c.srv.metrics.Batches.Add(1)
-	c.srv.metrics.Ops.Add(int64(len(ops)))
-	var keys int64
-	for i := range ops {
-		if ops[i].Kind == core.EditInsert {
-			keys += int64(len([]rune(ops[i].Text)))
+	return ops, nil
+}
+
+// v1Ops translates a v1 single-op edit frame into a batch of one
+// positional op: a position and an instance ID are two presentations of
+// the same operation, and Apply resolves either.
+func v1Ops(req *protocol.Message) ([]core.EditOp, error) {
+	var op core.EditOp
+	switch req.Op {
+	case protocol.OpInsert:
+		op = core.EditOp{Kind: core.EditInsert, Pos: req.Pos, Text: req.Text}
+	case protocol.OpAppend:
+		op = core.EditOp{Kind: core.EditInsert, Pos: -1, Text: req.Text}
+	case protocol.OpDelete:
+		op = core.EditOp{Kind: core.EditDelete, Pos: req.Pos, N: req.N}
+	case protocol.OpPaste:
+		if req.Clip == nil {
+			return nil, errors.New("server: paste without clip")
 		}
+		op = core.EditOp{Kind: core.EditInsert, Pos: req.Pos, Text: req.Clip.Text,
+			SrcDoc: util.ID(req.Clip.SrcDoc), SrcChars: coreIDs(req.Clip.SrcChars)}
+	case protocol.OpLayout:
+		op = core.EditOp{Kind: core.EditLayout, Pos: req.Pos, N: req.N,
+			Span: req.Kind, Value: req.Value}
+	case protocol.OpNote:
+		op = core.EditOp{Kind: core.EditNote, Pos: req.Pos, Text: req.Text}
 	}
-	if keys > 0 {
-		c.srv.metrics.Keystrokes.Add(keys)
+	return []core.EditOp{op}, nil
+}
+
+// coreIDs converts wire instance IDs.
+func coreIDs(wire []uint64) []util.ID {
+	if len(wire) == 0 {
+		return nil
 	}
-	if sc := c.srv.metrics.Shard(c.srv.cl.ShardFor(d.ID())); sc != nil {
-		sc.Batches.Add(1)
-		sc.Ops.Add(int64(len(ops)))
-		if keys > 0 {
-			sc.Keystrokes.Add(keys)
-		}
+	ids := make([]util.ID, len(wire))
+	for i, id := range wire {
+		ids[i] = util.ID(id)
 	}
-	for i := len(results) - 1; i >= 0; i-- {
-		if req.Ops[i].Kind == protocol.EditInsert && len(results[i].IDs) > 0 {
-			c.lastInsert[d.ID()] = results[i].IDs[len(results[i].IDs)-1]
-			break
-		}
-	}
-	if err := c.srv.engineFor(d.ID()).WaitDurable(lsn); err != nil {
-		return fail(err)
-	}
-	out := make([]protocol.EditResult, len(results))
-	for i, r := range results {
-		er := protocol.EditResult{OpID: uint64(r.OpID), Span: uint64(r.Span), Pos: r.Pos}
-		if len(r.IDs) > 0 {
-			er.IDs = make([]uint64, len(r.IDs))
-			for j, id := range r.IDs {
-				er.IDs[j] = uint64(id)
-			}
-		}
-		out[i] = er
-	}
-	return &protocol.Message{OK: true, Results: out}
+	return ids
 }
 
 // anchors returns the character-instance IDs of the visible range
@@ -1101,12 +1055,4 @@ func wireClip(c core.Clipboard) *protocol.Clip {
 		chars[i] = uint64(id)
 	}
 	return &protocol.Clip{Text: c.Text, SrcDoc: uint64(c.SrcDoc), SrcChars: chars}
-}
-
-func coreClip(c *protocol.Clip) core.Clipboard {
-	chars := make([]util.ID, len(c.SrcChars))
-	for i, id := range c.SrcChars {
-		chars[i] = util.ID(id)
-	}
-	return core.Clipboard{Text: c.Text, SrcDoc: util.ID(c.SrcDoc), SrcChars: chars}
 }

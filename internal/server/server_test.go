@@ -494,54 +494,90 @@ func throttleHarness(t *testing.T, editRate, subRate float64, queue int) (addr s
 	return a.String(), srv, eng
 }
 
-// TestEditThrottleTypedError pins the rate-limit contract: past the burst
-// allowance an edit is rejected with the typed "throttled" code carrying a
-// positive retry-after hint, the rejection is counted, and the document
-// never sees the rejected edit.
+// TestEditThrottleTypedError pins the rate-limit contract for every edit
+// op — the v1 single-op frames ride the same gate as a batch, paste, layout
+// and note included (they used to bypass it): past the burst allowance an
+// edit is rejected with the typed "throttled" code carrying a positive
+// retry-after hint, the rejection is counted, the document never sees the
+// rejected edit, and a rejected request drains no budget.
 func TestEditThrottleTypedError(t *testing.T) {
-	addr, srv, _ := throttleHarness(t, 1, 0, 0) // 1 edit/s, burst 2
-	c := login(t, addr, "spammer", "")
-	docID, err := c.CreateDocument("busy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := c.Open(docID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		op    string
+		chars int // characters one accepted edit adds
+		edit  func(d *client.Doc, clip *protocol.Clip) error
+	}{
+		{"append", 1, func(d *client.Doc, _ *protocol.Clip) error { return d.Append("x") }},
+		{"paste", 1, func(d *client.Doc, clip *protocol.Clip) error { return d.Paste(0, clip) }},
+		{"layout", 0, func(d *client.Doc, _ *protocol.Clip) error { return d.Layout(0, 1, "bold", "true") }},
+		{"note", 0, func(d *client.Doc, _ *protocol.Clip) error { return d.Note(0, "nb") }},
+	} {
+		t.Run(tc.op, func(t *testing.T) {
+			addr, srv, _ := throttleHarness(t, 10, 0, 0) // 10 edits/s, burst 20
+			c := login(t, addr, "spammer", "")
+			docID, err := c.CreateDocument("busy")
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := c.Open(docID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Append("s"); err != nil { // something to copy, span and annotate
+				t.Fatal(err)
+			}
+			clip, err := d.Copy(0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	var throttled *client.ThrottledError
-	accepted := 0
-	for i := 0; i < 20 && throttled == nil; i++ {
-		err := d.Append("x")
-		switch {
-		case err == nil:
+			var throttled *client.ThrottledError
+			accepted := 0
+			for i := 0; i < 200 && throttled == nil; i++ {
+				err := tc.edit(d, clip)
+				switch {
+				case err == nil:
+					accepted++
+				case errors.As(err, &throttled):
+				default:
+					t.Fatalf("edit %d: unexpected error %v", i, err)
+				}
+			}
+			if throttled == nil {
+				t.Fatalf("200 instant edits all accepted at 10 edits/s (%d committed)", accepted)
+			}
+			if accepted == 0 {
+				t.Fatal("burst allowance admitted nothing")
+			}
+			if throttled.RetryAfter <= 0 {
+				t.Fatalf("throttled without a retry-after hint: %v", throttled)
+			}
+			if got := srv.Metrics().Throttles.Load(); got == 0 {
+				t.Fatal("throttle rejections not counted")
+			}
+			// Rejections drain nothing: after a run of them, waiting out the
+			// last hint is still enough for the next edit.
+			for i := 0; i < 5; i++ {
+				if err := tc.edit(d, clip); err == nil {
+					accepted++
+				} else if !errors.As(err, &throttled) {
+					t.Fatal(err)
+				}
+			}
+			time.Sleep(throttled.RetryAfter + 5*time.Millisecond)
+			if err := tc.edit(d, clip); err != nil {
+				t.Fatalf("edit after waiting out the hint: %v", err)
+			}
 			accepted++
-		case errors.As(err, &throttled):
-		default:
-			t.Fatalf("edit %d: unexpected error %v", i, err)
-		}
-	}
-	if throttled == nil {
-		t.Fatalf("20 instant edits all accepted at 1 edit/s (%d committed)", accepted)
-	}
-	if accepted == 0 {
-		t.Fatal("burst allowance admitted nothing")
-	}
-	if throttled.RetryAfter <= 0 {
-		t.Fatalf("throttled without a retry-after hint: %v", throttled)
-	}
-	if got := srv.Metrics().Throttles.Load(); got == 0 {
-		t.Fatal("throttle rejections not counted")
-	}
-	// The rejection is per-request, not per-connection: the session stays
-	// usable and the committed text reflects only accepted edits.
-	text, err := d.Read()
-	if err != nil {
-		t.Fatalf("connection dead after throttle: %v", err)
-	}
-	if len(text) != accepted {
-		t.Fatalf("committed %d chars, accepted %d", len(text), accepted)
+			// The rejection is per-request, not per-connection: the session
+			// stays usable and the committed text reflects only accepted edits.
+			text, err := d.Read()
+			if err != nil {
+				t.Fatalf("connection dead after throttle: %v", err)
+			}
+			if want := 1 + accepted*tc.chars; len(text) != want {
+				t.Fatalf("committed %d chars, want %d (%d accepted)", len(text), want, accepted)
+			}
+		})
 	}
 }
 

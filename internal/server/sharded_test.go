@@ -174,6 +174,45 @@ func TestMultiShardConvergence(t *testing.T) {
 	}
 }
 
+// TestV1EditsCountedOnMetrics pins that the v1 single-op frames ride the
+// same edit path as a v2 batch all the way to the scrape: a raw-wire v1
+// typist's inserts, appends and pastes show up in keystrokes, and every
+// one of its edits in batches/ops, globally and on the owning shard's
+// counters alone. (They used to be invisible: only v2 batches were
+// counted.)
+func TestV1EditsCountedOnMetrics(t *testing.T) {
+	addr, cl, srv := clusterHarness(t, 2)
+	w := dialV1(t, addr)
+	w.call(&protocol.Message{Op: protocol.OpLogin, User: "legacy"})
+	doc := w.call(&protocol.Message{Op: protocol.OpCreateDoc, Name: "counted"}).Doc
+
+	w.call(&protocol.Message{Op: protocol.OpInsert, Doc: doc, Pos: 0, Text: "héllo"})
+	w.call(&protocol.Message{Op: protocol.OpAppend, Doc: doc, Text: " world"})
+	clip := w.call(&protocol.Message{Op: protocol.OpCopy, Doc: doc, Pos: 0, N: 5}).Clip
+	w.call(&protocol.Message{Op: protocol.OpPaste, Doc: doc, Pos: 0, Clip: clip})
+	w.call(&protocol.Message{Op: protocol.OpDelete, Doc: doc, Pos: 0, N: 2})
+	w.call(&protocol.Message{Op: protocol.OpLayout, Doc: doc, Pos: 0, N: 3, Kind: "bold", Value: "true"})
+	w.call(&protocol.Message{Op: protocol.OpNote, Doc: doc, Pos: 0, Text: "nb"})
+	const edits, keys = 6, 5 + 6 + 5 // runes, not bytes
+
+	m := srv.Metrics()
+	if b, o, k := m.Batches.Load(), m.Ops.Load(), m.Keystrokes.Load(); b != edits || o != edits || k != keys {
+		t.Fatalf("server counted batches=%d ops=%d keystrokes=%d, want %d/%d/%d", b, o, k, edits, edits, keys)
+	}
+	own := cl.ShardFor(util.ID(doc))
+	for s := 0; s < 2; s++ {
+		sc := m.Shard(s)
+		wantEdits, wantKeys := int64(0), int64(0)
+		if s == own {
+			wantEdits, wantKeys = edits, keys
+		}
+		if b, o, k := sc.Batches.Load(), sc.Ops.Load(), sc.Keystrokes.Load(); b != wantEdits || o != wantEdits || k != wantKeys {
+			t.Fatalf("shard %d (owner %d) counted batches=%d ops=%d keystrokes=%d, want %d/%d/%d",
+				s, own, b, o, k, wantEdits, wantEdits, wantKeys)
+		}
+	}
+}
+
 // TestPresenceSnapshotAfterHeal is the regression test for the PR 7 heal
 // bug: presence churn shed along with edit events used to be lost when the
 // gap outlived the retention ring — the full resync restored the text but
