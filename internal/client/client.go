@@ -396,9 +396,13 @@ type Doc struct {
 	c  *Client
 	id uint64
 
-	mu        sync.Mutex
-	runes     []rune
-	seq       uint64
+	mu    sync.Mutex
+	runes []rune
+	// seq is the last event folded into runes: the dedup and gap test of
+	// the next one. told trails it: the last event the watcher has also
+	// been told about — what Seq and WaitSeq report, so that "the replica
+	// is at n" implies "the watcher's callback for n has returned".
+	seq, told uint64
 	snap      uint64 // MVCC snapshot version of the last full-text read
 	lagged    bool
 	resyncing bool
@@ -442,7 +446,7 @@ func (c *Client) Open(docID uint64) (*Doc, error) {
 	}
 	d.mu.Lock()
 	d.runes = []rune(resp.Text)
-	d.seq = resp.Seq
+	d.seq, d.told = resp.Seq, resp.Seq
 	d.snap = resp.Snap
 	d.mu.Unlock()
 	return d, nil
@@ -451,14 +455,16 @@ func (c *Client) Open(docID uint64) (*Doc, error) {
 // ID returns the document ID.
 func (d *Doc) ID() uint64 { return d.id }
 
-// Text returns the replica's current text.
+// Text returns the replica's current text. It may already hold an event
+// that Seq does not report yet (see Seq).
 func (d *Doc) Text() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return string(d.runes)
 }
 
-// Len returns the replica's length in characters.
+// Len returns the replica's length in characters; like Text, it may be
+// one event ahead of Seq.
 func (d *Doc) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -476,11 +482,17 @@ func (d *Doc) SnapVersion() uint64 {
 	return d.snap
 }
 
-// Seq returns the last applied event sequence number.
+// Seq returns the sequence number of the last event the replica has
+// applied and the watcher, if one is installed, has been told about: it
+// advances to n only after the Watch callback for n has returned (right
+// away when there is no watcher). So whoever reads Seq() >= n may rely on
+// everything the watcher does with event n having been done. Text and Len
+// are folded before the callback runs and may be ahead of Seq by the event
+// being delivered.
 func (d *Doc) Seq() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.seq
+	return d.told
 }
 
 // Lagged reports whether the server ever dropped this replica's
@@ -492,7 +504,11 @@ func (d *Doc) Lagged() bool {
 }
 
 // Watch installs a callback invoked on every applied event (UI updates,
-// test synchronisation). One watcher at a time.
+// test synchronisation), and with a synthetic "resync" event after the
+// replica caught up by other means. One watcher at a time. The callback
+// runs without the replica's lock (it may call Events, Text, …) and sees
+// the event already folded into Text; Seq and WaitSeq report the event's
+// sequence number only once the callback has returned.
 func (d *Doc) Watch(fn func(protocol.Event)) {
 	d.mu.Lock()
 	d.watcher = fn
@@ -569,11 +585,7 @@ func (d *Doc) apply(ev *protocol.Event) {
 			peers[it.Text] = it.Pos
 		}
 		d.peers = peers
-		w := d.watcher
-		d.mu.Unlock()
-		if w != nil {
-			w(*ev)
-		}
+		d.unlockAndTell(*ev, 0)
 		return
 	}
 	if d.resyncing {
@@ -599,11 +611,25 @@ func (d *Doc) apply(ev *protocol.Event) {
 	}
 	d.seq = ev.Seq
 	d.foldLocked(ev)
+	d.unlockAndTell(*ev, ev.Seq)
+}
+
+// unlockAndTell releases d.mu (which the caller holds), hands ev to the
+// watcher, and only then lets Seq report seq — the sequence number the
+// caller folded up to under the lock. The callback runs without the lock
+// because watchers call back into the replica; Seq never moves backwards,
+// so a resync finishing after a newer push changes nothing.
+func (d *Doc) unlockAndTell(ev protocol.Event, seq uint64) {
 	w := d.watcher
-	d.mu.Unlock()
 	if w != nil {
-		w(*ev)
+		d.mu.Unlock()
+		w(ev)
+		d.mu.Lock()
 	}
+	if seq > d.told {
+		d.told = seq
+	}
+	d.mu.Unlock()
 }
 
 // foldLocked folds one event's text effect into the replica (caller holds
@@ -699,11 +725,7 @@ func (d *Doc) deltaResync() (bool, error) {
 		d.seq = ev.Seq
 		d.foldLocked(ev)
 	}
-	w := d.watcher
-	d.mu.Unlock()
-	if w != nil {
-		w(protocol.Event{Doc: d.id, Kind: "resync"})
-	}
+	d.unlockAndTell(protocol.Event{Doc: d.id, Kind: "resync"}, d.seq)
 	return true, nil
 }
 
@@ -726,11 +748,7 @@ func (d *Doc) adoptFull(resp *protocol.Message) {
 		// stale pre-restart value to ever-fresher reads.
 		d.snap = resp.Snap
 	}
-	w := d.watcher
-	d.mu.Unlock()
-	if w != nil {
-		w(protocol.Event{Doc: d.id, Kind: "resync"})
-	}
+	d.unlockAndTell(protocol.Event{Doc: d.id, Kind: "resync"}, d.seq)
 }
 
 // EditBatch applies a protocol-v2 edit batch — ops anchored by character
@@ -872,14 +890,12 @@ func (d *Doc) History() ([]protocol.HistoryOp, error) {
 	return resp.History, nil
 }
 
-// WaitSeq blocks until the replica has applied sequence seq (tests and
-// deterministic demos); it resyncs if pushes stall.
+// WaitSeq blocks until Seq reports seq — the replica has applied it and the
+// watcher's callback for it has returned (tests and deterministic demos);
+// it resyncs if pushes stall.
 func (d *Doc) WaitSeq(seq uint64, attempts int) error {
 	for i := 0; i < attempts; i++ {
-		d.mu.Lock()
-		cur := d.seq
-		d.mu.Unlock()
-		if cur >= seq {
+		if d.Seq() >= seq {
 			return nil
 		}
 		if i == attempts/2 {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tendax/internal/core"
 	"tendax/internal/db"
@@ -200,5 +201,100 @@ func TestServerErrorSurfaces(t *testing.T) {
 	// The connection survives errors.
 	if err := d.Insert(0, "fine"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSeqNeverAheadOfWatcher pins the ordering Seq and WaitSeq promise: the
+// sequence number they report reaches n only after the watcher's callback
+// for event n has returned, on the push path and on the resync path alike.
+// Whoever polls Seq to learn that a replica has caught up (keystroke-bench's
+// convergence check does) may then close the books the watcher keeps.
+func TestSeqNeverAheadOfWatcher(t *testing.T) {
+	addr := harness(t)
+	open := func(user string, id uint64) (*Client, *Doc) {
+		c, err := Dial(addr, WithUser(user))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if id == 0 {
+			if id, err = c.CreateDocument("gated"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := c.Open(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, d
+	}
+	_, d := open("alice", 0)
+	_, peer := open("bob", d.ID())
+	// Let bob's join reach alice's replica before the watcher goes in.
+	if err := d.WaitSeq(peer.Seq(), 500); err != nil {
+		t.Fatal(err)
+	}
+
+	// A watcher that reports each event and then holds its callback open
+	// until the test hands it a token.
+	entered := make(chan protocol.Event, 8)
+	gate := make(chan struct{})
+	d.Watch(func(ev protocol.Event) {
+		entered <- ev
+		<-gate
+	})
+	t.Cleanup(func() {
+		d.Watch(nil)
+		close(gate)
+	})
+	next := func() protocol.Event {
+		t.Helper()
+		select {
+		case ev := <-entered:
+			return ev
+		case <-time.After(10 * time.Second):
+			t.Fatal("the watcher was never called")
+			panic("unreachable")
+		}
+	}
+
+	// Push path: bob types, the push is folded into alice's replica, the
+	// callback is held — Text shows the key, Seq must not report it yet.
+	base := d.Seq()
+	if err := peer.Insert(0, "x"); err != nil {
+		t.Fatal(err)
+	}
+	ev := next()
+	if ev.Kind != "insert" || ev.Seq != base+1 {
+		t.Fatalf("watched %+v, want the insert at seq %d", ev, base+1)
+	}
+	if got := d.Text(); got != "x" {
+		t.Fatalf("text %q while the callback runs, want the event folded already", got)
+	}
+	if got := d.Seq(); got != base {
+		t.Fatalf("Seq() = %d while the callback for event %d is still running, want %d", got, ev.Seq, base)
+	}
+	gate <- struct{}{}
+	if err := d.WaitSeq(ev.Seq, 500); err != nil {
+		t.Fatalf("Seq never reached the event after its callback returned: %v", err)
+	}
+
+	// Resync path: an undo is not replayable by position, so the replica
+	// resyncs on its own goroutine and announces it with a "resync" event.
+	if err := peer.Undo(protocol.ScopeLocal); err != nil {
+		t.Fatal(err)
+	}
+	if ev := next(); ev.Kind != "resync" {
+		t.Fatalf("watched %+v, want the resync", ev)
+	}
+	if got := d.Text(); got != "" {
+		t.Fatalf("text %q while the resync callback runs, want the undo adopted already", got)
+	}
+	if got := d.Seq(); got != base+1 {
+		t.Fatalf("Seq() = %d while the resync callback is still running, want %d", got, base+1)
+	}
+	gate <- struct{}{}
+	if err := d.WaitSeq(base+2, 500); err != nil {
+		t.Fatalf("Seq never reached the undo after the resync callback returned: %v", err)
 	}
 }

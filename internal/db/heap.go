@@ -53,7 +53,11 @@ type Heap struct {
 
 	mu    sync.Mutex
 	pages []storage.PageID
-	free  map[storage.PageID]int // free-space estimate per page
+	// free is a free-space estimate per page: exact when an insert stored
+	// it, possibly stale when Update or compensate did (they publish a
+	// figure read before taking mu). It picks candidate pages; InsertBatch
+	// checks the page itself before it writes.
+	free map[storage.PageID]int
 }
 
 // NewHeap creates an empty heap for tableID.
@@ -89,55 +93,11 @@ const slotOverhead = 8 // slot entry + headroom
 // Insert appends rec to the heap under tx and returns its RID. The new row
 // is exclusively locked by tx until commit/abort.
 func (h *Heap) Insert(tx *txn.Txn, rec []byte) (RID, error) {
-	if len(rec) > storage.PageSize/2 {
-		return RID{}, fmt.Errorf("db: record of %d bytes exceeds max record size", len(rec))
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-
-	pageID, err := h.pickPageLocked(len(rec) + slotOverhead)
+	rids, err := h.InsertBatch(tx, [][]byte{rec})
 	if err != nil {
 		return RID{}, err
 	}
-	pg, err := h.pool.Fetch(pageID)
-	if err != nil {
-		return RID{}, err
-	}
-	defer h.pool.Unpin(pageID, true)
-	pg.Lock()
-	defer pg.Unlock()
-
-	sp := storage.Slotted(pg)
-	slot := sp.NumSlots()
-	rid := RID{Page: pageID, Slot: slot}
-	if err := tx.Lock(lockKey(h.tableID, rid), txn.Exclusive); err != nil {
-		return RID{}, err
-	}
-
-	lsn, err := h.log.Append(&wal.Record{
-		Type: wal.RecUpdate, TxnID: tx.ID(), PrevLSN: tx.LastLSN(),
-		Page: uint64(pageID), Slot: uint32(slot), Op: wal.OpInsert,
-		Owner: h.tableID, After: rec,
-	})
-	if err != nil {
-		return RID{}, err
-	}
-	if err := sp.InsertAt(slot, rec); err != nil {
-		return RID{}, err
-	}
-	pg.SetLSN(uint64(lsn))
-	prev := tx.LastLSN()
-	tx.SetLastLSN(lsn)
-	h.free[pageID] = sp.FreeSpace()
-
-	tx.OnUndo(func() error {
-		return h.compensate(tx, &wal.Record{
-			Type: wal.RecCLR, TxnID: tx.ID(), Page: uint64(pageID),
-			Slot: uint32(slot), Op: wal.OpDelete, Owner: h.tableID,
-			Before: rec, UndoNext: prev,
-		})
-	})
-	return rid, nil
+	return rids[0], nil
 }
 
 // InsertBatch appends recs to the heap under tx, returning one RID per
@@ -176,8 +136,14 @@ func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte) ([]RID, error) {
 			n := 0
 			for i+n < len(recs) {
 				rec := recs[i+n]
-				if n > 0 && sp.FreeSpace() < len(rec)+slotOverhead {
-					break // page exhausted mid-batch; continue on the next
+				// h.free may overstate this page (see the field), so ask
+				// the page itself — for the first record as for the rest,
+				// and before the row is locked or logged: the log must never
+				// hold an insert that was not applied. On a miss the
+				// deferred store corrects the estimate and the outer loop
+				// picks another page.
+				if sp.FreeSpace() < len(rec)+slotOverhead {
+					break
 				}
 				slot := sp.NumSlots()
 				rid := RID{Page: pageID, Slot: slot}
@@ -234,7 +200,7 @@ func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) error {
 	}
 	defer h.pool.Unpin(rid.Page, true)
 
-	// The page latch is never held while taking h.mu (Insert holds h.mu
+	// The page latch is never held while taking h.mu (InsertBatch holds h.mu
 	// first, then latches): holding both in opposite orders would deadlock.
 	var before []byte
 	var freeAfter int

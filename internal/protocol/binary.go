@@ -253,714 +253,6 @@ func checkBits(bm uint64, n int, what string) error {
 	return nil
 }
 
-// --- EditOp --------------------------------------------------------------
-
-func appendEditOp(b []byte, op *EditOp) []byte {
-	var bm uint64
-	if op.Kind != "" {
-		bm |= 1 << 0
-	}
-	if op.After != nil {
-		bm |= 1 << 1
-	}
-	if op.Prev {
-		bm |= 1 << 2
-	}
-	if op.Pos != 0 {
-		bm |= 1 << 3
-	}
-	if op.Text != "" {
-		bm |= 1 << 4
-	}
-	if op.N != 0 {
-		bm |= 1 << 5
-	}
-	if len(op.Chars) > 0 {
-		bm |= 1 << 6
-	}
-	if op.Span != "" {
-		bm |= 1 << 7
-	}
-	if op.Value != "" {
-		bm |= 1 << 8
-	}
-	b = appendUvarint(b, bm)
-	if bm&(1<<0) != 0 {
-		b = appendSym(b, op.Kind)
-	}
-	if bm&(1<<1) != 0 {
-		b = appendUvarint(b, *op.After)
-	}
-	if bm&(1<<3) != 0 {
-		b = appendZigzag(b, int64(op.Pos))
-	}
-	if bm&(1<<4) != 0 {
-		b = appendBytes(b, op.Text)
-	}
-	if bm&(1<<5) != 0 {
-		b = appendZigzag(b, int64(op.N))
-	}
-	if bm&(1<<6) != 0 {
-		b = appendIDList(b, op.Chars)
-	}
-	if bm&(1<<7) != 0 {
-		b = appendSym(b, op.Span)
-	}
-	if bm&(1<<8) != 0 {
-		b = appendBytes(b, op.Value)
-	}
-	return b
-}
-
-func (d *bdec) editOp(op *EditOp) error {
-	bm, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if err := checkBits(bm, 9, "EditOp"); err != nil {
-		return err
-	}
-	if bm&(1<<0) != 0 {
-		if op.Kind, err = d.sym(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<1) != 0 {
-		v, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		op.After = &v
-	}
-	op.Prev = bm&(1<<2) != 0
-	if bm&(1<<3) != 0 {
-		if op.Pos, err = d.i(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<4) != 0 {
-		if op.Text, err = d.str(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<5) != 0 {
-		if op.N, err = d.i(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<6) != 0 {
-		if op.Chars, err = d.idList(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<7) != 0 {
-		if op.Span, err = d.sym(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<8) != 0 {
-		if op.Value, err = d.str(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// --- EditResult ----------------------------------------------------------
-
-func appendEditResult(b []byte, r *EditResult) []byte {
-	var bm uint64
-	if r.OpID != 0 {
-		bm |= 1 << 0
-	}
-	if len(r.IDs) > 0 {
-		bm |= 1 << 1
-	}
-	if r.Span != 0 {
-		bm |= 1 << 2
-	}
-	if r.Pos != 0 {
-		bm |= 1 << 3
-	}
-	b = appendUvarint(b, bm)
-	if bm&(1<<0) != 0 {
-		b = appendUvarint(b, r.OpID)
-	}
-	if bm&(1<<1) != 0 {
-		b = appendIDList(b, r.IDs)
-	}
-	if bm&(1<<2) != 0 {
-		b = appendUvarint(b, r.Span)
-	}
-	if bm&(1<<3) != 0 {
-		b = appendZigzag(b, int64(r.Pos))
-	}
-	return b
-}
-
-func (d *bdec) editResult(r *EditResult) error {
-	bm, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if err := checkBits(bm, 4, "EditResult"); err != nil {
-		return err
-	}
-	if bm&(1<<0) != 0 {
-		if r.OpID, err = d.uvarint(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<1) != 0 {
-		if r.IDs, err = d.idList(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<2) != 0 {
-		if r.Span, err = d.uvarint(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<3) != 0 {
-		if r.Pos, err = d.i(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// --- BatchItem / Event ---------------------------------------------------
-
-func appendBatchItem(b []byte, it *BatchItem) []byte {
-	var bm uint64
-	if it.Kind != "" {
-		bm |= 1 << 0
-	}
-	if it.Pos != 0 {
-		bm |= 1 << 1
-	}
-	if it.Text != "" {
-		bm |= 1 << 2
-	}
-	if it.N != 0 {
-		bm |= 1 << 3
-	}
-	if len(it.IDs) > 0 {
-		bm |= 1 << 4
-	}
-	b = appendUvarint(b, bm)
-	if bm&(1<<0) != 0 {
-		b = appendSym(b, it.Kind)
-	}
-	if bm&(1<<1) != 0 {
-		b = appendZigzag(b, int64(it.Pos))
-	}
-	if bm&(1<<2) != 0 {
-		b = appendBytes(b, it.Text)
-	}
-	if bm&(1<<3) != 0 {
-		b = appendZigzag(b, int64(it.N))
-	}
-	if bm&(1<<4) != 0 {
-		b = appendIDList(b, it.IDs)
-	}
-	return b
-}
-
-func (d *bdec) batchItem(it *BatchItem) error {
-	bm, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if err := checkBits(bm, 5, "BatchItem"); err != nil {
-		return err
-	}
-	if bm&(1<<0) != 0 {
-		if it.Kind, err = d.sym(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<1) != 0 {
-		if it.Pos, err = d.i(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<2) != 0 {
-		if it.Text, err = d.str(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<3) != 0 {
-		if it.N, err = d.i(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<4) != 0 {
-		if it.IDs, err = d.idList(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func appendEvent(b []byte, ev *Event) []byte {
-	var bm uint64
-	if ev.Seq != 0 {
-		bm |= 1 << 0
-	}
-	if ev.Doc != 0 {
-		bm |= 1 << 1
-	}
-	if ev.Kind != "" {
-		bm |= 1 << 2
-	}
-	if ev.User != "" {
-		bm |= 1 << 3
-	}
-	if ev.Pos != 0 {
-		bm |= 1 << 4
-	}
-	if ev.Text != "" {
-		bm |= 1 << 5
-	}
-	if ev.N != 0 {
-		bm |= 1 << 6
-	}
-	if ev.Name != "" {
-		bm |= 1 << 7
-	}
-	if len(ev.Batch) > 0 {
-		bm |= 1 << 8
-	}
-	if ev.AtNS != 0 {
-		bm |= 1 << 9
-	}
-	b = appendUvarint(b, bm)
-	if bm&(1<<0) != 0 {
-		b = appendUvarint(b, ev.Seq)
-	}
-	if bm&(1<<1) != 0 {
-		b = appendUvarint(b, ev.Doc)
-	}
-	if bm&(1<<2) != 0 {
-		b = appendSym(b, ev.Kind)
-	}
-	if bm&(1<<3) != 0 {
-		b = appendBytes(b, ev.User)
-	}
-	if bm&(1<<4) != 0 {
-		b = appendZigzag(b, int64(ev.Pos))
-	}
-	if bm&(1<<5) != 0 {
-		b = appendBytes(b, ev.Text)
-	}
-	if bm&(1<<6) != 0 {
-		b = appendZigzag(b, int64(ev.N))
-	}
-	if bm&(1<<7) != 0 {
-		b = appendBytes(b, ev.Name)
-	}
-	if bm&(1<<8) != 0 {
-		b = appendUvarint(b, uint64(len(ev.Batch)))
-		for i := range ev.Batch {
-			b = appendBatchItem(b, &ev.Batch[i])
-		}
-	}
-	if bm&(1<<9) != 0 {
-		b = appendZigzag(b, ev.AtNS)
-	}
-	return b
-}
-
-func (d *bdec) event(ev *Event) error {
-	bm, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if err := checkBits(bm, 10, "Event"); err != nil {
-		return err
-	}
-	if bm&(1<<0) != 0 {
-		if ev.Seq, err = d.uvarint(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<1) != 0 {
-		if ev.Doc, err = d.uvarint(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<2) != 0 {
-		if ev.Kind, err = d.sym(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<3) != 0 {
-		if ev.User, err = d.str(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<4) != 0 {
-		if ev.Pos, err = d.i(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<5) != 0 {
-		if ev.Text, err = d.str(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<6) != 0 {
-		if ev.N, err = d.i(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<7) != 0 {
-		if ev.Name, err = d.str(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<8) != 0 {
-		n, err := d.count()
-		if err != nil {
-			return err
-		}
-		ev.Batch = make([]BatchItem, n)
-		for i := range ev.Batch {
-			if err := d.batchItem(&ev.Batch[i]); err != nil {
-				return err
-			}
-		}
-	}
-	if bm&(1<<9) != 0 {
-		if ev.AtNS, err = d.zigzag(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// --- Clip / DocInfo / Version / Presence / HistoryOp ---------------------
-
-func appendClip(b []byte, c *Clip) []byte {
-	var bm uint64
-	if c.Text != "" {
-		bm |= 1 << 0
-	}
-	if c.SrcDoc != 0 {
-		bm |= 1 << 1
-	}
-	if len(c.SrcChars) > 0 {
-		bm |= 1 << 2
-	}
-	b = appendUvarint(b, bm)
-	if bm&(1<<0) != 0 {
-		b = appendBytes(b, c.Text)
-	}
-	if bm&(1<<1) != 0 {
-		b = appendUvarint(b, c.SrcDoc)
-	}
-	if bm&(1<<2) != 0 {
-		b = appendIDList(b, c.SrcChars)
-	}
-	return b
-}
-
-func (d *bdec) clip(c *Clip) error {
-	bm, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if err := checkBits(bm, 3, "Clip"); err != nil {
-		return err
-	}
-	if bm&(1<<0) != 0 {
-		if c.Text, err = d.str(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<1) != 0 {
-		if c.SrcDoc, err = d.uvarint(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<2) != 0 {
-		if c.SrcChars, err = d.idList(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func appendDocInfo(b []byte, in *DocInfo) []byte {
-	var bm uint64
-	if in.ID != 0 {
-		bm |= 1 << 0
-	}
-	if in.Name != "" {
-		bm |= 1 << 1
-	}
-	if in.Creator != "" {
-		bm |= 1 << 2
-	}
-	if in.Size != 0 {
-		bm |= 1 << 3
-	}
-	if in.State != "" {
-		bm |= 1 << 4
-	}
-	if len(in.Authors) > 0 {
-		bm |= 1 << 5
-	}
-	if in.ModifiedNS != 0 {
-		bm |= 1 << 6
-	}
-	b = appendUvarint(b, bm)
-	if bm&(1<<0) != 0 {
-		b = appendUvarint(b, in.ID)
-	}
-	if bm&(1<<1) != 0 {
-		b = appendBytes(b, in.Name)
-	}
-	if bm&(1<<2) != 0 {
-		b = appendBytes(b, in.Creator)
-	}
-	if bm&(1<<3) != 0 {
-		b = appendZigzag(b, int64(in.Size))
-	}
-	if bm&(1<<4) != 0 {
-		b = appendSym(b, in.State)
-	}
-	if bm&(1<<5) != 0 {
-		b = appendUvarint(b, uint64(len(in.Authors)))
-		for _, a := range in.Authors {
-			b = appendBytes(b, a)
-		}
-	}
-	if bm&(1<<6) != 0 {
-		b = appendZigzag(b, in.ModifiedNS)
-	}
-	return b
-}
-
-func (d *bdec) docInfo(in *DocInfo) error {
-	bm, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if err := checkBits(bm, 7, "DocInfo"); err != nil {
-		return err
-	}
-	if bm&(1<<0) != 0 {
-		if in.ID, err = d.uvarint(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<1) != 0 {
-		if in.Name, err = d.str(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<2) != 0 {
-		if in.Creator, err = d.str(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<3) != 0 {
-		if in.Size, err = d.i(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<4) != 0 {
-		if in.State, err = d.sym(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<5) != 0 {
-		n, err := d.count()
-		if err != nil {
-			return err
-		}
-		in.Authors = make([]string, n)
-		for i := range in.Authors {
-			if in.Authors[i], err = d.str(); err != nil {
-				return err
-			}
-		}
-	}
-	if bm&(1<<6) != 0 {
-		if in.ModifiedNS, err = d.zigzag(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func appendVersion(b []byte, v *Version) []byte {
-	var bm uint64
-	if v.ID != 0 {
-		bm |= 1 << 0
-	}
-	if v.Name != "" {
-		bm |= 1 << 1
-	}
-	if v.Author != "" {
-		bm |= 1 << 2
-	}
-	if v.AtNS != 0 {
-		bm |= 1 << 3
-	}
-	b = appendUvarint(b, bm)
-	if bm&(1<<0) != 0 {
-		b = appendUvarint(b, v.ID)
-	}
-	if bm&(1<<1) != 0 {
-		b = appendBytes(b, v.Name)
-	}
-	if bm&(1<<2) != 0 {
-		b = appendBytes(b, v.Author)
-	}
-	if bm&(1<<3) != 0 {
-		b = appendZigzag(b, v.AtNS)
-	}
-	return b
-}
-
-func (d *bdec) version(v *Version) error {
-	bm, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if err := checkBits(bm, 4, "Version"); err != nil {
-		return err
-	}
-	if bm&(1<<0) != 0 {
-		if v.ID, err = d.uvarint(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<1) != 0 {
-		if v.Name, err = d.str(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<2) != 0 {
-		if v.Author, err = d.str(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<3) != 0 {
-		if v.AtNS, err = d.zigzag(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func appendPresence(b []byte, p *Presence) []byte {
-	var bm uint64
-	if p.User != "" {
-		bm |= 1 << 0
-	}
-	if p.Cursor != 0 {
-		bm |= 1 << 1
-	}
-	b = appendUvarint(b, bm)
-	if bm&(1<<0) != 0 {
-		b = appendBytes(b, p.User)
-	}
-	if bm&(1<<1) != 0 {
-		b = appendZigzag(b, int64(p.Cursor))
-	}
-	return b
-}
-
-func (d *bdec) presence(p *Presence) error {
-	bm, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if err := checkBits(bm, 2, "Presence"); err != nil {
-		return err
-	}
-	if bm&(1<<0) != 0 {
-		if p.User, err = d.str(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<1) != 0 {
-		if p.Cursor, err = d.i(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func appendHistoryOp(b []byte, h *HistoryOp) []byte {
-	var bm uint64
-	if h.ID != 0 {
-		bm |= 1 << 0
-	}
-	if h.User != "" {
-		bm |= 1 << 1
-	}
-	if h.Kind != "" {
-		bm |= 1 << 2
-	}
-	if h.Chars != 0 {
-		bm |= 1 << 3
-	}
-	if h.Undone {
-		bm |= 1 << 4
-	}
-	b = appendUvarint(b, bm)
-	if bm&(1<<0) != 0 {
-		b = appendUvarint(b, h.ID)
-	}
-	if bm&(1<<1) != 0 {
-		b = appendBytes(b, h.User)
-	}
-	if bm&(1<<2) != 0 {
-		b = appendSym(b, h.Kind)
-	}
-	if bm&(1<<3) != 0 {
-		b = appendZigzag(b, int64(h.Chars))
-	}
-	return b
-}
-
-func (d *bdec) historyOp(h *HistoryOp) error {
-	bm, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if err := checkBits(bm, 5, "HistoryOp"); err != nil {
-		return err
-	}
-	if bm&(1<<0) != 0 {
-		if h.ID, err = d.uvarint(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<1) != 0 {
-		if h.User, err = d.str(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<2) != 0 {
-		if h.Kind, err = d.sym(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<3) != 0 {
-		if h.Chars, err = d.i(); err != nil {
-			return err
-		}
-	}
-	h.Undone = bm&(1<<4) != 0
-	return nil
-}
-
 // Floats (search scores) travel as the IEEE-754 bit pattern in a uvarint;
 // the round trip is exact.
 func appendF64(b []byte, v float64) []byte {
@@ -975,725 +267,345 @@ func (d *bdec) f64() (float64, error) {
 	return math.Float64frombits(u), nil
 }
 
-func appendQueryReq(b []byte, q *QueryReq) []byte {
+func appendInt(b []byte, v int) []byte { return appendZigzag(b, int64(v)) }
+
+// --- the generic driver ----------------------------------------------------
+
+// A schema is the wire description of one struct: fields[i] owns presence
+// bit i, and the set fields follow the bitmap in slice order. The tables
+// below are the single statement of the v3 format — there is no other
+// encoder or decoder to keep in step with them.
+type schema[T any] struct {
+	name   string // for decode errors
+	fields []field[T]
+}
+
+// A field is one table line: whether the field is set in a value (zero
+// values are skipped, as JSON's omitempty would), and how a set field is
+// written and read back.
+type field[T any] struct {
+	has func(*T) bool
+	enc func([]byte, *T) []byte
+	dec func(*bdec, *T) error
+}
+
+func (s *schema[T]) append(b []byte, v *T) []byte {
 	var bm uint64
-	if q.Kind != "" {
-		bm |= 1 << 0
-	}
-	if len(q.Terms) > 0 {
-		bm |= 1 << 1
-	}
-	if q.InHeadings {
-		bm |= 1 << 2
-	}
-	if q.Rank != "" {
-		bm |= 1 << 3
-	}
-	if q.Limit != 0 {
-		bm |= 1 << 4
-	}
-	if q.Doc != 0 {
-		bm |= 1 << 5
-	}
-	if q.Pos != 0 {
-		bm |= 1 << 6
-	}
-	if q.N != 0 {
-		bm |= 1 << 7
-	}
-	b = appendUvarint(b, bm)
-	if bm&(1<<0) != 0 {
-		b = appendSym(b, q.Kind)
-	}
-	if bm&(1<<1) != 0 {
-		b = appendUvarint(b, uint64(len(q.Terms)))
-		for _, t := range q.Terms {
-			b = appendBytes(b, t)
+	for i, bit := 0, uint64(1); i < len(s.fields); i, bit = i+1, bit<<1 {
+		if s.fields[i].has(v) {
+			bm |= bit
 		}
 	}
-	if bm&(1<<3) != 0 {
-		b = appendSym(b, q.Rank)
-	}
-	if bm&(1<<4) != 0 {
-		b = appendZigzag(b, int64(q.Limit))
-	}
-	if bm&(1<<5) != 0 {
-		b = appendUvarint(b, q.Doc)
-	}
-	if bm&(1<<6) != 0 {
-		b = appendZigzag(b, int64(q.Pos))
-	}
-	if bm&(1<<7) != 0 {
-		b = appendZigzag(b, int64(q.N))
+	b = appendUvarint(b, bm)
+	for i := 0; bm != 0; i, bm = i+1, bm>>1 {
+		if bm&1 != 0 {
+			b = s.fields[i].enc(b, v)
+		}
 	}
 	return b
 }
 
-func (d *bdec) queryReq(q *QueryReq) error {
+// decode fills v, which must be zero, from d.
+func (s *schema[T]) decode(d *bdec, v *T) error {
 	bm, err := d.uvarint()
 	if err != nil {
 		return err
 	}
-	if err := checkBits(bm, 8, "QueryReq"); err != nil {
+	if err := checkBits(bm, len(s.fields), s.name); err != nil {
 		return err
 	}
-	if bm&(1<<0) != 0 {
-		if q.Kind, err = d.sym(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<1) != 0 {
-		n, err := d.count()
-		if err != nil {
-			return err
-		}
-		q.Terms = make([]string, n)
-		for i := range q.Terms {
-			if q.Terms[i], err = d.str(); err != nil {
+	for i := 0; bm != 0; i, bm = i+1, bm>>1 {
+		if bm&1 != 0 {
+			if err := s.fields[i].dec(d, v); err != nil {
 				return err
 			}
 		}
 	}
-	q.InHeadings = bm&(1<<2) != 0
-	if bm&(1<<3) != 0 {
-		if q.Rank, err = d.sym(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<4) != 0 {
-		if q.Limit, err = d.i(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<5) != 0 {
-		if q.Doc, err = d.uvarint(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<6) != 0 {
-		if q.Pos, err = d.i(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<7) != 0 {
-		if q.N, err = d.i(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-func appendSearchHit(b []byte, h *SearchHit) []byte {
-	var bm uint64
-	bm |= 1 << 0 // Doc is the hit's identity; always present
-	if h.Score != 0 {
-		bm |= 1 << 1
+// --- field kinds -----------------------------------------------------------
+//
+// Every kind takes an accessor returning the address of the field inside
+// the struct — plain Go, checked by the compiler, no reflection.
+
+// scalar is a field omitted when it equals F's zero value and coded by
+// put/get otherwise.
+func scalar[T any, F comparable](at func(*T) *F, put func([]byte, F) []byte, get func(*bdec) (F, error)) field[T] {
+	return field[T]{
+		has: func(v *T) bool { var zero F; return *at(v) != zero },
+		enc: func(b []byte, v *T) []byte { return put(b, *at(v)) },
+		dec: func(d *bdec, v *T) (err error) { *at(v), err = get(d); return err },
 	}
-	if h.Snippet != "" {
-		bm |= 1 << 2
-	}
-	b = appendUvarint(b, bm)
-	b = appendDocInfo(b, &h.Doc)
-	if bm&(1<<1) != 0 {
-		b = appendF64(b, h.Score)
-	}
-	if bm&(1<<2) != 0 {
-		b = appendBytes(b, h.Snippet)
-	}
-	return b
 }
 
-func (d *bdec) searchHit(h *SearchHit) error {
-	bm, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if err := checkBits(bm, 3, "SearchHit"); err != nil {
-		return err
-	}
-	if bm&(1<<0) != 0 {
-		if err := d.docInfo(&h.Doc); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<1) != 0 {
-		if h.Score, err = d.f64(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<2) != 0 {
-		if h.Snippet, err = d.str(); err != nil {
-			return err
-		}
-	}
-	return nil
+func sym[T any](at func(*T) *string) field[T]  { return scalar(at, appendSym, (*bdec).sym) }
+func str[T any](at func(*T) *string) field[T]  { return scalar(at, appendBytes, (*bdec).str) }
+func u64[T any](at func(*T) *uint64) field[T]  { return scalar(at, appendUvarint, (*bdec).uvarint) }
+func i64[T any](at func(*T) *int64) field[T]   { return scalar(at, appendZigzag, (*bdec).zigzag) }
+func num[T any](at func(*T) *int) field[T]     { return scalar(at, appendInt, (*bdec).i) }
+func f64[T any](at func(*T) *float64) field[T] { return scalar(at, appendF64, (*bdec).f64) }
+
+// flag is a bool: the presence bit is the value, no bytes follow.
+func flag[T any](at func(*T) *bool) field[T] {
+	return scalar(at,
+		func(b []byte, _ bool) []byte { return b },
+		func(*bdec) (bool, error) { return true, nil })
 }
 
-func appendSourceRef(b []byte, r *SourceRef) []byte {
-	var bm uint64
-	if r.SrcDoc != 0 {
-		bm |= 1 << 0
+// ids is a run-length/delta coded character-ID list, omitted when empty.
+func ids[T any](at func(*T) *[]uint64) field[T] {
+	return field[T]{
+		has: func(v *T) bool { return len(*at(v)) > 0 },
+		enc: func(b []byte, v *T) []byte { return appendIDList(b, *at(v)) },
+		dec: func(d *bdec, v *T) (err error) { *at(v), err = d.idList(); return err },
 	}
-	if r.SrcName != "" {
-		bm |= 1 << 1
-	}
-	if r.Chars != 0 {
-		bm |= 1 << 2
-	}
-	if r.From != 0 {
-		bm |= 1 << 3
-	}
-	if r.To != 0 {
-		bm |= 1 << 4
-	}
-	b = appendUvarint(b, bm)
-	if bm&(1<<0) != 0 {
-		b = appendUvarint(b, r.SrcDoc)
-	}
-	if bm&(1<<1) != 0 {
-		b = appendBytes(b, r.SrcName)
-	}
-	if bm&(1<<2) != 0 {
-		b = appendZigzag(b, int64(r.Chars))
-	}
-	if bm&(1<<3) != 0 {
-		b = appendZigzag(b, int64(r.From))
-	}
-	if bm&(1<<4) != 0 {
-		b = appendZigzag(b, int64(r.To))
-	}
-	return b
 }
 
-func (d *bdec) sourceRef(r *SourceRef) error {
-	bm, err := d.uvarint()
-	if err != nil {
-		return err
+// optU64 is a uvarint whose zero is a value: present iff the pointer is set.
+func optU64[T any](at func(*T) **uint64) field[T] {
+	return field[T]{
+		has: func(v *T) bool { return *at(v) != nil },
+		enc: func(b []byte, v *T) []byte { return appendUvarint(b, **at(v)) },
+		dec: func(d *bdec, v *T) error {
+			x, err := d.uvarint()
+			if err != nil {
+				return err
+			}
+			*at(v) = &x
+			return nil
+		},
 	}
-	if err := checkBits(bm, 5, "SourceRef"); err != nil {
-		return err
-	}
-	if bm&(1<<0) != 0 {
-		if r.SrcDoc, err = d.uvarint(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<1) != 0 {
-		if r.SrcName, err = d.str(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<2) != 0 {
-		if r.Chars, err = d.i(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<3) != 0 {
-		if r.From, err = d.i(); err != nil {
-			return err
-		}
-	}
-	if bm&(1<<4) != 0 {
-		if r.To, err = d.i(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// --- Message -------------------------------------------------------------
+// list is a counted list, omitted when empty; the count is bounded by the
+// remaining payload before the slice is allocated.
+func list[T, E any](at func(*T) *[]E, put func([]byte, *E) []byte, get func(*bdec, *E) error) field[T] {
+	return field[T]{
+		has: func(v *T) bool { return len(*at(v)) > 0 },
+		enc: func(b []byte, v *T) []byte {
+			l := *at(v)
+			b = appendUvarint(b, uint64(len(l)))
+			for i := range l {
+				b = put(b, &l[i])
+			}
+			return b
+		},
+		dec: func(d *bdec, v *T) error {
+			n, err := d.count()
+			if err != nil {
+				return err
+			}
+			l := make([]E, n)
+			*at(v) = l
+			for i := range l {
+				if err := get(d, &l[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+}
 
-// Message presence bits, in encode order. Hot-path fields sit in the low
-// bits so the common frames (edit request, ack, push) pay a 1–2 byte
-// bitmap.
-const (
-	mbType = iota // 0
-	mbID
-	mbOp
-	mbDoc
-	mbOK
-	mbSeq // 5
-	mbOps
-	mbResults
-	mbEvent
-	mbText
-	mbPos // 10
-	mbN
-	mbErr
-	mbOpID
-	mbSnap
-	mbIDs // 15
-	mbEvents
-	mbFull
-	mbSince
-	mbVer
-	mbUser // 20
-	mbPassword
-	mbName
-	mbKind
-	mbValue
-	mbScope // 25
-	mbClip
-	mbVersion
-	mbDocs
-	mbVersions
-	mbPresent // 30
-	mbHistory
-	mbCode    // machine-readable error code (typed errors)
-	mbRetryMS // throttle backoff hint
-	mbShards  // hello: engine-shard count (gated by CapShardInfo)
-	mbQuery   // 35: query request payload (gated by CapQuery)
-	mbHits    // query response: ranked search hits (gated by CapQuery)
-	mbSources // query response: provenance runs (gated by CapQuery)
-	mbCount   // number of defined bits
-)
+func strs[T any](at func(*T) *[]string) field[T] {
+	return list(at,
+		func(b []byte, s *string) []byte { return appendBytes(b, *s) },
+		func(d *bdec, s *string) (err error) { *s, err = d.str(); return err })
+}
+
+func structs[T, E any](at func(*T) *[]E, s *schema[E]) field[T] {
+	return list(at, s.append, s.decode)
+}
+
+// ptr is an optional nested struct: present iff the pointer is set.
+func ptr[T, E any](at func(*T) **E, s *schema[E]) field[T] {
+	return field[T]{
+		has: func(v *T) bool { return *at(v) != nil },
+		enc: func(b []byte, v *T) []byte { return s.append(b, *at(v)) },
+		dec: func(d *bdec, v *T) error {
+			e := new(E)
+			*at(v) = e
+			return s.decode(d, e)
+		},
+	}
+}
+
+// always is a nested struct value that is written even when zero.
+func always[T, E any](at func(*T) *E, s *schema[E]) field[T] {
+	return field[T]{
+		has: func(*T) bool { return true },
+		enc: func(b []byte, v *T) []byte { return s.append(b, at(v)) },
+		dec: func(d *bdec, v *T) error { return s.decode(d, at(v)) },
+	}
+}
+
+// --- the wire format, one table per struct ---------------------------------
+//
+// Slice index = presence bit = position on the wire. Append a line to add a
+// field; never insert, reorder or remove one.
+
+var editOpSchema = schema[EditOp]{"EditOp", []field[EditOp]{
+	sym(func(o *EditOp) *string { return &o.Kind }),
+	optU64(func(o *EditOp) **uint64 { return &o.After }),
+	flag(func(o *EditOp) *bool { return &o.Prev }),
+	num(func(o *EditOp) *int { return &o.Pos }),
+	str(func(o *EditOp) *string { return &o.Text }),
+	num(func(o *EditOp) *int { return &o.N }),
+	ids(func(o *EditOp) *[]uint64 { return &o.Chars }),
+	sym(func(o *EditOp) *string { return &o.Span }),
+	str(func(o *EditOp) *string { return &o.Value }),
+}}
+
+var editResultSchema = schema[EditResult]{"EditResult", []field[EditResult]{
+	u64(func(r *EditResult) *uint64 { return &r.OpID }),
+	ids(func(r *EditResult) *[]uint64 { return &r.IDs }),
+	u64(func(r *EditResult) *uint64 { return &r.Span }),
+	num(func(r *EditResult) *int { return &r.Pos }),
+}}
+
+var batchItemSchema = schema[BatchItem]{"BatchItem", []field[BatchItem]{
+	sym(func(it *BatchItem) *string { return &it.Kind }),
+	num(func(it *BatchItem) *int { return &it.Pos }),
+	str(func(it *BatchItem) *string { return &it.Text }),
+	num(func(it *BatchItem) *int { return &it.N }),
+	ids(func(it *BatchItem) *[]uint64 { return &it.IDs }),
+}}
+
+var eventSchema = schema[Event]{"Event", []field[Event]{
+	u64(func(e *Event) *uint64 { return &e.Seq }),
+	u64(func(e *Event) *uint64 { return &e.Doc }),
+	sym(func(e *Event) *string { return &e.Kind }),
+	str(func(e *Event) *string { return &e.User }),
+	num(func(e *Event) *int { return &e.Pos }),
+	str(func(e *Event) *string { return &e.Text }),
+	num(func(e *Event) *int { return &e.N }),
+	str(func(e *Event) *string { return &e.Name }),
+	structs(func(e *Event) *[]BatchItem { return &e.Batch }, &batchItemSchema),
+	i64(func(e *Event) *int64 { return &e.AtNS }),
+}}
+
+var clipSchema = schema[Clip]{"Clip", []field[Clip]{
+	str(func(c *Clip) *string { return &c.Text }),
+	u64(func(c *Clip) *uint64 { return &c.SrcDoc }),
+	ids(func(c *Clip) *[]uint64 { return &c.SrcChars }),
+}}
+
+var docInfoSchema = schema[DocInfo]{"DocInfo", []field[DocInfo]{
+	u64(func(in *DocInfo) *uint64 { return &in.ID }),
+	str(func(in *DocInfo) *string { return &in.Name }),
+	str(func(in *DocInfo) *string { return &in.Creator }),
+	num(func(in *DocInfo) *int { return &in.Size }),
+	sym(func(in *DocInfo) *string { return &in.State }),
+	strs(func(in *DocInfo) *[]string { return &in.Authors }),
+	i64(func(in *DocInfo) *int64 { return &in.ModifiedNS }),
+}}
+
+var versionSchema = schema[Version]{"Version", []field[Version]{
+	u64(func(v *Version) *uint64 { return &v.ID }),
+	str(func(v *Version) *string { return &v.Name }),
+	str(func(v *Version) *string { return &v.Author }),
+	i64(func(v *Version) *int64 { return &v.AtNS }),
+}}
+
+var presenceSchema = schema[Presence]{"Presence", []field[Presence]{
+	str(func(p *Presence) *string { return &p.User }),
+	num(func(p *Presence) *int { return &p.Cursor }),
+}}
+
+var historyOpSchema = schema[HistoryOp]{"HistoryOp", []field[HistoryOp]{
+	u64(func(h *HistoryOp) *uint64 { return &h.ID }),
+	str(func(h *HistoryOp) *string { return &h.User }),
+	sym(func(h *HistoryOp) *string { return &h.Kind }),
+	num(func(h *HistoryOp) *int { return &h.Chars }),
+	flag(func(h *HistoryOp) *bool { return &h.Undone }),
+}}
+
+var queryReqSchema = schema[QueryReq]{"QueryReq", []field[QueryReq]{
+	sym(func(q *QueryReq) *string { return &q.Kind }),
+	strs(func(q *QueryReq) *[]string { return &q.Terms }),
+	flag(func(q *QueryReq) *bool { return &q.InHeadings }),
+	sym(func(q *QueryReq) *string { return &q.Rank }),
+	num(func(q *QueryReq) *int { return &q.Limit }),
+	u64(func(q *QueryReq) *uint64 { return &q.Doc }),
+	num(func(q *QueryReq) *int { return &q.Pos }),
+	num(func(q *QueryReq) *int { return &q.N }),
+}}
+
+var searchHitSchema = schema[SearchHit]{"SearchHit", []field[SearchHit]{
+	always(func(h *SearchHit) *DocInfo { return &h.Doc }, &docInfoSchema), // the hit's identity
+	f64(func(h *SearchHit) *float64 { return &h.Score }),
+	str(func(h *SearchHit) *string { return &h.Snippet }),
+}}
+
+var sourceRefSchema = schema[SourceRef]{"SourceRef", []field[SourceRef]{
+	u64(func(r *SourceRef) *uint64 { return &r.SrcDoc }),
+	str(func(r *SourceRef) *string { return &r.SrcName }),
+	num(func(r *SourceRef) *int { return &r.Chars }),
+	num(func(r *SourceRef) *int { return &r.From }),
+	num(func(r *SourceRef) *int { return &r.To }),
+}}
+
+// Message's bits are not in struct order: the hot-path fields sit in the
+// low bits so the common frames (edit request, ack, push) pay a 1–2 byte
+// bitmap. Caps has no line — it rides only in JSON-framed hellos (see the
+// capability constants in protocol.go).
+var messageSchema = schema[Message]{"Message", []field[Message]{
+	sym(func(m *Message) *string { return &m.Type }), // 0
+	i64(func(m *Message) *int64 { return &m.ID }),
+	sym(func(m *Message) *string { return &m.Op }),
+	u64(func(m *Message) *uint64 { return &m.Doc }),
+	flag(func(m *Message) *bool { return &m.OK }),
+	u64(func(m *Message) *uint64 { return &m.Seq }), // 5
+	structs(func(m *Message) *[]EditOp { return &m.Ops }, &editOpSchema),
+	structs(func(m *Message) *[]EditResult { return &m.Results }, &editResultSchema),
+	ptr(func(m *Message) **Event { return &m.Event }, &eventSchema),
+	str(func(m *Message) *string { return &m.Text }),
+	num(func(m *Message) *int { return &m.Pos }), // 10
+	num(func(m *Message) *int { return &m.N }),
+	str(func(m *Message) *string { return &m.Err }),
+	u64(func(m *Message) *uint64 { return &m.OpID }),
+	u64(func(m *Message) *uint64 { return &m.Snap }),
+	ids(func(m *Message) *[]uint64 { return &m.IDs }), // 15
+	structs(func(m *Message) *[]Event { return &m.Events }, &eventSchema),
+	flag(func(m *Message) *bool { return &m.Full }),
+	u64(func(m *Message) *uint64 { return &m.Since }),
+	num(func(m *Message) *int { return &m.Ver }),
+	str(func(m *Message) *string { return &m.User }), // 20
+	str(func(m *Message) *string { return &m.Password }),
+	str(func(m *Message) *string { return &m.Name }),
+	sym(func(m *Message) *string { return &m.Kind }),
+	str(func(m *Message) *string { return &m.Value }),
+	sym(func(m *Message) *string { return &m.Scope }), // 25
+	ptr(func(m *Message) **Clip { return &m.Clip }, &clipSchema),
+	u64(func(m *Message) *uint64 { return &m.Version }),
+	structs(func(m *Message) *[]DocInfo { return &m.Docs }, &docInfoSchema),
+	structs(func(m *Message) *[]Version { return &m.Versions }, &versionSchema),
+	structs(func(m *Message) *[]Presence { return &m.Present }, &presenceSchema), // 30
+	structs(func(m *Message) *[]HistoryOp { return &m.History }, &historyOpSchema),
+	sym(func(m *Message) *string { return &m.Code }),                            // typed errors (CapTypedErrors)
+	i64(func(m *Message) *int64 { return &m.RetryMS }),                          // throttle backoff hint
+	num(func(m *Message) *int { return &m.Shards }),                             // hello: engine shards (CapShardInfo)
+	ptr(func(m *Message) **QueryReq { return &m.Query }, &queryReqSchema),       // 35: query request (CapQuery)
+	structs(func(m *Message) *[]SearchHit { return &m.Hits }, &searchHitSchema), // query response
+	structs(func(m *Message) *[]SourceRef { return &m.Sources }, &sourceRefSchema),
+}}
 
 // appendBinaryMessage packs m into b (the payload of one v3 frame).
-func appendBinaryMessage(b []byte, m *Message) []byte {
-	var bm uint64
-	set := func(cond bool, bit int) {
-		if cond {
-			bm |= 1 << uint(bit)
-		}
-	}
-	set(m.Type != "", mbType)
-	set(m.ID != 0, mbID)
-	set(m.Op != "", mbOp)
-	set(m.Doc != 0, mbDoc)
-	set(m.OK, mbOK)
-	set(m.Seq != 0, mbSeq)
-	set(len(m.Ops) > 0, mbOps)
-	set(len(m.Results) > 0, mbResults)
-	set(m.Event != nil, mbEvent)
-	set(m.Text != "", mbText)
-	set(m.Pos != 0, mbPos)
-	set(m.N != 0, mbN)
-	set(m.Err != "", mbErr)
-	set(m.OpID != 0, mbOpID)
-	set(m.Snap != 0, mbSnap)
-	set(len(m.IDs) > 0, mbIDs)
-	set(len(m.Events) > 0, mbEvents)
-	set(m.Full, mbFull)
-	set(m.Since != 0, mbSince)
-	set(m.Ver != 0, mbVer)
-	set(m.User != "", mbUser)
-	set(m.Password != "", mbPassword)
-	set(m.Name != "", mbName)
-	set(m.Kind != "", mbKind)
-	set(m.Value != "", mbValue)
-	set(m.Scope != "", mbScope)
-	set(m.Clip != nil, mbClip)
-	set(m.Version != 0, mbVersion)
-	set(len(m.Docs) > 0, mbDocs)
-	set(len(m.Versions) > 0, mbVersions)
-	set(len(m.Present) > 0, mbPresent)
-	set(len(m.History) > 0, mbHistory)
-	set(m.Code != "", mbCode)
-	set(m.RetryMS != 0, mbRetryMS)
-	set(m.Shards != 0, mbShards)
-	set(m.Query != nil, mbQuery)
-	set(len(m.Hits) > 0, mbHits)
-	set(len(m.Sources) > 0, mbSources)
-
-	b = appendUvarint(b, bm)
-	has := func(bit int) bool { return bm&(1<<uint(bit)) != 0 }
-	if has(mbType) {
-		b = appendSym(b, m.Type)
-	}
-	if has(mbID) {
-		b = appendZigzag(b, m.ID)
-	}
-	if has(mbOp) {
-		b = appendSym(b, m.Op)
-	}
-	if has(mbDoc) {
-		b = appendUvarint(b, m.Doc)
-	}
-	if has(mbSeq) {
-		b = appendUvarint(b, m.Seq)
-	}
-	if has(mbOps) {
-		b = appendUvarint(b, uint64(len(m.Ops)))
-		for i := range m.Ops {
-			b = appendEditOp(b, &m.Ops[i])
-		}
-	}
-	if has(mbResults) {
-		b = appendUvarint(b, uint64(len(m.Results)))
-		for i := range m.Results {
-			b = appendEditResult(b, &m.Results[i])
-		}
-	}
-	if has(mbEvent) {
-		b = appendEvent(b, m.Event)
-	}
-	if has(mbText) {
-		b = appendBytes(b, m.Text)
-	}
-	if has(mbPos) {
-		b = appendZigzag(b, int64(m.Pos))
-	}
-	if has(mbN) {
-		b = appendZigzag(b, int64(m.N))
-	}
-	if has(mbErr) {
-		b = appendBytes(b, m.Err)
-	}
-	if has(mbOpID) {
-		b = appendUvarint(b, m.OpID)
-	}
-	if has(mbSnap) {
-		b = appendUvarint(b, m.Snap)
-	}
-	if has(mbIDs) {
-		b = appendIDList(b, m.IDs)
-	}
-	if has(mbEvents) {
-		b = appendUvarint(b, uint64(len(m.Events)))
-		for i := range m.Events {
-			b = appendEvent(b, &m.Events[i])
-		}
-	}
-	if has(mbSince) {
-		b = appendUvarint(b, m.Since)
-	}
-	if has(mbVer) {
-		b = appendZigzag(b, int64(m.Ver))
-	}
-	if has(mbUser) {
-		b = appendBytes(b, m.User)
-	}
-	if has(mbPassword) {
-		b = appendBytes(b, m.Password)
-	}
-	if has(mbName) {
-		b = appendBytes(b, m.Name)
-	}
-	if has(mbKind) {
-		b = appendSym(b, m.Kind)
-	}
-	if has(mbValue) {
-		b = appendBytes(b, m.Value)
-	}
-	if has(mbScope) {
-		b = appendSym(b, m.Scope)
-	}
-	if has(mbClip) {
-		b = appendClip(b, m.Clip)
-	}
-	if has(mbVersion) {
-		b = appendUvarint(b, m.Version)
-	}
-	if has(mbDocs) {
-		b = appendUvarint(b, uint64(len(m.Docs)))
-		for i := range m.Docs {
-			b = appendDocInfo(b, &m.Docs[i])
-		}
-	}
-	if has(mbVersions) {
-		b = appendUvarint(b, uint64(len(m.Versions)))
-		for i := range m.Versions {
-			b = appendVersion(b, &m.Versions[i])
-		}
-	}
-	if has(mbPresent) {
-		b = appendUvarint(b, uint64(len(m.Present)))
-		for i := range m.Present {
-			b = appendPresence(b, &m.Present[i])
-		}
-	}
-	if has(mbHistory) {
-		b = appendUvarint(b, uint64(len(m.History)))
-		for i := range m.History {
-			b = appendHistoryOp(b, &m.History[i])
-		}
-	}
-	if has(mbCode) {
-		b = appendSym(b, m.Code)
-	}
-	if has(mbRetryMS) {
-		b = appendZigzag(b, m.RetryMS)
-	}
-	if has(mbShards) {
-		b = appendZigzag(b, int64(m.Shards))
-	}
-	if has(mbQuery) {
-		b = appendQueryReq(b, m.Query)
-	}
-	if has(mbHits) {
-		b = appendUvarint(b, uint64(len(m.Hits)))
-		for i := range m.Hits {
-			b = appendSearchHit(b, &m.Hits[i])
-		}
-	}
-	if has(mbSources) {
-		b = appendUvarint(b, uint64(len(m.Sources)))
-		for i := range m.Sources {
-			b = appendSourceRef(b, &m.Sources[i])
-		}
-	}
-	return b
-}
+func appendBinaryMessage(b []byte, m *Message) []byte { return messageSchema.append(b, m) }
 
 // decodeBinaryMessage unpacks one v3 payload. Every length is validated
 // against the remaining bytes before allocation, so arbitrary input fails
 // cleanly instead of claiming memory.
 func decodeBinaryMessage(payload []byte) (*Message, error) {
-	d := &bdec{b: payload}
-	bm, err := d.uvarint()
-	if err != nil {
+	return (&bdec{b: payload}).message()
+}
+
+// message decodes the whole of d as one Message.
+func (d *bdec) message() (*Message, error) {
+	m := new(Message)
+	if err := messageSchema.decode(d, m); err != nil {
 		return nil, err
-	}
-	if err := checkBits(bm, mbCount, "Message"); err != nil {
-		return nil, err
-	}
-	has := func(bit int) bool { return bm&(1<<uint(bit)) != 0 }
-	m := &Message{OK: has(mbOK), Full: has(mbFull)}
-	if has(mbType) {
-		if m.Type, err = d.sym(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbID) {
-		if m.ID, err = d.zigzag(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbOp) {
-		if m.Op, err = d.sym(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbDoc) {
-		if m.Doc, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbSeq) {
-		if m.Seq, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbOps) {
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		m.Ops = make([]EditOp, n)
-		for i := range m.Ops {
-			if err := d.editOp(&m.Ops[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if has(mbResults) {
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		m.Results = make([]EditResult, n)
-		for i := range m.Results {
-			if err := d.editResult(&m.Results[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if has(mbEvent) {
-		m.Event = &Event{}
-		if err := d.event(m.Event); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbText) {
-		if m.Text, err = d.str(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbPos) {
-		if m.Pos, err = d.i(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbN) {
-		if m.N, err = d.i(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbErr) {
-		if m.Err, err = d.str(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbOpID) {
-		if m.OpID, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbSnap) {
-		if m.Snap, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbIDs) {
-		if m.IDs, err = d.idList(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbEvents) {
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		m.Events = make([]Event, n)
-		for i := range m.Events {
-			if err := d.event(&m.Events[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if has(mbSince) {
-		if m.Since, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbVer) {
-		if m.Ver, err = d.i(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbUser) {
-		if m.User, err = d.str(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbPassword) {
-		if m.Password, err = d.str(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbName) {
-		if m.Name, err = d.str(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbKind) {
-		if m.Kind, err = d.sym(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbValue) {
-		if m.Value, err = d.str(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbScope) {
-		if m.Scope, err = d.sym(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbClip) {
-		m.Clip = &Clip{}
-		if err := d.clip(m.Clip); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbVersion) {
-		if m.Version, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbDocs) {
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		m.Docs = make([]DocInfo, n)
-		for i := range m.Docs {
-			if err := d.docInfo(&m.Docs[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if has(mbVersions) {
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		m.Versions = make([]Version, n)
-		for i := range m.Versions {
-			if err := d.version(&m.Versions[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if has(mbPresent) {
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		m.Present = make([]Presence, n)
-		for i := range m.Present {
-			if err := d.presence(&m.Present[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if has(mbHistory) {
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		m.History = make([]HistoryOp, n)
-		for i := range m.History {
-			if err := d.historyOp(&m.History[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if has(mbCode) {
-		if m.Code, err = d.sym(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbRetryMS) {
-		if m.RetryMS, err = d.zigzag(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbShards) {
-		if m.Shards, err = d.i(); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbQuery) {
-		m.Query = &QueryReq{}
-		if err := d.queryReq(m.Query); err != nil {
-			return nil, err
-		}
-	}
-	if has(mbHits) {
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		m.Hits = make([]SearchHit, n)
-		for i := range m.Hits {
-			if err := d.searchHit(&m.Hits[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if has(mbSources) {
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		m.Sources = make([]SourceRef, n)
-		for i := range m.Sources {
-			if err := d.sourceRef(&m.Sources[i]); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if d.rem() != 0 {
 		return nil, fmt.Errorf("protocol: %d trailing bytes after message", d.rem())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -14,6 +15,32 @@ type rwc struct {
 }
 
 func (rwc) Close() error { return nil }
+
+// jsonOnlyFields are the Message fields the binary codec has no presence
+// bit for (TestSchemaCoversStruct holds the list to the table): a v3 frame
+// of a message is the message with these cleared.
+var jsonOnlyFields = []string{"Caps"}
+
+// canon is m's canonical form: Marshal∘Unmarshal must be idempotent on it.
+func canon(t testing.TB, m *Message) []byte {
+	t.Helper()
+	c, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// wireCanon is the canonical form of what a v3 frame of m carries: m with
+// exactly the JSON-only fields cleared.
+func wireCanon(t testing.TB, m *Message) []byte {
+	t.Helper()
+	c := *m
+	for _, name := range jsonOnlyFields {
+		reflect.ValueOf(&c).Elem().FieldByName(name).SetZero()
+	}
+	return canon(t, &c)
+}
 
 // frames the codec must round-trip: one per protocol surface, v1 and v2.
 var seedFrames = []string{
@@ -44,6 +71,30 @@ var seedFrames = []string{
 	`{"type":"resp","id":12,"ok":true,"hits":[{"doc":{"id":3,"name":"notes","creator":"alice","size":42,"state":"draft","authors":["alice","bob"],"modifiedNs":77},"score":1.25,"snippet":"some té██t…"},{"doc":{"id":9,"name":"q","creator":"bob"}}]}`,
 	`{"type":"resp","id":13,"ok":true,"sources":[{"srcDoc":3,"srcName":"notes","chars":4,"from":0,"to":4},{"chars":2,"from":4,"to":6}]}`,
 	`{"type":"resp","id":14,"err":"server: query requires the CapQuery hello capability","code":"unsupported"}`,
+	// The rest of the vocabulary, so that every field of every wire struct
+	// is non-zero in at least one frame (TestV3GoldenFrames checks it):
+	// version/presence/history lists, the v1 layout/undo/version requests,
+	// the typed throttle error, the hello response's shard count, position-
+	// addressed edit ops, rename and delete pushes, strings outside the
+	// symbol table ("custom", "bold"), a negative correlation ID, and ID
+	// lists that descend, jump and run.
+	`{"type":"resp","id":15,"ok":true,"versions":[{"id":1,"name":"v1","author":"alice","atNs":1700000000000000000},{"id":2,"name":"final draft","author":"bob","atNs":-5}]}`,
+	`{"type":"resp","id":16,"ok":true,"present":[{"user":"alice","cursor":12},{"user":"bob","cursor":0}]}`,
+	`{"type":"resp","id":17,"ok":true,"history":[{"id":5,"user":"alice","kind":"insert","chars":3,"undone":true},{"id":6,"user":"bob","kind":"custom","chars":1,"undone":false}]}`,
+	`{"type":"req","id":18,"op":"layout","doc":7,"pos":2,"n":5,"kind":"bold","value":"true"}`,
+	`{"type":"req","id":19,"op":"undo","doc":7,"scope":"global"}`,
+	`{"type":"req","id":20,"op":"version","doc":7,"name":"release-1"}`,
+	`{"type":"req","id":21,"op":"versiontext","doc":7,"version":3}`,
+	`{"type":"resp","id":22,"err":"server: rate limit exceeded","code":"throttled","retryMs":250}`,
+	`{"type":"resp","id":23,"ok":true,"ver":3,"shards":4}`,
+	`{"type":"req","id":-24,"op":"edit","doc":7,"ops":[{"kind":"insert","pos":-1,"text":"tail"},{"kind":"delete","pos":3,"n":2},{"kind":"custom","chars":[9,7,5,100,101,102,3]}]}`,
+	`{"type":"push","event":{"seq":8,"doc":7,"kind":"rename","user":"alice","pos":0,"name":"new title","atNs":77}}`,
+	`{"type":"push","event":{"seq":9,"doc":7,"kind":"delete","user":"bob","pos":4,"n":3,"atNs":78}}`,
+	`{"type":"resp","id":25,"ok":true,"ids":[40,30,20,21,22,1000000,5],"seq":10,"snap":2}`,
+	// A hello carrying capability bits. Caps is JSON-only (jsonOnlyFields):
+	// the binary codec has no presence bit for it, so the v3 comparisons
+	// below clear it first.
+	`{"type":"req","op":"hello","ver":3,"caps":7}`,
 }
 
 // FuzzCodecRoundTrip feeds arbitrary bytes through the codec: every frame
@@ -73,30 +124,19 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			t.Fatalf("decode of re-encoded frame failed: %v", err)
 		}
 		// Compare canonical forms: Marshal∘Unmarshal must be idempotent.
-		c1, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2, err := json.Marshal(m2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(c1, c2) {
+		if c1, c2 := canon(t, m), canon(t, m2); !bytes.Equal(c1, c2) {
 			t.Fatalf("round-trip drift:\n first %s\n second %s", c1, c2)
 		}
 		// The same logical message must survive the v3 binary codec with
 		// an identical canonical form — a v3 server re-frames v2 batches
 		// without re-interpreting them, so the two encodings must agree on
-		// every message the JSON decoder accepts.
+		// every message the JSON decoder accepts (less the JSON-only
+		// fields, which a v3 frame does not carry).
 		m3, err := decodeBinaryMessage(appendBinaryMessage(nil, m))
 		if err != nil {
 			t.Fatalf("binary re-encode of accepted frame failed: %v", err)
 		}
-		c3, err := json.Marshal(m3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(c1, c3) {
+		if c1, c3 := wireCanon(t, m), canon(t, m3); !bytes.Equal(c1, c3) {
 			t.Fatalf("v3/v2 drift:\n json   %s\n binary %s", c1, c3)
 		}
 	})
@@ -127,16 +167,13 @@ func FuzzBinaryPayload(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of accepted payload failed: %v", err)
 		}
-		c1, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2, err := json.Marshal(m2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(c1, c2) {
+		c1 := canon(t, m)
+		if c2 := canon(t, m2); !bytes.Equal(c1, c2) {
 			t.Fatalf("binary round-trip drift:\n first %s\n second %s", c1, c2)
+		}
+		// ...no JSON-only field can have come out of a payload...
+		if w := wireCanon(t, m); !bytes.Equal(c1, w) {
+			t.Fatalf("binary decode set a JSON-only field:\n decoded %s\n cleared %s", c1, w)
 		}
 		// ...and the JSON codec must agree on the canonical form.
 		var buf bytes.Buffer
@@ -148,11 +185,7 @@ func FuzzBinaryPayload(f *testing.F) {
 		if err != nil {
 			t.Fatalf("JSON decode of binary-accepted message failed: %v", err)
 		}
-		c4, err := json.Marshal(m4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(c1, c4) {
+		if c4 := canon(t, m4); !bytes.Equal(c1, c4) {
 			t.Fatalf("v3→v2 drift:\n binary %s\n json   %s", c1, c4)
 		}
 	})
@@ -199,9 +232,7 @@ func TestBinarySeedFramesRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %q binary round-trip: %v", s, err)
 		}
-		c1, _ := json.Marshal(&m)
-		c2, _ := json.Marshal(m2)
-		if !bytes.Equal(c1, c2) {
+		if c1, c2 := wireCanon(t, &m), canon(t, m2); !bytes.Equal(c1, c2) {
 			t.Fatalf("seed %q drifted under binary: %s vs %s", s, c1, c2)
 		}
 	}
@@ -217,11 +248,10 @@ func TestBinarySeedFramesRoundTrip(t *testing.T) {
 		if err := json.Unmarshal([]byte(s), &m); err != nil {
 			t.Fatal(err)
 		}
-		c, _ := json.Marshal(&m)
-		want = append(want, string(c))
+		want = append(want, string(wireCanon(t, &m)))
 		if i == 3 {
 			buf.WriteString(s + "\n") // raw JSON line mid-stream
-			want = append(want, string(c))
+			want = append(want, string(canon(t, &m)))
 		}
 		if err := sender.Send(&m); err != nil {
 			t.Fatal(err)

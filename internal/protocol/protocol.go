@@ -377,6 +377,7 @@ type Codec struct {
 	c       io.Closer
 	bin     atomic.Bool
 	scratch []byte // binary encode buffer, owned by wm
+	dec     bdec   // binary decode cursor, owned by Recv's single reader
 
 	// Optional wire accounting (tendaxd metrics): total payload bytes
 	// framed out and received in. Nil unless SetByteCounters was called.
@@ -484,6 +485,7 @@ func EncodeFrame(m *Message, ver int) ([]byte, error) {
 
 // Recv reads the next message, blocking. The frame kind is detected from
 // its first byte, so JSON and binary frames can interleave on one stream.
+// One reader at a time: unlike Send, Recv is not safe for concurrent use.
 func (c *Codec) Recv() (*Message, error) {
 	first, err := c.r.Peek(1)
 	if err != nil {
@@ -524,7 +526,10 @@ func (c *Codec) recvBinary() (*Message, error) {
 	if c.nIn != nil {
 		c.nIn.Add(int64(n) + 2) // magic + ~1-byte length prefix
 	}
-	return decodeBinaryMessage(payload)
+	c.dec = bdec{b: payload}
+	m, err := c.dec.message()
+	c.dec.b = nil // do not pin the payload until the next frame
+	return m, err
 }
 
 // Close tears the connection down.

@@ -9,13 +9,13 @@ import (
 	"tendax/internal/util"
 )
 
-// TestLaggedSubscriberGetsFinalPush forces a subscriber so far behind that
-// the awareness bus cuts its subscription, then verifies the server (a)
-// pushes one final "lagged" event so the client knows it must resync, and
-// (b) actually forgets the dead subscription, so a resubscribe on the same
-// connection delivers events again. Before the fix the push pump exited
-// silently and a resubscribe was swallowed as a duplicate — the replica
-// froze forever.
+// TestLaggedSubscriberGetsFinalPush forces a v1 subscriber so far behind
+// that the awareness bus sheds its queue, then verifies the server (a)
+// pushes a "lagged" event so the client knows it must resync, and (b) keeps
+// delivering on the same connection after the client's resubscribe (a
+// no-op: the subscription stays attached through the shed). Before the
+// first fix the push pump exited silently and a resubscribe was swallowed
+// as a duplicate — the replica froze forever.
 func TestLaggedSubscriberGetsFinalPush(t *testing.T) {
 	addr, eng := harness(t, false)
 	host := login(t, addr, "host", "")
@@ -61,9 +61,10 @@ func TestLaggedSubscriberGetsFinalPush(t *testing.T) {
 	call(1, &protocol.Message{Op: protocol.OpLogin, User: "sloth"})
 	call(2, &protocol.Message{Op: protocol.OpSubscribe, Doc: docID})
 
-	// Flood the document's bus without reading the socket: the 256-slot
-	// subscription buffer plus the connection's transmit path fill up, the
-	// bus drops the subscription, and the pump owes us one final push.
+	// Flood the document's bus without reading the socket: the bounded
+	// subscription queue plus the connection's transmit path fill up, the
+	// bus sheds the queue into a gap marker (the subscription stays
+	// attached), and the pump owes this v1 peer a lagged push for the gap.
 	doc := util.ID(docID)
 	now := eng.Clock().Now()
 	for i := 0; i < 30000; i++ {
@@ -86,17 +87,25 @@ func TestLaggedSubscriberGetsFinalPush(t *testing.T) {
 		}
 	}
 
-	// The dead subscription must be gone server-side: resubscribing on the
-	// same connection works and events flow again.
+	// Resubscribing on the same connection works and events flow again. The
+	// backlog may still be draining: a probe published into a full queue is
+	// shed into a second gap, which another lagged push announces — probe
+	// again whenever one is seen.
 	call(3, &protocol.Message{Op: protocol.OpSubscribe, Doc: docID})
-	eng.Bus().MoveCursor(doc, "flood", 424242, now)
+	probe := func() { eng.Bus().MoveCursor(doc, "flood", 424242, now) }
+	probe()
 	for {
 		m, err := codec.Recv()
 		if err != nil {
 			t.Fatalf("no events after resubscribe: %v", err)
 		}
-		if m.Type == protocol.TypePush && m.Event != nil &&
-			m.Event.Kind == "cursor" && m.Event.Pos == 424242 {
+		if m.Type != protocol.TypePush || m.Event == nil {
+			continue
+		}
+		switch {
+		case m.Event.Kind == protocol.EvLagged:
+			probe()
+		case m.Event.Kind == "cursor" && m.Event.Pos == 424242:
 			return
 		}
 	}

@@ -52,14 +52,17 @@ func TestQueryOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dd.Insert(0, "a survey of editors "); err != nil {
+	const intro, pasted = "a survey of editors ", 8
+	if err := dd.Insert(0, intro); err != nil {
 		t.Fatal(err)
 	}
-	clip, err := sd.Copy(0, 8)
+	clip, err := sd.Copy(0, pasted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dd.Paste(dd.Len(), clip); err != nil {
+	// Positions by construction, not dd.Len(): the replica may not have
+	// folded the pushes of its own insert and paste yet.
+	if err := dd.Paste(len(intro), clip); err != nil {
 		t.Fatal(err)
 	}
 	srv.cl.Index().Sync()
@@ -83,20 +86,20 @@ func TestQueryOverWire(t *testing.T) {
 		t.Fatalf("no-match query: %d hits, err %v", len(hits), err)
 	}
 
-	refs, err := c.Provenance(dst, 0, dd.Len())
+	refs, err := c.Provenance(dst, 0, len(intro)+pasted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pasted bool
+	var sawPaste bool
 	for _, r := range refs {
 		if r.SrcDoc == src {
-			pasted = true
-			if r.SrcName != "sources and methods" || r.Chars != 8 {
+			sawPaste = true
+			if r.SrcName != "sources and methods" || r.Chars != pasted {
 				t.Fatalf("pasted run misdescribed: %+v", r)
 			}
 		}
 	}
-	if !pasted {
+	if !sawPaste {
 		t.Fatalf("provenance lost the paste: %+v", refs)
 	}
 }
