@@ -1,0 +1,101 @@
+package core
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"tendax/internal/db"
+	"tendax/internal/storage"
+	"tendax/internal/util"
+	"tendax/internal/wal"
+)
+
+// maxOneKeyBatchLogBytes bounds the WAL one typed character costs when it is
+// its own batch — the interactive regime the paper demonstrates. Logging
+// full before and after images of the two relinked neighbours and the
+// document row under a fixed-width header cost ~1 254 B; splices under a
+// varint header cost ~340 B.
+const maxOneKeyBatchLogBytes = 450
+
+// TestOneKeyBatchLogBytes types one-key batches between two existing
+// characters of a 20k-character document, two authors alternating, and
+// fails if any batch logs more than maxOneKeyBatchLogBytes. It logs what the
+// bytes are: records and bytes per key, by record type and table.
+func TestOneKeyBatchLogBytes(t *testing.T) {
+	store := wal.NewMemStore()
+	database, err := db.OpenWith(storage.NewMemDisk(), store, db.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { database.Close() })
+	e, err := NewEngine(database, util.NewFakeClock(time.Unix(1_000_000, 0).UTC(), time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := e.CreateDocument("alice", "bytes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.InsertText("alice", 0, strings.Repeat("lorem ipsum ", 20_000/12+1)[:20_000]); err != nil {
+		t.Fatal(err)
+	}
+	tables := map[uint64]string{}
+	for _, name := range database.Tables() {
+		tables[database.Table(name).ID()] = name
+	}
+
+	const keys = 200
+	from := database.Log().NextLSN()
+	worst := 0
+	for i := 0; i < keys; i++ {
+		user := [2]string{"alice", "bob"}[i%2]
+		size := store.Len()
+		if _, err := d.InsertText(user, 1+(i*7919)%(d.Len()-1), "k"); err != nil {
+			t.Fatal(err)
+		}
+		if n := store.Len() - size; n > worst {
+			worst = n
+		}
+	}
+
+	type line struct{ records, bytes int }
+	byKind := map[string]*line{}
+	total := 0
+	err = database.Log().Iterate(func(r *wal.Record) error {
+		if r.LSN < from {
+			return nil
+		}
+		kind := r.Type.String()
+		if r.Type == wal.RecUpdate || r.Type == wal.RecCLR {
+			kind = fmt.Sprintf("%s %s %s", kind, [...]string{"", "insert", "update", "delete"}[r.Op], tables[r.Owner])
+		}
+		if byKind[kind] == nil {
+			byKind[kind] = &line{}
+		}
+		byKind[kind].records++
+		byKind[kind].bytes += r.Size()
+		total += r.Size()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := make([]string, 0, len(byKind))
+	for k := range byKind {
+		kinds = append(kinds, k)
+	}
+	sort.Slice(kinds, func(i, j int) bool { return byKind[kinds[i]].bytes > byKind[kinds[j]].bytes })
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-28s %9s %9s\n", "record per key", "count", "B/key")
+	for _, k := range kinds {
+		fmt.Fprintf(&b, "%-28s %9.2f %9.1f\n", k, float64(byKind[k].records)/keys, float64(byKind[k].bytes)/keys)
+	}
+	fmt.Fprintf(&b, "%-28s %9s %9.1f (worst batch %d B)", "total", "", float64(total)/keys, worst)
+	t.Logf("WAL per one-key batch, %d keys into a 20k-character document:\n%s", keys, b.String())
+	if worst > maxOneKeyBatchLogBytes {
+		t.Errorf("a one-key batch logged %d B, over the %d B budget", worst, maxOneKeyBatchLogBytes)
+	}
+}

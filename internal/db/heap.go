@@ -202,44 +202,47 @@ func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) error {
 
 	// The page latch is never held while taking h.mu (InsertBatch holds h.mu
 	// first, then latches): holding both in opposite orders would deadlock.
-	var before []byte
-	var freeAfter int
-	var prev wal.LSN
-	err = func() error {
+	undo, freeAfter, err := func() (*wal.Record, int, error) {
 		pg.Lock()
 		defer pg.Unlock()
 		sp := storage.Slotted(pg)
 		cur, err := sp.Get(rid.Slot)
 		if err != nil {
-			return ErrNotFound
+			return nil, 0, ErrNotFound
 		}
-		before = append([]byte(nil), cur...)
+		before := append([]byte(nil), cur...)
 		// Only the page knows whether the record fits, so it is applied
 		// first and logged second: the log must never hold an update redo
 		// cannot repeat. The latch is held across both — the page cannot
 		// reach disk in between, which is all write-ahead ordering asks.
 		if err := sp.Update(rid.Slot, rec); err != nil {
-			return err
+			return nil, 0, err
 		}
+		// Only the bytes that change are logged: a neighbour relink
+		// rewrites a few bytes of a ~100-byte row.
+		off, was, now := wal.Splice(before, rec)
 		lsn, err := h.log.Append(&wal.Record{
 			Type: wal.RecUpdate, TxnID: tx.ID(), PrevLSN: tx.LastLSN(),
 			Page: uint64(rid.Page), Slot: uint32(rid.Slot), Op: wal.OpUpdate,
-			Owner: h.tableID, Before: before, After: rec,
+			Owner: h.tableID, Off: off, Before: was, After: now,
 		})
 		if err != nil {
 			// Unlogged, so it must not stay applied; the old record fit
 			// before and fits again.
 			if rerr := sp.Update(rid.Slot, before); rerr != nil {
-				return fmt.Errorf("db: update page %d slot %d: %w (restoring the record: %v)",
+				return nil, 0, fmt.Errorf("db: update page %d slot %d: %w (restoring the record: %v)",
 					rid.Page, rid.Slot, err, rerr)
 			}
-			return err
+			return nil, 0, err
 		}
 		pg.SetLSN(uint64(lsn))
-		prev = tx.LastLSN()
+		undo := &wal.Record{
+			Type: wal.RecCLR, TxnID: tx.ID(), Page: uint64(rid.Page),
+			Slot: uint32(rid.Slot), Op: wal.OpUpdate, Owner: h.tableID,
+			Off: off, Before: now, After: was, UndoNext: tx.LastLSN(),
+		}
 		tx.SetLastLSN(lsn)
-		freeAfter = sp.FreeSpace()
-		return nil
+		return undo, sp.FreeSpace(), nil
 	}()
 	if err != nil {
 		return err
@@ -248,13 +251,7 @@ func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) error {
 	h.free[rid.Page] = freeAfter
 	h.mu.Unlock()
 
-	tx.OnUndo(func() error {
-		return h.compensate(tx, &wal.Record{
-			Type: wal.RecCLR, TxnID: tx.ID(), Page: uint64(rid.Page),
-			Slot: uint32(rid.Slot), Op: wal.OpUpdate, Owner: h.tableID,
-			Before: rec, After: before, UndoNext: prev,
-		})
-	})
+	tx.OnUndo(func() error { return h.compensate(tx, undo) })
 	return nil
 }
 
@@ -357,15 +354,14 @@ func (h *Heap) ScanDirty(fn func(rid RID, rec []byte) error) error {
 	return nil
 }
 
-// compensate applies a CLR during runtime rollback: log it, then apply its
-// page mutation. As everywhere, the page latch is released before h.mu is
-// taken.
+// compensate applies a CLR during runtime rollback. Like every heap
+// mutation it appends its record under the page latch: appended before the
+// latch is taken, another transaction could log and stamp the page in
+// between, and the CLR's lower LSN would then move the page LSN backwards.
+// As in Update, the page is changed first and logged second, so a CLR the
+// page refuses is never logged. As everywhere, the page latch is released
+// before h.mu is taken.
 func (h *Heap) compensate(tx *txn.Txn, clr *wal.Record) error {
-	lsn, err := h.log.Append(clr)
-	if err != nil {
-		return err
-	}
-	tx.SetLastLSN(lsn)
 	pg, err := h.pool.Fetch(storage.PageID(clr.Page))
 	if err != nil {
 		return err
@@ -376,21 +372,15 @@ func (h *Heap) compensate(tx *txn.Txn, clr *wal.Record) error {
 		pg.Lock()
 		defer pg.Unlock()
 		sp := storage.Slotted(pg)
-		switch clr.Op {
-		case wal.OpDelete:
-			if err := sp.Delete(int(clr.Slot)); err != nil {
-				return fmt.Errorf("db: undo-delete page %d slot %d: %w", clr.Page, clr.Slot, err)
-			}
-		case wal.OpUpdate:
-			if err := sp.Update(int(clr.Slot), clr.After); err != nil {
-				return fmt.Errorf("db: undo-update page %d slot %d: %w", clr.Page, clr.Slot, err)
-			}
-		case wal.OpInsert:
-			if err := sp.InsertAt(int(clr.Slot), clr.After); err != nil {
-				return fmt.Errorf("db: undo-insert page %d slot %d: %w", clr.Page, clr.Slot, err)
-			}
+		if err := wal.Apply(sp, clr); err != nil {
+			return fmt.Errorf("db: undo op %d page %d slot %d: %w", clr.Op, clr.Page, clr.Slot, err)
+		}
+		lsn, err := h.log.Append(clr)
+		if err != nil {
+			return err
 		}
 		pg.SetLSN(uint64(lsn))
+		tx.SetLastLSN(lsn)
 		freeAfter = sp.FreeSpace()
 		return nil
 	}()

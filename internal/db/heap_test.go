@@ -3,12 +3,97 @@ package db
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"tendax/internal/storage"
 	"tendax/internal/wal"
 )
+
+// TestCompensateLogsUnderPageLatch pins the rule every heap mutation
+// follows: its log record is appended under the page latch. A rollback that
+// appended its CLR first and latched second let another writer log and stamp
+// the page in between; the CLR's lower LSN then moved the page LSN
+// backwards, so a checkpoint's dirty page table or a redo pass could miss
+// the CLR. The test holds the latch while the rollback runs into it, logs
+// and stamps a record of its own, and lets go.
+func TestCompensateLogsUnderPageLatch(t *testing.T) {
+	d, err := OpenWith(storage.NewMemDisk(), wal.NewMemStore(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := d.CreateTable("rows", Schema{{Name: "id", Type: TInt}, {Name: "body", Type: TBytes}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rid, err := tbl.Insert(tx, Row{int64(1), []byte("committed")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	loser, err := d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Update(loser, rid, Row{int64(1), []byte("rolled back")}); err != nil {
+		t.Fatal(err)
+	}
+
+	pool := d.Pool()
+	pg, err := pool.Fetch(rid.Page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Unpin(rid.Page, false)
+	fetches, _ := pool.Stats()
+	pg.Lock()
+	aborted := make(chan error, 1)
+	go func() { aborted <- loser.Abort() }()
+	// The rollback fetches the page, then waits for the latch; whatever it
+	// logs before that is logged by now.
+	for n, _ := pool.Stats(); n == fetches; n, _ = pool.Stats() {
+		runtime.Gosched()
+	}
+	mine, err := d.Log().Append(&wal.Record{
+		Type: wal.RecUpdate, TxnID: 1 << 40, Page: uint64(rid.Page), Slot: uint32(rid.Slot),
+		Op: wal.OpUpdate, Owner: tbl.ID(), // an empty splice
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.SetLSN(uint64(mine))
+	pg.Unlock()
+	if err := <-aborted; err != nil {
+		t.Fatal(err)
+	}
+
+	var highest wal.LSN
+	if err := d.Log().Iterate(func(r *wal.Record) error {
+		if r.Page == uint64(rid.Page) && (r.Type == wal.RecUpdate || r.Type == wal.RecCLR) && r.LSN > highest {
+			highest = r.LSN
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pg.RLock()
+	got := wal.LSN(pg.LSN())
+	pg.RUnlock()
+	if got != highest {
+		t.Fatalf("page LSN %d after the rollback, but LSN %d is the newest record logged for the page (mine: %d)", got, highest, mine)
+	}
+	row, err := tbl.Get(nil, rid)
+	if err != nil || string(row[1].([]byte)) != "committed" {
+		t.Fatalf("row after rollback: %v, %v", row, err)
+	}
+}
 
 // TestConcurrentUpdateAndInsertBatchNeverPageFull races growing updates
 // against batch inserts on one heap. Update publishes the page's free space

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"tendax/internal/storage"
@@ -206,24 +207,26 @@ func (l *Log) TruncateBelow(lsn LSN) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var off int64
-	for int64(len(data)) >= off+16 {
-		n := int64(binary.BigEndian.Uint32(data[off : off+4]))
-		if n < 8 || int64(len(data)) < off+8+n {
-			break // torn or foreign bytes: stop at the last sound boundary
+	var off int
+	err = walk(data, func(r *Record, end int) bool {
+		if r.LSN >= lsn {
+			return false
 		}
-		if LSN(binary.BigEndian.Uint64(data[off+8:off+16])) >= lsn {
-			break
-		}
-		off += 8 + n
+		off = end
+		return true
+	})
+	// A torn tail stops the cut at the last sound boundary; anything else
+	// wrong with the log is not for truncation to paper over.
+	if err != nil && !errors.Is(err, ErrTorn) {
+		return 0, err
 	}
 	if off == 0 {
 		return 0, nil
 	}
-	if err := l.store.TruncateHead(off); err != nil {
+	if err := l.store.TruncateHead(int64(off)); err != nil {
 		return 0, err
 	}
-	return off, nil
+	return int64(off), nil
 }
 
 // SizeBytes returns the current on-disk size of the log in bytes.

@@ -2,218 +2,22 @@
 // database and ARIES-style crash recovery (analysis, redo, undo) over the
 // slotted-page heap.
 //
-// Every mutation of a heap page is logged before the page is modified
-// (write-ahead rule); a transaction is acknowledged as committed only after
-// its commit record is durable. Recovery replays history to restore all
-// committed effects and rolls back losers with compensation records, so a
-// crash at any point preserves exactly the committed transactions.
+// Every mutation of a heap page is logged under the page latch, so its
+// record precedes the page to disk (write-ahead rule) and the page LSN only
+// grows; a transaction is acknowledged as committed only after its commit
+// record is durable. Recovery replays history to restore all committed
+// effects and rolls back losers with compensation records, so a crash at
+// any point preserves exactly the committed transactions. record.go holds
+// the record format.
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// LSN is a log sequence number: a strictly increasing record ordinal.
-// LSN 0 means "no record".
-type LSN uint64
-
-// RecordType discriminates log records.
-type RecordType uint8
-
-// Log record types.
-const (
-	RecBegin RecordType = iota + 1
-	RecCommit
-	RecAbort // abort completed (all undone)
-	RecUpdate
-	RecCLR        // compensation record written while undoing
-	RecCheckpoint // legacy quiescent checkpoint (Compact)
-	RecCkptBegin  // fuzzy checkpoint started
-	RecCkptEnd    // fuzzy checkpoint complete; After carries CheckpointBody
-)
-
-func (t RecordType) String() string {
-	switch t {
-	case RecBegin:
-		return "BEGIN"
-	case RecCommit:
-		return "COMMIT"
-	case RecAbort:
-		return "ABORT"
-	case RecUpdate:
-		return "UPDATE"
-	case RecCLR:
-		return "CLR"
-	case RecCheckpoint:
-		return "CHECKPOINT"
-	case RecCkptBegin:
-		return "CKPT-BEGIN"
-	case RecCkptEnd:
-		return "CKPT-END"
-	default:
-		return fmt.Sprintf("REC(%d)", uint8(t))
-	}
-}
-
-// PageOp is the kind of slotted-page mutation carried by an update record.
-type PageOp uint8
-
-// Page operation kinds.
-const (
-	OpInsert PageOp = iota + 1
-	OpUpdate
-	OpDelete
-)
-
-// Record is one write-ahead log entry.
-type Record struct {
-	LSN     LSN
-	Type    RecordType
-	TxnID   uint64
-	PrevLSN LSN // previous record of the same transaction (undo chain)
-
-	// Update / CLR payload.
-	Page   uint64
-	Slot   uint32
-	Op     PageOp
-	Owner  uint64 // heap (table) owning the page; redo re-stamps it
-	Before []byte // pre-image (empty for insert)
-	After  []byte // post-image (empty for delete)
-
-	// CLR only: next record to undo for this transaction.
-	UndoNext LSN
-}
-
-// ErrTorn reports a truncated or corrupted log tail; recovery treats
-// everything from that point on as never written.
-var ErrTorn = errors.New("wal: torn log tail")
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// encode serialises r (without LSN-assignment responsibilities).
-func encode(r *Record) []byte {
-	n := 8 + 1 + 8 + 8 + 8 + 4 + 1 + 8 + 4 + len(r.Before) + 4 + len(r.After) + 8
-	buf := make([]byte, 0, n)
-	var tmp [8]byte
-	put64 := func(v uint64) {
-		binary.BigEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:8]...)
-	}
-	put32 := func(v uint32) {
-		binary.BigEndian.PutUint32(tmp[:4], v)
-		buf = append(buf, tmp[:4]...)
-	}
-	put64(uint64(r.LSN))
-	buf = append(buf, byte(r.Type))
-	put64(r.TxnID)
-	put64(uint64(r.PrevLSN))
-	put64(r.Page)
-	put32(r.Slot)
-	buf = append(buf, byte(r.Op))
-	put64(r.Owner)
-	put32(uint32(len(r.Before)))
-	buf = append(buf, r.Before...)
-	put32(uint32(len(r.After)))
-	buf = append(buf, r.After...)
-	put64(uint64(r.UndoNext))
-	return buf
-}
-
-// decode parses one record payload produced by encode.
-func decode(b []byte) (*Record, error) {
-	r := &Record{}
-	get64 := func() (uint64, error) {
-		if len(b) < 8 {
-			return 0, ErrTorn
-		}
-		v := binary.BigEndian.Uint64(b)
-		b = b[8:]
-		return v, nil
-	}
-	get32 := func() (uint32, error) {
-		if len(b) < 4 {
-			return 0, ErrTorn
-		}
-		v := binary.BigEndian.Uint32(b)
-		b = b[4:]
-		return v, nil
-	}
-	getByte := func() (byte, error) {
-		if len(b) < 1 {
-			return 0, ErrTorn
-		}
-		v := b[0]
-		b = b[1:]
-		return v, nil
-	}
-	lsn, err := get64()
-	if err != nil {
-		return nil, err
-	}
-	r.LSN = LSN(lsn)
-	ty, err := getByte()
-	if err != nil {
-		return nil, err
-	}
-	r.Type = RecordType(ty)
-	if r.TxnID, err = get64(); err != nil {
-		return nil, err
-	}
-	prev, err := get64()
-	if err != nil {
-		return nil, err
-	}
-	r.PrevLSN = LSN(prev)
-	if r.Page, err = get64(); err != nil {
-		return nil, err
-	}
-	if r.Slot, err = get32(); err != nil {
-		return nil, err
-	}
-	op, err := getByte()
-	if err != nil {
-		return nil, err
-	}
-	r.Op = PageOp(op)
-	if r.Owner, err = get64(); err != nil {
-		return nil, err
-	}
-	bl, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	if uint32(len(b)) < bl {
-		return nil, ErrTorn
-	}
-	if bl > 0 {
-		r.Before = append([]byte(nil), b[:bl]...)
-	}
-	b = b[bl:]
-	al, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	if uint32(len(b)) < al {
-		return nil, ErrTorn
-	}
-	if al > 0 {
-		r.After = append([]byte(nil), b[:al]...)
-	}
-	b = b[al:]
-	un, err := get64()
-	if err != nil {
-		return nil, err
-	}
-	r.UndoNext = LSN(un)
-	return r, nil
-}
 
 // ErrClosed reports an operation on a closed log.
 var ErrClosed = errors.New("wal: log closed")
@@ -262,7 +66,9 @@ type Log struct {
 }
 
 // Open creates a Log over store, positioning the next LSN after any
-// existing records (scanning stops at a torn tail).
+// existing records (scanning stops at a torn tail). A log in an older record
+// format is refused with ErrFormat: opening it as empty would hand out LSNs
+// below the page LSNs already on disk.
 func Open(store Store) (*Log, error) {
 	l := &Log{store: store, nextLSN: 1}
 	err := iterate(store, func(r *Record) error {
@@ -442,12 +248,7 @@ func (l *Log) Append(r *Record) (LSN, error) {
 	defer l.mu.Unlock()
 	r.LSN = l.nextLSN
 	l.nextLSN++
-	payload := encode(r)
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	l.pending = append(l.pending, hdr[:]...)
-	l.pending = append(l.pending, payload...)
+	l.pending = appendFrame(l.pending, r)
 	l.appended = r.LSN
 	if r.Type == RecCommit {
 		l.pendingCommits.Add(1)
@@ -526,12 +327,7 @@ func (l *Log) Compact() error {
 	}
 	rec := &Record{LSN: l.nextLSN, Type: RecCheckpoint}
 	l.nextLSN++
-	payload := encode(rec)
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	buf := append(hdr[:], payload...)
-	if err := l.store.Append(buf); err != nil {
+	if err := l.store.Append(appendFrame(nil, rec)); err != nil {
 		return err
 	}
 	if err := l.store.Sync(); err != nil {
@@ -570,40 +366,28 @@ func (l *Log) Close() error {
 	return l.store.Close()
 }
 
-// iterate decodes every durable record in order, stopping cleanly at a torn
-// tail (returning ErrTorn wrapped only for hard corruption before the tail).
+// iterate decodes every durable record in order. It returns ErrTorn at a
+// torn tail and ErrFormat at an intact record it cannot decode.
 func iterate(store Store, fn func(*Record) error) error {
 	data, err := store.ReadAll()
 	if err != nil {
 		return err
 	}
-	for len(data) > 0 {
-		if len(data) < 8 {
-			return ErrTorn
-		}
-		n := binary.BigEndian.Uint32(data[:4])
-		crc := binary.BigEndian.Uint32(data[4:8])
-		if uint32(len(data)-8) < n {
-			return ErrTorn
-		}
-		payload := data[8 : 8+n]
-		if crc32.Checksum(payload, crcTable) != crc {
-			return ErrTorn
-		}
-		rec, err := decode(payload)
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-		data = data[8+n:]
+	var ferr error
+	err = walk(data, func(r *Record, _ int) bool {
+		rec := *r // fn may keep it (Recover does)
+		ferr = fn(&rec)
+		return ferr == nil
+	})
+	if ferr != nil {
+		return ferr
 	}
-	return nil
+	return err
 }
 
 // Iterate replays every durable record in LSN order. A torn tail terminates
-// iteration without error (the tail is treated as never written).
+// iteration without error (the tail is treated as never written); a record
+// that is intact but undecodable fails it with ErrFormat.
 func (l *Log) Iterate(fn func(*Record) error) error {
 	err := iterate(l.store, fn)
 	if errors.Is(err, ErrTorn) {

@@ -153,7 +153,9 @@ func Recover(log *Log, pool *storage.BufferPool) (*RecoveryStats, error) {
 					clr.Op = OpDelete
 					clr.Before = r.After
 				case OpUpdate:
+					// The reverse splice: same place, images swapped.
 					clr.Op = OpUpdate
+					clr.Off = r.Off
 					clr.Before = r.After
 					clr.After = r.Before
 				case OpDelete:
@@ -191,7 +193,10 @@ func prevForUndo(r *Record) LSN {
 }
 
 // redoOne applies the page mutation of r if the page has not seen it yet
-// (page LSN < record LSN). It returns whether the mutation was applied.
+// (page LSN < record LSN). It returns whether the mutation was applied. An
+// update is a splice, so repeating it needs the page to hold exactly the
+// state the record was logged against; a page that does not is an error
+// (ErrPreImage), never silently overwritten.
 func redoOne(pool *storage.BufferPool, r *Record) (bool, error) {
 	// Ensure the page exists: updates may reference pages allocated after
 	// the last flush.
@@ -210,22 +215,8 @@ func redoOne(pool *storage.BufferPool, r *Record) (bool, error) {
 	if LSN(pg.LSN()) >= r.LSN {
 		return false, nil
 	}
-	sp := storage.Slotted(pg)
-	switch r.Op {
-	case OpInsert:
-		if err := sp.InsertAt(int(r.Slot), r.After); err != nil {
-			return false, fmt.Errorf("wal: redo insert page %d slot %d: %w", r.Page, r.Slot, err)
-		}
-	case OpUpdate:
-		if err := sp.Update(int(r.Slot), r.After); err != nil {
-			return false, fmt.Errorf("wal: redo update page %d slot %d: %w", r.Page, r.Slot, err)
-		}
-	case OpDelete:
-		if err := sp.Delete(int(r.Slot)); err != nil {
-			return false, fmt.Errorf("wal: redo delete page %d slot %d: %w", r.Page, r.Slot, err)
-		}
-	default:
-		return false, fmt.Errorf("wal: redo of non-update record %v", r.Type)
+	if err := Apply(storage.Slotted(pg), r); err != nil {
+		return false, fmt.Errorf("wal: redo %v LSN %d (op %d) page %d slot %d: %w", r.Type, r.LSN, r.Op, r.Page, r.Slot, err)
 	}
 	if r.Owner != 0 {
 		pg.SetOwner(r.Owner)

@@ -2,50 +2,102 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"tendax/internal/storage"
 )
 
+// roundTrip decodes r's encoding.
+func roundTrip(t *testing.T, r *Record) *Record {
+	t.Helper()
+	var got Record
+	if err := decode(appendRecord(nil, r), &got); err != nil {
+		t.Fatalf("decode %+v: %v", r, err)
+	}
+	return &got
+}
+
+func sameRecord(a, b *Record) bool {
+	return a.LSN == b.LSN && a.Type == b.Type && a.TxnID == b.TxnID &&
+		a.PrevLSN == b.PrevLSN && a.Page == b.Page && a.Slot == b.Slot &&
+		a.Op == b.Op && a.Owner == b.Owner && a.Off == b.Off &&
+		bytes.Equal(a.Before, b.Before) && bytes.Equal(a.After, b.After) &&
+		a.UndoNext == b.UndoNext
+}
+
 func TestRecordEncodeDecodeRoundTrip(t *testing.T) {
 	r := &Record{
 		LSN:      42,
-		Type:     RecUpdate,
+		Type:     RecCLR,
 		TxnID:    7,
 		PrevLSN:  41,
 		Page:     3,
 		Slot:     9,
 		Op:       OpUpdate,
+		Owner:    1 << 40,
+		Off:      300,
 		Before:   []byte("before image"),
 		After:    []byte("after image"),
 		UndoNext: 40,
 	}
-	got, err := decode(encode(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.LSN != r.LSN || got.Type != r.Type || got.TxnID != r.TxnID ||
-		got.PrevLSN != r.PrevLSN || got.Page != r.Page || got.Slot != r.Slot ||
-		got.Op != r.Op || !bytes.Equal(got.Before, r.Before) ||
-		!bytes.Equal(got.After, r.After) || got.UndoNext != r.UndoNext {
+	if got := roundTrip(t, r); !sameRecord(got, r) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, r)
 	}
 }
 
+// TestRecordRoundTripProperty: random update records survive the codec, and
+// the splice an update logs turns before into after — and its swap, the
+// CLR's, turns after back into before.
 func TestRecordRoundTripProperty(t *testing.T) {
-	f := func(txn uint64, page uint64, slot uint32, before, after []byte) bool {
-		r := &Record{Type: RecUpdate, TxnID: txn, Page: page, Slot: slot,
-			Op: OpUpdate, Before: before, After: after}
-		got, err := decode(encode(r))
-		if err != nil {
+	f := func(lsn, txn, page uint64, slot uint32, prev uint8, before, after []byte) bool {
+		lsn = lsn>>1 + 256 // room below for PrevLSN and UndoNext
+		off, was, now := Splice(before, after)
+		r := &Record{LSN: LSN(lsn), Type: RecUpdate, TxnID: txn, PrevLSN: LSN(lsn - uint64(prev)),
+			Page: page, Slot: slot, Op: OpUpdate, Off: off, Before: was, After: now}
+		if prev == 0 {
+			r.PrevLSN = 0
+		}
+		got := roundTrip(t, r)
+		if !sameRecord(got, r) {
 			return false
 		}
-		return got.TxnID == txn && got.Page == page && got.Slot == slot &&
-			bytes.Equal(got.Before, before) && bytes.Equal(got.After, after)
+		fwd, err := applySplice(before, got.Off, got.Before, got.After)
+		if err != nil || !bytes.Equal(fwd, after) {
+			return false
+		}
+		back, err := applySplice(after, got.Off, got.After, got.Before)
+		return err == nil && bytes.Equal(back, before)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpliceEdges covers the trims quick.Check rarely hits: equal records,
+// a pure insertion or deletion, a repeated byte at the cut, whole-record
+// replacement, and the pre-image check on a mismatched or short record.
+func TestSpliceEdges(t *testing.T) {
+	for _, c := range []struct{ a, b string }{
+		{"", ""}, {"same", "same"}, {"", "abc"}, {"abc", ""},
+		{"aXa", "aa"}, {"aa", "aXa"}, {"aaaa", "aaaaaa"},
+		{"head-mid-tail", "head-MIDDLE-tail"}, {"abc", "xyz"},
+	} {
+		off, was, now := Splice([]byte(c.a), []byte(c.b))
+		if len(was) > 0 && len(now) > 0 && (was[0] == now[0] || was[len(was)-1] == now[len(now)-1]) {
+			t.Errorf("%q→%q: splice %d %q→%q not trimmed", c.a, c.b, off, was, now)
+		}
+		got, err := applySplice([]byte(c.a), off, was, now)
+		if err != nil || string(got) != c.b {
+			t.Errorf("%q→%q: applying %d %q→%q gave %q, %v", c.a, c.b, off, was, now, got, err)
+		}
+	}
+	if _, err := applySplice([]byte("abcdef"), 2, []byte("cX"), []byte("y")); !errors.Is(err, ErrPreImage) {
+		t.Errorf("mismatched pre-image: %v, want ErrPreImage", err)
+	}
+	if _, err := applySplice([]byte("abc"), 2, []byte("cde"), nil); !errors.Is(err, ErrPreImage) {
+		t.Errorf("pre-image past the record's end: %v, want ErrPreImage", err)
 	}
 }
 
