@@ -143,7 +143,6 @@ func (d *Document) ApplyAsync(user string, ops []EditOp) ([]EditResult, wal.LSN,
 	if err != nil {
 		return nil, 0, err
 	}
-	d.noteAuthorLocked(user, st.now)
 	d.publishBatchLocked(user, st, items, st.now)
 	return results, lsn, nil
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,31 +42,23 @@ type Document struct {
 	arch0           *texttree.Archive // the archive as first loaded
 	archLoadVersion uint64            // buffer version at load time
 
-	mu         sync.Mutex
-	buf        *texttree.Buffer
-	ops        []opRecord // operation log cache (ops table is authoritative)
-	name       string
-	creator    string
-	created    time.Time
-	modified   time.Time
-	lastAuthor string
-	state      string
-	authors    map[string]bool
+	mu  sync.Mutex
+	buf *texttree.Buffer
+	ops []opRecord // operation log cache (ops table is authoritative)
+	// row is the document's docs-table row as this handle last wrote it:
+	// the metadata Info reports and the base every docs-row update builds
+	// on, so a keystroke never reads the row back. writeRowLocked replaces
+	// it (never mutates it) and restores it if the transaction aborts.
+	row db.Row
 }
 
-func newDocument(e *Engine, id util.ID, name, creator string, created time.Time, state string) *Document {
+// newDocument returns a handle on the document whose docs-table row is row.
+func newDocument(e *Engine, id util.ID, row db.Row) *Document {
 	d := &Document{
-		eng:     e,
-		id:      id,
-		buf:     texttree.NewBuffer(),
-		name:    name,
-		creator: creator,
-		created: created,
-		state:   state,
-		authors: map[string]bool{},
-	}
-	if creator != "" {
-		d.authors[creator] = true
+		eng: e,
+		id:  id,
+		buf: texttree.NewBuffer(),
+		row: row,
 	}
 	//tendax:allow-snapshotread construction: the document is not yet shared
 	d.snap.Store(&published{tree: d.buf.Snapshot(), seq: e.bus.Seq(id)})
@@ -156,9 +148,6 @@ func (d *Document) load() error {
 	//tendax:allow-snapshotread load-time construction: the document is published only after load returns
 	d.buf = buf
 	d.snap.Store(&published{tree: buf.Snapshot(), seq: d.eng.bus.Seq(d.id)})
-	for _, a := range buf.Authors() {
-		d.authors[a] = true
-	}
 	return d.loadOps()
 }
 
@@ -169,7 +158,7 @@ func (d *Document) ID() util.ID { return d.id }
 func (d *Document) Name() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.name
+	return d.row[1].(string)
 }
 
 // Len returns the number of visible characters, from the latest committed
@@ -189,20 +178,14 @@ func (d *Document) TextFor(user string) (string, error) {
 	return d.Snapshot().TextFor(user)
 }
 
-// Info returns current document metadata.
+// Info returns current document metadata: the docs-table row as committed
+// (what Engine.DocInfoByID reads back) with the buffer's visible length.
 func (d *Document) Info() DocInfo {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	authors := make([]string, 0, len(d.authors))
-	for a := range d.authors {
-		authors = append(authors, a)
-	}
-	sort.Strings(authors)
-	return DocInfo{
-		ID: d.id, Name: d.name, Creator: d.creator, Created: d.created,
-		Modified: d.modified, LastAuthor: d.lastAuthor, Size: d.buf.Len(),
-		State: d.state, Authors: authors,
-	}
+	info := docInfoFromRow(d.row)
+	info.Size = d.buf.Len()
+	return info
 }
 
 // Buffer returns an independent mutable copy of the underlying buffer for
@@ -292,20 +275,15 @@ func (d *Document) SetState(user, state string) error {
 
 func (d *Document) setStateLocked(user, state string) (wal.LSN, error) {
 	now := d.eng.clock.Now()
+	row := append(db.Row(nil), d.row...)
+	row[7] = state
+	row[4] = now
 	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
-		row, _, err := d.eng.tDocs.GetByPK(tx, int64(d.id))
-		if err != nil {
-			return err
-		}
-		row[7] = state
-		row[4] = now
-		return d.eng.tDocs.UpdateByPK(tx, int64(d.id), row)
+		return d.writeRowLocked(tx, row)
 	})
 	if err != nil {
 		return 0, err
 	}
-	d.state = state
-	d.modified = now
 	// Workflow transitions change ranking-relevant metadata (Modified,
 	// State) without touching the text, so they must still reach the
 	// awareness stream: the incremental indexer refreshes metadata from
@@ -437,31 +415,50 @@ func zeroableTime(t time.Time) time.Time {
 	return t
 }
 
-// updateDocRowLocked refreshes the docs-table row inside tx. Caller holds
-// d.mu; newSize is the post-operation visible length.
+// updateDocRowLocked records an edit by user in the docs-table row inside
+// tx: modified time, last author, visible length (newSize, the
+// post-operation length) and, on their first edit, the user's name in the
+// authors column. Caller holds d.mu.
 func (d *Document) updateDocRowLocked(tx *txn.Txn, user string, now time.Time, newSize int) error {
-	row, _, err := d.eng.tDocs.GetByPK(tx, int64(d.id))
-	if err != nil {
-		return err
-	}
+	row := append(db.Row(nil), d.row...)
 	row[4] = now
 	row[5] = user
 	row[6] = int64(newSize)
-	if !d.authors[user] {
-		cur := row[8].(string)
-		if cur == "" {
-			row[8] = user
-		} else {
-			row[8] = cur + "," + user
-		}
+	if authors := row[8].(string); authors == "" {
+		row[8] = user
+	} else if !hasAuthor(authors, user) {
+		row[8] = authors + "," + user
 	}
-	return d.eng.tDocs.UpdateByPK(tx, int64(d.id), row)
+	return d.writeRowLocked(tx, row)
 }
 
-func (d *Document) noteAuthorLocked(user string, now time.Time) {
-	d.authors[user] = true
-	d.lastAuthor = user
-	d.modified = now
+// writeRowLocked writes row as the document's docs-table row inside tx and
+// makes it the cached row, restoring the previous one if tx aborts. Caller
+// holds d.mu; row must not be modified afterwards.
+func (d *Document) writeRowLocked(tx *txn.Txn, row db.Row) error {
+	if err := d.eng.tDocs.UpdateByPK(tx, int64(d.id), row); err != nil {
+		return err
+	}
+	prev := d.row
+	d.row = row
+	tx.OnUndo(func() error {
+		d.row = prev // runs inside Abort, still under the caller's d.mu
+		return nil
+	})
+	return nil
+}
+
+// hasAuthor reports whether user is one of the comma-separated names of a
+// docs row's authors column.
+func hasAuthor(authors, user string) bool {
+	for authors != "" {
+		name, rest, _ := strings.Cut(authors, ",")
+		if name == user {
+			return true
+		}
+		authors = rest
+	}
+	return false
 }
 
 // CheckInvariants verifies buffer invariants plus buffer/database

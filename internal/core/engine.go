@@ -330,16 +330,15 @@ func (e *Engine) WaitDurable(lsn wal.LSN) error { return e.db.WaitDurable(lsn) }
 func (e *Engine) CreateDocument(user, name string) (*Document, error) {
 	id := e.ids.Next()
 	now := e.clock.Now()
+	row := db.Row{int64(id), name, user, now, now, user, int64(0), "draft", user}
 	err := e.withTxn(func(tx *txn.Txn) error {
-		_, err := e.tDocs.Insert(tx, db.Row{
-			int64(id), name, user, now, now, user, int64(0), "draft", user,
-		})
+		_, err := e.tDocs.Insert(tx, row)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	d := newDocument(e, id, name, user, now, "draft")
+	d := newDocument(e, id, row)
 	e.mu.Lock()
 	e.docs[id] = d
 	e.mu.Unlock()
@@ -401,7 +400,7 @@ func (e *Engine) OpenDocument(id util.ID) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := newDocument(e, id, row[1].(string), row[2].(string), row[3].(time.Time), row[7].(string))
+	d := newDocument(e, id, row)
 	if err := d.load(); err != nil {
 		return nil, err
 	}

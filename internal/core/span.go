@@ -70,7 +70,6 @@ func (d *Document) removeSpanLocked(user string, spanID util.ID) (wal.LSN, error
 		return 0, err
 	}
 	d.ops = append(d.ops, rec)
-	d.noteAuthorLocked(user, now)
 	d.publishEventLocked(awareness.Event{
 		Doc: d.id, Kind: awareness.EvLayout, User: user, OpID: rec.ID,
 		Name: "remove", At: now,

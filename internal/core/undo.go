@@ -264,7 +264,6 @@ func (d *Document) undoLocked(user string, local bool) (util.ID, wal.LSN, error)
 	target.Undone = true
 	d.ops = append(d.ops, opRecord{ID: undoID, User: user, Kind: "undo",
 		CharIDs: plan.affected, Ref: target.ID, Created: now})
-	d.noteAuthorLocked(user, now)
 	d.publishEventLocked(awareness.Event{
 		Doc: d.id, Kind: awareness.EvUndo, User: user, OpID: undoID,
 		Name: target.Kind, N: len(target.CharIDs), At: now,
@@ -340,7 +339,6 @@ func (d *Document) redoLocked(user string, local bool) (util.ID, wal.LSN, error)
 	undoOp.Undone = true
 	d.ops = append(d.ops, opRecord{ID: redoID, User: user, Kind: "redo",
 		CharIDs: target.CharIDs, Ref: target.ID, Created: now})
-	d.noteAuthorLocked(user, now)
 	d.publishEventLocked(awareness.Event{
 		Doc: d.id, Kind: awareness.EvRedo, User: user, OpID: redoID,
 		Name: target.Kind, N: len(target.CharIDs), At: now,

@@ -25,23 +25,7 @@ const maxOneKeyBatchLogBytes = 450
 // fails if any batch logs more than maxOneKeyBatchLogBytes. It logs what the
 // bytes are: records and bytes per key, by record type and table.
 func TestOneKeyBatchLogBytes(t *testing.T) {
-	store := wal.NewMemStore()
-	database, err := db.OpenWith(storage.NewMemDisk(), store, db.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { database.Close() })
-	e, err := NewEngine(database, util.NewFakeClock(time.Unix(1_000_000, 0).UTC(), time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := e.CreateDocument("alice", "bytes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.InsertText("alice", 0, strings.Repeat("lorem ipsum ", 20_000/12+1)[:20_000]); err != nil {
-		t.Fatal(err)
-	}
+	store, database, d := newOneKeyDoc(t)
 	tables := map[uint64]string{}
 	for _, name := range database.Tables() {
 		tables[database.Table(name).ID()] = name
@@ -64,7 +48,7 @@ func TestOneKeyBatchLogBytes(t *testing.T) {
 	type line struct{ records, bytes int }
 	byKind := map[string]*line{}
 	total := 0
-	err = database.Log().Iterate(func(r *wal.Record) error {
+	err := database.Log().Iterate(func(r *wal.Record) error {
 		if r.LSN < from {
 			return nil
 		}
@@ -97,5 +81,64 @@ func TestOneKeyBatchLogBytes(t *testing.T) {
 	t.Logf("WAL per one-key batch, %d keys into a 20k-character document:\n%s", keys, b.String())
 	if worst > maxOneKeyBatchLogBytes {
 		t.Errorf("a one-key batch logged %d B, over the %d B budget", worst, maxOneKeyBatchLogBytes)
+	}
+}
+
+// newOneKeyDoc opens an in-memory database with a fake-clock engine and a
+// document holding 20k characters typed by alice: the setting of the
+// one-key batch tests.
+func newOneKeyDoc(t *testing.T) (*wal.MemStore, *db.Database, *Document) {
+	t.Helper()
+	store := wal.NewMemStore()
+	database, err := db.OpenWith(storage.NewMemDisk(), store, db.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { database.Close() })
+	e, err := NewEngine(database, util.NewFakeClock(time.Unix(1_000_000, 0).UTC(), time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := e.CreateDocument("alice", "bytes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.InsertText("alice", 0, strings.Repeat("lorem ipsum ", 20_000/12+1)[:20_000]); err != nil {
+		t.Fatal(err)
+	}
+	return store, database, d
+}
+
+// maxOneKeyBatchAllocs bounds the heap allocations of one typed character
+// committed as its own batch, end to end through Document.Apply: staging,
+// the row writes and their locks, the WAL append, the durability wait and
+// the snapshot publish. Re-reading and decoding every updated row, string
+// lock keys and re-indexing unchanged keys cost ~320; without them ~210.
+const maxOneKeyBatchAllocs = 240
+
+// TestOneKeyBatchAllocs types one-key batches between two existing
+// characters of the same 20k-character document as TestOneKeyBatchLogBytes,
+// two authors alternating, and fails if a batch allocates more than
+// maxOneKeyBatchAllocs times on average.
+func TestOneKeyBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	_, _, d := newOneKeyDoc(t)
+	i := 0
+	var err error
+	allocs := testing.AllocsPerRun(200, func() {
+		user := [2]string{"alice", "bob"}[i%2]
+		if _, e := d.InsertText(user, 1+(i*7919)%(d.Len()-1), "k"); e != nil && err == nil {
+			err = e
+		}
+		i++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.1f allocations per one-key batch", allocs)
+	if allocs > maxOneKeyBatchAllocs {
+		t.Errorf("a one-key batch allocated %.1f times, over the budget of %d", allocs, maxOneKeyBatchAllocs)
 	}
 }

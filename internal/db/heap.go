@@ -19,11 +19,11 @@ type RID struct {
 }
 
 // Bytes returns a fixed 12-byte encoding of the RID.
-func (r RID) Bytes() []byte {
-	var b [12]byte
-	binary.BigEndian.PutUint64(b[:8], uint64(r.Page))
-	binary.BigEndian.PutUint32(b[8:], uint32(r.Slot))
-	return b[:]
+func (r RID) Bytes() []byte { return r.appendTo(make([]byte, 0, 12)) }
+
+func (r RID) appendTo(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Page))
+	return binary.BigEndian.AppendUint32(dst, uint32(r.Slot))
 }
 
 // RIDFromBytes decodes a RID encoded by Bytes.
@@ -37,7 +37,7 @@ func RIDFromBytes(b []byte) (RID, error) {
 	}, nil
 }
 
-// String renders the RID for lock keys and diagnostics.
+// String renders the RID for diagnostics.
 func (r RID) String() string { return fmt.Sprintf("%d.%d", uint64(r.Page), r.Slot) }
 
 // ErrNotFound reports a missing record.
@@ -147,7 +147,7 @@ func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte) ([]RID, error) {
 				}
 				slot := sp.NumSlots()
 				rid := RID{Page: pageID, Slot: slot}
-				if err := tx.Lock(lockKey(h.tableID, rid), txn.Exclusive); err != nil {
+				if err := tx.Lock(rowKey(h.tableID, rid), txn.Exclusive); err != nil {
 					return n, err
 				}
 				lsn, err := h.log.Append(&wal.Record{
@@ -186,22 +186,25 @@ func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte) ([]RID, error) {
 	return rids, nil
 }
 
-// Update replaces the record at rid with rec under tx. A grown record that
-// no longer fits its page fails with storage.ErrPageFull and leaves nothing
-// behind — no log record, no undo entry — so the caller can relocate the
-// row with a logged delete and a logged insert.
-func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) error {
-	if err := tx.Lock(lockKey(h.tableID, rid), txn.Exclusive); err != nil {
-		return err
+// Update replaces the record at rid with rec under tx and returns the
+// record it replaced, copied under the page latch while the row is
+// exclusively locked. A grown record that no longer fits its page fails
+// with storage.ErrPageFull and leaves nothing behind — no log record, no
+// undo entry — so the caller can relocate the row with a logged delete and
+// a logged insert.
+func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) ([]byte, error) {
+	if err := tx.Lock(rowKey(h.tableID, rid), txn.Exclusive); err != nil {
+		return nil, err
 	}
 	pg, err := h.pool.Fetch(rid.Page)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer h.pool.Unpin(rid.Page, true)
 
 	// The page latch is never held while taking h.mu (InsertBatch holds h.mu
 	// first, then latches): holding both in opposite orders would deadlock.
+	var before []byte
 	undo, freeAfter, err := func() (*wal.Record, int, error) {
 		pg.Lock()
 		defer pg.Unlock()
@@ -210,7 +213,7 @@ func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) error {
 		if err != nil {
 			return nil, 0, ErrNotFound
 		}
-		before := append([]byte(nil), cur...)
+		before = append([]byte(nil), cur...)
 		// Only the page knows whether the record fits, so it is applied
 		// first and logged second: the log must never hold an update redo
 		// cannot repeat. The latch is held across both — the page cannot
@@ -245,24 +248,24 @@ func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) error {
 		return undo, sp.FreeSpace(), nil
 	}()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	h.mu.Lock()
 	h.free[rid.Page] = freeAfter
 	h.mu.Unlock()
 
 	tx.OnUndo(func() error { return h.compensate(tx, undo) })
-	return nil
+	return before, nil
 }
 
-// Delete removes the record at rid under tx.
-func (h *Heap) Delete(tx *txn.Txn, rid RID) error {
-	if err := tx.Lock(lockKey(h.tableID, rid), txn.Exclusive); err != nil {
-		return err
+// Delete removes the record at rid under tx and returns it.
+func (h *Heap) Delete(tx *txn.Txn, rid RID) ([]byte, error) {
+	if err := tx.Lock(rowKey(h.tableID, rid), txn.Exclusive); err != nil {
+		return nil, err
 	}
 	pg, err := h.pool.Fetch(rid.Page)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer h.pool.Unpin(rid.Page, true)
 	pg.Lock()
@@ -271,7 +274,7 @@ func (h *Heap) Delete(tx *txn.Txn, rid RID) error {
 	sp := storage.Slotted(pg)
 	cur, err := sp.Get(rid.Slot)
 	if err != nil {
-		return ErrNotFound
+		return nil, ErrNotFound
 	}
 	before := append([]byte(nil), cur...)
 
@@ -281,10 +284,10 @@ func (h *Heap) Delete(tx *txn.Txn, rid RID) error {
 		Owner: h.tableID, Before: before,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := sp.Delete(rid.Slot); err != nil {
-		return err
+		return nil, err
 	}
 	pg.SetLSN(uint64(lsn))
 	prev := tx.LastLSN()
@@ -297,14 +300,14 @@ func (h *Heap) Delete(tx *txn.Txn, rid RID) error {
 			After: before, UndoNext: prev,
 		})
 	})
-	return nil
+	return before, nil
 }
 
 // Get returns a copy of the record at rid. If tx is non-nil the row is
 // share-locked, so the read waits out in-flight writers of that row.
 func (h *Heap) Get(tx *txn.Txn, rid RID) ([]byte, error) {
 	if tx != nil {
-		if err := tx.Lock(lockKey(h.tableID, rid), txn.Shared); err != nil {
+		if err := tx.Lock(rowKey(h.tableID, rid), txn.Shared); err != nil {
 			return nil, err
 		}
 	}
@@ -430,7 +433,7 @@ func (h *Heap) pickPageLocked(need int) (storage.PageID, error) {
 	return id, nil
 }
 
-// lockKey names a row for the lock manager.
-func lockKey(table uint64, rid RID) string {
-	return fmt.Sprintf("r/%d/%s", table, rid)
+// rowKey names a row for the lock manager.
+func rowKey(table uint64, rid RID) txn.Key {
+	return txn.Key{Table: table, Page: uint64(rid.Page), Slot: uint32(rid.Slot)}
 }

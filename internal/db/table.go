@@ -1,6 +1,8 @@
 package db
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -19,12 +21,19 @@ type Index struct {
 	tree   *btree.Tree
 }
 
-func indexKey(enc []byte, rid RID) []byte {
-	k := make([]byte, 0, len(enc)+1+12)
-	k = append(k, enc...)
-	k = append(k, 0) // separator keeps prefix scans exact
-	k = append(k, rid.Bytes()...)
-	return k
+// Index keys are built from a row's stored encoding, never from a decoded
+// Row: Update compares those bytes to skip re-indexing, and Delete and an
+// abort's undo unindex the very bytes they hold.
+
+// pkKey appends the primary-key B-tree key of rec to dst.
+func pkKey(dst, rec []byte) []byte { return appendKey(dst, TInt, rec[:8]) }
+
+// key appends ix's B-tree key of rec, stored at rid, to dst.
+func (ix *Index) key(dst []byte, schema Schema, rec []byte, rid RID) []byte {
+	f, _ := field(schema, rec, ix.col) // rec is a valid encoding
+	dst = appendKey(dst, schema[ix.col].Type, f)
+	dst = append(dst, 0) // separator keeps prefix scans exact
+	return rid.appendTo(dst)
 }
 
 // Table is a typed, indexed, transactional table.
@@ -91,31 +100,67 @@ func (t *Table) RebuildIndexes() error {
 		ix.tree = btree.New()
 	}
 	return t.heap.ScanDirty(func(rid RID, rec []byte) error {
-		row, err := DecodeRow(t.schema, rec)
-		if err != nil {
+		// Walking to the last column checks the record's framing.
+		if _, err := field(t.schema, rec, len(t.schema)-1); err != nil {
 			return fmt.Errorf("db: table %q rid %v: %w", t.name, rid, err)
 		}
-		t.indexRowLocked(row, rid)
+		t.indexLocked(rec, rid)
 		return nil
 	})
 }
 
-func (t *Table) indexRowLocked(row Row, rid RID) {
-	pkEnc, _ := EncodeKey(TInt, row[0])
-	t.pk.Put(pkEnc, rid)
+// indexLocked enters rec, stored at rid, in the primary key and every
+// secondary index. Caller holds t.mu.
+func (t *Table) indexLocked(rec []byte, rid RID) {
+	var buf [64]byte
+	t.pk.Put(pkKey(buf[:0], rec), rid)
 	for _, ix := range t.indexes {
-		enc, _ := EncodeKey(t.schema[ix.col].Type, row[ix.col])
-		ix.tree.Put(indexKey(enc, rid), rid)
+		ix.tree.Put(ix.key(buf[:0], t.schema, rec, rid), rid)
 	}
 }
 
-func (t *Table) unindexRowLocked(row Row, rid RID) {
-	pkEnc, _ := EncodeKey(TInt, row[0])
-	t.pk.Delete(pkEnc)
+// unindexLocked removes what indexLocked entered. Caller holds t.mu.
+func (t *Table) unindexLocked(rec []byte, rid RID) {
+	var buf [64]byte
+	t.pk.Delete(pkKey(buf[:0], rec))
 	for _, ix := range t.indexes {
-		enc, _ := EncodeKey(t.schema[ix.col].Type, row[ix.col])
-		ix.tree.Delete(indexKey(enc, rid))
+		ix.tree.Delete(ix.key(buf[:0], t.schema, rec, rid))
 	}
+}
+
+// sameKeys reports whether two encodings of a row agree on the primary key
+// and every indexed column, so that replacing one by the other in place
+// leaves every index as it is.
+func (t *Table) sameKeys(a, b []byte) bool {
+	if !bytes.Equal(a[:8], b[:8]) {
+		return false
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, ix := range t.indexes {
+		fa, _ := field(t.schema, a, ix.col)
+		fb, _ := field(t.schema, b, ix.col)
+		if !bytes.Equal(fa, fb) {
+			return false
+		}
+	}
+	return true
+}
+
+// reindex moves a row's index entries from old, stored at oldRID, to rec,
+// stored at newRID, and registers the move back as undo.
+func (t *Table) reindex(tx *txn.Txn, old []byte, oldRID RID, rec []byte, newRID RID) {
+	t.mu.Lock()
+	t.unindexLocked(old, oldRID)
+	t.indexLocked(rec, newRID)
+	t.mu.Unlock()
+	tx.OnUndo(func() error {
+		t.mu.Lock()
+		t.unindexLocked(rec, newRID)
+		t.indexLocked(old, oldRID)
+		t.mu.Unlock()
+		return nil
+	})
 }
 
 // Insert adds row under tx, maintaining all indexes (with undo hooks so an
@@ -125,12 +170,9 @@ func (t *Table) Insert(tx *txn.Txn, row Row) (RID, error) {
 	if err != nil {
 		return RID{}, err
 	}
-	pkEnc, err := EncodeKey(TInt, row[0])
-	if err != nil {
-		return RID{}, err
-	}
+	var buf [8]byte
 	t.mu.RLock()
-	_, exists := t.pk.Get(pkEnc)
+	_, exists := t.pk.Get(pkKey(buf[:0], rec))
 	t.mu.RUnlock()
 	if exists {
 		return RID{}, fmt.Errorf("db: table %q: duplicate primary key %v", t.name, row[0])
@@ -139,13 +181,12 @@ func (t *Table) Insert(tx *txn.Txn, row Row) (RID, error) {
 	if err != nil {
 		return RID{}, err
 	}
-	rowCopy := append(Row(nil), row...)
 	t.mu.Lock()
-	t.indexRowLocked(rowCopy, rid)
+	t.indexLocked(rec, rid)
 	t.mu.Unlock()
 	tx.OnUndo(func() error {
 		t.mu.Lock()
-		t.unindexRowLocked(rowCopy, rid)
+		t.unindexLocked(rec, rid)
 		t.mu.Unlock()
 		return nil
 	})
@@ -162,45 +203,39 @@ func (t *Table) InsertBatch(tx *txn.Txn, rows []Row) ([]RID, error) {
 		return nil, nil
 	}
 	recs := make([][]byte, len(rows))
-	pkEncs := make([][]byte, len(rows))
 	for i, row := range rows {
 		rec, err := EncodeRow(t.schema, row)
 		if err != nil {
 			return nil, err
 		}
 		recs[i] = rec
-		if pkEncs[i], err = EncodeKey(TInt, row[0]); err != nil {
-			return nil, err
-		}
 	}
-	batchPKs := make(map[string]bool, len(rows))
+	batchPKs := make(map[int64]bool, len(rows))
+	var buf [8]byte
 	t.mu.RLock()
-	for i, pkEnc := range pkEncs {
-		_, exists := t.pk.Get(pkEnc)
-		if exists || batchPKs[string(pkEnc)] {
+	for i, rec := range recs {
+		_, exists := t.pk.Get(pkKey(buf[:0], rec))
+		pk := rows[i][0].(int64) // EncodeRow checked the type
+		if exists || batchPKs[pk] {
 			t.mu.RUnlock()
-			return nil, fmt.Errorf("db: table %q: duplicate primary key %v", t.name, rows[i][0])
+			return nil, fmt.Errorf("db: table %q: duplicate primary key %v", t.name, pk)
 		}
-		batchPKs[string(pkEnc)] = true
+		batchPKs[pk] = true
 	}
 	t.mu.RUnlock()
 	rids, err := t.heap.InsertBatch(tx, recs)
 	if err != nil {
 		return nil, err
 	}
-	copies := make([]Row, len(rows))
-	for i, row := range rows {
-		copies[i] = append(Row(nil), row...)
-	}
 	t.mu.Lock()
-	for i := range copies {
-		t.indexRowLocked(copies[i], rids[i])
+	for i, rec := range recs {
+		t.indexLocked(rec, rids[i])
 	}
 	t.mu.Unlock()
 	tx.OnUndo(func() error {
 		t.mu.Lock()
-		for i := range copies {
-			t.unindexRowLocked(copies[i], rids[i])
+		for i, rec := range recs {
+			t.unindexLocked(rec, rids[i])
 		}
 		t.mu.Unlock()
 		return nil
@@ -208,67 +243,50 @@ func (t *Table) InsertBatch(tx *txn.Txn, rows []Row) ([]RID, error) {
 	return rids, nil
 }
 
-// Update replaces the row at rid under tx, maintaining indexes. A row that
-// no longer fits on its page (even after compaction) is relocated to
-// another page; indexes follow the new RID.
+// Update replaces the row at rid under tx. The heap hands back the record
+// it replaced; when the primary key and every indexed column encode the
+// same in both, the indexes are left alone — a keystroke's neighbour relinks
+// and document-row refresh change neither. A row that no longer fits on its
+// page (even after compaction) is relocated to another page; indexes follow
+// the new RID.
 func (t *Table) Update(tx *txn.Txn, rid RID, row Row) error {
 	rec, err := EncodeRow(t.schema, row)
 	if err != nil {
 		return err
 	}
-	oldRec, err := t.heap.Get(tx, rid) // S lock; upgraded to X by heap.Update
-	if err != nil {
-		return err
-	}
-	oldRow, err := DecodeRow(t.schema, oldRec)
-	if err != nil {
-		return err
-	}
-	newRID := rid
-	err = t.heap.Update(tx, rid, rec)
+	old, err := t.heap.Update(tx, rid, rec)
 	if errors.Is(err, storage.ErrPageFull) {
-		if err := t.heap.Delete(tx, rid); err != nil {
+		if old, err = t.heap.Delete(tx, rid); err != nil {
 			return err
 		}
-		newRID, err = t.heap.Insert(tx, rec)
+		newRID, err := t.heap.Insert(tx, rec)
+		if err != nil {
+			return err
+		}
+		t.reindex(tx, old, rid, rec, newRID)
+		return nil
 	}
 	if err != nil {
 		return err
 	}
-	newCopy := append(Row(nil), row...)
-	t.mu.Lock()
-	t.unindexRowLocked(oldRow, rid)
-	t.indexRowLocked(newCopy, newRID)
-	t.mu.Unlock()
-	tx.OnUndo(func() error {
-		t.mu.Lock()
-		t.unindexRowLocked(newCopy, newRID)
-		t.indexRowLocked(oldRow, rid)
-		t.mu.Unlock()
-		return nil
-	})
+	if !t.sameKeys(old, rec) {
+		t.reindex(tx, old, rid, rec, rid)
+	}
 	return nil
 }
 
 // Delete removes the row at rid under tx, maintaining indexes.
 func (t *Table) Delete(tx *txn.Txn, rid RID) error {
-	oldRec, err := t.heap.Get(tx, rid)
+	old, err := t.heap.Delete(tx, rid)
 	if err != nil {
-		return err
-	}
-	oldRow, err := DecodeRow(t.schema, oldRec)
-	if err != nil {
-		return err
-	}
-	if err := t.heap.Delete(tx, rid); err != nil {
 		return err
 	}
 	t.mu.Lock()
-	t.unindexRowLocked(oldRow, rid)
+	t.unindexLocked(old, rid)
 	t.mu.Unlock()
 	tx.OnUndo(func() error {
 		t.mu.Lock()
-		t.indexRowLocked(oldRow, rid)
+		t.indexLocked(old, rid)
 		t.mu.Unlock()
 		return nil
 	})
@@ -284,16 +302,25 @@ func (t *Table) Get(tx *txn.Txn, rid RID) (Row, error) {
 	return DecodeRow(t.schema, rec)
 }
 
-// GetByPK returns the row whose primary key equals pk.
-func (t *Table) GetByPK(tx *txn.Txn, pk int64) (Row, RID, error) {
-	enc, _ := EncodeKey(TInt, pk)
+// ridOf returns the RID of the row whose primary key equals pk.
+func (t *Table) ridOf(pk int64) (RID, error) {
+	var f, k [8]byte
+	binary.BigEndian.PutUint64(f[:], uint64(pk))
 	t.mu.RLock()
-	v, ok := t.pk.Get(enc)
+	v, ok := t.pk.Get(pkKey(k[:0], f[:]))
 	t.mu.RUnlock()
 	if !ok {
-		return nil, RID{}, ErrNotFound
+		return RID{}, ErrNotFound
 	}
-	rid := v.(RID)
+	return v.(RID), nil
+}
+
+// GetByPK returns the row whose primary key equals pk.
+func (t *Table) GetByPK(tx *txn.Txn, pk int64) (Row, RID, error) {
+	rid, err := t.ridOf(pk)
+	if err != nil {
+		return nil, RID{}, err
+	}
 	row, err := t.Get(tx, rid)
 	if err != nil {
 		return nil, RID{}, err
@@ -303,26 +330,20 @@ func (t *Table) GetByPK(tx *txn.Txn, pk int64) (Row, RID, error) {
 
 // UpdateByPK replaces the row whose primary key equals pk.
 func (t *Table) UpdateByPK(tx *txn.Txn, pk int64, row Row) error {
-	enc, _ := EncodeKey(TInt, pk)
-	t.mu.RLock()
-	v, ok := t.pk.Get(enc)
-	t.mu.RUnlock()
-	if !ok {
-		return ErrNotFound
+	rid, err := t.ridOf(pk)
+	if err != nil {
+		return err
 	}
-	return t.Update(tx, v.(RID), row)
+	return t.Update(tx, rid, row)
 }
 
 // DeleteByPK removes the row whose primary key equals pk.
 func (t *Table) DeleteByPK(tx *txn.Txn, pk int64) error {
-	enc, _ := EncodeKey(TInt, pk)
-	t.mu.RLock()
-	v, ok := t.pk.Get(enc)
-	t.mu.RUnlock()
-	if !ok {
-		return ErrNotFound
+	rid, err := t.ridOf(pk)
+	if err != nil {
+		return err
 	}
-	return t.Delete(tx, v.(RID))
+	return t.Delete(tx, rid)
 }
 
 // LookupEq returns the RIDs of rows whose column equals value, via the
@@ -365,7 +386,7 @@ func (t *Table) Scan(tx *txn.Txn, fn func(rid RID, row Row) (bool, error)) error
 			return nil
 		}
 		if tx != nil {
-			if err := tx.Lock(lockKey(t.id, rid), txn.Shared); err != nil {
+			if err := tx.Lock(rowKey(t.id, rid), txn.Shared); err != nil {
 				return err
 			}
 			// Re-read under the lock: the record may have changed or died

@@ -76,62 +76,95 @@ func EncodeRow(schema Schema, row Row) ([]byte, error) {
 	if len(row) != len(schema) {
 		return nil, fmt.Errorf("%w: %d values for %d columns", ErrSchema, len(row), len(schema))
 	}
-	buf := make([]byte, 0, 64)
-	var tmp [8]byte
+	buf := make([]byte, 0, 128) // a character, op or document row fits
 	for i, col := range schema {
-		switch col.Type {
-		case TInt:
-			v, ok := row[i].(int64)
-			if !ok {
-				return nil, typeErr(col, row[i])
-			}
-			binary.BigEndian.PutUint64(tmp[:], uint64(v))
-			buf = append(buf, tmp[:]...)
-		case TFloat:
-			v, ok := row[i].(float64)
-			if !ok {
-				return nil, typeErr(col, row[i])
-			}
-			binary.BigEndian.PutUint64(tmp[:], math.Float64bits(v))
-			buf = append(buf, tmp[:]...)
-		case TString:
-			v, ok := row[i].(string)
-			if !ok {
-				return nil, typeErr(col, row[i])
-			}
-			binary.BigEndian.PutUint32(tmp[:4], uint32(len(v)))
-			buf = append(buf, tmp[:4]...)
-			buf = append(buf, v...)
-		case TBytes:
-			v, ok := row[i].([]byte)
-			if !ok {
-				return nil, typeErr(col, row[i])
-			}
-			binary.BigEndian.PutUint32(tmp[:4], uint32(len(v)))
-			buf = append(buf, tmp[:4]...)
-			buf = append(buf, v...)
-		case TBool:
-			v, ok := row[i].(bool)
-			if !ok {
-				return nil, typeErr(col, row[i])
-			}
-			if v {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
-		case TTime:
-			v, ok := row[i].(time.Time)
-			if !ok {
-				return nil, typeErr(col, row[i])
-			}
-			binary.BigEndian.PutUint64(tmp[:], uint64(v.UnixNano()))
-			buf = append(buf, tmp[:]...)
-		default:
-			return nil, fmt.Errorf("db: unknown column type %v", col.Type)
+		var err error
+		if buf, err = appendField(buf, col, row[i]); err != nil {
+			return nil, err
 		}
 	}
 	return buf, nil
+}
+
+// appendField appends the row-codec encoding of v, a value of col, to dst:
+// 8 big-endian bytes for ints, floats and times (UnixNano), one byte for a
+// bool, and a 4-byte length before the bytes of a string or byte slice.
+func appendField(dst []byte, col Column, v interface{}) ([]byte, error) {
+	switch col.Type {
+	case TInt:
+		x, ok := v.(int64)
+		if !ok {
+			return nil, typeErr(col, v)
+		}
+		return binary.BigEndian.AppendUint64(dst, uint64(x)), nil
+	case TFloat:
+		x, ok := v.(float64)
+		if !ok {
+			return nil, typeErr(col, v)
+		}
+		return binary.BigEndian.AppendUint64(dst, math.Float64bits(x)), nil
+	case TString:
+		x, ok := v.(string)
+		if !ok {
+			return nil, typeErr(col, v)
+		}
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(x)))
+		return append(dst, x...), nil
+	case TBytes:
+		x, ok := v.([]byte)
+		if !ok {
+			return nil, typeErr(col, v)
+		}
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(x)))
+		return append(dst, x...), nil
+	case TBool:
+		x, ok := v.(bool)
+		if !ok {
+			return nil, typeErr(col, v)
+		}
+		if x {
+			return append(dst, 1), nil
+		}
+		return append(dst, 0), nil
+	case TTime:
+		x, ok := v.(time.Time)
+		if !ok {
+			return nil, typeErr(col, v)
+		}
+		return binary.BigEndian.AppendUint64(dst, uint64(x.UnixNano())), nil
+	default:
+		return nil, fmt.Errorf("db: unknown column type %v", col.Type)
+	}
+}
+
+// field returns the encoding of column col within rec, a row EncodeRow
+// wrote, without decoding any value: index maintenance compares and keys
+// rows by these bytes. A record that ends before the column is ErrSchema.
+func field(schema Schema, rec []byte, col int) ([]byte, error) {
+	for i, c := range schema[:col+1] {
+		var n uint64
+		switch c.Type {
+		case TInt, TFloat, TTime:
+			n = 8
+		case TBool:
+			n = 1
+		case TString, TBytes:
+			if len(rec) < 4 {
+				return nil, ErrSchema
+			}
+			n = 4 + uint64(binary.BigEndian.Uint32(rec))
+		default:
+			return nil, fmt.Errorf("db: unknown column type %v", c.Type)
+		}
+		if uint64(len(rec)) < n {
+			return nil, ErrSchema
+		}
+		if i == col {
+			return rec[:n], nil
+		}
+		rec = rec[n:]
+	}
+	return nil, ErrSchema
 }
 
 // DecodeRow parses a row serialised by EncodeRow.
@@ -198,58 +231,35 @@ func DecodeRow(schema Schema, data []byte) (Row, error) {
 // used as (a prefix of) B-tree index keys: for any two values of the same
 // type, bytes.Compare(EncodeKey(a), EncodeKey(b)) orders like a vs b.
 func EncodeKey(t ColType, v interface{}) ([]byte, error) {
-	var tmp [8]byte
+	var tmp [16]byte
+	f, err := appendField(tmp[:0], Column{Name: "key", Type: t}, v)
+	if err != nil {
+		return nil, err
+	}
+	return appendKey(nil, t, f), nil
+}
+
+// appendKey appends to dst the EncodeKey form of a value of type t, given
+// f, the value's field encoding.
+func appendKey(dst []byte, t ColType, f []byte) []byte {
 	switch t {
-	case TInt:
-		x, ok := v.(int64)
-		if !ok {
-			return nil, fmt.Errorf("db: key type %T for int column", v)
-		}
-		binary.BigEndian.PutUint64(tmp[:], uint64(x)^(1<<63)) // sign flip
-		return append([]byte(nil), tmp[:]...), nil
+	case TInt, TTime:
+		return binary.BigEndian.AppendUint64(dst, binary.BigEndian.Uint64(f)^(1<<63)) // sign flip
 	case TFloat:
-		x, ok := v.(float64)
-		if !ok {
-			return nil, fmt.Errorf("db: key type %T for float column", v)
-		}
-		bits := math.Float64bits(x)
+		bits := binary.BigEndian.Uint64(f)
 		if bits&(1<<63) != 0 {
 			bits = ^bits
 		} else {
 			bits ^= 1 << 63
 		}
-		binary.BigEndian.PutUint64(tmp[:], bits)
-		return append([]byte(nil), tmp[:]...), nil
-	case TString:
-		x, ok := v.(string)
-		if !ok {
-			return nil, fmt.Errorf("db: key type %T for string column", v)
-		}
-		return []byte(x), nil
-	case TBytes:
-		x, ok := v.([]byte)
-		if !ok {
-			return nil, fmt.Errorf("db: key type %T for bytes column", v)
-		}
-		return append([]byte(nil), x...), nil
+		return binary.BigEndian.AppendUint64(dst, bits)
 	case TBool:
-		x, ok := v.(bool)
-		if !ok {
-			return nil, fmt.Errorf("db: key type %T for bool column", v)
+		if f[0] != 0 {
+			return append(dst, 1)
 		}
-		if x {
-			return []byte{1}, nil
-		}
-		return []byte{0}, nil
-	case TTime:
-		x, ok := v.(time.Time)
-		if !ok {
-			return nil, fmt.Errorf("db: key type %T for time column", v)
-		}
-		binary.BigEndian.PutUint64(tmp[:], uint64(x.UnixNano())^(1<<63))
-		return append([]byte(nil), tmp[:]...), nil
-	default:
-		return nil, fmt.Errorf("db: unknown column type %v", t)
+		return append(dst, 0)
+	default: // TString, TBytes: the bytes after the length
+		return append(dst, f[4:]...)
 	}
 }
 

@@ -38,25 +38,70 @@ var ErrDeadlock = errors.New("txn: deadlock detected, transaction chosen as vict
 // (a safety net; deadlocks are normally detected eagerly).
 var ErrLockTimeout = errors.New("txn: lock wait timeout")
 
+// Key names a lockable resource: one row of one table, by its heap
+// position. A value, not a string, so naming a row for the lock manager
+// allocates nothing.
+type Key struct {
+	Table uint64
+	Page  uint64
+	Slot  uint32
+}
+
 type waiter struct {
 	txn   uint64
 	mode  Mode
 	ready chan error
 }
 
+type holding struct {
+	txn  uint64
+	mode Mode
+}
+
+// lockEntry is one key's holders and FIFO wait queue. A row lock almost
+// always has a single holder, so holders is a short slice searched
+// linearly; entries are recycled through LockManager.free with their
+// capacity, so granting an uncontended lock allocates nothing.
 type lockEntry struct {
-	holders map[uint64]Mode
+	holders []holding
 	queue   []*waiter
 }
 
-// LockManager implements strict two-phase locking over string-named
-// resources with eager deadlock detection on the waits-for graph.
+func (e *lockEntry) holder(txn uint64) (int, bool) {
+	for i := range e.holders {
+		if e.holders[i].txn == txn {
+			return i, true
+		}
+	}
+	return -1, false
+}
+
+// grant makes txn a holder of e in at least mode and reports whether it was
+// not a holder before.
+func (e *lockEntry) grant(txn uint64, mode Mode) bool {
+	if i, ok := e.holder(txn); ok {
+		e.holders[i].mode = maxMode(e.holders[i].mode, mode)
+		return false
+	}
+	e.holders = append(e.holders, holding{txn, mode})
+	return true
+}
+
+// maxFree bounds what a lock manager keeps for reuse: at most maxFree
+// released entries and held-key lists, and no list longer than maxFree.
+const maxFree = 1024
+
+// LockManager implements strict two-phase locking over row keys with eager
+// deadlock detection on the waits-for graph.
 type LockManager struct {
 	mu      sync.Mutex
-	locks   map[string]*lockEntry
-	held    map[uint64]map[string]Mode // txn -> keys it holds
+	locks   map[Key]*lockEntry
+	held    map[uint64][]Key           // txn -> keys it holds, each once
 	waits   map[uint64]map[uint64]bool // waiter txn -> holder txns
 	timeout time.Duration
+
+	free     []*lockEntry // released entries, holders and queue emptied
+	freeHeld [][]Key      // released held-key lists, emptied
 }
 
 // NewLockManager returns a lock manager. timeout bounds any single lock
@@ -66,8 +111,8 @@ func NewLockManager(timeout time.Duration) *LockManager {
 		timeout = 10 * time.Second
 	}
 	return &LockManager{
-		locks:   make(map[string]*lockEntry),
-		held:    make(map[uint64]map[string]Mode),
+		locks:   make(map[Key]*lockEntry),
+		held:    make(map[uint64][]Key),
 		waits:   make(map[uint64]map[uint64]bool),
 		timeout: timeout,
 	}
@@ -77,31 +122,36 @@ func NewLockManager(timeout time.Duration) *LockManager {
 // locks are held. It returns ErrDeadlock if waiting would close a cycle in
 // the waits-for graph. Re-acquiring an already-held key (same or weaker
 // mode) is a no-op; Shared→Exclusive upgrades are supported.
-func (lm *LockManager) Acquire(txn uint64, key string, mode Mode) error {
+func (lm *LockManager) Acquire(txn uint64, key Key, mode Mode) error {
 	lm.mu.Lock()
 	e := lm.locks[key]
 	if e == nil {
-		e = &lockEntry{holders: make(map[uint64]Mode)}
+		if n := len(lm.free); n > 0 {
+			e = lm.free[n-1]
+			lm.free = lm.free[:n-1]
+		} else {
+			e = &lockEntry{}
+		}
 		lm.locks[key] = e
 	}
 
-	if cur, ok := e.holders[txn]; ok {
-		if cur >= mode { // already strong enough
+	if i, ok := e.holder(txn); ok {
+		if e.holders[i].mode >= mode { // already strong enough
 			lm.mu.Unlock()
 			return nil
 		}
 		// Upgrade: allowed immediately iff sole holder.
 		if len(e.holders) == 1 {
-			e.holders[txn] = Exclusive
-			lm.recordHeld(txn, key, Exclusive)
+			e.holders[i].mode = Exclusive
 			lm.mu.Unlock()
 			return nil
 		}
 	}
 
 	if lm.compatible(e, txn, mode) && len(e.queue) == 0 {
-		e.holders[txn] = maxMode(e.holders[txn], mode)
-		lm.recordHeld(txn, key, e.holders[txn])
+		if e.grant(txn, mode) {
+			lm.recordHeld(txn, key)
+		}
 		lm.mu.Unlock()
 		return nil
 	}
@@ -156,16 +206,27 @@ func (lm *LockManager) ReleaseAll(txn uint64) {
 	keys := lm.held[txn]
 	delete(lm.held, txn)
 	delete(lm.waits, txn)
-	for key := range keys {
+	for _, key := range keys {
 		e := lm.locks[key]
 		if e == nil {
 			continue
 		}
-		delete(e.holders, txn)
+		if i, ok := e.holder(txn); ok {
+			last := len(e.holders) - 1
+			e.holders[i] = e.holders[last]
+			e.holders = e.holders[:last]
+		}
 		lm.grantWaitersLocked(key, e)
 		if len(e.holders) == 0 && len(e.queue) == 0 {
 			delete(lm.locks, key)
+			if len(lm.free) < maxFree {
+				e.queue = nil
+				lm.free = append(lm.free, e)
+			}
 		}
+	}
+	if keys != nil && cap(keys) <= maxFree && len(lm.freeHeld) < maxFree {
+		lm.freeHeld = append(lm.freeHeld, keys[:0])
 	}
 	// txn no longer blocks anyone.
 	for _, blockedOn := range lm.waits {
@@ -180,23 +241,26 @@ func (lm *LockManager) Held(txn uint64) int {
 	return len(lm.held[txn])
 }
 
-func (lm *LockManager) recordHeld(txn uint64, key string, mode Mode) {
-	m := lm.held[txn]
-	if m == nil {
-		m = make(map[string]Mode)
-		lm.held[txn] = m
+// recordHeld notes that txn became a holder of key.
+func (lm *LockManager) recordHeld(txn uint64, key Key) {
+	keys, ok := lm.held[txn]
+	if !ok {
+		if n := len(lm.freeHeld); n > 0 {
+			keys = lm.freeHeld[n-1]
+			lm.freeHeld = lm.freeHeld[:n-1]
+		}
 	}
-	m[key] = mode
+	lm.held[txn] = append(keys, key)
 }
 
 // compatible reports whether txn may take key in mode given current holders
 // (ignoring the queue).
 func (lm *LockManager) compatible(e *lockEntry, txn uint64, mode Mode) bool {
-	for holder, hm := range e.holders {
-		if holder == txn {
+	for _, h := range e.holders {
+		if h.txn == txn {
 			continue
 		}
-		if mode == Exclusive || hm == Exclusive {
+		if mode == Exclusive || h.mode == Exclusive {
 			return false
 		}
 	}
@@ -207,12 +271,12 @@ func (lm *LockManager) compatible(e *lockEntry, txn uint64, mode Mode) bool {
 // mode, including holders blocking queued waiters ahead of it.
 func (lm *LockManager) blockers(e *lockEntry, txn uint64, mode Mode) map[uint64]bool {
 	out := make(map[uint64]bool)
-	for holder, hm := range e.holders {
-		if holder == txn {
+	for _, h := range e.holders {
+		if h.txn == txn {
 			continue
 		}
-		if mode == Exclusive || hm == Exclusive {
-			out[holder] = true
+		if mode == Exclusive || h.mode == Exclusive {
+			out[h.txn] = true
 		}
 	}
 	for _, q := range e.queue {
@@ -253,15 +317,16 @@ func (lm *LockManager) cycleFrom(start uint64) bool {
 
 // grantWaitersLocked grants queued waiters FIFO while they remain
 // compatible with the holders.
-func (lm *LockManager) grantWaitersLocked(key string, e *lockEntry) {
+func (lm *LockManager) grantWaitersLocked(key Key, e *lockEntry) {
 	for len(e.queue) > 0 {
 		w := e.queue[0]
 		if !lm.compatible(e, w.txn, w.mode) {
 			return
 		}
 		e.queue = e.queue[1:]
-		e.holders[w.txn] = maxMode(e.holders[w.txn], w.mode)
-		lm.recordHeld(w.txn, key, e.holders[w.txn])
+		if e.grant(w.txn, w.mode) {
+			lm.recordHeld(w.txn, key)
+		}
 		delete(lm.waits, w.txn)
 		w.ready <- nil
 	}

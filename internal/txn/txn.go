@@ -63,7 +63,7 @@ func (t *Txn) OnUndo(fn UndoFunc) { t.undo = append(t.undo, fn) }
 
 // Lock acquires key in mode under strict 2PL; the lock is held until the
 // transaction finishes.
-func (t *Txn) Lock(key string, mode Mode) error {
+func (t *Txn) Lock(key Key, mode Mode) error {
 	if t.state != Active {
 		return ErrNotActive
 	}

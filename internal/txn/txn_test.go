@@ -18,12 +18,21 @@ func newManager(t *testing.T) *Manager {
 	return NewManager(log, NewLockManager(2*time.Second))
 }
 
+// Row keys of the tests: distinct tables, pages and slots.
+var (
+	k          = Key{Table: 1, Page: 2, Slot: 3}
+	a          = Key{Table: 1, Page: 2, Slot: 4}
+	b          = Key{Table: 1, Page: 5, Slot: 4}
+	row        = Key{Table: 2, Page: 2, Slot: 3}
+	counterKey = Key{Table: 3}
+)
+
 func TestSharedLocksCoexist(t *testing.T) {
 	lm := NewLockManager(time.Second)
-	if err := lm.Acquire(1, "k", Shared); err != nil {
+	if err := lm.Acquire(1, k, Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire(2, "k", Shared); err != nil {
+	if err := lm.Acquire(2, k, Shared); err != nil {
 		t.Fatal(err)
 	}
 	lm.ReleaseAll(1)
@@ -32,11 +41,11 @@ func TestSharedLocksCoexist(t *testing.T) {
 
 func TestExclusiveBlocksUntilRelease(t *testing.T) {
 	lm := NewLockManager(5 * time.Second)
-	if err := lm.Acquire(1, "k", Exclusive); err != nil {
+	if err := lm.Acquire(1, k, Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	acquired := make(chan error, 1)
-	go func() { acquired <- lm.Acquire(2, "k", Exclusive) }()
+	go func() { acquired <- lm.Acquire(2, k, Exclusive) }()
 	select {
 	case <-acquired:
 		t.Fatal("second exclusive acquired while first held")
@@ -51,16 +60,16 @@ func TestExclusiveBlocksUntilRelease(t *testing.T) {
 
 func TestReacquireAndUpgrade(t *testing.T) {
 	lm := NewLockManager(time.Second)
-	if err := lm.Acquire(1, "k", Shared); err != nil {
+	if err := lm.Acquire(1, k, Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire(1, "k", Shared); err != nil {
+	if err := lm.Acquire(1, k, Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire(1, "k", Exclusive); err != nil { // sole-holder upgrade
+	if err := lm.Acquire(1, k, Exclusive); err != nil { // sole-holder upgrade
 		t.Fatal(err)
 	}
-	if err := lm.Acquire(1, "k", Shared); err != nil { // weaker re-acquire
+	if err := lm.Acquire(1, k, Shared); err != nil { // weaker re-acquire
 		t.Fatal(err)
 	}
 	if got := lm.Held(1); got != 1 {
@@ -69,18 +78,58 @@ func TestReacquireAndUpgrade(t *testing.T) {
 	lm.ReleaseAll(1)
 }
 
-func TestDeadlockDetected(t *testing.T) {
-	lm := NewLockManager(10 * time.Second)
-	if err := lm.Acquire(1, "a", Exclusive); err != nil {
+// TestWaiterGrantedOnReleaseAll queues an exclusive request behind the
+// single holder of a key and checks that ReleaseAll hands the lock over,
+// that the grant is exclusive, and that the entry the key ends with is
+// returned to the manager — a later holder of the same key starts clean.
+func TestWaiterGrantedOnReleaseAll(t *testing.T) {
+	lm := NewLockManager(5 * time.Second)
+	if err := lm.Acquire(1, k, Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire(2, "b", Exclusive); err != nil {
+	granted := make(chan error, 1)
+	go func() { granted <- lm.Acquire(2, k, Exclusive) }()
+	select {
+	case <-granted:
+		t.Fatal("exclusive request granted while a shared holder held the key")
+	case <-time.After(50 * time.Millisecond):
+	}
+	lm.ReleaseAll(1)
+	if err := <-granted; err != nil {
+		t.Fatal(err)
+	}
+	if h1, h2 := lm.Held(1), lm.Held(2); h1 != 0 || h2 != 1 {
+		t.Fatalf("Held after hand-over: txn 1 %d, txn 2 %d; want 0 and 1", h1, h2)
+	}
+	lm.timeout = 20 * time.Millisecond
+	if err := lm.Acquire(3, k, Shared); !errors.Is(err, ErrLockTimeout) {
+		t.Fatalf("shared request against the granted exclusive lock: %v, want ErrLockTimeout", err)
+	}
+	lm.ReleaseAll(2)
+	if n := len(lm.locks); n != 0 {
+		t.Fatalf("%d lock entries left after every holder released", n)
+	}
+	if err := lm.Acquire(3, k, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if got := lm.Held(3); got != 1 {
+		t.Fatalf("Held(3) = %d, want 1", got)
+	}
+	lm.ReleaseAll(3)
+}
+
+func TestDeadlockDetected(t *testing.T) {
+	lm := NewLockManager(10 * time.Second)
+	if err := lm.Acquire(1, a, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.Acquire(2, b, Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- lm.Acquire(1, "b", Exclusive) }() // 1 waits for 2
+	go func() { done <- lm.Acquire(1, b, Exclusive) }() // 1 waits for 2
 	time.Sleep(50 * time.Millisecond)
-	err := lm.Acquire(2, "a", Exclusive) // 2 waits for 1: cycle
+	err := lm.Acquire(2, a, Exclusive) // 2 waits for 1: cycle
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
@@ -93,10 +142,10 @@ func TestDeadlockDetected(t *testing.T) {
 
 func TestLockTimeout(t *testing.T) {
 	lm := NewLockManager(50 * time.Millisecond)
-	if err := lm.Acquire(1, "k", Exclusive); err != nil {
+	if err := lm.Acquire(1, k, Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	err := lm.Acquire(2, "k", Exclusive)
+	err := lm.Acquire(2, k, Exclusive)
 	if !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("err = %v, want ErrLockTimeout", err)
 	}
@@ -106,14 +155,14 @@ func TestLockTimeout(t *testing.T) {
 func TestSharedQueueBehindExclusiveWaiter(t *testing.T) {
 	// A queued X waiter must not be starved by later S requests.
 	lm := NewLockManager(5 * time.Second)
-	if err := lm.Acquire(1, "k", Shared); err != nil {
+	if err := lm.Acquire(1, k, Shared); err != nil {
 		t.Fatal(err)
 	}
 	xDone := make(chan error, 1)
-	go func() { xDone <- lm.Acquire(2, "k", Exclusive) }()
+	go func() { xDone <- lm.Acquire(2, k, Exclusive) }()
 	time.Sleep(50 * time.Millisecond)
 	sDone := make(chan error, 1)
-	go func() { sDone <- lm.Acquire(3, "k", Shared) }()
+	go func() { sDone <- lm.Acquire(3, k, Shared) }()
 	select {
 	case <-sDone:
 		t.Fatal("later shared request jumped the exclusive waiter")
@@ -139,7 +188,7 @@ func TestTxnLifecycle(t *testing.T) {
 	if tx.State() != Active {
 		t.Fatal("new txn not active")
 	}
-	if err := tx.Lock("doc:1", Exclusive); err != nil {
+	if err := tx.Lock(Key{Table: 4, Page: 1}, Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -174,12 +223,12 @@ func TestAbortRunsUndoInReverse(t *testing.T) {
 func TestCommitReleasesLocksForWaiters(t *testing.T) {
 	m := newManager(t)
 	t1, _ := m.Begin()
-	if err := t1.Lock("row", Exclusive); err != nil {
+	if err := t1.Lock(row, Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	t2, _ := m.Begin()
 	got := make(chan error, 1)
-	go func() { got <- t2.Lock("row", Exclusive) }()
+	go func() { got <- t2.Lock(row, Exclusive) }()
 	time.Sleep(20 * time.Millisecond)
 	if err := t1.Commit(); err != nil {
 		t.Fatal(err)
@@ -216,7 +265,7 @@ func TestConcurrentIncrementsSerialized(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := tx.Lock("counter", Exclusive); err != nil {
+				if err := tx.Lock(counterKey, Exclusive); err != nil {
 					errs <- err
 					return
 				}
