@@ -3,10 +3,8 @@ package main
 import (
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,10 +15,8 @@ import (
 	"tendax/internal/db"
 	"tendax/internal/folders"
 	"tendax/internal/index"
-	"tendax/internal/lineage"
 	"tendax/internal/mining"
 	"tendax/internal/placement"
-	"tendax/internal/protocol"
 	"tendax/internal/search"
 	"tendax/internal/security"
 	"tendax/internal/server"
@@ -30,39 +26,6 @@ import (
 	"tendax/internal/workflow"
 	"tendax/internal/workload"
 )
-
-// The -json flag collects machine-readable metrics per experiment so CI
-// can archive BENCH_E*.json artifacts and gate on regressions against the
-// committed baseline (cmd/tendax-trend). Only key scalar metrics are
-// emitted — the tables above them remain the human-readable record.
-type benchMetric struct {
-	Value float64 `json:"value"`
-	Unit  string  `json:"unit"`
-	// Better orients the regression gate: "higher" or "lower".
-	Better string `json:"better"`
-}
-
-type benchReport struct {
-	Experiment string                 `json:"experiment"`
-	Metrics    map[string]benchMetric `json:"metrics"`
-}
-
-// reports accumulates one entry per experiment that emitted metrics during
-// this invocation; main writes them out when -json is set.
-var reports []benchReport
-
-func emit(exp, name string, value float64, unit, better string) {
-	for i := range reports {
-		if reports[i].Experiment == exp {
-			reports[i].Metrics[name] = benchMetric{Value: value, Unit: unit, Better: better}
-			return
-		}
-	}
-	reports = append(reports, benchReport{
-		Experiment: exp,
-		Metrics:    map[string]benchMetric{name: {Value: value, Unit: unit, Better: better}},
-	})
-}
 
 func memEngine() (*core.Engine, *db.Database, error) {
 	database, err := db.Open(db.Options{})
@@ -739,498 +702,6 @@ func runE9(quick bool, _ string) error {
 	return nil
 }
 
-// durableAppendRun opens a file-backed database with opts (a fresh temp Dir
-// is filled in and removed), runs writers goroutines of opsPer durable
-// single-character appends each against distinct documents, and returns the
-// achieved ops/s. before and after (either may be nil) run against the open
-// database around the timed section, for metric capture.
-func durableAppendRun(opts db.Options, writers, opsPer int, before, after func(*db.Database) error) (float64, error) {
-	dir, err := os.MkdirTemp("", "tendax-bench-")
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(dir)
-	opts.Dir = dir
-	database, err := db.Open(opts)
-	if err != nil {
-		return 0, err
-	}
-	defer database.Close()
-	eng, err := core.NewEngine(database, nil)
-	if err != nil {
-		return 0, err
-	}
-	docs := make([]*core.Document, writers)
-	for i := range docs {
-		if docs[i], err = eng.CreateDocument("u", fmt.Sprintf("bench-%d", i)); err != nil {
-			return 0, err
-		}
-	}
-	if before != nil {
-		if err := before(database); err != nil {
-			return 0, err
-		}
-	}
-	t0 := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, writers)
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(d *core.Document) {
-			defer wg.Done()
-			for j := 0; j < opsPer; j++ {
-				if _, err := d.AppendText("u", "x"); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(docs[i])
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		return 0, err
-	}
-	elapsed := time.Since(t0)
-	if after != nil {
-		if err := after(database); err != nil {
-			return 0, err
-		}
-	}
-	return float64(writers*opsPer) / elapsed.Seconds(), nil
-}
-
-// E11: group commit — durable-commit throughput on a file-backed store
-// with N concurrent writers, with and without the WAL group-commit
-// pipeline. The baseline pays one fsync per commit under the log mutex; the
-// pipeline batches concurrent commits into shared fsyncs (CommitAsync +
-// WaitDurable), so throughput scales with writers instead of flatlining at
-// the disk's sync rate.
-func runE11(quick bool, _ string) error {
-	writerCounts := []int{1, 2, 4, 8}
-	opsPer := 150
-	if quick {
-		writerCounts = []int{1, 4}
-		opsPer = 50
-	}
-	run := func(writers int, disable bool) (opsPerSec, syncsPerOp float64, err error) {
-		var syncs0 uint64
-		opsPerSec, err = durableAppendRun(db.Options{DisableGroupCommit: disable}, writers, opsPer,
-			func(d *db.Database) error {
-				syncs0 = d.Log().SyncCount()
-				return nil
-			},
-			func(d *db.Database) error {
-				syncsPerOp = float64(d.Log().SyncCount()-syncs0) / float64(writers*opsPer)
-				return nil
-			})
-		return opsPerSec, syncsPerOp, err
-	}
-
-	fmt.Printf("%-8s %16s %16s %10s %14s\n",
-		"writers", "fsync/commit", "group-commit", "speedup", "syncs/commit")
-	for _, n := range writerCounts {
-		base, _, err := run(n, true)
-		if err != nil {
-			return err
-		}
-		grouped, syncsPerOp, err := run(n, false)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-8d %11.0f op/s %11.0f op/s %9.2fx %14.2f\n",
-			n, base, grouped, grouped/base, syncsPerOp)
-		if n == writerCounts[len(writerCounts)-1] {
-			emit("e11", "group_speedup", grouped/base, "x", "higher")
-			emit("e11", "syncs_per_commit", syncsPerOp, "syncs/op", "lower")
-			emit("e11", "grouped_ops_per_sec", grouped, "op/s", "higher")
-		}
-	}
-	fmt.Println("shape check: speedup and batch size grow with writers; a lone writer is unpenalized.")
-	return nil
-}
-
-// E12: fuzzy checkpoints — recovery time and on-disk log size as the total
-// edit count grows 10x, with and without checkpointing. With the
-// checkpointer on, the WAL is truncated below the redo point as editing
-// proceeds, so both stay ~flat; without it, both grow linearly with
-// history. Every recovered image is additionally opened in full and the
-// document compared byte-for-byte. The second table re-runs the E11
-// 8-writer durable-throughput measurement with a concurrent background
-// checkpointer: the fuzzy protocol never pauses writers, so throughput must
-// stay within noise of the plain E11 number.
-func runE12(quick bool, _ string) error {
-	editCounts := []int{500, 2000, 5000}
-	ckptEvery := 250
-	if quick {
-		editCounts = []int{200, 1000}
-		ckptEvery = 100
-	}
-
-	type obs struct {
-		logBytes int
-		recover  time.Duration
-		analyzed int
-	}
-	run := func(edits int, checkpoint bool) (obs, error) {
-		disk := storage.NewMemDisk()
-		store := wal.NewMemStore()
-		database, err := db.OpenWith(disk, store, db.Options{})
-		if err != nil {
-			return obs{}, err
-		}
-		eng, err := core.NewEngine(database, nil)
-		if err != nil {
-			return obs{}, err
-		}
-		doc, err := eng.CreateDocument("storm", "e12")
-		if err != nil {
-			return obs{}, err
-		}
-		for i := 0; i < edits; i++ {
-			if _, err := doc.AppendText("storm", "abcd"); err != nil {
-				return obs{}, err
-			}
-			if checkpoint && i%ckptEvery == ckptEvery-1 {
-				if _, err := database.FuzzyCheckpoint(); err != nil {
-					return obs{}, err
-				}
-			}
-		}
-		want := doc.Text()
-		docID := doc.ID()
-		logBytes, err := store.ReadAll()
-		if err != nil {
-			return obs{}, err
-		}
-
-		// Crash: stable storage is the page snapshot plus the (truncated)
-		// log. Time the ARIES pass itself — the work a restarting server
-		// must finish before serving.
-		crashStore := wal.NewMemStore()
-		if err := crashStore.Append(logBytes); err != nil {
-			return obs{}, err
-		}
-		img := disk.Snapshot()
-		t0 := time.Now()
-		log2, err := wal.Open(crashStore)
-		if err != nil {
-			return obs{}, err
-		}
-		stats, err := wal.Recover(log2, storage.NewBufferPool(img, 1024))
-		if err != nil {
-			return obs{}, err
-		}
-		recoverTime := time.Since(t0)
-
-		// Integrity: a full reopen of a fresh crash image must round-trip
-		// the document byte-for-byte.
-		crashStore2 := wal.NewMemStore()
-		if err := crashStore2.Append(logBytes); err != nil {
-			return obs{}, err
-		}
-		db2, err := db.OpenWith(disk.Snapshot(), crashStore2, db.Options{})
-		if err != nil {
-			return obs{}, err
-		}
-		eng2, err := core.NewEngine(db2, nil)
-		if err != nil {
-			return obs{}, err
-		}
-		doc2, err := eng2.OpenDocument(docID)
-		if err != nil {
-			return obs{}, err
-		}
-		if doc2.Text() != want {
-			return obs{}, fmt.Errorf("recovered document diverged (%d vs %d chars, checkpoint=%v)",
-				len(doc2.Text()), len(want), checkpoint)
-		}
-		return obs{logBytes: len(logBytes), recover: recoverTime, analyzed: stats.Analyzed}, nil
-	}
-
-	fmt.Printf("%-8s %14s %14s | %14s %14s %10s\n",
-		"edits", "no-ckpt logB", "no-ckpt rec", "ckpt logB", "ckpt rec", "analyzed")
-	for _, edits := range editCounts {
-		plain, err := run(edits, false)
-		if err != nil {
-			return err
-		}
-		ckpt, err := run(edits, true)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-8d %14d %14v | %14d %14v %10d\n",
-			edits, plain.logBytes, plain.recover, ckpt.logBytes, ckpt.recover, ckpt.analyzed)
-		if edits == editCounts[len(editCounts)-1] {
-			emit("e12", "ckpt_log_bytes", float64(ckpt.logBytes), "bytes", "lower")
-			emit("e12", "ckpt_analyzed", float64(ckpt.analyzed), "records", "lower")
-		}
-	}
-	fmt.Println("shape check: without checkpoints log size and recovery grow ~linearly in edits;")
-	fmt.Println("             with them both stay ~flat, and recovery replays only the tail.")
-
-	// Part 2: E11's durable-throughput run with a concurrent checkpointer.
-	writers := 8
-	opsPer := 800
-	trials := 3
-	if quick {
-		opsPer = 50
-		trials = 1
-	}
-	run11 := func(checkpoint bool) (opsPerSec float64, ckpts uint64, err error) {
-		// Roughly 4–6 checkpoints land inside each measured run — still
-		// hundreds of times more frequent than the production default
-		// (tendaxd: 30s / 64 MiB), so any writer stall would show.
-		var opts db.Options
-		if checkpoint {
-			opts.CheckpointInterval = 50 * time.Millisecond
-			opts.CheckpointLogBytes = 1 << 20
-		}
-		opsPerSec, err = durableAppendRun(opts, writers, opsPer, nil,
-			func(d *db.Database) error {
-				n, cerr := d.CheckpointCount()
-				if cerr != nil {
-					return fmt.Errorf("background checkpoint failed: %w", cerr)
-				}
-				ckpts = n
-				return nil
-			})
-		return opsPerSec, ckpts, err
-	}
-	// Short runs are noisy; report each variant's best of a few trials.
-	best := func(checkpoint bool) (float64, uint64, error) {
-		var bestOps float64
-		var bestCkpts uint64
-		for i := 0; i < trials; i++ {
-			ops, n, err := run11(checkpoint)
-			if err != nil {
-				return 0, 0, err
-			}
-			if ops > bestOps {
-				bestOps, bestCkpts = ops, n
-			}
-		}
-		return bestOps, bestCkpts, nil
-	}
-	base, _, err := best(false)
-	if err != nil {
-		return err
-	}
-	with, ckpts, err := best(true)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\n%-28s %14s\n", "8-writer durable throughput", "ops/s")
-	fmt.Printf("%-28s %14.0f\n", "no checkpointer (E11)", base)
-	fmt.Printf("%-28s %14.0f   (%d checkpoints during run)\n", "concurrent checkpointer", with, ckpts)
-	fmt.Printf("ratio: %.2f\n", with/base)
-	fmt.Println("shape check: a concurrent fuzzy checkpoint costs edit throughput ~nothing (within noise).")
-	return nil
-}
-
-// E13: snapshot reads — the mixed read/write workload over one shared
-// document. 8 writers durably append while M reader goroutines take MVCC
-// snapshots and read the full text at a steady resync-like pace; reads
-// resolve against immutable snapshots off the document lock, so writer
-// commit latency stays within noise of the no-reader baseline and every
-// reader sustains its rate. A second table measures raw snapshot read
-// bandwidth with R parallel readers and no writers: there is no lock to
-// collapse on, so aggregate throughput scales with the machine's cores.
-func runE13(quick bool, _ string) error {
-	writers := 8
-	opsPer := 400
-	trials := 3
-	readerCounts := []int{0, 1, 4, 8}
-	const readPace = 5 * time.Millisecond
-	if quick {
-		opsPer = 60
-		trials = 1
-		readerCounts = []int{0, 4}
-	}
-
-	type obs struct {
-		opsPerSec float64
-		p50, p95  time.Duration
-		readsSec  float64
-	}
-	run := func(readers int) (obs, error) {
-		dir, err := os.MkdirTemp("", "tendax-bench-")
-		if err != nil {
-			return obs{}, err
-		}
-		defer os.RemoveAll(dir)
-		database, err := db.Open(db.Options{Dir: dir})
-		if err != nil {
-			return obs{}, err
-		}
-		defer database.Close()
-		eng, err := core.NewEngine(database, nil)
-		if err != nil {
-			return obs{}, err
-		}
-		doc, err := eng.CreateDocument("u", "e13")
-		if err != nil {
-			return obs{}, err
-		}
-		rng := util.NewRand(29)
-		for doc.Len() < 2000 {
-			if _, err := doc.AppendText("u", rng.Letters(500)); err != nil {
-				return obs{}, err
-			}
-		}
-
-		var stop atomic.Bool
-		var readCount atomic.Int64
-		var rwg sync.WaitGroup
-		for r := 0; r < readers; r++ {
-			rwg.Add(1)
-			go func() {
-				defer rwg.Done()
-				for !stop.Load() {
-					s := doc.Snapshot()
-					if len(s.Text()) < 2000 {
-						panic("snapshot lost the document")
-					}
-					readCount.Add(1)
-					time.Sleep(readPace)
-				}
-			}()
-		}
-
-		lats := make([][]time.Duration, writers)
-		start := time.Now()
-		var wwg sync.WaitGroup
-		errCh := make(chan error, writers)
-		for w := 0; w < writers; w++ {
-			wwg.Add(1)
-			go func(w int) {
-				defer wwg.Done()
-				lats[w] = make([]time.Duration, 0, opsPer)
-				for j := 0; j < opsPer; j++ {
-					t0 := time.Now()
-					if _, err := doc.AppendText("u", "x"); err != nil {
-						errCh <- err
-						return
-					}
-					lats[w] = append(lats[w], time.Since(t0))
-				}
-			}(w)
-		}
-		wwg.Wait()
-		elapsed := time.Since(start)
-		stop.Store(true)
-		rwg.Wait()
-		close(errCh)
-		for err := range errCh {
-			return obs{}, err
-		}
-		if err := doc.CheckInvariants(); err != nil {
-			return obs{}, err
-		}
-		var rec workload.LatencyRecorder
-		for _, ls := range lats {
-			for _, l := range ls {
-				rec.Record(l)
-			}
-		}
-		return obs{
-			opsPerSec: float64(writers*opsPer) / elapsed.Seconds(),
-			p50:       rec.Percentile(50),
-			p95:       rec.Percentile(95),
-			readsSec:  float64(readCount.Load()) / elapsed.Seconds(),
-		}, nil
-	}
-	// fsync timing on shared machines is noisy; report each variant's best
-	// (lowest-p50) of a few trials, as E12 does for its throughput table.
-	best := func(readers int) (obs, error) {
-		var b obs
-		for i := 0; i < trials; i++ {
-			o, err := run(readers)
-			if err != nil {
-				return obs{}, err
-			}
-			if i == 0 || o.p50 < b.p50 {
-				b = o
-			}
-		}
-		return b, nil
-	}
-
-	fmt.Printf("8 writers, M paced readers (1 full read / %v each), GOMAXPROCS=%d\n",
-		readPace, runtime.GOMAXPROCS(0))
-	fmt.Printf("%-8s %12s %12s %12s %12s %10s\n",
-		"readers", "write ops/s", "commit p50", "commit p95", "reads/s", "p50 ratio")
-	var base obs
-	for i, readers := range readerCounts {
-		o, err := best(readers)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			base = o
-		}
-		fmt.Printf("%-8d %12.0f %12v %12v %12.0f %9.2fx\n",
-			readers, o.opsPerSec, o.p50, o.p95, o.readsSec,
-			float64(o.p50)/float64(base.p50))
-		if i == len(readerCounts)-1 {
-			emit("e13", "p50_ratio_max_readers", float64(o.p50)/float64(base.p50), "x", "lower")
-		}
-	}
-
-	// Raw snapshot read bandwidth: no writers, unthrottled readers.
-	readsPer := 20000
-	if quick {
-		readsPer = 3000
-	}
-	database, err := db.Open(db.Options{})
-	if err != nil {
-		return err
-	}
-	defer database.Close()
-	eng, err := core.NewEngine(database, nil)
-	if err != nil {
-		return err
-	}
-	doc, err := eng.CreateDocument("u", "e13-read")
-	if err != nil {
-		return err
-	}
-	rng := util.NewRand(31)
-	for doc.Len() < 2000 {
-		if _, err := doc.AppendText("u", rng.Letters(500)); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("\n%-8s %14s %16s\n", "readers", "reads/s", "per-reader")
-	for _, readers := range []int{1, 2, 4, 8} {
-		start := time.Now()
-		var wg sync.WaitGroup
-		for r := 0; r < readers; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := 0; j < readsPer; j++ {
-					s := doc.Snapshot()
-					if len(s.Text()) < 2000 {
-						panic("snapshot lost the document")
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		total := float64(readers*readsPer) / elapsed.Seconds()
-		fmt.Printf("%-8d %14.0f %16.0f\n", readers, total, total/float64(readers))
-		if readers == 8 {
-			emit("e13", "raw_reads_per_sec", total, "reads/s", "higher")
-		}
-	}
-	fmt.Println("shape check: writer p50 stays within noise (~10%) of the no-reader run while")
-	fmt.Println("             readers sustain their pace; raw read bandwidth scales with cores")
-	fmt.Println("             (flat aggregate on a single-CPU machine, never a collapse).")
-	return nil
-}
-
 // E10: ablation — paste with full provenance capture vs plain insert of the
 // same text. Quantifies the cost of the metadata gathering the paper relies
 // on.
@@ -1294,522 +765,6 @@ func runE10(quick bool, _ string) error {
 		fmt.Println("WARNING: provenance overhead exceeds the expected <2x envelope")
 	} else {
 		fmt.Println("shape check: lineage capture costs a small constant factor (<2x), as claimed affordable.")
-	}
-	return nil
-}
-
-// E14: tombstone compaction & cold archive — a long-lived document whose
-// tombstones dwarf its visible text. Builds a document of `target`
-// character instances, deletes 90% of them, and measures the hot-structure
-// shrink and document-load speedup from archiving the cold tombstones,
-// while checking that time travel to a pre-horizon instant is
-// byte-identical before and after the pass.
-func runE14(quick bool, _ string) error {
-	target := 100_000
-	if quick {
-		target = 10_000
-	}
-	eng, database, err := memEngine()
-	if err != nil {
-		return err
-	}
-	defer database.Close()
-	doc, err := eng.CreateDocument("hoarder", "e14")
-	if err != nil {
-		return err
-	}
-	rng := util.NewRand(41)
-	for doc.Len() < target {
-		chunk := target - doc.Len()
-		if chunk > 500 {
-			chunk = 500
-		}
-		if _, err := doc.AppendText("hoarder", rng.Letters(chunk)); err != nil {
-			return err
-		}
-	}
-	// The pre-horizon probe instant: everything typed, nothing deleted.
-	probe := eng.Clock().Now()
-	toDelete := target * 9 / 10
-	for deleted := 0; deleted < toDelete; {
-		n := toDelete - deleted
-		if n > 500 {
-			n = 500
-		}
-		if _, err := doc.DeleteRange("hoarder", 0, n); err != nil {
-			return err
-		}
-		deleted += n
-	}
-	wantText := doc.Text()
-	wantProbe := doc.TextAt(probe)
-	if len([]rune(wantProbe)) != target {
-		return fmt.Errorf("probe text has %d chars, want %d", len([]rune(wantProbe)), target)
-	}
-	docID := doc.ID()
-
-	// Load cost = everything a reopen must do before serving the document.
-	// GC pauses dominate the variance at this allocation volume, so take
-	// each side's best of three like the other timing experiments.
-	loadTime := func() (time.Duration, int, error) {
-		var best time.Duration
-		var hot int
-		for trial := 0; trial < 3; trial++ {
-			e2, err := core.NewEngine(database, nil)
-			if err != nil {
-				return 0, 0, err
-			}
-			t0 := time.Now()
-			d2, err := e2.OpenDocument(docID)
-			if err != nil {
-				return 0, 0, err
-			}
-			dt := time.Since(t0)
-			if d2.Text() != wantText {
-				return 0, 0, fmt.Errorf("reloaded text diverged")
-			}
-			if trial == 0 || dt < best {
-				best, hot = dt, d2.Snapshot().TotalLen()
-			}
-		}
-		return best, hot, nil
-	}
-	loadBefore, hotBefore, err := loadTime()
-	if err != nil {
-		return err
-	}
-
-	t0 := time.Now()
-	stats, err := doc.Compact(eng.Clock().Now())
-	if err != nil {
-		return err
-	}
-	compactTime := time.Since(t0)
-	loadAfter, hotAfter, err := loadTime()
-	if err != nil {
-		return err
-	}
-	gotProbe := doc.TextAt(probe)
-	identical := 0.0
-	if gotProbe == wantProbe && doc.Text() == wantText {
-		identical = 1.0
-	}
-
-	shrink := float64(hotBefore) / float64(hotAfter)
-	speedup := float64(loadBefore) / float64(loadAfter)
-	fmt.Printf("%-34s %14s\n", "metric", "value")
-	fmt.Printf("%-34s %14d\n", "instances ever typed", hotBefore)
-	fmt.Printf("%-34s %14d\n", "archived by one pass", stats.Archived)
-	fmt.Printf("%-34s %14d\n", "hot instances after", hotAfter)
-	fmt.Printf("%-34s %13.1fx\n", "hot-structure shrink", shrink)
-	fmt.Printf("%-34s %14v\n", "compaction pass", compactTime)
-	fmt.Printf("%-34s %14v\n", "document load, uncompacted", loadBefore)
-	fmt.Printf("%-34s %14v\n", "document load, compacted", loadAfter)
-	fmt.Printf("%-34s %13.1fx\n", "load speedup", speedup)
-	fmt.Printf("%-34s %14v\n", "pre-horizon TextAt identical", identical == 1.0)
-	emit("e14", "hot_shrink", shrink, "x", "higher")
-	emit("e14", "load_speedup", speedup, "x", "higher")
-	emit("e14", "archived_chars", float64(stats.Archived), "chars", "higher")
-	emit("e14", "textat_identical", identical, "bool", "higher")
-	if identical != 1.0 {
-		return fmt.Errorf("pre-horizon TextAt diverged after compaction")
-	}
-	if shrink < 5 || speedup < 2 {
-		fmt.Println("WARNING: below the 5x-shrink or 2x-load-speedup acceptance envelope")
-	} else {
-		fmt.Println("shape check: a document with 90% of its text deleted keeps only visible+warm instances hot;")
-		fmt.Println("             load and the snapshot mirror scale with the living text, while")
-		fmt.Println("             pre-horizon time travel merges the archive byte-identically.")
-	}
-	return nil
-}
-
-// E15: protocol v2 — batched, pipelined, ID-anchored editing vs the v1
-// one-blocking-RPC-per-keystroke path, plus delta vs full resync, all
-// over real TCP and a file-backed WAL. Reported: durable keystrokes/s on
-// each path, the speedup, the achieved coalescing, and the wire bytes a
-// lagged subscriber pays to catch up by delta vs by full text.
-func runE15(quick bool, _ string) error {
-	chars := 4000
-	docChars := 40_000
-	gap := 16
-	if quick {
-		chars = 600
-		docChars = 10_000
-	}
-
-	dir, err := os.MkdirTemp("", "tendax-bench-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	database, err := db.Open(db.Options{Dir: dir})
-	if err != nil {
-		return err
-	}
-	defer database.Close()
-	eng, err := core.NewEngine(database, nil)
-	if err != nil {
-		return err
-	}
-	srv := server.New(eng, nil)
-	srv.SetLogf(func(string, ...interface{}) {})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go func() { _ = srv.Serve() }()
-	defer func() { _ = srv.Close() }()
-
-	dial := func(user string) (*client.Client, error) {
-		c, err := client.Dial(addr.String())
-		if err != nil {
-			return nil, err
-		}
-		return c, c.Login(user, "")
-	}
-
-	// --- v1: one blocking request + one durability wait per keystroke. ---
-	c1, err := dial("v1")
-	if err != nil {
-		return err
-	}
-	defer c1.Close()
-	id1, err := c1.CreateDocument("e15-v1")
-	if err != nil {
-		return err
-	}
-	d1, err := c1.Open(id1)
-	if err != nil {
-		return err
-	}
-	t0 := time.Now()
-	for i := 0; i < chars; i++ {
-		if err := d1.Append("x"); err != nil {
-			return err
-		}
-	}
-	v1Secs := time.Since(t0).Seconds()
-	v1Ops := float64(chars) / v1Secs
-
-	// --- v2: coalesced ID-anchored batches, pipelined durable acks. ---
-	c2, err := dial("v2")
-	if err != nil {
-		return err
-	}
-	defer c2.Close()
-	id2, err := c2.CreateDocument("e15-v2")
-	if err != nil {
-		return err
-	}
-	d2, err := c2.Open(id2)
-	if err != nil {
-		return err
-	}
-	sess, err := d2.Session()
-	if err != nil {
-		return err
-	}
-	var msBefore, msAfter runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&msBefore)
-	t0 = time.Now()
-	for i := 0; i < chars; i++ {
-		if err := sess.Type("x"); err != nil {
-			return err
-		}
-	}
-	if err := sess.Wait(); err != nil {
-		return err
-	}
-	v2Secs := time.Since(t0).Seconds()
-	runtime.ReadMemStats(&msAfter)
-	// Process-wide (client + in-process server) allocations per durable
-	// keystroke over the whole v2 path: batch staging, WAL, awareness push.
-	v2Allocs := float64(msAfter.Mallocs-msBefore.Mallocs) / float64(chars)
-	v2Ops := float64(chars) / v2Secs
-	coalesce := float64(sess.Typed()) / float64(sess.Flushes())
-	speedup := v2Ops / v1Ops
-
-	// Verify both documents committed every keystroke.
-	for _, id := range []uint64{id1, id2} {
-		doc, err := eng.OpenDocument(util.ID(id))
-		if err != nil {
-			return err
-		}
-		if doc.Len() != chars {
-			return fmt.Errorf("doc %d has %d chars, want %d", id, doc.Len(), chars)
-		}
-	}
-
-	// --- Resync: wire bytes to catch a lagged replica up. ---
-	srvDoc, err := eng.OpenDocument(util.ID(id2))
-	if err != nil {
-		return err
-	}
-	for srvDoc.Len() < docChars {
-		if _, err := srvDoc.AppendText("filler", strings.Repeat("x", 500)); err != nil {
-			return err
-		}
-	}
-	nc, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		return err
-	}
-	cnt := &countingConn{Conn: nc}
-	codec := protocol.NewCodec(cnt)
-	defer codec.Close()
-	reqID := int64(0)
-	call := func(m *protocol.Message) (*protocol.Message, error) {
-		reqID++
-		m.Type = protocol.TypeRequest
-		m.ID = reqID
-		if err := codec.Send(m); err != nil {
-			return nil, err
-		}
-		for {
-			resp, err := codec.Recv()
-			if err != nil {
-				return nil, err
-			}
-			if resp.Type == protocol.TypeResponse && resp.ID == reqID {
-				if resp.Err != "" {
-					return nil, fmt.Errorf("%s: %s", m.Op, resp.Err)
-				}
-				return resp, nil
-			}
-		}
-	}
-	if _, err := call(&protocol.Message{Op: protocol.OpLogin, User: "lagged"}); err != nil {
-		return err
-	}
-	seq := eng.Bus().Seq(util.ID(id2))
-	for i := 0; i < gap; i++ {
-		if _, err := srvDoc.AppendText("w", "y"); err != nil {
-			return err
-		}
-	}
-	before := cnt.read.Load()
-	resp, err := call(&protocol.Message{Op: protocol.OpResync, Doc: id2, Since: seq})
-	if err != nil {
-		return err
-	}
-	deltaBytes := float64(cnt.read.Load() - before)
-	if resp.Full || len(resp.Events) != gap {
-		return fmt.Errorf("delta resync fell back (full=%v, events=%d)", resp.Full, len(resp.Events))
-	}
-	before = cnt.read.Load()
-	resp, err = call(&protocol.Message{Op: protocol.OpText, Doc: id2})
-	if err != nil {
-		return err
-	}
-	fullBytes := float64(cnt.read.Load() - before)
-	if len(resp.Text) < docChars {
-		return fmt.Errorf("full resync returned %d chars", len(resp.Text))
-	}
-	ratio := fullBytes / deltaBytes
-
-	fmt.Printf("%-38s %10d\n", "durable keystrokes per path", chars)
-	fmt.Printf("%-38s %10.0f op/s\n", "v1 per-keystroke RPC", v1Ops)
-	fmt.Printf("%-38s %10.0f op/s\n", "v2 batched pipelined session", v2Ops)
-	fmt.Printf("%-38s %9.1fx\n", "typing speedup", speedup)
-	fmt.Printf("%-38s %10.1f\n", "keystrokes per batch (achieved)", coalesce)
-	fmt.Printf("%-38s %10d chars\n", "lagged-replica document size", docChars)
-	fmt.Printf("%-38s %10d events\n", "resync gap", gap)
-	fmt.Printf("%-38s %10.0f bytes\n", "delta resync on the wire", deltaBytes)
-	fmt.Printf("%-38s %10.0f bytes\n", "full resync on the wire", fullBytes)
-	fmt.Printf("%-38s %9.1fx\n", "full/delta wire ratio", ratio)
-	fmt.Printf("%-38s %10.1f allocs\n", "v2 allocs per durable keystroke", v2Allocs)
-	emit("e15", "batch_speedup", speedup, "x", "higher")
-	emit("e15", "v2_durable_ops_per_sec", v2Ops, "op/s", "higher")
-	emit("e15", "keystrokes_per_batch", coalesce, "op/batch", "higher")
-	emit("e15", "resync_full_over_delta", ratio, "x", "higher")
-	emit("e15", "v2_allocs_per_keystroke", v2Allocs, "allocs", "lower")
-	if speedup < 5 {
-		fmt.Println("WARNING: below the 5x batched-typing acceptance envelope")
-	} else {
-		fmt.Println("shape check: batching amortises the RTT and the fsync wait across the batch,")
-		fmt.Println("             pipelining overlaps them with typing, and a lagged replica pays O(gap)")
-		fmt.Println("             wire bytes instead of O(doc).")
-	}
-	return nil
-}
-
-// countingConn counts bytes crossing a connection in both directions
-// (wire-cost accounting).
-type countingConn struct {
-	net.Conn
-	read    atomic.Int64
-	written atomic.Int64
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.read.Add(int64(n))
-	return n, err
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.written.Add(int64(n))
-	return n, err
-}
-
-// E16: the protocol-v3 binary codec and the allocation-lean commit path.
-// Three measurements anchor the optimisation:
-//
-//  1. Heap allocations per durable keystroke on the engine's Apply path
-//     (pooled batch staging + arena char records + one-splice InsertRun).
-//  2. Durable typing throughput of a v3 binary session vs the same v2
-//     session over JSON frames, over real TCP and a file-backed WAL.
-//  3. Wire bytes per keystroke (both directions: batch, ack, push) under
-//     each framing — the frame-size win, measured not computed.
-func runE16(quick bool, _ string) error {
-	chars := 4000
-	allocBatches := 200
-	if quick {
-		chars = 600
-		allocBatches = 40
-	}
-	const batchRunes = 128
-
-	dir, err := os.MkdirTemp("", "tendax-bench-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	database, err := db.Open(db.Options{Dir: dir})
-	if err != nil {
-		return err
-	}
-	defer database.Close()
-	eng, err := core.NewEngine(database, nil)
-	if err != nil {
-		return err
-	}
-
-	// --- Phase 1: allocations per keystroke on the raw Apply path. ---
-	doc, err := eng.CreateDocument("bench", "e16-alloc")
-	if err != nil {
-		return err
-	}
-	text := strings.Repeat("x", batchRunes)
-	ops := []core.EditOp{{Kind: core.EditInsert, Pos: 0, Text: text}}
-	// Warm the pools and the document before measuring.
-	for i := 0; i < 8; i++ {
-		if _, _, err := doc.ApplyAsync("bench", ops); err != nil {
-			return err
-		}
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	var lsn wal.LSN
-	for i := 0; i < allocBatches; i++ {
-		if _, lsn, err = doc.ApplyAsync("bench", ops); err != nil {
-			return err
-		}
-	}
-	runtime.ReadMemStats(&after)
-	if err := eng.WaitDurable(lsn); err != nil {
-		return err
-	}
-	applyAllocs := float64(after.Mallocs-before.Mallocs) / float64(allocBatches*batchRunes)
-
-	// --- Phase 2: v2 JSON vs v3 binary typing sessions over TCP. ---
-	srv := server.New(eng, nil)
-	srv.SetLogf(func(string, ...interface{}) {})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go func() { _ = srv.Serve() }()
-	defer func() { _ = srv.Close() }()
-
-	type typed struct {
-		opsPerSec float64
-		bytes     float64 // both directions, typing loop only
-	}
-	runSession := func(user, docName string, maxVer int) (typed, error) {
-		c, err := client.Dial(addr.String(), client.WithMaxVersion(maxVer))
-		if err != nil {
-			return typed{}, err
-		}
-		defer c.Close()
-		if err := c.Login(user, ""); err != nil {
-			return typed{}, err
-		}
-		if ver := c.Ver(); ver != maxVer {
-			return typed{}, fmt.Errorf("%s negotiated v%d, want v%d", user, ver, maxVer)
-		}
-		id, err := c.CreateDocument(docName)
-		if err != nil {
-			return typed{}, err
-		}
-		d, err := c.Open(id)
-		if err != nil {
-			return typed{}, err
-		}
-		sess, err := d.Session()
-		if err != nil {
-			return typed{}, err
-		}
-		// Sequential phases on an otherwise idle server: the byte-counter
-		// delta across the typing loop is this session's traffic alone.
-		m := srv.Metrics()
-		wireBefore := m.BytesIn.Load() + m.BytesOut.Load()
-		t0 := time.Now()
-		for i := 0; i < chars; i++ {
-			if err := sess.Type("x"); err != nil {
-				return typed{}, err
-			}
-		}
-		if err := sess.Wait(); err != nil {
-			return typed{}, err
-		}
-		secs := time.Since(t0).Seconds()
-		wire := float64(m.BytesIn.Load() + m.BytesOut.Load() - wireBefore)
-		return typed{opsPerSec: float64(chars) / secs, bytes: wire}, nil
-	}
-
-	v2, err := runSession("v2", "e16-v2", protocol.Version2)
-	if err != nil {
-		return err
-	}
-	v3, err := runSession("v3", "e16-v3", protocol.Version3)
-	if err != nil {
-		return err
-	}
-	for _, name := range []string{"e16-v2", "e16-v3"} {
-		d, err := eng.FindDocument(name)
-		if err != nil {
-			return err
-		}
-		if d.Len() != chars {
-			return fmt.Errorf("%s has %d chars, want %d", name, d.Len(), chars)
-		}
-	}
-	speedup := v3.opsPerSec / v2.opsPerSec
-	byteRatio := v2.bytes / v3.bytes
-
-	fmt.Printf("%-38s %10.1f allocs\n", "Apply-path allocs per keystroke", applyAllocs)
-	fmt.Printf("%-38s %10d per path\n", "durable keystrokes", chars)
-	fmt.Printf("%-38s %10.0f op/s\n", "v2 JSON session", v2.opsPerSec)
-	fmt.Printf("%-38s %10.0f op/s\n", "v3 binary session", v3.opsPerSec)
-	fmt.Printf("%-38s %9.2fx\n", "v3/v2 typing speedup", speedup)
-	fmt.Printf("%-38s %10.1f B/keystroke\n", "v2 wire cost", v2.bytes/float64(chars))
-	fmt.Printf("%-38s %10.1f B/keystroke\n", "v3 wire cost", v3.bytes/float64(chars))
-	fmt.Printf("%-38s %9.2fx\n", "v2/v3 wire bytes ratio", byteRatio)
-	emit("e16", "v3_durable_ops_per_sec", v3.opsPerSec, "op/s", "higher")
-	emit("e16", "v3_speedup_vs_v2", speedup, "x", "higher")
-	emit("e16", "wire_bytes_ratio_v2_over_v3", byteRatio, "x", "higher")
-	emit("e16", "apply_allocs_per_keystroke", applyAllocs, "allocs", "lower")
-	if byteRatio < 4 {
-		fmt.Println("WARNING: below the 4x wire-shrink acceptance envelope")
-	} else {
-		fmt.Println("shape check: presence-bitmap binary frames carry the same batches in a fraction")
-		fmt.Println("             of the bytes, and the pooled/arena commit path keeps allocations per")
-		fmt.Println("             keystroke flat as batches grow.")
 	}
 	return nil
 }
@@ -2032,12 +987,6 @@ func runE17(quick bool, _ string) error {
 	fmt.Printf("  max queue depth (limit %3d)     %10d\n", queueLimit, maxDepth.Load())
 	fmt.Printf("  sampled replicas reconverged    %10d/%d\n", converged.Load(), sampled)
 	fmt.Printf("  throttle retry-after hint       %10s\n", retryHint)
-
-	emit("e17", "storm_subscribers", float64(nSubs), "subs", "higher")
-	emit("e17", "storm_fanout_per_sec", fanout, "ev/s", "higher")
-	emit("e17", "storm_max_queue_depth", float64(maxDepth.Load()), "events", "lower")
-	emit("e17", "storm_reconverged", 1.0, "bool", "higher")
-	emit("e17", "throttle_engaged", 1.0, "bool", "higher")
 	return nil
 }
 
@@ -2081,7 +1030,6 @@ func runE18(quick bool, _ string) error {
 		{"sync", syncKeys, 1, true},
 	}
 	scale := make(map[string]float64)
-	rate1 := make(map[string]float64)
 	for _, leg := range legs {
 		var base float64
 		for _, n := range []int{1, 2, 4} {
@@ -2091,7 +1039,6 @@ func runE18(quick bool, _ string) error {
 			}
 			if n == 1 {
 				base = rate
-				rate1[leg.name] = rate
 			}
 			s := rate / base
 			if n == 4 {
@@ -2100,6 +1047,13 @@ func runE18(quick bool, _ string) error {
 			fmt.Printf("%-8s %-7d %16.0f %14s %9.2fx\n",
 				leg.name, n, rate, elapsed.Round(time.Millisecond), s)
 		}
+	}
+	// A -quick storm lasts a few hundred milliseconds: beside other work
+	// on a shared host its throughput ratios are noise, so the smoke run
+	// only shows the table.
+	if quick {
+		fmt.Println("note: -quick run — scaling gates skipped")
+		return nil
 	}
 	if cores >= 4 && scale["burst"] < 2.5 {
 		return fmt.Errorf("e18: burst leg scaled only %.2fx from 1 to 4 shards on a %d-CPU host (want >= 2.5x)",
@@ -2113,11 +1067,6 @@ func runE18(quick bool, _ string) error {
 	if scale["burst"] < 0.85 {
 		return fmt.Errorf("e18: 4-shard burst throughput regressed to %.2fx of single-shard", scale["burst"])
 	}
-	emit("e18", "burst_keys_per_sec_1shard", rate1["burst"], "keys/s", "higher")
-	emit("e18", "burst_keys_per_sec_4shards", rate1["burst"]*scale["burst"], "keys/s", "higher")
-	emit("e18", "burst_scaling_1_to_4", scale["burst"], "x", "higher")
-	emit("e18", "sync_keys_per_sec_4shards", rate1["sync"]*scale["sync"], "keys/s", "higher")
-	emit("e18", "sync_scaling_1_to_4", scale["sync"], "x", "higher")
 	return nil
 }
 
@@ -2183,166 +1132,4 @@ func e18Storm(n, writers, keysPer, ackEvery int, syncful bool) (rate float64, el
 	}
 	elapsed = time.Since(start)
 	return float64(writers*keysPer) / elapsed.Seconds(), elapsed, nil
-}
-
-// E19: incremental index maintenance vs. rescan. The claim under test is
-// the one the index subsystem exists for: folding the op stream keeps
-// per-keystroke maintenance cost independent of corpus size (each fold is
-// O(1) bookkeeping plus an O(doc) re-tokenize of the edited document),
-// while the legacy rescan constructors grow with the corpus. Reported per
-// corpus size: per-keystroke cost with the indexer live and quiesced after
-// every key, full rescan time (search.BuildIndex + lineage.Build), query
-// p50 under sustained write load, and the freshness lag right after an
-// unsynced burst.
-func runE19(quick bool, _ string) error {
-	small, big := 40, 400
-	keys, queries := 300, 60
-	if quick {
-		small, big = 20, 200
-		keys, queries = 120, 30
-	}
-	fmt.Printf("%-8s %16s %14s %14s %10s\n",
-		"docs", "per-key cost", "rescan", "query p50", "lag")
-	keyUS := map[int]float64{}
-	rebuildMS := map[int]float64{}
-	var p50US, burstDrainMS float64
-	var burstLag int
-	for _, n := range []int{small, big} {
-		eng, database, err := memEngine()
-		if err != nil {
-			return err
-		}
-		docs, err := workload.BuildCorpus(eng, workload.CorpusSpec{
-			Docs: n, Users: 8, MeanSize: 150, ReadRatio: 0.2, Seed: 47,
-		})
-		if err != nil {
-			return err
-		}
-		svc, err := index.Open(eng)
-		if err != nil {
-			return err
-		}
-		svc.Sync()
-
-		// Typing burst, quiescing the indexer after every keystroke so the
-		// measured window includes each fold and re-tokenize — the full
-		// maintenance bill a keystroke can ever incur.
-		target := docs[0]
-		t0 := time.Now()
-		for i := 0; i < keys; i++ {
-			if _, err := target.AppendText("user0", "x"); err != nil {
-				return err
-			}
-			svc.Sync()
-		}
-		perKey := time.Since(t0) / time.Duration(keys)
-		keyUS[n] = float64(perKey.Microseconds())
-
-		// Freshness lag: touch many documents without quiescing, then read
-		// the dirty-doc count before and after Sync drains it.
-		burst := len(docs)
-		if burst > 50 {
-			burst = 50
-		}
-		var maxLag int
-		for i := 0; i < burst; i++ {
-			if _, err := docs[i].AppendText("user1", " y"); err != nil {
-				return err
-			}
-			if l := svc.Stats().Lag; l > maxLag {
-				maxLag = l
-			}
-		}
-		d0 := time.Now()
-		svc.Sync()
-		drain := time.Since(d0)
-		if after := svc.Stats().Lag; after != 0 {
-			return fmt.Errorf("e19: lag %d after Sync (want 0)", after)
-		}
-		if n == big {
-			burstLag = maxLag
-			burstDrainMS = float64(drain.Microseconds()) / 1e3
-		}
-
-		// Query p50 while a writer hammers the corpus: queries are served
-		// from the maintained structures, never a rescan.
-		if n == big {
-			stop := make(chan struct{})
-			werr := make(chan error, 1)
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if _, err := docs[1+i%8].AppendText("user2", "w"); err != nil {
-						werr <- err
-						return
-					}
-				}
-			}()
-			var rec workload.LatencyRecorder
-			for i := 0; i < queries; i++ {
-				q0 := time.Now()
-				if _, err := svc.Query(search.Query{Terms: []string{"a"}, Limit: 10}); err != nil {
-					close(stop)
-					wg.Wait()
-					return err
-				}
-				rec.Record(time.Since(q0))
-			}
-			close(stop)
-			wg.Wait()
-			select {
-			case err := <-werr:
-				return err
-			default:
-			}
-			p50US = float64(rec.Percentile(50).Microseconds())
-		}
-		svc.Close()
-
-		// The rescan this subsystem retires: full BuildIndex + lineage walk.
-		t0 = time.Now()
-		//tendax:allow-deprecated E19 measures the retired rescan path against the incremental indexes on purpose
-		if _, err := search.BuildIndex(eng); err != nil {
-			return err
-		}
-		//tendax:allow-deprecated E19 measures the retired rescan path against the incremental indexes on purpose
-		if _, err := lineage.Build(eng); err != nil {
-			return err
-		}
-		rebuild := time.Since(t0)
-		rebuildMS[n] = float64(rebuild.Microseconds()) / 1e3
-
-		fmt.Printf("%-8d %16v %14v %14s %10d\n",
-			n, perKey, rebuild.Round(time.Microsecond),
-			map[bool]string{true: fmt.Sprintf("%.0fµs", p50US), false: "-"}[n == big], maxLag)
-		if err := database.Close(); err != nil {
-			return err
-		}
-	}
-	flat := keyUS[big] / keyUS[small]
-	growth := rebuildMS[big] / rebuildMS[small]
-	fmt.Printf("per-key cost at 10x corpus: %.2fx; rescan at 10x corpus: %.2fx\n", flat, growth)
-	// The shape gate: maintenance must stay flat while the rescan grows.
-	// Generous bounds — this is a shape check, not a microbenchmark.
-	if flat > 3.0 {
-		return fmt.Errorf("e19: per-keystroke cost grew %.2fx across a 10x corpus (want ~flat)", flat)
-	}
-	if growth < 2.0 {
-		return fmt.Errorf("e19: rescan only grew %.2fx across a 10x corpus — the comparison has lost its contrast", growth)
-	}
-	emit("e19", "keystroke_us_small", keyUS[small], "us", "lower")
-	emit("e19", "keystroke_us_10x", keyUS[big], "us", "lower")
-	emit("e19", "keystroke_flatness_10x", flat, "x", "lower")
-	emit("e19", "rebuild_ms_10x", rebuildMS[big], "ms", "lower")
-	emit("e19", "query_p50_us_under_write_load", p50US, "us", "lower")
-	emit("e19", "burst_lag_docs", float64(burstLag), "docs", "lower")
-	emit("e19", "burst_drain_ms", burstDrainMS, "ms", "lower")
-	return nil
 }

@@ -7,7 +7,6 @@
 //	snapshotread  reads resolve through the published snapshot (PR 3)
 //	visclass      wire-cache keys carry the visibility class (PR 7)
 //	failclosed    security verdicts gate what happens next (PR 7)
-//	deprfence     deprecated shims don't gain new callers
 //
 // Usage:
 //
@@ -15,8 +14,9 @@
 //
 // Findings print as path:line:col: [analyzer] message, and any finding
 // makes the exit status 1 — CI runs this as a gating job. Suppress a
-// finding with //tendax:allow-<analyzer> <reason> on or above the line
-// (deprfence reads //tendax:allow-deprecated); the reason is mandatory.
+// finding with //tendax:allow-<analyzer> <reason> on or above the line;
+// the reason is mandatory. Uses of deprecated API are staticcheck's job
+// (SA1019, run by golangci-lint), not this suite's.
 package main
 
 import (
@@ -25,7 +25,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"tendax/internal/analysis/deprfence"
 	"tendax/internal/analysis/failclosed"
 	"tendax/internal/analysis/framework"
 	"tendax/internal/analysis/locksync"
@@ -38,7 +37,6 @@ var analyzers = []*framework.Analyzer{
 	snapshotread.Analyzer,
 	visclass.Analyzer,
 	failclosed.Analyzer,
-	deprfence.Analyzer,
 }
 
 func main() {

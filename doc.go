@@ -18,7 +18,9 @@
 // §3, the fuzzy-checkpoint/recovery protocol, §4, the MVCC snapshot read
 // path, §5, and the ID-anchored batched editing protocol v2, §7) and
 // EXPERIMENTS.md for the reproduction of every figure and demonstrated
-// capability. The *_bench_test.go files in this directory hold one
-// benchmark per experiment (E1–E15); cmd/tendax-bench prints the
-// corresponding tables.
+// capability: cmd/tendax-bench runs the experiment registry (E1–E10, E17,
+// E18), and keystroke-bench (benchmark/, BENCHMARK.json) measures
+// performance per keystroke, end to end and per layer. The benchmarks in
+// ablation_bench_test.go compare the design choices DESIGN.md calls out
+// against their naive alternatives.
 package tendax

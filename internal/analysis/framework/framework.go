@@ -30,19 +30,7 @@ type Analyzer struct {
 	Name string // short lower-case name; also the allow-comment key
 	Doc  string // one-paragraph description of the invariant enforced
 
-	// AllowKey overrides Name in the suppression directive
-	// (`//tendax:allow-<key>`) when the natural spelling differs from
-	// the analyzer name (deprfence reads tendax:allow-deprecated).
-	AllowKey string
-
 	Run func(*Pass) error
-}
-
-func (a *Analyzer) allowKey() string {
-	if a.AllowKey != "" {
-		return a.AllowKey
-	}
-	return a.Name
 }
 
 // Diagnostic is one finding, positioned inside the analyzed package.
@@ -97,15 +85,6 @@ func (p *Pass) ImportObjectFact(obj types.Object) (interface{}, bool) {
 	return f, ok
 }
 
-// Deprecated returns the "Deprecated: ..." doc line of obj when its
-// declaration (in any package loaded from source this run) carries one.
-// Export-data imports (the standard library) have no doc comments and
-// always report false.
-func (p *Pass) Deprecated(obj types.Object) (string, bool) {
-	note, ok := p.runner.deprecated[obj]
-	return note, ok
-}
-
 // Finding is one post-suppression diagnostic of a run.
 type Finding struct {
 	Analyzer string
@@ -115,11 +94,10 @@ type Finding struct {
 
 // Runner executes analyzers over loaded packages.
 type Runner struct {
-	pkgs       []*Package
-	fset       *token.FileSet
-	facts      map[*Analyzer]map[types.Object]interface{}
-	deprecated map[types.Object]string
-	findings   []Finding
+	pkgs     []*Package
+	fset     *token.FileSet
+	facts    map[*Analyzer]map[types.Object]interface{}
+	findings []Finding
 
 	// allowLines maps file -> line -> directive text for every
 	// "//tendax:" comment, built lazily per package.
@@ -132,14 +110,12 @@ func NewRunner(pkgs []*Package) *Runner {
 	r := &Runner{
 		pkgs:       pkgs,
 		facts:      make(map[*Analyzer]map[types.Object]interface{}),
-		deprecated: make(map[types.Object]string),
 		allowLines: make(map[string]map[int]string),
 	}
 	if len(pkgs) > 0 {
 		r.fset = pkgs[0].Fset
 	}
 	for _, p := range pkgs {
-		collectDeprecated(p, r.deprecated)
 		r.indexDirectives(p)
 	}
 	return r
@@ -182,7 +158,7 @@ func (r *Runner) Run(analyzers []*Analyzer) ([]Finding, error) {
 // finding if it survives.
 func (r *Runner) report(p *Pass, d Diagnostic) {
 	pos := p.Fset.Position(d.Pos)
-	key := p.Analyzer.allowKey()
+	key := p.Analyzer.Name
 	if directive, _ := r.allowFor(pos, key); directive != "" {
 		reason := strings.TrimSpace(strings.TrimPrefix(directive, "tendax:allow-"+key))
 		if reason == "" {
@@ -247,56 +223,4 @@ func FuncDirective(decl *ast.FuncDecl, directive string) bool {
 		}
 	}
 	return false
-}
-
-// collectDeprecated records every source-loaded object whose doc comment
-// carries a "Deprecated:" paragraph, following the standard Go doc
-// convention.
-func collectDeprecated(p *Package, out map[types.Object]string) {
-	noteOf := func(doc *ast.CommentGroup) (string, bool) {
-		if doc == nil {
-			return "", false
-		}
-		for _, c := range doc.List {
-			text := strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), " "))
-			if strings.HasPrefix(text, "Deprecated:") {
-				return text, true
-			}
-		}
-		return "", false
-	}
-	record := func(name *ast.Ident, doc *ast.CommentGroup) {
-		if note, ok := noteOf(doc); ok {
-			if obj := p.TypesInfo.Defs[name]; obj != nil {
-				out[obj] = note
-			}
-		}
-	}
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				record(d.Name, d.Doc)
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						doc := s.Doc
-						if doc == nil && len(d.Specs) == 1 {
-							doc = d.Doc
-						}
-						record(s.Name, doc)
-					case *ast.ValueSpec:
-						doc := s.Doc
-						if doc == nil && len(d.Specs) == 1 {
-							doc = d.Doc
-						}
-						for _, n := range s.Names {
-							record(n, doc)
-						}
-					}
-				}
-			}
-		}
-	}
 }

@@ -21,8 +21,8 @@ var ErrClosed = errors.New("client: connection closed")
 
 // RemoteError is an error the server answered with (as opposed to a
 // transport failure): the connection is alive and the server processed
-// the request. Hello uses the distinction to tell "old server that does
-// not know the op" apart from "broken connection".
+// the request. Version negotiation uses the distinction to tell "old
+// server that does not know the op" apart from "broken connection".
 type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return e.Msg }
@@ -46,7 +46,7 @@ type Client struct {
 	nextID atomic.Int64
 
 	mu      sync.Mutex
-	ver     int // negotiated protocol version (Version1 until Hello upgrades it)
+	ver     int // negotiated protocol version (Version1 until hello upgrades it)
 	shards  int // server's engine-shard count from hello (0 = not told)
 	pending map[int64]chan *protocol.Message
 	docs    map[uint64]*Doc
@@ -68,8 +68,7 @@ type dialConfig struct {
 
 // WithMaxVersion negotiates the protocol during Dial, upgrading the
 // connection to at most max (use protocol.VersionMax for "highest both
-// sides speak"). Without this option the connection stays on v1 until an
-// explicit Hello.
+// sides speak"). Without this option the connection stays on v1.
 func WithMaxVersion(max int) Option {
 	return func(cfg *dialConfig) { cfg.maxVersion = max }
 }
@@ -106,10 +105,9 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		docs:    make(map[uint64]*Doc),
 	}
 	go c.readLoop()
-	// WithMaxVersion(protocol.Version1) means "pin to v1" — no hello at
-	// all, since HelloVer's floor would negotiate v2.
+	// WithMaxVersion(protocol.Version1) means "pin to v1": no hello at all.
 	if cfg.maxVersion >= protocol.Version2 {
-		if _, err := c.helloVer(cfg.maxVersion); err != nil {
+		if _, err := c.hello(cfg.maxVersion); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -227,34 +225,17 @@ func (c *Client) call(req *protocol.Message) (*protocol.Message, error) {
 	return await(ch)
 }
 
-// Hello negotiates the protocol version: the connection is upgraded to
-// the highest version both sides speak and that version is returned. A
-// pre-v2 server rejects the operation; the client then stays on v1 and
-// every v1 method keeps working — so Hello is safe to call against any
-// server. Idempotent after the first successful negotiation. Negotiating
-// Version3 or later switches the connection's outbound framing to the
-// binary codec (inbound frames are auto-detected per frame either way).
-//
-// Deprecated: pass WithMaxVersion(protocol.VersionMax) to Dial instead;
-// Hello remains for connections that must negotiate after other traffic.
-func (c *Client) Hello() (int, error) { return c.helloVer(protocol.VersionMax) }
-
-// HelloVer is Hello with a client-side ceiling: the connection is upgraded
-// to at most max, letting callers hold a connection at an older protocol
-// version (benchmarks and compatibility tests pin v2 this way). The first
-// successful negotiation is final — a later Hello or HelloVer returns the
-// already-negotiated version rather than re-upgrading a pinned connection.
-//
-// Deprecated: pass WithMaxVersion(max) to Dial instead.
-func (c *Client) HelloVer(max int) (int, error) { return c.helloVer(max) }
-
-// helloVer negotiates the protocol upgrade; Dial drives it for the
-// WithMaxVersion option, and the deprecated Hello/HelloVer shims forward
-// here until their callers are gone.
-func (c *Client) helloVer(max int) (int, error) {
-	if max < protocol.Version2 {
-		max = protocol.Version2
-	}
+// hello negotiates the protocol version for Dial's WithMaxVersion and for
+// Doc.Session: the connection is upgraded to the highest version both
+// sides speak, capped at max, and that version is returned. A pre-v2
+// server rejects the operation; the client then stays on v1 and every v1
+// method keeps working, so negotiating is safe against any server. The
+// first successful negotiation is final: a later call returns the
+// negotiated version rather than re-upgrading a pinned connection.
+// Negotiating Version3 or later switches the connection's outbound framing
+// to the binary codec (inbound frames are auto-detected per frame either
+// way).
+func (c *Client) hello(max int) (int, error) {
 	if max > protocol.VersionMax {
 		max = protocol.VersionMax
 	}
@@ -301,7 +282,8 @@ func (c *Client) helloVer(max int) (int, error) {
 	return v, nil
 }
 
-// Ver returns the negotiated protocol version (Version1 before Hello).
+// Ver returns the negotiated protocol version (Version1 until Dial with
+// WithMaxVersion or Doc.Session negotiates).
 func (c *Client) Ver() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -360,7 +342,7 @@ type SearchQuery struct {
 // Results are ACL-filtered server-side: documents the user cannot read are
 // absent, and snippets are re-derived through the user's character-level
 // read mask. Requires a server with indexers running and (on v3) the
-// CapQuery capability, which Dial/Hello advertise by default.
+// CapQuery capability, which Dial advertises whenever it negotiates.
 func (c *Client) Search(q SearchQuery) ([]protocol.SearchHit, error) {
 	resp, err := c.call(&protocol.Message{Op: protocol.OpQuery, Query: &protocol.QueryReq{
 		Kind:       protocol.QuerySearch,
@@ -753,7 +735,7 @@ func (d *Doc) adoptFull(resp *protocol.Message) {
 
 // EditBatch applies a protocol-v2 edit batch — ops anchored by character
 // identity, committed as ONE server-side transaction — and waits for the
-// durable acknowledgement. Requires a v2 connection (Client.Hello).
+// durable acknowledgement. Requires a v2 connection (Dial with WithMaxVersion).
 func (d *Doc) EditBatch(ops []protocol.EditOp) ([]protocol.EditResult, error) {
 	resp, err := d.c.call(&protocol.Message{Op: protocol.OpEdit, Doc: d.id, Ops: ops})
 	if err != nil {

@@ -53,7 +53,7 @@ var ErrNeedV2 = errors.New("client: server does not speak protocol v2")
 // protocol v2 first if the connection has not already. The cursor starts
 // at the end of the document (MoveTo repositions it).
 func (d *Doc) Session() (*Session, error) {
-	ver, err := d.c.helloVer(protocol.VersionMax)
+	ver, err := d.c.hello(protocol.VersionMax)
 	if err != nil {
 		return nil, err
 	}

@@ -118,6 +118,10 @@ func TestCompactPreservesEveryRead(t *testing.T) {
 	if stats.HotAfter != hotBefore-stats.Archived {
 		t.Fatalf("hot accounting wrong: %+v (before %d)", stats, hotBefore)
 	}
+	// Every tombstone was cold, so only the visible text stays hot.
+	if stats.HotAfter != doc.Len() {
+		t.Fatalf("hot set %d after archiving every cold tombstone, want the %d visible", stats.HotAfter, doc.Len())
+	}
 	if doc.ArchivedLen() != stats.Archived {
 		t.Fatalf("ArchivedLen %d, stats %d", doc.ArchivedLen(), stats.Archived)
 	}

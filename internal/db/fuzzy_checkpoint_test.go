@@ -96,6 +96,22 @@ func TestFuzzyCheckpointCrashRecoveryBoundsLogAndRedo(t *testing.T) {
 	if err != nil || row[1].(string) != "doc-42" {
 		t.Fatalf("row 42 = %v, %v", row, err)
 	}
+
+	// The last checkpoint ran with nothing in flight: it left only its own
+	// begin/end pair, and recovery analyses exactly those two records.
+	var types []wal.RecordType
+	if err := d.Log().Iterate(func(r *wal.Record) error {
+		types = append(types, r.Type)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(types) != 2 || types[0] != wal.RecCkptBegin || types[1] != wal.RecCkptEnd {
+		t.Fatalf("log after a quiescent checkpoint holds %v, want only the checkpoint pair", types)
+	}
+	if got := d2.Recovery.Analyzed; got != 2 {
+		t.Fatalf("recovery analysed %d records, want the 2 of the checkpoint pair", got)
+	}
 }
 
 // TestTornEndCheckpointFallsBack crashes mid-checkpoint, twice: once with

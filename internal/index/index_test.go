@@ -97,7 +97,7 @@ func requireSameGraph(t *testing.T, label string, want, got *lineage.Graph) {
 
 // TestServiceMatchesRebuild is the core inversion property on one engine:
 // an indexer that FOLLOWED the op stream from before the first document
-// existed answers byte-identically to the deprecated rescan constructors
+// existed answers byte-identically to the rescan oracles
 // run over the finished corpus — and to a second indexer that PRIMED from
 // snapshots after the fact.
 func TestServiceMatchesRebuild(t *testing.T) {
@@ -246,7 +246,7 @@ func TestQueryAfterClose(t *testing.T) {
 // shortened so shed gaps regularly outlive it — forcing both heal paths
 // (ring replay and snapshot re-prime). After quiescing, the long-lived
 // incremental cluster must agree byte-for-byte with a from-scratch
-// cluster AND with the deprecated per-shard rescans. Run under -race.
+// cluster AND with the per-shard rescan oracles. Run under -race.
 func TestClusterEquivalenceUnderStorm(t *testing.T) {
 	cl, err := placement.Open(placement.Options{Shards: 3})
 	if err != nil {
@@ -363,7 +363,7 @@ func TestClusterEquivalenceUnderStorm(t *testing.T) {
 		requireSameResults(t, fmt.Sprintf("storm rank=%s terms=%v", q.Rank, q.Terms), want, got)
 	}
 
-	// Per-shard: the survivor must also match the deprecated rescans.
+	// Per-shard: the survivor must also match the rescan oracles.
 	for i := 0; i < cl.Shards(); i++ {
 		oracle, err := search.BuildIndex(engines[i])
 		if err != nil {

@@ -82,12 +82,11 @@ func (g *Graph) AddChar(src, dst util.ID, at time.Time) (newEdge bool) {
 	return false
 }
 
-// Build scans the character store and assembles the provenance graph.
-//
-// Deprecated: the scan is O(every character instance in the store); open
-// an incremental index.Service instead, which maintains the same graph in
-// O(ops) from the awareness stream. Build remains as the reference oracle
-// the equivalence tests rebuild from scratch.
+// Build scans the character store and assembles the provenance graph. It
+// is the reference oracle: the scan is O(every character instance in the
+// store), index.Service maintains the same graph in O(ops) from the
+// awareness stream, and TestDeltaFoldMatchesRebuild and
+// TestServiceMatchesRebuild check the folded graph against this scan.
 func Build(eng *core.Engine) (*Graph, error) {
 	g := &Graph{
 		Nodes: make(map[util.ID]*Node),

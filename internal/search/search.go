@@ -47,7 +47,7 @@ type Result struct {
 
 // Index is the searchable view over an engine: an inverted index over
 // content plus heading text. It carries no locking of its own — the
-// incremental index.Service serialises access, and the legacy BuildIndex
+// incremental index.Service serialises access, and the BuildIndex oracle
 // path is single-threaded.
 type Index struct {
 	eng      *core.Engine
@@ -79,11 +79,9 @@ func New(eng *core.Engine) *Index {
 }
 
 // BuildIndex constructs the index by rescanning the current document set.
-//
-// Deprecated: the rescan touches every document on every build; open an
-// incremental index.Service instead, which folds the awareness op stream
-// into the same structures in O(ops). BuildIndex remains as the reference
-// oracle the equivalence tests rebuild from scratch.
+// It is the reference oracle: index.Service folds the awareness op stream
+// into the same structures in O(ops), and TestDeltaFoldMatchesRebuild and
+// TestServiceMatchesRebuild check the folded state against this rescan.
 func BuildIndex(eng *core.Engine) (*Index, error) {
 	ix := New(eng)
 	infos, err := eng.ListDocuments()
@@ -315,19 +313,6 @@ func (ix *Index) RefreshReads() error {
 	return nil
 }
 
-// Refresh re-indexes one document after it changed.
-//
-// Deprecated: index.Service folds document changes in automatically from
-// the awareness op stream; manual refresh remains only for the legacy
-// BuildIndex path.
-func (ix *Index) Refresh(doc util.ID) error {
-	info, err := ix.eng.DocInfoByID(doc)
-	if err != nil {
-		return err
-	}
-	return ix.indexDoc(info)
-}
-
 // DocCount returns the number of indexed documents.
 func (ix *Index) DocCount() int { return len(ix.docs) }
 
@@ -480,24 +465,4 @@ func firstN(s string, n int) string {
 		return s
 	}
 	return string(r[:n]) + "…"
-}
-
-// Freshness of metadata used by rankers decays as documents change; call
-// RefreshStats to recompute citation and read counts.
-//
-// Deprecated: the incremental query subsystem (index.Open) keeps these
-// statistics fresh from the op stream; RefreshStats re-walks the whole
-// store and remains only for embedded users of the static index.
-func (ix *Index) RefreshStats() error {
-	g, err := lineage.Build(ix.eng)
-	if err != nil {
-		return err
-	}
-	for id := range ix.docs {
-		ix.cites[id] = g.CitationCount(id)
-		if evs, err := ix.eng.ReadEventsOf(id); err == nil {
-			ix.reads[id] = len(evs)
-		}
-	}
-	return nil
 }

@@ -167,7 +167,7 @@ func TestRefreshAfterEdit(t *testing.T) {
 		t.Fatal("phantom pre-edit hit")
 	}
 	a.InsertText("alice", 0, "zanzibar ")
-	if err := ix.Refresh(a.ID()); err != nil {
+	if err := ix.indexDoc(a.Info()); err != nil {
 		t.Fatal(err)
 	}
 	rs, _ := ix.Search(Query{Terms: []string{"zanzibar"}})

@@ -109,10 +109,7 @@ func TestV1SubscriberSeesV2Batches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v2 := login(t, addr, "modern", "")
-	if _, err := v2.Hello(); err != nil {
-		t.Fatal(err)
-	}
+	v2 := loginVer(t, addr, "modern", "", protocol.VersionMax)
 	v2doc, err := v2.Open(docID)
 	if err != nil {
 		t.Fatal(err)

@@ -27,16 +27,16 @@ func TestLaggedSubscriberGetsFinalPush(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A raw connection whose receive window we keep tiny and whose socket
-	// we deliberately stop reading, so pushed events pile up.
+	// A raw connection whose socket we deliberately stop reading, so pushed
+	// events pile up. Its receive buffer keeps the system default: shrunk
+	// to 4 KiB, far below the loopback segment size, the connection could
+	// stall with the re-subscribe response sent but never delivered, every
+	// server goroutine idle, until the read deadline fired.
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetReadBuffer(4096)
-	}
 	codec := protocol.NewCodec(nc)
 	call := func(id int64, req *protocol.Message) *protocol.Message {
 		t.Helper()

@@ -26,9 +26,9 @@ func TestMixedFleetConvergence(t *testing.T) {
 	w.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: docID})
 
 	// v2: library client pinned to JSON framing.
-	c2 := login(t, addr, "modern", "")
-	if v, err := c2.HelloVer(protocol.Version2); err != nil || v != protocol.Version2 {
-		t.Fatalf("v2 hello: v%d, %v", v, err)
+	c2 := loginVer(t, addr, "modern", "", protocol.Version2)
+	if v := c2.Ver(); v != protocol.Version2 {
+		t.Fatalf("v2 hello: v%d", v)
 	}
 	d2, err := c2.Open(docID)
 	if err != nil {
@@ -36,9 +36,9 @@ func TestMixedFleetConvergence(t *testing.T) {
 	}
 
 	// v3: full negotiation, binary frames both ways from here on.
-	c3 := login(t, addr, "binary", "")
-	if v, err := c3.Hello(); err != nil || v != protocol.Version3 {
-		t.Fatalf("v3 hello: v%d, %v", v, err)
+	c3 := loginVer(t, addr, "binary", "", protocol.VersionMax)
+	if v := c3.Ver(); v != protocol.Version3 {
+		t.Fatalf("v3 hello: v%d", v)
 	}
 	d3, err := c3.Open(docID)
 	if err != nil {
@@ -118,10 +118,7 @@ func TestMixedFleetConvergence(t *testing.T) {
 func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 	addr, eng, store := harnessStore(t, true)
 
-	alice := login(t, addr, "alice", "pw-a")
-	if _, err := alice.Hello(); err != nil {
-		t.Fatal(err)
-	}
+	alice := loginVer(t, addr, "alice", "pw-a", protocol.VersionMax)
 	docID, err := alice.CreateDocument("tenants")
 	if err != nil {
 		t.Fatal(err)

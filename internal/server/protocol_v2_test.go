@@ -60,28 +60,31 @@ func TestHelloNegotiation(t *testing.T) {
 	if c.Ver() != protocol.Version1 {
 		t.Fatalf("pre-hello version %d", c.Ver())
 	}
-	ver, err := c.Hello()
+	c = loginVer(t, addr, "alice", "", protocol.VersionMax)
+	if c.Ver() != protocol.Version3 {
+		t.Fatalf("negotiated %d", c.Ver())
+	}
+	// Idempotent: a session negotiates again and keeps the version.
+	id, err := c.CreateDocument("re-hello")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver != protocol.Version3 || c.Ver() != protocol.Version3 {
-		t.Fatalf("negotiated %d (client %d)", ver, c.Ver())
+	d, err := c.Open(id)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Idempotent.
-	if ver, err = c.Hello(); err != nil || ver != protocol.Version3 {
-		t.Fatalf("re-hello: %v %d", err, ver)
+	s, err := d.Session()
+	if err != nil || c.Ver() != protocol.Version3 {
+		t.Fatalf("re-hello: %v %d", err, c.Ver())
 	}
+	s.Close()
 }
 
 func TestHelloVerPinsV2(t *testing.T) {
 	addr, _ := harness(t, false)
-	c := login(t, addr, "alice", "")
-	ver, err := c.HelloVer(protocol.Version2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ver != protocol.Version2 || c.Ver() != protocol.Version2 {
-		t.Fatalf("negotiated %d (client %d)", ver, c.Ver())
+	c := loginVer(t, addr, "alice", "", protocol.Version2)
+	if c.Ver() != protocol.Version2 {
+		t.Fatalf("negotiated %d", c.Ver())
 	}
 	// The pinned connection must still edit fine over JSON frames.
 	id, err := c.CreateDocument("pin")
@@ -106,10 +109,7 @@ func TestHelloVerPinsV2(t *testing.T) {
 
 func TestEditBatchThroughServer(t *testing.T) {
 	addr, eng := harness(t, false)
-	c := login(t, addr, "alice", "")
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
+	c := loginVer(t, addr, "alice", "", protocol.VersionMax)
 	docID, err := c.CreateDocument("v2-doc")
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestSessionMoveToAnchorsMidDocument(t *testing.T) {
 func TestConvergenceUnderStalePositions(t *testing.T) {
 	addr, eng := harness(t, false)
 
-	setup := func(name string) (h, c1, c2 *client.Doc, cl1, cl2 *client.Client) {
+	setup := func(name string, ver int) (h, c1, c2 *client.Doc) {
 		host := login(t, addr, "host", "")
 		docID, err := host.CreateDocument(name)
 		if err != nil {
@@ -266,8 +266,8 @@ func TestConvergenceUnderStalePositions(t *testing.T) {
 		if err := hd.Insert(0, "AB"); err != nil {
 			t.Fatal(err)
 		}
-		cl1 = login(t, addr, "u1", "")
-		cl2 = login(t, addr, "u2", "")
+		cl1 := loginVer(t, addr, "u1", "", ver)
+		cl2 := loginVer(t, addr, "u2", "", ver)
 		d1, err := cl1.Open(docID)
 		if err != nil {
 			t.Fatal(err)
@@ -276,12 +276,12 @@ func TestConvergenceUnderStalePositions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return hd, d1, d2, cl1, cl2
+		return hd, d1, d2
 	}
 
 	// --- v1: position addressing misplaces the concurrent edit. ---
 	{
-		_, d1, d2, _, _ := setup("v1-stale")
+		_, d1, d2 := setup("v1-stale", protocol.Version1)
 		// u2 decides, from the state "AB", to append YYY after B (pos 2) —
 		// but u1's XXX commits first, so pos 2 now points inside XXX.
 		if err := d1.Insert(1, "XXX"); err != nil {
@@ -306,13 +306,7 @@ func TestConvergenceUnderStalePositions(t *testing.T) {
 
 	// --- v2: the same race, anchored by identity, lands the intent. ---
 	{
-		_, d1, d2, cl1, cl2 := setup("v2-anchored")
-		if _, err := cl1.Hello(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cl2.Hello(); err != nil {
-			t.Fatal(err)
-		}
+		_, d1, d2 := setup("v2-anchored", protocol.VersionMax)
 		// Both clients resolve their anchors against the SAME initial
 		// state "AB" — everything each one knows is now stale-able.
 		aIDs, err := d1.Anchors(0, 2) // [A B]
@@ -455,10 +449,7 @@ func TestConvergenceConcurrentSessions(t *testing.T) {
 
 func TestDeltaResync(t *testing.T) {
 	addr, eng := harness(t, false)
-	c := login(t, addr, "alice", "")
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
+	c := loginVer(t, addr, "alice", "", protocol.VersionMax)
 	docID, err := c.CreateDocument("delta")
 	if err != nil {
 		t.Fatal(err)
@@ -500,10 +491,7 @@ func TestDeltaResync(t *testing.T) {
 func TestDeltaResyncTransfersGapNotDoc(t *testing.T) {
 	addr, eng := harness(t, false)
 	eng.Bus().SetRetention(64)
-	c := login(t, addr, "alice", "")
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
+	c := loginVer(t, addr, "alice", "", protocol.VersionMax)
 	docID, err := c.CreateDocument("gap")
 	if err != nil {
 		t.Fatal(err)

@@ -29,10 +29,7 @@ func queryHarness(t *testing.T, sec bool) (addr string, eng *core.Engine, store 
 
 func TestQueryOverWire(t *testing.T) {
 	addr, _, _, srv := queryHarness(t, false)
-	c := login(t, addr, "alice", "")
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
+	c := loginVer(t, addr, "alice", "", protocol.VersionMax)
 	src, err := c.CreateDocument("sources and methods")
 	if err != nil {
 		t.Fatal(err)
@@ -202,10 +199,7 @@ func TestQueryCapabilityGate(t *testing.T) {
 
 	// A server without indexers rejects with the same typed shape.
 	bare, _ := harness(t, false)
-	c := login(t, bare, "u", "")
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
+	c := loginVer(t, bare, "u", "", protocol.VersionMax)
 	if _, err := c.Search(client.SearchQuery{Terms: []string{"x"}}); err == nil {
 		t.Fatal("query served with indexers disabled")
 	}
@@ -227,10 +221,7 @@ func TestQueryCapabilityGate(t *testing.T) {
 func TestCrossTenantQueryLeakHunt(t *testing.T) {
 	addr, eng, store, srv := queryHarness(t, true)
 
-	alice := login(t, addr, "alice", "pw-a")
-	if _, err := alice.Hello(); err != nil {
-		t.Fatal(err)
-	}
+	alice := loginVer(t, addr, "alice", "pw-a", protocol.VersionMax)
 
 	// Secret doc: closed to everyone but alice (a grant to alice flips the
 	// document to closed-by-rule; bob has no rule, so he is denied).

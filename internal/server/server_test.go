@@ -79,6 +79,18 @@ func login(t *testing.T, addr, user, pw string) *client.Client {
 	return c
 }
 
+// loginVer is login over a connection that Dial negotiated up to protocol
+// version max.
+func loginVer(t *testing.T, addr, user, pw string, max int) *client.Client {
+	t.Helper()
+	c, err := client.Dial(addr, client.WithMaxVersion(max), client.WithUser(user), client.WithPassword(pw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 func TestLoginRequired(t *testing.T) {
 	addr, _ := harness(t, false)
 	c, err := client.Dial(addr)
@@ -618,10 +630,7 @@ func TestSubscribeThrottle(t *testing.T) {
 func TestShedSubscriberHealsFromRing(t *testing.T) {
 	addr, srv, eng := throttleHarness(t, 0, 0, 4) // 4-event subscriber queues
 
-	reader := login(t, addr, "reader", "")
-	if _, err := reader.Hello(); err != nil {
-		t.Fatal(err)
-	}
+	reader := loginVer(t, addr, "reader", "", protocol.VersionMax)
 	docID, err := reader.CreateDocument("flood")
 	if err != nil {
 		t.Fatal(err)

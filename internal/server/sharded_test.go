@@ -52,9 +52,9 @@ func clusterHarness(t *testing.T, shards int) (addr string, cl *placement.Cluste
 func TestMultiShardConvergence(t *testing.T) {
 	addr, cl, srv := clusterHarness(t, 4)
 
-	admin := login(t, addr, "admin", "")
-	if v, err := admin.Hello(); err != nil || v != protocol.Version3 {
-		t.Fatalf("v3 hello: v%d, %v", v, err)
+	admin := loginVer(t, addr, "admin", "", protocol.VersionMax)
+	if v := admin.Ver(); v != protocol.Version3 {
+		t.Fatalf("v3 hello: v%d", v)
 	}
 	if got := admin.ShardCount(); got != 4 {
 		t.Fatalf("hello advertised %d shards, want 4", got)
@@ -86,9 +86,9 @@ func TestMultiShardConvergence(t *testing.T) {
 	errs := make(chan error, nDocs*2)
 	typist := func(user string, ver int, docID uint64, text string) {
 		defer wg.Done()
-		c := login(t, addr, user, "")
-		if v, err := c.HelloVer(ver); err != nil || v != ver {
-			errs <- fmt.Errorf("%s hello: v%d, %v", user, v, err)
+		c := loginVer(t, addr, user, "", ver)
+		if v := c.Ver(); v != ver {
+			errs <- fmt.Errorf("%s hello: v%d", user, v)
 			return
 		}
 		d, err := c.Open(docID)
@@ -225,10 +225,7 @@ func TestPresenceSnapshotAfterHeal(t *testing.T) {
 	// lagged fallback (full resync) rather than a ring replay.
 	bus.SetRetention(16)
 
-	reader := login(t, addr, "reader", "")
-	if _, err := reader.Hello(); err != nil {
-		t.Fatal(err)
-	}
+	reader := loginVer(t, addr, "reader", "", protocol.VersionMax)
 	docID, err := reader.CreateDocument("heal-presence")
 	if err != nil {
 		t.Fatal(err)

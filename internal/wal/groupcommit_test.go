@@ -76,6 +76,71 @@ func TestGroupCommitDurability(t *testing.T) {
 	}
 }
 
+// heldSyncStore is a MemStore whose Sync blocks until release is closed,
+// signalling entered each time a Sync begins.
+type heldSyncStore struct {
+	*MemStore
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *heldSyncStore) Sync() error {
+	select {
+	case s.entered <- struct{}{}:
+	default:
+	}
+	<-s.release
+	return s.MemStore.Sync()
+}
+
+// TestGroupCommitCoalescesSyncs pins that group commit coalesces: commits
+// that arrive while a sync is in flight share the next sync instead of
+// paying one each. The first commit's sync is held open until seven more
+// commits have been appended, so the schedule is fixed: one sync for the
+// first commit, one for the other seven.
+func TestGroupCommitCoalescesSyncs(t *testing.T) {
+	store := &heldSyncStore{MemStore: NewMemStore(), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	log, err := Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.StartGroupCommit(0)
+
+	const commits = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, commits)
+	commit := func(txnID uint64) {
+		lsn, err := log.Append(&Record{Type: RecCommit, TxnID: txnID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- log.WaitFlushed(lsn)
+		}()
+	}
+	commit(1)
+	<-store.entered // the flusher is inside the first commit's sync
+	for id := uint64(2); id <= commits; id++ {
+		commit(id)
+	}
+	close(store.release)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if syncs := log.SyncCount(); syncs != 2 {
+		t.Fatalf("%d commits took %d syncs, want 2 (one held, one shared)", commits, syncs)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGroupCommitCloseFlushesPending verifies that records appended but not
 // yet awaited still reach the store on Close.
 func TestGroupCommitCloseFlushesPending(t *testing.T) {
