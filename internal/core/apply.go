@@ -579,8 +579,8 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 					return nil, nil, fmt.Errorf("core: buffer diverged: lost anchor %v", sop.prev)
 				}
 				pos = r
-				if p, vis := d.buf.PosOf(sop.prev); vis {
-					pos = p + 1
+				if anchor, _ := d.buf.Char(sop.prev); !anchor.Deleted {
+					pos++
 				}
 			}
 			// One batched splice for the whole run: the buffer recomputes the

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 
 	"tendax/internal/db"
 	"tendax/internal/storage"
+	"tendax/internal/texttree"
 	"tendax/internal/util"
 	"tendax/internal/wal"
 )
@@ -185,7 +187,17 @@ func docAuthors(t *testing.T, d *Document) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Authors()
+	seen := map[string]bool{}
+	var out []string
+	buf.WalkVisible(func(ch *texttree.Char) bool {
+		if !seen[ch.Author] {
+			seen[ch.Author] = true
+			out = append(out, ch.Author)
+		}
+		return true
+	})
+	sort.Strings(out)
+	return out
 }
 
 // TestUndoRehydratesArchivedDelete pins the rehydration path: undoing a

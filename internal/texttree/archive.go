@@ -195,14 +195,6 @@ func (a *Archive) CheckInvariants() error {
 	return nil
 }
 
-// Archive returns the buffer's current cold-tombstone archive (never nil).
-func (b *Buffer) Archive() *Archive {
-	if b.arch == nil {
-		return emptyArchive
-	}
-	return b.arch
-}
-
 // SetArchive installs the archive at load time (before any snapshot has
 // been taken). Compaction and rehydration replace it through their plans.
 func (b *Buffer) SetArchive(a *Archive) {
@@ -260,8 +252,7 @@ func (b *Buffer) PlanCompaction(horizon time.Time) *CompactionPlan {
 	var runs []ColdRun
 	var cur *ColdRun
 	prevHot := util.NilID
-	b.order.Walk(func(id util.ID, _ bool) bool {
-		ch := b.chars[id]
+	b.Walk(func(ch *Char, _ bool) bool {
 		if cold(ch, horizon) {
 			if cur == nil {
 				cur = &ColdRun{Anchor: prevHot}
@@ -270,11 +261,11 @@ func (b *Buffer) PlanCompaction(horizon time.Time) *CompactionPlan {
 			return true
 		}
 		if cur != nil {
-			cur.Succ = id
+			cur.Succ = ch.ID
 			runs = append(runs, *cur)
 			cur = nil
 		}
-		prevHot = id
+		prevHot = ch.ID
 		return true
 	})
 	if cur != nil {
@@ -325,7 +316,7 @@ func (b *Buffer) PlanCompaction(horizon time.Time) *CompactionPlan {
 			if upd, ok := plan.LinkUpdates[id]; ok {
 				return *upd
 			}
-			return *b.chars[id]
+			return *b.order.get(id)
 		}
 		if run.Anchor.IsNil() {
 			plan.NewHead = run.Succ
@@ -355,27 +346,24 @@ func (b *Buffer) ApplyCompaction(plan *CompactionPlan) {
 		// rank order: the whole run leaves the persistent mirror with two
 		// splits and one merge (O(log n) copied nodes per run) instead of
 		// one path-copying delete per instance.
-		r0, ok := b.order.TotalRank(run.Chars[0].ID)
+		r0, ok := b.order.totalRank(run.Chars[0].ID)
 		if !ok {
 			panic(fmt.Sprintf("texttree: compaction plan is stale: %v not in order", run.Chars[0].ID))
 		}
-		left, rest := psplit(b.proot, r0)
+		left, rest := psplit(b.root, r0)
 		mid, right := psplit(rest, len(run.Chars))
 		if mid.sizeOf() != len(run.Chars) {
 			panic(fmt.Sprintf("texttree: compaction plan is stale: run of %d at rank %d has %d nodes",
 				len(run.Chars), r0, mid.sizeOf()))
 		}
-		b.proot = pmerge(left, right)
+		b.root = pmerge(left, right)
 		for _, ch := range run.Chars {
-			b.order.Remove(ch.ID)
-			delete(b.chars, ch.ID)
+			b.order.remove(ch.ID)
 		}
 	}
-	for id, upd := range plan.LinkUpdates {
+	for _, upd := range plan.LinkUpdates {
 		cc := *upd
-		b.chars[id] = &cc
-		r, _ := b.order.TotalRank(id)
-		b.proot = pset(b.proot, r, &cc, b.order.Visible(id))
+		b.update(&cc)
 	}
 	b.head = plan.NewHead
 	b.arch = plan.arch
@@ -454,7 +442,7 @@ func (b *Buffer) PlanRehydrate(ids []util.ID) (*RehydratePlan, error) {
 		if upd, ok := plan.LinkUpdates[id]; ok {
 			return upd, nil
 		}
-		if ch, ok := b.chars[id]; ok {
+		if ch := b.order.get(id); ch != nil {
 			cc := *ch
 			return &cc, nil
 		}
@@ -547,9 +535,8 @@ func (b *Buffer) ApplyRehydrate(plan *RehydratePlan) error {
 		return nil
 	}
 	for _, step := range plan.Steps {
-		ch := step.Ch
-		ch.Prev, ch.Next = util.NilID, util.NilID // InsertAfter re-derives links
-		if _, err := b.InsertAfter(step.Prev, ch); err != nil {
+		// InsertAfter re-derives the links the plan already computed.
+		if _, err := b.InsertAfter(step.Prev, step.Ch); err != nil {
 			return fmt.Errorf("texttree: rehydrate %v: %w", step.Ch.ID, err)
 		}
 	}
@@ -562,13 +549,9 @@ func (b *Buffer) ApplyRehydrate(plan *RehydratePlan) error {
 // chain order until fn returns false. Archived instances are emitted
 // directly after their run's anchor. This is the full-history walk behind
 // time travel across the compaction horizon.
-func (s *Snapshot) WalkAll(fn func(ch *Char, archived bool) bool) {
-	walkMerged(s.arch, s.root, fn)
-}
-
-func walkMerged(arch *Archive, root *pnode, fn func(ch *Char, archived bool) bool) {
+func (v *view) WalkAll(fn func(ch *Char, archived bool) bool) {
 	emit := func(anchor util.ID) bool {
-		for _, ch := range arch.Run(anchor) {
+		for _, ch := range v.arch.Run(anchor) {
 			if !fn(ch, true) {
 				return false
 			}
@@ -578,11 +561,11 @@ func walkMerged(arch *Archive, root *pnode, fn func(ch *Char, archived bool) boo
 	if !emit(util.NilID) {
 		return
 	}
-	pwalk(root, func(n *pnode) bool {
+	pwalk(v.root, func(n *pnode) bool {
 		if !fn(n.ch, false) {
 			return false
 		}
-		return emit(n.id)
+		return emit(n.ch.ID)
 	})
 }
 

@@ -49,9 +49,9 @@ func runArchiveScript(t *testing.T, seed uint64, steps int, delBias float64) *ar
 			// Occasionally undelete a warm tombstone to exercise the
 			// deletion-interval semantics under compaction.
 			var tomb util.ID
-			s.b.order.Walk(func(id util.ID, vis bool) bool {
+			s.b.Walk(func(ch *Char, vis bool) bool {
 				if !vis {
-					tomb = id
+					tomb = ch.ID
 					return false
 				}
 				return true
@@ -180,7 +180,7 @@ func TestCompactionAgainstUncompactedTwin(t *testing.T) {
 		}
 	}
 	// Authors sees only visible text and must agree.
-	ga, gb := a.b.Authors(), b.b.Authors()
+	ga, gb := visibleAuthors(a.b), visibleAuthors(b.b)
 	if strings.Join(ga, ",") != strings.Join(gb, ",") {
 		t.Fatalf("Authors diverged: %v vs %v", ga, gb)
 	}

@@ -3,8 +3,6 @@ package texttree
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"tendax/internal/util"
@@ -39,37 +37,27 @@ type Char struct {
 // ErrUnknownChar reports an operation on a character not in the buffer.
 var ErrUnknownChar = errors.New("texttree: unknown character")
 
-// Buffer is the in-memory working form of one document's text: the full
-// character chain plus the order index. The database rows remain the source
-// of truth; a Buffer can always be rebuilt from them with Load.
+// Buffer is the in-memory working form of one document's text: every hot
+// character record, held once, and two trees over the chain. The database
+// rows remain the source of truth; a Buffer can always be rebuilt from
+// them with Load.
 //
-// Alongside the mutable index the buffer maintains a persistent
-// (path-copying) mirror of the whole document, so Snapshot can hand out an
-// immutable O(1) view at any time. Character records are copy-on-write:
-// once a *Char has been reachable from a snapshot it is never mutated —
-// updates replace the map entry and path-copy the mirror instead.
+// The order treap is the ID index: its nodes hold the records and it
+// answers the total rank of an ID. The persistent (path-copying) mirror in
+// the embedded view answers every positional read, for the buffer as for
+// its snapshots, and lets Snapshot hand out an immutable O(1) view at any
+// time. Records are copy-on-write: once a *Char has been reachable from a
+// snapshot it is never mutated — an update swaps a copy into the order
+// node and path-copies the mirror instead.
 type Buffer struct {
-	order *Order
-	chars map[util.ID]*Char
-	head  util.ID // first character instance in the chain (may be tombstone)
-
-	proot   *pnode // persistent treap mirror (snapshot root)
-	version uint64 // increments on every mutation
-
-	// arch holds cold tombstones migrated out of the hot structures by
-	// compaction (see archive.go). Immutable: replaced wholesale, so
-	// published snapshots keep the version they captured.
-	arch *Archive
+	view
+	order order
 }
 
 // NewBuffer returns an empty buffer.
 func NewBuffer() *Buffer {
-	return &Buffer{order: NewOrder(), chars: make(map[util.ID]*Char), arch: emptyArchive}
+	return &Buffer{view: view{arch: emptyArchive}, order: order{nodes: make(map[util.ID]*onode)}}
 }
-
-// Version identifies the buffer's current state; it increments on every
-// mutation and stamps the snapshots taken from it.
-func (b *Buffer) Version() uint64 { return b.version }
 
 // Load rebuilds the buffer from persisted character rows. The rows may be
 // in any order; the chain is reassembled from the neighbour links.
@@ -80,16 +68,16 @@ func Load(rows []Char) (*Buffer, error) {
 	}
 	for i := range rows {
 		ch := rows[i]
-		b.chars[ch.ID] = &ch
+		b.order.add(&ch)
 	}
 	// Find the head: the unique char with no predecessor.
 	var head *Char
-	for _, ch := range b.chars {
-		if ch.Prev.IsNil() {
+	for _, n := range b.order.nodes {
+		if n.ch.Prev.IsNil() {
 			if head != nil {
-				return nil, fmt.Errorf("texttree: chain has two heads: %v and %v", head.ID, ch.ID)
+				return nil, fmt.Errorf("texttree: chain has two heads: %v and %v", head.ID, n.ch.ID)
 			}
-			head = ch
+			head = n.ch
 		}
 	}
 	if head == nil {
@@ -97,56 +85,53 @@ func Load(rows []Char) (*Buffer, error) {
 	}
 	b.head = head.ID
 	prev := util.NilID
-	count := 0
-	ordered := make([]*Char, 0, len(b.chars))
+	ordered := make([]*Char, 0, len(b.order.nodes))
 	for id := head.ID; !id.IsNil(); {
-		ch := b.chars[id]
-		if ch == nil {
+		n := b.order.nodes[id]
+		if n == nil {
 			return nil, fmt.Errorf("texttree: chain references missing char %v", id)
 		}
-		count++
-		if count > len(b.chars) {
+		if len(ordered) == len(b.order.nodes) {
 			return nil, errors.New("texttree: chain has a cycle")
 		}
-		b.order.InsertAfter(prev, id, !ch.Deleted)
-		ordered = append(ordered, ch)
+		b.order.link(prev, n)
+		ordered = append(ordered, n.ch)
 		prev = id
-		id = ch.Next
+		id = n.ch.Next
 	}
-	if count != len(b.chars) {
-		return nil, fmt.Errorf("texttree: %d chars unreachable from head", len(b.chars)-count)
+	if len(ordered) != len(b.order.nodes) {
+		return nil, fmt.Errorf("texttree: %d chars unreachable from head", len(b.order.nodes)-len(ordered))
 	}
-	b.proot = pbuild(ordered)
+	b.root = pbuild(len(ordered), func(i int) *Char { return ordered[i] })
 	return b, nil
 }
 
-// Len returns the number of visible characters.
-func (b *Buffer) Len() int { return b.order.VisibleLen() }
-
-// TotalLen returns the number of character instances, tombstones included.
-func (b *Buffer) TotalLen() int { return b.order.Len() }
-
-// Char returns the character instance with id.
+// Char returns the character instance with id. The record is shared with
+// the buffer and its snapshots and must not be mutated.
 func (b *Buffer) Char(id util.ID) (*Char, bool) {
-	c, ok := b.chars[id]
-	return c, ok
-}
-
-// IDAt returns the ID of the visible character at position pos.
-func (b *Buffer) IDAt(pos int) (util.ID, bool) { return b.order.VisibleAt(pos) }
-
-// PosOf returns the 0-based visible position of id.
-func (b *Buffer) PosOf(id util.ID) (int, bool) {
-	if !b.order.Visible(id) {
-		return 0, false
-	}
-	return b.order.VisibleRank(id)
+	c := b.order.get(id)
+	return c, c != nil
 }
 
 // RankOf returns the number of visible characters strictly before id, for
 // any instance including tombstones (a tombstone's rank is where its text
 // would resume). ok is false if id is unknown.
-func (b *Buffer) RankOf(id util.ID) (int, bool) { return b.order.VisibleRank(id) }
+func (b *Buffer) RankOf(id util.ID) (int, bool) {
+	r, ok := b.order.totalRank(id)
+	if !ok {
+		return 0, false
+	}
+	return pvisibleBefore(b.root, r), true
+}
+
+// PosOf returns the 0-based visible position of id; ok is false for
+// tombstones and unknown instances.
+func (b *Buffer) PosOf(id util.ID) (int, bool) {
+	if ch := b.order.get(id); ch == nil || ch.Deleted {
+		return 0, false
+	}
+	return b.RankOf(id)
+}
 
 // PredecessorForInsert returns the character instance ID after which an
 // insertion at visible position pos must be chained (NilID for pos 0).
@@ -154,13 +139,7 @@ func (b *Buffer) PredecessorForInsert(pos int) (util.ID, error) {
 	if pos < 0 || pos > b.Len() {
 		return util.NilID, fmt.Errorf("texttree: position %d out of range 0..%d", pos, b.Len())
 	}
-	if pos == 0 {
-		return util.NilID, nil
-	}
-	id, ok := b.order.VisibleAt(pos - 1)
-	if !ok {
-		return util.NilID, fmt.Errorf("texttree: no visible char at %d", pos-1)
-	}
+	id, _ := b.IDAt(pos - 1) // NilID for pos 0
 	return id, nil
 }
 
@@ -170,80 +149,24 @@ func (b *Buffer) PredecessorForInsert(pos int) (util.ID, error) {
 // On error the buffer is unchanged: all arguments are validated before the
 // first mutation, so a failed insert can never leave a torn chain.
 func (b *Buffer) InsertAfter(prev util.ID, ch Char) (updatedNext util.ID, err error) {
-	if _, dup := b.chars[ch.ID]; dup {
-		return util.NilID, fmt.Errorf("texttree: duplicate char %v", ch.ID)
-	}
-	var next util.ID
-	if prev.IsNil() {
-		next = b.head
-	} else {
-		p, ok := b.chars[prev]
-		if !ok {
-			return util.NilID, fmt.Errorf("%w: predecessor %v", ErrUnknownChar, prev)
-		}
-		next = p.Next
-	}
-	if !next.IsNil() {
-		if _, ok := b.chars[next]; !ok {
-			return util.NilID, fmt.Errorf("%w: successor %v", ErrUnknownChar, next)
-		}
-	}
-
-	// Validated; now mutate. Neighbour records are copy-on-write so that
-	// published snapshots keep their frozen chain links.
-	if prev.IsNil() {
-		b.head = ch.ID
-	} else {
-		np := *b.chars[prev]
-		np.Next = ch.ID
-		b.chars[prev] = &np
-	}
-	ch.Prev = prev
-	ch.Next = next
-	if !next.IsNil() {
-		nn := *b.chars[next]
-		nn.Prev = ch.ID
-		b.chars[next] = &nn
-	}
-	c := ch
-	b.chars[c.ID] = &c
-	b.order.InsertAfter(prev, c.ID, !c.Deleted)
-
-	// Mirror into the persistent treap: insert the new node at its total
-	// rank and re-point the two rewritten neighbour records.
-	r, _ := b.order.TotalRank(c.ID)
-	b.proot = pinsert(b.proot, r, &pnode{id: c.ID, prio: prioFor(c.ID), visible: !c.Deleted, ch: &c})
-	if !prev.IsNil() {
-		pr, _ := b.order.TotalRank(prev)
-		b.proot = pset(b.proot, pr, b.chars[prev], b.order.Visible(prev))
-	}
-	if !next.IsNil() {
-		nr, _ := b.order.TotalRank(next)
-		b.proot = pset(b.proot, nr, b.chars[next], b.order.Visible(next))
-	}
-	b.version++
-	return next, nil
+	return b.InsertRun(prev, []Char{ch})
 }
 
 // InsertRun chains a run of characters, in order, immediately after prev
 // (NilID = front of document) and returns the neighbour whose Prev link
-// changed. It is InsertAfter batched: one contiguous insertion pays ONE
-// persistent-treap splice (split at the run's start rank, O(len) build of
-// the run, merge, two neighbour rewrites) instead of a root-to-leaf path
-// copy per character — the dominant allocation source of per-character
-// insertion. The run is copied into an internal block, so the caller's
-// slice is reusable immediately. On error the buffer is unchanged.
+// changed. One contiguous insertion pays ONE persistent-treap splice
+// (split at the run's start rank, O(len) build of the run, merge, two
+// neighbour rewrites) instead of a root-to-leaf path copy per character.
+// The run is copied into an internal block, so the caller's slice is
+// reusable immediately. On error the buffer is unchanged.
 func (b *Buffer) InsertRun(prev util.ID, run []Char) (updatedNext util.ID, err error) {
 	if len(run) == 0 {
 		return b.ChainSuccessor(prev), nil
 	}
-	if len(run) == 1 {
-		return b.InsertAfter(prev, run[0])
-	}
 	seen := make(map[util.ID]struct{}, len(run))
 	for i := range run {
 		id := run[i].ID
-		if _, dup := b.chars[id]; dup {
+		if b.order.get(id) != nil {
 			return util.NilID, fmt.Errorf("texttree: duplicate char %v", id)
 		}
 		if _, dup := seen[id]; dup {
@@ -251,82 +174,62 @@ func (b *Buffer) InsertRun(prev util.ID, run []Char) (updatedNext util.ID, err e
 		}
 		seen[id] = struct{}{}
 	}
-	var next util.ID
-	if prev.IsNil() {
-		next = b.head
-	} else {
-		p, ok := b.chars[prev]
-		if !ok {
+	next := b.head
+	if !prev.IsNil() {
+		p := b.order.get(prev)
+		if p == nil {
 			return util.NilID, fmt.Errorf("%w: predecessor %v", ErrUnknownChar, prev)
 		}
 		next = p.Next
 	}
-	if !next.IsNil() {
-		if _, ok := b.chars[next]; !ok {
-			return util.NilID, fmt.Errorf("%w: successor %v", ErrUnknownChar, next)
-		}
+	if !next.IsNil() && b.order.get(next) == nil {
+		return util.NilID, fmt.Errorf("%w: successor %v", ErrUnknownChar, next)
 	}
 
 	// Validated; now mutate. One block holds every record of the run (the
-	// records are copy-on-write from here on, same as InsertAfter's).
+	// records are copy-on-write from here on).
 	block := make([]Char, len(run))
 	copy(block, run)
-	for i := range block {
-		if i == 0 {
-			block[i].Prev = prev
-		} else {
-			block[i].Prev = block[i-1].ID
-		}
-		if i == len(block)-1 {
-			block[i].Next = next
-		} else {
-			block[i].Next = block[i+1].ID
-		}
-	}
-	if prev.IsNil() {
-		b.head = block[0].ID
-	} else {
-		np := *b.chars[prev]
-		np.Next = block[0].ID
-		b.chars[prev] = &np
-	}
-	if !next.IsNil() {
-		nn := *b.chars[next]
-		nn.Prev = block[len(block)-1].ID
-		b.chars[next] = &nn
-	}
 	at := prev
 	for i := range block {
 		c := &block[i]
-		b.chars[c.ID] = c
-		b.order.InsertAfter(at, c.ID, !c.Deleted)
+		c.Prev, c.Next = at, next
+		if i+1 < len(block) {
+			c.Next = block[i+1].ID
+		}
+		b.order.insertAfter(at, c)
 		at = c.ID
 	}
+	r, _ := b.order.totalRank(block[0].ID)
+	l, rest := psplit(b.root, r)
+	b.root = pmerge(pmerge(l, pbuild(len(block), func(i int) *Char { return &block[i] })), rest)
 
-	// Mirror the whole run into the persistent treap with one splice.
-	r, _ := b.order.TotalRank(block[0].ID)
-	ptrs := make([]*Char, len(block))
-	for i := range block {
-		ptrs[i] = &block[i]
-	}
-	l, rest := psplit(b.proot, r)
-	b.proot = pmerge(pmerge(l, pbuild(ptrs)), rest)
-	if !prev.IsNil() {
-		pr, _ := b.order.TotalRank(prev)
-		b.proot = pset(b.proot, pr, b.chars[prev], b.order.Visible(prev))
+	// Re-link the neighbours copy-on-write, so that published snapshots
+	// keep their frozen chain links.
+	if prev.IsNil() {
+		b.head = block[0].ID
+	} else {
+		np := *b.order.get(prev)
+		np.Next = block[0].ID
+		b.update(&np)
 	}
 	if !next.IsNil() {
-		nr, _ := b.order.TotalRank(next)
-		b.proot = pset(b.proot, nr, b.chars[next], b.order.Visible(next))
+		nn := *b.order.get(next)
+		nn.Prev = at
+		b.update(&nn)
 	}
 	b.version++
 	return next, nil
 }
 
+// update installs ch, a fresh copy of the record of ch.ID, in the order
+// node and, path-copied, in the mirror.
+func (b *Buffer) update(ch *Char) { b.root = pset(b.root, b.order.swap(ch), ch) }
+
 // Delete tombstones id (logical deletion). The chain is untouched.
 func (b *Buffer) Delete(id util.ID, by string, at time.Time) error {
-	ch, ok := b.chars[id]
-	if !ok {
+	ch := b.order.get(id)
+	if ch == nil {
 		return fmt.Errorf("%w: %v", ErrUnknownChar, id)
 	}
 	if ch.Deleted {
@@ -337,10 +240,7 @@ func (b *Buffer) Delete(id util.ID, by string, at time.Time) error {
 	nc.DeletedBy = by
 	nc.DeletedAt = at
 	nc.Restored = time.Time{}
-	b.chars[id] = &nc
-	b.order.SetVisible(id, false)
-	r, _ := b.order.TotalRank(id)
-	b.proot = pset(b.proot, r, &nc, false)
+	b.update(&nc)
 	b.version++
 	return nil
 }
@@ -351,8 +251,8 @@ func (b *Buffer) Delete(id util.ID, by string, at time.Time) error {
 // see the deletion — zeroing DeletedAt (as this method once did) made an
 // undeleted character look never-deleted to time travel.
 func (b *Buffer) Undelete(id util.ID, at time.Time) error {
-	ch, ok := b.chars[id]
-	if !ok {
+	ch := b.order.get(id)
+	if ch == nil {
 		return fmt.Errorf("%w: %v", ErrUnknownChar, id)
 	}
 	if !ch.Deleted {
@@ -361,10 +261,7 @@ func (b *Buffer) Undelete(id util.ID, at time.Time) error {
 	nc := *ch
 	nc.Deleted = false
 	nc.Restored = at
-	b.chars[id] = &nc
-	b.order.SetVisible(id, true)
-	r, _ := b.order.TotalRank(id)
-	b.proot = pset(b.proot, r, &nc, true)
+	b.update(&nc)
 	b.version++
 	return nil
 }
@@ -376,146 +273,49 @@ func (b *Buffer) ChainSuccessor(prev util.ID) util.ID {
 	if prev.IsNil() {
 		return b.head
 	}
-	if ch, ok := b.chars[prev]; ok {
+	if ch := b.order.get(prev); ch != nil {
 		return ch.Next
 	}
 	return util.NilID
 }
 
-// Head returns the first character instance in the chain (may be a
-// tombstone), or NilID for an empty buffer.
-func (b *Buffer) Head() util.ID { return b.head }
-
-// Text returns the visible text.
-func (b *Buffer) Text() string {
-	var sb strings.Builder
-	sb.Grow(b.Len())
-	b.order.WalkVisible(func(id util.ID) bool {
-		sb.WriteRune(b.chars[id].Rune)
-		return true
-	})
-	return sb.String()
-}
-
-// Slice returns up to n visible characters starting at pos.
-func (b *Buffer) Slice(pos, n int) string {
-	var sb strings.Builder
-	b.order.WalkVisibleFrom(pos, n, func(id util.ID) { sb.WriteRune(b.chars[id].Rune) })
-	return sb.String()
-}
-
-// VisibleIDs returns the IDs of all visible characters in order.
-func (b *Buffer) VisibleIDs() []util.ID {
-	out := make([]util.ID, 0, b.Len())
-	b.order.WalkVisible(func(id util.ID) bool {
-		out = append(out, id)
-		return true
-	})
-	return out
-}
-
-// RangeIDs returns the IDs of visible characters in [pos, pos+n).
-func (b *Buffer) RangeIDs(pos, n int) []util.ID {
-	var out []util.ID
-	b.order.WalkVisibleFrom(pos, n, func(id util.ID) { out = append(out, id) })
-	return out
-}
-
-// TextAt reconstructs the document text as it was at instant t: characters
-// created at or before t and not deleted at t, in chain order. This is the
-// TeNDaX versioning primitive — tombstones make time travel a pure filter
-// over the stable chain. When t predates the compaction horizon the walk
-// transparently merges the cold-tombstone archive back in; at or after the
-// newest archived deletion the filter runs over the hot structures alone.
-func (b *Buffer) TextAt(t time.Time) string {
-	var sb strings.Builder
-	if b.Archive().visibleAt(t) {
-		walkMerged(b.arch, b.proot, func(ch *Char, _ bool) bool {
-			if !hiddenAt(ch, t) {
-				sb.WriteRune(ch.Rune)
-			}
-			return true
-		})
-		return sb.String()
-	}
-	b.order.Walk(func(id util.ID, _ bool) bool {
-		if ch := b.chars[id]; !hiddenAt(ch, t) {
-			sb.WriteRune(ch.Rune)
-		}
-		return true
-	})
-	return sb.String()
-}
-
-// AllChars returns a copy of every hot character instance, in chain order
-// (warm tombstones included, archived instances excluded): the persistent
-// form of the document's hot set. The archive persists separately.
-func (b *Buffer) AllChars() []Char {
-	out := make([]Char, 0, b.TotalLen())
-	b.order.Walk(func(id util.ID, _ bool) bool {
-		out = append(out, *b.chars[id])
-		return true
-	})
-	return out
-}
-
-// Authors returns the distinct authors of visible characters, sorted.
-func (b *Buffer) Authors() []string {
-	set := map[string]bool{}
-	b.order.WalkVisible(func(id util.ID) bool {
-		set[b.chars[id].Author] = true
-		return true
-	})
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // CheckInvariants verifies the structural invariants of the buffer: the
-// chain is a single path covering all chars, order matches the chain, and
-// visible counts agree. Used by tests and failure injection.
+// chain is a single path covering every hot instance, the order tree
+// ranks each instance at its chain position, and the mirror holds the
+// same records in the same order with consistent counts. Used by tests
+// and failure injection.
 func (b *Buffer) CheckInvariants() error {
-	if err := b.Archive().CheckInvariants(); err != nil {
+	arch := b.Archive()
+	if err := arch.CheckInvariants(); err != nil {
 		return err
 	}
-	for id := range b.chars {
-		if b.Archive().Contains(id) {
+	for id := range b.order.nodes {
+		if arch.Contains(id) {
 			return fmt.Errorf("texttree: %v is both hot and archived", id)
 		}
 	}
-	for _, anchor := range b.Archive().Anchors() {
-		if !anchor.IsNil() {
-			if _, ok := b.chars[anchor]; !ok {
-				return fmt.Errorf("texttree: archive run anchored at non-hot %v", anchor)
-			}
+	for _, anchor := range arch.Anchors() {
+		if !anchor.IsNil() && b.order.get(anchor) == nil {
+			return fmt.Errorf("texttree: archive run anchored at non-hot %v", anchor)
 		}
 	}
-	if len(b.chars) == 0 {
-		if b.order.Len() != 0 {
-			return errors.New("texttree: empty chars but non-empty order")
-		}
-		if b.proot.sizeOf() != 0 {
-			return errors.New("texttree: empty chars but non-empty snapshot mirror")
-		}
-		return nil
-	}
-	var chain []util.ID
-	seen := map[util.ID]bool{}
-	for id := b.head; !id.IsNil(); {
-		if seen[id] {
-			return fmt.Errorf("texttree: cycle at %v", id)
-		}
-		seen[id] = true
-		chain = append(chain, id)
-		ch := b.chars[id]
+	// Walk the chain by its links. Chain position i must be total rank i:
+	// the one check of the order tree that does not go through the mirror
+	// (a cycle fails it too, as no rank reaches the node count).
+	i := 0
+	for id := b.head; !id.IsNil(); i++ {
+		ch := b.order.get(id)
 		if ch == nil {
 			return fmt.Errorf("texttree: chain references missing %v", id)
 		}
+		if ch.ID != id {
+			return fmt.Errorf("texttree: order node %v holds record %v", id, ch.ID)
+		}
+		if r, _ := b.order.totalRank(id); r != i {
+			return fmt.Errorf("texttree: %v is chain position %d but order rank %d", id, i, r)
+		}
 		if !ch.Next.IsNil() {
-			n := b.chars[ch.Next]
+			n := b.order.get(ch.Next)
 			if n == nil {
 				return fmt.Errorf("texttree: %v.Next missing", id)
 			}
@@ -525,56 +325,24 @@ func (b *Buffer) CheckInvariants() error {
 		}
 		id = ch.Next
 	}
-	if len(chain) != len(b.chars) {
-		return fmt.Errorf("texttree: chain covers %d of %d chars", len(chain), len(b.chars))
+	if i != len(b.order.nodes) {
+		return fmt.Errorf("texttree: chain covers %d of %d chars", i, len(b.order.nodes))
 	}
-	var inOrder []util.ID
-	visible := 0
-	b.order.Walk(func(id util.ID, vis bool) bool {
-		inOrder = append(inOrder, id)
-		if vis != !b.chars[id].Deleted {
-			inOrder = nil
-			return false
-		}
-		if vis {
-			visible++
-		}
-		return true
-	})
-	if inOrder == nil {
-		return errors.New("texttree: order visibility disagrees with char state")
-	}
-	if len(inOrder) != len(chain) {
-		return fmt.Errorf("texttree: order has %d nodes, chain %d", len(inOrder), len(chain))
-	}
-	for i := range chain {
-		if chain[i] != inOrder[i] {
-			return fmt.Errorf("texttree: order/chain disagree at %d: %v vs %v", i, inOrder[i], chain[i])
-		}
-	}
-	if visible != b.order.VisibleLen() {
-		return fmt.Errorf("texttree: visible count %d vs %d", visible, b.order.VisibleLen())
-	}
-	// The persistent mirror must agree with the mutable structures exactly:
-	// a divergence here means snapshots are lying about the document.
+	// The mirror must hold exactly the order's records: a divergence here
+	// means positional reads and snapshots are lying about the document.
 	snap := b.Snapshot()
 	if err := snap.CheckInvariants(); err != nil {
 		return fmt.Errorf("texttree: snapshot mirror: %w", err)
 	}
-	if snap.TotalLen() != b.TotalLen() || snap.Len() != b.Len() {
-		return fmt.Errorf("texttree: snapshot mirror counts %d/%d vs %d/%d",
-			snap.TotalLen(), snap.Len(), b.TotalLen(), b.Len())
+	if snap.TotalLen() != i {
+		return fmt.Errorf("texttree: mirror holds %d of %d instances", snap.TotalLen(), i)
 	}
-	if got, want := snap.Text(), b.Text(); got != want {
-		return fmt.Errorf("texttree: snapshot mirror text diverged:\n mirror %q\n live   %q",
-			clip(got, 60), clip(want, 60))
-	}
-	return nil
-}
-
-func clip(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
+	var err error
+	snap.Walk(func(ch *Char, _ bool) bool {
+		if b.order.get(ch.ID) != ch {
+			err = fmt.Errorf("texttree: mirror record of %v is not the order's", ch.ID)
+		}
+		return err == nil
+	})
+	return err
 }

@@ -4,38 +4,34 @@
 // invisible tombstones but keep their place in the chain), which is what
 // makes versioning, undo across users, and copy-paste provenance cheap.
 //
-// The package provides two layers: Order, an order-statistic treap over all
-// character instances (visible and tombstoned) supporting O(log n) position
-// queries, and Buffer, the character store with neighbour links, visibility
-// and time-travel reconstruction.
+// Buffer, the character store, keeps each instance's record once and two
+// trees over the chain, each with one job: order, a parent-pointer treap
+// that is the only index by ID and answers the total rank of an ID, and
+// the persistent mirror (snapshot.go), which answers every positional and
+// visibility query for the live buffer and its snapshots alike.
 package texttree
 
 import (
 	"tendax/internal/util"
 )
 
-// Order maintains the total order of character instances, visible and
-// tombstoned, with O(log n) insert-after, position lookup and rank queries.
-// It is an implicit-key treap augmented with subtree visible-counts.
-type Order struct {
+// order is the buffer's ID index: an implicit treap over every hot
+// character instance (visible and tombstoned) in chain order, whose nodes
+// hold the instances' current records. Parent pointers let it answer the
+// one query the persistent mirror cannot: the total rank of an ID, in
+// O(log n), which is how writers address the mirror.
+type order struct {
 	root  *onode
 	nodes map[util.ID]*onode
 }
 
 type onode struct {
-	id      util.ID
-	prio    uint64
-	left    *onode
-	right   *onode
-	parent  *onode
-	size    int // total nodes in subtree
-	vcount  int // visible nodes in subtree
-	visible bool
-}
-
-// NewOrder returns an empty order.
-func NewOrder() *Order {
-	return &Order{nodes: make(map[util.ID]*onode)}
+	prio   uint64
+	left   *onode
+	right  *onode
+	parent *onode
+	size   int   // total nodes in subtree
+	ch     *Char // current record; replaced, never mutated, once published
 }
 
 // prioFor derives a deterministic pseudo-random priority from the ID so
@@ -48,24 +44,6 @@ func prioFor(id util.ID) uint64 {
 	return x
 }
 
-// Len returns the total number of character instances (incl. tombstones).
-func (o *Order) Len() int { return o.root.sizeOf() }
-
-// VisibleLen returns the number of visible characters.
-func (o *Order) VisibleLen() int { return o.root.vcountOf() }
-
-// Contains reports whether id is in the order.
-func (o *Order) Contains(id util.ID) bool {
-	_, ok := o.nodes[id]
-	return ok
-}
-
-// Visible reports whether id is present and visible.
-func (o *Order) Visible(id util.ID) bool {
-	n, ok := o.nodes[id]
-	return ok && n.visible
-}
-
 func (n *onode) sizeOf() int {
 	if n == nil {
 		return 0
@@ -73,32 +51,52 @@ func (n *onode) sizeOf() int {
 	return n.size
 }
 
-func (n *onode) vcountOf() int {
+func (n *onode) recompute() { n.size = 1 + n.left.sizeOf() + n.right.sizeOf() }
+
+// get returns the current record of id, or nil if id is not hot.
+func (o *order) get(id util.ID) *Char {
+	if n := o.nodes[id]; n != nil {
+		return n.ch
+	}
+	return nil
+}
+
+// totalRank returns the number of character instances (visible and
+// tombstoned) strictly before id: its 0-based position in the chain.
+func (o *order) totalRank(id util.ID) (int, bool) {
+	n := o.nodes[id]
 	if n == nil {
-		return 0
+		return 0, false
 	}
-	return n.vcount
+	rank := n.left.sizeOf()
+	for at := n; at.parent != nil; at = at.parent {
+		if at.parent.right == at {
+			rank += at.parent.left.sizeOf() + 1
+		}
+	}
+	return rank, true
 }
 
-func (n *onode) recompute() {
-	n.size = 1 + n.left.sizeOf() + n.right.sizeOf()
-	n.vcount = n.left.vcountOf() + n.right.vcountOf()
-	if n.visible {
-		n.vcount++
-	}
+// swap replaces the record held for ch.ID (copy-on-write update) and
+// returns the instance's total rank.
+func (o *order) swap(ch *Char) int {
+	o.nodes[ch.ID].ch = ch
+	r, _ := o.totalRank(ch.ID)
+	return r
 }
 
-// InsertAfter places id immediately after prev in the total order
-// (prev == NilID inserts at the front). visible sets the initial
-// visibility. It is a no-op if id is already present.
-func (o *Order) InsertAfter(prev, id util.ID, visible bool) {
-	if _, ok := o.nodes[id]; ok {
-		return
-	}
-	n := &onode{id: id, prio: prioFor(id), visible: visible}
-	n.recompute()
-	o.nodes[id] = n
+// add indexes ch without placing it in the tree; link places it.
+func (o *order) add(ch *Char) *onode {
+	n := &onode{prio: prioFor(ch.ID), size: 1, ch: ch}
+	o.nodes[ch.ID] = n
+	return n
+}
 
+// insertAfter places ch immediately after prev (NilID = front).
+func (o *order) insertAfter(prev util.ID, ch *Char) { o.link(prev, o.add(ch)) }
+
+// link places the indexed node n immediately after prev (NilID = front).
+func (o *order) link(prev util.ID, n *onode) {
 	if prev.IsNil() {
 		// Leftmost position.
 		if o.root == nil {
@@ -114,7 +112,7 @@ func (o *Order) InsertAfter(prev, id util.ID, visible bool) {
 	} else {
 		p := o.nodes[prev]
 		if p == nil {
-			panic("texttree: InsertAfter of unknown predecessor")
+			panic("texttree: insert after unknown predecessor")
 		}
 		if p.right == nil {
 			p.right = n
@@ -132,11 +130,11 @@ func (o *Order) InsertAfter(prev, id util.ID, visible bool) {
 	o.bubbleUp(n)
 }
 
-// Remove deletes id from the order entirely (tombstone compaction: the
+// remove deletes id from the order entirely (tombstone compaction: the
 // instance moves to the archive and no longer occupies the hot index). The
 // node is rotated down to a leaf to preserve the heap property, detached,
 // and counts are fixed along the path. No-op for unknown ids.
-func (o *Order) Remove(id util.ID) {
+func (o *order) remove(id util.ID) {
 	n := o.nodes[id]
 	if n == nil {
 		return
@@ -162,160 +160,15 @@ func (o *Order) Remove(id util.ID) {
 	o.fixCountsUp(p)
 }
 
-// SetVisible flips the visibility of id, updating counts along the path.
-func (o *Order) SetVisible(id util.ID, visible bool) {
-	n := o.nodes[id]
-	if n == nil || n.visible == visible {
-		return
-	}
-	n.visible = visible
-	for at := n; at != nil; at = at.parent {
-		at.recompute()
-	}
-}
-
-// VisibleAt returns the ID of the k-th visible character (0-based).
-func (o *Order) VisibleAt(k int) (util.ID, bool) {
-	n := o.root
-	if k < 0 || k >= n.vcountOf() {
-		return util.NilID, false
-	}
-	for n != nil {
-		lv := n.left.vcountOf()
-		switch {
-		case k < lv:
-			n = n.left
-		case k == lv && n.visible:
-			return n.id, true
-		default:
-			k -= lv
-			if n.visible {
-				k--
-			}
-			n = n.right
-		}
-	}
-	return util.NilID, false
-}
-
-// VisibleRank returns the number of visible characters strictly before id.
-// For a visible id this is its 0-based position; for a tombstone it is the
-// position an insertion after it would land at.
-func (o *Order) VisibleRank(id util.ID) (int, bool) {
-	n := o.nodes[id]
-	if n == nil {
-		return 0, false
-	}
-	rank := n.left.vcountOf()
-	for at := n; at.parent != nil; at = at.parent {
-		if at.parent.right == at {
-			rank += at.parent.left.vcountOf()
-			if at.parent.visible {
-				rank++
-			}
-		}
-	}
-	return rank, true
-}
-
-// TotalRank returns the number of character instances (visible and
-// tombstoned) strictly before id: its 0-based position in the total order.
-// The writer-side snapshot mirror uses it to address the persistent treap
-// by rank, which is the one query the parent-pointer treap can answer in
-// O(log n) and a path-copying treap cannot.
-func (o *Order) TotalRank(id util.ID) (int, bool) {
-	n := o.nodes[id]
-	if n == nil {
-		return 0, false
-	}
-	rank := n.left.sizeOf()
-	for at := n; at.parent != nil; at = at.parent {
-		if at.parent.right == at {
-			rank += at.parent.left.sizeOf() + 1
-		}
-	}
-	return rank, true
-}
-
-// Walk visits every character instance in order (tombstones included)
-// until fn returns false.
-func (o *Order) Walk(fn func(id util.ID, visible bool) bool) {
-	var rec func(n *onode) bool
-	rec = func(n *onode) bool {
-		if n == nil {
-			return true
-		}
-		if !rec(n.left) {
-			return false
-		}
-		if !fn(n.id, n.visible) {
-			return false
-		}
-		return rec(n.right)
-	}
-	rec(o.root)
-}
-
-// WalkVisible visits visible characters in order until fn returns false.
-func (o *Order) WalkVisible(fn func(id util.ID) bool) {
-	o.Walk(func(id util.ID, visible bool) bool {
-		if !visible {
-			return true
-		}
-		return fn(id)
-	})
-}
-
-// WalkVisibleFrom visits up to n visible characters in order, starting
-// with the one at position pos; a range reaching before the first or past
-// the last character is clipped. Like VisibleAt it descends by subtree
-// visible counts, so the cost is O(log n + visited) wherever pos lies.
-func (o *Order) WalkVisibleFrom(pos, n int, fn func(id util.ID)) {
-	if pos < 0 {
-		n += pos
-		pos = 0
-	}
-	if n <= 0 {
-		return
-	}
-	o.root.walkVisibleFrom(pos, func(id util.ID) bool {
-		fn(id)
-		n--
-		return n > 0
-	})
-}
-
-func (n *onode) walkVisibleFrom(skip int, fn func(id util.ID) bool) bool {
-	if n == nil || skip >= n.vcount {
-		return true
-	}
-	if lv := n.left.vcountOf(); skip < lv {
-		if !n.left.walkVisibleFrom(skip, fn) {
-			return false
-		}
-		skip = 0
-	} else {
-		skip -= lv
-	}
-	if n.visible {
-		if skip > 0 {
-			skip--
-		} else if !fn(n.id) {
-			return false
-		}
-	}
-	return n.right.walkVisibleFrom(skip, fn)
-}
-
 // fixCountsUp recomputes sizes from n to the root.
-func (o *Order) fixCountsUp(n *onode) {
+func (o *order) fixCountsUp(n *onode) {
 	for ; n != nil; n = n.parent {
 		n.recompute()
 	}
 }
 
 // bubbleUp restores the min-heap priority property by rotating n upward.
-func (o *Order) bubbleUp(n *onode) {
+func (o *order) bubbleUp(n *onode) {
 	for n.parent != nil && n.prio < n.parent.prio {
 		if n.parent.left == n {
 			o.rotateRight(n.parent)
@@ -328,7 +181,7 @@ func (o *Order) bubbleUp(n *onode) {
 	}
 }
 
-func (o *Order) rotateRight(p *onode) {
+func (o *order) rotateRight(p *onode) {
 	l := p.left
 	g := p.parent
 	p.left = l.right
@@ -351,7 +204,7 @@ func (o *Order) rotateRight(p *onode) {
 	l.recompute()
 }
 
-func (o *Order) rotateLeft(p *onode) {
+func (o *order) rotateLeft(p *onode) {
 	r := p.right
 	g := p.parent
 	p.right = r.left

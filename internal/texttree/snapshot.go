@@ -6,18 +6,18 @@ import (
 	"strings"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"tendax/internal/util"
 )
 
 // This file implements the MVCC side of the text representation: a
-// persistent (path-copying) implicit treap mirroring the mutable Order, so
-// a Buffer can hand out an immutable Snapshot of the whole document in
-// O(1) without blocking writers. Writers keep mutating the parent-pointer
-// treap for O(log n) rank-by-ID lookups and mirror every change into the
-// persistent treap by rank (split/merge along a copied root path); readers
-// hold the old root and never observe the change. Old snapshots are
+// persistent (path-copying) implicit treap over the chain, so a Buffer can
+// hand out an immutable Snapshot of the whole document in O(1) without
+// blocking writers. Writers address it by total rank, which the
+// parent-pointer order treap answers, and mirror every change into it
+// (split/merge along a copied root path); readers hold the old root and
+// never observe the change. Every positional and visibility query, for the
+// live buffer and for snapshots, is answered here. Old snapshots are
 // reclaimed by the garbage collector once the last reader drops them — no
 // epoch bookkeeping is needed.
 
@@ -25,12 +25,13 @@ import (
 // published snapshot root it is never mutated; updates copy the root-to-
 // target path and share everything else.
 type pnode struct {
-	id      util.ID
-	prio    uint64
-	left    *pnode
-	right   *pnode
-	size    int // total nodes in subtree
-	vcount  int // visible nodes in subtree
+	prio   uint64
+	left   *pnode
+	right  *pnode
+	size   int // total nodes in subtree
+	vcount int // visible nodes in subtree
+	// visible is !ch.Deleted, kept in the node so descents by visible
+	// count never load the record.
 	visible bool
 	ch      *Char // frozen character record for this version
 }
@@ -59,8 +60,7 @@ func (n *pnode) recompute() {
 
 // with returns a copy of n with the given children (the path-copy step).
 func (n *pnode) with(left, right *pnode) *pnode {
-	c := &pnode{id: n.id, prio: n.prio, visible: n.visible, ch: n.ch,
-		left: left, right: right}
+	c := &pnode{prio: n.prio, visible: n.visible, ch: n.ch, left: left, right: right}
 	c.recompute()
 	return c
 }
@@ -95,47 +95,43 @@ func pmerge(a, b *pnode) *pnode {
 	return b.with(pmerge(a, b.left), b.right)
 }
 
-// pinsert places a fresh node (no children) at total rank k.
-func pinsert(root *pnode, k int, n *pnode) *pnode {
-	n.recompute()
-	l, r := psplit(root, k)
-	return pmerge(pmerge(l, n), r)
-}
-
-// pset replaces the character record and visibility of the node at total
-// rank k, path-copying down to it.
-func pset(n *pnode, k int, ch *Char, visible bool) *pnode {
+// pset replaces the character record (and with it the visibility) of the
+// node at total rank k, path-copying down to it.
+func pset(n *pnode, k int, ch *Char) *pnode {
 	ls := n.left.sizeOf()
 	switch {
 	case k < ls:
-		return n.with(pset(n.left, k, ch, visible), n.right)
+		return n.with(pset(n.left, k, ch), n.right)
 	case k == ls:
-		c := &pnode{id: n.id, prio: n.prio, visible: visible, ch: ch,
-			left: n.left, right: n.right}
+		c := &pnode{prio: n.prio, visible: !ch.Deleted, ch: ch, left: n.left, right: n.right}
 		c.recompute()
 		return c
 	default:
-		return n.with(n.left, pset(n.right, k-ls-1, ch, visible))
+		return n.with(n.left, pset(n.right, k-ls-1, ch))
 	}
 }
 
-// pbuild constructs a treap from chars already in chain order in O(n),
-// using the rightmost-spine construction. The nodes are freshly allocated
-// and unshared, so in-place fixup is safe until the root is published.
-func pbuild(chars []*Char) *pnode {
-	var stack []*pnode
-	for _, ch := range chars {
-		n := &pnode{id: ch.ID, prio: prioFor(ch.ID), visible: !ch.Deleted, ch: ch}
+// pbuild constructs a treap from the n records at(0..n-1), already in
+// chain order, in O(n) using the rightmost-spine construction. The nodes
+// are freshly allocated and unshared, so in-place fixup is safe until the
+// root is published.
+func pbuild(n int, at func(i int) *Char) *pnode {
+	// The right spine is O(log n) deep, so the stack rarely outgrows 32 and
+	// a short run builds without allocating it.
+	stack := make([]*pnode, 0, 32)
+	for i := 0; i < n; i++ {
+		ch := at(i)
+		nd := &pnode{prio: prioFor(ch.ID), visible: !ch.Deleted, ch: ch}
 		var last *pnode
-		for len(stack) > 0 && stack[len(stack)-1].prio > n.prio {
+		for len(stack) > 0 && stack[len(stack)-1].prio > nd.prio {
 			last = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 		}
-		n.left = last
+		nd.left = last
 		if len(stack) > 0 {
-			stack[len(stack)-1].right = n
+			stack[len(stack)-1].right = nd
 		}
-		stack = append(stack, n)
+		stack = append(stack, nd)
 	}
 	if len(stack) == 0 {
 		return nil
@@ -194,6 +190,207 @@ func pwalkVisibleFrom(n *pnode, skip int, fn func(n *pnode) bool) bool {
 	return pwalkVisibleFrom(n.right, skip, fn)
 }
 
+// pvisibleBefore returns the number of visible nodes among the first k
+// nodes under n: the visible rank of the instance at total rank k.
+func pvisibleBefore(n *pnode, k int) int {
+	v := 0
+	for n != nil {
+		ls := n.left.sizeOf()
+		if k <= ls {
+			n = n.left
+			continue
+		}
+		v += n.left.vcountOf()
+		if n.visible {
+			v++
+		}
+		k -= ls + 1
+		n = n.right
+	}
+	return v
+}
+
+// view is one version of the document: the mirror's root, the chain head
+// and the cold archive. Buffer embeds the current view and replaces its
+// fields on every mutation; a Snapshot embeds a frozen copy. The readers
+// are methods of view, so the live buffer and its snapshots share one
+// implementation of each.
+type view struct {
+	root    *pnode
+	head    util.ID // first instance in the chain (may be a tombstone)
+	version uint64  // increments on every mutation of the buffer
+	// arch holds the cold tombstones compaction moved out of the trees
+	// (archive.go). Replaced wholesale, never mutated, so a snapshot keeps
+	// the archive it captured.
+	arch *Archive
+}
+
+// Version identifies the buffer state: it increments on every committed
+// mutation of the buffer and stamps the snapshots taken from it.
+func (v *view) Version() uint64 { return v.version }
+
+// Len returns the number of visible characters.
+func (v *view) Len() int { return v.root.vcountOf() }
+
+// TotalLen returns the number of hot character instances, tombstones
+// included (archived instances are not counted).
+func (v *view) TotalLen() int { return v.root.sizeOf() }
+
+// Head returns the first character instance in the chain (possibly a
+// tombstone), or NilID for an empty document.
+func (v *view) Head() util.ID { return v.head }
+
+// Archive returns the cold-tombstone archive (never nil). Archived
+// instances are excluded from Walk, TotalLen and AllChars; WalkAll and
+// TextAt merge them back in.
+func (v *view) Archive() *Archive {
+	if v.arch == nil {
+		return emptyArchive
+	}
+	return v.arch
+}
+
+// Walk visits every hot character instance in order (tombstones included)
+// until fn returns false. On a snapshot the Char is the frozen record of
+// its version; on the live buffer it must not be mutated.
+func (v *view) Walk(fn func(ch *Char, visible bool) bool) {
+	pwalk(v.root, func(n *pnode) bool { return fn(n.ch, n.visible) })
+}
+
+// WalkVisible visits visible characters in order until fn returns false.
+func (v *view) WalkVisible(fn func(ch *Char) bool) {
+	pwalkVisibleFrom(v.root, 0, func(n *pnode) bool { return fn(n.ch) })
+}
+
+// WalkVisibleFrom visits up to n visible characters in order, starting
+// with the one at position pos. A range reaching before the first or past
+// the last character is clipped. The cost is O(log n + visited) wherever
+// pos lies: the walk descends to pos by visible count instead of scanning
+// from the head.
+func (v *view) WalkVisibleFrom(pos, n int, fn func(ch *Char)) {
+	if pos < 0 {
+		n += pos
+		pos = 0
+	}
+	if n <= 0 {
+		return
+	}
+	pwalkVisibleFrom(v.root, pos, func(nd *pnode) bool {
+		fn(nd.ch)
+		n--
+		return n > 0
+	})
+}
+
+// Text renders the visible text.
+func (v *view) Text() string {
+	var sb strings.Builder
+	sb.Grow(v.Len())
+	v.WalkVisible(func(ch *Char) bool {
+		sb.WriteRune(ch.Rune)
+		return true
+	})
+	return sb.String()
+}
+
+// TextAt reconstructs the text as it was at instant t (time travel):
+// characters created at or before t and not deleted at t, in chain order.
+// On a snapshot, for t at or after the snapshot instant this equals Text()
+// modulo edits the snapshot never saw. When t predates the compaction
+// horizon the walk transparently merges the archived cold tombstones back
+// in; at or after the newest archived deletion it filters the hot chain
+// alone.
+func (v *view) TextAt(t time.Time) string {
+	var sb strings.Builder
+	emit := func(ch *Char, _ bool) bool {
+		if !hiddenAt(ch, t) {
+			sb.WriteRune(ch.Rune)
+		}
+		return true
+	}
+	if v.Archive().visibleAt(t) {
+		v.WalkAll(emit)
+	} else {
+		v.Walk(emit)
+	}
+	return sb.String()
+}
+
+// Slice returns up to n visible characters starting at pos.
+func (v *view) Slice(pos, n int) string {
+	var sb strings.Builder
+	v.WalkVisibleFrom(pos, n, func(ch *Char) { sb.WriteRune(ch.Rune) })
+	return sb.String()
+}
+
+// charAt returns the record of the visible character at pos, or nil.
+func (v *view) charAt(pos int) *Char {
+	n := v.root
+	if pos < 0 || pos >= n.vcountOf() {
+		return nil
+	}
+	for {
+		lv := n.left.vcountOf()
+		switch {
+		case pos < lv:
+			n = n.left
+		case pos == lv && n.visible:
+			return n.ch
+		default:
+			pos -= lv
+			if n.visible {
+				pos--
+			}
+			n = n.right
+		}
+	}
+}
+
+// CharAt returns a copy of the record of the visible character at pos.
+func (v *view) CharAt(pos int) (Char, bool) {
+	if ch := v.charAt(pos); ch != nil {
+		return *ch, true
+	}
+	return Char{}, false
+}
+
+// IDAt returns the ID of the visible character at position pos.
+func (v *view) IDAt(pos int) (util.ID, bool) {
+	if ch := v.charAt(pos); ch != nil {
+		return ch.ID, true
+	}
+	return util.NilID, false
+}
+
+// RangeIDs returns the IDs of visible characters in [pos, pos+n).
+func (v *view) RangeIDs(pos, n int) []util.ID {
+	var out []util.ID
+	v.WalkVisibleFrom(pos, n, func(ch *Char) { out = append(out, ch.ID) })
+	return out
+}
+
+// VisibleIDs returns the IDs of all visible characters in order.
+func (v *view) VisibleIDs() []util.ID {
+	out := make([]util.ID, 0, v.Len())
+	v.WalkVisible(func(ch *Char) bool {
+		out = append(out, ch.ID)
+		return true
+	})
+	return out
+}
+
+// AllChars returns a copy of every hot character instance in chain order
+// (warm tombstones included, archived instances excluded): the persistent
+// form of the document's hot set. The archive persists separately.
+func (v *view) AllChars() []Char {
+	out := make([]Char, 0, v.TotalLen())
+	v.Walk(func(ch *Char, _ bool) bool {
+		out = append(out, *ch)
+		return true
+	})
+	return out
+}
+
 // Snapshot is an immutable, internally consistent view of a Buffer at one
 // instant. Acquisition is O(1) and reads never take a lock: concurrent
 // writers keep publishing new versions without disturbing any snapshot a
@@ -201,10 +398,7 @@ func pwalkVisibleFrom(n *pnode, skip int, fn func(n *pnode) bool) bool {
 // buffer, including time travel, which on a snapshot reconstructs the text
 // as of any instant at or before the snapshot was taken.
 type Snapshot struct {
-	root    *pnode
-	head    util.ID
-	version uint64
-	arch    *Archive // frozen cold-tombstone archive of this version
+	view
 
 	// Rank-by-ID queries need a root-to-node path the persistent treap
 	// cannot provide; the first such query materialises an index over the
@@ -238,88 +432,14 @@ type snapEntry struct {
 // caller may read it from any goroutine without synchronisation, but
 // taking the snapshot itself must be serialised with writers (callers in
 // core do it under the document lock, or atomically republish).
-func (b *Buffer) Snapshot() *Snapshot {
-	return &Snapshot{root: b.proot, head: b.head, version: b.version, arch: b.Archive()}
-}
-
-// Version identifies the buffer state this snapshot captured: it
-// increments on every committed mutation of the buffer.
-func (s *Snapshot) Version() uint64 { return s.version }
-
-// Len returns the number of visible characters.
-func (s *Snapshot) Len() int { return s.root.vcountOf() }
-
-// TotalLen returns the number of character instances, tombstones included.
-func (s *Snapshot) TotalLen() int { return s.root.sizeOf() }
-
-// Head returns the first character instance in the chain (possibly a
-// tombstone), or NilID for an empty snapshot.
-func (s *Snapshot) Head() util.ID { return s.head }
-
-// Walk visits every character instance in order (tombstones included)
-// until fn returns false. The Char is the frozen record of this version.
-func (s *Snapshot) Walk(fn func(ch *Char, visible bool) bool) {
-	pwalk(s.root, func(n *pnode) bool { return fn(n.ch, n.visible) })
-}
-
-// WalkVisible visits visible characters in order until fn returns false.
-func (s *Snapshot) WalkVisible(fn func(ch *Char) bool) {
-	s.Walk(func(ch *Char, visible bool) bool {
-		if !visible {
-			return true
-		}
-		return fn(ch)
-	})
-}
+func (b *Buffer) Snapshot() *Snapshot { return &Snapshot{view: b.view} }
 
 // Text returns the visible text of the snapshot. The first call renders
 // the text into a single pre-sized buffer; subsequent calls (and every
 // other reader of this published version) share the rendered string.
 func (s *Snapshot) Text() string {
-	s.textOnce.Do(func() {
-		buf := make([]byte, 0, s.Len())
-		s.WalkVisible(func(ch *Char) bool {
-			buf = utf8.AppendRune(buf, ch.Rune)
-			return true
-		})
-		s.text = string(buf)
-	})
+	s.textOnce.Do(func() { s.text = s.view.Text() })
 	return s.text
-}
-
-// TextAt reconstructs the text as it was at instant t (time travel):
-// characters created at or before t and not deleted at t, in chain order.
-// For t at or after the snapshot instant this equals Text() modulo edits
-// the snapshot never saw. When t predates the compaction horizon the walk
-// transparently merges the archived cold tombstones back in.
-func (s *Snapshot) TextAt(t time.Time) string {
-	var sb strings.Builder
-	if s.arch.visibleAt(t) {
-		s.WalkAll(func(ch *Char, _ bool) bool {
-			if !hiddenAt(ch, t) {
-				sb.WriteRune(ch.Rune)
-			}
-			return true
-		})
-		return sb.String()
-	}
-	s.Walk(func(ch *Char, _ bool) bool {
-		if !hiddenAt(ch, t) {
-			sb.WriteRune(ch.Rune)
-		}
-		return true
-	})
-	return sb.String()
-}
-
-// Archive returns the snapshot's frozen cold-tombstone archive (never
-// nil). Archived instances are excluded from Walk, TotalLen and AllChars;
-// WalkAll and TextAt merge them back in.
-func (s *Snapshot) Archive() *Archive {
-	if s.arch == nil {
-		return emptyArchive
-	}
-	return s.arch
 }
 
 // WithArchive returns a view of this snapshot with a as its cold
@@ -328,96 +448,9 @@ func (s *Snapshot) Archive() *Archive {
 // disk: such a snapshot's hot tree predates every later compaction pass,
 // so the archive as first loaded is exactly its missing cold set.
 func (s *Snapshot) WithArchive(a *Archive) *Snapshot {
-	return &Snapshot{root: s.root, head: s.head, version: s.version, arch: a}
-}
-
-// WalkVisibleFrom visits up to n visible characters in order, starting
-// with the one at position pos. A range reaching before the first or past
-// the last character is clipped. The cost is O(log n + visited) wherever
-// pos lies: the walk descends to pos by visible count instead of scanning
-// from the head.
-func (s *Snapshot) WalkVisibleFrom(pos, n int, fn func(ch *Char)) {
-	if pos < 0 {
-		n += pos
-		pos = 0
-	}
-	if n <= 0 {
-		return
-	}
-	pwalkVisibleFrom(s.root, pos, func(nd *pnode) bool {
-		fn(nd.ch)
-		n--
-		return n > 0
-	})
-}
-
-// Slice returns up to n visible characters starting at pos.
-func (s *Snapshot) Slice(pos, n int) string {
-	var sb strings.Builder
-	s.WalkVisibleFrom(pos, n, func(ch *Char) { sb.WriteRune(ch.Rune) })
-	return sb.String()
-}
-
-// CharAt returns the frozen record of the visible character at pos.
-func (s *Snapshot) CharAt(pos int) (Char, bool) {
-	n := s.root
-	if pos < 0 || pos >= n.vcountOf() {
-		return Char{}, false
-	}
-	k := pos
-	for n != nil {
-		lv := n.left.vcountOf()
-		switch {
-		case k < lv:
-			n = n.left
-		case k == lv && n.visible:
-			return *n.ch, true
-		default:
-			k -= lv
-			if n.visible {
-				k--
-			}
-			n = n.right
-		}
-	}
-	return Char{}, false
-}
-
-// IDAt returns the ID of the visible character at position pos.
-func (s *Snapshot) IDAt(pos int) (util.ID, bool) {
-	ch, ok := s.CharAt(pos)
-	if !ok {
-		return util.NilID, false
-	}
-	return ch.ID, true
-}
-
-// RangeIDs returns the IDs of visible characters in [pos, pos+n).
-func (s *Snapshot) RangeIDs(pos, n int) []util.ID {
-	var out []util.ID
-	s.WalkVisibleFrom(pos, n, func(ch *Char) { out = append(out, ch.ID) })
-	return out
-}
-
-// VisibleIDs returns the IDs of all visible characters in order.
-func (s *Snapshot) VisibleIDs() []util.ID {
-	out := make([]util.ID, 0, s.Len())
-	s.WalkVisible(func(ch *Char) bool {
-		out = append(out, ch.ID)
-		return true
-	})
-	return out
-}
-
-// AllChars returns a copy of every character instance in chain order
-// (tombstones included): the persistent form of this version.
-func (s *Snapshot) AllChars() []Char {
-	out := make([]Char, 0, s.TotalLen())
-	s.Walk(func(ch *Char, _ bool) bool {
-		out = append(out, *ch)
-		return true
-	})
-	return out
+	v := s.view
+	v.arch = a
+	return &Snapshot{view: v}
 }
 
 // buildIndex materialises the rank-by-ID index on first use.
@@ -426,7 +459,7 @@ func (s *Snapshot) buildIndex() {
 		idx := make(map[util.ID]snapEntry, s.TotalLen())
 		vis := 0
 		pwalk(s.root, func(n *pnode) bool {
-			idx[n.id] = snapEntry{ch: n.ch, visRank: vis}
+			idx[n.ch.ID] = snapEntry{ch: n.ch, visRank: vis}
 			if n.visible {
 				vis++
 			}
@@ -509,46 +542,31 @@ func (s *Snapshot) PosOf(id util.ID) (int, bool) {
 func (s *Snapshot) CheckInvariants() error {
 	var prev *Char
 	count, visible := 0, 0
-	err := func() error {
-		var walkErr error
-		pwalk(s.root, func(n *pnode) bool {
-			ch := n.ch
-			if ch == nil {
-				walkErr = fmt.Errorf("texttree: snapshot node %v without char", n.id)
-				return false
-			}
-			if ch.ID != n.id {
-				walkErr = fmt.Errorf("texttree: snapshot node %v holds char %v", n.id, ch.ID)
-				return false
-			}
-			if n.visible != !ch.Deleted {
-				walkErr = fmt.Errorf("texttree: snapshot visibility of %v disagrees with char state", n.id)
-				return false
-			}
-			if prev == nil {
-				if s.head != ch.ID {
-					walkErr = fmt.Errorf("texttree: snapshot head %v but first instance %v", s.head, ch.ID)
-					return false
-				}
-				if !ch.Prev.IsNil() {
-					walkErr = fmt.Errorf("texttree: snapshot first instance %v has Prev %v", ch.ID, ch.Prev)
-					return false
-				}
-			} else {
-				if prev.Next != ch.ID || ch.Prev != prev.ID {
-					walkErr = fmt.Errorf("texttree: snapshot chain torn between %v and %v", prev.ID, ch.ID)
-					return false
-				}
-			}
-			prev = ch
-			count++
-			if n.visible {
-				visible++
-			}
-			return true
-		})
-		return walkErr
-	}()
+	var err error
+	pwalk(s.root, func(n *pnode) bool {
+		ch := n.ch
+		switch {
+		case ch == nil:
+			err = fmt.Errorf("texttree: snapshot node %d without char", count)
+		case n.visible != !ch.Deleted:
+			err = fmt.Errorf("texttree: snapshot visibility of %v disagrees with char state", ch.ID)
+		case prev == nil && s.head != ch.ID:
+			err = fmt.Errorf("texttree: snapshot head %v but first instance %v", s.head, ch.ID)
+		case prev == nil && !ch.Prev.IsNil():
+			err = fmt.Errorf("texttree: snapshot first instance %v has Prev %v", ch.ID, ch.Prev)
+		case prev != nil && (prev.Next != ch.ID || ch.Prev != prev.ID):
+			err = fmt.Errorf("texttree: snapshot chain torn between %v and %v", prev.ID, ch.ID)
+		}
+		if err != nil {
+			return false
+		}
+		prev = ch
+		count++
+		if n.visible {
+			visible++
+		}
+		return true
+	})
 	if err != nil {
 		return err
 	}
@@ -556,7 +574,7 @@ func (s *Snapshot) CheckInvariants() error {
 		if !s.head.IsNil() {
 			return errors.New("texttree: empty snapshot with non-nil head")
 		}
-	} else if prev != nil && !prev.Next.IsNil() {
+	} else if !prev.Next.IsNil() {
 		return fmt.Errorf("texttree: snapshot last instance %v has Next %v", prev.ID, prev.Next)
 	}
 	if count != s.TotalLen() {

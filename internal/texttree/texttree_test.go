@@ -1,112 +1,13 @@
 package texttree
 
 import (
-	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"tendax/internal/util"
 )
-
-func TestOrderInsertAfterAndVisibleAt(t *testing.T) {
-	o := NewOrder()
-	ids := make([]util.ID, 5)
-	var gen util.IDGen
-	prev := util.NilID
-	for i := range ids {
-		ids[i] = gen.Next()
-		o.InsertAfter(prev, ids[i], true)
-		prev = ids[i]
-	}
-	if o.Len() != 5 || o.VisibleLen() != 5 {
-		t.Fatalf("Len=%d VisibleLen=%d", o.Len(), o.VisibleLen())
-	}
-	for i, want := range ids {
-		got, ok := o.VisibleAt(i)
-		if !ok || got != want {
-			t.Fatalf("VisibleAt(%d) = %v, want %v", i, got, want)
-		}
-		rank, ok := o.VisibleRank(want)
-		if !ok || rank != i {
-			t.Fatalf("VisibleRank(%v) = %d, want %d", want, rank, i)
-		}
-	}
-	if _, ok := o.VisibleAt(5); ok {
-		t.Fatal("VisibleAt past end succeeded")
-	}
-}
-
-func TestOrderInsertAtFrontAndMiddle(t *testing.T) {
-	o := NewOrder()
-	var gen util.IDGen
-	a, b, c := gen.Next(), gen.Next(), gen.Next()
-	o.InsertAfter(util.NilID, b, true)
-	o.InsertAfter(util.NilID, a, true) // front
-	o.InsertAfter(b, c, true)          // after b
-	var got []util.ID
-	o.WalkVisible(func(id util.ID) bool { got = append(got, id); return true })
-	want := []util.ID{a, b, c}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestOrderVisibilityCounts(t *testing.T) {
-	o := NewOrder()
-	var gen util.IDGen
-	prev := util.NilID
-	ids := make([]util.ID, 10)
-	for i := range ids {
-		ids[i] = gen.Next()
-		o.InsertAfter(prev, ids[i], true)
-		prev = ids[i]
-	}
-	o.SetVisible(ids[3], false)
-	o.SetVisible(ids[7], false)
-	if o.VisibleLen() != 8 {
-		t.Fatalf("VisibleLen = %d, want 8", o.VisibleLen())
-	}
-	// Position 3 is now ids[4].
-	got, _ := o.VisibleAt(3)
-	if got != ids[4] {
-		t.Fatalf("VisibleAt(3) = %v, want %v", got, ids[4])
-	}
-	// Tombstone rank equals preceding visible count.
-	rank, ok := o.VisibleRank(ids[3])
-	if !ok || rank != 3 {
-		t.Fatalf("tombstone rank = %d, %v", rank, ok)
-	}
-	o.SetVisible(ids[3], true)
-	if o.VisibleLen() != 9 {
-		t.Fatal("undelete did not restore count")
-	}
-}
-
-func TestOrderDeterministicShape(t *testing.T) {
-	// Rebuilding with the same IDs in the same order gives identical
-	// traversals (priorities are derived from IDs).
-	build := func() []util.ID {
-		o := NewOrder()
-		prev := util.NilID
-		for i := 1; i <= 100; i++ {
-			id := util.ID(i * 7)
-			o.InsertAfter(prev, id, i%3 != 0)
-			prev = id
-		}
-		var out []util.ID
-		o.Walk(func(id util.ID, _ bool) bool { out = append(out, id); return true })
-		return out
-	}
-	a, b := build(), build()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("rebuild produced different order")
-		}
-	}
-}
 
 func bufWithText(t *testing.T, text string) (*Buffer, *util.IDGen) {
 	t.Helper()
@@ -313,21 +214,6 @@ func TestBufferSliceAndRangeIDs(t *testing.T) {
 	}
 }
 
-func TestBufferAuthors(t *testing.T) {
-	b := NewBuffer()
-	var gen util.IDGen
-	prev := util.NilID
-	for i, r := range "abc" {
-		id := gen.Next()
-		b.InsertAfter(prev, Char{ID: id, Rune: r, Author: fmt.Sprintf("user%d", i%2), Created: time.Unix(1, 0)})
-		prev = id
-	}
-	authors := b.Authors()
-	if len(authors) != 2 || authors[0] != "user0" || authors[1] != "user1" {
-		t.Fatalf("Authors = %v", authors)
-	}
-}
-
 // TestBufferRandomisedAgainstReference drives the buffer with random
 // position-based inserts and deletes and compares against a []rune model.
 func TestBufferRandomisedAgainstReference(t *testing.T) {
@@ -380,6 +266,23 @@ func firstN(s string, n int) string {
 		return s
 	}
 	return s[:n] + "..."
+}
+
+func clip(s string, n int) string { return firstN(s, n) }
+
+// visibleAuthors returns the distinct authors of visible characters, sorted.
+func visibleAuthors(b *Buffer) []string {
+	set := map[string]bool{}
+	b.WalkVisible(func(ch *Char) bool {
+		set[ch.Author] = true
+		return true
+	})
+	out := make([]string, 0, len(set))
+	for a := range set {
+		out = append(out, a)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestBufferUnicode(t *testing.T) {
