@@ -57,6 +57,7 @@ const (
 // BatchItem is one operation inside an EvBatch event: a protocol-v2 edit
 // batch commits as a single transaction and announces itself as a single
 // event whose items replay, in order, against a position-based replica.
+// An EvUndo or EvRedo carries the instances it flipped the same way.
 // Pos is resolved against the document state after the preceding items of
 // the same batch, so sequential application reproduces the committed text.
 type BatchItem struct {
@@ -83,7 +84,7 @@ type Event struct {
 	N     int         // number of characters affected (delete)
 	Name  string      // auxiliary name (version, rename, workflow task)
 	IDs   []util.ID   // character instance IDs created (insert/paste) or tombstoned (delete)
-	Batch []BatchItem // EvBatch payload: the batch's ops in commit order
+	Batch []BatchItem // EvBatch/EvUndo/EvRedo payload, in commit order
 	At    time.Time   // commit time
 
 	// SrcDoc is the document an EvPaste copied its characters from (NilID

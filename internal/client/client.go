@@ -520,8 +520,9 @@ func (d *Doc) Peers() map[string]int {
 }
 
 // apply folds one pushed event into the replica. Events arrive in per-doc
-// sequence order; a gap (we were subscribed after some events, or the bus
-// dropped us) or a structural operation forces a resync.
+// sequence order; only a gap (we were subscribed after some events, or the
+// bus dropped us) forces a resync — every text-changing event, undo and
+// redo included, carries the positions to replay.
 //
 // apply runs on the connection's read loop, so it must never issue a
 // request itself — the response could only be delivered by the very loop
@@ -578,9 +579,7 @@ func (d *Doc) apply(ev *protocol.Event) {
 		d.mu.Unlock()
 		return
 	}
-	if ev.Seq != d.seq+1 || ev.Kind == "undo" || ev.Kind == "redo" {
-		// Gap, or an operation that changes arbitrary historical regions a
-		// position-based replica cannot replay.
+	if ev.Seq != d.seq+1 {
 		d.resyncing = true
 		d.mu.Unlock()
 		go func() {
@@ -616,16 +615,16 @@ func (d *Doc) unlockAndTell(ev protocol.Event, seq uint64) {
 
 // foldLocked folds one event's text effect into the replica (caller holds
 // d.mu and has already advanced d.seq). A "batch" event — one committed
-// v2 edit batch — replays its items in order; each item's position is
-// resolved against the state after the items before it, so the fold
-// reproduces the committed text exactly.
+// v2 edit batch — and an undo or redo replay their items in order; each
+// item's position is resolved against the state after the items before
+// it, so the fold reproduces the committed text exactly.
 func (d *Doc) foldLocked(ev *protocol.Event) {
 	switch ev.Kind {
 	case "insert", "paste":
 		d.spliceLocked(ev.Pos, 0, ev.Text)
 	case "delete":
 		d.spliceLocked(ev.Pos, ev.N, "")
-	case "batch":
+	case "batch", "undo", "redo":
 		for _, it := range ev.Batch {
 			switch it.Kind {
 			case "insert", "paste":
@@ -654,12 +653,11 @@ func (d *Doc) spliceLocked(pos, del int, ins string) {
 	d.runes = append(d.runes[:pos], append(r, d.runes[pos+del:]...)...)
 }
 
-// Resync brings the replica back in step with the committed state (after
-// a gap or a structural operation a position-based replica cannot
-// replay). On a v2 connection it first attempts a delta resync: the
-// server replays only the events after the replica's sequence number from
-// its bounded op ring — O(gap) on the wire — and falls back to the full
-// text when the gap outlived retention or contains an undo/redo.
+// Resync brings the replica back in step with the committed state after a
+// gap. On a v2 connection it first attempts a delta resync: the server
+// replays only the events after the replica's sequence number from its
+// bounded op ring — O(gap) on the wire — and falls back to the full text
+// when the gap outlived retention.
 func (d *Doc) Resync() error {
 	if d.c.Ver() >= protocol.Version2 {
 		done, err := d.deltaResync()

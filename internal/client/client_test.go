@@ -279,22 +279,54 @@ func TestSeqNeverAheadOfWatcher(t *testing.T) {
 		t.Fatalf("Seq never reached the event after its callback returned: %v", err)
 	}
 
-	// Resync path: an undo is not replayable by position, so the replica
-	// resyncs on its own goroutine and announces it with a "resync" event.
+	// Undo is pushed with its positional items like any edit: folded
+	// before the callback, reported by Seq only after it.
 	if err := peer.Undo(protocol.ScopeLocal); err != nil {
 		t.Fatal(err)
 	}
-	if ev := next(); ev.Kind != "resync" {
-		t.Fatalf("watched %+v, want the resync", ev)
+	if ev := next(); ev.Kind != "undo" || ev.Seq != base+2 {
+		t.Fatalf("watched %+v, want the undo at seq %d", ev, base+2)
 	}
 	if got := d.Text(); got != "" {
-		t.Fatalf("text %q while the resync callback runs, want the undo adopted already", got)
+		t.Fatalf("text %q while the undo callback runs, want the undo folded already", got)
 	}
 	if got := d.Seq(); got != base+1 {
-		t.Fatalf("Seq() = %d while the resync callback is still running, want %d", got, base+1)
+		t.Fatalf("Seq() = %d while the undo callback is still running, want %d", got, base+1)
 	}
 	gate <- struct{}{}
 	if err := d.WaitSeq(base+2, 500); err != nil {
-		t.Fatalf("Seq never reached the undo after the resync callback returned: %v", err)
+		t.Fatalf("Seq never reached the undo after its callback returned: %v", err)
+	}
+
+	// Resync path: stand in for a detected gap — while a resync is
+	// pending the replica drops pushes — so bob's next key reaches the
+	// replica only through the resync, which announces itself with a
+	// "resync" event.
+	d.mu.Lock()
+	d.resyncing = true
+	d.mu.Unlock()
+	if err := peer.Insert(0, "y"); err != nil {
+		t.Fatal(err)
+	}
+	resynced := make(chan error, 1)
+	go func() { resynced <- d.Resync() }()
+	if ev := next(); ev.Kind != "resync" {
+		t.Fatalf("watched %+v, want the resync", ev)
+	}
+	if got := d.Text(); got != "y" {
+		t.Fatalf("text %q while the resync callback runs, want the key adopted already", got)
+	}
+	if got := d.Seq(); got != base+2 {
+		t.Fatalf("Seq() = %d while the resync callback is still running, want %d", got, base+2)
+	}
+	gate <- struct{}{}
+	if err := <-resynced; err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	d.resyncing = false
+	d.mu.Unlock()
+	if err := d.WaitSeq(base+3, 500); err != nil {
+		t.Fatalf("Seq never reached the key after the resync callback returned: %v", err)
 	}
 }

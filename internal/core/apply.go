@@ -614,16 +614,7 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 				if err := d.buf.Delete(id, st.user, st.now); err != nil {
 					return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
 				}
-				// Consecutive targets that collapse onto the same visible
-				// position merge into one contiguous positional item.
-				if n := len(items) - 1; n >= 0 && items[n].Kind == awareness.EvDelete &&
-					k > 0 && items[n].Pos == pos {
-					items[n].N++
-					items[n].IDs = append(items[n].IDs, id)
-				} else {
-					items = append(items, awareness.BatchItem{Kind: awareness.EvDelete,
-						Pos: pos, N: 1, IDs: []util.ID{id}})
-				}
+				items = appendFlip(items, awareness.EvDelete, pos, id, k > 0)
 			}
 			results = append(results, EditResult{OpID: sop.opID, IDs: sop.deleted, Pos: resPos})
 
@@ -650,6 +641,26 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 		d.ops = append(d.ops, rec)
 	}
 	return results, items, nil
+}
+
+// appendFlip appends one instance that turned hidden (EvDelete) or visible
+// (EvInsert) at visible position pos. With merge set it extends the last
+// item instead when the two are contiguous: a delete at the position the
+// deletes before it collapsed onto, or an insert right after the text the
+// inserts before it restored. An insert item's Text is the caller's to fill.
+func appendFlip(items []awareness.BatchItem, kind awareness.EventKind, pos int, id util.ID, merge bool) []awareness.BatchItem {
+	if n := len(items) - 1; merge && n >= 0 && items[n].Kind == kind {
+		end := items[n].Pos
+		if kind == awareness.EvInsert {
+			end += items[n].N
+		}
+		if end == pos {
+			items[n].N++
+			items[n].IDs = append(items[n].IDs, id)
+			return items
+		}
+	}
+	return append(items, awareness.BatchItem{Kind: kind, Pos: pos, N: 1, IDs: []util.ID{id}})
 }
 
 // publishBatchLocked announces the committed batch as ONE awareness event:

@@ -472,3 +472,61 @@ func TestConcurrentAppendsNeverSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUndoRedoEventItems pins what undo and redo publish: the instances
+// they flip as positional items, resolved like a batch's, with adjacent
+// flips merged — hidden runs collapse onto one position even across
+// another user's tombstones, restored runs carry their runes — and a span
+// undo as one layout item at the span's start.
+func TestUndoRedoEventItems(t *testing.T) {
+	e := newEngine(t)
+	d, err := e.CreateDocument("alice", "undo-items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := e.Bus().Subscribe(d.ID(), awareness.SubscribeOpts{})
+	defer sub.Close()
+	if _, err := d.InsertText("alice", 0, "abcdef"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.DeleteRange("bob", 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	sub.Next()
+	sub.Next()
+	for i, tc := range []struct {
+		do   func() (util.ID, error)
+		kind awareness.EventKind
+		want []awareness.BatchItem // IDs checked by count only
+		text string                // committed text afterwards
+	}{
+		{func() (util.ID, error) { return d.UndoLocal("alice") }, awareness.EvUndo,
+			[]awareness.BatchItem{{Kind: awareness.EvDelete, Pos: 0, N: 4}}, ""},
+		{func() (util.ID, error) { return d.RedoLocal("alice") }, awareness.EvRedo,
+			[]awareness.BatchItem{{Kind: awareness.EvInsert, Pos: 0, N: 4, Text: "abef"}}, "abef"},
+		{func() (util.ID, error) { return d.UndoLocal("bob") }, awareness.EvUndo,
+			[]awareness.BatchItem{{Kind: awareness.EvInsert, Pos: 2, N: 2, Text: "cd"}}, "abcdef"},
+		{func() (util.ID, error) { return d.ApplyLayout("alice", 1, 3, SpanBold, "true") }, awareness.EvLayout,
+			nil, "abcdef"},
+		{func() (util.ID, error) { return d.UndoLocal("alice") }, awareness.EvUndo,
+			[]awareness.BatchItem{{Kind: awareness.EvLayout, Pos: 1}}, "abcdef"},
+	} {
+		if _, err := tc.do(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		ev, _ := sub.Next()
+		got := make([]awareness.BatchItem, len(ev.Batch))
+		for j, it := range ev.Batch {
+			if len(it.IDs) != it.N {
+				t.Fatalf("step %d: item %+v names %d instances", i, it, len(it.IDs))
+			}
+			got[j] = awareness.BatchItem{Kind: it.Kind, Pos: it.Pos, N: it.N, Text: it.Text}
+		}
+		if ev.Kind != tc.kind || (tc.want != nil && !reflect.DeepEqual(got, tc.want)) {
+			t.Fatalf("step %d: %s event with items %+v, want %s with %+v", i, ev.Kind, got, tc.kind, tc.want)
+		}
+		if txt := d.Text(); txt != tc.text {
+			t.Fatalf("step %d: text %q, want %q", i, txt, tc.text)
+		}
+	}
+}

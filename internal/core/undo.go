@@ -158,7 +158,7 @@ func opFromRow(row db.Row) opRecord {
 // undoable reports whether an operation kind participates in undo history.
 func undoable(kind string) bool {
 	switch kind {
-	case "insert", "paste", "delete", "note", "layout", "layout-remove":
+	case "insert", "paste", "delete", "layout", "layout-remove":
 		return true
 	}
 	return false
@@ -260,13 +260,13 @@ func (d *Document) undoLocked(user string, local bool) (util.ID, wal.LSN, error)
 	if err != nil {
 		return util.NilID, 0, err
 	}
-	plan.apply()
+	items := plan.apply()
 	target.Undone = true
 	d.ops = append(d.ops, opRecord{ID: undoID, User: user, Kind: "undo",
 		CharIDs: plan.affected, Ref: target.ID, Created: now})
 	d.publishEventLocked(awareness.Event{
 		Doc: d.id, Kind: awareness.EvUndo, User: user, OpID: undoID,
-		Name: target.Kind, N: len(target.CharIDs), At: now,
+		Name: target.Kind, N: len(target.CharIDs), Batch: items, At: now,
 	})
 	return undoID, lsn, nil
 }
@@ -334,26 +334,29 @@ func (d *Document) redoLocked(user string, local bool) (util.ID, wal.LSN, error)
 	if err != nil {
 		return util.NilID, 0, err
 	}
-	plan.apply()
+	items := plan.apply()
 	target.Undone = false
 	undoOp.Undone = true
 	d.ops = append(d.ops, opRecord{ID: redoID, User: user, Kind: "redo",
 		CharIDs: target.CharIDs, Ref: target.ID, Created: now})
 	d.publishEventLocked(awareness.Event{
 		Doc: d.id, Kind: awareness.EvRedo, User: user, OpID: redoID,
-		Name: target.Kind, N: len(target.CharIDs), At: now,
+		Name: target.Kind, N: len(target.CharIDs), Batch: items, At: now,
 	})
 	return redoID, lsn, nil
 }
 
 // undoPlan captures the row updates and buffer mutations of an undo/redo,
 // so persistence happens inside the transaction and the buffer is touched
-// only after commit. affected lists the characters the plan actually flips
-// — the undo operation records it so a later redo reverts exactly this set
-// and nothing more (characters hidden by other users' deletes stay hidden).
+// only after commit. apply returns the positional items of what it
+// flipped, each resolved after the items before it as a batch's are, so
+// every replica replays an undo like any edit. affected lists the
+// characters the plan actually flips — the undo operation records it so a
+// later redo reverts exactly this set and nothing more (characters hidden
+// by other users' deletes stay hidden).
 type undoPlan struct {
 	persist   func(tx *txn.Txn) error
-	apply     func()
+	apply     func() []awareness.BatchItem
 	sizeDelta int
 	affected  []util.ID
 }
@@ -362,14 +365,14 @@ type undoPlan struct {
 // deleted ones, or flip a span's removed flag.
 func (d *Document) inversePlan(op *opRecord, user string, now time.Time) (*undoPlan, error) {
 	switch op.Kind {
-	case "insert", "paste", "note":
+	case "insert", "paste":
 		return d.visibilityPlanLocked(op.CharIDs, false, user, now)
 	case "delete":
 		return d.visibilityPlanLocked(op.CharIDs, true, user, now)
 	case "layout":
-		return d.spanRemovedPlan(op.Ref, true)
+		return d.spanRemovedPlanLocked(op.Ref, true), nil
 	case "layout-remove":
-		return d.spanRemovedPlan(op.Ref, false)
+		return d.spanRemovedPlanLocked(op.Ref, false), nil
 	}
 	return nil, ErrNothingToUndo
 }
@@ -378,14 +381,14 @@ func (d *Document) inversePlan(op *opRecord, user string, now time.Time) (*undoP
 // character set (the subset the corresponding undo actually flipped).
 func (d *Document) reapplyPlan(op *opRecord, ids []util.ID, user string, now time.Time) (*undoPlan, error) {
 	switch op.Kind {
-	case "insert", "paste", "note":
+	case "insert", "paste":
 		return d.visibilityPlanLocked(ids, true, user, now)
 	case "delete":
 		return d.visibilityPlanLocked(ids, false, user, now)
 	case "layout":
-		return d.spanRemovedPlan(op.Ref, false)
+		return d.spanRemovedPlanLocked(op.Ref, false), nil
 	case "layout-remove":
-		return d.spanRemovedPlan(op.Ref, true)
+		return d.spanRemovedPlanLocked(op.Ref, true), nil
 	}
 	return nil, ErrNothingToRedo
 }
@@ -502,7 +505,7 @@ func (d *Document) visibilityPlanLocked(ids []util.ID, visible bool, user string
 			}
 			return nil
 		},
-		apply: func() {
+		apply: func() []awareness.BatchItem {
 			if rplan != nil {
 				if err := d.buf.ApplyRehydrate(rplan); err != nil {
 					// The transaction already committed the rehydrated
@@ -512,32 +515,46 @@ func (d *Document) visibilityPlanLocked(ids []util.ID, visible bool, user string
 					panic(fmt.Sprintf("core: rehydrate after commit: %v", err))
 				}
 			}
+			var items []awareness.BatchItem
+			var runes []rune // restored text, in flip order
 			for _, id := range all {
 				if visible {
 					d.buf.Undelete(id, now)
+					pos, _ := d.buf.PosOf(id)
+					ch, _ := d.buf.Char(id)
+					runes = append(runes, ch.Rune)
+					items = appendFlip(items, awareness.EvInsert, pos, id, true)
 				} else {
+					pos, _ := d.buf.PosOf(id)
 					d.buf.Delete(id, user, now)
+					items = appendFlip(items, awareness.EvDelete, pos, id, true)
 				}
 			}
+			for i := 0; visible && i < len(items); i++ {
+				items[i].Text, runes = string(runes[:items[i].N]), runes[items[i].N:]
+			}
+			return items
 		},
 	}, nil
 }
 
-// spanRemovedPlan flips a span's removed flag.
-func (d *Document) spanRemovedPlan(spanID util.ID, removed bool) (*undoPlan, error) {
-	row, _, err := d.eng.tSpans.GetByPK(nil, int64(spanID))
-	if err != nil {
-		return nil, err
-	}
+// spanRemovedPlanLocked (d.mu held) flips a span's removed flag; its one
+// layout item at the span's start makes the indexer re-resolve headings.
+func (d *Document) spanRemovedPlanLocked(spanID util.ID, removed bool) *undoPlan {
+	var start util.ID
 	return &undoPlan{
 		persist: func(tx *txn.Txn) error {
 			cur, _, err := d.eng.tSpans.GetByPK(tx, int64(spanID))
 			if err != nil {
 				return err
 			}
+			start = util.ID(cur[4].(int64))
 			cur[8] = removed
 			return d.eng.tSpans.UpdateByPK(tx, int64(spanID), cur)
 		},
-		apply: func() { _ = row },
-	}, nil
+		apply: func() []awareness.BatchItem {
+			pos, _ := d.buf.RankOf(start)
+			return []awareness.BatchItem{{Kind: awareness.EvLayout, Pos: pos}}
+		},
+	}
 }

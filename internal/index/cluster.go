@@ -163,7 +163,6 @@ func (c *Cluster) Stats() Stats {
 		out.Lag += st.Lag
 		out.Delta += st.Delta
 		out.Full.Prime += st.Full.Prime
-		out.Full.UndoRedo += st.Full.UndoRedo
 		out.Full.RingMiss += st.Full.RingMiss
 		out.Full.SeqAhead += st.Full.SeqAhead
 	}

@@ -242,10 +242,10 @@ func deltaFoldRun(t *testing.T, seed int64) {
 	}
 
 	st := svc.Stats()
-	if st.Delta == 0 || st.Full.Prime != 3 || st.Full.UndoRedo == 0 || st.Full.RingMiss == 0 || st.Full.SeqAhead == 0 || st.Heals == 0 {
+	if st.Delta == 0 || st.Full.Prime != 3 || st.Full.RingMiss == 0 || st.Full.SeqAhead == 0 || st.Heals == 0 {
 		t.Fatalf("a refresh path went unexercised: %+v", st)
 	}
-	if st.Delta < 3*(st.Full.UndoRedo+st.Full.RingMiss+st.Full.SeqAhead) {
+	if st.Delta < 3*(st.Full.RingMiss+st.Full.SeqAhead) {
 		t.Fatalf("the changed-range path is not the common one: %+v", st)
 	}
 }
@@ -356,7 +356,7 @@ func TestFoldCostIndependentOfDocumentSize(t *testing.T) {
 		t.Fatalf("fold cost grows with the document: %.1f allocs / %.0f B per key at %d chars, %.1f / %.0f at %d",
 			la, lb, large.Len(), sa, sb, small.Len())
 	}
-	if st := svc.Stats(); st.Full.UndoRedo+st.Full.RingMiss+st.Full.SeqAhead != 0 {
+	if st := svc.Stats(); st.Full.RingMiss+st.Full.SeqAhead != 0 {
 		t.Fatalf("typing fell off the changed-range path: %+v", st)
 	}
 }

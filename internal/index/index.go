@@ -20,7 +20,7 @@
 // coalescing refresher then re-tokenizes only those ranges, widened to
 // token boundaries and read by position from the snapshot the term table
 // reflects and from the current one (search.Index.PatchDoc). Whatever has
-// no known positional effect — undo/redo, a gap that outlived the op ring,
+// no known positional effect — a gap that outlived the op ring,
 // a snapshot ahead of the folded events when an answer is needed now —
 // re-indexes the document wholesale, which is also how it was primed.
 // Every Query first drains the dirty set, so answers are exact with
@@ -70,7 +70,6 @@ type Stats struct {
 // anything but Prime growing steadily means the O(edit) path is degrading.
 type FullRefreshes struct {
 	Prime    int64 `json:"prime"`     // first indexing of a document
-	UndoRedo int64 `json:"undo_redo"` // an undo/redo event: no positional items
 	RingMiss int64 `json:"ring_miss"` // a shed gap outlived the op ring
 	SeqAhead int64 `json:"seq_ahead"` // Query/Sync found a snapshot ahead of the folded events
 }
@@ -81,7 +80,6 @@ type refreshCause int
 const (
 	causeNone refreshCause = iota // changed ranges are exact: patch
 	causePrime
-	causeUndoRedo
 	causeRingMiss
 	causeSeqAhead
 	causeCount
@@ -302,16 +300,9 @@ func (s *Service) foldEventLocked(id util.ID, st *docState, ev awareness.Event) 
 	case awareness.EvInsert, awareness.EvPaste, awareness.EvDelete, awareness.EvLayout, awareness.EvNote:
 		s.foldItemLocked(id, st, awareness.BatchItem{Kind: ev.Kind, Pos: ev.Pos, N: ev.N,
 			IDs: ev.IDs, SrcDoc: ev.SrcDoc}, ev.At, inBase)
-	case awareness.EvBatch:
+	case awareness.EvBatch, awareness.EvUndo, awareness.EvRedo:
 		for _, it := range ev.Batch {
 			s.foldItemLocked(id, st, it, ev.At, inBase)
-		}
-	case awareness.EvUndo, awareness.EvRedo:
-		// Which instances flipped is not on the event. Lineage is unmoved
-		// (restores resurface instances already counted); the text is
-		// re-derived from the snapshot.
-		if !inBase && st.full == causeNone {
-			st.full = causeUndoRedo
 		}
 	}
 	s.applied.Add(1)
@@ -546,7 +537,6 @@ func (s *Service) Stats() Stats {
 		Delta:   s.refreshes[causeNone],
 		Full: FullRefreshes{
 			Prime:    s.refreshes[causePrime],
-			UndoRedo: s.refreshes[causeUndoRedo],
 			RingMiss: s.refreshes[causeRingMiss],
 			SeqAhead: s.refreshes[causeSeqAhead],
 		},

@@ -108,7 +108,6 @@ type IndexStats struct {
 // down by what forced them (index.FullRefreshes, field for field).
 type IndexFullRefreshes struct {
 	Prime    int64 `json:"prime"`
-	UndoRedo int64 `json:"undo_redo"`
 	RingMiss int64 `json:"ring_miss"`
 	SeqAhead int64 `json:"seq_ahead"`
 }

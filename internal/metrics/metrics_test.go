@@ -30,13 +30,12 @@ func TestIndexRefreshCountersOnTheScrape(t *testing.T) {
 
 	m.SetIndexStats(func() (IndexStats, bool) {
 		return IndexStats{Docs: 2, AppliedOps: 90, Heals: 1, LagDocs: 1, DeltaRefreshes: 80,
-			FullRefreshes: IndexFullRefreshes{Prime: 2, UndoRedo: 3, RingMiss: 4, SeqAhead: 5}}, true
+			FullRefreshes: IndexFullRefreshes{Prime: 2, RingMiss: 4, SeqAhead: 5}}, true
 	})
 	var got struct {
 		Delta *int64 `json:"delta_refreshes"`
 		Full  *struct {
 			Prime    *int64 `json:"prime"`
-			UndoRedo *int64 `json:"undo_redo"`
 			RingMiss *int64 `json:"ring_miss"`
 			SeqAhead *int64 `json:"seq_ahead"`
 		} `json:"full_refreshes"`
@@ -45,11 +44,11 @@ func TestIndexRefreshCountersOnTheScrape(t *testing.T) {
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Delta == nil || got.Full == nil || got.Full.Prime == nil || got.Full.UndoRedo == nil ||
+	if got.Delta == nil || got.Full == nil || got.Full.Prime == nil ||
 		got.Full.RingMiss == nil || got.Full.SeqAhead == nil {
 		t.Fatalf("a refresh counter is missing from %s", raw)
 	}
-	if *got.Delta != 80 || *got.Full.Prime != 2 || *got.Full.UndoRedo != 3 || *got.Full.RingMiss != 4 || *got.Full.SeqAhead != 5 {
+	if *got.Delta != 80 || *got.Full.Prime != 2 || *got.Full.RingMiss != 4 || *got.Full.SeqAhead != 5 {
 		t.Fatalf("refresh counters scrambled: %s", raw)
 	}
 }

@@ -181,9 +181,10 @@ type EditResult struct {
 	Pos  int      `json:"pos"`
 }
 
-// BatchItem is one op of a committed batch inside a pushed "batch" event,
-// with its position resolved against the document state after the items
-// before it — a replica applies the items in order.
+// BatchItem is one op of a committed batch (or one run an undo or redo
+// flipped) inside a pushed "batch", "undo" or "redo" event, with its
+// position resolved against the document state after the items before it
+// — a replica applies the items in order.
 type BatchItem struct {
 	Kind string   `json:"kind"`
 	Pos  int      `json:"pos"`
@@ -344,9 +345,8 @@ type Message struct {
 	IDs      []uint64     `json:"ids,omitempty"`     // anchors: instance IDs of the range
 	Events   []Event      `json:"events,omitempty"`  // resync: the delta, in sequence order
 	// Full marks a resync response that fell back to the complete text
-	// (the gap outlived the server's op-ring retention, or the gap
-	// contains an operation a positional replica cannot replay): Text,
-	// Seq and Snap carry a full consistent read, Events is empty.
+	// because the gap outlived the server's op-ring retention: Text, Seq
+	// and Snap carry a full consistent read, Events is empty.
 	Full bool `json:"full,omitempty"`
 	// Shards is routing metadata on the hello response: how many engine
 	// shards this process runs (documents map to shards by ID). Today it

@@ -145,26 +145,12 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Raw-wire subscribers, so every received frame is inspectable: bob at
-	// each protocol generation, plus an unrestricted alice observer.
-	subscribe := func(user, pw string, ver int) *v1Wire {
-		w := dialV1(t, addr)
-		w.call(&protocol.Message{Op: protocol.OpLogin, User: user, Password: pw})
-		if ver >= protocol.Version2 {
-			if got := w.call(&protocol.Message{Op: protocol.OpHello, Ver: ver}).Ver; got != ver {
-				t.Fatalf("hello: negotiated v%d, want v%d", got, ver)
-			}
-			if ver >= protocol.Version3 {
-				w.codec.EnableBinary()
-			}
-		}
-		w.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: docID})
-		return w
-	}
-	bob1 := subscribe("bob", "pw-b", protocol.Version1)
-	bob2 := subscribe("bob", "pw-b", protocol.Version2)
-	bob3 := subscribe("bob", "pw-b", protocol.Version3)
-	aobs := subscribe("alice", "pw-a", protocol.Version2)
+	// Raw-wire subscribers: bob at each protocol generation, plus an
+	// unrestricted alice observer.
+	bob1 := subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version1)
+	bob2 := subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version2)
+	bob3 := subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version3)
+	aobs := subscribeWire(t, addr, docID, "alice", "pw-a", protocol.Version2)
 
 	// Anchors resolved before the edits move positions around.
 	inSecret, err := ad.Anchors(9, 1) // a char inside the denied range
@@ -194,43 +180,10 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 
 	// Drain every subscriber until it has seen the last committed event.
 	wantSeq := eng.Bus().Seq(util.ID(docID))
-	drain := func(w *v1Wire) {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			w.call(&protocol.Message{Op: protocol.OpPresence, Doc: docID})
-			var max uint64
-			for _, ev := range w.pushes {
-				if ev.Seq > max {
-					max = ev.Seq
-				}
-			}
-			if max >= wantSeq {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("subscriber stuck at seq %d, want %d", max, wantSeq)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+	for _, w := range []*v1Wire{bob1, bob2, bob3, aobs} {
+		w.drainTo(docID, wantSeq)
 	}
-	drain(bob1)
-	drain(bob2)
-	drain(bob3)
-	drain(aobs)
 
-	// eventTexts flattens everything text-like a subscriber received.
-	eventTexts := func(evs []*protocol.Event) string {
-		var sb strings.Builder
-		for _, ev := range evs {
-			sb.WriteString(ev.Text)
-			sb.WriteByte('\n')
-			for _, it := range ev.Batch {
-				sb.WriteString(it.Text)
-				sb.WriteByte('\n')
-			}
-		}
-		return sb.String()
-	}
 	for name, w := range map[string]*v1Wire{"v1": bob1, "v2": bob2, "v3": bob3} {
 		got := eventTexts(w.pushes)
 		for _, secret := range []string{"SECRET", "XX", "ZZ"} {
@@ -267,11 +220,7 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 		if resp.Full || len(resp.Events) == 0 {
 			t.Fatalf("bob/%s resync fell back to full text (events=%d)", name, len(resp.Events))
 		}
-		evs := make([]*protocol.Event, len(resp.Events))
-		for i := range resp.Events {
-			evs[i] = &resp.Events[i]
-		}
-		got := eventTexts(evs)
+		got := eventTexts(eventPtrs(resp.Events))
 		for _, secret := range []string{"SECRET", "XX", "ZZ"} {
 			if strings.Contains(got, secret) {
 				t.Fatalf("bob/%s resync replay leaked %q:\n%s", name, secret, got)
@@ -292,4 +241,67 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 	if !strings.Contains(asb.String(), "SECRET") {
 		t.Fatalf("alice resync replay redacted for the wrong user:\n%s", asb.String())
 	}
+}
+
+// subscribeWire opens a raw-wire subscription to doc as user at protocol
+// version ver, so every received frame is inspectable.
+func subscribeWire(t *testing.T, addr string, doc uint64, user, pw string, ver int) *v1Wire {
+	t.Helper()
+	w := dialV1(t, addr)
+	w.call(&protocol.Message{Op: protocol.OpLogin, User: user, Password: pw})
+	if ver >= protocol.Version2 {
+		if got := w.call(&protocol.Message{Op: protocol.OpHello, Ver: ver}).Ver; got != ver {
+			t.Fatalf("hello: negotiated v%d, want v%d", got, ver)
+		}
+		if ver >= protocol.Version3 {
+			w.codec.EnableBinary()
+		}
+	}
+	w.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: doc})
+	return w
+}
+
+// drainTo collects pushes until the subscriber has seen event seq of doc.
+func (w *v1Wire) drainTo(doc, seq uint64) {
+	w.t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		w.call(&protocol.Message{Op: protocol.OpPresence, Doc: doc})
+		var max uint64
+		for _, ev := range w.pushes {
+			if ev.Seq > max {
+				max = ev.Seq
+			}
+		}
+		if max >= seq {
+			return
+		}
+		if time.Now().After(deadline) {
+			w.t.Fatalf("subscriber stuck at seq %d, want %d", max, seq)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// eventTexts flattens everything text-like in evs.
+func eventTexts(evs []*protocol.Event) string {
+	var sb strings.Builder
+	for _, ev := range evs {
+		sb.WriteString(ev.Text)
+		sb.WriteByte('\n')
+		for _, it := range ev.Batch {
+			sb.WriteString(it.Text)
+			sb.WriteByte('\n')
+		}
+	}
+	return sb.String()
+}
+
+// eventPtrs points at each event of a resync response.
+func eventPtrs(evs []protocol.Event) []*protocol.Event {
+	out := make([]*protocol.Event, len(evs))
+	for i := range evs {
+		out[i] = &evs[i]
+	}
+	return out
 }

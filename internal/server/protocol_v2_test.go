@@ -483,6 +483,30 @@ func TestDeltaResync(t *testing.T) {
 	if got, want := d.Text(), srvDoc.Text(); got != want {
 		t.Fatalf("after delta resync: %q, want %q", got, want)
 	}
+
+	// A gap holding an undo and a redo is replayed as events, not text.
+	since := d.Seq()
+	if _, err := srvDoc.UndoLocal("bob"); err != nil { // restores the two deleted chars
+		t.Fatal(err)
+	}
+	if _, err := srvDoc.UndoLocal("bob"); err != nil { // hides "-tail"
+		t.Fatal(err)
+	}
+	if _, err := srvDoc.RedoLocal("bob"); err != nil {
+		t.Fatal(err)
+	}
+	resp := rawCall(t, addr, "alice", &protocol.Message{
+		Op: protocol.OpResync, Doc: docID, Since: since,
+	})
+	if resp.Full || len(resp.Events) != 3 {
+		t.Fatalf("resync over undo/redo: full=%v, %d events, want 3 events", resp.Full, len(resp.Events))
+	}
+	if err := d.Resync(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.Text(), srvDoc.Text(); got != want {
+		t.Fatalf("after delta resync over undo/redo: %q, want %q", got, want)
+	}
 }
 
 // TestDeltaResyncTransfersGapNotDoc pins the O(gap) wire property: for a

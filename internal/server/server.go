@@ -673,8 +673,7 @@ func (c *conn) pushEvent(ev *awareness.Event) bool {
 
 // healGap recovers a shed subscriber in place: replay the missed events
 // from the bus's retention ring (O(gap), the same source as a delta
-// resync). When the ring no longer covers the gap, or the gap contains
-// an operation a positional replica cannot replay, fall back to the
+// resync). When the ring no longer covers the gap, fall back to the
 // advisory "lagged" push — the subscription stays live and the client
 // fetches the full text. Returns false once the connection is torn down.
 func (c *conn) healGap(docID util.ID, gap awareness.Event, red *redactor, lastSent *uint64) bool {
@@ -690,14 +689,7 @@ func (c *conn) healGap(docID util.ID, gap awareness.Event, red *redactor, lastSe
 		return true
 	}
 	evs, covered := bus.EventsSince(docID, *lastSent)
-	replayable := covered
-	for i := range evs {
-		if evs[i].Kind == awareness.EvUndo || evs[i].Kind == awareness.EvRedo {
-			replayable = false
-			break
-		}
-	}
-	if !replayable {
+	if !covered {
 		if !c.pushLagged(docID) {
 			return false
 		}
@@ -973,10 +965,9 @@ func (c *conn) anchors(req *protocol.Message) *protocol.Message {
 
 // resync serves a protocol-v2 delta resync: the events after req.Since,
 // straight from the awareness bus's bounded op ring — O(gap) on the wire
-// instead of O(document). When the gap has outlived retention, or it
-// contains an operation a positional replica cannot replay (undo/redo
-// rewrite arbitrary historical regions), the response falls back to the
-// full consistent text exactly like a v1 resync.
+// instead of O(document). When the gap has outlived retention, the
+// response falls back to the full consistent text exactly like a v1
+// resync.
 func (c *conn) resync(req *protocol.Message) *protocol.Message {
 	d, err := c.doc(req)
 	if err != nil {
@@ -991,25 +982,16 @@ func (c *conn) resync(req *protocol.Message) *protocol.Message {
 	}
 	evs, ok := c.srv.busFor(d.ID()).EventsSince(d.ID(), req.Since)
 	if ok {
-		replayable := true
+		red := c.redactor(d.ID())
+		out := make([]protocol.Event, len(evs))
 		for i := range evs {
-			if evs[i].Kind == awareness.EvUndo || evs[i].Kind == awareness.EvRedo {
-				replayable = false
-				break
+			ev := evs[i]
+			if red != nil {
+				ev = red.redact(ev)
 			}
+			out[i] = *wireEvent(&ev)
 		}
-		if replayable {
-			red := c.redactor(d.ID())
-			out := make([]protocol.Event, len(evs))
-			for i := range evs {
-				ev := evs[i]
-				if red != nil {
-					ev = red.redact(ev)
-				}
-				out[i] = *wireEvent(&ev)
-			}
-			return &protocol.Message{OK: true, Events: out}
-		}
+		return &protocol.Message{OK: true, Events: out}
 	}
 	snap, seq := d.SnapshotSeq()
 	text, err := snap.TextFor(c.user)

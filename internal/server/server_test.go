@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -303,6 +304,14 @@ func TestUndoRedoOverWire(t *testing.T) {
 	c := login(t, addr, "alice", "")
 	docID, _ := c.CreateDocument("undoable")
 	d, _ := c.Open(docID)
+	// Undo and redo carry positional items: the replica folds them like
+	// any edit and never resyncs.
+	var resyncs atomic.Int32
+	d.Watch(func(ev protocol.Event) {
+		if ev.Kind == "resync" {
+			resyncs.Add(1)
+		}
+	})
 	base := d.Seq()
 	d.Insert(0, "first ")
 	d.Insert(6, "second")
@@ -323,6 +332,9 @@ func TestUndoRedoOverWire(t *testing.T) {
 	}
 	if d.Text() != "first second" {
 		t.Fatalf("after redo: %q", d.Text())
+	}
+	if n := resyncs.Load(); n != 0 {
+		t.Fatalf("replica resynced %d times over undo/redo", n)
 	}
 }
 
@@ -454,8 +466,7 @@ func TestReplicaResyncAfterGap(t *testing.T) {
 	d, _ := alice.Open(docID)
 
 	// Server-side edits through the engine directly do not go through
-	// alice's connection but are pushed; undo forces replica resync paths.
-	// Baselines are relative: the subscription's join event already
+	// alice's connection but are pushed, undo included. Baselines are relative: the subscription's join event already
 	// consumed a sequence number.
 	srvDoc, _ := eng.OpenDocument(util.ID(docID))
 	base := d.Seq()

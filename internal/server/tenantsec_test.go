@@ -295,3 +295,89 @@ func TestTakeBothNoCrossDrain(t *testing.T) {
 		t.Fatalf("rejected request drained the user budget: %.2f tokens left, want 1", left)
 	}
 }
+
+// TestUndoRestoredRunesRedacted pins that undo and redo, which publish
+// the instances they flip as positional items, pass the redactor like any
+// edit: denied runes an undo restores reach a restricted v2 or v3
+// subscriber masked, live and in a "resync since" replay, while an
+// unrestricted subscriber at either version gets them in plaintext — so
+// no frame is shared across visibility classes.
+func TestUndoRestoredRunesRedacted(t *testing.T) {
+	addr, eng, store := harnessStore(t, true)
+	alice := loginVer(t, addr, "alice", "pw-a", protocol.VersionMax)
+	docID, err := alice.CreateDocument("restore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad, err := alice.Open(docID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ad.Insert(0, "public SECRET public"); err != nil {
+		t.Fatal(err)
+	}
+	d, err := eng.OpenDocument(util.ID(docID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas, err := d.RangeMeta(7, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.DenyRange("alice", d.ID(), security.UserPrefix+"bob",
+		core.RRead, metas[0].ID, metas[len(metas)-1].ID); err != nil {
+		t.Fatal(err)
+	}
+	restricted := map[string]*v1Wire{
+		"bob/v2": subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version2),
+		"bob/v3": subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version3),
+	}
+	unrestricted := map[string]*v1Wire{
+		"alice/v2": subscribeWire(t, addr, docID, "alice", "pw-a", protocol.Version2),
+		"alice/v3": subscribeWire(t, addr, docID, "alice", "pw-a", protocol.Version3),
+	}
+
+	// Delete "CRE" inside the denied range, undo (restoring it), redo.
+	since := eng.Bus().Seq(util.ID(docID))
+	if err := ad.Delete(9, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := ad.Undo(protocol.ScopeLocal); err != nil {
+		t.Fatal(err)
+	}
+	if err := ad.Redo(protocol.ScopeLocal); err != nil {
+		t.Fatal(err)
+	}
+	wantSeq := eng.Bus().Seq(util.ID(docID))
+
+	// restoredText is the text the undo events' items carry.
+	restoredText := func(evs []*protocol.Event) string {
+		var sb strings.Builder
+		for _, ev := range evs {
+			if ev.Kind == "undo" || ev.Kind == "redo" {
+				for _, it := range ev.Batch {
+					sb.WriteString(it.Text)
+				}
+			}
+		}
+		return sb.String()
+	}
+	check := func(subs map[string]*v1Wire, want string) {
+		t.Helper()
+		for name, w := range subs {
+			w.drainTo(docID, wantSeq)
+			if got := restoredText(w.pushes); got != want {
+				t.Fatalf("%s live undo/redo items carry %q, want %q", name, got, want)
+			}
+			resp := w.call(&protocol.Message{Op: protocol.OpResync, Doc: docID, Since: since})
+			if resp.Full {
+				t.Fatalf("%s resync over an undo fell back to full text", name)
+			}
+			if got := restoredText(eventPtrs(resp.Events)); got != want {
+				t.Fatalf("%s resync undo/redo items carry %q, want %q", name, got, want)
+			}
+		}
+	}
+	check(restricted, "███")
+	check(unrestricted, "CRE")
+}
