@@ -16,7 +16,7 @@
 //
 // See DESIGN.md for the architecture (including the group-commit pipeline,
 // §3, the fuzzy-checkpoint/recovery protocol, §4, the MVCC snapshot read
-// path, §5, and the ID-anchored batched editing protocol v2, §7) and
+// path, §5, and the ID-anchored batched editing protocol v3, §7) and
 // EXPERIMENTS.md for the reproduction of every figure and demonstrated
 // capability: cmd/tendax-bench runs the experiment registry (E1–E10, E17,
 // E18), and keystroke-bench (benchmark/, BENCHMARK.json) measures

@@ -3,7 +3,7 @@
 // concurrently, with live propagation, awareness, collaborative layouting
 // and global undo.
 //
-// The players type through protocol-v2 sessions: keystrokes coalesce into
+// The players type through protocol-v3 sessions: keystrokes coalesce into
 // ID-anchored batches, acknowledgements are pipelined, and each player's
 // text chains after their own previous insert — so no amount of
 // concurrent typing can tear a player's lines apart, and nobody's typing
@@ -79,7 +79,7 @@ func main() {
 				log.Printf("%s: %v", user, err)
 				return
 			}
-			// A v2 session per player: typing is coalesced and pipelined;
+			// A v3 session per player: typing is coalesced and pipelined;
 			// Close drains the durable acknowledgements.
 			s, err := d.Session()
 			if err != nil {

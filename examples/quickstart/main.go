@@ -69,7 +69,7 @@ func main() {
 	}
 	fmt.Printf("undone:   %s\n", doc.Text())
 
-	// 6. Edit batches (the protocol-v2 hot path, embedded form): several
+	// 6. Edit batches (the protocol-v3 hot path, embedded form): several
 	// ops — ID-anchored inserts, deletes by identity, layout over the
 	// batch's own text — commit as ONE transaction with ONE history-
 	// preserving awareness event. Over the wire, client sessions coalesce

@@ -54,8 +54,8 @@ const (
 	EvGap EventKind = "gap"
 )
 
-// BatchItem is one operation inside an EvBatch event: a protocol-v2 edit
-// batch commits as a single transaction and announces itself as a single
+// BatchItem is one operation inside an EvBatch event: an edit batch
+// commits as a single transaction and announces itself as a single
 // event whose items replay, in order, against a position-based replica.
 // An EvUndo or EvRedo carries the instances it flipped the same way.
 // Pos is resolved against the document state after the preceding items of
@@ -315,7 +315,7 @@ type Presence struct {
 // registry. Safe for concurrent use.
 //
 // The bus also retains a bounded ring of the most recent events per
-// document (the protocol-v2 delta-resync source): a replica that knows it
+// document (the delta-resync source): a replica that knows it
 // applied events up to sequence S asks for everything after S and receives
 // O(gap) events instead of the O(doc) full text — as long as the gap still
 // fits the retention window.

@@ -8,6 +8,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -21,8 +22,7 @@ var ErrClosed = errors.New("client: connection closed")
 
 // RemoteError is an error the server answered with (as opposed to a
 // transport failure): the connection is alive and the server processed
-// the request. Version negotiation uses the distinction to tell "old
-// server that does not know the op" apart from "broken connection".
+// the request.
 type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return e.Msg }
@@ -60,15 +60,15 @@ type Client struct {
 type Option func(*dialConfig)
 
 type dialConfig struct {
-	maxVersion int // 0 = no negotiation, stay on v1
+	maxVersion int // below Version3 = no negotiation, stay on v1
 	user       string
 	password   string
 	login      bool
 }
 
-// WithMaxVersion negotiates the protocol during Dial, upgrading the
-// connection to at most max (use protocol.VersionMax for "highest both
-// sides speak"). Without this option the connection stays on v1.
+// WithMaxVersion negotiates the protocol during Dial when max is at least
+// protocol.Version3, upgrading the connection to v3 binary frames. Without
+// this option, or with a lower max, the connection stays on v1.
 func WithMaxVersion(max int) Option {
 	return func(cfg *dialConfig) { cfg.maxVersion = max }
 }
@@ -98,16 +98,10 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		codec:   protocol.NewCodec(nc),
-		ver:     protocol.Version1,
-		pending: make(map[int64]chan *protocol.Message),
-		docs:    make(map[uint64]*Doc),
-	}
-	go c.readLoop()
+	c := newClient(nc)
 	// WithMaxVersion(protocol.Version1) means "pin to v1": no hello at all.
-	if cfg.maxVersion >= protocol.Version2 {
-		if _, err := c.hello(cfg.maxVersion); err != nil {
+	if cfg.maxVersion >= protocol.Version3 {
+		if _, err := c.hello(); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -119,6 +113,18 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		}
 	}
 	return c, nil
+}
+
+// newClient starts a v1 client over an established connection.
+func newClient(rw io.ReadWriteCloser) *Client {
+	c := &Client{
+		codec:   protocol.NewCodec(rw),
+		ver:     protocol.Version1,
+		pending: make(map[int64]chan *protocol.Message),
+		docs:    make(map[uint64]*Doc),
+	}
+	go c.readLoop()
+	return c
 }
 
 // Close tears the connection down.
@@ -225,58 +231,33 @@ func (c *Client) call(req *protocol.Message) (*protocol.Message, error) {
 	return await(ch)
 }
 
-// hello negotiates the protocol version for Dial's WithMaxVersion and for
-// Doc.Session: the connection is upgraded to the highest version both
-// sides speak, capped at max, and that version is returned. A pre-v2
-// server rejects the operation; the client then stays on v1 and every v1
-// method keeps working, so negotiating is safe against any server. The
-// first successful negotiation is final: a later call returns the
-// negotiated version rather than re-upgrading a pinned connection.
-// Negotiating Version3 or later switches the connection's outbound framing
-// to the binary codec (inbound frames are auto-detected per frame either
-// way).
-func (c *Client) hello(max int) (int, error) {
-	if max > protocol.VersionMax {
-		max = protocol.VersionMax
-	}
+// hello negotiates v3 for Dial's WithMaxVersion and for Doc.Session and
+// returns the version the connection speaks. The first negotiation is
+// final: a later call returns the negotiated version. The hello request
+// is always JSON-framed; landing on v3 switches the connection's outbound
+// framing to the binary codec (inbound frames are auto-detected per frame
+// either way).
+func (c *Client) hello() (int, error) {
 	c.mu.Lock()
-	if c.ver >= protocol.Version2 {
+	if c.ver >= protocol.Version3 {
 		v := c.ver
 		c.mu.Unlock()
 		return v, nil
 	}
 	c.mu.Unlock()
-	// The hello request is always JSON-framed (binary is only enabled
-	// below, after negotiation), so advertising capabilities here is safe
-	// against servers of any generation: JSON decoders skip unknown
-	// fields. CapTypedErrors tells the server this client decodes the
-	// Code/RetryMS bits that postdate the first binary release;
-	// CapShardInfo that it decodes the Shards routing-metadata bit;
-	// CapQuery that it decodes the query response bits (Hits/Sources).
-	resp, err := c.call(&protocol.Message{Op: protocol.OpHello, Ver: max,
-		Caps: protocol.CapTypedErrors | protocol.CapShardInfo | protocol.CapQuery})
+	resp, err := c.call(&protocol.Message{Op: protocol.OpHello, Ver: protocol.VersionMax})
 	if err != nil {
-		// Only a server that ANSWERED with an error — i.e. an old server
-		// rejecting the unknown op — negotiates down to v1. Transport
-		// failures propagate: a dead connection is not a v1 server.
-		var remote *RemoteError
-		if errors.As(err, &remote) {
-			return protocol.Version1, nil
-		}
 		return 0, err
 	}
-	v := resp.Ver
-	if v < protocol.Version1 {
-		v = protocol.Version1
-	}
-	if v > max {
-		v = max
+	v := protocol.Version1
+	if resp.Ver >= protocol.Version3 {
+		v = protocol.Version3
 	}
 	c.mu.Lock()
 	c.ver = v
 	c.shards = resp.Shards
 	c.mu.Unlock()
-	if v >= protocol.Version3 {
+	if v == protocol.Version3 {
 		c.codec.EnableBinary()
 	}
 	return v, nil
@@ -291,10 +272,10 @@ func (c *Client) Ver() int {
 }
 
 // ShardCount returns the server's engine-shard count as reported in the
-// hello response, or 0 when the server predates shard metadata (or no
-// hello was exchanged). Documents map onto shards by ID — shard of doc =
-// (doc-1) mod ShardCount — which the multi-node phase will use to route
-// connections; today it is purely informational.
+// hello response, or 0 when no hello was exchanged. Documents map onto
+// shards by ID — shard of doc = (doc-1) mod ShardCount — which the
+// multi-node phase will use to route connections; today it is purely
+// informational.
 func (c *Client) ShardCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -341,8 +322,7 @@ type SearchQuery struct {
 // Search runs a full-text query against the server's incremental index.
 // Results are ACL-filtered server-side: documents the user cannot read are
 // absent, and snippets are re-derived through the user's character-level
-// read mask. Requires a server with indexers running and (on v3) the
-// CapQuery capability, which Dial advertises whenever it negotiates.
+// read mask. Requires a server with indexers running.
 func (c *Client) Search(q SearchQuery) ([]protocol.SearchHit, error) {
 	resp, err := c.call(&protocol.Message{Op: protocol.OpQuery, Query: &protocol.QueryReq{
 		Kind:       protocol.QuerySearch,
@@ -387,7 +367,11 @@ type Doc struct {
 	seq, told uint64
 	snap      uint64 // MVCC snapshot version of the last full-text read
 	lagged    bool
+	// resyncing is set while the replica waits for a base (its open read
+	// or a resync); pending keeps the pushes that arrive meanwhile, to be
+	// folded on top of the base once it lands.
 	resyncing bool
+	pending   []protocol.Event
 	events    []protocol.Event // retained for tests/UIs
 	watcher   func(protocol.Event)
 
@@ -409,27 +393,27 @@ func (c *Client) Open(docID uint64) (*Doc, error) {
 	}
 	c.mu.Unlock()
 
-	d := &Doc{c: c, id: docID}
-	// Register before subscribing so no push is dropped; pushes arriving
-	// before the open snapshot are reconciled by sequence number.
+	// Register before subscribing so no push is dropped: pushes arriving
+	// before the open snapshot wait in pending until it lands.
+	d := &Doc{c: c, id: docID, resyncing: true}
 	c.mu.Lock()
 	c.docs[docID] = d
 	c.mu.Unlock()
 
-	if _, err := c.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: docID}); err != nil {
+	_, err := c.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: docID})
+	var resp *protocol.Message
+	if err == nil {
+		resp, err = c.call(&protocol.Message{Op: protocol.OpOpenDoc, Doc: docID})
+	}
+	if err != nil {
 		c.mu.Lock()
 		delete(c.docs, docID)
 		c.mu.Unlock()
 		return nil, err
 	}
-	resp, err := c.call(&protocol.Message{Op: protocol.OpOpenDoc, Doc: docID})
-	if err != nil {
-		return nil, err
-	}
 	d.mu.Lock()
-	d.runes = []rune(resp.Text)
-	d.seq, d.told = resp.Seq, resp.Seq
-	d.snap = resp.Snap
+	d.landLocked(resp.Text, resp.Seq, resp.Snap)
+	d.told = d.seq
 	d.mu.Unlock()
 	return d, nil
 }
@@ -487,10 +471,12 @@ func (d *Doc) Lagged() bool {
 
 // Watch installs a callback invoked on every applied event (UI updates,
 // test synchronisation), and with a synthetic "resync" event after the
-// replica caught up by other means. One watcher at a time. The callback
-// runs without the replica's lock (it may call Events, Text, …) and sees
-// the event already folded into Text; Seq and WaitSeq report the event's
-// sequence number only once the callback has returned.
+// replica caught up by other means; that event's Name is the cause: "gap"
+// (a push skipped a sequence number), "lagged" (the server said the
+// replica fell behind) or "explicit" (a caller's Resync). One watcher at a
+// time. The callback runs without the replica's lock (it may call Events,
+// Text, …) and sees the event already folded into Text; Seq and WaitSeq
+// report the event's sequence number only once the callback has returned.
 func (d *Doc) Watch(fn func(protocol.Event)) {
 	d.mu.Lock()
 	d.watcher = fn
@@ -520,40 +506,23 @@ func (d *Doc) Peers() map[string]int {
 }
 
 // apply folds one pushed event into the replica. Events arrive in per-doc
-// sequence order; only a gap (we were subscribed after some events, or the
-// bus dropped us) forces a resync — every text-changing event, undo and
-// redo included, carries the positions to replay.
+// sequence order; only a gap (the bus dropped us) or a lagged notice forces
+// a resync — every text-changing event, undo and redo included, carries
+// the positions to replay. While a base is in flight, pushes wait in
+// pending rather than being dropped.
 //
 // apply runs on the connection's read loop, so it must never issue a
 // request itself — the response could only be delivered by the very loop
 // that would be blocked waiting for it. Resyncs therefore run on their own
-// goroutine, with a flag suppressing event application meanwhile.
+// goroutine.
 func (d *Doc) apply(ev *protocol.Event) {
 	d.mu.Lock()
 	if ev.Kind == protocol.EvLagged {
-		// The server dropped our subscription because we fell behind and
-		// pushed this final notice: the replica has holes and no event
-		// stream any more. Resubscribe, then fetch the committed state. A
-		// transient failure is retried — giving up silently would recreate
-		// the frozen-replica dead end this push exists to prevent.
+		// The server says we fell behind: the replica has holes. Resubscribe,
+		// then fetch the committed state.
 		d.lagged = true
-		d.resyncing = true
+		d.resyncLocked("lagged")
 		d.mu.Unlock()
-		go func() {
-			for attempt := 0; attempt < 5; attempt++ {
-				_, subErr := d.c.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: d.id})
-				if subErr == nil && d.Resync() == nil {
-					break
-				}
-				if errors.Is(subErr, ErrClosed) {
-					break // connection gone; nothing left to recover
-				}
-				time.Sleep(time.Duration(attempt+1) * 50 * time.Millisecond)
-			}
-			d.mu.Lock()
-			d.resyncing = false
-			d.mu.Unlock()
-		}()
 		return
 	}
 	if ev.Kind == protocol.EvPresence {
@@ -571,28 +540,88 @@ func (d *Doc) apply(ev *protocol.Event) {
 		d.unlockAndTell(*ev, 0)
 		return
 	}
-	if d.resyncing {
-		d.mu.Unlock()
-		return // the pending resync supersedes this event
-	}
 	if ev.Seq <= d.seq { // duplicate or pre-snapshot event
 		d.mu.Unlock()
 		return
 	}
-	if ev.Seq != d.seq+1 {
-		d.resyncing = true
+	if d.resyncing || ev.Seq != d.seq+1 {
+		d.pending = append(d.pending, *ev)
+		if !d.resyncing {
+			d.resyncLocked("gap")
+		}
 		d.mu.Unlock()
-		go func() {
-			_ = d.Resync() // a failed resync surfaces on the next read/edit
-			d.mu.Lock()
-			d.resyncing = false
-			d.mu.Unlock()
-		}()
 		return
 	}
 	d.seq = ev.Seq
 	d.foldLocked(ev)
 	d.unlockAndTell(*ev, ev.Seq)
+}
+
+// resyncLocked starts a background resync for cause (caller holds d.mu).
+// After a lagged notice it resubscribes first. A transient failure is
+// retried — giving up silently would leave the replica frozen; a failed
+// resync surfaces on the next read or edit.
+func (d *Doc) resyncLocked(cause string) {
+	d.resyncing = true
+	go func() {
+		for attempt := 0; attempt < 5; attempt++ {
+			var err error
+			if cause == "lagged" {
+				_, err = d.c.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: d.id})
+			}
+			if err == nil {
+				if err = d.resync(cause); err == nil {
+					return
+				}
+			}
+			if errors.Is(err, ErrClosed) {
+				break // connection gone; nothing left to recover
+			}
+			time.Sleep(time.Duration(attempt+1) * 50 * time.Millisecond)
+		}
+		d.mu.Lock()
+		d.resyncing = false
+		d.mu.Unlock()
+	}()
+}
+
+// landLocked adopts a full-text base that is at least as new as the
+// replica, then folds the pending pushes that continue the replica's
+// sequence (caller holds d.mu). The server pairs a full text with the
+// exact event sequence it contains, so the comparison is sound: a push
+// applied while the read was in flight can leave the replica *ahead* of
+// it, and overwriting would drop that edit's text while the sequence
+// number marks it applied. The snapshot version is adopted as-is, not
+// max'd: it is only comparable within one server process.
+func (d *Doc) landLocked(text string, seq, snap uint64) {
+	if seq >= d.seq {
+		d.runes = []rune(text)
+		d.seq = seq
+		d.snap = snap
+	}
+	d.foldPendingLocked()
+}
+
+// foldPendingLocked runs once a base has landed (caller holds d.mu): it
+// drops the pending pushes the base already holds and folds the run that
+// continues it. If a gap remains, another resync starts; otherwise the
+// replica is live again.
+func (d *Doc) foldPendingLocked() {
+	pend := d.pending
+	d.pending = nil
+	for i := range pend {
+		switch ev := &pend[i]; {
+		case ev.Seq <= d.seq:
+		case ev.Seq == d.seq+1:
+			d.seq = ev.Seq
+			d.foldLocked(ev)
+		default:
+			d.pending = pend[i:]
+			d.resyncLocked("gap")
+			return
+		}
+	}
+	d.resyncing = false
 }
 
 // unlockAndTell releases d.mu (which the caller holds), hands ev to the
@@ -615,7 +644,7 @@ func (d *Doc) unlockAndTell(ev protocol.Event, seq uint64) {
 
 // foldLocked folds one event's text effect into the replica (caller holds
 // d.mu and has already advanced d.seq). A "batch" event — one committed
-// v2 edit batch — and an undo or redo replay their items in order; each
+// edit batch — and an undo or redo replay their items in order; each
 // item's position is resolved against the state after the items before
 // it, so the fold reproduces the committed text exactly.
 func (d *Doc) foldLocked(ev *protocol.Event) {
@@ -654,13 +683,16 @@ func (d *Doc) spliceLocked(pos, del int, ins string) {
 }
 
 // Resync brings the replica back in step with the committed state after a
-// gap. On a v2 connection it first attempts a delta resync: the server
+// gap. On a v3 connection it first attempts a delta resync: the server
 // replays only the events after the replica's sequence number from its
 // bounded op ring — O(gap) on the wire — and falls back to the full text
 // when the gap outlived retention.
-func (d *Doc) Resync() error {
-	if d.c.Ver() >= protocol.Version2 {
-		done, err := d.deltaResync()
+func (d *Doc) Resync() error { return d.resync("explicit") }
+
+// resync is Resync for a cause, which the watcher's "resync" event names.
+func (d *Doc) resync(cause string) error {
+	if d.c.Ver() >= protocol.Version3 {
+		done, err := d.deltaResync(cause)
 		if err != nil {
 			return err
 		}
@@ -672,7 +704,7 @@ func (d *Doc) Resync() error {
 	if err != nil {
 		return err
 	}
-	d.adoptFull(resp)
+	d.adoptFull(resp, cause)
 	return nil
 }
 
@@ -680,7 +712,7 @@ func (d *Doc) Resync() error {
 // folds them in. It reports done=false when the replica must fall back to
 // a full fetch (a torn delta — possible only on a server bug — rather
 // than a covered-but-empty one).
-func (d *Doc) deltaResync() (bool, error) {
+func (d *Doc) deltaResync(cause string) (bool, error) {
 	d.mu.Lock()
 	since := d.seq
 	d.mu.Unlock()
@@ -689,7 +721,7 @@ func (d *Doc) deltaResync() (bool, error) {
 		return false, err
 	}
 	if resp.Full {
-		d.adoptFull(resp)
+		d.adoptFull(resp, cause)
 		return true, nil
 	}
 	d.mu.Lock()
@@ -705,35 +737,22 @@ func (d *Doc) deltaResync() (bool, error) {
 		d.seq = ev.Seq
 		d.foldLocked(ev)
 	}
-	d.unlockAndTell(protocol.Event{Doc: d.id, Kind: "resync"}, d.seq)
+	d.foldPendingLocked()
+	d.unlockAndTell(protocol.Event{Doc: d.id, Kind: "resync", Name: cause}, d.seq)
 	return true, nil
 }
 
 // adoptFull folds a full-text read (OpText response or a Full resync
 // response) into the replica.
-func (d *Doc) adoptFull(resp *protocol.Message) {
+func (d *Doc) adoptFull(resp *protocol.Message, cause string) {
 	d.mu.Lock()
-	// The server pairs Text with the exact event sequence it contains, so
-	// the comparison below is sound: adopt the snapshot only if it is at
-	// least as new as the replica. A push applied while the resync
-	// response was in flight leaves the replica *ahead* of the response;
-	// overwriting it would drop that edit's text while the max'd sequence
-	// number marks it as already applied — losing it permanently.
-	if resp.Seq >= d.seq {
-		d.runes = []rune(resp.Text)
-		d.seq = resp.Seq
-		// The snapshot version is adopted as-is, not max'd: it is only
-		// comparable within one server process, and after a server restart
-		// the counter starts over — keeping the numeric max would pin the
-		// stale pre-restart value to ever-fresher reads.
-		d.snap = resp.Snap
-	}
-	d.unlockAndTell(protocol.Event{Doc: d.id, Kind: "resync"}, d.seq)
+	d.landLocked(resp.Text, resp.Seq, resp.Snap)
+	d.unlockAndTell(protocol.Event{Doc: d.id, Kind: "resync", Name: cause}, d.seq)
 }
 
-// EditBatch applies a protocol-v2 edit batch — ops anchored by character
-// identity, committed as ONE server-side transaction — and waits for the
-// durable acknowledgement. Requires a v2 connection (Dial with WithMaxVersion).
+// EditBatch applies an edit batch — ops anchored by character identity,
+// committed as ONE server-side transaction — and waits for the durable
+// acknowledgement.
 func (d *Doc) EditBatch(ops []protocol.EditOp) ([]protocol.EditResult, error) {
 	resp, err := d.c.call(&protocol.Message{Op: protocol.OpEdit, Doc: d.id, Ops: ops})
 	if err != nil {
@@ -745,7 +764,7 @@ func (d *Doc) EditBatch(ops []protocol.EditOp) ([]protocol.EditResult, error) {
 // Anchors returns the character-instance IDs of the visible range
 // [pos, pos+n), resolved against one consistent server snapshot. Edits
 // anchored by these IDs land at the anchors' identities no matter how
-// many concurrent edits have moved the positions since (v2 only).
+// many concurrent edits have moved the positions since.
 func (d *Doc) Anchors(pos, n int) ([]uint64, error) {
 	resp, err := d.c.call(&protocol.Message{Op: protocol.OpAnchors, Doc: d.id, Pos: pos, N: n})
 	if err != nil {

@@ -1,8 +1,10 @@
 package client
 
 import (
+	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -299,9 +301,9 @@ func TestSeqNeverAheadOfWatcher(t *testing.T) {
 	}
 
 	// Resync path: stand in for a detected gap — while a resync is
-	// pending the replica drops pushes — so bob's next key reaches the
-	// replica only through the resync, which announces itself with a
-	// "resync" event.
+	// pending the replica holds pushes back until the resync lands — so
+	// bob's next key reaches the replica through the resync, which
+	// announces itself with a "resync" event.
 	d.mu.Lock()
 	d.resyncing = true
 	d.mu.Unlock()
@@ -329,4 +331,151 @@ func TestSeqNeverAheadOfWatcher(t *testing.T) {
 	if err := d.WaitSeq(base+3, 500); err != nil {
 		t.Fatalf("Seq never reached the key after the resync callback returned: %v", err)
 	}
+}
+
+// scriptServer answers a client over net.Pipe from a script: serve gets
+// every request the client sends, in order, and replies through respond
+// and push (a send fails only once the test tears the pipe down). resyncs
+// counts the requests that fetch a base again (text or resync).
+type scriptServer struct {
+	codec   *protocol.Codec
+	resyncs atomic.Int32
+}
+
+func startScript(t *testing.T, serve func(s *scriptServer, req *protocol.Message)) (*Client, *scriptServer) {
+	t.Helper()
+	cli, srv := net.Pipe()
+	c := newClient(cli)
+	s := &scriptServer{codec: protocol.NewCodec(srv)}
+	t.Cleanup(func() {
+		c.Close()
+		s.codec.Close()
+	})
+	go func() {
+		for {
+			req, err := s.codec.Recv()
+			if err != nil {
+				return
+			}
+			if req.Op == protocol.OpText || req.Op == protocol.OpResync {
+				s.resyncs.Add(1)
+			}
+			serve(s, req)
+		}
+	}()
+	return c, s
+}
+
+func (s *scriptServer) respond(req, m *protocol.Message) {
+	m.Type, m.ID, m.OK = protocol.TypeResponse, req.ID, true
+	_ = s.codec.Send(m)
+}
+
+func (s *scriptServer) push(ev protocol.Event) {
+	ev.Doc = 1
+	_ = s.codec.Send(&protocol.Message{Type: protocol.TypePush, Event: &ev})
+}
+
+// TestPushesDuringBaseAreKept pins that a push arriving while the replica
+// waits for its base is kept and folded on top of it, not dropped: the
+// scripted server writes the push ahead of the response carrying the base.
+// On Open the subscriber's own join precedes the open response, and no
+// resync may follow. On a resync the server writes push 6 before it
+// answers "resync since 3" with events 4–5, and the replica must reach seq
+// 6 with that push's text and without a second resync.
+func TestPushesDuringBaseAreKept(t *testing.T) {
+	idle := func(d *Doc) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			d.mu.Lock()
+			busy := d.resyncing
+			d.mu.Unlock()
+			if !busy {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the replica never finished resyncing")
+			}
+		}
+	}
+	t.Run("open", func(t *testing.T) {
+		c, s := startScript(t, func(s *scriptServer, req *protocol.Message) {
+			switch req.Op {
+			case protocol.OpSubscribe:
+				s.respond(req, &protocol.Message{Seq: 4})
+			case protocol.OpOpenDoc:
+				s.push(protocol.Event{Seq: 4, Kind: "join", User: "me"})
+				s.respond(req, &protocol.Message{Text: "abc", Seq: 4, Snap: 1})
+			case protocol.OpText:
+				s.respond(req, &protocol.Message{Text: "abc", Seq: 4, Snap: 1})
+			}
+		})
+		d, err := c.Open(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idle(d)
+		if n := s.resyncs.Load(); n != 0 {
+			t.Fatalf("Open resynced %d times after its own join", n)
+		}
+		if d.Text() != "abc" || d.Seq() != 4 {
+			t.Fatalf("replica %q at seq %d, want \"abc\" at 4", d.Text(), d.Seq())
+		}
+	})
+	t.Run("resync", func(t *testing.T) {
+		ins := func(seq uint64, pos int, text string) protocol.Event {
+			return protocol.Event{Seq: seq, Doc: 1, Kind: "insert", User: "peer", Pos: pos, Text: text}
+		}
+		c, s := startScript(t, func(s *scriptServer, req *protocol.Message) {
+			switch req.Op {
+			case protocol.OpHello:
+				s.codec.EnableBinary()
+				s.respond(req, &protocol.Message{Ver: protocol.Version3, Shards: 1})
+			case protocol.OpSubscribe:
+				s.respond(req, &protocol.Message{Seq: 3})
+			case protocol.OpOpenDoc:
+				s.respond(req, &protocol.Message{Text: "abc", Seq: 3, Snap: 1})
+			case protocol.OpResync:
+				if req.Since != 3 {
+					t.Errorf("resync since %d, want 3", req.Since)
+				}
+				s.push(ins(6, 5, "f"))
+				s.respond(req, &protocol.Message{Events: []protocol.Event{ins(4, 3, "d"), ins(5, 4, "e")}})
+			}
+		})
+		if _, err := c.hello(); err != nil {
+			t.Fatal(err)
+		}
+		d, err := c.Open(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resynced := make(chan protocol.Event, 1) // the one resync the gap causes
+		d.Watch(func(ev protocol.Event) {
+			if ev.Kind == "resync" {
+				resynced <- ev
+			}
+		})
+		s.push(ins(5, 4, "e")) // 4 is missing: a gap
+		select {
+		case ev := <-resynced:
+			if ev.Name != "gap" {
+				t.Fatalf("resync cause %q, want gap", ev.Name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the gap never led to a resync")
+		}
+		idle(d)
+		if got := d.Text(); got != "abcdef" {
+			t.Fatalf("replica %q after the resync, want \"abcdef\": the push that raced the delta was lost", got)
+		}
+		for deadline := time.Now().Add(5 * time.Second); d.Seq() != 6; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica at seq %d, want 6", d.Seq())
+			}
+		}
+		if n := s.resyncs.Load(); n != 1 {
+			t.Fatalf("%d resyncs, want 1", n)
+		}
+	})
 }

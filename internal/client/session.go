@@ -8,7 +8,7 @@ import (
 	"tendax/internal/protocol"
 )
 
-// Session is the protocol-v2 pipelined typing surface of a document: it
+// Session is the protocol-v3 pipelined typing surface of a document: it
 // coalesces keystrokes into ID-anchored edit batches, flushes them when a
 // batch fills or the flush interval elapses, and correlates the durable
 // acknowledgements asynchronously — so typing throughput is no longer
@@ -45,20 +45,20 @@ type Session struct {
 	typed   int            // runes accepted by Type
 }
 
-// ErrNeedV2 reports a session request against a server that only speaks
+// ErrNeedV3 reports a session request against a server that only speaks
 // protocol v1.
-var ErrNeedV2 = errors.New("client: server does not speak protocol v2")
+var ErrNeedV3 = errors.New("client: server does not speak protocol v3")
 
 // Session opens a pipelined editing session on the document, negotiating
-// protocol v2 first if the connection has not already. The cursor starts
+// protocol v3 first if the connection has not already. The cursor starts
 // at the end of the document (MoveTo repositions it).
 func (d *Doc) Session() (*Session, error) {
-	ver, err := d.c.hello(protocol.VersionMax)
+	ver, err := d.c.hello()
 	if err != nil {
 		return nil, err
 	}
-	if ver < protocol.Version2 {
-		return nil, ErrNeedV2
+	if ver < protocol.Version3 {
+		return nil, ErrNeedV3
 	}
 	s := &Session{
 		d:        d,

@@ -67,7 +67,7 @@ type EditOp struct {
 
 	// SrcDoc and SrcChars are an insert's provenance: the document the text
 	// was copied from and, rune for rune, the copied instances. In-process
-	// only — no v2 wire op carries them.
+	// only — no wire op carries them.
 	SrcDoc   util.ID
 	SrcChars []util.ID
 }
@@ -698,7 +698,7 @@ func (d *Document) publishBatchLocked(user string, st *batchState, items []aware
 }
 
 // The positional API: each method is a one-op batch through Apply, so it
-// stages, persists and publishes exactly as a v2 batch does.
+// stages, persists and publishes exactly as an edit batch does.
 
 // applyOne applies op as a batch of one and returns its result.
 func (d *Document) applyOne(user string, op EditOp) (EditResult, error) {

@@ -12,7 +12,7 @@
 //
 // The cluster exposes the same engine-level surface the server already
 // programs against (create/open/find/list, access checker, awareness), so
-// the v2/v3 batch protocol needs no changes: the server resolves a
+// the wire protocol needs no changes: the server resolves a
 // document's engine per request and everything below that seam is
 // per-shard. The future multi-node phase replaces ShardFor's arithmetic
 // with a directory lookup and this package's fan-outs with RPCs; the seam

@@ -78,8 +78,8 @@ func init() {
 	// append-only: new symbols go after every existing one so older
 	// encoders' indices stay valid.
 	add(ErrThrottled)
-	// Appended for the incremental query subsystem (CapQuery): the query
-	// op, its typed gate error, the query kinds and the ranker names.
+	// Appended for the incremental query subsystem: the query op, its
+	// typed error, the query kinds and the ranker names.
 	add(OpQuery, ErrUnsupported, QuerySearch, QuerySources,
 		"relevance", "newest", "most-cited", "most-read")
 }
@@ -548,8 +548,7 @@ var sourceRefSchema = schema[SourceRef]{"SourceRef", []field[SourceRef]{
 
 // Message's bits are not in struct order: the hot-path fields sit in the
 // low bits so the common frames (edit request, ack, push) pay a 1–2 byte
-// bitmap. Caps has no line — it rides only in JSON-framed hellos (see the
-// capability constants in protocol.go).
+// bitmap.
 var messageSchema = schema[Message]{"Message", []field[Message]{
 	sym(func(m *Message) *string { return &m.Type }), // 0
 	i64(func(m *Message) *int64 { return &m.ID }),
@@ -583,10 +582,10 @@ var messageSchema = schema[Message]{"Message", []field[Message]{
 	structs(func(m *Message) *[]Version { return &m.Versions }, &versionSchema),
 	structs(func(m *Message) *[]Presence { return &m.Present }, &presenceSchema), // 30
 	structs(func(m *Message) *[]HistoryOp { return &m.History }, &historyOpSchema),
-	sym(func(m *Message) *string { return &m.Code }),                            // typed errors (CapTypedErrors)
+	sym(func(m *Message) *string { return &m.Code }),                            // typed errors
 	i64(func(m *Message) *int64 { return &m.RetryMS }),                          // throttle backoff hint
-	num(func(m *Message) *int { return &m.Shards }),                             // hello: engine shards (CapShardInfo)
-	ptr(func(m *Message) **QueryReq { return &m.Query }, &queryReqSchema),       // 35: query request (CapQuery)
+	num(func(m *Message) *int { return &m.Shards }),                             // hello: engine shards
+	ptr(func(m *Message) **QueryReq { return &m.Query }, &queryReqSchema),       // 35: query request
 	structs(func(m *Message) *[]SearchHit { return &m.Hits }, &searchHitSchema), // query response
 	structs(func(m *Message) *[]SourceRef { return &m.Sources }, &sourceRefSchema),
 }}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"reflect"
 	"testing"
 )
 
@@ -16,12 +15,8 @@ type rwc struct {
 
 func (rwc) Close() error { return nil }
 
-// jsonOnlyFields are the Message fields the binary codec has no presence
-// bit for (TestSchemaCoversStruct holds the list to the table): a v3 frame
-// of a message is the message with these cleared.
-var jsonOnlyFields = []string{"Caps"}
-
-// canon is m's canonical form: Marshal∘Unmarshal must be idempotent on it.
+// canon is m's canonical form: Marshal∘Unmarshal must be idempotent on it,
+// and a v3 frame of m must decode back to it.
 func canon(t testing.TB, m *Message) []byte {
 	t.Helper()
 	c, err := json.Marshal(m)
@@ -31,18 +26,9 @@ func canon(t testing.TB, m *Message) []byte {
 	return c
 }
 
-// wireCanon is the canonical form of what a v3 frame of m carries: m with
-// exactly the JSON-only fields cleared.
-func wireCanon(t testing.TB, m *Message) []byte {
-	t.Helper()
-	c := *m
-	for _, name := range jsonOnlyFields {
-		reflect.ValueOf(&c).Elem().FieldByName(name).SetZero()
-	}
-	return canon(t, &c)
-}
-
-// frames the codec must round-trip: one per protocol surface, v1 and v2.
+// frames the codec must round-trip: one per protocol surface. The hellos
+// asking for version 2 are wire data like any other; a server answers them
+// with v1.
 var seedFrames = []string{
 	// v1 request/response/push shapes.
 	`{"type":"req","id":1,"op":"login","user":"alice","password":"pw"}`,
@@ -53,7 +39,7 @@ var seedFrames = []string{
 	`{"type":"push","event":{"seq":3,"doc":7,"kind":"insert","user":"bob","pos":1,"text":"x","atNs":123}}`,
 	`{"type":"push","event":{"doc":7,"kind":"lagged","seq":44,"atNs":1}}`,
 	`{"type":"req","id":5,"op":"paste","doc":7,"pos":2,"clip":{"text":"ab","srcDoc":3,"srcChars":[10,11]}}`,
-	// v2 frames: hello, edit batches, anchors, delta resync.
+	// hello, edit batches, anchors, delta resync.
 	`{"type":"req","id":6,"op":"hello","ver":2}`,
 	`{"type":"resp","id":6,"ok":true,"ver":2}`,
 	`{"type":"req","id":7,"op":"edit","doc":7,"ops":[{"kind":"insert","after":12,"text":"ab"},{"kind":"insert","prev":true,"text":"c"},{"kind":"delete","chars":[4,5]},{"kind":"layout","chars":[4,6],"span":"bold","value":"true"},{"kind":"note","after":9,"text":"n"}]}`,
@@ -64,8 +50,9 @@ var seedFrames = []string{
 	`{"type":"req","id":10,"op":"resync","doc":7,"since":41}`,
 	`{"type":"resp","id":10,"ok":true,"events":[{"seq":42,"doc":7,"kind":"batch","user":"u","batch":[{"kind":"insert","pos":0,"text":"a","ids":[50]},{"kind":"delete","pos":2,"n":1,"ids":[51]}],"atNs":9}]}`,
 	`{"type":"resp","id":11,"ok":true,"full":true,"text":"whole doc","seq":50,"snap":7}`,
-	// Query frames (CapQuery): search and provenance requests plus their
-	// hit-list and source-run responses, including a float score.
+	// Query frames: search and provenance requests plus their hit-list and
+	// source-run responses, including a float score. The error text of the
+	// last one is pinned by its golden frame.
 	`{"type":"req","id":12,"op":"query","query":{"kind":"search","terms":["database","editor"],"inHeadings":true,"rank":"most-cited","limit":10}}`,
 	`{"type":"req","id":13,"op":"query","query":{"kind":"sources","doc":7,"pos":4,"n":16}}`,
 	`{"type":"resp","id":12,"ok":true,"hits":[{"doc":{"id":3,"name":"notes","creator":"alice","size":42,"state":"draft","authors":["alice","bob"],"modifiedNs":77},"score":1.25,"snippet":"some té██t…"},{"doc":{"id":9,"name":"q","creator":"bob"}}]}`,
@@ -91,16 +78,14 @@ var seedFrames = []string{
 	`{"type":"push","event":{"seq":8,"doc":7,"kind":"rename","user":"alice","pos":0,"name":"new title","atNs":77}}`,
 	`{"type":"push","event":{"seq":9,"doc":7,"kind":"delete","user":"bob","pos":4,"n":3,"atNs":78}}`,
 	`{"type":"resp","id":25,"ok":true,"ids":[40,30,20,21,22,1000000,5],"seq":10,"snap":2}`,
-	// A hello carrying capability bits. Caps is JSON-only (jsonOnlyFields):
-	// the binary codec has no presence bit for it, so the v3 comparisons
-	// below clear it first.
-	`{"type":"req","op":"hello","ver":3,"caps":7}`,
+	// The hello every library client sends.
+	`{"type":"req","op":"hello","ver":3}`,
 }
 
 // FuzzCodecRoundTrip feeds arbitrary bytes through the codec: every frame
 // the decoder accepts must survive encode→decode with an identical
-// canonical form — a v2 server and a v1 client (or vice versa) may
-// exchange any mix of these frames, so the codec must never mangle one.
+// canonical form — the hello and every v1 exchange are JSON frames, so
+// the codec must never mangle one.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, s := range seedFrames {
 		f.Add([]byte(s))
@@ -128,16 +113,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			t.Fatalf("round-trip drift:\n first %s\n second %s", c1, c2)
 		}
 		// The same logical message must survive the v3 binary codec with
-		// an identical canonical form — a v3 server re-frames v2 batches
-		// without re-interpreting them, so the two encodings must agree on
-		// every message the JSON decoder accepts (less the JSON-only
-		// fields, which a v3 frame does not carry).
+		// an identical canonical form: JSON is the form binary frames are
+		// checked against, so the two encodings must agree on every message
+		// the JSON decoder accepts.
 		m3, err := decodeBinaryMessage(appendBinaryMessage(nil, m))
 		if err != nil {
 			t.Fatalf("binary re-encode of accepted frame failed: %v", err)
 		}
-		if c1, c3 := wireCanon(t, m), canon(t, m3); !bytes.Equal(c1, c3) {
-			t.Fatalf("v3/v2 drift:\n json   %s\n binary %s", c1, c3)
+		if c1, c3 := canon(t, m), canon(t, m3); !bytes.Equal(c1, c3) {
+			t.Fatalf("json/binary drift:\n json   %s\n binary %s", c1, c3)
 		}
 	})
 }
@@ -171,10 +155,6 @@ func FuzzBinaryPayload(f *testing.F) {
 		if c2 := canon(t, m2); !bytes.Equal(c1, c2) {
 			t.Fatalf("binary round-trip drift:\n first %s\n second %s", c1, c2)
 		}
-		// ...no JSON-only field can have come out of a payload...
-		if w := wireCanon(t, m); !bytes.Equal(c1, w) {
-			t.Fatalf("binary decode set a JSON-only field:\n decoded %s\n cleared %s", c1, w)
-		}
 		// ...and the JSON codec must agree on the canonical form.
 		var buf bytes.Buffer
 		out := NewCodec(rwc{Reader: &buf, Writer: &buf})
@@ -186,7 +166,7 @@ func FuzzBinaryPayload(f *testing.F) {
 			t.Fatalf("JSON decode of binary-accepted message failed: %v", err)
 		}
 		if c4 := canon(t, m4); !bytes.Equal(c1, c4) {
-			t.Fatalf("v3→v2 drift:\n binary %s\n json   %s", c1, c4)
+			t.Fatalf("binary→json drift:\n binary %s\n json   %s", c1, c4)
 		}
 	})
 }
@@ -232,7 +212,7 @@ func TestBinarySeedFramesRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %q binary round-trip: %v", s, err)
 		}
-		if c1, c2 := wireCanon(t, &m), canon(t, m2); !bytes.Equal(c1, c2) {
+		if c1, c2 := canon(t, &m), canon(t, m2); !bytes.Equal(c1, c2) {
 			t.Fatalf("seed %q drifted under binary: %s vs %s", s, c1, c2)
 		}
 	}
@@ -248,7 +228,7 @@ func TestBinarySeedFramesRoundTrip(t *testing.T) {
 		if err := json.Unmarshal([]byte(s), &m); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, string(wireCanon(t, &m)))
+		want = append(want, string(canon(t, &m)))
 		if i == 3 {
 			buf.WriteString(s + "\n") // raw JSON line mid-stream
 			want = append(want, string(canon(t, &m)))
@@ -269,9 +249,9 @@ func TestBinarySeedFramesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2FrameFields pins the v2 wire surface: a batch edit request and a
-// delta-resync response decode into the typed fields the server and
-// client rely on.
+// TestV2FrameFields pins the edit-batch wire surface in its JSON form: the
+// anchors of a batch edit request decode into the typed fields the server
+// relies on.
 func TestV2FrameFields(t *testing.T) {
 	const frame = `{"type":"req","id":7,"op":"edit","doc":7,"ops":[` +
 		`{"kind":"insert","after":0,"text":"a"},` +

@@ -1,7 +1,8 @@
-// Package protocol defines the TeNDaX client/server wire format: newline-
-// delimited JSON messages over TCP. Editors on any operating system speak
-// it — the paper's demo ran the same editor on Windows, Linux and Mac OS X
-// against one database server.
+// Package protocol defines the TeNDaX client/server wire format over TCP:
+// newline-delimited JSON messages until a hello negotiates v3, binary
+// frames (binary.go) after. Editors on any operating system speak it — the
+// paper's demo ran the same editor on Windows, Linux and Mac OS X against
+// one database server.
 //
 // Three message types flow on a connection: requests (client → server),
 // responses (server → client, correlated by ID), and pushes (server →
@@ -26,18 +27,17 @@ const (
 	TypePush     = "push"
 )
 
-// Protocol versions. Version 1 is the original position-addressed,
-// one-request-per-edit protocol; version 2 adds the hello negotiation,
-// ID-anchored edit batches, anchor queries and delta resync; version 3
-// keeps v2's message vocabulary but packs every frame in the binary
-// encoding of binary.go (varint scalars, presence bitmaps, run-length
-// coded ID lists). A connection speaks v1 until a hello request negotiates
-// something higher, so v1/v2 clients keep working against a v3 server
-// unchanged, and a binary frame is only ever sent to a peer that asked
-// for v3.
+// Protocol versions. Version 1 is the paper's position-addressed,
+// one-request-per-edit API in JSON lines; version 3 adds ID-anchored edit
+// batches, anchor queries and delta resync, and packs every frame in the
+// binary encoding of binary.go (varint scalars, presence bitmaps,
+// run-length coded ID lists). A connection speaks v1 until a hello request
+// negotiates v3, so v1 clients keep working against the server unchanged,
+// and a binary frame is only ever sent to a peer that asked for v3. (The
+// number 2 named a JSON-framed dialect of v3's vocabulary; it is no longer
+// negotiated.)
 const (
 	Version1   = 1
-	Version2   = 2
 	Version3   = 3
 	VersionMax = Version3
 )
@@ -45,10 +45,10 @@ const (
 // Operations.
 const (
 	OpLogin       = "login"
-	OpHello       = "hello"   // v2: version negotiation
-	OpEdit        = "edit"    // v2: ID-anchored edit batch, one transaction
-	OpResync      = "resync"  // v2: delta resync from a sequence number
-	OpAnchors     = "anchors" // v2: visible char IDs of a position range
+	OpHello       = "hello"   // version negotiation
+	OpEdit        = "edit"    // ID-anchored edit batch, one transaction
+	OpResync      = "resync"  // delta resync from a sequence number
+	OpAnchors     = "anchors" // visible char IDs of a position range
 	OpCreateDoc   = "create"
 	OpOpenDoc     = "open"
 	OpListDocs    = "list"
@@ -71,7 +71,7 @@ const (
 	OpCursor      = "cursor"
 	OpPresence    = "presence"
 	OpHistory     = "history"
-	OpQuery       = "query" // CapQuery: incremental search & provenance
+	OpQuery       = "query" // incremental search & provenance
 )
 
 // Undo/redo scopes.
@@ -101,35 +101,9 @@ const EvPresence = "presence"
 const ErrThrottled = "throttled"
 
 // ErrUnsupported is the machine-readable Code of a response to a request
-// the connection cannot serve: an op behind a capability the peer did not
-// advertise (e.g. OpQuery without CapQuery on a binary connection), or a
-// subsystem the server runs without (indexers disabled).
+// the server cannot serve because it runs without the subsystem behind it
+// (indexers disabled).
 const ErrUnsupported = "unsupported"
-
-// Hello capability bits (Message.Caps). The binary codec's presence
-// bitmap makes any bit a peer does not know a hard decode error, so a
-// field added after a binary release must never be sent to a binary peer
-// that did not opt in — capabilities are that opt-in. They ride only in
-// JSON-framed hello requests (a connection's first hello always predates
-// its binary upgrade, and JSON decoders skip unknown fields), which is
-// why advertising one is safe against any server generation; the binary
-// encoder deliberately has no presence bit for Caps.
-const (
-	// CapTypedErrors: the sender decodes the Code/RetryMS typed-error
-	// fields in binary frames. Without it a v3 peer gets the plain Err
-	// string and no machine-readable backoff hint.
-	CapTypedErrors uint64 = 1 << 0
-	// CapShardInfo: the sender decodes the Shards routing-metadata field
-	// in binary frames. Without it a v3 peer's hello response omits the
-	// shard count (JSON peers always get it — their decoders skip
-	// unknown fields).
-	CapShardInfo uint64 = 1 << 1
-	// CapQuery: the sender speaks the OpQuery request/response pair
-	// (Query, Hits, Sources fields). A binary peer that sends OpQuery
-	// without having advertised this gets a typed ErrUnsupported — the
-	// response fields would be undecodable presence bits to it.
-	CapQuery uint64 = 1 << 2
-)
 
 // Edit-op kinds carried inside an OpEdit batch.
 const (
@@ -139,7 +113,7 @@ const (
 	EditNote   = "note"
 )
 
-// EditOp is one operation of a v2 edit batch. Edits address the document
+// EditOp is one operation of an edit batch. Edits address the document
 // by character-instance ID — the stable identity TeNDaX assigns every
 // typed character — rather than by a position that concurrent editors
 // invalidate in flight:
@@ -225,9 +199,9 @@ type Presence struct {
 	Cursor int    `json:"cursor"`
 }
 
-// Event is a pushed awareness event. Kind "batch" carries a protocol-v2
-// edit batch: Batch holds the committed ops in order, and the event counts
-// as ONE sequence number — the batch committed as one transaction.
+// Event is a pushed awareness event. Kind "batch" carries an edit batch:
+// Batch holds the committed ops in order, and the event counts as ONE
+// sequence number — the batch committed as one transaction.
 type Event struct {
 	Seq   uint64      `json:"seq"`
 	Doc   uint64      `json:"doc"`
@@ -241,7 +215,7 @@ type Event struct {
 	AtNS  int64       `json:"atNs"`
 }
 
-// QueryReq is the payload of an OpQuery request (CapQuery). Kind selects
+// QueryReq is the payload of an OpQuery request. Kind selects
 // the query family: QuerySearch runs the ranked search (Terms, InHeadings,
 // Rank, Limit), QuerySources explains where the visible range [Pos, Pos+N)
 // of Doc came from.
@@ -312,18 +286,16 @@ type Message struct {
 	Clip     *Clip    `json:"clip,omitempty"`
 	Version  uint64   `json:"version,omitempty"`
 	Ver      int      `json:"ver,omitempty"`   // hello: highest version the sender speaks
-	Caps     uint64   `json:"caps,omitempty"`  // hello: capability bits (JSON frames only)
 	Ops      []EditOp `json:"ops,omitempty"`   // edit: the batch
 	Since    uint64   `json:"since,omitempty"` // resync: last applied sequence number
-	// Query is the OpQuery request payload. Gated by CapQuery on binary
-	// frames (JSON decoders skip unknown fields).
+	// Query is the OpQuery request payload.
 	Query *QueryReq `json:"query,omitempty"`
 
 	// Response fields.
 	OK  bool   `json:"ok,omitempty"`
 	Err string `json:"err,omitempty"`
 	// Code is the machine-readable class of Err (e.g. ErrThrottled);
-	// empty for errors predating typed codes.
+	// empty for errors without one.
 	Code string `json:"code,omitempty"`
 	// RetryMS is the backoff hint accompanying a throttled Code, in
 	// milliseconds.
@@ -351,12 +323,10 @@ type Message struct {
 	// Shards is routing metadata on the hello response: how many engine
 	// shards this process runs (documents map to shards by ID). Today it
 	// is advisory — every shard is served by this one address — but the
-	// multi-node phase will use it to pre-place connections. Gated by
-	// CapShardInfo on binary frames.
+	// multi-node phase will use it to pre-place connections.
 	Shards int `json:"shards,omitempty"`
 	// Hits / Sources answer an OpQuery (QuerySearch / QuerySources).
-	// Both are ACL-filtered per requesting user before encoding and
-	// gated by CapQuery on binary frames.
+	// Both are ACL-filtered per requesting user before encoding.
 	Hits    []SearchHit `json:"hits,omitempty"`
 	Sources []SourceRef `json:"sources,omitempty"`
 
@@ -394,7 +364,7 @@ func NewCodec(rw io.ReadWriteCloser) *Codec {
 }
 
 // EnableBinary switches outbound framing to v3 binary. Call only after a
-// hello exchange lands on Version3 or higher: the switch is what keeps the
+// hello exchange lands on Version3: the switch is what keeps the
 // "never send binary to a non-v3 peer" invariant.
 func (c *Codec) EnableBinary() { c.bin.Store(true) }
 
@@ -471,7 +441,7 @@ func (c *Codec) SendRaw(frame []byte) error {
 
 // EncodeFrame renders m as the exact frame bytes Send would write for a
 // peer of the given negotiated version: a newline-terminated JSON line for
-// v1/v2, a binary frame for v3+.
+// v1, a binary frame for v3.
 func EncodeFrame(m *Message, ver int) ([]byte, error) {
 	if ver >= Version3 {
 		return EncodeBinaryFrame(m), nil

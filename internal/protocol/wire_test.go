@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -103,7 +102,7 @@ func TestV3GoldenFrames(t *testing.T) {
 			t.Errorf("seed %d: golden frame rejected: %v", i, err)
 			continue
 		}
-		if got, want := canon(t, back), wireCanon(t, &m); !bytes.Equal(got, want) {
+		if got, want := canon(t, back), canon(t, &m); !bytes.Equal(got, want) {
 			t.Errorf("seed %d: golden frame decodes to %s, want %s", i, got, want)
 		}
 	}
@@ -165,10 +164,10 @@ func setNonZero(v reflect.Value) {
 
 // checkSchema holds one table to its struct, going by what the table does
 // rather than by what it says: setting a struct field must change the
-// output of exactly one table line (none for a JSON-only field), the value
-// must come back through decode, and the lines must sit in the pinned
-// order. It returns the struct's name.
-func checkSchema[T any](t *testing.T, s *schema[T], jsonOnly ...string) string {
+// output of exactly one table line, the value must come back through
+// decode, and the lines must sit in the pinned order. It returns the
+// struct's name.
+func checkSchema[T any](t *testing.T, s *schema[T]) string {
 	t.Helper()
 	typ := reflect.TypeOf((*T)(nil)).Elem()
 	if s.name != typ.Name() {
@@ -200,14 +199,8 @@ func checkSchema[T any](t *testing.T, s *schema[T], jsonOnly ...string) string {
 				coded = append(coded, i)
 			}
 		}
-		if slices.Contains(jsonOnly, name) {
-			if len(coded) != 0 {
-				t.Errorf("%s.%s is listed JSON-only but table line %v codes it", s.name, name, coded)
-			}
-			continue
-		}
 		if len(coded) != 1 {
-			t.Errorf("%s.%s is coded by table lines %v, want exactly one: a new field needs one appended line (or a jsonOnlyFields entry)", s.name, name, coded)
+			t.Errorf("%s.%s is coded by table lines %v, want exactly one: a new field needs one appended line", s.name, name, coded)
 			continue
 		}
 		order[coded[0]] = name
@@ -227,19 +220,19 @@ func checkSchema[T any](t *testing.T, s *schema[T], jsonOnly ...string) string {
 // table line) fails here, at go test, instead of waiting for a fuzzer.
 func TestSchemaCoversStruct(t *testing.T) {
 	checked := map[string]bool{
-		checkSchema(t, &messageSchema, jsonOnlyFields...): true,
-		checkSchema(t, &editOpSchema):                     true,
-		checkSchema(t, &editResultSchema):                 true,
-		checkSchema(t, &batchItemSchema):                  true,
-		checkSchema(t, &eventSchema):                      true,
-		checkSchema(t, &clipSchema):                       true,
-		checkSchema(t, &docInfoSchema):                    true,
-		checkSchema(t, &versionSchema):                    true,
-		checkSchema(t, &presenceSchema):                   true,
-		checkSchema(t, &historyOpSchema):                  true,
-		checkSchema(t, &queryReqSchema):                   true,
-		checkSchema(t, &searchHitSchema):                  true,
-		checkSchema(t, &sourceRefSchema):                  true,
+		checkSchema(t, &messageSchema):    true,
+		checkSchema(t, &editOpSchema):     true,
+		checkSchema(t, &editResultSchema): true,
+		checkSchema(t, &batchItemSchema):  true,
+		checkSchema(t, &eventSchema):      true,
+		checkSchema(t, &clipSchema):       true,
+		checkSchema(t, &docInfoSchema):    true,
+		checkSchema(t, &versionSchema):    true,
+		checkSchema(t, &presenceSchema):   true,
+		checkSchema(t, &historyOpSchema):  true,
+		checkSchema(t, &queryReqSchema):   true,
+		checkSchema(t, &searchHitSchema):  true,
+		checkSchema(t, &sourceRefSchema):  true,
 	}
 	for _, st := range wireStructs() {
 		if !checked[st.Name()] {

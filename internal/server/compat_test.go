@@ -1,6 +1,6 @@
 // Backwards compatibility: a v1 client — one that never says hello and
 // speaks only position-addressed single-op requests — must keep working
-// against the v2 server, including live collaboration with v2 peers.
+// against the server, including live collaboration with v3 peers.
 package server
 
 import (
@@ -10,8 +10,8 @@ import (
 	"tendax/internal/protocol"
 )
 
-// v1Wire is a raw wire-level v1 client: it predates every v2 field, so it
-// only ever sends the original request shapes.
+// v1Wire is a raw wire-level client: unless a test negotiates v3 on it, it
+// only ever sends the original v1 request shapes.
 type v1Wire struct {
 	t     *testing.T
 	codec *protocol.Codec
@@ -86,9 +86,9 @@ func TestV1WireClientFullSurface(t *testing.T) {
 	}
 }
 
-// TestV1SubscriberSeesV2Batches puts a v1 library client and a v2
+// TestV1SubscriberSeesV2Batches puts a v1 library client and a v3
 // batching session into the same document. The server never sends a
-// "batch" event to a connection that did not negotiate v2 — it
+// "batch" event to a connection that did not negotiate v3 — it
 // translates it into the advisory "lagged" push whose documented v1
 // recovery (resubscribe + resync) lands the replica on the committed
 // state — so the v1 replica must converge after every batch, and the v1
@@ -109,19 +109,19 @@ func TestV1SubscriberSeesV2Batches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v2 := loginVer(t, addr, "modern", "", protocol.VersionMax)
-	v2doc, err := v2.Open(docID)
+	v3 := loginVer(t, addr, "modern", "", protocol.VersionMax)
+	v3doc, err := v3.Open(docID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := v2doc.Seq()
-	// One multi-op batch from the v2 side: ONE push event for the v1
+	base := v3doc.Seq()
+	// One multi-op batch from the v3 side: ONE push event for the v1
 	// replica to fold.
-	anchors, err := v2doc.Anchors(0, 2)
+	anchors, err := v3doc.Anchors(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v2doc.EditBatch([]protocol.EditOp{
+	if _, err := v3doc.EditBatch([]protocol.EditOp{
 		{Kind: protocol.EditInsert, After: &anchors[0], Text: "abc"},
 		{Kind: protocol.EditInsert, Prev: true, Text: "def"},
 		{Kind: protocol.EditDelete, Chars: []uint64{anchors[1]}},

@@ -2,9 +2,11 @@ package server
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"tendax/internal/core"
 	"tendax/internal/protocol"
 	"tendax/internal/util"
 )
@@ -15,7 +17,9 @@ import (
 // delivering on the same connection after the client's resubscribe (a
 // no-op: the subscription stays attached through the shed). Before the
 // first fix the push pump exited silently and a resubscribe was swallowed
-// as a duplicate — the replica froze forever.
+// as a duplicate — the replica froze forever. A v1 library replica is sent
+// a batch it cannot fold the same way, and names "lagged" as the cause of
+// the resync that follows.
 func TestLaggedSubscriberGetsFinalPush(t *testing.T) {
 	addr, eng := harness(t, false)
 	host := login(t, addr, "host", "")
@@ -23,9 +27,19 @@ func TestLaggedSubscriberGetsFinalPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := host.Open(docID); err != nil {
+	hd, err := host.Open(docID)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex
+	var causes []string
+	hd.Watch(func(ev protocol.Event) {
+		if ev.Kind == "resync" {
+			mu.Lock()
+			causes = append(causes, ev.Name)
+			mu.Unlock()
+		}
+	})
 
 	// A raw connection whose socket we deliberately stop reading, so pushed
 	// events pile up. Its receive buffer keeps the system default: shrunk
@@ -94,6 +108,7 @@ func TestLaggedSubscriberGetsFinalPush(t *testing.T) {
 	call(3, &protocol.Message{Op: protocol.OpSubscribe, Doc: docID})
 	probe := func() { eng.Bus().MoveCursor(doc, "flood", 424242, now) }
 	probe()
+flowing:
 	for {
 		m, err := codec.Recv()
 		if err != nil {
@@ -106,7 +121,45 @@ func TestLaggedSubscriberGetsFinalPush(t *testing.T) {
 		case m.Event.Kind == protocol.EvLagged:
 			probe()
 		case m.Event.Kind == "cursor" && m.Event.Pos == 424242:
+			break flowing
+		}
+	}
+
+	// The library replica: once it has caught up with the flood, a two-op
+	// batch reaches this v1 subscriber as a lagged push, and the replica
+	// resyncs onto it, naming "lagged" as the cause.
+	srvDoc, err := eng.OpenDocument(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srvDoc.InsertText("ghost", 0, "ab"); err != nil {
+		t.Fatal(err)
+	}
+	if err := hd.WaitSeq(eng.Bus().Seq(doc), 5000); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	seen := len(causes)
+	mu.Unlock()
+	if _, err := srvDoc.Apply("ghost", []core.EditOp{
+		{Kind: core.EditInsert, Pos: 0, Text: "x"},
+		{Kind: core.EditDelete, Pos: 1, N: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := srvDoc.Text()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		got := append([]string(nil), causes[seen:]...)
+		mu.Unlock()
+		if hd.Text() == want && len(got) > 0 {
+			if got[0] != "lagged" {
+				t.Fatalf("v1 replica resynced onto a batch for %q, want lagged", got)
+			}
 			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("v1 replica %q never resynced onto the batch (causes %q)", hd.Text(), got)
 		}
 	}
 }

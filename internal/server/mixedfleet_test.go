@@ -1,8 +1,8 @@
 // Mixed-fleet compatibility: one server simultaneously serving a v1
-// raw-wire client (never says hello, JSON frames), a v2 library client
-// (negotiated, JSON frames), and a v3 client (negotiated, binary frames)
-// on the same document. Every replica must converge byte-for-byte — the
-// binary codec is a per-connection framing choice, never a semantic fork.
+// raw-wire client (never says hello, JSON frames) and two v3 library
+// clients (negotiated, binary frames) on the same document. Every replica
+// must converge byte-for-byte — the framing is a per-connection choice,
+// never a semantic fork.
 package server
 
 import (
@@ -25,27 +25,22 @@ func TestMixedFleetConvergence(t *testing.T) {
 	docID := w.call(&protocol.Message{Op: protocol.OpCreateDoc, Name: "fleet"}).Doc
 	w.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: docID})
 
-	// v2: library client pinned to JSON framing.
-	c2 := loginVer(t, addr, "modern", "", protocol.Version2)
-	if v := c2.Ver(); v != protocol.Version2 {
-		t.Fatalf("v2 hello: v%d", v)
+	// v3: full negotiation, binary frames both ways from here on.
+	c2 := loginVer(t, addr, "modern", "", protocol.VersionMax)
+	c3 := loginVer(t, addr, "binary", "", protocol.VersionMax)
+	if c2.Ver() != protocol.Version3 || c3.Ver() != protocol.Version3 {
+		t.Fatalf("v3 hellos: v%d, v%d", c2.Ver(), c3.Ver())
 	}
 	d2, err := c2.Open(docID)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// v3: full negotiation, binary frames both ways from here on.
-	c3 := loginVer(t, addr, "binary", "", protocol.VersionMax)
-	if v := c3.Ver(); v != protocol.Version3 {
-		t.Fatalf("v3 hello: v%d", v)
 	}
 	d3, err := c3.Open(docID)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Interleave edits from all three generations.
+	// Interleave edits from both generations.
 	w.call(&protocol.Message{Op: protocol.OpInsert, Doc: docID, Pos: 0, Text: "[v1] "})
 	s2, err := d2.Session()
 	if err != nil {
@@ -55,8 +50,8 @@ func TestMixedFleetConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.Ver() != protocol.Version2 || c3.Ver() != protocol.Version3 {
-		t.Fatalf("session renegotiated: v2 client at v%d, v3 client at v%d", c2.Ver(), c3.Ver())
+	if c2.Ver() != protocol.Version3 || c3.Ver() != protocol.Version3 {
+		t.Fatalf("session renegotiated: v%d, v%d", c2.Ver(), c3.Ver())
 	}
 	for i := 0; i < 40; i++ {
 		if err := s2.Type("b"); err != nil {
@@ -84,12 +79,12 @@ func TestMixedFleetConvergence(t *testing.T) {
 		t.Fatalf("server text %q lost edits", want)
 	}
 
-	// v2 and v3 replicas converge from live pushes (JSON and binary
-	// framed respectively) — poll briefly, then compare byte-for-byte.
+	// Both v3 replicas converge from live binary pushes — poll briefly,
+	// then compare byte-for-byte.
 	deadline := time.Now().Add(5 * time.Second)
 	for d2.Text() != want || d3.Text() != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("replicas diverged:\n server %q\n v2     %q\n v3     %q",
+			t.Fatalf("replicas diverged:\n server %q\n modern %q\n binary %q",
 				want, d2.Text(), d3.Text())
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -111,7 +106,7 @@ func TestMixedFleetConvergence(t *testing.T) {
 // TestCrossTenantRedactionAcrossProtocols pins the multi-tenant isolation
 // contract on every event channel and protocol generation: a user under a
 // range deny-read rule must never observe the denied characters — not in
-// live pushes (v1 JSON, v2 JSON, v3 binary), not in EvBatch items, not in
+// live pushes (v1 JSON, v3 binary), not in EvBatch items, not in
 // a "resync sinceSeq" replay — while unrestricted subscribers keep seeing
 // the unredacted stream (i.e. the per-class wire cache never serves a
 // masked frame to an all-visible connection, or vice versa).
@@ -145,12 +140,12 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Raw-wire subscribers: bob at each protocol generation, plus an
+	// Raw-wire subscribers: bob at v1 and on two v3 connections, plus an
 	// unrestricted alice observer.
 	bob1 := subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version1)
-	bob2 := subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version2)
+	bob2 := subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version3)
 	bob3 := subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version3)
-	aobs := subscribeWire(t, addr, docID, "alice", "pw-a", protocol.Version2)
+	aobs := subscribeWire(t, addr, docID, "alice", "pw-a", protocol.Version3)
 
 	// Anchors resolved before the edits move positions around.
 	inSecret, err := ad.Anchors(9, 1) // a char inside the denied range
@@ -184,7 +179,7 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 		w.drainTo(docID, wantSeq)
 	}
 
-	for name, w := range map[string]*v1Wire{"v1": bob1, "v2": bob2, "v3": bob3} {
+	for name, w := range map[string]*v1Wire{"v1": bob1, "v3a": bob2, "v3b": bob3} {
 		got := eventTexts(w.pushes)
 		for _, secret := range []string{"SECRET", "XX", "ZZ"} {
 			if strings.Contains(got, secret) {
@@ -196,7 +191,7 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 		}
 	}
 	// The public batch item arrives unredacted for batch-capable bobs…
-	for name, w := range map[string]*v1Wire{"v2": bob2, "v3": bob3} {
+	for name, w := range map[string]*v1Wire{"v3a": bob2, "v3b": bob3} {
 		if got := eventTexts(w.pushes); !strings.Contains(got, " tail") {
 			t.Fatalf("bob/%s over-masked the public batch item:\n%s", name, got)
 		}
@@ -215,7 +210,7 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 	// Delta-resync replay: the full history since seq 0 must come back
 	// redacted for bob (including the pre-subscription "SECRET" insert)
 	// and unredacted for alice, on the same ring.
-	for name, w := range map[string]*v1Wire{"v2": bob2, "v3": bob3} {
+	for name, w := range map[string]*v1Wire{"v3a": bob2, "v3b": bob3} {
 		resp := w.call(&protocol.Message{Op: protocol.OpResync, Doc: docID, Since: 0})
 		if resp.Full || len(resp.Events) == 0 {
 			t.Fatalf("bob/%s resync fell back to full text (events=%d)", name, len(resp.Events))
@@ -243,20 +238,26 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 	}
 }
 
-// subscribeWire opens a raw-wire subscription to doc as user at protocol
-// version ver, so every received frame is inspectable.
-func subscribeWire(t *testing.T, addr string, doc uint64, user, pw string, ver int) *v1Wire {
+// wireAt opens a raw-wire connection logged in as user at protocol
+// version ver (v1, or v3 after a hello), so every received frame is
+// inspectable.
+func wireAt(t *testing.T, addr, user, pw string, ver int) *v1Wire {
 	t.Helper()
 	w := dialV1(t, addr)
 	w.call(&protocol.Message{Op: protocol.OpLogin, User: user, Password: pw})
-	if ver >= protocol.Version2 {
-		if got := w.call(&protocol.Message{Op: protocol.OpHello, Ver: ver}).Ver; got != ver {
-			t.Fatalf("hello: negotiated v%d, want v%d", got, ver)
+	if ver >= protocol.Version3 {
+		if got := w.call(&protocol.Message{Op: protocol.OpHello, Ver: ver}).Ver; got != protocol.Version3 {
+			t.Fatalf("hello: negotiated v%d, want v3", got)
 		}
-		if ver >= protocol.Version3 {
-			w.codec.EnableBinary()
-		}
+		w.codec.EnableBinary()
 	}
+	return w
+}
+
+// subscribeWire is wireAt subscribed to doc.
+func subscribeWire(t *testing.T, addr string, doc uint64, user, pw string, ver int) *v1Wire {
+	t.Helper()
+	w := wireAt(t, addr, user, pw, ver)
 	w.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: doc})
 	return w
 }

@@ -1,9 +1,11 @@
-// Protocol-v2 server tests: version negotiation, ID-anchored edit
+// Protocol-v3 server tests: version negotiation, ID-anchored edit
 // batches, pipelined sessions, delta resync, and the convergence and
 // backwards-compatibility guarantees the redesign is for.
 package server
 
 import (
+	"bufio"
+	"encoding/json"
 	"net"
 	"strings"
 	"sync"
@@ -61,8 +63,8 @@ func TestHelloNegotiation(t *testing.T) {
 		t.Fatalf("pre-hello version %d", c.Ver())
 	}
 	c = loginVer(t, addr, "alice", "", protocol.VersionMax)
-	if c.Ver() != protocol.Version3 {
-		t.Fatalf("negotiated %d", c.Ver())
+	if c.Ver() != protocol.Version3 || c.ShardCount() != 1 {
+		t.Fatalf("negotiated v%d with %d shards", c.Ver(), c.ShardCount())
 	}
 	// Idempotent: a session negotiates again and keeps the version.
 	id, err := c.CreateDocument("re-hello")
@@ -78,39 +80,44 @@ func TestHelloNegotiation(t *testing.T) {
 		t.Fatalf("re-hello: %v %d", err, c.Ver())
 	}
 	s.Close()
-}
 
-func TestHelloVerPinsV2(t *testing.T) {
-	addr, _ := harness(t, false)
-	c := loginVer(t, addr, "alice", "", protocol.Version2)
-	if c.Ver() != protocol.Version2 {
-		t.Fatalf("negotiated %d", c.Ver())
-	}
-	// The pinned connection must still edit fine over JSON frames.
-	id, err := c.CreateDocument("pin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := c.Open(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Append("hello"); err != nil {
-		t.Fatal(err)
-	}
-	// Append returns on the ack; the replica folds the edit when its push
-	// arrives, which may be a moment later.
-	for deadline := time.Now().Add(2 * time.Second); d.Text() != "hello"; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("text %q", d.Text())
+	// Version 2 is no longer negotiated: a hello asking for it lands on v1,
+	// and every frame after it stays a JSON line.
+	t.Run("hello for 2 lands on v1", func(t *testing.T) {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		defer nc.Close()
+		if _, err := nc.Write([]byte(`{"type":"req","id":1,"op":"login","user":"alice"}` + "\n" +
+			`{"type":"req","id":2,"op":"hello","ver":2}` + "\n" +
+			`{"type":"req","id":3,"op":"list"}` + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		r := bufio.NewReader(nc)
+		for id := int64(1); id <= 3; id++ {
+			line, err := r.ReadBytes('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m protocol.Message
+			if err := json.Unmarshal(line, &m); err != nil || m.ID != id || !m.OK {
+				t.Fatalf("response %d is not an OK JSON line: %q (%v)", id, line, err)
+			}
+			if id == 2 && m.Ver != protocol.Version1 {
+				t.Fatalf("hello for 2 negotiated v%d, want v1", m.Ver)
+			}
+		}
+		if c := loginVer(t, addr, "alice", "", 2); c.Ver() != protocol.Version1 {
+			t.Fatalf("client asking for at most v2 runs v%d, want v1", c.Ver())
+		}
+	})
 }
 
 func TestEditBatchThroughServer(t *testing.T) {
 	addr, eng := harness(t, false)
 	c := loginVer(t, addr, "alice", "", protocol.VersionMax)
-	docID, err := c.CreateDocument("v2-doc")
+	docID, err := c.CreateDocument("batch-doc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +255,7 @@ func TestSessionMoveToAnchorsMidDocument(t *testing.T) {
 // TestConvergenceUnderStalePositions is the convergence regression the
 // redesign exists for: two clients editing around the same region with
 // STALE position knowledge. Under v1 position addressing the late edit is
-// demonstrably misplaced; under v2 ID anchors both intents land and both
+// demonstrably misplaced; under ID anchors both intents land and both
 // replicas converge byte-for-byte.
 func TestConvergenceUnderStalePositions(t *testing.T) {
 	addr, eng := harness(t, false)
@@ -304,9 +311,9 @@ func TestConvergenceUnderStalePositions(t *testing.T) {
 		}
 	}
 
-	// --- v2: the same race, anchored by identity, lands the intent. ---
+	// --- v3: the same race, anchored by identity, lands the intent. ---
 	{
-		_, d1, d2 := setup("v2-anchored", protocol.VersionMax)
+		_, d1, d2 := setup("v3-anchored", protocol.VersionMax)
 		// Both clients resolve their anchors against the SAME initial
 		// state "AB" — everything each one knows is now stale-able.
 		aIDs, err := d1.Anchors(0, 2) // [A B]
@@ -334,7 +341,7 @@ func TestConvergenceUnderStalePositions(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := srvDoc.Text(); got != "AXXXBYYY" {
-			t.Fatalf("v2 anchors: %q, want AXXXBYYY", got)
+			t.Fatalf("v3 anchors: %q, want AXXXBYYY", got)
 		}
 		// Both replicas converge byte-for-byte with the server.
 		if err := d1.WaitSeq(srvDoc.Snapshot().Seq(), 500); err != nil {
@@ -535,7 +542,7 @@ func TestDeltaResyncTransfersGapNotDoc(t *testing.T) {
 	}
 	seq := eng.Bus().Seq(docFromID(docID))
 
-	// Raw v2 resync within retention: events only, O(gap).
+	// Raw resync within retention: events only, O(gap).
 	resp := rawCall(t, addr, "alice", &protocol.Message{
 		Op: protocol.OpResync, Doc: docID, Since: seq - 10,
 	})

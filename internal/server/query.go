@@ -1,8 +1,8 @@
 package server
 
-// The capability-gated query surface: OpQuery requests answered from the
-// cluster's incremental indexers (placement.StartIndexers), with every
-// result ACL-filtered fail-closed before it leaves the process. The index
+// The query surface: OpQuery requests answered from the cluster's
+// incremental indexers (placement.StartIndexers), with every result
+// ACL-filtered fail-closed before it leaves the process. The index
 // itself is tenant-blind — it holds unredacted text and cross-document
 // provenance — so this file is the only place its answers cross a trust
 // boundary: doc-level read denial drops hits entirely, and range denies
@@ -24,15 +24,10 @@ import (
 )
 
 func (c *conn) query(req *protocol.Message) *protocol.Message {
-	// Capability gate, mirroring CapShardInfo: the response's Hits and
-	// Sources fields are presence bits a pre-CapQuery binary peer would
-	// hard-fail on, so such a peer gets a typed rejection instead.
-	if int(c.ver.Load()) >= protocol.Version3 && c.caps&protocol.CapQuery == 0 {
-		return c.unsupportedResp("server: query requires the CapQuery hello capability")
-	}
 	ix := c.srv.cl.Index()
 	if ix == nil {
-		return c.unsupportedResp("server: incremental indexers are not running")
+		return &protocol.Message{Err: "server: incremental indexers are not running",
+			Code: protocol.ErrUnsupported}
 	}
 	q := req.Query
 	if q == nil {
@@ -47,17 +42,6 @@ func (c *conn) query(req *protocol.Message) *protocol.Message {
 	default:
 		return fail(fmt.Errorf("server: unknown query kind %q", q.Kind))
 	}
-}
-
-// unsupportedResp is the typed "this connection cannot use that" error,
-// gated exactly like throttledResp: the Code field goes to JSON peers and
-// to binary peers that advertised CapTypedErrors.
-func (c *conn) unsupportedResp(msg string) *protocol.Message {
-	resp := &protocol.Message{Err: msg}
-	if int(c.ver.Load()) < protocol.Version3 || c.caps&protocol.CapTypedErrors != 0 {
-		resp.Code = protocol.ErrUnsupported
-	}
-	return resp
 }
 
 func (c *conn) querySearch(ix *index.Cluster, q *protocol.QueryReq) *protocol.Message {

@@ -1,7 +1,7 @@
 // The wire-level query surface: OpQuery answered from the incremental
-// indexers, capability-gated for binary peers, and — the leak-hunt
-// regression — ACL-filtered fail-closed so neither search snippets nor
-// provenance runs reveal content or source identities a tenant is denied.
+// indexers on every connection, and — the leak-hunt regression —
+// ACL-filtered fail-closed so neither search snippets nor provenance runs
+// reveal content or source identities a tenant is denied.
 package server
 
 import (
@@ -102,7 +102,7 @@ func TestQueryOverWire(t *testing.T) {
 }
 
 // TestQueryAcrossProtocolGenerations pins that the same query works from a
-// v2 JSON client and a v3 binary client with identical results.
+// v1 JSON client and a v3 binary client with identical results.
 func TestQueryAcrossProtocolGenerations(t *testing.T) {
 	addr, _, _, srv := queryHarness(t, false)
 	seed := login(t, addr, "seed", "")
@@ -127,79 +127,33 @@ func TestQueryAcrossProtocolGenerations(t *testing.T) {
 		}
 		return hits
 	}
-	v2c, err := client.Dial(addr, client.WithUser("v2user"), client.WithMaxVersion(protocol.Version2))
-	if err != nil {
-		t.Fatal(err)
+	v1c := loginVer(t, addr, "v1user", "", protocol.Version1)
+	v3c := loginVer(t, addr, "v3user", "", protocol.VersionMax)
+	if v1c.Ver() != protocol.Version1 || v3c.Ver() != protocol.Version3 {
+		t.Fatalf("negotiated v%d / v%d", v1c.Ver(), v3c.Ver())
 	}
-	t.Cleanup(func() { v2c.Close() })
-	v3c, err := client.Dial(addr, client.WithUser("v3user"), client.WithMaxVersion(protocol.VersionMax))
-	if err != nil {
-		t.Fatal(err)
+	h1, h3 := query(v1c), query(v3c)
+	if len(h1) != 1 || len(h3) != 1 {
+		t.Fatalf("hit counts differ: v1=%d v3=%d", len(h1), len(h3))
 	}
-	t.Cleanup(func() { v3c.Close() })
-	if v2c.Ver() != protocol.Version2 || v3c.Ver() < protocol.Version3 {
-		t.Fatalf("negotiated v%d / v%d", v2c.Ver(), v3c.Ver())
-	}
-	h2, h3 := query(v2c), query(v3c)
-	if len(h2) != 1 || len(h3) != 1 {
-		t.Fatalf("hit counts differ: v2=%d v3=%d", len(h2), len(h3))
-	}
-	if fmt.Sprintf("%+v", h2[0]) != fmt.Sprintf("%+v", h3[0]) {
-		t.Fatalf("v2/v3 drift:\n v2 %+v\n v3 %+v", h2[0], h3[0])
+	if fmt.Sprintf("%+v", h1[0]) != fmt.Sprintf("%+v", h3[0]) {
+		t.Fatalf("v1/v3 drift:\n v1 %+v\n v3 %+v", h1[0], h3[0])
 	}
 }
 
-// TestQueryCapabilityGate pins the mixed-fleet contract: the query
-// response's Hits/Sources fields are new v3 presence bits, so a binary
-// peer that did not advertise CapQuery must get a rejection — typed
-// (code=unsupported) only when it opted into typed errors — and a server
-// without indexers rejects everyone the same way.
-func TestQueryCapabilityGate(t *testing.T) {
-	addr, _, _, srv := queryHarness(t, false)
-	_ = srv
-
+// TestQueryWithoutIndexersUnsupported pins the typed rejection of a
+// query the server cannot serve: without indexers a v1 JSON peer and a v3
+// binary peer alike get code=unsupported, and the library client an error.
+func TestQueryWithoutIndexersUnsupported(t *testing.T) {
+	addr, _ := harness(t, false)
 	q := &protocol.QueryReq{Kind: protocol.QuerySearch, Terms: []string{"x"}}
-
-	// v3 binary peer with typed errors but no CapQuery: typed rejection.
-	typed := dialV1(t, addr)
-	typed.call(&protocol.Message{Op: protocol.OpLogin, User: "typed"})
-	if got := typed.call(&protocol.Message{Op: protocol.OpHello, Ver: protocol.Version3,
-		Caps: protocol.CapTypedErrors}).Ver; got != protocol.Version3 {
-		t.Fatalf("hello: v%d", got)
+	for _, ver := range []int{protocol.Version1, protocol.Version3} {
+		w := wireAt(t, addr, "u", "", ver)
+		if resp := w.callErr(&protocol.Message{Op: protocol.OpQuery, Query: q}); resp.Err == "" || resp.Code != protocol.ErrUnsupported {
+			t.Fatalf("v%d query without indexers: err=%q code=%q", ver, resp.Err, resp.Code)
+		}
 	}
-	typed.codec.EnableBinary()
-	resp := typed.callErr(&protocol.Message{Op: protocol.OpQuery, Query: q})
-	if resp.Err == "" || resp.Code != protocol.ErrUnsupported {
-		t.Fatalf("capable-of-typed peer without CapQuery: err=%q code=%q", resp.Err, resp.Code)
-	}
-
-	// v3 binary peer with no capabilities at all: the Code field is itself
-	// a post-release presence bit, so only the plain Err may be sent.
-	old := dialV1(t, addr)
-	old.call(&protocol.Message{Op: protocol.OpLogin, User: "old"})
-	if got := old.call(&protocol.Message{Op: protocol.OpHello, Ver: protocol.Version3}).Ver; got != protocol.Version3 {
-		t.Fatalf("hello: v%d", got)
-	}
-	old.codec.EnableBinary()
-	resp = old.callErr(&protocol.Message{Op: protocol.OpQuery, Query: q})
-	if resp.Err == "" || resp.Code != "" {
-		t.Fatalf("no-caps binary peer: err=%q code=%q", resp.Err, resp.Code)
-	}
-
-	// v2 JSON peer: unknown fields are skipped by JSON decoders, so the
-	// query is served without any capability handshake.
-	v2 := dialV1(t, addr)
-	v2.call(&protocol.Message{Op: protocol.OpLogin, User: "v2"})
-	if got := v2.call(&protocol.Message{Op: protocol.OpHello, Ver: protocol.Version2}).Ver; got != protocol.Version2 {
-		t.Fatalf("hello: v%d", got)
-	}
-	if resp := v2.call(&protocol.Message{Op: protocol.OpQuery, Query: q}); !resp.OK {
-		t.Fatalf("v2 JSON query rejected: %+v", resp)
-	}
-
-	// A server without indexers rejects with the same typed shape.
-	bare, _ := harness(t, false)
-	c := loginVer(t, bare, "u", "", protocol.VersionMax)
+	c := loginVer(t, addr, "u", "", protocol.VersionMax)
 	if _, err := c.Search(client.SearchQuery{Terms: []string{"x"}}); err == nil {
 		t.Fatal("query served with indexers disabled")
 	}
@@ -217,7 +171,7 @@ func TestQueryCapabilityGate(t *testing.T) {
 //     sourced FROM a document he cannot read must not name it;
 //   - alice, unrestricted, keeps plaintext on every one of those paths.
 //
-// Both protocol generations are driven: v2 JSON and v3 binary.
+// Both protocol generations are driven: v1 JSON and v3 binary.
 func TestCrossTenantQueryLeakHunt(t *testing.T) {
 	addr, eng, store, srv := queryHarness(t, true)
 
@@ -288,7 +242,7 @@ func TestCrossTenantQueryLeakHunt(t *testing.T) {
 	srv.cl.Index().Sync()
 
 	bobs := map[string]*client.Client{}
-	for name, max := range map[string]int{"v2-json": protocol.Version2, "v3-binary": protocol.VersionMax} {
+	for name, max := range map[string]int{"v1-json": protocol.Version1, "v3-binary": protocol.VersionMax} {
 		c, err := client.Dial(addr, client.WithMaxVersion(max))
 		if err != nil {
 			t.Fatal(err)

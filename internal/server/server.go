@@ -26,9 +26,8 @@ import (
 	"tendax/internal/util"
 )
 
-// Wire-frame cache keys for the awareness encode-once fan-out: v1 and v2
-// push identical JSON lines, so they share one cached frame; v3 peers share
-// the binary frame.
+// Wire-frame cache keys for the awareness encode-once fan-out: v1 peers
+// share one cached JSON line, v3 peers one binary frame.
 const (
 	frameKeyJSON   = 2
 	frameKeyBinary = 3
@@ -228,7 +227,7 @@ type conn struct {
 	codec *protocol.Codec
 	user  string
 
-	// Protocol-v2 connection state. ver is the negotiated version
+	// Negotiated connection state. ver is the negotiated version
 	// (Version1 until a hello upgrades it); it is written by the serve
 	// loop and read by push pumps, hence atomic. lastInsert tracks, per
 	// document, the last character instance inserted on this connection —
@@ -239,11 +238,6 @@ type conn struct {
 	// only by the serve loop.
 	ver        atomic.Int32
 	lastInsert map[util.ID]util.ID
-
-	// caps accumulates the capability bits the peer advertised in hello
-	// requests (protocol.Cap*). Written and read only by the serve loop:
-	// capabilities gate RESPONSE fields, never push frames.
-	caps uint64
 
 	// Per-connection rate-limit buckets (nil when the server runs
 	// unlimited); the matching per-user buckets live on the server.
@@ -319,22 +313,10 @@ func fail(err error) *protocol.Message {
 
 // throttledResp is the typed rate-limit rejection: machine-readable code
 // plus a retry-after hint (floored at 1ms so a hint-obeying client never
-// busy-spins). The typed fields are new v3 bitmask bits, and an older
-// binary peer fails the whole decode on a bit it does not know — so they
-// go to JSON peers (which skip unknown fields) and to binary peers that
-// advertised CapTypedErrors in hello; anyone else gets the plain Err
-// string and stays connected.
-func (c *conn) throttledResp(retry time.Duration) *protocol.Message {
-	ms := retry.Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	resp := &protocol.Message{Err: "server: throttled, retry later"}
-	if int(c.ver.Load()) < protocol.Version3 || c.caps&protocol.CapTypedErrors != 0 {
-		resp.Code = protocol.ErrThrottled
-		resp.RetryMS = ms
-	}
-	return resp
+// busy-spins).
+func throttledResp(retry time.Duration) *protocol.Message {
+	return &protocol.Message{Err: "server: throttled, retry later",
+		Code: protocol.ErrThrottled, RetryMS: max(retry.Milliseconds(), 1)}
 }
 
 func (c *conn) handle(req *protocol.Message) *protocol.Message {
@@ -345,35 +327,23 @@ func (c *conn) handle(req *protocol.Message) *protocol.Message {
 	case protocol.OpLogin:
 		return c.login(req)
 	case protocol.OpHello:
-		// Version negotiation: the connection speaks the highest version
-		// both sides support. Clients that never say hello stay on v1 —
-		// the entire v1 surface keeps working regardless. Landing on v3
-		// flips this side's outbound framing to binary: the peer asked for
-		// it, and its receiver auto-detects per frame, so even the hello
+		// Version negotiation: a peer that asks for v3 or more gets v3,
+		// anyone else v1. Clients that never say hello stay on v1 — the
+		// entire v1 surface keeps working regardless. Landing on v3 flips
+		// this side's outbound framing to binary: the peer asked for it,
+		// and its receiver auto-detects per frame, so even the hello
 		// response itself may already be binary-framed. The switch is
 		// one-way — a later downgrade hello lowers the advertised version
-		// but the peer has proven it decodes binary.
-		ver := req.Ver
-		if ver > protocol.VersionMax {
-			ver = protocol.VersionMax
-		}
-		if ver < protocol.Version1 {
-			ver = protocol.Version1
-		}
-		c.caps |= req.Caps
-		c.ver.Store(int32(ver))
-		if ver >= protocol.Version3 {
+		// but the peer has proven it decodes binary. Shards is routing
+		// metadata: advisory today (one address serves every shard), the
+		// seam the multi-node phase redirects through.
+		ver := protocol.Version1
+		if req.Ver >= protocol.Version3 {
+			ver = protocol.Version3
 			c.codec.EnableBinary()
 		}
-		resp := &protocol.Message{OK: true, Ver: ver}
-		// Shard-count routing metadata: advisory today (one address serves
-		// every shard), the seam the multi-node phase redirects through.
-		// Same gating as the other post-v3 fields — a binary peer that
-		// did not advertise CapShardInfo would hard-fail on the new bit.
-		if ver < protocol.Version3 || c.caps&protocol.CapShardInfo != 0 {
-			resp.Shards = c.srv.cl.Shards()
-		}
-		return resp
+		c.ver.Store(int32(ver))
+		return &protocol.Message{OK: true, Ver: ver, Shards: c.srv.cl.Shards()}
 	case protocol.OpEdit, protocol.OpInsert, protocol.OpAppend, protocol.OpDelete,
 		protocol.OpPaste, protocol.OpLayout, protocol.OpNote:
 		return c.edit(req)
@@ -564,7 +534,7 @@ func (c *conn) doc(req *protocol.Message) (*core.Document, error) {
 func (c *conn) subscribe(req *protocol.Message) *protocol.Message {
 	if ok, retry := c.allowSubscribe(time.Now()); !ok {
 		c.srv.metrics.Throttles.Add(1)
-		return c.throttledResp(retry)
+		return throttledResp(retry)
 	}
 	docID := util.ID(req.Doc)
 	if _, err := c.srv.cl.OpenDocument(docID); err != nil {
@@ -627,7 +597,7 @@ func (c *conn) pump(docID util.ID, sub *awareness.Subscription, red *redactor) {
 // Returns false once the connection is torn down.
 func (c *conn) pushEvent(ev *awareness.Event) bool {
 	// A multi-op batch pushes as ONE "batch" event. A subscriber that
-	// never negotiated v2 predates that kind: it would advance its
+	// never negotiated v3 predates that kind: it would advance its
 	// sequence number without folding the text and silently diverge
 	// forever. Translate the event into the v1 vocabulary it does
 	// understand — the advisory "lagged" push, whose documented recovery
@@ -636,7 +606,7 @@ func (c *conn) pushEvent(ev *awareness.Event) bool {
 	// so no event is lost around the resync. (This per-connection
 	// translation is deliberately uncached — it is not the shared event.)
 	ver := int(c.ver.Load())
-	if ev.Kind == awareness.EvBatch && ver < protocol.Version2 {
+	if ev.Kind == awareness.EvBatch && ver < protocol.Version3 {
 		msg := &protocol.Message{
 			Type: protocol.TypePush,
 			Event: &protocol.Event{
@@ -652,7 +622,7 @@ func (c *conn) pushEvent(ev *awareness.Event) bool {
 	}
 	// Encode-once fan-out, keyed by (protocol family, visibility class):
 	// the first pump to push this event for a given key renders the
-	// frame — one JSON line shared by every all-visible v1/v2 subscriber,
+	// frame — one JSON line shared by every all-visible v1 subscriber,
 	// one binary frame for v3, and one frame per restricted class — and
 	// all later pumps with the same key reuse the bytes.
 	frame, err := ev.Wire.Get(classKey(frameKeyFor(ver), ev.VisClass), func() ([]byte, error) {
@@ -678,7 +648,7 @@ func (c *conn) pushEvent(ev *awareness.Event) bool {
 // fetches the full text. Returns false once the connection is torn down.
 func (c *conn) healGap(docID util.ID, gap awareness.Event, red *redactor, lastSent *uint64) bool {
 	bus := c.srv.busFor(docID)
-	if int(c.ver.Load()) < protocol.Version2 {
+	if int(c.ver.Load()) < protocol.Version3 {
 		// v1 vocabulary has no replay: advisory lagged, full-text recovery.
 		if !c.pushLagged(docID) {
 			return false
@@ -782,20 +752,20 @@ func (c *conn) unsubscribe(doc util.ID) {
 	}
 }
 
-// edit is the server's one editing entry point. A v2 "edit" frame carries
+// edit is the server's one editing entry point. An "edit" frame carries
 // the batch; a v1 insert/append/delete/paste/layout/note frame is
 // translated to a batch of one positional op. Either way: one rate-limit
 // admission, every op committed in ONE transaction by
 // core.Document.ApplyAsync, and ONE durability wait just before the ack —
 // while this connection sleeps in it, every other connection keeps
 // applying and committing, so independent editors share one WAL fsync.
-// A v2 peer gets the per-op results (operation IDs, created instance IDs,
-// resolved positions) so it learns the identities of the text it typed; a
-// v1 peer gets the single operation (or span) ID.
+// An "edit" frame gets the per-op results (operation IDs, created
+// instance IDs, resolved positions) so the peer learns the identities of
+// the text it typed; a v1 frame gets the single operation (or span) ID.
 func (c *conn) edit(req *protocol.Message) *protocol.Message {
 	if ok, retry := c.allowEdit(time.Now()); !ok {
 		c.srv.metrics.Throttles.Add(1)
-		return c.throttledResp(retry)
+		return throttledResp(retry)
 	}
 	d, err := c.doc(req)
 	if err != nil {
@@ -860,7 +830,7 @@ func (c *conn) edit(req *protocol.Message) *protocol.Message {
 	}
 }
 
-// batchOps decodes a v2 batch's wire ops, resolving connection-relative
+// batchOps decodes a batch's wire ops, resolving connection-relative
 // "prev" anchors.
 func (c *conn) batchOps(doc util.ID, wire []protocol.EditOp) ([]core.EditOp, error) {
 	if len(wire) == 0 {
@@ -941,7 +911,7 @@ func coreIDs(wire []uint64) []util.ID {
 // anchors returns the character-instance IDs of the visible range
 // [pos, pos+n), from one consistent snapshot, paired with the sequence
 // number and snapshot version of the state they were resolved against. A
-// v2 client uses them to anchor subsequent edits by identity.
+// client uses them to anchor subsequent edits by identity.
 func (c *conn) anchors(req *protocol.Message) *protocol.Message {
 	d, err := c.doc(req)
 	if err != nil {
@@ -963,9 +933,9 @@ func (c *conn) anchors(req *protocol.Message) *protocol.Message {
 	return &protocol.Message{OK: true, IDs: out, Seq: seq, Snap: snap.Version()}
 }
 
-// resync serves a protocol-v2 delta resync: the events after req.Since,
-// straight from the awareness bus's bounded op ring — O(gap) on the wire
-// instead of O(document). When the gap has outlived retention, the
+// resync serves a delta resync: the events after req.Since, straight
+// from the awareness bus's bounded op ring — O(gap) on the wire instead of
+// O(document). When the gap has outlived retention, the
 // response falls back to the full consistent text exactly like a v1
 // resync.
 func (c *conn) resync(req *protocol.Message) *protocol.Message {

@@ -460,7 +460,7 @@ func TestEditorHeadless(t *testing.T) {
 }
 
 func TestReplicaResyncAfterGap(t *testing.T) {
-	addr, eng := harness(t, false)
+	addr, eng, _, srv := harnessSrv(t, false)
 	alice := login(t, addr, "alice", "")
 	docID, _ := alice.CreateDocument("gapdoc")
 	d, _ := alice.Open(docID)
@@ -484,6 +484,38 @@ func TestReplicaResyncAfterGap(t *testing.T) {
 	}
 	if d.Text() != "" {
 		t.Fatalf("replica after remote undo = %q", d.Text())
+	}
+
+	// A gap: alice's subscription is dropped server-side, an edit commits
+	// unseen, and the resubscription's join reaches her replica with the
+	// sequence numbers in between missing. The replica resyncs and says so.
+	resynced := make(chan protocol.Event, 1) // the one resync the gap causes
+	d.Watch(func(ev protocol.Event) {
+		if ev.Kind == "resync" {
+			resynced <- ev
+		}
+	})
+	srv.mu.Lock()
+	var ac *conn
+	for c := range srv.conns {
+		ac = c
+	}
+	srv.mu.Unlock()
+	ac.unsubscribe(util.ID(docID))
+	srvDoc.InsertText("ghost", 0, "unseen")
+	if resp := ac.subscribe(&protocol.Message{Doc: docID}); !resp.OK {
+		t.Fatalf("resubscribe: %s", resp.Err)
+	}
+	select {
+	case ev := <-resynced:
+		if ev.Name != "gap" {
+			t.Fatalf("resync cause %q, want gap", ev.Name)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the gap never led to a resync")
+	}
+	if d.Text() != "unseen" {
+		t.Fatalf("replica after the gap = %q", d.Text())
 	}
 }
 
@@ -522,7 +554,8 @@ func throttleHarness(t *testing.T, editRate, subRate float64, queue int) (addr s
 // and note included (they used to bypass it): past the burst allowance an
 // edit is rejected with the typed "throttled" code carrying a positive
 // retry-after hint, the rejection is counted, the document never sees the
-// rejected edit, and a rejected request drains no budget.
+// rejected edit, and a rejected request drains no budget — for a v1 JSON
+// peer and a v3 binary peer alike.
 func TestEditThrottleTypedError(t *testing.T) {
 	for _, tc := range []struct {
 		op    string
@@ -535,72 +568,80 @@ func TestEditThrottleTypedError(t *testing.T) {
 		{"note", 0, func(d *client.Doc, _ *protocol.Clip) error { return d.Note(0, "nb") }},
 	} {
 		t.Run(tc.op, func(t *testing.T) {
-			addr, srv, _ := throttleHarness(t, 10, 0, 0) // 10 edits/s, burst 20
-			c := login(t, addr, "spammer", "")
-			docID, err := c.CreateDocument("busy")
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, err := c.Open(docID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Append("s"); err != nil { // something to copy, span and annotate
-				t.Fatal(err)
-			}
-			clip, err := d.Copy(0, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var throttled *client.ThrottledError
-			accepted := 0
-			for i := 0; i < 200 && throttled == nil; i++ {
-				err := tc.edit(d, clip)
-				switch {
-				case err == nil:
-					accepted++
-				case errors.As(err, &throttled):
-				default:
-					t.Fatalf("edit %d: unexpected error %v", i, err)
-				}
-			}
-			if throttled == nil {
-				t.Fatalf("200 instant edits all accepted at 10 edits/s (%d committed)", accepted)
-			}
-			if accepted == 0 {
-				t.Fatal("burst allowance admitted nothing")
-			}
-			if throttled.RetryAfter <= 0 {
-				t.Fatalf("throttled without a retry-after hint: %v", throttled)
-			}
-			if got := srv.Metrics().Throttles.Load(); got == 0 {
-				t.Fatal("throttle rejections not counted")
-			}
-			// Rejections drain nothing: after a run of them, waiting out the
-			// last hint is still enough for the next edit.
-			for i := 0; i < 5; i++ {
-				if err := tc.edit(d, clip); err == nil {
-					accepted++
-				} else if !errors.As(err, &throttled) {
-					t.Fatal(err)
-				}
-			}
-			time.Sleep(throttled.RetryAfter + 5*time.Millisecond)
-			if err := tc.edit(d, clip); err != nil {
-				t.Fatalf("edit after waiting out the hint: %v", err)
-			}
-			accepted++
-			// The rejection is per-request, not per-connection: the session
-			// stays usable and the committed text reflects only accepted edits.
-			text, err := d.Read()
-			if err != nil {
-				t.Fatalf("connection dead after throttle: %v", err)
-			}
-			if want := 1 + accepted*tc.chars; len(text) != want {
-				t.Fatalf("committed %d chars, want %d (%d accepted)", len(text), want, accepted)
+			for proto, ver := range map[string]int{"v1-json": protocol.Version1, "v3-binary": protocol.VersionMax} {
+				t.Run(proto, func(t *testing.T) { throttleTyped(t, ver, tc.chars, tc.edit) })
 			}
 		})
+	}
+}
+
+// throttleTyped is one TestEditThrottleTypedError case over a connection
+// at protocol version ver.
+func throttleTyped(t *testing.T, ver, chars int, edit func(d *client.Doc, clip *protocol.Clip) error) {
+	addr, srv, _ := throttleHarness(t, 10, 0, 0) // 10 edits/s, burst 20
+	c := loginVer(t, addr, "spammer", "", ver)
+	docID, err := c.CreateDocument("busy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := c.Open(docID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Append("s"); err != nil { // something to copy, span and annotate
+		t.Fatal(err)
+	}
+	clip, err := d.Copy(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var throttled *client.ThrottledError
+	accepted := 0
+	for i := 0; i < 200 && throttled == nil; i++ {
+		err := edit(d, clip)
+		switch {
+		case err == nil:
+			accepted++
+		case errors.As(err, &throttled):
+		default:
+			t.Fatalf("edit %d: unexpected error %v", i, err)
+		}
+	}
+	if throttled == nil {
+		t.Fatalf("200 instant edits all accepted at 10 edits/s (%d committed)", accepted)
+	}
+	if accepted == 0 {
+		t.Fatal("burst allowance admitted nothing")
+	}
+	if throttled.RetryAfter <= 0 {
+		t.Fatalf("throttled without a retry-after hint: %v", throttled)
+	}
+	if got := srv.Metrics().Throttles.Load(); got == 0 {
+		t.Fatal("throttle rejections not counted")
+	}
+	// Rejections drain nothing: after a run of them, waiting out the
+	// last hint is still enough for the next edit.
+	for i := 0; i < 5; i++ {
+		if err := edit(d, clip); err == nil {
+			accepted++
+		} else if !errors.As(err, &throttled) {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(throttled.RetryAfter + 5*time.Millisecond)
+	if err := edit(d, clip); err != nil {
+		t.Fatalf("edit after waiting out the hint: %v", err)
+	}
+	accepted++
+	// The rejection is per-request, not per-connection: the session
+	// stays usable and the committed text reflects only accepted edits.
+	text, err := d.Read()
+	if err != nil {
+		t.Fatalf("connection dead after throttle: %v", err)
+	}
+	if want := 1 + accepted*chars; len(text) != want {
+		t.Fatalf("committed %d chars, want %d (%d accepted)", len(text), want, accepted)
 	}
 }
 

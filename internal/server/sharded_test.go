@@ -44,9 +44,9 @@ func clusterHarness(t *testing.T, shards int) (addr string, cl *placement.Cluste
 	return a.String(), cl, srv
 }
 
-// TestMultiShardConvergence runs concurrent v1, v2 and v3 clients against
+// TestMultiShardConvergence runs concurrent v1 and v3 clients against
 // documents spread across four shards and requires (a) the shard count to
-// reach capability-negotiated clients, (b) every edit to be durably acked,
+// reach negotiated clients, (b) every edit to be durably acked,
 // and (c) byte-for-byte convergence of every replica with the owning
 // shard's committed text.
 func TestMultiShardConvergence(t *testing.T) {
@@ -76,8 +76,7 @@ func TestMultiShardConvergence(t *testing.T) {
 		t.Fatalf("%d docs landed on only %d of 4 shards (%v)", nDocs, len(onShard), onShard)
 	}
 
-	// One v2 (JSON-framed) and one v3 (binary-framed) typist per document,
-	// all racing across shard boundaries.
+	// Two v3 typists per document, all racing across shard boundaries.
 	perTypist := 30
 	if testing.Short() {
 		perTypist = 10
@@ -115,8 +114,8 @@ func TestMultiShardConvergence(t *testing.T) {
 	}
 	for i, id := range docIDs {
 		wg.Add(2)
-		go typist(fmt.Sprintf("json-%d", i), protocol.Version2, id, "j")
-		go typist(fmt.Sprintf("bin-%d", i), protocol.Version3, id, "b")
+		go typist(fmt.Sprintf("ann-%d", i), protocol.Version3, id, "a")
+		go typist(fmt.Sprintf("bob-%d", i), protocol.Version3, id, "b")
 	}
 	// A v1 raw-wire client interleaves positional edits on two documents
 	// that live on different shards.
@@ -175,10 +174,10 @@ func TestMultiShardConvergence(t *testing.T) {
 }
 
 // TestV1EditsCountedOnMetrics pins that the v1 single-op frames ride the
-// same edit path as a v2 batch all the way to the scrape: a raw-wire v1
+// same edit path as a batch all the way to the scrape: a raw-wire v1
 // typist's inserts, appends and pastes show up in keystrokes, and every
 // one of its edits in batches/ops, globally and on the owning shard's
-// counters alone. (They used to be invisible: only v2 batches were
+// counters alone. (They used to be invisible: only edit batches were
 // counted.)
 func TestV1EditsCountedOnMetrics(t *testing.T) {
 	addr, cl, srv := clusterHarness(t, 2)

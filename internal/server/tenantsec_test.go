@@ -1,18 +1,15 @@
 // Regression tests for the multi-tenant hardening review findings: a
 // doc-level read revocation must cut off the live event stream and the
-// resync replay (not just range-rule masking), typed throttle fields must
-// never reach a binary peer that did not opt in, partially-identified
-// text must fail closed, and a rejected request must not drain the other
+// resync replay (not just range-rule masking), partially-identified text
+// must fail closed, and a rejected request must not drain the other
 // rate-limit budget.
 package server
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
 
-	"tendax/internal/client"
 	"tendax/internal/core"
 	"tendax/internal/protocol"
 	"tendax/internal/security"
@@ -80,17 +77,8 @@ func TestDocLevelRevocationCutsEventStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	subscribe := func(user, pw string) *v1Wire {
-		w := dialV1(t, addr)
-		w.call(&protocol.Message{Op: protocol.OpLogin, User: user, Password: pw})
-		if got := w.call(&protocol.Message{Op: protocol.OpHello, Ver: protocol.Version2}).Ver; got != protocol.Version2 {
-			t.Fatalf("hello: negotiated v%d", got)
-		}
-		w.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: docID})
-		return w
-	}
-	bob := subscribe("bob", "pw-b")
-	aobs := subscribe("alice", "pw-a")
+	bob := subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version3)
+	aobs := subscribeWire(t, addr, docID, "alice", "pw-a", protocol.Version3)
 
 	// Revoke bob's grant. Carol's rule keeps the document closed-by-rule,
 	// so bob is now denied doc-level read — and the revocation publishes
@@ -180,67 +168,6 @@ func TestDocLevelRevocationCutsEventStream(t *testing.T) {
 	}
 }
 
-// TestThrottleCodeGatedByCapability pins the mixed-fleet contract for the
-// typed throttle fields: they are new v3 presence-bitmap bits, and a
-// binary peer that predates them fails the WHOLE frame decode on an
-// unknown bit — so the server only emits them to binary peers that
-// advertised CapTypedErrors in hello. A v3 peer without the capability
-// (an older binary client) gets the plain Err string; the current library
-// client advertises it and keeps the typed ThrottledError.
-func TestThrottleCodeGatedByCapability(t *testing.T) {
-	addr, _, _ := throttleHarness(t, 1, 0, 0) // 1 edit/s, burst 2
-
-	// Older v3 binary client: negotiates v3 but advertises no caps.
-	old := dialV1(t, addr)
-	old.call(&protocol.Message{Op: protocol.OpLogin, User: "old-binary"})
-	if got := old.call(&protocol.Message{Op: protocol.OpHello, Ver: protocol.Version3}).Ver; got != protocol.Version3 {
-		t.Fatalf("hello: negotiated v%d", got)
-	}
-	old.codec.EnableBinary()
-	docID := old.call(&protocol.Message{Op: protocol.OpCreateDoc, Name: "busy"}).Doc
-	var throttled *protocol.Message
-	for i := 0; i < 20 && throttled == nil; i++ {
-		if resp := old.callErr(&protocol.Message{Op: protocol.OpAppend, Doc: docID, Text: "x"}); resp.Err != "" {
-			throttled = resp
-		}
-	}
-	if throttled == nil {
-		t.Fatal("20 instant edits all accepted at 1 edit/s")
-	}
-	if throttled.Code != "" || throttled.RetryMS != 0 {
-		t.Fatalf("typed fields sent to a binary peer without CapTypedErrors: code=%q retryMs=%d",
-			throttled.Code, throttled.RetryMS)
-	}
-
-	// Current library client: v3 + CapTypedErrors, typed error preserved.
-	c, err := client.Dial(addr,
-		client.WithMaxVersion(protocol.VersionMax), client.WithUser("new-binary"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	newDoc, err := c.CreateDocument("busy2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := c.Open(newDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var typed *client.ThrottledError
-	for i := 0; i < 20 && typed == nil; i++ {
-		if err := d.Append("x"); err != nil && !errors.As(err, &typed) {
-			t.Fatalf("edit %d: %v", i, err)
-		}
-	}
-	if typed == nil {
-		t.Fatal("capable v3 client never received the typed throttle")
-	}
-	if typed.RetryAfter <= 0 {
-		t.Fatalf("typed throttle without retry hint: %v", typed)
-	}
-}
-
 // TestMaskFailClosedTail pins the fail-closed stance for partially
 // identified text: runes beyond the event's instance-ID list are masked
 // for restricted classes, not forwarded.
@@ -298,10 +225,10 @@ func TestTakeBothNoCrossDrain(t *testing.T) {
 
 // TestUndoRestoredRunesRedacted pins that undo and redo, which publish
 // the instances they flip as positional items, pass the redactor like any
-// edit: denied runes an undo restores reach a restricted v2 or v3
-// subscriber masked, live and in a "resync since" replay, while an
-// unrestricted subscriber at either version gets them in plaintext — so
-// no frame is shared across visibility classes.
+// edit: denied runes an undo restores reach both restricted subscribers
+// masked, live and in a "resync since" replay, while both unrestricted
+// subscribers get them in plaintext — so no frame is shared across
+// visibility classes, and each class's frame is shared within it.
 func TestUndoRestoredRunesRedacted(t *testing.T) {
 	addr, eng, store := harnessStore(t, true)
 	alice := loginVer(t, addr, "alice", "pw-a", protocol.VersionMax)
@@ -329,12 +256,12 @@ func TestUndoRestoredRunesRedacted(t *testing.T) {
 		t.Fatal(err)
 	}
 	restricted := map[string]*v1Wire{
-		"bob/v2": subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version2),
-		"bob/v3": subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version3),
+		"bob/a": subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version3),
+		"bob/b": subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version3),
 	}
 	unrestricted := map[string]*v1Wire{
-		"alice/v2": subscribeWire(t, addr, docID, "alice", "pw-a", protocol.Version2),
-		"alice/v3": subscribeWire(t, addr, docID, "alice", "pw-a", protocol.Version3),
+		"alice/a": subscribeWire(t, addr, docID, "alice", "pw-a", protocol.Version3),
+		"alice/b": subscribeWire(t, addr, docID, "alice", "pw-a", protocol.Version3),
 	}
 
 	// Delete "CRE" inside the denied range, undo (restoring it), redo.

@@ -18,9 +18,9 @@ import (
 // TestUndoConvergesWithoutResync drives a seeded history of typing, batch
 // deletes, local and global undo and redo — over the other user's
 // tombstones too — and compactions whose archived tombstones a later undo
-// rehydrates. After every step the v2 (JSON) and v3 (binary) replicas must
-// equal the committed text byte for byte, having folded every undo and
-// redo from its positional items: not one resync.
+// rehydrates. After every step both v3 replicas must equal the committed
+// text byte for byte, having folded every undo and redo from its
+// positional items: not one resync, counted from each replica's Open.
 func TestUndoConvergesWithoutResync(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -31,42 +31,43 @@ func TestUndoConvergesWithoutResync(t *testing.T) {
 
 func undoConvergence(t *testing.T, seed int64, steps int) {
 	addr, eng := harness(t, false)
-	c2 := loginVer(t, addr, "ann", "", protocol.Version2)
-	docID, err := c2.CreateDocument("undo-fold")
+	ann := loginVer(t, addr, "ann", "", protocol.VersionMax)
+	docID, err := ann.CreateDocument("undo-fold")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c3 := loginVer(t, addr, "bob", "", protocol.VersionMax)
+	bob := loginVer(t, addr, "bob", "", protocol.VersionMax)
 	srvDoc, err := eng.OpenDocument(util.ID(docID))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var resyncs atomic.Int32
 	replicas := map[string]*client.Doc{}
-	for name, c := range map[string]*client.Client{"v2": c2, "v3": c3} {
-		if replicas[name], err = c.Open(docID); err != nil {
+	for name, c := range map[string]*client.Client{"ann": ann, "bob": bob} {
+		d, err := c.Open(docID)
+		if err != nil {
 			t.Fatal(err)
 		}
+		d.Watch(func(ev protocol.Event) {
+			if ev.Kind == "resync" {
+				resyncs.Add(1)
+			}
+		})
+		replicas[name] = d
 	}
-	// caughtUp waits up to wait for every replica to report the last
-	// published event.
-	caughtUp := func(wait time.Duration) bool {
+	// converge waits for every replica to report the last published event
+	// and checks it against the committed text.
+	converge := func(step int) {
+		t.Helper()
 		seq := eng.Bus().Seq(util.ID(docID))
-		deadline := time.Now().Add(wait)
-		for _, d := range replicas {
+		deadline := time.Now().Add(10 * time.Second)
+		for name, d := range replicas {
 			for d.Seq() < seq {
 				if time.Now().After(deadline) {
-					return false
+					t.Fatalf("step %d: %s replica is stuck below seq %d", step, name, seq)
 				}
 				time.Sleep(time.Millisecond)
 			}
-		}
-		return true
-	}
-	// converge checks every caught-up replica against the committed text.
-	converge := func(step int) {
-		t.Helper()
-		if !caughtUp(10 * time.Second) {
-			t.Fatalf("step %d: a replica is stuck below seq %d", step, eng.Bus().Seq(util.ID(docID)))
 		}
 		want := srvDoc.Text()
 		for name, d := range replicas {
@@ -74,38 +75,11 @@ func undoConvergence(t *testing.T, seed int64, steps int) {
 				t.Fatalf("step %d: %s replica diverged:\n server %q\n got    %q", step, name, want, got)
 			}
 		}
-	}
-	// Count resyncs only once every replica has folded a key from its
-	// push: a replica may resync while it opens, racing its own join, and
-	// a push landing during that resync is dropped until the next one
-	// reveals the gap — so keep typing until a key arrives by push.
-	var resyncs atomic.Int32
-	pushed := make(map[*client.Doc]*atomic.Uint64)
-	for _, d := range replicas {
-		last := new(atomic.Uint64)
-		pushed[d] = last
-		d.Watch(func(ev protocol.Event) {
-			if ev.Kind == "resync" {
-				resyncs.Add(1)
-			} else {
-				last.Store(ev.Seq)
-			}
-		})
-	}
-	for settled, tries := false, 0; !settled; tries++ {
-		if tries == 100 {
-			t.Fatal("no key ever reached every replica by push")
-		}
-		if _, err := srvDoc.InsertText("ann", 0, "."); err != nil {
-			t.Fatal(err)
-		}
-		settled = caughtUp(time.Second)
-		for _, last := range pushed {
-			settled = settled && last.Load() == eng.Bus().Seq(util.ID(docID))
+		if n := resyncs.Load(); n != 0 {
+			t.Fatalf("step %d: replicas resynced %d times", step, n)
 		}
 	}
 	converge(-1)
-	resyncs.Store(0)
 
 	rng := rand.New(rand.NewSource(seed))
 	users := []string{"ann", "bob"}
@@ -160,9 +134,6 @@ func undoConvergence(t *testing.T, seed int64, steps int) {
 			rehydrated = rehydrated || stats.Archived > 0
 		}
 		converge(step)
-		if n := resyncs.Load(); n != 0 {
-			t.Fatalf("step %d: replicas resynced %d times", step, n)
-		}
 	}
 	if !rehydrated {
 		t.Fatal("no undo rehydrated an archived tombstone")
