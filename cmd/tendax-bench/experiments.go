@@ -772,13 +772,14 @@ func runE10(quick bool, _ string) error {
 // E17 — Multi-tenant event stream under a connection storm.
 //
 // Phase A subscribes a large fleet (10k full, 500 quick) to ONE document
-// on the awareness bus with bounded queues and the shed-and-resync
-// overflow policy, then publishes a typing storm. Slow consumers overflow,
-// get a coalesced gap marker instead of a detach, and heal by replaying
-// the missed events from the retention ring — the experiment asserts that
-// a sample of replicas folding the (healed) stream reconverges
-// byte-for-byte with the committed text, and that per-subscriber memory
-// stayed bounded by the queue limit throughout.
+// on the awareness bus — each subscription a cursor into the document's
+// op ring — then publishes a typing storm that fits the ring. A quarter of
+// the fleet reads nothing until the whole storm is published, so it lags
+// by the entire storm; the rest read as fast as they can. The experiment
+// asserts that nobody sheds (a lag within the ring loses nothing), that a
+// sample of replicas folding the stream reconverges byte-for-byte with the
+// committed text, slow ones included, and that the deepest lag is exactly
+// the storm.
 //
 // Phase B exercises the server-side rate limiter over TCP: a client
 // flooding past its token-bucket budget must receive the typed
@@ -786,12 +787,11 @@ func runE10(quick bool, _ string) error {
 // server metrics, while the connection itself survives.
 func runE17(quick bool, _ string) error {
 	nSubs := 10000
-	storm := 2000
+	storm := 1000
 	if quick {
 		nSubs = 500
 		storm = 600
 	}
-	const queueLimit = 64
 	const sampled = 16 // subscribers that maintain a full replica
 
 	eng, database, err := memEngine()
@@ -805,6 +805,9 @@ func runE17(quick bool, _ string) error {
 		return err
 	}
 	bus := eng.Bus()
+	if storm > bus.Retention() {
+		return fmt.Errorf("e17: storm %d does not fit the op ring (%d)", storm, bus.Retention())
+	}
 	var shedCount, depthGauge atomic.Int64
 	bus.SetCounters(&shedCount, &depthGauge)
 
@@ -818,12 +821,11 @@ func runE17(quick bool, _ string) error {
 	}
 
 	var (
-		wg         sync.WaitGroup
-		delivered  atomic.Int64
-		healed     atomic.Int64
-		converged  atomic.Int64
-		notCovered atomic.Int64
-		maxDepth   atomic.Int64
+		wg        sync.WaitGroup
+		published = make(chan struct{}) // closed once the whole storm is in the ring
+		delivered atomic.Int64
+		gaps      atomic.Int64
+		converged atomic.Int64
 	)
 	before := bus.Seq(doc.ID())
 	target := before + uint64(storm)
@@ -833,58 +835,27 @@ func runE17(quick bool, _ string) error {
 		defer sub.Close()
 		fold := idx < sampled
 		// A quarter of the fleet — including half the sampled replicas —
-		// consumes deliberately slowly, so queue overflow and ring healing
-		// are exercised at every storm scale, and the byte-for-byte
-		// convergence check covers subscribers that actually shed.
-		slow := idx%4 == 3 || idx < sampled/2
-		var replica []rune
-		apply := func(e *awareness.Event) {
-			delivered.Add(1)
-			if !fold || e.Kind != awareness.EvInsert {
-				return
-			}
-			pos := e.Pos
-			if pos > len(replica) {
-				pos = len(replica)
-			}
-			ins := []rune(e.Text)
-			replica = append(replica[:pos], append(ins, replica[pos:]...)...)
+		// reads nothing until the storm is over, so it lags by all of it,
+		// and the byte-for-byte convergence check covers such readers.
+		if idx%4 == 3 || idx < sampled/2 {
+			<-published
 		}
-		last := before
-		for last < target {
+		var replica []rune
+		for last := before; last < target; {
 			ev, ok := sub.Next()
 			if !ok {
 				return
 			}
 			if ev.Kind == awareness.EvGap {
-				evs, covered := bus.EventsSince(doc.ID(), last)
-				if !covered {
-					notCovered.Add(1)
-					return
-				}
-				for i := range evs {
-					if evs[i].Seq <= last {
-						continue
-					}
-					apply(&evs[i])
-					last = evs[i].Seq
-				}
-				healed.Add(1)
-				continue
+				gaps.Add(1)
+				return
 			}
-			if ev.Seq <= last {
-				continue
-			}
-			apply(&ev)
+			delivered.Add(1)
 			last = ev.Seq
-			if slow {
-				// Slower than any realistic publish interval: the queue
-				// must overflow, shed, and heal — that path is the point.
-				time.Sleep(10 * time.Millisecond)
+			if fold && ev.Kind == awareness.EvInsert {
+				pos := min(ev.Pos, len(replica))
+				replica = append(replica[:pos], append([]rune(ev.Text), replica[pos:]...)...)
 			}
-		}
-		if d := int64(sub.MaxDepth()); d > maxDepth.Load() {
-			maxDepth.Store(d) // benign race: any observed max is ≤ queueLimit
 		}
 		if fold && string(replica) == doc.Text() {
 			converged.Add(1)
@@ -892,11 +863,10 @@ func runE17(quick bool, _ string) error {
 	}
 
 	// Every subscriber is registered BEFORE the first storm event, so a
-	// replica that misses anything can only have missed it to a shed —
-	// which the heal path must repair.
+	// replica that misses anything has lost it.
 	subs := make([]*awareness.Subscription, nSubs)
 	for i := range subs {
-		subs[i] = bus.Subscribe(doc.ID(), awareness.SubscribeOpts{QueueLimit: queueLimit})
+		subs[i] = bus.Subscribe(doc.ID(), awareness.SubscribeOpts{})
 	}
 	wg.Add(nSubs)
 	for i := range subs {
@@ -910,24 +880,27 @@ func runE17(quick bool, _ string) error {
 			return err
 		}
 	}
+	close(published)
 	if err := eng.WaitDurable(lsn); err != nil {
 		return err
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	if n := notCovered.Load(); n > 0 {
-		return fmt.Errorf("e17: %d subscribers outran ring retention (storm %d vs retention %d)",
-			n, storm, awareness.DefaultRetention)
+	maxDepth := 0
+	for _, sub := range subs {
+		maxDepth = max(maxDepth, sub.MaxDepth())
+	}
+	if shedCount.Load() != 0 || gaps.Load() != 0 {
+		return fmt.Errorf("e17: a storm within the op ring shed %d events (%d gaps)", shedCount.Load(), gaps.Load())
 	}
 	if got := converged.Load(); got != sampled {
-		return fmt.Errorf("e17: only %d/%d sampled replicas reconverged after shed+heal", got, sampled)
+		return fmt.Errorf("e17: only %d/%d sampled replicas reconverged", got, sampled)
 	}
-	if maxDepth.Load() > queueLimit {
-		return fmt.Errorf("e17: queue depth %d exceeded limit %d", maxDepth.Load(), queueLimit)
+	if maxDepth != storm {
+		return fmt.Errorf("e17: deepest lag %d, want the whole storm (%d)", maxDepth, storm)
 	}
-	if shedCount.Load() == 0 || healed.Load() == 0 {
-		return fmt.Errorf("e17: storm never exercised shed+heal (sheds %d, heals %d)",
-			shedCount.Load(), healed.Load())
+	if depthGauge.Load() != 0 {
+		return fmt.Errorf("e17: %d unread events counted after every subscriber closed", depthGauge.Load())
 	}
 	fanout := float64(delivered.Load()) / elapsed.Seconds()
 
@@ -982,9 +955,8 @@ func runE17(quick bool, _ string) error {
 	fmt.Printf("  subscribers on one doc          %10d\n", nSubs)
 	fmt.Printf("  storm events published          %10d\n", storm)
 	fmt.Printf("  fan-out deliveries/sec          %10.0f\n", fanout)
-	fmt.Printf("  events shed (queue overflow)    %10d\n", shedCount.Load())
-	fmt.Printf("  gaps healed from ring           %10d\n", healed.Load())
-	fmt.Printf("  max queue depth (limit %3d)     %10d\n", queueLimit, maxDepth.Load())
+	fmt.Printf("  events shed (ring evicted)      %10d\n", shedCount.Load())
+	fmt.Printf("  deepest lag (ring %4d)         %10d\n", bus.Retention(), maxDepth)
 	fmt.Printf("  sampled replicas reconverged    %10d/%d\n", converged.Load(), sampled)
 	fmt.Printf("  throttle retry-after hint       %10s\n", retryHint)
 	return nil

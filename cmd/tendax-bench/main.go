@@ -1,7 +1,7 @@
 // Command tendax-bench runs the TeNDaX reproduction experiments (see
 // DESIGN.md and EXPERIMENTS.md) and prints one table per experiment: the
-// paper's demonstrations E1–E10, plus E17 (multi-tenant shed-and-resync
-// storm) and E18 (per-process sharding), which keystroke-bench has no
+// paper's demonstrations E1–E10, plus E17 (multi-tenant subscriber storm)
+// and E18 (per-process sharding), which keystroke-bench has no
 // workload for yet. Each experiment ends with a shape check and fails the
 // run when it does not hold. E6 additionally writes lineage.dot
 // (Figure 1) and E7 prints the document-space scatter (Figure 2).
@@ -45,7 +45,7 @@ var runs = []experiment{
 	{"e8", "Search with ranking options (§3)", runE8},
 	{"e9", "Crash recovery and durability (§2)", runE9},
 	{"e10", "Provenance-capture overhead ablation", runE10},
-	{"e17", "Multi-tenant event stream: shed-and-resync storm and typed throttling", runE17},
+	{"e17", "Multi-tenant event stream: subscriber storm within the op ring and typed throttling", runE17},
 	{"e18", "Per-process engine sharding: cross-shard typing storm", runE18},
 }
 

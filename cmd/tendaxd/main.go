@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"tendax/internal/db"
-	"tendax/internal/index"
 	"tendax/internal/placement"
 	"tendax/internal/security"
 	"tendax/internal/server"
@@ -57,17 +56,13 @@ func main() {
 	compactRetention := flag.Duration("compact-retention", time.Hour,
 		"tombstones deleted more than this long ago are archived out of the hot structures")
 	opRing := flag.Int("op-ring", 0,
-		"per-document op-ring retention for delta resync (0 = default 1024 events)")
+		"per-document op-ring retention: how far a subscriber may fall behind before it resyncs, and the delta-resync window (0 = default 1024 events)")
 	rateLimit := flag.Float64("rate-limit", 0,
 		"edit batches per second allowed per connection before a typed throttle (0 = unlimited)")
 	subRateLimit := flag.Float64("sub-rate-limit", 0,
 		"subscribe operations per second allowed per connection (0 = unlimited)")
-	subQueue := flag.Int("sub-queue", 0,
-		"per-subscriber event queue bound; overflow sheds and heals via delta resync (0 = default 256)")
 	enableIndex := flag.Bool("index", true,
 		"run the incremental search/lineage indexers (the query op answers from them)")
-	indexQueue := flag.Int("index-queue", 0,
-		"per-document event queue bound for the indexer subscriptions; overflow sheds and re-primes from a snapshot (0 = default 256)")
 	pprofAddr := flag.String("pprof", "",
 		"debug HTTP listen address for /debug/pprof/ and /metrics (empty = disabled)")
 	flag.Parse()
@@ -116,11 +111,7 @@ func main() {
 	}
 
 	if *enableIndex {
-		var iopts []index.Option
-		if *indexQueue > 0 {
-			iopts = append(iopts, index.WithQueueLimit(*indexQueue))
-		}
-		if err := cl.StartIndexers(iopts...); err != nil {
+		if err := cl.StartIndexers(); err != nil {
 			log.Fatalf("tendaxd: indexers: %v", err)
 		}
 	}
@@ -128,9 +119,6 @@ func main() {
 	srv := server.NewCluster(cl, sec)
 	if *rateLimit > 0 || *subRateLimit > 0 {
 		srv.SetRateLimit(*rateLimit, *subRateLimit)
-	}
-	if *subQueue > 0 {
-		srv.SetSubscriberQueue(*subQueue)
 	}
 	if *pprofAddr != "" {
 		// A dedicated mux rather than http.DefaultServeMux, so nothing an

@@ -37,20 +37,20 @@ const (
 	EvDocRename EventKind = "rename"
 
 	// EvPresence is a synthetic full presence snapshot, pushed by the
-	// server (never published on the bus) after a shed gap was healed:
-	// event replay restores the text, but the join/leave/cursor updates
-	// coalesced into the gap are gone, so the roster is re-sent whole.
+	// server (never published on the bus) after a gap: the snapshot the
+	// client recovers from restores the text, but the join/leave/cursor
+	// events inside the gap are gone, so the roster is re-sent whole.
 	// The roster rides in Batch — one item per present user, Text the
 	// user name, Pos the cursor — and replaces the receiver's presence
 	// state entirely.
 	EvPresence EventKind = "presence"
 
 	// EvGap is a synthetic in-band marker, never published by writers and
-	// never sent on the wire: a subscription that overflowed
-	// replaces its queued events with one EvGap whose Seq is the sequence
-	// number of the newest shed event and whose N counts the events shed.
-	// The consumer heals the gap from the retention ring (EventsSince) or,
-	// if the ring no longer covers it, falls back to a full resync.
+	// never sent on the wire: a subscription whose next event the op ring
+	// has already evicted gets one EvGap whose Seq is the document's
+	// newest sequence number and whose N counts the events skipped, and
+	// then continues from Seq+1. The consumer recovers from a snapshot at
+	// or after Seq.
 	EvGap EventKind = "gap"
 )
 
@@ -102,12 +102,11 @@ type Event struct {
 	VisClass int
 
 	// Wire caches the event's serialized wire frames, shared by every
-	// value copy of the event the bus fans out (channel sends, the
-	// retention ring): the first subscriber pump to push the event renders
-	// the frame for its encoding, everyone else reuses the bytes. The bus
-	// itself never reads it — keying and rendering belong to the protocol
-	// layer. Set by PublishWith; nil on events that never passed through
-	// the bus.
+	// value copy of the event the op ring hands out: the first subscriber
+	// pump to push the event renders the frame for its encoding, everyone
+	// else reuses the bytes. The bus itself never reads it — keying and
+	// rendering belong to the protocol layer. Set by PublishWith; nil on
+	// events that never passed through the bus.
 	Wire *WireCache
 }
 
@@ -140,78 +139,81 @@ func (w *WireCache) Get(key int, build func() ([]byte, error)) ([]byte, error) {
 	return f, nil
 }
 
-// OverflowPolicy names what happens to a subscription whose queue is full
-// when the bus publishes another event. There is one policy.
+// OverflowPolicy names what happens to a subscription that falls further
+// behind than the op ring reaches. There is one policy.
 type OverflowPolicy int
 
-// ShedAndResync keeps the subscription attached: the queued events are
-// dropped and replaced with a single coalesced EvGap marker, and
-// publishing continues behind it. The consumer heals the gap from the
-// retention ring (O(gap) events) instead of tearing the stream down and
-// re-reading the full document.
+// ShedAndResync keeps the subscription attached: the events the ring
+// evicted are skipped, one EvGap marker stands in for them, and delivery
+// continues from the newest event. The consumer recovers from a snapshot
+// instead of the stream being torn down.
 const ShedAndResync OverflowPolicy = 0
 
 // FilterFunc transforms or suppresses events for one subscriber. It runs
 // on the consumer's goroutine in Next — never under the bus lock — so it
 // may consult slow state (ACL tables, snapshots). Returning false drops
 // the event for this subscriber; returning a modified copy redacts it.
-// EvGap markers bypass the filter: a gap is about the queue, not about
-// document content.
+// EvGap markers bypass the filter: a gap is about the reader's position,
+// not about document content.
 type FilterFunc func(Event) (Event, bool)
 
 // SubscribeOpts configures one subscription.
 type SubscribeOpts struct {
 	// Filter, when non-nil, is applied to every event delivered by Next.
 	Filter FilterFunc
-	// QueueLimit bounds the pending-event queue. 0 means the bus default
-	// (NewBus bufSize, itself defaulting to 256); negative means unbounded
-	// (the queue grows without shedding — test use only).
-	QueueLimit int
 	// OverflowPolicy is ShedAndResync, the zero value and the only policy.
 	OverflowPolicy OverflowPolicy
 }
 
-// Subscription receives events for one document through a bounded queue.
-// Consume with Next; when the producer outruns the consumer the queue is
-// shed to one EvGap marker (ShedAndResync).
+// Subscription is a cursor into one document's op ring: Next delivers,
+// in order, every event published after Subscribe. The ring is the only
+// copy of the events, so a reader costs a position, not a queue; one that
+// falls behind by more than the ring holds gets an EvGap (ShedAndResync).
 type Subscription struct {
 	bus    *Bus
-	doc    util.ID
-	id     int
+	log    *docLog
 	filter FilterFunc
-	limit  int // <0 = unbounded
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	q        []Event
+	// Guarded by the bus lock.
+	next     uint64 // sequence number of the next event to deliver
 	closed   bool
+	end      uint64 // once closed: the last sequence number to deliver
 	sheds    int64
 	maxDepth int
 }
 
 // Next blocks until an event is available and returns it, or returns
 // ok=false once the subscription is closed and fully drained. Events
-// queued before a close are always delivered, in publication order, before
-// ok=false — closure never loses them.
+// published before a close are delivered, in publication order, before
+// ok=false.
 func (s *Subscription) Next() (Event, bool) {
+	b := s.bus
 	for {
-		s.mu.Lock()
-		for len(s.q) == 0 && !s.closed {
-			s.cond.Wait()
+		b.mu.Lock()
+		for !s.closed && s.next > s.log.seq {
+			s.log.wake.Wait()
 		}
-		if len(s.q) == 0 {
-			s.mu.Unlock()
+		lag := s.lagLocked()
+		if lag == 0 {
+			b.mu.Unlock()
 			return Event{}, false
 		}
-		e := s.q[0]
-		copy(s.q, s.q[1:])
-		s.q[len(s.q)-1] = Event{}
-		s.q = s.q[:len(s.q)-1]
-		s.mu.Unlock()
-		if s.bus.depth != nil {
-			s.bus.depth.Add(-1)
+		s.maxDepth = max(s.maxDepth, lag)
+		e, retained := s.log.ring.at(s.next)
+		if retained {
+			lag = 1
+		} else {
+			// The ring evicted s.next: skip to the newest event.
+			e = Event{Seq: s.next + uint64(lag) - 1, Doc: s.log.doc, Kind: EvGap, N: lag}
+			s.sheds += int64(lag)
+			add(b.sheds, lag)
 		}
-		if s.filter != nil && e.Kind != EvGap {
+		s.next += uint64(lag)
+		if !s.closed {
+			add(b.depth, -lag)
+		}
+		b.mu.Unlock()
+		if retained && s.filter != nil {
 			var ok bool
 			if e, ok = s.filter(e); !ok {
 				continue
@@ -221,87 +223,58 @@ func (s *Subscription) Next() (Event, bool) {
 	}
 }
 
-// Sheds returns how many events this subscription has dropped (each
-// coalesced EvGap accounts for its N shed events).
+// lagLocked is the number of events published (before a close) that Next
+// has not yet delivered, evicted ones included.
+func (s *Subscription) lagLocked() int {
+	head := s.log.seq
+	if s.closed {
+		head = s.end
+	}
+	return int(head + 1 - s.next)
+}
+
+// Sheds returns how many events this subscription skipped because the
+// ring had evicted them (each EvGap accounts for its N).
 func (s *Subscription) Sheds() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.bus.mu.Lock()
+	defer s.bus.mu.Unlock()
 	return s.sheds
 }
 
-// Depth returns the number of events currently queued.
+// Depth returns the number of events not yet delivered.
 func (s *Subscription) Depth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.q)
+	s.bus.mu.Lock()
+	defer s.bus.mu.Unlock()
+	return s.lagLocked()
 }
 
-// MaxDepth returns the deepest the queue has ever been — by construction
-// never more than the queue limit, which is what bounds per-subscriber
-// memory under a storm.
+// MaxDepth returns the furthest this subscription has ever been behind.
 func (s *Subscription) MaxDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxDepth
+	s.bus.mu.Lock()
+	defer s.bus.mu.Unlock()
+	return max(s.maxDepth, s.lagLocked())
 }
 
-// Close detaches the subscription from the bus. Queued events remain
-// readable via Next before it reports closure.
-func (s *Subscription) Close() { s.bus.unsubscribe(s.doc, s.id) }
-
-// enqueue delivers one published event. Called with the bus lock held
-// (lock order: Bus.mu then Subscription.mu), so shedding is decided in
-// publication order.
-func (s *Subscription) enqueue(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// Close detaches the subscription from the bus. Events published before
+// the close remain readable via Next before it reports closure.
+func (s *Subscription) Close() {
+	b := s.bus
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if s.closed {
 		return
 	}
-	if s.limit >= 0 && len(s.q) >= s.limit {
-		// Drop everything pending and leave one coalesced gap behind. A
-		// previous gap marker folds its count in without being
-		// double-counted in the shed total.
-		shedNow := int64(1) // the event that found the queue full
-		var carried int64
-		for i := range s.q {
-			if s.q[i].Kind == EvGap {
-				carried += int64(s.q[i].N)
-			} else {
-				shedNow++
-			}
-		}
-		if s.bus.depth != nil {
-			s.bus.depth.Add(int64(1 - len(s.q)))
-		}
-		s.sheds += shedNow
-		if s.bus.sheds != nil {
-			s.bus.sheds.Add(shedNow)
-		}
-		s.q = s.q[:0]
-		s.q = append(s.q, Event{Seq: e.Seq, Doc: e.Doc, Kind: EvGap, N: int(shedNow + carried), At: e.At})
-		s.cond.Signal()
-		return
-	}
-	s.q = append(s.q, e)
-	if len(s.q) > s.maxDepth {
-		s.maxDepth = len(s.q)
-	}
-	if s.bus.depth != nil {
-		s.bus.depth.Add(1)
-	}
-	s.cond.Signal()
+	add(b.depth, -s.lagLocked())
+	s.closed, s.end = true, s.log.seq
+	s.log.subs--
+	s.log.wake.Broadcast()
 }
 
-// close marks the subscription closed and wakes the consumer. Queued
-// events are preserved for draining.
-func (s *Subscription) close() {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		s.cond.Broadcast()
+// add adds n to an optional counter.
+func add(c *atomic.Int64, n int) {
+	if c != nil {
+		c.Add(int64(n))
 	}
-	s.mu.Unlock()
 }
 
 // Presence is one user's live state in a document.
@@ -311,33 +284,40 @@ type Presence struct {
 	LastSeen time.Time
 }
 
-// Bus is the awareness hub: per-document event fan-out plus the presence
-// registry. Safe for concurrent use.
+// Bus is the awareness hub: per-document event sequencing plus the
+// presence registry. Safe for concurrent use.
 //
-// The bus also retains a bounded ring of the most recent events per
-// document (the delta-resync source): a replica that knows it
-// applied events up to sequence S asks for everything after S and receives
-// O(gap) events instead of the O(doc) full text — as long as the gap still
-// fits the retention window.
+// Every published event — edits and presence alike — is stored once, in a
+// bounded ring of the most recent events of its document. The ring is the
+// delivery path (each subscription is a cursor into it) and the
+// delta-resync source: a replica that knows it applied events up to
+// sequence S asks for everything after S and receives O(gap) events
+// instead of the O(doc) full text, as long as the gap still fits the ring.
 type Bus struct {
-	mu       sync.Mutex
-	nextSub  int
-	seq      map[util.ID]uint64
-	subs     map[util.ID]map[int]*Subscription
-	presence map[util.ID]map[string]*Presence
-	ring     map[util.ID]*evRing
-	bufSize  int
-	ringCap  int
+	mu        sync.Mutex
+	docs      map[util.ID]*docLog
+	retention int
 
 	// Optional hot-path counters (set once at startup, before traffic):
-	// total events shed across all subscriptions, and the
-	// aggregate number of events queued bus-wide right now.
+	// events skipped because the ring had evicted them, and unread events
+	// across all open subscriptions right now.
 	sheds *atomic.Int64
 	depth *atomic.Int64
 }
 
+// docLog is one document's part of the bus. Only touched under the bus
+// lock.
+type docLog struct {
+	doc      util.ID
+	seq      uint64 // newest published sequence number
+	ring     evRing
+	subs     int       // open subscriptions: each publish adds one unread event per cursor
+	wake     sync.Cond // L = &Bus.mu; broadcast on publish and close
+	presence map[string]*Presence
+}
+
 // SetCounters installs shared counters for shed events and aggregate
-// queue depth (e.g. the server's /metrics registry). Call before traffic;
+// unread depth (e.g. the server's /metrics registry). Call before traffic;
 // nil disables a counter.
 func (b *Bus) SetCounters(sheds, depth *atomic.Int64) {
 	b.mu.Lock()
@@ -351,51 +331,62 @@ func (b *Bus) SetCounters(sheds, depth *atomic.Int64) {
 // holding a long editing history in memory per document.
 const DefaultRetention = 1024
 
-// NewBus returns an awareness bus. bufSize is each subscriber's buffer
-// (default 256).
-func NewBus(bufSize int) *Bus {
-	if bufSize <= 0 {
-		bufSize = 256
+// NewBus returns an awareness bus whose op rings retain the latest
+// retention events per document (<= 0 means DefaultRetention). Retention
+// is the one bound on how far a subscriber may fall behind.
+func NewBus(retention int) *Bus {
+	if retention <= 0 {
+		retention = DefaultRetention
 	}
-	return &Bus{
-		seq:      make(map[util.ID]uint64),
-		subs:     make(map[util.ID]map[int]*Subscription),
-		presence: make(map[util.ID]map[string]*Presence),
-		ring:     make(map[util.ID]*evRing),
-		bufSize:  bufSize,
-		ringCap:  DefaultRetention,
-	}
+	return &Bus{docs: make(map[util.ID]*docLog), retention: retention}
 }
 
-// SetRetention resizes the per-document op ring used by EventsSince.
-// n <= 0 restores the default. Existing rings are dropped (their documents
-// fall back to full resync once, then re-accumulate).
+// SetRetention resizes every document's op ring in place, keeping its
+// newest events, and sizes the rings created later. n <= 0 restores the
+// default.
 func (b *Bus) SetRetention(n int) {
 	if n <= 0 {
 		n = DefaultRetention
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.ringCap = n
-	b.ring = make(map[util.ID]*evRing)
+	b.retention = n
+	for _, d := range b.docs {
+		d.ring.resize(n)
+	}
 }
 
 // Retention returns the per-document op-ring capacity.
 func (b *Bus) Retention() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.ringCap
+	return b.retention
 }
 
-// evRing is a fixed-capacity circular buffer of the latest published
-// events of one document. Only touched under the bus lock.
+// logLocked returns doc's part of the bus, creating it on first use.
+func (b *Bus) logLocked(doc util.ID) *docLog {
+	d := b.docs[doc]
+	if d == nil {
+		d = &docLog{doc: doc, presence: make(map[string]*Presence)}
+		d.wake.L = &b.mu
+		b.docs[doc] = d
+	}
+	return d
+}
+
+// evRing is a circular buffer of the latest published events of one
+// document, dense in sequence number. Its buffer is allocated on the
+// first push.
 type evRing struct {
 	buf   []Event
 	start int // index of the oldest retained event
 	n     int // events currently retained
 }
 
-func (r *evRing) push(e Event) {
+func (r *evRing) push(e Event, capacity int) {
+	if r.buf == nil {
+		r.buf = make([]Event, capacity)
+	}
 	if r.n < len(r.buf) {
 		r.buf[(r.start+r.n)%len(r.buf)] = e
 		r.n++
@@ -403,6 +394,32 @@ func (r *evRing) push(e Event) {
 	}
 	r.buf[r.start] = e
 	r.start = (r.start + 1) % len(r.buf)
+}
+
+// at returns the retained event with sequence number seq.
+func (r *evRing) at(seq uint64) (Event, bool) {
+	if r.n == 0 {
+		return Event{}, false
+	}
+	oldest := r.buf[r.start].Seq
+	if seq < oldest || seq-oldest >= uint64(r.n) {
+		return Event{}, false
+	}
+	return r.buf[(r.start+int(seq-oldest))%len(r.buf)], true
+}
+
+// resize reallocates the ring at capacity n, keeping the newest
+// min(n, retained) events.
+func (r *evRing) resize(n int) {
+	if r.buf == nil {
+		return
+	}
+	keep := min(n, r.n)
+	buf := make([]Event, n)
+	for i := 0; i < keep; i++ {
+		buf[i] = r.buf[(r.start+r.n-keep+i)%len(r.buf)]
+	}
+	r.buf, r.start, r.n = buf, 0, keep
 }
 
 // EventsSince returns every event of doc with sequence number > since, in
@@ -414,96 +431,58 @@ func (r *evRing) push(e Event) {
 func (b *Bus) EventsSince(doc util.ID, since uint64) ([]Event, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cur := b.seq[doc]
-	if since >= cur {
+	d := b.docs[doc]
+	if d == nil || since >= d.seq {
 		return nil, true
 	}
-	r := b.ring[doc]
-	retained := 0
-	if r != nil {
-		retained = r.n
-	}
-	if cur-since > uint64(retained) {
+	if _, ok := d.ring.at(since + 1); !ok {
 		return nil, false // gap predates the ring
 	}
-	out := make([]Event, 0, cur-since)
-	for i := retained - int(cur-since); i < retained; i++ {
-		out = append(out, r.buf[(r.start+i)%len(r.buf)])
+	out := make([]Event, 0, d.seq-since)
+	for seq := since + 1; seq <= d.seq; seq++ {
+		e, _ := d.ring.at(seq)
+		out = append(out, e)
 	}
 	return out, true
 }
 
-// Subscribe registers for events on doc. The zero SubscribeOpts value
-// means the bus-default queue limit and no filter.
+// Subscribe registers for events on doc published from now on. The zero
+// SubscribeOpts value means no filter.
 func (b *Bus) Subscribe(doc util.ID, opts SubscribeOpts) *Subscription {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.nextSub++
-	limit := opts.QueueLimit
-	if limit == 0 {
-		limit = b.bufSize
-	}
-	s := &Subscription{
-		bus:    b,
-		doc:    doc,
-		id:     b.nextSub,
-		filter: opts.Filter,
-		limit:  limit,
-	}
-	s.cond = sync.NewCond(&s.mu)
-	m := b.subs[doc]
-	if m == nil {
-		m = make(map[int]*Subscription)
-		b.subs[doc] = m
-	}
-	m[s.id] = s
-	return s
+	d := b.logLocked(doc)
+	d.subs++
+	return &Subscription{bus: b, log: d, filter: opts.Filter, next: d.seq + 1}
 }
 
-func (b *Bus) unsubscribe(doc util.ID, id int) {
-	b.mu.Lock()
-	m := b.subs[doc]
-	s := m[id]
-	if s != nil {
-		delete(m, id)
-	}
-	b.mu.Unlock()
-	if s != nil {
-		s.close()
-	}
-}
-
-// Publish assigns the event its per-document sequence number and delivers
-// it to all subscribers. A slow subscriber's queue is shed rather than
-// blocking the committer.
+// Publish assigns the event its per-document sequence number, stores it in
+// the document's op ring and wakes the document's subscribers. It never
+// waits for a subscriber: a slow one falls behind, and past the ring it
+// gets a gap.
 func (b *Bus) Publish(e Event) uint64 { return b.PublishWith(e, nil) }
 
 // PublishWith is Publish with a hook invoked while the bus lock is held,
-// immediately after the event's sequence number is assigned and before the
-// event is fanned out to subscribers. Writers use it to publish a document
+// immediately after the event's sequence number is assigned and before any
+// subscriber can read the event. Writers use it to publish a document
 // state snapshot atomically with the event announcing it: because Seq()
 // readers take the same lock, no reader can observe the new sequence
 // number without the state it describes, or vice versa.
 func (b *Bus) PublishWith(e Event, fn func(seq uint64)) uint64 {
 	b.mu.Lock()
-	b.seq[e.Doc]++
-	e.Seq = b.seq[e.Doc]
+	d := b.logLocked(e.Doc)
+	d.seq++
+	e.Seq = d.seq
 	if e.Wire == nil {
 		e.Wire = &WireCache{}
 	}
 	if fn != nil {
 		fn(e.Seq)
 	}
-	r := b.ring[e.Doc]
-	if r == nil {
-		r = &evRing{buf: make([]Event, b.ringCap)}
-		b.ring[e.Doc] = r
-	}
-	r.push(e)
-	for _, s := range b.subs[e.Doc] {
-		s.enqueue(e)
-	}
+	d.ring.push(e, b.retention)
+	add(b.depth, d.subs)
 	b.mu.Unlock()
+	d.wake.Broadcast()
 	return e.Seq
 }
 
@@ -511,18 +490,16 @@ func (b *Bus) PublishWith(e Event, fn func(seq uint64)) uint64 {
 func (b *Bus) Seq(doc util.ID) uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.seq[doc]
+	if d := b.docs[doc]; d != nil {
+		return d.seq
+	}
+	return 0
 }
 
 // Join records user as present in doc and publishes EvJoin.
 func (b *Bus) Join(doc util.ID, user string, at time.Time) {
 	b.mu.Lock()
-	m := b.presence[doc]
-	if m == nil {
-		m = make(map[string]*Presence)
-		b.presence[doc] = m
-	}
-	m[user] = &Presence{User: user, LastSeen: at}
+	b.logLocked(doc).presence[user] = &Presence{User: user, LastSeen: at}
 	b.mu.Unlock()
 	b.Publish(Event{Doc: doc, Kind: EvJoin, User: user, At: at})
 }
@@ -530,9 +507,7 @@ func (b *Bus) Join(doc util.ID, user string, at time.Time) {
 // Leave removes user from doc's presence and publishes EvLeave.
 func (b *Bus) Leave(doc util.ID, user string, at time.Time) {
 	b.mu.Lock()
-	if m := b.presence[doc]; m != nil {
-		delete(m, user)
-	}
+	delete(b.logLocked(doc).presence, user)
 	b.mu.Unlock()
 	b.Publish(Event{Doc: doc, Kind: EvLeave, User: user, At: at})
 }
@@ -540,11 +515,7 @@ func (b *Bus) Leave(doc util.ID, user string, at time.Time) {
 // MoveCursor updates user's cursor position in doc and publishes EvCursor.
 func (b *Bus) MoveCursor(doc util.ID, user string, pos int, at time.Time) {
 	b.mu.Lock()
-	m := b.presence[doc]
-	if m == nil {
-		m = make(map[string]*Presence)
-		b.presence[doc] = m
-	}
+	m := b.logLocked(doc).presence
 	p := m[user]
 	if p == nil {
 		p = &Presence{User: user}
@@ -560,9 +531,12 @@ func (b *Bus) MoveCursor(doc util.ID, user string, pos int, at time.Time) {
 func (b *Bus) Present(doc util.ID) []Presence {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]Presence, 0, len(b.presence[doc]))
-	for _, p := range b.presence[doc] {
-		out = append(out, *p)
+	var out []Presence
+	if d := b.docs[doc]; d != nil {
+		out = make([]Presence, 0, len(d.presence))
+		for _, p := range d.presence {
+			out = append(out, *p)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
 	return out

@@ -65,54 +65,6 @@ func TestUnsubscribedReceivesNothing(t *testing.T) {
 	}
 }
 
-func TestShedAndResyncCoalescesGap(t *testing.T) {
-	bus := NewBus(8)
-	doc := util.ID(9)
-	sub := bus.Subscribe(doc, SubscribeOpts{QueueLimit: 2})
-	for i := 0; i < 10; i++ {
-		bus.Publish(Event{Doc: doc, Kind: EvInsert})
-	}
-	// The queue held 2, then overflowed: everything pending collapsed into
-	// one gap marker. Publishing continued behind it.
-	ev, ok := sub.Next()
-	if !ok || ev.Kind != EvGap {
-		t.Fatalf("first event after storm = %+v ok=%v", ev, ok)
-	}
-	if ev.N < 3 {
-		t.Fatalf("gap N = %d, want the shed count", ev.N)
-	}
-	if ev.Seq == 0 || ev.Seq > 10 {
-		t.Fatalf("gap seq = %d", ev.Seq)
-	}
-	if sub.Sheds() == 0 {
-		t.Fatal("Sheds() did not count")
-	}
-	if sub.MaxDepth() > 2 {
-		t.Fatalf("queue exceeded its bound: %d", sub.MaxDepth())
-	}
-	// The ring covers the gap: EventsSince heals from the gap marker's seq.
-	evs, covered := bus.EventsSince(doc, ev.Seq)
-	if !covered {
-		t.Fatal("retention ring should cover a fresh gap")
-	}
-	last := ev.Seq
-	for _, e := range evs {
-		if e.Seq != last+1 {
-			t.Fatalf("heal not dense: %d after %d", e.Seq, last)
-		}
-		last = e.Seq
-	}
-	if last != 10 {
-		t.Fatalf("healed to %d, want 10", last)
-	}
-	// The shed subscription stays attached: what was published behind the
-	// gap is still delivered.
-	if next, ok := sub.Next(); !ok || next.Kind != EvInsert || next.Seq <= ev.Seq {
-		t.Fatalf("event behind the gap = %+v ok=%v", next, ok)
-	}
-	sub.Close()
-}
-
 func TestSubscribeFilterRedactsAndDrops(t *testing.T) {
 	bus := NewBus(8)
 	doc := util.ID(10)

@@ -21,13 +21,13 @@ type Cluster struct {
 // OpenCluster opens one Service per engine. route maps any ID minted by a
 // shard back to that shard's position in engines (placement.ShardFor);
 // nil means a single shard.
-func OpenCluster(engines []*core.Engine, route func(util.ID) int, opts ...Option) (*Cluster, error) {
+func OpenCluster(engines []*core.Engine, route func(util.ID) int) (*Cluster, error) {
 	if route == nil {
 		route = func(util.ID) int { return 0 }
 	}
 	c := &Cluster{route: route}
 	for _, eng := range engines {
-		svc, err := Open(eng, opts...)
+		svc, err := Open(eng)
 		if err != nil {
 			c.Close()
 			return nil, err

@@ -84,9 +84,10 @@ func requireMatchesRebuild(t *testing.T, label string, eng *core.Engine, svc *in
 // every step requires it to equal the from-scratch rebuild. The streams
 // split, join, create and erase tokens over a multi-script alphabet, edit
 // inside the snippet and inside heading spans, move two cursors in one
-// batch, undo and redo, compact, paste across documents, and — with a
-// 4-event queue over a 16-event ring — shed the subscription both within
-// and beyond what the ring can replay.
+// batch, undo and redo, compact, paste across documents, and — with the
+// indexer stalled over a 16-event ring — fall behind both within and
+// beyond what the ring retains. Exactly the steps that outrun the ring
+// re-prime, once each.
 func TestDeltaFoldMatchesRebuild(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
@@ -97,7 +98,7 @@ func TestDeltaFoldMatchesRebuild(t *testing.T) {
 func deltaFoldRun(t *testing.T, seed int64) {
 	eng := memEngine(t)
 	eng.Bus().SetRetention(16)
-	svc, err := index.Open(eng, index.WithQueueLimit(4))
+	svc, err := index.Open(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +145,7 @@ func deltaFoldRun(t *testing.T, seed int64) {
 	}
 
 	const steps = 160
+	var ringMisses int64
 	for step := 0; step < steps; step++ {
 		d := docs[rng.Intn(2)] // docs[2] stays a paste source
 		user := users[rng.Intn(2)]
@@ -221,16 +223,17 @@ func deltaFoldRun(t *testing.T, seed int64) {
 			must(err)
 			_, err = d.InsertNote(user, rng.Intn(d.Len()), "n")
 			must(err)
-		case op == 14: // shed the queue: 5..12 events stay within the 16-event ring
+		case op == 14: // fall behind by 5..12 events: the 16-event ring still holds them all
 			release := svc.Stall()
 			typeKeys(d, 5+rng.Intn(8))
 			release()
 		case op == 15:
-			if rng.Intn(2) == 0 { // shed beyond the ring: the heal re-primes
+			if rng.Intn(2) == 0 { // fall behind by 20..27: a ring miss, the heal re-primes
 				release := svc.Stall()
 				typeKeys(d, 20+rng.Intn(8))
 				release()
-			} else { // an answer is needed while the events are still queued
+				ringMisses++
+			} else { // an answer is needed while the events are still unread
 				release := svc.Stall()
 				typeKeys(d, 2)
 				svc.RefreshStalled(d.ID())
@@ -242,8 +245,11 @@ func deltaFoldRun(t *testing.T, seed int64) {
 	}
 
 	st := svc.Stats()
-	if st.Delta == 0 || st.Full.Prime != 3 || st.Full.RingMiss == 0 || st.Full.SeqAhead == 0 || st.Heals == 0 {
+	if st.Delta == 0 || st.Full.Prime != 3 || st.Full.SeqAhead == 0 || ringMisses == 0 {
 		t.Fatalf("a refresh path went unexercised: %+v", st)
+	}
+	if st.Full.RingMiss != ringMisses || st.Heals != st.Full.RingMiss {
+		t.Fatalf("%d steps outran the ring, stats %+v: want that many ring misses, each one heal", ringMisses, st)
 	}
 	if st.Delta < 3*(st.Full.RingMiss+st.Full.SeqAhead) {
 		t.Fatalf("the changed-range path is not the common one: %+v", st)
@@ -285,7 +291,7 @@ func TestSnippetFollowsLengthAcrossItsEdge(t *testing.T) {
 // foldCost measures what the indexer pays to fold and refresh one typed
 // key on d, averaged over keys single-key edits at random positions: heap
 // objects and bytes allocated between releasing a stalled service (the
-// committed event is queued, nothing folded) and the end of Sync. The
+// committed event is unread, nothing folded) and the end of Sync. The
 // commit path itself runs under the stall and is not counted.
 func foldCost(t *testing.T, svc *index.Service, d *core.Document, rng *rand.Rand, keys int) (allocs, bytes float64) {
 	t.Helper()

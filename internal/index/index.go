@@ -4,14 +4,14 @@
 // folded forward from the durable action log in O(ops) instead of being
 // recomputed from materialized documents in O(corpus).
 //
-// A Service subscribes to every document's bus with the multi-tenant
-// SubscribeOpts API (bounded queue, shed-and-resync on overflow) and
-// resolves any text or character metadata it needs against immutable
-// DocSnapshots, so indexing never contends on a document write lock.
-// Character instances are keyed by their stable IDs (the Sun et al.
-// argument): an insert event names exactly the instances it created, which
-// is what makes lineage folding exact under concurrency, shedding and
-// replay — counting is idempotent per instance ID.
+// A Service holds one subscription — a cursor into the document's op
+// ring — per document, and resolves any text or character metadata it
+// needs against immutable DocSnapshots, so indexing never contends on a
+// document write lock and a slow indexer never stalls a writer. Character
+// instances are keyed by their stable IDs (the Sun et al. argument): an
+// insert event names exactly the instances it created, which is what
+// makes lineage folding exact under concurrency and re-priming — counting
+// is idempotent per instance ID.
 //
 // Freshness model: folding an event is bookkeeping proportional to the
 // edit — its positional items (the same stream a client replica replays to
@@ -20,9 +20,10 @@
 // coalescing refresher then re-tokenizes only those ranges, widened to
 // token boundaries and read by position from the snapshot the term table
 // reflects and from the current one (search.Index.PatchDoc). Whatever has
-// no known positional effect — a gap that outlived the op ring,
-// a snapshot ahead of the folded events when an answer is needed now —
-// re-indexes the document wholesale, which is also how it was primed.
+// no known positional effect — a gap (the indexer fell further behind
+// than the op ring reaches), a snapshot ahead of the folded events when an
+// answer is needed now — re-indexes the document wholesale, which is also
+// how it was primed.
 // Every Query first drains the dirty set, so answers are exact with
 // respect to all folded events.
 package index
@@ -42,25 +43,11 @@ import (
 	"tendax/internal/util"
 )
 
-// Option configures a Service (the client.Dial functional-option pattern).
-type Option func(*options)
-
-type options struct {
-	queueLimit int
-}
-
-// WithQueueLimit bounds each per-document subscription queue; overflow
-// sheds and heals from the op ring (tests use tiny limits to force the
-// gap-heal path). 0 keeps the bus default.
-func WithQueueLimit(n int) Option {
-	return func(o *options) { o.queueLimit = n }
-}
-
 // Stats is a point-in-time view of indexer progress for /metrics.
 type Stats struct {
 	Docs    int           `json:"docs"`            // documents under maintenance
 	Applied int64         `json:"applied_ops"`     // events folded since Open
-	Heals   int64         `json:"heals"`           // gap heals (shed subscriptions resynced)
+	Heals   int64         `json:"heals"`           // ring-miss recoveries (equals Full.RingMiss)
 	Lag     int           `json:"lag_docs"`        // docs folded but not yet re-tokenized
 	Delta   int64         `json:"delta_refreshes"` // refreshes that re-tokenized changed ranges only
 	Full    FullRefreshes `json:"full_refreshes"`  // wholesale re-indexes, by cause
@@ -70,7 +57,7 @@ type Stats struct {
 // anything but Prime growing steadily means the O(edit) path is degrading.
 type FullRefreshes struct {
 	Prime    int64 `json:"prime"`     // first indexing of a document
-	RingMiss int64 `json:"ring_miss"` // a shed gap outlived the op ring
+	RingMiss int64 `json:"ring_miss"` // the indexer fell further behind than the op ring reaches
 	SeqAhead int64 `json:"seq_ahead"` // Query/Sync found a snapshot ahead of the folded events
 }
 
@@ -89,8 +76,7 @@ const (
 // for the search.BuildIndex / lineage.Build rescans. All reads go through
 // Query/Provenance/Chain/Graph; Close detaches from the bus.
 type Service struct {
-	eng  *core.Engine
-	opts options
+	eng *core.Engine
 
 	mu      sync.Mutex
 	ix      *search.Index
@@ -131,7 +117,7 @@ type docState struct {
 // document set (one immutable snapshot per document) and then follows the
 // awareness stream. New documents created on eng are picked up
 // automatically.
-func Open(eng *core.Engine, opts ...Option) (*Service, error) {
+func Open(eng *core.Engine) (*Service, error) {
 	s := &Service{
 		eng:     eng,
 		ix:      search.New(eng),
@@ -142,9 +128,6 @@ func Open(eng *core.Engine, opts ...Option) (*Service, error) {
 		states:  make(map[util.ID]*docState),
 		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(&s.opts)
 	}
 	// Register the observer before enumerating, so a document created
 	// concurrently with Open is seen at least once (addDoc is idempotent).
@@ -207,7 +190,7 @@ func (s *Service) addDoc(id util.ID) error {
 	if err != nil {
 		return err
 	}
-	sub := s.eng.Bus().Subscribe(id, awareness.SubscribeOpts{QueueLimit: s.opts.queueLimit})
+	sub := s.eng.Bus().Subscribe(id, awareness.SubscribeOpts{})
 	snap, seq := d.SnapshotSeq()
 
 	s.mu.Lock()
@@ -290,7 +273,7 @@ func (s *Service) fold(id util.ID, st *docState, ev awareness.Event) {
 // events (join/leave/cursor/presence) carry no document state and are
 // skipped; everything else marks the doc dirty so the refresher brings the
 // search index up to the latest snapshot. An event at or below the base
-// snapshot's sequence (a wholesale refresh ran ahead of the queue) is
+// snapshot's sequence (a wholesale refresh ran ahead of the cursor) is
 // already in the term table and leaves the changed ranges alone.
 func (s *Service) foldEventLocked(id util.ID, st *docState, ev awareness.Event) {
 	inBase := ev.Seq <= st.base.Seq()
@@ -334,28 +317,14 @@ func (s *Service) foldItemLocked(id util.ID, st *docState, it awareness.BatchIte
 	}
 }
 
-// healLocked recovers from a shed subscription: replay the missed events
-// from the op ring when it still covers the gap, otherwise re-prime the
-// document from a fresh snapshot (idempotent).
+// healLocked answers a gap, which always means the indexer fell further
+// behind than the op ring reaches: the events that would have carried the
+// positions are gone, so the document is re-primed from a fresh snapshot
+// (idempotent), which is at or after gap.Seq, where the cursor resumes.
 func (s *Service) healLocked(id util.ID, st *docState, gap awareness.Event) {
 	s.heals.Add(1)
-	evs, ok := s.eng.Bus().EventsSince(id, st.seq)
-	if ok {
-		for _, ev := range evs {
-			if ev.Seq <= st.seq {
-				continue
-			}
-			st.seq = ev.Seq
-			s.foldEventLocked(id, st, ev)
-		}
-		return
-	}
-	// Gap outlived the ring: rebuild this document's contribution.
 	snap, seq := st.d.SnapshotSeq()
-	if seq < gap.Seq {
-		seq = gap.Seq
-	}
-	st.seq = seq
+	st.seq = max(seq, gap.Seq)
 	s.primeLocked(id, st, snap, causeRingMiss)
 }
 
@@ -384,7 +353,7 @@ func (s *Service) refresher() {
 }
 
 // flushDirtyLocked refreshes the dirty documents. A latest snapshot ahead
-// of the folded events holds edits whose positions are still in the queue:
+// of the folded events holds edits whose positions are not yet read:
 // the eager refresher leaves such a document dirty — folding those events
 // kicks it again — while now (Query, Sync) re-indexes it wholesale rather
 // than wait.

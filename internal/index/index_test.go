@@ -242,24 +242,26 @@ func TestQueryAfterClose(t *testing.T) {
 
 // TestClusterEquivalenceUnderStorm is the adversarial form of the
 // inversion property: racing multi-writer edits across a multi-shard
-// cluster, with indexer queues squeezed to 2 events and the op ring
-// shortened so shed gaps regularly outlive it — forcing both heal paths
-// (ring replay and snapshot re-prime). After quiescing, the long-lived
-// incremental cluster must agree byte-for-byte with a from-scratch
-// cluster AND with the per-shard rescan oracles. Run under -race.
+// cluster over an 8-event op ring. For the first half of the storm every
+// shard's indexer is stalled, so its cursors fall out of the ring and the
+// heal re-primes from snapshots; the second half races live folds. After
+// quiescing, the long-lived incremental cluster must agree byte-for-byte
+// with a from-scratch cluster AND with the per-shard rescan oracles. Run
+// under -race.
 func TestClusterEquivalenceUnderStorm(t *testing.T) {
 	cl, err := placement.Open(placement.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	cl.SetRetention(8) // tiny ring: shed gaps outlive it, forcing re-primes
-	if err := cl.StartIndexers(index.WithQueueLimit(2)); err != nil {
+	cl.SetRetention(8)
+	if err := cl.StartIndexers(); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.StartIndexers(); err != nil { // second start is a no-op
 		t.Fatal(err)
 	}
+	ic := cl.Index()
 
 	const nDocs = 9
 	docs := make([]*core.Document, nDocs)
@@ -276,68 +278,37 @@ func TestClusterEquivalenceUnderStorm(t *testing.T) {
 
 	const writers = 6
 	const editsPerWriter = 120
-	var wg sync.WaitGroup
-	errs := make(chan error, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w) + 42))
-			user := fmt.Sprintf("user%d", w)
-			for i := 0; i < editsPerWriter; i++ {
-				d := docs[rng.Intn(nDocs)]
-				switch rng.Intn(10) {
-				case 0, 1, 2, 3, 4: // type
-					pos := rng.Intn(d.Len() + 1)
-					if _, err := d.InsertText(user, pos, fmt.Sprintf("w%d-%d ", w, i)); err != nil {
-						errs <- err
-						return
-					}
-				case 5: // delete
-					if n := d.Len(); n > 4 {
-						if _, err := d.DeleteRange(user, rng.Intn(n-3), 2); err != nil {
-							errs <- err
-							return
-						}
-					}
-				case 6, 7: // cross-document (often cross-shard) paste
-					src := docs[rng.Intn(nDocs)]
-					if src == d || src.Len() < 6 {
-						continue
-					}
-					clip, err := src.Copy(user, rng.Intn(src.Len()-5), 4)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if _, err := d.Paste(user, rng.Intn(d.Len()+1), clip); err != nil {
-						errs <- err
-						return
-					}
-				case 8: // metadata
-					if err := d.SetState(user, fmt.Sprintf("rev-%d", i)); err != nil {
-						errs <- err
-						return
-					}
-				case 9: // read event
-					if _, err := d.RecordRead(user); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}
-		}(w)
+	rngs := make([]*rand.Rand, writers)
+	for w := range rngs {
+		rngs[w] = rand.New(rand.NewSource(int64(w) + 42))
 	}
-	wg.Wait()
+	errs := make(chan error, 2*writers)
+	// storm runs edits [from, to) of every writer concurrently.
+	storm := func(from, to int) {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go writer(&wg, errs, docs, rngs[w], w, from, to)
+		}
+		wg.Wait()
+	}
+	stalled := make([]func(), cl.Shards())
+	for i := range stalled {
+		stalled[i] = ic.Shard(i).Stall()
+	}
+	storm(0, editsPerWriter/2)
+	for _, release := range stalled {
+		release()
+	}
+	storm(editsPerWriter/2, editsPerWriter)
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
 
-	ic := cl.Index()
 	ic.Sync()
-	if heals := ic.Stats().Heals; heals == 0 {
-		t.Fatal("storm never shed an indexer queue; the heal path went unexercised")
+	if st := ic.Stats(); st.Full.RingMiss == 0 || st.Heals != st.Full.RingMiss {
+		t.Fatalf("the stalled half never outran the ring, or heals and ring misses disagree: %+v", st)
 	}
 
 	// From-scratch oracle cluster over the same engines.
@@ -407,6 +378,55 @@ func TestClusterEquivalenceUnderStorm(t *testing.T) {
 		}
 		if fmt.Sprint(refsW) != fmt.Sprint(refsG) {
 			t.Fatalf("doc %v: provenance drift:\n got %v\nwant %v", in.ID, refsG, refsW)
+		}
+	}
+}
+
+// writer is one TestClusterEquivalenceUnderStorm writer: edits [from, to)
+// of writer w, drawn from rng, on random documents.
+func writer(wg *sync.WaitGroup, errs chan<- error, docs []*core.Document, rng *rand.Rand, w, from, to int) {
+	defer wg.Done()
+	user := fmt.Sprintf("user%d", w)
+	for i := from; i < to; i++ {
+		d := docs[rng.Intn(len(docs))]
+		switch rng.Intn(10) {
+		case 0, 1, 2, 3, 4: // type
+			pos := rng.Intn(d.Len() + 1)
+			if _, err := d.InsertText(user, pos, fmt.Sprintf("w%d-%d ", w, i)); err != nil {
+				errs <- err
+				return
+			}
+		case 5: // delete
+			if n := d.Len(); n > 4 {
+				if _, err := d.DeleteRange(user, rng.Intn(n-3), 2); err != nil {
+					errs <- err
+					return
+				}
+			}
+		case 6, 7: // cross-document (often cross-shard) paste
+			src := docs[rng.Intn(len(docs))]
+			if src == d || src.Len() < 6 {
+				continue
+			}
+			clip, err := src.Copy(user, rng.Intn(src.Len()-5), 4)
+			if err != nil {
+				errs <- err
+				return
+			}
+			if _, err := d.Paste(user, rng.Intn(d.Len()+1), clip); err != nil {
+				errs <- err
+				return
+			}
+		case 8: // metadata
+			if err := d.SetState(user, fmt.Sprintf("rev-%d", i)); err != nil {
+				errs <- err
+				return
+			}
+		case 9: // read event
+			if _, err := d.RecordRead(user); err != nil {
+				errs <- err
+				return
+			}
 		}
 	}
 }

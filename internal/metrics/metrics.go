@@ -14,8 +14,8 @@ import (
 )
 
 // Metrics is the daemon-wide counter set. All fields are monotonic except
-// Conns (a gauge). Increment them directly; they are safe from any
-// goroutine.
+// Conns and QueueDepth (gauges). Increment them directly; they are safe
+// from any goroutine.
 type Metrics struct {
 	Batches    Counter // edit batches committed (a v1 single-op edit is a batch of one)
 	Ops        Counter // ops inside those batches
@@ -24,10 +24,10 @@ type Metrics struct {
 	BytesIn    Counter // wire bytes received, framed
 	BytesOut   Counter // wire bytes sent, framed
 	Conns      Counter // currently connected editors (gauge)
-	Sheds      Counter // events dropped by overflowing subscriber queues
+	Sheds      Counter // events subscribers skipped because the op ring had evicted them
 	Throttles  Counter // requests rejected by the rate limiter
-	QueueDepth Counter // events queued across all subscribers (gauge)
-	Heals      Counter // shed gaps healed from the retention ring
+	QueueDepth Counter // events not yet read, summed over every open subscription's cursor (gauge)
+	Heals      Counter // ring-miss recoveries: gaps answered with a lagged push
 	Queries    Counter // OpQuery requests served (search + provenance)
 
 	// shards holds per-engine-shard commit counters when the process
@@ -94,7 +94,7 @@ func (m *Metrics) SetUserThrottles(fn func() []UserThrottle) {
 type IndexStats struct {
 	Docs       int   `json:"docs"`
 	AppliedOps int64 `json:"applied_ops"`
-	Heals      int64 `json:"heals"`
+	Heals      int64 `json:"heals"` // ring-miss recoveries, one per FullRefreshes.RingMiss
 	LagDocs    int   `json:"lag_docs"`
 	// DeltaRefreshes counts refreshes that re-tokenized only what an edit
 	// changed; FullRefreshes the wholesale fallbacks, by cause. A cause

@@ -201,7 +201,8 @@ func (c *Cluster) SetAccessChecker(ch core.AccessChecker) {
 	}
 }
 
-// SetRetention sizes every shard's awareness op ring.
+// SetRetention sizes every shard's awareness op ring, the one bound on
+// how far a subscriber may fall behind.
 func (c *Cluster) SetRetention(n int) {
 	for _, s := range c.shards {
 		s.Engine.Bus().SetRetention(n)
@@ -244,12 +245,10 @@ func (c *Cluster) Each(fn func(s *Shard)) {
 	}
 }
 
-// Close closes every shard's database (skipping wrapped engines, whose
-// databases the caller owns), joining any errors.
 // StartIndexers opens one incremental index.Service per shard and the
 // fan-out/merge handle over them: the cluster's live query subsystem.
 // Call after Open (recovery done) and before serving queries.
-func (c *Cluster) StartIndexers(opts ...index.Option) error {
+func (c *Cluster) StartIndexers() error {
 	if c.idx.Load() != nil {
 		return nil
 	}
@@ -257,7 +256,7 @@ func (c *Cluster) StartIndexers(opts ...index.Option) error {
 	for i, s := range c.shards {
 		engines[i] = s.Engine
 	}
-	ic, err := index.OpenCluster(engines, c.ShardFor, opts...)
+	ic, err := index.OpenCluster(engines, c.ShardFor)
 	if err != nil {
 		return err
 	}
@@ -269,6 +268,8 @@ func (c *Cluster) StartIndexers(opts ...index.Option) error {
 // has not run (the server then answers queries with a typed error).
 func (c *Cluster) Index() *index.Cluster { return c.idx.Load() }
 
+// Close closes every shard's database (skipping wrapped engines, whose
+// databases the caller owns), joining any errors.
 func (c *Cluster) Close() error {
 	if ic := c.idx.Swap(nil); ic != nil {
 		ic.Close()

@@ -11,11 +11,11 @@ import (
 	"tendax/internal/util"
 )
 
-// TestLaggedSubscriberGetsFinalPush forces a v1 subscriber so far behind
-// that the awareness bus sheds its queue, then verifies the server (a)
+// TestLaggedSubscriberGetsFinalPush forces a v1 subscriber further behind
+// than the document's op ring reaches, then verifies the server (a)
 // pushes a "lagged" event so the client knows it must resync, and (b) keeps
 // delivering on the same connection after the client's resubscribe (a
-// no-op: the subscription stays attached through the shed). Before the
+// no-op: the subscription stays attached through the gap). Before the
 // first fix the push pump exited silently and a resubscribe was swallowed
 // as a duplicate — the replica froze forever. A v1 library replica is sent
 // a batch it cannot fold the same way, and names "lagged" as the cause of
@@ -75,10 +75,11 @@ func TestLaggedSubscriberGetsFinalPush(t *testing.T) {
 	call(1, &protocol.Message{Op: protocol.OpLogin, User: "sloth"})
 	call(2, &protocol.Message{Op: protocol.OpSubscribe, Doc: docID})
 
-	// Flood the document's bus without reading the socket: the bounded
-	// subscription queue plus the connection's transmit path fill up, the
-	// bus sheds the queue into a gap marker (the subscription stays
-	// attached), and the pump owes this v1 peer a lagged push for the gap.
+	// Flood the document's bus without reading the socket: the
+	// connection's transmit path fills up, the ring evicts events the
+	// pump's cursor has not reached, Next returns a gap marker (the
+	// subscription stays attached), and the pump owes this v1 peer a
+	// lagged push for the gap.
 	doc := util.ID(docID)
 	now := eng.Clock().Now()
 	for i := 0; i < 30000; i++ {
@@ -102,9 +103,9 @@ func TestLaggedSubscriberGetsFinalPush(t *testing.T) {
 	}
 
 	// Resubscribing on the same connection works and events flow again. The
-	// backlog may still be draining: a probe published into a full queue is
-	// shed into a second gap, which another lagged push announces — probe
-	// again whenever one is seen.
+	// backlog may still be draining: a probe the ring evicts before the
+	// pump reaches it falls into a second gap, which another lagged push
+	// announces — probe again whenever one is seen.
 	call(3, &protocol.Message{Op: protocol.OpSubscribe, Doc: docID})
 	probe := func() { eng.Bus().MoveCursor(doc, "flood", 424242, now) }
 	probe()

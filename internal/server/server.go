@@ -46,7 +46,6 @@ type Server struct {
 	sec     *security.Store // nil = no authentication (trusted LAN demo mode)
 	metrics *metrics.Metrics
 	rl      *rateLimiter // nil = unlimited
-	subQ    int          // per-subscriber queue limit, 0 = bus default
 
 	visMu      sync.Mutex
 	visClasses map[uint64]int // visibility fingerprint -> dense class ID
@@ -68,7 +67,7 @@ func New(eng *core.Engine, sec *security.Store) *Server {
 
 // NewCluster creates a server over a placement cluster: every request is
 // routed to the engine shard owning its document. All shards share the
-// server's aggregate shed/queue-depth counters; per-shard commit counters
+// server's aggregate shed/unread-depth counters; per-shard commit counters
 // are kept when the cluster has more than one shard.
 func NewCluster(cl *placement.Cluster, sec *security.Store) *Server {
 	s := &Server{
@@ -125,11 +124,6 @@ func (s *Server) SetRateLimit(editsPerSec, subsPerSec float64) {
 		s.metrics.SetUserThrottles(nil)
 	}
 }
-
-// SetSubscriberQueue bounds each subscriber's pending-event queue (the
-// shed-and-resync trigger point). 0 restores the bus default. Call
-// before Serve.
-func (s *Server) SetSubscriberQueue(limit int) { s.subQ = limit }
 
 // SetLogf replaces the server's logger (tests silence it).
 func (s *Server) SetLogf(f func(string, ...interface{})) { s.logf = f }
@@ -527,8 +521,7 @@ func (c *conn) doc(req *protocol.Message) (*core.Document, error) {
 
 // subscribe registers for a document's events and starts the push pump.
 // Subscription churn is rate-limited like edit traffic. The subscription
-// is a bounded queue (a storm drops queued events and leaves a gap marker
-// the pump heals from the op ring), with the connection's
+// is a cursor into the document's op ring, with the connection's
 // redactor installed as the per-subscriber filter so every pushed event
 // is already ACL-filtered when the pump encodes it.
 func (c *conn) subscribe(req *protocol.Message) *protocol.Message {
@@ -550,42 +543,30 @@ func (c *conn) subscribe(req *protocol.Message) *protocol.Message {
 		c.mu.Unlock()
 		return &protocol.Message{OK: true}
 	}
-	sub := bus.Subscribe(docID, awareness.SubscribeOpts{
-		Filter:     red.subscribeFilter(),
-		QueueLimit: c.srv.subQ,
-	})
+	sub := bus.Subscribe(docID, awareness.SubscribeOpts{Filter: red.subscribeFilter()})
 	c.subs[docID] = sub
 	c.mu.Unlock()
 
 	bus.Join(docID, c.user, c.srv.clock().Now())
-	go c.pump(docID, sub, red)
+	go c.pump(docID, sub)
 	return &protocol.Message{OK: true, Seq: bus.Seq(docID)}
 }
 
-// pump drains one subscription onto the wire until it closes. lastSent
-// tracks the highest delivered sequence number: gap healing can replay
-// events the queue had already delivered, and the dedup keeps the client
-// stream dense.
-func (c *conn) pump(docID util.ID, sub *awareness.Subscription, red *redactor) {
-	var lastSent uint64
+// pump drains one subscription onto the wire until it closes.
+func (c *conn) pump(docID util.ID, sub *awareness.Subscription) {
 	for {
 		ev, ok := sub.Next()
 		if !ok {
 			return
 		}
 		if ev.Kind == awareness.EvGap {
-			if !c.healGap(docID, ev, red, &lastSent) {
-				return
-			}
-			continue
+			ok = c.healGap(docID)
+		} else {
+			ok = c.pushEvent(&ev)
 		}
-		if ev.Seq <= lastSent {
-			continue
-		}
-		if !c.pushEvent(&ev) {
+		if !ok {
 			return
 		}
-		lastSent = ev.Seq
 	}
 }
 
@@ -641,58 +622,19 @@ func (c *conn) pushEvent(ev *awareness.Event) bool {
 	return true
 }
 
-// healGap recovers a shed subscriber in place: replay the missed events
-// from the bus's retention ring (O(gap), the same source as a delta
-// resync). When the ring no longer covers the gap, fall back to the
-// advisory "lagged" push — the subscription stays live and the client
-// fetches the full text. Returns false once the connection is torn down.
-func (c *conn) healGap(docID util.ID, gap awareness.Event, red *redactor, lastSent *uint64) bool {
-	bus := c.srv.busFor(docID)
-	if int(c.ver.Load()) < protocol.Version3 {
-		// v1 vocabulary has no replay: advisory lagged, full-text recovery.
-		if !c.pushLagged(docID) {
-			return false
-		}
-		if s := bus.Seq(docID); s > *lastSent {
-			*lastSent = s
-		}
-		return true
-	}
-	evs, covered := bus.EventsSince(docID, *lastSent)
-	if !covered {
-		if !c.pushLagged(docID) {
-			return false
-		}
-		if s := bus.Seq(docID); s > *lastSent {
-			*lastSent = s
-		}
-		// The full resync the lagged push triggers restores the text but
-		// not the roster; re-send it whole, same as the replay path.
-		return c.pushPresence(docID)
-	}
-	for i := range evs {
-		if evs[i].Seq <= *lastSent {
-			continue
-		}
-		ev := evs[i]
-		if red != nil {
-			ev = red.redact(ev)
-		}
-		if !c.pushEvent(&ev) {
-			return false
-		}
-		*lastSent = ev.Seq
-	}
-	// The retention ring holds only document events: the join/leave/cursor
-	// updates that were coalesced into the shed gap are NOT in the replay,
-	// so without this the healed subscriber's presence view would be stale
-	// forever. Push the current roster as one synthetic snapshot event;
-	// the client replaces its presence state wholesale.
-	if !c.pushPresence(docID) {
+// healGap answers a gap, which always means the reader fell further
+// behind than the op ring reaches: the advisory "lagged" push tells the
+// client to fetch the committed text (the subscription stays live and
+// resumes after the gap). The join/leave/cursor events inside the gap are
+// gone as well, so a v3 peer also gets the current roster as one
+// synthetic snapshot; v1 has no word for it. Returns false once the
+// connection is torn down.
+func (c *conn) healGap(docID util.ID) bool {
+	c.srv.metrics.Heals.Add(1)
+	if !c.pushLagged(docID) {
 		return false
 	}
-	c.srv.metrics.Heals.Add(1)
-	return true
+	return int(c.ver.Load()) < protocol.Version3 || c.pushPresence(docID)
 }
 
 // pushPresence sends a synthetic EvPresence snapshot carrying the

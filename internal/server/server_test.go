@@ -519,9 +519,9 @@ func TestReplicaResyncAfterGap(t *testing.T) {
 	}
 }
 
-// throttleHarness is harness with rate limits and a tiny subscriber
-// queue installed before any connection exists.
-func throttleHarness(t *testing.T, editRate, subRate float64, queue int) (addr string, srv *Server, eng *core.Engine) {
+// throttleHarness is harness with rate limits installed before any
+// connection exists (zero rates mean unlimited).
+func throttleHarness(t *testing.T, editRate, subRate float64) (addr string, srv *Server, eng *core.Engine) {
 	t.Helper()
 	database, err := db.Open(db.Options{})
 	if err != nil {
@@ -534,9 +534,6 @@ func throttleHarness(t *testing.T, editRate, subRate float64, queue int) (addr s
 	srv = New(eng, nil)
 	srv.SetLogf(func(string, ...interface{}) {})
 	srv.SetRateLimit(editRate, subRate)
-	if queue > 0 {
-		srv.SetSubscriberQueue(queue)
-	}
 	a, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -578,7 +575,7 @@ func TestEditThrottleTypedError(t *testing.T) {
 // throttleTyped is one TestEditThrottleTypedError case over a connection
 // at protocol version ver.
 func throttleTyped(t *testing.T, ver, chars int, edit func(d *client.Doc, clip *protocol.Clip) error) {
-	addr, srv, _ := throttleHarness(t, 10, 0, 0) // 10 edits/s, burst 20
+	addr, srv, _ := throttleHarness(t, 10, 0) // 10 edits/s, burst 20
 	c := loginVer(t, addr, "spammer", "", ver)
 	docID, err := c.CreateDocument("busy")
 	if err != nil {
@@ -649,7 +646,7 @@ func throttleTyped(t *testing.T, ver, chars int, edit func(d *client.Doc, clip *
 // subscribe ops past the burst are rejected with the typed code while the
 // connection survives.
 func TestSubscribeThrottle(t *testing.T) {
-	addr, _, _ := throttleHarness(t, 0, 1, 0) // 1 subscribe/s, burst 2
+	addr, _, _ := throttleHarness(t, 0, 1) // 1 subscribe/s, burst 2
 	c := login(t, addr, "storm", "")
 	ids := make([]uint64, 8)
 	for i := range ids {
@@ -673,14 +670,15 @@ func TestSubscribeThrottle(t *testing.T) {
 	}
 }
 
-// TestShedSubscriberHealsFromRing drives a subscriber into queue overflow
-// and asserts the new backpressure contract: the subscription is NOT torn
-// down, the gap is healed by replaying the missed events from the
-// retention ring, and the replica converges byte-for-byte without a full
-// resync. The stalled reader is a raw client that refuses to read while a
-// writer floods the document.
-func TestShedSubscriberHealsFromRing(t *testing.T) {
-	addr, srv, eng := throttleHarness(t, 0, 0, 4) // 4-event subscriber queues
+// TestSubscriberLaggingWithinRingConverges pins the backpressure contract
+// below the ring's reach: a reader that stops reading while the document
+// takes fewer events than the op ring retains loses nothing. Once it reads
+// again the replica converges byte-for-byte from the pushes alone, with no
+// shed, no heal, no lagged notice and no resync.
+func TestSubscriberLaggingWithinRingConverges(t *testing.T) {
+	addr, srv, eng := throttleHarness(t, 0, 0)
+	const retention = 64
+	eng.Bus().SetRetention(retention)
 
 	reader := loginVer(t, addr, "reader", "", protocol.VersionMax)
 	docID, err := reader.CreateDocument("flood")
@@ -691,32 +689,51 @@ func TestShedSubscriberHealsFromRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The watcher runs on the connection's read loop: holding it in the
+	// first callback stops the reader from reading anything more.
+	stalled, resume := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(resume) })
+	t.Cleanup(release)
+	var once sync.Once
+	var resyncs atomic.Int32
+	rd.Watch(func(ev protocol.Event) {
+		if ev.Kind == "resync" {
+			resyncs.Add(1)
+		}
+		once.Do(func() {
+			close(stalled)
+			<-resume
+		})
+	})
 
-	// Flood from the engine side: each commit is one bus event. Well
-	// within ring retention (1024), far beyond the queue bound (4). The
-	// reader's TCP window is tiny relative to hundreds of pushes, so its
-	// pump stalls on write and the queue sheds.
+	// Everything since the reader subscribed — its own join and these
+	// edits — stays under the ring's retention.
 	srvDoc, err := eng.OpenDocument(util.ID(docID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 400; i++ {
+	for i := 0; i < retention-4; i++ {
 		if _, err := srvDoc.InsertText("ghost", 0, "y"); err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			<-stalled
+		}
 	}
-	want := srvDoc.Text()
 	wantSeq := eng.Bus().Seq(util.ID(docID))
-	if err := rd.WaitSeq(wantSeq, 2000); err != nil {
+	if rd.Seq() >= wantSeq {
+		t.Fatalf("the stalled reader is not behind: seq %d of %d", rd.Seq(), wantSeq)
+	}
+	release()
+	if err := rd.WaitSeq(wantSeq, 5000); err != nil {
 		t.Fatalf("replica stuck at seq %d, want %d: %v", rd.Seq(), wantSeq, err)
 	}
-	if got := rd.Text(); got != want {
-		t.Fatalf("replica diverged after shed+heal:\n want %d chars\n got  %d chars", len(want), len(got))
+	if got, want := rd.Text(), srvDoc.Text(); got != want {
+		t.Fatalf("replica diverged:\n want %d chars\n got  %d chars", len(want), len(got))
 	}
-	if srv.Metrics().Sheds.Load() == 0 {
-		t.Skip("queue never overflowed on this machine; shed path not exercised")
-	}
-	if srv.Metrics().Heals.Load() == 0 && !rd.Lagged() {
-		t.Fatal("shed happened but neither a ring heal nor a lagged recovery followed")
+	m := srv.Metrics()
+	if m.Sheds.Load() != 0 || m.Heals.Load() != 0 || rd.Lagged() || resyncs.Load() != 0 {
+		t.Fatalf("a lag within the ring took a recovery path: sheds=%d heals=%d lagged=%v resyncs=%d",
+			m.Sheds.Load(), m.Heals.Load(), rd.Lagged(), resyncs.Load())
 	}
 }

@@ -5,18 +5,20 @@
 // be invisible on the wire: mixed-generation clients edit documents placed
 // on different shards and every replica converges byte-for-byte.
 //
-// The presence test pins the PR 7 heal bug: when a shed subscriber's gap
+// The presence test pins an old heal bug: when a subscriber's gap
 // outlives the retention ring, the full resync restores text but the
-// presence updates coalesced into the gap are gone forever. The fix pushes
-// a synthetic roster snapshot after every heal.
+// presence updates inside the gap are gone forever. The fix pushes a
+// synthetic roster snapshot after every heal.
 package server
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"tendax/internal/awareness"
 	"tendax/internal/placement"
 	"tendax/internal/protocol"
 	"tendax/internal/util"
@@ -212,17 +214,20 @@ func TestV1EditsCountedOnMetrics(t *testing.T) {
 	}
 }
 
-// TestPresenceSnapshotAfterHeal is the regression test for the PR 7 heal
-// bug: presence churn shed along with edit events used to be lost when the
+// TestPresenceSnapshotAfterHeal is the regression test for a heal bug:
+// presence churn skipped along with edit events used to be lost when the
 // gap outlived the retention ring — the full resync restored the text but
 // the replica's roster kept departed users and missed arrivals forever.
-// The fix pushes a redacted Bus.Present snapshot after every heal.
+// The fix pushes a Bus.Present snapshot after every heal.
+//
+// The gap is forced, not hoped for: the reader stops reading, the bus is
+// flooded until the reader's cursor is further behind than the 16-event
+// ring reaches, and only then does the roster churn and the text change.
 func TestPresenceSnapshotAfterHeal(t *testing.T) {
-	addr, srv, eng := throttleHarness(t, 0, 0, 4) // 4-event subscriber queues
+	addr, srv, eng := throttleHarness(t, 0, 0)
 	bus := eng.Bus()
-	// Tiny ring: the gap is guaranteed to outlive retention, forcing the
-	// lagged fallback (full resync) rather than a ring replay.
-	bus.SetRetention(16)
+	const retention = 16
+	bus.SetRetention(retention)
 
 	reader := loginVer(t, addr, "reader", "", protocol.VersionMax)
 	docID, err := reader.CreateDocument("heal-presence")
@@ -248,48 +253,78 @@ func TestPresenceSnapshotAfterHeal(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// Flood the document from the engine side so the 4-event queue sheds,
-	// then churn presence INSIDE the gap: the departure of peer-stale and
-	// the arrival of peer-new ride events the subscriber never receives,
-	// and 300 further edits push them far beyond the 16-event ring.
+	// Stop the reader: the watcher runs on its connection's read loop.
+	stalled, resume := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(resume) })
+	t.Cleanup(release)
+	var once sync.Once
+	rd.Watch(func(protocol.Event) {
+		once.Do(func() {
+			close(stalled)
+			<-resume
+		})
+	})
+	sub := serverSub(t, srv, doc)
+	// Feed the pump large cursor events (a long user name; the text does
+	// not grow) one at a time, each taken before the next is published,
+	// until one is not taken: the socket is full and the pump is stuck
+	// writing. Then push its cursor out of the ring's reach. From here on
+	// the gap is certain, and it covers everything published before the
+	// reader reads again.
+	flooder := strings.Repeat("f", 8<<10)
+	for i := 0; sub.Depth() == 0; i++ {
+		bus.MoveCursor(doc, flooder, i, time.Now())
+		if i == 0 {
+			<-stalled
+		}
+		for deadline := time.Now().Add(200 * time.Millisecond); sub.Depth() > 0 && time.Now().Before(deadline); {
+			time.Sleep(20 * time.Microsecond)
+		}
+		if i > 100_000 {
+			t.Fatal("the stalled reader's socket never filled")
+		}
+	}
+	for sub.Depth() <= retention {
+		bus.MoveCursor(doc, flooder, -1, time.Now())
+	}
+	// Inside the gap: peer-stale leaves, peer-new arrives and moves, the
+	// flooder leaves, and the text changes.
+	bus.Leave(doc, "peer-stale", time.Now())
+	bus.Join(doc, "peer-new", time.Now())
+	bus.MoveCursor(doc, "peer-new", 7, time.Now())
+	bus.Leave(doc, flooder, time.Now())
 	srvDoc, err := eng.OpenDocument(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		if _, err := srvDoc.InsertText("ghost", 0, "y"); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := srvDoc.InsertText("ghost", 0, "healed"); err != nil {
+		t.Fatal(err)
 	}
-	bus.Leave(doc, "peer-stale", time.Now())
-	bus.Join(doc, "peer-new", time.Now())
-	bus.MoveCursor(doc, "peer-new", 7, time.Now())
-	for i := 0; i < 300; i++ {
-		if _, err := srvDoc.InsertText("ghost", 0, "y"); err != nil {
-			t.Fatal(err)
-		}
-	}
+	release()
 
-	want := srvDoc.Text()
 	wantSeq := bus.Seq(doc)
 	if err := rd.WaitSeq(wantSeq, 5000); err != nil {
 		t.Fatalf("replica stuck at seq %d, want %d: %v", rd.Seq(), wantSeq, err)
 	}
-	if got := rd.Text(); got != want {
-		t.Fatalf("replica text diverged after heal: %d chars, want %d", len(got), len(want))
+	if got, want := rd.Text(), srvDoc.Text(); got != want {
+		t.Fatalf("replica text after the heal = %q, want %q", got, want)
 	}
-	if srv.Metrics().Sheds.Load() == 0 {
-		t.Skip("queue never overflowed on this machine; shed path not exercised")
+	if !rd.Lagged() {
+		t.Fatal("the gap reached the replica without a lagged notice")
+	}
+	if m := srv.Metrics(); m.Sheds.Load() == 0 || m.Heals.Load() == 0 {
+		t.Fatalf("sheds=%d heals=%d after a forced gap", m.Sheds.Load(), m.Heals.Load())
 	}
 
 	// The roster must match the server's live presence map exactly:
-	// peer-stale gone, peer-new present at its last cursor.
-	expect := make(map[string]int)
+	// reader at 0, peer-new at its last cursor, nobody else.
+	expect := map[string]int{"reader": 0, "peer-new": 7}
+	live := make(map[string]int)
 	for _, p := range bus.Present(doc) {
-		expect[p.User] = p.Cursor
+		live[p.User] = p.Cursor
 	}
-	if _, ok := expect["peer-new"]; !ok {
-		t.Fatal("server presence lost peer-new; test harness broken")
+	if !peersEqual(live, expect) {
+		t.Fatalf("server presence %v, want %v; test harness broken", live, expect)
 	}
 	deadline = time.Now().Add(2 * time.Second)
 	for {
@@ -302,6 +337,23 @@ func TestPresenceSnapshotAfterHeal(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// serverSub returns the one server-side subscription to doc.
+func serverSub(t *testing.T, srv *Server, doc util.ID) *awareness.Subscription {
+	t.Helper()
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for c := range srv.conns {
+		c.mu.Lock()
+		sub := c.subs[doc]
+		c.mu.Unlock()
+		if sub != nil {
+			return sub
+		}
+	}
+	t.Fatalf("no connection subscribes to doc %d", doc)
+	return nil
 }
 
 func peersEqual(a, b map[string]int) bool {
