@@ -473,7 +473,8 @@ func (d *Doc) Lagged() bool {
 // test synchronisation), and with a synthetic "resync" event after the
 // replica caught up by other means; that event's Name is the cause: "gap"
 // (a push skipped a sequence number), "lagged" (the server said the
-// replica fell behind) or "explicit" (a caller's Resync). One watcher at a
+// replica fell behind; N copies the lagged push's count of events the op
+// ring evicted unread) or "explicit" (a caller's Resync). One watcher at a
 // time. The callback runs without the replica's lock (it may call Events,
 // Text, …) and sees the event already folded into Text; Seq and WaitSeq
 // report the event's sequence number only once the callback has returned.
@@ -521,7 +522,7 @@ func (d *Doc) apply(ev *protocol.Event) {
 		// The server says we fell behind: the replica has holes. Resubscribe,
 		// then fetch the committed state.
 		d.lagged = true
-		d.resyncLocked("lagged")
+		d.resyncLocked(protocol.Event{Name: "lagged", N: ev.N})
 		d.mu.Unlock()
 		return
 	}
@@ -547,7 +548,7 @@ func (d *Doc) apply(ev *protocol.Event) {
 	if d.resyncing || ev.Seq != d.seq+1 {
 		d.pending = append(d.pending, *ev)
 		if !d.resyncing {
-			d.resyncLocked("gap")
+			d.resyncLocked(protocol.Event{Name: "gap"})
 		}
 		d.mu.Unlock()
 		return
@@ -557,20 +558,20 @@ func (d *Doc) apply(ev *protocol.Event) {
 	d.unlockAndTell(*ev, ev.Seq)
 }
 
-// resyncLocked starts a background resync for cause (caller holds d.mu).
-// After a lagged notice it resubscribes first. A transient failure is
-// retried — giving up silently would leave the replica frozen; a failed
-// resync surfaces on the next read or edit.
-func (d *Doc) resyncLocked(cause string) {
+// resyncLocked starts a background resync whose watcher event is why
+// (caller holds d.mu). After a lagged notice it resubscribes first. A
+// transient failure is retried — giving up silently would leave the
+// replica frozen; a failed resync surfaces on the next read or edit.
+func (d *Doc) resyncLocked(why protocol.Event) {
 	d.resyncing = true
 	go func() {
 		for attempt := 0; attempt < 5; attempt++ {
 			var err error
-			if cause == "lagged" {
+			if why.Name == "lagged" {
 				_, err = d.c.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: d.id})
 			}
 			if err == nil {
-				if err = d.resync(cause); err == nil {
+				if err = d.resync(why); err == nil {
 					return
 				}
 			}
@@ -617,7 +618,7 @@ func (d *Doc) foldPendingLocked() {
 			d.foldLocked(ev)
 		default:
 			d.pending = pend[i:]
-			d.resyncLocked("gap")
+			d.resyncLocked(protocol.Event{Name: "gap"})
 			return
 		}
 	}
@@ -687,12 +688,14 @@ func (d *Doc) spliceLocked(pos, del int, ins string) {
 // replays only the events after the replica's sequence number from its
 // bounded op ring — O(gap) on the wire — and falls back to the full text
 // when the gap outlived retention.
-func (d *Doc) Resync() error { return d.resync("explicit") }
+func (d *Doc) Resync() error { return d.resync(protocol.Event{Name: "explicit"}) }
 
-// resync is Resync for a cause, which the watcher's "resync" event names.
-func (d *Doc) resync(cause string) error {
+// resync is Resync that tells the watcher why, as a "resync" event whose
+// Name is the cause.
+func (d *Doc) resync(why protocol.Event) error {
+	why.Doc, why.Kind = d.id, "resync"
 	if d.c.Ver() >= protocol.Version3 {
-		done, err := d.deltaResync(cause)
+		done, err := d.deltaResync(why)
 		if err != nil {
 			return err
 		}
@@ -704,7 +707,7 @@ func (d *Doc) resync(cause string) error {
 	if err != nil {
 		return err
 	}
-	d.adoptFull(resp, cause)
+	d.adoptFull(resp, why)
 	return nil
 }
 
@@ -712,7 +715,7 @@ func (d *Doc) resync(cause string) error {
 // folds them in. It reports done=false when the replica must fall back to
 // a full fetch (a torn delta — possible only on a server bug — rather
 // than a covered-but-empty one).
-func (d *Doc) deltaResync(cause string) (bool, error) {
+func (d *Doc) deltaResync(why protocol.Event) (bool, error) {
 	d.mu.Lock()
 	since := d.seq
 	d.mu.Unlock()
@@ -721,7 +724,7 @@ func (d *Doc) deltaResync(cause string) (bool, error) {
 		return false, err
 	}
 	if resp.Full {
-		d.adoptFull(resp, cause)
+		d.adoptFull(resp, why)
 		return true, nil
 	}
 	d.mu.Lock()
@@ -738,16 +741,16 @@ func (d *Doc) deltaResync(cause string) (bool, error) {
 		d.foldLocked(ev)
 	}
 	d.foldPendingLocked()
-	d.unlockAndTell(protocol.Event{Doc: d.id, Kind: "resync", Name: cause}, d.seq)
+	d.unlockAndTell(why, d.seq)
 	return true, nil
 }
 
 // adoptFull folds a full-text read (OpText response or a Full resync
-// response) into the replica.
-func (d *Doc) adoptFull(resp *protocol.Message, cause string) {
+// response) into the replica and tells the watcher why.
+func (d *Doc) adoptFull(resp *protocol.Message, why protocol.Event) {
 	d.mu.Lock()
 	d.landLocked(resp.Text, resp.Seq, resp.Snap)
-	d.unlockAndTell(protocol.Event{Doc: d.id, Kind: "resync", Name: cause}, d.seq)
+	d.unlockAndTell(why, d.seq)
 }
 
 // EditBatch applies an edit batch — ops anchored by character identity,

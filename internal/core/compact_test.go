@@ -537,7 +537,9 @@ func TestCompactionVsReadersFuzz(t *testing.T) {
 // anchors are tombstones) must resolve to the same visible range, render
 // the same markup and keep its outline entry after compaction archives
 // the anchors — an archived tombstone's text resumes directly after its
-// run's anchor, exactly like a hot tombstone's.
+// run's anchor, exactly like a hot tombstone's. The same holds after a
+// reopen, while the archive is still parked on disk: resolving an anchor
+// that only the archive holds faults it in.
 func TestSpanAnchorsSurviveCompaction(t *testing.T) {
 	database, err := db.Open(db.Options{})
 	if err != nil {
@@ -578,7 +580,7 @@ func TestSpanAnchorsSurviveCompaction(t *testing.T) {
 		t.Fatalf("%d spans", len(spans))
 	}
 	type rng struct{ from, to int }
-	ranges := func() []rng {
+	ranges := func(doc *Document) []rng {
 		out := make([]rng, 0, len(spans))
 		for _, sp := range spans {
 			f, to := doc.SpanRange(sp)
@@ -586,7 +588,7 @@ func TestSpanAnchorsSurviveCompaction(t *testing.T) {
 		}
 		return out
 	}
-	before := ranges()
+	before := ranges(doc)
 	markup, err := doc.RenderMarkup()
 	if err != nil {
 		t.Fatal(err)
@@ -606,24 +608,39 @@ func TestSpanAnchorsSurviveCompaction(t *testing.T) {
 	if stats.Archived != 5 {
 		t.Fatalf("archived %d, want 5", stats.Archived)
 	}
-	after := ranges()
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("span %d range changed across compaction: %v -> %v", i, before[i], after[i])
+	// Each reader must resolve the archived anchors on the compacted
+	// document, and on a reopened one whose archive is still parked on disk
+	// when the reader runs (a fresh reopen per reader, so none of them
+	// relies on another having faulted the archive in).
+	check := func(label string, open func() *Document) {
+		t.Helper()
+		outline2, err := open().Outline()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(outline2) != 1 || outline2[0] != outline[0] {
+			t.Fatalf("%s: outline changed: %+v -> %+v", label, outline, outline2)
+		}
+		markup2, err := open().RenderMarkup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if markup2 != markup {
+			t.Fatalf("%s: markup changed:\n before %q\n after  %q", label, markup, markup2)
+		}
+		after := ranges(open())
+		for i := range before {
+			if before[i] != after[i] {
+				t.Fatalf("%s: span %d range changed: %v -> %v", label, i, before[i], after[i])
+			}
 		}
 	}
-	markup2, err := doc.RenderMarkup()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if markup2 != markup {
-		t.Fatalf("markup changed across compaction:\n before %q\n after  %q", markup, markup2)
-	}
-	outline2, err := doc.Outline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outline2) != 1 || outline2[0] != outline[0] {
-		t.Fatalf("outline changed across compaction: %+v -> %+v", outline, outline2)
-	}
+	check("after compaction", func() *Document { return doc })
+	check("after reopen", func() *Document {
+		d := reload(t, e, doc.ID())
+		if d.ArchiveResident() {
+			t.Fatal("reopen decoded the archive eagerly")
+		}
+		return d
+	})
 }

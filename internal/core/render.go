@@ -15,15 +15,16 @@ type OutlineEntry struct {
 }
 
 // Outline extracts the document structure from heading spans, in document
-// order — the paper's structure definitions made queryable. The whole
-// extraction resolves against one committed snapshot.
+// order — the paper's structure definitions made queryable. Text and span
+// ranges resolve against the latest committed snapshot.
 func (d *Document) Outline() ([]OutlineEntry, error) {
 	return d.Snapshot().Outline()
 }
 
-// Outline extracts the snapshot's structure from heading spans. Spans and
-// text come from the same view, so a heading can never point past the end
-// of the text it is resolved against.
+// Outline extracts the snapshot's structure from heading spans. The span
+// rows are the latest committed ones (Spans); their ranges resolve against
+// this snapshot's text, so a heading can never point past its end, and a
+// heading whose start the snapshot has never seen is skipped.
 func (s *DocSnapshot) Outline() ([]OutlineEntry, error) {
 	spans, err := s.Spans()
 	if err != nil {
@@ -31,27 +32,15 @@ func (s *DocSnapshot) Outline() ([]OutlineEntry, error) {
 	}
 	text := []rune(s.Text())
 	var out []OutlineEntry
-	for _, sp := range spans {
-		if sp.Kind != SpanHeading {
+	for i, e := range s.ResolveSpans(spans) {
+		if spans[i].Kind != SpanHeading || e.From >= e.To {
 			continue
 		}
-		// Spans laid over text this snapshot has never seen resolve to
-		// nothing; skip them instead of emitting a phantom heading at 0.
-		if !s.t.Contains(sp.Start) {
-			continue
-		}
-		level, err := strconv.Atoi(sp.Value)
+		level, err := strconv.Atoi(spans[i].Value)
 		if err != nil {
 			level = 1
 		}
-		from, to := s.SpanRange(sp)
-		if from >= len(text) || from >= to {
-			continue
-		}
-		if to > len(text) {
-			to = len(text)
-		}
-		out = append(out, OutlineEntry{Level: level, Text: string(text[from:to]), Pos: from})
+		out = append(out, OutlineEntry{Level: level, Text: string(text[e.From:e.To]), Pos: e.From})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
 	return out, nil
@@ -61,15 +50,17 @@ func (s *DocSnapshot) Outline() ([]OutlineEntry, error) {
 // markers: `<bold>…</bold>`, `<heading=1>…</heading>` and `[note(author):
 // text]` anchors. This is the headless substitute for the GUI editors'
 // rich rendering: it proves layout and structure survive collaborative
-// editing with character-anchored spans. Text, spans and span ranges all
-// resolve against one committed snapshot, so a concurrent writer can never
+// editing with character-anchored spans. Text and span ranges resolve
+// against the latest committed snapshot, so a concurrent writer can never
 // tear the rendering (the seed version re-locked per span and could see
 // three different document states in one render).
 func (d *Document) RenderMarkup() (string, error) {
 	return d.Snapshot().RenderMarkup()
 }
 
-// RenderMarkup renders this snapshot with inline layout markers.
+// RenderMarkup renders this snapshot with inline layout markers. The span
+// rows are the latest committed ones (Spans); a span whose start the
+// snapshot has never seen is skipped.
 func (s *DocSnapshot) RenderMarkup() (string, error) {
 	spans, err := s.Spans()
 	if err != nil {
@@ -83,29 +74,26 @@ func (s *DocSnapshot) RenderMarkup() (string, error) {
 		text  string
 	}
 	var markers []marker
-	for _, sp := range spans {
-		if !s.t.Contains(sp.Start) {
-			continue // span over text the snapshot has never seen
+	for i, e := range s.ResolveSpans(spans) {
+		sp := spans[i]
+		if !e.Seen {
+			continue
 		}
-		from, to := s.SpanRange(sp)
 		if sp.Kind == SpanNote {
-			markers = append(markers, marker{pos: from, order: 0,
+			markers = append(markers, marker{pos: e.From, order: 0,
 				text: fmt.Sprintf("[note(%s): %s]", sp.Author, sp.Value)})
 			continue
 		}
-		if from >= to {
+		if e.From >= e.To {
 			continue
-		}
-		if to > len(text) {
-			to = len(text)
 		}
 		openTxt := "<" + sp.Kind
 		if sp.Value != "" && sp.Value != "true" {
 			openTxt += "=" + sp.Value
 		}
 		openTxt += ">"
-		markers = append(markers, marker{pos: from, order: 1, text: openTxt})
-		markers = append(markers, marker{pos: to, order: -1, text: "</" + sp.Kind + ">"})
+		markers = append(markers, marker{pos: e.From, order: 1, text: openTxt})
+		markers = append(markers, marker{pos: e.To, order: -1, text: "</" + sp.Kind + ">"})
 	}
 	sort.SliceStable(markers, func(i, j int) bool {
 		if markers[i].pos != markers[j].pos {

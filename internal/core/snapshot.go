@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -139,29 +140,55 @@ func (s *DocSnapshot) RangeMeta(pos, n int) ([]CharMeta, error) {
 	return out, nil
 }
 
-// Spans returns the document's active spans. Span rows live in the spans
-// table rather than the character chain, so this reads the latest
-// committed rows; anchors unknown to the snapshot (spans laid over text
-// inserted after it) resolve to empty ranges in SpanRange.
+// Spans returns the document's active spans: the latest committed rows
+// (they live in the spans table, not the chain), not the rows as of this
+// snapshot. Span readers skip a span whose start this version never saw.
 func (s *DocSnapshot) Spans() ([]Span, error) { return s.d.Spans() }
 
-// SpanRange resolves a span's visible position range [start, end) against
-// this snapshot. Anchors may be tombstones: a tombstoned start contributes
-// the position where its text would resume; a tombstoned end closes the
-// range there. Anchors the snapshot has never seen contribute nothing.
+// Extent is where a span lies in one snapshot: the visible range
+// [From, To). Seen is false, and the range empty, when the snapshot has
+// never seen the span's start anchor.
+type Extent struct {
+	From, To int
+	Seen     bool
+}
+
+// ResolveSpans resolves every span's range against this snapshot, all
+// anchors in one walk (texttree.Snapshot.Resolve). A tombstoned start
+// contributes the position where its text would resume; a tombstoned or
+// unseen end closes the range there.
+func (s *DocSnapshot) ResolveSpans(spans []Span) []Extent {
+	ids := make([]util.ID, 0, 2*len(spans))
+	for _, sp := range spans {
+		ids = append(ids, sp.Start, sp.End)
+	}
+	at := s.t.Resolve(ids)
+	// An anchor neither the tree nor the snapshot's archive holds may be a
+	// cold tombstone whose archive was still parked on disk when the
+	// snapshot was published: fault it in, as time travel does.
+	if slices.ContainsFunc(at, func(a texttree.Anchor) bool { return !a.Known }) {
+		if t := s.d.timeTravelTree(s.t); t != s.t {
+			at = t.Resolve(ids)
+		}
+	}
+	out := make([]Extent, len(spans))
+	for i := range spans {
+		if start, end := at[2*i], at[2*i+1]; start.Known {
+			to := end.Rank
+			if end.Visible {
+				to++
+			}
+			out[i] = Extent{From: start.Rank, To: max(to, start.Rank), Seen: true}
+		}
+	}
+	return out
+}
+
+// SpanRange resolves one span's visible range [start, end) against this
+// snapshot (ResolveSpans); a span it has never seen the start of is empty.
 func (s *DocSnapshot) SpanRange(sp Span) (start, end int) {
-	if r, ok := s.t.RankOf(sp.Start); ok {
-		start = r
-	}
-	if r, ok := s.t.PosOf(sp.End); ok {
-		end = r + 1
-	} else if r, ok := s.t.RankOf(sp.End); ok {
-		end = r
-	}
-	if end < start {
-		end = start
-	}
-	return start, end
+	e := s.ResolveSpans([]Span{sp})[0]
+	return e.From, e.To
 }
 
 // VersionText reconstructs the document text as of the named version, as

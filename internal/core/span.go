@@ -112,9 +112,8 @@ func spanFromRow(row db.Row) Span {
 }
 
 // SpanRange resolves a span's current visible position range [start, end)
-// against the latest committed snapshot, without taking the document lock.
-// Anchors may be tombstones: a tombstoned start contributes the position
-// where its text would resume; a tombstoned end closes the range there.
+// against the latest committed snapshot, without taking the document lock
+// (DocSnapshot.ResolveSpans).
 func (d *Document) SpanRange(s Span) (start, end int) {
 	return d.Snapshot().SpanRange(s)
 }

@@ -80,12 +80,20 @@ const (
 	ScopeGlobal = "global"
 )
 
-// EvLagged is the kind of the final push sent when the server drops a
-// subscription that fell too far behind the document's event stream. After
-// receiving it the client holds no subscription for the document: it must
-// resubscribe and resynchronise from the committed state. The event's Seq
-// carries the document's current sequence number, making the gap visible.
+// EvLagged is the kind of the advisory push that tells a subscriber its
+// replica has a hole: it must resubscribe (a no-op while the subscription
+// is still attached) and resynchronise from the committed state. The
+// event's Seq carries the document's sequence number, and its Name the
+// cause: LaggedRingMiss, with N the events the op ring evicted before the
+// subscriber read them, or LaggedBatch, a multi-op batch a v1 connection
+// cannot fold.
 const EvLagged = "lagged"
+
+// Causes of an EvLagged push (Event.Name).
+const (
+	LaggedRingMiss = "ring_miss"
+	LaggedBatch    = "batch"
+)
 
 // EvPresence is a synthetic push carrying a document's full presence
 // roster (one Batch item per present user: Text the user name, Pos the

@@ -121,19 +121,21 @@ func (ix *Index) indexDoc(info core.DocInfo) error {
 }
 
 // HeadingText concatenates (lowercased) the text of every heading span,
-// each resolved and read by position against snap — so the rescan, the
-// wholesale refresh and the changed-range refresh compute byte-identical
-// heading strings, none of them rendering the whole document for it.
+// all resolved in one walk and read by position against snap — so the
+// rescan, the wholesale refresh and the changed-range refresh compute
+// byte-identical heading strings, none of them rendering the whole
+// document for it. A heading snap has never seen the start of is skipped.
 func HeadingText(snap *core.DocSnapshot, spans []core.Span) string {
-	var hb strings.Builder
-	n := snap.Len()
+	var heads []core.Span
 	for _, s := range spans {
-		if s.Kind != core.SpanHeading {
-			continue
+		if s.Kind == core.SpanHeading {
+			heads = append(heads, s)
 		}
-		from, to := snap.SpanRange(s)
-		if from < n && to <= n && from < to {
-			hb.WriteString(snap.Tree().Slice(from, to-from))
+	}
+	var hb strings.Builder
+	for _, e := range snap.ResolveSpans(heads) {
+		if e.From < e.To {
+			hb.WriteString(snap.Tree().Slice(e.From, e.To-e.From))
 			hb.WriteString(" ")
 		}
 	}

@@ -88,6 +88,45 @@ func TestSearchInHeadings(t *testing.T) {
 	}
 }
 
+// TestHeadingTextSkipsSpanNewerThanSnapshot lays a heading over text
+// inserted after a snapshot was taken. That snapshot has never seen the
+// heading's start, so every reader resolving against it must skip the
+// span: HeadingText once resolved the unseen start to position 0 and
+// indexed the whole document prefix as a heading.
+func TestHeadingTextSkipsSpanNewerThanSnapshot(t *testing.T) {
+	eng, _ := fixture(t)
+	d, err := eng.CreateDocument("alice", "late-heading")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.InsertText("alice", 0, "old prefix text, TAIL"); err != nil {
+		t.Fatal(err)
+	}
+	old := d.Snapshot()
+	if _, err := d.InsertText("alice", 17, "NEW "); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.SetHeading("alice", 17, 8, 1); err != nil { // "NEW TAIL"
+		t.Fatal(err)
+	}
+	spans, err := d.Spans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := HeadingText(old, spans); got != "" {
+		t.Fatalf("old snapshot's heading text = %q, want none", got)
+	}
+	if got := HeadingText(d.Snapshot(), spans); got != "new tail " {
+		t.Fatalf("latest heading text = %q, want %q", got, "new tail ")
+	}
+	if outline, err := old.Outline(); err != nil || len(outline) != 0 {
+		t.Fatalf("old snapshot's outline = %+v, %v; want none", outline, err)
+	}
+	if markup, err := old.RenderMarkup(); err != nil || markup != "old prefix text, TAIL" {
+		t.Fatalf("old snapshot's markup = %q, %v; want the plain text", markup, err)
+	}
+}
+
 func TestRankNewest(t *testing.T) {
 	eng, _ := fixture(t)
 	a, b, _ := corpus(t, eng)

@@ -99,6 +99,10 @@ func TestLaggedSubscriberGetsFinalPush(t *testing.T) {
 			if m.Event.Doc != docID {
 				t.Fatalf("lagged push for doc %d, want %d", m.Event.Doc, docID)
 			}
+			if m.Event.Name != protocol.LaggedRingMiss || m.Event.N <= 0 {
+				t.Fatalf("lagged push for the gap names %q over %d events, want %q over some",
+					m.Event.Name, m.Event.N, protocol.LaggedRingMiss)
+			}
 		}
 	}
 
@@ -128,7 +132,8 @@ flowing:
 
 	// The library replica: once it has caught up with the flood, a two-op
 	// batch reaches this v1 subscriber as a lagged push, and the replica
-	// resyncs onto it, naming "lagged" as the cause.
+	// resyncs onto it, naming "lagged" as the cause. The raw v1 connection
+	// gets the same push, whose Name says a batch, not a ring miss, made it.
 	srvDoc, err := eng.OpenDocument(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -149,6 +154,17 @@ flowing:
 		t.Fatal(err)
 	}
 	want := srvDoc.Text()
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for {
+		m, err := codec.Recv()
+		if err != nil {
+			t.Fatalf("no lagged push for the batch: %v", err)
+		}
+		if m.Type == protocol.TypePush && m.Event != nil && m.Event.Kind == protocol.EvLagged &&
+			m.Event.Name == protocol.LaggedBatch {
+			break
+		}
+	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		mu.Lock()
 		got := append([]string(nil), causes[seen:]...)

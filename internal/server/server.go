@@ -560,7 +560,7 @@ func (c *conn) pump(docID util.ID, sub *awareness.Subscription) {
 			return
 		}
 		if ev.Kind == awareness.EvGap {
-			ok = c.healGap(docID)
+			ok = c.healGap(docID, ev.N)
 		} else {
 			ok = c.pushEvent(&ev)
 		}
@@ -588,18 +588,9 @@ func (c *conn) pushEvent(ev *awareness.Event) bool {
 	// translation is deliberately uncached — it is not the shared event.)
 	ver := int(c.ver.Load())
 	if ev.Kind == awareness.EvBatch && ver < protocol.Version3 {
-		msg := &protocol.Message{
-			Type: protocol.TypePush,
-			Event: &protocol.Event{
-				Doc: uint64(ev.Doc), Kind: protocol.EvLagged,
-				Seq: ev.Seq, AtNS: ev.At.UnixNano(),
-			},
-		}
-		if err := c.codec.Send(msg); err != nil {
-			c.close()
-			return false
-		}
-		return true
+		return c.pushLagged(protocol.Event{
+			Doc: uint64(ev.Doc), Seq: ev.Seq, AtNS: ev.At.UnixNano(), Name: protocol.LaggedBatch,
+		})
 	}
 	// Encode-once fan-out, keyed by (protocol family, visibility class):
 	// the first pump to push this event for a given key renders the
@@ -622,16 +613,19 @@ func (c *conn) pushEvent(ev *awareness.Event) bool {
 	return true
 }
 
-// healGap answers a gap, which always means the reader fell further
-// behind than the op ring reaches: the advisory "lagged" push tells the
-// client to fetch the committed text (the subscription stays live and
-// resumes after the gap). The join/leave/cursor events inside the gap are
-// gone as well, so a v3 peer also gets the current roster as one
-// synthetic snapshot; v1 has no word for it. Returns false once the
-// connection is torn down.
-func (c *conn) healGap(docID util.ID) bool {
+// healGap answers a gap of n events, which always means the reader fell
+// further behind than the op ring reaches: the advisory "lagged" push
+// (cause ring_miss, N = n) tells the client to fetch the committed text
+// (the subscription stays live and resumes after the gap). The
+// join/leave/cursor events inside the gap are gone as well, so a v3 peer
+// also gets the current roster as one synthetic snapshot; v1 has no word
+// for it. Returns false once the connection is torn down.
+func (c *conn) healGap(docID util.ID, n int) bool {
 	c.srv.metrics.Heals.Add(1)
-	if !c.pushLagged(docID) {
+	if !c.pushLagged(protocol.Event{
+		Doc: uint64(docID), Seq: c.srv.busFor(docID).Seq(docID),
+		AtNS: c.srv.clock().Now().UnixNano(), Name: protocol.LaggedRingMiss, N: n,
+	}) {
 		return false
 	}
 	return int(c.ver.Load()) < protocol.Version3 || c.pushPresence(docID)
@@ -664,18 +658,12 @@ func (c *conn) pushPresence(docID util.ID) bool {
 	return c.pushEvent(&ev)
 }
 
-// pushLagged sends the advisory "lagged" push: the client resubscribes
-// (a no-op if still subscribed) and resynchronises from committed state.
-func (c *conn) pushLagged(docID util.ID) bool {
-	msg := &protocol.Message{
-		Type: protocol.TypePush,
-		Event: &protocol.Event{
-			Doc: uint64(docID), Kind: protocol.EvLagged,
-			Seq:  c.srv.busFor(docID).Seq(docID),
-			AtNS: c.srv.clock().Now().UnixNano(),
-		},
-	}
-	if err := c.codec.Send(msg); err != nil {
+// pushLagged sends ev as the advisory "lagged" push: the client
+// resubscribes (a no-op if still subscribed) and resynchronises from
+// committed state. Returns false once the connection is torn down.
+func (c *conn) pushLagged(ev protocol.Event) bool {
+	ev.Kind = protocol.EvLagged
+	if err := c.codec.Send(&protocol.Message{Type: protocol.TypePush, Event: &ev}); err != nil {
 		c.close()
 		return false
 	}

@@ -258,11 +258,18 @@ func TestPresenceSnapshotAfterHeal(t *testing.T) {
 	release := sync.OnceFunc(func() { close(resume) })
 	t.Cleanup(release)
 	var once sync.Once
-	rd.Watch(func(protocol.Event) {
+	var lagMu sync.Mutex
+	var lagged []int // N of each "lagged" resync the replica tells
+	rd.Watch(func(ev protocol.Event) {
 		once.Do(func() {
 			close(stalled)
 			<-resume
 		})
+		if ev.Kind == "resync" && ev.Name == "lagged" {
+			lagMu.Lock()
+			lagged = append(lagged, ev.N)
+			lagMu.Unlock()
+		}
 	})
 	sub := serverSub(t, srv, doc)
 	// Feed the pump large cursor events (a long user name; the text does
@@ -334,6 +341,27 @@ func TestPresenceSnapshotAfterHeal(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("roster never healed:\n got  %v\n want %v", got, expect)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// The lagged pushes say how many events the ring evicted unread, and
+	// the replica passes the count on: together they are the reader's sheds.
+	sheds := sub.Sheds()
+	deadline = time.Now().Add(2 * time.Second)
+	for {
+		lagMu.Lock()
+		got := append([]int(nil), lagged...)
+		lagMu.Unlock()
+		sum := 0
+		for _, n := range got {
+			sum += n
+		}
+		if len(got) > 0 && int64(sum) == sheds {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("lagged resyncs counted %v evicted events, the reader shed %d", got, sheds)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

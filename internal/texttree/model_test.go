@@ -2,6 +2,7 @@ package texttree
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"testing"
@@ -69,6 +70,21 @@ func (m *model) rehydrate(id util.ID) bool {
 		return true
 	}
 	return false
+}
+
+// frozen returns a copy of the model that later steps cannot change (they
+// edit hot records in place; archive runs are only ever replaced).
+func (m *model) frozen() model {
+	return model{hot: slices.Clone(m.hot), arch: maps.Clone(m.arch)}
+}
+
+// ids returns every instance the model knows, hot and archived.
+func (m *model) ids() []util.ID {
+	ids := m.archivedIDs()
+	for _, c := range m.hot {
+		ids = append(ids, c.ID)
+	}
+	return ids
 }
 
 func (m *model) archivedIDs() []util.ID {
@@ -146,6 +162,78 @@ func (m *model) check(t testing.TB, b *Buffer, label string) {
 	}
 }
 
+// checkSnapshot compares a kept snapshot's by-identity reads with m, the
+// model as it stood when the snapshot was taken: Resolve for every
+// instance m knows plus unseen (instances created after the snapshot) in
+// one call, and, if chars is set, Char for each of them one at a time.
+func (m *model) checkSnapshot(t testing.TB, s *Snapshot, unseen []util.ID, chars bool, label string) {
+	t.Helper()
+	want := make(map[util.ID]Anchor)
+	vis := 0
+	for _, c := range m.hot {
+		want[c.ID] = Anchor{Rank: vis, Visible: !c.Deleted, Known: true}
+		if !c.Deleted {
+			vis++
+		}
+	}
+	for anchor, run := range m.arch {
+		// An archived instance's text resumes after every visible
+		// character up to and including its run's anchor.
+		r := 0
+		if !anchor.IsNil() {
+			r = want[anchor].Rank
+			if want[anchor].Visible {
+				r++
+			}
+		}
+		for _, c := range run {
+			want[c.ID] = Anchor{Rank: r, Known: true}
+		}
+	}
+	for _, id := range unseen {
+		want[id] = Anchor{}
+	}
+	ids := make([]util.ID, 0, len(want))
+	for id := range want {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for i, got := range s.Resolve(ids) {
+		if got != want[ids[i]] {
+			t.Fatalf("%s: Resolve(%v) = %+v, want %+v", label, ids[i], got, want[ids[i]])
+		}
+	}
+	if !chars {
+		return
+	}
+	for i, c := range m.hot {
+		prev, next := util.NilID, util.NilID
+		if i > 0 {
+			prev = m.hot[i-1].ID
+		}
+		if i+1 < len(m.hot) {
+			next = m.hot[i+1].ID
+		}
+		got, ok := s.Char(c.ID)
+		if !ok || got.Rune != c.Rune || got.Deleted != c.Deleted || got.Prev != prev || got.Next != next {
+			t.Fatalf("%s: Char(%v) = %+v, %v; want rune %q deleted %v links %v<->%v",
+				label, c.ID, got, ok, c.Rune, c.Deleted, prev, next)
+		}
+	}
+	for _, run := range m.arch {
+		for _, c := range run {
+			if got, ok := s.Char(c.ID); !ok || got.Rune != c.Rune || !got.Deleted {
+				t.Fatalf("%s: archived Char(%v) = %+v, %v; want rune %q", label, c.ID, got, ok, c.Rune)
+			}
+		}
+	}
+	for _, id := range unseen {
+		if got, ok := s.Char(id); ok {
+			t.Fatalf("%s: Char(%v) = %+v for an instance the snapshot never saw", label, id, got)
+		}
+	}
+}
+
 // modelRun drives a Buffer and the model through the same steps.
 type modelRun struct {
 	t     testing.TB
@@ -157,9 +245,33 @@ type modelRun struct {
 	moved int // instances rehydrated, to show compaction and rehydration ran
 }
 
+// keptSnap is a snapshot kept across later steps, with its text and the
+// model as they stood when it was taken.
 type keptSnap struct {
 	s    *Snapshot
 	text string
+	m    model
+}
+
+// checkKept compares every kept snapshot's by-identity reads with the
+// model saved beside it, for every instance that model knew (hot, tombstoned
+// and archived) and every instance created since. Char walks the mirror
+// once per instance, so it is asked only when chars is set.
+func (r *modelRun) checkKept(chars bool, label string) {
+	now := r.m.ids()
+	for j, k := range r.kept {
+		known := make(map[util.ID]bool)
+		for _, id := range k.m.ids() {
+			known[id] = true
+		}
+		var unseen []util.ID
+		for _, id := range now {
+			if !known[id] {
+				unseen = append(unseen, id)
+			}
+		}
+		k.m.checkSnapshot(r.t, k.s, unseen, chars, fmt.Sprintf("%s: snapshot %d", label, j))
+	}
 }
 
 // step applies the operation three bytes encode. Uniform random bytes give
@@ -255,7 +367,9 @@ func (r *modelRun) compactAndRehydrate(x byte) {
 // runModel interprets data three bytes per step, checking the buffer
 // against the model after every step. Every loadEvery steps it also checks
 // that a buffer loaded from the current snapshot answers the same, and
-// that every snapshot kept so far still reads as it did.
+// that every snapshot kept so far still reads as it did, by position and
+// by identity; at the end each kept snapshot's Char is asked for every
+// instance as well.
 func runModel(t testing.TB, data []byte, loadEvery int) *modelRun {
 	t.Helper()
 	r := &modelRun{t: t, b: NewBuffer(), m: model{arch: map[util.ID][]Char{}}}
@@ -289,7 +403,7 @@ func runModel(t testing.TB, data []byte, loadEvery int) *modelRun {
 			t.Fatalf("%s: Load: %v", label, err)
 		}
 		r.m.check(t, loaded, label+" reloaded")
-		r.kept = append(r.kept, keptSnap{s: s, text: s.Text()})
+		r.kept = append(r.kept, keptSnap{s: s, text: s.Text(), m: r.m.frozen()})
 		for j, k := range r.kept {
 			if got := k.s.Text(); got != k.text {
 				t.Fatalf("%s: snapshot %d drifted: %q, want %q", label, j, clip(got, 60), clip(k.text, 60))
@@ -298,7 +412,9 @@ func runModel(t testing.TB, data []byte, loadEvery int) *modelRun {
 				t.Fatalf("%s: snapshot %d: %v", label, j, err)
 			}
 		}
+		r.checkKept(false, label)
 	}
+	r.checkKept(true, "end")
 	return r
 }
 

@@ -396,34 +396,17 @@ func (v *view) AllChars() []Char {
 // writers keep publishing new versions without disturbing any snapshot a
 // reader already holds. It supports the same read surface as the live
 // buffer, including time travel, which on a snapshot reconstructs the text
-// as of any instant at or before the snapshot was taken.
+// as of any instant at or before the snapshot was taken. It keeps no index
+// by ID: a by-identity read walks the frozen mirror in order, up to the
+// last instance it asks for.
 type Snapshot struct {
 	view
-
-	// Rank-by-ID queries need a root-to-node path the persistent treap
-	// cannot provide; the first such query materialises an index over the
-	// frozen tree, shared by all subsequent queries on this snapshot (and
-	// by every DocSnapshot wrapper of the same published version). The
-	// build walks all hot instances including warm tombstones — O(hot),
-	// amortised to at most once per committed version and only paid when
-	// rank queries (span resolution) actually occur. Tombstone compaction
-	// (archive.go) is what keeps "hot" near the visible size on documents
-	// whose dead text would otherwise dominate: archived instances are
-	// not in this index — RankOf resolves them through their run's anchor
-	// instead, so span anchors keep resolving after compaction.
-	once  sync.Once
-	index map[util.ID]snapEntry
 
 	// Text() is memoised: a snapshot is immutable, so its visible text is
 	// rendered exactly once into a buffer sized up front and then shared by
 	// every open/resync/read that hits the same published version.
 	textOnce sync.Once
 	text     string
-}
-
-type snapEntry struct {
-	ch      *Char
-	visRank int // visible chars strictly before this instance
 }
 
 // Snapshot returns an immutable view of the buffer's current state. It is
@@ -453,85 +436,76 @@ func (s *Snapshot) WithArchive(a *Archive) *Snapshot {
 	return &Snapshot{view: v}
 }
 
-// buildIndex materialises the rank-by-ID index on first use.
-func (s *Snapshot) buildIndex() {
-	s.once.Do(func() {
-		idx := make(map[util.ID]snapEntry, s.TotalLen())
-		vis := 0
-		pwalk(s.root, func(n *pnode) bool {
-			idx[n.ch.ID] = snapEntry{ch: n.ch, visRank: vis}
-			if n.visible {
-				vis++
-			}
-			return true
-		})
-		s.index = idx
+// Anchor is where one character instance sits in a snapshot.
+type Anchor struct {
+	Rank    int  // visible characters strictly before the instance
+	Visible bool // the instance is a visible character
+	Known   bool // the snapshot holds the instance, hot or archived
+}
+
+// Resolve locates every id in one in-order walk of the frozen mirror,
+// which stops as soon as each wanted hot instance has been met. A
+// tombstone's Rank is where its text would resume. An archived instance
+// resolves through its run's anchor: no visible character lives inside an
+// archive run, so its text resumes right after the anchor (the anchor's
+// Rank, +1 if the anchor is visible; 0 for a run at the head). An id the
+// snapshot has never seen (inserted after it was taken) is not Known.
+func (s *Snapshot) Resolve(ids []util.ID) []Anchor {
+	arch := s.Archive()
+	hot := make(map[util.ID]Anchor, len(ids))
+	for _, id := range ids {
+		if anchor, ok := arch.AnchorOf(id); ok {
+			id = anchor
+		}
+		if !id.IsNil() {
+			hot[id] = Anchor{}
+		}
+	}
+	left, rank := len(hot), 0
+	pwalk(s.root, func(n *pnode) bool {
+		if _, ok := hot[n.ch.ID]; ok {
+			hot[n.ch.ID] = Anchor{Rank: rank, Visible: n.visible, Known: true}
+			left--
+		}
+		if n.visible {
+			rank++
+		}
+		return left > 0
 	})
+	out := make([]Anchor, len(ids))
+	for i, id := range ids {
+		anchor, archived := arch.AnchorOf(id)
+		switch {
+		case !archived:
+			out[i] = hot[id]
+		case anchor.IsNil():
+			out[i] = Anchor{Known: true}
+		default:
+			a := hot[anchor]
+			if a.Visible {
+				a.Rank++
+			}
+			out[i] = Anchor{Rank: a.Rank, Known: a.Known}
+		}
+	}
+	return out
 }
 
 // Char returns the frozen record of the instance with id, hot or
-// archived.
+// archived. A hot instance costs a walk of the mirror up to it.
 func (s *Snapshot) Char(id util.ID) (Char, bool) {
-	s.buildIndex()
-	if e, ok := s.index[id]; ok {
-		return *e.ch, true
-	}
 	if ch, ok := s.Archive().Char(id); ok {
 		return *ch, true
 	}
-	return Char{}, false
-}
-
-// Contains reports whether id exists in this snapshot, in the hot
-// structures or the cold archive. Only instances the snapshot has never
-// seen (inserted after it was taken) are unknown.
-func (s *Snapshot) Contains(id util.ID) bool {
-	s.buildIndex()
-	if _, ok := s.index[id]; ok {
-		return true
-	}
-	return s.Archive().Contains(id)
-}
-
-// RankOf returns the number of visible characters strictly before id, for
-// any instance including tombstones — archived ones too: no visible
-// character lives inside an archive run, so an archived tombstone's text
-// resumes directly after its run's anchor (span anchors must keep
-// resolving identically when compaction moves them to the archive). ok is
-// false if id is unknown to this snapshot (e.g. it was inserted after the
-// snapshot was taken).
-func (s *Snapshot) RankOf(id util.ID) (int, bool) {
-	s.buildIndex()
-	if e, ok := s.index[id]; ok {
-		return e.visRank, true
-	}
-	anchor, ok := s.Archive().AnchorOf(id)
-	if !ok {
-		return 0, false
-	}
-	if anchor.IsNil() {
-		return 0, true
-	}
-	e, ok := s.index[anchor]
-	if !ok {
-		return 0, false
-	}
-	r := e.visRank
-	if !e.ch.Deleted {
-		r++
-	}
-	return r, true
-}
-
-// PosOf returns the 0-based visible position of id; ok is false for
-// tombstones and unknown instances.
-func (s *Snapshot) PosOf(id util.ID) (int, bool) {
-	s.buildIndex()
-	e, ok := s.index[id]
-	if !ok || e.ch.Deleted {
-		return 0, false
-	}
-	return e.visRank, true
+	var ch Char
+	found := !pwalk(s.root, func(n *pnode) bool {
+		if n.ch.ID != id {
+			return true
+		}
+		ch = *n.ch
+		return false
+	})
+	return ch, found
 }
 
 // CheckInvariants verifies the snapshot's internal consistency: the order

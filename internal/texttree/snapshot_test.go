@@ -1,6 +1,7 @@
 package texttree
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -68,25 +69,17 @@ func TestSnapshotRanksAndRanges(t *testing.T) {
 	if ids := s.RangeIDs(0, 3); len(ids) != 3 {
 		t.Fatalf("RangeIDs len %d", len(ids))
 	}
-	// Tombstone rank: position where its text would resume.
-	r, ok := s.RankOf(id3)
-	if !ok || r != 3 {
-		t.Fatalf("tombstone RankOf = %d, %v", r, ok)
-	}
-	if _, ok := s.PosOf(id3); ok {
-		t.Fatal("PosOf succeeded on a tombstone")
-	}
 	id4, _ := s.IDAt(3) // visible position 3 is now '4'
 	ch, ok := s.Char(id4)
 	if !ok || ch.Rune != '4' {
 		t.Fatalf("Char(%v) = %q", id4, ch.Rune)
 	}
-	p, ok := s.PosOf(id4)
-	if !ok || p != 3 {
-		t.Fatalf("PosOf = %d", p)
-	}
-	if _, ok := s.RankOf(util.ID(9999)); ok {
-		t.Fatal("RankOf of unknown id succeeded")
+	// A tombstone ranks where its text would resume; an unknown id (and
+	// a repeated one) resolves like any other in the same walk.
+	got := s.Resolve([]util.ID{id4, id3, util.ID(9999), id4})
+	want := []Anchor{{3, true, true}, {3, false, true}, {}, {3, true, true}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Resolve = %v, want %v", got, want)
 	}
 	// Mirror of the buffer's positional queries.
 	for pos := 0; pos < s.Len(); pos++ {
