@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -478,4 +479,152 @@ func TestPushesDuringBaseAreKept(t *testing.T) {
 			t.Fatalf("%d resyncs, want 1", n)
 		}
 	})
+}
+
+// sessionScript is a scripted v3 server holding an empty document 1, with
+// a session open on it. The script answers every request but an edit:
+// edits are handed to the test unanswered, in send order, and their
+// acknowledgements (or errors) go out when the test says.
+type sessionScript struct {
+	*scriptServer
+	c     *Client
+	s     *Session
+	edits chan *protocol.Message
+}
+
+func startSessionScript(t *testing.T) *sessionScript {
+	t.Helper()
+	edits := make(chan *protocol.Message, 16) // more edits than any test sends
+	c, srv := startScript(t, func(s *scriptServer, req *protocol.Message) {
+		switch req.Op {
+		case protocol.OpHello:
+			s.codec.EnableBinary()
+			s.respond(req, &protocol.Message{Ver: protocol.Version3, Shards: 1})
+		case protocol.OpSubscribe, protocol.OpOpenDoc:
+			s.respond(req, &protocol.Message{Seq: 1, Snap: 1})
+		case protocol.OpListDocs:
+			s.respond(req, &protocol.Message{})
+		case protocol.OpEdit:
+			edits <- req
+		}
+	})
+	d, err := c.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := d.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &sessionScript{scriptServer: srv, c: c, s: s, edits: edits}
+}
+
+// sent returns the edit requests the session has put on the pipe since
+// the last call, each checked to carry one op. A listing request goes out
+// behind them, and the script serves requests in order, so once it is
+// answered every earlier edit is in.
+func (ss *sessionScript) sent(t *testing.T) []*protocol.Message {
+	t.Helper()
+	if _, err := ss.c.ListDocuments(); err != nil {
+		t.Fatal(err)
+	}
+	var reqs []*protocol.Message
+	for {
+		select {
+		case req := <-ss.edits:
+			if len(req.Ops) != 1 {
+				t.Fatalf("edit request with %d ops, want 1", len(req.Ops))
+			}
+			reqs = append(reqs, req)
+		default:
+			return reqs
+		}
+	}
+}
+
+// TestSessionCoalescesBehindInFlightBatch pins the session's ack clock
+// without a sleep or a timer: the scripted server holds each edit's
+// acknowledgement until the test releases it.
+func TestSessionCoalescesBehindInFlightBatch(t *testing.T) {
+	ss := startSessionScript(t)
+	s := ss.s
+
+	// Nothing in flight: the key goes out at once, at the cursor's anchor.
+	if err := s.Type("a"); err != nil {
+		t.Fatal(err)
+	}
+	reqs := ss.sent(t)
+	if len(reqs) != 1 || reqs[0].Ops[0].Text != "a" || reqs[0].Ops[0].After == nil {
+		t.Fatalf("Type(\"a\") sent %d edits, want one \"a\" at the cursor's anchor", len(reqs))
+	}
+	first := reqs[0]
+
+	// Behind the held acknowledgement, keys wait.
+	if err := s.Type("bcdef"); err != nil {
+		t.Fatal(err)
+	}
+	if reqs := ss.sent(t); len(reqs) != 0 {
+		t.Fatalf("%d edits sent while the first was in flight", len(reqs))
+	}
+
+	// The acknowledgement sends them, with no Wait. Wake on it until the
+	// waiting keys went out or nothing is in flight (they were kept back).
+	ss.respond(first, &protocol.Message{})
+	s.mu.Lock()
+	for s.flushes == 1 && s.inflight == 1 {
+		s.idle.Wait()
+	}
+	s.mu.Unlock()
+	reqs = ss.sent(t)
+	if len(reqs) != 1 || reqs[0].Ops[0].Text != "bcdef" || !reqs[0].Ops[0].Prev {
+		t.Fatalf("the acknowledgement sent %d edits, want one \"bcdef\" after the previous insert", len(reqs))
+	}
+
+	// With that acknowledgement held, the batch limit still sends a full
+	// batch at once; the two keys past it wait.
+	for i := 0; i < 130; i++ {
+		if err := s.Type("x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs = ss.sent(t)
+	if len(reqs) != 1 || reqs[0].Ops[0].Text != strings.Repeat("x", 128) {
+		t.Fatalf("130 keys behind an in-flight batch sent %d edits, want one of 128 keys", len(reqs))
+	}
+}
+
+// TestSessionMoveToReportsFailedBatch pins that once a batch has failed,
+// MoveTo returns that error as Type does, and the keys typed behind the
+// failed batch are never sent.
+func TestSessionMoveToReportsFailedBatch(t *testing.T) {
+	ss := startSessionScript(t)
+	s := ss.s
+	if err := s.Type("a"); err != nil {
+		t.Fatal(err)
+	}
+	reqs := ss.sent(t)
+	if len(reqs) != 1 {
+		t.Fatalf("Type(\"a\") sent %d edits, want 1", len(reqs))
+	}
+	if err := s.Type("bc"); err != nil { // waits behind "a"
+		t.Fatal(err)
+	}
+	const refused = "core: batch op 0: refused"
+	_ = ss.codec.Send(&protocol.Message{Type: protocol.TypeResponse, ID: reqs[0].ID, Err: refused})
+	s.mu.Lock()
+	for s.inflight > 0 {
+		s.idle.Wait()
+	}
+	s.mu.Unlock()
+
+	var re *RemoteError
+	if err := s.MoveTo(0); !errors.As(err, &re) || re.Msg != refused {
+		t.Fatalf("MoveTo after a failed batch = %v, want %q", err, refused)
+	}
+	if err := s.Wait(); !errors.As(err, &re) || re.Msg != refused {
+		t.Fatalf("Wait after a failed batch = %v, want %q", err, refused)
+	}
+	if reqs := ss.sent(t); len(reqs) != 0 {
+		t.Fatalf("%d edits sent behind the failed batch", len(reqs))
+	}
 }

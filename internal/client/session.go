@@ -3,16 +3,22 @@ package client
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"tendax/internal/protocol"
 )
 
 // Session is the protocol-v3 pipelined typing surface of a document: it
-// coalesces keystrokes into ID-anchored edit batches, flushes them when a
-// batch fills or the flush interval elapses, and correlates the durable
-// acknowledgements asynchronously — so typing throughput is no longer
-// bounded by one blocking round-trip (plus one fsync wait) per keystroke.
+// coalesces keystrokes into ID-anchored edit batches and correlates the
+// durable acknowledgements asynchronously — so typing throughput is no
+// longer bounded by one blocking round-trip (plus one fsync wait) per
+// keystroke.
+//
+// Batches are ack-clocked (Nagle's rule over durable acknowledgements): a
+// key goes out at once when no batch is in flight; otherwise it waits, and
+// the keys typed meanwhile go out as one batch when the last in-flight
+// batch is acknowledged, or as soon as they reach the batch limit. A key
+// waits at most one durable round trip, and a batch holds what was typed
+// during one.
 //
 // The first insert after Open or MoveTo anchors at an explicit character
 // identity; every subsequent flush anchors "after this connection's
@@ -21,7 +27,7 @@ import (
 // instance IDs it assigns) before sending the next one. Requests on one
 // connection apply in send order, so the pipeline preserves intent.
 //
-// Type/Flush/Wait are safe for concurrent use, but a session models one
+// Type/Wait are safe for concurrent use, but a session models one
 // cursor: interleaving typists should use one session each, on their own
 // connections. The server tracks the "previous insert" continuation
 // anchor per (connection, document), so run at most one session per
@@ -30,19 +36,18 @@ import (
 type Session struct {
 	d *Doc
 
-	mu        sync.Mutex
-	pend      []rune
-	anchor    uint64 // explicit anchor for the next flush (0 = front)
-	useAnchor bool   // anchor set and not yet consumed
-	flushLen  int
-	interval  time.Duration
-	timer     *time.Timer
-	closed    bool
-	err       error // first failure, sticky
+	mu         sync.Mutex
+	idle       sync.Cond // broadcast on every acknowledgement; Wait rechecks inflight
+	pend       []rune
+	anchor     uint64 // explicit anchor for the next flush (0 = front)
+	useAnchor  bool   // anchor set and not yet consumed
+	batchLimit int    // pending runes that go out even behind an in-flight batch
+	inflight   int    // batches sent and not yet acknowledged
+	closed     bool
+	err        error // first failure, sticky
 
-	wg      sync.WaitGroup // outstanding (sent, unacknowledged) batches
-	flushes int            // batches sent
-	typed   int            // runes accepted by Type
+	flushes int // batches sent
+	typed   int // runes accepted by Type
 }
 
 // ErrNeedV3 reports a session request against a server that only speaks
@@ -60,28 +65,21 @@ func (d *Doc) Session() (*Session, error) {
 	if ver < protocol.Version3 {
 		return nil, ErrNeedV3
 	}
-	s := &Session{
-		d:        d,
-		flushLen: 128,
-		interval: 3 * time.Millisecond,
-	}
+	s := &Session{d: d, batchLimit: 128}
+	s.idle.L = &s.mu
 	if err := s.MoveTo(d.Len()); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// SetFlushLimits tunes the coalescing: a batch is flushed when it holds
-// runes keystrokes or when interval has elapsed since the first pending
-// keystroke, whichever comes first. Zero keeps the current value.
-func (s *Session) SetFlushLimits(runes int, interval time.Duration) {
+// SetBatchLimit sets how many pending keystrokes go out as a batch even
+// while another batch is in flight. Zero keeps the current value.
+func (s *Session) SetBatchLimit(runes int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if runes > 0 {
-		s.flushLen = runes
-	}
-	if interval > 0 {
-		s.interval = interval
+		s.batchLimit = runes
 	}
 }
 
@@ -89,7 +87,8 @@ func (s *Session) SetFlushLimits(runes int, interval time.Duration) {
 // insertion anchor's identity against the server: pending text is flushed
 // first, and the next insert chains after the character currently at
 // pos-1 (or the front of the document for pos 0) — wherever concurrent
-// edits move it by the time the insert commits.
+// edits move it by the time the insert commits. Once a batch has failed,
+// MoveTo returns that first error, as Type does.
 func (s *Session) MoveTo(pos int) error {
 	s.mu.Lock()
 	if s.closed {
@@ -97,7 +96,11 @@ func (s *Session) MoveTo(pos int) error {
 		return errors.New("client: session closed")
 	}
 	s.flushLocked()
+	err := s.err
 	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	var anchor uint64
 	if pos > 0 {
@@ -128,31 +131,16 @@ func (s *Session) Type(text string) error {
 	}
 	s.typed += len([]rune(text))
 	s.pend = append(s.pend, []rune(text)...)
-	if len(s.pend) >= s.flushLen {
+	if s.inflight == 0 || len(s.pend) >= s.batchLimit {
 		s.flushLocked()
-		return nil
-	}
-	if s.timer == nil {
-		s.timer = time.AfterFunc(s.interval, s.Flush)
 	}
 	return nil
 }
 
-// Flush sends the pending text as one batch without waiting for its
-// acknowledgement.
-func (s *Session) Flush() {
-	s.mu.Lock()
-	s.flushLocked()
-	s.mu.Unlock()
-}
-
-// flushLocked ships the pending runes as one edit batch. Caller holds
-// s.mu.
+// flushLocked ships the pending runes as one edit batch; its
+// acknowledgement ships whatever was typed behind it once nothing else is
+// in flight. Caller holds s.mu.
 func (s *Session) flushLocked() {
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
 	if len(s.pend) == 0 || s.err != nil {
 		return
 	}
@@ -174,16 +162,18 @@ func (s *Session) flushLocked() {
 		return
 	}
 	s.flushes++
-	s.wg.Add(1)
+	s.inflight++
 	go func() {
-		defer s.wg.Done()
-		if _, err := await(ch); err != nil {
-			s.mu.Lock()
-			if s.err == nil {
-				s.err = err
-			}
-			s.mu.Unlock()
+		_, err := await(ch)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err != nil && s.err == nil {
+			s.err = err
 		}
+		if s.inflight--; s.inflight == 0 {
+			s.flushLocked()
+		}
+		s.idle.Broadcast()
 	}()
 }
 
@@ -191,9 +181,13 @@ func (s *Session) flushLocked() {
 // durably acknowledged, returning the first error any batch hit. After a
 // nil Wait, everything typed so far is on the server's stable storage.
 func (s *Session) Wait() error {
-	s.Flush()
-	s.wg.Wait()
-	return s.Err()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.flushLocked()
+	for s.inflight > 0 {
+		s.idle.Wait()
+	}
+	return s.err
 }
 
 // Err returns the sticky first error of the session's pipeline.
@@ -223,10 +217,6 @@ func (s *Session) Close() error {
 	err := s.Wait()
 	s.mu.Lock()
 	s.closed = true
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
 	s.mu.Unlock()
 	return err
 }

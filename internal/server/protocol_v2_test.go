@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"tendax/internal/client"
 	"tendax/internal/protocol"
@@ -185,7 +184,7 @@ func TestSessionPipelinedTyping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetFlushLimits(16, 0)
+	s.SetBatchLimit(16)
 	var want strings.Builder
 	for i := 0; i < 300; i++ {
 		ch := string(rune('a' + i%26))
@@ -399,7 +398,7 @@ func TestConvergenceConcurrentSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetFlushLimits(4, time.Minute) // size-driven flushing only
+		s.SetBatchLimit(4) // small batches behind in-flight ones: more interleavings
 		if err := s.MoveTo(ty.pos); err != nil {
 			t.Fatal(err)
 		}
