@@ -61,7 +61,7 @@ func newDocument(e *Engine, id util.ID, row db.Row) *Document {
 		row: row,
 	}
 	//tendax:allow-snapshotread construction: the document is not yet shared
-	d.snap.Store(&published{tree: d.buf.Snapshot(), seq: e.bus.Seq(id)})
+	d.snap.Store(&published{tree: d.buf.Snapshot(), seq: e.bus.Seq(id), row: row})
 	return d
 }
 
@@ -71,10 +71,12 @@ func newDocument(e *Engine, id util.ID, row db.Row) *Document {
 // the seed did) is what lets a resync response promise "this text contains
 // exactly the edits up to this Seq" — without the pairing, an edit
 // committing between the two reads is silently dropped by the client as a
-// pre-snapshot duplicate.
+// pre-snapshot duplicate. row is the docs-table row committed with the
+// snapshot, which Engine.DocInfoByID answers from without a lock.
 type published struct {
 	tree *texttree.Snapshot
 	seq  uint64
+	row  db.Row // never modified: writeRowLocked replaces d.row
 }
 
 // publishEventLocked is the writers' single publish point: called under
@@ -85,9 +87,10 @@ type published struct {
 // committed state to the next in a single atomic load and can never
 // observe an event seq without the state it describes.
 func (d *Document) publishEventLocked(ev awareness.Event) uint64 {
-	tree := d.buf.Snapshot()
+	p := &published{tree: d.buf.Snapshot(), row: d.row}
 	return d.eng.bus.PublishWith(ev, func(seq uint64) {
-		d.snap.Store(&published{tree: tree, seq: seq})
+		p.seq = seq
+		d.snap.Store(p)
 	})
 }
 
@@ -147,7 +150,7 @@ func (d *Document) load() error {
 	}
 	//tendax:allow-snapshotread load-time construction: the document is published only after load returns
 	d.buf = buf
-	d.snap.Store(&published{tree: buf.Snapshot(), seq: d.eng.bus.Seq(d.id)})
+	d.snap.Store(&published{tree: buf.Snapshot(), seq: d.eng.bus.Seq(d.id), row: d.row})
 	return d.loadOps()
 }
 

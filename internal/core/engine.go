@@ -469,8 +469,17 @@ func (e *Engine) ExternalSources() ([]DocInfo, error) {
 	return out, err
 }
 
-// DocInfoByID returns metadata for one document.
+// DocInfoByID returns metadata for one document. An open document answers
+// from its latest published state, off the document lock and without a
+// table read: the docs row committed with the snapshot readers see. A
+// document no handle has opened reads the docs table.
 func (e *Engine) DocInfoByID(id util.ID) (DocInfo, error) {
+	e.mu.Lock()
+	d := e.docs[id]
+	e.mu.Unlock()
+	if d != nil {
+		return docInfoFromRow(d.snap.Load().row), nil
+	}
 	row, _, err := e.tDocs.GetByPK(nil, int64(id))
 	if errors.Is(err, db.ErrNotFound) {
 		return DocInfo{}, ErrDocNotFound

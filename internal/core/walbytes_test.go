@@ -113,8 +113,10 @@ func newOneKeyDoc(t *testing.T) (*wal.MemStore, *db.Database, *Document) {
 // committed as its own batch, end to end through Document.Apply: staging,
 // the row writes and their locks, the WAL append, the durability wait and
 // the snapshot publish. Re-reading and decoding every updated row, string
-// lock keys and re-indexing unchanged keys cost ~320; without them ~210.
-const maxOneKeyBatchAllocs = 240
+// lock keys and re-indexing unchanged keys cost 323. Without them it was
+// 167. Copying each text mirror node at most once per snapshot, not once
+// per root path a key walks (five), brings it to ~104.
+const maxOneKeyBatchAllocs = 130
 
 // TestOneKeyBatchAllocs types one-key batches between two existing
 // characters of the same 20k-character document as TestOneKeyBatchLogBytes,

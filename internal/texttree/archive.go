@@ -350,13 +350,13 @@ func (b *Buffer) ApplyCompaction(plan *CompactionPlan) {
 		if !ok {
 			panic(fmt.Sprintf("texttree: compaction plan is stale: %v not in order", run.Chars[0].ID))
 		}
-		left, rest := psplit(b.root, r0)
-		mid, right := psplit(rest, len(run.Chars))
+		left, rest := psplit(b.gen, b.root, r0)
+		mid, right := psplit(b.gen, rest, len(run.Chars))
 		if mid.sizeOf() != len(run.Chars) {
 			panic(fmt.Sprintf("texttree: compaction plan is stale: run of %d at rank %d has %d nodes",
 				len(run.Chars), r0, mid.sizeOf()))
 		}
-		b.root = pmerge(left, right)
+		b.root = pmerge(b.gen, left, right)
 		for _, ch := range run.Chars {
 			b.order.remove(ch.ID)
 		}

@@ -46,12 +46,16 @@ var ErrUnknownChar = errors.New("texttree: unknown character")
 // answers the total rank of an ID. The persistent (path-copying) mirror in
 // the embedded view answers every positional read, for the buffer as for
 // its snapshots, and lets Snapshot hand out an immutable O(1) view at any
-// time. Records are copy-on-write: once a *Char has been reachable from a
-// snapshot it is never mutated — an update swaps a copy into the order
-// node and path-copies the mirror instead.
+// time. Records are copy-on-write: a *Char is never mutated once it is in
+// the buffer — an update swaps a copy into the order node and the mirror
+// instead. Mirror nodes are copy-on-write per generation: a write copies a
+// node made before the last Snapshot (which may be reachable from it) and
+// updates in place a node it or an earlier write of the same generation
+// made (which no snapshot can reach).
 type Buffer struct {
 	view
 	order order
+	gen   uint64 // the mirror generation writes make nodes in; Snapshot ends it
 }
 
 // NewBuffer returns an empty buffer.
@@ -102,7 +106,7 @@ func Load(rows []Char) (*Buffer, error) {
 	if len(ordered) != len(b.order.nodes) {
 		return nil, fmt.Errorf("texttree: %d chars unreachable from head", len(b.order.nodes)-len(ordered))
 	}
-	b.root = pbuild(len(ordered), func(i int) *Char { return ordered[i] })
+	b.root = pbuild(b.gen, len(ordered), func(i int) *Char { return ordered[i] })
 	return b, nil
 }
 
@@ -201,11 +205,13 @@ func (b *Buffer) InsertRun(prev util.ID, run []Char) (updatedNext util.ID, err e
 		at = c.ID
 	}
 	r, _ := b.order.totalRank(block[0].ID)
-	l, rest := psplit(b.root, r)
-	b.root = pmerge(pmerge(l, pbuild(len(block), func(i int) *Char { return &block[i] })), rest)
+	l, rest := psplit(b.gen, b.root, r)
+	mid := pbuild(b.gen, len(block), func(i int) *Char { return &block[i] })
+	b.root = pmerge(b.gen, pmerge(b.gen, l, mid), rest)
 
 	// Re-link the neighbours copy-on-write, so that published snapshots
-	// keep their frozen chain links.
+	// keep their frozen chain links. Their mirror paths mostly run through
+	// the nodes the splice just made, which are updated in place.
 	if prev.IsNil() {
 		b.head = block[0].ID
 	} else {
@@ -224,7 +230,7 @@ func (b *Buffer) InsertRun(prev util.ID, run []Char) (updatedNext util.ID, err e
 
 // update installs ch, a fresh copy of the record of ch.ID, in the order
 // node and, path-copied, in the mirror.
-func (b *Buffer) update(ch *Char) { b.root = pset(b.root, b.order.swap(ch), ch) }
+func (b *Buffer) update(ch *Char) { b.root = pset(b.gen, b.root, b.order.swap(ch), ch) }
 
 // Delete tombstones id (logical deletion). The chain is untouched.
 func (b *Buffer) Delete(id util.ID, by string, at time.Time) error {
@@ -330,7 +336,9 @@ func (b *Buffer) CheckInvariants() error {
 	}
 	// The mirror must hold exactly the order's records: a divergence here
 	// means positional reads and snapshots are lying about the document.
-	snap := b.Snapshot()
+	// The live view is read as is: Snapshot would end the generation, and
+	// a check must not change which writes copy nodes.
+	snap := &Snapshot{view: b.view}
 	if err := snap.CheckInvariants(); err != nil {
 		return fmt.Errorf("texttree: snapshot mirror: %w", err)
 	}

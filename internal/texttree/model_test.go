@@ -253,13 +253,21 @@ type keptSnap struct {
 	m    model
 }
 
-// checkKept compares every kept snapshot's by-identity reads with the
-// model saved beside it, for every instance that model knew (hot, tombstoned
-// and archived) and every instance created since. Char walks the mirror
-// once per instance, so it is asked only when chars is set.
+// checkKept checks every kept snapshot's structure and text against the
+// text saved beside it, and its by-identity reads against the model saved
+// beside it, for every instance that model knew (hot, tombstoned and
+// archived) and every instance created since. Char walks the mirror once
+// per instance, so it is asked only when chars is set.
 func (r *modelRun) checkKept(chars bool, label string) {
+	r.t.Helper()
 	now := r.m.ids()
 	for j, k := range r.kept {
+		if got := k.s.Text(); got != k.text {
+			r.t.Fatalf("%s: snapshot %d drifted: %q, want %q", label, j, clip(got, 60), clip(k.text, 60))
+		}
+		if err := k.s.CheckInvariants(); err != nil {
+			r.t.Fatalf("%s: snapshot %d: %v", label, j, err)
+		}
 		known := make(map[util.ID]bool)
 		for _, id := range k.m.ids() {
 			known[id] = true
@@ -365,14 +373,18 @@ func (r *modelRun) compactAndRehydrate(x byte) {
 }
 
 // runModel interprets data three bytes per step, checking the buffer
-// against the model after every step. Every loadEvery steps it also checks
-// that a buffer loaded from the current snapshot answers the same, and
-// that every snapshot kept so far still reads as it did, by position and
-// by identity; at the end each kept snapshot's Char is asked for every
-// instance as well.
+// against the model after every step. At irregular steps, loadEvery apart
+// on average and placed by the data, it takes and keeps a snapshot, checks
+// that a buffer loaded from it answers the same, and that every snapshot
+// kept so far still reads as it did; at the end each kept snapshot's Char
+// is asked for every instance as well. Only these snapshots end the
+// buffer's generation, so the steps between two of them — inserts,
+// deletes, undeletes and compaction passes alike — update the mirror
+// nodes that generation made in place.
 func runModel(t testing.TB, data []byte, loadEvery int) *modelRun {
 	t.Helper()
 	r := &modelRun{t: t, b: NewBuffer(), m: model{arch: map[util.ID][]Char{}}}
+	keepAt := loadEvery - 1
 	for i := 0; i+2 < len(data); i += 3 {
 		step := i / 3
 		r.step(data[i], data[i+1], data[i+2])
@@ -394,9 +406,10 @@ func runModel(t testing.TB, data []byte, loadEvery int) *modelRun {
 				}
 			}
 		}
-		if step%loadEvery != loadEvery-1 {
+		if step != keepAt {
 			continue
 		}
+		keepAt += 1 + int(data[i+1]^data[i+2])%(2*loadEvery-1)
 		s := r.b.Snapshot()
 		loaded, err := Load(s.AllChars())
 		if err != nil {
@@ -404,14 +417,6 @@ func runModel(t testing.TB, data []byte, loadEvery int) *modelRun {
 		}
 		r.m.check(t, loaded, label+" reloaded")
 		r.kept = append(r.kept, keptSnap{s: s, text: s.Text(), m: r.m.frozen()})
-		for j, k := range r.kept {
-			if got := k.s.Text(); got != k.text {
-				t.Fatalf("%s: snapshot %d drifted: %q, want %q", label, j, clip(got, 60), clip(k.text, 60))
-			}
-			if err := k.s.CheckInvariants(); err != nil {
-				t.Fatalf("%s: snapshot %d: %v", label, j, err)
-			}
-		}
 		r.checkKept(false, label)
 	}
 	r.checkKept(true, "end")

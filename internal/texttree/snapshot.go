@@ -16,16 +16,22 @@ import (
 // blocking writers. Writers address it by total rank, which the
 // parent-pointer order treap answers, and mirror every change into it
 // (split/merge along a copied root path); readers hold the old root and
-// never observe the change. Every positional and visibility query, for the
+// never observe the change. Copying is per generation, not per write: a
+// node carries the buffer generation that made it, taking a snapshot ends
+// the generation, and a write copies only nodes of earlier generations —
+// a node the current generation already copied is updated in place, as no
+// snapshot can reach it. Every positional and visibility query, for the
 // live buffer and for snapshots, is answered here. Old snapshots are
 // reclaimed by the garbage collector once the last reader drops them — no
 // epoch bookkeeping is needed.
 
-// pnode is one node of the persistent treap. Once reachable from a
-// published snapshot root it is never mutated; updates copy the root-to-
-// target path and share everything else.
+// pnode is one node of the persistent treap. A node of an ended
+// generation may be reachable from a snapshot and is never mutated;
+// updates copy its root-to-target path into the current generation and
+// share everything else.
 type pnode struct {
 	prio   uint64
+	gen    uint64 // the buffer generation that made the node
 	left   *pnode
 	right  *pnode
 	size   int // total nodes in subtree
@@ -58,31 +64,38 @@ func (n *pnode) recompute() {
 	}
 }
 
-// with returns a copy of n with the given children (the path-copy step).
-func (n *pnode) with(left, right *pnode) *pnode {
-	c := &pnode{prio: n.prio, visible: n.visible, ch: n.ch, left: left, right: right}
+// with returns n with the given children in generation gen (the path-copy
+// step): n itself, updated in place, if gen made it, else a copy made in
+// gen. The old tree the caller splits or merges is consumed either way.
+func (n *pnode) with(gen uint64, left, right *pnode) *pnode {
+	c := n
+	if n.gen != gen {
+		c = &pnode{prio: n.prio, gen: gen, visible: n.visible, ch: n.ch}
+	}
+	c.left, c.right = left, right
 	c.recompute()
 	return c
 }
 
 // psplit splits the treap into the first k nodes and the rest, copying
-// only the nodes along the split path.
-func psplit(n *pnode, k int) (*pnode, *pnode) {
+// only the nodes along the split path that gen has not made.
+func psplit(gen uint64, n *pnode, k int) (*pnode, *pnode) {
 	if n == nil {
 		return nil, nil
 	}
 	if k <= n.left.sizeOf() {
-		l, r := psplit(n.left, k)
-		return l, n.with(r, n.right)
+		l, r := psplit(gen, n.left, k)
+		return l, n.with(gen, r, n.right)
 	}
-	l, r := psplit(n.right, k-n.left.sizeOf()-1)
-	return n.with(n.left, l), r
+	l, r := psplit(gen, n.right, k-n.left.sizeOf()-1)
+	return n.with(gen, n.left, l), r
 }
 
 // pmerge joins two treaps (every node of a precedes every node of b),
-// copying only the merge path. Smaller priority wins the root, matching
-// the mutable treap's min-heap orientation.
-func pmerge(a, b *pnode) *pnode {
+// copying only the merge path nodes that gen has not made. Smaller
+// priority wins the root, matching the mutable treap's min-heap
+// orientation.
+func pmerge(gen uint64, a, b *pnode) *pnode {
 	if a == nil {
 		return b
 	}
@@ -90,38 +103,39 @@ func pmerge(a, b *pnode) *pnode {
 		return a
 	}
 	if a.prio < b.prio {
-		return a.with(a.left, pmerge(a.right, b))
+		return a.with(gen, a.left, pmerge(gen, a.right, b))
 	}
-	return b.with(pmerge(a, b.left), b.right)
+	return b.with(gen, pmerge(gen, a, b.left), b.right)
 }
 
 // pset replaces the character record (and with it the visibility) of the
-// node at total rank k, path-copying down to it.
-func pset(n *pnode, k int, ch *Char) *pnode {
+// node at total rank k, path-copying down to it in generation gen.
+func pset(gen uint64, n *pnode, k int, ch *Char) *pnode {
 	ls := n.left.sizeOf()
 	switch {
 	case k < ls:
-		return n.with(pset(n.left, k, ch), n.right)
+		return n.with(gen, pset(gen, n.left, k, ch), n.right)
 	case k == ls:
-		c := &pnode{prio: n.prio, visible: !ch.Deleted, ch: ch, left: n.left, right: n.right}
+		c := n.with(gen, n.left, n.right)
+		c.visible, c.ch = !ch.Deleted, ch
 		c.recompute()
 		return c
 	default:
-		return n.with(n.left, pset(n.right, k-ls-1, ch))
+		return n.with(gen, n.left, pset(gen, n.right, k-ls-1, ch))
 	}
 }
 
 // pbuild constructs a treap from the n records at(0..n-1), already in
 // chain order, in O(n) using the rightmost-spine construction. The nodes
-// are freshly allocated and unshared, so in-place fixup is safe until the
-// root is published.
-func pbuild(n int, at func(i int) *Char) *pnode {
+// are made in generation gen, freshly allocated and unshared, so in-place
+// fixup is safe until the root is published.
+func pbuild(gen uint64, n int, at func(i int) *Char) *pnode {
 	// The right spine is O(log n) deep, so the stack rarely outgrows 32 and
 	// a short run builds without allocating it.
 	stack := make([]*pnode, 0, 32)
 	for i := 0; i < n; i++ {
 		ch := at(i)
-		nd := &pnode{prio: prioFor(ch.ID), visible: !ch.Deleted, ch: ch}
+		nd := &pnode{prio: prioFor(ch.ID), gen: gen, visible: !ch.Deleted, ch: ch}
 		var last *pnode
 		for len(stack) > 0 && stack[len(stack)-1].prio > nd.prio {
 			last = stack[len(stack)-1]
@@ -410,12 +424,18 @@ type Snapshot struct {
 }
 
 // Snapshot returns an immutable view of the buffer's current state. It is
-// O(1): the returned snapshot shares structure with the live buffer, and
-// copy-on-write updates keep it frozen while the buffer moves on. The
-// caller may read it from any goroutine without synchronisation, but
-// taking the snapshot itself must be serialised with writers (callers in
-// core do it under the document lock, or atomically republish).
-func (b *Buffer) Snapshot() *Snapshot { return &Snapshot{view: b.view} }
+// O(1): the returned snapshot shares structure with the live buffer.
+// Taking it ends the buffer's generation, which freezes every mirror node
+// reachable now: later writes copy such a node before they change it, so
+// the snapshot stays as it was while the buffer moves on. The caller may
+// read it from any goroutine without synchronisation, but taking the
+// snapshot itself is a write to the buffer and must be serialised with
+// writers (callers in core do it under the document lock, or before the
+// document is shared).
+func (b *Buffer) Snapshot() *Snapshot {
+	b.gen++
+	return &Snapshot{view: b.view}
+}
 
 // Text returns the visible text of the snapshot. The first call renders
 // the text into a single pre-sized buffer; subsequent calls (and every

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tendax/internal/util"
 )
@@ -238,6 +239,60 @@ func TestBufferErrorPathsLeaveStateUnchanged(t *testing.T) {
 	}
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPnodeFitsSizeClass: the generation stamp must not push a mirror
+// node out of the 64-byte allocation size class, or every instance's
+// heap grows with it.
+func TestPnodeFitsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(pnode{}); size > 64 {
+		t.Fatalf("pnode is %d B, over the 64 B size class", size)
+	}
+}
+
+// TestOneKeyInsertCopiesOnePath gates the allocations of one key typed
+// right after a snapshot into a 40k-instance buffer. The split, the two
+// merges and both neighbour relinks each walk a root path, but a node is
+// copied at most once per generation: the later walks update the copies
+// the split made. Copying every path anew cost 94 allocations.
+func TestOneKeyInsertCopiesOnePath(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	const n, limit = 40000, 40
+	created := time.Unix(1, 0)
+	rows := make([]Char, n)
+	for i := range rows {
+		id := util.ID(i + 1)
+		rows[i] = Char{ID: id, Rune: 'a' + rune(i%26), Author: "alice", Created: created}
+		if i > 0 {
+			rows[i].Prev = id - 1
+		}
+		if i < n-1 {
+			rows[i].Next = id + 1
+		}
+	}
+	b, err := Load(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := util.NewRand(7)
+	next := util.ID(n + 1)
+	allocs := testing.AllocsPerRun(200, func() {
+		b.Snapshot()
+		prev := util.ID(1 + rng.Intn(n))
+		if _, err := b.InsertAfter(prev, Char{ID: next, Rune: 'k', Author: "bob", Created: created}); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.1f allocations per key typed after a snapshot", allocs)
+	if allocs > limit {
+		t.Fatalf("one key after a snapshot allocated %.1f times, limit %d", allocs, limit)
 	}
 }
 
