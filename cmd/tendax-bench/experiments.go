@@ -969,56 +969,35 @@ func runE17(quick bool, _ string) error {
 // across shards; the metric is durable keystrokes per second — the run
 // ends only when every shard's WAL has synced the last keystroke.
 //
-// Two legs separate the two resources sharding multiplies:
+// Writers wait for durability every 64 keys, so throughput is bound by
+// commit-path CPU (character-record apply, WAL append, bus publish).
+// Shards multiply the serial pipelines, so the storm scales with cores.
 //
-//   - burst (group commit, 64-key durability bursts): throughput is bound
-//     by commit-path CPU (character-record apply, WAL append, bus publish).
-//     Shards multiply the serial pipelines, so this leg scales with cores.
-//   - sync (per-keystroke durability): throughput is bound by the WAL sync
-//     cadence. Shards multiply the device lanes syncing in parallel.
-//
-// On a single-CPU host the burst leg cannot exceed ~1x by construction —
+// On a single-CPU host the storm cannot exceed ~1x by construction —
 // coalescing group commit already overlaps one WAL's sync with commit
 // work, so extra pipelines only help when they run on extra cores. The
 // scaling gate therefore engages only when the host has >= 4 CPUs.
 func runE18(quick bool, _ string) error {
 	const writers = 8
 	keysPer := 4000
-	syncKeys := 600
 	if quick {
 		keysPer = 1000
-		syncKeys = 300
 	}
 	cores := runtime.NumCPU()
 	fmt.Printf("host: %d CPU(s); 8 writers, one document each, round-robin placement\n", cores)
 	fmt.Printf("%-8s %-7s %16s %14s %10s\n", "leg", "shards", "durable keys/s", "elapsed", "scaling")
-	legs := []struct {
-		name    string
-		keys    int
-		ack     int
-		syncful bool // per-commit sync (group commit off): device-lane leg
-	}{
-		{"burst", keysPer, 64, false},
-		{"sync", syncKeys, 1, true},
-	}
-	scale := make(map[string]float64)
-	for _, leg := range legs {
-		var base float64
-		for _, n := range []int{1, 2, 4} {
-			rate, elapsed, err := e18Storm(n, writers, leg.keys, leg.ack, leg.syncful)
-			if err != nil {
-				return err
-			}
-			if n == 1 {
-				base = rate
-			}
-			s := rate / base
-			if n == 4 {
-				scale[leg.name] = s
-			}
-			fmt.Printf("%-8s %-7d %16.0f %14s %9.2fx\n",
-				leg.name, n, rate, elapsed.Round(time.Millisecond), s)
+	var base, scale float64
+	for _, n := range []int{1, 2, 4} {
+		rate, elapsed, err := e18Storm(n, writers, keysPer, 64)
+		if err != nil {
+			return err
 		}
+		if n == 1 {
+			base = rate
+		}
+		scale = rate / base
+		fmt.Printf("%-8s %-7d %16.0f %14s %9.2fx\n",
+			"burst", n, rate, elapsed.Round(time.Millisecond), scale)
 	}
 	// A -quick storm lasts a few hundred milliseconds: beside other work
 	// on a shared host its throughput ratios are noise, so the smoke run
@@ -1027,17 +1006,17 @@ func runE18(quick bool, _ string) error {
 		fmt.Println("note: -quick run — scaling gates skipped")
 		return nil
 	}
-	if cores >= 4 && scale["burst"] < 2.5 {
+	if cores >= 4 && scale < 2.5 {
 		return fmt.Errorf("e18: burst leg scaled only %.2fx from 1 to 4 shards on a %d-CPU host (want >= 2.5x)",
-			scale["burst"], cores)
+			scale, cores)
 	}
 	if cores < 4 {
 		fmt.Printf("note: %d-CPU host — shard pipelines cannot run in parallel; scaling gate skipped\n", cores)
 	}
 	// Sharding must never cost throughput: the storm splits across
 	// independent pipelines even when they time-share one core.
-	if scale["burst"] < 0.85 {
-		return fmt.Errorf("e18: 4-shard burst throughput regressed to %.2fx of single-shard", scale["burst"])
+	if scale < 0.85 {
+		return fmt.Errorf("e18: 4-shard burst throughput regressed to %.2fx of single-shard", scale)
 	}
 	return nil
 }
@@ -1046,9 +1025,7 @@ func runE18(quick bool, _ string) error {
 // document each, placed round-robin over n file-backed shards. Writers
 // commit asynchronously and wait for durability every ackEvery keystrokes,
 // plus a final wait, so the reported rate covers fully synced WALs.
-// syncful disables group commit: every durability wait pays its own
-// device sync on the owning shard's WAL.
-func e18Storm(n, writers, keysPer, ackEvery int, syncful bool) (rate float64, elapsed time.Duration, err error) {
+func e18Storm(n, writers, keysPer, ackEvery int) (rate float64, elapsed time.Duration, err error) {
 	dir, err := os.MkdirTemp("", "tendax-e18-*")
 	if err != nil {
 		return 0, 0, err
@@ -1057,7 +1034,6 @@ func e18Storm(n, writers, keysPer, ackEvery int, syncful bool) (rate float64, el
 	cl, err := placement.Open(placement.Options{
 		Shards: n,
 		Dir:    dir,
-		DB:     db.Options{DisableGroupCommit: syncful},
 	})
 	if err != nil {
 		return 0, 0, err

@@ -155,14 +155,9 @@ func TestStressConcurrentAppendDistinctDocs(t *testing.T) {
 		}
 		ids[i] = d.ID()
 	}
-	// A file-backed open must have started the group-commit flusher — this
-	// guards the wiring (db.Open, DisableGroupCommit default) that the
-	// whole pipeline depends on. The realized batch size is reported but
-	// not asserted: on a loaded single-core machine a short run can
-	// legitimately serialize with no commit overlap.
-	if !database.Log().GroupCommit() {
-		t.Error("file-backed database did not start the group-commit flusher")
-	}
+	// The realized batch size is reported but not asserted: on a loaded
+	// single-core machine a short run can legitimately serialize with no
+	// commit overlap.
 	ops := uint64(stressWriters * stressOps)
 	if syncs := database.Log().SyncCount() - syncs0; syncs >= ops {
 		t.Logf("note: %d syncs for %d durable commits (no batching this run)", syncs, ops)

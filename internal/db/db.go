@@ -1,6 +1,7 @@
 package db
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"path/filepath"
@@ -14,11 +15,11 @@ import (
 	"tendax/internal/wal"
 )
 
-// DefaultGroupCommitDelay is the max coalescing wait a file-backed store's
-// WAL flusher may add per batch when Options.GroupCommitDelay is unset. The
-// window is self-clocked — the flusher stops waiting as soon as the batch
-// matches the previous one, and a single writer never waits at all — so
-// this bounds the worst case rather than being paid every batch.
+// DefaultGroupCommitDelay is the max coalescing wait every database's WAL
+// flusher may add per batch. The window is self-clocked — the flusher stops
+// waiting as soon as the batch matches the previous one, and a single
+// writer never waits at all — so this bounds the worst case rather than
+// being paid every batch.
 const DefaultGroupCommitDelay = time.Millisecond
 
 // Options configures a Database.
@@ -28,19 +29,6 @@ type Options struct {
 	Dir string
 	// PoolPages is the buffer pool capacity in pages (default 1024).
 	PoolPages int
-	// LockTimeout bounds lock waits (default 10s).
-	LockTimeout time.Duration
-	// DisableGroupCommit forces every commit to pay its own fsync (the
-	// pre-group-commit behavior). Group commit is on by default for
-	// file-backed stores; in-memory stores (Dir == "") never start the
-	// flusher — syncs there are free, and tests rely on the synchronous
-	// zero-delay path.
-	DisableGroupCommit bool
-	// GroupCommitDelay is the max extra time the WAL flusher waits per
-	// batch to let more commits join. Zero means DefaultGroupCommitDelay;
-	// negative means no timed wait (flush as soon as the previous sync
-	// returns).
-	GroupCommitDelay time.Duration
 	// CheckpointInterval, when positive, runs a background fuzzy
 	// checkpoint (FuzzyCheckpoint: non-quiescent, truncates the log) at
 	// least this often. Zero leaves the background checkpointer off —
@@ -76,8 +64,8 @@ type Database struct {
 	catalog *Table
 	nextTID uint64
 
-	// ckptMu serialises log maintenance: fuzzy checkpoints, the legacy
-	// quiescent Checkpoint/Compact, and Close. Writers are never behind it.
+	// ckptMu serialises fuzzy checkpoints, including the one Close takes.
+	// Writers are never behind it.
 	ckptMu   sync.Mutex
 	ckpts    uint64
 	ckptErr  error // last background checkpoint failure, for diagnostics
@@ -109,33 +97,13 @@ func Open(opts Options) (*Database, error) {
 			return nil, err
 		}
 	}
-	d, err := openWith(disk, store, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Group commit pays off exactly where fsync costs something: start the
-	// background flusher for file-backed stores only, after recovery (which
-	// flushes synchronously) has completed.
-	if opts.Dir != "" && !opts.DisableGroupCommit {
-		delay := opts.GroupCommitDelay
-		if delay == 0 {
-			delay = DefaultGroupCommitDelay
-		}
-		if delay < 0 {
-			delay = 0
-		}
-		d.log.StartGroupCommit(delay)
-	}
-	return d, nil
+	return OpenWith(disk, store, opts)
 }
 
 // OpenWith opens a database over explicit storage, letting tests inject
-// crash-simulation stores.
-func OpenWith(disk storage.DiskManager, store wal.Store, opts Options) (*Database, error) {
-	return openWith(disk, store, opts)
-}
-
-func openWith(disk storage.DiskManager, store wal.Store, opts Options) (*Database, error) {
+// crash-simulation stores. If it fails after opening the log, it closes the
+// log (and with it the store), so no flusher outlives the attempt.
+func OpenWith(disk storage.DiskManager, store wal.Store, opts Options) (_ *Database, err error) {
 	if opts.PoolPages <= 0 {
 		opts.PoolPages = 1024
 	}
@@ -144,6 +112,12 @@ func openWith(disk storage.DiskManager, store wal.Store, opts Options) (*Databas
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			_ = log.Close()
+		}
+	}()
+	log.StartGroupCommit(DefaultGroupCommitDelay)
 	// WAL-before-data: no dirty page may be flushed or evicted before the
 	// log records that produced its state are durable. With group commit,
 	// committed-but-unflushed log tails are routine, so the pool must hold
@@ -155,7 +129,7 @@ func openWith(disk storage.DiskManager, store wal.Store, opts Options) (*Databas
 	if err != nil {
 		return nil, fmt.Errorf("db: recovery: %w", err)
 	}
-	tm := txn.NewManager(log, txn.NewLockManager(opts.LockTimeout))
+	tm := txn.NewManager(log, txn.NewLockManager(0))
 	tm.SeedIDs(stats.MaxTxnID)
 
 	d := &Database{
@@ -326,28 +300,6 @@ func (d *Database) CreateTable(name string, schema Schema, indexCols ...string) 
 	return tbl, nil
 }
 
-// Checkpoint flushes all dirty pages and, when no transaction is in
-// flight, compacts the write-ahead log to a single checkpoint record. It is
-// the quiescent degenerate case of FuzzyCheckpoint (empty dirty-page and
-// active-transaction tables), kept for shutdown and for callers that can
-// guarantee a quiet moment.
-func (d *Database) Checkpoint() error {
-	d.ckptMu.Lock()
-	defer d.ckptMu.Unlock()
-	//tendax:allow-locksync ckptMu serializes checkpoints only; no commit or read path takes it, and flushing under it is the checkpoint's job
-	if err := d.log.Flush(); err != nil {
-		return err
-	}
-	if err := d.pool.FlushAll(); err != nil {
-		return err
-	}
-	if d.tm.ActiveCount() == 0 {
-		//tendax:allow-locksync ckptMu serializes checkpoints only; compaction is the quiescent checkpoint's final step
-		return d.log.Compact()
-	}
-	return nil
-}
-
 // FuzzyCheckpoint takes a non-quiescent checkpoint: it writes back pages
 // dirtied before now (advancing the redo horizon), captures the dirty-page
 // and active-transaction tables into a begin/end checkpoint record pair,
@@ -449,20 +401,17 @@ func (d *Database) startCheckpointer(interval time.Duration, maxBytes int64) {
 	}()
 }
 
-// Close checkpoints and releases all resources.
+// Close stops the background checkpointer, takes a fuzzy checkpoint so the
+// next open has next to nothing to replay, and closes the log and the disk
+// — also when the checkpoint fails.
 func (d *Database) Close() error {
 	if d.ckptStop != nil {
 		close(d.ckptStop)
 		<-d.ckptDone
 		d.ckptStop = nil
 	}
-	if err := d.Checkpoint(); err != nil {
-		return err
-	}
-	if err := d.log.Close(); err != nil {
-		return err
-	}
-	return d.disk.Close()
+	_, err := d.FuzzyCheckpoint()
+	return errors.Join(err, d.log.Close(), d.disk.Close())
 }
 
 // WaitDurable blocks until every log record up to and including lsn is on

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"tendax/internal/storage"
 	"tendax/internal/txn"
@@ -45,7 +44,7 @@ func TestWriteFaultSurfacesOnCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	fd.failWrites.Store(true)
-	if err := d.Checkpoint(); err == nil {
+	if _, err := d.FuzzyCheckpoint(); err == nil {
 		t.Fatal("checkpoint swallowed the injected write fault")
 	}
 	// Data remains intact: after clearing the fault, reads still work.
@@ -55,10 +54,12 @@ func TestWriteFaultSurfacesOnCheckpoint(t *testing.T) {
 	}
 }
 
-// faultStore injects WAL append failures: commits must fail loudly.
+// faultStore injects WAL failures while armed: an Append that fails, or a
+// Sync that fails after its batch was written. Commits must fail loudly.
 type faultStore struct {
 	wal.Store
 	failAppend atomic.Bool
+	failSync   atomic.Bool
 }
 
 func (f *faultStore) Append(b []byte) error {
@@ -66,6 +67,13 @@ func (f *faultStore) Append(b []byte) error {
 		return errors.New("injected log fault")
 	}
 	return f.Store.Append(b)
+}
+
+func (f *faultStore) Sync() error {
+	if f.failSync.Load() {
+		return errors.New("injected fsync fault")
+	}
+	return f.Store.Sync()
 }
 
 func TestLogFaultFailsCommit(t *testing.T) {
@@ -89,10 +97,77 @@ func TestLogFaultFailsCommit(t *testing.T) {
 	fs.failAppend.Store(false)
 }
 
+// TestFailedSyncStaysFailed pins the fsyncgate rule on the commit path: a
+// batch whose Sync failed may or may not be on the device, so its commit
+// never turns durable. No later wait, commit or Flush reports success for
+// an LSN at or past the failed batch, even once Sync works again, and the
+// failed batch is not written to the store a second time.
+func TestFailedSyncStaysFailed(t *testing.T) {
+	fs := &faultStore{Store: wal.NewMemStore()}
+	d, err := OpenWith(storage.NewMemDisk(), fs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := d.CreateTable("t", Schema{{Name: "id", Type: TInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, _ := d.Begin()
+	if _, err := tbl.Insert(tx, Row{int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	fs.failSync.Store(true) // for this one batch
+	lsn, err := tx.CommitAsync()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WaitDurable(lsn); err == nil {
+		t.Fatal("commit turned durable although its fsync failed")
+	}
+	fs.failSync.Store(false)
+
+	if err := d.WaitDurable(lsn); err == nil {
+		t.Error("second wait on the failed commit succeeded")
+	}
+	tx2, _ := d.Begin()
+	if _, err := tbl.Insert(tx2, Row{int64(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.Commit(); err == nil {
+		t.Error("a commit after the failed batch succeeded")
+	}
+	if err := d.Log().Flush(); err == nil {
+		t.Error("Flush after the failed batch succeeded")
+	}
+
+	seen := map[wal.LSN]int{}
+	if err := d.Log().Iterate(func(r *wal.Record) error {
+		seen[r.LSN]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if seen[lsn] == 0 {
+		t.Errorf("the failed batch's commit record %d never reached the store", lsn)
+	}
+	for l, n := range seen {
+		if n != 1 {
+			t.Errorf("record %d is in the store %d times", l, n)
+		}
+	}
+	size, _ := fs.Size()
+	if err := d.Close(); err == nil {
+		t.Error("Close of a poisoned log reported success")
+	}
+	if after, _ := fs.Size(); after != size {
+		t.Errorf("Close wrote to a poisoned log: %d -> %d bytes", size, after)
+	}
+}
+
 // TestDeadlockVictimCanRetry induces a deadlock between two transactions;
 // the victim aborts (releasing the survivor) and its retry succeeds.
 func TestDeadlockVictimCanRetry(t *testing.T) {
-	d, err := Open(Options{LockTimeout: 5 * time.Second})
+	d, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,8 +144,8 @@ type CheckpointResult struct {
 // it does NOT report is durable (for a file-backed pool: sync the disk
 // after snapshotting the table) — truncation treats any update below the
 // reported recLSNs as safely on disk. The capture callbacks must not append
-// to the log. At most one maintenance operation (FuzzyCheckpoint, Compact)
-// may run at a time; the database layer serialises them.
+// to the log. Checkpoints must not overlap; the database layer serialises
+// them.
 func (l *Log) FuzzyCheckpoint(captureDPT func() ([]storage.DirtyPage, error), captureATT func() []ActiveTxn) (*CheckpointResult, error) {
 	beginLSN, err := l.Append(&Record{Type: RecCkptBegin})
 	if err != nil {

@@ -48,10 +48,7 @@ func TestCheckpointBodyRejectsGarbage(t *testing.T) {
 
 func TestTruncateBelowCutsExactPrefix(t *testing.T) {
 	store := NewMemStore()
-	log, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := openLog(t, store)
 	var lsns []LSN
 	for i := 0; i < 20; i++ {
 		lsn, err := log.Append(&Record{Type: RecUpdate, TxnID: 1, Page: uint64(i), Op: OpInsert, After: []byte("x")})
@@ -83,10 +80,7 @@ func TestTruncateBelowCutsExactPrefix(t *testing.T) {
 		t.Fatalf("kept %v, want exactly [%d..%d]", kept, cut, lsns[19])
 	}
 	// LSN continuity across a reopen of the truncated store.
-	log2, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log2 := openLog(t, store)
 	if log2.NextLSN() != lsns[19]+1 {
 		t.Fatalf("NextLSN after truncated reopen = %d, want %d", log2.NextLSN(), lsns[19]+1)
 	}
@@ -94,10 +88,7 @@ func TestTruncateBelowCutsExactPrefix(t *testing.T) {
 
 func TestTruncateBelowZeroAndBeyondTail(t *testing.T) {
 	store := NewMemStore()
-	log, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := openLog(t, store)
 	lsn, err := log.Append(&Record{Type: RecBegin, TxnID: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -123,10 +114,7 @@ func TestTruncateBelowZeroAndBeyondTail(t *testing.T) {
 // survive truncation.
 func TestFuzzyCheckpointTruncatesRespectingTables(t *testing.T) {
 	store := NewMemStore()
-	log, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := openLog(t, store)
 	for i := 0; i < 10; i++ {
 		if _, err := log.Append(&Record{Type: RecUpdate, TxnID: 2, Page: uint64(i), Op: OpInsert, After: []byte("y")}); err != nil {
 			t.Fatal(err)
@@ -174,5 +162,53 @@ func TestFuzzyCheckpointTruncatesRespectingTables(t *testing.T) {
 	}
 	if !sawEnd {
 		t.Fatal("end-checkpoint record missing after truncation")
+	}
+}
+
+// TestFuzzyCheckpointKeepsLSNsMonotone: a checkpoint that truncates every
+// earlier record leaves exactly its begin/end pair, and LSNs continue
+// monotonically past it and past a reopen of the truncated log, so page
+// LSNs stamped before the checkpoint stay comparable.
+func TestFuzzyCheckpointKeepsLSNsMonotone(t *testing.T) {
+	store := NewMemStore()
+	log := openLog(t, store)
+	for i := uint64(1); i <= 10; i++ {
+		if _, err := log.Append(&Record{Type: RecBegin, TxnID: i}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := log.Append(&Record{Type: RecCommit, TxnID: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := log.FuzzyCheckpoint(
+		func() ([]storage.DirtyPage, error) { return nil, nil },
+		func() []ActiveTxn { return nil },
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []RecordType
+	if err := log.Iterate(func(r *Record) error {
+		types = append(types, r.Type)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(types) != 2 || types[0] != RecCkptBegin || types[1] != RecCkptEnd {
+		t.Fatalf("after checkpoint: %v, want exactly the begin/end pair", types)
+	}
+	lsn, err := log.Append(&Record{Type: RecBegin, TxnID: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn <= res.EndLSN {
+		t.Fatalf("post-checkpoint LSN %d not above the end record %d", lsn, res.EndLSN)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log2 := openLog(t, store)
+	if next := log2.NextLSN(); next != lsn+1 {
+		t.Fatalf("NextLSN after reopen = %d, want %d", next, lsn+1)
 	}
 }

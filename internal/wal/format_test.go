@@ -156,10 +156,7 @@ func TestLegacyLogRefused(t *testing.T) {
 	// A log whose store turns legacy after Open: Iterate and Recover refuse
 	// it too, and so does truncation.
 	store = NewMemStore()
-	log, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := openLog(t, store)
 	if err := store.Append(legacy); err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +175,7 @@ func TestLegacyLogRefused(t *testing.T) {
 	if err := store.Append(legacy[:5]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(store); err != nil {
-		t.Fatalf("Open over 5 torn bytes: %v", err)
-	}
+	openLog(t, store)
 }
 
 // TestRedoRejectsPreImageMismatch: redo of an update needs the page to hold
@@ -190,10 +185,7 @@ func TestRedoRejectsPreImageMismatch(t *testing.T) {
 	disk := storage.NewMemDisk()
 	pool := storage.NewBufferPool(disk, 16)
 	store := NewMemStore()
-	log, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := openLog(t, store)
 	page := newHeapPage(t, pool)
 	tx := beginSim(t, log, pool, 1)
 	slot := tx.insert(page, []byte("the row"))
@@ -210,10 +202,7 @@ func TestRedoRejectsPreImageMismatch(t *testing.T) {
 	tx.prev = lsn
 	tx.commit()
 
-	log2, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log2 := openLog(t, store)
 	if _, err := Recover(log2, storage.NewBufferPool(disk, 16)); !errors.Is(err, ErrPreImage) {
 		t.Fatalf("Recover over a mismatched pre-image: %v, want ErrPreImage", err)
 	}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -12,10 +13,7 @@ import (
 // back from the store in LSN order.
 func TestGroupCommitDurability(t *testing.T) {
 	store := NewMemStore()
-	log, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := openLog(t, store)
 	log.StartGroupCommit(time.Millisecond)
 
 	const writers, per = 8, 50
@@ -100,11 +98,7 @@ func (s *heldSyncStore) Sync() error {
 // first commit, one for the other seven.
 func TestGroupCommitCoalescesSyncs(t *testing.T) {
 	store := &heldSyncStore{MemStore: NewMemStore(), entered: make(chan struct{}, 1), release: make(chan struct{})}
-	log, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log.StartGroupCommit(0)
+	log := openLog(t, store)
 
 	const commits = 8
 	var wg sync.WaitGroup
@@ -145,11 +139,7 @@ func TestGroupCommitCoalescesSyncs(t *testing.T) {
 // yet awaited still reach the store on Close.
 func TestGroupCommitCloseFlushesPending(t *testing.T) {
 	store := NewMemStore()
-	log, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log.StartGroupCommit(0)
+	log := openLog(t, store)
 	if _, err := log.Append(&Record{Type: RecBegin, TxnID: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -160,76 +150,24 @@ func TestGroupCommitCloseFlushesPending(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	log2, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log2 := openLog(t, store)
 	if log2.FlushedLSN() != lsn {
 		t.Fatalf("reopened FlushedLSN=%d, want %d", log2.FlushedLSN(), lsn)
 	}
 }
 
-// TestGroupCommitCompact verifies checkpoint compaction drains the flusher
-// and leaves a consistent single-checkpoint log.
-func TestGroupCommitCompact(t *testing.T) {
-	store := NewMemStore()
-	log, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log.StartGroupCommit(time.Millisecond)
-	var last LSN
-	for i := uint64(1); i <= 10; i++ {
-		if _, err := log.Append(&Record{Type: RecBegin, TxnID: i}); err != nil {
-			t.Fatal(err)
-		}
-		if last, err = log.Append(&Record{Type: RecCommit, TxnID: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.WaitFlushed(last); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	var types []RecordType
-	if err := log.Iterate(func(r *Record) error {
-		types = append(types, r.Type)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(types) != 1 || types[0] != RecCheckpoint {
-		t.Fatalf("after compact: %v, want exactly one checkpoint", types)
-	}
-	// LSNs continue monotonically past the checkpoint.
-	lsn, err := log.Append(&Record{Type: RecBegin, TxnID: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsn <= last {
-		t.Fatalf("post-compact LSN %d not above pre-compact %d", lsn, last)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGroupCommitFlushSemantics: Flush in group-commit mode must be a full
-// durability barrier for everything appended so far.
+// TestGroupCommitFlushSemantics: Flush must be a full durability barrier for everything appended so far.
 func TestGroupCommitFlushSemantics(t *testing.T) {
 	store := NewMemStore()
-	log, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := openLog(t, store)
 	log.StartGroupCommit(time.Millisecond)
 	var last LSN
 	for i := uint64(1); i <= 5; i++ {
-		if last, err = log.Append(&Record{Type: RecUpdate, TxnID: i, Op: OpInsert, Page: uint64(i)}); err != nil {
+		lsn, err := log.Append(&Record{Type: RecUpdate, TxnID: i, Op: OpInsert, Page: uint64(i)})
+		if err != nil {
 			t.Fatal(err)
 		}
+		last = lsn
 	}
 	if err := log.Flush(); err != nil {
 		t.Fatal(err)
@@ -239,5 +177,17 @@ func TestGroupCommitFlushSemantics(t *testing.T) {
 	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAppendAfterCloseFails: a closed log refuses records with ErrClosed
+// instead of buffering them where no flusher will ever write them.
+func TestAppendAfterCloseFails(t *testing.T) {
+	log := openLog(t, NewMemStore())
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append(&Record{Type: RecBegin, TxnID: 1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Append after Close: %v, want ErrClosed", err)
 	}
 }

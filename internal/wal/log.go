@@ -27,16 +27,13 @@ var ErrClosed = errors.New("wal: log closed")
 // regardless); it caps memory for huge transactions.
 const pendingKick = 1 << 20
 
-// Log is the write-ahead log. Append assigns LSNs; Flush makes all appended
-// records durable. A commit is durable once Flush returns after appending
-// the commit record.
-//
-// In its default (synchronous) mode every Flush performs its own
-// store.Sync. StartGroupCommit switches the log to group-commit mode: a
-// single background flusher coalesces all pending records into one
-// store.Append+Sync per batch and wakes every waiter whose commit LSN the
-// batch covers, so N concurrent committers share one fsync instead of
-// paying one each. WaitFlushed is the durability barrier in both modes.
+// Log is the write-ahead log. Append assigns LSNs and buffers the record;
+// WaitFlushed is the durability barrier. A single background flusher,
+// started by Open, is the only path from the buffer to the store: it
+// coalesces all pending records into one store.Append+Sync per batch and
+// wakes every waiter whose LSN the batch covers, so N concurrent committers
+// share one fsync instead of paying one each. A failed batch poisons the
+// log: its error is sticky, and nothing after it reaches the store.
 type Log struct {
 	mu       sync.Mutex
 	store    Store
@@ -45,8 +42,6 @@ type Log struct {
 	appended LSN
 	pending  []byte
 
-	// Group-commit state (nil / zero while in synchronous mode).
-	flusherOn   bool
 	groupDelay  time.Duration // max extra coalescing wait per batch
 	flushReq    chan struct{} // wakes the flusher (capacity 1)
 	flusherDone chan struct{}
@@ -66,9 +61,10 @@ type Log struct {
 }
 
 // Open creates a Log over store, positioning the next LSN after any
-// existing records (scanning stops at a torn tail). A log in an older record
-// format is refused with ErrFormat: opening it as empty would hand out LSNs
-// below the page LSNs already on disk.
+// existing records (scanning stops at a torn tail), and starts its flusher
+// with no coalescing window. A log in an older record format is refused
+// with ErrFormat: opening it as empty would hand out LSNs below the page
+// LSNs already on disk.
 func Open(store Store) (*Log, error) {
 	l := &Log{store: store, nextLSN: 1}
 	err := iterate(store, func(r *Record) error {
@@ -83,35 +79,22 @@ func Open(store Store) (*Log, error) {
 	l.flushed = l.nextLSN - 1
 	l.appended = l.flushed
 	l.durable = sync.NewCond(&l.mu)
-	return l, nil
-}
-
-// StartGroupCommit switches the log to group-commit mode. maxDelay is the
-// longest the flusher waits after picking up work before syncing, letting
-// more commits join the batch; zero flushes as soon as the previous sync
-// returns (arrivals during a sync still coalesce into the next batch).
-// Idempotent; must not be called after Close.
-func (l *Log) StartGroupCommit(maxDelay time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.flusherOn || l.closed {
-		return
-	}
-	if maxDelay < 0 {
-		maxDelay = 0
-	}
-	l.flusherOn = true
-	l.groupDelay = maxDelay
 	l.flushReq = make(chan struct{}, 1)
 	l.flusherDone = make(chan struct{})
 	go l.flusher()
+	return l, nil
 }
 
-// GroupCommit reports whether the background flusher is running.
-func (l *Log) GroupCommit() bool {
+// StartGroupCommit sets the flusher's coalescing window: the longest it
+// waits after picking up work before syncing, letting more commits join the
+// batch. Zero, the window Open starts with, flushes as soon as the previous
+// sync returns (arrivals during a sync still coalesce into the next batch).
+// The flusher itself always runs from Open; the method keeps its name for
+// the keystroke-bench harness, which calls it.
+func (l *Log) StartGroupCommit(maxDelay time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.flusherOn
+	l.groupDelay = max(maxDelay, 0)
 }
 
 // SyncCount returns the number of store.Sync calls performed so far; the
@@ -156,13 +139,18 @@ func (l *Log) kickLocked() {
 // Appends are never blocked by a sync in progress — they buffer under l.mu
 // while the flusher runs store I/O outside it — which is where the batching
 // comes from: a batch absorbs every commit that arrived during the previous
-// sync.
+// sync. After a failed batch it drops whatever is pending instead of
+// writing it: a record behind the failure must not become durable, nor may
+// the failed batch be written a second time.
 func (l *Log) flusher() {
 	defer close(l.flusherDone)
 	for {
 		<-l.flushReq
 		l.coalesce()
 		l.mu.Lock()
+		if l.flushErr != nil {
+			l.pending = nil
+		}
 		if len(l.pending) == 0 {
 			closed := l.closed
 			l.mu.Unlock()
@@ -196,37 +184,21 @@ func (l *Log) flusher() {
 			l.syncs++
 		}
 		l.durable.Broadcast()
-		closed := l.closed
-		more := len(l.pending) > 0
-		if more {
+		if len(l.pending) > 0 || l.closed {
 			l.kickLocked()
 		}
 		l.mu.Unlock()
-		if closed && !more {
-			return
-		}
 	}
 }
 
 // WaitFlushed blocks until every record up to and including lsn is durable.
-// It is the commit-side durability barrier: in group-commit mode it enlists
-// in the current batch and sleeps until the flusher's sync covers lsn; in
-// synchronous mode it flushes inline.
+// It is the commit-side durability barrier: it enlists in the current batch
+// and sleeps until the flusher's sync covers lsn. An already-durable prefix
+// stays durable regardless of later batch failures, so the horizon is
+// checked before the sticky error.
 func (l *Log) WaitFlushed(lsn LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// An already-durable prefix stays durable regardless of later batch
-	// failures, so the horizon check precedes the sticky-error check (the
-	// post-wait switch below keeps the same priority).
-	if l.flushed >= lsn {
-		return nil
-	}
-	if l.flushErr != nil {
-		return l.flushErr
-	}
-	if !l.flusherOn {
-		return l.flushLocked()
-	}
 	for l.flushed < lsn && l.flushErr == nil && !l.closed {
 		l.kickLocked()
 		l.durable.Wait()
@@ -242,10 +214,14 @@ func (l *Log) WaitFlushed(lsn LSN) error {
 }
 
 // Append adds r to the log, assigning and returning its LSN. The record is
-// buffered; call Flush to make it durable.
+// buffered; WaitFlushed makes it durable. A closed log refuses it with
+// ErrClosed.
 func (l *Log) Append(r *Record) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return 0, ErrClosed
+	}
 	r.LSN = l.nextLSN
 	l.nextLSN++
 	l.pending = appendFrame(l.pending, r)
@@ -253,7 +229,7 @@ func (l *Log) Append(r *Record) (LSN, error) {
 	if r.Type == RecCommit {
 		l.pendingCommits.Add(1)
 	}
-	if l.flusherOn && len(l.pending) >= pendingKick {
+	if len(l.pending) >= pendingKick {
 		l.kickLocked()
 	}
 	return r.LSN, nil
@@ -265,27 +241,6 @@ func (l *Log) Flush() error {
 	target := l.appended
 	l.mu.Unlock()
 	return l.WaitFlushed(target)
-}
-
-// flushLocked writes and syncs everything pending, synchronously. Caller
-// holds l.mu; only used while the group-commit flusher is not running.
-func (l *Log) flushLocked() error {
-	if l.flushErr != nil {
-		return l.flushErr
-	}
-	if len(l.pending) == 0 {
-		return nil
-	}
-	if err := l.store.Append(l.pending); err != nil {
-		return err
-	}
-	if err := l.store.Sync(); err != nil {
-		return err
-	}
-	l.pending = l.pending[:0]
-	l.flushed = l.appended
-	l.syncs++
-	return nil
 }
 
 // FlushedLSN returns the LSN of the last durable record.
@@ -302,68 +257,20 @@ func (l *Log) NextLSN() LSN {
 	return l.nextLSN
 }
 
-// Compact discards the entire log and writes a fresh checkpoint record.
-// The caller must guarantee that every logged effect is durable in the page
-// store (pages flushed) and that no transaction is in flight. LSNs continue
-// monotonically: the checkpoint record carries the current high LSN, so
-// page LSNs stamped before compaction stay comparable after reopen.
-func (l *Log) Compact() error {
-	// Drain the group-commit flusher first: with no transaction in flight
-	// (the caller's guarantee) the pending buffer stays empty afterwards,
-	// so the flusher cannot touch the store while we reset it below.
-	if err := l.Flush(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.pending) > 0 {
-		if err := l.store.Append(l.pending); err != nil {
-			return err
-		}
-		l.pending = l.pending[:0]
-	}
-	if err := l.store.Reset(); err != nil {
-		return err
-	}
-	rec := &Record{LSN: l.nextLSN, Type: RecCheckpoint}
-	l.nextLSN++
-	if err := l.store.Append(appendFrame(nil, rec)); err != nil {
-		return err
-	}
-	if err := l.store.Sync(); err != nil {
-		return err
-	}
-	l.appended = rec.LSN
-	l.flushed = rec.LSN
-	return nil
-}
-
-// Close stops the group-commit flusher (if running), flushes, and closes
-// the underlying store.
+// Close refuses further appends, lets the flusher drain what is pending,
+// and closes the store — also when a failed batch poisoned the log, whose
+// error it then returns alongside the store's.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	wasOn := l.flusherOn
-	if !l.closed {
-		l.closed = true
-		if wasOn {
-			l.kickLocked()
-		}
-	}
+	l.closed = true
+	l.kickLocked()
 	l.mu.Unlock()
-	if wasOn {
-		<-l.flusherDone
-		l.mu.Lock()
-		l.flusherOn = false
-		l.durable.Broadcast() // release any stragglers with ErrClosed
-		l.mu.Unlock()
-	}
+	<-l.flusherDone
 	l.mu.Lock()
-	err := l.flushLocked()
+	l.durable.Broadcast() // release any stragglers with ErrClosed
+	flushErr := l.flushErr
 	l.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return l.store.Close()
+	return errors.Join(flushErr, l.store.Close())
 }
 
 // iterate decodes every durable record in order. It returns ErrTorn at a

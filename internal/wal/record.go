@@ -26,7 +26,7 @@ const (
 	RecAbort // abort completed (all undone)
 	RecUpdate
 	RecCLR        // compensation record written while undoing
-	RecCheckpoint // legacy quiescent checkpoint (Compact)
+	RecCheckpoint // quiescent checkpoint: no longer written; older logs may hold one
 	RecCkptBegin  // fuzzy checkpoint started
 	RecCkptEnd    // fuzzy checkpoint complete; After carries CheckpointBody
 )

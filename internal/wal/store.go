@@ -19,8 +19,8 @@ type Store interface {
 	Sync() error
 	// Size returns the current store length in bytes.
 	Size() (int64, error)
-	// Reset discards all content (checkpoint compaction: every logged
-	// effect is already durable in the page store).
+	// Reset discards all content. The log never calls it; it stays
+	// because keystroke-bench's counting store forwards it.
 	Reset() error
 	// TruncateHead atomically discards the first off bytes (fuzzy-
 	// checkpoint log reclamation: every record below the redo point is

@@ -9,6 +9,19 @@ import (
 	"tendax/internal/storage"
 )
 
+// openLog opens a log over store and closes it when the test ends, so its
+// flusher does not outlive the test. A test simulates a crash by opening a
+// second log over the same store.
+func openLog(t *testing.T, store Store) *Log {
+	t.Helper()
+	log, err := Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { log.Close() })
+	return log
+}
+
 // roundTrip decodes r's encoding.
 func roundTrip(t *testing.T, r *Record) *Record {
 	t.Helper()
@@ -103,10 +116,7 @@ func TestSpliceEdges(t *testing.T) {
 
 func TestLogAppendFlushIterate(t *testing.T) {
 	store := NewMemStore()
-	log, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := openLog(t, store)
 	for i := 0; i < 10; i++ {
 		if _, err := log.Append(&Record{Type: RecBegin, TxnID: uint64(i)}); err != nil {
 			t.Fatal(err)
@@ -133,10 +143,7 @@ func TestLogAppendFlushIterate(t *testing.T) {
 }
 
 func TestLogLSNsMonotone(t *testing.T) {
-	log, err := Open(NewMemStore())
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := openLog(t, NewMemStore())
 	var prev LSN
 	for i := 0; i < 100; i++ {
 		lsn, err := log.Append(&Record{Type: RecBegin, TxnID: 1})
@@ -152,19 +159,13 @@ func TestLogLSNsMonotone(t *testing.T) {
 
 func TestLogReopenContinuesLSNs(t *testing.T) {
 	store := NewMemStore()
-	log, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := openLog(t, store)
 	last, _ := log.Append(&Record{Type: RecBegin, TxnID: 1})
 	if err := log.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	log2, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log2 := openLog(t, store)
 	next, _ := log2.Append(&Record{Type: RecCommit, TxnID: 1})
 	if next <= last {
 		t.Fatalf("reopened log reused LSN %d (last was %d)", next, last)
@@ -173,10 +174,7 @@ func TestLogReopenContinuesLSNs(t *testing.T) {
 
 func TestLogTornTailIgnored(t *testing.T) {
 	store := NewMemStore()
-	log, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := openLog(t, store)
 	log.Append(&Record{Type: RecBegin, TxnID: 1})
 	log.Append(&Record{Type: RecCommit, TxnID: 1})
 	if err := log.Flush(); err != nil {
@@ -189,10 +187,7 @@ func TestLogTornTailIgnored(t *testing.T) {
 	}
 	store.Truncate(whole + 3) // tear the last record
 
-	log2, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log2 := openLog(t, store)
 	count := 0
 	if err := log2.Iterate(func(r *Record) error { count++; return nil }); err != nil {
 		t.Fatal(err)
@@ -270,10 +265,7 @@ func TestRecoveryCommittedSurvivesUncommittedRollsBack(t *testing.T) {
 	disk := storage.NewMemDisk()
 	pool := storage.NewBufferPool(disk, 16)
 	store := NewMemStore()
-	log, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := openLog(t, store)
 	page := newHeapPage(t, pool)
 
 	committed := beginSim(t, log, pool, 1)
@@ -288,10 +280,7 @@ func TestRecoveryCommittedSurvivesUncommittedRollsBack(t *testing.T) {
 	}
 	// Crash: throw away the buffer pool without flushing pages, reopen log.
 	pool2 := storage.NewBufferPool(disk, 16)
-	log2, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log2 := openLog(t, store)
 	stats, err := Recover(log2, pool2)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +308,7 @@ func TestRecoveryIdempotent(t *testing.T) {
 	disk := storage.NewMemDisk()
 	pool := storage.NewBufferPool(disk, 16)
 	store := NewMemStore()
-	log, _ := Open(store)
+	log := openLog(t, store)
 	page := newHeapPage(t, pool)
 
 	tx := beginSim(t, log, pool, 1)
@@ -327,13 +316,13 @@ func TestRecoveryIdempotent(t *testing.T) {
 	tx.commit()
 
 	pool2 := storage.NewBufferPool(disk, 16)
-	log2, _ := Open(store)
+	log2 := openLog(t, store)
 	if _, err := Recover(log2, pool2); err != nil {
 		t.Fatal(err)
 	}
 	// Crash immediately after recovery; recover again.
 	pool3 := storage.NewBufferPool(disk, 16)
-	log3, _ := Open(store)
+	log3 := openLog(t, store)
 	if _, err := Recover(log3, pool3); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +351,7 @@ func TestRecoveryUpdateAndDelete(t *testing.T) {
 	disk := storage.NewMemDisk()
 	pool := storage.NewBufferPool(disk, 16)
 	store := NewMemStore()
-	log, _ := Open(store)
+	log := openLog(t, store)
 	page := newHeapPage(t, pool)
 
 	setup := beginSim(t, log, pool, 1)
@@ -397,7 +386,7 @@ func TestRecoveryUpdateAndDelete(t *testing.T) {
 	}
 
 	pool2 := storage.NewBufferPool(disk, 16)
-	log2, _ := Open(store)
+	log2 := openLog(t, store)
 	if _, err := Recover(log2, pool2); err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +407,7 @@ func TestRecoveryTornCommitMeansLoser(t *testing.T) {
 	disk := storage.NewMemDisk()
 	pool := storage.NewBufferPool(disk, 16)
 	store := NewMemStore()
-	log, _ := Open(store)
+	log := openLog(t, store)
 	page := newHeapPage(t, pool)
 
 	tx := beginSim(t, log, pool, 1)
@@ -431,7 +420,7 @@ func TestRecoveryTornCommitMeansLoser(t *testing.T) {
 	store.Truncate(preCommit + 2) // commit record torn
 
 	pool2 := storage.NewBufferPool(disk, 16)
-	log2, _ := Open(store)
+	log2 := openLog(t, store)
 	stats, err := Recover(log2, pool2)
 	if err != nil {
 		t.Fatal(err)
