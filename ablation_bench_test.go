@@ -48,21 +48,20 @@ func BenchmarkAblationPositionIndex(b *testing.B) {
 		b.Run(fmt.Sprintf("linear/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				target := rng.Intn(n)
-				// Linear walk: what a pointer chain without the order
-				// index would cost.
+				// Linear walk: what a scan of the instances in document
+				// order, without the counts that index them, would cost.
 				idx := 0
 				var got util.ID
-				for id := buf.Head(); !id.IsNil(); {
-					ch, _ := buf.Char(id)
-					if !ch.Deleted {
+				buf.Walk(func(ch *texttree.Char, visible bool) bool {
+					if visible {
 						if idx == target {
-							got = id
-							break
+							got = ch.ID
+							return false
 						}
 						idx++
 					}
-					id = ch.Next
-				}
+					return true
+				})
 				if got.IsNil() {
 					b.Fatal("walk failed")
 				}

@@ -34,9 +34,9 @@ const (
 
 // EditOp is one operation of a batch. Anchoring:
 //
-//   - insert: UseAnchor chains the text after instance Anchor (NilID =
+//   - insert: UseAnchor types the text after instance Anchor (NilID =
 //     front of document — a tombstone anchor is valid and resolves to
-//     where its text would resume); AnchorPrev chains after the last
+//     where its text would resume); AnchorPrev types after the last
 //     instance created by an earlier insert of the same batch (the
 //     pipelined-typing case; the caller seeds cross-batch continuation by
 //     rewriting the first AnchorPrev op to an explicit anchor); otherwise
@@ -124,7 +124,6 @@ func (d *Document) ApplyAsync(user string, ops []EditOp) ([]EditResult, wal.LSN,
 	}()
 	st.user = user
 	st.now = d.eng.clock.Now()
-	st.head = d.buf.Head()
 	if err := d.stageBatchLocked(st, ops); err != nil {
 		return nil, 0, err
 	}
@@ -160,11 +159,10 @@ type batchState struct {
 
 	created    []*texttree.Char // new instances, creation order (final records)
 	createdSet map[util.ID]*texttree.Char
-	updated    map[util.ID]*texttree.Char // existing instances with rewritten links / tombstone state
+	updated    map[util.ID]*texttree.Char // existing instances with a flipped tombstone state
 	spans      []db.Row                   // span rows to insert
 	opRecs     []*opRecord                // one log row per op
 	sizeDelta  int                        // visible-length change of the whole batch
-	head       util.ID                    // staged chain head
 
 	arena charArena // backing store for per-batch character records
 }
@@ -229,7 +227,6 @@ func (st *batchState) reset() {
 	}
 	st.opRecs = st.opRecs[:0]
 	st.sizeDelta = 0
-	st.head = util.NilID
 	st.arena.reset()
 }
 
@@ -261,22 +258,10 @@ func (st *batchState) charLocked(d *Document, id util.ID) (*texttree.Char, bool)
 	return d.buf.Char(id)
 }
 
-// succLocked returns the staged chain successor of prev (NilID = staged
-// head); d.mu is held by the batch pipeline.
-func (st *batchState) succLocked(d *Document, prev util.ID) util.ID {
-	if prev.IsNil() {
-		return st.head
-	}
-	if ch, ok := st.charLocked(d, prev); ok {
-		return ch.Next
-	}
-	return util.NilID
-}
-
-// setLinkLocked replaces the staged record of an instance, copying a hot
+// setLocked replaces the staged record of an instance, copying a hot
 // record on first touch so published snapshots keep their frozen state;
 // d.mu is held by the batch pipeline.
-func (st *batchState) setLinkLocked(d *Document, id util.ID, mut func(*texttree.Char)) error {
+func (st *batchState) setLocked(d *Document, id util.ID, mut func(*texttree.Char)) error {
 	if ch, ok := st.createdSet[id]; ok {
 		mut(ch)
 		return nil
@@ -314,15 +299,17 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			if len(runes) == 0 {
 				return fmt.Errorf("core: batch op %d: empty insert", i)
 			}
-			succ := st.succLocked(d, prev)
 			ids := make([]util.ID, len(runes))
 			for j := range runes {
 				ids[j] = d.eng.ids.Next()
 			}
 			// Two arena blocks per insert: the records as created (replayed
 			// into the buffer — a later delete op of the same batch must not
-			// leak into them) and the final records (mutable via setLink,
-			// persisted with their end-of-batch state).
+			// leak into them) and the final records (mutable via setLocked,
+			// persisted with their end-of-batch state). Each record is
+			// anchored after its predecessor with its own, freshly minted ID
+			// as key, so it lands right after that predecessor; no existing
+			// row changes.
 			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), prev: prev,
 				srcDoc: op.SrcDoc, text: op.Text, chars: st.arena.alloc(len(runes))}
 			recs := st.arena.alloc(len(runes))
@@ -332,30 +319,14 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 				if j < len(op.SrcChars) {
 					ch.SourceChar = op.SrcChars[j]
 				}
-				if j == 0 {
-					ch.Prev = prev
-				} else {
-					ch.Prev = ids[j-1]
-				}
-				if j == len(runes)-1 {
-					ch.Next = succ
-				} else {
-					ch.Next = ids[j+1]
+				ch.After, ch.Key = prev, ids[j]
+				if j > 0 {
+					ch.After = ids[j-1]
 				}
 				sop.chars[j] = ch // value copy: the record as created
 				recs[j] = ch
 				st.created = append(st.created, &recs[j])
 				st.createdSet[ch.ID] = &recs[j]
-			}
-			if prev.IsNil() {
-				st.head = ids[0]
-			} else if err := st.setLinkLocked(d, prev, func(c *texttree.Char) { c.Next = ids[0] }); err != nil {
-				return fmt.Errorf("core: batch op %d: %w", i, err)
-			}
-			if !succ.IsNil() {
-				if err := st.setLinkLocked(d, succ, func(c *texttree.Char) { c.Prev = ids[len(ids)-1] }); err != nil {
-					return fmt.Errorf("core: batch op %d: %w", i, err)
-				}
 			}
 			st.sizeDelta += len(runes)
 			lastInsert = ids[len(ids)-1]
@@ -399,7 +370,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 				if ch.Deleted {
 					continue // deletion by identity commutes
 				}
-				if err := st.setLinkLocked(d, id, func(c *texttree.Char) {
+				if err := st.setLocked(d, id, func(c *texttree.Char) {
 					c.Deleted = true
 					c.DeletedBy = user
 					c.DeletedAt = now
@@ -489,8 +460,8 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 	return nil
 }
 
-// resolveInsertAnchorLocked turns an insert op's anchor into the chain
-// predecessor the new text follows.
+// resolveInsertAnchorLocked turns an insert op's anchor into the instance
+// the new text is typed after.
 func (d *Document) resolveInsertAnchorLocked(st *batchState, op EditOp, lastInsert util.ID) (util.ID, error) {
 	switch {
 	case op.AnchorPrev:
@@ -531,10 +502,10 @@ func (d *Document) resolveInsertAnchorLocked(st *batchState, op EditOp, lastInse
 }
 
 // persistBatchLocked writes the staged batch inside one transaction: every new
-// character row in one batch insert (final link state, so each row is
-// written exactly once even when a later op of the same batch rewired
-// it), link/tombstone rewrites of pre-existing rows, span rows, one log
-// row per op, and the document-row refresh.
+// character row in one batch insert (final tombstone state, so each row is
+// written exactly once even when a later op of the same batch deleted
+// it), tombstone flips of pre-existing rows, span rows, one log row per
+// op, and the document-row refresh.
 func (d *Document) persistBatchLocked(tx *txn.Txn, st *batchState) error {
 	if len(st.created) > 0 {
 		rows := make([]db.Row, len(st.created))
@@ -583,9 +554,9 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 					pos++
 				}
 			}
-			// One batched splice for the whole run: the buffer recomputes the
-			// chain links itself and copies the records, so the arena-backed
-			// staging slice is reusable the moment this returns.
+			// One batched splice for the whole run: the buffer copies the
+			// records, so the arena-backed staging slice is reusable the
+			// moment this returns.
 			if _, err := d.buf.InsertRun(sop.prev, sop.chars); err != nil {
 				return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
 			}

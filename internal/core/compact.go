@@ -21,7 +21,7 @@ import (
 // whole pass back, a crash after commit replays it. Provenance stays
 // queryable: TextAt/VersionText/DiffVersions merge the archive back in
 // whenever the requested instant predates the horizon, and undo of an
-// archived delete rehydrates the instance into the hot chain first.
+// archived delete rehydrates the instance into the hot set first.
 
 // archChunkBytes bounds the encoded payload stored per archive row; a run
 // longer than one chunk spills into continuation rows ordered by seq.
@@ -36,7 +36,7 @@ type CompactStats struct {
 }
 
 // Compact migrates every tombstone deleted before horizon out of the hot
-// chain, order index, snapshot mirror and chars table into the archive.
+// set, order index, snapshot mirror and chars table into the archive.
 // It runs as one transaction and never invalidates a published snapshot:
 // readers holding an older DocSnapshot keep the pre-compaction structures
 // via the copy-on-write treap. The visible text is unchanged, so the new
@@ -95,8 +95,8 @@ func (d *Document) compactLocked(horizon time.Time) (CompactStats, wal.LSN, erro
 				}
 			}
 		}
-		for id, upd := range plan.LinkUpdates {
-			if err := d.eng.tChars.UpdateByPK(tx, int64(id), d.rowFromChar(upd)); err != nil {
+		for _, upd := range plan.Reanchored {
+			if err := d.eng.tChars.UpdateByPK(tx, int64(upd.ID), d.rowFromChar(upd)); err != nil {
 				return err
 			}
 		}

@@ -295,6 +295,130 @@ func TestUndoRehydratesArchivedDelete(t *testing.T) {
 	}
 }
 
+// TestCompactReanchorsAtWarmTombstone: an instance whose anchor a pass
+// archives is re-anchored at its hot predecessor even when that is a warm
+// tombstone. Anchoring it at the previous visible instance instead would
+// keep the text but put the tombstone after it once the rows are loaded,
+// which the reloaded instance sequence in CheckInvariants shows and time
+// travel before the deletions would read as "cab".
+func TestCompactReanchorsAtWarmTombstone(t *testing.T) {
+	dir := t.TempDir()
+	database, err := db.Open(db.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := util.NewFakeClock(time.Unix(5_000_000, 0).UTC(), time.Millisecond)
+	e, err := NewEngine(database, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := e.CreateDocument("alice", "warm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := doc.AppendText("alice", "abc"); err != nil { // c is typed after b
+		t.Fatal(err)
+	}
+	typed := clock.Peek()
+	if _, err := doc.DeleteRange("bob", 1, 1); err != nil { // b goes cold
+		t.Fatal(err)
+	}
+	clock.Advance(time.Second)
+	horizon := clock.Peek()
+	if _, err := doc.DeleteRange("bob", 0, 1); err != nil { // a stays warm
+		t.Fatal(err)
+	}
+	stats, err := doc.Compact(horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Archived != 1 || stats.HotAfter != 2 {
+		t.Fatalf("compaction %+v, want b archived and a, c hot", stats)
+	}
+	if err := doc.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	docID := doc.ID()
+	if err := database.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := db.Open(db.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	e2, err := NewEngine(db2, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc2, err := e2.OpenDocument(docID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := doc2.TextAt(typed); got != "abc" || doc2.Text() != "c" {
+		t.Fatalf("reopened: TextAt(typed) %q, Text %q; want \"abc\", \"c\"", got, doc2.Text())
+	}
+}
+
+// TestRehydratedKeyOutlivesReopen: a rehydrated instance's key is minted
+// during the undo, and no row has it as primary key. The engine reopened
+// on the data must still mint above it, or the next key typed after the
+// same anchor would share its key.
+func TestRehydratedKeyOutlivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	database, err := db.Open(db.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := util.NewFakeClock(time.Unix(6_000_000, 0).UTC(), time.Millisecond)
+	e, err := NewEngine(database, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := e.CreateDocument("alice", "rekey")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := doc.AppendText("alice", "ab"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := doc.DeleteRange("alice", 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := doc.Compact(clock.Peek().Add(time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := doc.UndoLocal("alice"); err != nil { // rehydrates b
+		t.Fatal(err)
+	}
+	docID := doc.ID()
+	if err := database.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := db.Open(db.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	e2, err := NewEngine(db2, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc2, err := e2.OpenDocument(docID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := doc2.InsertText("bob", 1, "X"); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc2.Text(); got != "aXb" {
+		t.Fatalf("Text = %q, want \"aXb\"", got)
+	}
+	if err := doc2.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCompactCrashSafety drives the two crash schedules around the
 // compaction transaction: a crash with the commit on disk must replay the
 // whole pass (archive present, tombstones gone), and a crash with a torn

@@ -166,7 +166,7 @@ func TestDocRowCacheMatchesTable(t *testing.T) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		st := &batchState{createdSet: map[util.ID]*texttree.Char{}, updated: map[util.ID]*texttree.Char{}}
-		st.user, st.now, st.head = "dave", e.clock.Now(), d.buf.Head()
+		st.user, st.now = "dave", e.clock.Now()
 		if err := d.stageBatchLocked(st, []EditOp{{Kind: EditInsert, Pos: 0, Text: "x"}}); err != nil {
 			return err
 		}

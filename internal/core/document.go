@@ -380,7 +380,7 @@ func charMetaOf(ch *texttree.Char) CharMeta {
 func (d *Document) rowFromChar(ch *texttree.Char) db.Row {
 	return db.Row{
 		int64(ch.ID), int64(d.id), int64(ch.Rune), ch.Author, ch.Created,
-		int64(ch.Prev), int64(ch.Next), ch.Deleted, ch.DeletedBy,
+		int64(ch.After), int64(ch.Key), ch.Deleted, ch.DeletedBy,
 		nonZeroTime(ch.DeletedAt), int64(ch.SourceDoc), int64(ch.SourceChar),
 		nonZeroTime(ch.Restored),
 	}
@@ -392,8 +392,8 @@ func charFromRow(row db.Row) texttree.Char {
 		Rune:       rune(row[2].(int64)),
 		Author:     row[3].(string),
 		Created:    row[4].(time.Time),
-		Prev:       util.ID(row[5].(int64)),
-		Next:       util.ID(row[6].(int64)),
+		After:      util.ID(row[5].(int64)),
+		Key:        util.ID(row[6].(int64)),
 		Deleted:    row[7].(bool),
 		DeletedBy:  row[8].(string),
 		DeletedAt:  zeroableTime(row[9].(time.Time)),
@@ -465,7 +465,10 @@ func hasAuthor(authors, user string) bool {
 }
 
 // CheckInvariants verifies buffer invariants plus buffer/database
-// consistency of the visible text (tests and failure injection).
+// consistency: the chars rows, reloaded, must derive the buffer's instance
+// sequence — every hot ID in order with its deleted flag, which a
+// misplaced tombstone breaks even when the visible text survives (tests
+// and failure injection).
 func (d *Document) CheckInvariants() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -498,16 +501,15 @@ func (d *Document) CheckInvariants() error {
 	if err != nil {
 		return fmt.Errorf("core: reload: %w", err)
 	}
-	if fresh.Text() != d.buf.Text() {
-		return fmt.Errorf("core: buffer/database divergence:\n mem %q\n db  %q",
-			firstN(d.buf.Text(), 60), firstN(fresh.Text(), 60))
+	mem, disk := d.buf.AllChars(), fresh.AllChars()
+	if len(mem) != len(disk) {
+		return fmt.Errorf("core: buffer holds %d instances, database %d", len(mem), len(disk))
+	}
+	for i := range mem {
+		if mem[i].ID != disk[i].ID || mem[i].Deleted != disk[i].Deleted {
+			return fmt.Errorf("core: buffer/database divergence at instance %d: mem %v (deleted %v), db %v (deleted %v)",
+				i, mem[i].ID, mem[i].Deleted, disk[i].ID, disk[i].Deleted)
+		}
 	}
 	return nil
-}
-
-func firstN(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
 }

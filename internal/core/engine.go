@@ -1,5 +1,5 @@
 // Package core implements the TeNDaX engine: documents stored natively in
-// the embedded database as chains of character instances, with every editing
+// the embedded database as sequences of character instances, with every editing
 // action (typing, deleting, copy/paste, layout, structure, notes, versions)
 // executed as a real-time database transaction and automatically captured as
 // metadata. This is the paper's primary contribution.
@@ -99,8 +99,8 @@ var (
 		{Name: "r", Type: db.TInt},
 		{Name: "author", Type: db.TString},
 		{Name: "created", Type: db.TTime},
-		{Name: "prev", Type: db.TInt},
-		{Name: "next", Type: db.TInt},
+		{Name: "after", Type: db.TInt}, // the instance it was typed after (0 = front)
+		{Name: "key", Type: db.TInt},   // its order among the instances typed after the same one
 		{Name: "deleted", Type: db.TBool},
 		{Name: "delby", Type: db.TString},
 		{Name: "delat", Type: db.TTime},
@@ -111,7 +111,7 @@ var (
 	// Cold tombstones migrated out of the chars table by compaction live
 	// here as archive runs: binary-encoded character records packed into
 	// fixed-size chunk rows, keyed by the run's surviving hot anchor
-	// (NilID for runs at the head of the chain) and ordered by seq.
+	// (NilID for runs at the head of the document) and ordered by seq.
 	archiveSchema = db.Schema{
 		{Name: "id", Type: db.TInt},
 		{Name: "doc", Type: db.TInt},
@@ -198,46 +198,70 @@ func NewEngineShard(database *db.Database, clock util.Clock, shard, shards int) 
 		// Must precede the MaxPK seeding below so Seed lands on the class.
 		e.ids.SetStride(uint64(shard), uint64(shards))
 	}
-	var err error
-	if e.tDocs, err = database.CreateTable("docs", docsSchema, "name"); err != nil {
-		return nil, err
-	}
-	if e.tChars, err = database.CreateTable("chars", charsSchema, "doc"); err != nil {
-		return nil, err
-	}
-	if e.tSpans, err = database.CreateTable("spans", spansSchema, "doc"); err != nil {
-		return nil, err
-	}
-	if e.tOps, err = database.CreateTable("ops", opsSchema, "doc"); err != nil {
-		return nil, err
-	}
-	if e.tOpChunks, err = database.CreateTable("opchunks", opChunksSchema, "op"); err != nil {
-		return nil, err
-	}
-	if e.tVersions, err = database.CreateTable("versions", versionsSchema, "doc"); err != nil {
-		return nil, err
-	}
-	if e.tReads, err = database.CreateTable("reads", readsSchema, "doc", "user"); err != nil {
-		return nil, err
-	}
-	if e.tProps, err = database.CreateTable("props", propsSchema, "doc"); err != nil {
-		return nil, err
-	}
-	if e.tArchive, err = database.CreateTable("archive", archiveSchema, "doc", "anchor"); err != nil {
-		return nil, err
-	}
-	// CreateTable returns an existing table with its persisted schema, so
-	// a data directory written before the restored column existed would
-	// otherwise surface as an index-out-of-range panic on the first row
-	// decode. There is no in-place migration yet; fail loudly instead.
-	if e.tChars.Schema().Col("restored") < 0 {
-		return nil, errors.New("core: chars table predates the restored column; this data directory needs a migration this build does not provide")
-	}
-	// Seed the ID generator above every persisted primary key.
-	for _, t := range []*db.Table{e.tDocs, e.tChars, e.tSpans, e.tOps, e.tOpChunks, e.tVersions, e.tReads, e.tProps, e.tArchive} {
-		e.ids.Seed(util.ID(t.MaxPK()))
+	for _, t := range []struct {
+		dst    **db.Table
+		name   string
+		schema db.Schema
+		index  []string
+	}{
+		{&e.tDocs, "docs", docsSchema, []string{"name"}},
+		{&e.tChars, "chars", charsSchema, []string{"doc"}},
+		{&e.tSpans, "spans", spansSchema, []string{"doc"}},
+		{&e.tOps, "ops", opsSchema, []string{"doc"}},
+		{&e.tOpChunks, "opchunks", opChunksSchema, []string{"op"}},
+		{&e.tVersions, "versions", versionsSchema, []string{"doc"}},
+		{&e.tReads, "reads", readsSchema, []string{"doc", "user"}},
+		{&e.tProps, "props", propsSchema, []string{"doc"}},
+		{&e.tArchive, "archive", archiveSchema, []string{"doc", "anchor"}},
+	} {
+		tbl, err := database.CreateTable(t.name, t.schema, t.index...)
+		if err != nil {
+			return nil, err
+		}
+		// CreateTable returns an existing table with its persisted schema;
+		// rows of another layout would decode into the wrong fields, or
+		// panic, so the data directory is refused before any row is read.
+		if err := checkSchema(t.name, tbl.Schema(), t.schema); err != nil {
+			return nil, err
+		}
+		*t.dst = tbl
+		// Seed the ID generator above every persisted primary key.
+		e.ids.Seed(util.ID(tbl.MaxPK()))
 	}
 	return e, nil
+}
+
+// SchemaError reports a table whose persisted schema differs from the one
+// this build reads and writes: the data directory needs a migration this
+// build does not provide. Have and Want describe the first differing
+// column, as "name type", in the data directory and in this build; "none"
+// past the end of either.
+type SchemaError struct {
+	Table      string
+	Column     int
+	Have, Want string
+}
+
+func (e *SchemaError) Error() string {
+	return fmt.Sprintf("core: table %q column %d is %s in the data directory but %s in this build; it needs a migration this build does not provide",
+		e.Table, e.Column, e.Have, e.Want)
+}
+
+// checkSchema returns a *SchemaError if have, a table's persisted schema,
+// is not want.
+func checkSchema(table string, have, want db.Schema) error {
+	col := func(s db.Schema, i int) string {
+		if i >= len(s) {
+			return "none"
+		}
+		return fmt.Sprintf("%s %v", s[i].Name, s[i].Type)
+	}
+	for i := 0; i < max(len(have), len(want)); i++ {
+		if h, w := col(have, i), col(want, i); h != w {
+			return &SchemaError{Table: table, Column: i, Have: h, Want: w}
+		}
+	}
+	return nil
 }
 
 // SetAccessChecker installs the security hook. Pass nil to disable checks.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"tendax/internal/awareness"
@@ -62,11 +64,7 @@ func (d *Document) loadOps() error {
 	// LookupEq returns RID order; ops were appended over time but RID order
 	// within one doc can interleave with other docs' pages, so sort by ID
 	// (IDs are allocation-ordered).
-	for i := 1; i < len(d.ops); i++ {
-		for j := i; j > 0 && d.ops[j].ID < d.ops[j-1].ID; j-- {
-			d.ops[j], d.ops[j-1] = d.ops[j-1], d.ops[j]
-		}
-	}
+	slices.SortFunc(d.ops, func(a, b opRecord) int { return cmp.Compare(a.ID, b.ID) })
 	return nil
 }
 
@@ -88,11 +86,7 @@ func (d *Document) loadOpChunks(opID util.ID) ([]util.ID, error) {
 		}
 		chunks = append(chunks, chunk{row[2].(int64), decodeIDs(row[3].([]byte))})
 	}
-	for i := 1; i < len(chunks); i++ {
-		for j := i; j > 0 && chunks[j].seq < chunks[j-1].seq; j-- {
-			chunks[j], chunks[j-1] = chunks[j-1], chunks[j]
-		}
-	}
+	slices.SortFunc(chunks, func(a, b chunk) int { return cmp.Compare(a.seq, b.seq) })
 	var out []util.ID
 	for _, c := range chunks {
 		out = append(out, c.ids...)
@@ -237,12 +231,14 @@ func (d *Document) undoLocked(user string, local bool) (util.ID, wal.LSN, error)
 		return util.NilID, 0, ErrNothingToUndo
 	}
 	now := d.eng.clock.Now()
-	undoID := d.eng.ids.Next()
-
 	plan, err := d.inversePlan(target, user, now)
 	if err != nil {
 		return util.NilID, 0, err
 	}
+	// Minted after the plan: the op row then outranks every key a
+	// rehydration minted, so an engine reopened on this data seeds its ID
+	// generator above those keys too.
+	undoID := d.eng.ids.Next()
 	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
 		if err := plan.persist(tx); err != nil {
 			return err
@@ -305,8 +301,6 @@ func (d *Document) redoLocked(user string, local bool) (util.ID, wal.LSN, error)
 		return util.NilID, 0, ErrNothingToRedo
 	}
 	now := d.eng.clock.Now()
-	redoID := d.eng.ids.Next()
-
 	// Redo reverts exactly the set the undo flipped (recorded on the undo
 	// op), not the target's full list — characters hidden by other users'
 	// operations stay hidden.
@@ -314,6 +308,7 @@ func (d *Document) redoLocked(user string, local bool) (util.ID, wal.LSN, error)
 	if err != nil {
 		return util.NilID, 0, err
 	}
+	redoID := d.eng.ids.Next() // after the plan, as in undoLocked
 	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
 		if err := plan.persist(tx); err != nil {
 			return err
@@ -397,8 +392,8 @@ func (d *Document) reapplyPlan(op *opRecord, ids []util.ID, user string, now tim
 // already in the desired state (e.g. re-deleted by another user since) are
 // skipped — selective undo over tombstones commutes per character. An
 // undelete of a character whose tombstone was archived by compaction first
-// rehydrates it: the instance re-enters the chars table and the hot chain
-// at its anchor, its run splits around it, and only then does visibility
+// rehydrates it: the instance re-enters the chars table and the hot set
+// right after its anchor, its run splits around it, and only then does visibility
 // flip — all inside the one undo transaction.
 func (d *Document) visibilityPlanLocked(ids []util.ID, visible bool, user string, now time.Time) (*undoPlan, error) {
 	var affected []util.ID // hot instances whose visibility flips
@@ -430,7 +425,7 @@ func (d *Document) visibilityPlanLocked(ids []util.ID, visible bool, user string
 	var rplan *texttree.RehydratePlan
 	if len(archived) > 0 {
 		var err error
-		if rplan, err = d.buf.PlanRehydrate(archived); err != nil {
+		if rplan, err = d.buf.PlanRehydrate(archived, d.eng.ids.Next); err != nil {
 			return nil, err
 		}
 	}
@@ -459,35 +454,20 @@ func (d *Document) visibilityPlanLocked(ids []util.ID, visible bool, user string
 		sizeDelta: delta,
 		affected:  all,
 		persist: func(tx *txn.Txn) error {
-			// Final row state per instance: link rewrites from rehydration
-			// first, then visibility flips, so an instance touched by both
-			// is written once with both effects.
-			final := make(map[util.ID]texttree.Char)
-			inserted := make(map[util.ID]bool)
+			// A rehydrated instance's row is inserted once, already
+			// flipped; a hot instance's row is rewritten with its flip.
 			if rplan != nil {
-				for _, step := range rplan.Steps {
-					final[step.Ch.ID] = flip(step.Ch)
-					inserted[step.Ch.ID] = true
-				}
-				for id, upd := range rplan.LinkUpdates {
-					final[id] = *upd
+				for _, ch := range rplan.Chars {
+					ch = flip(ch)
+					if _, err := d.eng.tChars.Insert(tx, d.rowFromChar(&ch)); err != nil {
+						return err
+					}
 				}
 			}
 			for _, id := range affected {
-				ch, ok := final[id]
-				if !ok {
-					c, _ := d.buf.Char(id)
-					ch = *c
-				}
-				final[id] = flip(ch)
-			}
-			for id, ch := range final {
-				row := d.rowFromChar(&ch)
-				if inserted[id] {
-					if _, err := d.eng.tChars.Insert(tx, row); err != nil {
-						return err
-					}
-				} else if err := d.eng.tChars.UpdateByPK(tx, int64(id), row); err != nil {
+				c, _ := d.buf.Char(id)
+				ch := flip(*c)
+				if err := d.eng.tChars.UpdateByPK(tx, int64(id), d.rowFromChar(&ch)); err != nil {
 					return err
 				}
 			}

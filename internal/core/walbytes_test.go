@@ -14,15 +14,23 @@ import (
 )
 
 // maxOneKeyBatchLogBytes bounds the WAL one typed character costs when it is
-// its own batch — the interactive regime the paper demonstrates. Logging
-// full before and after images of the two relinked neighbours and the
-// document row under a fixed-width header cost ~1 254 B; splices under a
-// varint header cost ~340 B.
-const maxOneKeyBatchLogBytes = 450
+// its own batch — the interactive regime the paper demonstrates — on
+// average over the keys. Logging full before and after images of the two
+// relinked neighbours and the document row under a fixed-width header cost
+// ~1 254 B; splices under a varint header cost ~340 B. Rows written once,
+// ordered by their anchors, with no neighbour rewritten, cost ~287 B.
+const maxOneKeyBatchLogBytes = 300
+
+// maxOneKeyBatchWorstLogBytes bounds the WAL of any single one-key batch.
+// The worst is an author's first batch, whose document-row update also
+// appends the name to the authors column: ~377 B with the two neighbour
+// relinks, ~325 B without.
+const maxOneKeyBatchWorstLogBytes = 360
 
 // TestOneKeyBatchLogBytes types one-key batches between two existing
 // characters of a 20k-character document, two authors alternating, and
-// fails if any batch logs more than maxOneKeyBatchLogBytes. It logs what the
+// fails if the keys log more than maxOneKeyBatchLogBytes each on average or
+// any batch logs more than maxOneKeyBatchWorstLogBytes. It logs what the
 // bytes are: records and bytes per key, by record type and table.
 func TestOneKeyBatchLogBytes(t *testing.T) {
 	store, database, d := newOneKeyDoc(t)
@@ -79,8 +87,11 @@ func TestOneKeyBatchLogBytes(t *testing.T) {
 	}
 	fmt.Fprintf(&b, "%-28s %9s %9.1f (worst batch %d B)", "total", "", float64(total)/keys, worst)
 	t.Logf("WAL per one-key batch, %d keys into a 20k-character document:\n%s", keys, b.String())
-	if worst > maxOneKeyBatchLogBytes {
-		t.Errorf("a one-key batch logged %d B, over the %d B budget", worst, maxOneKeyBatchLogBytes)
+	if perKey := float64(total) / keys; perKey > maxOneKeyBatchLogBytes {
+		t.Errorf("one-key batches logged %.1f B per key, over the %d B budget", perKey, maxOneKeyBatchLogBytes)
+	}
+	if worst > maxOneKeyBatchWorstLogBytes {
+		t.Errorf("a one-key batch logged %d B, over the %d B budget", worst, maxOneKeyBatchWorstLogBytes)
 	}
 }
 
@@ -115,8 +126,9 @@ func newOneKeyDoc(t *testing.T) (*wal.MemStore, *db.Database, *Document) {
 // the snapshot publish. Re-reading and decoding every updated row, string
 // lock keys and re-indexing unchanged keys cost 323. Without them it was
 // 167. Copying each text mirror node at most once per snapshot, not once
-// per root path a key walks (five), brings it to ~104.
-const maxOneKeyBatchAllocs = 130
+// per root path a key walks (five), brings it to ~104. Writing the new row
+// once, with no neighbour row rewritten, brings it to 83.
+const maxOneKeyBatchAllocs = 91
 
 // TestOneKeyBatchAllocs types one-key batches between two existing
 // characters of the same 20k-character document as TestOneKeyBatchLogBytes,

@@ -221,8 +221,8 @@ func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) ([]byte, error) {
 		if err := sp.Update(rid.Slot, rec); err != nil {
 			return nil, 0, err
 		}
-		// Only the bytes that change are logged: a neighbour relink
-		// rewrites a few bytes of a ~100-byte row.
+		// Only the bytes that change are logged: a tombstone flip or a
+		// document-row refresh rewrites a few bytes of a ~100-byte row.
 		off, was, now := wal.Splice(before, rec)
 		lsn, err := h.log.Append(&wal.Record{
 			Type: wal.RecUpdate, TxnID: tx.ID(), PrevLSN: tx.LastLSN(),

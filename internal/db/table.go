@@ -245,8 +245,8 @@ func (t *Table) InsertBatch(tx *txn.Txn, rows []Row) ([]RID, error) {
 
 // Update replaces the row at rid under tx. The heap hands back the record
 // it replaced; when the primary key and every indexed column encode the
-// same in both, the indexes are left alone — a keystroke's neighbour relinks
-// and document-row refresh change neither. A row that no longer fits on its
+// same in both, the indexes are left alone — a tombstone flip and a
+// document-row refresh change neither. A row that no longer fits on its
 // page (even after compaction) is relocated to another page; indexes follow
 // the new RID.
 func (t *Table) Update(tx *txn.Txn, rid RID, row Row) error {

@@ -11,25 +11,25 @@ import (
 
 // This file implements the cold-tombstone archive: the compaction side of
 // logical deletion. TeNDaX never forgets a character instance, so a
-// long-lived document's hot structures (the chain, the order treap, the
-// persistent snapshot mirror) are eventually dominated by dead text.
+// long-lived document's hot structures (the order treap, the persistent
+// snapshot mirror, the chars rows) are eventually dominated by dead text.
 // Compaction migrates "cold" tombstones — instances deleted before a
-// configurable horizon — out of the hot chain into archive runs, shrinking
+// configurable horizon — out of the hot set into archive runs, shrinking
 // every hot structure to O(visible + warm) while keeping provenance fully
 // queryable: time travel transparently merges the archive back in when the
 // requested instant predates the horizon.
 //
-// An archive run is a maximal sequence of consecutively-chained archived
-// instances, keyed by its anchor: the hot instance immediately preceding
-// the run in the chain (NilID for a run at the head of the document). The
-// merged chain order is therefore: anchor, then its run, then the anchor's
-// hot successor. Anchors can themselves go cold in a later pass; their run
-// is then spliced into the new run at the position the chain dictates, so
-// the merged order is stable across any number of passes.
+// An archive run is a maximal sequence of consecutive archived instances,
+// keyed by its anchor: the hot instance immediately preceding the run in
+// document order (NilID for a run at the head of the document). The
+// merged order is therefore: anchor, then its run, then the anchor's hot
+// successor. Anchors can themselves go cold in a later pass; their run is
+// then spliced into the new run at the position document order dictates,
+// so the merged order is stable across any number of passes.
 //
 // Correctness of merge-on-read ordering: a hot instance inserted after an
 // anchor post-archival lands between the anchor and its run in the merged
-// walk even though the true chain had it before the run. This is
+// walk even though the true order had it before the run. This is
 // unobservable: the archived instances were deleted before the pass
 // horizon h, the interloper was created at or after the pass (>= h), and
 // no instant t satisfies both t < h (archived char visible) and t >= h
@@ -40,7 +40,7 @@ import (
 // new Archive and republish, so any snapshot already holding the old one
 // keeps a frozen, internally consistent view.
 type Archive struct {
-	runs  map[util.ID][]*Char // anchor -> archived instances in chain order
+	runs  map[util.ID][]*Char // anchor -> archived instances in merged order
 	index map[util.ID]util.ID // archived char id -> its run's anchor
 	count int
 	// newest is the latest DeletedAt of any archived instance: for
@@ -113,7 +113,7 @@ func (a *Archive) AnchorOf(id util.ID) (util.ID, bool) {
 	return anchor, ok
 }
 
-// Run returns the archived instances anchored at anchor, in chain order.
+// Run returns the archived instances anchored at anchor, in merged order.
 func (a *Archive) Run(anchor util.ID) []*Char {
 	if a == nil {
 		return nil
@@ -207,13 +207,12 @@ func (b *Buffer) SetArchive(a *Archive) {
 // ArchivedLen returns the number of archived (cold) instances.
 func (b *Buffer) ArchivedLen() int { return b.Archive().Len() }
 
-// ColdRun is one maximal run of consecutively-chained cold tombstones, as
-// found by PlanCompaction. Chars are frozen copies in chain order; Succ is
-// the hot chain successor of the run's last member (NilID at chain end).
+// ColdRun is one maximal run of consecutive cold tombstones, as found by
+// PlanCompaction. Chars are frozen copies in document order; Anchor is the
+// hot instance right before the run (NilID at the head).
 type ColdRun struct {
 	Anchor util.ID
 	Chars  []*Char
-	Succ   util.ID
 }
 
 // CompactionPlan captures everything one compaction pass will do, computed
@@ -227,11 +226,12 @@ type CompactionPlan struct {
 	// absorbed into a surviving run appear in RemovedAnchors instead.
 	MergedRuns     map[util.ID][]*Char
 	RemovedAnchors []util.ID
-	// LinkUpdates holds the post-pass record of every surviving hot
-	// instance whose neighbour links the pass rewrites.
-	LinkUpdates map[util.ID]*Char
-	// NewHead is the chain head after the pass.
-	NewHead util.ID
+	// Reanchored holds the post-pass record of every surviving hot
+	// instance whose After the pass archives: its After becomes its hot
+	// predecessor after the pass (NilID at the head), its Key stays, and
+	// the derived order is the old one without the cold instances (DESIGN
+	// §6 gives the argument).
+	Reanchored []*Char
 
 	arch *Archive // the archive to publish on apply
 }
@@ -244,13 +244,15 @@ func cold(ch *Char, horizon time.Time) bool {
 }
 
 // PlanCompaction finds every maximal cold run under horizon and builds the
-// pass's full effect: merged archive runs, hot link rewrites and the new
-// head. It does not mutate the buffer; returns nil if nothing is cold.
-// Callers must serialise with writers (core runs it under the document
-// lock) and must not use the plan after further buffer mutation.
+// pass's full effect: merged archive runs and re-anchored hot instances.
+// It does not mutate the buffer; returns nil if nothing is cold. Callers
+// must serialise with writers (core runs it under the document lock) and
+// must not use the plan after further buffer mutation.
 func (b *Buffer) PlanCompaction(horizon time.Time) *CompactionPlan {
 	var runs []ColdRun
 	var cur *ColdRun
+	var reanchored []*Char
+	archived := make(map[util.ID]bool)
 	prevHot := util.NilID
 	b.Walk(func(ch *Char, _ bool) bool {
 		if cold(ch, horizon) {
@@ -258,18 +260,24 @@ func (b *Buffer) PlanCompaction(horizon time.Time) *CompactionPlan {
 				cur = &ColdRun{Anchor: prevHot}
 			}
 			cur.Chars = append(cur.Chars, ch)
+			archived[ch.ID] = true
 			return true
 		}
 		if cur != nil {
-			cur.Succ = ch.ID
 			runs = append(runs, *cur)
 			cur = nil
+		}
+		// The walk is in document order, so an instance's After, coming
+		// before it, is already classified.
+		if archived[ch.After] {
+			cc := *ch
+			cc.After = prevHot
+			reanchored = append(reanchored, &cc)
 		}
 		prevHot = ch.ID
 		return true
 	})
 	if cur != nil {
-		cur.Succ = util.NilID
 		runs = append(runs, *cur)
 	}
 	if len(runs) == 0 {
@@ -277,16 +285,15 @@ func (b *Buffer) PlanCompaction(horizon time.Time) *CompactionPlan {
 	}
 
 	plan := &CompactionPlan{
-		Horizon:     horizon,
-		Runs:        runs,
-		MergedRuns:  make(map[util.ID][]*Char, len(runs)),
-		LinkUpdates: make(map[util.ID]*Char),
-		NewHead:     b.head,
+		Horizon:    horizon,
+		Runs:       runs,
+		MergedRuns: make(map[util.ID][]*Char, len(runs)),
+		Reanchored: reanchored,
 	}
 	arch := b.Archive().clone()
 	for _, run := range runs {
 		// Merge: existing run at the surviving anchor, then each member
-		// followed by the run it anchored (chain order; see the ordering
+		// followed by the run it anchored (document order; see the ordering
 		// argument at the top of the file).
 		merged := append([]*Char(nil), arch.runs[run.Anchor]...)
 		for _, ch := range run.Chars {
@@ -307,45 +314,22 @@ func (b *Buffer) PlanCompaction(horizon time.Time) *CompactionPlan {
 		}
 		arch.count += len(run.Chars)
 		plan.MergedRuns[run.Anchor] = merged
-
-		// Hot link rewrites: the run's hot predecessor now points at the
-		// run's hot successor and vice versa. A later run may rewrite the
-		// same record again (e.g. a hot island between two runs); starting
-		// from the latest planned copy keeps the rewrites cumulative.
-		latest := func(id util.ID) Char {
-			if upd, ok := plan.LinkUpdates[id]; ok {
-				return *upd
-			}
-			return *b.order.get(id)
-		}
-		if run.Anchor.IsNil() {
-			plan.NewHead = run.Succ
-		} else {
-			np := latest(run.Anchor)
-			np.Next = run.Succ
-			plan.LinkUpdates[run.Anchor] = &np
-		}
-		if !run.Succ.IsNil() {
-			ns := latest(run.Succ)
-			ns.Prev = run.Anchor
-			plan.LinkUpdates[run.Succ] = &ns
-		}
 	}
 	plan.arch = arch
 	return plan
 }
 
 // ApplyCompaction applies a plan computed by PlanCompaction against the
-// unchanged buffer state: cold instances leave the chain, the order treap
-// and the persistent mirror (by per-rank path-copying deletes, so existing
-// snapshots are untouched), surviving neighbours are re-linked
-// copy-on-write, and the new archive is published.
+// unchanged buffer state: cold instances leave the order treap and the
+// persistent mirror (by per-run path-copying splits, so existing snapshots
+// are untouched), the re-anchored records are swapped in copy-on-write,
+// and the new archive is published.
 func (b *Buffer) ApplyCompaction(plan *CompactionPlan) {
 	for _, run := range plan.Runs {
-		// A cold run is contiguous in the chain, hence contiguous in total
-		// rank order: the whole run leaves the persistent mirror with two
-		// splits and one merge (O(log n) copied nodes per run) instead of
-		// one path-copying delete per instance.
+		// A cold run is contiguous in document order, hence contiguous in
+		// total rank order: the whole run leaves the persistent mirror with
+		// two splits and one merge (O(log n) copied nodes per run) instead
+		// of one path-copying delete per instance.
 		r0, ok := b.order.totalRank(run.Chars[0].ID)
 		if !ok {
 			panic(fmt.Sprintf("texttree: compaction plan is stale: %v not in order", run.Chars[0].ID))
@@ -361,11 +345,10 @@ func (b *Buffer) ApplyCompaction(plan *CompactionPlan) {
 			b.order.remove(ch.ID)
 		}
 	}
-	for _, upd := range plan.LinkUpdates {
+	for _, upd := range plan.Reanchored {
 		cc := *upd
 		b.update(&cc)
 	}
-	b.head = plan.NewHead
 	b.arch = plan.arch
 	b.version++
 }
@@ -386,22 +369,14 @@ func (b *Buffer) Compact(horizon time.Time) int {
 	return n
 }
 
-// RehydrateStep is one re-insertion of PlanRehydrate: ch (still a
-// tombstone, links already final) chained immediately after Prev.
-type RehydrateStep struct {
-	Prev util.ID
-	Ch   Char
-}
-
 // RehydratePlan captures the re-insertion of archived instances back into
-// the hot chain (undo of an archived delete must make the instance live
+// the hot set (undo of an archived delete must make the instance live
 // again before it can be undeleted).
 type RehydratePlan struct {
-	Steps []RehydrateStep
-	// LinkUpdates holds the final record of every pre-existing hot
-	// instance whose links change (rehydrated chars carry their own final
-	// links in Steps).
-	LinkUpdates map[util.ID]*Char
+	// Chars are the instances in re-insertion order, still tombstones,
+	// each anchored After its run's anchor with a freshly minted Key, so
+	// it lands right after the anchor.
+	Chars []Char
 	// RunUpdates is the final content of every archive run the plan
 	// touches; an empty slice means the run disappears.
 	RunUpdates map[util.ID][]*Char
@@ -410,12 +385,13 @@ type RehydratePlan struct {
 }
 
 // PlanRehydrate plans moving the given archived instances back into the
-// hot chain. Each instance is chained immediately after its run's anchor;
-// the part of the run before it stays anchored where it was, the part
-// after it is re-anchored at the instance itself, so the merged chain
-// order is unchanged. IDs not present in the archive are ignored; the
-// plan is nil if none are archived.
-func (b *Buffer) PlanRehydrate(ids []util.ID) (*RehydratePlan, error) {
+// hot set. Each instance is inserted immediately after its run's anchor
+// with a Key from newKey, which must mint keys above every Key in the
+// buffer (core passes its ID generator); the part of the run before it
+// stays anchored where it was, the part after it is re-anchored at the
+// instance itself, so the merged order is unchanged. IDs not present in
+// the archive are ignored; the plan is nil if none are archived.
+func (b *Buffer) PlanRehydrate(ids []util.ID, newKey func() util.ID) (*RehydratePlan, error) {
 	arch := b.Archive()
 	var want []util.ID
 	for _, id := range ids {
@@ -427,37 +403,7 @@ func (b *Buffer) PlanRehydrate(ids []util.ID) (*RehydratePlan, error) {
 		return nil, nil
 	}
 	work := arch.clone()
-	plan := &RehydratePlan{
-		LinkUpdates: make(map[util.ID]*Char),
-		RunUpdates:  make(map[util.ID][]*Char),
-	}
-	// latest returns the current planned record of a hot instance: a
-	// previously rehydrated char, a planned link update, or the live one.
-	latest := func(id util.ID) (*Char, error) {
-		for i := range plan.Steps {
-			if plan.Steps[i].Ch.ID == id {
-				return &plan.Steps[i].Ch, nil
-			}
-		}
-		if upd, ok := plan.LinkUpdates[id]; ok {
-			return upd, nil
-		}
-		if ch := b.order.get(id); ch != nil {
-			cc := *ch
-			return &cc, nil
-		}
-		return nil, fmt.Errorf("%w: %v", ErrUnknownChar, id)
-	}
-	setHot := func(ch *Char) {
-		for i := range plan.Steps {
-			if plan.Steps[i].Ch.ID == ch.ID {
-				plan.Steps[i].Ch = *ch
-				return
-			}
-		}
-		plan.LinkUpdates[ch.ID] = ch
-	}
-	head := b.head
+	plan := &RehydratePlan{RunUpdates: make(map[util.ID][]*Char)}
 	for _, id := range want {
 		anchor, ok := work.index[id]
 		if !ok {
@@ -493,31 +439,8 @@ func (b *Buffer) PlanRehydrate(ids []util.ID) (*RehydratePlan, error) {
 		delete(work.index, id)
 		work.count--
 
-		// Chain the instance immediately after its anchor.
-		var succ util.ID
-		if anchor.IsNil() {
-			succ = head
-			head = ch.ID
-		} else {
-			p, err := latest(anchor)
-			if err != nil {
-				return nil, err
-			}
-			succ = p.Next
-			p.Next = ch.ID
-			setHot(p)
-		}
-		ch.Prev = anchor
-		ch.Next = succ
-		if !succ.IsNil() {
-			s, err := latest(succ)
-			if err != nil {
-				return nil, err
-			}
-			s.Prev = ch.ID
-			setHot(s)
-		}
-		plan.Steps = append(plan.Steps, RehydrateStep{Prev: anchor, Ch: ch})
+		ch.After, ch.Key = anchor, newKey()
+		plan.Chars = append(plan.Chars, ch)
 	}
 	if work.count == 0 {
 		plan.arch = emptyArchive
@@ -528,16 +451,15 @@ func (b *Buffer) PlanRehydrate(ids []util.ID) (*RehydratePlan, error) {
 }
 
 // ApplyRehydrate applies a plan computed by PlanRehydrate against the
-// unchanged buffer state: each instance re-enters the chain, order and
+// unchanged buffer state: each instance re-enters the order treap and
 // persistent mirror as a tombstone, and the shrunken archive is published.
 func (b *Buffer) ApplyRehydrate(plan *RehydratePlan) error {
 	if plan == nil {
 		return nil
 	}
-	for _, step := range plan.Steps {
-		// InsertAfter re-derives the links the plan already computed.
-		if _, err := b.InsertAfter(step.Prev, step.Ch); err != nil {
-			return fmt.Errorf("texttree: rehydrate %v: %w", step.Ch.ID, err)
+	for _, ch := range plan.Chars {
+		if _, err := b.InsertAfter(ch.After, ch); err != nil {
+			return fmt.Errorf("texttree: rehydrate %v: %w", ch.ID, err)
 		}
 	}
 	b.arch = plan.arch
@@ -546,7 +468,7 @@ func (b *Buffer) ApplyRehydrate(plan *RehydratePlan) error {
 }
 
 // WalkAll visits every character instance — hot and archived — in merged
-// chain order until fn returns false. Archived instances are emitted
+// order until fn returns false. Archived instances are emitted
 // directly after their run's anchor. This is the full-history walk behind
 // time travel across the compaction horizon.
 func (v *view) WalkAll(fn func(ch *Char, archived bool) bool) {
@@ -626,8 +548,9 @@ func EncodeArchived(buf []byte, ch *Char) []byte {
 }
 
 // DecodeArchived parses one archived record from b, returning the char and
-// the remaining bytes. Chain links are not stored: an archived instance's
-// place is defined by its run, and rehydration re-derives hot links.
+// the remaining bytes. After and Key are not stored: an archived
+// instance's place is defined by its run, and rehydration gives it new
+// ones.
 func DecodeArchived(b []byte) (Char, []byte, error) {
 	var ch Char
 	u64 := func() (uint64, bool) {

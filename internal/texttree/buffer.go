@@ -1,8 +1,10 @@
 package texttree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"tendax/internal/util"
@@ -10,15 +12,21 @@ import (
 
 // Char is one character instance: the unit of text in TeNDaX. Every field
 // except visibility state is immutable after creation; deletion only marks
-// the instance, keeping the chain stable for versioning and provenance.
+// the instance, keeping its place for versioning and provenance.
 type Char struct {
 	ID      util.ID
 	Rune    rune
 	Author  string    // user who typed it
 	Created time.Time // when it was committed
-
-	Prev util.ID // neighbour links: the chain includes tombstones
-	Next util.ID
+	// After is the instance this one was typed after (NilID = the front of
+	// the document) and Key its order among the instances typed after the
+	// same one: document order is the pre-order walk of this anchor tree
+	// from NilID, children in descending Key (see anchorOrder). A fresh
+	// instance's Key is its own ID. Neither changes once the instance
+	// exists, except that compaction re-anchors an instance whose After it
+	// archives (archive.go).
+	After util.ID
+	Key   util.ID
 
 	Deleted   bool
 	DeletedBy string
@@ -38,9 +46,9 @@ type Char struct {
 var ErrUnknownChar = errors.New("texttree: unknown character")
 
 // Buffer is the in-memory working form of one document's text: every hot
-// character record, held once, and two trees over the chain. The database
-// rows remain the source of truth; a Buffer can always be rebuilt from
-// them with Load.
+// character record, held once, and two trees over the document order. The
+// database rows remain the source of truth; a Buffer can always be rebuilt
+// from them with Load.
 //
 // The order treap is the ID index: its nodes hold the records and it
 // answers the total rank of an ID. The persistent (path-copying) mirror in
@@ -64,50 +72,100 @@ func NewBuffer() *Buffer {
 }
 
 // Load rebuilds the buffer from persisted character rows. The rows may be
-// in any order; the chain is reassembled from the neighbour links.
+// in any order; document order is derived from their anchors.
 func Load(rows []Char) (*Buffer, error) {
 	b := NewBuffer()
-	if len(rows) == 0 {
-		return b, nil
-	}
+	recs := make([]*Char, len(rows))
 	for i := range rows {
 		ch := rows[i]
 		b.order.add(&ch)
+		recs[i] = &ch
 	}
-	// Find the head: the unique char with no predecessor.
-	var head *Char
-	for _, n := range b.order.nodes {
-		if n.ch.Prev.IsNil() {
-			if head != nil {
-				return nil, fmt.Errorf("texttree: chain has two heads: %v and %v", head.ID, n.ch.ID)
-			}
-			head = n.ch
-		}
+	if len(b.order.nodes) != len(recs) {
+		return nil, fmt.Errorf("texttree: %d rows hold %d distinct chars", len(recs), len(b.order.nodes))
 	}
-	if head == nil {
-		return nil, errors.New("texttree: chain has no head")
+	ordered, err := anchorOrder(recs)
+	if err != nil {
+		return nil, err
 	}
-	b.head = head.ID
 	prev := util.NilID
-	ordered := make([]*Char, 0, len(b.order.nodes))
-	for id := head.ID; !id.IsNil(); {
-		n := b.order.nodes[id]
-		if n == nil {
-			return nil, fmt.Errorf("texttree: chain references missing char %v", id)
-		}
-		if len(ordered) == len(b.order.nodes) {
-			return nil, errors.New("texttree: chain has a cycle")
-		}
-		b.order.link(prev, n)
-		ordered = append(ordered, n.ch)
-		prev = id
-		id = n.ch.Next
-	}
-	if len(ordered) != len(b.order.nodes) {
-		return nil, fmt.Errorf("texttree: %d chars unreachable from head", len(b.order.nodes)-len(ordered))
+	for _, ch := range ordered {
+		b.order.link(prev, b.order.nodes[ch.ID])
+		prev = ch.ID
 	}
 	b.root = pbuild(b.gen, len(ordered), func(i int) *Char { return ordered[i] })
 	return b, nil
+}
+
+// anchorOrder returns recs, one record per instance, in document order:
+// the pre-order walk of the anchor tree from NilID, visiting the instances
+// typed after one instance in descending Key. The server mints ascending
+// IDs and a fresh instance's Key is its ID, so an insert becomes its
+// anchor's first child and the walk puts it right after the anchor —
+// exactly where the paper's doubly linked list splices it. The walk is
+// iterative: typed text is a chain of anchors as deep as it is long. It
+// fails on two siblings with one Key, a missing anchor, and a record the
+// walk never reaches (an anchor cycle).
+func anchorOrder(recs []*Char) ([]*Char, error) {
+	// Siblings sit side by side, by descending Key, in kids.
+	type kid struct {
+		after, key util.ID
+		ch         *Char
+	}
+	kids := make([]kid, len(recs))
+	for i, ch := range recs {
+		kids[i] = kid{ch.After, ch.Key, ch}
+	}
+	slices.SortFunc(kids, func(a, b kid) int {
+		if a.after != b.after {
+			return cmp.Compare(a.after, b.after)
+		}
+		return cmp.Compare(b.key, a.key)
+	})
+	for i := 1; i < len(kids); i++ {
+		if k := kids[i]; kids[i-1].after == k.after && kids[i-1].key == k.key {
+			return nil, fmt.Errorf("texttree: %v and %v share key %v after %v", kids[i-1].ch.ID, k.ch.ID, k.key, k.after)
+		}
+	}
+	// push stacks the children of id so that the highest Key pops first.
+	var stack []*Char
+	push := func(id util.ID) {
+		lo, hi := 0, len(kids)
+		for lo < hi {
+			if m := int(uint(lo+hi) >> 1); kids[m].after < id {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		end := lo
+		for end < len(kids) && kids[end].after == id {
+			end++
+		}
+		for end--; end >= lo; end-- {
+			stack = append(stack, kids[end].ch)
+		}
+	}
+	out := make([]*Char, 0, len(kids))
+	for push(util.NilID); len(stack) > 0; {
+		ch := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		out = append(out, ch)
+		push(ch.ID)
+	}
+	if len(out) == len(kids) {
+		return out, nil
+	}
+	ids := make(map[util.ID]bool, len(recs))
+	for _, ch := range recs {
+		ids[ch.ID] = true
+	}
+	for _, ch := range recs {
+		if !ch.After.IsNil() && !ids[ch.After] {
+			return nil, fmt.Errorf("texttree: %v is anchored at missing char %v", ch.ID, ch.After)
+		}
+	}
+	return nil, fmt.Errorf("texttree: %d chars unreachable from the front", len(kids)-len(out))
 }
 
 // Char returns the character instance with id. The record is shared with
@@ -138,7 +196,7 @@ func (b *Buffer) PosOf(id util.ID) (int, bool) {
 }
 
 // PredecessorForInsert returns the character instance ID after which an
-// insertion at visible position pos must be chained (NilID for pos 0).
+// insertion at visible position pos must follow (NilID for pos 0).
 func (b *Buffer) PredecessorForInsert(pos int) (util.ID, error) {
 	if pos < 0 || pos > b.Len() {
 		return util.NilID, fmt.Errorf("texttree: position %d out of range 0..%d", pos, b.Len())
@@ -147,25 +205,38 @@ func (b *Buffer) PredecessorForInsert(pos int) (util.ID, error) {
 	return id, nil
 }
 
-// InsertAfter chains ch immediately after prev (NilID = front of document)
-// and returns the neighbour whose Prev link changed (the old successor), so
-// the caller can persist both affected rows. ch.Prev/ch.Next are set here.
-// On error the buffer is unchanged: all arguments are validated before the
-// first mutation, so a failed insert can never leave a torn chain.
-func (b *Buffer) InsertAfter(prev util.ID, ch Char) (updatedNext util.ID, err error) {
+// InsertAfter inserts ch immediately after prev (NilID = front of
+// document); see InsertRun.
+func (b *Buffer) InsertAfter(prev util.ID, ch Char) (next util.ID, err error) {
 	return b.InsertRun(prev, []Char{ch})
 }
 
-// InsertRun chains a run of characters, in order, immediately after prev
-// (NilID = front of document) and returns the neighbour whose Prev link
-// changed. One contiguous insertion pays ONE persistent-treap splice
-// (split at the run's start rank, O(len) build of the run, merge, two
-// neighbour rewrites) instead of a root-to-leaf path copy per character.
-// The run is copied into an internal block, so the caller's slice is
-// reusable immediately. On error the buffer is unchanged.
-func (b *Buffer) InsertRun(prev util.ID, run []Char) (updatedNext util.ID, err error) {
+// InsertRun inserts a run of characters, in order, immediately after prev
+// (NilID = front of document) and returns the instance after the run
+// (NilID at the end). It sets each record's After — prev for the first,
+// its predecessor in the run for the rest — and a zero Key becomes the
+// record's own ID; no other record changes. The run must land in front of
+// what prev was typed before: its first Key must exceed the Key of prev's
+// current first child. One contiguous insertion pays ONE persistent-treap
+// splice (split at the run's start rank, O(len) build of the run, merge)
+// instead of a root-to-leaf path copy per character. The run is copied
+// into an internal block, so the caller's slice is reusable immediately.
+// On error the buffer is unchanged.
+func (b *Buffer) InsertRun(prev util.ID, run []Char) (next util.ID, err error) {
+	r := 0
+	if !prev.IsNil() {
+		pr, ok := b.order.totalRank(prev)
+		if !ok {
+			return util.NilID, fmt.Errorf("%w: predecessor %v", ErrUnknownChar, prev)
+		}
+		r = pr + 1
+	}
+	succ := b.order.at(r)
+	if succ != nil {
+		next = succ.ID
+	}
 	if len(run) == 0 {
-		return b.ChainSuccessor(prev), nil
+		return next, nil
 	}
 	seen := make(map[util.ID]struct{}, len(run))
 	for i := range run {
@@ -178,16 +249,10 @@ func (b *Buffer) InsertRun(prev util.ID, run []Char) (updatedNext util.ID, err e
 		}
 		seen[id] = struct{}{}
 	}
-	next := b.head
-	if !prev.IsNil() {
-		p := b.order.get(prev)
-		if p == nil {
-			return util.NilID, fmt.Errorf("%w: predecessor %v", ErrUnknownChar, prev)
-		}
-		next = p.Next
-	}
-	if !next.IsNil() && b.order.get(next) == nil {
-		return util.NilID, fmt.Errorf("%w: successor %v", ErrUnknownChar, next)
+
+	if key := keyOf(&run[0]); succ != nil && succ.After == prev && key <= succ.Key {
+		return util.NilID, fmt.Errorf("texttree: key %v of %v does not precede key %v of %v after %v",
+			key, run[0].ID, succ.Key, succ.ID, prev)
 	}
 
 	// Validated; now mutate. One block holds every record of the run (the
@@ -197,42 +262,31 @@ func (b *Buffer) InsertRun(prev util.ID, run []Char) (updatedNext util.ID, err e
 	at := prev
 	for i := range block {
 		c := &block[i]
-		c.Prev, c.Next = at, next
-		if i+1 < len(block) {
-			c.Next = block[i+1].ID
-		}
+		c.After, c.Key = at, keyOf(c)
 		b.order.insertAfter(at, c)
 		at = c.ID
 	}
-	r, _ := b.order.totalRank(block[0].ID)
 	l, rest := psplit(b.gen, b.root, r)
 	mid := pbuild(b.gen, len(block), func(i int) *Char { return &block[i] })
 	b.root = pmerge(b.gen, pmerge(b.gen, l, mid), rest)
-
-	// Re-link the neighbours copy-on-write, so that published snapshots
-	// keep their frozen chain links. Their mirror paths mostly run through
-	// the nodes the splice just made, which are updated in place.
-	if prev.IsNil() {
-		b.head = block[0].ID
-	} else {
-		np := *b.order.get(prev)
-		np.Next = block[0].ID
-		b.update(&np)
-	}
-	if !next.IsNil() {
-		nn := *b.order.get(next)
-		nn.Prev = at
-		b.update(&nn)
-	}
 	b.version++
 	return next, nil
+}
+
+// keyOf returns the Key an inserted record gets: its own, or its ID if
+// it has none.
+func keyOf(c *Char) util.ID {
+	if c.Key.IsNil() {
+		return c.ID
+	}
+	return c.Key
 }
 
 // update installs ch, a fresh copy of the record of ch.ID, in the order
 // node and, path-copied, in the mirror.
 func (b *Buffer) update(ch *Char) { b.root = pset(b.gen, b.root, b.order.swap(ch), ch) }
 
-// Delete tombstones id (logical deletion). The chain is untouched.
+// Delete tombstones id (logical deletion). Its place is untouched.
 func (b *Buffer) Delete(id util.ID, by string, at time.Time) error {
 	ch := b.order.get(id)
 	if ch == nil {
@@ -272,30 +326,19 @@ func (b *Buffer) Undelete(id util.ID, at time.Time) error {
 	return nil
 }
 
-// ChainSuccessor returns the instance immediately after prev in the chain
-// (tombstones included); prev == NilID returns the chain head. It reports
-// the instance whose Prev link an insertion after prev must rewrite.
-func (b *Buffer) ChainSuccessor(prev util.ID) util.ID {
-	if prev.IsNil() {
-		return b.head
-	}
-	if ch := b.order.get(prev); ch != nil {
-		return ch.Next
-	}
-	return util.NilID
-}
-
 // CheckInvariants verifies the structural invariants of the buffer: the
-// chain is a single path covering every hot instance, the order tree
-// ranks each instance at its chain position, and the mirror holds the
-// same records in the same order with consistent counts. Used by tests
-// and failure injection.
+// order tree ranks each instance at the position its anchors derive, and
+// the mirror holds the same records in the same order with consistent
+// counts. Used by tests and failure injection.
 func (b *Buffer) CheckInvariants() error {
 	arch := b.Archive()
 	if err := arch.CheckInvariants(); err != nil {
 		return err
 	}
-	for id := range b.order.nodes {
+	for id, n := range b.order.nodes {
+		if n.ch.ID != id {
+			return fmt.Errorf("texttree: order node %v holds record %v", id, n.ch.ID)
+		}
 		if arch.Contains(id) {
 			return fmt.Errorf("texttree: %v is both hot and archived", id)
 		}
@@ -305,34 +348,20 @@ func (b *Buffer) CheckInvariants() error {
 			return fmt.Errorf("texttree: archive run anchored at non-hot %v", anchor)
 		}
 	}
-	// Walk the chain by its links. Chain position i must be total rank i:
-	// the one check of the order tree that does not go through the mirror
-	// (a cycle fails it too, as no rank reaches the node count).
-	i := 0
-	for id := b.head; !id.IsNil(); i++ {
-		ch := b.order.get(id)
-		if ch == nil {
-			return fmt.Errorf("texttree: chain references missing %v", id)
-		}
-		if ch.ID != id {
-			return fmt.Errorf("texttree: order node %v holds record %v", id, ch.ID)
-		}
-		if r, _ := b.order.totalRank(id); r != i {
-			return fmt.Errorf("texttree: %v is chain position %d but order rank %d", id, i, r)
-		}
-		if !ch.Next.IsNil() {
-			n := b.order.get(ch.Next)
-			if n == nil {
-				return fmt.Errorf("texttree: %v.Next missing", id)
-			}
-			if n.Prev != id {
-				return fmt.Errorf("texttree: broken back-link at %v", ch.Next)
-			}
-		}
-		id = ch.Next
+	// Anchor position i must be total rank i: the one check of the order
+	// tree that does not go through the mirror.
+	recs := make([]*Char, 0, len(b.order.nodes))
+	for _, n := range b.order.nodes {
+		recs = append(recs, n.ch)
 	}
-	if i != len(b.order.nodes) {
-		return fmt.Errorf("texttree: chain covers %d of %d chars", i, len(b.order.nodes))
+	ordered, err := anchorOrder(recs)
+	if err != nil {
+		return err
+	}
+	for i, ch := range ordered {
+		if r, _ := b.order.totalRank(ch.ID); r != i {
+			return fmt.Errorf("texttree: %v is anchor position %d but order rank %d", ch.ID, i, r)
+		}
 	}
 	// The mirror must hold exactly the order's records: a divergence here
 	// means positional reads and snapshots are lying about the document.
@@ -342,14 +371,15 @@ func (b *Buffer) CheckInvariants() error {
 	if err := snap.CheckInvariants(); err != nil {
 		return fmt.Errorf("texttree: snapshot mirror: %w", err)
 	}
-	if snap.TotalLen() != i {
-		return fmt.Errorf("texttree: mirror holds %d of %d instances", snap.TotalLen(), i)
+	if snap.TotalLen() != len(ordered) {
+		return fmt.Errorf("texttree: mirror holds %d of %d instances", snap.TotalLen(), len(ordered))
 	}
-	var err error
+	i := 0
 	snap.Walk(func(ch *Char, _ bool) bool {
-		if b.order.get(ch.ID) != ch {
-			err = fmt.Errorf("texttree: mirror record of %v is not the order's", ch.ID)
+		if ordered[i] != ch {
+			err = fmt.Errorf("texttree: mirror holds %v at %d, the anchors put %v there", ch.ID, i, ordered[i].ID)
 		}
+		i++
 		return err == nil
 	})
 	return err

@@ -1,6 +1,7 @@
 package texttree
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -9,8 +10,8 @@ import (
 
 // TestInsertRunMatchesInsertAfter pins the batched splice to the
 // per-character reference: the same run inserted via InsertRun and via
-// repeated InsertAfter must produce identical text, chains and snapshot
-// mirrors, at the front, middle and end of a document, around tombstones
+// repeated InsertAfter must produce identical text, records (anchors and
+// keys included) and snapshot mirrors, at the front, middle and end of a document, around tombstones
 // included.
 func TestInsertRunMatchesInsertAfter(t *testing.T) {
 	mkRun := func(gen *util.IDGen, text string) []Char {
@@ -54,6 +55,9 @@ func TestInsertRunMatchesInsertAfter(t *testing.T) {
 			}
 			if ref.Text() != got.Text() {
 				t.Fatalf("text diverged: %q vs %q", ref.Text(), got.Text())
+			}
+			if !slices.Equal(ref.AllChars(), got.AllChars()) {
+				t.Fatalf("records diverged:\n%+v\n%+v", ref.AllChars(), got.AllChars())
 			}
 			if err := got.CheckInvariants(); err != nil {
 				t.Fatal(err)

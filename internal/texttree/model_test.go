@@ -12,12 +12,12 @@ import (
 )
 
 // model is the buffer's independent oracle: the hot instances as a plain
-// slice in chain order, with their deleted flags, and the archive as plain
+// slice in document order, with their deleted flags, and the archive as plain
 // slices keyed by anchor. Nothing it answers goes through either tree, so
 // every comparison below checks the order tree and the mirror against
 // something that shares no code with them.
 type model struct {
-	hot  []Char             // hot instances in chain order; links unused
+	hot  []Char             // hot instances in document order; anchors unused
 	arch map[util.ID][]Char // anchor -> archived instances in merged order
 }
 
@@ -46,7 +46,7 @@ func (m *model) compact(horizon time.Time) int {
 	return n
 }
 
-// rehydrate chains the archived id immediately after its run's anchor;
+// rehydrate puts the archived id immediately after its run's anchor;
 // the rest of the run after it is re-anchored at id.
 func (m *model) rehydrate(id util.ID) bool {
 	for anchor, run := range m.arch {
@@ -104,18 +104,11 @@ func (m *model) check(t testing.TB, b *Buffer, label string) {
 	t.Helper()
 	var vis []util.ID
 	var text []rune
-	for i, c := range m.hot {
-		prev, next := util.NilID, util.NilID
-		if i > 0 {
-			prev = m.hot[i-1].ID
-		}
-		if i+1 < len(m.hot) {
-			next = m.hot[i+1].ID
-		}
+	for _, c := range m.hot {
 		ch, ok := b.Char(c.ID)
-		if !ok || ch.Rune != c.Rune || ch.Deleted != c.Deleted || ch.Prev != prev || ch.Next != next {
-			t.Fatalf("%s: Char(%v) = %+v, %v; want rune %q deleted %v links %v<->%v",
-				label, c.ID, ch, ok, c.Rune, c.Deleted, prev, next)
+		if !ok || ch.Rune != c.Rune || ch.Deleted != c.Deleted {
+			t.Fatalf("%s: Char(%v) = %+v, %v; want rune %q deleted %v",
+				label, c.ID, ch, ok, c.Rune, c.Deleted)
 		}
 		if r, ok := b.RankOf(c.ID); !ok || r != len(vis) {
 			t.Fatalf("%s: RankOf(%v) = %d, %v; want %d", label, c.ID, r, ok, len(vis))
@@ -128,13 +121,9 @@ func (m *model) check(t testing.TB, b *Buffer, label string) {
 			text = append(text, c.Rune)
 		}
 	}
-	head := util.NilID
-	if len(m.hot) > 0 {
-		head = m.hot[0].ID
-	}
-	if b.Len() != len(vis) || b.TotalLen() != len(m.hot) || b.Head() != head {
-		t.Fatalf("%s: Len/TotalLen/Head = %d/%d/%v, want %d/%d/%v",
-			label, b.Len(), b.TotalLen(), b.Head(), len(vis), len(m.hot), head)
+	if b.Len() != len(vis) || b.TotalLen() != len(m.hot) {
+		t.Fatalf("%s: Len/TotalLen = %d/%d, want %d/%d",
+			label, b.Len(), b.TotalLen(), len(vis), len(m.hot))
 	}
 	for p, id := range vis {
 		if got, ok := b.IDAt(p); !ok || got != id {
@@ -206,18 +195,11 @@ func (m *model) checkSnapshot(t testing.TB, s *Snapshot, unseen []util.ID, chars
 	if !chars {
 		return
 	}
-	for i, c := range m.hot {
-		prev, next := util.NilID, util.NilID
-		if i > 0 {
-			prev = m.hot[i-1].ID
-		}
-		if i+1 < len(m.hot) {
-			next = m.hot[i+1].ID
-		}
+	for _, c := range m.hot {
 		got, ok := s.Char(c.ID)
-		if !ok || got.Rune != c.Rune || got.Deleted != c.Deleted || got.Prev != prev || got.Next != next {
-			t.Fatalf("%s: Char(%v) = %+v, %v; want rune %q deleted %v links %v<->%v",
-				label, c.ID, got, ok, c.Rune, c.Deleted, prev, next)
+		if !ok || got.Rune != c.Rune || got.Deleted != c.Deleted {
+			t.Fatalf("%s: Char(%v) = %+v, %v; want rune %q deleted %v",
+				label, c.ID, got, ok, c.Rune, c.Deleted)
 		}
 	}
 	for _, run := range m.arch {
@@ -322,7 +304,7 @@ func (r *modelRun) step(op, x, y byte) {
 	}
 }
 
-// insert chains n new instances after hot[after] (-1 = front), one by
+// insert puts n new instances after hot[after] (-1 = front), one by
 // InsertAfter and several by InsertRun.
 func (r *modelRun) insert(after, n int, y byte) {
 	prev := util.NilID
@@ -357,7 +339,7 @@ func (r *modelRun) compactAndRehydrate(x byte) {
 	for k := 0; k < min(3, len(ids)); k++ {
 		pick = append(pick, ids[(int(x)+k)%len(ids)])
 	}
-	plan, err := r.b.PlanRehydrate(pick)
+	plan, err := r.b.PlanRehydrate(pick, r.gen.Next)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -372,8 +354,30 @@ func (r *modelRun) compactAndRehydrate(x byte) {
 	r.moved += len(pick)
 }
 
+// checkReload is the order oracle: the buffer's hot records, loaded
+// afresh, must derive exactly the model's instance sequence from their
+// anchors alone — every ID in order with its deleted flag.
+func (m *model) checkReload(t testing.TB, b *Buffer, label string) {
+	t.Helper()
+	loaded, err := Load(b.AllChars())
+	if err != nil {
+		t.Fatalf("%s: Load: %v", label, err)
+	}
+	got := loaded.AllChars()
+	if len(got) != len(m.hot) {
+		t.Fatalf("%s: reloaded %d instances, model %d", label, len(got), len(m.hot))
+	}
+	for i, c := range got {
+		if c.ID != m.hot[i].ID || c.Deleted != m.hot[i].Deleted {
+			t.Fatalf("%s: reloaded instance %d is %v (deleted %v), model %v (deleted %v)",
+				label, i, c.ID, c.Deleted, m.hot[i].ID, m.hot[i].Deleted)
+		}
+	}
+}
+
 // runModel interprets data three bytes per step, checking the buffer
-// against the model after every step. At irregular steps, loadEvery apart
+// against the model after every step, and that a buffer loaded from its
+// records derives the model's order. At irregular steps, loadEvery apart
 // on average and placed by the data, it takes and keeps a snapshot, checks
 // that a buffer loaded from it answers the same, and that every snapshot
 // kept so far still reads as it did; at the end each kept snapshot's Char
@@ -393,6 +397,7 @@ func runModel(t testing.TB, data []byte, loadEvery int) *modelRun {
 		if err := r.b.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
+		r.m.checkReload(t, r.b, label)
 		if got, want := r.b.ArchivedLen(), len(r.m.archivedIDs()); got != want {
 			t.Fatalf("%s: ArchivedLen = %d, model %d", label, got, want)
 		}
@@ -461,6 +466,11 @@ func FuzzBufferOps(f *testing.F) {
 		script = append(script, 70, byte(i), 1)
 	}
 	f.Add(append(script, 255, 0, 0, 210, 0, 0))
+	// Two compaction passes: the second archives around instances the
+	// first re-anchored.
+	twice := randomSteps(1, maxSteps)
+	twice[3*50], twice[3*100] = 255, 255
+	f.Add(twice)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runModel(t, data[:min(len(data), 3*maxSteps)], 25)
 	})
@@ -480,12 +490,7 @@ func TestBufferBytesPerChar(t *testing.T) {
 	for i := range rows {
 		id := util.ID(i + 1)
 		rows[i] = Char{ID: id, Rune: rune('a' + i%26), Author: "alice", Created: created}
-		if i > 0 {
-			rows[i].Prev = id - 1
-		}
-		if i < n-1 {
-			rows[i].Next = id + 1
-		}
+		rows[i].After, rows[i].Key = id-1, id
 		if i%2 == 1 {
 			rows[i].Deleted, rows[i].DeletedBy, rows[i].DeletedAt = true, "bob", created.Add(time.Second)
 		}

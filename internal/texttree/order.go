@@ -1,11 +1,14 @@
 // Package texttree implements the TeNDaX native text representation: text
-// as a chain of character instances, each a first-class database object
-// with identity and metadata. Deletion is logical (characters become
-// invisible tombstones but keep their place in the chain), which is what
-// makes versioning, undo across users, and copy-paste provenance cheap.
+// as a sequence of character instances, each a first-class database object
+// with identity and metadata. An instance records the instance it was
+// typed after, and document order is derived from those immutable anchors
+// (anchorOrder), so typing a character writes its own record and no
+// other. Deletion is logical (characters become invisible tombstones but
+// keep their place), which is what makes versioning, undo across users,
+// and copy-paste provenance cheap.
 //
 // Buffer, the character store, keeps each instance's record once and two
-// trees over the chain, each with one job: order, a parent-pointer treap
+// trees over the document order, each with one job: order, a parent-pointer treap
 // that is the only index by ID and answers the total rank of an ID, and
 // the persistent mirror (snapshot.go), which answers every positional and
 // visibility query for the live buffer and its snapshots alike.
@@ -16,7 +19,7 @@ import (
 )
 
 // order is the buffer's ID index: an implicit treap over every hot
-// character instance (visible and tombstoned) in chain order, whose nodes
+// character instance (visible and tombstoned) in document order, whose nodes
 // hold the instances' current records. Parent pointers let it answer the
 // one query the persistent mirror cannot: the total rank of an ID, in
 // O(log n), which is how writers address the mirror.
@@ -62,7 +65,7 @@ func (o *order) get(id util.ID) *Char {
 }
 
 // totalRank returns the number of character instances (visible and
-// tombstoned) strictly before id: its 0-based position in the chain.
+// tombstoned) strictly before id: its 0-based position in the document.
 func (o *order) totalRank(id util.ID) (int, bool) {
 	n := o.nodes[id]
 	if n == nil {
@@ -75,6 +78,23 @@ func (o *order) totalRank(id util.ID) (int, bool) {
 		}
 	}
 	return rank, true
+}
+
+// at returns the record at total rank k, or nil past the last instance.
+func (o *order) at(k int) *Char {
+	for n := o.root; n != nil; {
+		ls := n.left.sizeOf()
+		switch {
+		case k < ls:
+			n = n.left
+		case k == ls:
+			return n.ch
+		default:
+			k -= ls + 1
+			n = n.right
+		}
+	}
+	return nil
 }
 
 // swap replaces the record held for ch.ID (copy-on-write update) and

@@ -1,7 +1,6 @@
 package texttree
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,7 +10,7 @@ import (
 )
 
 // This file implements the MVCC side of the text representation: a
-// persistent (path-copying) implicit treap over the chain, so a Buffer can
+// persistent (path-copying) implicit treap over the document, so a Buffer can
 // hand out an immutable Snapshot of the whole document in O(1) without
 // blocking writers. Writers address it by total rank, which the
 // parent-pointer order treap answers, and mirror every change into it
@@ -126,7 +125,7 @@ func pset(gen uint64, n *pnode, k int, ch *Char) *pnode {
 }
 
 // pbuild constructs a treap from the n records at(0..n-1), already in
-// chain order, in O(n) using the rightmost-spine construction. The nodes
+// document order, in O(n) using the rightmost-spine construction. The nodes
 // are made in generation gen, freshly allocated and unshared, so in-place
 // fixup is safe until the root is published.
 func pbuild(gen uint64, n int, at func(i int) *Char) *pnode {
@@ -224,15 +223,14 @@ func pvisibleBefore(n *pnode, k int) int {
 	return v
 }
 
-// view is one version of the document: the mirror's root, the chain head
-// and the cold archive. Buffer embeds the current view and replaces its
+// view is one version of the document: the mirror's root and the cold
+// archive. Buffer embeds the current view and replaces its
 // fields on every mutation; a Snapshot embeds a frozen copy. The readers
 // are methods of view, so the live buffer and its snapshots share one
 // implementation of each.
 type view struct {
 	root    *pnode
-	head    util.ID // first instance in the chain (may be a tombstone)
-	version uint64  // increments on every mutation of the buffer
+	version uint64 // increments on every mutation of the buffer
 	// arch holds the cold tombstones compaction moved out of the trees
 	// (archive.go). Replaced wholesale, never mutated, so a snapshot keeps
 	// the archive it captured.
@@ -249,10 +247,6 @@ func (v *view) Len() int { return v.root.vcountOf() }
 // TotalLen returns the number of hot character instances, tombstones
 // included (archived instances are not counted).
 func (v *view) TotalLen() int { return v.root.sizeOf() }
-
-// Head returns the first character instance in the chain (possibly a
-// tombstone), or NilID for an empty document.
-func (v *view) Head() util.ID { return v.head }
 
 // Archive returns the cold-tombstone archive (never nil). Archived
 // instances are excluded from Walk, TotalLen and AllChars; WalkAll and
@@ -308,11 +302,11 @@ func (v *view) Text() string {
 }
 
 // TextAt reconstructs the text as it was at instant t (time travel):
-// characters created at or before t and not deleted at t, in chain order.
+// characters created at or before t and not deleted at t, in document order.
 // On a snapshot, for t at or after the snapshot instant this equals Text()
 // modulo edits the snapshot never saw. When t predates the compaction
 // horizon the walk transparently merges the archived cold tombstones back
-// in; at or after the newest archived deletion it filters the hot chain
+// in; at or after the newest archived deletion it filters the hot set
 // alone.
 func (v *view) TextAt(t time.Time) string {
 	var sb strings.Builder
@@ -393,7 +387,7 @@ func (v *view) VisibleIDs() []util.ID {
 	return out
 }
 
-// AllChars returns a copy of every hot character instance in chain order
+// AllChars returns a copy of every hot character instance in document order
 // (warm tombstones included, archived instances excluded): the persistent
 // form of the document's hot set. The archive persists separately.
 func (v *view) AllChars() []Char {
@@ -528,13 +522,13 @@ func (s *Snapshot) Char(id util.ID) (Char, bool) {
 	return ch, found
 }
 
-// CheckInvariants verifies the snapshot's internal consistency: the order
-// walk matches the frozen chain links, visibility flags agree with the
-// character records, and the subtree counts are right. A snapshot taken
-// at any commit boundary must always pass, no matter how many writers
-// have since moved the live buffer on.
+// CheckInvariants verifies the snapshot's internal consistency: every
+// instance comes after the instance it was typed after, visibility flags
+// agree with the character records, and the subtree counts are right. A
+// snapshot taken at any commit boundary must always pass, no matter how
+// many writers have since moved the live buffer on.
 func (s *Snapshot) CheckInvariants() error {
-	var prev *Char
+	seen := make(map[util.ID]bool, s.TotalLen())
 	count, visible := 0, 0
 	var err error
 	pwalk(s.root, func(n *pnode) bool {
@@ -544,17 +538,13 @@ func (s *Snapshot) CheckInvariants() error {
 			err = fmt.Errorf("texttree: snapshot node %d without char", count)
 		case n.visible != !ch.Deleted:
 			err = fmt.Errorf("texttree: snapshot visibility of %v disagrees with char state", ch.ID)
-		case prev == nil && s.head != ch.ID:
-			err = fmt.Errorf("texttree: snapshot head %v but first instance %v", s.head, ch.ID)
-		case prev == nil && !ch.Prev.IsNil():
-			err = fmt.Errorf("texttree: snapshot first instance %v has Prev %v", ch.ID, ch.Prev)
-		case prev != nil && (prev.Next != ch.ID || ch.Prev != prev.ID):
-			err = fmt.Errorf("texttree: snapshot chain torn between %v and %v", prev.ID, ch.ID)
+		case !ch.After.IsNil() && !seen[ch.After]:
+			err = fmt.Errorf("texttree: snapshot holds %v before %v, the instance it was typed after", ch.ID, ch.After)
 		}
 		if err != nil {
 			return false
 		}
-		prev = ch
+		seen[ch.ID] = true
 		count++
 		if n.visible {
 			visible++
@@ -563,13 +553,6 @@ func (s *Snapshot) CheckInvariants() error {
 	})
 	if err != nil {
 		return err
-	}
-	if count == 0 {
-		if !s.head.IsNil() {
-			return errors.New("texttree: empty snapshot with non-nil head")
-		}
-	} else if !prev.Next.IsNil() {
-		return fmt.Errorf("texttree: snapshot last instance %v has Next %v", prev.ID, prev.Next)
 	}
 	if count != s.TotalLen() {
 		return fmt.Errorf("texttree: snapshot walk saw %d of %d instances", count, s.TotalLen())

@@ -1,6 +1,7 @@
 package texttree
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -148,6 +149,8 @@ func TestBufferTextAtTimeTravel(t *testing.T) {
 	}
 }
 
+// TestBufferLoadRoundTrip: shuffled rows derive the buffer's instance
+// order, tombstones included, from their anchors alone.
 func TestBufferLoadRoundTrip(t *testing.T) {
 	b, gen := bufWithText(t, "persistent text")
 	id, _ := b.IDAt(3)
@@ -169,33 +172,42 @@ func TestBufferLoadRoundTrip(t *testing.T) {
 	if b2.Text() != b.Text() {
 		t.Fatalf("Load round trip: %q vs %q", b2.Text(), b.Text())
 	}
-	if b2.TotalLen() != b.TotalLen() {
-		t.Fatal("tombstones lost in round trip")
+	if !slices.Equal(b2.AllChars(), b.AllChars()) {
+		t.Fatal("Load round trip derived another instance order")
 	}
 	if err := b2.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestBufferLoadRejectsCorruptChains(t *testing.T) {
-	var gen util.IDGen
-	a, b, c := gen.Next(), gen.Next(), gen.Next()
-	// Two heads.
-	_, err := Load([]Char{
-		{ID: a, Rune: 'a', Next: c},
-		{ID: b, Rune: 'b'},
-		{ID: c, Rune: 'c', Prev: a},
-	})
-	if err == nil {
-		t.Fatal("two-headed chain accepted")
-	}
-	// Cycle.
-	_, err = Load([]Char{
-		{ID: a, Rune: 'a', Next: b},
-		{ID: b, Rune: 'b', Prev: a, Next: a},
-	})
-	if err == nil {
-		t.Fatal("cyclic chain accepted")
+// TestBufferLoadRejectsCorruptAnchors: Load refuses the three ways rows
+// can fail to derive one order — an anchor that is not among the rows,
+// two instances typed after one with the same key, and rows the walk
+// from the front never reaches (an anchor cycle).
+func TestBufferLoadRejectsCorruptAnchors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rows []Char
+		want string
+	}{
+		{"missing anchor", []Char{
+			{ID: 1, Rune: 'a', Key: 1},
+			{ID: 3, Rune: 'c', After: 2, Key: 3},
+		}, "missing char"},
+		{"shared key", []Char{
+			{ID: 1, Rune: 'a', Key: 1},
+			{ID: 2, Rune: 'b', After: 1, Key: 5},
+			{ID: 3, Rune: 'c', After: 1, Key: 5},
+		}, "share key"},
+		{"cycle", []Char{
+			{ID: 1, Rune: 'a', Key: 1},
+			{ID: 2, Rune: 'b', After: 3, Key: 2},
+			{ID: 3, Rune: 'c', After: 2, Key: 3},
+		}, "unreachable"},
+	} {
+		if _, err := Load(tc.rows); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Load error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }
 
