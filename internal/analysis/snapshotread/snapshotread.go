@@ -41,7 +41,7 @@ func run(pass *framework.Pass) error {
 				continue
 			}
 			// The *Locked suffix is the codebase's caller-holds-the-lock
-			// convention (publishEventLocked, updateDocRowLocked, ...).
+			// convention (publishEventLocked, addAuthorLocked, ...).
 			if strings.HasSuffix(fd.Name.Name, "Locked") {
 				continue
 			}

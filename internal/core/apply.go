@@ -162,7 +162,6 @@ type batchState struct {
 	updated    map[util.ID]*texttree.Char // existing instances with a flipped tombstone state
 	spans      []db.Row                   // span rows to insert
 	opRecs     []*opRecord                // one log row per op
-	sizeDelta  int                        // visible-length change of the whole batch
 
 	arena charArena // backing store for per-batch character records
 }
@@ -226,7 +225,6 @@ func (st *batchState) reset() {
 		st.opRecs[i] = nil
 	}
 	st.opRecs = st.opRecs[:0]
-	st.sizeDelta = 0
 	st.arena.reset()
 }
 
@@ -328,7 +326,6 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 				st.created = append(st.created, &recs[j])
 				st.createdSet[ch.ID] = &recs[j]
 			}
-			st.sizeDelta += len(runes)
 			lastInsert = ids[len(ids)-1]
 			lastInsertIDs = ids
 			logKind := "insert"
@@ -382,7 +379,6 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			}
 			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), deleted: affected,
 				pos: op.Pos, n: len(affected)}
-			st.sizeDelta -= len(affected)
 			st.opRecs = append(st.opRecs, &opRecord{ID: sop.opID, User: user,
 				Kind: "delete", CharIDs: affected, Created: now})
 			st.ops = append(st.ops, sop)
@@ -505,7 +501,7 @@ func (d *Document) resolveInsertAnchorLocked(st *batchState, op EditOp, lastInse
 // character row in one batch insert (final tombstone state, so each row is
 // written exactly once even when a later op of the same batch deleted
 // it), tombstone flips of pre-existing rows, span rows, one log row per
-// op, and the document-row refresh.
+// op, and, on the user's first edit, their name in the docs row.
 func (d *Document) persistBatchLocked(tx *txn.Txn, st *batchState) error {
 	if len(st.created) > 0 {
 		rows := make([]db.Row, len(st.created))
@@ -531,7 +527,7 @@ func (d *Document) persistBatchLocked(tx *txn.Txn, st *batchState) error {
 			return err
 		}
 	}
-	return d.updateDocRowLocked(tx, st.user, st.now, d.buf.Len()+st.sizeDelta)
+	return d.addAuthorLocked(tx, st.user)
 }
 
 // applyStagedLocked folds the committed batch into the buffer op by op and
@@ -608,8 +604,7 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 			results = append(results, EditResult{OpID: sop.opID, Span: sop.spanID,
 				IDs: sop.ids, Pos: pos})
 		}
-		rec := *st.opRecs[len(results)-1]
-		d.ops = append(d.ops, rec)
+		d.appendOpLocked(*st.opRecs[len(results)-1])
 	}
 	return results, items, nil
 }

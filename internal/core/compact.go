@@ -115,7 +115,7 @@ func (d *Document) compactLocked(horizon time.Time) (CompactStats, wal.LSN, erro
 	// text is untouched, so the existing sequence number still holds its
 	// promise ("contains every text event up to seq").
 	p := d.snap.Load()
-	d.snap.Store(&published{tree: d.buf.Snapshot(), seq: p.seq, row: p.row})
+	d.snap.Store(&published{tree: d.buf.Snapshot(), seq: p.seq, row: p.row, last: p.last})
 	return stats, lsn, nil
 }
 
@@ -164,7 +164,7 @@ func (d *Document) ensureArchiveLocked() (*texttree.Archive, error) {
 	// Republish so new snapshots carry the archive; the visible text is
 	// untouched, so the current sequence number keeps its promise.
 	p := d.snap.Load()
-	d.snap.Store(&published{tree: d.buf.Snapshot(), seq: p.seq, row: p.row})
+	d.snap.Store(&published{tree: d.buf.Snapshot(), seq: p.seq, row: p.row, last: p.last})
 	d.arch0 = arch
 	d.archLoadVersion = d.buf.Version()
 	d.archState.Store(archLoaded)

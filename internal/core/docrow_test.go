@@ -14,30 +14,14 @@ import (
 	"tendax/internal/util"
 )
 
-// infoDiff describes how two DocInfos differ, or returns "" when they agree
-// (instants compared with Equal: a decoded time carries no monotonic
-// reading).
-func infoDiff(a, b DocInfo) string {
-	switch {
-	case !slices.Equal(a.Authors, b.Authors):
-		return fmt.Sprintf("authors %v vs %v", a.Authors, b.Authors)
-	case !a.Created.Equal(b.Created) || !a.Modified.Equal(b.Modified):
-		return fmt.Sprintf("created/modified %v/%v vs %v/%v", a.Created, a.Modified, b.Created, b.Modified)
-	}
-	a.Authors, b.Authors = nil, nil
-	a.Created, a.Modified, b.Created, b.Modified = time.Time{}, time.Time{}, time.Time{}, time.Time{}
-	if !reflect.DeepEqual(a, b) {
-		return fmt.Sprintf("%+v vs %+v", a, b)
-	}
-	return ""
-}
-
-// TestAuthorsColumnSurvivesReopen: an author none of whose characters is
-// visible — bob typed one and deleted it — is still an author after a
-// restart, so their next edit must not append their name to the docs row's
-// authors column a second time. The handle and the row must agree
-// throughout.
-func TestAuthorsColumnSurvivesReopen(t *testing.T) {
+// TestDocInfoSurvivesReopen: a document's metadata is derived the same
+// way before and after a restart, and before anything opens the document
+// again. The first run ends on a state change, then a copy, which must not
+// move Modified. And an author none of whose characters is visible — bob
+// typed one and deleted it — is still an author after the restart, so
+// their next edit must not append their name to the docs row's authors
+// column a second time.
+func TestDocInfoSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	clock := util.NewFakeClock(time.Unix(3_000_000, 0).UTC(), time.Millisecond)
 	open := func() (*db.Database, *Engine) {
@@ -51,14 +35,10 @@ func TestAuthorsColumnSurvivesReopen(t *testing.T) {
 		}
 		return database, e
 	}
-	agree := func(when string, e *Engine, d *Document) {
+	check := func(when string, d *Document) {
 		t.Helper()
-		row, err := e.DocInfoByID(d.ID())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := infoDiff(d.Info(), row); diff != "" {
-			t.Fatalf("%s: Info and DocInfoByID disagree: %s", when, diff)
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", when, err)
 		}
 	}
 
@@ -76,10 +56,53 @@ func TestAuthorsColumnSurvivesReopen(t *testing.T) {
 	if _, err := d.DeleteRange("bob", 5, 1); err != nil {
 		t.Fatal(err)
 	}
-	agree("before the reopen", e, d)
+	if err := d.SetState("carol", "review"); err != nil {
+		t.Fatal(err)
+	}
+	changed := d.Info()
+	if changed.LastAuthor != "carol" || changed.State != "review" || !changed.Modified.After(changed.Created) {
+		t.Fatalf("after SetState: %+v, want carol's review as the newest change", changed)
+	}
+	if _, err := d.Copy("dave", 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	want := d.Info()
+	if diff := infoDiff(changed, want); diff != "" {
+		t.Fatalf("a copy changed the metadata: %s", diff)
+	}
+	check("before the restart", d)
 	id := d.ID()
 	if err := database.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	for _, read := range []struct {
+		name string
+		info func(e *Engine) (DocInfo, error)
+	}{
+		{"DocInfoByID", func(e *Engine) (DocInfo, error) { return e.DocInfoByID(id) }},
+		{"ListDocuments", func(e *Engine) (DocInfo, error) {
+			infos, err := e.ListDocuments()
+			if err == nil && len(infos) != 1 {
+				err = fmt.Errorf("%d documents listed, want 1", len(infos))
+			}
+			if err != nil {
+				return DocInfo{}, err
+			}
+			return infos[0], nil
+		}},
+	} {
+		database, e = open()
+		got, err := read.info(e)
+		if err != nil {
+			t.Fatalf("%s after the restart: %v", read.name, err)
+		}
+		if diff := infoDiff(want, got); diff != "" {
+			t.Fatalf("%s after the restart: %s", read.name, diff)
+		}
+		if err := database.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	database, e = open()
@@ -87,26 +110,27 @@ func TestAuthorsColumnSurvivesReopen(t *testing.T) {
 	if d, err = e.OpenDocument(id); err != nil {
 		t.Fatal(err)
 	}
-	agree("after the reopen", e, d)
+	check("after the restart", d)
 	if _, err := d.InsertText("bob", 5, "?"); err != nil {
 		t.Fatal(err)
 	}
-	agree("after bob's next edit", e, d)
+	check("after bob's next edit", d)
 	if got := d.Info().Authors; !slices.Equal(got, []string{"alice", "bob"}) {
 		t.Fatalf("authors after bob's next edit: %v, want [alice bob]", got)
 	}
 }
 
 // TestDocRowCacheMatchesTable checks the docs row a Document keeps against
-// the table after every kind of mutation that writes it, and after a batch
-// whose transaction aborts once the row is written.
+// the table after every kind of mutation, that only a new author or a
+// state change writes the row, and that a batch whose transaction aborts
+// once the row is written hands the row back.
 func TestDocRowCacheMatchesTable(t *testing.T) {
 	e := newEngine(t)
 	d, err := e.CreateDocument("alice", "cache")
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(after string) {
+	check := func(after string) db.Row {
 		t.Helper()
 		d.mu.Lock()
 		cached := d.row
@@ -127,36 +151,47 @@ func TestDocRowCacheMatchesTable(t *testing.T) {
 			t.Fatalf("after %s: cached docs row column %q = %v, table has %v",
 				after, docsSchema[i].Name, got, want)
 		}
+		return stored
 	}
-	check("CreateDocument")
+	stored := check("CreateDocument")
 
+	// writes is whether the step changes the row: a new author or a state
+	// change does; an edit by a listed author does not.
 	steps := []struct {
-		name string
-		do   func() error
+		name   string
+		writes bool
+		do     func() error
 	}{
-		{"typing", func() error { _, err := d.InsertText("alice", 0, "hello world"); return err }},
-		{"a new author's batch", func() error {
+		{"typing", false, func() error { _, err := d.InsertText("alice", 0, "hello world"); return err }},
+		{"a new author's batch", true, func() error {
 			_, err := d.Apply("bob", []EditOp{{Kind: EditInsert, Pos: 5, Text: ","}, {Kind: EditDelete, Pos: 0, N: 1}})
 			return err
 		}},
-		{"SetState", func() error { return d.SetState("alice", "review") }},
-		{"layout", func() error { _, err := d.ApplyLayout("alice", 0, 4, SpanBold, "true"); return err }},
-		{"note", func() error { _, err := d.InsertNote("carol", 2, "check"); return err }},
-		{"RemoveSpan", func() error {
+		{"SetState", true, func() error { return d.SetState("alice", "review") }},
+		{"layout", false, func() error { _, err := d.ApplyLayout("alice", 0, 4, SpanBold, "true"); return err }},
+		{"note", true, func() error { _, err := d.InsertNote("carol", 2, "check"); return err }},
+		{"RemoveSpan", false, func() error {
 			spans, err := d.Spans()
 			if err != nil {
 				return err
 			}
 			return d.RemoveSpan("alice", spans[0].ID)
 		}},
-		{"undo", func() error { _, err := d.UndoLocal("bob"); return err }},
-		{"redo", func() error { _, err := d.RedoLocal("bob"); return err }},
+		{"undo", false, func() error { _, err := d.UndoLocal("bob"); return err }},
+		{"redo", false, func() error { _, err := d.RedoLocal("bob"); return err }},
 	}
 	for _, s := range steps {
 		if err := s.do(); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		check(s.name)
+		prev := stored
+		stored = check(s.name)
+		if wrote := !reflect.DeepEqual(prev, stored); wrote != s.writes {
+			t.Fatalf("%s: docs row written %v, want %v (row %v, was %v)", s.name, wrote, s.writes, stored, prev)
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
 	}
 
 	// A batch by a new author whose transaction fails after the docs row is
@@ -184,5 +219,53 @@ func TestDocRowCacheMatchesTable(t *testing.T) {
 	check("an aborted batch")
 	if authors := d.Info().Authors; slices.Contains(authors, "dave") {
 		t.Fatalf("authors after an aborted batch: %v", authors)
+	}
+}
+
+// TestCreateRacingList: ListDocuments opens every document it lists, so it
+// can open one whose row has committed before CreateDocument has cached
+// its handle. The engine must still hold one handle per document: every
+// open returns the handle CreateDocument returned.
+func TestCreateRacingList(t *testing.T) {
+	e := newEngine(t)
+	stop := make(chan struct{})
+	seen := make(chan map[util.ID]*Document)
+	go func() {
+		handles := map[util.ID]*Document{}
+		defer func() { seen <- handles }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			infos, err := e.ListDocuments()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, info := range infos {
+				if d, err := e.OpenDocument(info.ID); err != nil {
+					t.Error(err)
+					return
+				} else if handles[info.ID] == nil {
+					handles[info.ID] = d
+				}
+			}
+		}
+	}()
+	created := map[util.ID]*Document{}
+	for i := 0; i < 500; i++ {
+		d, err := e.CreateDocument("alice", fmt.Sprint(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		created[d.ID()] = d
+	}
+	close(stop)
+	for id, d := range <-seen {
+		if d != created[id] {
+			t.Fatalf("document %v: an open during CreateDocument returned %p, CreateDocument %p", id, d, created[id])
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,22 +47,26 @@ type Document struct {
 	buf *texttree.Buffer
 	ops []opRecord // operation log cache (ops table is authoritative)
 	// row is the document's docs-table row as this handle last wrote it:
-	// the metadata Info reports and the base every docs-row update builds
-	// on, so a keystroke never reads the row back. writeRowLocked replaces
+	// the static metadata Info reports and the base every docs-row update
+	// builds on, so no update reads the row back. setRowLocked replaces
 	// it (never mutates it) and restores it if the transaction aborts.
 	row db.Row
+	// last is the document's newest op other than a copy; before any, one
+	// standing for its creation. appendOpLocked advances it.
+	last opRecord
 }
 
 // newDocument returns a handle on the document whose docs-table row is row.
 func newDocument(e *Engine, id util.ID, row db.Row) *Document {
 	d := &Document{
-		eng: e,
-		id:  id,
-		buf: texttree.NewBuffer(),
-		row: row,
+		eng:  e,
+		id:   id,
+		buf:  texttree.NewBuffer(),
+		row:  row,
+		last: opRecord{User: row[2].(string), Created: row[3].(time.Time)},
 	}
 	//tendax:allow-snapshotread construction: the document is not yet shared
-	d.snap.Store(&published{tree: d.buf.Snapshot(), seq: e.bus.Seq(id), row: row})
+	d.snap.Store(&published{tree: d.buf.Snapshot(), seq: e.bus.Seq(id), row: row, last: d.last})
 	return d
 }
 
@@ -71,12 +76,13 @@ func newDocument(e *Engine, id util.ID, row db.Row) *Document {
 // the seed did) is what lets a resync response promise "this text contains
 // exactly the edits up to this Seq" — without the pairing, an edit
 // committing between the two reads is silently dropped by the client as a
-// pre-snapshot duplicate. row is the docs-table row committed with the
-// snapshot, which Engine.DocInfoByID answers from without a lock.
+// pre-snapshot duplicate. row and last are the docs-table row and the
+// newest op committed with the snapshot: what info derives metadata from.
 type published struct {
 	tree *texttree.Snapshot
 	seq  uint64
-	row  db.Row // never modified: writeRowLocked replaces d.row
+	row  db.Row // never modified: setRowLocked replaces d.row
+	last opRecord
 }
 
 // publishEventLocked is the writers' single publish point: called under
@@ -87,7 +93,7 @@ type published struct {
 // committed state to the next in a single atomic load and can never
 // observe an event seq without the state it describes.
 func (d *Document) publishEventLocked(ev awareness.Event) uint64 {
-	p := &published{tree: d.buf.Snapshot(), row: d.row}
+	p := &published{tree: d.buf.Snapshot(), row: d.row, last: d.last}
 	return d.eng.bus.PublishWith(ev, func(seq uint64) {
 		p.seq = seq
 		d.snap.Store(p)
@@ -120,7 +126,8 @@ func commitLocked[T any](d *Document, user string, right Right, body func() (T, 
 	return v, nil
 }
 
-// load rebuilds the buffer from the chars table.
+// load rebuilds the buffer from the chars table and the operation log
+// from the ops table.
 func (d *Document) load() error {
 	rids, err := d.eng.tChars.LookupEq("doc", int64(d.id))
 	if err != nil {
@@ -148,21 +155,20 @@ func (d *Document) load() error {
 	if len(archRids) > 0 {
 		d.archState.Store(archPending)
 	}
+	if err := d.loadOps(); err != nil {
+		return err
+	}
 	//tendax:allow-snapshotread load-time construction: the document is published only after load returns
 	d.buf = buf
-	d.snap.Store(&published{tree: buf.Snapshot(), seq: d.eng.bus.Seq(d.id), row: d.row})
-	return d.loadOps()
+	d.snap.Store(&published{tree: buf.Snapshot(), seq: d.eng.bus.Seq(d.id), row: d.row, last: d.last})
+	return nil
 }
 
 // ID returns the document's identifier.
 func (d *Document) ID() util.ID { return d.id }
 
-// Name returns the document's name.
-func (d *Document) Name() string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.row[1].(string)
-}
+// Name returns the document's name, from the latest published state.
+func (d *Document) Name() string { return d.snap.Load().row[1].(string) }
 
 // Len returns the number of visible characters, from the latest committed
 // snapshot: no lock is taken.
@@ -181,15 +187,9 @@ func (d *Document) TextFor(user string) (string, error) {
 	return d.Snapshot().TextFor(user)
 }
 
-// Info returns current document metadata: the docs-table row as committed
-// (what Engine.DocInfoByID reads back) with the buffer's visible length.
-func (d *Document) Info() DocInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	info := docInfoFromRow(d.row)
-	info.Size = d.buf.Len()
-	return info
-}
+// Info returns the document's metadata as of its latest published state,
+// without the document lock.
+func (d *Document) Info() DocInfo { return d.snap.Load().info() }
 
 // Buffer returns an independent mutable copy of the underlying buffer for
 // callers that need bulk character-level access (the fine-grained readers
@@ -243,7 +243,7 @@ func (d *Document) copyLocked(user string, pos, n int) (Clipboard, wal.LSN, erro
 	if err != nil {
 		return Clipboard{}, 0, err
 	}
-	d.ops = append(d.ops, rec)
+	d.appendOpLocked(rec)
 	return clip, lsn, nil
 }
 
@@ -276,23 +276,25 @@ func (d *Document) SetState(user, state string) error {
 	return err
 }
 
+// setStateLocked logs the transition as a "state" op, which dates it.
 func (d *Document) setStateLocked(user, state string) (wal.LSN, error) {
-	now := d.eng.clock.Now()
-	row := append(db.Row(nil), d.row...)
-	row[7] = state
-	row[4] = now
+	rec := opRecord{ID: d.eng.ids.Next(), User: user, Kind: "state", Created: d.eng.clock.Now()}
 	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
-		return d.writeRowLocked(tx, row)
+		if err := d.writeOpRow(tx, &rec); err != nil {
+			return err
+		}
+		return d.setRowLocked(tx, 4, state)
 	})
 	if err != nil {
 		return 0, err
 	}
+	d.appendOpLocked(rec)
 	// Workflow transitions change ranking-relevant metadata (Modified,
 	// State) without touching the text, so they must still reach the
 	// awareness stream: the incremental indexer refreshes metadata from
 	// exactly these events.
 	d.publishEventLocked(awareness.Event{
-		Doc: d.id, Kind: awareness.EvWorkflow, User: user, Name: state, At: now,
+		Doc: d.id, Kind: awareness.EvWorkflow, User: user, Name: state, At: rec.Created,
 	})
 	return lsn, nil
 }
@@ -418,27 +420,26 @@ func zeroableTime(t time.Time) time.Time {
 	return t
 }
 
-// updateDocRowLocked records an edit by user in the docs-table row inside
-// tx: modified time, last author, visible length (newSize, the
-// post-operation length) and, on their first edit, the user's name in the
-// authors column. Caller holds d.mu.
-func (d *Document) updateDocRowLocked(tx *txn.Txn, user string, now time.Time, newSize int) error {
-	row := append(db.Row(nil), d.row...)
-	row[4] = now
-	row[5] = user
-	row[6] = int64(newSize)
-	if authors := row[8].(string); authors == "" {
-		row[8] = user
-	} else if !hasAuthor(authors, user) {
-		row[8] = authors + "," + user
+// addAuthorLocked appends user to the comma-separated authors column of the
+// docs-table row inside tx on their first edit of the document; for a
+// listed author it writes nothing. Caller holds d.mu.
+func (d *Document) addAuthorLocked(tx *txn.Txn, user string) error {
+	authors := d.row[5].(string)
+	for rest := authors; rest != ""; {
+		var name string
+		if name, rest, _ = strings.Cut(rest, ","); name == user {
+			return nil
+		}
 	}
-	return d.writeRowLocked(tx, row)
+	return d.setRowLocked(tx, 5, strings.TrimPrefix(authors+","+user, ","))
 }
 
-// writeRowLocked writes row as the document's docs-table row inside tx and
-// makes it the cached row, restoring the previous one if tx aborts. Caller
-// holds d.mu; row must not be modified afterwards.
-func (d *Document) writeRowLocked(tx *txn.Txn, row db.Row) error {
+// setRowLocked sets column col of the document's docs-table row to v
+// inside tx and makes the new row the cached one, restoring the previous
+// one if tx aborts. Caller holds d.mu.
+func (d *Document) setRowLocked(tx *txn.Txn, col int, v any) error {
+	row := append(db.Row(nil), d.row...)
+	row[col] = v
 	if err := d.eng.tDocs.UpdateByPK(tx, int64(d.id), row); err != nil {
 		return err
 	}
@@ -451,24 +452,11 @@ func (d *Document) writeRowLocked(tx *txn.Txn, row db.Row) error {
 	return nil
 }
 
-// hasAuthor reports whether user is one of the comma-separated names of a
-// docs row's authors column.
-func hasAuthor(authors, user string) bool {
-	for authors != "" {
-		name, rest, _ := strings.Cut(authors, ",")
-		if name == user {
-			return true
-		}
-		authors = rest
-	}
-	return false
-}
-
 // CheckInvariants verifies buffer invariants plus buffer/database
-// consistency: the chars rows, reloaded, must derive the buffer's instance
-// sequence — every hot ID in order with its deleted flag, which a
-// misplaced tombstone breaks even when the visible text survives (tests
-// and failure injection).
+// consistency: the document, loaded again from the tables, must have the
+// buffer's instance sequence — every hot ID in order with its deleted
+// flag, which a misplaced tombstone breaks even when the visible text
+// survives — and the published metadata (tests and failure injection).
 func (d *Document) CheckInvariants() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -485,23 +473,15 @@ func (d *Document) CheckInvariants() error {
 			snap.Version(), d.buf.Version())
 	}
 	// Reload from the database and compare.
-	rids, err := d.eng.tChars.LookupEq("doc", int64(d.id))
+	row, _, err := d.eng.tDocs.GetByPK(nil, int64(d.id))
 	if err != nil {
 		return err
 	}
-	rows := make([]texttree.Char, 0, len(rids))
-	for _, rid := range rids {
-		row, err := d.eng.tChars.Get(nil, rid)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, charFromRow(row))
+	fresh := newDocument(d.eng, d.id, row)
+	if err := fresh.load(); err != nil {
+		return err
 	}
-	fresh, err := texttree.Load(rows)
-	if err != nil {
-		return fmt.Errorf("core: reload: %w", err)
-	}
-	mem, disk := d.buf.AllChars(), fresh.AllChars()
+	mem, disk := d.buf.AllChars(), fresh.snap.Load().tree.AllChars()
 	if len(mem) != len(disk) {
 		return fmt.Errorf("core: buffer holds %d instances, database %d", len(mem), len(disk))
 	}
@@ -511,5 +491,19 @@ func (d *Document) CheckInvariants() error {
 				i, mem[i].ID, mem[i].Deleted, disk[i].ID, disk[i].Deleted)
 		}
 	}
+	if diff := infoDiff(fresh.Info(), d.Info()); diff != "" {
+		return fmt.Errorf("core: metadata loaded from the tables vs published: %s", diff)
+	}
 	return nil
+}
+
+// infoDiff prints two DocInfos that differ, or returns "" when they agree
+// (instants compared with Equal: a decoded time has no monotonic reading).
+func infoDiff(a, b DocInfo) string {
+	if a.Created.Equal(b.Created) && a.Modified.Equal(b.Modified) {
+		if a.Created, a.Modified = b.Created, b.Modified; reflect.DeepEqual(a, b) {
+			return ""
+		}
+	}
+	return fmt.Sprintf("%+v vs %+v", a, b)
 }

@@ -87,9 +87,6 @@ var (
 		{Name: "name", Type: db.TString},
 		{Name: "creator", Type: db.TString},
 		{Name: "created", Type: db.TTime},
-		{Name: "modified", Type: db.TTime},
-		{Name: "lastauthor", Type: db.TString},
-		{Name: "size", Type: db.TInt},
 		{Name: "state", Type: db.TString}, // draft | final | external
 		{Name: "authors", Type: db.TString},
 	}
@@ -354,7 +351,7 @@ func (e *Engine) WaitDurable(lsn wal.LSN) error { return e.db.WaitDurable(lsn) }
 func (e *Engine) CreateDocument(user, name string) (*Document, error) {
 	id := e.ids.Next()
 	now := e.clock.Now()
-	row := db.Row{int64(id), name, user, now, now, user, int64(0), "draft", user}
+	row := db.Row{int64(id), name, user, now, "draft", user}
 	err := e.withTxn(func(tx *txn.Txn) error {
 		_, err := e.tDocs.Insert(tx, row)
 		return err
@@ -362,10 +359,7 @@ func (e *Engine) CreateDocument(user, name string) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := newDocument(e, id, row)
-	e.mu.Lock()
-	e.docs[id] = d
-	e.mu.Unlock()
+	d := e.cache(newDocument(e, id, row))
 	e.notifyDocObserver(id, false)
 	return d, nil
 }
@@ -396,7 +390,7 @@ func (e *Engine) CreateExternalSource(name string) (util.ID, error) {
 	now := e.clock.Now()
 	err := e.withTxn(func(tx *txn.Txn) error {
 		_, err := e.tDocs.Insert(tx, db.Row{
-			int64(id), name, "", now, now, "", int64(0), "external", "",
+			int64(id), name, "", now, "external", "",
 		})
 		return err
 	})
@@ -428,14 +422,21 @@ func (e *Engine) OpenDocument(id util.ID) (*Document, error) {
 	if err := d.load(); err != nil {
 		return nil, err
 	}
+	return e.cache(d), nil
+}
+
+// cache makes d the engine's handle on its document and returns it, unless
+// a handle is cached already: then d lost a race with another open, or
+// with a scan that opened a document created a moment ago, and the cached
+// handle is returned.
+func (e *Engine) cache(d *Document) *Document {
 	e.mu.Lock()
-	if prior, ok := e.docs[id]; ok { // lost a race; use the cached one
-		e.mu.Unlock()
-		return prior, nil
+	defer e.mu.Unlock()
+	if prior, ok := e.docs[d.id]; ok {
+		return prior
 	}
-	e.docs[id] = d
-	e.mu.Unlock()
-	return d, nil
+	e.docs[d.id] = d
+	return d
 }
 
 // FindDocument resolves a document by name (first match).
@@ -461,77 +462,72 @@ type DocInfo struct {
 	Name       string
 	Creator    string
 	Created    time.Time
-	Modified   time.Time
-	LastAuthor string
-	Size       int
+	Modified   time.Time // of the newest op but a copy; Created if none
+	LastAuthor string    // of the newest op but a copy; Creator if none
+	Size       int       // visible characters
 	State      string
 	Authors    []string
 }
 
 // ListDocuments returns metadata for every non-external document.
-func (e *Engine) ListDocuments() ([]DocInfo, error) {
-	var out []DocInfo
-	err := e.tDocs.Scan(nil, func(_ db.RID, row db.Row) (bool, error) {
-		if row[7].(string) == "external" {
-			return true, nil
-		}
-		out = append(out, docInfoFromRow(row))
-		return true, nil
-	})
-	return out, err
-}
+func (e *Engine) ListDocuments() ([]DocInfo, error) { return e.docInfos(false) }
 
 // ExternalSources returns the registered external source documents.
-func (e *Engine) ExternalSources() ([]DocInfo, error) {
-	var out []DocInfo
+func (e *Engine) ExternalSources() ([]DocInfo, error) { return e.docInfos(true) }
+
+// docInfos answers DocInfoByID for every document that is, or is not, an
+// external source. The IDs are collected first, so no document is opened
+// inside the scan of the docs table.
+func (e *Engine) docInfos(external bool) ([]DocInfo, error) {
+	var ids []util.ID
 	err := e.tDocs.Scan(nil, func(_ db.RID, row db.Row) (bool, error) {
-		if row[7].(string) == "external" {
-			out = append(out, docInfoFromRow(row))
+		if (row[4].(string) == "external") == external {
+			ids = append(ids, util.ID(row[0].(int64)))
 		}
 		return true, nil
 	})
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	out := make([]DocInfo, len(ids))
+	for i, id := range ids {
+		if out[i], err = e.DocInfoByID(id); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
-// DocInfoByID returns metadata for one document. An open document answers
-// from its latest published state, off the document lock and without a
-// table read: the docs row committed with the snapshot readers see. A
-// document no handle has opened reads the docs table.
+// DocInfoByID returns Document.Info of one document. A document no handle
+// has opened is opened to answer: its size and newest change are derived
+// from its characters and its operation log, not stored in the docs row.
 func (e *Engine) DocInfoByID(id util.ID) (DocInfo, error) {
-	e.mu.Lock()
-	d := e.docs[id]
-	e.mu.Unlock()
-	if d != nil {
-		return docInfoFromRow(d.snap.Load().row), nil
-	}
-	row, _, err := e.tDocs.GetByPK(nil, int64(id))
-	if errors.Is(err, db.ErrNotFound) {
-		return DocInfo{}, ErrDocNotFound
-	}
+	d, err := e.OpenDocument(id)
 	if err != nil {
 		return DocInfo{}, err
 	}
-	return docInfoFromRow(row), nil
+	return d.Info(), nil
 }
 
-func docInfoFromRow(row db.Row) DocInfo {
+// info derives the document's metadata from p: the docs row's fields, the
+// snapshot's visible length and the newest change. Every DocInfo the
+// engine returns is made here.
+func (p *published) info() DocInfo {
 	var authors []string
-	if s := row[8].(string); s != "" {
-		// The row stores authors in first-edit order; Document.Info sorts.
-		// Normalise here so both metadata paths answer identically (the
-		// incremental indexer refreshes from the row, off the doc lock).
+	if s := p.row[5].(string); s != "" {
+		// The row stores authors in first-edit order; report them sorted.
 		authors = strings.Split(s, ",")
 		sort.Strings(authors)
 	}
 	return DocInfo{
-		ID:         util.ID(row[0].(int64)),
-		Name:       row[1].(string),
-		Creator:    row[2].(string),
-		Created:    row[3].(time.Time),
-		Modified:   row[4].(time.Time),
-		LastAuthor: row[5].(string),
-		Size:       int(row[6].(int64)),
-		State:      row[7].(string),
+		ID:         util.ID(p.row[0].(int64)),
+		Name:       p.row[1].(string),
+		Creator:    p.row[2].(string),
+		Created:    p.row[3].(time.Time),
+		Modified:   p.last.Created,
+		LastAuthor: p.last.User,
+		Size:       p.tree.Len(),
+		State:      p.row[4].(string),
 		Authors:    authors,
 	}
 }

@@ -64,12 +64,12 @@ func (d *Document) removeSpanLocked(user string, spanID util.ID) (wal.LSN, error
 		if err := d.writeOpRow(tx, &rec); err != nil {
 			return err
 		}
-		return d.updateDocRowLocked(tx, user, now, d.buf.Len())
+		return d.addAuthorLocked(tx, user)
 	})
 	if err != nil {
 		return 0, err
 	}
-	d.ops = append(d.ops, rec)
+	d.appendOpLocked(rec)
 	d.publishEventLocked(awareness.Event{
 		Doc: d.id, Kind: awareness.EvLayout, User: user, OpID: rec.ID,
 		Name: "remove", At: now,

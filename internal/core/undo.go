@@ -39,13 +39,14 @@ type opRecord struct {
 const opChunkBytes = 128 * 8
 
 // loadOps populates the in-memory operation log from the ops table,
-// reassembling chunked ID payloads.
+// reassembling chunked ID payloads, and with it the document's newest
+// change.
 func (d *Document) loadOps() error {
 	rids, err := d.eng.tOps.LookupEq("doc", int64(d.id))
 	if err != nil {
 		return err
 	}
-	d.ops = d.ops[:0]
+	ops := make([]opRecord, 0, len(rids))
 	for _, rid := range rids {
 		row, err := d.eng.tOps.Get(nil, rid)
 		if err != nil {
@@ -59,13 +60,26 @@ func (d *Document) loadOps() error {
 			}
 			op.CharIDs = append(op.CharIDs, more...)
 		}
-		d.ops = append(d.ops, op)
+		ops = append(ops, op)
 	}
 	// LookupEq returns RID order; ops were appended over time but RID order
 	// within one doc can interleave with other docs' pages, so sort by ID
 	// (IDs are allocation-ordered).
-	slices.SortFunc(d.ops, func(a, b opRecord) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(ops, func(a, b opRecord) int { return cmp.Compare(a.ID, b.ID) })
+	for _, op := range ops {
+		d.appendOpLocked(op)
+	}
 	return nil
+}
+
+// appendOpLocked appends a committed op to the cached log. Every op but a
+// copy changes the document, so it becomes d.last. Caller holds d.mu, or
+// owns a document not yet shared.
+func (d *Document) appendOpLocked(op opRecord) {
+	d.ops = append(d.ops, op)
+	if op.Kind != "copy" {
+		d.last = op
+	}
 }
 
 // loadOpChunks returns the continuation char IDs of one op, in order.
@@ -251,14 +265,14 @@ func (d *Document) undoLocked(user string, local bool) (util.ID, wal.LSN, error)
 		if err := d.writeOpRow(tx, &undoOp); err != nil {
 			return err
 		}
-		return d.updateDocRowLocked(tx, user, now, d.buf.Len()+plan.sizeDelta)
+		return d.addAuthorLocked(tx, user)
 	})
 	if err != nil {
 		return util.NilID, 0, err
 	}
 	items := plan.apply()
 	target.Undone = true
-	d.ops = append(d.ops, opRecord{ID: undoID, User: user, Kind: "undo",
+	d.appendOpLocked(opRecord{ID: undoID, User: user, Kind: "undo",
 		CharIDs: plan.affected, Ref: target.ID, Created: now})
 	d.publishEventLocked(awareness.Event{
 		Doc: d.id, Kind: awareness.EvUndo, User: user, OpID: undoID,
@@ -324,7 +338,7 @@ func (d *Document) redoLocked(user string, local bool) (util.ID, wal.LSN, error)
 		if err := d.writeOpRow(tx, &redoOp); err != nil {
 			return err
 		}
-		return d.updateDocRowLocked(tx, user, now, d.buf.Len()+plan.sizeDelta)
+		return d.addAuthorLocked(tx, user)
 	})
 	if err != nil {
 		return util.NilID, 0, err
@@ -332,7 +346,7 @@ func (d *Document) redoLocked(user string, local bool) (util.ID, wal.LSN, error)
 	items := plan.apply()
 	target.Undone = false
 	undoOp.Undone = true
-	d.ops = append(d.ops, opRecord{ID: redoID, User: user, Kind: "redo",
+	d.appendOpLocked(opRecord{ID: redoID, User: user, Kind: "redo",
 		CharIDs: target.CharIDs, Ref: target.ID, Created: now})
 	d.publishEventLocked(awareness.Event{
 		Doc: d.id, Kind: awareness.EvRedo, User: user, OpID: redoID,
@@ -350,10 +364,9 @@ func (d *Document) redoLocked(user string, local bool) (util.ID, wal.LSN, error)
 // later redo reverts exactly this set and nothing more (characters hidden
 // by other users' deletes stay hidden).
 type undoPlan struct {
-	persist   func(tx *txn.Txn) error
-	apply     func() []awareness.BatchItem
-	sizeDelta int
-	affected  []util.ID
+	persist  func(tx *txn.Txn) error
+	apply    func() []awareness.BatchItem
+	affected []util.ID
 }
 
 // inversePlan builds the inverse of op: hide inserted chars, restore
@@ -445,14 +458,9 @@ func (d *Document) visibilityPlanLocked(ids []util.ID, visible bool, user string
 		return ch
 	}
 
-	delta := len(affected) + len(archived)
-	if !visible {
-		delta = -delta
-	}
 	all := append(append([]util.ID(nil), affected...), archived...)
 	return &undoPlan{
-		sizeDelta: delta,
-		affected:  all,
+		affected: all,
 		persist: func(tx *txn.Txn) error {
 			// A rehydrated instance's row is inserted once, already
 			// flipped; a hot instance's row is rewritten with its flip.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -19,18 +20,20 @@ import (
 // relinked neighbours and the document row under a fixed-width header cost
 // ~1 254 B; splices under a varint header cost ~340 B. Rows written once,
 // ordered by their anchors, with no neighbour rewritten, cost ~287 B.
-const maxOneKeyBatchLogBytes = 300
+// Leaving the docs row alone unless the author is new costs ~228 B.
+const maxOneKeyBatchLogBytes = 240
 
 // maxOneKeyBatchWorstLogBytes bounds the WAL of any single one-key batch.
 // The worst is an author's first batch, whose document-row update also
 // appends the name to the authors column: ~377 B with the two neighbour
-// relinks, ~325 B without.
+// relinks, ~325 B without, ~261 B with a docs row of six columns.
 const maxOneKeyBatchWorstLogBytes = 360
 
 // TestOneKeyBatchLogBytes types one-key batches between two existing
 // characters of a 20k-character document, two authors alternating, and
-// fails if the keys log more than maxOneKeyBatchLogBytes each on average or
-// any batch logs more than maxOneKeyBatchWorstLogBytes. It logs what the
+// fails if the keys log more than maxOneKeyBatchLogBytes each on average,
+// any batch logs more than maxOneKeyBatchWorstLogBytes, or a batch by an
+// author the docs row already lists writes that row. It logs what the
 // bytes are: records and bytes per key, by record type and table.
 func TestOneKeyBatchLogBytes(t *testing.T) {
 	store, database, d := newOneKeyDoc(t)
@@ -42,9 +45,15 @@ func TestOneKeyBatchLogBytes(t *testing.T) {
 	const keys = 200
 	from := database.Log().NextLSN()
 	worst := 0
+	// starts[i] is the first LSN of batch i; listed[i] whether its author
+	// was in the authors column before it.
+	var starts []wal.LSN
+	var listed []bool
 	for i := 0; i < keys; i++ {
 		user := [2]string{"alice", "bob"}[i%2]
 		size := store.Len()
+		starts = append(starts, database.Log().NextLSN())
+		listed = append(listed, slices.Contains(d.Info().Authors, user))
 		if _, err := d.InsertText(user, 1+(i*7919)%(d.Len()-1), "k"); err != nil {
 			t.Fatal(err)
 		}
@@ -63,6 +72,10 @@ func TestOneKeyBatchLogBytes(t *testing.T) {
 		kind := r.Type.String()
 		if r.Type == wal.RecUpdate || r.Type == wal.RecCLR {
 			kind = fmt.Sprintf("%s %s %s", kind, [...]string{"", "insert", "update", "delete"}[r.Op], tables[r.Owner])
+			batch, _ := slices.BinarySearch(starts, r.LSN+1)
+			if batch--; tables[r.Owner] == "docs" && listed[batch] {
+				t.Errorf("batch %d wrote the docs row, but its author was listed already", batch)
+			}
 		}
 		if byKind[kind] == nil {
 			byKind[kind] = &line{}
@@ -128,7 +141,8 @@ func newOneKeyDoc(t *testing.T) (*wal.MemStore, *db.Database, *Document) {
 // 167. Copying each text mirror node at most once per snapshot, not once
 // per root path a key walks (five), brings it to ~104. Writing the new row
 // once, with no neighbour row rewritten, brings it to 83.
-const maxOneKeyBatchAllocs = 91
+// Leaving the docs row alone unless the author is new brings it to 72.
+const maxOneKeyBatchAllocs = 79
 
 // TestOneKeyBatchAllocs types one-key batches between two existing
 // characters of the same 20k-character document as TestOneKeyBatchLogBytes,

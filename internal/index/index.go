@@ -379,8 +379,8 @@ func (s *Service) flushDirtyLocked(now bool) {
 // refreshDocLocked brings one document's search-index entry to snap: the
 // changed ranges are patched in, or — when st.full says their record is
 // incomplete — text, headings and metadata are re-resolved wholesale. The
-// metadata comes from DocInfoByID, which answers an open document from the
-// docs row published with its latest snapshot, so the index path takes no
+// metadata comes from DocInfoByID, which derives it from the state an open
+// document published with its latest snapshot, so the index path takes no
 // document mutex and decodes no table row.
 func (s *Service) refreshDocLocked(id util.ID, st *docState, snap *core.DocSnapshot) {
 	info, err := s.eng.DocInfoByID(id)
