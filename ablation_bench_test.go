@@ -1,5 +1,5 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// order-statistic treap position index, B-tree secondary indexes, the
+// counted position index (the text mirror), B-tree secondary indexes, the
 // buffer pool, and tombstone-based version reconstruction.
 package tendax_test
 
@@ -31,14 +31,14 @@ func buildBuffer(b *testing.B, n int) *texttree.Buffer {
 	return buf
 }
 
-// BenchmarkAblationPositionIndex compares the treap's O(log n) position
+// BenchmarkAblationPositionIndex compares the mirror's O(log n) position
 // lookup against the naive linear walk a plain linked list would need —
 // the core data-structure choice behind "editing cost flat in doc size".
 func BenchmarkAblationPositionIndex(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		buf := buildBuffer(b, n)
 		rng := util.NewRand(1)
-		b.Run(fmt.Sprintf("treap/n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("mirror/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, ok := buf.IDAt(rng.Intn(n)); !ok {
 					b.Fatal("lookup failed")

@@ -38,8 +38,8 @@ type CompactStats struct {
 // Compact migrates every tombstone deleted before horizon out of the hot
 // set, order index, snapshot mirror and chars table into the archive.
 // It runs as one transaction and never invalidates a published snapshot:
-// readers holding an older DocSnapshot keep the pre-compaction structures
-// via the copy-on-write treap. The visible text is unchanged, so the new
+// readers holding an older DocSnapshot keep the pre-compaction mirror,
+// which the pass rebuilds rather than changes. The visible text is unchanged, so the new
 // snapshot republishes under the current event sequence number.
 func (d *Document) Compact(horizon time.Time) (CompactStats, error) {
 	stats, lsn, err := d.compactLocked(horizon)

@@ -142,7 +142,9 @@ func newOneKeyDoc(t *testing.T) (*wal.MemStore, *db.Database, *Document) {
 // per root path a key walks (five), brings it to ~104. Writing the new row
 // once, with no neighbour row rewritten, brings it to 83.
 // Leaving the docs row alone unless the author is new brings it to 72.
-const maxOneKeyBatchAllocs = 79
+// A B+-tree text mirror, which copies one leaf and the inner nodes above
+// it instead of a treap path, brings it to 56.
+const maxOneKeyBatchAllocs = 61
 
 // TestOneKeyBatchAllocs types one-key batches between two existing
 // characters of the same 20k-character document as TestOneKeyBatchLogBytes,

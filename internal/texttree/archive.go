@@ -36,7 +36,7 @@ import (
 // (interloper visible). DESIGN.md §6 gives the full argument.
 
 // Archive is the immutable cold-tombstone store of one buffer. Like the
-// persistent treap it is copy-on-write: compaction and rehydration build a
+// persistent mirror it is copy-on-write: compaction and rehydration build a
 // new Archive and republish, so any snapshot already holding the old one
 // keeps a frozen, internally consistent view.
 type Archive struct {
@@ -320,35 +320,43 @@ func (b *Buffer) PlanCompaction(horizon time.Time) *CompactionPlan {
 }
 
 // ApplyCompaction applies a plan computed by PlanCompaction against the
-// unchanged buffer state: cold instances leave the order treap and the
-// persistent mirror (by per-run path-copying splits, so existing snapshots
-// are untouched), the re-anchored records are swapped in copy-on-write,
-// and the new archive is published.
+// unchanged buffer state: cold instances leave the order treap, the
+// re-anchored records are swapped in copy-on-write, the mirror is rebuilt
+// once from a walk of the old one that skips the cold runs (existing
+// snapshots keep the old tree), and the new archive is published.
 func (b *Buffer) ApplyCompaction(plan *CompactionPlan) {
+	keep := make([]*Char, 0, b.TotalLen())
+	runs, re := plan.Runs, plan.Reanchored
+	var cold []*Char // the rest of the run being skipped
+	b.Walk(func(ch *Char, _ bool) bool {
+		if len(cold) == 0 && len(runs) > 0 && runs[0].Chars[0].ID == ch.ID {
+			cold, runs = runs[0].Chars, runs[1:]
+		}
+		if len(cold) > 0 {
+			if cold[0].ID != ch.ID {
+				panic(fmt.Sprintf("texttree: compaction plan is stale: %v where the run holds %v", ch.ID, cold[0].ID))
+			}
+			cold = cold[1:]
+			return true
+		}
+		if len(re) > 0 && re[0].ID == ch.ID {
+			cc := *re[0]
+			ch, re = &cc, re[1:]
+			b.order.nodes[ch.ID].ch = ch
+		}
+		keep = append(keep, ch)
+		return true
+	})
+	if len(runs) > 0 || len(cold) > 0 || len(re) > 0 {
+		panic(fmt.Sprintf("texttree: compaction plan is stale: %d runs, %d cold and %d re-anchored instances not met",
+			len(runs), len(cold), len(re)))
+	}
 	for _, run := range plan.Runs {
-		// A cold run is contiguous in document order, hence contiguous in
-		// total rank order: the whole run leaves the persistent mirror with
-		// two splits and one merge (O(log n) copied nodes per run) instead
-		// of one path-copying delete per instance.
-		r0, ok := b.order.totalRank(run.Chars[0].ID)
-		if !ok {
-			panic(fmt.Sprintf("texttree: compaction plan is stale: %v not in order", run.Chars[0].ID))
-		}
-		left, rest := psplit(b.gen, b.root, r0)
-		mid, right := psplit(b.gen, rest, len(run.Chars))
-		if mid.sizeOf() != len(run.Chars) {
-			panic(fmt.Sprintf("texttree: compaction plan is stale: run of %d at rank %d has %d nodes",
-				len(run.Chars), r0, mid.sizeOf()))
-		}
-		b.root = pmerge(b.gen, left, right)
 		for _, ch := range run.Chars {
 			b.order.remove(ch.ID)
 		}
 	}
-	for _, upd := range plan.Reanchored {
-		cc := *upd
-		b.update(&cc)
-	}
+	b.root = insert(b.gen, nil, 0, len(keep), func(i int) *Char { return keep[i] })
 	b.arch = plan.arch
 	b.version++
 }
@@ -483,11 +491,11 @@ func (v *view) WalkAll(fn func(ch *Char, archived bool) bool) {
 	if !emit(util.NilID) {
 		return
 	}
-	pwalk(v.root, func(n *pnode) bool {
-		if !fn(n.ch, false) {
+	v.Walk(func(ch *Char, _ bool) bool {
+		if !fn(ch, false) {
 			return false
 		}
-		return emit(n.ch.ID)
+		return emit(ch.ID)
 	})
 }
 

@@ -51,15 +51,16 @@ var ErrUnknownChar = errors.New("texttree: unknown character")
 // from them with Load.
 //
 // The order treap is the ID index: its nodes hold the records and it
-// answers the total rank of an ID. The persistent (path-copying) mirror in
-// the embedded view answers every positional read, for the buffer as for
-// its snapshots, and lets Snapshot hand out an immutable O(1) view at any
-// time. Records are copy-on-write: a *Char is never mutated once it is in
-// the buffer — an update swaps a copy into the order node and the mirror
-// instead. Mirror nodes are copy-on-write per generation: a write copies a
-// node made before the last Snapshot (which may be reachable from it) and
-// updates in place a node it or an earlier write of the same generation
-// made (which no snapshot can reach).
+// answers the total rank of an ID. The mirror in the embedded view, a
+// persistent B+-tree whose leaves hold up to leafCap records, answers every
+// positional read, for the buffer as for its snapshots, and lets Snapshot
+// hand out an immutable O(1) view at any time. Records are copy-on-write:
+// a *Char is never mutated once it is in the buffer — an update swaps a
+// copy into the order node and the mirror instead. Mirror nodes are
+// copy-on-write per generation: a write copies a node made before the last
+// Snapshot (which may be reachable from it) and updates in place a node it
+// or an earlier write of the same generation made (which no snapshot can
+// reach).
 type Buffer struct {
 	view
 	order order
@@ -93,7 +94,7 @@ func Load(rows []Char) (*Buffer, error) {
 		b.order.link(prev, b.order.nodes[ch.ID])
 		prev = ch.ID
 	}
-	b.root = pbuild(b.gen, len(ordered), func(i int) *Char { return ordered[i] })
+	b.root = insert(b.gen, nil, 0, len(ordered), func(i int) *Char { return ordered[i] })
 	return b, nil
 }
 
@@ -183,7 +184,7 @@ func (b *Buffer) RankOf(id util.ID) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return pvisibleBefore(b.root, r), true
+	return visibleBefore(b.root, r), true
 }
 
 // PosOf returns the 0-based visible position of id; ok is false for
@@ -217,9 +218,11 @@ func (b *Buffer) InsertAfter(prev util.ID, ch Char) (next util.ID, err error) {
 // its predecessor in the run for the rest — and a zero Key becomes the
 // record's own ID; no other record changes. The run must land in front of
 // what prev was typed before: its first Key must exceed the Key of prev's
-// current first child. One contiguous insertion pays ONE persistent-treap
-// splice (split at the run's start rank, O(len) build of the run, merge)
-// instead of a root-to-leaf path copy per character. The run is copied
+// current first child. One contiguous insertion descends the mirror once,
+// to the leaf at the run's start rank, and splices the whole run there:
+// the leaf is cut into balanced leaves if the run overflows it, and each
+// inner node above takes the new leaves or splits in turn. Only that one
+// root-to-leaf path is copied, however long the run. The run is copied
 // into an internal block, so the caller's slice is reusable immediately.
 // On error the buffer is unchanged.
 func (b *Buffer) InsertRun(prev util.ID, run []Char) (next util.ID, err error) {
@@ -266,9 +269,7 @@ func (b *Buffer) InsertRun(prev util.ID, run []Char) (next util.ID, err error) {
 		b.order.insertAfter(at, c)
 		at = c.ID
 	}
-	l, rest := psplit(b.gen, b.root, r)
-	mid := pbuild(b.gen, len(block), func(i int) *Char { return &block[i] })
-	b.root = pmerge(b.gen, pmerge(b.gen, l, mid), rest)
+	b.root = insert(b.gen, b.root, r, len(block), func(i int) *Char { return &block[i] })
 	b.version++
 	return next, nil
 }
@@ -284,7 +285,7 @@ func keyOf(c *Char) util.ID {
 
 // update installs ch, a fresh copy of the record of ch.ID, in the order
 // node and, path-copied, in the mirror.
-func (b *Buffer) update(ch *Char) { b.root = pset(b.gen, b.root, b.order.swap(ch), ch) }
+func (b *Buffer) update(ch *Char) { b.root = set(b.gen, b.root, b.order.swap(ch), ch) }
 
 // Delete tombstones id (logical deletion). Its place is untouched.
 func (b *Buffer) Delete(id util.ID, by string, at time.Time) error {

@@ -225,6 +225,9 @@ type modelRun struct {
 	now   int64
 	kept  []keptSnap
 	moved int // instances rehydrated, to show compaction and rehydration ran
+	// Mirror nodes the inserts added: leaves and inner nodes split, and
+	// levels the root grew by.
+	leafSplits, innerSplits, rootGrowths int
 }
 
 // keptSnap is a snapshot kept across later steps, with its text and the
@@ -265,8 +268,8 @@ func (r *modelRun) checkKept(chars bool, label string) {
 }
 
 // step applies the operation three bytes encode. Uniform random bytes give
-// roughly half inserts, a quarter deletes, a fifth undeletes and a
-// compaction pass every 256 steps.
+// roughly half inserts, a quarter deletes, a fifth undeletes, and every 256
+// steps a compaction pass and a run longer than a mirror leaf.
 func (r *modelRun) step(op, x, y byte) {
 	r.now++
 	at := time.Unix(r.now, 0)
@@ -291,6 +294,8 @@ func (r *modelRun) step(op, x, y byte) {
 			r.t.Fatal(err)
 		}
 		c.Deleted, c.DeletedBy, c.DeletedAt, c.Restored = true, "u", at, time.Time{}
+	case op == 254:
+		r.insert(int(x)%(len(r.m.hot)+1)-1, leafCap+1+int(y)%leafCap, y)
 	case op < 255 && len(tombs) > 0:
 		c := &r.m.hot[tombs[int(x)%len(tombs)]]
 		if err := r.b.Undelete(c.ID, at); err != nil {
@@ -384,14 +389,28 @@ func (m *model) checkReload(t testing.TB, b *Buffer, label string) {
 // is asked for every instance as well. Only these snapshots end the
 // buffer's generation, so the steps between two of them — inserts,
 // deletes, undeletes and compaction passes alike — update the mirror
-// nodes that generation made in place.
-func runModel(t testing.TB, data []byte, loadEvery int) *modelRun {
+// nodes that generation made in place. The buffer starts as a Load of
+// loaded typed instances (none: an empty buffer).
+func runModel(t testing.TB, data []byte, loadEvery, loaded int) *modelRun {
 	t.Helper()
-	r := &modelRun{t: t, b: NewBuffer(), m: model{arch: map[util.ID][]Char{}}}
+	r := &modelRun{t: t, m: model{hot: typedRows(loaded), arch: map[util.ID][]Char{}}}
+	for range r.m.hot {
+		r.gen.Next()
+	}
+	var err error
+	if r.b, err = Load(r.m.hot); err != nil {
+		t.Fatal(err)
+	}
 	keepAt := loadEvery - 1
 	for i := 0; i+2 < len(data); i += 3 {
 		step := i / 3
+		h0, leaves0, inners0 := shape(r.b.root)
 		r.step(data[i], data[i+1], data[i+2])
+		if h, leaves, inners := shape(r.b.root); data[i] != 255 && leaves0 > 0 {
+			r.leafSplits += leaves - leaves0
+			r.innerSplits += inners - inners0 - (h - h0)
+			r.rootGrowths += h - h0
+		}
 		label := fmt.Sprintf("step %d (op %d)", step, data[i])
 		r.m.check(t, r.b, label)
 		if err := r.b.CheckInvariants(); err != nil {
@@ -438,12 +457,55 @@ func TestBufferMatchesModel(t *testing.T) {
 		steps = 700
 	}
 	for _, seed := range []uint64{1, 2, 3} {
-		r := runModel(t, randomSteps(seed, steps), 50)
+		r := runModel(t, randomSteps(seed, steps), 50, 0)
 		if r.moved == 0 || r.b.TotalLen() == r.b.Len() {
 			t.Fatalf("seed %d: degenerate run: %d rehydrated, %d of %d hot visible",
 				seed, r.moved, r.b.Len(), r.b.TotalLen())
 		}
 	}
+}
+
+// TestBufferMatchesModelDeepTree runs the model test on a buffer loaded
+// with leafCap*fanout instances: full leaves under one full root, so the
+// first insert splits a leaf, splits the root and grows the tree, and
+// later inserts split leaves under inner nodes that are not the root.
+func TestBufferMatchesModelDeepTree(t *testing.T) {
+	steps := 600
+	if testing.Short() {
+		steps = 250
+	}
+	r := runModel(t, randomSteps(4, steps), 50, leafCap*fanout)
+	t.Logf("%d leaf splits, %d inner-node splits, %d root growths", r.leafSplits, r.innerSplits, r.rootGrowths)
+	if r.leafSplits == 0 || r.innerSplits == 0 || r.rootGrowths == 0 {
+		t.Fatal("the run did not split a leaf, split an inner node and grow the root")
+	}
+}
+
+// typedRows returns n instances typed one after another: IDs 1..n, each
+// anchored at the one before.
+func typedRows(n int) []Char {
+	rows := make([]Char, n)
+	for i := range rows {
+		id := util.ID(i + 1)
+		rows[i] = Char{ID: id, Rune: rune('a' + i%26), Author: "alice", Created: time.Unix(1, 0), After: id - 1, Key: id}
+	}
+	return rows
+}
+
+// shape returns the mirror's height in levels and its numbers of leaves
+// and inner nodes.
+func shape(n mnode) (height, leaves, inners int) {
+	switch t := n.(type) {
+	case *leaf:
+		return 1, 1, 0
+	case *inner:
+		for _, kid := range t.kids[:t.n] {
+			h, l, i := shape(kid)
+			height, leaves, inners = h+1, leaves+l, inners+i
+		}
+		return height, leaves, inners + 1
+	}
+	return 0, 0, 0
 }
 
 func randomSteps(seed uint64, steps int) []byte {
@@ -471,20 +533,41 @@ func FuzzBufferOps(f *testing.F) {
 	twice := randomSteps(1, maxSteps)
 	twice[3*50], twice[3*100] = 255, 255
 	f.Add(twice)
+	// Type 40 into one leaf and tombstone 20 of them; the snapshot kept
+	// after step 24 holds that leaf when a run of leafCap+1 lands at the
+	// front and splits it; tombstone the first 52 (the first leaf after
+	// the split), type past the horizon and compact, so a whole leaf
+	// empties.
+	split := []byte{}
+	for i := 0; i < 5; i++ {
+		split = append(split, 130, 0, 7)
+	}
+	for i := 5; i < 25; i++ {
+		split = append(split, 160, 0, 24)
+	}
+	split = append(split, 254, 0, 0)
+	for i := 26; i < 78; i++ {
+		split = append(split, 160, 0, 24)
+	}
+	for i := 78; i < 118; i++ {
+		split = append(split, 70, byte(i), 1)
+	}
+	f.Add(append(split, 255, 0, 0, 130, 1, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runModel(t, data[:min(len(data), 3*maxSteps)], 25)
+		runModel(t, data[:min(len(data), 3*maxSteps)], 25, 0)
 	})
 }
 
 // TestBufferBytesPerChar gates the settled heap of a loaded buffer:
 // 60 000 instances, every other one a tombstone, measured as
 // keystroke-bench's texttree.bytes_per_char is (heap after GC, before and
-// after Load, the rows live on both sides).
+// after Load, the rows live on both sides). A 64 B treap node per
+// instance made it 310 B; full 64-record B+-tree leaves, 256 B.
 func TestBufferBytesPerChar(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds shadow memory to every allocation")
 	}
-	const n, limit = 60000, 320
+	const n, limit = 60000, 281
 	created := time.Unix(1, 0)
 	rows := make([]Char, n)
 	for i := range rows {

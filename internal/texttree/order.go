@@ -10,8 +10,9 @@
 // Buffer, the character store, keeps each instance's record once and two
 // trees over the document order, each with one job: order, a parent-pointer treap
 // that is the only index by ID and answers the total rank of an ID, and
-// the persistent mirror (snapshot.go), which answers every positional and
-// visibility query for the live buffer and its snapshots alike.
+// the mirror (snapshot.go), a persistent B+-tree that answers every
+// positional and visibility query for the live buffer and its snapshots
+// alike.
 package texttree
 
 import (

@@ -2,6 +2,7 @@ package texttree
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,5 +86,25 @@ func TestPositionalReadsMatchHeadWalk(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		check(rng.Intn(l+2)-1, rng.Intn(40))
+	}
+}
+
+// TestSliceAllocatesOnce gates the reader the indexer calls on every
+// patched window: a Slice grows its builder once, to the clipped length,
+// so 64 ASCII runes cost the one allocation of the returned string.
+// Appending rune by rune reallocated the builder as it grew.
+func TestSliceAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	b, _ := bufWithText(t, strings.Repeat("tendax ", 100))
+	s := b.Snapshot()
+	var got string
+	allocs := testing.AllocsPerRun(100, func() { got = s.Slice(300, 64) })
+	if want := strings.Repeat("tendax ", 100)[300:364]; got != want {
+		t.Fatalf("Slice = %q, want %q", got, want)
+	}
+	if allocs != 1 {
+		t.Fatalf("a 64-rune Slice allocated %.1f times, want 1", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package texttree
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 	"time"
@@ -10,217 +11,399 @@ import (
 )
 
 // This file implements the MVCC side of the text representation: a
-// persistent (path-copying) implicit treap over the document, so a Buffer can
-// hand out an immutable Snapshot of the whole document in O(1) without
-// blocking writers. Writers address it by total rank, which the
-// parent-pointer order treap answers, and mirror every change into it
-// (split/merge along a copied root path); readers hold the old root and
-// never observe the change. Copying is per generation, not per write: a
-// node carries the buffer generation that made it, taking a snapshot ends
-// the generation, and a write copies only nodes of earlier generations —
-// a node the current generation already copied is updated in place, as no
-// snapshot can reach it. Every positional and visibility query, for the
-// live buffer and for snapshots, is answered here. Old snapshots are
-// reclaimed by the garbage collector once the last reader drops them — no
-// epoch bookkeeping is needed.
+// persistent B+-tree over the document, ordered by position, so a Buffer
+// can hand out an immutable Snapshot of the whole document in O(1) without
+// blocking writers. Leaves hold the character records in document order
+// with a visibility bitmap; inner nodes hold their children with each
+// child's total and visible counts. Writers address the tree by total
+// rank, which the parent-pointer order treap answers, and mirror every
+// change into it along one root-to-leaf path; readers hold the old root
+// and never observe the change. Copying is per generation, not per write:
+// a node carries the buffer generation that made it, taking a snapshot
+// ends the generation, and a write copies only nodes of earlier
+// generations — a node the current generation already copied is updated in
+// place, as no snapshot can reach it. Nothing removes a record except
+// compaction, which rebuilds the tree, so nodes never underflow and never
+// merge. Every positional and visibility query, for the live buffer and
+// for snapshots, is answered here. Old snapshots are reclaimed by the
+// garbage collector once the last reader drops them — no epoch bookkeeping
+// is needed.
 
-// pnode is one node of the persistent treap. A node of an ended
+const (
+	// leafCap is the number of records a leaf holds, one bit each in its
+	// visibility bitmap. A full leaf costs 9 B per record.
+	leafCap = 64
+	// fanout is the number of children an inner node holds. At 20k
+	// instances the tree is a root, one level of inner nodes and the
+	// leaves, so a key typed after a snapshot copies three nodes.
+	fanout = 32
+)
+
+// mnode is a mirror node: a *leaf or an *inner. A node of an ended
 // generation may be reachable from a snapshot and is never mutated;
-// updates copy its root-to-target path into the current generation and
+// updates copy its root-to-leaf path into the current generation and
 // share everything else.
-type pnode struct {
-	prio   uint64
-	gen    uint64 // the buffer generation that made the node
-	left   *pnode
-	right  *pnode
-	size   int // total nodes in subtree
-	vcount int // visible nodes in subtree
-	// visible is !ch.Deleted, kept in the node so descents by visible
-	// count never load the record.
-	visible bool
-	ch      *Char // frozen character record for this version
+type mnode interface {
+	// counts returns the number of instances under the node and how many
+	// of them are visible.
+	counts() (total, visible int)
 }
 
-func (n *pnode) sizeOf() int {
+// leaf holds up to leafCap consecutive records. Slots from n on are nil
+// and their bits clear.
+type leaf struct {
+	gen uint64 // the buffer generation that made the node
+	n   int
+	// vis has bit i set when recs[i] is visible (!Deleted), so descents by
+	// visible count never load a record.
+	vis  uint64
+	recs [leafCap]*Char
+}
+
+// inner holds up to fanout children of one height, each with the number
+// of instances under it and how many of them are visible.
+type inner struct {
+	gen   uint64 // the buffer generation that made the node
+	n     int
+	total [fanout]int32
+	vis   [fanout]int32
+	kids  [fanout]mnode
+}
+
+func (l *leaf) counts() (int, int) { return l.n, bits.OnesCount64(l.vis) }
+
+func (in *inner) counts() (total, visible int) {
+	for i := 0; i < in.n; i++ {
+		total += int(in.total[i])
+		visible += int(in.vis[i])
+	}
+	return total, visible
+}
+
+func countsOf(n mnode) (total, visible int) {
 	if n == nil {
+		return 0, 0
+	}
+	return n.counts()
+}
+
+// own returns l itself if gen made it, else a copy made in gen: the
+// path-copy step.
+func (l *leaf) own(gen uint64) *leaf {
+	if l.gen == gen {
+		return l
+	}
+	c := *l
+	c.gen = gen
+	return &c
+}
+
+func (in *inner) own(gen uint64) *inner {
+	if in.gen == gen {
+		return in
+	}
+	c := *in
+	c.gen = gen
+	return &c
+}
+
+// put installs kid as child i, with its counts.
+func (in *inner) put(i int, kid mnode) {
+	t, v := kid.counts()
+	in.kids[i], in.total[i], in.vis[i] = kid, int32(t), int32(v)
+}
+
+// child returns the index of the child holding total rank k (the last
+// child for k at or past the end) and k's rank within it.
+func (in *inner) child(k int) (int, int) {
+	i := 0
+	for ; i < in.n-1 && k >= int(in.total[i]); i++ {
+		k -= int(in.total[i])
+	}
+	return i, k
+}
+
+func visBit(ch *Char) uint64 {
+	if ch.Deleted {
 		return 0
 	}
-	return n.size
+	return 1
 }
 
-func (n *pnode) vcountOf() int {
-	if n == nil {
-		return 0
+// insert returns the root of the tree under root with the m records
+// at(0), ..., at(m-1) spliced in at total rank r, copying in generation gen
+// the nodes on the path that gen has not made. Each level hands the nodes
+// that replace its node to the level above, and while more than one comes
+// back from the top the root grows. An empty tree is an empty leaf, so Load
+// and compaction build a whole tree through the same splice.
+func insert(gen uint64, root mnode, r, m int, at func(i int) *Char) mnode {
+	if m == 0 {
+		return root
 	}
-	return n.vcount
+	if root == nil {
+		root = &leaf{gen: gen}
+	}
+	type step struct {
+		in *inner
+		i  int // the child the path takes
+	}
+	var stack [8]step
+	path := stack[:0]
+	n := root
+	for in, ok := n.(*inner); ok; in, ok = n.(*inner) {
+		i, k := in.child(r)
+		path = append(path, step{in, i})
+		n, r = in.kids[i], k
+	}
+	// A level reads every node it is handed before it appends its own to
+	// the same buffer.
+	var buf [2]mnode
+	nodes := n.(*leaf).splice(gen, r, m, at, buf[:0])
+	for d := len(path) - 1; d >= 0; d-- {
+		nodes = path[d].in.splice(gen, path[d].i, nodes, buf[:0])
+	}
+	for len(nodes) > 1 {
+		nodes = appendInners(gen, nil, nodes)
+	}
+	return nodes[0]
 }
 
-func (n *pnode) recompute() {
-	n.size = 1 + n.left.sizeOf() + n.right.sizeOf()
-	n.vcount = n.left.vcountOf() + n.right.vcountOf()
-	if n.visible {
-		n.vcount++
+// splice inserts the m records at(0), ..., at(m-1) at rank r and appends
+// the nodes that replace l to out: l itself or its copy when they fit,
+// else balanced leaves cut from its records and the new ones.
+func (l *leaf) splice(gen uint64, r, m int, at func(i int) *Char, out []mnode) []mnode {
+	if l.n+m > leafCap {
+		return appendLeaves(gen, out, l.n+m, func(i int) *Char {
+			switch {
+			case i < r:
+				return l.recs[i]
+			case i < r+m:
+				return at(i - r)
+			default:
+				return l.recs[i-m]
+			}
+		})
+	}
+	c := l.own(gen)
+	copy(c.recs[r+m:c.n+m], c.recs[r:c.n])
+	vis := (c.vis & (1<<r - 1)) | (c.vis >> r << (r + m))
+	for i := 0; i < m; i++ {
+		ch := at(i)
+		c.recs[r+i] = ch
+		vis |= visBit(ch) << (r + i)
+	}
+	c.n, c.vis = c.n+m, vis
+	return append(out, c)
+}
+
+// splice replaces child i with kids and appends the nodes that replace in
+// to out: in itself or its copy when they fit, else balanced inner nodes
+// cut from its children and kids.
+func (in *inner) splice(gen uint64, i int, kids, out []mnode) []mnode {
+	if grown := in.n - 1 + len(kids); grown > fanout {
+		all := make([]mnode, 0, grown)
+		all = append(append(append(all, in.kids[:i]...), kids...), in.kids[i+1:in.n]...)
+		return appendInners(gen, out, all)
+	}
+	c := in.own(gen)
+	if extra := len(kids) - 1; extra > 0 {
+		copy(c.kids[i+1+extra:], c.kids[i+1:c.n])
+		copy(c.total[i+1+extra:], c.total[i+1:c.n])
+		copy(c.vis[i+1+extra:], c.vis[i+1:c.n])
+		c.n += extra
+	}
+	for j, kid := range kids {
+		c.put(i+j, kid)
+	}
+	return append(out, c)
+}
+
+// cut calls fn with the bounds of each of the ceil(m/size) chunks of
+// balanced length that [0, m) is cut into.
+func cut(m, size int, fn func(lo, hi int)) {
+	for k, lo := (m+size-1)/size, 0; k > 0; k-- {
+		hi := lo + (m-lo)/k
+		fn(lo, hi)
+		lo = hi
 	}
 }
 
-// with returns n with the given children in generation gen (the path-copy
-// step): n itself, updated in place, if gen made it, else a copy made in
-// gen. The old tree the caller splits or merges is consumed either way.
-func (n *pnode) with(gen uint64, left, right *pnode) *pnode {
-	c := n
-	if n.gen != gen {
-		c = &pnode{prio: n.prio, gen: gen, visible: n.visible, ch: n.ch}
+// appendLeaves cuts the m records at(0), ..., at(m-1) into balanced leaves
+// made in gen and appends them to out.
+func appendLeaves(gen uint64, out []mnode, m int, at func(i int) *Char) []mnode {
+	cut(m, leafCap, func(lo, hi int) {
+		l := &leaf{gen: gen, n: hi - lo}
+		for i := range l.recs[:l.n] {
+			ch := at(lo + i)
+			l.recs[i] = ch
+			l.vis |= visBit(ch) << i
+		}
+		out = append(out, l)
+	})
+	return out
+}
+
+// appendInners cuts kids, all of one height, into balanced inner nodes
+// made in gen and appends them to out.
+func appendInners(gen uint64, out, kids []mnode) []mnode {
+	cut(len(kids), fanout, func(lo, hi int) {
+		in := &inner{gen: gen, n: hi - lo}
+		for i, kid := range kids[lo:hi] {
+			in.put(i, kid)
+		}
+		out = append(out, in)
+	})
+	return out
+}
+
+// set returns n with the record at total rank k replaced by ch (and with
+// it the visibility), copying in generation gen the nodes on the path
+// that gen has not made.
+func set(gen uint64, n mnode, k int, ch *Char) mnode {
+	if l, ok := n.(*leaf); ok {
+		c := l.own(gen)
+		c.recs[k] = ch
+		c.vis = c.vis&^(1<<k) | visBit(ch)<<k
+		return c
 	}
-	c.left, c.right = left, right
-	c.recompute()
+	in := n.(*inner)
+	i, k := in.child(k)
+	c := in.own(gen)
+	c.put(i, set(gen, in.kids[i], k, ch))
 	return c
 }
 
-// psplit splits the treap into the first k nodes and the rest, copying
-// only the nodes along the split path that gen has not made.
-func psplit(gen uint64, n *pnode, k int) (*pnode, *pnode) {
-	if n == nil {
-		return nil, nil
-	}
-	if k <= n.left.sizeOf() {
-		l, r := psplit(gen, n.left, k)
-		return l, n.with(gen, r, n.right)
-	}
-	l, r := psplit(gen, n.right, k-n.left.sizeOf()-1)
-	return n.with(gen, n.left, l), r
-}
-
-// pmerge joins two treaps (every node of a precedes every node of b),
-// copying only the merge path nodes that gen has not made. Smaller
-// priority wins the root, matching the mutable treap's min-heap
-// orientation.
-func pmerge(gen uint64, a, b *pnode) *pnode {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	if a.prio < b.prio {
-		return a.with(gen, a.left, pmerge(gen, a.right, b))
-	}
-	return b.with(gen, pmerge(gen, a, b.left), b.right)
-}
-
-// pset replaces the character record (and with it the visibility) of the
-// node at total rank k, path-copying down to it in generation gen.
-func pset(gen uint64, n *pnode, k int, ch *Char) *pnode {
-	ls := n.left.sizeOf()
-	switch {
-	case k < ls:
-		return n.with(gen, pset(gen, n.left, k, ch), n.right)
-	case k == ls:
-		c := n.with(gen, n.left, n.right)
-		c.visible, c.ch = !ch.Deleted, ch
-		c.recompute()
-		return c
-	default:
-		return n.with(gen, n.left, pset(gen, n.right, k-ls-1, ch))
-	}
-}
-
-// pbuild constructs a treap from the n records at(0..n-1), already in
-// document order, in O(n) using the rightmost-spine construction. The nodes
-// are made in generation gen, freshly allocated and unshared, so in-place
-// fixup is safe until the root is published.
-func pbuild(gen uint64, n int, at func(i int) *Char) *pnode {
-	// The right spine is O(log n) deep, so the stack rarely outgrows 32 and
-	// a short run builds without allocating it.
-	stack := make([]*pnode, 0, 32)
-	for i := 0; i < n; i++ {
-		ch := at(i)
-		nd := &pnode{prio: prioFor(ch.ID), gen: gen, visible: !ch.Deleted, ch: ch}
-		var last *pnode
-		for len(stack) > 0 && stack[len(stack)-1].prio > nd.prio {
-			last = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
+// walk visits every record under n in order, with its visibility, until
+// fn returns false.
+func walk(n mnode, fn func(ch *Char, visible bool) bool) bool {
+	switch t := n.(type) {
+	case *leaf:
+		for i, ch := range t.recs[:t.n] {
+			if !fn(ch, t.vis>>i&1 != 0) {
+				return false
+			}
 		}
-		nd.left = last
-		if len(stack) > 0 {
-			stack[len(stack)-1].right = nd
+	case *inner:
+		for _, kid := range t.kids[:t.n] {
+			if !walk(kid, fn) {
+				return false
+			}
 		}
-		stack = append(stack, nd)
 	}
-	if len(stack) == 0 {
-		return nil
-	}
-	root := stack[0]
-	refixAll(root)
-	return root
+	return true
 }
 
-func refixAll(n *pnode) {
-	if n == nil {
-		return
-	}
-	refixAll(n.left)
-	refixAll(n.right)
-	n.recompute()
-}
-
-// pwalk visits every node in order until fn returns false.
-func pwalk(n *pnode, fn func(n *pnode) bool) bool {
-	if n == nil {
-		return true
-	}
-	if !pwalk(n.left, fn) {
-		return false
-	}
-	if !fn(n) {
-		return false
-	}
-	return pwalk(n.right, fn)
-}
-
-// pwalkVisibleFrom visits the visible nodes under n in order, starting with
-// the one at visible rank skip, until fn returns false. It descends by
-// subtree visible counts — subtrees that hold nothing to visit are never
+// walkVisibleFrom visits the visible records under n in order, starting
+// with the one at visible rank skip, until fn returns false. It descends
+// by visible counts — children that hold nothing to visit are never
 // entered — so reading k characters at any position costs O(log n + k).
-func pwalkVisibleFrom(n *pnode, skip int, fn func(n *pnode) bool) bool {
-	if n == nil || skip >= n.vcount {
-		return true
-	}
-	if lv := n.left.vcountOf(); skip < lv {
-		if !pwalkVisibleFrom(n.left, skip, fn) {
-			return false
+func walkVisibleFrom(n mnode, skip int, fn func(ch *Char) bool) bool {
+	switch t := n.(type) {
+	case *leaf:
+		for b := t.vis; b != 0; b &= b - 1 {
+			if skip > 0 {
+				skip--
+			} else if !fn(t.recs[bits.TrailingZeros64(b)]) {
+				return false
+			}
 		}
-		skip = 0
-	} else {
-		skip -= lv
-	}
-	if n.visible {
-		if skip > 0 {
-			skip--
-		} else if !fn(n) {
-			return false
+	case *inner:
+		for i, kid := range t.kids[:t.n] {
+			if v := int(t.vis[i]); skip >= v {
+				skip -= v
+				continue
+			}
+			if !walkVisibleFrom(kid, skip, fn) {
+				return false
+			}
+			skip = 0
 		}
 	}
-	return pwalkVisibleFrom(n.right, skip, fn)
+	return true
 }
 
-// pvisibleBefore returns the number of visible nodes among the first k
-// nodes under n: the visible rank of the instance at total rank k.
-func pvisibleBefore(n *pnode, k int) int {
+// visibleBefore returns the number of visible records among the first k
+// under n: the visible rank of the instance at total rank k.
+func visibleBefore(n mnode, k int) int {
 	v := 0
 	for n != nil {
-		ls := n.left.sizeOf()
-		if k <= ls {
-			n = n.left
-			continue
+		if l, ok := n.(*leaf); ok {
+			return v + bits.OnesCount64(l.vis&(1<<k-1))
 		}
-		v += n.left.vcountOf()
-		if n.visible {
-			v++
+		in := n.(*inner)
+		i, rest := in.child(k)
+		for _, c := range in.vis[:i] {
+			v += int(c)
 		}
-		k -= ls + 1
-		n = n.right
+		n, k = in.kids[i], rest
 	}
 	return v
+}
+
+// checkTree verifies the mirror's structure under root: every leaf at
+// one depth, no node over capacity, no empty node but an empty root leaf,
+// each cached count the sum of what the child holds, each bitmap bit
+// !Deleted of its record, and every slot past a node's end clear.
+func checkTree(root mnode) error {
+	leafDepth := -1
+	var check func(n mnode, depth int) (total, visible int, err error)
+	check = func(n mnode, depth int) (total, visible int, err error) {
+		switch t := n.(type) {
+		case *leaf:
+			if leafDepth < 0 {
+				leafDepth = depth
+			}
+			switch {
+			case depth != leafDepth:
+				return 0, 0, fmt.Errorf("texttree: mirror leaves at depths %d and %d", leafDepth, depth)
+			case t.n < 0 || t.n > leafCap:
+				return 0, 0, fmt.Errorf("texttree: mirror leaf holds %d records, capacity %d", t.n, leafCap)
+			case t.n == 0 && depth > 0:
+				return 0, 0, fmt.Errorf("texttree: empty mirror leaf at depth %d", depth)
+			}
+			for i, ch := range t.recs {
+				bit := t.vis>>i&1 != 0
+				switch {
+				case i >= t.n && (ch != nil || bit):
+					return 0, 0, fmt.Errorf("texttree: mirror leaf of %d uses slot %d", t.n, i)
+				case i < t.n && ch == nil:
+					return 0, 0, fmt.Errorf("texttree: mirror leaf slot %d without char", i)
+				case i < t.n && bit != !ch.Deleted:
+					return 0, 0, fmt.Errorf("texttree: mirror visibility of %v disagrees with char state", ch.ID)
+				}
+			}
+			total, visible = t.counts()
+			return total, visible, nil
+		case *inner:
+			if t.n < 1 || t.n > fanout {
+				return 0, 0, fmt.Errorf("texttree: mirror inner node holds %d children, capacity %d", t.n, fanout)
+			}
+			for i := range t.kids {
+				if i >= t.n {
+					if t.kids[i] != nil || t.total[i] != 0 || t.vis[i] != 0 {
+						return 0, 0, fmt.Errorf("texttree: mirror inner node of %d uses slot %d", t.n, i)
+					}
+					continue
+				}
+				ct, cv, err := check(t.kids[i], depth+1)
+				if err != nil {
+					return 0, 0, err
+				}
+				if int(t.total[i]) != ct || int(t.vis[i]) != cv {
+					return 0, 0, fmt.Errorf("texttree: mirror child %d at depth %d counted %d/%d, holds %d/%d",
+						i, depth, t.total[i], t.vis[i], ct, cv)
+				}
+				total, visible = total+ct, visible+cv
+			}
+			return total, visible, nil
+		}
+		return 0, 0, fmt.Errorf("texttree: mirror node %T at depth %d", n, depth)
+	}
+	if root == nil {
+		return nil
+	}
+	_, _, err := check(root, 0)
+	return err
 }
 
 // view is one version of the document: the mirror's root and the cold
@@ -229,7 +412,7 @@ func pvisibleBefore(n *pnode, k int) int {
 // are methods of view, so the live buffer and its snapshots share one
 // implementation of each.
 type view struct {
-	root    *pnode
+	root    mnode  // nil for an empty document
 	version uint64 // increments on every mutation of the buffer
 	// arch holds the cold tombstones compaction moved out of the trees
 	// (archive.go). Replaced wholesale, never mutated, so a snapshot keeps
@@ -242,11 +425,17 @@ type view struct {
 func (v *view) Version() uint64 { return v.version }
 
 // Len returns the number of visible characters.
-func (v *view) Len() int { return v.root.vcountOf() }
+func (v *view) Len() int {
+	_, n := countsOf(v.root)
+	return n
+}
 
 // TotalLen returns the number of hot character instances, tombstones
 // included (archived instances are not counted).
-func (v *view) TotalLen() int { return v.root.sizeOf() }
+func (v *view) TotalLen() int {
+	n, _ := countsOf(v.root)
+	return n
+}
 
 // Archive returns the cold-tombstone archive (never nil). Archived
 // instances are excluded from Walk, TotalLen and AllChars; WalkAll and
@@ -262,12 +451,12 @@ func (v *view) Archive() *Archive {
 // until fn returns false. On a snapshot the Char is the frozen record of
 // its version; on the live buffer it must not be mutated.
 func (v *view) Walk(fn func(ch *Char, visible bool) bool) {
-	pwalk(v.root, func(n *pnode) bool { return fn(n.ch, n.visible) })
+	walk(v.root, fn)
 }
 
 // WalkVisible visits visible characters in order until fn returns false.
 func (v *view) WalkVisible(fn func(ch *Char) bool) {
-	pwalkVisibleFrom(v.root, 0, func(n *pnode) bool { return fn(n.ch) })
+	walkVisibleFrom(v.root, 0, fn)
 }
 
 // WalkVisibleFrom visits up to n visible characters in order, starting
@@ -276,18 +465,25 @@ func (v *view) WalkVisible(fn func(ch *Char) bool) {
 // pos lies: the walk descends to pos by visible count instead of scanning
 // from the head.
 func (v *view) WalkVisibleFrom(pos, n int, fn func(ch *Char)) {
+	pos, n = v.window(pos, n)
+	if n <= 0 {
+		return
+	}
+	walkVisibleFrom(v.root, pos, func(ch *Char) bool {
+		fn(ch)
+		n--
+		return n > 0
+	})
+}
+
+// window clips [pos, pos+n) to the visible characters and returns its
+// start and length (at most 0 when nothing is left).
+func (v *view) window(pos, n int) (int, int) {
 	if pos < 0 {
 		n += pos
 		pos = 0
 	}
-	if n <= 0 {
-		return
-	}
-	pwalkVisibleFrom(v.root, pos, func(nd *pnode) bool {
-		fn(nd.ch)
-		n--
-		return n > 0
-	})
+	return pos, min(n, v.Len()-pos)
 }
 
 // Text renders the visible text.
@@ -326,31 +522,35 @@ func (v *view) TextAt(t time.Time) string {
 
 // Slice returns up to n visible characters starting at pos.
 func (v *view) Slice(pos, n int) string {
+	pos, n = v.window(pos, n)
+	if n <= 0 {
+		return ""
+	}
 	var sb strings.Builder
+	sb.Grow(n)
 	v.WalkVisibleFrom(pos, n, func(ch *Char) { sb.WriteRune(ch.Rune) })
 	return sb.String()
 }
 
 // charAt returns the record of the visible character at pos, or nil.
 func (v *view) charAt(pos int) *Char {
-	n := v.root
-	if pos < 0 || pos >= n.vcountOf() {
+	if pos < 0 || pos >= v.Len() {
 		return nil
 	}
-	for {
-		lv := n.left.vcountOf()
-		switch {
-		case pos < lv:
-			n = n.left
-		case pos == lv && n.visible:
-			return n.ch
-		default:
-			pos -= lv
-			if n.visible {
-				pos--
+	for n := v.root; ; {
+		if l, ok := n.(*leaf); ok {
+			b := l.vis
+			for ; pos > 0; pos-- {
+				b &= b - 1
 			}
-			n = n.right
+			return l.recs[bits.TrailingZeros64(b)]
 		}
+		in := n.(*inner)
+		i := 0
+		for ; pos >= int(in.vis[i]); i++ {
+			pos -= int(in.vis[i])
+		}
+		n = in.kids[i]
 	}
 }
 
@@ -372,7 +572,11 @@ func (v *view) IDAt(pos int) (util.ID, bool) {
 
 // RangeIDs returns the IDs of visible characters in [pos, pos+n).
 func (v *view) RangeIDs(pos, n int) []util.ID {
-	var out []util.ID
+	pos, n = v.window(pos, n)
+	if n <= 0 {
+		return nil
+	}
+	out := make([]util.ID, 0, n)
 	v.WalkVisibleFrom(pos, n, func(ch *Char) { out = append(out, ch.ID) })
 	return out
 }
@@ -476,12 +680,12 @@ func (s *Snapshot) Resolve(ids []util.ID) []Anchor {
 		}
 	}
 	left, rank := len(hot), 0
-	pwalk(s.root, func(n *pnode) bool {
-		if _, ok := hot[n.ch.ID]; ok {
-			hot[n.ch.ID] = Anchor{Rank: rank, Visible: n.visible, Known: true}
+	s.Walk(func(ch *Char, visible bool) bool {
+		if _, ok := hot[ch.ID]; ok {
+			hot[ch.ID] = Anchor{Rank: rank, Visible: visible, Known: true}
 			left--
 		}
-		if n.visible {
+		if visible {
 			rank++
 		}
 		return left > 0
@@ -512,53 +716,35 @@ func (s *Snapshot) Char(id util.ID) (Char, bool) {
 		return *ch, true
 	}
 	var ch Char
-	found := !pwalk(s.root, func(n *pnode) bool {
-		if n.ch.ID != id {
+	found := false
+	s.Walk(func(c *Char, _ bool) bool {
+		if c.ID != id {
 			return true
 		}
-		ch = *n.ch
+		ch, found = *c, true
 		return false
 	})
 	return ch, found
 }
 
-// CheckInvariants verifies the snapshot's internal consistency: every
-// instance comes after the instance it was typed after, visibility flags
-// agree with the character records, and the subtree counts are right. A
-// snapshot taken at any commit boundary must always pass, no matter how
-// many writers have since moved the live buffer on.
+// CheckInvariants verifies the snapshot's internal consistency: the
+// mirror's structure and cached counts (checkTree), visibility bits that
+// agree with the character records, and every instance after the instance
+// it was typed after. A snapshot taken at any commit boundary must always
+// pass, no matter how many writers have since moved the live buffer on.
 func (s *Snapshot) CheckInvariants() error {
+	if err := checkTree(s.root); err != nil {
+		return err
+	}
 	seen := make(map[util.ID]bool, s.TotalLen())
-	count, visible := 0, 0
 	var err error
-	pwalk(s.root, func(n *pnode) bool {
-		ch := n.ch
-		switch {
-		case ch == nil:
-			err = fmt.Errorf("texttree: snapshot node %d without char", count)
-		case n.visible != !ch.Deleted:
-			err = fmt.Errorf("texttree: snapshot visibility of %v disagrees with char state", ch.ID)
-		case !ch.After.IsNil() && !seen[ch.After]:
+	s.Walk(func(ch *Char, _ bool) bool {
+		if !ch.After.IsNil() && !seen[ch.After] {
 			err = fmt.Errorf("texttree: snapshot holds %v before %v, the instance it was typed after", ch.ID, ch.After)
-		}
-		if err != nil {
 			return false
 		}
 		seen[ch.ID] = true
-		count++
-		if n.visible {
-			visible++
-		}
 		return true
 	})
-	if err != nil {
-		return err
-	}
-	if count != s.TotalLen() {
-		return fmt.Errorf("texttree: snapshot walk saw %d of %d instances", count, s.TotalLen())
-	}
-	if visible != s.Len() {
-		return fmt.Errorf("texttree: snapshot visible count %d vs %d", visible, s.Len())
-	}
-	return nil
+	return err
 }

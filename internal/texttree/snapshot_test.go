@@ -246,25 +246,34 @@ func TestBufferErrorPathsLeaveStateUnchanged(t *testing.T) {
 	}
 }
 
-// TestPnodeFitsSizeClass: the generation stamp must not push a mirror
-// node out of the 64-byte allocation size class, or every instance's
-// heap grows with it.
-func TestPnodeFitsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(pnode{}); size > 64 {
-		t.Fatalf("pnode is %d B, over the 64 B size class", size)
+// TestMirrorNodesFitSizeClass: each mirror node must stay inside the
+// allocation size class it is built for — a leaf in the 576 B class (9 B
+// per record when full), an inner node in the 896 B class — or every
+// instance's heap, and every copy a key makes, grows with it.
+func TestMirrorNodesFitSizeClass(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		size, class uintptr
+	}{
+		{"leaf", unsafe.Sizeof(leaf{}), 576},
+		{"inner", unsafe.Sizeof(inner{}), 896},
+	} {
+		if c.size > c.class {
+			t.Errorf("%s node is %d B, over the %d B size class", c.name, c.size, c.class)
+		}
 	}
 }
 
 // TestOneKeyInsertCopiesOnePath gates the allocations of one key typed
-// right after a snapshot into a 40k-instance buffer. The split and the
-// two merges each walk a root path, but a node is copied at most once per
-// generation: the later walks update the copies the split made. Copying
-// every path anew cost 94 allocations.
+// right after a snapshot into a 40k-instance buffer. Copying every treap
+// path a splice walked anew cost 94 allocations; copying each treap node
+// at most once per generation, 23. The B+-tree mirror copies one leaf
+// (two when the key splits it) and the two inner nodes above it: 6.
 func TestOneKeyInsertCopiesOnePath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")
 	}
-	const n, limit = 40000, 40
+	const n, limit = 40000, 8
 	created := time.Unix(1, 0)
 	rows := make([]Char, n)
 	for i := range rows {
