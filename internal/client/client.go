@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -674,13 +675,13 @@ func (d *Doc) foldLocked(ev *protocol.Event) {
 	d.events = append(d.events, *ev)
 }
 
-// spliceLocked replaces del runes at pos with ins.
+// spliceLocked replaces del runes at pos with ins, in place: only the
+// tail moves, and the slice grows only when it is full.
 func (d *Doc) spliceLocked(pos, del int, ins string) {
 	if pos < 0 || pos+del > len(d.runes) {
 		return
 	}
-	r := []rune(ins)
-	d.runes = append(d.runes[:pos], append(r, d.runes[pos+del:]...)...)
+	d.runes = slices.Replace(d.runes, pos, pos+del, []rune(ins)...)
 }
 
 // Resync brings the replica back in step with the committed state after a

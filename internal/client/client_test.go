@@ -628,3 +628,23 @@ func TestSessionMoveToReportsFailedBatch(t *testing.T) {
 		t.Fatalf("%d edits sent behind the failed batch", len(reqs))
 	}
 }
+
+// TestFoldAllocsAtMidDocument pins the replica's fold of a mid-document
+// keystroke and its delete at 20k runes: the runes are spliced in place,
+// so a fold allocates nothing however long the tail behind the edit.
+func TestFoldAllocsAtMidDocument(t *testing.T) {
+	const maxAllocs = 0
+	d := &Doc{runes: []rune(strings.Repeat("a", 20_000))}
+	ins := protocol.Event{Kind: "insert", Pos: 10_000, Text: "x"}
+	del := protocol.Event{Kind: "delete", Pos: 10_000, N: 1}
+	allocs := testing.AllocsPerRun(200, func() {
+		d.foldLocked(&ins)
+		d.foldLocked(&del)
+	})
+	if allocs > maxAllocs {
+		t.Fatalf("%.1f allocations per folded insert and delete at 20k runes, want at most %d", allocs, maxAllocs)
+	}
+	if len(d.runes) != 20_000 || strings.ContainsRune(string(d.runes), 'x') {
+		t.Fatal("fold changed the text")
+	}
+}

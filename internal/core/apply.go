@@ -22,7 +22,9 @@ import (
 // client coalesces keystrokes into these batches, so the per-edit costs
 // (request round-trip, lock handoff, fsync wait, push fan-out) are paid
 // once per batch instead of once per keystroke; the positional methods at
-// the end of the file are one-op batches.
+// the end of the file are one-op batches. Undo, redo and span removal are
+// batches of one step each: a delete, or one of the two steps only the
+// engine stages (restore, span flag).
 
 // Edit-op kinds accepted by Apply.
 const (
@@ -111,38 +113,31 @@ func (d *Document) ApplyAsync(user string, ops []EditOp) ([]EditResult, wal.LSN,
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-
-	// Staging state is pooled and arena-backed: a steady stream of batches
-	// recycles the same stagedOp slices, per-batch maps and character-record
-	// blocks instead of re-allocating them per commit. Nothing reachable
-	// from st survives this call (the buffer, the op log and the results
-	// all take their own copies), so releasing on every return is safe.
-	st := batchPool.Get().(*batchState)
-	defer func() {
-		st.reset()
-		batchPool.Put(st)
-	}()
-	st.user = user
-	st.now = d.eng.clock.Now()
+	st := getBatch(user, d.eng.clock.Now())
+	defer st.release()
 	if err := d.stageBatchLocked(st, ops); err != nil {
 		return nil, 0, err
 	}
+	return d.commitBatchLocked(st)
+}
 
+// commitBatchLocked is the one persist → apply → publish sequence after a
+// batch is staged: it writes the batch in one transaction, folds it into
+// the buffer op by op once that has committed — resolving the positional
+// form of every item as the state evolves — and publishes it as one
+// awareness event. Caller holds d.mu.
+func (d *Document) commitBatchLocked(st *batchState) ([]EditResult, wal.LSN, error) {
 	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
 		return d.persistBatchLocked(tx, st)
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-
-	// Transaction committed: fold the batch into the buffer op by op,
-	// resolving the positional form of every item as the state evolves,
-	// then publish the whole batch as one awareness event.
 	results, items, err := d.applyStagedLocked(st)
 	if err != nil {
 		return nil, 0, err
 	}
-	d.publishBatchLocked(user, st, items, st.now)
+	d.publishBatchLocked(st, items)
 	return results, lsn, nil
 }
 
@@ -161,9 +156,25 @@ type batchState struct {
 	createdSet map[util.ID]*texttree.Char
 	updated    map[util.ID]*texttree.Char // existing instances with a flipped tombstone state
 	spans      []db.Row                   // span rows to insert
+	spanFlags  []db.Row                   // span rows with a flipped removed flag
 	opRecs     []*opRecord                // one log row per op
 
+	// rehydrate plans the archived instances the restore step brings back
+	// into the hot set (at most one restore step per batch).
+	rehydrate *texttree.RehydratePlan
+	// undone lists the op-log entries whose undone flag flips (undo, redo).
+	undone []opFlag
+	// undo is the event header undo and redo publish in place of a batch
+	// event: Kind EvUndo or EvRedo, naming the reverted op (Name, N).
+	undo awareness.Event
+
 	arena charArena // backing store for per-batch character records
+}
+
+// opFlag sets the undone flag of d.ops[i].
+type opFlag struct {
+	i      int
+	undone bool
 }
 
 // charArena hands out blocks of texttree.Char with pool lifetime. Records
@@ -202,6 +213,24 @@ var batchPool = sync.Pool{New: func() interface{} {
 	}
 }}
 
+// getBatch returns a pooled batchState for user's batch at now. Staging
+// state is pooled and arena-backed: a steady stream of batches recycles
+// the same stagedOp slices, per-batch maps and character-record blocks
+// instead of re-allocating them per commit. Nothing reachable from st
+// survives the batch (the buffer, the op log and the results all take
+// their own copies), so the caller releases it on every return.
+func getBatch(user string, now time.Time) *batchState {
+	st := batchPool.Get().(*batchState)
+	st.user, st.now = user, now
+	return st
+}
+
+// release resets st and returns it to the pool.
+func (st *batchState) release() {
+	st.reset()
+	batchPool.Put(st)
+}
+
 // reset clears the state for reuse, zeroing slice elements so recycled
 // batches do not pin the previous batch's op records and ID slices.
 func (st *batchState) reset() {
@@ -221,27 +250,41 @@ func (st *batchState) reset() {
 		st.spans[i] = nil
 	}
 	st.spans = st.spans[:0]
+	for i := range st.spanFlags {
+		st.spanFlags[i] = nil
+	}
+	st.spanFlags = st.spanFlags[:0]
 	for i := range st.opRecs {
 		st.opRecs[i] = nil
 	}
 	st.opRecs = st.opRecs[:0]
+	st.rehydrate = nil
+	st.undone = st.undone[:0]
+	st.undo = awareness.Event{}
 	st.arena.reset()
 }
+
+// The steps only the engine stages: no EditOp kind names them, so no
+// wire op reaches them (stageBatchLocked refuses unknown kinds).
+const (
+	stepRestore  = "restore"   // undo of a delete, redo of an insert
+	stepSpanFlag = "span-flag" // RemoveSpan, undo and redo of a layout
+)
 
 // stagedOp carries what the apply phase needs to replay one op against
 // the buffer after commit.
 type stagedOp struct {
-	kind    string
-	opID    util.ID
-	spanID  util.ID
-	prev    util.ID         // insert: resolved predecessor
-	srcDoc  util.ID         // insert: paste source document
-	chars   []texttree.Char // insert: records as created (visible), value copies
-	deleted []util.ID       // delete: instances whose visibility flips
-	ids     []util.ID       // layout: spanned instances; note: anchor
-	text    string          // insert/note text; layout: "kind=value"
-	pos     int             // pos-fallback ops: requested position (apply recomputes committed pos)
-	n       int
+	kind   string
+	opID   util.ID
+	spanID util.ID
+	prev   util.ID         // insert: resolved predecessor
+	srcDoc util.ID         // insert: paste source document
+	chars  []texttree.Char // insert: records as created (visible), value copies
+	flips  []util.ID       // delete, restore: instances whose visibility flips
+	ids    []util.ID       // layout: spanned instances; note, span flag: anchor
+	text   string          // insert/note text; layout: "kind=value"; span flag: event name
+	pos    int             // pos-fallback ops: requested position (apply recomputes committed pos)
+	n      int
 }
 
 // charLocked resolves an instance against the staged state first, then
@@ -355,11 +398,10 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 					// Compaction may have archived the tombstone since the
 					// client saw it — archived instances are deleted by
 					// construction, so the delete already holds.
-					arch, err := d.ensureArchiveLocked()
-					if err != nil {
+					if _, err := d.ensureArchiveLocked(); err != nil {
 						return fmt.Errorf("core: batch op %d: %w", i, err)
 					}
-					if arch.Contains(id) {
+					if d.buf.Archive().Contains(id) {
 						continue
 					}
 					return fmt.Errorf("core: batch op %d: %w: %v", i, texttree.ErrUnknownChar, id)
@@ -377,7 +419,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 				}
 				affected = append(affected, id)
 			}
-			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), deleted: affected,
+			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), flips: affected,
 				pos: op.Pos, n: len(affected)}
 			st.opRecs = append(st.opRecs, &opRecord{ID: sop.opID, User: user,
 				Kind: "delete", CharIDs: affected, Created: now})
@@ -456,6 +498,80 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 	return nil
 }
 
+// stageRestoreLocked stages the restore step of an undo or redo: the
+// given instances become visible again. Hot tombstones flip through
+// setLocked, keeping their deletion interval for time travel; archived
+// ones are planned back into the hot set (rehydration), their rows
+// inserted already flipped. Instances already visible are skipped, so
+// selective undo over tombstones commutes per character. The step's log
+// record is minted after the rehydration keys, so it outranks them: an
+// engine reopened on the data seeds its ID generator above those keys.
+func (d *Document) stageRestoreLocked(st *batchState, ids []util.ID) error {
+	if _, err := d.ensureArchiveLocked(); err != nil {
+		return err
+	}
+	var flips, archived []util.ID
+	for _, id := range ids {
+		ch, ok := st.charLocked(d, id)
+		switch {
+		case ok && !ch.Deleted:
+		case ok:
+			if err := st.setLocked(d, id, func(c *texttree.Char) {
+				c.Deleted = false
+				c.Restored = st.now
+			}); err != nil {
+				return err
+			}
+			flips = append(flips, id)
+		case d.buf.Archive().Contains(id):
+			archived = append(archived, id)
+		default:
+			return fmt.Errorf("%w: %v", texttree.ErrUnknownChar, id)
+		}
+	}
+	if len(archived) > 0 {
+		plan, err := d.buf.PlanRehydrate(archived, d.eng.ids.Next)
+		if err != nil {
+			return err
+		}
+		st.rehydrate = plan
+		recs := st.arena.alloc(len(plan.Chars))
+		for i, ch := range plan.Chars {
+			ch.Deleted, ch.Restored = false, st.now
+			recs[i] = ch
+			st.created = append(st.created, &recs[i])
+		}
+		flips = append(flips, archived...)
+	}
+	sop := stagedOp{kind: stepRestore, opID: d.eng.ids.Next(), flips: flips}
+	st.opRecs = append(st.opRecs, &opRecord{ID: sop.opID, User: st.user,
+		Kind: stepRestore, CharIDs: flips, Created: st.now})
+	st.ops = append(st.ops, sop)
+	return nil
+}
+
+// stageSpanFlagLocked stages the span-flag step: span spanID of this
+// document is removed (RemoveSpan, undo of a layout, redo of a removal)
+// or restored (undo of a removal, redo of a layout). Its one layout item
+// at the span's start makes the indexer re-resolve headings.
+func (d *Document) stageSpanFlagLocked(st *batchState, spanID util.ID, removed bool) error {
+	row, _, err := d.eng.tSpans.GetByPK(nil, int64(spanID))
+	if err != nil {
+		return err
+	}
+	if util.ID(row[1].(int64)) != d.id {
+		return fmt.Errorf("core: span %v belongs to another document", spanID)
+	}
+	row[8] = removed
+	st.spanFlags = append(st.spanFlags, row)
+	sop := stagedOp{kind: stepSpanFlag, opID: d.eng.ids.Next(), spanID: spanID,
+		ids: []util.ID{util.ID(row[4].(int64))}, text: "remove"}
+	st.opRecs = append(st.opRecs, &opRecord{ID: sop.opID, User: st.user,
+		Kind: "layout-remove", Ref: spanID, Created: st.now})
+	st.ops = append(st.ops, sop)
+	return nil
+}
+
 // resolveInsertAnchorLocked turns an insert op's anchor into the instance
 // the new text is typed after.
 func (d *Document) resolveInsertAnchorLocked(st *batchState, op EditOp, lastInsert util.ID) (util.ID, error) {
@@ -476,11 +592,10 @@ func (d *Document) resolveInsertAnchorLocked(st *batchState, op EditOp, lastInse
 		// learned it. Every archived instance is invisible, so inserting
 		// after its run's surviving hot anchor lands at the same visible
 		// position the archived instance's text would resume at.
-		arch, err := d.ensureArchiveLocked()
-		if err != nil {
+		if _, err := d.ensureArchiveLocked(); err != nil {
 			return util.NilID, err
 		}
-		if hot, ok := arch.AnchorOf(op.Anchor); ok {
+		if hot, ok := d.buf.Archive().AnchorOf(op.Anchor); ok {
 			return hot, nil
 		}
 		return util.NilID, fmt.Errorf("core: unknown anchor %v", op.Anchor)
@@ -498,10 +613,12 @@ func (d *Document) resolveInsertAnchorLocked(st *batchState, op EditOp, lastInse
 }
 
 // persistBatchLocked writes the staged batch inside one transaction: every new
-// character row in one batch insert (final tombstone state, so each row is
-// written exactly once even when a later op of the same batch deleted
-// it), tombstone flips of pre-existing rows, span rows, one log row per
-// op, and, on the user's first edit, their name in the docs row.
+// or rehydrated character row in one batch insert (final tombstone state,
+// so each row is written exactly once even when a later op of the same
+// batch deleted it), tombstone flips of pre-existing rows, span rows and
+// span flags, the archive runs a rehydration shrinks, undone flags, one
+// log row per op, and, on the user's first edit, their name in the docs
+// row.
 func (d *Document) persistBatchLocked(tx *txn.Txn, st *batchState) error {
 	if len(st.created) > 0 {
 		rows := make([]db.Row, len(st.created))
@@ -522,6 +639,28 @@ func (d *Document) persistBatchLocked(tx *txn.Txn, st *batchState) error {
 			return err
 		}
 	}
+	for _, row := range st.spanFlags {
+		if err := d.eng.tSpans.UpdateByPK(tx, row[0].(int64), row); err != nil {
+			return err
+		}
+	}
+	if st.rehydrate != nil {
+		for anchor, run := range st.rehydrate.RunUpdates {
+			if err := d.deleteArchiveRows(tx, anchor); err != nil {
+				return err
+			}
+			if len(run) > 0 {
+				if err := d.insertArchiveRows(tx, anchor, run); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for _, f := range st.undone {
+		if err := d.setOpUndone(tx, d.ops[f.i].ID, f.undone); err != nil {
+			return err
+		}
+	}
 	for _, rec := range st.opRecs {
 		if err := d.writeOpRow(tx, rec); err != nil {
 			return err
@@ -534,6 +673,9 @@ func (d *Document) persistBatchLocked(tx *txn.Txn, st *batchState) error {
 // returns the per-op results plus the positional batch items for the
 // awareness push. Caller holds d.mu; the transaction has committed.
 func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.BatchItem, error) {
+	for _, f := range st.undone {
+		d.ops[f.i].Undone = f.undone
+	}
 	results := make([]EditResult, 0, len(st.ops))
 	var items []awareness.BatchItem
 	for _, sop := range st.ops {
@@ -570,7 +712,7 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 
 		case EditDelete:
 			resPos := sop.pos
-			for k, id := range sop.deleted {
+			for k, id := range sop.flips {
 				pos, vis := d.buf.PosOf(id)
 				if !vis {
 					return nil, nil, fmt.Errorf("core: buffer diverged: %v already hidden", id)
@@ -583,9 +725,32 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 				}
 				items = appendFlip(items, awareness.EvDelete, pos, id, k > 0)
 			}
-			results = append(results, EditResult{OpID: sop.opID, IDs: sop.deleted, Pos: resPos})
+			results = append(results, EditResult{OpID: sop.opID, IDs: sop.flips, Pos: resPos})
 
-		case EditLayout:
+		case stepRestore:
+			if err := d.buf.ApplyRehydrate(st.rehydrate); err != nil {
+				return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
+			}
+			first, resPos := len(items), 0
+			runes := make([]rune, 0, len(sop.flips)) // restored text, in flip order
+			for k, id := range sop.flips {
+				if err := d.buf.Undelete(id, st.now); err != nil {
+					return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
+				}
+				pos, _ := d.buf.PosOf(id)
+				if k == 0 {
+					resPos = pos
+				}
+				ch, _ := d.buf.Char(id)
+				runes = append(runes, ch.Rune)
+				items = appendFlip(items, awareness.EvInsert, pos, id, k > 0)
+			}
+			for i := first; i < len(items); i++ {
+				items[i].Text, runes = string(runes[:items[i].N]), runes[items[i].N:]
+			}
+			results = append(results, EditResult{OpID: sop.opID, IDs: sop.flips, Pos: resPos})
+
+		case EditLayout, stepSpanFlag:
 			pos := 0
 			if p, ok := d.buf.RankOf(sop.ids[0]); ok {
 				pos = p
@@ -630,17 +795,18 @@ func appendFlip(items []awareness.BatchItem, kind awareness.EventKind, pos int, 
 }
 
 // publishBatchLocked announces the committed batch as ONE awareness event:
-// a single-item batch keeps the legacy event kind and shape (v1 subscribers
-// replay it natively; a lone layout names its span as "kind=value"), a
-// multi-item batch publishes EvBatch with the items in order. Either way
-// the batch consumes one sequence number.
-func (d *Document) publishBatchLocked(user string, st *batchState, items []awareness.BatchItem, now time.Time) {
-	opID := util.NilID
-	if len(st.opRecs) > 0 {
-		opID = st.opRecs[0].ID
-	}
-	ev := awareness.Event{Doc: d.id, User: user, OpID: opID, At: now}
-	if len(items) == 1 {
+// an undo or redo publishes its own header with the items in Batch; a
+// single-item batch keeps the legacy event kind and shape (v1 subscribers
+// replay it natively; a lone layout names its span as "kind=value", a
+// span removal as "remove"), a multi-item batch publishes EvBatch with the
+// items in order. Either way the batch consumes one sequence number.
+func (d *Document) publishBatchLocked(st *batchState, items []awareness.BatchItem) {
+	ev := st.undo
+	ev.Doc, ev.User, ev.OpID, ev.At = d.id, st.user, st.opRecs[0].ID, st.now
+	switch {
+	case ev.Kind != "":
+		ev.Batch = items
+	case len(items) == 1:
 		it := items[0]
 		ev.Kind = it.Kind
 		ev.Pos = it.Pos
@@ -650,13 +816,13 @@ func (d *Document) publishBatchLocked(user string, st *batchState, items []aware
 		ev.SrcDoc = it.SrcDoc
 		if it.Kind == awareness.EvLayout {
 			for i := range st.ops {
-				if st.ops[i].kind == EditLayout {
+				if k := st.ops[i].kind; k == EditLayout || k == stepSpanFlag {
 					ev.Name = st.ops[i].text
 					break
 				}
 			}
 		}
-	} else {
+	default:
 		ev.Kind = awareness.EvBatch
 		ev.Batch = items
 	}

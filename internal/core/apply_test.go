@@ -530,3 +530,135 @@ func TestUndoRedoEventItems(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchAddressesArchivedInstances: a batch may name an instance that
+// compaction archived — a delete of it holds already, an insert after it
+// lands where its text would resume — whether the archive was built while
+// the document stayed open or is parked on disk after a reopen.
+func TestBatchAddressesArchivedInstances(t *testing.T) {
+	for _, reopen := range []bool{false, true} {
+		e := newEngine(t)
+		d, _, _, _ := buildCompacted(t, e) // "keep-DELETED-keep", DELETED archived
+		archived := d.ops[len(d.ops)-1].CharIDs
+		if reopen {
+			d = reload(t, e, d.ID())
+		}
+		if _, err := d.Apply("bob", []EditOp{
+			{Kind: EditDelete, Chars: archived[:2]},
+			{Kind: EditInsert, UseAnchor: true, Anchor: archived[3], Text: "X"},
+		}); err != nil {
+			t.Fatalf("reopen=%v: %v", reopen, err)
+		}
+		if got := d.Text(); got != "keep-X-keep" {
+			t.Fatalf("reopen=%v: text %q", reopen, got)
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatalf("reopen=%v: %v", reopen, err)
+		}
+	}
+}
+
+// TestRevertOfEmptyDelete: a delete by identity of an instance another
+// user deleted first flips nothing and logs an empty set; undoing it and
+// redoing that undo flip nothing either, and each still logs its row.
+func TestRevertOfEmptyDelete(t *testing.T) {
+	e := newEngine(t)
+	d, err := e.CreateDocument("alice", "empty-revert")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Apply("alice", []EditOp{{Kind: EditInsert, Pos: 0, Text: "ab"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := res[0].IDs[1:]
+	for _, user := range []string{"alice", "bob"} {
+		if _, err := d.Apply(user, []EditOp{{Kind: EditDelete, Chars: b}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.UndoLocal("bob"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RedoLocal("bob"); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Text(); got != "a" {
+		t.Fatalf("text %q, want \"a\"", got)
+	}
+	var kinds []string
+	for _, op := range d.History() {
+		kinds = append(kinds, op.Kind)
+	}
+	if got := strings.Join(kinds, ","); got != "insert,delete,delete,undo,redo" {
+		t.Fatalf("history %s", got)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEngineStepsRefusedInBatches: the restore and span-flag steps are
+// staged only by undo, redo and RemoveSpan; a batch op naming either is an
+// unknown kind.
+func TestEngineStepsRefusedInBatches(t *testing.T) {
+	e := newEngine(t)
+	d, err := e.CreateDocument("alice", "steps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Apply("alice", []EditOp{{Kind: EditInsert, Pos: 0, Text: "ab"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.DeleteRange("alice", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{stepRestore, stepSpanFlag} {
+		if _, err := d.Apply("alice", []EditOp{{Kind: kind, Chars: res[0].IDs}}); err == nil ||
+			!strings.Contains(err.Error(), "unknown kind") {
+			t.Fatalf("batch op of kind %q: %v, want an unknown kind", kind, err)
+		}
+	}
+	if got := d.Text(); got != "b" {
+		t.Fatalf("text %q, want \"b\"", got)
+	}
+}
+
+// TestRemoveSpanEvent: a span removal publishes one layout event named
+// "remove" at the span's start, and undo brings the span back.
+func TestRemoveSpanEvent(t *testing.T) {
+	e := newEngine(t)
+	d, err := e.CreateDocument("alice", "remove-span")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.InsertText("alice", 0, "hello world"); err != nil {
+		t.Fatal(err)
+	}
+	span, err := d.ApplyLayout("alice", 6, 5, SpanBold, "true")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := e.Bus().Subscribe(d.ID(), awareness.SubscribeOpts{})
+	defer sub.Close()
+	if err := d.RemoveSpan("bob", span); err != nil {
+		t.Fatal(err)
+	}
+	ev, _ := sub.Next()
+	if ev.Kind != awareness.EvLayout || ev.Name != "remove" || ev.Pos != 6 || ev.OpID.IsNil() {
+		t.Fatalf("removal event %+v, want a layout event named remove at 6", ev)
+	}
+	if spans, _ := d.Spans(); len(spans) != 0 {
+		t.Fatalf("%d spans after removal", len(spans))
+	}
+	if _, err := d.UndoLocal("bob"); err != nil {
+		t.Fatal(err)
+	}
+	if spans, _ := d.Spans(); len(spans) != 1 {
+		t.Fatalf("%d spans after undoing the removal", len(spans))
+	}
+	if err := d.RemoveSpan("bob", util.ID(1<<40)); err == nil {
+		t.Fatal("removal of an unknown span succeeded")
+	}
+}

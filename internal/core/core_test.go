@@ -466,6 +466,52 @@ func TestReadEventsAndProperties(t *testing.T) {
 	}
 }
 
+// TestSetPropertyConcurrentOneRow: writers setting one key at once leave
+// one props row per (document, key), because the lookup of the existing
+// row and the insert run under the document lock.
+func TestSetPropertyConcurrentOneRow(t *testing.T) {
+	e := newEngine(t)
+	d, err := e.CreateDocument("alice", "props")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds, writers = 20, 8
+	for r := 0; r < rounds; r++ {
+		key := fmt.Sprintf("k%d", r)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				if err := d.SetProperty("alice", key, fmt.Sprint(w)); err != nil {
+					t.Error(err)
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+	}
+	rids, err := e.tProps.LookupEq("doc", int64(d.ID()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]int{}
+	for _, rid := range rids {
+		row, err := e.tProps.Get(nil, rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[row[2].(string)]++
+	}
+	for r := 0; r < rounds; r++ {
+		if key := fmt.Sprintf("k%d", r); rows[key] != 1 {
+			t.Errorf("key %s has %d props rows, want 1", key, rows[key])
+		}
+	}
+}
+
 func TestAwarenessEventsOnCommit(t *testing.T) {
 	e := newEngine(t)
 	d, _ := e.CreateDocument("alice", "live")

@@ -300,14 +300,20 @@ func (d *Document) setStateLocked(user, state string) (wal.LSN, error) {
 }
 
 // SetProperty stores a user-defined document property (paper §2:
-// "user defined properties").
+// "user defined properties"). It runs under the document lock, so two
+// concurrent calls with one key cannot both miss the existing row.
 func (d *Document) SetProperty(user, key, value string) error {
-	if err := d.eng.allowed(user, d.id, RWrite); err != nil {
-		return err
-	}
+	_, err := commitLocked(d, user, RWrite, func() (struct{}, wal.LSN, error) {
+		lsn, err := d.setPropertyLocked(key, value)
+		return struct{}{}, lsn, err
+	})
+	return err
+}
+
+// setPropertyLocked replaces the property row with key, or inserts one.
+func (d *Document) setPropertyLocked(key, value string) (wal.LSN, error) {
 	id := d.eng.ids.Next()
-	return d.eng.withTxn(func(tx *txn.Txn) error {
-		// Replace an existing property with the same key.
+	return d.eng.withTxnAsync(func(tx *txn.Txn) error {
 		rids, err := d.eng.tProps.LookupEq("doc", int64(d.id))
 		if err != nil {
 			return err

@@ -477,7 +477,10 @@ func (e *Engine) ExternalSources() ([]DocInfo, error) { return e.docInfos(true) 
 
 // docInfos answers DocInfoByID for every document that is, or is not, an
 // external source. The IDs are collected first, so no document is opened
-// inside the scan of the docs table.
+// inside the scan of the docs table. The scan reads the heap outside any
+// transaction, so it can see a row whose primary-key entry is not in yet,
+// or one its transaction then aborts; an ID that DocInfoByID does not find
+// is such a row and is left out.
 func (e *Engine) docInfos(external bool) ([]DocInfo, error) {
 	var ids []util.ID
 	err := e.tDocs.Scan(nil, func(_ db.RID, row db.Row) (bool, error) {
@@ -489,11 +492,16 @@ func (e *Engine) docInfos(external bool) ([]DocInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]DocInfo, len(ids))
-	for i, id := range ids {
-		if out[i], err = e.DocInfoByID(id); err != nil {
+	out := make([]DocInfo, 0, len(ids))
+	for _, id := range ids {
+		info, err := e.DocInfoByID(id)
+		if errors.Is(err, ErrDocNotFound) {
+			continue
+		}
+		if err != nil {
 			return nil, err
 		}
+		out = append(out, info)
 	}
 	return out, nil
 }

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
-	"tendax/internal/awareness"
 	"tendax/internal/db"
-	"tendax/internal/txn"
 	"tendax/internal/util"
 	"tendax/internal/wal"
 )
@@ -37,44 +34,18 @@ const (
 	SpanNote    = "note"
 )
 
-// RemoveSpan retracts a span (layout removal), as one transaction.
+// RemoveSpan retracts a span (layout removal), as one transaction: the
+// span-flag step staged on its own, committed and published like a batch.
 func (d *Document) RemoveSpan(user string, spanID util.ID) error {
-	_, err := commitLocked(d, user, RWrite, func() (struct{}, wal.LSN, error) {
-		lsn, err := d.removeSpanLocked(user, spanID)
-		return struct{}{}, lsn, err
+	_, err := commitLocked(d, user, RWrite, func() ([]EditResult, wal.LSN, error) {
+		st := getBatch(user, d.eng.clock.Now())
+		defer st.release()
+		if err := d.stageSpanFlagLocked(st, spanID, true); err != nil {
+			return nil, 0, err
+		}
+		return d.commitBatchLocked(st)
 	})
 	return err
-}
-
-func (d *Document) removeSpanLocked(user string, spanID util.ID) (wal.LSN, error) {
-	now := d.eng.clock.Now()
-	rec := opRecord{ID: d.eng.ids.Next(), User: user, Kind: "layout-remove", Ref: spanID, Created: now}
-	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
-		row, _, err := d.eng.tSpans.GetByPK(tx, int64(spanID))
-		if err != nil {
-			return err
-		}
-		if util.ID(row[1].(int64)) != d.id {
-			return fmt.Errorf("core: span %v belongs to another document", spanID)
-		}
-		row[8] = true
-		if err := d.eng.tSpans.UpdateByPK(tx, int64(spanID), row); err != nil {
-			return err
-		}
-		if err := d.writeOpRow(tx, &rec); err != nil {
-			return err
-		}
-		return d.addAuthorLocked(tx, user)
-	})
-	if err != nil {
-		return 0, err
-	}
-	d.appendOpLocked(rec)
-	d.publishEventLocked(awareness.Event{
-		Doc: d.id, Kind: awareness.EvLayout, User: user, OpID: rec.ID,
-		Name: "remove", At: now,
-	})
-	return lsn, nil
 }
 
 // Spans returns the document's active (non-removed) spans, oldest first.

@@ -9,7 +9,6 @@ import (
 
 	"tendax/internal/awareness"
 	"tendax/internal/db"
-	"tendax/internal/texttree"
 	"tendax/internal/txn"
 	"tendax/internal/util"
 	"tendax/internal/wal"
@@ -229,56 +228,11 @@ func (d *Document) undo(user string, local bool) (util.ID, error) {
 }
 
 func (d *Document) undoLocked(user string, local bool) (util.ID, wal.LSN, error) {
-	var target *opRecord
-	for i := len(d.ops) - 1; i >= 0; i-- {
-		op := &d.ops[i]
-		if !undoable(op.Kind) || op.Undone {
-			continue
-		}
-		if local && op.User != user {
-			continue
-		}
-		target = op
-		break
-	}
-	if target == nil {
+	ti := d.lastOpLocked(user, local, undoable)
+	if ti < 0 {
 		return util.NilID, 0, ErrNothingToUndo
 	}
-	now := d.eng.clock.Now()
-	plan, err := d.inversePlan(target, user, now)
-	if err != nil {
-		return util.NilID, 0, err
-	}
-	// Minted after the plan: the op row then outranks every key a
-	// rehydration minted, so an engine reopened on this data seeds its ID
-	// generator above those keys too.
-	undoID := d.eng.ids.Next()
-	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
-		if err := plan.persist(tx); err != nil {
-			return err
-		}
-		if err := d.setOpUndone(tx, target.ID, true); err != nil {
-			return err
-		}
-		undoOp := opRecord{ID: undoID, User: user, Kind: "undo", CharIDs: plan.affected,
-			Ref: target.ID, Created: now}
-		if err := d.writeOpRow(tx, &undoOp); err != nil {
-			return err
-		}
-		return d.addAuthorLocked(tx, user)
-	})
-	if err != nil {
-		return util.NilID, 0, err
-	}
-	items := plan.apply()
-	target.Undone = true
-	d.appendOpLocked(opRecord{ID: undoID, User: user, Kind: "undo",
-		CharIDs: plan.affected, Ref: target.ID, Created: now})
-	d.publishEventLocked(awareness.Event{
-		Doc: d.id, Kind: awareness.EvUndo, User: user, OpID: undoID,
-		Name: target.Kind, N: len(target.CharIDs), Batch: items, At: now,
-	})
-	return undoID, lsn, nil
+	return d.revertLocked(user, awareness.EvUndo, ti, d.ops[ti].CharIDs, opFlag{ti, true})
 }
 
 func (d *Document) redo(user string, local bool) (util.ID, error) {
@@ -288,261 +242,74 @@ func (d *Document) redo(user string, local bool) (util.ID, error) {
 }
 
 func (d *Document) redoLocked(user string, local bool) (util.ID, wal.LSN, error) {
-	// Find the most recent unconsumed undo (scoped to user for local).
-	var undoOp *opRecord
-	for i := len(d.ops) - 1; i >= 0; i-- {
-		op := &d.ops[i]
-		if op.Kind != "undo" || op.Undone {
-			continue
-		}
-		if local && op.User != user {
-			continue
-		}
-		undoOp = op
-		break
-	}
-	if undoOp == nil {
+	ui := d.lastOpLocked(user, local, func(kind string) bool { return kind == "undo" })
+	if ui < 0 {
 		return util.NilID, 0, ErrNothingToRedo
 	}
-	var target *opRecord
-	for i := range d.ops {
-		if d.ops[i].ID == undoOp.Ref {
-			target = &d.ops[i]
-			break
-		}
-	}
-	if target == nil {
+	ti := slices.IndexFunc(d.ops, func(op opRecord) bool { return op.ID == d.ops[ui].Ref })
+	if ti < 0 {
 		return util.NilID, 0, ErrNothingToRedo
 	}
-	now := d.eng.clock.Now()
 	// Redo reverts exactly the set the undo flipped (recorded on the undo
 	// op), not the target's full list — characters hidden by other users'
 	// operations stay hidden.
-	plan, err := d.reapplyPlan(target, undoOp.CharIDs, user, now)
+	return d.revertLocked(user, awareness.EvRedo, ti, d.ops[ui].CharIDs,
+		opFlag{ti, false}, opFlag{ui, true})
+}
+
+// lastOpLocked returns the index of the newest op not undone whose kind
+// pred accepts — user's own when local — or -1.
+func (d *Document) lastOpLocked(user string, local bool, pred func(kind string) bool) int {
+	for i := len(d.ops) - 1; i >= 0; i-- {
+		if op := &d.ops[i]; pred(op.Kind) && !op.Undone && (!local || op.User == user) {
+			return i
+		}
+	}
+	return -1
+}
+
+// revertLocked undoes (EvUndo) or redoes (EvRedo) the op d.ops[ti] over
+// the instances ids as an edit batch of one step. The step's log record
+// becomes the "undo" or "redo" row: it refs the op and lists the
+// instances the undo flipped, or the op's own for a redo. flags are the
+// undone flags the batch sets; the event names the op's kind and size.
+func (d *Document) revertLocked(user string, kind awareness.EventKind, ti int, ids []util.ID, flags ...opFlag) (util.ID, wal.LSN, error) {
+	target := d.ops[ti]
+	st := getBatch(user, d.eng.clock.Now())
+	defer st.release()
+	if err := d.stageRevertLocked(st, target, ids, kind == awareness.EvUndo); err != nil {
+		return util.NilID, 0, err
+	}
+	rec := st.opRecs[0]
+	rec.Kind, rec.Ref = string(kind), target.ID
+	if kind == awareness.EvRedo {
+		rec.CharIDs = target.CharIDs
+	}
+	st.undone = append(st.undone, flags...)
+	st.undo = awareness.Event{Kind: kind, Name: target.Kind, N: len(target.CharIDs)}
+	_, lsn, err := d.commitBatchLocked(st)
 	if err != nil {
 		return util.NilID, 0, err
 	}
-	redoID := d.eng.ids.Next() // after the plan, as in undoLocked
-	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
-		if err := plan.persist(tx); err != nil {
-			return err
-		}
-		if err := d.setOpUndone(tx, target.ID, false); err != nil {
-			return err
-		}
-		if err := d.setOpUndone(tx, undoOp.ID, true); err != nil {
-			return err
-		}
-		redoOp := opRecord{ID: redoID, User: user, Kind: "redo", CharIDs: target.CharIDs,
-			Ref: target.ID, Created: now}
-		if err := d.writeOpRow(tx, &redoOp); err != nil {
-			return err
-		}
-		return d.addAuthorLocked(tx, user)
-	})
-	if err != nil {
-		return util.NilID, 0, err
-	}
-	items := plan.apply()
-	target.Undone = false
-	undoOp.Undone = true
-	d.appendOpLocked(opRecord{ID: redoID, User: user, Kind: "redo",
-		CharIDs: target.CharIDs, Ref: target.ID, Created: now})
-	d.publishEventLocked(awareness.Event{
-		Doc: d.id, Kind: awareness.EvRedo, User: user, OpID: redoID,
-		Name: target.Kind, N: len(target.CharIDs), Batch: items, At: now,
-	})
-	return redoID, lsn, nil
+	return rec.ID, lsn, nil
 }
 
-// undoPlan captures the row updates and buffer mutations of an undo/redo,
-// so persistence happens inside the transaction and the buffer is touched
-// only after commit. apply returns the positional items of what it
-// flipped, each resolved after the items before it as a batch's are, so
-// every replica replays an undo like any edit. affected lists the
-// characters the plan actually flips — the undo operation records it so a
-// later redo reverts exactly this set and nothing more (characters hidden
-// by other users' deletes stay hidden).
-type undoPlan struct {
-	persist  func(tx *txn.Txn) error
-	apply    func() []awareness.BatchItem
-	affected []util.ID
-}
-
-// inversePlan builds the inverse of op: hide inserted chars, restore
-// deleted ones, or flip a span's removed flag.
-func (d *Document) inversePlan(op *opRecord, user string, now time.Time) (*undoPlan, error) {
+// stageRevertLocked stages the one step that undoes (undo) or redoes
+// (!undo) op over the instances ids: hiding them through the batch's
+// delete op, restoring them through the restore step, or flipping a
+// span's removed flag through the span-flag step. The step's log record
+// is the caller's to relabel as the undo or redo row.
+func (d *Document) stageRevertLocked(st *batchState, op opRecord, ids []util.ID, undo bool) error {
 	switch op.Kind {
-	case "insert", "paste":
-		return d.visibilityPlanLocked(op.CharIDs, false, user, now)
-	case "delete":
-		return d.visibilityPlanLocked(op.CharIDs, true, user, now)
-	case "layout":
-		return d.spanRemovedPlanLocked(op.Ref, true), nil
-	case "layout-remove":
-		return d.spanRemovedPlanLocked(op.Ref, false), nil
-	}
-	return nil, ErrNothingToUndo
-}
-
-// reapplyPlan rebuilds the original effect of op (for redo) over the given
-// character set (the subset the corresponding undo actually flipped).
-func (d *Document) reapplyPlan(op *opRecord, ids []util.ID, user string, now time.Time) (*undoPlan, error) {
-	switch op.Kind {
-	case "insert", "paste":
-		return d.visibilityPlanLocked(ids, true, user, now)
-	case "delete":
-		return d.visibilityPlanLocked(ids, false, user, now)
-	case "layout":
-		return d.spanRemovedPlanLocked(op.Ref, false), nil
-	case "layout-remove":
-		return d.spanRemovedPlanLocked(op.Ref, true), nil
-	}
-	return nil, ErrNothingToRedo
-}
-
-// visibilityPlanLocked (d.mu held) makes the given characters visible or hidden. Characters
-// already in the desired state (e.g. re-deleted by another user since) are
-// skipped — selective undo over tombstones commutes per character. An
-// undelete of a character whose tombstone was archived by compaction first
-// rehydrates it: the instance re-enters the chars table and the hot set
-// right after its anchor, its run splits around it, and only then does visibility
-// flip — all inside the one undo transaction.
-func (d *Document) visibilityPlanLocked(ids []util.ID, visible bool, user string, now time.Time) (*undoPlan, error) {
-	var affected []util.ID // hot instances whose visibility flips
-	var archived []util.ID // archived tombstones to rehydrate, then flip
-	// Undo may reach archived tombstones; the lazily parked archive must
-	// be resident before the hot-or-archived triage below.
-	if _, err := d.ensureArchiveLocked(); err != nil {
-		return nil, err
-	}
-	arch := d.buf.Archive()
-	for _, id := range ids {
-		if ch, ok := d.buf.Char(id); ok {
-			if ch.Deleted == !visible {
-				continue // already in desired state
-			}
-			affected = append(affected, id)
-			continue
+	case "insert", "paste", "delete":
+		// An empty set flips nothing either way; the delete op refuses a
+		// delete of nothing, so the restore step takes it.
+		if (op.Kind == "delete") == undo || len(ids) == 0 {
+			return d.stageRestoreLocked(st, ids)
 		}
-		if arch.Contains(id) {
-			// Archived instances are tombstones by construction: only an
-			// undelete needs them back; a re-hide finds them hidden already.
-			if visible {
-				archived = append(archived, id)
-			}
-			continue
-		}
-		// Unknown everywhere: dropped by an external cleanup; skip.
+		return d.stageBatchLocked(st, []EditOp{{Kind: EditDelete, Chars: ids}})
+	case "layout", "layout-remove":
+		return d.stageSpanFlagLocked(st, op.Ref, (op.Kind == "layout") == undo)
 	}
-	var rplan *texttree.RehydratePlan
-	if len(archived) > 0 {
-		var err error
-		if rplan, err = d.buf.PlanRehydrate(archived, d.eng.ids.Next); err != nil {
-			return nil, err
-		}
-	}
-
-	// flip returns ch with its visibility switched, recording (or ending)
-	// the deletion interval so time travel still sees the gap.
-	flip := func(ch texttree.Char) texttree.Char {
-		if visible {
-			ch.Deleted = false
-			ch.Restored = now
-		} else {
-			ch.Deleted = true
-			ch.DeletedBy = user
-			ch.DeletedAt = now
-			ch.Restored = time.Time{}
-		}
-		return ch
-	}
-
-	all := append(append([]util.ID(nil), affected...), archived...)
-	return &undoPlan{
-		affected: all,
-		persist: func(tx *txn.Txn) error {
-			// A rehydrated instance's row is inserted once, already
-			// flipped; a hot instance's row is rewritten with its flip.
-			if rplan != nil {
-				for _, ch := range rplan.Chars {
-					ch = flip(ch)
-					if _, err := d.eng.tChars.Insert(tx, d.rowFromChar(&ch)); err != nil {
-						return err
-					}
-				}
-			}
-			for _, id := range affected {
-				c, _ := d.buf.Char(id)
-				ch := flip(*c)
-				if err := d.eng.tChars.UpdateByPK(tx, int64(id), d.rowFromChar(&ch)); err != nil {
-					return err
-				}
-			}
-			if rplan != nil {
-				for anchor, run := range rplan.RunUpdates {
-					if err := d.deleteArchiveRows(tx, anchor); err != nil {
-						return err
-					}
-					if len(run) > 0 {
-						if err := d.insertArchiveRows(tx, anchor, run); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			return nil
-		},
-		apply: func() []awareness.BatchItem {
-			if rplan != nil {
-				if err := d.buf.ApplyRehydrate(rplan); err != nil {
-					// The transaction already committed the rehydrated
-					// rows; a failure here means the plan went stale under
-					// the document lock, which cannot happen. Surface it
-					// loudly rather than diverge silently.
-					panic(fmt.Sprintf("core: rehydrate after commit: %v", err))
-				}
-			}
-			var items []awareness.BatchItem
-			var runes []rune // restored text, in flip order
-			for _, id := range all {
-				if visible {
-					d.buf.Undelete(id, now)
-					pos, _ := d.buf.PosOf(id)
-					ch, _ := d.buf.Char(id)
-					runes = append(runes, ch.Rune)
-					items = appendFlip(items, awareness.EvInsert, pos, id, true)
-				} else {
-					pos, _ := d.buf.PosOf(id)
-					d.buf.Delete(id, user, now)
-					items = appendFlip(items, awareness.EvDelete, pos, id, true)
-				}
-			}
-			for i := 0; visible && i < len(items); i++ {
-				items[i].Text, runes = string(runes[:items[i].N]), runes[items[i].N:]
-			}
-			return items
-		},
-	}, nil
-}
-
-// spanRemovedPlanLocked (d.mu held) flips a span's removed flag; its one
-// layout item at the span's start makes the indexer re-resolve headings.
-func (d *Document) spanRemovedPlanLocked(spanID util.ID, removed bool) *undoPlan {
-	var start util.ID
-	return &undoPlan{
-		persist: func(tx *txn.Txn) error {
-			cur, _, err := d.eng.tSpans.GetByPK(tx, int64(spanID))
-			if err != nil {
-				return err
-			}
-			start = util.ID(cur[4].(int64))
-			cur[8] = removed
-			return d.eng.tSpans.UpdateByPK(tx, int64(spanID), cur)
-		},
-		apply: func() []awareness.BatchItem {
-			pos, _ := d.buf.RankOf(start)
-			return []awareness.BatchItem{{Kind: awareness.EvLayout, Pos: pos}}
-		},
-	}
+	return fmt.Errorf("core: a %s op cannot be reverted", op.Kind)
 }

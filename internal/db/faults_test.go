@@ -3,6 +3,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -101,10 +102,15 @@ func TestLogFaultFailsCommit(t *testing.T) {
 // batch whose Sync failed may or may not be on the device, so its commit
 // never turns durable. No later wait, commit or Flush reports success for
 // an LSN at or past the failed batch, even once Sync works again, and the
-// failed batch is not written to the store a second time.
+// failed batch is not written to the store a second time. The log is
+// fail-stop: no transaction begins after the failure. A restart on a
+// device that kept none of the failed batch recovers exactly the rows
+// synced before it.
 func TestFailedSyncStaysFailed(t *testing.T) {
-	fs := &faultStore{Store: wal.NewMemStore()}
-	d, err := OpenWith(storage.NewMemDisk(), fs, Options{})
+	mem := wal.NewMemStore()
+	fs := &faultStore{Store: mem}
+	disk := storage.NewMemDisk()
+	d, err := OpenWith(disk, fs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +118,14 @@ func TestFailedSyncStaysFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tx0, _ := d.Begin()
+	if _, err := tbl.Insert(tx0, Row{int64(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx0.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	synced := mem.Len()
 	tx, _ := d.Begin()
 	if _, err := tbl.Insert(tx, Row{int64(1)}); err != nil {
 		t.Fatal(err)
@@ -129,12 +143,8 @@ func TestFailedSyncStaysFailed(t *testing.T) {
 	if err := d.WaitDurable(lsn); err == nil {
 		t.Error("second wait on the failed commit succeeded")
 	}
-	tx2, _ := d.Begin()
-	if _, err := tbl.Insert(tx2, Row{int64(2)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx2.Commit(); err == nil {
-		t.Error("a commit after the failed batch succeeded")
+	if _, err := d.Begin(); err == nil || !strings.Contains(err.Error(), "injected fsync fault") {
+		t.Errorf("Begin after the failed batch: %v, want the injected fault", err)
 	}
 	if err := d.Log().Flush(); err == nil {
 		t.Error("Flush after the failed batch succeeded")
@@ -156,11 +166,33 @@ func TestFailedSyncStaysFailed(t *testing.T) {
 		}
 	}
 	size, _ := fs.Size()
+	crashed := disk.Snapshot()
 	if err := d.Close(); err == nil {
 		t.Error("Close of a poisoned log reported success")
 	}
 	if after, _ := fs.Size(); after != size {
 		t.Errorf("Close wrote to a poisoned log: %d -> %d bytes", size, after)
+	}
+
+	data, _ := mem.ReadAll()
+	kept := wal.NewMemStore()
+	if err := kept.Append(data[:synced]); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := OpenWith(crashed, kept, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	var rows []int64
+	if err := d2.Table("t").Scan(nil, func(_ RID, row Row) (bool, error) {
+		rows = append(rows, row[0].(int64))
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0] != 0 {
+		t.Errorf("recovered rows %v, want [0]", rows)
 	}
 }
 

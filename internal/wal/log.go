@@ -214,11 +214,16 @@ func (l *Log) WaitFlushed(lsn LSN) error {
 }
 
 // Append adds r to the log, assigning and returning its LSN. The record is
-// buffered; WaitFlushed makes it durable. A closed log refuses it with
-// ErrClosed.
+// buffered; WaitFlushed makes it durable. The log is fail-stop: once a
+// batch has failed, Append returns that batch's error, so no transaction
+// begins, commits or logs a change behind it. A closed log refuses the
+// record with ErrClosed.
 func (l *Log) Append(r *Record) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.flushErr != nil {
+		return 0, l.flushErr
+	}
 	if l.closed {
 		return 0, ErrClosed
 	}
