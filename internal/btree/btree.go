@@ -1,5 +1,8 @@
-// Package btree implements an in-memory B+tree with byte-string keys,
-// used for the primary and secondary indexes of the TeNDaX database layer.
+// Package btree implements an in-memory B+tree with byte-string keys and
+// values of one type, used for the primary and secondary indexes of the
+// TeNDaX database layer. The tree is generic over its value type, so the
+// database's Tree[RID] keeps each record ID inline in its leaf: a Put
+// allocates only the copy of its key, and a Get nothing.
 //
 // Indexes are derived state in this system: they are rebuilt from heap scans
 // when a database opens (see DESIGN.md), so the tree needs no persistence of
@@ -12,52 +15,53 @@ import "bytes"
 
 const order = 64 // max keys per node
 
-// Tree is a B+tree mapping []byte keys to arbitrary values. It is not safe
+// Tree is a B+tree mapping []byte keys to values of type V. It is not safe
 // for concurrent use; callers synchronize (the database layer serializes
 // index access under its latches).
-type Tree struct {
-	root *node
+type Tree[V any] struct {
+	root *node[V]
 	size int
 }
 
-type node struct {
+type node[V any] struct {
 	leaf     bool
 	keys     [][]byte
-	vals     []interface{} // leaf only, parallel to keys
-	children []*node       // interior only, len(keys)+1
-	next     *node         // leaf chain for range scans
+	vals     []V        // leaf only, parallel to keys
+	children []*node[V] // interior only, len(keys)+1
+	next     *node[V]   // leaf chain for range scans
 }
 
 // New returns an empty tree.
-func New() *Tree {
-	return &Tree{root: &node{leaf: true}}
+func New[V any]() *Tree[V] {
+	return &Tree[V]{root: &node[V]{leaf: true}}
 }
 
 // Len returns the number of stored keys.
-func (t *Tree) Len() int { return t.size }
+func (t *Tree[V]) Len() int { return t.size }
 
-// Get returns the value stored at key, or nil and false.
-func (t *Tree) Get(key []byte) (interface{}, bool) {
+// Get returns the value stored at key, or the zero value and false.
+func (t *Tree[V]) Get(key []byte) (V, bool) {
 	n := t.root
 	for !n.leaf {
 		n = n.children[childIndex(n.keys, key)]
 	}
 	i, ok := search(n.keys, key)
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	return n.vals[i], true
 }
 
 // Put stores value at key, replacing any existing value. It reports whether
-// the key was newly inserted.
-func (t *Tree) Put(key []byte, value interface{}) bool {
+// the key was newly inserted. The tree keeps its own copy of key.
+func (t *Tree[V]) Put(key []byte, value V) bool {
 	k := append([]byte(nil), key...)
 	inserted, splitKey, right := t.root.put(k, value)
 	if right != nil {
-		t.root = &node{
+		t.root = &node[V]{
 			keys:     [][]byte{splitKey},
-			children: []*node{t.root, right},
+			children: []*node[V]{t.root, right},
 		}
 	}
 	if inserted {
@@ -67,7 +71,7 @@ func (t *Tree) Put(key []byte, value interface{}) bool {
 }
 
 // Delete removes key and reports whether it was present.
-func (t *Tree) Delete(key []byte) bool {
+func (t *Tree[V]) Delete(key []byte) bool {
 	n := t.root
 	for !n.leaf {
 		n = n.children[childIndex(n.keys, key)]
@@ -83,14 +87,14 @@ func (t *Tree) Delete(key []byte) bool {
 }
 
 // Ascend visits every entry in key order until fn returns false.
-func (t *Tree) Ascend(fn func(key []byte, value interface{}) bool) {
+func (t *Tree[V]) Ascend(fn func(key []byte, value V) bool) {
 	t.AscendRange(nil, nil, fn)
 }
 
 // AscendRange visits entries with from <= key < to in order until fn
 // returns false. A nil from starts at the smallest key; a nil to means no
 // upper bound.
-func (t *Tree) AscendRange(from, to []byte, fn func(key []byte, value interface{}) bool) {
+func (t *Tree[V]) AscendRange(from, to []byte, fn func(key []byte, value V) bool) {
 	n := t.root
 	for !n.leaf {
 		if from == nil {
@@ -116,7 +120,7 @@ func (t *Tree) AscendRange(from, to []byte, fn func(key []byte, value interface{
 }
 
 // Min returns the smallest key, or nil if the tree is empty.
-func (t *Tree) Min() []byte {
+func (t *Tree[V]) Min() []byte {
 	n := t.root
 	for !n.leaf {
 		n = n.children[0]
@@ -130,19 +134,31 @@ func (t *Tree) Min() []byte {
 	return nil
 }
 
-// Max returns the largest key, or nil if the tree is empty.
-func (t *Tree) Max() []byte {
-	var best []byte
-	t.Ascend(func(k []byte, _ interface{}) bool {
-		best = k
-		return true
-	})
-	return best
+// Max returns the largest key, or nil if the tree is empty. It descends the
+// rightmost path, stepping left only past leaves that deletions emptied
+// (nodes are never rebalanced), so it costs one root-to-leaf walk unless
+// the right edge of the tree was deleted.
+func (t *Tree[V]) Max() []byte { return t.root.max() }
+
+// max returns the largest key in the subtree rooted at n, or nil.
+func (n *node[V]) max() []byte {
+	if n.leaf {
+		if len(n.keys) == 0 {
+			return nil
+		}
+		return n.keys[len(n.keys)-1]
+	}
+	for i := len(n.children) - 1; i >= 0; i-- {
+		if k := n.children[i].max(); k != nil {
+			return k
+		}
+	}
+	return nil
 }
 
 // put inserts into the subtree rooted at n. If n splits, it returns the
 // separator key and the new right sibling.
-func (n *node) put(key []byte, value interface{}) (inserted bool, splitKey []byte, right *node) {
+func (n *node[V]) put(key []byte, value V) (inserted bool, splitKey []byte, right *node[V]) {
 	if n.leaf {
 		i, ok := search(n.keys, key)
 		if ok {
@@ -152,7 +168,8 @@ func (n *node) put(key []byte, value interface{}) (inserted bool, splitKey []byt
 		n.keys = append(n.keys, nil)
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = key
-		n.vals = append(n.vals, nil)
+		var zero V
+		n.vals = append(n.vals, zero)
 		copy(n.vals[i+1:], n.vals[i:])
 		n.vals[i] = value
 		if len(n.keys) > order {
@@ -178,12 +195,12 @@ func (n *node) put(key []byte, value interface{}) (inserted bool, splitKey []byt
 	return ins, nil, nil
 }
 
-func (n *node) splitLeaf() (splitKey []byte, right *node) {
+func (n *node[V]) splitLeaf() (splitKey []byte, right *node[V]) {
 	mid := len(n.keys) / 2
-	right = &node{
+	right = &node[V]{
 		leaf: true,
 		keys: append([][]byte(nil), n.keys[mid:]...),
-		vals: append([]interface{}(nil), n.vals[mid:]...),
+		vals: append([]V(nil), n.vals[mid:]...),
 		next: n.next,
 	}
 	n.keys = n.keys[:mid]
@@ -192,12 +209,12 @@ func (n *node) splitLeaf() (splitKey []byte, right *node) {
 	return right.keys[0], right
 }
 
-func (n *node) splitInterior() (splitKey []byte, right *node) {
+func (n *node[V]) splitInterior() (splitKey []byte, right *node[V]) {
 	mid := len(n.keys) / 2
 	splitKey = n.keys[mid]
-	right = &node{
+	right = &node[V]{
 		keys:     append([][]byte(nil), n.keys[mid+1:]...),
-		children: append([]*node(nil), n.children[mid+1:]...),
+		children: append([]*node[V](nil), n.children[mid+1:]...),
 	}
 	n.keys = n.keys[:mid]
 	n.children = n.children[:mid+1]

@@ -11,7 +11,7 @@ import (
 )
 
 func TestPutGetBasic(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	if _, ok := tr.Get([]byte("missing")); ok {
 		t.Fatal("Get on empty tree returned a value")
 	}
@@ -22,7 +22,7 @@ func TestPutGetBasic(t *testing.T) {
 		t.Fatal("replacing Put reported insert")
 	}
 	v, ok := tr.Get([]byte("a"))
-	if !ok || v.(int) != 2 {
+	if !ok || v != 2 {
 		t.Fatalf("Get = %v, %v", v, ok)
 	}
 	if tr.Len() != 1 {
@@ -31,7 +31,7 @@ func TestPutGetBasic(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	tr := New()
+	tr := New[string]()
 	tr.Put([]byte("x"), "v")
 	if !tr.Delete([]byte("x")) {
 		t.Fatal("Delete of present key returned false")
@@ -48,7 +48,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestManyKeysSplitAndScan(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	const n = 10000
 	for i := 0; i < n; i++ {
 		tr.Put([]byte(fmt.Sprintf("key-%06d", i)), i)
@@ -59,14 +59,14 @@ func TestManyKeysSplitAndScan(t *testing.T) {
 	// Every key retrievable.
 	for i := 0; i < n; i += 97 {
 		v, ok := tr.Get([]byte(fmt.Sprintf("key-%06d", i)))
-		if !ok || v.(int) != i {
+		if !ok || v != i {
 			t.Fatalf("Get key-%06d = %v, %v", i, v, ok)
 		}
 	}
 	// Full scan is ordered and complete.
 	prev := []byte(nil)
 	count := 0
-	tr.Ascend(func(k []byte, v interface{}) bool {
+	tr.Ascend(func(k []byte, v int) bool {
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Fatalf("scan out of order: %q then %q", prev, k)
 		}
@@ -80,13 +80,13 @@ func TestManyKeysSplitAndScan(t *testing.T) {
 }
 
 func TestAscendRange(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	for i := 0; i < 100; i++ {
 		tr.Put([]byte(fmt.Sprintf("%03d", i)), i)
 	}
 	var got []int
-	tr.AscendRange([]byte("010"), []byte("020"), func(k []byte, v interface{}) bool {
-		got = append(got, v.(int))
+	tr.AscendRange([]byte("010"), []byte("020"), func(k []byte, v int) bool {
+		got = append(got, v)
 		return true
 	})
 	if len(got) != 10 || got[0] != 10 || got[9] != 19 {
@@ -94,7 +94,7 @@ func TestAscendRange(t *testing.T) {
 	}
 	// Early stop.
 	calls := 0
-	tr.AscendRange(nil, nil, func(k []byte, v interface{}) bool {
+	tr.AscendRange(nil, nil, func(k []byte, v int) bool {
 		calls++
 		return calls < 5
 	})
@@ -104,7 +104,7 @@ func TestAscendRange(t *testing.T) {
 }
 
 func TestMinMax(t *testing.T) {
-	tr := New()
+	tr := New[string]()
 	if tr.Min() != nil || tr.Max() != nil {
 		t.Fatal("Min/Max of empty tree not nil")
 	}
@@ -120,7 +120,7 @@ func TestMinMax(t *testing.T) {
 // operations and checks full agreement, including iteration order.
 func TestAgainstReferenceModel(t *testing.T) {
 	rng := util.NewRand(12345)
-	tr := New()
+	tr := New[int]()
 	ref := map[string]int{}
 	for step := 0; step < 20000; step++ {
 		key := fmt.Sprintf("k%04d", rng.Intn(3000))
@@ -146,14 +146,14 @@ func TestAgainstReferenceModel(t *testing.T) {
 	}
 	sort.Strings(refKeys)
 	i := 0
-	tr.Ascend(func(k []byte, v interface{}) bool {
+	tr.Ascend(func(k []byte, v int) bool {
 		if i >= len(refKeys) {
 			t.Fatalf("tree has extra key %q", k)
 		}
 		if string(k) != refKeys[i] {
 			t.Fatalf("position %d: tree %q, ref %q", i, k, refKeys[i])
 		}
-		if v.(int) != ref[refKeys[i]] {
+		if v != ref[refKeys[i]] {
 			t.Fatalf("key %q: tree val %v, ref %v", k, v, ref[refKeys[i]])
 		}
 		i++
@@ -166,7 +166,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 
 func TestQuickPutGetDelete(t *testing.T) {
 	f := func(keys [][]byte) bool {
-		tr := New()
+		tr := New[[]byte]()
 		ref := map[string][]byte{}
 		for _, k := range keys {
 			tr.Put(k, append([]byte(nil), k...))
@@ -177,7 +177,7 @@ func TestQuickPutGetDelete(t *testing.T) {
 		}
 		for ks := range ref {
 			v, ok := tr.Get([]byte(ks))
-			if !ok || !bytes.Equal(v.([]byte), []byte(ks)) {
+			if !ok || !bytes.Equal(v, []byte(ks)) {
 				return false
 			}
 		}
@@ -194,7 +194,7 @@ func TestQuickPutGetDelete(t *testing.T) {
 }
 
 func TestEmptyKeyAndBinaryKeys(t *testing.T) {
-	tr := New()
+	tr := New[string]()
 	tr.Put([]byte{}, "empty")
 	tr.Put([]byte{0}, "zero")
 	tr.Put([]byte{0xff, 0xff}, "max")
@@ -206,5 +206,81 @@ func TestEmptyKeyAndBinaryKeys(t *testing.T) {
 	}
 	if string(tr.Min()) != "" {
 		t.Fatal("empty key is not Min")
+	}
+}
+
+// scanMax is Max by a full scan: the last key Ascend visits.
+func scanMax(tr *Tree[int]) []byte {
+	var best []byte
+	tr.Ascend(func(k []byte, _ int) bool {
+		best = k
+		return true
+	})
+	return best
+}
+
+// TestMaxPastEmptiedLeaves deletes the tree's right edge a leaf at a time,
+// down to nothing, so Max must step left past leaves (and whole subtrees)
+// that deletions emptied; every step it must agree with a scan.
+func TestMaxPastEmptiedLeaves(t *testing.T) {
+	tr := New[int]()
+	const n = 20 * order * order / 4 // three levels
+	for i := 0; i < n; i++ {
+		tr.Put([]byte(fmt.Sprintf("k%06d", i)), i)
+	}
+	rng := util.NewRand(7)
+	for hi := n; hi > 0; {
+		// Empty a run longer than a leaf at the right edge, so at least
+		// one whole leaf goes, and now and then a hole further left.
+		run := 1 + rng.Intn(2*order)
+		for ; run > 0 && hi > 0; run-- {
+			hi--
+			tr.Delete([]byte(fmt.Sprintf("k%06d", hi)))
+		}
+		if hi > 0 && rng.Intn(4) == 0 {
+			tr.Delete([]byte(fmt.Sprintf("k%06d", rng.Intn(hi))))
+		}
+		if got, want := tr.Max(), scanMax(tr); !bytes.Equal(got, want) {
+			t.Fatalf("with keys below k%06d: Max = %q, scan = %q", hi, got, want)
+		}
+	}
+	if tr.Max() != nil {
+		t.Fatalf("Max of an emptied tree = %q", tr.Max())
+	}
+}
+
+// TestPutGetAllocs pins the cost of an index entry: a Put allocates the
+// tree's copy of the key and nothing else (the value sits inline in its
+// leaf; node splits and leaf growth amortise below one per Put), and a Get
+// allocates nothing.
+func TestPutGetAllocs(t *testing.T) {
+	type rid struct {
+		page uint64
+		slot int
+	}
+	tr := New[rid]()
+	const n = 4096
+	keys := make([][]byte, 2*n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%08d", (i*7919)%(2*n)))
+	}
+	for _, k := range keys[:n] {
+		tr.Put(k, rid{page: 1, slot: 1})
+	}
+	i := n
+	if a := testing.AllocsPerRun(n-1, func() {
+		tr.Put(keys[i], rid{page: uint64(i), slot: i})
+		i++
+	}); a != 1 {
+		t.Errorf("Put allocated %.0f times, want 1 (the key copy)", a)
+	}
+	j := 0
+	if a := testing.AllocsPerRun(1000, func() {
+		if _, ok := tr.Get(keys[j%n]); !ok {
+			t.Fatal("stored key missing")
+		}
+		j++
+	}); a != 0 {
+		t.Errorf("Get allocated %.0f times, want 0", a)
 	}
 }

@@ -91,15 +91,22 @@ func WithPassword(password string) Option {
 // With no options it returns a raw v1 connection, exactly as before the
 // options existed.
 func Dial(addr string, opts ...Option) (*Client, error) {
-	var cfg dialConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := newClient(nc)
+	return New(nc, opts...)
+}
+
+// New runs Dial's handshake over rw, an established connection to a
+// server (in-process tests use one end of a net.Pipe), and returns the
+// client. A failed handshake closes rw.
+func New(rw io.ReadWriteCloser, opts ...Option) (*Client, error) {
+	var cfg dialConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	c := newClient(rw)
 	// WithMaxVersion(protocol.Version1) means "pin to v1": no hello at all.
 	if cfg.maxVersion >= protocol.Version3 {
 		if _, err := c.hello(); err != nil {

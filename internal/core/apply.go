@@ -153,6 +153,7 @@ type batchState struct {
 	ops  []stagedOp
 
 	created    []*texttree.Char // new instances, creation order (final records)
+	recs       [][]byte         // their encoded chars rows
 	createdSet map[util.ID]*texttree.Char
 	updated    map[util.ID]*texttree.Char // existing instances with a flipped tombstone state
 	spans      []db.Row                   // span rows to insert
@@ -179,7 +180,7 @@ type opFlag struct {
 
 // charArena hands out blocks of texttree.Char with pool lifetime. Records
 // allocated here are only reachable from the owning batchState: the buffer
-// copies runs on InsertRun, persistence boxes fields into db.Row values,
+// copies runs on InsertRun, persistence encodes fields into row records,
 // and results carry IDs, never record pointers — so resetting the arena
 // when the batch is released cannot be observed. A block is never grown in
 // place (createdSet holds pointers into it); exhaustion allocates a fresh,
@@ -244,6 +245,8 @@ func (st *batchState) reset() {
 		st.created[i] = nil
 	}
 	st.created = st.created[:0]
+	clear(st.recs)
+	st.recs = st.recs[:0]
 	clear(st.createdSet)
 	clear(st.updated)
 	for i := range st.spans {
@@ -620,17 +623,24 @@ func (d *Document) resolveInsertAnchorLocked(st *batchState, op EditOp, lastInse
 // log row per op, and, on the user's first edit, their name in the docs
 // row.
 func (d *Document) persistBatchLocked(tx *txn.Txn, st *batchState) error {
-	if len(st.created) > 0 {
-		rows := make([]db.Row, len(st.created))
-		for i, ch := range st.created {
-			rows[i] = d.rowFromChar(ch)
-		}
-		if _, err := d.eng.tChars.InsertBatch(tx, rows); err != nil {
+	enc := d.eng.tChars.Encoder(len(st.created) + len(st.updated))
+	st.recs = st.recs[:0] // a deadlock retry persists the batch again
+	for _, ch := range st.created {
+		rec, err := d.charRecord(&enc, ch)
+		if err != nil {
 			return err
 		}
+		st.recs = append(st.recs, rec)
 	}
-	for id, ch := range st.updated {
-		if err := d.eng.tChars.UpdateByPK(tx, int64(id), d.rowFromChar(ch)); err != nil {
+	if err := d.eng.tChars.InsertRecords(tx, st.recs...); err != nil {
+		return err
+	}
+	for _, ch := range st.updated {
+		rec, err := d.charRecord(&enc, ch)
+		if err == nil {
+			err = d.eng.tChars.UpdateRecord(tx, rec)
+		}
+		if err != nil {
 			return err
 		}
 	}

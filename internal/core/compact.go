@@ -95,8 +95,13 @@ func (d *Document) compactLocked(horizon time.Time) (CompactStats, wal.LSN, erro
 				}
 			}
 		}
+		enc := d.eng.tChars.Encoder(len(plan.Reanchored))
 		for _, upd := range plan.Reanchored {
-			if err := d.eng.tChars.UpdateByPK(tx, int64(upd.ID), d.rowFromChar(upd)); err != nil {
+			rec, err := d.charRecord(&enc, upd)
+			if err == nil {
+				err = d.eng.tChars.UpdateRecord(tx, rec)
+			}
+			if err != nil {
 				return err
 			}
 		}

@@ -384,14 +384,22 @@ func charMetaOf(ch *texttree.Char) CharMeta {
 	}
 }
 
-// rowFromChar converts a character instance into its chars-table row.
-func (d *Document) rowFromChar(ch *texttree.Char) db.Row {
-	return db.Row{
-		int64(ch.ID), int64(d.id), int64(ch.Rune), ch.Author, ch.Created,
-		int64(ch.After), int64(ch.Key), ch.Deleted, ch.DeletedBy,
-		nonZeroTime(ch.DeletedAt), int64(ch.SourceDoc), int64(ch.SourceChar),
-		nonZeroTime(ch.Restored),
-	}
+// charRecord encodes ch's chars-table row with enc, a chars encoder.
+func (d *Document) charRecord(enc *db.RowEncoder, ch *texttree.Char) ([]byte, error) {
+	enc.Int(int64(ch.ID))
+	enc.Int(int64(d.id))
+	enc.Int(int64(ch.Rune))
+	enc.String(ch.Author)
+	enc.Time(ch.Created)
+	enc.Int(int64(ch.After))
+	enc.Int(int64(ch.Key))
+	enc.Bool(ch.Deleted)
+	enc.String(ch.DeletedBy)
+	enc.Time(nonZeroTime(ch.DeletedAt))
+	enc.Int(int64(ch.SourceDoc))
+	enc.Int(int64(ch.SourceChar))
+	enc.Time(nonZeroTime(ch.Restored))
+	return enc.End()
 }
 
 func charFromRow(row db.Row) texttree.Char {

@@ -117,10 +117,20 @@ func (d *Document) writeOpRow(tx *txn.Txn, op *opRecord) error {
 		first = payload[:opChunkBytes]
 		rest = payload[opChunkBytes:]
 	}
-	if _, err := d.eng.tOps.Insert(tx, db.Row{
-		int64(op.ID), int64(d.id), op.User, op.Kind, first,
-		int64(op.Ref), op.Created, op.Undone,
-	}); err != nil {
+	enc := d.eng.tOps.Encoder(1)
+	enc.Int(int64(op.ID))
+	enc.Int(int64(d.id))
+	enc.String(op.User)
+	enc.String(op.Kind)
+	enc.Bytes(first)
+	enc.Int(int64(op.Ref))
+	enc.Time(op.Created)
+	enc.Bool(op.Undone)
+	rec, err := enc.End()
+	if err == nil {
+		err = d.eng.tOps.InsertRecords(tx, rec)
+	}
+	if err != nil {
 		return err
 	}
 	for seq := int64(1); len(rest) > 0; seq++ {

@@ -143,8 +143,11 @@ func newOneKeyDoc(t *testing.T) (*wal.MemStore, *db.Database, *Document) {
 // once, with no neighbour row rewritten, brings it to 83.
 // Leaving the docs row alone unless the author is new brings it to 72.
 // A B+-tree text mirror, which copies one leaf and the inner nodes above
-// it instead of a treap path, brings it to 56.
-const maxOneKeyBatchAllocs = 61
+// it instead of a treap path, brings it to 56. Encoding the character and
+// op rows column by column instead of boxing each value into a db.Row,
+// keeping index values inline in typed B-trees, reusing the WAL's batch
+// buffer and the transaction's inline undo entries bring it to 26.
+const maxOneKeyBatchAllocs = 28
 
 // TestOneKeyBatchAllocs types one-key batches between two existing
 // characters of the same 20k-character document as TestOneKeyBatchLogBytes,

@@ -93,37 +93,38 @@ const slotOverhead = 8 // slot entry + headroom
 // Insert appends rec to the heap under tx and returns its RID. The new row
 // is exclusively locked by tx until commit/abort.
 func (h *Heap) Insert(tx *txn.Txn, rec []byte) (RID, error) {
-	rids, err := h.InsertBatch(tx, [][]byte{rec})
-	if err != nil {
+	var rid [1]RID
+	if err := h.InsertBatch(tx, [][]byte{rec}, rid[:]); err != nil {
 		return RID{}, err
 	}
-	return rids[0], nil
+	return rid[0], nil
 }
 
-// InsertBatch appends recs to the heap under tx, returning one RID per
-// record in order. Unlike repeated Insert calls it fetches and latches each
-// heap page once per run of records placed on it rather than once per
-// record — the engine's hottest path (Document.ApplyAsync) writes one row per
-// character, so a keystroke batch of n characters costs O(pages touched)
-// page acquisitions instead of O(n). Every record is still individually
-// write-ahead logged, exclusively locked and registered for undo.
-func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte) ([]RID, error) {
+// InsertBatch appends recs to the heap under tx and stores each record's
+// RID at the same index of rids, which is as long as recs. Unlike repeated
+// Insert calls it fetches and latches each heap page once per run of
+// records placed on it rather than once per record — the engine's hottest
+// path (Document.ApplyAsync) writes one row per character, so a keystroke
+// batch of n characters costs O(pages touched) page acquisitions instead
+// of O(n). Every record is still individually write-ahead logged,
+// exclusively locked and registered for undo. It keeps no reference to
+// recs or rids.
+func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte, rids []RID) error {
 	for _, rec := range recs {
 		if len(rec) > storage.PageSize/2 {
-			return nil, fmt.Errorf("db: record of %d bytes exceeds max record size", len(rec))
+			return fmt.Errorf("db: record of %d bytes exceeds max record size", len(rec))
 		}
 	}
-	rids := make([]RID, 0, len(recs))
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for i := 0; i < len(recs); {
 		pageID, err := h.pickPageLocked(len(recs[i]) + slotOverhead)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		pg, err := h.pool.Fetch(pageID)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		placed, err := func() (int, error) {
 			pg.Lock()
@@ -164,7 +165,7 @@ func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte) ([]RID, error) {
 				pg.SetLSN(uint64(lsn))
 				prev := tx.LastLSN()
 				tx.SetLastLSN(lsn)
-				rids = append(rids, rid)
+				rids[i+n] = rid
 				recCopy := rec
 				tx.OnUndo(func() error {
 					return h.compensate(tx, &wal.Record{
@@ -179,11 +180,11 @@ func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte) ([]RID, error) {
 		}()
 		h.pool.Unpin(pageID, true)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		i += placed
 	}
-	return rids, nil
+	return nil
 }
 
 // Update replaces the record at rid with rec under tx and returns the

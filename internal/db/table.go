@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"tendax/internal/btree"
@@ -18,7 +19,7 @@ import (
 type Index struct {
 	Column string
 	col    int
-	tree   *btree.Tree
+	tree   *btree.Tree[RID]
 }
 
 // Index keys are built from a row's stored encoding, never from a decoded
@@ -43,8 +44,8 @@ type Table struct {
 	schema Schema
 	heap   *Heap
 
-	mu      sync.RWMutex // protects indexes and pk
-	pk      *btree.Tree  // primary key (col 0, int64) -> RID
+	mu      sync.RWMutex     // protects indexes and pk
+	pk      *btree.Tree[RID] // primary key (col 0, int64) -> RID
 	indexes []*Index
 }
 
@@ -59,7 +60,7 @@ func NewTable(id uint64, name string, schema Schema, heap *Heap) (*Table, error)
 		name:   name,
 		schema: schema,
 		heap:   heap,
-		pk:     btree.New(),
+		pk:     btree.New[RID](),
 	}, nil
 }
 
@@ -86,7 +87,7 @@ func (t *Table) AddIndex(column string) error {
 			return nil
 		}
 	}
-	t.indexes = append(t.indexes, &Index{Column: column, col: c, tree: btree.New()})
+	t.indexes = append(t.indexes, &Index{Column: column, col: c, tree: btree.New[RID]()})
 	return nil
 }
 
@@ -95,9 +96,9 @@ func (t *Table) AddIndex(column string) error {
 func (t *Table) RebuildIndexes() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.pk = btree.New()
+	t.pk = btree.New[RID]()
 	for _, ix := range t.indexes {
-		ix.tree = btree.New()
+		ix.tree = btree.New[RID]()
 	}
 	return t.heap.ScanDirty(func(rid RID, rec []byte) error {
 		// Walking to the last column checks the record's framing.
@@ -163,6 +164,12 @@ func (t *Table) reindex(tx *txn.Txn, old []byte, oldRID RID, rec []byte, newRID 
 	})
 }
 
+// Encoder returns a RowEncoder for rows of t whose buffer has room for n
+// rows of a typical size.
+func (t *Table) Encoder(n int) RowEncoder {
+	return RowEncoder{schema: t.schema, buf: make([]byte, 0, n*rowBytes)}
+}
+
 // Insert adds row under tx, maintaining all indexes (with undo hooks so an
 // abort restores them).
 func (t *Table) Insert(tx *txn.Txn, row Row) (RID, error) {
@@ -170,34 +177,16 @@ func (t *Table) Insert(tx *txn.Txn, row Row) (RID, error) {
 	if err != nil {
 		return RID{}, err
 	}
-	var buf [8]byte
-	t.mu.RLock()
-	_, exists := t.pk.Get(pkKey(buf[:0], rec))
-	t.mu.RUnlock()
-	if exists {
-		return RID{}, fmt.Errorf("db: table %q: duplicate primary key %v", t.name, row[0])
-	}
-	rid, err := t.heap.Insert(tx, rec)
-	if err != nil {
+	var rid [1]RID
+	if err := t.insert(tx, [][]byte{rec}, rid[:]); err != nil {
 		return RID{}, err
 	}
-	t.mu.Lock()
-	t.indexLocked(rec, rid)
-	t.mu.Unlock()
-	tx.OnUndo(func() error {
-		t.mu.Lock()
-		t.unindexLocked(rec, rid)
-		t.mu.Unlock()
-		return nil
-	})
-	return rid, nil
+	return rid[0], nil
 }
 
 // InsertBatch adds rows under tx as one heap batch, maintaining all
 // indexes, and returns one RID per row in order. The heap acquires each
-// page once per run of rows instead of once per row, which is what makes
-// multi-character editing transactions cheap (core.Document writes one row
-// per character).
+// page once per run of rows instead of once per row.
 func (t *Table) InsertBatch(tx *txn.Txn, rows []Row) ([]RID, error) {
 	if len(rows) == 0 {
 		return nil, nil
@@ -210,37 +199,95 @@ func (t *Table) InsertBatch(tx *txn.Txn, rows []Row) ([]RID, error) {
 		}
 		recs[i] = rec
 	}
-	batchPKs := make(map[int64]bool, len(rows))
-	var buf [8]byte
-	t.mu.RLock()
-	for i, rec := range recs {
-		_, exists := t.pk.Get(pkKey(buf[:0], rec))
-		pk := rows[i][0].(int64) // EncodeRow checked the type
-		if exists || batchPKs[pk] {
-			t.mu.RUnlock()
-			return nil, fmt.Errorf("db: table %q: duplicate primary key %v", t.name, pk)
-		}
-		batchPKs[pk] = true
-	}
-	t.mu.RUnlock()
-	rids, err := t.heap.InsertBatch(tx, recs)
-	if err != nil {
+	rids := make([]RID, len(rows))
+	if err := t.insert(tx, recs, rids); err != nil {
 		return nil, err
+	}
+	return rids, nil
+}
+
+// InsertRecords adds recs, rows a RowEncoder of t wrote, under tx as one
+// heap batch, maintaining all indexes — what InsertBatch does after
+// encoding, which makes it the writer of the engine's hottest path (one
+// character row and one op row per keystroke). A record that is not
+// framed as a row of t is refused with ErrSchema. Neither recs nor the
+// records are retained once it returns.
+func (t *Table) InsertRecords(tx *txn.Txn, recs ...[]byte) error {
+	for _, rec := range recs {
+		if err := checkRecord(t.schema, rec); err != nil {
+			return fmt.Errorf("db: table %q: %w", t.name, err)
+		}
+	}
+	if len(recs) == 0 {
+		return nil
+	}
+	var one [1]RID
+	rids := one[:]
+	if len(recs) > 1 {
+		rids = make([]RID, len(recs))
+	}
+	return t.insert(tx, recs, rids)
+}
+
+// insert is the one record-level insert path: it refuses a primary key
+// the table or recs already hold, writes recs to the heap as one batch
+// (storing their RIDs in rids), indexes them, and registers their
+// unindexing as undo. It keeps no reference to recs or rids, so a one-row
+// caller can pass both on its stack.
+func (t *Table) insert(tx *txn.Txn, recs [][]byte, rids []RID) error {
+	if err := t.checkNewKeys(recs); err != nil {
+		return err
+	}
+	if err := t.heap.InsertBatch(tx, recs, rids); err != nil {
+		return err
 	}
 	t.mu.Lock()
 	for i, rec := range recs {
 		t.indexLocked(rec, rids[i])
 	}
 	t.mu.Unlock()
+	if len(recs) == 1 {
+		rec, rid := recs[0], rids[0]
+		tx.OnUndo(func() error {
+			t.mu.Lock()
+			t.unindexLocked(rec, rid)
+			t.mu.Unlock()
+			return nil
+		})
+		return nil
+	}
+	undoRecs, undoRIDs := slices.Clone(recs), slices.Clone(rids)
 	tx.OnUndo(func() error {
 		t.mu.Lock()
-		for i, rec := range recs {
-			t.unindexLocked(rec, rids[i])
+		for i, rec := range undoRecs {
+			t.unindexLocked(rec, undoRIDs[i])
 		}
 		t.mu.Unlock()
 		return nil
 	})
-	return rids, nil
+	return nil
+}
+
+// checkNewKeys fails if the primary key of a record of recs is in the
+// table already or in an earlier record of recs.
+func (t *Table) checkNewKeys(recs [][]byte) error {
+	var batch map[int64]bool
+	if len(recs) > 1 {
+		batch = make(map[int64]bool, len(recs))
+	}
+	var buf [8]byte
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, rec := range recs {
+		pk := int64(binary.BigEndian.Uint64(rec))
+		if _, exists := t.pk.Get(pkKey(buf[:0], rec)); exists || batch[pk] {
+			return fmt.Errorf("db: table %q: duplicate primary key %v", t.name, pk)
+		}
+		if batch != nil {
+			batch[pk] = true
+		}
+	}
+	return nil
 }
 
 // Update replaces the row at rid under tx. The heap hands back the record
@@ -254,6 +301,25 @@ func (t *Table) Update(tx *txn.Txn, rid RID, row Row) error {
 	if err != nil {
 		return err
 	}
+	return t.update(tx, rid, rec)
+}
+
+// UpdateRecord replaces the row whose primary key rec carries with rec, a
+// row a RowEncoder of t wrote, as Update does. A record that is not framed
+// as a row of t is refused with ErrSchema.
+func (t *Table) UpdateRecord(tx *txn.Txn, rec []byte) error {
+	if err := checkRecord(t.schema, rec); err != nil {
+		return fmt.Errorf("db: table %q: %w", t.name, err)
+	}
+	rid, err := t.ridOf(int64(binary.BigEndian.Uint64(rec)))
+	if err != nil {
+		return err
+	}
+	return t.update(tx, rid, rec)
+}
+
+// update is Update's record-level body.
+func (t *Table) update(tx *txn.Txn, rid RID, rec []byte) error {
 	old, err := t.heap.Update(tx, rid, rec)
 	if errors.Is(err, storage.ErrPageFull) {
 		if old, err = t.heap.Delete(tx, rid); err != nil {
@@ -307,12 +373,12 @@ func (t *Table) ridOf(pk int64) (RID, error) {
 	var f, k [8]byte
 	binary.BigEndian.PutUint64(f[:], uint64(pk))
 	t.mu.RLock()
-	v, ok := t.pk.Get(pkKey(k[:0], f[:]))
+	rid, ok := t.pk.Get(pkKey(k[:0], f[:]))
 	t.mu.RUnlock()
 	if !ok {
 		return RID{}, ErrNotFound
 	}
-	return v.(RID), nil
+	return rid, nil
 }
 
 // GetByPK returns the row whose primary key equals pk.
@@ -368,8 +434,8 @@ func (t *Table) LookupEq(column string, value interface{}) ([]RID, error) {
 	from := append(append([]byte(nil), enc...), 0)
 	to := append(append([]byte(nil), enc...), 1)
 	var out []RID
-	ix.tree.AscendRange(from, to, func(_ []byte, v interface{}) bool {
-		out = append(out, v.(RID))
+	ix.tree.AscendRange(from, to, func(_ []byte, rid RID) bool {
+		out = append(out, rid)
 		return true
 	})
 	return out, nil

@@ -71,12 +71,16 @@ type Row []interface{}
 // ErrSchema reports a row/schema mismatch.
 var ErrSchema = errors.New("db: row does not match schema")
 
+// rowBytes is the buffer a row is encoded into: a character, op or
+// document row fits.
+const rowBytes = 128
+
 // EncodeRow serialises row according to schema.
 func EncodeRow(schema Schema, row Row) ([]byte, error) {
 	if len(row) != len(schema) {
 		return nil, fmt.Errorf("%w: %d values for %d columns", ErrSchema, len(row), len(schema))
 	}
-	buf := make([]byte, 0, 128) // a character, op or document row fits
+	buf := make([]byte, 0, rowBytes)
 	for i, col := range schema {
 		var err error
 		if buf, err = appendField(buf, col, row[i]); err != nil {
@@ -86,61 +90,182 @@ func EncodeRow(schema Schema, row Row) ([]byte, error) {
 	return buf, nil
 }
 
-// appendField appends the row-codec encoding of v, a value of col, to dst:
-// 8 big-endian bytes for ints, floats and times (UnixNano), one byte for a
-// bool, and a 4-byte length before the bytes of a string or byte slice.
+// appendField appends the row-codec encoding of v, a value of col, to dst
+// through the appender of col's type.
 func appendField(dst []byte, col Column, v interface{}) ([]byte, error) {
 	switch col.Type {
 	case TInt:
-		x, ok := v.(int64)
-		if !ok {
-			return nil, typeErr(col, v)
+		if x, ok := v.(int64); ok {
+			return appendInt(dst, x), nil
 		}
-		return binary.BigEndian.AppendUint64(dst, uint64(x)), nil
 	case TFloat:
-		x, ok := v.(float64)
-		if !ok {
-			return nil, typeErr(col, v)
+		if x, ok := v.(float64); ok {
+			return appendFloat(dst, x), nil
 		}
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(x)), nil
 	case TString:
-		x, ok := v.(string)
-		if !ok {
-			return nil, typeErr(col, v)
+		if x, ok := v.(string); ok {
+			return appendString(dst, x), nil
 		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(x)))
-		return append(dst, x...), nil
 	case TBytes:
-		x, ok := v.([]byte)
-		if !ok {
-			return nil, typeErr(col, v)
+		if x, ok := v.([]byte); ok {
+			return appendBytes(dst, x), nil
 		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(x)))
-		return append(dst, x...), nil
 	case TBool:
-		x, ok := v.(bool)
-		if !ok {
-			return nil, typeErr(col, v)
+		if x, ok := v.(bool); ok {
+			return appendBool(dst, x), nil
 		}
-		if x {
-			return append(dst, 1), nil
-		}
-		return append(dst, 0), nil
 	case TTime:
-		x, ok := v.(time.Time)
-		if !ok {
-			return nil, typeErr(col, v)
+		if x, ok := v.(time.Time); ok {
+			return appendTime(dst, x), nil
 		}
-		return binary.BigEndian.AppendUint64(dst, uint64(x.UnixNano())), nil
 	default:
 		return nil, fmt.Errorf("db: unknown column type %v", col.Type)
 	}
+	return nil, typeErr(col, fmt.Sprintf("%T", v))
+}
+
+// The per-type appenders are the row format: 8 big-endian bytes for ints,
+// floats and times (UnixNano), one byte for a bool, and a 4-byte length
+// before the bytes of a string or byte slice. EncodeRow and RowEncoder
+// both write through them.
+
+func appendInt(dst []byte, x int64) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(x))
+}
+
+func appendFloat(dst []byte, x float64) []byte {
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(x))
+}
+
+func appendString(dst []byte, x string) []byte {
+	return append(binary.BigEndian.AppendUint32(dst, uint32(len(x))), x...)
+}
+
+func appendBytes(dst, x []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(dst, uint32(len(x))), x...)
+}
+
+func appendBool(dst []byte, x bool) []byte {
+	if x {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+func appendTime(dst []byte, x time.Time) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(x.UnixNano()))
+}
+
+// RowEncoder writes rows of one table in EncodeRow's format, a column at a
+// time, with no value boxed into a Row: the hot writers (one character row
+// and one op row per keystroke) use it. Each method checks its column's
+// type against the schema, as EncodeRow does; End reports the first
+// mismatch, or a missing or extra column, as ErrSchema. Rows are appended
+// one after another to one buffer, so a batch of rows costs one growing
+// buffer rather than one allocation per row.
+type RowEncoder struct {
+	schema Schema
+	buf    []byte
+	start  int   // offset of the row being written
+	col    int   // its next column
+	err    error // its first mismatch
+}
+
+// next claims the row's next column for a value of type want (Go type
+// name got) and reports whether it may be appended.
+func (e *RowEncoder) next(want ColType, got string) bool {
+	if e.err != nil {
+		return false
+	}
+	if e.col >= len(e.schema) {
+		e.err = fmt.Errorf("%w: more than %d values", ErrSchema, len(e.schema))
+		return false
+	}
+	col := e.schema[e.col]
+	e.col++
+	if col.Type != want {
+		e.err = typeErr(col, got)
+		return false
+	}
+	return true
+}
+
+// Int appends an int column.
+func (e *RowEncoder) Int(v int64) {
+	if e.next(TInt, "int64") {
+		e.buf = appendInt(e.buf, v)
+	}
+}
+
+// String appends a string column.
+func (e *RowEncoder) String(v string) {
+	if e.next(TString, "string") {
+		e.buf = appendString(e.buf, v)
+	}
+}
+
+// Bytes appends a bytes column.
+func (e *RowEncoder) Bytes(v []byte) {
+	if e.next(TBytes, "[]uint8") {
+		e.buf = appendBytes(e.buf, v)
+	}
+}
+
+// Bool appends a bool column.
+func (e *RowEncoder) Bool(v bool) {
+	if e.next(TBool, "bool") {
+		e.buf = appendBool(e.buf, v)
+	}
+}
+
+// Time appends a time column.
+func (e *RowEncoder) Time(v time.Time) {
+	if e.next(TTime, "time.Time") {
+		e.buf = appendTime(e.buf, v)
+	}
+}
+
+// End finishes the row and returns its encoding, which later rows do not
+// overwrite. A row with a mismatched value or too few or too many values
+// is dropped and reported as ErrSchema. Either way the encoder is ready
+// for the next row.
+func (e *RowEncoder) End() ([]byte, error) {
+	err := e.err
+	if err == nil && e.col != len(e.schema) {
+		err = fmt.Errorf("%w: %d values for %d columns", ErrSchema, e.col, len(e.schema))
+	}
+	rec := e.buf[e.start:len(e.buf):len(e.buf)]
+	if err != nil {
+		e.buf, rec = e.buf[:e.start], nil
+	}
+	e.start, e.col, e.err = len(e.buf), 0, nil
+	return rec, err
 }
 
 // field returns the encoding of column col within rec, a row EncodeRow
 // wrote, without decoding any value: index maintenance compares and keys
 // rows by these bytes. A record that ends before the column is ErrSchema.
 func field(schema Schema, rec []byte, col int) ([]byte, error) {
+	start, end, err := span(schema, rec, col)
+	if err != nil {
+		return nil, err
+	}
+	return rec[start:end], nil
+}
+
+// checkRecord verifies that rec is framed as one row of schema: every
+// column is present and nothing follows the last. It is how the
+// record-level writers refuse bytes that are not a row of their table.
+func checkRecord(schema Schema, rec []byte) error {
+	_, end, err := span(schema, rec, len(schema)-1)
+	if err == nil && end != len(rec) {
+		err = fmt.Errorf("%w: %d bytes after the last column", ErrSchema, len(rec)-end)
+	}
+	return err
+}
+
+// span returns the offsets of column col's encoding within rec.
+func span(schema Schema, rec []byte, col int) (start, end int, err error) {
 	for i, c := range schema[:col+1] {
 		var n uint64
 		switch c.Type {
@@ -149,22 +274,22 @@ func field(schema Schema, rec []byte, col int) ([]byte, error) {
 		case TBool:
 			n = 1
 		case TString, TBytes:
-			if len(rec) < 4 {
-				return nil, ErrSchema
+			if len(rec)-start < 4 {
+				return 0, 0, ErrSchema
 			}
-			n = 4 + uint64(binary.BigEndian.Uint32(rec))
+			n = 4 + uint64(binary.BigEndian.Uint32(rec[start:]))
 		default:
-			return nil, fmt.Errorf("db: unknown column type %v", c.Type)
+			return 0, 0, fmt.Errorf("db: unknown column type %v", c.Type)
 		}
-		if uint64(len(rec)) < n {
-			return nil, ErrSchema
+		if uint64(len(rec)-start) < n {
+			return 0, 0, ErrSchema
 		}
 		if i == col {
-			return rec[:n], nil
+			return start, start + int(n), nil
 		}
-		rec = rec[n:]
+		start += int(n)
 	}
-	return nil, ErrSchema
+	return 0, 0, ErrSchema
 }
 
 // DecodeRow parses a row serialised by EncodeRow.
@@ -297,6 +422,6 @@ func DecodeSchema(b []byte) (Schema, error) {
 	return s, nil
 }
 
-func typeErr(col Column, v interface{}) error {
-	return fmt.Errorf("%w: column %q (%v) got %T", ErrSchema, col.Name, col.Type, v)
+func typeErr(col Column, got string) error {
+	return fmt.Errorf("%w: column %q (%v) got %s", ErrSchema, col.Name, col.Type, got)
 }

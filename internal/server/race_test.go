@@ -1,0 +1,7 @@
+//go:build race
+
+package server
+
+// raceEnabled reports that the test binary was built with -race, which
+// instruments allocations as well as memory accesses.
+const raceEnabled = true

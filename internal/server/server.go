@@ -165,20 +165,26 @@ func (s *Server) Serve() error {
 			}
 			return err
 		}
-		c := &conn{srv: s, codec: protocol.NewCodec(nc),
-			lastInsert: make(map[util.ID]util.ID),
-			subs:       make(map[util.ID]*awareness.Subscription),
-			redactors:  make(map[util.ID]*redactor)}
-		c.rlEdit, c.rlSub = s.rl.connBuckets()
-		c.ver.Store(protocol.Version1)
-		c.codec.SetByteCounters(&s.metrics.BytesIn, &s.metrics.BytesOut)
-		s.metrics.Conns.Add(1)
-		s.mu.Lock()
-		s.conns[c] = true
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go c.serve()
+		s.accept(nc)
 	}
+}
+
+// accept registers nc, an established connection, and serves it on its
+// own goroutine.
+func (s *Server) accept(nc net.Conn) {
+	c := &conn{srv: s, codec: protocol.NewCodec(nc),
+		lastInsert: make(map[util.ID]util.ID),
+		subs:       make(map[util.ID]*awareness.Subscription),
+		redactors:  make(map[util.ID]*redactor)}
+	c.rlEdit, c.rlSub = s.rl.connBuckets()
+	c.ver.Store(protocol.Version1)
+	c.codec.SetByteCounters(&s.metrics.BytesIn, &s.metrics.BytesOut)
+	s.metrics.Conns.Add(1)
+	s.mu.Lock()
+	s.conns[c] = true
+	s.mu.Unlock()
+	s.wg.Add(1)
+	go c.serve()
 }
 
 // Close stops accepting and tears down every connection.

@@ -26,6 +26,11 @@ var ErrNotActive = errors.New("txn: transaction not active")
 // compensation log record itself.
 type UndoFunc func() error
 
+// inlineUndo is how many undo entries a Txn holds without allocating: a
+// one-key edit registers four (the character row's and the op row's heap
+// insert and index entries).
+const inlineUndo = 4
+
 // Txn is one transaction: a unit of atomicity, durability and isolation.
 // A Txn is not safe for concurrent use by multiple goroutines.
 type Txn struct {
@@ -35,6 +40,7 @@ type Txn struct {
 	lastLSN   wal.LSN
 	commitLSN wal.LSN
 	undo      []UndoFunc
+	undoBuf   [inlineUndo]UndoFunc // undo's first entries
 	state     State
 }
 
@@ -87,6 +93,7 @@ func (t *Txn) CommitAsync() (wal.LSN, error) {
 	t.lastLSN = lsn
 	t.commitLSN = lsn
 	t.state = Committed
+	t.dropUndo()
 	t.mgr.locks.ReleaseAll(t.id)
 	t.mgr.finish(t.id)
 	return lsn, nil
@@ -138,9 +145,18 @@ func (t *Txn) Abort() error {
 		return err
 	}
 	t.state = Aborted
+	t.dropUndo()
 	t.mgr.locks.ReleaseAll(t.id)
 	t.mgr.finish(t.id)
 	return nil
+}
+
+// dropUndo forgets the undo entries of a finished transaction, so a Txn a
+// durability waiter still holds does not keep the records they captured
+// alive.
+func (t *Txn) dropUndo() {
+	t.undo = nil
+	t.undoBuf = [inlineUndo]UndoFunc{}
 }
 
 // Manager creates transactions and tracks the active set.
@@ -179,6 +195,7 @@ func (m *Manager) SeedIDs(floor uint64) {
 func (m *Manager) Begin() (*Txn, error) {
 	id := m.nextID.Add(1)
 	t := &Txn{id: id, mgr: m, state: Active}
+	t.undo = t.undoBuf[:0]
 	m.mu.Lock()
 	lsn, err := m.log.Append(&wal.Record{Type: wal.RecBegin, TxnID: id})
 	if err != nil {

@@ -286,3 +286,37 @@ func TestConcurrentIncrementsSerialized(t *testing.T) {
 		t.Fatalf("counter = %d, want 400", counter)
 	}
 }
+
+// TestFinishedTxnDropsUndo checks that a committed or aborted transaction
+// forgets its undo closures, inline or spilled, so a Txn that a durability
+// waiter still holds does not keep the records they captured alive.
+func TestFinishedTxnDropsUndo(t *testing.T) {
+	m := newManager(t)
+	for _, commit := range []bool{true, false} {
+		for _, n := range []int{inlineUndo, inlineUndo + 3} {
+			tx, err := m.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				tx.OnUndo(func() error { return nil })
+			}
+			if commit {
+				_, err = tx.CommitAsync()
+			} else {
+				err = tx.Abort()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tx.undo != nil {
+				t.Errorf("commit=%v, %d entries: %d undo entries kept", commit, n, len(tx.undo))
+			}
+			for i, fn := range tx.undoBuf {
+				if fn != nil {
+					t.Errorf("commit=%v, %d entries: inline undo entry %d kept", commit, n, i)
+				}
+			}
+		}
+	}
+}

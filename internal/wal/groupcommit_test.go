@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -189,5 +190,119 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 	if _, err := log.Append(&Record{Type: RecBegin, TxnID: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close: %v, want ErrClosed", err)
+	}
+}
+
+// copyingStore keeps a copy of every batch the flusher hands it, taken in
+// two halves with a yield between, so an appender writing into a batch
+// buffer before the store is done with it shows as a torn copy (and as a
+// data race under -race).
+type copyingStore struct {
+	*MemStore
+	mu      sync.Mutex
+	batches [][]byte
+}
+
+func (s *copyingStore) Append(b []byte) error {
+	c := make([]byte, len(b))
+	half := len(b) / 2
+	copy(c, b[:half])
+	runtime.Gosched()
+	copy(c[half:], b[half:])
+	s.mu.Lock()
+	s.batches = append(s.batches, c)
+	s.mu.Unlock()
+	return s.MemStore.Append(b)
+}
+
+// TestGroupCommitReusesBatchBuffer runs concurrent writers across hundreds
+// of flusher batches, each batch written from a buffer an earlier batch
+// used. Every batch the store copied must still decode to its own records
+// once later batches have reused the buffer: whole frames, LSNs in order
+// across batches, each record's payload the one its writer appended, and
+// every record exactly once.
+func TestGroupCommitReusesBatchBuffer(t *testing.T) {
+	store := &copyingStore{MemStore: NewMemStore()}
+	log := openLog(t, store)
+	const writers, per = 4, 200
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				lsn, err := log.Append(&Record{
+					Type: RecUpdate, TxnID: uint64(w + 1), Op: OpInsert,
+					Slot: uint32(i), After: []byte(fmt.Sprintf("writer %d record %d", w, i)),
+				})
+				if err == nil {
+					err = log.WaitFlushed(lsn)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := len(store.batches); n < 100 {
+		t.Fatalf("the writers' records went out in %d batches, want at least 100", n)
+	}
+	seen := make(map[string]bool)
+	var last LSN
+	for bi, batch := range store.batches {
+		err := walk(batch, func(r *Record, _ int) bool {
+			want := fmt.Sprintf("writer %d record %d", r.TxnID-1, r.Slot)
+			if r.LSN != last+1 || string(r.After) != want || seen[want] {
+				t.Errorf("batch %d: record LSN %d (after %d) carries %q, want %q once", bi, r.LSN, last, r.After, want)
+			}
+			last = r.LSN
+			seen[want] = true
+			return true
+		})
+		if err != nil {
+			t.Fatalf("batch %d of %d no longer decodes: %v", bi, len(store.batches), err)
+		}
+	}
+	if len(seen) != writers*per {
+		t.Fatalf("the batches hold %d distinct records, want %d", len(seen), writers*per)
+	}
+}
+
+// discardStore accepts every batch and keeps nothing, so the only
+// allocations an append-and-flush cycle shows are the log's own.
+type discardStore struct{ *MemStore }
+
+func (discardStore) Append([]byte) error { return nil }
+
+// TestAppendAllocsAfterFlusherCycles pins the WAL's share of a commit:
+// once the flusher has cycled, its spare buffer has the capacity of a
+// batch, so appending a record and flushing it allocates nothing.
+func TestAppendAllocsAfterFlusherCycles(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	log := openLog(t, discardStore{NewMemStore()})
+	r := &Record{Type: RecUpdate, TxnID: 1, Op: OpInsert, Owner: 3, After: make([]byte, 120)}
+	var err error
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, e := log.Append(r); e != nil && err == nil {
+			err = e
+		}
+		if e := log.Flush(); e != nil && err == nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("appending and flushing a record allocated %.0f times, want 0", allocs)
 	}
 }

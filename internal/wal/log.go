@@ -142,8 +142,19 @@ func (l *Log) kickLocked() {
 // sync. After a failed batch it drops whatever is pending instead of
 // writing it: a record behind the failure must not become durable, nor may
 // the failed batch be written a second time.
+//
+// The flusher recycles batch buffers: once a batch's Append and Sync have
+// returned it keeps the buffer as its spare (a Store keeps no reference to
+// what it was given), and the next swap hands the spare back, emptied, as
+// the append buffer. Appends thus fill memory that already has the
+// capacity of a recent batch instead of regrowing it from nothing. The
+// spare is the flusher's alone between swaps. A buffer that grew past
+// pendingKick is not kept, nor one whose batch used less than a quarter
+// of it, so a bulk load's buffers do not stay with a log that has gone
+// back to single keys.
 func (l *Log) flusher() {
 	defer close(l.flusherDone)
+	var spare []byte
 	for {
 		<-l.flushReq
 		l.coalesce()
@@ -160,7 +171,7 @@ func (l *Log) flusher() {
 			continue
 		}
 		batch := l.pending
-		l.pending = nil
+		l.pending, spare = spare[:0], nil
 		target := l.appended
 		grabbed := l.pendingCommits.Swap(0)
 		l.mu.Unlock()
@@ -168,6 +179,9 @@ func (l *Log) flusher() {
 		err := l.store.Append(batch)
 		if err == nil {
 			err = l.store.Sync()
+		}
+		if cap(batch) <= pendingKick && cap(batch) <= 4*len(batch) {
+			spare = batch
 		}
 
 		l.mu.Lock()

@@ -11,7 +11,9 @@ import (
 // Store is the append-only byte sink behind the log. Implementations must
 // be safe for concurrent use.
 type Store interface {
-	// Append writes b at the end of the store.
+	// Append writes b at the end of the store. It copies or writes b
+	// before it returns and keeps no reference to it: the log reuses b's
+	// memory for a later batch.
 	Append(b []byte) error
 	// ReadAll returns the full store contents.
 	ReadAll() ([]byte, error)
