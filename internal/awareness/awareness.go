@@ -113,10 +113,15 @@ type Event struct {
 // WireCache memoises the serialized forms of one published event, keyed by
 // frame encoding (in practice: one key per wire protocol family). The
 // cached bytes are immutable once built and may be written to any number
-// of connections concurrently.
+// of connections concurrently. The first two keys — an all-visible
+// document's two protocol families — are held inline; only a document
+// with restricted readers spills into the map.
 type WireCache struct {
 	mu     sync.Mutex
-	frames map[int][]byte
+	n      int // inline slots in use
+	keys   [2]int
+	frames [2][]byte
+	more   map[int][]byte
 }
 
 // Get returns the cached frame for key, building and memoising it on first
@@ -125,17 +130,27 @@ type WireCache struct {
 func (w *WireCache) Get(key int, build func() ([]byte, error)) ([]byte, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if f, ok := w.frames[key]; ok {
+	for i := 0; i < w.n; i++ {
+		if w.keys[i] == key {
+			return w.frames[i], nil
+		}
+	}
+	if f, ok := w.more[key]; ok {
 		return f, nil
 	}
 	f, err := build()
 	if err != nil {
 		return nil, err
 	}
-	if w.frames == nil {
-		w.frames = make(map[int][]byte, 2)
+	switch {
+	case w.n < len(w.keys):
+		w.keys[w.n], w.frames[w.n] = key, f
+		w.n++
+	case w.more == nil:
+		w.more = map[int][]byte{key: f}
+	default:
+		w.more[key] = f
 	}
-	w.frames[key] = f
 	return f, nil
 }
 

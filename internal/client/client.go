@@ -49,11 +49,22 @@ type Client struct {
 	mu      sync.Mutex
 	ver     int // negotiated protocol version (Version1 until hello upgrades it)
 	shards  int // server's engine-shard count from hello (0 = not told)
-	pending map[int64]chan *protocol.Message
+	pending map[int64]handler
 	docs    map[uint64]*Doc
 	closed  bool
 	readErr error
+	done    chan struct{} // closed when the read loop has ended
 }
+
+// A handler receives the response to one request on the connection's read
+// loop, or nil once the connection is gone. The response is the read
+// loop's message, which the next frame is decoded into: a handler that
+// keeps it, or its Event or lists of structs, returns true, and the loop
+// decodes the next frame into a new message. Strings and ID lists are the
+// frame's own and may be kept either way. A handler runs on the read loop,
+// so it must neither send a request nor wait for a lock held across one:
+// the response it needs could only come through the loop it blocks.
+type handler func(resp *protocol.Message) (kept bool)
 
 // Option configures a Dial. Options execute their protocol steps (version
 // negotiation, then login) in a fixed order after the connection is
@@ -128,8 +139,9 @@ func newClient(rw io.ReadWriteCloser) *Client {
 	c := &Client{
 		codec:   protocol.NewCodec(rw),
 		ver:     protocol.Version1,
-		pending: make(map[int64]chan *protocol.Message),
+		pending: make(map[int64]handler),
 		docs:    make(map[uint64]*Doc),
+		done:    make(chan struct{}),
 	}
 	go c.readLoop()
 	return c
@@ -150,28 +162,33 @@ func (c *Client) Close() error {
 // User returns the logged-in user name.
 func (c *Client) User() string { return c.user }
 
+// readLoop decodes every frame into one message it owns: a response goes
+// to the handler its request registered, a push is folded into its
+// document's replica.
 func (c *Client) readLoop() {
+	defer close(c.done)
+	m := new(protocol.Message)
 	for {
-		m, err := c.codec.Recv()
-		if err != nil {
+		if err := c.codec.RecvInto(m); err != nil {
 			c.mu.Lock()
 			c.readErr = err
 			c.closed = true
-			for id, ch := range c.pending {
-				close(ch)
-				delete(c.pending, id)
-			}
+			pending := c.pending
+			c.pending = nil
 			c.mu.Unlock()
+			for _, h := range pending {
+				h(nil)
+			}
 			return
 		}
 		switch m.Type {
 		case protocol.TypeResponse:
 			c.mu.Lock()
-			ch := c.pending[m.ID]
+			h := c.pending[m.ID]
 			delete(c.pending, m.ID)
 			c.mu.Unlock()
-			if ch != nil {
-				ch <- m
+			if h != nil && h(m) {
+				m = new(protocol.Message)
 			}
 		case protocol.TypePush:
 			if m.Event == nil {
@@ -187,56 +204,66 @@ func (c *Client) readLoop() {
 	}
 }
 
-// start sends a request without waiting for its response: the returned
-// channel delivers the response (or closes on connection death). The
-// pipelined session flushes batches through this — the server processes a
-// connection's requests strictly in send order, so edits stay ordered
-// while their acknowledgements are collected asynchronously.
-func (c *Client) start(req *protocol.Message) (<-chan *protocol.Message, error) {
+// start sends a request without waiting for its response: unless start
+// returns an error, the read loop calls h exactly once, with the response
+// or with nil once the connection is gone. The pipelined session flushes
+// batches through this — the server processes a connection's requests
+// strictly in send order, so edits stay ordered while their
+// acknowledgements are collected asynchronously.
+func (c *Client) start(req *protocol.Message, h handler) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	id := c.nextID.Add(1)
 	req.Type = protocol.TypeRequest
 	req.ID = id
-	ch := make(chan *protocol.Message, 1)
-	c.pending[id] = ch
+	c.pending[id] = h
 	c.mu.Unlock()
 
 	if err := c.codec.Send(req); err != nil {
 		c.mu.Lock()
+		_, waiting := c.pending[id]
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return nil, err
+		if waiting { // else the read loop has already called h
+			return err
+		}
 	}
-	return ch, nil
+	return nil
 }
 
-// await turns a start channel into the response or error.
-func await(ch <-chan *protocol.Message) (*protocol.Message, error) {
-	resp, ok := <-ch
-	if !ok {
-		return nil, ErrClosed
+// respErr is the error a response carries, nil for a success, ErrClosed
+// for the nil a handler gets once the connection is gone.
+func respErr(resp *protocol.Message) error {
+	switch {
+	case resp == nil:
+		return ErrClosed
+	case resp.Err == "":
+		return nil
+	case resp.Code == protocol.ErrThrottled:
+		return &ThrottledError{Msg: resp.Err,
+			RetryAfter: time.Duration(resp.RetryMS) * time.Millisecond}
+	default:
+		return &RemoteError{Msg: resp.Err}
 	}
-	if resp.Err != "" {
-		if resp.Code == protocol.ErrThrottled {
-			return nil, &ThrottledError{Msg: resp.Err,
-				RetryAfter: time.Duration(resp.RetryMS) * time.Millisecond}
-		}
-		return nil, &RemoteError{Msg: resp.Err}
+}
+
+// call sends a request and waits for its response, which it keeps.
+func (c *Client) call(req *protocol.Message) (*protocol.Message, error) {
+	ch := make(chan *protocol.Message, 1)
+	if err := c.start(req, func(resp *protocol.Message) bool {
+		ch <- resp
+		return true
+	}); err != nil {
+		return nil, err
+	}
+	resp := <-ch
+	if err := respErr(resp); err != nil {
+		return nil, err
 	}
 	return resp, nil
-}
-
-// call sends a request and waits for its response.
-func (c *Client) call(req *protocol.Message) (*protocol.Message, error) {
-	ch, err := c.start(req)
-	if err != nil {
-		return nil, err
-	}
-	return await(ch)
 }
 
 // hello negotiates v3 for Dial's WithMaxVersion and for Doc.Session and

@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"sync"
+	"unicode/utf8"
 
 	"tendax/internal/protocol"
 )
@@ -33,22 +34,50 @@ import (
 // anchor per (connection, document), so run at most one session per
 // document on a given Client — two same-document sessions sharing a
 // connection would chain after each other's cursors.
+//
+// A session sends from its callers' goroutines (Type, Wait, MoveTo) or
+// from its one flusher goroutine, and its one acknowledgement handler runs
+// on the connection's read loop. The handler takes only mu, which is never held across a
+// send: over a synchronous transport the read loop must stay free to
+// drain the server's frames while a batch is being written.
 type Session struct {
 	d *Doc
 
+	// send is held from cutting a batch through its Send, so batches go
+	// out in the order they are cut; req and op are the batch message,
+	// reused under it.
+	send sync.Mutex
+	req  protocol.Message
+	op   [1]protocol.EditOp
+	// after is the explicit anchor req points at (op's After).
+	after uint64
+
 	mu         sync.Mutex
 	idle       sync.Cond // broadcast on every acknowledgement; Wait rechecks inflight
-	pend       []rune
-	anchor     uint64 // explicit anchor for the next flush (0 = front)
-	useAnchor  bool   // anchor set and not yet consumed
-	batchLimit int    // pending runes that go out even behind an in-flight batch
-	inflight   int    // batches sent and not yet acknowledged
+	anchor     uint64    // explicit anchor for the next flush (0 = front)
+	useAnchor  bool      // anchor set and not yet consumed
+	batchLimit int       // pending runes that go out even behind an in-flight batch
+	inflight   int       // batches sent and not yet acknowledged, and a handoff
+	handoff    bool      // an acknowledgement left its place in flight to the next batch
 	closed     bool
 	err        error // first failure, sticky
+
+	// The text typed and not yet sent, npend runes of it. While one Type
+	// call supplied all of it, it is that call's string, sent as it is;
+	// a second call moves it into the buffer pend.
+	one   string
+	pend  []byte
+	npend int
+
+	ack     handler       // onAck, bound once
+	kick    chan struct{} // wakes the flusher to send the batch of a handoff
+	flushed chan struct{} // closed when the flusher has returned
 
 	flushes int // batches sent
 	typed   int // runes accepted by Type
 }
+
+var errSessionClosed = errors.New("client: session closed")
 
 // ErrNeedV3 reports a session request against a server that only speaks
 // protocol v1.
@@ -56,7 +85,8 @@ var ErrNeedV3 = errors.New("client: server does not speak protocol v3")
 
 // Session opens a pipelined editing session on the document, negotiating
 // protocol v3 first if the connection has not already. The cursor starts
-// at the end of the document (MoveTo repositions it).
+// at the end of the document (MoveTo repositions it). The session's
+// flusher goroutine ends at Close or when the connection does.
 func (d *Doc) Session() (*Session, error) {
 	ver, err := d.c.hello()
 	if err != nil {
@@ -65,9 +95,14 @@ func (d *Doc) Session() (*Session, error) {
 	if ver < protocol.Version3 {
 		return nil, ErrNeedV3
 	}
-	s := &Session{d: d, batchLimit: 128}
+	s := &Session{d: d, batchLimit: 128,
+		kick: make(chan struct{}, 1), flushed: make(chan struct{})}
 	s.idle.L = &s.mu
+	s.ack = s.onAck
+	s.req.Op, s.req.Doc = protocol.OpEdit, d.id
+	go s.flusher()
 	if err := s.MoveTo(d.Len()); err != nil {
+		s.Close()
 		return nil, err
 	}
 	return s, nil
@@ -91,14 +126,13 @@ func (s *Session) SetBatchLimit(runes int) {
 // MoveTo returns that first error, as Type does.
 func (s *Session) MoveTo(pos int) error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("client: session closed")
-	}
-	s.flushLocked()
-	err := s.err
+	closed := s.closed
 	s.mu.Unlock()
-	if err != nil {
+	if closed {
+		return errSessionClosed
+	}
+	s.flush(true)
+	if err := s.Err(); err != nil {
 		return err
 	}
 
@@ -122,68 +156,146 @@ func (s *Session) MoveTo(pos int) error {
 // (the session is then dead for further typing).
 func (s *Session) Type(text string) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
+	if s.err != nil || s.closed {
+		err := s.err
+		s.mu.Unlock()
+		if err == nil {
+			err = errSessionClosed
+		}
+		return err
 	}
-	if s.closed {
-		return errors.New("client: session closed")
+	switch {
+	case s.npend == 0:
+		s.one = text
+	case s.one != "":
+		s.pend = append(append(s.pend, s.one...), text...)
+		s.one = ""
+	default:
+		s.pend = append(s.pend, text...)
 	}
-	s.typed += len([]rune(text))
-	s.pend = append(s.pend, []rune(text)...)
-	if s.inflight == 0 || len(s.pend) >= s.batchLimit {
-		s.flushLocked()
+	n := utf8.RuneCountInString(text)
+	s.npend += n
+	s.typed += n
+	due := s.dueLocked()
+	s.mu.Unlock()
+	if due {
+		s.flush(false)
 	}
 	return nil
 }
 
-// flushLocked ships the pending runes as one edit batch; its
-// acknowledgement ships whatever was typed behind it once nothing else is
-// in flight. Caller holds s.mu.
-func (s *Session) flushLocked() {
-	if len(s.pend) == 0 || s.err != nil {
+// dueLocked reports whether the pending runes go out now under the
+// ack-clocked rule: nothing is in flight, the last acknowledgement handed
+// its place to them, or they reached the batch limit. Caller holds s.mu.
+func (s *Session) dueLocked() bool {
+	return s.npend > 0 && (s.inflight == 0 || s.handoff || s.npend >= s.batchLimit)
+}
+
+// flush ships the pending runes as one edit batch — when they are due, or
+// whenever there are any if force is set. A handoff that finds nothing to
+// send gives its place in flight back.
+func (s *Session) flush(force bool) {
+	s.send.Lock()
+	defer s.send.Unlock()
+	s.mu.Lock()
+	if s.npend == 0 || s.err != nil || !force && !s.dueLocked() {
+		if s.handoff {
+			s.handoff = false
+			s.inflight--
+			s.idle.Broadcast()
+		}
+		s.mu.Unlock()
 		return
 	}
-	op := protocol.EditOp{Kind: protocol.EditInsert, Text: string(s.pend)}
+	text := s.one
+	if text == "" {
+		text = string(s.pend)
+	}
+	s.op[0] = protocol.EditOp{Kind: protocol.EditInsert, Text: text}
 	if s.useAnchor {
-		a := s.anchor
-		op.After = &a
+		s.after = s.anchor
+		s.op[0].After = &s.after
 		s.useAnchor = false
 	} else {
-		op.Prev = true
+		s.op[0].Prev = true
 	}
-	s.pend = s.pend[:0]
+	s.one, s.pend, s.npend = "", s.pend[:0], 0
+	if s.handoff {
+		s.handoff = false
+	} else {
+		s.inflight++
+	}
+	s.mu.Unlock()
 
-	ch, err := s.d.c.start(&protocol.Message{
-		Op: protocol.OpEdit, Doc: s.d.id, Ops: []protocol.EditOp{op},
-	})
+	s.req.Ops = s.op[:]
+	err := s.d.c.start(&s.req, s.ack)
+	s.mu.Lock()
 	if err != nil {
-		s.err = err
-		return
+		s.failLocked(err)
+		s.inflight--
+	} else {
+		s.flushes++
 	}
-	s.flushes++
-	s.inflight++
-	go func() {
-		_, err := await(ch)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if err != nil && s.err == nil {
-			s.err = err
+	s.idle.Broadcast()
+	s.mu.Unlock()
+}
+
+// onAck is the session's acknowledgement handler (see handler). It records
+// a failure; and when it acknowledges the last batch in flight while text
+// waits behind it, it hands its place in flight to that text and wakes the
+// flusher to send it — it cannot send from the read loop. Until the batch
+// is out, the pipeline counts as busy: Type leaves the sending to it, and
+// Wait waits for it.
+func (s *Session) onAck(resp *protocol.Message) bool {
+	err := respErr(resp)
+	s.mu.Lock()
+	s.failLocked(err)
+	if s.inflight--; s.inflight == 0 && s.npend > 0 && s.err == nil && !s.closed {
+		s.inflight, s.handoff = 1, true
+		select {
+		case s.kick <- struct{}{}:
+		default: // a wake-up is already pending
 		}
-		if s.inflight--; s.inflight == 0 {
-			s.flushLocked()
+	}
+	s.idle.Broadcast()
+	s.mu.Unlock()
+	return false
+}
+
+// failLocked makes err, when it is the first, the session's sticky error.
+// Caller holds s.mu.
+func (s *Session) failLocked(err error) {
+	if err != nil && s.err == nil {
+		s.err = err
+	}
+}
+
+// flusher sends the batches of handoffs until Close retires the session
+// or the connection ends; then a last flush fails, giving back the place
+// of a handoff still pending.
+func (s *Session) flusher() {
+	defer close(s.flushed)
+	for {
+		select {
+		case _, ok := <-s.kick:
+			if !ok {
+				return
+			}
+		case <-s.d.c.done:
+			s.flush(false)
+			return
 		}
-		s.idle.Broadcast()
-	}()
+		s.flush(false)
+	}
 }
 
 // Wait flushes pending text and blocks until every sent batch has been
 // durably acknowledged, returning the first error any batch hit. After a
 // nil Wait, everything typed so far is on the server's stable storage.
 func (s *Session) Wait() error {
+	s.flush(true)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	for s.inflight > 0 {
 		s.idle.Wait()
 	}
@@ -212,11 +324,17 @@ func (s *Session) Typed() int {
 	return s.typed
 }
 
-// Close flushes, waits for all acknowledgements and retires the session.
+// Close retires the session: it refuses further typing, flushes what was
+// typed before, waits for all acknowledgements, and stops the flusher.
 func (s *Session) Close() error {
-	err := s.Wait()
 	s.mu.Lock()
-	s.closed = true
+	already := s.closed
+	s.closed = true // from here on, no acknowledgement wakes the flusher
 	s.mu.Unlock()
+	err := s.Wait()
+	if !already {
+		close(s.kick)
+	}
+	<-s.flushed
 	return err
 }

@@ -77,6 +77,14 @@ func (f *faultStore) Sync() error {
 	return f.Store.Sync()
 }
 
+// FailSyncSwitch wraps s in a faultStore for the engine-level tests of
+// this directory (package db_test), returning the store and its failSync
+// switch.
+func FailSyncSwitch(s wal.Store) (wal.Store, *atomic.Bool) {
+	f := &faultStore{Store: s}
+	return f, &f.failSync
+}
+
 func TestLogFaultFailsCommit(t *testing.T) {
 	fs := &faultStore{Store: wal.NewMemStore()}
 	d, err := OpenWith(storage.NewMemDisk(), fs, Options{})
@@ -135,16 +143,19 @@ func TestFailedSyncStaysFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WaitDurable(lsn); err == nil {
-		t.Fatal("commit turned durable although its fsync failed")
+	if err := d.WaitDurable(lsn); !errors.Is(err, wal.ErrLogFailed) {
+		t.Fatalf("wait on a commit whose fsync failed: %v, want wal.ErrLogFailed", err)
 	}
 	fs.failSync.Store(false)
 
-	if err := d.WaitDurable(lsn); err == nil {
-		t.Error("second wait on the failed commit succeeded")
+	if err := d.WaitDurable(lsn); !errors.Is(err, wal.ErrLogFailed) {
+		t.Errorf("second wait on the failed commit: %v, want wal.ErrLogFailed", err)
 	}
-	if _, err := d.Begin(); err == nil || !strings.Contains(err.Error(), "injected fsync fault") {
-		t.Errorf("Begin after the failed batch: %v, want the injected fault", err)
+	if _, err := d.Begin(); !errors.Is(err, wal.ErrLogFailed) || !strings.Contains(err.Error(), "injected fsync fault") {
+		t.Errorf("Begin after the failed batch: %v, want wal.ErrLogFailed wrapping the injected fault", err)
+	}
+	if !d.Log().Failed() {
+		t.Error("the log does not report itself failed")
 	}
 	if err := d.Log().Flush(); err == nil {
 		t.Error("Flush after the failed batch succeeded")

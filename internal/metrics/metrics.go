@@ -45,6 +45,11 @@ type Metrics struct {
 	// ok=false while the indexers are not running.
 	indexStats func() (IndexStats, bool)
 
+	// logFailed, when set, reports at scrape time whether a failed write
+	// or sync has poisoned a write-ahead log, leaving its engine read-only
+	// until restart.
+	logFailed func() bool
+
 	mu          sync.Mutex
 	start       time.Time
 	lastScrape  time.Time
@@ -118,6 +123,11 @@ func (m *Metrics) SetIndexStats(fn func() (IndexStats, bool)) {
 	m.indexStats = fn
 }
 
+// SetLogFailed installs the poisoned-log probe behind the log_failed gauge.
+func (m *Metrics) SetLogFailed(fn func() bool) {
+	m.logFailed = fn
+}
+
 // Counter is an alias for atomic.Int64 so the protocol layer can take
 // *atomic.Int64 counters without importing this package.
 type Counter = atomic.Int64
@@ -154,6 +164,9 @@ type snapshot struct {
 	QueueDepth int64   `json:"queue_depth"`
 	Heals      int64   `json:"heals"`
 	Queries    int64   `json:"queries"`
+	// LogFailed is 1 once a failed write or sync has poisoned a
+	// write-ahead log: its engine refuses every edit until restart.
+	LogFailed int `json:"log_failed"`
 
 	// Derived over the window since the previous scrape.
 	WindowSec       float64 `json:"window_sec"`
@@ -228,6 +241,9 @@ func (m *Metrics) Handler() http.Handler {
 		}
 		if m.userThrottles != nil {
 			snap.UserThrottles = m.userThrottles()
+		}
+		if m.logFailed != nil && m.logFailed() {
+			snap.LogFailed = 1
 		}
 		if m.indexStats != nil {
 			if ist, ok := m.indexStats(); ok {

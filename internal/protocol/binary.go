@@ -131,6 +131,12 @@ func appendIDList(b []byte, ids []uint64) []byte {
 type bdec struct {
 	b   []byte
 	pos int
+
+	// The storage of the hot frames' nested values, parked between frames
+	// that do not carry them (see messageInto).
+	ops     []EditOp
+	results []EditResult
+	event   *Event
 }
 
 func (d *bdec) rem() int { return len(d.b) - d.pos }
@@ -305,7 +311,8 @@ func (s *schema[T]) append(b []byte, v *T) []byte {
 	return b
 }
 
-// decode fills v, which must be zero, from d.
+// decode fills v, which must be zero apart from storage lent to its lists
+// and nested pointers (see list and ptr), from d.
 func (s *schema[T]) decode(d *bdec, v *T) error {
 	bm, err := d.uvarint()
 	if err != nil {
@@ -379,7 +386,8 @@ func optU64[T any](at func(*T) **uint64) field[T] {
 }
 
 // list is a counted list, omitted when empty; the count is bounded by the
-// remaining payload before the slice is allocated.
+// remaining payload before the slice is allocated. A slice the field
+// already holds is reused, zeroed, when it has the capacity.
 func list[T, E any](at func(*T) *[]E, put func([]byte, *E) []byte, get func(*bdec, *E) error) field[T] {
 	return field[T]{
 		has: func(v *T) bool { return len(*at(v)) > 0 },
@@ -396,7 +404,13 @@ func list[T, E any](at func(*T) *[]E, put func([]byte, *E) []byte, get func(*bde
 			if err != nil {
 				return err
 			}
-			l := make([]E, n)
+			l := *at(v)
+			if l != nil && cap(l) >= n {
+				l = l[:n]
+				clear(l)
+			} else {
+				l = make([]E, n)
+			}
 			*at(v) = l
 			for i := range l {
 				if err := get(d, &l[i]); err != nil {
@@ -418,14 +432,21 @@ func structs[T, E any](at func(*T) *[]E, s *schema[E]) field[T] {
 	return list(at, s.append, s.decode)
 }
 
-// ptr is an optional nested struct: present iff the pointer is set.
+// ptr is an optional nested struct: present iff the pointer is set. A
+// struct the field already points to is reused, zeroed.
 func ptr[T, E any](at func(*T) **E, s *schema[E]) field[T] {
 	return field[T]{
 		has: func(v *T) bool { return *at(v) != nil },
 		enc: func(b []byte, v *T) []byte { return s.append(b, *at(v)) },
 		dec: func(d *bdec, v *T) error {
-			e := new(E)
-			*at(v) = e
+			e := *at(v)
+			if e == nil {
+				e = new(E)
+				*at(v) = e
+			} else {
+				var zero E
+				*e = zero
+			}
 			return s.decode(d, e)
 		},
 	}
@@ -590,36 +611,92 @@ var messageSchema = schema[Message]{"Message", []field[Message]{
 	structs(func(m *Message) *[]SourceRef { return &m.Sources }, &sourceRefSchema),
 }}
 
+// Presence bits of the Message fields whose storage messageInto reuses
+// from frame to frame (their lines in messageSchema).
+const (
+	bitOps     = 1 << 6
+	bitResults = 1 << 7
+	bitEvent   = 1 << 8
+)
+
 // appendBinaryMessage packs m into b (the payload of one v3 frame).
 func appendBinaryMessage(b []byte, m *Message) []byte { return messageSchema.append(b, m) }
+
+// frameRoom is the space a frame header can take in front of its payload:
+// the magic and a uvarint length.
+const frameRoom = 1 + binary.MaxVarintLen64
+
+// renderFrame renders m as one complete v3 binary frame (magic, length
+// prefix, payload) inside buf, reusing its capacity. It returns the frame,
+// a view into the returned buffer that is valid until buf is rendered into
+// again.
+func renderFrame(buf []byte, m *Message) (frame, grown []byte) {
+	if cap(buf) < frameRoom {
+		buf = make([]byte, frameRoom, 4*frameRoom)
+	}
+	buf = appendBinaryMessage(buf[:frameRoom], m)
+	n := uint64(len(buf) - frameRoom)
+	h := 1 + (bits.Len64(n|1)+6)/7 // the magic and the uvarint's length
+	frame = buf[frameRoom-h:]
+	frame[0] = binMagic
+	binary.PutUvarint(frame[1:h], n)
+	return frame, buf
+}
 
 // decodeBinaryMessage unpacks one v3 payload. Every length is validated
 // against the remaining bytes before allocation, so arbitrary input fails
 // cleanly instead of claiming memory.
 func decodeBinaryMessage(payload []byte) (*Message, error) {
-	return (&bdec{b: payload}).message()
-}
-
-// message decodes the whole of d as one Message.
-func (d *bdec) message() (*Message, error) {
 	m := new(Message)
-	if err := messageSchema.decode(d, m); err != nil {
+	if err := (&bdec{b: payload}).messageInto(m); err != nil {
 		return nil, err
 	}
-	if d.rem() != 0 {
-		return nil, fmt.Errorf("protocol: %d trailing bytes after message", d.rem())
-	}
 	return m, nil
+}
+
+// messageInto decodes the whole of d into m, overwriting what m held. The
+// lists of ops and results and the Event that m, or an earlier frame's
+// message, left behind are reused for the fields of this frame that carry
+// them, so a connection's steady edit, ack and push traffic decodes into
+// the same memory. Strings and ID lists are always new, copied out of the
+// payload. A field the frame does not carry reads as nil, exactly as after
+// a fresh decode; its storage stays parked on d for a later frame.
+func (d *bdec) messageInto(m *Message) error {
+	if m.Ops != nil {
+		d.ops = m.Ops
+	}
+	if m.Results != nil {
+		d.results = m.Results
+	}
+	if m.Event != nil {
+		d.event = m.Event
+	}
+	*m = Message{}
+	// A bad bitmap is the decoder's to reject; lending needs only its bits.
+	bm, _ := binary.Uvarint(d.b[d.pos:])
+	if bm&bitOps != 0 {
+		m.Ops, d.ops = d.ops, nil
+	}
+	if bm&bitResults != 0 {
+		m.Results, d.results = d.results, nil
+	}
+	if bm&bitEvent != 0 {
+		m.Event, d.event = d.event, nil
+	}
+	if err := messageSchema.decode(d, m); err != nil {
+		return err
+	}
+	if d.rem() != 0 {
+		return fmt.Errorf("protocol: %d trailing bytes after message", d.rem())
+	}
+	return nil
 }
 
 // EncodeBinaryFrame renders m as one complete v3 binary frame (magic,
 // length prefix, payload) — the exact bytes a binary-mode Send writes.
 func EncodeBinaryFrame(m *Message) []byte {
-	payload := appendBinaryMessage(nil, m)
-	frame := make([]byte, 0, len(payload)+binary.MaxVarintLen64+1)
-	frame = append(frame, binMagic)
-	frame = appendUvarint(frame, uint64(len(payload)))
-	return append(frame, payload...)
+	f, _ := renderFrame(nil, m)
+	return f
 }
 
 // DecodeBinaryPayload unpacks the payload of one v3 frame (the bytes after

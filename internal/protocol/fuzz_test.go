@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -129,20 +130,43 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // FuzzBinaryPayload feeds arbitrary bytes to the v3 binary decoder: it
 // must reject or accept cleanly (no panics, no unbounded allocation), and
 // everything it accepts must re-encode to a stable canonical form under
-// both the binary and the JSON codec.
+// both the binary and the JSON codec. Decoding into a message that held a
+// different frame — on the decoder that decoded it, as a read loop does —
+// must give exactly what a fresh decode gives: no field of one frame may
+// leak into the next.
 func FuzzBinaryPayload(f *testing.F) {
+	var seeds [][]byte
 	for _, s := range seedFrames {
 		var m Message
 		if err := json.Unmarshal([]byte(s), &m); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(appendBinaryMessage(nil, &m))
+		seeds = append(seeds, appendBinaryMessage(nil, &m))
+	}
+	for _, s := range seeds {
+		f.Add(s)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := decodeBinaryMessage(payload)
+		// Each seed alone before the payload, then all of them in a row,
+		// which leaves storage parked for the fields the last one lacks.
+		for i := 0; i <= len(seeds); i++ {
+			before := seeds
+			if i < len(seeds) {
+				before = seeds[i : i+1]
+			}
+			reused, rerr := decodeAfter(t, before, payload)
+			if (err == nil) != (rerr == nil) {
+				t.Fatalf("fresh decode error %v, decode after %d frames: %v", err, len(before), rerr)
+			}
+			if err == nil && !reflect.DeepEqual(m, reused) {
+				t.Fatalf("decode after %d frames differs from a fresh decode:\n fresh  %s\n reused %s",
+					len(before), canon(t, m), canon(t, reused))
+			}
+		}
 		if err != nil {
 			return // rejected cleanly
 		}
@@ -169,6 +193,23 @@ func FuzzBinaryPayload(f *testing.F) {
 			t.Fatalf("binary→json drift:\n binary %s\n json   %s", c1, c4)
 		}
 	})
+}
+
+// decodeAfter decodes the payloads before, then payload, into one message
+// on one decoder, and returns the message.
+func decodeAfter(t *testing.T, before [][]byte, payload []byte) (*Message, error) {
+	var (
+		m Message
+		d bdec
+	)
+	for _, b := range before {
+		d.b, d.pos = b, 0
+		if err := d.messageInto(&m); err != nil {
+			t.Fatalf("seed frame: %v", err)
+		}
+	}
+	d.b, d.pos = payload, 0
+	return &m, d.messageInto(&m)
 }
 
 // TestCodecSeedFramesRoundTrip pins the seed corpus deterministically (the

@@ -356,6 +356,7 @@ type Codec struct {
 	bin     atomic.Bool
 	scratch []byte // binary encode buffer, owned by wm
 	dec     bdec   // binary decode cursor, owned by Recv's single reader
+	rbuf    []byte // binary receive buffer, owned by Recv's single reader
 
 	// Optional wire accounting (tendaxd metrics): total payload bytes
 	// framed out and received in. Nil unless SetByteCounters was called.
@@ -409,24 +410,19 @@ func (c *Codec) Send(m *Message) error {
 	return c.w.Flush()
 }
 
-// sendBinary frames m as magic + uvarint length + packed payload, reusing
-// the codec's scratch buffer so a steady edit stream encodes with zero
-// per-frame allocations.
+// sendBinary frames m as magic + uvarint length + packed payload in the
+// codec's scratch buffer and writes the frame in one piece, so a steady
+// edit stream encodes with zero per-frame allocations.
 func (c *Codec) sendBinary(m *Message) error {
 	c.wm.Lock()
 	defer c.wm.Unlock()
-	c.scratch = appendBinaryMessage(c.scratch[:0], m)
-	var hdr [binary.MaxVarintLen64 + 1]byte
-	hdr[0] = binMagic
-	n := 1 + binary.PutUvarint(hdr[1:], uint64(len(c.scratch)))
-	if _, err := c.w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	if _, err := c.w.Write(c.scratch); err != nil {
+	var frame []byte
+	frame, c.scratch = renderFrame(c.scratch, m)
+	if _, err := c.w.Write(frame); err != nil {
 		return err
 	}
 	if c.nOut != nil {
-		c.nOut.Add(int64(n + len(c.scratch)))
+		c.nOut.Add(int64(len(frame)))
 	}
 	return c.w.Flush()
 }
@@ -451,63 +447,110 @@ func (c *Codec) SendRaw(frame []byte) error {
 // peer of the given negotiated version: a newline-terminated JSON line for
 // v1, a binary frame for v3.
 func EncodeFrame(m *Message, ver int) ([]byte, error) {
-	if ver >= Version3 {
-		return EncodeBinaryFrame(m), nil
+	var e FrameEncoder
+	return e.Encode(m, ver)
+}
+
+// A FrameEncoder renders frames the way EncodeFrame does, for SendRaw's
+// encode-once fan-out, reusing one buffer for the binary encoding: a frame
+// costs one allocation, the returned frame at its exact size. The zero
+// value is ready; one goroutine at a time.
+type FrameEncoder struct{ buf []byte }
+
+// Encode renders m as EncodeFrame does. The returned frame is the
+// caller's: the encoder keeps no reference to it.
+func (e *FrameEncoder) Encode(m *Message, ver int) ([]byte, error) {
+	if ver < Version3 {
+		data, err := json.Marshal(m)
+		if err != nil {
+			return nil, fmt.Errorf("protocol: marshal: %w", err)
+		}
+		return append(data, '\n'), nil
 	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: marshal: %w", err)
-	}
-	return append(data, '\n'), nil
+	var frame []byte
+	frame, e.buf = renderFrame(e.buf, m)
+	return append([]byte(nil), frame...), nil
 }
 
 // Recv reads the next message, blocking. The frame kind is detected from
 // its first byte, so JSON and binary frames can interleave on one stream.
 // One reader at a time: unlike Send, Recv is not safe for concurrent use.
+// The message is the caller's to keep.
 func (c *Codec) Recv() (*Message, error) {
-	first, err := c.r.Peek(1)
-	if err != nil {
+	m := new(Message)
+	if err := c.RecvInto(m); err != nil {
 		return nil, err
 	}
+	return m, nil
+}
+
+// RecvInto is Recv decoding into m, which the next RecvInto overwrites. A
+// read loop that owns one Message decodes every frame into it: m, its
+// Event and its lists of ops and results are reused from frame to frame
+// (see bdec.messageInto), so a caller that keeps any of them past the next
+// RecvInto must take them out of m first. Strings and ID lists are copied
+// out of the frame and may be kept. On error m's contents are undefined.
+func (c *Codec) RecvInto(m *Message) error {
+	first, err := c.r.Peek(1)
+	if err != nil {
+		return err
+	}
 	if first[0] == binMagic {
-		return c.recvBinary()
+		return c.recvBinary(m)
 	}
 	line, err := c.r.ReadBytes('\n')
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if c.nIn != nil {
 		c.nIn.Add(int64(len(line)))
 	}
-	var m Message
-	if err := json.Unmarshal(line, &m); err != nil {
-		return nil, fmt.Errorf("protocol: unmarshal %q: %w", firstN(string(line), 80), err)
+	*m = Message{}
+	if err := json.Unmarshal(line, m); err != nil {
+		return fmt.Errorf("protocol: unmarshal %q: %w", firstN(string(line), 80), err)
 	}
-	return &m, nil
+	return nil
 }
 
-func (c *Codec) recvBinary() (*Message, error) {
+// minRecvBuf is the receive buffer's least capacity: every frame of
+// ordinary typing traffic fits, so it is never given up between them.
+const minRecvBuf = 4 << 10
+
+// recvBinary reads one binary frame into the codec's receive buffer and
+// decodes it into m. The decoder copies out every string and ID list, so
+// the buffer is free again as soon as the frame is decoded. A buffer that
+// grew for a large frame (a full-text resync) is given up at the first
+// frame that fills less than a quarter of it, the rule the WAL applies to
+// its spare batch buffer, so one large frame does not stay pinned to the
+// connection.
+func (c *Codec) recvBinary(m *Message) error {
 	if _, err := c.r.Discard(1); err != nil {
-		return nil, err
+		return err
 	}
 	n, err := binary.ReadUvarint(c.r)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n > MaxBinaryFrame {
-		return nil, fmt.Errorf("protocol: binary frame of %d bytes exceeds limit", n)
+		return fmt.Errorf("protocol: binary frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
+	if uint64(cap(c.rbuf)) < n {
+		c.rbuf = make([]byte, max(int(n), minRecvBuf))
+	}
+	payload := c.rbuf[:n]
+	if cap(c.rbuf) > minRecvBuf && 4*n < uint64(cap(c.rbuf)) {
+		c.rbuf = nil
+	}
 	if _, err := io.ReadFull(c.r, payload); err != nil {
-		return nil, err
+		return err
 	}
 	if c.nIn != nil {
 		c.nIn.Add(int64(n) + 2) // magic + ~1-byte length prefix
 	}
-	c.dec = bdec{b: payload}
-	m, err := c.dec.message()
+	c.dec.b, c.dec.pos = payload, 0
+	err = c.dec.messageInto(m)
 	c.dec.b = nil // do not pin the payload until the next frame
-	return m, err
+	return err
 }
 
 // Close tears the connection down.

@@ -1,9 +1,11 @@
 package protocol
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -120,5 +122,45 @@ func TestConcurrentSends(t *testing.T) {
 	}
 	if got := <-recvDone; got != n {
 		t.Fatalf("received %d of %d messages", got, n)
+	}
+}
+
+// TestRecvBufferBounded pins the receive buffer's bound: a frame the
+// buffer cannot hold grows it, a frame that fills at least a quarter of it
+// keeps it, and the first frame that fills less gives it up, so a
+// full-text resync does not leave its megabyte pinned to the connection.
+func TestRecvBufferBounded(t *testing.T) {
+	resync := func(n int) *Message {
+		return &Message{Type: TypeResponse, ID: 1, OK: true, Full: true, Text: strings.Repeat("x", n)}
+	}
+	frames := []struct {
+		m       *Message
+		wantCap func(c int) bool
+		want    string
+	}{
+		{resync(1 << 20), func(c int) bool { return c >= 1<<20 }, "grown to the frame"},
+		{resync(1 << 18), func(c int) bool { return c >= 1<<20 }, "kept: the frame fills a quarter"},
+		{hotFrames[0].m, func(c int) bool { return c == 0 }, "given up"},
+		{hotFrames[1].m, func(c int) bool { return c == minRecvBuf }, "back to the least capacity"},
+		{hotFrames[2].m, func(c int) bool { return c == minRecvBuf }, "kept at the least capacity"},
+	}
+	var stream bytes.Buffer
+	sizes := make([]int, len(frames))
+	for i, f := range frames {
+		sizes[i], _ = stream.Write(EncodeBinaryFrame(f.m))
+	}
+	codec := NewCodec(rwc{Reader: &stream})
+	var m Message
+	for i, f := range frames {
+		if err := codec.RecvInto(&m); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&m, f.m) {
+			t.Fatalf("frame %d decoded to %s, want %s", i, canon(t, &m), canon(t, f.m))
+		}
+		if c := cap(codec.rbuf); !f.wantCap(c) {
+			t.Errorf("after frame %d (%d bytes), the receive buffer holds %d bytes, want %s",
+				i, sizes[i], c, f.want)
+		}
 	}
 }

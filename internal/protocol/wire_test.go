@@ -274,24 +274,28 @@ func TestBinaryDecoderRejects(t *testing.T) {
 
 // hotFrames are the three frames one keystroke costs on a v3 connection —
 // the 1-key edit, its ack, the 1-key batch push — with the allocations one
-// Codec.Recv of each made under the last hand-written decoder (payload,
-// Message, and one per multi-byte string, list or nested struct).
+// Codec.Recv of each makes (the message, and one per multi-byte string,
+// list or nested struct), and the allocations one RecvInto into a message
+// that held the same frame before makes: only what a receiver keeps, the
+// strings and ID lists.
 var hotFrames = []struct {
-	name       string
-	m          *Message
-	recvAllocs float64
+	name           string
+	m              *Message
+	recvAllocs     float64
+	recvIntoAllocs float64
 }{
 	{"edit", &Message{Type: TypeRequest, ID: 31337, Op: OpEdit, Doc: 7,
-		Ops: []EditOp{{Kind: EditInsert, Prev: true, Text: "k"}}}, 3},
+		Ops: []EditOp{{Kind: EditInsert, Prev: true, Text: "k"}}}, 2, 0},
 	{"ack", &Message{Type: TypeResponse, ID: 31337, OK: true,
-		Results: []EditResult{{OpID: 31344, IDs: []uint64{31345}, Pos: 6666}}}, 4},
+		Results: []EditResult{{OpID: 31344, IDs: []uint64{31345}, Pos: 6666}}}, 3, 1},
 	{"push", &Message{Type: TypePush, Event: &Event{Seq: 31337, Doc: 7, Kind: "batch", User: "ann", AtNS: 1,
-		Batch: []BatchItem{{Kind: EditInsert, Pos: 6666, Text: "k", IDs: []uint64{31345}}}}}, 6},
+		Batch: []BatchItem{{Kind: EditInsert, Pos: 6666, Text: "k", IDs: []uint64{31345}}}}}, 5, 3},
 }
 
 // TestCodecAllocs holds the hot frames to their allocation budget: encoding
-// into a reused buffer allocates nothing, and Codec.Recv no more than the
-// hand-written decoder did.
+// into a reused buffer allocates nothing, Codec.Recv allocates the message
+// and what it holds but not the payload, and RecvInto only what a receiver
+// keeps.
 func TestCodecAllocs(t *testing.T) {
 	for _, c := range hotFrames {
 		buf := appendBinaryMessage(nil, c.m)
@@ -299,7 +303,8 @@ func TestCodecAllocs(t *testing.T) {
 			t.Errorf("%s: encode into a reused buffer: %v allocs, want 0", c.name, n)
 		}
 		const frames = 201 // AllocsPerRun makes one warm-up call
-		codec := NewCodec(rwc{Reader: bytes.NewReader(bytes.Repeat(EncodeBinaryFrame(c.m), frames))})
+		stream := bytes.Repeat(EncodeBinaryFrame(c.m), frames)
+		codec := NewCodec(rwc{Reader: bytes.NewReader(stream)})
 		n := testing.AllocsPerRun(frames-1, func() {
 			if _, err := codec.Recv(); err != nil {
 				t.Fatal(err)
@@ -307,6 +312,16 @@ func TestCodecAllocs(t *testing.T) {
 		})
 		if n > c.recvAllocs {
 			t.Errorf("%s: Codec.Recv: %v allocs, want at most %v", c.name, n, c.recvAllocs)
+		}
+		codec = NewCodec(rwc{Reader: bytes.NewReader(stream)})
+		var m Message
+		n = testing.AllocsPerRun(frames-1, func() {
+			if err := codec.RecvInto(&m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > c.recvIntoAllocs {
+			t.Errorf("%s: Codec.RecvInto: %v allocs, want at most %v", c.name, n, c.recvIntoAllocs)
 		}
 	}
 }

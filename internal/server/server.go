@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,6 +82,11 @@ func NewCluster(cl *placement.Cluster, sec *security.Store) *Server {
 	s.metrics.EnableShards(cl.Shards())
 	cl.Each(func(sh *placement.Shard) {
 		sh.Engine.Bus().SetCounters(&s.metrics.Sheds, &s.metrics.QueueDepth)
+	})
+	s.metrics.SetLogFailed(func() bool {
+		failed := false
+		cl.Each(func(sh *placement.Shard) { failed = failed || sh.Engine.DB().Log().Failed() })
+		return failed
 	})
 	// Indexer progress for /metrics, resolved per scrape so it works
 	// whether StartIndexers ran before or after the server came up.
@@ -247,6 +253,14 @@ type conn struct {
 	subs      map[util.ID]*awareness.Subscription
 	redactors map[util.ID]*redactor
 	dead      bool
+
+	// The serve loop's scratch for an edit: the batch's engine ops, and
+	// the acknowledgement with its results and their instance IDs, which
+	// the loop has sent before it reads the next request.
+	ops     []core.EditOp
+	ack     protocol.Message
+	results []protocol.EditResult
+	ids     []uint64
 }
 
 // redactor returns this connection's (lazily created) redactor for doc —
@@ -287,12 +301,15 @@ func (c *conn) close() {
 	c.srv.dropConn(c)
 }
 
+// serve decodes every request into one message it owns and answers it;
+// nothing kept past a request refers to that message's storage (see
+// protocol.Codec.RecvInto).
 func (c *conn) serve() {
 	defer c.srv.wg.Done()
 	defer c.close()
+	req := new(protocol.Message)
 	for {
-		req, err := c.codec.Recv()
-		if err != nil {
+		if err := c.codec.RecvInto(req); err != nil {
 			return
 		}
 		if req.Type != protocol.TypeRequest {
@@ -558,17 +575,28 @@ func (c *conn) subscribe(req *protocol.Message) *protocol.Message {
 	return &protocol.Message{OK: true, Seq: bus.Seq(docID)}
 }
 
+// pushScratch is one subscription pump's reusable wire state: the push
+// message and event a bus event is converted into, the instance IDs of its
+// items, and the encoder that renders the frame the wire cache keeps.
+type pushScratch struct {
+	m   protocol.Message
+	ev  protocol.Event
+	ids []uint64
+	enc protocol.FrameEncoder
+}
+
 // pump drains one subscription onto the wire until it closes.
 func (c *conn) pump(docID util.ID, sub *awareness.Subscription) {
+	sc := new(pushScratch)
 	for {
 		ev, ok := sub.Next()
 		if !ok {
 			return
 		}
 		if ev.Kind == awareness.EvGap {
-			ok = c.healGap(docID, ev.N)
+			ok = c.healGap(docID, ev.N, sc)
 		} else {
-			ok = c.pushEvent(&ev)
+			ok = c.pushEvent(&ev, sc)
 		}
 		if !ok {
 			return
@@ -581,8 +609,10 @@ func (c *conn) pump(docID util.ID, sub *awareness.Subscription) {
 // visibility class the redactor stamped into the event while masking it
 // (ev.VisClass) — never a fresh read of the redactor's state, which a
 // concurrent redact on the request goroutine may have moved on from.
-// Returns false once the connection is torn down.
-func (c *conn) pushEvent(ev *awareness.Event) bool {
+// The frame is rendered in the pump's scratch sc and copied once, at its
+// exact size, into the cache. Returns false once the connection is torn
+// down.
+func (c *conn) pushEvent(ev *awareness.Event, sc *pushScratch) bool {
 	// A multi-op batch pushes as ONE "batch" event. A subscriber that
 	// never negotiated v3 predates that kind: it would advance its
 	// sequence number without folding the text and silently diverge
@@ -604,8 +634,9 @@ func (c *conn) pushEvent(ev *awareness.Event) bool {
 	// one binary frame for v3, and one frame per restricted class — and
 	// all later pumps with the same key reuse the bytes.
 	frame, err := ev.Wire.Get(classKey(frameKeyFor(ver), ev.VisClass), func() ([]byte, error) {
-		return protocol.EncodeFrame(
-			&protocol.Message{Type: protocol.TypePush, Event: wireEvent(ev)}, ver)
+		sc.ids = wireEvent(&sc.ev, ev, sc.ids[:0])
+		sc.m = protocol.Message{Type: protocol.TypePush, Event: &sc.ev}
+		return sc.enc.Encode(&sc.m, ver)
 	})
 	if err != nil {
 		c.close()
@@ -626,7 +657,7 @@ func (c *conn) pushEvent(ev *awareness.Event) bool {
 // join/leave/cursor events inside the gap are gone as well, so a v3 peer
 // also gets the current roster as one synthetic snapshot; v1 has no word
 // for it. Returns false once the connection is torn down.
-func (c *conn) healGap(docID util.ID, n int) bool {
+func (c *conn) healGap(docID util.ID, n int, sc *pushScratch) bool {
 	c.srv.metrics.Heals.Add(1)
 	if !c.pushLagged(protocol.Event{
 		Doc: uint64(docID), Seq: c.srv.busFor(docID).Seq(docID),
@@ -634,7 +665,7 @@ func (c *conn) healGap(docID util.ID, n int) bool {
 	}) {
 		return false
 	}
-	return int(c.ver.Load()) < protocol.Version3 || c.pushPresence(docID)
+	return int(c.ver.Load()) < protocol.Version3 || c.pushPresence(docID, sc)
 }
 
 // pushPresence sends a synthetic EvPresence snapshot carrying the
@@ -645,7 +676,7 @@ func (c *conn) healGap(docID util.ID, n int) bool {
 // document text, so it bypasses the redactor exactly like the live
 // EvJoin/EvLeave/EvCursor stream does. Returns false once the connection
 // is torn down.
-func (c *conn) pushPresence(docID util.ID) bool {
+func (c *conn) pushPresence(docID util.ID, sc *pushScratch) bool {
 	bus := c.srv.busFor(docID)
 	ps := bus.Present(docID)
 	items := make([]awareness.BatchItem, len(ps))
@@ -661,7 +692,7 @@ func (c *conn) pushPresence(docID util.ID) bool {
 		At:    c.srv.clock().Now(),
 		Wire:  &awareness.WireCache{},
 	}
-	return c.pushEvent(&ev)
+	return c.pushEvent(&ev, sc)
 }
 
 // pushLagged sends ev as the advisory "lagged" push: the client
@@ -747,18 +778,14 @@ func (c *conn) edit(req *protocol.Message) *protocol.Message {
 	}
 	switch req.Op {
 	case protocol.OpEdit:
-		out := make([]protocol.EditResult, len(results))
-		for i, r := range results {
+		c.results, c.ids = c.results[:0], c.ids[:0]
+		for _, r := range results {
 			er := protocol.EditResult{OpID: uint64(r.OpID), Span: uint64(r.Span), Pos: r.Pos}
-			if len(r.IDs) > 0 {
-				er.IDs = make([]uint64, len(r.IDs))
-				for j, id := range r.IDs {
-					er.IDs[j] = uint64(id)
-				}
-			}
-			out[i] = er
+			c.ids, er.IDs = appendWireIDs(c.ids, r.IDs)
+			c.results = append(c.results, er)
 		}
-		return &protocol.Message{OK: true, Results: out}
+		c.ack = protocol.Message{OK: true, Results: c.results}
+		return &c.ack
 	case protocol.OpLayout, protocol.OpNote:
 		return &protocol.Message{OK: true, OpID: uint64(results[0].Span)}
 	default:
@@ -767,12 +794,14 @@ func (c *conn) edit(req *protocol.Message) *protocol.Message {
 }
 
 // batchOps decodes a batch's wire ops, resolving connection-relative
-// "prev" anchors.
+// "prev" anchors, into the serve loop's scratch (the engine copies what
+// it keeps of them).
 func (c *conn) batchOps(doc util.ID, wire []protocol.EditOp) ([]core.EditOp, error) {
 	if len(wire) == 0 {
 		return nil, errors.New("server: empty edit batch")
 	}
-	ops := make([]core.EditOp, len(wire))
+	ops := slices.Grow(c.ops[:0], len(wire))[:len(wire)]
+	c.ops = ops
 	seenInsert := false
 	for i, op := range wire {
 		co := core.EditOp{Kind: op.Kind, Pos: op.Pos, Text: op.Text, N: op.N,
@@ -890,12 +919,13 @@ func (c *conn) resync(req *protocol.Message) *protocol.Message {
 	if ok {
 		red := c.redactor(d.ID())
 		out := make([]protocol.Event, len(evs))
+		var ids []uint64
 		for i := range evs {
 			ev := evs[i]
 			if red != nil {
 				ev = red.redact(ev)
 			}
-			out[i] = *wireEvent(&ev)
+			ids = wireEvent(&out[i], &ev, ids)
 		}
 		return &protocol.Message{OK: true, Events: out}
 	}
@@ -908,26 +938,31 @@ func (c *conn) resync(req *protocol.Message) *protocol.Message {
 		Seq: seq, Snap: snap.Version()}
 }
 
-// wireEvent converts a bus event to its wire form (pushes and resync
-// deltas share it).
-func wireEvent(ev *awareness.Event) *protocol.Event {
-	out := &protocol.Event{
+// wireEvent writes a bus event's wire form into out (pushes and resync
+// deltas share it), reusing out's batch list. The items' instance IDs go
+// into ids (see appendWireIDs), which is returned.
+func wireEvent(out *protocol.Event, ev *awareness.Event, ids []uint64) []uint64 {
+	*out = protocol.Event{
 		Seq: ev.Seq, Doc: uint64(ev.Doc), Kind: string(ev.Kind),
 		User: ev.User, Pos: ev.Pos, Text: ev.Text, N: ev.N,
-		Name: ev.Name, AtNS: ev.At.UnixNano(),
+		Name: ev.Name, Batch: out.Batch[:0], AtNS: ev.At.UnixNano(),
 	}
-	if len(ev.Batch) > 0 {
-		out.Batch = make([]protocol.BatchItem, len(ev.Batch))
-		for i, it := range ev.Batch {
-			ids := make([]uint64, len(it.IDs))
-			for j, id := range it.IDs {
-				ids[j] = uint64(id)
-			}
-			out.Batch[i] = protocol.BatchItem{Kind: string(it.Kind), Pos: it.Pos,
-				Text: it.Text, N: it.N, IDs: ids}
-		}
+	for _, it := range ev.Batch {
+		item := protocol.BatchItem{Kind: string(it.Kind), Pos: it.Pos, Text: it.Text, N: it.N}
+		ids, item.IDs = appendWireIDs(ids, it.IDs)
+		out.Batch = append(out.Batch, item)
 	}
-	return out
+	return ids
+}
+
+// appendWireIDs appends instance IDs to buf as wire IDs and returns buf
+// and a view of what it appended, which later appends leave intact.
+func appendWireIDs(buf []uint64, ids []util.ID) (grown, view []uint64) {
+	from := len(buf)
+	for _, id := range ids {
+		buf = append(buf, uint64(id))
+	}
+	return buf, buf[from:len(buf):len(buf)]
 }
 
 func wireInfo(in core.DocInfo) protocol.DocInfo {

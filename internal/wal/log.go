@@ -13,6 +13,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -21,6 +22,13 @@ import (
 
 // ErrClosed reports an operation on a closed log.
 var ErrClosed = errors.New("wal: log closed")
+
+// ErrLogFailed reports a log poisoned by a failed batch write or sync. The
+// log is fail-stop: every later Append and every wait on a record the
+// failure did not make durable returns an error that matches it with
+// errors.Is and wraps the store's error, so the engine above is read-only
+// until a restart recovers what was synced.
+var ErrLogFailed = errors.New("wal: log failed; read-only until restart")
 
 // pendingKick bounds how many bytes may sit in the append buffer before an
 // Append wakes the group-commit flusher on its own (commit waiters wake it
@@ -192,7 +200,7 @@ func (l *Log) flusher() {
 		// sharing a sync instead of leapfrogging forever.
 		l.lastBatchSize = grabbed + l.pendingCommits.Load()
 		if err != nil {
-			l.flushErr = err
+			l.flushErr = fmt.Errorf("%w: %w", ErrLogFailed, err)
 		} else {
 			l.flushed = target
 			l.syncs++
@@ -203,6 +211,14 @@ func (l *Log) flusher() {
 		}
 		l.mu.Unlock()
 	}
+}
+
+// Failed reports whether a failed batch has poisoned the log (see
+// ErrLogFailed).
+func (l *Log) Failed() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.flushErr != nil
 }
 
 // WaitFlushed blocks until every record up to and including lsn is durable.
