@@ -1,8 +1,25 @@
 // Package btree implements an in-memory B+tree with byte-string keys and
 // values of one type, used for the primary and secondary indexes of the
-// TeNDaX database layer. The tree is generic over its value type, so the
-// database's Tree[RID] keeps each record ID inline in its leaf: a Put
-// allocates only the copy of its key, and a Get nothing.
+// TeNDaX database layer.
+//
+// A leaf holds up to order entries. Its keys are packed in order into one
+// byte arena, with a []uint32 of their end offsets, and its values sit inline
+// in a parallel slice, so the database's Tree[RID] stores an entry as its key
+// bytes, four bytes of offset and the RID. The offsets and values are
+// allocated once at capacity order and never regrown. Interior nodes hold
+// copies of their separator keys, never slices of a leaf's arena.
+//
+// A full leaf splits before the insert that would overflow it. When the new
+// key goes past the leaf's last key, the split is at the right edge: the leaf
+// stays full and the key starts a new right sibling. The database's row IDs
+// ascend, so nearly every insert is such a one and leaves fill up. Any other
+// insert into a full leaf splits it in the middle.
+//
+// Put allocates nothing of its own: its only allocations are the new node of
+// a split and the growth of a leaf's arena, both amortised over the entries
+// that fill it. Get and Delete allocate nothing. A key handed to an
+// AscendRange callback is a slice of a leaf's arena and stays valid until the
+// tree's next write; Min and Max return copies.
 //
 // Indexes are derived state in this system: they are rebuilt from heap scans
 // when a database opens (see DESIGN.md), so the tree needs no persistence of
@@ -24,28 +41,51 @@ type Tree[V any] struct {
 }
 
 type node[V any] struct {
-	leaf     bool
+	leaf bool
+
+	// Leaf: entry i's key is arena[ends[i-1]:ends[i]] (from 0 for i == 0)
+	// and its value vals[i]. ends and vals have capacity order.
+	arena []byte
+	ends  []uint32
+	vals  []V
+	next  *node[V] // leaf chain for range scans
+
+	// Interior: children[i] covers the keys below keys[i], children[i+1]
+	// those from keys[i] up.
 	keys     [][]byte
-	vals     []V        // leaf only, parallel to keys
-	children []*node[V] // interior only, len(keys)+1
-	next     *node[V]   // leaf chain for range scans
+	children []*node[V]
+}
+
+func newLeaf[V any](arenaCap int) *node[V] {
+	return &node[V]{
+		leaf:  true,
+		arena: make([]byte, 0, arenaCap),
+		ends:  make([]uint32, 0, order),
+		vals:  make([]V, 0, order),
+	}
 }
 
 // New returns an empty tree.
 func New[V any]() *Tree[V] {
-	return &Tree[V]{root: &node[V]{leaf: true}}
+	return &Tree[V]{root: newLeaf[V](0)}
 }
 
 // Len returns the number of stored keys.
 func (t *Tree[V]) Len() int { return t.size }
 
-// Get returns the value stored at key, or the zero value and false.
-func (t *Tree[V]) Get(key []byte) (V, bool) {
+// leafFor returns the leaf whose range covers key.
+func (t *Tree[V]) leafFor(key []byte) *node[V] {
 	n := t.root
 	for !n.leaf {
 		n = n.children[childIndex(n.keys, key)]
 	}
-	i, ok := search(n.keys, key)
+	return n
+}
+
+// Get returns the value stored at key, or the zero value and false.
+func (t *Tree[V]) Get(key []byte) (V, bool) {
+	n := t.leafFor(key)
+	i, ok := n.search(key)
 	if !ok {
 		var zero V
 		return zero, false
@@ -56,13 +96,12 @@ func (t *Tree[V]) Get(key []byte) (V, bool) {
 // Put stores value at key, replacing any existing value. It reports whether
 // the key was newly inserted. The tree keeps its own copy of key.
 func (t *Tree[V]) Put(key []byte, value V) bool {
-	k := append([]byte(nil), key...)
-	inserted, splitKey, right := t.root.put(k, value)
+	inserted, splitKey, right := t.root.put(key, value)
 	if right != nil {
-		t.root = &node[V]{
-			keys:     [][]byte{splitKey},
-			children: []*node[V]{t.root, right},
-		}
+		root := newInterior[V]()
+		root.keys = append(root.keys, splitKey)
+		root.children = append(root.children, t.root, right)
+		t.root = root
 	}
 	if inserted {
 		t.size++
@@ -72,16 +111,12 @@ func (t *Tree[V]) Put(key []byte, value V) bool {
 
 // Delete removes key and reports whether it was present.
 func (t *Tree[V]) Delete(key []byte) bool {
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, key)]
-	}
-	i, ok := search(n.keys, key)
+	n := t.leafFor(key)
+	i, ok := n.search(key)
 	if !ok {
 		return false
 	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.vals = append(n.vals[:i], n.vals[i+1:]...)
+	n.deleteAt(i)
 	t.size--
 	return true
 }
@@ -93,7 +128,7 @@ func (t *Tree[V]) Ascend(fn func(key []byte, value V) bool) {
 
 // AscendRange visits entries with from <= key < to in order until fn
 // returns false. A nil from starts at the smallest key; a nil to means no
-// upper bound.
+// upper bound. The key passed to fn stays valid until the tree's next write.
 func (t *Tree[V]) AscendRange(from, to []byte, fn func(key []byte, value V) bool) {
 	n := t.root
 	for !n.leaf {
@@ -103,11 +138,13 @@ func (t *Tree[V]) AscendRange(from, to []byte, fn func(key []byte, value V) bool
 			n = n.children[childIndex(n.keys, from)]
 		}
 	}
-	for n != nil {
-		for i, k := range n.keys {
-			if from != nil && bytes.Compare(k, from) < 0 {
-				continue
-			}
+	i := 0
+	if from != nil {
+		i, _ = n.search(from)
+	}
+	for ; n != nil; n, i = n.next, 0 {
+		for ; i < len(n.ends); i++ {
+			k := n.key(i)
 			if to != nil && bytes.Compare(k, to) >= 0 {
 				return
 			}
@@ -115,38 +152,41 @@ func (t *Tree[V]) AscendRange(from, to []byte, fn func(key []byte, value V) bool
 				return
 			}
 		}
-		n = n.next
 	}
 }
 
-// Min returns the smallest key, or nil if the tree is empty.
+// Min returns a copy of the smallest key, or nil if the tree is empty.
 func (t *Tree[V]) Min() []byte {
 	n := t.root
 	for !n.leaf {
 		n = n.children[0]
 	}
-	for n != nil {
-		if len(n.keys) > 0 {
-			return n.keys[0]
+	for ; n != nil; n = n.next {
+		if len(n.ends) > 0 {
+			return append([]byte{}, n.key(0)...)
 		}
-		n = n.next
 	}
 	return nil
 }
 
-// Max returns the largest key, or nil if the tree is empty. It descends the
-// rightmost path, stepping left only past leaves that deletions emptied
-// (nodes are never rebalanced), so it costs one root-to-leaf walk unless
-// the right edge of the tree was deleted.
-func (t *Tree[V]) Max() []byte { return t.root.max() }
+// Max returns a copy of the largest key, or nil if the tree is empty. It
+// descends the rightmost path, stepping left only past leaves that
+// deletions emptied (nodes are never rebalanced), so it costs one
+// root-to-leaf walk unless the right edge of the tree was deleted.
+func (t *Tree[V]) Max() []byte {
+	if k := t.root.max(); k != nil {
+		return append([]byte{}, k...)
+	}
+	return nil
+}
 
 // max returns the largest key in the subtree rooted at n, or nil.
 func (n *node[V]) max() []byte {
 	if n.leaf {
-		if len(n.keys) == 0 {
+		if len(n.ends) == 0 {
 			return nil
 		}
-		return n.keys[len(n.keys)-1]
+		return n.key(len(n.ends) - 1)
 	}
 	for i := len(n.children) - 1; i >= 0; i-- {
 		if k := n.children[i].max(); k != nil {
@@ -157,26 +197,33 @@ func (n *node[V]) max() []byte {
 }
 
 // put inserts into the subtree rooted at n. If n splits, it returns the
-// separator key and the new right sibling.
+// separator key (the tree's own copy) and the new right sibling.
 func (n *node[V]) put(key []byte, value V) (inserted bool, splitKey []byte, right *node[V]) {
 	if n.leaf {
-		i, ok := search(n.keys, key)
+		i, ok := n.search(key)
 		if ok {
 			n.vals[i] = value
 			return false, nil, nil
 		}
-		n.keys = append(n.keys, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		var zero V
-		n.vals = append(n.vals, zero)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = value
-		if len(n.keys) > order {
-			sk, r := n.splitLeaf()
-			return true, sk, r
+		if len(n.ends) < order {
+			n.insertAt(i, key, value)
+			return true, nil, nil
 		}
-		return true, nil, nil
+		if i == order {
+			// Past the last key: the full leaf stays as it is and the key
+			// starts its right sibling, sized for as many bytes as it holds.
+			right = newLeaf[V](len(n.arena))
+			right.next, n.next = n.next, right
+			right.insertAt(0, key, value)
+			return true, append([]byte{}, key...), right
+		}
+		splitKey, right = n.splitLeaf()
+		if i <= order/2 {
+			n.insertAt(i, key, value)
+		} else {
+			right.insertAt(i-order/2, key, value)
+		}
+		return true, splitKey, right
 	}
 	ci := childIndex(n.keys, key)
 	ins, sk, r := n.children[ci].put(key, value)
@@ -195,38 +242,101 @@ func (n *node[V]) put(key []byte, value V) (inserted bool, splitKey []byte, righ
 	return ins, nil, nil
 }
 
-func (n *node[V]) splitLeaf() (splitKey []byte, right *node[V]) {
-	mid := len(n.keys) / 2
-	right = &node[V]{
-		leaf: true,
-		keys: append([][]byte(nil), n.keys[mid:]...),
-		vals: append([]V(nil), n.vals[mid:]...),
-		next: n.next,
+// key returns entry i's key, capped so an append to it cannot write into
+// the arena.
+func (n *node[V]) key(i int) []byte {
+	end := n.ends[i]
+	return n.arena[n.start(i):end:end]
+}
+
+// start returns the arena offset where entry i's key begins (for i ==
+// len(ends), where an entry appended would begin).
+func (n *node[V]) start(i int) uint32 {
+	if i == 0 {
+		return 0
 	}
-	n.keys = n.keys[:mid]
+	return n.ends[i-1]
+}
+
+// insertAt inserts an entry at position i of a leaf that is not full.
+func (n *node[V]) insertAt(i int, key []byte, value V) {
+	s, k := n.start(i), uint32(len(key))
+	tail := len(n.arena)
+	n.arena = append(n.arena, key...)
+	copy(n.arena[s+k:], n.arena[s:tail])
+	copy(n.arena[s:], key)
+	n.ends = n.ends[:len(n.ends)+1]
+	for j := len(n.ends) - 1; j > i; j-- {
+		n.ends[j] = n.ends[j-1] + k
+	}
+	n.ends[i] = s + k
+	n.vals = n.vals[:len(n.vals)+1]
+	copy(n.vals[i+1:], n.vals[i:])
+	n.vals[i] = value
+}
+
+// deleteAt removes entry i of a leaf.
+func (n *node[V]) deleteAt(i int) {
+	s, e := n.start(i), n.ends[i]
+	n.arena = append(n.arena[:s], n.arena[e:]...)
+	last := len(n.ends) - 1
+	for j := i; j < last; j++ {
+		n.ends[j] = n.ends[j+1] - (e - s)
+	}
+	n.ends = n.ends[:last]
+	copy(n.vals[i:], n.vals[i+1:])
+	var zero V
+	n.vals[last] = zero
+	n.vals = n.vals[:last]
+}
+
+// splitLeaf moves the upper half of a full leaf into a new right sibling
+// and returns a copy of that sibling's first key as the separator.
+func (n *node[V]) splitLeaf() (splitKey []byte, right *node[V]) {
+	const mid = order / 2
+	base := n.ends[mid-1]
+	right = newLeaf[V](len(n.arena))
+	right.arena = append(right.arena, n.arena[base:]...)
+	for _, e := range n.ends[mid:] {
+		right.ends = append(right.ends, e-base)
+	}
+	right.vals = append(right.vals, n.vals[mid:]...)
+	clear(n.vals[mid:])
+	n.arena = n.arena[:base]
+	n.ends = n.ends[:mid]
 	n.vals = n.vals[:mid]
-	n.next = right
-	return right.keys[0], right
+	right.next, n.next = n.next, right
+	return append([]byte{}, right.key(0)...), right
+}
+
+// newInterior returns an empty interior node with room for the one key and
+// child an insert adds before it splits.
+func newInterior[V any]() *node[V] {
+	return &node[V]{
+		keys:     make([][]byte, 0, order+1),
+		children: make([]*node[V], 0, order+2),
+	}
 }
 
 func (n *node[V]) splitInterior() (splitKey []byte, right *node[V]) {
 	mid := len(n.keys) / 2
 	splitKey = n.keys[mid]
-	right = &node[V]{
-		keys:     append([][]byte(nil), n.keys[mid+1:]...),
-		children: append([]*node[V](nil), n.children[mid+1:]...),
-	}
+	right = newInterior[V]()
+	right.keys = append(right.keys, n.keys[mid+1:]...)
+	right.children = append(right.children, n.children[mid+1:]...)
+	clear(n.keys[mid:])
+	clear(n.children[mid+1:])
 	n.keys = n.keys[:mid]
 	n.children = n.children[:mid+1]
 	return splitKey, right
 }
 
-// search finds the position of key in keys; ok reports an exact match.
-func search(keys [][]byte, key []byte) (int, bool) {
-	lo, hi := 0, len(keys)
+// search finds the position of key in leaf n; ok reports an exact match.
+func (n *node[V]) search(key []byte) (int, bool) {
+	lo, hi := 0, len(n.ends)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		switch bytes.Compare(keys[mid], key) {
+		mid := int(uint(lo+hi) >> 1)
+		switch bytes.Compare(n.key(mid), key) {
 		case -1:
 			lo = mid + 1
 		case 0:

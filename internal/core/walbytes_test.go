@@ -146,8 +146,11 @@ func newOneKeyDoc(t *testing.T) (*wal.MemStore, *db.Database, *Document) {
 // it instead of a treap path, brings it to 56. Encoding the character and
 // op rows column by column instead of boxing each value into a db.Row,
 // keeping index values inline in typed B-trees, reusing the WAL's batch
-// buffer and the transaction's inline undo entries bring it to 26.
-const maxOneKeyBatchAllocs = 28
+// buffer and the transaction's inline undo entries bring it to 26. Packing
+// the index B-trees' keys into their leaves' arenas, so an index entry
+// allocates no key copy, brings it to 22; the budget is that plus 10 %,
+// rounded down.
+const maxOneKeyBatchAllocs = 24
 
 // TestOneKeyBatchAllocs types one-key batches between two existing
 // characters of the same 20k-character document as TestOneKeyBatchLogBytes,

@@ -163,10 +163,12 @@ func TestInsertRecordsChecks(t *testing.T) {
 
 // maxOneRowInsertAllocs bounds one Table.Insert of a row with one indexed
 // column inside an open transaction: the encoded row, the row lock's entry
-// and grant, the two undo closures (heap and index) and the copies of the
-// primary and secondary B-tree keys — 7. Boxing each RID into the trees'
-// values and building one-element record and RID slices cost 10.
-const maxOneRowInsertAllocs = 7
+// and grant, and the two undo closures (heap and index) — 5. The B-trees
+// copy the primary and secondary keys into their leaves' arenas, which
+// allocate only when a leaf splits or its arena grows; separate key copies
+// cost 7, and boxing each RID into the trees' values and building
+// one-element record and RID slices 10.
+const maxOneRowInsertAllocs = 5
 
 // TestOneRowInsertAllocs gates maxOneRowInsertAllocs.
 func TestOneRowInsertAllocs(t *testing.T) {

@@ -56,11 +56,17 @@ func TestWriteFaultSurfacesOnCheckpoint(t *testing.T) {
 }
 
 // faultStore injects WAL failures while armed: an Append that fails, or a
-// Sync that fails after its batch was written. Commits must fail loudly.
+// Sync that fails after its batch was written — every Sync while failSync
+// is set, or only the failSyncAt-th (counting from one over the store's
+// life). Commits must fail loudly. synced is the store's size after the
+// last Sync that succeeded: what a device that kept nothing unsynced holds.
 type faultStore struct {
 	wal.Store
 	failAppend atomic.Bool
 	failSync   atomic.Bool
+	failSyncAt atomic.Int64
+	syncs      atomic.Int64
+	synced     atomic.Int64
 }
 
 func (f *faultStore) Append(b []byte) error {
@@ -71,10 +77,18 @@ func (f *faultStore) Append(b []byte) error {
 }
 
 func (f *faultStore) Sync() error {
-	if f.failSync.Load() {
+	if n := f.syncs.Add(1); f.failSync.Load() || n == f.failSyncAt.Load() {
 		return errors.New("injected fsync fault")
 	}
-	return f.Store.Sync()
+	if err := f.Store.Sync(); err != nil {
+		return err
+	}
+	size, err := f.Store.Size()
+	if err != nil {
+		return err
+	}
+	f.synced.Store(size)
+	return nil
 }
 
 // FailSyncSwitch wraps s in a faultStore for the engine-level tests of
@@ -83,6 +97,14 @@ func (f *faultStore) Sync() error {
 func FailSyncSwitch(s wal.Store) (wal.Store, *atomic.Bool) {
 	f := &faultStore{Store: s}
 	return f, &f.failSync
+}
+
+// FailNthSync wraps s in a faultStore for the engine-level tests of this
+// directory: arm(n) makes the n-th Sync after the call fail, and synced
+// reports how many bytes of s the Syncs that succeeded made durable.
+func FailNthSync(s wal.Store) (store wal.Store, arm func(n int64), synced func() int64) {
+	f := &faultStore{Store: s}
+	return f, func(n int64) { f.failSyncAt.Store(f.syncs.Load() + n) }, f.synced.Load
 }
 
 func TestLogFaultFailsCommit(t *testing.T) {
@@ -204,6 +226,130 @@ func TestFailedSyncStaysFailed(t *testing.T) {
 	}
 	if len(rows) != 1 || rows[0] != 0 {
 		t.Errorf("recovered rows %v, want [0]", rows)
+	}
+}
+
+// TestPoisonedLogRollbackReleasesLocks pins how transactions that began
+// before the log failed end: an insert returns the log's error instead of
+// waiting, under its page latch, for a fresh slot's row lock that a
+// refused insert took, and a rollback the log cannot record, or a commit
+// it refuses, still restores the rows in memory and releases the locks,
+// so a transaction waiting for one gets the log's error instead of a lock
+// timeout.
+func TestPoisonedLogRollbackReleasesLocks(t *testing.T) {
+	fs := &faultStore{Store: wal.NewMemStore()}
+	d, err := OpenWith(storage.NewMemDisk(), fs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := d.CreateTable("t", Schema{{Name: "id", Type: TInt}, {Name: "v", Type: TInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx0, _ := d.Begin()
+	rid, err := tbl.Insert(tx0, Row{int64(1), int64(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx0.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := d.Begin()
+	b, _ := d.Begin()
+	c, _ := d.Begin()
+	if err := tbl.Update(a, rid, Row{int64(1), int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	fs.failSync.Store(true)
+	if err := d.Log().Flush(); !errors.Is(err, wal.ErrLogFailed) {
+		t.Fatalf("Flush whose fsync failed: %v, want wal.ErrLogFailed", err)
+	}
+	fs.failSync.Store(false)
+
+	for i, tx := range []*txn.Txn{a, b} {
+		if _, err := tbl.Insert(tx, Row{int64(2 + i), int64(0)}); !errors.Is(err, wal.ErrLogFailed) {
+			t.Errorf("insert %d on a poisoned log: %v, want wal.ErrLogFailed", i, err)
+		}
+	}
+	if err := a.Abort(); !errors.Is(err, wal.ErrLogFailed) {
+		t.Errorf("rollback on a poisoned log: %v, want wal.ErrLogFailed", err)
+	}
+	if a.State() != txn.Aborted {
+		t.Errorf("transaction state %v after its rollback, want aborted", a.State())
+	}
+	if row, err := tbl.Get(nil, rid); err != nil || row[1].(int64) != 0 {
+		t.Errorf("row after the unlogged rollback: %v, %v; want v = 0", row, err)
+	}
+	if err := tbl.Update(c, rid, Row{int64(1), int64(2)}); !errors.Is(err, wal.ErrLogFailed) {
+		t.Errorf("update of the rolled-back row: %v, want wal.ErrLogFailed", err)
+	}
+	// A commit the log refuses rolls back too, releasing the row's lock.
+	if err := c.Commit(); !errors.Is(err, wal.ErrLogFailed) || c.State() != txn.Aborted {
+		t.Errorf("commit on a poisoned log: %v, state %v; want wal.ErrLogFailed, aborted", err, c.State())
+	}
+	if err := tbl.Update(b, rid, Row{int64(1), int64(3)}); !errors.Is(err, wal.ErrLogFailed) {
+		t.Errorf("update after the refused commit: %v, want wal.ErrLogFailed", err)
+	}
+}
+
+// TestUnloggedRollbackStaysOffDisk pins that a rollback the log cannot
+// record never reaches the page store. The undone update was synced before
+// the log failed, so a page written back with the rollback but the
+// update's LSN would make a restart skip the update's redo and then fail
+// to undo it.
+func TestUnloggedRollbackStaysOffDisk(t *testing.T) {
+	mem := wal.NewMemStore()
+	fs := &faultStore{Store: mem}
+	disk := storage.NewMemDisk()
+	d, err := OpenWith(disk, fs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := d.CreateTable("t", Schema{{Name: "id", Type: TInt}, {Name: "v", Type: TInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx0, _ := d.Begin()
+	rid, err := tbl.Insert(tx0, Row{int64(1), int64(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx0.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := d.Begin()
+	if err := tbl.Update(a, rid, Row{int64(1), int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Log().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	synced := mem.Len()
+	b, _ := d.Begin()
+	fs.failSync.Store(true)
+	if err := b.Commit(); !errors.Is(err, wal.ErrLogFailed) {
+		t.Fatalf("commit whose fsync failed: %v, want wal.ErrLogFailed", err)
+	}
+	fs.failSync.Store(false)
+	if err := a.Abort(); !errors.Is(err, wal.ErrLogFailed) {
+		t.Fatalf("rollback on a poisoned log: %v, want wal.ErrLogFailed", err)
+	}
+	if err := d.Close(); err == nil {
+		t.Error("Close of a poisoned log reported success")
+	}
+
+	data, _ := mem.ReadAll()
+	kept := wal.NewMemStore()
+	if err := kept.Append(data[:synced]); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := OpenWith(disk.Snapshot(), kept, Options{})
+	if err != nil {
+		t.Fatalf("reopen after the unlogged rollback: %v", err)
+	}
+	defer d2.Close()
+	if row, err := d2.Table("t").Get(nil, rid); err != nil || row[1].(int64) != 0 {
+		t.Errorf("recovered row %v, %v; want v = 0", row, err)
 	}
 }
 

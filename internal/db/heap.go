@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"tendax/internal/storage"
@@ -134,6 +135,15 @@ func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte, rids []RID) error {
 			// after records were placed (deadlock victim mid-batch) must
 			// not leave the map overstating this page's capacity.
 			defer func() { h.free[pageID] = sp.FreeSpace() }()
+			// A fresh slot's row lock is free, except when an insert took
+			// it and the log then refused the record, which only a
+			// poisoned log does. That insert released this latch after the
+			// log failed, so checking here is enough. Waiting for the lock
+			// instead would deadlock with the holder's rollback, which
+			// needs this latch and h.mu, until the lock timeout.
+			if h.log.Failed() {
+				return 0, fmt.Errorf("db: insert into table %d: %w", h.tableID, wal.ErrLogFailed)
+			}
 			n := 0
 			for i+n < len(recs) {
 				rec := recs[i+n]
@@ -363,8 +373,12 @@ func (h *Heap) ScanDirty(fn func(rid RID, rec []byte) error) error {
 // latch is taken, another transaction could log and stamp the page in
 // between, and the CLR's lower LSN would then move the page LSN backwards.
 // As in Update, the page is changed first and logged second, so a CLR the
-// page refuses is never logged. As everywhere, the page latch is released
-// before h.mu is taken.
+// page refuses is never logged. A CLR the log refuses leaves the rollback
+// applied in memory (see txn.Abort) and stamps the page with an LSN no
+// flush will reach, so the WAL barrier keeps the page off disk: written
+// back with the undone update's LSN, it would make a restart skip that
+// update's redo and then fail to undo it. As everywhere, the page latch is
+// released before h.mu is taken.
 func (h *Heap) compensate(tx *txn.Txn, clr *wal.Record) error {
 	pg, err := h.pool.Fetch(storage.PageID(clr.Page))
 	if err != nil {
@@ -381,6 +395,7 @@ func (h *Heap) compensate(tx *txn.Txn, clr *wal.Record) error {
 		}
 		lsn, err := h.log.Append(clr)
 		if err != nil {
+			pg.SetLSN(math.MaxUint64)
 			return err
 		}
 		pg.SetLSN(uint64(lsn))

@@ -81,13 +81,17 @@ func (t *Txn) Lock(key Key, mode Mode) error {
 // commit LSN; the transaction is durable once the log's flushed horizon
 // covers that LSN (WaitDurable). Releasing locks before durability is safe:
 // any dependent transaction's commit record is appended after this one, so
-// group commit can never make the dependent durable first.
+// group commit can never make the dependent durable first. A commit record
+// a poisoned log refuses aborts the transaction (see Abort).
 func (t *Txn) CommitAsync() (wal.LSN, error) {
 	if t.state != Active {
 		return 0, ErrNotActive
 	}
 	lsn, err := t.mgr.log.Append(&wal.Record{Type: wal.RecCommit, TxnID: t.id, PrevLSN: t.lastLSN})
 	if err != nil {
+		if errors.Is(err, wal.ErrLogFailed) {
+			_ = t.Abort() // returns err again
+		}
 		return 0, err
 	}
 	t.lastLSN = lsn
@@ -126,29 +130,45 @@ func (t *Txn) Commit() error {
 // failure path, and the undo must be durable before the row locks are
 // released, even when the caller still holds a document lock.
 //
+// On a poisoned log (wal.ErrLogFailed) the rollback cannot be logged: every
+// undo entry still restores its page in memory, and the transaction ends
+// and releases its locks, returning the log's error. Nothing commits
+// behind the failure, so no transaction can make a dependence on the
+// unlogged rollback durable; the heap keeps the pages it restored off
+// disk, and a restart's recovery undoes the transaction from the log.
+// Holding the locks instead would stall every waiter until its lock
+// timeout.
+//
 //tendax:locksync-nonblocking
 func (t *Txn) Abort() error {
 	if t.state != Active {
 		return ErrNotActive
 	}
+	var logErr error
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		if err := t.undo[i](); err != nil {
-			return err
+			if !errors.Is(err, wal.ErrLogFailed) {
+				return err
+			}
+			logErr = err
 		}
 	}
-	lsn, err := t.mgr.log.Append(&wal.Record{Type: wal.RecAbort, TxnID: t.id, PrevLSN: t.lastLSN})
-	if err != nil {
-		return err
-	}
-	t.lastLSN = lsn
-	if err := t.mgr.log.Flush(); err != nil {
-		return err
+	if logErr == nil {
+		lsn, err := t.mgr.log.Append(&wal.Record{Type: wal.RecAbort, TxnID: t.id, PrevLSN: t.lastLSN})
+		if err == nil {
+			t.lastLSN = lsn
+			err = t.mgr.log.Flush()
+		}
+		if err != nil && !errors.Is(err, wal.ErrLogFailed) {
+			return err
+		}
+		logErr = err
 	}
 	t.state = Aborted
 	t.dropUndo()
 	t.mgr.locks.ReleaseAll(t.id)
 	t.mgr.finish(t.id)
-	return nil
+	return logErr
 }
 
 // dropUndo forgets the undo entries of a finished transaction, so a Txn a
