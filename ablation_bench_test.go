@@ -21,9 +21,9 @@ func buildBuffer(b *testing.B, n int) *texttree.Buffer {
 	prev := util.NilID
 	for i := 0; i < n; i++ {
 		id := gen.Next()
-		if _, err := buf.InsertAfter(prev, texttree.Char{
+		if _, err := buf.InsertRun(prev, []texttree.Char{{
 			ID: id, Rune: 'a', Author: "u", Created: time.Unix(int64(i), 0),
-		}); err != nil {
+		}}); err != nil {
 			b.Fatal(err)
 		}
 		prev = id
@@ -161,14 +161,14 @@ func BenchmarkAblationVersionReconstruction(b *testing.B) {
 	const n = 20_000
 	for i := 0; i < n; i++ {
 		id := gen.Next()
-		buf.InsertAfter(prev, texttree.Char{ID: id, Rune: 'a', Author: "u",
-			Created: time.Unix(int64(i), 0)})
+		buf.InsertRun(prev, []texttree.Char{{ID: id, Rune: 'a', Author: "u",
+			Created: time.Unix(int64(i), 0)}})
 		prev = id
 	}
 	// Delete every third character late in history.
 	ids := buf.VisibleIDs()
 	for i := 0; i < len(ids); i += 3 {
-		buf.Delete(ids[i], "u", time.Unix(n+int64(i), 0))
+		buf.Delete(ids[i:i+1], "u", time.Unix(n+int64(i), 0), nil)
 	}
 	mid := time.Unix(n/2, 0)
 	b.Run("TextAt-midpoint", func(b *testing.B) {

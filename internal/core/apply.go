@@ -292,12 +292,12 @@ type stagedOp struct {
 
 // charLocked resolves an instance against the staged state first, then
 // the hot buffer; d.mu is held by the batch pipeline.
-func (st *batchState) charLocked(d *Document, id util.ID) (*texttree.Char, bool) {
+func (st *batchState) charLocked(d *Document, id util.ID) (texttree.Char, bool) {
 	if ch, ok := st.createdSet[id]; ok {
-		return ch, true
+		return *ch, true
 	}
 	if ch, ok := st.updated[id]; ok {
-		return ch, true
+		return *ch, true
 	}
 	return d.buf.Char(id)
 }
@@ -314,11 +314,10 @@ func (st *batchState) setLocked(d *Document, id util.ID, mut func(*texttree.Char
 		mut(ch)
 		return nil
 	}
-	ch, ok := d.buf.Char(id)
+	cp, ok := d.buf.Char(id)
 	if !ok {
 		return fmt.Errorf("%w: %v", texttree.ErrUnknownChar, id)
 	}
-	cp := *ch
 	mut(&cp)
 	st.updated[id] = &cp
 	return nil
@@ -343,9 +342,13 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			if len(runes) == 0 {
 				return fmt.Errorf("core: batch op %d: empty insert", i)
 			}
+			// One reservation: the run's IDs form one progression however
+			// many documents are minting, so the buffer keeps it as one
+			// record.
 			ids := make([]util.ID, len(runes))
-			for j := range runes {
-				ids[j] = d.eng.ids.Next()
+			first, step := d.eng.ids.NextN(len(runes)), util.ID(d.eng.ids.Stride())
+			for j := range ids {
+				ids[j] = first + util.ID(j)*step
 			}
 			// Two arena blocks per insert: the records as created (replayed
 			// into the buffer — a later delete op of the same batch must not
@@ -721,19 +724,19 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 			results = append(results, EditResult{OpID: sop.opID, IDs: ids, Pos: pos})
 
 		case EditDelete:
-			resPos := sop.pos
-			for k, id := range sop.flips {
-				pos, vis := d.buf.PosOf(id)
-				if !vis {
-					return nil, nil, fmt.Errorf("core: buffer diverged: %v already hidden", id)
-				}
+			resPos, hidden := sop.pos, 0
+			err := d.buf.Delete(sop.flips, st.user, st.now, func(k, pos int) {
 				if k == 0 {
 					resPos = pos
 				}
-				if err := d.buf.Delete(id, st.user, st.now); err != nil {
-					return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
-				}
-				items = appendFlip(items, awareness.EvDelete, pos, id, k > 0)
+				items = appendFlip(items, awareness.EvDelete, pos, sop.flips[k], k > 0)
+				hidden++
+			})
+			if err == nil && hidden != len(sop.flips) {
+				err = fmt.Errorf("%d of %d instances already hidden", len(sop.flips)-hidden, len(sop.flips))
+			}
+			if err != nil {
+				return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
 			}
 			results = append(results, EditResult{OpID: sop.opID, IDs: sop.flips, Pos: resPos})
 
@@ -742,18 +745,19 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 				return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
 			}
 			first, resPos := len(items), 0
-			runes := make([]rune, 0, len(sop.flips)) // restored text, in flip order
-			for k, id := range sop.flips {
-				if err := d.buf.Undelete(id, st.now); err != nil {
-					return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
-				}
-				pos, _ := d.buf.PosOf(id)
+			err := d.buf.Undelete(sop.flips, st.now, func(k, pos int) {
 				if k == 0 {
 					resPos = pos
 				}
+				items = appendFlip(items, awareness.EvInsert, pos, sop.flips[k], k > 0)
+			})
+			if err != nil {
+				return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
+			}
+			runes := make([]rune, 0, len(sop.flips)) // restored text, in flip order
+			for _, id := range sop.flips {
 				ch, _ := d.buf.Char(id)
 				runes = append(runes, ch.Rune)
-				items = appendFlip(items, awareness.EvInsert, pos, id, k > 0)
 			}
 			for i := first; i < len(items); i++ {
 				items[i].Text, runes = string(runes[:items[i].N]), runes[items[i].N:]

@@ -20,10 +20,11 @@ import (
 // core.NewEngine (the database's own indexes, rebuilt by a heap scan),
 // after ListDocuments (which opens every document) and after index.Open
 // (the indexer's prime). Each limit is the measured value plus 10 %:
-// 104.5, 376.3 and 411.3 B. While the database's B-tree leaves held a
-// slice header and a separate copy per key, in key slices grown by
-// append to 128 slots and split in the middle, they read 254.9, 526.8 and
-// 561.8 B.
+// 104.5, 132.4 and 167.4 B. While the text buffer held a 160 B record, a
+// treap node and an ID-map entry per character, the last two read 376.3
+// and 411.3 B; while the database's B-tree leaves held a slice header and
+// a separate copy per key, in key slices grown by append to 128 slots and
+// split in the middle, the three read 254.9, 526.8 and 561.8 B.
 func TestResidencyBytesPerChar(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds shadow memory to every allocation")
@@ -89,8 +90,8 @@ func TestResidencyBytesPerChar(t *testing.T) {
 		got, limit float64
 	}{
 		{"after open", opened, 114.9},
-		{"after ListDocuments", listed, 413.9},
-		{"after index.Open", primed, 452.4},
+		{"after ListDocuments", listed, 145.6},
+		{"after index.Open", primed, 184.1},
 	} {
 		t.Logf("%s: %.1f B of settled heap per stored character", p.name, p.got)
 		if p.got > p.limit {

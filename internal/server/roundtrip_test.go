@@ -18,10 +18,11 @@ import (
 // maxOneKeyRoundTripAllocs bounds the heap allocations of one key's round
 // trip through an in-process server: the author's session sends it, the
 // server decodes, commits and acknowledges it and pushes it to both
-// replicas, and the peer's replica folds it. It measured 25 (29 while
-// each index entry allocated its own key copy); the budget is that plus
-// 10 %, rounded down.
-const maxOneKeyRoundTripAllocs = 27
+// replicas, and the peer's replica folds it. It measured 24 (25 while the
+// text buffer gave each key a treap node of its own, 29 while each index
+// entry allocated its own key copy); the budget is that plus 10 %,
+// rounded down.
+const maxOneKeyRoundTripAllocs = 26
 
 // The stages below have budgets of their own, because one allocation more
 // per frame would not trip the total's 10 % margin. A stage is compared

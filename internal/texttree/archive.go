@@ -11,13 +11,14 @@ import (
 
 // This file implements the cold-tombstone archive: the compaction side of
 // logical deletion. TeNDaX never forgets a character instance, so a
-// long-lived document's hot structures (the order treap, the persistent
-// snapshot mirror, the chars rows) are eventually dominated by dead text.
-// Compaction migrates "cold" tombstones — instances deleted before a
-// configurable horizon — out of the hot set into archive runs, shrinking
-// every hot structure to O(visible + warm) while keeping provenance fully
-// queryable: time travel transparently merges the archive back in when the
-// requested instant predates the horizon.
+// long-lived document's hot structures (the text buffer's records and
+// extents, the persistent snapshot mirror, the chars rows) are eventually
+// dominated by dead text. Compaction migrates "cold" tombstones —
+// instances deleted before a configurable horizon — out of the hot set
+// into archive runs, shrinking every hot structure to O(visible + warm)
+// while keeping provenance fully queryable: time travel transparently
+// merges the archive back in when the requested instant predates the
+// horizon.
 //
 // An archive run is a maximal sequence of consecutive archived instances,
 // keyed by its anchor: the hot instance immediately preceding the run in
@@ -204,9 +205,6 @@ func (b *Buffer) SetArchive(a *Archive) {
 	b.arch = a
 }
 
-// ArchivedLen returns the number of archived (cold) instances.
-func (b *Buffer) ArchivedLen() int { return b.Archive().Len() }
-
 // ColdRun is one maximal run of consecutive cold tombstones, as found by
 // PlanCompaction. Chars are frozen copies in document order; Anchor is the
 // hot instance right before the run (NilID at the head).
@@ -259,7 +257,8 @@ func (b *Buffer) PlanCompaction(horizon time.Time) *CompactionPlan {
 			if cur == nil {
 				cur = &ColdRun{Anchor: prevHot}
 			}
-			cur.Chars = append(cur.Chars, ch)
+			cc := *ch // the walk reuses ch
+			cur.Chars = append(cur.Chars, &cc)
 			archived[ch.ID] = true
 			return true
 		}
@@ -297,8 +296,7 @@ func (b *Buffer) PlanCompaction(horizon time.Time) *CompactionPlan {
 		// argument at the top of the file).
 		merged := append([]*Char(nil), arch.runs[run.Anchor]...)
 		for _, ch := range run.Chars {
-			cc := *ch
-			merged = append(merged, &cc)
+			merged = append(merged, ch)
 			if sub := arch.runs[ch.ID]; len(sub) > 0 {
 				merged = append(merged, sub...)
 				delete(arch.runs, ch.ID)
@@ -320,61 +318,58 @@ func (b *Buffer) PlanCompaction(horizon time.Time) *CompactionPlan {
 }
 
 // ApplyCompaction applies a plan computed by PlanCompaction against the
-// unchanged buffer state: cold instances leave the order treap, the
-// re-anchored records are swapped in copy-on-write, the mirror is rebuilt
-// once from a walk of the old one that skips the cold runs (existing
-// snapshots keep the old tree), and the new archive is published.
+// unchanged buffer state: the cold instances' slots are dropped, each
+// re-anchored instance's slot is pointed at a new record of its own that
+// carries its new After, the mirror and the order's extents are rebuilt
+// once from a walk of the old mirror (existing snapshots keep the old
+// tree), and the new archive is published.
 func (b *Buffer) ApplyCompaction(plan *CompactionPlan) {
-	keep := make([]*Char, 0, b.TotalLen())
+	keep := make([]slot, 0, b.TotalLen())
 	runs, re := plan.Runs, plan.Reanchored
 	var cold []*Char // the rest of the run being skipped
-	b.Walk(func(ch *Char, _ bool) bool {
-		if len(cold) == 0 && len(runs) > 0 && runs[0].Chars[0].ID == ch.ID {
+	walk(b.root, func(s slot, _ bool) bool {
+		id := s.r.id(s.i)
+		if len(cold) == 0 && len(runs) > 0 && runs[0].Chars[0].ID == id {
 			cold, runs = runs[0].Chars, runs[1:]
 		}
 		if len(cold) > 0 {
-			if cold[0].ID != ch.ID {
-				panic(fmt.Sprintf("texttree: compaction plan is stale: %v where the run holds %v", ch.ID, cold[0].ID))
+			if cold[0].ID != id {
+				panic(fmt.Sprintf("texttree: compaction plan is stale: %v where the run holds %v", id, cold[0].ID))
 			}
 			cold = cold[1:]
 			return true
 		}
-		if len(re) > 0 && re[0].ID == ch.ID {
-			cc := *re[0]
-			ch, re = &cc, re[1:]
-			b.order.nodes[ch.ID].ch = ch
+		if len(re) > 0 && re[0].ID == id {
+			var m *runMeta
+			if s.r.meta != nil {
+				mv := s.r.subMeta(s.i, *s.r.meta)
+				m = &mv
+			}
+			rec := s.r.sub(s.i, 1, m)
+			rec.after, re = re[0].After, re[1:]
+			s = slot{rec, 0}
 		}
-		keep = append(keep, ch)
+		keep = append(keep, s)
 		return true
 	})
 	if len(runs) > 0 || len(cold) > 0 || len(re) > 0 {
 		panic(fmt.Sprintf("texttree: compaction plan is stale: %d runs, %d cold and %d re-anchored instances not met",
 			len(runs), len(cold), len(re)))
 	}
-	for _, run := range plan.Runs {
-		for _, ch := range run.Chars {
-			b.order.remove(ch.ID)
+	b.order = order{}
+	var t *extent
+	for lo := 0; lo < len(keep); {
+		s := keep[lo]
+		hi := lo + 1
+		for hi < len(keep) && keep[hi] == (slot{s.r, s.i + hi - lo}) {
+			hi++
 		}
+		t, _ = b.order.add(t, s.r.id(s.i), s.r.step, hi-lo)
+		lo = hi
 	}
-	b.root = insert(b.gen, nil, 0, len(keep), func(i int) *Char { return keep[i] })
+	b.root = insert(b.gen, nil, 0, len(keep), func(i int) slot { return keep[i] })
 	b.arch = plan.arch
 	b.version++
-}
-
-// Compact plans and applies one compaction pass in a single step,
-// returning the number of instances archived (embedded use and tests;
-// core persists the plan transactionally between the two halves).
-func (b *Buffer) Compact(horizon time.Time) int {
-	plan := b.PlanCompaction(horizon)
-	if plan == nil {
-		return 0
-	}
-	n := 0
-	for _, r := range plan.Runs {
-		n += len(r.Chars)
-	}
-	b.ApplyCompaction(plan)
-	return n
 }
 
 // RehydratePlan captures the re-insertion of archived instances back into
@@ -459,14 +454,15 @@ func (b *Buffer) PlanRehydrate(ids []util.ID, newKey func() util.ID) (*Rehydrate
 }
 
 // ApplyRehydrate applies a plan computed by PlanRehydrate against the
-// unchanged buffer state: each instance re-enters the order treap and
+// unchanged buffer state: each instance re-enters the order and the
 // persistent mirror as a tombstone, and the shrunken archive is published.
 func (b *Buffer) ApplyRehydrate(plan *RehydratePlan) error {
 	if plan == nil {
 		return nil
 	}
-	for _, ch := range plan.Chars {
-		if _, err := b.InsertAfter(ch.After, ch); err != nil {
+	for i := range plan.Chars {
+		ch := &plan.Chars[i]
+		if _, err := b.InsertRun(ch.After, plan.Chars[i:i+1]); err != nil {
 			return fmt.Errorf("texttree: rehydrate %v: %w", ch.ID, err)
 		}
 	}

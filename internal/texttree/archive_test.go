@@ -41,7 +41,7 @@ func runArchiveScript(t *testing.T, seed uint64, steps int, delBias float64) *ar
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.b.InsertAfter(prev, Char{ID: s.gen.Next(), Rune: r, Author: "u", Created: at}); err != nil {
+			if _, err := insertAfter(s.b, prev, Char{ID: s.gen.Next(), Rune: r, Author: "u", Created: at}); err != nil {
 				t.Fatal(err)
 			}
 			ref = append(ref[:pos], append([]rune{r}, ref[pos:]...)...)
@@ -60,7 +60,7 @@ func runArchiveScript(t *testing.T, seed uint64, steps int, delBias float64) *ar
 				continue
 			}
 			ch, _ := s.b.Char(tomb)
-			if err := s.b.Undelete(tomb, at); err != nil {
+			if err := s.b.Undelete([]util.ID{tomb}, at, nil); err != nil {
 				t.Fatal(err)
 			}
 			pos, ok := s.b.PosOf(tomb)
@@ -90,7 +90,7 @@ func runArchiveScript(t *testing.T, seed uint64, steps int, delBias float64) *ar
 				continue
 			}
 			id, _ := s.b.IDAt(pos)
-			if err := s.b.Delete(id, "u", at); err != nil {
+			if err := s.b.Delete([]util.ID{id}, "u", at, nil); err != nil {
 				t.Fatal(err)
 			}
 			ref = append(ref[:pos], ref[pos+1:]...)
@@ -133,7 +133,7 @@ func TestCompactionPreservesTextAndHistory(t *testing.T) {
 		cuts := []int64{s.now / 4, s.now / 2, s.now + 1}
 		archived := 0
 		for _, cut := range cuts {
-			archived += s.b.Compact(time.Unix(cut, 0))
+			archived += compact(s.b, time.Unix(cut, 0))
 			if err := s.b.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d after compact at %d: %v", seed, cut, err)
 			}
@@ -145,9 +145,9 @@ func TestCompactionPreservesTextAndHistory(t *testing.T) {
 		if archived == 0 {
 			t.Fatalf("seed %d: script produced no cold tombstones", seed)
 		}
-		if s.b.TotalLen()+s.b.ArchivedLen() != wantTotal {
+		if s.b.TotalLen()+s.b.Archive().Len() != wantTotal {
 			t.Fatalf("seed %d: instances lost: hot %d + archived %d != %d",
-				seed, s.b.TotalLen(), s.b.ArchivedLen(), wantTotal)
+				seed, s.b.TotalLen(), s.b.Archive().Len(), wantTotal)
 		}
 		// The final pass archived every tombstone: hot = visible.
 		if s.b.TotalLen() != s.b.Len() {
@@ -165,8 +165,8 @@ func TestCompactionAgainstUncompactedTwin(t *testing.T) {
 	if a.b.Text() != b.b.Text() {
 		t.Fatal("twin scripts diverged")
 	}
-	a.b.Compact(time.Unix(a.now/2, 0))
-	if a.b.ArchivedLen() == 0 {
+	compact(a.b, time.Unix(a.now/2, 0))
+	if a.b.Archive().Len() == 0 {
 		t.Fatal("nothing archived")
 	}
 	if a.b.Text() != b.b.Text() {
@@ -196,7 +196,7 @@ func TestSnapshotsSurviveCompaction(t *testing.T) {
 	oldTotal := old.TotalLen()
 	oldAt := old.TextAt(time.Unix(s.now/2, 0))
 
-	n := s.b.Compact(time.Unix(s.now+1, 0))
+	n := compact(s.b, time.Unix(s.now+1, 0))
 	if n == 0 {
 		t.Fatal("nothing archived")
 	}
@@ -234,7 +234,7 @@ func TestSnapshotsSurviveCompaction(t *testing.T) {
 // re-absorb them with the merged order intact.
 func TestRehydrateRoundTrip(t *testing.T) {
 	s := runArchiveScript(t, 13, 500, 0.6)
-	s.b.Compact(time.Unix(s.now+1, 0))
+	compact(s.b, time.Unix(s.now+1, 0))
 	arch := s.b.Archive()
 	if arch.Len() < 3 {
 		t.Fatalf("too few archived (%d) for the test", arch.Len())
@@ -256,7 +256,7 @@ func TestRehydrateRoundTrip(t *testing.T) {
 		t.Fatal("nil rehydrate plan for archived ids")
 	}
 	before := s.b.Text()
-	total := s.b.TotalLen() + s.b.ArchivedLen()
+	total := s.b.TotalLen() + s.b.Archive().Len()
 	if err := s.b.ApplyRehydrate(plan); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestRehydrateRoundTrip(t *testing.T) {
 	if s.b.Text() != before {
 		t.Fatal("rehydration changed visible text")
 	}
-	if s.b.TotalLen()+s.b.ArchivedLen() != total {
+	if s.b.TotalLen()+s.b.Archive().Len() != total {
 		t.Fatal("rehydration lost instances")
 	}
 	for _, id := range ids {
@@ -282,10 +282,10 @@ func TestRehydrateRoundTrip(t *testing.T) {
 
 	// Undelete one, then re-compact: the undeleted char must stay hot.
 	s.now += 5
-	if err := s.b.Undelete(ids[0], time.Unix(s.now, 0)); err != nil {
+	if err := s.b.Undelete([]util.ID{ids[0]}, time.Unix(s.now, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	s.b.Compact(time.Unix(s.now+1, 0))
+	compact(s.b, time.Unix(s.now+1, 0))
 	if err := s.b.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -309,16 +309,16 @@ func TestUndeleteTimeTravelInterval(t *testing.T) {
 			prev = ids[i-1]
 		}
 		id := gen.Next()
-		if _, err := b.InsertAfter(prev, Char{ID: id, Rune: r, Author: "u", Created: time.Unix(int64(10+i), 0)}); err != nil {
+		if _, err := insertAfter(b, prev, Char{ID: id, Rune: r, Author: "u", Created: time.Unix(int64(10+i), 0)}); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
 	// Delete 'c' at t=20, undelete at t=30.
-	if err := b.Delete(ids[2], "u", time.Unix(20, 0)); err != nil {
+	if err := b.Delete([]util.ID{ids[2]}, "u", time.Unix(20, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Undelete(ids[2], time.Unix(30, 0)); err != nil {
+	if err := b.Undelete([]util.ID{ids[2]}, time.Unix(30, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	ch, _ := b.Char(ids[2])
@@ -345,10 +345,10 @@ func TestUndeleteTimeTravelInterval(t *testing.T) {
 	// Delete 'b' at t=40 and compact past it: 'b' is archived while the
 	// undeleted 'c' stays hot. The interval must survive on both sides of
 	// the horizon.
-	if err := b.Delete(ids[1], "u", time.Unix(40, 0)); err != nil {
+	if err := b.Delete([]util.ID{ids[1]}, "u", time.Unix(40, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if n := b.Compact(time.Unix(50, 0)); n != 1 {
+	if n := compact(b, time.Unix(50, 0)); n != 1 {
 		t.Fatalf("archived %d, want 1", n)
 	}
 	if err := b.CheckInvariants(); err != nil {
@@ -409,11 +409,11 @@ func TestOrderRemove(t *testing.T) {
 	// Remove via compaction of single deleted chars at scattered ranks.
 	for _, pos := range []int{7, 3, 0} {
 		id, _ := b.IDAt(pos)
-		if err := b.Delete(id, "u", time.Unix(50, 0)); err != nil {
+		if err := b.Delete([]util.ID{id}, "u", time.Unix(50, 0), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := b.Compact(time.Unix(60, 0)); n != 3 {
+	if n := compact(b, time.Unix(60, 0)); n != 3 {
 		t.Fatalf("archived %d, want 3", n)
 	}
 	if b.TotalLen() != 7 || b.Len() != 7 {

@@ -9,10 +9,11 @@ import (
 )
 
 // TestInsertRunMatchesInsertAfter pins the batched splice to the
-// per-character reference: the same run inserted via InsertRun and via
-// repeated InsertAfter must produce identical text, records (anchors and
-// keys included) and snapshot mirrors, at the front, middle and end of a document, around tombstones
-// included.
+// per-character reference: the same run inserted via one InsertRun (one
+// record) and via insertAfter one instance at a time (a record each) must
+// produce identical text, instances (anchors and keys included) and
+// snapshot mirrors, at the front, middle and end of a document, around
+// tombstones included.
 func TestInsertRunMatchesInsertAfter(t *testing.T) {
 	mkRun := func(gen *util.IDGen, text string) []Char {
 		run := make([]Char, 0, len(text))
@@ -36,7 +37,7 @@ func TestInsertRunMatchesInsertAfter(t *testing.T) {
 			// Tombstone one char so the run crosses real-world state.
 			for _, b := range []*Buffer{ref, got} {
 				id, _ := b.IDAt(3)
-				if err := b.Delete(id, "u", time.Unix(5, 0)); err != nil {
+				if err := b.Delete([]util.ID{id}, "u", time.Unix(5, 0), nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -45,7 +46,7 @@ func TestInsertRunMatchesInsertAfter(t *testing.T) {
 			prev := tc.anchor(ref)
 			at := prev
 			for i := range refRun {
-				if _, err := ref.InsertAfter(at, refRun[i]); err != nil {
+				if _, err := insertAfter(ref, at, refRun[i]); err != nil {
 					t.Fatal(err)
 				}
 				at = refRun[i].ID

@@ -98,6 +98,13 @@ func (m *model) archivedIDs() []util.ID {
 	return ids
 }
 
+// sameInstance reports whether a and b agree on every field the model
+// keeps: all but After and Key.
+func sameInstance(a, b Char) bool {
+	a.After, a.Key, b.After, b.Key = 0, 0, 0, 0
+	return a == b
+}
+
 // check compares every read the buffer answers about its hot instances
 // with the model.
 func (m *model) check(t testing.TB, b *Buffer, label string) {
@@ -105,10 +112,8 @@ func (m *model) check(t testing.TB, b *Buffer, label string) {
 	var vis []util.ID
 	var text []rune
 	for _, c := range m.hot {
-		ch, ok := b.Char(c.ID)
-		if !ok || ch.Rune != c.Rune || ch.Deleted != c.Deleted {
-			t.Fatalf("%s: Char(%v) = %+v, %v; want rune %q deleted %v",
-				label, c.ID, ch, ok, c.Rune, c.Deleted)
+		if ch, ok := b.Char(c.ID); !ok || !sameInstance(ch, c) {
+			t.Fatalf("%s: Char(%v) = %+v, %v; want %+v", label, c.ID, ch, ok, c)
 		}
 		if r, ok := b.RankOf(c.ID); !ok || r != len(vis) {
 			t.Fatalf("%s: RankOf(%v) = %d, %v; want %d", label, c.ID, r, ok, len(vis))
@@ -196,10 +201,8 @@ func (m *model) checkSnapshot(t testing.TB, s *Snapshot, unseen []util.ID, chars
 		return
 	}
 	for _, c := range m.hot {
-		got, ok := s.Char(c.ID)
-		if !ok || got.Rune != c.Rune || got.Deleted != c.Deleted {
-			t.Fatalf("%s: Char(%v) = %+v, %v; want rune %q deleted %v",
-				label, c.ID, got, ok, c.Rune, c.Deleted)
+		if got, ok := s.Char(c.ID); !ok || !sameInstance(got, c) {
+			t.Fatalf("%s: Char(%v) = %+v, %v; want %+v", label, c.ID, got, ok, c)
 		}
 	}
 	for _, run := range m.arch {
@@ -268,8 +271,10 @@ func (r *modelRun) checkKept(chars bool, label string) {
 }
 
 // step applies the operation three bytes encode. Uniform random bytes give
-// roughly half inserts, a quarter deletes, a fifth undeletes, and every 256
-// steps a compaction pass and a run longer than a mirror leaf.
+// roughly half inserts — single keys, and runs of up to eight with dense or
+// strided IDs, typed or pasted — a quarter deletes and a fifth undeletes,
+// each of one instance or of a span, and every 256 steps a compaction pass
+// and a run longer than a mirror leaf.
 func (r *modelRun) step(op, x, y byte) {
 	r.now++
 	at := time.Unix(r.now, 0)
@@ -283,50 +288,99 @@ func (r *modelRun) step(op, x, y byte) {
 	}
 	switch {
 	case op < 60 && len(vis) > 0:
-		r.insert(vis[int(x)%len(vis)], 1, y)
+		r.insert(vis[int(x)%len(vis)], 1, y, false)
 	case op < 100 && len(tombs) > 0:
-		r.insert(tombs[int(x)%len(tombs)], 1, y)
+		r.insert(tombs[int(x)%len(tombs)], 1, y, false)
 	case op < 140:
-		r.insert(int(x)%(len(r.m.hot)+1)-1, 1+int(y)%8, y)
+		r.insert(int(x)%(len(r.m.hot)+1)-1, 1+int(y)%8, y, true)
+	case op < 170 && len(vis) > 0:
+		r.flip(vis[int(x)%len(vis):][:1], at, true)
 	case op < 200 && len(vis) > 0:
-		c := &r.m.hot[vis[int(x)%len(vis)]]
-		if err := r.b.Delete(c.ID, "u", at); err != nil {
-			r.t.Fatal(err)
-		}
-		c.Deleted, c.DeletedBy, c.DeletedAt, c.Restored = true, "u", at, time.Time{}
+		// A span of visible instances: within one run it is one record.
+		k := int(x) % len(vis)
+		r.flip(vis[k:][:min(1+int(y)%6, len(vis)-k)], at, true)
 	case op == 254:
-		r.insert(int(x)%(len(r.m.hot)+1)-1, leafCap+1+int(y)%leafCap, y)
+		r.insert(int(x)%(len(r.m.hot)+1)-1, leafCap+1+int(y)%leafCap, y, false)
+	case op < 230 && len(tombs) > 0:
+		r.flip(tombs[int(x)%len(tombs):][:1], at, false)
 	case op < 255 && len(tombs) > 0:
-		c := &r.m.hot[tombs[int(x)%len(tombs)]]
-		if err := r.b.Undelete(c.ID, at); err != nil {
-			r.t.Fatal(err)
-		}
-		c.Deleted, c.Restored = false, at
+		k := int(x) % len(tombs)
+		r.flip(tombs[k:][:min(1+int(y)%6, len(tombs)-k)], at, false)
 	case op == 255:
 		r.compactAndRehydrate(x)
 	default:
-		r.insert(-1, 1, y) // at the front
+		r.insert(-1, 1, y, false) // at the front
 	}
 }
 
-// insert puts n new instances after hot[after] (-1 = front), one by
-// InsertAfter and several by InsertRun.
-func (r *modelRun) insert(after, n int, y byte) {
+// flip deletes (del set) or undeletes the hot instances at the given
+// model indexes, in order, in one call, and checks the position the buffer
+// reports for each against the model's, flipped one at a time.
+func (r *modelRun) flip(idx []int, at time.Time, del bool) {
+	ids := make([]util.ID, len(idx))
+	var want []int
+	for k, i := range idx {
+		c := &r.m.hot[i]
+		ids[k] = c.ID
+		if del {
+			c.Deleted, c.DeletedBy, c.DeletedAt, c.Restored = true, "u", at, time.Time{}
+		} else {
+			c.Deleted, c.Restored = false, at
+		}
+		pos := 0
+		for _, h := range r.m.hot[:i] {
+			if !h.Deleted {
+				pos++
+			}
+		}
+		want = append(want, pos)
+	}
+	var got []int
+	visit := func(k, pos int) {
+		if k != len(got) {
+			r.t.Fatalf("flip visited instance %d of %v after %d", k, ids, len(got))
+		}
+		got = append(got, pos)
+	}
+	var err error
+	if del {
+		err = r.b.Delete(ids, "u", at, visit)
+	} else {
+		err = r.b.Undelete(ids, at, visit)
+	}
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		r.t.Fatalf("flip (delete %v) of %v visited positions %v, want %v", del, ids, got, want)
+	}
+}
+
+// insert puts n new instances after hot[after] (-1 = front) in one
+// InsertRun. With varied set, bits of y choose strided IDs (a progression
+// by 2 to 4, the IDs between reserved and unused) and pasted text, whose
+// sources ascend by 0 to 3 or by no step at all.
+func (r *modelRun) insert(after, n int, y byte, varied bool) {
 	prev := util.NilID
 	if after >= 0 {
 		prev = r.m.hot[after].ID
 	}
+	step := util.ID(1)
+	if varied && y&8 != 0 {
+		step = util.ID(2 + int(y)%3)
+	}
+	first := r.gen.NextN(n * int(step))
 	run := make([]Char, n)
 	for i := range run {
-		run[i] = Char{ID: r.gen.Next(), Rune: rune('a' + (int(y)+i)%26), Author: "u", Created: time.Unix(r.now, 0)}
+		run[i] = Char{ID: first + util.ID(i)*step, Rune: rune('a' + (int(y)+i)%26), Author: "u", Created: time.Unix(r.now, 0)}
+		if varied && y&16 != 0 {
+			run[i].SourceDoc, run[i].SourceChar = 7, util.ID(1000+i*(int(y)%4))
+			if y&32 != 0 {
+				run[i].SourceChar = util.ID(1000 + i*i)
+			}
+		}
 	}
-	var err error
-	if n == 1 {
-		_, err = r.b.InsertAfter(prev, run[0])
-	} else {
-		_, err = r.b.InsertRun(prev, run)
-	}
-	if err != nil {
+	if _, err := r.b.InsertRun(prev, run); err != nil {
 		r.t.Fatal(err)
 	}
 	r.m.hot = slices.Insert(r.m.hot, after+1, run...)
@@ -336,7 +390,7 @@ func (r *modelRun) insert(after, n int, y byte) {
 // ago, then brings up to three archived instances back.
 func (r *modelRun) compactAndRehydrate(x byte) {
 	horizon := time.Unix(r.now-40, 0)
-	if got, want := r.b.Compact(horizon), r.m.compact(horizon); got != want {
+	if got, want := compact(r.b, horizon), r.m.compact(horizon); got != want {
 		r.t.Fatalf("Compact archived %d, model %d", got, want)
 	}
 	ids := r.m.archivedIDs()
@@ -361,10 +415,14 @@ func (r *modelRun) compactAndRehydrate(x byte) {
 
 // checkReload is the order oracle: the buffer's hot records, loaded
 // afresh, must derive exactly the model's instance sequence from their
-// anchors alone — every ID in order with its deleted flag.
+// anchors alone — every ID in order with its deleted flag — and the
+// reloaded buffer, whose records Load coalesces anew, must hand out the
+// same instances, After and Key included, as the buffer does by walk and
+// by ID.
 func (m *model) checkReload(t testing.TB, b *Buffer, label string) {
 	t.Helper()
-	loaded, err := Load(b.AllChars())
+	all := b.AllChars()
+	loaded, err := Load(all)
 	if err != nil {
 		t.Fatalf("%s: Load: %v", label, err)
 	}
@@ -376,6 +434,12 @@ func (m *model) checkReload(t testing.TB, b *Buffer, label string) {
 		if c.ID != m.hot[i].ID || c.Deleted != m.hot[i].Deleted {
 			t.Fatalf("%s: reloaded instance %d is %v (deleted %v), model %v (deleted %v)",
 				label, i, c.ID, c.Deleted, m.hot[i].ID, m.hot[i].Deleted)
+		}
+		if c != all[i] {
+			t.Fatalf("%s: reloaded instance %d is %+v, the buffer walks %+v", label, i, c, all[i])
+		}
+		if ch, _ := b.Char(c.ID); ch != c {
+			t.Fatalf("%s: Char(%v) = %+v, the buffer walks %+v", label, c.ID, ch, c)
 		}
 	}
 }
@@ -417,7 +481,7 @@ func runModel(t testing.TB, data []byte, loadEvery, loaded int) *modelRun {
 			t.Fatalf("%s: %v", label, err)
 		}
 		r.m.checkReload(t, r.b, label)
-		if got, want := r.b.ArchivedLen(), len(r.m.archivedIDs()); got != want {
+		if got, want := r.b.Archive().Len(), len(r.m.archivedIDs()); got != want {
 			t.Fatalf("%s: ArchivedLen = %d, model %d", label, got, want)
 		}
 		for anchor, run := range r.m.arch {
@@ -440,6 +504,9 @@ func runModel(t testing.TB, data []byte, loadEvery, loaded int) *modelRun {
 			t.Fatalf("%s: Load: %v", label, err)
 		}
 		r.m.check(t, loaded, label+" reloaded")
+		if err := loaded.CheckInvariants(); err != nil {
+			t.Fatalf("%s: reloaded: %v", label, err)
+		}
 		r.kept = append(r.kept, keptSnap{s: s, text: s.Text(), m: r.m.frozen()})
 		r.checkKept(false, label)
 	}
@@ -553,42 +620,93 @@ func FuzzBufferOps(f *testing.F) {
 		split = append(split, 70, byte(i), 1)
 	}
 	f.Add(append(split, 255, 0, 0, 130, 1, 3))
+	// Runs with strided IDs (y=15: eight by 2), spans deleted inside them,
+	// keys typed inside them, the deletes compacted past the horizon —
+	// re-anchoring the instance after each span inside its run — and spans
+	// of the tombstones left undeleted.
+	strided := []byte{}
+	for i := 0; i < 4; i++ {
+		strided = append(strided, 130, 0, 15, 130, 0, 11)
+	}
+	strided = append(strided, 180, 3, 2, 180, 20, 4, 10, 5, 0, 10, 30, 0, 180, 40, 1)
+	for i := 0; i < 42; i++ {
+		strided = append(strided, 10, byte(7*i), 1)
+	}
+	f.Add(append(strided, 255, 0, 0, 240, 0, 5, 240, 3, 5, 130, 9, 15))
+	// Pasted runs, their sources a progression (y=23: by 3) or not (y=63),
+	// keys typed inside them, and spans deleted and undeleted across the
+	// records the keys cut them into.
+	pasted := []byte{}
+	for i := 0; i < 6; i++ {
+		pasted = append(pasted, 130, byte(5*i), 23, 130, byte(3*i), 63)
+	}
+	for i := 0; i < 10; i++ {
+		pasted = append(pasted, 10, byte(11*i), 2, 180, byte(13*i), 5)
+	}
+	f.Add(append(pasted, 240, 0, 5, 240, 2, 5, 240, 1, 5))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runModel(t, data[:min(len(data), 3*maxSteps)], 25, 0)
 	})
 }
 
-// TestBufferBytesPerChar gates the settled heap of a loaded buffer:
-// 60 000 instances, every other one a tombstone, measured as
-// keystroke-bench's texttree.bytes_per_char is (heap after GC, before and
-// after Load, the rows live on both sides). A 64 B treap node per
-// instance made it 310 B; full 64-record B+-tree leaves, 256 B.
+// TestBufferBytesPerChar gates the settled heap of a loaded buffer of
+// 60 000 instances, measured as keystroke-bench's texttree.bytes_per_char
+// is (heap after GC, before and after Load, the rows live on both sides):
+//   - text typed in runs of 500 and of 8 runes, each run at its own
+//     instant, its IDs one progression, one ID skipped between runs (the
+//     insert's op ID);
+//   - one typed run with every other instance a tombstone.
+//
+// With a 160 B record, a 48 B treap node and an ID-map entry per instance
+// every case read ~255 B (a 64 B treap node made it 310 B); a record per
+// run puts the typed text at the mirror slot, the rune and its run's share
+// of one record and one extent: 19.0 and 43.2 B. A tombstone between two
+// visible instances is a record of one, whose deletion metadata it shares
+// with its neighbours: 130.7 B. Each limit is its measured value plus
+// 10 %.
 func TestBufferBytesPerChar(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds shadow memory to every allocation")
 	}
-	const n, limit = 60000, 281
-	created := time.Unix(1, 0)
-	rows := make([]Char, n)
-	for i := range rows {
-		id := util.ID(i + 1)
-		rows[i] = Char{ID: id, Rune: rune('a' + i%26), Author: "alice", Created: created}
-		rows[i].After, rows[i].Key = id-1, id
-		if i%2 == 1 {
-			rows[i].Deleted, rows[i].DeletedBy, rows[i].DeletedAt = true, "bob", created.Add(time.Second)
+	const n = 60000
+	typed := func(runLen int) []Char {
+		rows := make([]Char, n)
+		id := util.ID(0)
+		for i := range rows {
+			prev := id
+			if id++; i%runLen == 0 {
+				id++ // the op ID of the insert before
+			}
+			rows[i] = Char{ID: id, Rune: rune('a' + i%26), Author: "alice",
+				Created: time.Unix(int64(1+i/runLen), 0), After: prev, Key: id}
 		}
+		return rows
 	}
-	before := settledHeap()
-	b, err := Load(rows)
-	if err != nil {
-		t.Fatal(err)
+	tombstones := typed(n)
+	for i := 1; i < n; i += 2 {
+		tombstones[i].Deleted, tombstones[i].DeletedBy, tombstones[i].DeletedAt = true, "bob", time.Unix(2, 0)
 	}
-	perChar := (float64(settledHeap()) - float64(before)) / n
-	runtime.KeepAlive(b)
-	runtime.KeepAlive(rows)
-	t.Logf("%.1f B of settled heap per instance", perChar)
-	if perChar > limit {
-		t.Fatalf("%.1f B per instance, limit %d", perChar, limit)
+	for _, c := range []struct {
+		name  string
+		rows  []Char
+		limit float64
+	}{
+		{"500-rune runs", typed(500), 20.9},
+		{"8-rune runs", typed(8), 47.5},
+		{"alternating tombstones", tombstones, 143.8},
+	} {
+		before := settledHeap()
+		b, err := Load(c.rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perChar := (float64(settledHeap()) - float64(before)) / n
+		runtime.KeepAlive(b)
+		runtime.KeepAlive(c.rows)
+		t.Logf("%s: %.1f B of settled heap per instance", c.name, perChar)
+		if perChar > c.limit {
+			t.Errorf("%s: %.1f B per instance, limit %.1f", c.name, perChar, c.limit)
+		}
 	}
 }
 

@@ -43,14 +43,14 @@ func TestPositionalReadsMatchHeadWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := b.InsertAfter(prev, Char{ID: gen.Next(), Rune: rune('a' + rng.Intn(26)), Author: "u", Created: time.Unix(now, 0)}); err != nil {
+			if _, err := insertAfter(b, prev, Char{ID: gen.Next(), Rune: rune('a' + rng.Intn(26)), Author: "u", Created: time.Unix(now, 0)}); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			// Delete a short run so whole subtrees go invisible.
 			pos := rng.Intn(b.Len())
 			for _, id := range b.RangeIDs(pos, 1+rng.Intn(6)) {
-				if err := b.Delete(id, "u", time.Unix(now, 0)); err != nil {
+				if err := b.Delete([]util.ID{id}, "u", time.Unix(now, 0), nil); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -1,0 +1,218 @@
+package texttree
+
+import (
+	"time"
+
+	"tendax/internal/util"
+)
+
+// run is the record the buffer stores: a set of instances inserted
+// together, with one author, one Created, one provenance and one deletion
+// state, whose IDs form one ascending arithmetic progression and each of
+// which was typed right after the one before it. Instance i has ID
+// first+i*step and rune runes[i]; instance 0 has After after and Key key,
+// every later instance After the instance before it and its own ID as Key.
+// A single key is a run of one.
+//
+// A record is immutable once a mirror slot names it, so snapshots share it
+// freely: an edit that changes some of its instances (a delete, an
+// undelete, a compaction re-anchor) points their slots at one new record
+// for that sub-range, which shares the runes.
+type run struct {
+	first, step util.ID
+	after, key  util.ID
+	runes       []rune
+	author      string
+	created     time.Time
+	meta        *runMeta // nil: never deleted and not pasted
+	one         [1]rune  // holds runes for a run of one
+}
+
+// runMeta is the part of a record most runs do not need: provenance and
+// deletion state. It is as immutable as the record that holds it.
+type runMeta struct {
+	srcDoc            util.ID
+	srcFirst, srcStep util.ID // instance i was copied from srcFirst+i*srcStep
+	deleted           bool
+	deletedBy         string
+	deletedAt         time.Time
+	restored          time.Time
+}
+
+func (r *run) len() int { return len(r.runes) }
+
+// id returns the ID of instance i.
+func (r *run) id(i int) util.ID { return r.first + util.ID(i)*r.step }
+
+// last returns the ID of the last instance.
+func (r *run) last() util.ID { return r.id(len(r.runes) - 1) }
+
+// index returns the offset of id in r, or -1 if r does not hold it.
+func (r *run) index(id util.ID) int {
+	if id < r.first || id > r.last() {
+		return -1
+	}
+	d := id - r.first
+	if d%r.step != 0 {
+		return -1
+	}
+	return int(d / r.step)
+}
+
+func (r *run) deleted() bool { return r.meta != nil && r.meta.deleted }
+
+// fill sets *c to instance i of r.
+func (r *run) fill(c *Char, i int) {
+	*c = Char{Author: r.author, Created: r.created}
+	if m := r.meta; m != nil {
+		c.Deleted, c.DeletedBy, c.DeletedAt, c.Restored = m.deleted, m.deletedBy, m.deletedAt, m.restored
+		c.SourceDoc = m.srcDoc
+	}
+	r.fillOwn(c, i)
+}
+
+// fillOwn sets the fields that differ between the instances of r on *c,
+// which holds an instance of r: moving a walk along one record rewrites
+// these and nothing else.
+func (r *run) fillOwn(c *Char, i int) {
+	c.ID, c.Rune = r.id(i), r.runes[i]
+	c.After, c.Key = r.after, r.key
+	if i > 0 {
+		c.After, c.Key = c.ID-r.step, c.ID
+	}
+	if m := r.meta; m != nil {
+		c.SourceChar = m.srcFirst + util.ID(i)*m.srcStep
+	}
+}
+
+// sub returns a new record for the instances [i, i+n) of r whose metadata
+// is m; the first of them keeps its After and Key. The runes are shared.
+func (r *run) sub(i, n int, m *runMeta) *run {
+	s := &run{first: r.id(i), step: r.step, after: r.after, key: r.key,
+		runes: r.runes[i : i+n : i+n], author: r.author, created: r.created, meta: m}
+	if i > 0 {
+		s.after, s.key = s.first-r.step, s.first
+	}
+	return s
+}
+
+// subMeta returns the metadata of the sub-record of r starting at
+// instance i, with its deletion state replaced by del's.
+func (r *run) subMeta(i int, del runMeta) runMeta {
+	if r.meta != nil {
+		del.srcDoc = r.meta.srcDoc
+		del.srcFirst = r.meta.srcFirst + util.ID(i)*r.meta.srcStep
+		del.srcStep = r.meta.srcStep
+	}
+	return del
+}
+
+// share returns a pointer to metadata equal to m: last if it is equal,
+// else a new copy.
+func share(last *runMeta, m runMeta) *runMeta {
+	if last != nil && *last == m {
+		return last
+	}
+	p := new(runMeta)
+	*p = m
+	return p
+}
+
+// sameRun reports whether c can share the record of f: every field but
+// the ones fillOwn sets is equal.
+func sameRun(f, c *Char) bool {
+	return c.Author == f.Author && c.Created == f.Created &&
+		c.Deleted == f.Deleted && c.DeletedBy == f.DeletedBy &&
+		c.DeletedAt == f.DeletedAt && c.Restored == f.Restored &&
+		c.SourceDoc == f.SourceDoc
+}
+
+// cutRuns calls fn with the bounds [lo, hi) of each record the n instances
+// at(0), ..., at(n-1) — in document order — are cut into: the longest
+// stretches that share one record's metadata, ascend by one ID step and
+// one source step, and in which chained holds for every instance but the
+// first (it reports whether instance i is typed after instance i-1 and
+// keyed by its own ID).
+func cutRuns(n int, at func(int) *Char, chained func(int) bool, fn func(lo, hi int)) {
+	for lo := 0; lo < n; {
+		f := at(lo)
+		hi := lo + 1
+		var step, srcStep util.ID
+		for ; hi < n; hi++ {
+			p, c := at(hi-1), at(hi)
+			if c.ID <= p.ID || !chained(hi) || !sameRun(f, c) {
+				break
+			}
+			if hi == lo+1 {
+				step, srcStep = c.ID-p.ID, c.SourceChar-p.SourceChar
+			} else if c.ID-p.ID != step || c.SourceChar-p.SourceChar != srcStep {
+				break
+			}
+		}
+		fn(lo, hi)
+		lo = hi
+	}
+}
+
+// newRuns returns the records of the n instances at(0), ..., at(n-1) as
+// cutRuns cuts them, in one block with one rune array; anchor returns the
+// After and Key of the record starting at lo. Records with equal metadata
+// share one runMeta.
+func newRuns(n int, at func(int) *Char, chained func(int) bool, anchor func(lo int) (after, key util.ID)) []run {
+	count := 0
+	cutRuns(n, at, chained, func(int, int) { count++ })
+	recs := make([]run, count)
+	var runes []rune
+	if n > 1 {
+		runes = make([]rune, n)
+	}
+	k := 0
+	var last *runMeta
+	cutRuns(n, at, chained, func(lo, hi int) {
+		r, f := &recs[k], at(lo)
+		k++
+		r.first, r.step = f.ID, 1
+		if hi-lo > 1 {
+			r.step = at(lo+1).ID - f.ID
+		}
+		r.after, r.key = anchor(lo)
+		r.author, r.created = f.Author, f.Created
+		if n == 1 {
+			r.runes = r.one[:]
+		} else {
+			r.runes = runes[lo:hi:hi]
+		}
+		for i := lo; i < hi; i++ {
+			r.runes[i-lo] = at(i).Rune
+		}
+		if f.Deleted || f.DeletedBy != "" || !f.DeletedAt.IsZero() || !f.Restored.IsZero() ||
+			!f.SourceDoc.IsNil() || !f.SourceChar.IsNil() || (hi-lo > 1 && at(lo+1).SourceChar != f.SourceChar) {
+			m := runMeta{srcDoc: f.SourceDoc, srcFirst: f.SourceChar, deleted: f.Deleted,
+				deletedBy: f.DeletedBy, deletedAt: f.DeletedAt, restored: f.Restored}
+			if hi-lo > 1 {
+				m.srcStep = at(lo+1).SourceChar - f.SourceChar
+			}
+			last = share(last, m)
+			r.meta = last
+		}
+	})
+	return recs
+}
+
+// runCursor maps the instances of records laid end to end, numbered from
+// 0, to their slots; sequential lookups cost O(1) each.
+type runCursor struct {
+	recs    []run
+	k, base int // recs[k] starts at instance base
+}
+
+func (c *runCursor) at(i int) slot {
+	if i < c.base {
+		c.k, c.base = 0, 0
+	}
+	for i >= c.base+c.recs[c.k].len() {
+		c.base += c.recs[c.k].len()
+		c.k++
+	}
+	return slot{&c.recs[c.k], i - c.base}
+}

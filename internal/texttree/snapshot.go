@@ -3,6 +3,7 @@ package texttree
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -13,16 +14,16 @@ import (
 // This file implements the MVCC side of the text representation: a
 // persistent B+-tree over the document, ordered by position, so a Buffer
 // can hand out an immutable Snapshot of the whole document in O(1) without
-// blocking writers. Leaves hold the character records in document order
-// with a visibility bitmap; inner nodes hold their children with each
-// child's total and visible counts. Writers address the tree by total
-// rank, which the parent-pointer order treap answers, and mirror every
-// change into it along one root-to-leaf path; readers hold the old root
-// and never observe the change. Copying is per generation, not per write:
+// blocking writers. Leaves hold slots in document order — each names a
+// record and the instance's offset in it — with a visibility bitmap; inner
+// nodes hold their children with each child's total and visible counts.
+// Writers address the tree by total rank, which the order's extent treap
+// answers, and mirror every change into it along one root-to-leaf path;
+// readers hold the old root and never observe the change. Copying is per generation, not per write:
 // a node carries the buffer generation that made it, taking a snapshot
 // ends the generation, and a write copies only nodes of earlier
 // generations — a node the current generation already copied is updated in
-// place, as no snapshot can reach it. Nothing removes a record except
+// place, as no snapshot can reach it. Nothing removes a slot except
 // compaction, which rebuilds the tree, so nodes never underflow and never
 // merge. Every positional and visibility query, for the live buffer and
 // for snapshots, is answered here. Old snapshots are reclaimed by the
@@ -30,8 +31,8 @@ import (
 // is needed.
 
 const (
-	// leafCap is the number of records a leaf holds, one bit each in its
-	// visibility bitmap. A full leaf costs 9 B per record.
+	// leafCap is the number of slots a leaf holds, one bit each in its
+	// visibility bitmap. A full leaf costs 14 B per instance.
 	leafCap = 64
 	// fanout is the number of children an inner node holds. At 20k
 	// instances the tree is a root, one level of inner nodes and the
@@ -49,15 +50,22 @@ type mnode interface {
 	counts() (total, visible int)
 }
 
-// leaf holds up to leafCap consecutive records. Slots from n on are nil
-// and their bits clear.
+// leaf holds up to leafCap consecutive slots: slot i is instance offs[i]
+// of record recs[i]. Slots from n on are nil and zero, their bits clear.
 type leaf struct {
 	gen uint64 // the buffer generation that made the node
 	n   int
-	// vis has bit i set when recs[i] is visible (!Deleted), so descents by
-	// visible count never load a record.
+	// vis has bit i set when slot i is visible (its record is not
+	// deleted), so descents by visible count never load a record.
 	vis  uint64
-	recs [leafCap]*Char
+	recs [leafCap]*run
+	offs [leafCap]int32
+}
+
+// slot names one instance: its record and its offset in it.
+type slot struct {
+	r *run
+	i int
 }
 
 // inner holds up to fanout children of one height, each with the number
@@ -123,20 +131,28 @@ func (in *inner) child(k int) (int, int) {
 	return i, k
 }
 
-func visBit(ch *Char) uint64 {
-	if ch.Deleted {
+func visBit(r *run) uint64 {
+	if r.deleted() {
 		return 0
 	}
 	return 1
 }
 
-// insert returns the root of the tree under root with the m records
+// put sets slot i of l to s.
+func (l *leaf) put(i int, s slot) {
+	l.recs[i], l.offs[i] = s.r, int32(s.i)
+	l.vis = l.vis&^(1<<i) | visBit(s.r)<<i
+}
+
+func (l *leaf) slot(i int) slot { return slot{l.recs[i], int(l.offs[i])} }
+
+// insert returns the root of the tree under root with the m slots
 // at(0), ..., at(m-1) spliced in at total rank r, copying in generation gen
 // the nodes on the path that gen has not made. Each level hands the nodes
 // that replace its node to the level above, and while more than one comes
 // back from the top the root grows. An empty tree is an empty leaf, so Load
 // and compaction build a whole tree through the same splice.
-func insert(gen uint64, root mnode, r, m int, at func(i int) *Char) mnode {
+func insert(gen uint64, root mnode, r, m int, at func(i int) slot) mnode {
 	if m == 0 {
 		return root
 	}
@@ -168,31 +184,30 @@ func insert(gen uint64, root mnode, r, m int, at func(i int) *Char) mnode {
 	return nodes[0]
 }
 
-// splice inserts the m records at(0), ..., at(m-1) at rank r and appends
+// splice inserts the m slots at(0), ..., at(m-1) at rank r and appends
 // the nodes that replace l to out: l itself or its copy when they fit,
-// else balanced leaves cut from its records and the new ones.
-func (l *leaf) splice(gen uint64, r, m int, at func(i int) *Char, out []mnode) []mnode {
+// else balanced leaves cut from its slots and the new ones.
+func (l *leaf) splice(gen uint64, r, m int, at func(i int) slot, out []mnode) []mnode {
 	if l.n+m > leafCap {
-		return appendLeaves(gen, out, l.n+m, func(i int) *Char {
+		return appendLeaves(gen, out, l.n+m, func(i int) slot {
 			switch {
 			case i < r:
-				return l.recs[i]
+				return l.slot(i)
 			case i < r+m:
 				return at(i - r)
 			default:
-				return l.recs[i-m]
+				return l.slot(i - m)
 			}
 		})
 	}
 	c := l.own(gen)
 	copy(c.recs[r+m:c.n+m], c.recs[r:c.n])
-	vis := (c.vis & (1<<r - 1)) | (c.vis >> r << (r + m))
+	copy(c.offs[r+m:c.n+m], c.offs[r:c.n])
+	c.vis = (c.vis & (1<<r - 1)) | (c.vis >> r << (r + m))
 	for i := 0; i < m; i++ {
-		ch := at(i)
-		c.recs[r+i] = ch
-		vis |= visBit(ch) << (r + i)
+		c.put(r+i, at(i))
 	}
-	c.n, c.vis = c.n+m, vis
+	c.n += m
 	return append(out, c)
 }
 
@@ -228,15 +243,13 @@ func cut(m, size int, fn func(lo, hi int)) {
 	}
 }
 
-// appendLeaves cuts the m records at(0), ..., at(m-1) into balanced leaves
+// appendLeaves cuts the m slots at(0), ..., at(m-1) into balanced leaves
 // made in gen and appends them to out.
-func appendLeaves(gen uint64, out []mnode, m int, at func(i int) *Char) []mnode {
+func appendLeaves(gen uint64, out []mnode, m int, at func(i int) slot) []mnode {
 	cut(m, leafCap, func(lo, hi int) {
 		l := &leaf{gen: gen, n: hi - lo}
-		for i := range l.recs[:l.n] {
-			ch := at(lo + i)
-			l.recs[i] = ch
-			l.vis |= visBit(ch) << i
+		for i := 0; i < l.n; i++ {
+			l.put(i, at(lo+i))
 		}
 		out = append(out, l)
 	})
@@ -256,30 +269,51 @@ func appendInners(gen uint64, out, kids []mnode) []mnode {
 	return out
 }
 
-// set returns n with the record at total rank k replaced by ch (and with
-// it the visibility), copying in generation gen the nodes on the path
-// that gen has not made.
-func set(gen uint64, n mnode, k int, ch *Char) mnode {
+// setRange returns n with the m slots from total rank k on replaced by
+// at(from), ..., at(from+m-1) (and with them the visibility), copying in
+// generation gen the nodes on the paths that gen has not made.
+func setRange(gen uint64, n mnode, k, m int, at func(i int) slot, from int) mnode {
 	if l, ok := n.(*leaf); ok {
 		c := l.own(gen)
-		c.recs[k] = ch
-		c.vis = c.vis&^(1<<k) | visBit(ch)<<k
+		for i := 0; i < m; i++ {
+			c.put(k+i, at(from+i))
+		}
 		return c
 	}
-	in := n.(*inner)
-	i, k := in.child(k)
-	c := in.own(gen)
-	c.put(i, set(gen, in.kids[i], k, ch))
+	c := n.(*inner).own(gen)
+	for i := 0; i < c.n && m > 0; i++ {
+		t := int(c.total[i])
+		if k >= t {
+			k -= t
+			continue
+		}
+		take := min(m, t-k)
+		c.put(i, setRange(gen, c.kids[i], k, take, at, from))
+		from, m, k = from+take, m-take, 0
+	}
 	return c
 }
 
-// walk visits every record under n in order, with its visibility, until
-// fn returns false.
-func walk(n mnode, fn func(ch *Char, visible bool) bool) bool {
+// slotAt returns the slot at total rank k under n, which must hold it.
+func slotAt(n mnode, k int) slot {
+	for {
+		if l, ok := n.(*leaf); ok {
+			return l.slot(k)
+		}
+		in := n.(*inner)
+		var i int
+		i, k = in.child(k)
+		n = in.kids[i]
+	}
+}
+
+// walk visits every slot under n in order, with its visibility, until fn
+// returns false.
+func walk(n mnode, fn func(s slot, visible bool) bool) bool {
 	switch t := n.(type) {
 	case *leaf:
-		for i, ch := range t.recs[:t.n] {
-			if !fn(ch, t.vis>>i&1 != 0) {
+		for i := 0; i < t.n; i++ {
+			if !fn(t.slot(i), t.vis>>i&1 != 0) {
 				return false
 			}
 		}
@@ -293,17 +327,17 @@ func walk(n mnode, fn func(ch *Char, visible bool) bool) bool {
 	return true
 }
 
-// walkVisibleFrom visits the visible records under n in order, starting
+// walkVisibleFrom visits the visible slots under n in order, starting
 // with the one at visible rank skip, until fn returns false. It descends
 // by visible counts — children that hold nothing to visit are never
 // entered — so reading k characters at any position costs O(log n + k).
-func walkVisibleFrom(n mnode, skip int, fn func(ch *Char) bool) bool {
+func walkVisibleFrom(n mnode, skip int, fn func(s slot) bool) bool {
 	switch t := n.(type) {
 	case *leaf:
 		for b := t.vis; b != 0; b &= b - 1 {
 			if skip > 0 {
 				skip--
-			} else if !fn(t.recs[bits.TrailingZeros64(b)]) {
+			} else if !fn(t.slot(bits.TrailingZeros64(b))) {
 				return false
 			}
 		}
@@ -342,8 +376,9 @@ func visibleBefore(n mnode, k int) int {
 
 // checkTree verifies the mirror's structure under root: every leaf at
 // one depth, no node over capacity, no empty node but an empty root leaf,
-// each cached count the sum of what the child holds, each bitmap bit
-// !Deleted of its record, and every slot past a node's end clear.
+// each cached count the sum of what the child holds, each slot inside its
+// record, each bitmap bit !Deleted of its record, and every slot past a
+// node's end clear.
 func checkTree(root mnode) error {
 	leafDepth := -1
 	var check func(n mnode, depth int) (total, visible int, err error)
@@ -361,15 +396,17 @@ func checkTree(root mnode) error {
 			case t.n == 0 && depth > 0:
 				return 0, 0, fmt.Errorf("texttree: empty mirror leaf at depth %d", depth)
 			}
-			for i, ch := range t.recs {
-				bit := t.vis>>i&1 != 0
+			for i, r := range t.recs {
+				bit, off := t.vis>>i&1 != 0, int(t.offs[i])
 				switch {
-				case i >= t.n && (ch != nil || bit):
+				case i >= t.n && (r != nil || off != 0 || bit):
 					return 0, 0, fmt.Errorf("texttree: mirror leaf of %d uses slot %d", t.n, i)
-				case i < t.n && ch == nil:
-					return 0, 0, fmt.Errorf("texttree: mirror leaf slot %d without char", i)
-				case i < t.n && bit != !ch.Deleted:
-					return 0, 0, fmt.Errorf("texttree: mirror visibility of %v disagrees with char state", ch.ID)
+				case i < t.n && r == nil:
+					return 0, 0, fmt.Errorf("texttree: mirror leaf slot %d without record", i)
+				case i < t.n && (off < 0 || off >= r.len()):
+					return 0, 0, fmt.Errorf("texttree: mirror slot names instance %d of a record of %d", off, r.len())
+				case i < t.n && bit != !r.deleted():
+					return 0, 0, fmt.Errorf("texttree: mirror visibility of %v disagrees with its record", r.id(off))
 				}
 			}
 			total, visible = t.counts()
@@ -448,31 +485,68 @@ func (v *view) Archive() *Archive {
 }
 
 // Walk visits every hot character instance in order (tombstones included)
-// until fn returns false. On a snapshot the Char is the frozen record of
-// its version; on the live buffer it must not be mutated.
+// until fn returns false. The Char is filled from the instance's record
+// into one value the walk reuses: it is valid only during the call, and
+// must not be mutated.
 func (v *view) Walk(fn func(ch *Char, visible bool) bool) {
-	walk(v.root, fn)
+	var c Char
+	var last *run
+	walk(v.root, func(s slot, visible bool) bool {
+		fillNext(&c, &last, s)
+		return fn(&c, visible)
+	})
 }
 
-// WalkVisible visits visible characters in order until fn returns false.
+// fillNext sets *c to the instance s names; *last is the record c was
+// filled from before, whose shared fields need no rewriting.
+func fillNext(c *Char, last **run, s slot) {
+	if s.r == *last {
+		s.r.fillOwn(c, s.i)
+		return
+	}
+	s.r.fill(c, s.i)
+	*last = s.r
+}
+
+// WalkVisible visits visible characters in order until fn returns false,
+// with a Char valid only during the call (see Walk).
 func (v *view) WalkVisible(fn func(ch *Char) bool) {
-	walkVisibleFrom(v.root, 0, fn)
+	v.walkVisible(0, v.Len(), fn)
 }
 
 // WalkVisibleFrom visits up to n visible characters in order, starting
-// with the one at position pos. A range reaching before the first or past
-// the last character is clipped. The cost is O(log n + visited) wherever
-// pos lies: the walk descends to pos by visible count instead of scanning
-// from the head.
+// with the one at position pos, with a Char valid only during the call
+// (see Walk). A range reaching before the first or past the last character
+// is clipped. The cost is O(log n + visited) wherever pos lies: the walk
+// descends to pos by visible count instead of scanning from the head.
 func (v *view) WalkVisibleFrom(pos, n int, fn func(ch *Char)) {
+	v.walkVisible(pos, n, func(ch *Char) bool {
+		fn(ch)
+		return true
+	})
+}
+
+// walkVisible is WalkVisibleFrom with a visitor that can stop the walk.
+func (v *view) walkVisible(pos, n int, fn func(ch *Char) bool) {
+	var c Char
+	var last *run
+	v.slotsVisible(pos, n, func(s slot) bool {
+		fillNext(&c, &last, s)
+		return fn(&c)
+	})
+}
+
+// slotsVisible visits the slots of up to n visible characters from
+// position pos on, clipped as WalkVisibleFrom clips, until fn returns
+// false.
+func (v *view) slotsVisible(pos, n int, fn func(s slot) bool) {
 	pos, n = v.window(pos, n)
 	if n <= 0 {
 		return
 	}
-	walkVisibleFrom(v.root, pos, func(ch *Char) bool {
-		fn(ch)
+	walkVisibleFrom(v.root, pos, func(s slot) bool {
 		n--
-		return n > 0
+		return fn(s) && n > 0
 	})
 }
 
@@ -487,15 +561,7 @@ func (v *view) window(pos, n int) (int, int) {
 }
 
 // Text renders the visible text.
-func (v *view) Text() string {
-	var sb strings.Builder
-	sb.Grow(v.Len())
-	v.WalkVisible(func(ch *Char) bool {
-		sb.WriteRune(ch.Rune)
-		return true
-	})
-	return sb.String()
-}
+func (v *view) Text() string { return v.Slice(0, v.Len()) }
 
 // TextAt reconstructs the text as it was at instant t (time travel):
 // characters created at or before t and not deleted at t, in document order.
@@ -522,20 +588,22 @@ func (v *view) TextAt(t time.Time) string {
 
 // Slice returns up to n visible characters starting at pos.
 func (v *view) Slice(pos, n int) string {
-	pos, n = v.window(pos, n)
-	if n <= 0 {
-		return ""
-	}
 	var sb strings.Builder
-	sb.Grow(n)
-	v.WalkVisibleFrom(pos, n, func(ch *Char) { sb.WriteRune(ch.Rune) })
+	if _, w := v.window(pos, n); w > 0 {
+		sb.Grow(w)
+	}
+	v.slotsVisible(pos, n, func(s slot) bool {
+		sb.WriteRune(s.r.runes[s.i])
+		return true
+	})
 	return sb.String()
 }
 
-// charAt returns the record of the visible character at pos, or nil.
-func (v *view) charAt(pos int) *Char {
+// slotVisible returns the slot of the visible character at pos; ok is
+// false out of range.
+func (v *view) slotVisible(pos int) (s slot, ok bool) {
 	if pos < 0 || pos >= v.Len() {
-		return nil
+		return slot{}, false
 	}
 	for n := v.root; ; {
 		if l, ok := n.(*leaf); ok {
@@ -543,7 +611,7 @@ func (v *view) charAt(pos int) *Char {
 			for ; pos > 0; pos-- {
 				b &= b - 1
 			}
-			return l.recs[bits.TrailingZeros64(b)]
+			return l.slot(bits.TrailingZeros64(b)), true
 		}
 		in := n.(*inner)
 		i := 0
@@ -554,42 +622,42 @@ func (v *view) charAt(pos int) *Char {
 	}
 }
 
-// CharAt returns a copy of the record of the visible character at pos.
+// CharAt returns the record of the visible character at pos.
 func (v *view) CharAt(pos int) (Char, bool) {
-	if ch := v.charAt(pos); ch != nil {
-		return *ch, true
+	s, ok := v.slotVisible(pos)
+	if !ok {
+		return Char{}, false
 	}
-	return Char{}, false
+	var c Char
+	s.r.fill(&c, s.i)
+	return c, true
 }
 
 // IDAt returns the ID of the visible character at position pos.
 func (v *view) IDAt(pos int) (util.ID, bool) {
-	if ch := v.charAt(pos); ch != nil {
-		return ch.ID, true
+	s, ok := v.slotVisible(pos)
+	if !ok {
+		return util.NilID, false
 	}
-	return util.NilID, false
+	return s.r.id(s.i), true
 }
 
 // RangeIDs returns the IDs of visible characters in [pos, pos+n).
 func (v *view) RangeIDs(pos, n int) []util.ID {
-	pos, n = v.window(pos, n)
-	if n <= 0 {
+	_, w := v.window(pos, n)
+	if w <= 0 {
 		return nil
 	}
-	out := make([]util.ID, 0, n)
-	v.WalkVisibleFrom(pos, n, func(ch *Char) { out = append(out, ch.ID) })
-	return out
-}
-
-// VisibleIDs returns the IDs of all visible characters in order.
-func (v *view) VisibleIDs() []util.ID {
-	out := make([]util.ID, 0, v.Len())
-	v.WalkVisible(func(ch *Char) bool {
-		out = append(out, ch.ID)
+	out := make([]util.ID, 0, w)
+	v.slotsVisible(pos, n, func(s slot) bool {
+		out = append(out, s.r.id(s.i))
 		return true
 	})
 	return out
 }
+
+// VisibleIDs returns the IDs of all visible characters in order.
+func (v *view) VisibleIDs() []util.ID { return v.RangeIDs(0, v.Len()) }
 
 // AllChars returns a copy of every hot character instance in document order
 // (warm tombstones included, archived instances excluded): the persistent
@@ -662,32 +730,51 @@ type Anchor struct {
 }
 
 // Resolve locates every id in one in-order walk of the frozen mirror,
-// which stops as soon as each wanted hot instance has been met. A
-// tombstone's Rank is where its text would resume. An archived instance
-// resolves through its run's anchor: no visible character lives inside an
-// archive run, so its text resumes right after the anchor (the anchor's
-// Rank, +1 if the anchor is visible; 0 for a run at the head). An id the
-// snapshot has never seen (inserted after it was taken) is not Known.
+// which stops as soon as each wanted hot instance has been met. A leaf
+// whose records hold none of the wanted IDs in their ID ranges is passed
+// by its visible count alone. A tombstone's Rank is where its text would
+// resume. An archived instance resolves through its run's anchor: no
+// visible character lives inside an archive run, so its text resumes right
+// after the anchor (the anchor's Rank, +1 if the anchor is visible; 0 for
+// a run at the head). An id the snapshot has never seen (inserted after it
+// was taken) is not Known.
 func (s *Snapshot) Resolve(ids []util.ID) []Anchor {
 	arch := s.Archive()
 	hot := make(map[util.ID]Anchor, len(ids))
+	want := make([]util.ID, 0, len(ids)) // the hot IDs to find, ascending
 	for _, id := range ids {
 		if anchor, ok := arch.AnchorOf(id); ok {
 			id = anchor
 		}
-		if !id.IsNil() {
+		if _, dup := hot[id]; !id.IsNil() && !dup {
 			hot[id] = Anchor{}
+			want = append(want, id)
 		}
 	}
-	left, rank := len(hot), 0
-	s.Walk(func(ch *Char, visible bool) bool {
-		if _, ok := hot[ch.ID]; ok {
-			hot[ch.ID] = Anchor{Rank: rank, Visible: visible, Known: true}
-			left--
+	slices.Sort(want)
+	wanted := func(r *run) bool {
+		i, _ := slices.BinarySearch(want, r.first)
+		return i < len(want) && want[i] <= r.last()
+	}
+	left, rank := len(want), 0
+	walkLeaves(s.root, func(l *leaf) bool {
+		var last *run
+		in := false
+		for i := 0; i < l.n && left > 0; i++ {
+			if r := l.recs[i]; r != last {
+				last, in = r, wanted(r)
+			}
+			if !in {
+				continue
+			}
+			id := last.id(int(l.offs[i]))
+			if _, ok := hot[id]; ok {
+				visible := l.vis>>i&1 != 0
+				hot[id] = Anchor{Rank: rank + bits.OnesCount64(l.vis&(1<<i-1)), Visible: visible, Known: true}
+				left--
+			}
 		}
-		if visible {
-			rank++
-		}
+		rank += bits.OnesCount64(l.vis)
 		return left > 0
 	})
 	out := make([]Anchor, len(ids))
@@ -710,21 +797,45 @@ func (s *Snapshot) Resolve(ids []util.ID) []Anchor {
 }
 
 // Char returns the frozen record of the instance with id, hot or
-// archived. A hot instance costs a walk of the mirror up to it.
+// archived. A hot instance costs a walk of the mirror up to it, which
+// tests each record's ID range once and fills no Char but the one found.
 func (s *Snapshot) Char(id util.ID) (Char, bool) {
 	if ch, ok := s.Archive().Char(id); ok {
 		return *ch, true
 	}
 	var ch Char
 	found := false
-	s.Walk(func(c *Char, _ bool) bool {
-		if c.ID != id {
-			return true
+	walkLeaves(s.root, func(l *leaf) bool {
+		var last *run
+		at := -1
+		for i := 0; i < l.n; i++ {
+			if r := l.recs[i]; r != last {
+				last, at = r, r.index(id)
+			}
+			if at >= 0 && int(l.offs[i]) == at {
+				last.fill(&ch, at)
+				found = true
+				return false
+			}
 		}
-		ch, found = *c, true
-		return false
+		return true
 	})
 	return ch, found
+}
+
+// walkLeaves visits the leaves under n in order until fn returns false.
+func walkLeaves(n mnode, fn func(l *leaf) bool) bool {
+	switch t := n.(type) {
+	case *leaf:
+		return fn(t)
+	case *inner:
+		for _, kid := range t.kids[:t.n] {
+			if !walkLeaves(kid, fn) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // CheckInvariants verifies the snapshot's internal consistency: the

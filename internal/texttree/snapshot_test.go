@@ -22,11 +22,11 @@ func TestSnapshotIsolationFromLaterWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.InsertAfter(prev, Char{ID: gen.Next(), Rune: '!', Author: "u2", Created: time.Unix(2, 0)}); err != nil {
+	if _, err := insertAfter(b, prev, Char{ID: gen.Next(), Rune: '!', Author: "u2", Created: time.Unix(2, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	id, _ := b.IDAt(0)
-	if err := b.Delete(id, "u2", time.Unix(3, 0)); err != nil {
+	if err := b.Delete([]util.ID{id}, "u2", time.Unix(3, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if s1.Text() != "hello" || s1.Len() != 5 || s1.TotalLen() != 5 {
@@ -60,7 +60,7 @@ func TestSnapshotIsolationFromLaterWrites(t *testing.T) {
 func TestSnapshotRanksAndRanges(t *testing.T) {
 	b, _ := bufWithText(t, "0123456789")
 	id3, _ := b.IDAt(3)
-	if err := b.Delete(id3, "u", time.Unix(5, 0)); err != nil {
+	if err := b.Delete([]util.ID{id3}, "u", time.Unix(5, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	s := b.Snapshot()
@@ -117,13 +117,13 @@ func TestSnapshotTimeTravelAgreement(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := rune('a' + rng.Intn(26))
-			if _, err := b.InsertAfter(prev, Char{ID: gen.Next(), Rune: r, Author: "u", Created: at}); err != nil {
+			if _, err := insertAfter(b, prev, Char{ID: gen.Next(), Rune: r, Author: "u", Created: at}); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			pos := rng.Intn(b.Len())
 			id, _ := b.IDAt(pos)
-			if err := b.Delete(id, "u", at); err != nil {
+			if err := b.Delete([]util.ID{id}, "u", at, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -171,13 +171,13 @@ func TestSnapshotRandomisedMatchesBuffer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := b.InsertAfter(prev, Char{ID: gen.Next(), Rune: rune('a' + rng.Intn(26)), Author: "u", Created: time.Unix(now, 0)}); err != nil {
+			if _, err := insertAfter(b, prev, Char{ID: gen.Next(), Rune: rune('a' + rng.Intn(26)), Author: "u", Created: time.Unix(now, 0)}); err != nil {
 				t.Fatal(err)
 			}
 		case r < 8:
 			pos := rng.Intn(b.Len())
 			id, _ := b.IDAt(pos)
-			if err := b.Delete(id, "u", time.Unix(now, 0)); err != nil {
+			if err := b.Delete([]util.ID{id}, "u", time.Unix(now, 0), nil); err != nil {
 				t.Fatal(err)
 			}
 			tombstones = append(tombstones, id)
@@ -187,7 +187,7 @@ func TestSnapshotRandomisedMatchesBuffer(t *testing.T) {
 			}
 			id := tombstones[len(tombstones)-1]
 			tombstones = tombstones[:len(tombstones)-1]
-			if err := b.Undelete(id, time.Unix(now, 0)); err != nil {
+			if err := b.Undelete([]util.ID{id}, time.Unix(now, 0), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -220,19 +220,19 @@ func TestBufferErrorPathsLeaveStateUnchanged(t *testing.T) {
 	b, _ := bufWithText(t, "abc")
 	v := b.Version()
 	id0, _ := b.IDAt(0)
-	if _, err := b.InsertAfter(util.NilID, Char{ID: id0, Rune: 'x'}); err == nil {
+	if _, err := insertAfter(b, util.NilID, Char{ID: id0, Rune: 'x'}); err == nil {
 		t.Fatal("duplicate insert succeeded")
 	}
-	if _, err := b.InsertAfter(util.ID(777), Char{ID: util.ID(888), Rune: 'x'}); err == nil {
+	if _, err := insertAfter(b, util.ID(777), Char{ID: util.ID(888), Rune: 'x'}); err == nil {
 		t.Fatal("insert after unknown predecessor succeeded")
 	}
 	if _, err := b.InsertRun(util.NilID, []Char{{ID: 888, Rune: 'x', Key: id0}, {ID: 889, Rune: 'y'}}); err == nil {
 		t.Fatal("insert keyed behind the anchor's first child succeeded")
 	}
-	if err := b.Delete(util.ID(777), "u", time.Unix(9, 0)); err == nil {
+	if err := b.Delete([]util.ID{util.ID(777)}, "u", time.Unix(9, 0), nil); err == nil {
 		t.Fatal("delete of unknown id succeeded")
 	}
-	if err := b.Undelete(util.ID(777), time.Unix(9, 0)); err == nil {
+	if err := b.Undelete([]util.ID{util.ID(777)}, time.Unix(9, 0), nil); err == nil {
 		t.Fatal("undelete of unknown id succeeded")
 	}
 	if b.Version() != v {
@@ -247,15 +247,16 @@ func TestBufferErrorPathsLeaveStateUnchanged(t *testing.T) {
 }
 
 // TestMirrorNodesFitSizeClass: each mirror node must stay inside the
-// allocation size class it is built for — a leaf in the 576 B class (9 B
-// per record when full), an inner node in the 896 B class — or every
-// instance's heap, and every copy a key makes, grows with it.
+// allocation size class it is built for — a leaf, whose slots name a
+// record and an offset, in the 896 B class (14 B per instance when full),
+// an inner node in the 896 B class — or every instance's heap, and every
+// copy a key makes, grows with it.
 func TestMirrorNodesFitSizeClass(t *testing.T) {
 	for _, c := range []struct {
 		name        string
 		size, class uintptr
 	}{
-		{"leaf", unsafe.Sizeof(leaf{}), 576},
+		{"leaf", unsafe.Sizeof(leaf{}), 896},
 		{"inner", unsafe.Sizeof(inner{}), 896},
 	} {
 		if c.size > c.class {
@@ -268,12 +269,15 @@ func TestMirrorNodesFitSizeClass(t *testing.T) {
 // right after a snapshot into a 40k-instance buffer. Copying every treap
 // path a splice walked anew cost 94 allocations; copying each treap node
 // at most once per generation, 23. The B+-tree mirror copies one leaf
-// (two when the key splits it) and the two inner nodes above it: 6.
+// (two when the key splits it) and the two inner nodes above it: 6 with a
+// record and a treap node per key. A record of one, and extents taken
+// from blocks for the two the key cuts its run into, make it 5; the limit
+// is that plus 10 %.
 func TestOneKeyInsertCopiesOnePath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")
 	}
-	const n, limit = 40000, 8
+	const n, limit = 40000, 5.5
 	created := time.Unix(1, 0)
 	rows := make([]Char, n)
 	for i := range rows {
@@ -287,10 +291,12 @@ func TestOneKeyInsertCopiesOnePath(t *testing.T) {
 	}
 	rng := util.NewRand(7)
 	next := util.ID(n + 1)
+	key := make([]Char, 1)
 	allocs := testing.AllocsPerRun(200, func() {
 		b.Snapshot()
 		prev := util.ID(1 + rng.Intn(n))
-		if _, err := b.InsertAfter(prev, Char{ID: next, Rune: 'k', Author: "bob", Created: created}); err != nil {
+		key[0] = Char{ID: next, Rune: 'k', Author: "bob", Created: created}
+		if _, err := b.InsertRun(prev, key); err != nil {
 			t.Fatal(err)
 		}
 		next++
@@ -300,16 +306,16 @@ func TestOneKeyInsertCopiesOnePath(t *testing.T) {
 	}
 	t.Logf("%.1f allocations per key typed after a snapshot", allocs)
 	if allocs > limit {
-		t.Fatalf("one key after a snapshot allocated %.1f times, limit %d", allocs, limit)
+		t.Fatalf("one key after a snapshot allocated %.1f times, limit %.1f", allocs, limit)
 	}
 }
 
 func TestSnapshotLoadBuildsMirror(t *testing.T) {
 	b, gen := bufWithText(t, "persistent mirror")
 	id, _ := b.IDAt(4)
-	b.Delete(id, "u", time.Unix(5, 0))
+	b.Delete([]util.ID{id}, "u", time.Unix(5, 0), nil)
 	prev, _ := b.PredecessorForInsert(0)
-	b.InsertAfter(prev, Char{ID: gen.Next(), Rune: '>', Author: "u", Created: time.Unix(6, 0)})
+	insertAfter(b, prev, Char{ID: gen.Next(), Rune: '>', Author: "u", Created: time.Unix(6, 0)})
 
 	b2, err := Load(b.AllChars())
 	if err != nil {

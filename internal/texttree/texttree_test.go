@@ -10,6 +10,27 @@ import (
 	"tendax/internal/util"
 )
 
+// insertAfter inserts ch alone right after prev (NilID = the front): a run
+// of one.
+func insertAfter(b *Buffer, prev util.ID, ch Char) (util.ID, error) {
+	return b.InsertRun(prev, []Char{ch})
+}
+
+// compact plans and applies one compaction pass, as core does around its
+// transaction, and returns the number of instances archived.
+func compact(b *Buffer, horizon time.Time) int {
+	plan := b.PlanCompaction(horizon)
+	if plan == nil {
+		return 0
+	}
+	n := 0
+	for _, r := range plan.Runs {
+		n += len(r.Chars)
+	}
+	b.ApplyCompaction(plan)
+	return n
+}
+
 func bufWithText(t *testing.T, text string) (*Buffer, *util.IDGen) {
 	t.Helper()
 	b := NewBuffer()
@@ -17,7 +38,7 @@ func bufWithText(t *testing.T, text string) (*Buffer, *util.IDGen) {
 	prev := util.NilID
 	for _, r := range text {
 		id := gen.Next()
-		if _, err := b.InsertAfter(prev, Char{ID: id, Rune: r, Author: "u1", Created: time.Unix(1, 0)}); err != nil {
+		if _, err := insertAfter(b, prev, Char{ID: id, Rune: r, Author: "u1", Created: time.Unix(1, 0)}); err != nil {
 			t.Fatal(err)
 		}
 		prev = id
@@ -45,7 +66,7 @@ func TestBufferInsertMiddleViaPredecessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.InsertAfter(prev, Char{ID: gen.Next(), Rune: 'l', Author: "u2", Created: time.Unix(2, 0)}); err != nil {
+	if _, err := insertAfter(b, prev, Char{ID: gen.Next(), Rune: 'l', Author: "u2", Created: time.Unix(2, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if b.Text() != "helld" {
@@ -59,7 +80,7 @@ func TestBufferInsertMiddleViaPredecessor(t *testing.T) {
 func TestBufferDeleteUndelete(t *testing.T) {
 	b, _ := bufWithText(t, "abcdef")
 	id, _ := b.IDAt(2) // 'c'
-	if err := b.Delete(id, "u2", time.Unix(5, 0)); err != nil {
+	if err := b.Delete([]util.ID{id}, "u2", time.Unix(5, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if b.Text() != "abdef" {
@@ -68,7 +89,7 @@ func TestBufferDeleteUndelete(t *testing.T) {
 	if b.TotalLen() != 6 {
 		t.Fatal("tombstone was physically removed")
 	}
-	if err := b.Undelete(id, time.Unix(9, 0)); err != nil {
+	if err := b.Undelete([]util.ID{id}, time.Unix(9, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if b.Text() != "abcdef" {
@@ -82,10 +103,10 @@ func TestBufferDeleteUndelete(t *testing.T) {
 func TestBufferDeleteIsIdempotent(t *testing.T) {
 	b, _ := bufWithText(t, "ab")
 	id, _ := b.IDAt(0)
-	if err := b.Delete(id, "u1", time.Unix(2, 0)); err != nil {
+	if err := b.Delete([]util.ID{id}, "u1", time.Unix(2, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Delete(id, "u2", time.Unix(3, 0)); err != nil {
+	if err := b.Delete([]util.ID{id}, "u2", time.Unix(3, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	ch, _ := b.Char(id)
@@ -97,11 +118,11 @@ func TestBufferDeleteIsIdempotent(t *testing.T) {
 func TestBufferInsertAfterTombstone(t *testing.T) {
 	b, gen := bufWithText(t, "ab")
 	id0, _ := b.IDAt(0)
-	if err := b.Delete(id0, "u1", time.Unix(2, 0)); err != nil {
+	if err := b.Delete([]util.ID{id0}, "u1", time.Unix(2, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Chain insert directly after the tombstone.
-	if _, err := b.InsertAfter(id0, Char{ID: gen.Next(), Rune: 'X', Author: "u1", Created: time.Unix(3, 0)}); err != nil {
+	if _, err := insertAfter(b, id0, Char{ID: gen.Next(), Rune: 'X', Author: "u1", Created: time.Unix(3, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if b.Text() != "Xb" {
@@ -120,13 +141,13 @@ func TestBufferTextAtTimeTravel(t *testing.T) {
 	ids := make([]util.ID, 5)
 	for i, r := range "abcde" {
 		ids[i] = gen.Next()
-		b.InsertAfter(prev, Char{ID: ids[i], Rune: r, Author: "u1", Created: time.Unix(int64(i+1), 0)})
+		insertAfter(b, prev, Char{ID: ids[i], Rune: r, Author: "u1", Created: time.Unix(int64(i+1), 0)})
 		prev = ids[i]
 	}
 	// t=10: delete 'b'.
-	b.Delete(ids[1], "u1", time.Unix(10, 0))
+	b.Delete([]util.ID{ids[1]}, "u1", time.Unix(10, 0), nil)
 	// t=12: insert 'X' after 'c'.
-	b.InsertAfter(ids[2], Char{ID: gen.Next(), Rune: 'X', Author: "u2", Created: time.Unix(12, 0)})
+	insertAfter(b, ids[2], Char{ID: gen.Next(), Rune: 'X', Author: "u2", Created: time.Unix(12, 0)})
 
 	cases := []struct {
 		at   int64
@@ -154,9 +175,9 @@ func TestBufferTextAtTimeTravel(t *testing.T) {
 func TestBufferLoadRoundTrip(t *testing.T) {
 	b, gen := bufWithText(t, "persistent text")
 	id, _ := b.IDAt(3)
-	b.Delete(id, "u1", time.Unix(9, 0))
+	b.Delete([]util.ID{id}, "u1", time.Unix(9, 0), nil)
 	prev, _ := b.PredecessorForInsert(0)
-	b.InsertAfter(prev, Char{ID: gen.Next(), Rune: '>', Author: "u2", Created: time.Unix(10, 0)})
+	insertAfter(b, prev, Char{ID: gen.Next(), Rune: '>', Author: "u2", Created: time.Unix(10, 0)})
 
 	rows := b.AllChars()
 	// Shuffle rows to prove Load does not depend on row order.
@@ -243,7 +264,7 @@ func TestBufferRandomisedAgainstReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := b.InsertAfter(prev, Char{ID: gen.Next(), Rune: r, Author: "u", Created: time.Unix(now, 0)}); err != nil {
+			if _, err := insertAfter(b, prev, Char{ID: gen.Next(), Rune: r, Author: "u", Created: time.Unix(now, 0)}); err != nil {
 				t.Fatal(err)
 			}
 			ref = append(ref[:pos], append([]rune{r}, ref[pos:]...)...)
@@ -253,7 +274,7 @@ func TestBufferRandomisedAgainstReference(t *testing.T) {
 			if !ok {
 				t.Fatalf("step %d: IDAt(%d) failed", step, pos)
 			}
-			if err := b.Delete(id, "u", time.Unix(now, 0)); err != nil {
+			if err := b.Delete([]util.ID{id}, "u", time.Unix(now, 0), nil); err != nil {
 				t.Fatal(err)
 			}
 			ref = append(ref[:pos], ref[pos+1:]...)

@@ -87,6 +87,18 @@ func (g *IDGen) Next() ID {
 	return ID(g.offset + 1 + (k-1)*g.strideOr1())
 }
 
+// NextN reserves n IDs with one atomic add and returns the first; the
+// others follow it Stride apart, in the generator's residue class, and no
+// other Next or NextN call returns any of them. n must be at least 1.
+func (g *IDGen) NextN(n int) ID {
+	k := g.count.Add(uint64(n)) - uint64(n) + 1
+	return ID(g.offset + 1 + (k-1)*g.strideOr1())
+}
+
+// Stride returns the distance between two successive IDs of the
+// generator: 1 unless SetStride partitioned it.
+func (g *IDGen) Stride() uint64 { return g.strideOr1() }
+
 // Seed advances the generator so that subsequent IDs are strictly greater
 // than floor. It is used when reloading persisted state so new allocations
 // do not collide with stored IDs. The generator stays on its residue class:

@@ -122,6 +122,88 @@ func TestIDGenStrideOneIsDense(t *testing.T) {
 	}
 }
 
+// TestIDGenNextN pins one reservation per run on a dense and a strided
+// generator: NextN(n) returns the first of n IDs Stride apart on the
+// generator's residue class, the next ID follows the last of them, and a
+// reservation interleaved with Next calls is disjoint from them.
+func TestIDGenNextN(t *testing.T) {
+	for _, c := range []struct{ offset, stride uint64 }{{0, 1}, {2, 5}} {
+		var g IDGen
+		g.SetStride(c.offset, c.stride)
+		if got := g.Stride(); got != c.stride {
+			t.Fatalf("Stride() = %d, want %d", got, c.stride)
+		}
+		a := g.Next()
+		first := g.NextN(4)
+		b := g.Next()
+		step := ID(c.stride)
+		if first != a+step || b != first+4*step {
+			t.Fatalf("stride %d: Next %v, NextN(4) %v, Next %v", c.stride, a, first, b)
+		}
+		if uint64(first-1)%c.stride != c.offset {
+			t.Fatalf("stride %d: NextN left residue %d: %v", c.stride, c.offset, first)
+		}
+	}
+}
+
+// TestIDGenNextNConcurrent runs 8 goroutines mixing Next and NextN on one
+// strided generator: every ID of every progression is on the residue and
+// no ID is handed out twice.
+func TestIDGenNextNConcurrent(t *testing.T) {
+	var g IDGen
+	g.SetStride(1, 3)
+	const goroutines, per = 8, 500
+	var mu sync.Mutex
+	seen := make(map[ID]bool)
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var mine []ID
+			for i := 0; i < per; i++ {
+				if (i+w)%3 == 0 {
+					mine = append(mine, g.Next())
+					continue
+				}
+				n := 1 + (i+w)%7
+				first := g.NextN(n)
+				for k := 0; k < n; k++ {
+					mine = append(mine, first+ID(k*3))
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, id := range mine {
+				if seen[id] || uint64(id-1)%3 != 1 {
+					t.Errorf("id %v handed out twice or off its residue", id)
+				}
+				seen[id] = true
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestIDGenNextNSeed: Seed lifts Next and NextN alike above the floor.
+func TestIDGenNextNSeed(t *testing.T) {
+	for _, stride := range []uint64{1, 4} {
+		var g IDGen
+		g.SetStride(0, stride)
+		g.NextN(3)
+		g.Seed(1000)
+		if first := g.NextN(5); first <= 1000 {
+			t.Fatalf("stride %d: NextN after Seed(1000) = %v", stride, first)
+		}
+		var h IDGen
+		h.SetStride(0, stride)
+		h.Seed(1000)
+		if id := h.Next(); id <= 1000 {
+			t.Fatalf("stride %d: Next after Seed(1000) = %v", stride, id)
+		}
+	}
+}
+
 func TestIDBytesRoundTripAndOrder(t *testing.T) {
 	f := func(a, b uint64) bool {
 		ida, idb := ID(a), ID(b)
