@@ -180,6 +180,37 @@ func (t *Tree[V]) Max() []byte {
 	return nil
 }
 
+// Floor returns the greatest key at or below key and its value; ok is
+// false if every key is above key. Like Max it steps left past leaves that
+// deletions emptied. The key returned stays valid until the tree's next
+// write.
+func (t *Tree[V]) Floor(key []byte) (k []byte, v V, ok bool) {
+	return t.root.floor(key)
+}
+
+// floor is Floor in the subtree rooted at n.
+func (n *node[V]) floor(key []byte) ([]byte, V, bool) {
+	if n.leaf {
+		i, found := n.search(key)
+		if !found {
+			i--
+		}
+		if i < 0 {
+			var zero V
+			return nil, zero, false
+		}
+		return n.key(i), n.vals[i], true
+	}
+	// Every child left of key's holds only keys below it.
+	for c := childIndex(n.keys, key); c >= 0; c-- {
+		if k, v, ok := n.children[c].floor(key); ok {
+			return k, v, true
+		}
+	}
+	var zero V
+	return nil, zero, false
+}
+
 // max returns the largest key in the subtree rooted at n, or nil.
 func (n *node[V]) max() []byte {
 	if n.leaf {

@@ -169,6 +169,25 @@ func (md *treeModel) get(k []byte) {
 	}
 }
 
+// floor checks Floor(k) against the model's greatest key at or below k.
+func (md *treeModel) floor(k []byte) {
+	keys := md.sorted()
+	i := sort.SearchStrings(keys, string(k))
+	if i == len(keys) || keys[i] != string(k) {
+		i--
+	}
+	got, v, ok := md.tr.Floor(k)
+	if i < 0 {
+		if ok {
+			md.t.Fatalf("Floor(%q) = %q, %d; model has no key at or below it", k, got, v)
+		}
+		return
+	}
+	if !ok || string(got) != keys[i] || v != md.m[keys[i]] {
+		md.t.Fatalf("Floor(%q) = %q, %d, %v; model %q, %d", k, got, v, ok, keys[i], md.m[keys[i]])
+	}
+}
+
 // sorted returns the model's keys in order: the keys of the last call
 // still in the model, merged with those put since.
 func (md *treeModel) sorted() []string {
@@ -258,7 +277,9 @@ func runTreeOps(t *testing.T, data []byte) {
 		case 1:
 			md.delete(fuzzKey(key[:0], p, shape, n))
 		case 2:
-			md.get(fuzzKey(key[:0], p, shape, n))
+			key = fuzzKey(key[:0], p, shape, n)
+			md.get(key)
+			md.floor(key)
 		case 3, 4: // an ascending or descending run of 16 to 4096 keys
 			count := 16 * (int(shape) + 1)
 			for i := 0; i < count && len(md.m) < maxEntries; i++ {
@@ -289,14 +310,17 @@ func runTreeOps(t *testing.T, data []byte) {
 			}
 			md.ascend(md.sorted(), from, to)
 		case 7:
-			md.get(fuzzKey(key[:0], p, shape, n))
+			key = fuzzKey(key[:0], p, shape, n)
+			md.get(key)
 			md.get(nil)
+			md.floor(key)
+			md.floor(nil)
 		}
 		md.check()
 	}
 }
 
-// FuzzTreeOps drives a tree with Put, Delete, Get, AscendRange, Min and Max
+// FuzzTreeOps drives a tree with Put, Delete, Get, Floor, AscendRange, Min and Max
 // against a sorted-map model, checking the tree's structure with checkTree
 // after every operation.
 func FuzzTreeOps(f *testing.F) {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -153,7 +155,6 @@ type batchState struct {
 	ops  []stagedOp
 
 	created    []*texttree.Char // new instances, creation order (final records)
-	recs       [][]byte         // their encoded chars rows
 	createdSet map[util.ID]*texttree.Char
 	updated    map[util.ID]*texttree.Char // existing instances with a flipped tombstone state
 	spans      []db.Row                   // span rows to insert
@@ -170,6 +171,7 @@ type batchState struct {
 	undo awareness.Event
 
 	arena charArena // backing store for per-batch character records
+	rows  rowBuf    // encodes and splits the batch's chars rows
 }
 
 // opFlag sets the undone flag of d.ops[i].
@@ -245,8 +247,9 @@ func (st *batchState) reset() {
 		st.created[i] = nil
 	}
 	st.created = st.created[:0]
-	clear(st.recs)
-	st.recs = st.recs[:0]
+	clear(st.rows.recs)
+	st.rows.recs = st.rows.recs[:0]
+	st.rows.enc = db.RowEncoder{}
 	clear(st.createdSet)
 	clear(st.updated)
 	for i := range st.spans {
@@ -618,32 +621,26 @@ func (d *Document) resolveInsertAnchorLocked(st *batchState, op EditOp, lastInse
 	}
 }
 
-// persistBatchLocked writes the staged batch inside one transaction: every new
-// or rehydrated character row in one batch insert (final tombstone state,
-// so each row is written exactly once even when a later op of the same
-// batch deleted it), tombstone flips of pre-existing rows, span rows and
-// span flags, the archive runs a rehydration shrinks, undone flags, one
-// log row per op, and, on the user's first edit, their name in the docs
-// row.
+// persistBatchLocked writes the staged batch inside one transaction: the
+// new and rehydrated instances as one chars row per run (final tombstone
+// state, so each row is written exactly once even when a later op of the
+// same batch deleted part of it), the rows holding pre-existing instances
+// whose tombstone state flipped, split where the flip ends inside them,
+// span rows and span flags, the archive runs a rehydration shrinks, undone
+// flags, one log row per op, and, on the user's first edit, their name in
+// the docs row.
 func (d *Document) persistBatchLocked(tx *txn.Txn, st *batchState) error {
-	enc := d.eng.tChars.Encoder(len(st.created) + len(st.updated))
-	st.recs = st.recs[:0] // a deadlock retry persists the batch again
-	for _, ch := range st.created {
-		rec, err := d.charRecord(&enc, ch)
-		if err != nil {
-			return err
-		}
-		st.recs = append(st.recs, rec)
-	}
-	if err := d.eng.tChars.InsertRecords(tx, st.recs...); err != nil {
+	st.rows.enc = d.eng.tChars.Encoder(1)
+	if err := d.insertRuns(tx, &st.rows, st.created); err != nil {
 		return err
 	}
-	for _, ch := range st.updated {
-		rec, err := d.charRecord(&enc, ch)
-		if err == nil {
-			err = d.eng.tChars.UpdateRecord(tx, rec)
+	if len(st.updated) > 0 {
+		changes := make([]rowChange, 0, len(st.updated))
+		for id, ch := range st.updated {
+			changes = append(changes, rowChange{id, ch})
 		}
-		if err != nil {
+		slices.SortFunc(changes, func(a, b rowChange) int { return cmp.Compare(a.id, b.id) })
+		if err := d.rewriteRuns(tx, &st.rows, changes); err != nil {
 			return err
 		}
 	}

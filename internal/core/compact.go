@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"log"
+	"slices"
 	"sort"
 	"time"
 
@@ -88,24 +90,19 @@ func (d *Document) compactLocked(horizon time.Time) (CompactStats, wal.LSN, erro
 				return err
 			}
 		}
+		// The cold instances leave the chars table and the re-anchored ones
+		// take their new After, each row rewritten once.
+		var changes []rowChange
 		for _, run := range plan.Runs {
 			for _, ch := range run.Chars {
-				if err := d.eng.tChars.DeleteByPK(tx, int64(ch.ID)); err != nil {
-					return err
-				}
+				changes = append(changes, rowChange{ch.ID, nil})
 			}
 		}
-		enc := d.eng.tChars.Encoder(len(plan.Reanchored))
-		for _, upd := range plan.Reanchored {
-			rec, err := d.charRecord(&enc, upd)
-			if err == nil {
-				err = d.eng.tChars.UpdateRecord(tx, rec)
-			}
-			if err != nil {
-				return err
-			}
+		for _, ch := range plan.Reanchored {
+			changes = append(changes, rowChange{ch.ID, ch})
 		}
-		return nil
+		slices.SortFunc(changes, func(a, b rowChange) int { return cmp.Compare(a.id, b.id) })
+		return d.rewriteRuns(tx, &rowBuf{enc: d.eng.tChars.Encoder(1)}, changes)
 	})
 	if err != nil {
 		return stats, 0, err

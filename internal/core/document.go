@@ -126,22 +126,26 @@ func commitLocked[T any](d *Document, user string, right Right, body func() (T, 
 	return v, nil
 }
 
-// load rebuilds the buffer from the chars table and the operation log
-// from the ops table.
+// load rebuilds the buffer from the chars table's runs and the operation
+// log from the ops table.
 func (d *Document) load() error {
 	rids, err := d.eng.tChars.LookupEq("doc", int64(d.id))
 	if err != nil {
 		return err
 	}
-	rows := make([]texttree.Char, 0, len(rids))
+	runs := make([]texttree.Run, 0, len(rids))
 	for _, rid := range rids {
 		row, err := d.eng.tChars.Get(nil, rid)
 		if err != nil {
 			return err
 		}
-		rows = append(rows, charFromRow(row))
+		run, _, err := runFromRow(row)
+		if err != nil {
+			return err
+		}
+		runs = append(runs, run)
 	}
-	buf, err := texttree.Load(rows)
+	buf, err := texttree.LoadRuns(runs)
 	if err != nil {
 		return fmt.Errorf("core: document %v: %w", d.id, err)
 	}
@@ -382,56 +386,6 @@ func charMetaOf(ch *texttree.Char) CharMeta {
 		Deleted: ch.Deleted, DeletedBy: ch.DeletedBy, DeletedAt: ch.DeletedAt,
 		Restored: ch.Restored, SourceDoc: ch.SourceDoc, SourceChar: ch.SourceChar,
 	}
-}
-
-// charRecord encodes ch's chars-table row with enc, a chars encoder.
-func (d *Document) charRecord(enc *db.RowEncoder, ch *texttree.Char) ([]byte, error) {
-	enc.Int(int64(ch.ID))
-	enc.Int(int64(d.id))
-	enc.Int(int64(ch.Rune))
-	enc.String(ch.Author)
-	enc.Time(ch.Created)
-	enc.Int(int64(ch.After))
-	enc.Int(int64(ch.Key))
-	enc.Bool(ch.Deleted)
-	enc.String(ch.DeletedBy)
-	enc.Time(nonZeroTime(ch.DeletedAt))
-	enc.Int(int64(ch.SourceDoc))
-	enc.Int(int64(ch.SourceChar))
-	enc.Time(nonZeroTime(ch.Restored))
-	return enc.End()
-}
-
-func charFromRow(row db.Row) texttree.Char {
-	return texttree.Char{
-		ID:         util.ID(row[0].(int64)),
-		Rune:       rune(row[2].(int64)),
-		Author:     row[3].(string),
-		Created:    row[4].(time.Time),
-		After:      util.ID(row[5].(int64)),
-		Key:        util.ID(row[6].(int64)),
-		Deleted:    row[7].(bool),
-		DeletedBy:  row[8].(string),
-		DeletedAt:  zeroableTime(row[9].(time.Time)),
-		SourceDoc:  util.ID(row[10].(int64)),
-		SourceChar: util.ID(row[11].(int64)),
-		Restored:   zeroableTime(row[12].(time.Time)),
-	}
-}
-
-// The row codec stores time as UnixNano; represent "no time" as Unix(0,0).
-func nonZeroTime(t time.Time) time.Time {
-	if t.IsZero() {
-		return time.Unix(0, 0).UTC()
-	}
-	return t
-}
-
-func zeroableTime(t time.Time) time.Time {
-	if t.Equal(time.Unix(0, 0).UTC()) {
-		return time.Time{}
-	}
-	return t
 }
 
 // addAuthorLocked appends user to the comma-separated authors column of the

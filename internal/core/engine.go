@@ -15,6 +15,7 @@ import (
 
 	"tendax/internal/awareness"
 	"tendax/internal/db"
+	"tendax/internal/texttree"
 	"tendax/internal/txn"
 	"tendax/internal/util"
 	"tendax/internal/wal"
@@ -90,20 +91,21 @@ var (
 		{Name: "state", Type: db.TString}, // draft | final | external
 		{Name: "authors", Type: db.TString},
 	}
+	// A chars row is one run of character instances (rows.go): the
+	// instances id, id+step, ..., one per rune of text.
 	charsSchema = db.Schema{
-		{Name: "id", Type: db.TInt},
+		{Name: "id", Type: db.TInt}, // the run's first instance
 		{Name: "doc", Type: db.TInt},
-		{Name: "r", Type: db.TInt},
+		{Name: "step", Type: db.TInt},  // between the run's IDs (0 for a run of one)
+		{Name: "after", Type: db.TInt}, // the instance the first was typed after (0 = front)
+		{Name: "key", Type: db.TInt},   // its order among the instances typed after the same one
+		{Name: "text", Type: db.TString},
 		{Name: "author", Type: db.TString},
 		{Name: "created", Type: db.TTime},
-		{Name: "after", Type: db.TInt}, // the instance it was typed after (0 = front)
-		{Name: "key", Type: db.TInt},   // its order among the instances typed after the same one
-		{Name: "deleted", Type: db.TBool},
-		{Name: "delby", Type: db.TString},
-		{Name: "delat", Type: db.TTime},
-		{Name: "srcdoc", Type: db.TInt},
-		{Name: "srcchar", Type: db.TInt},
-		{Name: "restored", Type: db.TTime}, // undelete instant (zero = never undeleted)
+		{Name: "del", Type: db.TBytes},   // deletion state, empty if never deleted (appendDel)
+		{Name: "srcdoc", Type: db.TInt},  // paste source document
+		{Name: "srcchar", Type: db.TInt}, // the first instance's source instance
+		{Name: "srcstep", Type: db.TInt}, // between the source instances
 	}
 	// Cold tombstones migrated out of the chars table by compaction live
 	// here as archive runs: binary-encoded character records packed into
@@ -224,6 +226,11 @@ func NewEngineShard(database *db.Database, clock util.Clock, shard, shards int) 
 		*t.dst = tbl
 		// Seed the ID generator above every persisted primary key.
 		e.ids.Seed(util.ID(tbl.MaxPK()))
+	}
+	// A chars row's key is its first instance: seed above the last
+	// instance of the newest run.
+	if run, _, err := e.runOf(nil, util.ID(e.tChars.MaxPK())); err == nil {
+		e.ids.Seed(run.Last())
 	}
 	return e, nil
 }
@@ -544,24 +551,31 @@ func (p *published) info() DocInfo {
 // store (tombstones included) until fn returns false. Lineage and mining
 // build their structures from this stream without opening documents.
 func (e *Engine) ScanCharMeta(fn func(doc util.ID, meta CharMeta) bool) error {
+	var chars []texttree.Char
 	return e.tChars.Scan(nil, func(_ db.RID, row db.Row) (bool, error) {
-		ch := charFromRow(row)
-		return fn(util.ID(row[1].(int64)), charMetaOf(&ch)), nil
+		run, doc, err := runFromRow(row)
+		if err != nil {
+			return false, err
+		}
+		chars = run.AppendChars(chars[:0])
+		for i := range chars {
+			if !fn(doc, charMetaOf(&chars[i])) {
+				return false, nil
+			}
+		}
+		return true, nil
 	})
 }
 
 // CharByID resolves one character instance anywhere in the store,
 // returning its document and metadata (provenance chain walking).
 func (e *Engine) CharByID(id util.ID) (util.ID, CharMeta, error) {
-	row, _, err := e.tChars.GetByPK(nil, int64(id))
-	if errors.Is(err, db.ErrNotFound) {
-		return util.NilID, CharMeta{}, fmt.Errorf("core: char %v not found", id)
-	}
+	run, doc, err := e.runOf(nil, id)
 	if err != nil {
 		return util.NilID, CharMeta{}, err
 	}
-	ch := charFromRow(row)
-	return util.ID(row[1].(int64)), charMetaOf(&ch), nil
+	chars := run.AppendChars(nil)
+	return doc, charMetaOf(&chars[run.Index(id)]), nil
 }
 
 // OpCountOf returns the number of logged operations on a document (an
@@ -572,23 +586,4 @@ func (e *Engine) OpCountOf(doc util.ID) int {
 		return 0
 	}
 	return len(rids)
-}
-
-// encodeIDs packs char IDs for the ops table payload.
-func encodeIDs(ids []util.ID) []byte {
-	out := make([]byte, 0, len(ids)*8)
-	for _, id := range ids {
-		out = append(out, id.Bytes()...)
-	}
-	return out
-}
-
-// decodeIDs unpacks an ops payload.
-func decodeIDs(b []byte) []util.ID {
-	out := make([]util.ID, 0, len(b)/8)
-	for len(b) >= 8 {
-		out = append(out, util.IDFromBytes(b[:8]))
-		b = b[8:]
-	}
-	return out
 }

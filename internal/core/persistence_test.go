@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -141,7 +142,10 @@ func TestEverythingSurvivesReopen(t *testing.T) {
 }
 
 // TestLargeOpChunkingRoundTrip covers operations whose char-ID payload
-// spills into continuation rows: they must reload and undo correctly.
+// spills into continuation rows: they must reload with their IDs in order
+// and undo correctly. A typed run's IDs are one stretch of a few bytes
+// however long it is, so the spilling op is a delete that lists the
+// run's instances in shuffled order, about four bytes per ID.
 func TestLargeOpChunkingRoundTrip(t *testing.T) {
 	database, err := db.Open(db.Options{})
 	if err != nil {
@@ -151,38 +155,59 @@ func TestLargeOpChunkingRoundTrip(t *testing.T) {
 	clock := util.NewFakeClock(time.Unix(2_000_000, 0).UTC(), time.Millisecond)
 	e, _ := NewEngine(database, clock)
 	doc, _ := e.CreateDocument("alice", "big")
-	big := make([]rune, 1000) // 1000 ids = 8000 bytes: needs 7 chunks
+	big := make([]rune, 1000)
 	for i := range big {
 		big[i] = rune('a' + i%26)
 	}
-	if _, err := doc.InsertText("alice", 0, string(big)); err != nil {
+	res, err := doc.Apply("alice", []EditOp{{Kind: EditInsert, Pos: 0, Text: string(big)}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Len() != 1000 {
-		t.Fatalf("len = %d", doc.Len())
+	ids := res[0].IDs
+	shuffled := make([]util.ID, len(ids))
+	for i, j := range util.NewRand(7).Perm(len(ids)) {
+		shuffled[i] = ids[j]
+	}
+	if _, err := doc.Apply("alice", []EditOp{{Kind: EditDelete, Chars: shuffled}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.tOpChunks.Count(); n < 2 {
+		t.Fatalf("the delete's payload took %d continuation rows, want it to spill into several", n)
 	}
 
-	// Reload the ops log from scratch and undo the big insert.
+	// Reload the ops log from scratch and undo the big delete, then the
+	// insert.
 	e2, _ := NewEngine(database, clock)
 	doc2, err := e2.OpenDocument(doc.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := doc2.History()
-	if len(h) != 1 || h[0].Chars != 1000 {
+	if len(h) != 2 || h[0].Chars != 1000 || h[1].Chars != 1000 {
 		t.Fatalf("history after reload = %+v", h)
+	}
+	for i, want := range [][]util.ID{ids, shuffled} {
+		if got := doc2.ops[i].CharIDs; !slices.Equal(got, want) {
+			t.Fatalf("op %d reloaded with %d IDs, not the %d it logged in order", i, len(got), len(want))
+		}
+	}
+	if _, err := doc2.UndoLocal("alice"); err != nil {
+		t.Fatal(err)
+	}
+	if doc2.Len() != 1000 {
+		t.Fatalf("undo of chunked delete incomplete: %d chars back", doc2.Len())
 	}
 	if _, err := doc2.UndoLocal("alice"); err != nil {
 		t.Fatal(err)
 	}
 	if doc2.Len() != 0 {
-		t.Fatalf("undo of chunked op incomplete: %d chars left", doc2.Len())
+		t.Fatalf("undo of the insert incomplete: %d chars left", doc2.Len())
 	}
 	if _, err := doc2.RedoLocal("alice"); err != nil {
 		t.Fatal(err)
 	}
 	if doc2.Len() != 1000 {
-		t.Fatalf("redo of chunked op incomplete: %d", doc2.Len())
+		t.Fatalf("redo of the insert incomplete: %d", doc2.Len())
 	}
 }
 

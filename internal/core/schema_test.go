@@ -12,33 +12,52 @@ import (
 // TestEngineRefusesOldLayouts: a data directory whose table has a layout
 // this build no longer writes is refused with a typed error naming the
 // table and the first differing column, before any row is decoded. The
-// chars table's neighbour-link columns (prev, next) have the same types as
-// after and key, so decoding its rows would silently derive a wrong
-// document order instead of failing. The docs table's derived columns
-// (modified, lastauthor, size) sit where state and authors are now.
+// chars table held one row per character, first with neighbour-link
+// columns (prev, next), then with the after and key anchors; either way
+// its rune column sits where a run's step is now, with the same type, so
+// decoding its rows would silently read runes as steps instead of
+// failing. The docs table's derived columns (modified, lastauthor, size)
+// sit where state and authors are now.
 func TestEngineRefusesOldLayouts(t *testing.T) {
 	epoch := time.Unix(0, 0).UTC()
-	oldChars := slices.Clone(charsSchema)
-	oldChars[5].Name, oldChars[6].Name = "prev", "next"
+	perChar := db.Schema{
+		{Name: "id", Type: db.TInt},
+		{Name: "doc", Type: db.TInt},
+		{Name: "r", Type: db.TInt},
+		{Name: "author", Type: db.TString},
+		{Name: "created", Type: db.TTime},
+		{Name: "after", Type: db.TInt},
+		{Name: "key", Type: db.TInt},
+		{Name: "deleted", Type: db.TBool},
+		{Name: "delby", Type: db.TString},
+		{Name: "delat", Type: db.TTime},
+		{Name: "srcdoc", Type: db.TInt},
+		{Name: "srcchar", Type: db.TInt},
+		{Name: "restored", Type: db.TTime},
+	}
+	linked := slices.Clone(perChar)
+	linked[5].Name, linked[6].Name = "prev", "next"
+	charRow := db.Row{int64(7), int64(1), int64('a'), "alice", epoch,
+		int64(0), int64(0), false, "", epoch, int64(0), int64(0), epoch}
 	oldDocs := slices.Insert(slices.Clone(docsSchema), 4,
 		db.Column{Name: "modified", Type: db.TTime},
 		db.Column{Name: "lastauthor", Type: db.TString},
 		db.Column{Name: "size", Type: db.TInt})
 	for _, tc := range []struct {
-		table, index string
-		schema       db.Schema
-		row          db.Row
-		want         SchemaError
+		name, table, index string
+		schema             db.Schema
+		row                db.Row
+		want               SchemaError
 	}{
-		{"chars", "doc", oldChars,
-			db.Row{int64(7), int64(1), int64('a'), "alice", epoch,
-				int64(0), int64(0), false, "", epoch, int64(0), int64(0), epoch},
-			SchemaError{Table: "chars", Column: 5, Have: "prev int", Want: "after int"}},
-		{"docs", "name", oldDocs,
+		{"chars", "chars", "doc", linked, charRow,
+			SchemaError{Table: "chars", Column: 2, Have: "r int", Want: "step int"}},
+		{"chars one row per character", "chars", "doc", perChar, charRow,
+			SchemaError{Table: "chars", Column: 2, Have: "r int", Want: "step int"}},
+		{"docs", "docs", "name", oldDocs,
 			db.Row{int64(1), "old", "alice", epoch, epoch, "alice", int64(1), "draft", "alice"},
 			SchemaError{Table: "docs", Column: 4, Have: "modified time", Want: "state string"}},
 	} {
-		t.Run(tc.table, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			database, err := db.Open(db.Options{Dir: dir})
 			if err != nil {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -35,7 +37,7 @@ type opRecord struct {
 
 // opChunkBytes bounds the char-ID payload stored per row; longer lists
 // spill into opchunks continuation rows.
-const opChunkBytes = 128 * 8
+const opChunkBytes = 1024
 
 // loadOps populates the in-memory operation log from the ops table,
 // reassembling chunked ID payloads, and with it the document's newest
@@ -51,13 +53,15 @@ func (d *Document) loadOps() error {
 		if err != nil {
 			return err
 		}
-		op := opFromRow(row)
-		if len(row[4].([]byte)) >= opChunkBytes {
-			more, err := d.loadOpChunks(op.ID)
-			if err != nil {
+		payload := row[4].([]byte)
+		if len(payload) >= opChunkBytes {
+			if payload, err = d.appendOpChunks(payload, util.ID(row[0].(int64))); err != nil {
 				return err
 			}
-			op.CharIDs = append(op.CharIDs, more...)
+		}
+		op, err := opFromRow(row, payload)
+		if err != nil {
+			return err
 		}
 		ops = append(ops, op)
 	}
@@ -81,15 +85,16 @@ func (d *Document) appendOpLocked(op opRecord) {
 	}
 }
 
-// loadOpChunks returns the continuation char IDs of one op, in order.
-func (d *Document) loadOpChunks(opID util.ID) ([]util.ID, error) {
+// appendOpChunks appends the payload continuation rows of one op hold to
+// payload, in order.
+func (d *Document) appendOpChunks(payload []byte, opID util.ID) ([]byte, error) {
 	rids, err := d.eng.tOpChunks.LookupEq("op", int64(opID))
 	if err != nil {
 		return nil, err
 	}
 	type chunk struct {
-		seq int64
-		ids []util.ID
+		seq   int64
+		bytes []byte
 	}
 	chunks := make([]chunk, 0, len(rids))
 	for _, rid := range rids {
@@ -97,20 +102,21 @@ func (d *Document) loadOpChunks(opID util.ID) ([]util.ID, error) {
 		if err != nil {
 			return nil, err
 		}
-		chunks = append(chunks, chunk{row[2].(int64), decodeIDs(row[3].([]byte))})
+		chunks = append(chunks, chunk{row[2].(int64), row[3].([]byte)})
 	}
 	slices.SortFunc(chunks, func(a, b chunk) int { return cmp.Compare(a.seq, b.seq) })
-	var out []util.ID
+	payload = slices.Clip(payload)
 	for _, c := range chunks {
-		out = append(out, c.ids...)
+		payload = append(payload, c.bytes...)
 	}
-	return out, nil
+	return payload, nil
 }
 
 // writeOpRow persists one operation record inside tx, spilling long char-ID
-// lists into continuation rows so no row outgrows a page.
+// payloads into continuation rows so no row outgrows a page.
 func (d *Document) writeOpRow(tx *txn.Txn, op *opRecord) error {
-	payload := encodeIDs(op.CharIDs)
+	var buf [32]byte
+	payload := appendStretches(buf[:0], op.ID, op.CharIDs)
 	first := payload
 	var rest []byte
 	if len(payload) > opChunkBytes {
@@ -134,10 +140,7 @@ func (d *Document) writeOpRow(tx *txn.Txn, op *opRecord) error {
 		return err
 	}
 	for seq := int64(1); len(rest) > 0; seq++ {
-		chunk := rest
-		if len(chunk) > opChunkBytes {
-			chunk = chunk[:opChunkBytes]
-		}
+		chunk := slices.Clone(rest[:min(len(rest), opChunkBytes)]) // keeps buf off the heap
 		rest = rest[len(chunk):]
 		cid := d.eng.ids.Next()
 		if _, err := d.eng.tOpChunks.Insert(tx, db.Row{
@@ -147,6 +150,74 @@ func (d *Document) writeOpRow(tx *txn.Txn, op *opRecord) error {
 		}
 	}
 	return nil
+}
+
+// An op's chars payload holds its character IDs as stretches, maximal
+// arithmetic progressions: each is its count (uvarint), how far its first
+// ID lies below the op's own ID (zigzag varint) and, when it holds more
+// than one ID, its step (zigzag varint). An insert's IDs are minted right
+// before its op ID, so a typed run is one stretch of three bytes.
+
+// stretchAt returns the length and step of the stretch of ids at i.
+func stretchAt(ids []util.ID, i int) (n int, step int64) {
+	if i+1 == len(ids) {
+		return 1, 0
+	}
+	step = int64(ids[i+1] - ids[i])
+	for n = 2; i+n < len(ids) && int64(ids[i+n]-ids[i+n-1]) == step; n++ {
+	}
+	return n, step
+}
+
+// appendStretch appends the stretch of n IDs from first by step of op's
+// payload to dst.
+func appendStretch(dst []byte, op, first util.ID, n int, step int64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = binary.AppendVarint(dst, int64(op-first))
+	if n > 1 {
+		dst = binary.AppendVarint(dst, step)
+	}
+	return dst
+}
+
+// appendStretches appends op's payload of ids to dst.
+func appendStretches(dst []byte, op util.ID, ids []util.ID) []byte {
+	for i := 0; i < len(ids); {
+		n, step := stretchAt(ids, i)
+		dst = appendStretch(dst, op, ids[i], n, step)
+		i += n
+	}
+	return dst
+}
+
+// errStretches reports a chars payload appendStretches did not write.
+var errStretches = errors.New("core: corrupt char IDs in an op row")
+
+// decodeStretches appends the IDs of op's payload b to dst.
+func decodeStretches(dst []util.ID, op util.ID, b []byte) ([]util.ID, error) {
+	for len(b) > 0 {
+		n, k := binary.Uvarint(b)
+		if k <= 0 || n == 0 || n > math.MaxInt32 {
+			return nil, errStretches
+		}
+		below, k2 := binary.Varint(b[k:])
+		if k2 <= 0 {
+			return nil, errStretches
+		}
+		b = b[k+k2:]
+		var step int64
+		if n > 1 {
+			if step, k = binary.Varint(b); k <= 0 {
+				return nil, errStretches
+			}
+			b = b[k:]
+		}
+		first := op - util.ID(below)
+		for j := int64(0); j < int64(n); j++ {
+			dst = append(dst, first+util.ID(j*step))
+		}
+	}
+	return dst, nil
 }
 
 // setOpUndone flips the undone flag on a persisted op row, leaving the
@@ -160,16 +231,20 @@ func (d *Document) setOpUndone(tx *txn.Txn, opID util.ID, undone bool) error {
 	return d.eng.tOps.UpdateByPK(tx, int64(opID), row)
 }
 
-func opFromRow(row db.Row) opRecord {
-	return opRecord{
+// opFromRow returns the op an ops row stores, whose whole chars payload,
+// continuation rows included, is payload.
+func opFromRow(row db.Row, payload []byte) (opRecord, error) {
+	op := opRecord{
 		ID:      util.ID(row[0].(int64)),
 		User:    row[2].(string),
 		Kind:    row[3].(string),
-		CharIDs: decodeIDs(row[4].([]byte)),
 		Ref:     util.ID(row[5].(int64)),
 		Created: row[6].(time.Time),
 		Undone:  row[7].(bool),
 	}
+	var err error
+	op.CharIDs, err = decodeStretches(nil, op.ID, payload)
+	return op, err
 }
 
 // undoable reports whether an operation kind participates in undo history.

@@ -20,14 +20,18 @@ import (
 // relinked neighbours and the document row under a fixed-width header cost
 // ~1 254 B; splices under a varint header cost ~340 B. Rows written once,
 // ordered by their anchors, with no neighbour rewritten, cost ~287 B.
-// Leaving the docs row alone unless the author is new costs ~228 B.
-const maxOneKeyBatchLogBytes = 240
+// Leaving the docs row alone unless the author is new costs ~228 B. A
+// chars row that is a run (one deletion-state column, empty until a
+// delete) and an op row naming its IDs as one stretch cost ~212 B; the
+// budget is that plus 10 %.
+const maxOneKeyBatchLogBytes = 233
 
 // maxOneKeyBatchWorstLogBytes bounds the WAL of any single one-key batch.
 // The worst is an author's first batch, whose document-row update also
 // appends the name to the authors column: ~377 B with the two neighbour
-// relinks, ~325 B without, ~261 B with a docs row of six columns.
-const maxOneKeyBatchWorstLogBytes = 360
+// relinks, ~325 B without, ~261 B with a docs row of six columns, ~244 B
+// with the run row and stretch-coded op row; the budget is that plus 10 %.
+const maxOneKeyBatchWorstLogBytes = 268
 
 // TestOneKeyBatchLogBytes types one-key batches between two existing
 // characters of a 20k-character document, two authors alternating, and
@@ -37,10 +41,6 @@ const maxOneKeyBatchWorstLogBytes = 360
 // bytes are: records and bytes per key, by record type and table.
 func TestOneKeyBatchLogBytes(t *testing.T) {
 	store, database, d := newOneKeyDoc(t)
-	tables := map[uint64]string{}
-	for _, name := range database.Tables() {
-		tables[database.Table(name).ID()] = name
-	}
 
 	const keys = 200
 	from := database.Log().NextLSN()
@@ -62,8 +62,59 @@ func TestOneKeyBatchLogBytes(t *testing.T) {
 		}
 	}
 
-	type line struct{ records, bytes int }
-	byKind := map[string]*line{}
+	lines, total := logLines(t, database, from, func(r *wal.Record, table string) {
+		batch, _ := slices.BinarySearch(starts, r.LSN+1)
+		if batch--; table == "docs" && listed[batch] {
+			t.Errorf("batch %d wrote the docs row, but its author was listed already", batch)
+		}
+	})
+	t.Logf("WAL per one-key batch, %d keys into a 20k-character document:\n%s (worst batch %d B)", keys, lines.per(keys), worst)
+	if perKey := float64(total) / keys; perKey > maxOneKeyBatchLogBytes {
+		t.Errorf("one-key batches logged %.1f B per key, over the %d B budget", perKey, maxOneKeyBatchLogBytes)
+	}
+	if worst > maxOneKeyBatchWorstLogBytes {
+		t.Errorf("a one-key batch logged %d B, over the %d B budget", worst, maxOneKeyBatchWorstLogBytes)
+	}
+}
+
+// maxRunBatchLogBytes bounds the WAL a typed character costs in a batch of
+// 128 keys, the bulk regime: one chars row per run and one op row whose
+// IDs are one stretch take ~2.7 B per key; the budget is that plus 10 %.
+// While every character was a row of its own and an op row listed 8 bytes
+// per ID, it was ~123 B.
+const maxRunBatchLogBytes = 3.0
+
+// TestRunBatchLogBytes types 128-key batches at spread positions of a
+// 20k-character document, two authors alternating, and fails if they log
+// more than maxRunBatchLogBytes per key. It logs what the bytes are.
+func TestRunBatchLogBytes(t *testing.T) {
+	_, database, d := newOneKeyDoc(t)
+	const batches, keys = 40, 128
+	text := strings.Repeat("dolor sit amet ", keys/15+1)[:keys]
+	from := database.Log().NextLSN()
+	for i := 0; i < batches; i++ {
+		user := [2]string{"alice", "bob"}[i%2]
+		if _, err := d.InsertText(user, 1+(i*7919)%(d.Len()-1), text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines, total := logLines(t, database, from, nil)
+	t.Logf("WAL per key of %d-key batches, %d batches into a 20k-character document:\n%s", keys, batches, lines.per(batches*keys))
+	if perKey := float64(total) / (batches * keys); perKey > maxRunBatchLogBytes {
+		t.Errorf("%d-key batches logged %.2f B per key, over the %.1f B budget", keys, perKey, maxRunBatchLogBytes)
+	}
+}
+
+// logLines sums the log records from LSN from on by record type, page
+// operation and table, calling each, if not nil, with every update or
+// compensation record and its table; it returns the sums and the total.
+func logLines(t *testing.T, database *db.Database, from wal.LSN, each func(r *wal.Record, table string)) (logSums, int) {
+	t.Helper()
+	tables := map[uint64]string{}
+	for _, name := range database.Tables() {
+		tables[database.Table(name).ID()] = name
+	}
+	sums := logSums{}
 	total := 0
 	err := database.Log().Iterate(func(r *wal.Record) error {
 		if r.LSN < from {
@@ -72,40 +123,46 @@ func TestOneKeyBatchLogBytes(t *testing.T) {
 		kind := r.Type.String()
 		if r.Type == wal.RecUpdate || r.Type == wal.RecCLR {
 			kind = fmt.Sprintf("%s %s %s", kind, [...]string{"", "insert", "update", "delete"}[r.Op], tables[r.Owner])
-			batch, _ := slices.BinarySearch(starts, r.LSN+1)
-			if batch--; tables[r.Owner] == "docs" && listed[batch] {
-				t.Errorf("batch %d wrote the docs row, but its author was listed already", batch)
+			if each != nil {
+				each(r, tables[r.Owner])
 			}
 		}
-		if byKind[kind] == nil {
-			byKind[kind] = &line{}
+		if sums[kind] == nil {
+			sums[kind] = &logSum{}
 		}
-		byKind[kind].records++
-		byKind[kind].bytes += r.Size()
+		sums[kind].records++
+		sums[kind].bytes += r.Size()
 		total += r.Size()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := make([]string, 0, len(byKind))
-	for k := range byKind {
+	return sums, total
+}
+
+// logSums holds the records and bytes of each kind of log record.
+type logSums map[string]*logSum
+
+type logSum struct{ records, bytes int }
+
+// per renders the sums per unit (a key, a batch), largest first, and
+// their total.
+func (s logSums) per(units int) string {
+	kinds := make([]string, 0, len(s))
+	total := 0
+	for k, l := range s {
 		kinds = append(kinds, k)
+		total += l.bytes
 	}
-	sort.Slice(kinds, func(i, j int) bool { return byKind[kinds[i]].bytes > byKind[kinds[j]].bytes })
+	sort.Slice(kinds, func(i, j int) bool { return s[kinds[i]].bytes > s[kinds[j]].bytes })
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %9s %9s\n", "record per key", "count", "B/key")
+	fmt.Fprintf(&b, "%-28s %9s %9s\n", "record per unit", "count", "B/unit")
 	for _, k := range kinds {
-		fmt.Fprintf(&b, "%-28s %9.2f %9.1f\n", k, float64(byKind[k].records)/keys, float64(byKind[k].bytes)/keys)
+		fmt.Fprintf(&b, "%-28s %9.2f %9.1f\n", k, float64(s[k].records)/float64(units), float64(s[k].bytes)/float64(units))
 	}
-	fmt.Fprintf(&b, "%-28s %9s %9.1f (worst batch %d B)", "total", "", float64(total)/keys, worst)
-	t.Logf("WAL per one-key batch, %d keys into a 20k-character document:\n%s", keys, b.String())
-	if perKey := float64(total) / keys; perKey > maxOneKeyBatchLogBytes {
-		t.Errorf("one-key batches logged %.1f B per key, over the %d B budget", perKey, maxOneKeyBatchLogBytes)
-	}
-	if worst > maxOneKeyBatchWorstLogBytes {
-		t.Errorf("a one-key batch logged %d B, over the %d B budget", worst, maxOneKeyBatchWorstLogBytes)
-	}
+	fmt.Fprintf(&b, "%-28s %9s %9.1f", "total", "", float64(total)/float64(units))
+	return b.String()
 }
 
 // newOneKeyDoc opens an in-memory database with a fake-clock engine and a
@@ -150,8 +207,10 @@ func newOneKeyDoc(t *testing.T) (*wal.MemStore, *db.Database, *Document) {
 // the index B-trees' keys into their leaves' arenas, so an index entry
 // allocates no key copy, brings it to 22. Keeping the key as a record of
 // one in the text buffer, with no treap node or ID-map entry of its own,
-// brings it to 21; the budget is that plus 10 %, rounded down.
-const maxOneKeyBatchAllocs = 23
+// brings it to 21. Writing the op row's IDs as stretches into a stack
+// buffer, not a fresh slice of 8-byte IDs, brings it to 20; the budget is
+// that plus 10 %.
+const maxOneKeyBatchAllocs = 22
 
 // TestOneKeyBatchAllocs types one-key batches between two existing
 // characters of the same 20k-character document as TestOneKeyBatchLogBytes,

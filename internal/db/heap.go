@@ -104,10 +104,9 @@ func (h *Heap) Insert(tx *txn.Txn, rec []byte) (RID, error) {
 // InsertBatch appends recs to the heap under tx and stores each record's
 // RID at the same index of rids, which is as long as recs. Unlike repeated
 // Insert calls it fetches and latches each heap page once per run of
-// records placed on it rather than once per record — the engine's hottest
-// path (Document.ApplyAsync) writes one row per character, so a keystroke
-// batch of n characters costs O(pages touched) page acquisitions instead
-// of O(n). Every record is still individually write-ahead logged,
+// records placed on it rather than once per record — a batch of many rows
+// (a split run's pieces, a bulk load's runs) costs O(pages touched) page
+// acquisitions instead of O(rows). Every record is still individually write-ahead logged,
 // exclusively locked and registered for undo. It keeps no reference to
 // recs or rids.
 func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte, rids []RID) error {

@@ -209,7 +209,7 @@ func (t *Table) InsertBatch(tx *txn.Txn, rows []Row) ([]RID, error) {
 // InsertRecords adds recs, rows a RowEncoder of t wrote, under tx as one
 // heap batch, maintaining all indexes — what InsertBatch does after
 // encoding, which makes it the writer of the engine's hottest path (one
-// character row and one op row per keystroke). A record that is not
+// run row and one op row per keystroke batch). A record that is not
 // framed as a row of t is refused with ErrSchema. Neither recs nor the
 // records are retained once it returns.
 func (t *Table) InsertRecords(tx *txn.Txn, recs ...[]byte) error {
@@ -386,6 +386,26 @@ func (t *Table) GetByPK(tx *txn.Txn, pk int64) (Row, RID, error) {
 	rid, err := t.ridOf(pk)
 	if err != nil {
 		return nil, RID{}, err
+	}
+	row, err := t.Get(tx, rid)
+	if err != nil {
+		return nil, RID{}, err
+	}
+	return row, rid, nil
+}
+
+// FloorByPK returns the row with the greatest primary key at or below pk
+// (ErrNotFound if every key is above it): a row that stands for a range of
+// keys from its own, such as a run of characters, is found by any key in
+// the range.
+func (t *Table) FloorByPK(tx *txn.Txn, pk int64) (Row, RID, error) {
+	var f, k [8]byte
+	binary.BigEndian.PutUint64(f[:], uint64(pk))
+	t.mu.RLock()
+	_, rid, ok := t.pk.Floor(pkKey(k[:0], f[:]))
+	t.mu.RUnlock()
+	if !ok {
+		return nil, RID{}, ErrNotFound
 	}
 	row, err := t.Get(tx, rid)
 	if err != nil {

@@ -181,3 +181,48 @@ func sortRIDs(rids []RID) {
 		return rids[i].Slot < rids[j].Slot
 	})
 }
+
+// TestFloorByPK looks up keys at, between, below and above the rows of a
+// table whose keys are the multiples of ten, before and after deleting
+// rows, and checks each answer against the greatest key at or below.
+func TestFloorByPK(t *testing.T) {
+	d := memDB(t)
+	tbl, err := d.CreateTable("runs", Schema{{Name: "id", Type: TInt}, {Name: "v", Type: TString}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, _ := d.Begin()
+	var keys []int64
+	for id := int64(10); id <= 2000; id += 10 {
+		if _, err := tbl.Insert(tx, Row{id, fmt.Sprint(id)}); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, id)
+	}
+	for _, id := range []int64{500, 510, 520, 2000, 10} {
+		if err := tbl.DeleteByPK(tx, id); err != nil {
+			t.Fatal(err)
+		}
+		i, _ := slices.BinarySearch(keys, id)
+		keys = slices.Delete(keys, i, i+1)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for pk := int64(-5); pk <= 2050; pk += 3 {
+		i, found := slices.BinarySearch(keys, pk)
+		if !found {
+			i--
+		}
+		row, _, err := tbl.FloorByPK(nil, pk)
+		if i < 0 {
+			if err != ErrNotFound {
+				t.Fatalf("FloorByPK(%d) = %v, %v; want ErrNotFound", pk, row, err)
+			}
+			continue
+		}
+		if err != nil || row[0].(int64) != keys[i] || row[1].(string) != fmt.Sprint(keys[i]) {
+			t.Fatalf("FloorByPK(%d) = %v, %v; want the row of %d", pk, row, err, keys[i])
+		}
+	}
+}

@@ -157,8 +157,8 @@ func appendTime(dst []byte, x time.Time) []byte {
 }
 
 // RowEncoder writes rows of one table in EncodeRow's format, a column at a
-// time, with no value boxed into a Row: the hot writers (one character row
-// and one op row per keystroke) use it. Each method checks its column's
+// time, with no value boxed into a Row: the hot writers (one run row and
+// one op row per keystroke batch) use it. Each method checks its column's
 // type against the schema, as EncodeRow does; End reports the first
 // mismatch, or a missing or extra column, as ErrSchema. Rows are appended
 // one after another to one buffer, so a batch of rows costs one growing
@@ -201,6 +201,14 @@ func (e *RowEncoder) Int(v int64) {
 func (e *RowEncoder) String(v string) {
 	if e.next(TString, "string") {
 		e.buf = appendString(e.buf, v)
+	}
+}
+
+// StringBytes appends a string column whose UTF-8 encoding is v, for a
+// caller that assembles the text in a buffer of its own.
+func (e *RowEncoder) StringBytes(v []byte) {
+	if e.next(TString, "string") {
+		e.buf = appendBytes(e.buf, v)
 	}
 }
 

@@ -20,11 +20,13 @@ import (
 // core.NewEngine (the database's own indexes, rebuilt by a heap scan),
 // after ListDocuments (which opens every document) and after index.Open
 // (the indexer's prime). Each limit is the measured value plus 10 %:
-// 104.5, 132.4 and 167.4 B. While the text buffer held a 160 B record, a
-// treap node and an ID-map entry per character, the last two read 376.3
-// and 411.3 B; while the database's B-tree leaves held a slice header and
-// a separate copy per key, in key slices grown by append to 128 slots and
-// split in the middle, the three read 254.9, 526.8 and 561.8 B.
+// 3.6, 32.4 and 67.4 B. While the chars table held a row, and so two index
+// entries, per character, the three read 104.5, 132.4 and 167.4 B; while
+// the text buffer held a 160 B record, a treap node and an ID-map entry per
+// character, the last two read 376.3 and 411.3 B; while the database's
+// B-tree leaves held a slice header and a separate copy per key, in key
+// slices grown by append to 128 slots and split in the middle, the three
+// read 254.9, 526.8 and 561.8 B.
 func TestResidencyBytesPerChar(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds shadow memory to every allocation")
@@ -89,9 +91,9 @@ func TestResidencyBytesPerChar(t *testing.T) {
 		name       string
 		got, limit float64
 	}{
-		{"after open", opened, 114.9},
-		{"after ListDocuments", listed, 145.6},
-		{"after index.Open", primed, 184.1},
+		{"after open", opened, 4.0},
+		{"after ListDocuments", listed, 35.6},
+		{"after index.Open", primed, 74.1},
 	} {
 		t.Logf("%s: %.1f B of settled heap per stored character", p.name, p.got)
 		if p.got > p.limit {

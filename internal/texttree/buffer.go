@@ -21,7 +21,7 @@ type Char struct {
 	// After is the instance this one was typed after (NilID = the front of
 	// the document) and Key its order among the instances typed after the
 	// same one: document order is the pre-order walk of this anchor tree
-	// from NilID, children in descending Key (see anchorOrder). A fresh
+	// from NilID, children in descending Key (see runOrder). A fresh
 	// instance's Key is its own ID. Neither changes once the instance
 	// exists, except that compaction re-anchors an instance whose After it
 	// archives (archive.go).
@@ -48,7 +48,8 @@ var ErrUnknownChar = errors.New("texttree: unknown character")
 // Buffer is the in-memory working form of one document's text: one record
 // per run of hot instances (run.go) and two trees over the document order.
 // The database rows remain the source of truth; a Buffer can always be
-// rebuilt from them with Load.
+// rebuilt from them: with LoadRuns from runs as a database stores them
+// (Run, CutRuns), one record per run, or with Load from instances.
 //
 // The order treap is the ID index: its nodes are ID extents, and it
 // answers the total rank of an ID. The mirror in the embedded view, a
@@ -72,51 +73,191 @@ func NewBuffer() *Buffer {
 	return &Buffer{view: view{arch: emptyArchive}}
 }
 
-// Load rebuilds the buffer from persisted character rows. The rows may be
-// in any order; document order is derived from their anchors, and the
-// instances of one typed run, in that order, share one record again.
+// Load rebuilds the buffer from persisted character rows, in any order:
+// cut in ID order into the longest runs one record can hold (cutRuns),
+// so that a typed run is one record again wherever text was typed into
+// it, and ordered as LoadRuns orders runs.
 func Load(rows []Char) (*Buffer, error) {
-	recs := make([]*Char, len(rows))
-	for i := range rows {
-		recs[i] = &rows[i]
+	return loadRecords(recordsOf(rows))
+}
+
+// recordsOf cuts instances, in any order, into records: in ID order, the
+// longest stretches cutRuns allows, each instance typed after the one
+// before it and keyed by its own ID. Their ID ranges do not overlap.
+func recordsOf(chars []Char) []run {
+	byID := make([]*Char, len(chars))
+	for i := range chars {
+		byID[i] = &chars[i]
 	}
-	ordered, err := anchorOrder(recs)
+	slices.SortFunc(byID, func(a, b *Char) int { return cmp.Compare(a.ID, b.ID) })
+	at := func(i int) *Char { return byID[i] }
+	return newRuns(len(byID), at, chainedAt(at),
+		func(lo int) (util.ID, util.ID) { return byID[lo].After, byID[lo].Key })
+}
+
+// LoadRuns rebuilds the buffer from persisted runs, in any order, without
+// a record per instance: each run becomes one record, and document order is
+// derived from the runs' anchors (runOrder). The ID ranges [First, Last]
+// of two runs must not overlap, which holds for the runs of one ID
+// generator.
+func LoadRuns(runs []Run) (*Buffer, error) {
+	n := 0
+	for i := range runs {
+		n += len(runs[i].Text) // bytes: at least the runes
+	}
+	block := make([]rune, 0, n)
+	recs := make([]run, len(runs))
+	var last *runMeta
+	for i := range runs {
+		recs[i], block = runs[i].record(block, last)
+		if recs[i].len() == 0 {
+			return nil, fmt.Errorf("texttree: run %v has no text", runs[i].First)
+		}
+		if recs[i].meta != nil {
+			last = recs[i].meta
+		}
+	}
+	return loadRecords(recs)
+}
+
+// loadRecords returns the buffer of recs, records whose ID ranges do not
+// overlap, in the document order runOrder derives.
+func loadRecords(recs []run) (*Buffer, error) {
+	segs, err := runOrder(recs)
 	if err != nil {
 		return nil, err
 	}
+	segs = layOut(segs)
 	b := NewBuffer()
-	c := runCursor{recs: newRuns(len(ordered), func(i int) *Char { return ordered[i] },
-		func(i int) bool { return ordered[i].After == ordered[i-1].ID && ordered[i].Key == ordered[i].ID },
-		func(lo int) (util.ID, util.ID) { return ordered[lo].After, ordered[lo].Key })}
 	var t *extent
-	for i := range c.recs {
-		r := &c.recs[i]
-		if t, err = b.order.add(t, r.first, r.step, r.len()); err != nil {
+	total := 0
+	for _, s := range segs {
+		if t, err = b.order.add(t, s.r.id(s.lo), s.r.step, s.hi-s.lo); err != nil {
 			return nil, err
 		}
+		total += s.hi - s.lo
 	}
-	b.root = insert(b.gen, nil, 0, len(ordered), c.at)
+	k, base := 0, 0
+	b.root = insert(b.gen, nil, 0, total, func(i int) slot {
+		for i >= base+segs[k].hi-segs[k].lo {
+			base += segs[k].hi - segs[k].lo
+			k++
+		}
+		return slot{segs[k].r, segs[k].lo + i - base}
+	})
 	return b, nil
 }
 
-// anchorOrder returns recs, one record per instance, in document order:
-// the pre-order walk of the anchor tree from NilID, visiting the instances
-// typed after one instance in descending Key. The server mints ascending
-// IDs and a fresh instance's Key is its ID, so an insert becomes its
-// anchor's first child and the walk puts it right after the anchor —
-// exactly where the paper's doubly linked list splices it. The walk is
-// iterative: typed text is a chain of anchors as deep as it is long. It
-// fails on two siblings with one Key, a missing anchor, and a record the
-// walk never reaches (an anchor cycle).
-func anchorOrder(recs []*Char) ([]*Char, error) {
-	// Siblings sit side by side, by descending Key, in kids.
+// layOut returns segs as new records, one per stretch, in one new array
+// and their runes in another, both in document order: a walk in document
+// order then reads memory in order. Records cut in ID order, as rows are,
+// lie in the order of their IDs otherwise, and a record that text was
+// typed into is visited in two stretches. A stretch that continues the
+// record before it — a record's start typed right after that record's
+// last instance, at the next ID of its progression, with the same
+// metadata and no provenance — joins it, so runs a row's size cap cut
+// load as one record.
+func layOut(segs []seg) []seg {
+	total := 0
+	for _, s := range segs {
+		total += s.hi - s.lo
+	}
+	recs, runes := make([]run, 0, len(segs)), make([]rune, 0, total)
+	start := 0 // of the last record's runes
+	for _, s := range segs {
+		if k := len(recs) - 1; k >= 0 && s.lo == 0 && continues(&recs[k], s.r, s.hi) {
+			p := &recs[k]
+			p.step = s.r.first - p.last() // a record of one has no step yet
+			runes = append(runes, s.r.runes[:s.hi]...)
+			p.runes = runes[start:len(runes):len(runes)]
+			continue
+		}
+		m := s.r.meta
+		if m != nil && s.lo > 0 {
+			sm := s.r.subMeta(s.lo, *m)
+			m = &sm
+		}
+		r := s.r.sub(s.lo, s.hi-s.lo, m)
+		start = len(runes)
+		runes = append(runes, r.runes...)
+		r.runes = runes[start:len(runes):len(runes)]
+		recs = append(recs, *r)
+	}
+	segs = segs[:len(recs)]
+	for i := range recs {
+		segs[i] = seg{&recs[i], 0, recs[i].len()}
+	}
+	return segs
+}
+
+// continues reports whether the instances [0, n) of r, following p in
+// document order, can be appended to p: p's author, Created and metadata,
+// without provenance, r typed right after p's last instance and keyed by
+// its own ID, and one ID step from p's first instance to r's last.
+func continues(p, r *run, n int) bool {
+	if p.author != r.author || p.created != r.created || r.after != p.last() || r.key != r.first || r.first <= p.last() {
+		return false
+	}
+	if pm, rm := p.meta, r.meta; pm != rm && (pm == nil || rm == nil || *pm != *rm) {
+		return false
+	}
+	if m := p.meta; m != nil && (!m.srcDoc.IsNil() || !m.srcFirst.IsNil() || m.srcStep != 0) {
+		return false
+	}
+	step := r.first - p.last()
+	return (p.len() == 1 || step == p.step) && (n == 1 || r.step == step)
+}
+
+// seg is the instances [lo, hi) of record r, adjacent in document order.
+type seg struct {
+	r      *run
+	lo, hi int
+}
+
+// runOrder returns the instances of recs in document order, as stretches
+// of records: the pre-order walk of the anchor tree from NilID, visiting
+// the instances typed after one instance in descending Key. The server
+// mints ascending IDs and a fresh instance's Key is its ID, so an insert
+// becomes its anchor's first child and the walk puts it right after the
+// anchor — exactly where the paper's doubly linked list splices it. The
+// walk takes a record a stretch at a time: its instances follow one
+// another until one of them has an instance typed after it besides the
+// record's next; there it visits what was typed after that instance by
+// descending Key, the rest of the record counting as one of them with its
+// next instance's ID as Key. The walk is iterative: typed text is a chain
+// of anchors as deep as it is long. It fails on records whose ID ranges
+// overlap, two siblings with one Key, a missing anchor, and an instance
+// the walk never reaches (an anchor cycle).
+func runOrder(recs []run) ([]seg, error) {
+	byFirst := make([]*run, len(recs))
+	total := 0
+	for i := range recs {
+		byFirst[i] = &recs[i]
+		total += recs[i].len()
+	}
+	slices.SortFunc(byFirst, func(a, b *run) int { return cmp.Compare(a.first, b.first) })
+	for i := 1; i < len(byFirst); i++ {
+		if p, r := byFirst[i-1], byFirst[i]; p.last() >= r.first {
+			return nil, fmt.Errorf("texttree: runs %v..%v and %v..%v overlap", p.first, p.last(), r.first, r.last())
+		}
+	}
+	// holder returns the record that holds id, or nil.
+	holder := func(id util.ID) *run {
+		i, _ := slices.BinarySearchFunc(byFirst, id, func(r *run, id util.ID) int { return cmp.Compare(r.first, id+1) })
+		if i == 0 || byFirst[i-1].index(id) < 0 {
+			return nil
+		}
+		return byFirst[i-1]
+	}
+	// Records typed after an instance sit side by side, by descending Key,
+	// in kids.
 	type kid struct {
 		after, key util.ID
-		ch         *Char
+		r          *run
 	}
 	kids := make([]kid, len(recs))
-	for i, ch := range recs {
-		kids[i] = kid{ch.After, ch.Key, ch}
+	for i := range recs {
+		kids[i] = kid{recs[i].after, recs[i].key, &recs[i]}
 	}
 	slices.SortFunc(kids, func(a, b kid) int {
 		if a.after != b.after {
@@ -126,51 +267,76 @@ func anchorOrder(recs []*Char) ([]*Char, error) {
 	})
 	for i := 1; i < len(kids); i++ {
 		if k := kids[i]; kids[i-1].after == k.after && kids[i-1].key == k.key {
-			return nil, fmt.Errorf("texttree: %v and %v share key %v after %v", kids[i-1].ch.ID, k.ch.ID, k.key, k.after)
+			return nil, fmt.Errorf("texttree: %v and %v share key %v after %v", kids[i-1].r.first, k.r.first, k.key, k.after)
 		}
 	}
-	// push stacks the children of id so that the highest Key pops first.
-	var stack []*Char
-	push := func(id util.ID) {
-		lo, hi := 0, len(kids)
-		for lo < hi {
-			if m := int(uint(lo+hi) >> 1); kids[m].after < id {
-				lo = m + 1
-			} else {
-				hi = m
-			}
-		}
+	from := func(id util.ID) int { // the first kid typed after id or later
+		i, _ := slices.BinarySearchFunc(kids, id, func(k kid, id util.ID) int { return cmp.Compare(k.after, id) })
+		return i
+	}
+	// push stacks what was typed after id — the kids and, with next set,
+	// the rest of the record from instance next.lo — so that the highest
+	// Key pops first.
+	var stack []seg
+	push := func(id util.ID, next *seg) error {
+		lo := from(id)
 		end := lo
 		for end < len(kids) && kids[end].after == id {
 			end++
 		}
 		for end--; end >= lo; end-- {
-			stack = append(stack, kids[end].ch)
+			k := kids[end]
+			if next != nil && next.r.id(next.lo) <= k.key {
+				if next.r.id(next.lo) == k.key {
+					return fmt.Errorf("texttree: %v and %v share key %v after %v", next.r.id(next.lo), k.r.first, k.key, id)
+				}
+				stack, next = append(stack, *next), nil
+			}
+			stack = append(stack, seg{k.r, 0, 0})
 		}
+		if next != nil {
+			stack = append(stack, *next)
+		}
+		return nil
 	}
-	out := make([]*Char, 0, len(kids))
-	for push(util.NilID); len(stack) > 0 && len(out) < len(kids); {
-		ch := stack[len(stack)-1]
+	out := make([]seg, 0, len(recs))
+	seen := 0
+	if err := push(util.NilID, nil); err != nil {
+		return nil, err
+	}
+	for len(stack) > 0 && seen < total {
+		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		out = append(out, ch)
-		push(ch.ID)
+		// The stretch ends at the first of its instances something else
+		// was typed after.
+		s.hi = s.r.len()
+		if i := from(s.r.id(s.lo)); i < len(kids) && kids[i].after <= s.r.last() {
+			if s.hi = s.r.index(kids[i].after) + 1; s.hi == 0 {
+				return nil, fmt.Errorf("texttree: %v is anchored at missing char %v", kids[i].r.first, kids[i].after)
+			}
+		}
+		out = append(out, s)
+		seen += s.hi - s.lo
+		var next *seg
+		if s.hi < s.r.len() {
+			next = &seg{s.r, s.hi, 0}
+		}
+		if err := push(s.r.id(s.hi-1), next); err != nil {
+			return nil, err
+		}
 	}
 	if len(stack) > 0 {
 		return nil, fmt.Errorf("texttree: the anchor walk meets an instance twice")
 	}
-	if len(out) == len(kids) {
+	if seen == total {
 		return out, nil
 	}
-	ids := make(map[util.ID]bool, len(recs))
-	for _, ch := range recs {
-		ids[ch.ID] = true
-	}
-	for _, ch := range recs {
-		if !ch.After.IsNil() && !ids[ch.After] {
-			return nil, fmt.Errorf("texttree: %v is anchored at missing char %v", ch.ID, ch.After)
+	for _, k := range kids {
+		if !k.after.IsNil() && holder(k.after) == nil {
+			return nil, fmt.Errorf("texttree: %v is anchored at missing char %v", k.r.first, k.after)
 		}
 	}
-	return nil, fmt.Errorf("texttree: %d chars unreachable from the front", len(kids)-len(out))
+	return nil, fmt.Errorf("texttree: %d chars unreachable from the front", total-seen)
 }
 
 // Char returns the character instance with id.
@@ -375,7 +541,7 @@ func (b *Buffer) flip(ids []util.ID, visit func(k, pos int), del bool, state run
 
 // CheckInvariants verifies the structural invariants of the buffer: the
 // order's extents cover exactly the hot instances, in the mirror's order;
-// each record's implied anchors derive that order (anchorOrder); and the
+// each record's implied anchors derive that order (runOrder); and the
 // mirror's structure and counts hold. Used by tests and failure injection.
 func (b *Buffer) CheckInvariants() error {
 	arch := b.Archive()
@@ -429,18 +595,16 @@ func (b *Buffer) CheckInvariants() error {
 	}
 	// Anchor position i must be rank i: the records' After and Key, as
 	// they imply them, derive the order the mirror holds.
-	chars := snap.AllChars()
-	recs := make([]*Char, len(chars))
-	for i := range chars {
-		recs[i] = &chars[i]
-	}
-	ordered, err := anchorOrder(recs)
+	segs, err := runOrder(recordsOf(snap.AllChars()))
 	if err != nil {
 		return err
 	}
-	for i, ch := range ordered {
-		if ch.ID != ids[i] {
-			return fmt.Errorf("texttree: mirror holds %v at %d, the anchors put %v there", ids[i], i, ch.ID)
+	at = 0
+	for _, sg := range segs {
+		for i := sg.lo; i < sg.hi; i, at = i+1, at+1 {
+			if id := sg.r.id(i); id != ids[at] {
+				return fmt.Errorf("texttree: mirror holds %v at %d, the anchors put %v there", ids[at], at, id)
+			}
 		}
 	}
 	return snap.CheckInvariants()

@@ -1,6 +1,7 @@
 package texttree
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"runtime"
@@ -442,6 +443,56 @@ func (m *model) checkReload(t testing.TB, b *Buffer, label string) {
 			t.Fatalf("%s: Char(%v) = %+v, the buffer walks %+v", label, c.ID, ch, c)
 		}
 	}
+	// The same instances stored as runs, cut in ID order so that other
+	// runs are anchored inside them, at a text cap that varies by state.
+	runs := runsOf(all, 4+len(all)%13)
+	fromRuns, err := LoadRuns(runs)
+	if err != nil {
+		t.Fatalf("%s: LoadRuns of %d runs: %v", label, len(runs), err)
+	}
+	if got := fromRuns.AllChars(); !slices.Equal(got, all) {
+		t.Fatalf("%s: LoadRuns of %d runs gives %d instances, the buffer walks %d; first difference at %d",
+			label, len(runs), len(got), len(all), firstDiff(got, all))
+	}
+	if err := fromRuns.CheckInvariants(); err != nil {
+		t.Fatalf("%s: LoadRuns: %v", label, err)
+	}
+}
+
+// runsOf cuts instances into runs the way a database stores them: in ID
+// order, so a run holds instances that others were typed after, with at
+// most maxBytes of text in each. The runs are returned last first, since
+// LoadRuns takes them in any order.
+func runsOf(all []Char, maxBytes int) []Run {
+	byID := slices.Clone(all)
+	slices.SortFunc(byID, func(a, b Char) int { return cmp.Compare(a.ID, b.ID) })
+	var runs []Run
+	CutRuns(len(byID), func(i int) *Char { return &byID[i] }, 0, maxBytes, func(lo, hi int) {
+		f := &byID[lo]
+		r := Run{First: f.ID, Step: 1, After: f.After, Key: f.Key, Author: f.Author, Created: f.Created,
+			Deleted: f.Deleted, DeletedBy: f.DeletedBy, DeletedAt: f.DeletedAt, Restored: f.Restored,
+			SourceDoc: f.SourceDoc, SourceFirst: f.SourceChar}
+		if hi-lo > 1 {
+			r.Step, r.SourceStep = byID[lo+1].ID-f.ID, byID[lo+1].SourceChar-f.SourceChar
+		}
+		var text []rune
+		for _, c := range byID[lo:hi] {
+			text = append(text, c.Rune)
+		}
+		r.Text = string(text)
+		runs = append(runs, r)
+	})
+	slices.Reverse(runs)
+	return runs
+}
+
+// firstDiff returns the first index at which a and b differ.
+func firstDiff(a, b []Char) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // runModel interprets data three bytes per step, checking the buffer

@@ -2,7 +2,7 @@
 // as a sequence of character instances, each a first-class database object
 // with identity and metadata. An instance records the instance it was
 // typed after, and document order is derived from those immutable anchors
-// (anchorOrder), so typing a character writes its own record and no
+// (runOrder), so typing a character writes its own record and no
 // other. Deletion is logical (characters become invisible tombstones but
 // keep their place), which is what makes versioning, undo across users,
 // and copy-paste provenance cheap.

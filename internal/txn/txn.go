@@ -27,8 +27,8 @@ var ErrNotActive = errors.New("txn: transaction not active")
 type UndoFunc func() error
 
 // inlineUndo is how many undo entries a Txn holds without allocating: a
-// one-key edit registers four (the character row's and the op row's heap
-// insert and index entries).
+// one-key edit registers four (the run row's and the op row's heap insert
+// and index entries).
 const inlineUndo = 4
 
 // Txn is one transaction: a unit of atomicity, durability and isolation.
