@@ -303,7 +303,8 @@ type Presence struct {
 // presence registry. Safe for concurrent use.
 //
 // Every published event — edits and presence alike — is stored once, in a
-// bounded ring of the most recent events of its document. The ring is the
+// ring of the most recent events of its document, whose memory follows the
+// events it holds up to the retention bound. The ring is the
 // delivery path (each subscription is a cursor into it) and the
 // delta-resync source: a replica that knows it applied events up to
 // sequence S asks for everything after S and receives O(gap) events
@@ -341,7 +342,7 @@ func (b *Bus) SetCounters(sheds, depth *atomic.Int64) {
 	b.depth = depth
 }
 
-// DefaultRetention is the per-document op-ring capacity when none is
+// DefaultRetention is the per-document op-ring bound when none is
 // configured: enough to absorb a briefly-disconnected editor's gap without
 // holding a long editing history in memory per document.
 const DefaultRetention = 1024
@@ -356,9 +357,11 @@ func NewBus(retention int) *Bus {
 	return &Bus{docs: make(map[util.ID]*docLog), retention: retention}
 }
 
-// SetRetention resizes every document's op ring in place, keeping its
-// newest events, and sizes the rings created later. n <= 0 restores the
-// default.
+// SetRetention raises or lowers the bound on every document's op ring,
+// now and for the rings created later. A ring that holds more than n
+// events keeps its newest n; a buffer longer than n is reallocated at n
+// slots, and no buffer grows until a push needs the room. n <= 0 restores
+// the default.
 func (b *Bus) SetRetention(n int) {
 	if n <= 0 {
 		n = DefaultRetention
@@ -367,11 +370,14 @@ func (b *Bus) SetRetention(n int) {
 	defer b.mu.Unlock()
 	b.retention = n
 	for _, d := range b.docs {
-		d.ring.resize(n)
+		if len(d.ring.buf) > n {
+			d.ring.realloc(n)
+		}
 	}
 }
 
-// Retention returns the per-document op-ring capacity.
+// Retention returns the per-document op-ring bound: the most events a
+// document's ring holds.
 func (b *Bus) Retention() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -390,17 +396,19 @@ func (b *Bus) logLocked(doc util.ID) *docLog {
 }
 
 // evRing is a circular buffer of the latest published events of one
-// document, dense in sequence number. Its buffer is allocated on the
-// first push.
+// document, dense in sequence number. Its memory follows the events it
+// holds, not the retention: the buffer is one slot on the first push and
+// doubles whenever a push finds it full and shorter than the retention;
+// only a full buffer as long as the retention evicts its oldest event.
 type evRing struct {
 	buf   []Event
 	start int // index of the oldest retained event
 	n     int // events currently retained
 }
 
-func (r *evRing) push(e Event, capacity int) {
-	if r.buf == nil {
-		r.buf = make([]Event, capacity)
+func (r *evRing) push(e Event, retention int) {
+	if r.n == len(r.buf) && len(r.buf) < retention {
+		r.realloc(min(max(2*len(r.buf), 1), retention))
 	}
 	if r.n < len(r.buf) {
 		r.buf[(r.start+r.n)%len(r.buf)] = e
@@ -423,14 +431,11 @@ func (r *evRing) at(seq uint64) (Event, bool) {
 	return r.buf[(r.start+int(seq-oldest))%len(r.buf)], true
 }
 
-// resize reallocates the ring at capacity n, keeping the newest
-// min(n, retained) events.
-func (r *evRing) resize(n int) {
-	if r.buf == nil {
-		return
-	}
-	keep := min(n, r.n)
-	buf := make([]Event, n)
+// realloc moves the newest min(size, retained) events into a fresh buffer
+// of size slots.
+func (r *evRing) realloc(size int) {
+	keep := min(size, r.n)
+	buf := make([]Event, size)
 	for i := 0; i < keep; i++ {
 		buf[i] = r.buf[(r.start+r.n-keep+i)%len(r.buf)]
 	}

@@ -50,22 +50,31 @@ func (m *cursorModel) lag(s *modelSub) int { return int(s.head(m.seq[s.doc]) + 1
 
 // TestCursorBusMatchesModel drives seeded interleavings of Publish, Join,
 // MoveCursor, Leave, Subscribe, Next, Close and SetRetention over two
-// documents with a 4–16 event ring, and after every step checks each
-// subscription against a model in which a subscription is nothing but a
-// read position: what Next returns (the exact published event, or one gap
-// whose Seq and N account for every event it skips), Depth, Sheds and
-// MaxDepth, the bus-wide shed and depth counters, and EventsSince. At the
-// end every subscription is closed and drained: events published before
-// Close are delivered, and each stream is dense from its subscribe point
-// apart from the gaps.
+// documents with a 4–32 event ring — a new bound often lands below, at or
+// above a ring that has grown only part of the way — and after every step
+// checks each subscription against a model in which a subscription is
+// nothing but a read position: what Next returns (the exact published
+// event, or one gap whose Seq and N account for every event it skips),
+// Depth, Sheds and MaxDepth, the bus-wide shed and depth counters,
+// EventsSince, and that each ring holds the events the model retains in at
+// most twice their slots. At the end every subscription is closed and
+// drained: events published before Close are delivered, and each stream is
+// dense from its subscribe point apart from the gaps.
 func TestCursorBusMatchesModel(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
+	const seeds = 12
+	partial := 0
+	for seed := int64(1); seed <= seeds; seed++ {
 		seed := seed
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { cursorModelRun(t, seed) })
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { partial += cursorModelRun(t, seed) })
+	}
+	if partial < seeds {
+		t.Fatalf("%d new bounds over %d seeds met a partly grown ring, want at least %d", partial, seeds, seeds)
 	}
 }
 
-func cursorModelRun(t *testing.T, seed int64) {
+// cursorModelRun runs one seed and returns how many SetRetention steps met
+// a ring grown only part of the way to the bound.
+func cursorModelRun(t *testing.T, seed int64) int {
 	rng := rand.New(rand.NewSource(seed))
 	m := &cursorModel{
 		retention: 4 + rng.Intn(13),
@@ -143,6 +152,15 @@ func cursorModelRun(t *testing.T, seed int64) {
 			if got := bus.Seq(doc); got != m.seq[doc] {
 				t.Fatalf("%s: doc %d Seq %d, want %d", label, doc, got, m.seq[doc])
 			}
+			// The ring holds what the model retains, in at most twice the
+			// slots (one for one event) and never more than the retention.
+			if d := bus.docs[doc]; d != nil {
+				if n, slots := d.ring.n, len(d.ring.buf); n != m.retained[doc] ||
+					slots > m.retention || slots > max(1, 2*(n-1)) {
+					t.Fatalf("%s: doc %d ring holds %d events in %d slots, want %d in at most min(%d, max(1, %d))",
+						label, doc, n, slots, m.retained[doc], m.retention, 2*(n-1))
+				}
+			}
 			since := uint64(rng.Int63n(int64(m.seq[doc]) + 2))
 			evs, ok := bus.EventsSince(doc, since)
 			if wantOK := since >= m.seq[doc] || since+1 >= m.oldest(doc); ok != wantOK {
@@ -167,6 +185,7 @@ func cursorModelRun(t *testing.T, seed int64) {
 	}
 
 	const steps = 400
+	partial := 0
 	for step := 0; step < steps; step++ {
 		label := fmt.Sprintf("seed %d step %d (retention %d)", seed, step, m.retention)
 		doc := docs[rng.Intn(len(docs))]
@@ -208,8 +227,23 @@ func cursorModelRun(t *testing.T, seed int64) {
 					s.sub.Close() // idempotent
 				}
 			}
-		case op == 19:
-			n := 4 + rng.Intn(13)
+		case op == 19: // a new bound, often while rings are only partly grown
+			n, slots := 4+rng.Intn(13), 0
+			if d := bus.docs[doc]; d != nil {
+				slots = len(d.ring.buf)
+			}
+			for _, d := range bus.docs {
+				if l := len(d.ring.buf); l > 0 && l < m.retention {
+					partial++
+					break
+				}
+			}
+			switch {
+			case rng.Intn(3) == 0:
+				n = 2 * n // rings grow towards it from where they are
+			case slots > 1 && rng.Intn(2) == 0:
+				n = slots - 1 + rng.Intn(3) // below, at or above doc's buffer
+			}
 			bus.SetRetention(n)
 			m.retention = n
 			for d := range m.retained {
@@ -259,6 +293,7 @@ func cursorModelRun(t *testing.T, seed int64) {
 		t.Fatalf("seed %d: the run never exercised both a gap and a gapless stream (sheds %d, gapless %d)",
 			seed, sheds.Load(), gapless)
 	}
+	return partial
 }
 
 // TestSetRetentionKeepsNewestEvents pins that resizing the op ring keeps

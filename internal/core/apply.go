@@ -287,7 +287,7 @@ type stagedOp struct {
 	srcDoc util.ID         // insert: paste source document
 	chars  []texttree.Char // insert: records as created (visible), value copies
 	flips  []util.ID       // delete, restore: instances whose visibility flips
-	ids    []util.ID       // layout: spanned instances; note, span flag: anchor
+	ids    []util.ID       // insert: minted instances; layout: spanned ones; note, span flag: anchor
 	text   string          // insert/note text; layout: "kind=value"; span flag: event name
 	pos    int             // pos-fallback ops: requested position (apply recomputes committed pos)
 	n      int
@@ -347,7 +347,8 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			}
 			// One reservation: the run's IDs form one progression however
 			// many documents are minting, so the buffer keeps it as one
-			// record.
+			// record. The slice is the insert's only copy: the op log, the
+			// published item and the result share it, and none mutates it.
 			ids := make([]util.ID, len(runes))
 			first, step := d.eng.ids.NextN(len(runes)), util.ID(d.eng.ids.Stride())
 			for j := range ids {
@@ -361,7 +362,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			// as key, so it lands right after that predecessor; no existing
 			// row changes.
 			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), prev: prev,
-				srcDoc: op.SrcDoc, text: op.Text, chars: st.arena.alloc(len(runes))}
+				srcDoc: op.SrcDoc, text: op.Text, ids: ids, chars: st.arena.alloc(len(runes))}
 			recs := st.arena.alloc(len(runes))
 			for j, r := range runes {
 				ch := texttree.Char{ID: ids[j], Rune: r, Author: user, Created: now,
@@ -708,17 +709,13 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 			if _, err := d.buf.InsertRun(sop.prev, sop.chars); err != nil {
 				return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
 			}
-			ids := make([]util.ID, len(sop.chars))
-			for j := range sop.chars {
-				ids[j] = sop.chars[j].ID
-			}
 			kind := awareness.EvInsert
 			if !sop.srcDoc.IsNil() {
 				kind = awareness.EvPaste
 			}
 			items = append(items, awareness.BatchItem{Kind: kind,
-				Pos: pos, Text: sop.text, N: len(ids), IDs: ids, SrcDoc: sop.srcDoc})
-			results = append(results, EditResult{OpID: sop.opID, IDs: ids, Pos: pos})
+				Pos: pos, Text: sop.text, N: len(sop.ids), IDs: sop.ids, SrcDoc: sop.srcDoc})
+			results = append(results, EditResult{OpID: sop.opID, IDs: sop.ids, Pos: pos})
 
 		case EditDelete:
 			resPos, hidden := sop.pos, 0

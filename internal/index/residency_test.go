@@ -16,17 +16,20 @@ import (
 // TestResidencyBytesPerChar gates what a node holds resident per stored
 // character of a reopened corpus (20 documents of 10k characters, typed
 // in 500-rune appends), as settled heap above what the stored pages and
-// log themselves take, at three points: after db.OpenWith and
+// log themselves take, at four points: after db.OpenWith and
 // core.NewEngine (the database's own indexes, rebuilt by a heap scan),
-// after ListDocuments (which opens every document) and after index.Open
-// (the indexer's prime). Each limit is the measured value plus 10 %:
-// 3.6, 32.4 and 67.4 B. While the chars table held a row, and so two index
-// entries, per character, the three read 104.5, 132.4 and 167.4 B; while
-// the text buffer held a 160 B record, a treap node and an ID-map entry per
-// character, the last two read 376.3 and 411.3 B; while the database's
-// B-tree leaves held a slice header and a separate copy per key, in key
-// slices grown by append to 128 slots and split in the middle, the three
-// read 254.9, 526.8 and 561.8 B.
+// after ListDocuments (which opens every document), after index.Open (the
+// indexer's prime) and after one edit in every document (which gives each
+// document its op ring on the bus). Each limit is the measured value plus
+// 10 %: 3.6, 32.3, 51.2 and 50.7 B. While the search index held a Go map
+// per term and the first push allocated a ring's whole retention, the last
+// two read 67.3 and 87.2 B. While the chars table held a row, and so two
+// index entries, per character, the first three read 104.5, 132.4 and
+// 167.4 B; while the text buffer held a 160 B record, a treap node and an
+// ID-map entry per character, the second and third read 376.3 and 411.3 B;
+// while the database's B-tree leaves held a slice header and a separate
+// copy per key, in key slices grown by append to 128 slots and split in
+// the middle, the first three read 254.9, 526.8 and 561.8 B.
 func TestResidencyBytesPerChar(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds shadow memory to every allocation")
@@ -76,7 +79,8 @@ func TestResidencyBytesPerChar(t *testing.T) {
 		t.Fatal(err)
 	}
 	opened := perChar()
-	if _, err := eng.ListDocuments(); err != nil {
+	infos, err := eng.ListDocuments()
+	if err != nil {
 		t.Fatal(err)
 	}
 	listed := perChar()
@@ -86,14 +90,26 @@ func TestResidencyBytesPerChar(t *testing.T) {
 	}
 	defer svc.Close()
 	primed := perChar()
+	for _, info := range infos {
+		d, err := eng.OpenDocument(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.InsertText("bob", d.Len()/2, "k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.Sync()
+	edited := perChar()
 	runtime.KeepAlive(eng)
 	for _, p := range []struct {
 		name       string
 		got, limit float64
 	}{
 		{"after open", opened, 4.0},
-		{"after ListDocuments", listed, 35.6},
-		{"after index.Open", primed, 74.1},
+		{"after ListDocuments", listed, 35.5},
+		{"after index.Open", primed, 56.3},
+		{"after one edit in every document", edited, 55.8},
 	} {
 		t.Logf("%s: %.1f B of settled heap per stored character", p.name, p.got)
 		if p.got > p.limit {

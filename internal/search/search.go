@@ -6,7 +6,9 @@
 package search
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -51,7 +53,7 @@ type Result struct {
 // path is single-threaded.
 type Index struct {
 	eng      *core.Engine
-	postings map[string]map[util.ID]int // term -> doc -> tf
+	postings map[string][]posting       // term -> (doc, tf), sorted by doc, never empty
 	terms    map[util.ID]map[string]int // doc -> tf (reverse view, for diffing)
 	headings map[util.ID]string         // doc -> concatenated heading text
 	lengths  map[util.ID]int
@@ -62,12 +64,19 @@ type Index struct {
 	reads    map[util.ID]int
 }
 
+// posting is one document's frequency of one term: an entry of the term's
+// posting list.
+type posting struct {
+	doc util.ID
+	tf  int32
+}
+
 // New returns an empty index ready for incremental maintenance via
 // UpdateDoc/SetCites/SetReads (the index.Service path).
 func New(eng *core.Engine) *Index {
 	return &Index{
 		eng:      eng,
-		postings: make(map[string]map[util.ID]int),
+		postings: make(map[string][]posting),
 		terms:    make(map[util.ID]map[string]int),
 		headings: make(map[util.ID]string),
 		lengths:  make(map[util.ID]int),
@@ -265,21 +274,27 @@ func widen(t *texttree.Snapshot, start, end int) (int, int) {
 // setTF sets one (term, document) frequency — 0 removes the posting — in
 // both the postings and the per-document reverse view: the one place
 // postings are mutated, shared by the wholesale and the changed-range path.
+// A term's list stays sorted by doc; the last posting's removal drops it.
 func (ix *Index) setTF(doc util.ID, term string, n int) {
-	m := ix.postings[term]
+	list := ix.postings[term]
+	i, found := slices.BinarySearchFunc(list, doc, func(p posting, doc util.ID) int { return cmp.Compare(p.doc, doc) })
 	if n == 0 {
 		delete(ix.terms[doc], term)
-		delete(m, doc)
-		if len(m) == 0 {
-			delete(ix.postings, term)
+		if found {
+			list = slices.Delete(list, i, i+1)
+			if len(list) == 0 {
+				delete(ix.postings, term)
+			} else {
+				ix.postings[term] = list
+			}
 		}
 		return
 	}
-	if m == nil {
-		m = make(map[util.ID]int)
-		ix.postings[term] = m
+	if found {
+		list[i].tf = int32(n)
+	} else {
+		ix.postings[term] = slices.Insert(list, i, posting{doc, int32(n)})
 	}
-	m[doc] = n
 	tf := ix.terms[doc]
 	if tf == nil {
 		tf = make(map[string]int)
@@ -344,8 +359,9 @@ func (ix *Index) Search(q Query) ([]Result, error) {
 				}
 			} else {
 				matches = map[util.ID]float64{}
-				for id, tf := range ix.postings[term] {
-					matches[id] = ix.bm25(term, id, tf)
+				list := ix.postings[term]
+				for _, p := range list {
+					matches[p.doc] = ix.bm25(len(list), p.doc, int(p.tf))
 				}
 			}
 			if i == 0 {
@@ -400,10 +416,10 @@ func (ix *Index) Search(q Query) ([]Result, error) {
 	return out, nil
 }
 
-// bm25 is a BM25-flavoured term weight (k1 = 1.2, b = 0.75).
-func (ix *Index) bm25(term string, doc util.ID, tf int) float64 {
+// bm25 is a BM25-flavoured weight (k1 = 1.2, b = 0.75) of a term that
+// occurs tf times in doc and in df documents.
+func (ix *Index) bm25(df int, doc util.ID, tf int) float64 {
 	const k1, b = 1.2, 0.75
-	df := len(ix.postings[term])
 	n := len(ix.docs)
 	if df == 0 || n == 0 {
 		return 0
