@@ -407,8 +407,11 @@ type Doc struct {
 	// folded on top of the base once it lands.
 	resyncing bool
 	pending   []protocol.Event
-	events    []protocol.Event // retained for tests/UIs
-	watcher   func(protocol.Event)
+	// events is the event log Events reads, a ring of the newest
+	// eventRetention events folded; oldest is its oldest slot once full.
+	events  []protocol.Event
+	oldest  int
+	watcher func(protocol.Event)
 
 	// peers is the replica's presence view: user → cursor position,
 	// folded from the join/leave/cursor event stream since this replica
@@ -519,11 +522,19 @@ func (d *Doc) Watch(fn func(protocol.Event)) {
 	d.mu.Unlock()
 }
 
-// Events returns a copy of all events applied so far.
+// eventRetention is how many events a replica's event log keeps: the bus's
+// awareness.DefaultRetention, the most events one delta resync can fold.
+const eventRetention = 1024
+
+// Events returns a copy of the newest events applied, at most 1024, in
+// sequence order. Inside a "resync" watcher callback they include every
+// event the resync folded, up to that bound.
 func (d *Doc) Events() []protocol.Event {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]protocol.Event(nil), d.events...)
+	out := make([]protocol.Event, 0, len(d.events))
+	out = append(out, d.events[d.oldest:]...)
+	return append(out, d.events[:d.oldest]...)
 }
 
 // Peers returns the replica's live presence view — user → cursor
@@ -706,7 +717,20 @@ func (d *Doc) foldLocked(ev *protocol.Event) {
 	case "leave":
 		delete(d.peers, ev.User)
 	}
-	d.events = append(d.events, *ev)
+	d.logEventLocked(ev)
+}
+
+// logEventLocked adds ev to the event log (caller holds d.mu). The log
+// grows as a slice does until it holds eventRetention events, and only
+// then evicts: ev overwrites the oldest slot, which frees that event's
+// Batch.
+func (d *Doc) logEventLocked(ev *protocol.Event) {
+	if len(d.events) < eventRetention {
+		d.events = append(d.events, *ev)
+		return
+	}
+	d.events[d.oldest] = *ev
+	d.oldest = (d.oldest + 1) % eventRetention
 }
 
 // spliceLocked replaces del runes at pos with ins, in place: only the

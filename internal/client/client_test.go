@@ -3,12 +3,14 @@ package client
 import (
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"tendax/internal/awareness"
 	"tendax/internal/core"
 	"tendax/internal/db"
 	"tendax/internal/protocol"
@@ -647,4 +649,159 @@ func TestFoldAllocsAtMidDocument(t *testing.T) {
 	if len(d.runes) != 20_000 || strings.ContainsRune(string(d.runes), 'x') {
 		t.Fatal("fold changed the text")
 	}
+}
+
+// TestEventsKeepNewest pins the replica's event log: a ring of the newest
+// eventRetention events, the bus's retention, which Events returns in
+// sequence order before and across the wrap. It grows as a slice of the
+// events would, and stops growing once it holds the retention.
+func TestEventsKeepNewest(t *testing.T) {
+	if eventRetention != awareness.DefaultRetention {
+		t.Fatalf("the event log keeps %d events, the bus %d", eventRetention, awareness.DefaultRetention)
+	}
+	for _, total := range []int{1, 2, 3, 5, 1023, 1024, 1025, 1500, 2048, 2049, 3000} {
+		d := &Doc{}
+		for seq := 1; seq <= total; seq++ {
+			d.foldLocked(&protocol.Event{Seq: uint64(seq), Kind: "insert", Pos: seq - 1, Text: "x"})
+		}
+		evs := d.Events()
+		first := max(1, total-eventRetention+1)
+		if len(evs) != total-first+1 {
+			t.Fatalf("%d events folded: Events holds %d, want %d", total, len(evs), total-first+1)
+		}
+		for i, ev := range evs {
+			if ev.Seq != uint64(first+i) {
+				t.Fatalf("%d events folded: Events()[%d] is event %d, want %d", total, i, ev.Seq, first+i)
+			}
+		}
+		var slice []protocol.Event
+		for len(slice) < min(total, eventRetention) {
+			slice = append(slice, protocol.Event{})
+		}
+		if slots := cap(slice); cap(d.events) != slots {
+			t.Fatalf("%d events folded into %d slots, want %d", total, cap(d.events), slots)
+		}
+	}
+}
+
+// TestReplicaHeapIndependentOfEvents gates the settled heap of a replica
+// that a scripted server pushed 10k and then 100k one-key batch events
+// into, in the shape the server pushes them (a batch of one op keeps the
+// insert or delete event kind): the event log keeps the newest 1024, so
+// the heap is the same after both counts, and under 256 KB in all.
+func TestReplicaHeapIndependentOfEvents(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds shadow memory to every allocation")
+	}
+	const limit = 256 << 10
+	c, s := startScript(t, func(s *scriptServer, req *protocol.Message) {
+		switch req.Op {
+		case protocol.OpHello:
+			s.codec.EnableBinary()
+			s.respond(req, &protocol.Message{Ver: protocol.Version3, Shards: 1})
+		case protocol.OpSubscribe, protocol.OpOpenDoc:
+			s.respond(req, &protocol.Message{Seq: 0, Snap: 1})
+		}
+	})
+	if _, err := c.hello(); err != nil {
+		t.Fatal(err)
+	}
+	before := settledHeap() // the connection's buffers are not the replica's
+	d, err := c.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := uint64(0)
+	pushTo := func(n uint64) int64 {
+		t.Helper()
+		for seq < n {
+			seq++
+			// A key and its backspace, so the text stays one rune or none.
+			ev := protocol.Event{Seq: seq, Kind: "insert", User: "peer", Text: "x", N: 1}
+			if seq%2 == 0 {
+				ev = protocol.Event{Seq: seq, Kind: "delete", User: "peer", N: 1}
+			}
+			s.push(ev)
+		}
+		for deadline := time.Now().Add(30 * time.Second); d.Seq() != n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica at seq %d, want %d", d.Seq(), n)
+			}
+		}
+		return int64(settledHeap()) - int64(before)
+	}
+	at10k := pushTo(10_000)
+	at100k := pushTo(100_000)
+	runtime.KeepAlive(d)
+	t.Logf("settled heap of the replica: %d B after 10k events, %d B after 100k", at10k, at100k)
+	if at100k > limit {
+		t.Errorf("%d B after 100k events, limit %d", at100k, limit)
+	}
+	if grew := at100k - at10k; grew > 32<<10 { // a log of every event grows 11 MB
+		t.Errorf("the heap grew %d B from 10k to 100k events", grew)
+	}
+}
+
+// TestResyncEventsReadableInCallback pins what keystroke-bench's watcher
+// relies on: after a gap, the delta resync folds up to the bus's retention
+// of events without a callback each, and inside the one "resync" callback
+// Events returns every one of them.
+func TestResyncEventsReadableInCallback(t *testing.T) {
+	const n = eventRetention
+	ins := func(seq uint64) protocol.Event {
+		return protocol.Event{Seq: seq, Doc: 1, Kind: "insert", User: "peer", Pos: int(seq - 1), Text: "x"}
+	}
+	c, s := startScript(t, func(s *scriptServer, req *protocol.Message) {
+		switch req.Op {
+		case protocol.OpHello:
+			s.codec.EnableBinary()
+			s.respond(req, &protocol.Message{Ver: protocol.Version3, Shards: 1})
+		case protocol.OpSubscribe, protocol.OpOpenDoc:
+			s.respond(req, &protocol.Message{Seq: 0, Snap: 1})
+		case protocol.OpResync:
+			evs := make([]protocol.Event, n)
+			for i := range evs {
+				evs[i] = ins(uint64(i + 1))
+			}
+			s.respond(req, &protocol.Message{Events: evs})
+		}
+	})
+	if _, err := c.hello(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := c.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(chan []protocol.Event, 1)
+	d.Watch(func(ev protocol.Event) {
+		if ev.Kind == "resync" {
+			seen <- d.Events()
+		}
+	})
+	s.push(ins(n)) // events 1..n-1 are missing: a gap
+	select {
+	case evs := <-seen:
+		if len(evs) != n {
+			t.Fatalf("Events holds %d events in the resync callback, want %d", len(evs), n)
+		}
+		for i, ev := range evs {
+			if ev.Seq != uint64(i+1) {
+				t.Fatalf("Events()[%d] is event %d, want %d", i, ev.Seq, i+1)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the gap never led to a resync")
+	}
+	if got := d.Text(); got != strings.Repeat("x", n) {
+		t.Fatalf("replica holds %d runes after the resync, want %d", len(got), n)
+	}
+}
+
+func settledHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

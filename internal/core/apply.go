@@ -148,7 +148,7 @@ func (d *Document) commitBatchLocked(st *batchState) ([]EditResult, wal.LSN, err
 // before anything is persisted or applied. Instances are pooled (see
 // batchPool): all slices, maps and the character arena are recycled
 // across batches, so the steady-state commit path allocates per batch
-// only what outlives it (result IDs, op-log records).
+// only what outlives it (result IDs, op-log heads).
 type batchState struct {
 	user string
 	now  time.Time
@@ -159,7 +159,7 @@ type batchState struct {
 	updated    map[util.ID]*texttree.Char // existing instances with a flipped tombstone state
 	spans      []db.Row                   // span rows to insert
 	spanFlags  []db.Row                   // span rows with a flipped removed flag
-	opRecs     []*opRecord                // one log row per op
+	opRecs     []opRecord                 // one log row per op
 
 	// rehydrate plans the archived instances the restore step brings back
 	// into the hot set (at most one restore step per batch).
@@ -260,9 +260,7 @@ func (st *batchState) reset() {
 		st.spanFlags[i] = nil
 	}
 	st.spanFlags = st.spanFlags[:0]
-	for i := range st.opRecs {
-		st.opRecs[i] = nil
-	}
+	clear(st.opRecs)
 	st.opRecs = st.opRecs[:0]
 	st.rehydrate = nil
 	st.undone = st.undone[:0]
@@ -385,7 +383,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			if !op.SrcDoc.IsNil() {
 				logKind = "paste"
 			}
-			st.opRecs = append(st.opRecs, &opRecord{ID: sop.opID, User: user,
+			st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: user,
 				Kind: logKind, CharIDs: ids, Created: now})
 			st.ops = append(st.ops, sop)
 
@@ -431,7 +429,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			}
 			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), flips: affected,
 				pos: op.Pos, n: len(affected)}
-			st.opRecs = append(st.opRecs, &opRecord{ID: sop.opID, User: user,
+			st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: user,
 				Kind: "delete", CharIDs: affected, Created: now})
 			st.ops = append(st.ops, sop)
 
@@ -465,7 +463,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 				int64(spanID), int64(d.id), op.Span, op.Value,
 				int64(ids[0]), int64(ids[len(ids)-1]), user, now, false,
 			})
-			st.opRecs = append(st.opRecs, &opRecord{ID: sop.opID, User: user,
+			st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: user,
 				Kind: "layout", Ref: spanID, Created: now})
 			st.ops = append(st.ops, sop)
 
@@ -497,7 +495,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 				int64(spanID), int64(d.id), SpanNote, op.Text,
 				int64(anchor), int64(anchor), user, now, false,
 			})
-			st.opRecs = append(st.opRecs, &opRecord{ID: sop.opID, User: user,
+			st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: user,
 				Kind: "layout", Ref: spanID, Created: now})
 			st.ops = append(st.ops, sop)
 
@@ -554,7 +552,7 @@ func (d *Document) stageRestoreLocked(st *batchState, ids []util.ID) error {
 		flips = append(flips, archived...)
 	}
 	sop := stagedOp{kind: stepRestore, opID: d.eng.ids.Next(), flips: flips}
-	st.opRecs = append(st.opRecs, &opRecord{ID: sop.opID, User: st.user,
+	st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: st.user,
 		Kind: stepRestore, CharIDs: flips, Created: st.now})
 	st.ops = append(st.ops, sop)
 	return nil
@@ -576,7 +574,7 @@ func (d *Document) stageSpanFlagLocked(st *batchState, spanID util.ID, removed b
 	st.spanFlags = append(st.spanFlags, row)
 	sop := stagedOp{kind: stepSpanFlag, opID: d.eng.ids.Next(), spanID: spanID,
 		ids: []util.ID{util.ID(row[4].(int64))}, text: "remove"}
-	st.opRecs = append(st.opRecs, &opRecord{ID: sop.opID, User: st.user,
+	st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: st.user,
 		Kind: "layout-remove", Ref: spanID, Created: st.now})
 	st.ops = append(st.ops, sop)
 	return nil
@@ -672,8 +670,8 @@ func (d *Document) persistBatchLocked(tx *txn.Txn, st *batchState) error {
 			return err
 		}
 	}
-	for _, rec := range st.opRecs {
-		if err := d.writeOpRow(tx, rec); err != nil {
+	for i := range st.opRecs {
+		if err := d.writeOpRow(tx, &st.opRecs[i]); err != nil {
 			return err
 		}
 	}
@@ -777,7 +775,7 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 			results = append(results, EditResult{OpID: sop.opID, Span: sop.spanID,
 				IDs: sop.ids, Pos: pos})
 		}
-		d.appendOpLocked(*st.opRecs[len(results)-1])
+		d.appendOpLocked(st.opRecs[len(results)-1].head())
 	}
 	return results, items, nil
 }

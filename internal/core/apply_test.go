@@ -539,7 +539,10 @@ func TestBatchAddressesArchivedInstances(t *testing.T) {
 	for _, reopen := range []bool{false, true} {
 		e := newEngine(t)
 		d, _, _, _ := buildCompacted(t, e) // "keep-DELETED-keep", DELETED archived
-		archived := d.ops[len(d.ops)-1].CharIDs
+		archived, err := d.opIDs(d.ops[len(d.ops)-1].ID)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if reopen {
 			d = reload(t, e, d.ID())
 		}

@@ -45,15 +45,15 @@ type Document struct {
 
 	mu  sync.Mutex
 	buf *texttree.Buffer
-	ops []opRecord // operation log cache (ops table is authoritative)
+	ops []opHead // operation log cache (ops table is authoritative)
 	// row is the document's docs-table row as this handle last wrote it:
 	// the static metadata Info reports and the base every docs-row update
 	// builds on, so no update reads the row back. setRowLocked replaces
 	// it (never mutates it) and restores it if the transaction aborts.
 	row db.Row
-	// last is the document's newest op other than a copy; before any, one
-	// standing for its creation. appendOpLocked advances it.
-	last opRecord
+	// last is the document's newest change: its newest op other than a
+	// copy or, before any, its creation. appendOpLocked advances it.
+	last change
 }
 
 // newDocument returns a handle on the document whose docs-table row is row.
@@ -63,7 +63,7 @@ func newDocument(e *Engine, id util.ID, row db.Row) *Document {
 		id:   id,
 		buf:  texttree.NewBuffer(),
 		row:  row,
-		last: opRecord{User: row[2].(string), Created: row[3].(time.Time)},
+		last: change{row[2].(string), row[3].(time.Time)},
 	}
 	//tendax:allow-snapshotread construction: the document is not yet shared
 	d.snap.Store(&published{tree: d.buf.Snapshot(), seq: e.bus.Seq(id), row: row, last: d.last})
@@ -77,12 +77,13 @@ func newDocument(e *Engine, id util.ID, row db.Row) *Document {
 // exactly the edits up to this Seq" — without the pairing, an edit
 // committing between the two reads is silently dropped by the client as a
 // pre-snapshot duplicate. row and last are the docs-table row and the
-// newest op committed with the snapshot: what info derives metadata from.
+// newest change committed with the snapshot: what info derives metadata
+// from.
 type published struct {
 	tree *texttree.Snapshot
 	seq  uint64
 	row  db.Row // never modified: setRowLocked replaces d.row
-	last opRecord
+	last change
 }
 
 // publishEventLocked is the writers' single publish point: called under
@@ -247,7 +248,7 @@ func (d *Document) copyLocked(user string, pos, n int) (Clipboard, wal.LSN, erro
 	if err != nil {
 		return Clipboard{}, 0, err
 	}
-	d.appendOpLocked(rec)
+	d.appendOpLocked(rec.head())
 	return clip, lsn, nil
 }
 
@@ -292,7 +293,7 @@ func (d *Document) setStateLocked(user, state string) (wal.LSN, error) {
 	if err != nil {
 		return 0, err
 	}
-	d.appendOpLocked(rec)
+	d.appendOpLocked(rec.head())
 	// Workflow transitions change ranking-relevant metadata (Modified,
 	// State) without touching the text, so they must still reach the
 	// awareness stream: the incremental indexer refreshes metadata from

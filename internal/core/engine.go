@@ -539,8 +539,8 @@ func (p *published) info() DocInfo {
 		Name:       p.row[1].(string),
 		Creator:    p.row[2].(string),
 		Created:    p.row[3].(time.Time),
-		Modified:   p.last.Created,
-		LastAuthor: p.last.User,
+		Modified:   p.last.at,
+		LastAuthor: p.last.user,
 		Size:       p.tree.Len(),
 		State:      p.row[4].(string),
 		Authors:    authors,

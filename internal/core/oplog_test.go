@@ -1,0 +1,160 @@
+package core
+
+import (
+	"runtime"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"tendax/internal/util"
+)
+
+// TestOpHeadSize pins the op-log cache entry at 64 bytes or less: the cache
+// grows by one per committed op for as long as the document is open.
+func TestOpHeadSize(t *testing.T) {
+	if n := unsafe.Sizeof(opHead{}); n > 64 {
+		t.Fatalf("an opHead is %d B, want at most 64", n)
+	}
+}
+
+// TestOpLogBytesPerOp gates the settled heap the op-log cache retains per
+// one-key op: what dropping the cache of a document typed one key at a
+// time frees: 64 B a head and the slice's growth room. The limit is the
+// measured value plus 10 %: 90.2 B. While the cache held each op's whole
+// record and ID slice it read 133.9 B.
+func TestOpLogBytesPerOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds shadow memory to every allocation")
+	}
+	const ops = 4096 // four times the bus's retention, which also holds IDs
+	e := newEngine(t)
+	d, err := e.CreateDocument("alice", "oplog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ops; i++ {
+		if _, err := d.AppendText("alice", "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	with := settledHeap()
+	d.mu.Lock()
+	d.ops = nil
+	d.mu.Unlock()
+	perOp := (float64(with) - float64(settledHeap())) / ops
+	runtime.KeepAlive(d)
+	t.Logf("%.1f B of settled heap per one-key op in the op-log cache", perOp)
+	if limit := 90.2; perOp > limit {
+		t.Errorf("%.1f B per op, limit %.1f", perOp, limit)
+	}
+}
+
+func settledHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestUndoRedoReadsOpRows undoes and redoes, on a handle that was never
+// reopened, ops whose IDs only their rows hold: a delete whose payload
+// spills into opchunks rows (the undo and redo rows spill too), a delete
+// that compaction archived, and a layout op, which names its span by Ref.
+func TestUndoRedoReadsOpRows(t *testing.T) {
+	type step struct {
+		redo bool
+		want string
+	}
+	steps := func(t *testing.T, d *Document, user string, seq []step) {
+		t.Helper()
+		for i, s := range seq {
+			var err error
+			if s.redo {
+				_, err = d.RedoLocal(user)
+			} else {
+				_, err = d.UndoLocal(user)
+			}
+			if err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+			if got := d.Text(); got != s.want {
+				t.Fatalf("step %d: text %q, want %q", i, got, s.want)
+			}
+			if err := d.CheckInvariants(); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+		}
+	}
+
+	t.Run("spilled", func(t *testing.T) {
+		e := newEngine(t)
+		d, err := e.CreateDocument("alice", "big")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := strings.Repeat("abcdefghijklmnopqrstuvwxyz", 40)[:1000]
+		res, err := d.Apply("alice", []EditOp{{Kind: EditInsert, Pos: 0, Text: text}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := res[0].IDs
+		shuffled := make([]util.ID, len(ids))
+		for i, j := range util.NewRand(7).Perm(len(ids)) {
+			shuffled[i] = ids[j]
+		}
+		if _, err := d.Apply("alice", []EditOp{{Kind: EditDelete, Chars: shuffled}}); err != nil {
+			t.Fatal(err)
+		}
+		spilled := e.tOpChunks.Count()
+		if spilled < 2 {
+			t.Fatalf("the delete's payload took %d continuation rows, want several", spilled)
+		}
+		steps(t, d, "alice", []step{
+			{false, text}, // undo the delete
+			{true, ""},    // redo it from the undo row
+			{false, text}, // undo the delete again
+			{false, ""},   // undo the insert
+			{true, text},  // redo the insert
+		})
+		if n := e.tOpChunks.Count(); n < 4*spilled {
+			t.Fatalf("%d continuation rows: the undo and redo rows of the delete did not spill", n)
+		}
+		for _, op := range d.History() {
+			if op.Kind != "insert" && op.Chars != len(ids) {
+				t.Fatalf("%s op %v counts %d IDs, want %d", op.Kind, op.ID, op.Chars, len(ids))
+			}
+		}
+	})
+
+	t.Run("archived delete", func(t *testing.T) {
+		e := newEngine(t)
+		d, _, full, hot := buildCompacted(t, e)
+		steps(t, d, "alice", []step{{false, full}, {true, hot}, {false, full}})
+	})
+
+	t.Run("layout", func(t *testing.T) {
+		e := newEngine(t)
+		d, err := e.CreateDocument("alice", "layout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.InsertText("alice", 0, "text"); err != nil {
+			t.Fatal(err)
+		}
+		span, err := d.ApplyLayout("alice", 0, 4, SpanBold, "true")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range []step{{false, "text"}, {true, "text"}, {false, "text"}} {
+			steps(t, d, "alice", []step{s})
+			spans, err := d.Spans()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live := len(spans) == 1 && spans[0].ID == span; live != s.redo {
+				t.Fatalf("step %d (redo %v): spans %+v", i, s.redo, spans)
+			}
+		}
+	})
+}

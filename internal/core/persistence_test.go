@@ -68,14 +68,15 @@ func TestEverythingSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// History (incl. undo flags).
+	// History, every field (instants compared with Equal, undo flags included).
 	gotHistory := doc2.History()
 	if len(gotHistory) != len(wantHistory) {
 		t.Fatalf("history length %d want %d", len(gotHistory), len(wantHistory))
 	}
 	for i := range wantHistory {
 		w, g := wantHistory[i], gotHistory[i]
-		if g.ID != w.ID || g.Kind != w.Kind || g.User != w.User || g.Undone != w.Undone || g.Chars != w.Chars {
+		if g.ID != w.ID || g.Kind != w.Kind || g.User != w.User || !g.Created.Equal(w.Created) ||
+			g.Ref != w.Ref || g.Undone != w.Undone || g.Chars != w.Chars {
 			t.Fatalf("history[%d]: got %+v want %+v", i, g, w)
 		}
 	}
@@ -187,8 +188,8 @@ func TestLargeOpChunkingRoundTrip(t *testing.T) {
 		t.Fatalf("history after reload = %+v", h)
 	}
 	for i, want := range [][]util.ID{ids, shuffled} {
-		if got := doc2.ops[i].CharIDs; !slices.Equal(got, want) {
-			t.Fatalf("op %d reloaded with %d IDs, not the %d it logged in order", i, len(got), len(want))
+		if got, err := doc2.opIDs(doc2.ops[i].ID); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("op %d's row reads %d IDs (%v), not the %d it logged in order", i, len(got), err, len(want))
 		}
 	}
 	if _, err := doc2.UndoLocal("alice"); err != nil {

@@ -391,13 +391,13 @@ func documentDiff(a, b *Document) string {
 	}
 	for i, op := range a.ops {
 		got := b.ops[i]
-		same := op.ID == got.ID && op.User == got.User && op.Kind == got.Kind && op.Ref == got.Ref &&
-			op.Created.Equal(got.Created) && op.Undone == got.Undone && len(op.CharIDs) == len(got.CharIDs)
-		for j := 0; same && j < len(op.CharIDs); j++ {
-			same = op.CharIDs[j] == got.CharIDs[j]
-		}
-		if !same {
+		if op != got {
 			return fmt.Sprintf("op %d is %+v, reopened %+v", i, op, got)
+		}
+		// The heads hold no IDs: the row's must be as many as both count.
+		ids, err := b.opIDs(got.ID)
+		if err != nil || len(ids) != int(got.Chars) {
+			return fmt.Sprintf("op %d counts %d IDs, its row reads %d (%v)", i, got.Chars, len(ids), err)
 		}
 	}
 	return ""
@@ -522,8 +522,9 @@ func TestSplitDeleteCrashPoints(t *testing.T) {
 
 // TestOpStretches round-trips op payloads through appendStretches and
 // decodeStretches — an insert's run, descending and repeated IDs, IDs
-// above the op's own, a shuffled list — and checks that a run below its op
-// is one stretch of three bytes and that a truncated stretch is refused.
+// above the op's own, a shuffled list — and checks that countStretches
+// counts them, that a run below its op is one stretch of three bytes and
+// that a truncated stretch is refused.
 func TestOpStretches(t *testing.T) {
 	const op = util.ID(5000)
 	run := make([]util.ID, 40)
@@ -550,11 +551,17 @@ func TestOpStretches(t *testing.T) {
 		if got, err := decodeStretches(nil, op, payload); err != nil || !slices.Equal(got, tc.ids) {
 			t.Fatalf("%s: decoded %v, %v from %x; want %v", tc.name, got, err, payload, tc.ids)
 		}
+		if n, err := countStretches(payload); err != nil || int(n) != len(tc.ids) {
+			t.Fatalf("%s: counted %d, %v; want %d", tc.name, n, err, len(tc.ids))
+		}
 	}
 	if n := len(appendStretches(nil, op, run)); n != 3 {
 		t.Fatalf("a run of 40 IDs below its op takes %d bytes, want 3", n)
 	}
 	if _, err := decodeStretches(nil, op, []byte{2, 4}); err == nil {
 		t.Fatal("a stretch of two without its step decoded")
+	}
+	if _, err := countStretches([]byte{2, 4}); err == nil {
+		t.Fatal("a stretch of two without its step counted")
 	}
 }

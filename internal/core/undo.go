@@ -22,9 +22,9 @@ var ErrNothingToUndo = errors.New("core: nothing to undo")
 // ErrNothingToRedo reports that no undone operation is available to redo.
 var ErrNothingToRedo = errors.New("core: nothing to redo")
 
-// opRecord mirrors one ops-table row in memory. The document keeps its
-// operation log cached (the table remains the source of truth and the cache
-// is rebuilt on open).
+// opRecord is one ops-table row as a batch stages it, character IDs
+// included: what writeOpRow persists. Once the row has committed the
+// document keeps only its opHead.
 type opRecord struct {
 	ID      util.ID
 	User    string
@@ -32,34 +32,54 @@ type opRecord struct {
 	CharIDs []util.ID
 	Ref     util.ID
 	Created time.Time
+}
+
+// head returns the op-log cache entry of op, not yet undone.
+func (op *opRecord) head() opHead {
+	return opHead{ID: op.ID, Ref: op.Ref, User: op.User, Kind: op.Kind,
+		Created: op.Created.UnixNano(), Chars: int32(len(op.CharIDs))}
+}
+
+// opHead is one ops-table row in the document's op-log cache: everything
+// but the row's character IDs, which only an undo or redo needs and reads
+// from the row (opIDs). The ops table is authoritative; the cache is
+// rebuilt on open. At most 64 bytes (TestOpHeadSize): the cache grows by
+// one head per committed op.
+type opHead struct {
+	ID      util.ID
+	Ref     util.ID // the span of a layout op; the reverted op of an undo or redo
+	User    string
+	Kind    string
+	Created int64 // UnixNano, as the row stores it
+	Chars   int32 // the character IDs the row lists
 	Undone  bool
+}
+
+// change is who last changed a document and when: Info's LastAuthor and
+// Modified.
+type change struct {
+	user string
+	at   time.Time
 }
 
 // opChunkBytes bounds the char-ID payload stored per row; longer lists
 // spill into opchunks continuation rows.
 const opChunkBytes = 1024
 
-// loadOps populates the in-memory operation log from the ops table,
-// reassembling chunked ID payloads, and with it the document's newest
-// change.
+// loadOps populates the in-memory operation log from the ops table, and
+// with it the document's newest change. A row's IDs are counted, not kept.
 func (d *Document) loadOps() error {
 	rids, err := d.eng.tOps.LookupEq("doc", int64(d.id))
 	if err != nil {
 		return err
 	}
-	ops := make([]opRecord, 0, len(rids))
+	ops := make([]opHead, 0, len(rids))
 	for _, rid := range rids {
 		row, err := d.eng.tOps.Get(nil, rid)
 		if err != nil {
 			return err
 		}
-		payload := row[4].([]byte)
-		if len(payload) >= opChunkBytes {
-			if payload, err = d.appendOpChunks(payload, util.ID(row[0].(int64))); err != nil {
-				return err
-			}
-		}
-		op, err := opFromRow(row, payload)
+		op, err := d.headFromRow(row)
 		if err != nil {
 			return err
 		}
@@ -68,7 +88,8 @@ func (d *Document) loadOps() error {
 	// LookupEq returns RID order; ops were appended over time but RID order
 	// within one doc can interleave with other docs' pages, so sort by ID
 	// (IDs are allocation-ordered).
-	slices.SortFunc(ops, func(a, b opRecord) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(ops, func(a, b opHead) int { return cmp.Compare(a.ID, b.ID) })
+	d.ops = ops[:0] // appendOpLocked refills it in place
 	for _, op := range ops {
 		d.appendOpLocked(op)
 	}
@@ -78,11 +99,35 @@ func (d *Document) loadOps() error {
 // appendOpLocked appends a committed op to the cached log. Every op but a
 // copy changes the document, so it becomes d.last. Caller holds d.mu, or
 // owns a document not yet shared.
-func (d *Document) appendOpLocked(op opRecord) {
+func (d *Document) appendOpLocked(op opHead) {
 	d.ops = append(d.ops, op)
 	if op.Kind != "copy" {
-		d.last = op
+		d.last = change{op.User, time.Unix(0, op.Created).UTC()}
 	}
+}
+
+// opPayload returns the whole chars payload of ops row row: its own bytes
+// and, when they fill the row, its continuation rows'.
+func (d *Document) opPayload(row db.Row) ([]byte, error) {
+	payload := row[4].([]byte)
+	if len(payload) < opChunkBytes {
+		return payload, nil
+	}
+	return d.appendOpChunks(payload, util.ID(row[0].(int64)))
+}
+
+// opIDs reads the character IDs of op opID from its ops row: the instances
+// an insert created, a delete hid, or an undo or redo flipped.
+func (d *Document) opIDs(opID util.ID) ([]util.ID, error) {
+	row, _, err := d.eng.tOps.GetByPK(nil, int64(opID))
+	if err != nil {
+		return nil, err
+	}
+	payload, err := d.opPayload(row)
+	if err != nil {
+		return nil, err
+	}
+	return decodeStretches(nil, opID, payload)
 }
 
 // appendOpChunks appends the payload continuation rows of one op hold to
@@ -131,7 +176,7 @@ func (d *Document) writeOpRow(tx *txn.Txn, op *opRecord) error {
 	enc.Bytes(first)
 	enc.Int(int64(op.Ref))
 	enc.Time(op.Created)
-	enc.Bool(op.Undone)
+	enc.Bool(false) // undone
 	rec, err := enc.End()
 	if err == nil {
 		err = d.eng.tOps.InsertRecords(tx, rec)
@@ -193,31 +238,58 @@ func appendStretches(dst []byte, op util.ID, ids []util.ID) []byte {
 // errStretches reports a chars payload appendStretches did not write.
 var errStretches = errors.New("core: corrupt char IDs in an op row")
 
+// nextStretch parses the stretch at the front of payload b: its count,
+// how far its first ID lies below the op's ID, its step, and the rest of b.
+func nextStretch(b []byte) (n int, below, step int64, rest []byte, err error) {
+	c, k := binary.Uvarint(b)
+	if k <= 0 || c == 0 || c > math.MaxInt32 {
+		return 0, 0, 0, nil, errStretches
+	}
+	below, k2 := binary.Varint(b[k:])
+	if k2 <= 0 {
+		return 0, 0, 0, nil, errStretches
+	}
+	b = b[k+k2:]
+	if c > 1 {
+		if step, k = binary.Varint(b); k <= 0 {
+			return 0, 0, 0, nil, errStretches
+		}
+		b = b[k:]
+	}
+	return int(c), below, step, b, nil
+}
+
 // decodeStretches appends the IDs of op's payload b to dst.
 func decodeStretches(dst []util.ID, op util.ID, b []byte) ([]util.ID, error) {
 	for len(b) > 0 {
-		n, k := binary.Uvarint(b)
-		if k <= 0 || n == 0 || n > math.MaxInt32 {
-			return nil, errStretches
-		}
-		below, k2 := binary.Varint(b[k:])
-		if k2 <= 0 {
-			return nil, errStretches
-		}
-		b = b[k+k2:]
-		var step int64
-		if n > 1 {
-			if step, k = binary.Varint(b); k <= 0 {
-				return nil, errStretches
-			}
-			b = b[k:]
+		n, below, step, rest, err := nextStretch(b)
+		if err != nil {
+			return nil, err
 		}
 		first := op - util.ID(below)
 		for j := int64(0); j < int64(n); j++ {
 			dst = append(dst, first+util.ID(j*step))
 		}
+		b = rest
 	}
 	return dst, nil
+}
+
+// countStretches returns how many IDs payload b holds, checking it as
+// decodeStretches does.
+func countStretches(b []byte) (int32, error) {
+	total := 0
+	for len(b) > 0 {
+		n, _, _, rest, err := nextStretch(b)
+		if err != nil {
+			return 0, err
+		}
+		if total += n; total > math.MaxInt32 {
+			return 0, errStretches
+		}
+		b = rest
+	}
+	return int32(total), nil
 }
 
 // setOpUndone flips the undone flag on a persisted op row, leaving the
@@ -231,19 +303,20 @@ func (d *Document) setOpUndone(tx *txn.Txn, opID util.ID, undone bool) error {
 	return d.eng.tOps.UpdateByPK(tx, int64(opID), row)
 }
 
-// opFromRow returns the op an ops row stores, whose whole chars payload,
-// continuation rows included, is payload.
-func opFromRow(row db.Row, payload []byte) (opRecord, error) {
-	op := opRecord{
+// headFromRow returns the op-log cache entry of ops row row.
+func (d *Document) headFromRow(row db.Row) (opHead, error) {
+	op := opHead{
 		ID:      util.ID(row[0].(int64)),
 		User:    row[2].(string),
 		Kind:    row[3].(string),
 		Ref:     util.ID(row[5].(int64)),
-		Created: row[6].(time.Time),
+		Created: row[6].(time.Time).UnixNano(),
 		Undone:  row[7].(bool),
 	}
-	var err error
-	op.CharIDs, err = decodeStretches(nil, op.ID, payload)
+	payload, err := d.opPayload(row)
+	if err == nil {
+		op.Chars, err = countStretches(payload)
+	}
 	return op, err
 }
 
@@ -265,8 +338,8 @@ func (d *Document) History() []OpInfo {
 	out := make([]OpInfo, len(d.ops))
 	for i, op := range d.ops {
 		out[i] = OpInfo{
-			ID: op.ID, User: op.User, Kind: op.Kind, Chars: len(op.CharIDs),
-			Ref: op.Ref, Created: op.Created, Undone: op.Undone,
+			ID: op.ID, User: op.User, Kind: op.Kind, Chars: int(op.Chars),
+			Ref: op.Ref, Created: time.Unix(0, op.Created).UTC(), Undone: op.Undone,
 		}
 	}
 	return out
@@ -317,7 +390,7 @@ func (d *Document) undoLocked(user string, local bool) (util.ID, wal.LSN, error)
 	if ti < 0 {
 		return util.NilID, 0, ErrNothingToUndo
 	}
-	return d.revertLocked(user, awareness.EvUndo, ti, d.ops[ti].CharIDs, opFlag{ti, true})
+	return d.revertLocked(user, awareness.EvUndo, ti, d.ops[ti].ID, opFlag{ti, true})
 }
 
 func (d *Document) redo(user string, local bool) (util.ID, error) {
@@ -331,15 +404,14 @@ func (d *Document) redoLocked(user string, local bool) (util.ID, wal.LSN, error)
 	if ui < 0 {
 		return util.NilID, 0, ErrNothingToRedo
 	}
-	ti := slices.IndexFunc(d.ops, func(op opRecord) bool { return op.ID == d.ops[ui].Ref })
+	ti := slices.IndexFunc(d.ops, func(op opHead) bool { return op.ID == d.ops[ui].Ref })
 	if ti < 0 {
 		return util.NilID, 0, ErrNothingToRedo
 	}
 	// Redo reverts exactly the set the undo flipped (recorded on the undo
 	// op), not the target's full list — characters hidden by other users'
 	// operations stay hidden.
-	return d.revertLocked(user, awareness.EvRedo, ti, d.ops[ui].CharIDs,
-		opFlag{ti, false}, opFlag{ui, true})
+	return d.revertLocked(user, awareness.EvRedo, ti, d.ops[ui].ID, opFlag{ti, false}, opFlag{ui, true})
 }
 
 // lastOpLocked returns the index of the newest op not undone whose kind
@@ -354,24 +426,31 @@ func (d *Document) lastOpLocked(user string, local bool, pred func(kind string) 
 }
 
 // revertLocked undoes (EvUndo) or redoes (EvRedo) the op d.ops[ti] over
-// the instances ids as an edit batch of one step. The step's log record
-// becomes the "undo" or "redo" row: it refs the op and lists the
-// instances the undo flipped, or the op's own for a redo. flags are the
-// undone flags the batch sets; the event names the op's kind and size.
-func (d *Document) revertLocked(user string, kind awareness.EventKind, ti int, ids []util.ID, flags ...opFlag) (util.ID, wal.LSN, error) {
+// the instances the row of op from lists (the cache holds no IDs), as an
+// edit batch of one step. The step's log record becomes the "undo" or
+// "redo" row: it refs the op and lists the instances the undo flipped, or
+// the op's own, read from its row, for a redo. flags are the undone flags
+// the batch sets; the event names the op's kind and size.
+func (d *Document) revertLocked(user string, kind awareness.EventKind, ti int, from util.ID, flags ...opFlag) (util.ID, wal.LSN, error) {
 	target := d.ops[ti]
+	ids, err := d.opIDs(from)
+	if err != nil {
+		return util.NilID, 0, err
+	}
 	st := getBatch(user, d.eng.clock.Now())
 	defer st.release()
 	if err := d.stageRevertLocked(st, target, ids, kind == awareness.EvUndo); err != nil {
 		return util.NilID, 0, err
 	}
-	rec := st.opRecs[0]
+	rec := &st.opRecs[0]
 	rec.Kind, rec.Ref = string(kind), target.ID
 	if kind == awareness.EvRedo {
-		rec.CharIDs = target.CharIDs
+		if rec.CharIDs, err = d.opIDs(target.ID); err != nil {
+			return util.NilID, 0, err
+		}
 	}
 	st.undone = append(st.undone, flags...)
-	st.undo = awareness.Event{Kind: kind, Name: target.Kind, N: len(target.CharIDs)}
+	st.undo = awareness.Event{Kind: kind, Name: target.Kind, N: int(target.Chars)}
 	_, lsn, err := d.commitBatchLocked(st)
 	if err != nil {
 		return util.NilID, 0, err
@@ -384,7 +463,7 @@ func (d *Document) revertLocked(user string, kind awareness.EventKind, ti int, i
 // delete op, restoring them through the restore step, or flipping a
 // span's removed flag through the span-flag step. The step's log record
 // is the caller's to relabel as the undo or redo row.
-func (d *Document) stageRevertLocked(st *batchState, op opRecord, ids []util.ID, undo bool) error {
+func (d *Document) stageRevertLocked(st *batchState, op opHead, ids []util.ID, undo bool) error {
 	switch op.Kind {
 	case "insert", "paste", "delete":
 		// An empty set flips nothing either way; the delete op refuses a

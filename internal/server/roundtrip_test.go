@@ -18,13 +18,14 @@ import (
 // maxOneKeyRoundTripAllocs bounds the heap allocations of one key's round
 // trip through an in-process server: the author's session sends it, the
 // server decodes, commits and acknowledges it and pushes it to both
-// replicas, and the peer's replica folds it. It measured 22 (23 while the
+// replicas, and the peer's replica folds it. It measured 21 (22 while a
+// batch allocated each op's log record on its own, 23 while the
 // published item and the result took a second copy of the key's ID slice,
 // 24 while its op row's payload was a fresh slice of 8-byte IDs, 25 while
 // the text buffer gave each key a treap node of its own, 29 while each
 // index entry allocated its own key copy); the budget is that plus 10 %,
 // rounded down.
-const maxOneKeyRoundTripAllocs = 24
+const maxOneKeyRoundTripAllocs = 23
 
 // The stages below have budgets of their own, because one allocation more
 // per frame would not trip the total's 10 % margin. A stage is compared
