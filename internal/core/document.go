@@ -51,9 +51,10 @@ type Document struct {
 	// builds on, so no update reads the row back. setRowLocked replaces
 	// it (never mutates it) and restores it if the transaction aborts.
 	row db.Row
-	// last is the document's newest change: its newest op other than a
-	// copy or, before any, its creation. appendOpLocked advances it.
-	last change
+	// last is the document's newest change: the head of its newest op
+	// other than a copy or, before any, a head of its creator and creation
+	// time. appendOpLocked advances it; info reads its User and Created.
+	last opHead
 }
 
 // newDocument returns a handle on the document whose docs-table row is row.
@@ -63,7 +64,7 @@ func newDocument(e *Engine, id util.ID, row db.Row) *Document {
 		id:   id,
 		buf:  texttree.NewBuffer(),
 		row:  row,
-		last: change{row[2].(string), row[3].(time.Time)},
+		last: opHead{User: row[2].(string), Created: row[3].(time.Time).UnixNano()},
 	}
 	//tendax:allow-snapshotread construction: the document is not yet shared
 	d.snap.Store(&published{tree: d.buf.Snapshot(), seq: e.bus.Seq(id), row: row, last: d.last})
@@ -83,7 +84,7 @@ type published struct {
 	tree *texttree.Snapshot
 	seq  uint64
 	row  db.Row // never modified: setRowLocked replaces d.row
-	last change
+	last opHead
 }
 
 // publishEventLocked is the writers' single publish point: called under

@@ -539,8 +539,8 @@ func (p *published) info() DocInfo {
 		Name:       p.row[1].(string),
 		Creator:    p.row[2].(string),
 		Created:    p.row[3].(time.Time),
-		Modified:   p.last.at,
-		LastAuthor: p.last.user,
+		Modified:   time.Unix(0, p.last.Created).UTC(),
+		LastAuthor: p.last.User,
 		Size:       p.tree.Len(),
 		State:      p.row[4].(string),
 		Authors:    authors,

@@ -394,10 +394,15 @@ func documentDiff(a, b *Document) string {
 		if op != got {
 			return fmt.Sprintf("op %d is %+v, reopened %+v", i, op, got)
 		}
-		// The heads hold no IDs: the row's must be as many as both count.
-		ids, err := b.opIDs(got.ID)
-		if err != nil || len(ids) != int(got.Chars) {
-			return fmt.Sprintf("op %d counts %d IDs, its row reads %d (%v)", i, got.Chars, len(ids), err)
+		// The heads hold no IDs: each side's row must list the same IDs,
+		// as many as the heads count.
+		want, errA := a.opIDs(op.ID)
+		ids, errB := b.opIDs(got.ID)
+		if errA != nil || errB != nil {
+			return fmt.Sprintf("op %d's row reads %v, reopened %v", i, errA, errB)
+		}
+		if !slices.Equal(want, ids) || len(ids) != int(got.Chars) {
+			return fmt.Sprintf("op %d (%d IDs) lists %v, reopened %v", i, got.Chars, want, ids)
 		}
 	}
 	return ""

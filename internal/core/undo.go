@@ -55,13 +55,6 @@ type opHead struct {
 	Undone  bool
 }
 
-// change is who last changed a document and when: Info's LastAuthor and
-// Modified.
-type change struct {
-	user string
-	at   time.Time
-}
-
 // opChunkBytes bounds the char-ID payload stored per row; longer lists
 // spill into opchunks continuation rows.
 const opChunkBytes = 1024
@@ -89,9 +82,12 @@ func (d *Document) loadOps() error {
 	// within one doc can interleave with other docs' pages, so sort by ID
 	// (IDs are allocation-ordered).
 	slices.SortFunc(ops, func(a, b opHead) int { return cmp.Compare(a.ID, b.ID) })
-	d.ops = ops[:0] // appendOpLocked refills it in place
-	for _, op := range ops {
-		d.appendOpLocked(op)
+	d.ops = ops
+	for i := len(ops) - 1; i >= 0; i-- {
+		if ops[i].Kind != "copy" {
+			d.last = ops[i]
+			break
+		}
 	}
 	return nil
 }
@@ -102,7 +98,7 @@ func (d *Document) loadOps() error {
 func (d *Document) appendOpLocked(op opHead) {
 	d.ops = append(d.ops, op)
 	if op.Kind != "copy" {
-		d.last = change{op.User, time.Unix(0, op.Created).UTC()}
+		d.last = op
 	}
 }
 
