@@ -29,7 +29,7 @@ import (
 // finds the row of any instance.
 
 // rowTextBytes caps the UTF-8 text of one chars row. A row of 128 bytes of
-// text and ~100 of columns leaves room on a heap page for long names, and
+// text and ~30 of columns leaves room on a heap page for long names, and
 // holds a 128-key batch of ASCII. A split logs the row's text about twice
 // (the update's splice spans it), so a smaller cap makes deletes cheaper:
 // a 6-character delete inside 500-rune runs logs ~598 B at 128, ~809 B at

@@ -22,16 +22,18 @@ import (
 // ordered by their anchors, with no neighbour rewritten, cost ~287 B.
 // Leaving the docs row alone unless the author is new costs ~228 B. A
 // chars row that is a run (one deletion-state column, empty until a
-// delete) and an op row naming its IDs as one stretch cost ~212 B; the
-// budget is that plus 10 %.
-const maxOneKeyBatchLogBytes = 233
+// delete) and an op row naming its IDs as one stretch cost ~212 B. Rows
+// whose ints are varints and whose lengths are uvarints, not 8 and 4
+// fixed bytes, cost ~125 B; the budget is that plus 10 %.
+const maxOneKeyBatchLogBytes = 137
 
 // maxOneKeyBatchWorstLogBytes bounds the WAL of any single one-key batch.
 // The worst is an author's first batch, whose document-row update also
 // appends the name to the authors column: ~377 B with the two neighbour
 // relinks, ~325 B without, ~261 B with a docs row of six columns, ~244 B
-// with the run row and stretch-coded op row; the budget is that plus 10 %.
-const maxOneKeyBatchWorstLogBytes = 268
+// with the run row and stretch-coded op row, ~156 B with varint rows; the
+// budget is that plus 10 %.
+const maxOneKeyBatchWorstLogBytes = 172
 
 // TestOneKeyBatchLogBytes types one-key batches between two existing
 // characters of a 20k-character document, two authors alternating, and
@@ -79,10 +81,11 @@ func TestOneKeyBatchLogBytes(t *testing.T) {
 
 // maxRunBatchLogBytes bounds the WAL a typed character costs in a batch of
 // 128 keys, the bulk regime: one chars row per run and one op row whose
-// IDs are one stretch take ~2.7 B per key; the budget is that plus 10 %.
-// While every character was a row of its own and an op row listed 8 bytes
-// per ID, it was ~123 B.
-const maxRunBatchLogBytes = 3.0
+// IDs are one stretch, in varint rows, take ~2.0 B per key; the budget is
+// that plus 10 %. With fixed-width rows it was ~2.7 B. While every
+// character was a row of its own and an op row listed 8 bytes per ID, it
+// was ~123 B.
+const maxRunBatchLogBytes = 2.2
 
 // TestRunBatchLogBytes types 128-key batches at spread positions of a
 // 20k-character document, two authors alternating, and fails if they log

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"log"
@@ -49,6 +50,19 @@ var catalogSchema = Schema{
 	{Name: "schema", Type: TBytes},
 	{Name: "indexes", Type: TString}, // comma-separated indexed columns
 }
+
+// ErrRowFormat reports a data directory whose rows were written in a row
+// format this build does not read.
+var ErrRowFormat = errors.New("db: row format of the data directory not recognised")
+
+// rowFormatRow is the catalog's row for itself, under catalogTableID, which
+// no table is given: its name carries the version of the row format. Open
+// stamps it into a new database and refuses a database whose catalog does
+// not hold its encoding byte for byte. Rows of the fixed-width format that
+// came before it (8-byte ints, 4-byte lengths) start with a zero byte and
+// would decode as short varint rows with primary key 0, so the marker's
+// whole encoding is compared, not a key alone.
+var rowFormatRow = Row{int64(catalogTableID), "__catalog__ rows v2", EncodeSchema(catalogSchema), ""}
 
 // Database is the TeNDaX embedded database: a transactional, recoverable,
 // multi-user store of typed tables.
@@ -147,6 +161,10 @@ func OpenWith(disk storage.DiskManager, store wal.Store, opts Options) (_ *Datab
 	if err != nil {
 		return nil, err
 	}
+	stamped, err := checkRowFormat(heaps)
+	if err != nil {
+		return nil, err
+	}
 	catHeap := heaps[catalogTableID]
 	if catHeap == nil {
 		catHeap = NewHeap(catalogTableID, pool, log)
@@ -159,10 +177,19 @@ func OpenWith(disk storage.DiskManager, store wal.Store, opts Options) (_ *Datab
 		return nil, err
 	}
 
+	if !stamped {
+		if err := d.stampRowFormat(); err != nil {
+			return nil, err
+		}
+	}
+
 	// Materialise every table in the catalog.
 	var loadErr error
 	err = d.catalog.Scan(nil, func(_ RID, row Row) (bool, error) {
 		id := uint64(row[0].(int64))
+		if id == catalogTableID {
+			return true, nil // the row-format marker
+		}
 		name := row[1].(string)
 		schema, err := DecodeSchema(row[2].([]byte))
 		if err != nil {
@@ -207,6 +234,45 @@ func OpenWith(disk storage.DiskManager, store wal.Store, opts Options) (_ *Datab
 		d.startCheckpointer(opts.CheckpointInterval, opts.CheckpointLogBytes)
 	}
 	return d, nil
+}
+
+// checkRowFormat reports whether the catalog heap holds the row-format
+// marker. A database without one is ErrRowFormat unless it is new: its
+// catalog holds no row and no other table has a page.
+func checkRowFormat(heaps map[uint64]*Heap) (stamped bool, err error) {
+	marker, err := EncodeRow(catalogSchema, rowFormatRow)
+	if err != nil {
+		return false, err
+	}
+	rows, others := 0, len(heaps)
+	if cat := heaps[catalogTableID]; cat != nil {
+		others--
+		err = cat.ScanDirty(func(_ RID, rec []byte) error {
+			rows++
+			stamped = stamped || bytes.Equal(rec, marker)
+			return nil
+		})
+		if err != nil {
+			return false, err
+		}
+	}
+	if !stamped && (rows > 0 || others > 0) {
+		return false, ErrRowFormat
+	}
+	return stamped, nil
+}
+
+// stampRowFormat writes the row-format marker into a new database.
+func (d *Database) stampRowFormat() error {
+	tx, err := d.tm.Begin()
+	if err != nil {
+		return err
+	}
+	if _, err := d.catalog.Insert(tx, rowFormatRow); err != nil {
+		_ = tx.Abort()
+		return err
+	}
+	return tx.Commit()
 }
 
 // discoverHeaps scans all pages and groups them by owner tag.

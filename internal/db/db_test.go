@@ -344,6 +344,9 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if tbl2 == nil {
 		t.Fatal("table lost across reopen")
 	}
+	if names := d2.Tables(); !reflect.DeepEqual(names, []string{"docs"}) {
+		t.Fatalf("tables after reopen: %q, want only docs", names)
+	}
 	if tbl2.Count() != 50 {
 		t.Fatalf("Count after reopen = %d, want 50", tbl2.Count())
 	}

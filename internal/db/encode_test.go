@@ -123,9 +123,11 @@ func TestInsertRecordsChecks(t *testing.T) {
 	if err := tbl.InsertRecords(tx, row(3, "c")); err != nil {
 		t.Fatal(err)
 	}
+	// cut returns rec without its last byte.
+	cut := func(rec []byte) []byte { return rec[:len(rec)-1] }
 	refused := map[string][][]byte{
 		"trailing bytes":      {append(row(4, "d"), 0)},
-		"truncated":           {row(4, "d")[:10]},
+		"truncated":           {cut(row(4, "d"))},
 		"existing key":        {row(2, "x")},
 		"existing key, batch": {row(4, "d"), row(1, "x")},
 		"repeated key, batch": {row(5, "e"), row(5, "f")},
@@ -135,7 +137,7 @@ func TestInsertRecordsChecks(t *testing.T) {
 			t.Errorf("%s: InsertRecords accepted %x", name, recs)
 		}
 	}
-	if err := tbl.UpdateRecord(tx, row(2, "bb")[:9]); !errors.Is(err, ErrSchema) {
+	if err := tbl.UpdateRecord(tx, cut(row(2, "bb"))); !errors.Is(err, ErrSchema) {
 		t.Errorf("UpdateRecord of a truncated record: %v, want ErrSchema", err)
 	}
 	if err := tbl.UpdateRecord(tx, row(2, "bb")); err != nil {
@@ -207,5 +209,55 @@ func TestOneRowInsertAllocs(t *testing.T) {
 	t.Logf("%.1f allocations per one-row insert", allocs)
 	if allocs > maxOneRowInsertAllocs {
 		t.Errorf("a one-row insert allocated %.1f times, over the budget of %d", allocs, maxOneRowInsertAllocs)
+	}
+}
+
+// Field and CheckRecord expose field and checkRecord to the row-format
+// tests of this directory (package db_test), which read the engine's
+// schemas.
+var (
+	Field       = field
+	CheckRecord = checkRecord
+)
+
+// TestRowRefusesOtherSpellings: bytes that are not the one spelling of a
+// row of allTypes — a varint or length with a redundant last byte, a
+// length past the record's end, a bool byte other than 0 or 1, a byte
+// after the last column — are refused by DecodeRow, checkRecord and a
+// field read of the last column alike, so equal rows are equal bytes.
+func TestRowRefusesOtherSpellings(t *testing.T) {
+	at := time.Unix(1_000_000, 42).UTC()
+	valid, err := EncodeRow(allTypes, Row{int64(-3), "ab", []byte{7}, true, at})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head := []byte{5, 2, 'a', 'b', 1, 7, 1}; !bytes.Equal(valid[:7], head) {
+		t.Fatalf("the valid record starts %x, want %x and 8 bytes of time", valid[:7], head)
+	}
+	tail := valid[7:]
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for name, rec := range map[string][]byte{
+		"non-minimal int":    cat([]byte{0x85, 0x00, 2, 'a', 'b', 1, 7, 1}, tail),
+		"non-minimal length": cat([]byte{5, 0x82, 0x00, 'a', 'b', 1, 7, 1}, tail),
+		"time overruns":      cat([]byte{5, 2, 'a', 'b', 1, 7, 1}, tail[:7]),
+		"length overruns":    {5, 3, 'a', 'b'},
+		"huge length":        cat([]byte{5, 0xff, 0xff, 0xff, 0xff, 0x0f, 'a', 'b', 1, 7, 1}, tail),
+		"bool byte 2":        cat([]byte{5, 2, 'a', 'b', 1, 7, 2}, tail),
+		"trailing byte":      cat(valid, []byte{0}),
+		"truncated int":      {0x85},
+		"empty":              {},
+	} {
+		if row, err := DecodeRow(allTypes, rec); !errors.Is(err, ErrSchema) {
+			t.Errorf("%s: DecodeRow = %v, %v; want ErrSchema", name, row, err)
+		}
+		if err := checkRecord(allTypes, rec); !errors.Is(err, ErrSchema) {
+			t.Errorf("%s: checkRecord = %v; want ErrSchema", name, err)
+		}
+		if f, err := field(allTypes, rec, len(allTypes)-1); !errors.Is(err, ErrSchema) {
+			t.Errorf("%s: field = %x, %v; want ErrSchema", name, f, err)
+		}
+	}
+	if row, err := DecodeRow(allTypes, valid); err != nil || row[0] != int64(-3) || row[1] != "ab" {
+		t.Fatalf("the valid record decodes to %v, %v", row, err)
 	}
 }

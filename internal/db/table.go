@@ -27,7 +27,16 @@ type Index struct {
 // abort's undo unindex the very bytes they hold.
 
 // pkKey appends the primary-key B-tree key of rec to dst.
-func pkKey(dst, rec []byte) []byte { return appendKey(dst, TInt, rec[:8]) }
+func (t *Table) pkKey(dst, rec []byte) []byte {
+	f, _ := field(t.schema, rec, 0) // rec is a valid encoding
+	return appendKey(dst, TInt, f)
+}
+
+// keyOfPK appends the primary-key B-tree key of pk to dst.
+func keyOfPK(dst []byte, pk int64) []byte {
+	var f [binary.MaxVarintLen64]byte
+	return appendKey(dst, TInt, appendInt(f[:0], pk))
+}
 
 // key appends ix's B-tree key of rec, stored at rid, to dst.
 func (ix *Index) key(dst []byte, schema Schema, rec []byte, rid RID) []byte {
@@ -114,7 +123,7 @@ func (t *Table) RebuildIndexes() error {
 // secondary index. Caller holds t.mu.
 func (t *Table) indexLocked(rec []byte, rid RID) {
 	var buf [64]byte
-	t.pk.Put(pkKey(buf[:0], rec), rid)
+	t.pk.Put(t.pkKey(buf[:0], rec), rid)
 	for _, ix := range t.indexes {
 		ix.tree.Put(ix.key(buf[:0], t.schema, rec, rid), rid)
 	}
@@ -123,7 +132,7 @@ func (t *Table) indexLocked(rec []byte, rid RID) {
 // unindexLocked removes what indexLocked entered. Caller holds t.mu.
 func (t *Table) unindexLocked(rec []byte, rid RID) {
 	var buf [64]byte
-	t.pk.Delete(pkKey(buf[:0], rec))
+	t.pk.Delete(t.pkKey(buf[:0], rec))
 	for _, ix := range t.indexes {
 		ix.tree.Delete(ix.key(buf[:0], t.schema, rec, rid))
 	}
@@ -131,17 +140,21 @@ func (t *Table) unindexLocked(rec []byte, rid RID) {
 
 // sameKeys reports whether two encodings of a row agree on the primary key
 // and every indexed column, so that replacing one by the other in place
-// leaves every index as it is.
+// leaves every index as it is. A value has one spelling, so equal bytes
+// are equal values.
 func (t *Table) sameKeys(a, b []byte) bool {
-	if !bytes.Equal(a[:8], b[:8]) {
+	same := func(col int) bool {
+		fa, _ := field(t.schema, a, col)
+		fb, _ := field(t.schema, b, col)
+		return bytes.Equal(fa, fb)
+	}
+	if !same(0) {
 		return false
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, ix := range t.indexes {
-		fa, _ := field(t.schema, a, ix.col)
-		fb, _ := field(t.schema, b, ix.col)
-		if !bytes.Equal(fa, fb) {
+		if !same(ix.col) {
 			return false
 		}
 	}
@@ -279,8 +292,9 @@ func (t *Table) checkNewKeys(recs [][]byte) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, rec := range recs {
-		pk := int64(binary.BigEndian.Uint64(rec))
-		if _, exists := t.pk.Get(pkKey(buf[:0], rec)); exists || batch[pk] {
+		f, _ := field(t.schema, rec, 0) // recs are valid encodings
+		pk := intOf(f)
+		if _, exists := t.pk.Get(appendKey(buf[:0], TInt, f)); exists || batch[pk] {
 			return fmt.Errorf("db: table %q: duplicate primary key %v", t.name, pk)
 		}
 		if batch != nil {
@@ -311,7 +325,8 @@ func (t *Table) UpdateRecord(tx *txn.Txn, rec []byte) error {
 	if err := checkRecord(t.schema, rec); err != nil {
 		return fmt.Errorf("db: table %q: %w", t.name, err)
 	}
-	rid, err := t.ridOf(int64(binary.BigEndian.Uint64(rec)))
+	f, _ := field(t.schema, rec, 0)
+	rid, err := t.ridOf(intOf(f))
 	if err != nil {
 		return err
 	}
@@ -370,10 +385,9 @@ func (t *Table) Get(tx *txn.Txn, rid RID) (Row, error) {
 
 // ridOf returns the RID of the row whose primary key equals pk.
 func (t *Table) ridOf(pk int64) (RID, error) {
-	var f, k [8]byte
-	binary.BigEndian.PutUint64(f[:], uint64(pk))
+	var k [8]byte
 	t.mu.RLock()
-	rid, ok := t.pk.Get(pkKey(k[:0], f[:]))
+	rid, ok := t.pk.Get(keyOfPK(k[:0], pk))
 	t.mu.RUnlock()
 	if !ok {
 		return RID{}, ErrNotFound
@@ -399,10 +413,9 @@ func (t *Table) GetByPK(tx *txn.Txn, pk int64) (Row, RID, error) {
 // keys from its own, such as a run of characters, is found by any key in
 // the range.
 func (t *Table) FloorByPK(tx *txn.Txn, pk int64) (Row, RID, error) {
-	var f, k [8]byte
-	binary.BigEndian.PutUint64(f[:], uint64(pk))
+	var k [8]byte
 	t.mu.RLock()
-	_, rid, ok := t.pk.Floor(pkKey(k[:0], f[:]))
+	_, rid, ok := t.pk.Floor(keyOfPK(k[:0], pk))
 	t.mu.RUnlock()
 	if !ok {
 		return nil, RID{}, ErrNotFound

@@ -3,6 +3,7 @@ package db
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -225,4 +226,118 @@ func TestFloorByPK(t *testing.T) {
 			t.Fatalf("FloorByPK(%d) = %v, %v; want the row of %d", pk, row, err, keys[i])
 		}
 	}
+}
+
+// TestKeysAcrossVarintWidths stores rows whose primary keys and indexed
+// int column sit on both sides of every varint length boundary (63/64,
+// 8191/8192, 2^20, 2^27, … 2^62, their negatives, MinInt64 and MaxInt64):
+// rows take 1 to 10 bytes per int, but their B-tree keys must still order
+// by value. GetByPK, FloorByPK, LookupEq, MaxPK and the ascending order of
+// both indexes are checked against a sorted model, before and after a
+// reopen rebuilds the indexes from the stored rows.
+func TestKeysAcrossVarintWidths(t *testing.T) {
+	keys := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	for w := 7; w <= 63; w += 7 {
+		b := int64(1) << (w - 1) // the least positive int whose varint takes w/7+1 bytes
+		keys = append(keys, b-1, b, -b, -b-1)
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	// Row i's v is a key from the other end, shared by a pair of rows.
+	v := func(i int) int64 { return keys[len(keys)-1-(i&^1)] }
+	schema := Schema{{Name: "id", Type: TInt}, {Name: "v", Type: TInt}, {Name: "s", Type: TString}}
+
+	dir := t.TempDir()
+	d, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := d.CreateTable("keys", schema, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, _ := d.Begin()
+	for i, k := range keys {
+		if _, err := tbl.Insert(tx, Row{k, v(i), fmt.Sprint(k)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(when string, tbl *Table) {
+		t.Helper()
+		if n := tbl.Count(); n != len(keys) {
+			t.Fatalf("%s: Count = %d, want %d", when, n, len(keys))
+		}
+		if m := tbl.MaxPK(); m != math.MaxInt64 {
+			t.Fatalf("%s: MaxPK = %d", when, m)
+		}
+		pkOf := map[RID]int64{}
+		byV := map[int64][]RID{}
+		for i, k := range keys {
+			row, rid, err := tbl.GetByPK(nil, k)
+			if err != nil || !reflect.DeepEqual(row, Row{k, v(i), fmt.Sprint(k)}) {
+				t.Fatalf("%s: GetByPK(%d) = %v, %v", when, k, row, err)
+			}
+			pkOf[rid] = k
+			byV[v(i)] = append(byV[v(i)], rid)
+			floors := map[int64]int64{k: k} // probe -> the key it must find
+			if i+1 < len(keys) && keys[i+1] != k+1 {
+				floors[k+1] = k
+			}
+			if i > 0 && keys[i-1] != k-1 {
+				floors[k-1] = keys[i-1]
+			}
+			for probe, want := range floors {
+				if row, _, err := tbl.FloorByPK(nil, probe); err != nil || row[0] != want {
+					t.Fatalf("%s: FloorByPK(%d) = %v, %v; want the row of %d", when, probe, row, err, want)
+				}
+			}
+		}
+		for val, want := range byV {
+			got, err := tbl.LookupEq("v", val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sortRIDs(got)
+			sortRIDs(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: LookupEq(v, %d) = %v, want %v", when, val, got, want)
+			}
+		}
+		var byPK []int64
+		tbl.pk.Ascend(func(_ []byte, rid RID) bool {
+			byPK = append(byPK, pkOf[rid])
+			return true
+		})
+		if !slices.Equal(byPK, keys) {
+			t.Fatalf("%s: the primary key ascends as %v, want %v", when, byPK, keys)
+		}
+		vOf := map[RID]int64{}
+		for val, rids := range byV {
+			for _, rid := range rids {
+				vOf[rid] = val
+			}
+		}
+		var vs []int64
+		tbl.indexes[0].tree.Ascend(func(_ []byte, rid RID) bool {
+			vs = append(vs, vOf[rid])
+			return true
+		})
+		if len(vs) != len(keys) || !slices.IsSorted(vs) {
+			t.Fatalf("%s: the index on v ascends as %v", when, vs)
+		}
+	}
+	check("before the reopen", tbl)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	check("after the reopen", d.Table("keys"))
 }

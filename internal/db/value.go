@@ -71,6 +71,9 @@ type Row []interface{}
 // ErrSchema reports a row/schema mismatch.
 var ErrSchema = errors.New("db: row does not match schema")
 
+// errTrailing reports bytes after a row's last column.
+var errTrailing = fmt.Errorf("%w: bytes after the last column", ErrSchema)
+
 // rowBytes is the buffer a row is encoded into: a character, op or
 // document row fits.
 const rowBytes = 128
@@ -124,13 +127,18 @@ func appendField(dst []byte, col Column, v interface{}) ([]byte, error) {
 	return nil, typeErr(col, fmt.Sprintf("%T", v))
 }
 
-// The per-type appenders are the row format: 8 big-endian bytes for ints,
-// floats and times (UnixNano), one byte for a bool, and a 4-byte length
-// before the bytes of a string or byte slice. EncodeRow and RowEncoder
-// both write through them.
+// The per-type appenders are the row format: a zigzag varint for an int,
+// a uvarint length before the bytes of a string or byte slice, one byte (0
+// or 1) for a bool, and 8 big-endian bytes for a float or a time
+// (UnixNano, which as a varint would take 9). Every value has one
+// spelling: fieldLen refuses a varint with a redundant last byte and a
+// bool byte above 1, so two encodings of a row are equal bytes exactly
+// when their values are equal. EncodeRow and RowEncoder both write
+// through these appenders; fieldLen, intOf and payload read what they
+// write, for span, DecodeRow and appendKey.
 
 func appendInt(dst []byte, x int64) []byte {
-	return binary.BigEndian.AppendUint64(dst, uint64(x))
+	return binary.AppendVarint(dst, x)
 }
 
 func appendFloat(dst []byte, x float64) []byte {
@@ -138,11 +146,11 @@ func appendFloat(dst []byte, x float64) []byte {
 }
 
 func appendString(dst []byte, x string) []byte {
-	return append(binary.BigEndian.AppendUint32(dst, uint32(len(x))), x...)
+	return append(binary.AppendUvarint(dst, uint64(len(x))), x...)
 }
 
 func appendBytes(dst, x []byte) []byte {
-	return append(binary.BigEndian.AppendUint32(dst, uint32(len(x))), x...)
+	return append(binary.AppendUvarint(dst, uint64(len(x))), x...)
 }
 
 func appendBool(dst []byte, x bool) []byte {
@@ -262,100 +270,113 @@ func field(schema Schema, rec []byte, col int) ([]byte, error) {
 }
 
 // checkRecord verifies that rec is framed as one row of schema: every
-// column is present and nothing follows the last. It is how the
-// record-level writers refuse bytes that are not a row of their table.
+// column is present, spelled once, and nothing follows the last. It is how
+// the record-level writers refuse bytes that are not a row of their table.
 func checkRecord(schema Schema, rec []byte) error {
-	_, end, err := span(schema, rec, len(schema)-1)
-	if err == nil && end != len(rec) {
-		err = fmt.Errorf("%w: %d bytes after the last column", ErrSchema, len(rec)-end)
-	}
+	_, _, err := span(schema, rec, len(schema)-1)
 	return err
 }
 
-// span returns the offsets of column col's encoding within rec.
+// span returns the offsets of column col's encoding within rec. When col
+// is the last column, bytes after it are ErrSchema.
 func span(schema Schema, rec []byte, col int) (start, end int, err error) {
-	for i, c := range schema[:col+1] {
-		var n uint64
-		switch c.Type {
-		case TInt, TFloat, TTime:
-			n = 8
-		case TBool:
-			n = 1
-		case TString, TBytes:
-			if len(rec)-start < 4 {
-				return 0, 0, ErrSchema
-			}
-			n = 4 + uint64(binary.BigEndian.Uint32(rec[start:]))
-		default:
-			return 0, 0, fmt.Errorf("db: unknown column type %v", c.Type)
+	for _, c := range schema[:col+1] {
+		n, err := fieldLen(c.Type, rec[end:])
+		if err != nil {
+			return 0, 0, err
 		}
-		if uint64(len(rec)-start) < n {
-			return 0, 0, ErrSchema
-		}
-		if i == col {
-			return start, start + int(n), nil
-		}
-		start += int(n)
+		start, end = end, end+n
 	}
-	return 0, 0, ErrSchema
+	if col == len(schema)-1 && end != len(rec) {
+		return 0, 0, errTrailing
+	}
+	return start, end, nil
 }
 
-// DecodeRow parses a row serialised by EncodeRow.
+// fieldLen returns the length of the encoding of a value of type t at the
+// start of b. An encoding that overruns b or is not the value's one
+// spelling is ErrSchema.
+func fieldLen(t ColType, b []byte) (int, error) {
+	switch t {
+	case TInt:
+		_, n := binary.Varint(b)
+		return varintLen(b, n)
+	case TFloat, TTime:
+		if len(b) < 8 {
+			return 0, ErrSchema
+		}
+		return 8, nil
+	case TBool:
+		if len(b) < 1 || b[0] > 1 {
+			return 0, ErrSchema
+		}
+		return 1, nil
+	case TString, TBytes:
+		l, n := binary.Uvarint(b)
+		n, err := varintLen(b, n)
+		if err != nil {
+			return 0, err
+		}
+		if l > uint64(len(b)-n) {
+			return 0, ErrSchema
+		}
+		return n + int(l), nil
+	default:
+		return 0, fmt.Errorf("db: unknown column type %v", t)
+	}
+}
+
+// varintLen checks n, what binary.Varint or binary.Uvarint read from the
+// start of b: a truncated or overflowing varint, or one whose last byte
+// adds nothing, is ErrSchema.
+func varintLen(b []byte, n int) (int, error) {
+	if n <= 0 || (n > 1 && b[n-1] == 0) {
+		return 0, ErrSchema
+	}
+	return n, nil
+}
+
+// intOf returns the value of f, an int column's encoding.
+func intOf(f []byte) int64 {
+	v, _ := binary.Varint(f)
+	return v
+}
+
+// payload returns the bytes of f, a string or bytes column's encoding,
+// after its length.
+func payload(f []byte) []byte {
+	_, n := binary.Uvarint(f)
+	return f[n:]
+}
+
+// DecodeRow parses a row serialised by EncodeRow. Bytes that are not
+// exactly one row of schema are ErrSchema.
 func DecodeRow(schema Schema, data []byte) (Row, error) {
 	row := make(Row, len(schema))
 	for i, col := range schema {
+		n, err := fieldLen(col.Type, data)
+		if err != nil {
+			return nil, err
+		}
+		f := data[:n]
+		data = data[n:]
 		switch col.Type {
 		case TInt:
-			if len(data) < 8 {
-				return nil, ErrSchema
-			}
-			row[i] = int64(binary.BigEndian.Uint64(data))
-			data = data[8:]
+			row[i] = intOf(f)
 		case TFloat:
-			if len(data) < 8 {
-				return nil, ErrSchema
-			}
-			row[i] = math.Float64frombits(binary.BigEndian.Uint64(data))
-			data = data[8:]
+			row[i] = math.Float64frombits(binary.BigEndian.Uint64(f))
 		case TString:
-			if len(data) < 4 {
-				return nil, ErrSchema
-			}
-			n := binary.BigEndian.Uint32(data)
-			data = data[4:]
-			if uint32(len(data)) < n {
-				return nil, ErrSchema
-			}
-			row[i] = string(data[:n])
-			data = data[n:]
+			row[i] = string(payload(f))
 		case TBytes:
-			if len(data) < 4 {
-				return nil, ErrSchema
-			}
-			n := binary.BigEndian.Uint32(data)
-			data = data[4:]
-			if uint32(len(data)) < n {
-				return nil, ErrSchema
-			}
-			v := make([]byte, n)
-			copy(v, data[:n])
-			row[i] = v
-			data = data[n:]
+			row[i] = append([]byte{}, payload(f)...)
 		case TBool:
-			if len(data) < 1 {
-				return nil, ErrSchema
-			}
-			row[i] = data[0] != 0
-			data = data[1:]
+			row[i] = f[0] == 1
 		case TTime:
-			if len(data) < 8 {
-				return nil, ErrSchema
-			}
-			row[i] = time.Unix(0, int64(binary.BigEndian.Uint64(data))).UTC()
-			data = data[8:]
-		default:
-			return nil, fmt.Errorf("db: unknown column type %v", col.Type)
+			row[i] = time.Unix(0, int64(binary.BigEndian.Uint64(f))).UTC()
 		}
+	}
+	if len(data) != 0 {
+		return nil, errTrailing
 	}
 	return row, nil
 }
@@ -373,11 +394,14 @@ func EncodeKey(t ColType, v interface{}) ([]byte, error) {
 }
 
 // appendKey appends to dst the EncodeKey form of a value of type t, given
-// f, the value's field encoding.
+// f, the value's field encoding. An int's key is 8 big-endian bytes
+// whatever its varint width, so keys order by value.
 func appendKey(dst []byte, t ColType, f []byte) []byte {
 	switch t {
-	case TInt, TTime:
-		return binary.BigEndian.AppendUint64(dst, binary.BigEndian.Uint64(f)^(1<<63)) // sign flip
+	case TInt:
+		return binary.BigEndian.AppendUint64(dst, uint64(intOf(f))^(1<<63)) // sign flip
+	case TTime:
+		return binary.BigEndian.AppendUint64(dst, binary.BigEndian.Uint64(f)^(1<<63))
 	case TFloat:
 		bits := binary.BigEndian.Uint64(f)
 		if bits&(1<<63) != 0 {
@@ -392,7 +416,7 @@ func appendKey(dst []byte, t ColType, f []byte) []byte {
 		}
 		return append(dst, 0)
 	default: // TString, TBytes: the bytes after the length
-		return append(dst, f[4:]...)
+		return append(dst, payload(f)...)
 	}
 }
 

@@ -21,8 +21,11 @@ import (
 // after ListDocuments (which opens every document), after index.Open (the
 // indexer's prime) and after one edit in every document (which gives each
 // document its op ring on the bus). Each limit is the measured value plus
-// 10 %: 3.6, 23.8, 42.8 and 42.4 B. While the op-log cache held every op's
-// ID slice, decoded on open, the last three read 32.3, 51.2 and 50.7 B.
+// 10 %: 2.9, 23.1, 42.1 and 41.8 B. While rows were written with 8-byte
+// ints and 4-byte lengths, so the buffer pool read more pages for the
+// same rows, they read 3.6, 23.8, 42.8 and 42.4 B. While the op-log cache
+// held every op's ID slice, decoded on open, the last three read 32.3,
+// 51.2 and 50.7 B.
 // While the search index held a Go map per term and the first push
 // allocated a ring's whole retention, the last two read 67.3 and 87.2 B. While the chars table held a row, and so two
 // index entries, per character, the first three read 104.5, 132.4 and
@@ -107,10 +110,10 @@ func TestResidencyBytesPerChar(t *testing.T) {
 		name       string
 		got, limit float64
 	}{
-		{"after open", opened, 4.0},
-		{"after ListDocuments", listed, 26.2},
-		{"after index.Open", primed, 47.1},
-		{"after one edit in every document", edited, 46.6},
+		{"after open", opened, 3.2},
+		{"after ListDocuments", listed, 25.4},
+		{"after index.Open", primed, 46.3},
+		{"after one edit in every document", edited, 46.0},
 	} {
 		t.Logf("%s: %.1f B of settled heap per stored character", p.name, p.got)
 		if p.got > p.limit {
