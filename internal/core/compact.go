@@ -116,8 +116,7 @@ func (d *Document) compactLocked(horizon time.Time) (CompactStats, wal.LSN, erro
 	// Republish so new readers get the shrunken structures. The visible
 	// text is untouched, so the existing sequence number still holds its
 	// promise ("contains every text event up to seq").
-	p := d.snap.Load()
-	d.snap.Store(&published{tree: d.buf.Snapshot(), seq: p.seq, row: p.row, last: p.last})
+	d.republishLocked()
 	return stats, lsn, nil
 }
 
@@ -165,8 +164,7 @@ func (d *Document) ensureArchiveLocked() (*texttree.Archive, error) {
 	d.buf.SetArchive(arch)
 	// Republish so new snapshots carry the archive; the visible text is
 	// untouched, so the current sequence number keeps its promise.
-	p := d.snap.Load()
-	d.snap.Store(&published{tree: d.buf.Snapshot(), seq: p.seq, row: p.row, last: p.last})
+	d.republishLocked()
 	d.arch0 = arch
 	d.archLoadVersion = d.buf.Version()
 	d.archState.Store(archLoaded)
@@ -299,7 +297,7 @@ func (d *Document) insertArchiveRows(tx *txn.Txn, anchor util.ID, run []*texttre
 // about the cold set, so it is a pre-horizon read by definition.
 func (d *Document) ArchivedLen() int {
 	_, _ = d.ensureArchive() // best effort; an I/O error reads as "none loaded"
-	return d.snap.Load().tree.Archive().Len()
+	return d.snap.Load().snap.t.Archive().Len()
 }
 
 // CompactOpenDocuments runs one compaction pass over every open document,

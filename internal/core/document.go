@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,7 +68,7 @@ func newDocument(e *Engine, id util.ID, row db.Row) *Document {
 		last: opHead{User: row[2].(string), Created: row[3].(time.Time).UnixNano()},
 	}
 	//tendax:allow-snapshotread construction: the document is not yet shared
-	d.snap.Store(&published{tree: d.buf.Snapshot(), seq: e.bus.Seq(id), row: row, last: d.last})
+	d.snap.Store(d.newPublished(d.buf.Snapshot(), e.bus.Seq(id), nil))
 	return d
 }
 
@@ -77,14 +78,41 @@ func newDocument(e *Engine, id util.ID, row db.Row) *Document {
 // the seed did) is what lets a resync response promise "this text contains
 // exactly the edits up to this Seq" — without the pairing, an edit
 // committing between the two reads is silently dropped by the client as a
-// pre-snapshot duplicate. row and last are the docs-table row and the
-// newest change committed with the snapshot: what info derives metadata
-// from.
+// pre-snapshot duplicate. The pair is kept as the DocSnapshot every reader
+// is handed, so taking a snapshot allocates nothing. row and last are the
+// docs-table row and the newest change committed with the snapshot: what
+// info derives metadata from; authors is the row's authors column, parsed
+// and sorted once per row.
 type published struct {
-	tree *texttree.Snapshot
-	seq  uint64
-	row  db.Row // never modified: setRowLocked replaces d.row
-	last opHead
+	snap    DocSnapshot
+	row     db.Row // never modified: setRowLocked replaces d.row
+	last    opHead
+	authors []string // read-only, shared by every DocInfo made from the row
+}
+
+// newPublished pairs tree and seq with the handle's row and newest change.
+// prev is the state tree follows, if any: while the row is the same one
+// its parsed authors carry over.
+func (d *Document) newPublished(tree *texttree.Snapshot, seq uint64, prev *published) *published {
+	p := &published{snap: DocSnapshot{d: d, t: tree, seq: seq}, row: d.row, last: d.last}
+	if prev != nil && &prev.row[0] == &d.row[0] {
+		p.authors = prev.authors
+	} else if s := d.row[5].(string); s != "" {
+		// The row stores authors in first-edit order; report them sorted.
+		p.authors = strings.Split(s, ",")
+		sort.Strings(p.authors)
+	}
+	return p
+}
+
+// republishLocked replaces the published tree with the buffer's current
+// one and keeps everything else — sequence number, row, newest change —
+// for a change that leaves the visible text and the metadata alone
+// (compaction, a loaded archive).
+func (d *Document) republishLocked() {
+	p := *d.snap.Load()
+	p.snap.t = d.buf.Snapshot()
+	d.snap.Store(&p)
 }
 
 // publishEventLocked is the writers' single publish point: called under
@@ -95,9 +123,9 @@ type published struct {
 // committed state to the next in a single atomic load and can never
 // observe an event seq without the state it describes.
 func (d *Document) publishEventLocked(ev awareness.Event) uint64 {
-	p := &published{tree: d.buf.Snapshot(), row: d.row, last: d.last}
+	p := d.newPublished(d.buf.Snapshot(), 0, d.snap.Load())
 	return d.eng.bus.PublishWith(ev, func(seq uint64) {
-		p.seq = seq
+		p.snap.seq = seq
 		d.snap.Store(p)
 	})
 }
@@ -166,7 +194,7 @@ func (d *Document) load() error {
 	}
 	//tendax:allow-snapshotread load-time construction: the document is published only after load returns
 	d.buf = buf
-	d.snap.Store(&published{tree: buf.Snapshot(), seq: d.eng.bus.Seq(d.id), row: d.row, last: d.last})
+	d.snap.Store(d.newPublished(buf.Snapshot(), d.eng.bus.Seq(d.id), d.snap.Load()))
 	return nil
 }
 
@@ -178,13 +206,13 @@ func (d *Document) Name() string { return d.snap.Load().row[1].(string) }
 
 // Len returns the number of visible characters, from the latest committed
 // snapshot: no lock is taken.
-func (d *Document) Len() int { return d.snap.Load().tree.Len() }
+func (d *Document) Len() int { return d.snap.Load().snap.t.Len() }
 
 // Text returns the full visible text without access filtering (embedded,
 // trusted callers), resolved against the latest committed snapshot — the
 // traversal runs entirely off the document lock. Use TextFor to apply
 // character-level security.
-func (d *Document) Text() string { return d.snap.Load().tree.Text() }
+func (d *Document) Text() string { return d.snap.Load().snap.t.Text() }
 
 // TextFor returns the text user is allowed to read: characters masked by
 // range ACLs are elided (paper: fine-grained security). The filter runs
@@ -210,7 +238,7 @@ func (d *Document) Buffer() (*texttree.Buffer, error) {
 	if _, err := d.ensureArchive(); err != nil {
 		return nil, fmt.Errorf("core: archive of document %v: %w", d.id, err)
 	}
-	tree := d.snap.Load().tree
+	tree := d.snap.Load().snap.t
 	buf, err := texttree.Load(tree.AllChars())
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot of document %v: %w", d.id, err)
@@ -438,7 +466,7 @@ func (d *Document) CheckInvariants() error {
 		return err
 	}
 	// The published snapshot must be exactly the committed buffer state.
-	if snap := d.snap.Load().tree; snap.Version() != d.buf.Version() || snap.Text() != d.buf.Text() {
+	if snap := d.snap.Load().snap.t; snap.Version() != d.buf.Version() || snap.Text() != d.buf.Text() {
 		return fmt.Errorf("core: published snapshot (v%d) lags buffer (v%d)",
 			snap.Version(), d.buf.Version())
 	}
@@ -451,7 +479,7 @@ func (d *Document) CheckInvariants() error {
 	if err := fresh.load(); err != nil {
 		return err
 	}
-	mem, disk := d.buf.AllChars(), fresh.snap.Load().tree.AllChars()
+	mem, disk := d.buf.AllChars(), fresh.snap.Load().snap.t.AllChars()
 	if len(mem) != len(disk) {
 		return fmt.Errorf("core: buffer holds %d instances, database %d", len(mem), len(disk))
 	}

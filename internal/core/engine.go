@@ -8,8 +8,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -473,7 +471,7 @@ type DocInfo struct {
 	LastAuthor string    // of the newest op but a copy; Creator if none
 	Size       int       // visible characters
 	State      string
-	Authors    []string
+	Authors    []string // sorted; shared between DocInfos, so read-only
 }
 
 // ListDocuments returns metadata for every non-external document.
@@ -528,12 +526,6 @@ func (e *Engine) DocInfoByID(id util.ID) (DocInfo, error) {
 // snapshot's visible length and the newest change. Every DocInfo the
 // engine returns is made here.
 func (p *published) info() DocInfo {
-	var authors []string
-	if s := p.row[5].(string); s != "" {
-		// The row stores authors in first-edit order; report them sorted.
-		authors = strings.Split(s, ",")
-		sort.Strings(authors)
-	}
 	return DocInfo{
 		ID:         util.ID(p.row[0].(int64)),
 		Name:       p.row[1].(string),
@@ -541,9 +533,9 @@ func (p *published) info() DocInfo {
 		Created:    p.row[3].(time.Time),
 		Modified:   time.Unix(0, p.last.Created).UTC(),
 		LastAuthor: p.last.User,
-		Size:       p.tree.Len(),
+		Size:       p.snap.t.Len(),
 		State:      p.row[4].(string),
-		Authors:    authors,
+		Authors:    p.authors,
 	}
 }
 

@@ -19,9 +19,10 @@ func TestOpHeadSize(t *testing.T) {
 
 // TestOpLogBytesPerOp gates the settled heap the op-log cache retains per
 // one-key op: what dropping the cache of a document typed one key at a
-// time frees: 64 B a head and the slice's growth room. The limit is the
-// measured value plus 10 %: 90.2 B. While the cache held each op's whole
-// record and ID slice it read 133.9 B.
+// time frees: 64 B a head and the slice's growth room, at most an eighth.
+// The limit is the measured value plus 10 %: 74.8 B. While the log grew by
+// append it read 82.0 B, and while the cache held each op's whole record
+// and ID slice 133.9 B.
 func TestOpLogBytesPerOp(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds shadow memory to every allocation")
@@ -44,7 +45,7 @@ func TestOpLogBytesPerOp(t *testing.T) {
 	perOp := (float64(with) - float64(settledHeap())) / ops
 	runtime.KeepAlive(d)
 	t.Logf("%.1f B of settled heap per one-key op in the op-log cache", perOp)
-	if limit := 90.2; perOp > limit {
+	if limit := 74.8; perOp > limit {
 		t.Errorf("%.1f B per op, limit %.1f", perOp, limit)
 	}
 }

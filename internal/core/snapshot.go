@@ -32,11 +32,9 @@ type DocSnapshot struct {
 }
 
 // Snapshot returns the document's current committed state as an immutable
-// snapshot. Acquisition is a single atomic load.
-func (d *Document) Snapshot() *DocSnapshot {
-	p := d.snap.Load()
-	return &DocSnapshot{d: d, t: p.tree, seq: p.seq}
-}
+// snapshot. Acquisition is a single atomic load and allocates nothing: the
+// snapshot is the one published with the state.
+func (d *Document) Snapshot() *DocSnapshot { return &d.snap.Load().snap }
 
 // SnapshotSeq returns the latest snapshot together with an awareness-bus
 // sequence number S guaranteed consistent with it: the snapshot contains
@@ -51,13 +49,12 @@ func (d *Document) Snapshot() *DocSnapshot {
 func (d *Document) SnapshotSeq() (*DocSnapshot, uint64) {
 	for i := 0; i < 4; i++ {
 		s := d.eng.bus.Seq(d.id)
-		p := d.snap.Load()
-		if p.seq <= s {
-			return &DocSnapshot{d: d, t: p.tree, seq: p.seq}, s
+		if p := d.snap.Load(); p.snap.seq <= s {
+			return &p.snap, s
 		}
 	}
 	p := d.snap.Load()
-	return &DocSnapshot{d: d, t: p.tree, seq: p.seq}, p.seq
+	return &p.snap, p.snap.seq
 }
 
 // Seq returns the awareness-bus sequence number of the event that

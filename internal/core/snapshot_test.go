@@ -340,3 +340,46 @@ func TestBufferCopyIsOffLockAndStable(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSnapshotAndInfoDoNotAllocate pins the read side every keystroke's
+// index refresh takes: the snapshot and its sequence are the ones published
+// with the state, and the metadata of an open document — its authors
+// included — is derived without parsing the docs row again.
+func TestSnapshotAndInfoDoNotAllocate(t *testing.T) {
+	e := newEngine(t)
+	d, err := e.CreateDocument("carol", "reads")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, user := range []string{"carol", "alice", "bob"} {
+		if _, err := d.InsertText(user, 0, user+" "); err != nil {
+			t.Fatal(err)
+		}
+	}
+	info, err := e.DocInfoByID(d.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(info.Authors, ","); got != "alice,bob,carol" {
+		t.Fatalf("authors %q, want alice,bob,carol", got)
+	}
+	if s, seq := d.SnapshotSeq(); s != d.Snapshot() || seq != s.Seq() {
+		t.Fatalf("SnapshotSeq and Snapshot disagree on a quiet document")
+	}
+	for name, read := range map[string]func(){
+		"Snapshot":    func() { _ = d.Snapshot() },
+		"SnapshotSeq": func() { _, _ = d.SnapshotSeq() },
+		"DocInfoByID": func() { _, _ = e.DocInfoByID(d.ID()) },
+	} {
+		if n := testing.AllocsPerRun(100, read); n != 0 {
+			t.Errorf("%s: %.1f allocations per call, want 0", name, n)
+		}
+	}
+	// A new author changes the row, and the authors are parsed anew.
+	if _, err := d.InsertText("dave", 0, "dave "); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(d.Info().Authors, ","); got != "alice,bob,carol,dave" {
+		t.Fatalf("authors after a new one edited: %q", got)
+	}
+}

@@ -55,6 +55,9 @@ type opHead struct {
 	Undone  bool
 }
 
+// opLogStep is the fewest op heads the cached log grows by.
+const opLogStep = 16
+
 // opChunkBytes bounds the char-ID payload stored per row; longer lists
 // spill into opchunks continuation rows.
 const opChunkBytes = 1024
@@ -96,6 +99,14 @@ func (d *Document) loadOps() error {
 // copy changes the document, so it becomes d.last. Caller holds d.mu, or
 // owns a document not yet shared.
 func (d *Document) appendOpLocked(op opHead) {
+	if len(d.ops) == cap(d.ops) {
+		// Grow by an eighth (at least opLogStep heads), not by append's
+		// quarter or more: the log lives as long as the handle, so its
+		// spare capacity is retained heap.
+		grown := make([]opHead, len(d.ops), len(d.ops)+max(len(d.ops)/8, opLogStep))
+		copy(grown, d.ops)
+		d.ops = grown
+	}
 	d.ops = append(d.ops, op)
 	if op.Kind != "copy" {
 		d.last = op

@@ -86,7 +86,7 @@ func (d *Document) VersionText(versionID util.ID) (string, error) {
 // pre-horizon reconstruction after open loads the lazily parked cold
 // archive.
 func (d *Document) TextAt(t time.Time) string {
-	return d.timeTravelTree(d.snap.Load().tree).TextAt(t)
+	return d.timeTravelTree(d.snap.Load().snap.t).TextAt(t)
 }
 
 // ReadEvent is one recorded read of a document.

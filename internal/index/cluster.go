@@ -152,15 +152,28 @@ func (c *Cluster) Sync() {
 	}
 }
 
+// ShardStats reports each shard's indexer progress, in shard order: the
+// lag of one shard, which the sum in Stats hides.
+func (c *Cluster) ShardStats() []Stats {
+	out := make([]Stats, len(c.svcs))
+	for i, svc := range c.svcs {
+		out[i] = svc.Stats()
+	}
+	return out
+}
+
 // Stats sums indexer progress across shards.
-func (c *Cluster) Stats() Stats {
+func (c *Cluster) Stats() Stats { return Total(c.ShardStats()) }
+
+// Total sums per-shard indexer progress.
+func Total(shards []Stats) Stats {
 	var out Stats
-	for _, svc := range c.svcs {
-		st := svc.Stats()
+	for _, st := range shards {
 		out.Docs += st.Docs
 		out.Applied += st.Applied
 		out.Heals += st.Heals
 		out.Lag += st.Lag
+		out.LagEvents += st.LagEvents
 		out.Delta += st.Delta
 		out.Full.Prime += st.Full.Prime
 		out.Full.RingMiss += st.Full.RingMiss

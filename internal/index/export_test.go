@@ -16,5 +16,8 @@ func (s *Service) Stall() (release func()) {
 // unread, the latest snapshot is ahead of them.
 func (s *Service) RefreshStalled(doc util.ID) {
 	s.dirty[doc] = true
-	s.flushDirtyLocked(true)
+	s.flushDirtyLocked()
 }
+
+// StatsStalled is Stats on a service the caller holds stalled.
+func (s *Service) StatsStalled() Stats { return s.statsLocked() }

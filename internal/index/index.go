@@ -16,16 +16,18 @@
 // Freshness model: folding an event is bookkeeping proportional to the
 // edit — its positional items (the same stream a client replica replays to
 // converge) extend the document's set of changed ranges, and a paste adds
-// its instances to the lineage graph from the source the event names. A
-// coalescing refresher then re-tokenizes only those ranges, widened to
-// token boundaries and read by position from the snapshot the term table
-// reflects and from the current one (search.Index.PatchDoc). Whatever has
-// no known positional effect — a gap (the indexer fell further behind
-// than the op ring reaches), a snapshot ahead of the folded events when an
-// answer is needed now — re-indexes the document wholesale, which is also
-// how it was primed.
-// Every Query first drains the dirty set, so answers are exact with
-// respect to all folded events.
+// its instances to the lineage graph from the source the event names.
+// Once a document's cursor reaches the head of its op ring, its own pump
+// re-tokenizes only those ranges, widened to token boundaries and read by
+// position from the snapshot the term table reflects and from the current
+// one (search.Index.PatchDoc): a burst of events costs one refresh of the
+// ranges they changed between them, and a keystroke wakes one indexer
+// goroutine. Whatever has no known positional effect — a gap (the indexer
+// fell further behind than the op ring reaches), a snapshot ahead of the
+// folded events when an answer is needed now — re-indexes the document
+// wholesale, which is also how it was primed.
+// Every Query and Sync first drains the dirty set, so answers are exact
+// with respect to all folded events.
 package index
 
 import (
@@ -45,12 +47,13 @@ import (
 
 // Stats is a point-in-time view of indexer progress for /metrics.
 type Stats struct {
-	Docs    int           `json:"docs"`            // documents under maintenance
-	Applied int64         `json:"applied_ops"`     // events folded since Open
-	Heals   int64         `json:"heals"`           // ring-miss recoveries (equals Full.RingMiss)
-	Lag     int           `json:"lag_docs"`        // docs folded but not yet re-tokenized
-	Delta   int64         `json:"delta_refreshes"` // refreshes that re-tokenized changed ranges only
-	Full    FullRefreshes `json:"full_refreshes"`  // wholesale re-indexes, by cause
+	Docs      int           `json:"docs"`            // documents under maintenance
+	Applied   int64         `json:"applied_ops"`     // events folded since Open
+	Heals     int64         `json:"heals"`           // ring-miss recoveries (equals Full.RingMiss)
+	Lag       int           `json:"lag_docs"`        // docs folded but not yet re-tokenized
+	LagEvents int           `json:"lag_events"`      // events published but not yet folded
+	Delta     int64         `json:"delta_refreshes"` // refreshes that re-tokenized changed ranges only
+	Full      FullRefreshes `json:"full_refreshes"`  // wholesale re-indexes, by cause
 }
 
 // FullRefreshes counts wholesale document re-indexes by what forced them;
@@ -87,9 +90,7 @@ type Service struct {
 	states  map[util.ID]*docState
 	closed  bool
 
-	kick chan struct{} // refresher wakeup (capacity 1)
-	stop chan struct{}
-	wg   sync.WaitGroup
+	wg sync.WaitGroup
 
 	applied   atomic.Int64
 	heals     atomic.Int64
@@ -126,8 +127,6 @@ func Open(eng *core.Engine) (*Service, error) {
 		counted: make(map[util.ID]bool),
 		dirty:   make(map[util.ID]bool),
 		states:  make(map[util.ID]*docState),
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
 	}
 	// Register the observer before enumerating, so a document created
 	// concurrently with Open is seen at least once (addDoc is idempotent).
@@ -163,8 +162,6 @@ func Open(eng *core.Engine) (*Service, error) {
 			return nil, err
 		}
 	}
-	s.wg.Add(1)
-	go s.refresher()
 	return s, nil
 }
 
@@ -240,7 +237,8 @@ func (s *Service) countCharLocked(doc, char, src util.ID, created time.Time) {
 	}
 }
 
-// pump is the per-document fold loop: one goroutine per subscription.
+// pump is the per-document fold loop: one goroutine per subscription,
+// which also refreshes the document once its cursor is at the head.
 func (s *Service) pump(id util.ID, st *docState) {
 	defer s.wg.Done()
 	for {
@@ -248,11 +246,15 @@ func (s *Service) pump(id util.ID, st *docState) {
 		if !ok {
 			return
 		}
-		s.fold(id, st, ev)
+		s.fold(id, st, ev, st.sub.Depth() == 0)
 	}
 }
 
-func (s *Service) fold(id util.ID, st *docState, ev awareness.Event) {
+// fold folds one event and, when no later event is waiting (caughtUp),
+// refreshes the document if it is dirty. A latest snapshot ahead of the
+// folded events holds an edit whose event is not yet read; the document
+// stays dirty, and folding that event comes back here.
+func (s *Service) fold(id util.ID, st *docState, ev awareness.Event, caughtUp bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -262,19 +264,24 @@ func (s *Service) fold(id util.ID, st *docState, ev awareness.Event) {
 		s.healLocked(id, st, ev)
 		return
 	}
-	if ev.Seq <= st.seq {
-		return // already reflected in the priming snapshot or a heal
+	if ev.Seq > st.seq { // else already reflected in the priming snapshot or a heal
+		st.seq = ev.Seq
+		s.foldEventLocked(id, st, ev)
 	}
-	st.seq = ev.Seq
-	s.foldEventLocked(id, st, ev)
+	if caughtUp && s.dirty[id] {
+		if snap := st.d.Snapshot(); snap.Seq() <= st.seq {
+			s.refreshDocLocked(id, st, snap)
+		}
+	}
 }
 
 // foldEventLocked applies one event's index consequences. Presence-class
 // events (join/leave/cursor/presence) carry no document state and are
-// skipped; everything else marks the doc dirty so the refresher brings the
-// search index up to the latest snapshot. An event at or below the base
-// snapshot's sequence (a wholesale refresh ran ahead of the cursor) is
-// already in the term table and leaves the changed ranges alone.
+// skipped; everything else marks the doc dirty, to be brought up to the
+// latest snapshot once the pump is caught up or a Query or Sync asks. An
+// event at or below the base snapshot's sequence (a wholesale refresh ran
+// ahead of the cursor) is already in the term table and leaves the changed
+// ranges alone.
 func (s *Service) foldEventLocked(id util.ID, st *docState, ev awareness.Event) {
 	inBase := ev.Seq <= st.base.Seq()
 	switch ev.Kind {
@@ -289,7 +296,7 @@ func (s *Service) foldEventLocked(id util.ID, st *docState, ev awareness.Event) 
 		}
 	}
 	s.applied.Add(1)
-	s.markDirtyLocked(id)
+	s.dirty[id] = true
 }
 
 // foldItemLocked folds one positional item — a whole single-op event or
@@ -328,50 +335,17 @@ func (s *Service) healLocked(id util.ID, st *docState, gap awareness.Event) {
 	s.primeLocked(id, st, snap, causeRingMiss)
 }
 
-func (s *Service) markDirtyLocked(id util.ID) {
-	s.dirty[id] = true
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
-}
-
-// refresher coalesces dirty documents: a burst of N events on one doc
-// costs one refresh of the ranges they changed between them.
-func (s *Service) refresher() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.kick:
-			s.mu.Lock()
-			s.flushDirtyLocked(false)
-			s.mu.Unlock()
-		}
-	}
-}
-
-// flushDirtyLocked refreshes the dirty documents. A latest snapshot ahead
-// of the folded events holds edits whose positions are not yet read:
-// the eager refresher leaves such a document dirty — folding those events
-// kicks it again — while now (Query, Sync) re-indexes it wholesale rather
-// than wait.
-func (s *Service) flushDirtyLocked(now bool) {
+// flushDirtyLocked refreshes every dirty document now (Query, Sync). A
+// latest snapshot ahead of the folded events holds edits whose positions
+// are not yet read: such a document is re-indexed wholesale rather than
+// wait for its pump.
+func (s *Service) flushDirtyLocked() {
 	for id := range s.dirty {
 		st := s.states[id]
-		if st == nil {
-			delete(s.dirty, id)
-			continue
-		}
 		snap := st.d.Snapshot()
 		if st.full == causeNone && snap.Seq() > st.seq {
-			if !now {
-				continue
-			}
 			st.full = causeSeqAhead
 		}
-		delete(s.dirty, id)
 		s.refreshDocLocked(id, st, snap)
 	}
 }
@@ -383,6 +357,7 @@ func (s *Service) flushDirtyLocked(now bool) {
 // document published with its latest snapshot, so the index path takes no
 // document mutex and decodes no table row.
 func (s *Service) refreshDocLocked(id util.ID, st *docState, snap *core.DocSnapshot) {
+	delete(s.dirty, id)
 	info, err := s.eng.DocInfoByID(id)
 	if err != nil {
 		return // row gone mid-shutdown; nothing to index
@@ -431,7 +406,7 @@ func (s *Service) Sync() {
 			}
 		}
 		if !behind {
-			s.flushDirtyLocked(true)
+			s.flushDirtyLocked()
 			s.mu.Unlock()
 			return
 		}
@@ -449,7 +424,7 @@ func (s *Service) Query(q search.Query) ([]search.Result, error) {
 	if s.closed {
 		return nil, fmt.Errorf("index: service closed")
 	}
-	s.flushDirtyLocked(true)
+	s.flushDirtyLocked()
 	if q.Rank == search.ByMostRead {
 		// Reads are recorded without a bus event; resolve them at query
 		// time, exactly as a fresh rebuild would.
@@ -499,12 +474,21 @@ func (s *Service) Graph() *lineage.Graph {
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.statsLocked()
+}
+
+func (s *Service) statsLocked() Stats {
+	events := 0
+	for _, st := range s.states {
+		events += st.sub.Depth()
+	}
 	return Stats{
-		Docs:    len(s.states),
-		Applied: s.applied.Load(),
-		Heals:   s.heals.Load(),
-		Lag:     len(s.dirty),
-		Delta:   s.refreshes[causeNone],
+		Docs:      len(s.states),
+		LagEvents: events,
+		Applied:   s.applied.Load(),
+		Heals:     s.heals.Load(),
+		Lag:       len(s.dirty),
+		Delta:     s.refreshes[causeNone],
 		Full: FullRefreshes{
 			Prime:    s.refreshes[causePrime],
 			RingMiss: s.refreshes[causeRingMiss],
@@ -527,7 +511,6 @@ func (s *Service) Close() {
 	}
 	s.mu.Unlock()
 	s.detach()
-	close(s.stop)
 	for _, sub := range subs {
 		sub.Close()
 	}

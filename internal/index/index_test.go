@@ -475,3 +475,64 @@ func TestClusterMostCitedCrossShard(t *testing.T) {
 		t.Fatalf("most-cited top hit = %+v, want wellspring with score 5", res)
 	}
 }
+
+// TestShardStatsReportLagPerShard stalls one shard's indexer while a
+// document there is typed into: that shard alone reports the unread events
+// as LagEvents, the others none, and after a Sync every shard is at zero
+// and the cluster totals are the sum of the shards.
+func TestShardStatsReportLagPerShard(t *testing.T) {
+	cl, err := placement.Open(placement.Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	if err := cl.StartIndexers(); err != nil {
+		t.Fatal(err)
+	}
+	ic := cl.Index()
+	var d *core.Document
+	for i := 0; d == nil; i++ {
+		doc, err := cl.CreateDocument("ann", fmt.Sprint("doc", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cl.ShardFor(doc.ID()) == 2 {
+			d = doc
+		}
+	}
+	ic.Sync()
+	const keys = 6
+	release := ic.Shard(2).Stall()
+	for k := 0; k < keys; k++ {
+		if _, err := d.InsertText("ann", 0, "k"); err != nil {
+			release()
+			t.Fatal(err)
+		}
+	}
+	// The pump may hold the first event, blocked on the stall.
+	lag := ic.Shard(2).StatsStalled().LagEvents
+	for i := 0; i < 2; i++ {
+		ic.Shard(i).Sync()
+		if n := ic.Shard(i).Stats().LagEvents; n != 0 {
+			release()
+			t.Fatalf("shard %d reports %d events of lag while shard 2 is stalled", i, n)
+		}
+	}
+	release()
+	if lag < keys-1 || lag > keys {
+		t.Fatalf("stalled shard reports %d events of lag, want %d or %d", lag, keys-1, keys)
+	}
+	ic.Sync()
+	shards := ic.ShardStats()
+	if len(shards) != 3 {
+		t.Fatalf("%d shard stats for 3 shards", len(shards))
+	}
+	for i, st := range shards {
+		if st.LagEvents != 0 || st.Lag != 0 {
+			t.Fatalf("shard %d after Sync: %+v", i, st)
+		}
+	}
+	if total, sum := ic.Stats(), index.Total(shards); total != sum {
+		t.Fatalf("cluster stats %+v, sum of the shards %+v", total, sum)
+	}
+}

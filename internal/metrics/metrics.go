@@ -107,6 +107,20 @@ type IndexStats struct {
 	// fallen off the O(edit) path.
 	DeltaRefreshes int64              `json:"delta_refreshes"`
 	FullRefreshes  IndexFullRefreshes `json:"full_refreshes"`
+	// LagEvents counts the events published but not yet folded, summed
+	// over every document's cursor; Shards breaks the lag down by shard.
+	LagEvents int               `json:"lag_events"`
+	Shards    []IndexShardStats `json:"shards,omitempty"`
+}
+
+// IndexShardStats is one shard's indexer progress and lag: how far behind
+// the indexer of that shard is, which the totals hide.
+type IndexShardStats struct {
+	Shard      int   `json:"shard"`
+	Docs       int   `json:"docs"`
+	AppliedOps int64 `json:"applied_ops"`
+	LagDocs    int   `json:"lag_docs"`
+	LagEvents  int   `json:"lag_events"`
 }
 
 // IndexFullRefreshes breaks the indexer's wholesale document re-indexes

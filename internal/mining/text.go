@@ -1,10 +1,11 @@
 package mining
 
 import (
+	"bytes"
 	"math"
 	"sort"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"tendax/internal/core"
 	"tendax/internal/util"
@@ -15,25 +16,64 @@ import (
 // nearest runes for which this is false before re-tokenizing it.
 func IsTokenRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
 
+// Scanner is the one tokenizer of text mining and the search index: fed
+// runes in order, it appends each token (a maximal run of token runes),
+// lowercased rune by rune, to Buf and records the token's byte span in
+// Spans. Tokens lie back to back in Buf, so an open token is whatever Buf
+// holds past the last span's end. The zero value is ready; Reset keeps the
+// buffers for reuse.
+type Scanner struct {
+	Buf   []byte
+	Spans []Span
+}
+
+// Span is the bytes Buf[Start:End] of one token.
+type Span struct{ Start, End int }
+
+// Rune feeds the next rune of the text.
+func (sc *Scanner) Rune(r rune) {
+	if IsTokenRune(r) {
+		sc.Buf = utf8.AppendRune(sc.Buf, unicode.ToLower(r))
+	} else {
+		sc.End()
+	}
+}
+
+// End closes the open token, if any: the text ends here, or the next rune
+// fed does not continue it.
+func (sc *Scanner) End() {
+	start := 0
+	if n := len(sc.Spans); n > 0 {
+		start = sc.Spans[n-1].End
+	}
+	if len(sc.Buf) > start {
+		sc.Spans = append(sc.Spans, Span{start, len(sc.Buf)})
+	}
+}
+
+// Token returns the bytes of the token sp, valid until the next Reset.
+func (sc *Scanner) Token(sp Span) []byte { return sc.Buf[sp.Start:sp.End] }
+
+// Compare orders two tokens by their bytes.
+func (sc *Scanner) Compare(a, b Span) int { return bytes.Compare(sc.Token(a), sc.Token(b)) }
+
+// Reset empties the scanner and keeps its buffers.
+func (sc *Scanner) Reset() {
+	sc.Buf, sc.Spans = sc.Buf[:0], sc.Spans[:0]
+}
+
 // Tokenize lowercases text and splits it into letter/digit runs, the token
 // stream used by both text mining and the search index.
 func Tokenize(text string) []string {
-	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-	}
+	var sc Scanner
 	for _, r := range text {
-		if IsTokenRune(r) {
-			cur.WriteRune(unicode.ToLower(r))
-		} else {
-			flush()
-		}
+		sc.Rune(r)
 	}
-	flush()
+	sc.End()
+	out := make([]string, len(sc.Spans))
+	for i, sp := range sc.Spans {
+		out[i] = string(sc.Token(sp))
+	}
 	return out
 }
 

@@ -6,11 +6,13 @@
 package search
 
 import (
+	"bytes"
 	"cmp"
 	"math"
 	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"tendax/internal/core"
 	"tendax/internal/folders"
@@ -62,6 +64,13 @@ type Index struct {
 	docs     map[util.ID]core.DocInfo
 	cites    map[util.ID]int
 	reads    map[util.ID]int
+
+	// Scratch every PatchDoc reuses (the caller serialises them): the
+	// tokens of the changed windows, the windows, and a snippet being
+	// built.
+	scan    mining.Scanner
+	windows []Range
+	snip    []byte
 }
 
 // posting is one document's frequency of one term: an entry of the term's
@@ -156,28 +165,41 @@ const snippetRunes = 80
 
 // UpdateDoc replaces one document's contribution to the index with the
 // given state: the prime path, and the fallback when the positional effect
-// of a change is unknown. The update diffs the new term frequencies
-// against the old ones, so its cost is O(terms in the document) regardless
-// of corpus size; PatchDoc is the O(edit) path for a known change.
+// of a change is unknown. The update sets only the term frequencies that
+// differ from the old ones, so its cost is O(tokens in the document)
+// regardless of corpus size; PatchDoc is the O(edit) path for a known
+// change.
 func (ix *Index) UpdateDoc(info core.DocInfo, text, headings string) {
 	id := info.ID
-	toks := mining.Tokenize(text)
-	fresh := make(map[string]int, len(toks))
-	for _, t := range toks {
-		fresh[t]++
+	sc := mining.Scanner{Buf: make([]byte, 0, len(text))}
+	for _, r := range text {
+		sc.Rune(r)
+	}
+	sc.End()
+	// Count each distinct term under one string, the one setTF keeps.
+	slot := make(map[string]int)
+	var counts []int
+	for _, sp := range sc.Spans {
+		tok := sc.Token(sp)
+		if i, ok := slot[string(tok)]; ok {
+			counts[i]++
+			continue
+		}
+		slot[string(tok)] = len(counts)
+		counts = append(counts, 1)
 	}
 	old := ix.terms[id]
 	for t := range old {
-		if fresh[t] == 0 {
+		if _, ok := slot[t]; !ok {
 			ix.setTF(id, t, 0)
 		}
 	}
-	for t, n := range fresh {
-		if old[t] != n {
-			ix.setTF(id, t, n)
+	for t, i := range slot {
+		if old[t] != counts[i] {
+			ix.setTF(id, t, counts[i])
 		}
 	}
-	ix.setLength(id, len(toks))
+	ix.setLength(id, len(sc.Spans))
 	ix.snippets[id] = firstN(text, snippetRunes)
 	ix.docs[id] = info
 	ix.headings[id] = headings
@@ -195,51 +217,118 @@ type Range struct {
 // PatchDoc folds a known change of an already indexed document: old is
 // the text the document's term table reflects, cur the text now, changed
 // the regions in which they differ, in order and disjoint. Only those
-// regions, widened to token boundaries, are read and re-tokenized, and the
-// term-frequency difference goes through the same posting mutation as
-// UpdateDoc's — the cost tracks the edit, not the document. Headings are
-// the caller's (SetHeadings): they depend on spans, not only on text.
+// regions, widened to token boundaries, are read — rune by rune from the
+// snapshots into the scanner, with no string rendered — and the tokens
+// they lost are netted against the ones they gained, so the cost tracks
+// the edit, not the document, and a term becomes a string only where its
+// frequency changes. Headings are the caller's (SetHeadings): they depend
+// on spans, not only on text.
 func (ix *Index) PatchDoc(info core.DocInfo, old, cur *texttree.Snapshot, changed []Range) {
 	id := info.ID
 	ix.docs[id] = info
 	if len(changed) == 0 {
 		return
 	}
-	diff := make(map[string]int)
-	length := ix.lengths[id]
-	for _, w := range tokenWindows(old, cur, changed) {
-		for _, t := range mining.Tokenize(old.Slice(w.OldStart, w.OldEnd-w.OldStart)) {
-			diff[t]--
-			length--
-		}
-		for _, t := range mining.Tokenize(cur.Slice(w.NewStart, w.NewEnd-w.NewStart)) {
-			diff[t]++
-			length++
-		}
+	ix.windows = tokenWindows(ix.windows[:0], old, cur, changed)
+	sc := &ix.scan
+	sc.Reset()
+	for _, w := range ix.windows {
+		scanRunes(sc, old, w.OldStart, w.OldEnd)
 	}
-	for t, dn := range diff {
-		if dn != 0 {
-			ix.setTF(id, t, ix.terms[id][t]+dn)
-		}
+	gone := len(sc.Spans)
+	for _, w := range ix.windows {
+		scanRunes(sc, cur, w.NewStart, w.NewEnd)
 	}
-	ix.setLength(id, length)
+	ix.setLength(id, ix.lengths[id]+len(sc.Spans)-2*gone)
+	ix.netTokens(id, sc.Spans[:gone], sc.Spans[gone:])
 	// The snippet shows the head and whether more follows.
 	if changed[0].NewStart < snippetRunes || old.Len() <= snippetRunes || cur.Len() <= snippetRunes {
-		ix.snippets[id] = firstN(cur.Slice(0, snippetRunes+1), snippetRunes)
+		ix.setSnippet(id, cur)
 	}
+	ix.trimScratch()
 }
 
 // SetHeadings replaces one document's heading text (HeadingText).
 func (ix *Index) SetHeadings(doc util.ID, headings string) { ix.headings[doc] = headings }
 
-// tokenWindows widens each changed range to token boundaries in both
-// texts and merges windows that came to touch. Outside the ranges the two
-// texts are the same, so both sides of a window widen by the same runes
-// unless they reach a neighbouring range — exactly the case the merge
-// absorbs. What lies outside the windows therefore tokenizes identically
-// in old and cur, and the windows alone carry the whole difference.
-func tokenWindows(old, cur *texttree.Snapshot, changed []Range) []Range {
-	out := make([]Range, 0, len(changed))
+// scanRunes feeds the runes [start, end) of t to sc and ends the last
+// token: the window is widened to token boundaries, so none continues.
+func scanRunes(sc *mining.Scanner, t *texttree.Snapshot, start, end int) {
+	t.WalkRunes(start, end-start, func(r rune) bool {
+		sc.Rune(r)
+		return true
+	})
+	sc.End()
+}
+
+// netTokens applies to doc's term frequencies the difference between the
+// tokens the changed windows lost and the ones they gained, both spans of
+// ix.scan. Each side is sorted and the two are walked in step, so a term
+// that left and came back as often costs nothing and the netting is
+// O(k log k) in the window tokens.
+func (ix *Index) netTokens(doc util.ID, gone, added []mining.Span) {
+	sc := &ix.scan
+	slices.SortFunc(gone, sc.Compare)
+	slices.SortFunc(added, sc.Compare)
+	for len(gone) > 0 || len(added) > 0 {
+		var term []byte
+		if len(added) == 0 || len(gone) > 0 && sc.Compare(gone[0], added[0]) <= 0 {
+			term = sc.Token(gone[0])
+		} else {
+			term = sc.Token(added[0])
+		}
+		dn := 0
+		for ; len(gone) > 0 && bytes.Equal(sc.Token(gone[0]), term); gone = gone[1:] {
+			dn--
+		}
+		for ; len(added) > 0 && bytes.Equal(sc.Token(added[0]), term); added = added[1:] {
+			dn++
+		}
+		if dn != 0 {
+			ix.setTF(doc, string(term), ix.terms[doc][string(term)]+dn)
+		}
+	}
+}
+
+// setSnippet sets doc's snippet to firstN of t's text, read by position:
+// the first snippetRunes runes and an ellipsis if more follow. The string
+// is made only when the snippet changed.
+func (ix *Index) setSnippet(doc util.ID, t *texttree.Snapshot) {
+	b, n := ix.snip[:0], 0
+	t.WalkRunes(0, snippetRunes+1, func(r rune) bool {
+		if n == snippetRunes {
+			b = append(b, "…"...)
+			return false
+		}
+		b, n = utf8.AppendRune(b, r), n+1
+		return true
+	})
+	ix.snip = b
+	if string(b) != ix.snippets[doc] {
+		ix.snippets[doc] = string(b)
+	}
+}
+
+// maxScratch bounds the token bytes the scratch keeps between patches: a
+// large paste or deletion releases the buffers it grew instead of holding
+// them for the next keystroke.
+const maxScratch = 64 << 10
+
+// trimScratch drops scratch buffers a large patch grew past maxScratch.
+func (ix *Index) trimScratch() {
+	if cap(ix.scan.Buf) > maxScratch || cap(ix.scan.Spans) > maxScratch/8 {
+		ix.scan = mining.Scanner{}
+	}
+}
+
+// tokenWindows appends to out each changed range widened to token
+// boundaries in both texts, merging windows that came to touch. Outside
+// the ranges the two texts are the same, so both sides of a window widen
+// by the same runes unless they reach a neighbouring range — exactly the
+// case the merge absorbs. What lies outside the windows therefore
+// tokenizes identically in old and cur, and the windows alone carry the
+// whole difference.
+func tokenWindows(out []Range, old, cur *texttree.Snapshot, changed []Range) []Range {
 	for _, c := range changed {
 		var w Range
 		w.OldStart, w.OldEnd = widen(old, c.OldStart, c.OldEnd)
@@ -259,8 +348,8 @@ func tokenWindows(old, cur *texttree.Snapshot, changed []Range) []Range {
 // runes (or the text ends), reading by position.
 func widen(t *texttree.Snapshot, start, end int) (int, int) {
 	tokenAt := func(pos int) bool {
-		ch, ok := t.CharAt(pos)
-		return ok && mining.IsTokenRune(ch.Rune)
+		r, ok := t.RuneAt(pos)
+		return ok && mining.IsTokenRune(r)
 	}
 	for start > 0 && tokenAt(start-1) {
 		start--
@@ -477,10 +566,14 @@ func (ix *Index) rank(rs []Result, r Ranker) {
 	}
 }
 
+// firstN returns the first n runes of s and an ellipsis, or all of s if it
+// has no more than n, without decoding the rest of s.
 func firstN(s string, n int) string {
-	r := []rune(s)
-	if len(r) <= n {
-		return s
+	for i := range s {
+		if n == 0 {
+			return s[:i] + "…"
+		}
+		n--
 	}
-	return string(r[:n]) + "…"
+	return s
 }

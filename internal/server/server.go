@@ -20,6 +20,7 @@ import (
 
 	"tendax/internal/awareness"
 	"tendax/internal/core"
+	"tendax/internal/index"
 	"tendax/internal/metrics"
 	"tendax/internal/placement"
 	"tendax/internal/protocol"
@@ -95,13 +96,21 @@ func NewCluster(cl *placement.Cluster, sec *security.Store) *Server {
 		if ic == nil {
 			return metrics.IndexStats{}, false
 		}
-		st := ic.Stats()
-		return metrics.IndexStats{
+		shards := ic.ShardStats()
+		st := index.Total(shards)
+		out := metrics.IndexStats{
 			Docs: st.Docs, AppliedOps: st.Applied,
 			Heals: st.Heals, LagDocs: st.Lag,
 			DeltaRefreshes: st.Delta,
 			FullRefreshes:  metrics.IndexFullRefreshes(st.Full),
-		}, true
+			LagEvents:      st.LagEvents,
+			Shards:         make([]metrics.IndexShardStats, len(shards)),
+		}
+		for i, sh := range shards {
+			out.Shards[i] = metrics.IndexShardStats{Shard: i, Docs: sh.Docs,
+				AppliedOps: sh.Applied, LagDocs: sh.Lag, LagEvents: sh.LagEvents}
+		}
+		return out, true
 	})
 	return s
 }

@@ -536,6 +536,14 @@ func (v *view) walkVisible(pos, n int, fn func(ch *Char) bool) {
 	})
 }
 
+// WalkRunes visits the runes of up to n visible characters from position
+// pos on, clipped as WalkVisibleFrom clips, until fn returns false. It
+// reads the rune alone and fills no Char: the walk of a reader that wants
+// text without rendering it to a string.
+func (v *view) WalkRunes(pos, n int, fn func(r rune) bool) {
+	v.slotsVisible(pos, n, func(s slot) bool { return fn(s.r.runes[s.i]) })
+}
+
 // slotsVisible visits the slots of up to n visible characters from
 // position pos on, clipped as WalkVisibleFrom clips, until fn returns
 // false.
@@ -631,6 +639,15 @@ func (v *view) CharAt(pos int) (Char, bool) {
 	var c Char
 	s.r.fill(&c, s.i)
 	return c, true
+}
+
+// RuneAt returns the rune of the visible character at pos.
+func (v *view) RuneAt(pos int) (rune, bool) {
+	s, ok := v.slotVisible(pos)
+	if !ok {
+		return 0, false
+	}
+	return s.r.runes[s.i], true
 }
 
 // IDAt returns the ID of the visible character at position pos.
