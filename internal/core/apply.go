@@ -379,9 +379,9 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			}
 			lastInsert = ids[len(ids)-1]
 			lastInsertIDs = ids
-			logKind := "insert"
+			logKind := opInsert
 			if !op.SrcDoc.IsNil() {
-				logKind = "paste"
+				logKind = opPaste
 			}
 			st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: user,
 				Kind: logKind, CharIDs: ids, Created: now})
@@ -430,7 +430,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), flips: affected,
 				pos: op.Pos, n: len(affected)}
 			st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: user,
-				Kind: "delete", CharIDs: affected, Created: now})
+				Kind: opDelete, CharIDs: affected, Created: now})
 			st.ops = append(st.ops, sop)
 
 		case EditLayout:
@@ -464,7 +464,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 				int64(ids[0]), int64(ids[len(ids)-1]), user, now, false,
 			})
 			st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: user,
-				Kind: "layout", Ref: spanID, Created: now})
+				Kind: opLayout, Ref: spanID, Created: now})
 			st.ops = append(st.ops, sop)
 
 		case EditNote:
@@ -496,7 +496,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 				int64(anchor), int64(anchor), user, now, false,
 			})
 			st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: user,
-				Kind: "layout", Ref: spanID, Created: now})
+				Kind: opLayout, Ref: spanID, Created: now})
 			st.ops = append(st.ops, sop)
 
 		default:
@@ -553,7 +553,7 @@ func (d *Document) stageRestoreLocked(st *batchState, ids []util.ID) error {
 	}
 	sop := stagedOp{kind: stepRestore, opID: d.eng.ids.Next(), flips: flips}
 	st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: st.user,
-		Kind: stepRestore, CharIDs: flips, Created: st.now})
+		Kind: opRestore, CharIDs: flips, Created: st.now})
 	st.ops = append(st.ops, sop)
 	return nil
 }
@@ -575,7 +575,7 @@ func (d *Document) stageSpanFlagLocked(st *batchState, spanID util.ID, removed b
 	sop := stagedOp{kind: stepSpanFlag, opID: d.eng.ids.Next(), spanID: spanID,
 		ids: []util.ID{util.ID(row[4].(int64))}, text: "remove"}
 	st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: st.user,
-		Kind: "layout-remove", Ref: spanID, Created: st.now})
+		Kind: opLayoutRemove, Ref: spanID, Created: st.now})
 	st.ops = append(st.ops, sop)
 	return nil
 }

@@ -269,7 +269,7 @@ func (d *Document) copyLocked(user string, pos, n int) (Clipboard, wal.LSN, erro
 		return Clipboard{}, 0, fmt.Errorf("%w: copy [%d,%d) of %d chars", ErrRange, pos, pos+n, d.buf.Len())
 	}
 	clip := Clipboard{Text: d.buf.Slice(pos, n), SrcDoc: d.id, SrcChars: ids}
-	rec := opRecord{ID: d.eng.ids.Next(), User: user, Kind: "copy", CharIDs: ids,
+	rec := opRecord{ID: d.eng.ids.Next(), User: user, Kind: opCopy, CharIDs: ids,
 		Created: d.eng.clock.Now()}
 	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
 		return d.writeOpRow(tx, &rec)
@@ -312,7 +312,7 @@ func (d *Document) SetState(user, state string) error {
 
 // setStateLocked logs the transition as a "state" op, which dates it.
 func (d *Document) setStateLocked(user, state string) (wal.LSN, error) {
-	rec := opRecord{ID: d.eng.ids.Next(), User: user, Kind: "state", Created: d.eng.clock.Now()}
+	rec := opRecord{ID: d.eng.ids.Next(), User: user, Kind: opState, Created: d.eng.clock.Now()}
 	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
 		if err := d.writeOpRow(tx, &rec); err != nil {
 			return err

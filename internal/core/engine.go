@@ -131,7 +131,7 @@ var (
 		{Name: "id", Type: db.TInt},
 		{Name: "doc", Type: db.TInt},
 		{Name: "user", Type: db.TString},
-		{Name: "kind", Type: db.TString},
+		{Name: "kind", Type: db.TInt},    // an opKind code
 		{Name: "chars", Type: db.TBytes}, // affected char IDs (first chunk)
 		{Name: "ref", Type: db.TInt},     // span ID or referenced op ID
 		{Name: "created", Type: db.TTime},

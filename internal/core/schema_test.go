@@ -43,6 +43,8 @@ func TestEngineRefusesOldLayouts(t *testing.T) {
 		db.Column{Name: "modified", Type: db.TTime},
 		db.Column{Name: "lastauthor", Type: db.TString},
 		db.Column{Name: "size", Type: db.TInt})
+	spelt := slices.Clone(opsSchema)
+	spelt[3].Type = db.TString
 	for _, tc := range []struct {
 		name, table, index string
 		schema             db.Schema
@@ -56,6 +58,9 @@ func TestEngineRefusesOldLayouts(t *testing.T) {
 		{"docs", "docs", "name", oldDocs,
 			db.Row{int64(1), "old", "alice", epoch, epoch, "alice", int64(1), "draft", "alice"},
 			SchemaError{Table: "docs", Column: 4, Have: "modified time", Want: "state string"}},
+		{"ops kind spelt", "ops", "doc", spelt,
+			db.Row{int64(9), int64(1), "alice", "insert", []byte{1, 2}, int64(0), epoch, false},
+			SchemaError{Table: "ops", Column: 3, Have: "kind string", Want: "kind int"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

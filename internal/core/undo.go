@@ -22,13 +22,45 @@ var ErrNothingToUndo = errors.New("core: nothing to undo")
 // ErrNothingToRedo reports that no undone operation is available to redo.
 var ErrNothingToRedo = errors.New("core: nothing to redo")
 
+// opKind is an op's kind as the ops table stores it: a one-byte code.
+// History and events name it by its String.
+type opKind uint8
+
+// The op kinds. Their codes are the ops table's: append, never renumber.
+const (
+	opInsert opKind = iota + 1
+	opPaste
+	opDelete
+	opLayout
+	opLayoutRemove
+	opRestore
+	opUndo
+	opRedo
+	opCopy
+	opState
+)
+
+var opKindNames = [...]string{opInsert: "insert", opPaste: "paste", opDelete: "delete",
+	opLayout: "layout", opLayoutRemove: "layout-remove", opRestore: "restore",
+	opUndo: "undo", opRedo: "redo", opCopy: "copy", opState: "state"}
+
+func (k opKind) String() string { return opKindNames[k] }
+
+// opKindOf returns the kind an ops row's kind column codes.
+func opKindOf(code int64) (opKind, error) {
+	if code < int64(opInsert) || code >= int64(len(opKindNames)) {
+		return 0, fmt.Errorf("core: unknown op kind %d in an ops row", code)
+	}
+	return opKind(code), nil
+}
+
 // opRecord is one ops-table row as a batch stages it, character IDs
 // included: what writeOpRow persists. Once the row has committed the
 // document keeps only its opHead.
 type opRecord struct {
 	ID      util.ID
 	User    string
-	Kind    string
+	Kind    opKind
 	CharIDs []util.ID
 	Ref     util.ID
 	Created time.Time
@@ -43,15 +75,15 @@ func (op *opRecord) head() opHead {
 // opHead is one ops-table row in the document's op-log cache: everything
 // but the row's character IDs, which only an undo or redo needs and reads
 // from the row (opIDs). The ops table is authoritative; the cache is
-// rebuilt on open. At most 64 bytes (TestOpHeadSize): the cache grows by
+// rebuilt on open. At most 48 bytes (TestOpHeadSize): the cache grows by
 // one head per committed op.
 type opHead struct {
 	ID      util.ID
 	Ref     util.ID // the span of a layout op; the reverted op of an undo or redo
 	User    string
-	Kind    string
 	Created int64 // UnixNano, as the row stores it
 	Chars   int32 // the character IDs the row lists
+	Kind    opKind
 	Undone  bool
 }
 
@@ -87,7 +119,7 @@ func (d *Document) loadOps() error {
 	slices.SortFunc(ops, func(a, b opHead) int { return cmp.Compare(a.ID, b.ID) })
 	d.ops = ops
 	for i := len(ops) - 1; i >= 0; i-- {
-		if ops[i].Kind != "copy" {
+		if ops[i].Kind != opCopy {
 			d.last = ops[i]
 			break
 		}
@@ -108,7 +140,7 @@ func (d *Document) appendOpLocked(op opHead) {
 		d.ops = grown
 	}
 	d.ops = append(d.ops, op)
-	if op.Kind != "copy" {
+	if op.Kind != opCopy {
 		d.last = op
 	}
 }
@@ -179,7 +211,7 @@ func (d *Document) writeOpRow(tx *txn.Txn, op *opRecord) error {
 	enc.Int(int64(op.ID))
 	enc.Int(int64(d.id))
 	enc.String(op.User)
-	enc.String(op.Kind)
+	enc.Int(int64(op.Kind))
 	enc.Bytes(first)
 	enc.Int(int64(op.Ref))
 	enc.Time(op.Created)
@@ -315,10 +347,13 @@ func (d *Document) headFromRow(row db.Row) (opHead, error) {
 	op := opHead{
 		ID:      util.ID(row[0].(int64)),
 		User:    row[2].(string),
-		Kind:    row[3].(string),
 		Ref:     util.ID(row[5].(int64)),
 		Created: row[6].(time.Time).UnixNano(),
 		Undone:  row[7].(bool),
+	}
+	var err error
+	if op.Kind, err = opKindOf(row[3].(int64)); err != nil {
+		return opHead{}, err
 	}
 	payload, err := d.opPayload(row)
 	if err == nil {
@@ -327,13 +362,10 @@ func (d *Document) headFromRow(row db.Row) (opHead, error) {
 	return op, err
 }
 
-// undoable reports whether an operation kind participates in undo history.
-func undoable(kind string) bool {
-	switch kind {
-	case "insert", "paste", "delete", "layout", "layout-remove":
-		return true
-	}
-	return false
+// undoable reports whether an operation kind participates in undo history:
+// the kinds up to opLayoutRemove.
+func undoable(kind opKind) bool {
+	return kind <= opLayoutRemove
 }
 
 // History returns the document's operation log (most recent last). Undo and
@@ -345,7 +377,7 @@ func (d *Document) History() []OpInfo {
 	out := make([]OpInfo, len(d.ops))
 	for i, op := range d.ops {
 		out[i] = OpInfo{
-			ID: op.ID, User: op.User, Kind: op.Kind, Chars: int(op.Chars),
+			ID: op.ID, User: op.User, Kind: op.Kind.String(), Chars: int(op.Chars),
 			Ref: op.Ref, Created: time.Unix(0, op.Created).UTC(), Undone: op.Undone,
 		}
 	}
@@ -407,7 +439,7 @@ func (d *Document) redo(user string, local bool) (util.ID, error) {
 }
 
 func (d *Document) redoLocked(user string, local bool) (util.ID, wal.LSN, error) {
-	ui := d.lastOpLocked(user, local, func(kind string) bool { return kind == "undo" })
+	ui := d.lastOpLocked(user, local, func(kind opKind) bool { return kind == opUndo })
 	if ui < 0 {
 		return util.NilID, 0, ErrNothingToRedo
 	}
@@ -423,7 +455,7 @@ func (d *Document) redoLocked(user string, local bool) (util.ID, wal.LSN, error)
 
 // lastOpLocked returns the index of the newest op not undone whose kind
 // pred accepts — user's own when local — or -1.
-func (d *Document) lastOpLocked(user string, local bool, pred func(kind string) bool) int {
+func (d *Document) lastOpLocked(user string, local bool, pred func(kind opKind) bool) int {
 	for i := len(d.ops) - 1; i >= 0; i-- {
 		if op := &d.ops[i]; pred(op.Kind) && !op.Undone && (!local || op.User == user) {
 			return i
@@ -450,14 +482,15 @@ func (d *Document) revertLocked(user string, kind awareness.EventKind, ti int, f
 		return util.NilID, 0, err
 	}
 	rec := &st.opRecs[0]
-	rec.Kind, rec.Ref = string(kind), target.ID
+	rec.Kind, rec.Ref = opUndo, target.ID
 	if kind == awareness.EvRedo {
+		rec.Kind = opRedo
 		if rec.CharIDs, err = d.opIDs(target.ID); err != nil {
 			return util.NilID, 0, err
 		}
 	}
 	st.undone = append(st.undone, flags...)
-	st.undo = awareness.Event{Kind: kind, Name: target.Kind, N: int(target.Chars)}
+	st.undo = awareness.Event{Kind: kind, Name: target.Kind.String(), N: int(target.Chars)}
 	_, lsn, err := d.commitBatchLocked(st)
 	if err != nil {
 		return util.NilID, 0, err
@@ -472,15 +505,15 @@ func (d *Document) revertLocked(user string, kind awareness.EventKind, ti int, f
 // is the caller's to relabel as the undo or redo row.
 func (d *Document) stageRevertLocked(st *batchState, op opHead, ids []util.ID, undo bool) error {
 	switch op.Kind {
-	case "insert", "paste", "delete":
+	case opInsert, opPaste, opDelete:
 		// An empty set flips nothing either way; the delete op refuses a
 		// delete of nothing, so the restore step takes it.
-		if (op.Kind == "delete") == undo || len(ids) == 0 {
+		if (op.Kind == opDelete) == undo || len(ids) == 0 {
 			return d.stageRestoreLocked(st, ids)
 		}
 		return d.stageBatchLocked(st, []EditOp{{Kind: EditDelete, Chars: ids}})
-	case "layout", "layout-remove":
-		return d.stageSpanFlagLocked(st, op.Ref, (op.Kind == "layout") == undo)
+	case opLayout, opLayoutRemove:
+		return d.stageSpanFlagLocked(st, op.Ref, (op.Kind == opLayout) == undo)
 	}
 	return fmt.Errorf("core: a %s op cannot be reverted", op.Kind)
 }

@@ -24,16 +24,19 @@ import (
 // chars row that is a run (one deletion-state column, empty until a
 // delete) and an op row naming its IDs as one stretch cost ~212 B. Rows
 // whose ints are varints and whose lengths are uvarints, not 8 and 4
-// fixed bytes, cost ~125 B; the budget is that plus 10 %.
-const maxOneKeyBatchLogBytes = 137
+// fixed bytes, cost ~125 B. No begin record (a transaction's first record
+// opens it), an op kind coded in one byte, not spelt, and a commit record
+// without a PrevLSN cost ~104 B; the budget is that plus 5 %.
+const maxOneKeyBatchLogBytes = 109
 
 // maxOneKeyBatchWorstLogBytes bounds the WAL of any single one-key batch.
 // The worst is an author's first batch, whose document-row update also
 // appends the name to the authors column: ~377 B with the two neighbour
 // relinks, ~325 B without, ~261 B with a docs row of six columns, ~244 B
-// with the run row and stretch-coded op row, ~156 B with varint rows; the
+// with the run row and stretch-coded op row, ~156 B with varint rows, ~136
+// B with no begin record, a one-byte op kind and a shorter commit; the
 // budget is that plus 10 %.
-const maxOneKeyBatchWorstLogBytes = 172
+const maxOneKeyBatchWorstLogBytes = 150
 
 // TestOneKeyBatchLogBytes types one-key batches between two existing
 // characters of a 20k-character document, two authors alternating, and
@@ -81,11 +84,12 @@ func TestOneKeyBatchLogBytes(t *testing.T) {
 
 // maxRunBatchLogBytes bounds the WAL a typed character costs in a batch of
 // 128 keys, the bulk regime: one chars row per run and one op row whose
-// IDs are one stretch, in varint rows, take ~2.0 B per key; the budget is
-// that plus 10 %. With fixed-width rows it was ~2.7 B. While every
-// character was a row of its own and an op row listed 8 bytes per ID, it
-// was ~123 B.
-const maxRunBatchLogBytes = 2.2
+// IDs are one stretch, in varint rows, with no begin record and a one-byte
+// op kind, take ~1.8 B per key; the budget is that plus 10 %. With a begin
+// record and a spelt kind it was ~2.0 B, with fixed-width rows ~2.7 B.
+// While every character was a row of its own and an op row listed 8 bytes
+// per ID, it was ~123 B.
+const maxRunBatchLogBytes = 2.0
 
 // TestRunBatchLogBytes types 128-key batches at spread positions of a
 // 20k-character document, two authors alternating, and fails if they log

@@ -325,7 +325,12 @@ func TestUnloggedRollbackStaysOffDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	synced := mem.Len()
+	// A transaction that writes nothing logs no commit record, so b writes
+	// a row: its commit is the batch whose fsync fails.
 	b, _ := d.Begin()
+	if _, err := tbl.Insert(b, Row{int64(2), int64(0)}); err != nil {
+		t.Fatal(err)
+	}
 	fs.failSync.Store(true)
 	if err := b.Commit(); !errors.Is(err, wal.ErrLogFailed) {
 		t.Fatalf("commit whose fsync failed: %v, want wal.ErrLogFailed", err)

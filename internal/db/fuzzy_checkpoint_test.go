@@ -1,7 +1,10 @@
 package db
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -198,7 +201,7 @@ func TestTornEndCheckpointFallsBack(t *testing.T) {
 }
 
 // TestTruncationKeepsLoserUndoChain holds one transaction open across many
-// checkpoints: truncation must stall at its begin record so that, after a
+// checkpoints: truncation must stall at its first record so that, after a
 // crash, its uncommitted update can still be rolled back from the log.
 func TestTruncationKeepsLoserUndoChain(t *testing.T) {
 	disk := storage.NewMemDisk()
@@ -256,7 +259,7 @@ func TestTruncationKeepsLoserUndoChain(t *testing.T) {
 		}
 	}
 	if lastRes.TruncLSN > loser.FirstLSN() {
-		t.Fatalf("truncation point %d passed the active transaction's begin record %d",
+		t.Fatalf("truncation point %d passed the active transaction's first record %d",
 			lastRes.TruncLSN, loser.FirstLSN())
 	}
 
@@ -406,4 +409,228 @@ func TestBackgroundCheckpointerTriggers(t *testing.T) {
 	if got := d2.Table("t").Count(); got != 50 {
 		t.Fatalf("rows after checkpointed reopen = %d, want 50", got)
 	}
+}
+
+// TestCheckpointRaceKeepsFirstRecords races writers of multi-record
+// transactions (three inserts and an update, one in eight rolled back at
+// runtime, one transaction kept open across checkpoints) against a loop of
+// fuzzy checkpoints, then crash-cuts the store while the writers still run
+// and recovers. A transaction logs no begin record, so its first update
+// opens it: appending that record and registering the transaction must be
+// one step, or a checkpoint can miss a live transaction and truncate the
+// log below its first record. The test checks that no checkpoint truncated
+// below the first record of a transaction still live at its end record,
+// that recovery finds every undo chain whole, that the image holds every
+// commit durable before the cut, and that exactly the transactions
+// committed in the image are present.
+func TestCheckpointRaceKeepsFirstRecords(t *testing.T) {
+	disk := storage.NewMemDisk()
+	store := wal.NewMemStore()
+	d, err := OpenWith(disk, store, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	tbl, err := d.CreateTable("t", docSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoints := 60
+	if testing.Short() {
+		checkpoints = 20
+	}
+
+	// A transaction as its writer saw it: its rows, its first LSN, and
+	// the LSN of its commit or abort record (0 while it is open).
+	type written struct {
+		id          uint64
+		rows        []int64
+		first, last wal.LSN
+		committed   bool
+	}
+	var (
+		mu    sync.Mutex
+		txns  []*written
+		next  atomic.Int64
+		stop  = make(chan struct{})
+		errs  = make(chan error, 8)
+		wg    sync.WaitGroup
+		title = func(pk int64) string { return fmt.Sprintf("upd-%d", pk) }
+	)
+	// write runs one transaction: three inserts, an update of the first
+	// row, then a commit or, if abort, a rollback. hold, if not nil, is
+	// waited on between the first insert and the rest.
+	write := func(abort bool, hold <-chan struct{}) error {
+		tx, err := d.Begin()
+		if err != nil {
+			return err
+		}
+		w := &written{id: tx.ID()}
+		mu.Lock()
+		txns = append(txns, w)
+		mu.Unlock()
+		for i := 0; i < 3; i++ {
+			pk := next.Add(1)
+			if _, err := tbl.Insert(tx, sampleRow(pk)); err != nil {
+				return err
+			}
+			if i == 0 {
+				mu.Lock()
+				w.first = tx.FirstLSN()
+				mu.Unlock()
+				if hold != nil {
+					<-hold
+				}
+			}
+			w.rows = append(w.rows, pk)
+			runtime.Gosched()
+		}
+		row := sampleRow(w.rows[0])
+		row[1] = title(w.rows[0])
+		if err := tbl.UpdateByPK(tx, w.rows[0], row); err != nil {
+			return err
+		}
+		if abort {
+			err = tx.Abort()
+		} else {
+			_, err = tx.CommitAsync()
+		}
+		mu.Lock()
+		w.last, w.committed = tx.LastLSN(), !abort
+		mu.Unlock()
+		if err == nil && !abort {
+			err = tx.WaitDurable()
+		}
+		return err
+	}
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := write((n+g)%8 == 7, nil); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	// count returns how many transactions have logged their first record.
+	count := func() (n int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, w := range txns {
+			if w.first != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	// Each checkpoint waits for two more transactions to open. Halfway
+	// through, a long transaction opens and stays open until after the
+	// cut: a loser every later checkpoint must keep whole, while the
+	// earlier ones let truncation move with the short transactions.
+	hold := make(chan struct{})
+	var results []*wal.CheckpointResult
+	for i := 0; i < checkpoints; i++ {
+		if i == checkpoints/2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := write(false, hold); err != nil {
+					errs <- err
+				}
+			}()
+		}
+		for n := count() + 2; count() < n; {
+			runtime.Gosched()
+		}
+		res, err := d.FuzzyCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	// The cut: pages first, then the log, with no checkpoint running, so
+	// the log holds every record behind a page in the image. Every commit
+	// durable before the cut began is in the image.
+	durable := d.Log().FlushedLSN()
+	crashDisk := disk.Snapshot()
+	logBytes, err := store.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(hold)
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, res := range results {
+		for _, w := range txns {
+			if w.first != 0 && w.first < res.TruncLSN && (w.last == 0 || w.last > res.EndLSN) {
+				t.Errorf("checkpoint %d..%d truncated below %d, the first record of transaction %d, live until %d",
+					res.BeginLSN, res.EndLSN, res.TruncLSN, w.id, w.last)
+			}
+		}
+	}
+
+	imageStore := func() *wal.MemStore {
+		s := wal.NewMemStore()
+		if err := s.Append(logBytes); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// The image holds the log up to end; checkpoints cut its head, so a
+	// transaction committed in the image is one whose commit is at or
+	// below end.
+	image, err := wal.Open(imageStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := image.NextLSN() - 1
+	image.Close()
+	if end < durable {
+		t.Errorf("the image ends at %d, below the durable horizon %d before the cut", end, durable)
+	}
+
+	d2, err := OpenWith(crashDisk, imageStore(), Options{})
+	if err != nil {
+		t.Fatalf("recovery of the cut: %v", err)
+	}
+	defer d2.Close()
+	if d2.Recovery.Losers == 0 {
+		t.Errorf("recovery stats %+v: want the long transaction among the losers", d2.Recovery)
+	}
+	recovered := d2.Table("t")
+	present := 0
+	for _, w := range txns {
+		want := w.committed && w.last != 0 && w.last <= end
+		for i, pk := range w.rows {
+			row, _, err := recovered.GetByPK(nil, pk)
+			switch {
+			case want && err != nil:
+				t.Errorf("row %d of committed transaction %d: %v", pk, w.id, err)
+			case want && i == 0 && row[1] != title(pk):
+				t.Errorf("row %d of committed transaction %d lost its update: %v", pk, w.id, row)
+			case !want && err == nil:
+				t.Errorf("row %d of transaction %d, not committed in the image, survived: %v", pk, w.id, row)
+			}
+		}
+		if want {
+			present++
+		}
+	}
+	t.Logf("%d checkpoints, %d transactions, %d committed in the image; recovery %+v",
+		len(results), len(txns), present, d2.Recovery)
 }

@@ -160,8 +160,8 @@ func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte, rids []RID) error {
 				if err := tx.Lock(rowKey(h.tableID, rid), txn.Exclusive); err != nil {
 					return n, err
 				}
-				lsn, err := h.log.Append(&wal.Record{
-					Type: wal.RecUpdate, TxnID: tx.ID(), PrevLSN: tx.LastLSN(),
+				prev := tx.LastLSN()
+				lsn, err := tx.Append(&wal.Record{Type: wal.RecUpdate,
 					Page: uint64(pageID), Slot: uint32(slot), Op: wal.OpInsert,
 					Owner: h.tableID, After: rec,
 				})
@@ -172,13 +172,11 @@ func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte, rids []RID) error {
 					return n, err
 				}
 				pg.SetLSN(uint64(lsn))
-				prev := tx.LastLSN()
-				tx.SetLastLSN(lsn)
 				rids[i+n] = rid
 				recCopy := rec
 				tx.OnUndo(func() error {
 					return h.compensate(tx, &wal.Record{
-						Type: wal.RecCLR, TxnID: tx.ID(), Page: uint64(pageID),
+						Type: wal.RecCLR, Page: uint64(pageID),
 						Slot: uint32(slot), Op: wal.OpDelete, Owner: h.tableID,
 						Before: recCopy, UndoNext: prev,
 					})
@@ -234,8 +232,8 @@ func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) ([]byte, error) {
 		// Only the bytes that change are logged: a tombstone flip or a
 		// document-row refresh rewrites a few bytes of a ~100-byte row.
 		off, was, now := wal.Splice(before, rec)
-		lsn, err := h.log.Append(&wal.Record{
-			Type: wal.RecUpdate, TxnID: tx.ID(), PrevLSN: tx.LastLSN(),
+		prev := tx.LastLSN()
+		lsn, err := tx.Append(&wal.Record{Type: wal.RecUpdate,
 			Page: uint64(rid.Page), Slot: uint32(rid.Slot), Op: wal.OpUpdate,
 			Owner: h.tableID, Off: off, Before: was, After: now,
 		})
@@ -250,11 +248,10 @@ func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) ([]byte, error) {
 		}
 		pg.SetLSN(uint64(lsn))
 		undo := &wal.Record{
-			Type: wal.RecCLR, TxnID: tx.ID(), Page: uint64(rid.Page),
+			Type: wal.RecCLR, Page: uint64(rid.Page),
 			Slot: uint32(rid.Slot), Op: wal.OpUpdate, Owner: h.tableID,
-			Off: off, Before: now, After: was, UndoNext: tx.LastLSN(),
+			Off: off, Before: now, After: was, UndoNext: prev,
 		}
-		tx.SetLastLSN(lsn)
 		return undo, sp.FreeSpace(), nil
 	}()
 	if err != nil {
@@ -288,8 +285,8 @@ func (h *Heap) Delete(tx *txn.Txn, rid RID) ([]byte, error) {
 	}
 	before := append([]byte(nil), cur...)
 
-	lsn, err := h.log.Append(&wal.Record{
-		Type: wal.RecUpdate, TxnID: tx.ID(), PrevLSN: tx.LastLSN(),
+	prev := tx.LastLSN()
+	lsn, err := tx.Append(&wal.Record{Type: wal.RecUpdate,
 		Page: uint64(rid.Page), Slot: uint32(rid.Slot), Op: wal.OpDelete,
 		Owner: h.tableID, Before: before,
 	})
@@ -300,12 +297,10 @@ func (h *Heap) Delete(tx *txn.Txn, rid RID) ([]byte, error) {
 		return nil, err
 	}
 	pg.SetLSN(uint64(lsn))
-	prev := tx.LastLSN()
-	tx.SetLastLSN(lsn)
 
 	tx.OnUndo(func() error {
 		return h.compensate(tx, &wal.Record{
-			Type: wal.RecCLR, TxnID: tx.ID(), Page: uint64(rid.Page),
+			Type: wal.RecCLR, Page: uint64(rid.Page),
 			Slot: uint32(rid.Slot), Op: wal.OpInsert, Owner: h.tableID,
 			After: before, UndoNext: prev,
 		})
@@ -392,13 +387,12 @@ func (h *Heap) compensate(tx *txn.Txn, clr *wal.Record) error {
 		if err := wal.Apply(sp, clr); err != nil {
 			return fmt.Errorf("db: undo op %d page %d slot %d: %w", clr.Op, clr.Page, clr.Slot, err)
 		}
-		lsn, err := h.log.Append(clr)
+		lsn, err := tx.Append(clr)
 		if err != nil {
 			pg.SetLSN(math.MaxUint64)
 			return err
 		}
 		pg.SetLSN(uint64(lsn))
-		tx.SetLastLSN(lsn)
 		freeAfter = sp.FreeSpace()
 		return nil
 	}()

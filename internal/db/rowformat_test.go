@@ -54,10 +54,10 @@ var goldenRows = []struct {
 		// id, doc, step, after, key; text, author; created; del; src*
 		"e2c508" + "06" + "00" + "e0c508" + "00" + "016b" + "05616c696365" +
 			"00038d7ea4c68000" + "00" + "000000"},
-	{"ops", db.Row{int64(70002), int64(3), "alice", "insert", []byte{1, 2}, int64(0),
+	{"ops", db.Row{int64(70002), int64(3), "alice", int64(1), []byte{1, 2}, int64(0),
 		time.Unix(1_000_000, 0).UTC(), false},
-		// id, doc; user, kind, chars (one stretch: 1 ID, 1 below); ref; created; undone
-		"e4c508" + "06" + "05616c696365" + "06696e73657274" + "020102" + "00" +
+		// id, doc; user; kind (1: insert); chars (one stretch: 1 ID, 1 below); ref; created; undone
+		"e4c508" + "06" + "05616c696365" + "02" + "020102" + "00" +
 			"00038d7ea4c68000" + "00"},
 }
 

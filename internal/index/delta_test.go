@@ -324,6 +324,30 @@ func foldCost(t *testing.T, svc *index.Service, d *core.Document, rng *rand.Rand
 // frequency changes (2.1–2.5 measured; 9.7–10.2 while each window was
 // rendered to a string and split into token strings).
 func TestFoldCostIndependentOfDocumentSize(t *testing.T) {
+	foldCostGate(t, false, maxFoldAllocs)
+}
+
+// TestHeadingFoldCostIndependentOfDocumentSize is the same guard over
+// documents that each hold a heading span: a key re-reads and re-renders
+// the headings only when it lands on one, so a folded key stays at or
+// under maxHeadingFoldAllocs allocations (26.5 / 30.1 while every key
+// re-read the span rows and re-rendered the headings), and the heading
+// index still matches a rebuild after keys typed into a heading.
+func TestHeadingFoldCostIndependentOfDocumentSize(t *testing.T) {
+	foldCostGate(t, true, maxHeadingFoldAllocs)
+}
+
+// maxFoldAllocs bounds the allocations one folded key costs the indexer.
+const maxFoldAllocs = 3
+
+// maxHeadingFoldAllocs bounds them in a document with a heading span.
+const maxHeadingFoldAllocs = 3.5
+
+// foldCostGate builds a 2k- and a 200k-character document, each with a
+// 40-character heading span if heading is set, and fails if a folded key
+// costs more in the large one than 1.5x the small one, or, without the
+// race detector, more than limit allocations in either.
+func foldCostGate(t *testing.T, heading bool, limit float64) {
 	database, err := db.Open(db.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -342,6 +366,11 @@ func TestFoldCostIndependentOfDocumentSize(t *testing.T) {
 		}
 		for d.Len() < chars {
 			if _, err := d.AppendText("seed", words); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if heading {
+			if _, err := d.SetHeading("seed", 1000, 40, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -368,14 +397,29 @@ func TestFoldCostIndependentOfDocumentSize(t *testing.T) {
 	if st := svc.Stats(); st.Full.RingMiss+st.Full.SeqAhead != 0 {
 		t.Fatalf("typing fell off the changed-range path: %+v", st)
 	}
+	if heading {
+		vocab := map[string]bool{}
+		for _, d := range []*core.Document{small, large} {
+			for _, pos := range []int{1000, 1020, 1040} { // at the start, inside, at the end
+				if _, err := d.InsertText("ann", pos, "zq"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			outline, err := d.Outline()
+			if err != nil || len(outline) != 1 {
+				t.Fatalf("outline %v, %v; want one heading", outline, err)
+			}
+			for _, tok := range mining.Tokenize(outline[0].Text) {
+				vocab[tok] = true
+			}
+		}
+		requireMatchesRebuild(t, "keys typed into headings", eng, svc, vocab)
+	}
 	if raceEnabled {
 		return // the race detector allocates on its own account
 	}
-	if sa > maxFoldAllocs || la > maxFoldAllocs {
-		t.Fatalf("%.1f allocs per folded key at %d chars, %.1f at %d, limit %d",
-			sa, small.Len(), la, large.Len(), maxFoldAllocs)
+	if sa > limit || la > limit {
+		t.Fatalf("%.1f allocs per folded key at %d chars, %.1f at %d, limit %.1f",
+			sa, small.Len(), la, large.Len(), limit)
 	}
 }
-
-// maxFoldAllocs bounds the allocations one folded key costs the indexer.
-const maxFoldAllocs = 3

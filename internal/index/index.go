@@ -32,7 +32,6 @@ package index
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,9 +108,40 @@ type docState struct {
 	base    *core.DocSnapshot
 	changed changes
 	full    refreshCause
-	// layout: the document had heading spans at the last refresh, or a
-	// layout/note event arrived since — headings need re-resolving.
+	// layout: a layout or note event arrived since the last refresh, so
+	// the heading spans need re-reading.
 	layout bool
+	// heads are the document's heading spans as the last layout event or
+	// wholesale refresh read them, and at where each lies in base's text.
+	// A refresh re-renders the headings only when a changed range reaches
+	// one of them; otherwise it moves at along with the text.
+	heads []core.Span
+	at    []core.Extent
+}
+
+// shiftHeadings moves at from base's text to the current one across the
+// changed ranges. It reports false, with at partly moved, when a range
+// reaches a heading base has seen (touching one of its ends counts): its
+// text may have changed, and only a re-render can tell.
+func (st *docState) shiftHeadings() bool {
+	for i := range st.at {
+		e := &st.at[i]
+		if !e.Seen {
+			continue
+		}
+		shift := 0
+		for _, r := range st.changed {
+			if r.OldStart > e.To {
+				break
+			}
+			if r.OldEnd >= e.From {
+				return false
+			}
+			shift += (r.NewEnd - r.NewStart) - (r.OldEnd - r.OldStart)
+		}
+		e.From, e.To = e.From+shift, e.To+shift
+	}
+	return true
 }
 
 // Open attaches an incremental indexer to eng: it primes from the current
@@ -366,22 +396,30 @@ func (s *Service) refreshDocLocked(id util.ID, st *docState, snap *core.DocSnaps
 	if st.full == causeNone {
 		s.ix.PatchDoc(info, st.base.Tree(), snap.Tree(), st.changed)
 	}
-	if st.full != causeNone || st.layout {
+	switch {
+	case st.full != causeNone || st.layout:
 		spans, err := snap.Spans()
 		if err != nil {
 			spans = nil
 		}
-		headings := search.HeadingText(snap, spans)
+		st.heads = st.heads[:0]
+		for _, sp := range spans {
+			if sp.Kind == core.SpanHeading {
+				st.heads = append(st.heads, sp)
+			}
+		}
+		st.at = snap.ResolveSpans(st.heads)
+		headings := search.Headings(snap.Tree(), st.at)
 		if st.full != causeNone {
 			s.ix.UpdateDoc(info, snap.Text(), headings)
 		} else {
 			s.ix.SetHeadings(id, headings)
 		}
-		// With a heading span in place any edit may move its text, even
-		// back from nothing; without one only a layout event can.
-		st.layout = slices.ContainsFunc(spans, func(sp core.Span) bool { return sp.Kind == core.SpanHeading })
+	case !st.shiftHeadings():
+		st.at = snap.ResolveSpans(st.heads)
+		s.ix.SetHeadings(id, search.Headings(snap.Tree(), st.at))
 	}
-	st.base, st.changed, st.full = snap, st.changed[:0], causeNone
+	st.base, st.changed, st.full, st.layout = snap, st.changed[:0], causeNone, false
 	s.g.EnsureNode(id, info.Name, false)
 }
 

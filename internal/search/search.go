@@ -150,10 +150,17 @@ func HeadingText(snap *core.DocSnapshot, spans []core.Span) string {
 			heads = append(heads, s)
 		}
 	}
+	return Headings(snap.Tree(), snap.ResolveSpans(heads))
+}
+
+// Headings concatenates (lowercased) the text of t at each heading extent
+// of at, as HeadingText does with the extents it resolves; an empty or
+// unseen extent adds nothing.
+func Headings(t *texttree.Snapshot, at []core.Extent) string {
 	var hb strings.Builder
-	for _, e := range snap.ResolveSpans(heads) {
+	for _, e := range at {
 		if e.From < e.To {
-			hb.WriteString(snap.Tree().Slice(e.From, e.To-e.From))
+			hb.WriteString(t.Slice(e.From, e.To-e.From))
 			hb.WriteString(" ")
 		}
 	}

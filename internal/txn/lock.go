@@ -80,7 +80,7 @@ func (e *lockEntry) holder(txn uint64) (int, bool) {
 // not a holder before.
 func (e *lockEntry) grant(txn uint64, mode Mode) bool {
 	if i, ok := e.holder(txn); ok {
-		e.holders[i].mode = maxMode(e.holders[i].mode, mode)
+		e.holders[i].mode = max(e.holders[i].mode, mode)
 		return false
 	}
 	e.holders = append(e.holders, holding{txn, mode})
@@ -330,11 +330,4 @@ func (lm *LockManager) grantWaitersLocked(key Key, e *lockEntry) {
 		delete(lm.waits, w.txn)
 		w.ready <- nil
 	}
-}
-
-func maxMode(a, b Mode) Mode {
-	if a > b {
-		return a
-	}
-	return b
 }

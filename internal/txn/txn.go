@@ -36,7 +36,7 @@ const inlineUndo = 4
 type Txn struct {
 	id        uint64
 	mgr       *Manager
-	firstLSN  wal.LSN // begin record: the tail of the undo chain
+	firstLSN  wal.LSN // first logged record: the tail of the undo chain
 	lastLSN   wal.LSN
 	commitLSN wal.LSN
 	undo      []UndoFunc
@@ -47,10 +47,11 @@ type Txn struct {
 // ID returns the transaction identifier.
 func (t *Txn) ID() uint64 { return t.id }
 
-// FirstLSN returns the LSN of the transaction's begin record. A fuzzy
-// checkpoint must never let log truncation pass the smallest FirstLSN of
-// any active transaction, or a crash-time rollback would find its undo
-// chain cut.
+// FirstLSN returns the LSN of the transaction's first logged record, the
+// one that opened it in the log (its PrevLSN is 0), or 0 while it has
+// logged nothing. A fuzzy checkpoint must never let log truncation pass
+// the smallest nonzero FirstLSN of any active transaction, or a crash-time
+// rollback would find its undo chain cut.
 func (t *Txn) FirstLSN() wal.LSN { return t.firstLSN }
 
 // State returns the lifecycle state.
@@ -60,8 +61,26 @@ func (t *Txn) State() State { return t.state }
 // storage layer uses it to chain undo records.
 func (t *Txn) LastLSN() wal.LSN { return t.lastLSN }
 
-// SetLastLSN records the transaction's most recent log record.
-func (t *Txn) SetLastLSN(lsn wal.LSN) { t.lastLSN = lsn }
+// Append logs r as the transaction's next record, filling in its TxnID and
+// PrevLSN. The first record opens the transaction in the log: it is
+// appended and the transaction registered under one critical section, so
+// ActiveSnapshot never misses a first LSN below a checkpoint's begin.
+func (t *Txn) Append(r *wal.Record) (wal.LSN, error) {
+	m, first := t.mgr, t.firstLSN == 0
+	r.TxnID, r.PrevLSN = t.id, t.lastLSN
+	if first {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
+	lsn, err := m.log.Append(r)
+	if err == nil && first {
+		t.firstLSN, m.active[t.id] = lsn, t
+	}
+	if err == nil {
+		t.lastLSN = lsn
+	}
+	return lsn, err
+}
 
 // OnUndo registers fn to be run (in reverse order) if the transaction
 // aborts.
@@ -79,7 +98,8 @@ func (t *Txn) Lock(key Key, mode Mode) error {
 // CommitAsync appends the transaction's commit record and releases its
 // locks, WITHOUT waiting for the record to reach disk. It returns the
 // commit LSN; the transaction is durable once the log's flushed horizon
-// covers that LSN (WaitDurable). Releasing locks before durability is safe:
+// covers that LSN (WaitDurable); one that logged nothing logs no commit and
+// returns LSN 0, always durable. Releasing locks before durability is safe:
 // any dependent transaction's commit record is appended after this one, so
 // group commit can never make the dependent durable first. A commit record
 // a poisoned log refuses aborts the transaction (see Abort).
@@ -87,20 +107,20 @@ func (t *Txn) CommitAsync() (wal.LSN, error) {
 	if t.state != Active {
 		return 0, ErrNotActive
 	}
-	lsn, err := t.mgr.log.Append(&wal.Record{Type: wal.RecCommit, TxnID: t.id, PrevLSN: t.lastLSN})
+	var err error
+	if t.firstLSN != 0 {
+		t.commitLSN, err = t.Append(&wal.Record{Type: wal.RecCommit})
+	} else {
+		err = t.mgr.log.Err() // commits nothing, but not behind a failure either
+	}
 	if err != nil {
 		if errors.Is(err, wal.ErrLogFailed) {
 			_ = t.Abort() // returns err again
 		}
 		return 0, err
 	}
-	t.lastLSN = lsn
-	t.commitLSN = lsn
-	t.state = Committed
-	t.dropUndo()
-	t.mgr.locks.ReleaseAll(t.id)
-	t.mgr.finish(t.id)
-	return lsn, nil
+	t.end(Committed)
+	return t.commitLSN, nil
 }
 
 // WaitDurable blocks until the transaction's commit record is durable. It
@@ -125,10 +145,10 @@ func (t *Txn) Commit() error {
 }
 
 // Abort rolls back every operation of the transaction (newest first), logs
-// the abort, and releases its locks. The abort-record flush is the
-// sanctioned exception to the group-commit rule: rollbacks are the rare
-// failure path, and the undo must be durable before the row locks are
-// released, even when the caller still holds a document lock.
+// the abort if it logged anything, and releases its locks. The abort-record
+// flush is the sanctioned exception to the group-commit rule: rollbacks are
+// the rare failure path, and the undo must be durable before the row locks
+// are released, even when the caller still holds a document lock.
 //
 // On a poisoned log (wal.ErrLogFailed) the rollback cannot be logged: every
 // undo entry still restores its page in memory, and the transaction ends
@@ -153,10 +173,9 @@ func (t *Txn) Abort() error {
 			logErr = err
 		}
 	}
-	if logErr == nil {
-		lsn, err := t.mgr.log.Append(&wal.Record{Type: wal.RecAbort, TxnID: t.id, PrevLSN: t.lastLSN})
+	if logErr == nil && t.firstLSN != 0 {
+		_, err := t.Append(&wal.Record{Type: wal.RecAbort})
 		if err == nil {
-			t.lastLSN = lsn
 			err = t.mgr.log.Flush()
 		}
 		if err != nil && !errors.Is(err, wal.ErrLogFailed) {
@@ -164,19 +183,21 @@ func (t *Txn) Abort() error {
 		}
 		logErr = err
 	}
-	t.state = Aborted
-	t.dropUndo()
-	t.mgr.locks.ReleaseAll(t.id)
-	t.mgr.finish(t.id)
+	t.end(Aborted)
 	return logErr
 }
 
-// dropUndo forgets the undo entries of a finished transaction, so a Txn a
-// durability waiter still holds does not keep the records they captured
-// alive.
-func (t *Txn) dropUndo() {
-	t.undo = nil
-	t.undoBuf = [inlineUndo]UndoFunc{}
+// end finishes the transaction in state s: it releases its locks, leaves
+// the active set and forgets its undo entries, so a Txn a durability waiter
+// still holds does not keep the records they captured alive.
+func (t *Txn) end(s State) {
+	t.state, t.undo, t.undoBuf = s, nil, [inlineUndo]UndoFunc{}
+	t.mgr.locks.ReleaseAll(t.id)
+	if m := t.mgr; t.firstLSN != 0 {
+		m.mu.Lock()
+		delete(m.active, t.id)
+		m.mu.Unlock()
+	}
 }
 
 // Manager creates transactions and tracks the active set.
@@ -197,43 +218,29 @@ func NewManager(log *wal.Log, locks *LockManager) *Manager {
 // SeedIDs makes future transaction IDs strictly greater than floor (used
 // after recovery so new transactions do not collide with logged ones).
 func (m *Manager) SeedIDs(floor uint64) {
-	for {
-		cur := m.nextID.Load()
-		if cur >= floor {
-			return
-		}
+	for cur := m.nextID.Load(); cur < floor; cur = m.nextID.Load() {
 		if m.nextID.CompareAndSwap(cur, floor) {
 			return
 		}
 	}
 }
 
-// Begin starts a new transaction. The begin record is appended and the
-// transaction registered under one critical section, so a concurrent
-// ActiveSnapshot can never observe a begin LSN it fails to account for —
-// the invariant fuzzy-checkpoint truncation depends on.
+// Begin starts a transaction. It logs nothing: the first record opens it
+// (Txn.Append). Like Append, it fails once the log is poisoned or closed.
 func (m *Manager) Begin() (*Txn, error) {
-	id := m.nextID.Add(1)
-	t := &Txn{id: id, mgr: m, state: Active}
-	t.undo = t.undoBuf[:0]
-	m.mu.Lock()
-	lsn, err := m.log.Append(&wal.Record{Type: wal.RecBegin, TxnID: id})
-	if err != nil {
-		m.mu.Unlock()
+	if err := m.log.Err(); err != nil {
 		return nil, err
 	}
-	t.firstLSN = lsn
-	t.lastLSN = lsn
-	m.active[id] = t
-	m.mu.Unlock()
+	t := &Txn{id: m.nextID.Add(1), mgr: m, state: Active}
+	t.undo = t.undoBuf[:0]
 	return t, nil
 }
 
 // ActiveSnapshot captures the active-transaction table for a fuzzy
-// checkpoint: every in-flight transaction with the LSN of its begin record.
-// Transactions beginning concurrently are either captured or carry a begin
-// LSN above the checkpoint's begin record (Begin appends and registers
-// atomically), so the snapshot is always safe to truncate against.
+// checkpoint: every in-flight transaction that has logged, with its first
+// LSN. One logging its first record concurrently is either captured or gets
+// an LSN above the checkpoint's begin record (Txn.Append), so the snapshot
+// is always safe to truncate against.
 func (m *Manager) ActiveSnapshot() []wal.ActiveTxn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -244,7 +251,7 @@ func (m *Manager) ActiveSnapshot() []wal.ActiveTxn {
 	return out
 }
 
-// ActiveCount returns the number of in-flight transactions.
+// ActiveCount returns the number of in-flight transactions that logged.
 func (m *Manager) ActiveCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -260,9 +267,3 @@ func (m *Manager) Locks() *LockManager { return m.locks }
 // WaitDurable blocks until the log's durable horizon covers lsn — the
 // durability barrier used by callers that committed with CommitAsync.
 func (m *Manager) WaitDurable(lsn wal.LSN) error { return m.log.WaitFlushed(lsn) }
-
-func (m *Manager) finish(id uint64) {
-	m.mu.Lock()
-	delete(m.active, id)
-	m.mu.Unlock()
-}

@@ -27,7 +27,7 @@ import (
 // simply falls back to the previous complete checkpoint.
 
 // ActiveTxn is one active-transaction-table entry carried by a checkpoint:
-// a transaction in flight at capture time and the LSN of its begin record
+// a transaction in flight at capture time and the LSN of its first record
 // (the tail of its undo chain, which truncation must preserve).
 type ActiveTxn struct {
 	ID       uint64

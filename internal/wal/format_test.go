@@ -21,8 +21,8 @@ var goldenRecords = []struct {
 	r    Record
 }{
 	{"begin", Record{LSN: 1, Type: RecBegin, TxnID: 7}},
-	{"commit", Record{LSN: 300, Type: RecCommit, TxnID: 7, PrevLSN: 299}},
-	{"abort", Record{LSN: 1 << 20, Type: RecAbort, TxnID: 1 << 33, PrevLSN: 1<<20 - 200}},
+	{"commit", Record{LSN: 300, Type: RecCommit, TxnID: 7}},
+	{"abort", Record{LSN: 1 << 20, Type: RecAbort, TxnID: 1 << 33}},
 	{"checkpoint", Record{LSN: 5000, Type: RecCheckpoint}},
 	{"ckpt-begin", Record{LSN: 5001, Type: RecCkptBegin}},
 	{"ckpt-end", Record{LSN: 5002, Type: RecCkptEnd,
@@ -117,7 +117,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"type 9":              {9, 1, 1, 0},
 		"trailing byte":       {byte(RecBegin), 1, 1, 0, 0},
 		"non-minimal varint":  {byte(RecBegin), 0x81, 0x00, 1, 0},
-		"PrevLSN not below":   {byte(RecCommit), 5, 1, 5},
+		"PrevLSN not below":   {byte(RecBegin), 5, 1, 5},
+		"commit with PrevLSN": {byte(RecCommit), 5, 1, 1},
 		"varint overflow":     append([]byte{byte(RecBegin)}, bytes.Repeat([]byte{0xff}, 11)...),
 		"op 0":                {byte(RecUpdate), 9, 1, 0, 0, 1, 2, 3, 0, 0},
 		"op 4":                {byte(RecUpdate), 9, 1, 0, 4, 1, 2, 3, 0, 0},

@@ -221,6 +221,17 @@ func (l *Log) Failed() bool {
 	return l.flushErr != nil
 }
 
+// Err returns why Append would refuse a record now: the error of the batch
+// that poisoned the log, ErrClosed, or nil.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.flushErr == nil && l.closed {
+		return ErrClosed
+	}
+	return l.flushErr
+}
+
 // WaitFlushed blocks until every record up to and including lsn is durable.
 // It is the commit-side durability barrier: it enlists in the current batch
 // and sleeps until the flusher's sync covers lsn. An already-durable prefix

@@ -21,7 +21,7 @@ type RecordType uint8
 // format wrote starts its first payload with a zero byte, and decoding
 // refuses it (ErrFormat).
 const (
-	RecBegin RecordType = iota + 1
+	RecBegin RecordType = iota + 1 // no longer written: a transaction's first record opens it
 	RecCommit
 	RecAbort // abort completed (all undone)
 	RecUpdate
@@ -108,7 +108,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 //	type      1 byte, 1..8
 //	LSN       uvarint
 //	TxnID     uvarint
-//	PrevLSN   uvarint LSN-PrevLSN (0 = none)
+//	PrevLSN   uvarint LSN-PrevLSN (0 = none); not in commit and abort records
 //	update and CLR records only:
 //	  Op, Page, Slot, Owner   uvarints
 //	  Off                     uvarint, OpUpdate only
@@ -118,9 +118,11 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 //	  After                   uvarint length + bytes
 //
 // Begin, commit, abort and the other checkpoint records carry the header
-// alone. Every value has exactly one encoding (minimal varints, deltas
-// below the LSN, nothing trailing), so decoding and re-encoding a payload
-// gives back the same bytes.
+// alone. Nothing reads a commit's or an abort's PrevLSN (undo follows a
+// transaction's update and CLR records), so they leave it out: a commit is
+// its type, LSN and transaction. Every value has exactly one encoding
+// (minimal varints, deltas below the LSN, nothing trailing), so decoding
+// and re-encoding a payload gives back the same bytes.
 
 // appendFrame appends r, framed, to b.
 func appendFrame(b []byte, r *Record) []byte {
@@ -141,7 +143,9 @@ func appendRecord(b []byte, r *Record) []byte {
 	b = append(b, byte(r.Type))
 	b = binary.AppendUvarint(b, uint64(r.LSN))
 	b = binary.AppendUvarint(b, r.TxnID)
-	b = appendBack(b, r.LSN, r.PrevLSN)
+	if r.Type != RecCommit && r.Type != RecAbort {
+		b = appendBack(b, r.LSN, r.PrevLSN)
+	}
 	switch r.Type {
 	case RecUpdate, RecCLR:
 		b = binary.AppendUvarint(b, uint64(r.Op))
@@ -225,7 +229,9 @@ func decode(p []byte, r *Record) error {
 	d := reader{b: p[1:]}
 	r.LSN = LSN(d.uvarint())
 	r.TxnID = d.uvarint()
-	r.PrevLSN = d.back(r.LSN)
+	if r.Type != RecCommit && r.Type != RecAbort {
+		r.PrevLSN = d.back(r.LSN)
+	}
 	switch r.Type {
 	case RecUpdate, RecCLR:
 		if op := d.uvarint(); op >= uint64(OpInsert) && op <= uint64(OpDelete) {
