@@ -170,8 +170,16 @@ type batchState struct {
 	// event: Kind EvUndo or EvRedo, naming the reverted op (Name, N).
 	undo awareness.Event
 
-	arena charArena // backing store for per-batch character records
-	rows  rowBuf    // encodes and splits the batch's chars rows
+	arena charArena     // backing store for per-batch character records
+	rows  rowBuf        // encodes and splits the batch's chars rows
+	opEnc db.RowEncoder // encodes the batch's op rows
+
+	// rows.enc and opEnc keep their buffers across batches and deadlock
+	// retries: persistBatchLocked resets them at the start of every
+	// attempt. That is safe because a transaction's undo entries are the
+	// only readers of the records once they are inserted, and the attempt
+	// that wrote them has ended (committed, or aborted before the retry)
+	// and dropped its entries before the buffers are reset.
 }
 
 // opFlag sets the undone flag of d.ops[i].
@@ -249,7 +257,6 @@ func (st *batchState) reset() {
 	st.created = st.created[:0]
 	clear(st.rows.recs)
 	st.rows.recs = st.rows.recs[:0]
-	st.rows.enc = db.RowEncoder{}
 	clear(st.createdSet)
 	clear(st.updated)
 	for i := range st.spans {
@@ -629,7 +636,8 @@ func (d *Document) resolveInsertAnchorLocked(st *batchState, op EditOp, lastInse
 // flags, one log row per op, and, on the user's first edit, their name in
 // the docs row.
 func (d *Document) persistBatchLocked(tx *txn.Txn, st *batchState) error {
-	st.rows.enc = d.eng.tChars.Encoder(1)
+	d.eng.tChars.ResetEncoder(&st.rows.enc)
+	d.eng.tOps.ResetEncoder(&st.opEnc)
 	if err := d.insertRuns(tx, &st.rows, st.created); err != nil {
 		return err
 	}
@@ -671,7 +679,7 @@ func (d *Document) persistBatchLocked(tx *txn.Txn, st *batchState) error {
 		}
 	}
 	for i := range st.opRecs {
-		if err := d.writeOpRow(tx, &st.opRecs[i]); err != nil {
+		if err := d.writeOpRow(tx, &st.opEnc, &st.opRecs[i]); err != nil {
 			return err
 		}
 	}

@@ -272,7 +272,8 @@ func (d *Document) copyLocked(user string, pos, n int) (Clipboard, wal.LSN, erro
 	rec := opRecord{ID: d.eng.ids.Next(), User: user, Kind: opCopy, CharIDs: ids,
 		Created: d.eng.clock.Now()}
 	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
-		return d.writeOpRow(tx, &rec)
+		enc := d.eng.tOps.Encoder(1)
+		return d.writeOpRow(tx, &enc, &rec)
 	})
 	if err != nil {
 		return Clipboard{}, 0, err
@@ -314,7 +315,8 @@ func (d *Document) SetState(user, state string) error {
 func (d *Document) setStateLocked(user, state string) (wal.LSN, error) {
 	rec := opRecord{ID: d.eng.ids.Next(), User: user, Kind: opState, Created: d.eng.clock.Now()}
 	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
-		if err := d.writeOpRow(tx, &rec); err != nil {
+		enc := d.eng.tOps.Encoder(1)
+		if err := d.writeOpRow(tx, &enc, &rec); err != nil {
 			return err
 		}
 		return d.setRowLocked(tx, 4, state)
@@ -433,20 +435,34 @@ func (d *Document) addAuthorLocked(tx *txn.Txn, user string) error {
 }
 
 // setRowLocked sets column col of the document's docs-table row to v
-// inside tx and makes the new row the cached one, restoring the previous
-// one if tx aborts. Caller holds d.mu.
+// inside tx and makes the new row the cached one. Its undo entry is
+// registered before the table update's, so an abort runs it after the
+// table has its row back, and it caches that row again. Caller holds d.mu.
 func (d *Document) setRowLocked(tx *txn.Txn, col int, v any) error {
 	row := append(db.Row(nil), d.row...)
 	row[col] = v
+	tx.OnUndo(txn.Undo{By: (*rowUndo)(d)})
 	if err := d.eng.tDocs.UpdateByPK(tx, int64(d.id), row); err != nil {
 		return err
 	}
-	prev := d.row
 	d.row = row
-	tx.OnUndo(func() error {
-		d.row = prev // runs inside Abort, still under the caller's d.mu
-		return nil
-	})
+	return nil
+}
+
+// rowUndo is a Document as the txn.Undoer of setRowLocked's entry, kept
+// off Document's own method set.
+type rowUndo Document
+
+// Undo caches the docs-table row the rollback has restored: a read on the
+// abort path only, so the document keeps no copy of an older row. It runs
+// inside Abort, still under the caller's d.mu.
+func (r *rowUndo) Undo(*txn.Txn, *txn.Undo) error {
+	d := (*Document)(r)
+	row, _, err := d.eng.tDocs.GetByPK(nil, int64(d.id))
+	if err != nil {
+		return err
+	}
+	d.row = row
 	return nil
 }
 

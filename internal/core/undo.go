@@ -196,9 +196,10 @@ func (d *Document) appendOpChunks(payload []byte, opID util.ID) ([]byte, error) 
 	return payload, nil
 }
 
-// writeOpRow persists one operation record inside tx, spilling long char-ID
-// payloads into continuation rows so no row outgrows a page.
-func (d *Document) writeOpRow(tx *txn.Txn, op *opRecord) error {
+// writeOpRow persists one operation record inside tx with enc, an encoder
+// of the ops table, spilling long char-ID payloads into continuation rows
+// so no row outgrows a page.
+func (d *Document) writeOpRow(tx *txn.Txn, enc *db.RowEncoder, op *opRecord) error {
 	var buf [32]byte
 	payload := appendStretches(buf[:0], op.ID, op.CharIDs)
 	first := payload
@@ -207,7 +208,6 @@ func (d *Document) writeOpRow(tx *txn.Txn, op *opRecord) error {
 		first = payload[:opChunkBytes]
 		rest = payload[opChunkBytes:]
 	}
-	enc := d.eng.tOps.Encoder(1)
 	enc.Int(int64(op.ID))
 	enc.Int(int64(d.id))
 	enc.String(op.User)

@@ -218,9 +218,11 @@ func newOneKeyDoc(t *testing.T) (*wal.MemStore, *db.Database, *Document) {
 // buffer, not a fresh slice of 8-byte IDs, brings it to 20. Sharing the
 // insert's one ID slice between the op log, the published item and the
 // result brings it to 19. Staging the op's log record in the pooled batch
-// state, not in an allocation of its own, brings it to 18; the budget is
-// that plus 10 %, rounded down.
-const maxOneKeyBatchAllocs = 19
+// state, not in an allocation of its own, brings it to 18. Registering
+// the rows' undo entries as values in the transaction's inline buffer,
+// not as closures, and encoding the rows into the pooled batch state's
+// buffers bring it to 12; the budget is that plus 10 %, rounded down.
+const maxOneKeyBatchAllocs = 13
 
 // TestOneKeyBatchAllocs types one-key batches between two existing
 // characters of the same 20k-character document as TestOneKeyBatchLogBytes,

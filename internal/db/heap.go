@@ -1,6 +1,7 @@
 package db
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,7 +47,10 @@ var ErrNotFound = errors.New("db: record not found")
 
 // Heap stores variable-length records for one table in slotted pages tagged
 // with the table's owner ID. All mutations are write-ahead logged and
-// registered for transactional undo.
+// registered for transactional undo: each registers one txn.Undo entry
+// naming its kind (a wal.PageOp), the row's page and slot, the record it
+// wrote or replaced and the LSN before its own, which Undo turns into the
+// compensation log record.
 type Heap struct {
 	tableID uint64
 	pool    *storage.BufferPool
@@ -55,10 +59,13 @@ type Heap struct {
 	mu    sync.Mutex
 	pages []storage.PageID
 	// free is a free-space estimate per page: exact when an insert stored
-	// it, possibly stale when Update or compensate did (they publish a
-	// figure read before taking mu). It picks candidate pages; InsertBatch
-	// checks the page itself before it writes.
+	// it, possibly stale when Update or Undo did (they publish a figure
+	// read before taking mu). It picks candidate pages; InsertBatch checks
+	// the page itself before it writes.
 	free map[storage.PageID]int
+	// probe is the index in pages where pickPageLocked's next probe of the
+	// older pages starts.
+	probe int
 }
 
 // NewHeap creates an empty heap for tableID.
@@ -91,25 +98,18 @@ func (h *Heap) Pages() []storage.PageID {
 
 const slotOverhead = 8 // slot entry + headroom
 
-// Insert appends rec to the heap under tx and returns its RID. The new row
-// is exclusively locked by tx until commit/abort.
-func (h *Heap) Insert(tx *txn.Txn, rec []byte) (RID, error) {
-	var rid [1]RID
-	if err := h.InsertBatch(tx, [][]byte{rec}, rid[:]); err != nil {
-		return RID{}, err
-	}
-	return rid[0], nil
-}
-
 // InsertBatch appends recs to the heap under tx and stores each record's
 // RID at the same index of rids, which is as long as recs. Unlike repeated
-// Insert calls it fetches and latches each heap page once per run of
+// one-record calls it fetches and latches each heap page once per run of
 // records placed on it rather than once per record — a batch of many rows
 // (a split run's pieces, a bulk load's runs) costs O(pages touched) page
-// acquisitions instead of O(rows). Every record is still individually write-ahead logged,
-// exclusively locked and registered for undo. It keeps no reference to
-// recs or rids.
-func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte, rids []RID) error {
+// acquisitions instead of O(rows). Every record is still individually
+// write-ahead logged, exclusively locked and registered for undo, in an
+// entry naming by: the table that owns the heap, which unindexes the row
+// before the heap deletes it. It keeps no reference to recs or rids, but
+// the entries reference the records, which must stay unchanged until tx
+// ends.
+func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte, rids []RID, by txn.Undoer) error {
 	for _, rec := range recs {
 		if len(rec) > storage.PageSize/2 {
 			return fmt.Errorf("db: record of %d bytes exceeds max record size", len(rec))
@@ -173,14 +173,8 @@ func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte, rids []RID) error {
 				}
 				pg.SetLSN(uint64(lsn))
 				rids[i+n] = rid
-				recCopy := rec
-				tx.OnUndo(func() error {
-					return h.compensate(tx, &wal.Record{
-						Type: wal.RecCLR, Page: uint64(pageID),
-						Slot: uint32(slot), Op: wal.OpDelete, Owner: h.tableID,
-						Before: recCopy, UndoNext: prev,
-					})
-				})
+				tx.OnUndo(txn.Undo{By: by, Op: uint8(wal.OpInsert),
+					Page: uint64(pageID), Slot: uint32(slot), Rec: rec, Prev: prev})
 				n++
 			}
 			return n, nil
@@ -194,13 +188,14 @@ func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte, rids []RID) error {
 	return nil
 }
 
-// Update replaces the record at rid with rec under tx and returns the
-// record it replaced, copied under the page latch while the row is
-// exclusively locked. A grown record that no longer fits its page fails
-// with storage.ErrPageFull and leaves nothing behind — no log record, no
-// undo entry — so the caller can relocate the row with a logged delete and
-// a logged insert.
-func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) ([]byte, error) {
+// Update replaces the record at rid with rec under tx, registers an undo
+// entry naming by, and returns the record it replaced, copied under the
+// page latch while the row is exclusively locked; the entry keeps it, so
+// the caller must not modify it. A grown record that no longer fits its
+// page fails with storage.ErrPageFull and leaves nothing behind — no log
+// record, no undo entry — so the caller can relocate the row with a
+// logged delete and a logged insert.
+func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte, by txn.Undoer) ([]byte, error) {
 	if err := tx.Lock(rowKey(h.tableID, rid), txn.Exclusive); err != nil {
 		return nil, err
 	}
@@ -213,13 +208,14 @@ func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) ([]byte, error) {
 	// The page latch is never held while taking h.mu (InsertBatch holds h.mu
 	// first, then latches): holding both in opposite orders would deadlock.
 	var before []byte
-	undo, freeAfter, err := func() (*wal.Record, int, error) {
+	var prev wal.LSN
+	freeAfter, err := func() (int, error) {
 		pg.Lock()
 		defer pg.Unlock()
 		sp := storage.Slotted(pg)
 		cur, err := sp.Get(rid.Slot)
 		if err != nil {
-			return nil, 0, ErrNotFound
+			return 0, ErrNotFound
 		}
 		before = append([]byte(nil), cur...)
 		// Only the page knows whether the record fits, so it is applied
@@ -227,12 +223,12 @@ func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) ([]byte, error) {
 		// cannot repeat. The latch is held across both — the page cannot
 		// reach disk in between, which is all write-ahead ordering asks.
 		if err := sp.Update(rid.Slot, rec); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		// Only the bytes that change are logged: a tombstone flip or a
 		// document-row refresh rewrites a few bytes of a ~100-byte row.
 		off, was, now := wal.Splice(before, rec)
-		prev := tx.LastLSN()
+		prev = tx.LastLSN()
 		lsn, err := tx.Append(&wal.Record{Type: wal.RecUpdate,
 			Page: uint64(rid.Page), Slot: uint32(rid.Slot), Op: wal.OpUpdate,
 			Owner: h.tableID, Off: off, Before: was, After: now,
@@ -241,18 +237,13 @@ func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) ([]byte, error) {
 			// Unlogged, so it must not stay applied; the old record fit
 			// before and fits again.
 			if rerr := sp.Update(rid.Slot, before); rerr != nil {
-				return nil, 0, fmt.Errorf("db: update page %d slot %d: %w (restoring the record: %v)",
+				return 0, fmt.Errorf("db: update page %d slot %d: %w (restoring the record: %v)",
 					rid.Page, rid.Slot, err, rerr)
 			}
-			return nil, 0, err
+			return 0, err
 		}
 		pg.SetLSN(uint64(lsn))
-		undo := &wal.Record{
-			Type: wal.RecCLR, Page: uint64(rid.Page),
-			Slot: uint32(rid.Slot), Op: wal.OpUpdate, Owner: h.tableID,
-			Off: off, Before: now, After: was, UndoNext: prev,
-		}
-		return undo, sp.FreeSpace(), nil
+		return sp.FreeSpace(), nil
 	}()
 	if err != nil {
 		return nil, err
@@ -261,12 +252,15 @@ func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) ([]byte, error) {
 	h.free[rid.Page] = freeAfter
 	h.mu.Unlock()
 
-	tx.OnUndo(func() error { return h.compensate(tx, undo) })
+	tx.OnUndo(txn.Undo{By: by, Op: uint8(wal.OpUpdate),
+		Page: uint64(rid.Page), Slot: uint32(rid.Slot), Rec: before, Prev: prev})
 	return before, nil
 }
 
-// Delete removes the record at rid under tx and returns it.
-func (h *Heap) Delete(tx *txn.Txn, rid RID) ([]byte, error) {
+// Delete removes the record at rid under tx, registers an undo entry
+// naming by, and returns the record; the entry keeps it, so the caller
+// must not modify it.
+func (h *Heap) Delete(tx *txn.Txn, rid RID, by txn.Undoer) ([]byte, error) {
 	if err := tx.Lock(rowKey(h.tableID, rid), txn.Exclusive); err != nil {
 		return nil, err
 	}
@@ -298,13 +292,8 @@ func (h *Heap) Delete(tx *txn.Txn, rid RID) ([]byte, error) {
 	}
 	pg.SetLSN(uint64(lsn))
 
-	tx.OnUndo(func() error {
-		return h.compensate(tx, &wal.Record{
-			Type: wal.RecCLR, Page: uint64(rid.Page),
-			Slot: uint32(rid.Slot), Op: wal.OpInsert, Owner: h.tableID,
-			After: before, UndoNext: prev,
-		})
-	})
+	tx.OnUndo(txn.Undo{By: by, Op: uint8(wal.OpDelete),
+		Page: uint64(rid.Page), Slot: uint32(rid.Slot), Rec: before, Prev: prev})
 	return before, nil
 }
 
@@ -362,32 +351,61 @@ func (h *Heap) ScanDirty(fn func(rid RID, rec []byte) error) error {
 	return nil
 }
 
-// compensate applies a CLR during runtime rollback. Like every heap
-// mutation it appends its record under the page latch: appended before the
-// latch is taken, another transaction could log and stamp the page in
-// between, and the CLR's lower LSN would then move the page LSN backwards.
-// As in Update, the page is changed first and logged second, so a CLR the
-// page refuses is never logged. A CLR the log refuses leaves the rollback
-// applied in memory (see txn.Abort) and stamps the page with an LSN no
-// flush will reach, so the WAL barrier keeps the page off disk: written
-// back with the undone update's LSN, it would make a restart skip that
-// update's redo and then fail to undo it. As everywhere, the page latch is
-// released before h.mu is taken.
-func (h *Heap) compensate(tx *txn.Txn, clr *wal.Record) error {
-	pg, err := h.pool.Fetch(storage.PageID(clr.Page))
+// Undo compensates u, an entry an insert, update or delete of h
+// registered, during a runtime rollback: it applies and logs the CLR that
+// reverses it — a delete of the inserted record, the re-insert of the
+// deleted one, or the splice that puts back the record an update replaced.
+// The update's splice is taken between the record on the page and u.Rec:
+// the row is still exclusively locked and every later change the
+// transaction made to it is already undone, so the page holds exactly
+// what the update wrote, and the CLR spells the splice the update logged
+// with its sides swapped.
+//
+// Like every heap mutation it appends its record under the page latch:
+// appended before the latch is taken, another transaction could log and
+// stamp the page in between, and the CLR's lower LSN would then move the
+// page LSN backwards. As in Update, the page is changed first and logged
+// second, so a CLR the page refuses is never logged. A CLR the log refuses
+// leaves the rollback applied in memory (see txn.Abort) and stamps the
+// page with an LSN no flush will reach, so the WAL barrier keeps the page
+// off disk: written back with the undone update's LSN, it would make a
+// restart skip that update's redo and then fail to undo it. As everywhere,
+// the page latch is released before h.mu is taken.
+func (h *Heap) Undo(tx *txn.Txn, u *txn.Undo) error {
+	pageID := storage.PageID(u.Page)
+	pg, err := h.pool.Fetch(pageID)
 	if err != nil {
 		return err
 	}
-	defer h.pool.Unpin(storage.PageID(clr.Page), true)
+	defer h.pool.Unpin(pageID, true)
+	clr := wal.Record{Type: wal.RecCLR, Page: u.Page, Slot: u.Slot,
+		Owner: h.tableID, UndoNext: u.Prev}
 	var freeAfter int
 	err = func() error {
 		pg.Lock()
 		defer pg.Unlock()
 		sp := storage.Slotted(pg)
-		if err := wal.Apply(sp, clr); err != nil {
+		switch op := wal.PageOp(u.Op); op {
+		case wal.OpInsert:
+			clr.Op, clr.Before = wal.OpDelete, u.Rec
+		case wal.OpDelete:
+			clr.Op, clr.After = wal.OpInsert, u.Rec
+		case wal.OpUpdate:
+			cur, err := sp.Get(int(u.Slot))
+			if err != nil {
+				return fmt.Errorf("db: undo update page %d slot %d: %w", u.Page, u.Slot, err)
+			}
+			var now []byte
+			clr.Op = wal.OpUpdate
+			clr.Off, now, clr.After = wal.Splice(cur, u.Rec)
+			clr.Before = bytes.Clone(now) // applying the CLR overwrites cur
+		default:
+			return fmt.Errorf("db: undo entry of unknown op %d", op)
+		}
+		if err := wal.Apply(sp, &clr); err != nil {
 			return fmt.Errorf("db: undo op %d page %d slot %d: %w", clr.Op, clr.Page, clr.Slot, err)
 		}
-		lsn, err := tx.Append(clr)
+		lsn, err := tx.Append(&clr)
 		if err != nil {
 			pg.SetLSN(math.MaxUint64)
 			return err
@@ -400,7 +418,7 @@ func (h *Heap) compensate(tx *txn.Txn, clr *wal.Record) error {
 		return err
 	}
 	h.mu.Lock()
-	h.free[storage.PageID(clr.Page)] = freeAfter
+	h.free[pageID] = freeAfter
 	h.mu.Unlock()
 	return nil
 }
@@ -415,17 +433,18 @@ func (h *Heap) pickPageLocked(need int) (storage.PageID, error) {
 			return id, nil
 		}
 	}
-	// Then probe the free map (bounded), reclaiming space freed by deletes
-	// and relocations in older pages before growing the file.
-	probes := 0
-	for id, free := range h.free {
-		if free >= need {
+	// Then probe the older pages (bounded), reclaiming space freed by
+	// deletes and relocations before growing the file. They are probed in
+	// page order from where the last probe stopped, never in the map's
+	// random order, so the same edits place rows on the same pages.
+	for n := 0; n < 16 && n < len(h.pages); n++ {
+		if h.probe >= len(h.pages) {
+			h.probe = 0
+		}
+		if id := h.pages[h.probe]; h.free[id] >= need {
 			return id, nil
 		}
-		probes++
-		if probes >= 16 {
-			break
-		}
+		h.probe++
 	}
 	pg, err := h.pool.NewPage()
 	if err != nil {

@@ -5,12 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"tendax/internal/btree"
 	"tendax/internal/storage"
 	"tendax/internal/txn"
+	"tendax/internal/wal"
 )
 
 // Index is a secondary index over one column. Non-unique: the B-tree key is
@@ -161,20 +161,43 @@ func (t *Table) sameKeys(a, b []byte) bool {
 	return true
 }
 
-// reindex moves a row's index entries from old, stored at oldRID, to rec,
-// stored at newRID, and registers the move back as undo.
-func (t *Table) reindex(tx *txn.Txn, old []byte, oldRID RID, rec []byte, newRID RID) {
-	t.mu.Lock()
+// reindexLocked moves a row's index entries from old, stored at oldRID,
+// to rec, stored at newRID. Caller holds t.mu.
+func (t *Table) reindexLocked(old []byte, oldRID RID, rec []byte, newRID RID) {
 	t.unindexLocked(old, oldRID)
 	t.indexLocked(rec, newRID)
-	t.mu.Unlock()
-	tx.OnUndo(func() error {
+}
+
+// Undo reverses u, an entry a heap mutation of t registered on t's behalf,
+// during a runtime rollback: it restores the row's index entries as the
+// mutation left them before, then has the heap compensate the row. An
+// inserted row is unindexed (one a failed batch placed but did not index
+// has none: its primary key is new to the table); a deleted row — or a
+// relocated row's old copy — is indexed again; an updated row whose keys
+// changed is moved back from the record on the page to u.Rec.
+func (t *Table) Undo(tx *txn.Txn, u *txn.Undo) error {
+	rid := RID{Page: storage.PageID(u.Page), Slot: int(u.Slot)}
+	switch wal.PageOp(u.Op) {
+	case wal.OpInsert:
 		t.mu.Lock()
-		t.unindexLocked(rec, newRID)
-		t.indexLocked(old, oldRID)
+		t.unindexLocked(u.Rec, rid)
 		t.mu.Unlock()
-		return nil
-	})
+	case wal.OpDelete:
+		t.mu.Lock()
+		t.indexLocked(u.Rec, rid)
+		t.mu.Unlock()
+	case wal.OpUpdate:
+		cur, err := t.heap.Get(nil, rid)
+		if err != nil {
+			return err
+		}
+		if !t.sameKeys(cur, u.Rec) {
+			t.mu.Lock()
+			t.reindexLocked(cur, rid, u.Rec, rid)
+			t.mu.Unlock()
+		}
+	}
+	return t.heap.Undo(tx, u)
 }
 
 // Encoder returns a RowEncoder for rows of t whose buffer has room for n
@@ -183,8 +206,21 @@ func (t *Table) Encoder(n int) RowEncoder {
 	return RowEncoder{schema: t.schema, buf: make([]byte, 0, n*rowBytes)}
 }
 
-// Insert adds row under tx, maintaining all indexes (with undo hooks so an
-// abort restores them).
+// ResetEncoder readies e to write rows of t into the buffer it already
+// has, allocating one only if it has none. The rows e wrote before are
+// overwritten, so a caller resets it only once nothing reads them any
+// more: a transaction's undo entries keep the records it inserted until
+// it ends.
+func (t *Table) ResetEncoder(e *RowEncoder) {
+	buf := e.buf[:0]
+	if buf == nil {
+		buf = make([]byte, 0, rowBytes)
+	}
+	*e = RowEncoder{schema: t.schema, buf: buf}
+}
+
+// Insert adds row under tx, maintaining all indexes (its undo entry
+// restores them if tx aborts).
 func (t *Table) Insert(tx *txn.Txn, row Row) (RID, error) {
 	rec, err := EncodeRow(t.schema, row)
 	if err != nil {
@@ -223,8 +259,9 @@ func (t *Table) InsertBatch(tx *txn.Txn, rows []Row) ([]RID, error) {
 // heap batch, maintaining all indexes — what InsertBatch does after
 // encoding, which makes it the writer of the engine's hottest path (one
 // run row and one op row per keystroke batch). A record that is not
-// framed as a row of t is refused with ErrSchema. Neither recs nor the
-// records are retained once it returns.
+// framed as a row of t is refused with ErrSchema. recs is not retained,
+// but tx's undo entries reference the records until tx ends, so the
+// caller must not overwrite them before.
 func (t *Table) InsertRecords(tx *txn.Txn, recs ...[]byte) error {
 	for _, rec := range recs {
 		if err := checkRecord(t.schema, rec); err != nil {
@@ -244,14 +281,15 @@ func (t *Table) InsertRecords(tx *txn.Txn, recs ...[]byte) error {
 
 // insert is the one record-level insert path: it refuses a primary key
 // the table or recs already hold, writes recs to the heap as one batch
-// (storing their RIDs in rids), indexes them, and registers their
-// unindexing as undo. It keeps no reference to recs or rids, so a one-row
-// caller can pass both on its stack.
+// (storing their RIDs in rids) and indexes them. Each row's undo entry,
+// one per row and registered to t, unindexes it and then has the heap
+// delete it. It keeps no reference to recs or rids, so a one-row caller
+// can pass both on its stack; the entries reference the records.
 func (t *Table) insert(tx *txn.Txn, recs [][]byte, rids []RID) error {
 	if err := t.checkNewKeys(recs); err != nil {
 		return err
 	}
-	if err := t.heap.InsertBatch(tx, recs, rids); err != nil {
+	if err := t.heap.InsertBatch(tx, recs, rids, t); err != nil {
 		return err
 	}
 	t.mu.Lock()
@@ -259,25 +297,6 @@ func (t *Table) insert(tx *txn.Txn, recs [][]byte, rids []RID) error {
 		t.indexLocked(rec, rids[i])
 	}
 	t.mu.Unlock()
-	if len(recs) == 1 {
-		rec, rid := recs[0], rids[0]
-		tx.OnUndo(func() error {
-			t.mu.Lock()
-			t.unindexLocked(rec, rid)
-			t.mu.Unlock()
-			return nil
-		})
-		return nil
-	}
-	undoRecs, undoRIDs := slices.Clone(recs), slices.Clone(rids)
-	tx.OnUndo(func() error {
-		t.mu.Lock()
-		for i, rec := range undoRecs {
-			t.unindexLocked(rec, undoRIDs[i])
-		}
-		t.mu.Unlock()
-		return nil
-	})
 	return nil
 }
 
@@ -333,44 +352,45 @@ func (t *Table) UpdateRecord(tx *txn.Txn, rec []byte) error {
 	return t.update(tx, rid, rec)
 }
 
-// update is Update's record-level body.
+// update is Update's record-level body. Its undo entries are registered to
+// t: a relocated row's delete and insert index the old copy again and
+// unindex the new one, and an update in place moves the index entries
+// back if its keys changed.
 func (t *Table) update(tx *txn.Txn, rid RID, rec []byte) error {
-	old, err := t.heap.Update(tx, rid, rec)
+	old, err := t.heap.Update(tx, rid, rec, t)
 	if errors.Is(err, storage.ErrPageFull) {
-		if old, err = t.heap.Delete(tx, rid); err != nil {
+		if old, err = t.heap.Delete(tx, rid, t); err != nil {
 			return err
 		}
-		newRID, err := t.heap.Insert(tx, rec)
-		if err != nil {
+		var newRID [1]RID
+		if err := t.heap.InsertBatch(tx, [][]byte{rec}, newRID[:], t); err != nil {
 			return err
 		}
-		t.reindex(tx, old, rid, rec, newRID)
+		t.mu.Lock()
+		t.reindexLocked(old, rid, rec, newRID[0])
+		t.mu.Unlock()
 		return nil
 	}
 	if err != nil {
 		return err
 	}
 	if !t.sameKeys(old, rec) {
-		t.reindex(tx, old, rid, rec, rid)
+		t.mu.Lock()
+		t.reindexLocked(old, rid, rec, rid)
+		t.mu.Unlock()
 	}
 	return nil
 }
 
 // Delete removes the row at rid under tx, maintaining indexes.
 func (t *Table) Delete(tx *txn.Txn, rid RID) error {
-	old, err := t.heap.Delete(tx, rid)
+	old, err := t.heap.Delete(tx, rid, t)
 	if err != nil {
 		return err
 	}
 	t.mu.Lock()
 	t.unindexLocked(old, rid)
 	t.mu.Unlock()
-	tx.OnUndo(func() error {
-		t.mu.Lock()
-		t.indexLocked(old, rid)
-		t.mu.Unlock()
-		return nil
-	})
 	return nil
 }
 

@@ -320,9 +320,10 @@ func foldCost(t *testing.T, svc *index.Service, d *core.Document, rng *rand.Rand
 // Text() render, a full tokenize, a rank index over the snapshot — costs
 // hundreds of kilobytes per key at 200k and fails this by two orders of
 // magnitude. Both stay at or under maxFoldAllocs allocations per key: the
-// window is tokenized in place, and a string is made only for a term whose
-// frequency changes (2.1–2.5 measured; 9.7–10.2 while each window was
-// rendered to a string and split into token strings).
+// window is tokenized in place, and a string is made only for a term new
+// to the index (0.2–1.0 measured; 2.1–2.5 while every term whose frequency
+// changed became a string, 9.7–10.2 while each window was rendered to a
+// string and split into token strings).
 func TestFoldCostIndependentOfDocumentSize(t *testing.T) {
 	foldCostGate(t, false, maxFoldAllocs)
 }
@@ -337,8 +338,9 @@ func TestHeadingFoldCostIndependentOfDocumentSize(t *testing.T) {
 	foldCostGate(t, true, maxHeadingFoldAllocs)
 }
 
-// maxFoldAllocs bounds the allocations one folded key costs the indexer.
-const maxFoldAllocs = 3
+// maxFoldAllocs bounds the allocations one folded key costs the indexer:
+// the 1.0 measured plus 10 %.
+const maxFoldAllocs = 1.1
 
 // maxHeadingFoldAllocs bounds them in a document with a heading span.
 const maxHeadingFoldAllocs = 3.5
@@ -419,7 +421,7 @@ func foldCostGate(t *testing.T, heading bool, limit float64) {
 		return // the race detector allocates on its own account
 	}
 	if sa > limit || la > limit {
-		t.Fatalf("%.1f allocs per folded key at %d chars, %.1f at %d, limit %.1f",
+		t.Fatalf("%.1f allocs per folded key at %d chars, %.1f at %d, limit %.2f",
 			sa, small.Len(), la, large.Len(), limit)
 	}
 }

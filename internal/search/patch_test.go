@@ -10,6 +10,7 @@ import (
 
 	"tendax/internal/core"
 	"tendax/internal/mining"
+	"tendax/internal/util"
 )
 
 // patchAlphabet holds what the window tokenizer must get right where a
@@ -205,26 +206,45 @@ func tokenBoundaries(text string) []int {
 }
 
 // requireSameIndex requires got to hold exactly want's terms views,
-// lengths, corpus token total, postings and snippets.
+// lengths, corpus token total, postings and snippets. Term IDs are the
+// index's own, so terms are compared by their strings.
 func requireSameIndex(t *testing.T, label string, want, got *Index) {
 	t.Helper()
-	for id, tf := range want.terms {
-		if !maps.Equal(tf, got.terms[id]) {
-			t.Fatalf("%s: doc %d terms\n got %v\nwant %v", label, id, got.terms[id], tf)
+	for id := range want.terms {
+		if w, g := termNames(want, id), termNames(got, id); !maps.Equal(w, g) {
+			t.Fatalf("%s: doc %d terms\n got %v\nwant %v", label, id, g, w)
 		}
 	}
-	for id, tf := range got.terms {
-		if len(tf) > 0 && want.terms[id] == nil {
-			t.Fatalf("%s: doc %d has terms %v, want none", label, id, tf)
+	for id, terms := range got.terms {
+		if len(terms) > 0 && want.terms[id] == nil {
+			t.Fatalf("%s: doc %d has terms %v, want none", label, id, termNames(got, id))
 		}
 	}
 	if !maps.Equal(want.lengths, got.lengths) || want.tokens != got.tokens {
 		t.Fatalf("%s: lengths %v (total %d), want %v (total %d)", label, got.lengths, got.tokens, want.lengths, want.tokens)
 	}
-	if !maps.EqualFunc(want.postings, got.postings, slices.Equal[[]posting]) {
-		t.Fatalf("%s: postings\n got %v\nwant %v", label, got.postings, want.postings)
+	if w, g := postingsByTerm(want), postingsByTerm(got); !maps.EqualFunc(w, g, slices.Equal[[]posting]) {
+		t.Fatalf("%s: postings\n got %v\nwant %v", label, g, w)
 	}
 	if !maps.Equal(want.snippets, got.snippets) {
 		t.Fatalf("%s: snippets\n got %q\nwant %q", label, got.snippets, want.snippets)
 	}
+}
+
+// termNames returns doc's terms in ix's reverse view.
+func termNames(ix *Index, doc util.ID) map[string]struct{} {
+	out := map[string]struct{}{}
+	for id := range ix.terms[doc] {
+		out[ix.lists[id].term] = struct{}{}
+	}
+	return out
+}
+
+// postingsByTerm returns ix's posting lists by term.
+func postingsByTerm(ix *Index) map[string][]posting {
+	out := map[string][]posting{}
+	for term, id := range ix.termIDs {
+		out[term] = ix.lists[id].docs
+	}
+	return out
 }

@@ -82,7 +82,7 @@ func postingsModelRun(t *testing.T, seed int64) {
 			changed = Range{OldStart: 0, OldEnd: size, NewStart: 0, NewEnd: 0}
 			emptied++
 		}
-		before := len(ix.postings)
+		before := len(ix.termIDs)
 		cur := d.Snapshot()
 		if rng.Intn(4) == 0 {
 			ix.UpdateDoc(d.Info(), cur.Text(), "")
@@ -90,7 +90,7 @@ func postingsModelRun(t *testing.T, seed int64) {
 			ix.PatchDoc(d.Info(), base[d.ID()].Tree(), cur.Tree(), []Range{changed})
 		}
 		base[d.ID()] = cur
-		if len(ix.postings) < before {
+		if len(ix.termIDs) < before {
 			dropped++
 		}
 		checkPostings(t, label, ix)
@@ -101,13 +101,19 @@ func postingsModelRun(t *testing.T, seed int64) {
 	}
 }
 
-// checkPostings checks the posting lists against the terms view, both ways.
+// checkPostings checks the posting lists against the terms view, both
+// ways, and the term IDs: every known term names its own list, and every
+// other list is empty with its ID free, once.
 func checkPostings(t *testing.T, label string, ix *Index) {
 	t.Helper()
 	entries := 0
-	for term, list := range ix.postings {
+	for term, id := range ix.termIDs {
+		list := ix.lists[id].docs
 		if len(list) == 0 {
 			t.Fatalf("%s: term %q has an empty posting list", label, term)
+		}
+		if got := ix.lists[id].term; got != term {
+			t.Fatalf("%s: term %q has ID %d, the list of %q", label, term, id, got)
 		}
 		for i, p := range list {
 			if i > 0 && list[i-1].doc >= p.doc {
@@ -116,22 +122,27 @@ func checkPostings(t *testing.T, label string, ix *Index) {
 			if p.tf <= 0 {
 				t.Fatalf("%s: term %q doc %d has tf %d", label, term, p.doc, p.tf)
 			}
-			if got, ok := ix.terms[p.doc][term]; !ok || got != int(p.tf) {
-				t.Fatalf("%s: term %q doc %d: posting tf %d, terms view %d (%v)", label, term, p.doc, p.tf, got, ok)
+			if _, ok := ix.terms[p.doc][id]; !ok {
+				t.Fatalf("%s: term %q doc %d: a posting of tf %d the terms view lacks", label, term, p.doc, p.tf)
 			}
 		}
 		entries += len(list)
 	}
-	for doc, tfs := range ix.terms {
-		for term, n := range tfs {
-			if n <= 0 {
-				t.Fatalf("%s: doc %d term %q has tf %d in the terms view", label, doc, term, n)
-			}
-		}
-		entries -= len(tfs)
+	for _, terms := range ix.terms {
+		entries -= len(terms)
 	}
 	if entries != 0 {
 		t.Fatalf("%s: the postings and the terms view differ by %d entries", label, entries)
+	}
+	free := map[uint32]bool{}
+	for _, id := range ix.free {
+		if free[id] || ix.lists[id].term != "" || len(ix.lists[id].docs) != 0 {
+			t.Fatalf("%s: free ID %d is listed twice or still has a list %+v", label, id, ix.lists[id])
+		}
+		free[id] = true
+	}
+	if len(free)+len(ix.termIDs) != len(ix.lists) {
+		t.Fatalf("%s: %d lists, %d terms and %d free IDs", label, len(ix.lists), len(ix.termIDs), len(free))
 	}
 }
 

@@ -54,10 +54,17 @@ type Result struct {
 // incremental index.Service serialises access, and the BuildIndex oracle
 // path is single-threaded.
 type Index struct {
-	eng      *core.Engine
-	postings map[string][]posting       // term -> (doc, tf), sorted by doc, never empty
-	terms    map[util.ID]map[string]int // doc -> tf (reverse view, for diffing)
-	headings map[util.ID]string         // doc -> concatenated heading text
+	eng *core.Engine
+	// A term is known by an ID: termIDs maps it to the index in lists of
+	// its posting list, which keeps the term's one string, and the
+	// reverse view holds IDs. A frequency lives only in its posting, so
+	// a frequency change touches no map and makes no string; only a term
+	// new to the index is made one. A dropped term's ID is reused.
+	termIDs  map[string]uint32
+	lists    []postingList                   // by term ID; a free ID's list is empty
+	free     []uint32                        // IDs of dropped terms
+	terms    map[util.ID]map[uint32]struct{} // doc -> its term IDs (reverse view, for diffing)
+	headings map[util.ID]string              // doc -> concatenated heading text
 	lengths  map[util.ID]int
 	tokens   int // sum of lengths: BM25's average length, kept as a running integer
 	snippets map[util.ID]string
@@ -80,13 +87,33 @@ type posting struct {
 	tf  int32
 }
 
+// postingList is one term's postings, sorted by doc, never empty while
+// the term is known, and the term.
+type postingList struct {
+	term string
+	docs []posting
+}
+
+// find returns where doc's posting is in l, or would go.
+func (l *postingList) find(doc util.ID) (int, bool) {
+	return slices.BinarySearchFunc(l.docs, doc, func(p posting, doc util.ID) int { return cmp.Compare(p.doc, doc) })
+}
+
+// tf returns doc's frequency of l's term, 0 if it has none.
+func (l *postingList) tf(doc util.ID) int {
+	if i, ok := l.find(doc); ok {
+		return int(l.docs[i].tf)
+	}
+	return 0
+}
+
 // New returns an empty index ready for incremental maintenance via
 // UpdateDoc/SetCites/SetReads (the index.Service path).
 func New(eng *core.Engine) *Index {
 	return &Index{
 		eng:      eng,
-		postings: make(map[string][]posting),
-		terms:    make(map[util.ID]map[string]int),
+		termIDs:  make(map[string]uint32),
+		terms:    make(map[util.ID]map[uint32]struct{}),
 		headings: make(map[util.ID]string),
 		lengths:  make(map[util.ID]int),
 		snippets: make(map[util.ID]string),
@@ -183,7 +210,8 @@ func (ix *Index) UpdateDoc(info core.DocInfo, text, headings string) {
 		sc.Rune(r)
 	}
 	sc.End()
-	// Count each distinct term under one string, the one setTF keeps.
+	// Count each distinct term under one string, the one the index keeps
+	// for a term new to it.
 	slot := make(map[string]int)
 	var counts []int
 	for _, sp := range sc.Spans {
@@ -195,15 +223,14 @@ func (ix *Index) UpdateDoc(info core.DocInfo, text, headings string) {
 		slot[string(tok)] = len(counts)
 		counts = append(counts, 1)
 	}
-	old := ix.terms[id]
-	for t := range old {
-		if _, ok := slot[t]; !ok {
-			ix.setTF(id, t, 0)
+	for term := range ix.terms[id] {
+		if _, ok := slot[ix.lists[term].term]; !ok {
+			ix.setTF(id, term, 0)
 		}
 	}
 	for t, i := range slot {
-		if old[t] != counts[i] {
-			ix.setTF(id, t, counts[i])
+		if term := ix.termID(t); ix.lists[term].tf(id) != counts[i] {
+			ix.setTF(id, term, counts[i])
 		}
 	}
 	ix.setLength(id, len(sc.Spans))
@@ -272,7 +299,8 @@ func scanRunes(sc *mining.Scanner, t *texttree.Snapshot, start, end int) {
 // tokens the changed windows lost and the ones they gained, both spans of
 // ix.scan. Each side is sorted and the two are walked in step, so a term
 // that left and came back as often costs nothing and the netting is
-// O(k log k) in the window tokens.
+// O(k log k) in the window tokens. Only a term new to the index becomes a
+// string.
 func (ix *Index) netTokens(doc util.ID, gone, added []mining.Span) {
 	sc := &ix.scan
 	slices.SortFunc(gone, sc.Compare)
@@ -291,9 +319,14 @@ func (ix *Index) netTokens(doc util.ID, gone, added []mining.Span) {
 		for ; len(added) > 0 && bytes.Equal(sc.Token(added[0]), term); added = added[1:] {
 			dn++
 		}
-		if dn != 0 {
-			ix.setTF(doc, string(term), ix.terms[doc][string(term)]+dn)
+		if dn == 0 {
+			continue
 		}
+		id, ok := ix.termIDs[string(term)] // a map index converts nothing
+		if !ok {
+			id = ix.termID(string(term))
+		}
+		ix.setTF(doc, id, ix.lists[id].tf(doc)+dn)
 	}
 }
 
@@ -367,36 +400,54 @@ func widen(t *texttree.Snapshot, start, end int) (int, int) {
 	return start, end
 }
 
-// setTF sets one (term, document) frequency — 0 removes the posting — in
-// both the postings and the per-document reverse view: the one place
-// postings are mutated, shared by the wholesale and the changed-range path.
-// A term's list stays sorted by doc; the last posting's removal drops it.
-func (ix *Index) setTF(doc util.ID, term string, n int) {
-	list := ix.postings[term]
-	i, found := slices.BinarySearchFunc(list, doc, func(p posting, doc util.ID) int { return cmp.Compare(p.doc, doc) })
-	if n == 0 {
-		delete(ix.terms[doc], term)
-		if found {
-			list = slices.Delete(list, i, i+1)
-			if len(list) == 0 {
-				delete(ix.postings, term)
-			} else {
-				ix.postings[term] = list
-			}
-		}
-		return
+// termID returns term's ID, giving a term new to the index one, with
+// term as its string.
+func (ix *Index) termID(term string) uint32 {
+	if id, ok := ix.termIDs[term]; ok {
+		return id
 	}
-	if found {
-		list[i].tf = int32(n)
+	var id uint32
+	if n := len(ix.free); n > 0 {
+		id, ix.free = ix.free[n-1], ix.free[:n-1]
 	} else {
-		ix.postings[term] = slices.Insert(list, i, posting{doc, int32(n)})
+		id = uint32(len(ix.lists))
+		ix.lists = append(ix.lists, postingList{})
 	}
-	tf := ix.terms[doc]
-	if tf == nil {
-		tf = make(map[string]int)
-		ix.terms[doc] = tf
+	ix.lists[id].term = term
+	ix.termIDs[term] = id
+	return id
+}
+
+// setTF sets doc's frequency of term to n — 0 removes the posting — in
+// both the posting list and the per-document reverse view: the one place
+// postings are mutated, shared by the wholesale and the changed-range
+// path. The list stays sorted by doc; the last posting's removal drops
+// the term and frees its ID.
+func (ix *Index) setTF(doc util.ID, term uint32, n int) {
+	pl := &ix.lists[term]
+	i, found := pl.find(doc)
+	switch {
+	case n == 0:
+		if found {
+			pl.docs = slices.Delete(pl.docs, i, i+1)
+			delete(ix.terms[doc], term)
+		}
+		if len(pl.docs) == 0 {
+			delete(ix.termIDs, pl.term)
+			*pl = postingList{}
+			ix.free = append(ix.free, term)
+		}
+	case found:
+		pl.docs[i].tf = int32(n)
+	default:
+		pl.docs = slices.Insert(pl.docs, i, posting{doc, int32(n)})
+		terms := ix.terms[doc]
+		if terms == nil {
+			terms = make(map[uint32]struct{})
+			ix.terms[doc] = terms
+		}
+		terms[term] = struct{}{}
 	}
-	tf[term] = n
 }
 
 // setLength records a document's token count and keeps the corpus total.
@@ -455,7 +506,10 @@ func (ix *Index) Search(q Query) ([]Result, error) {
 				}
 			} else {
 				matches = map[util.ID]float64{}
-				list := ix.postings[term]
+				var list []posting
+				if id, ok := ix.termIDs[term]; ok {
+					list = ix.lists[id].docs
+				}
 				for _, p := range list {
 					matches[p.doc] = ix.bm25(len(list), p.doc, int(p.tf))
 				}

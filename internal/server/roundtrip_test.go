@@ -18,14 +18,16 @@ import (
 // maxOneKeyRoundTripAllocs bounds the heap allocations of one key's round
 // trip through an in-process server: the author's session sends it, the
 // server decodes, commits and acknowledges it and pushes it to both
-// replicas, and the peer's replica folds it. It measured 21 (22 while a
+// replicas, and the peer's replica folds it. It measured 15 (21 while the
+// transaction's undo entries were closures and each row encoder allocated
+// a fresh buffer, 22 while a
 // batch allocated each op's log record on its own, 23 while the
 // published item and the result took a second copy of the key's ID slice,
 // 24 while its op row's payload was a fresh slice of 8-byte IDs, 25 while
 // the text buffer gave each key a treap node of its own, 29 while each
 // index entry allocated its own key copy); the budget is that plus 10 %,
 // rounded down.
-const maxOneKeyRoundTripAllocs = 23
+const maxOneKeyRoundTripAllocs = 16
 
 // The stages below have budgets of their own, because one allocation more
 // per frame would not trip the total's 10 % margin. A stage is compared
@@ -49,6 +51,17 @@ const (
 	// handler are the session's, and a batch of one Type call sends the
 	// caller's string.
 	maxOneKeyClientAllocs = 0
+
+	// maxOneKeyDBAllocs bounds the database layer: the heap and index
+	// writes of the key's chars and op rows. It measured 0: their undo
+	// entries are values in the transaction's inline buffer, and the rows
+	// are encoded into the pooled batch's buffers (6 while each row's undo
+	// was two closures and each encoder a fresh buffer).
+	maxOneKeyDBAllocs = 0
+
+	// maxOneKeyTxnAllocs bounds the transaction layer. It measured 1, the
+	// Txn itself, which callers read after it ends.
+	maxOneKeyTxnAllocs = 1
 )
 
 // maxOneKeyStageAllocs maps the stages with budgets of their own, by the
@@ -57,6 +70,8 @@ var maxOneKeyStageAllocs = map[string]int{
 	"server protocol decode": maxOneKeyServerDecodeAllocs,
 	"client protocol decode": maxOneKeyClientDecodeAllocs,
 	"client client":          maxOneKeyClientAllocs,
+	"server db":              maxOneKeyDBAllocs,
+	"server txn":             maxOneKeyTxnAllocs,
 }
 
 // TestOneKeyRoundTripAllocs types one key at a time into a 20k-character

@@ -105,3 +105,55 @@ func TestUpdateRestoresOldRecordWhenStillFull(t *testing.T) {
 		t.Fatalf("old record lost after failed grow: %d bytes, %v", len(got), err)
 	}
 }
+
+// TestCompactExcludingKeepsSlotsAndAllocatesNothing fills a page with
+// records of distinct bytes, deletes every third and compacts it skipping
+// one more: every other record keeps its slot number and its bytes, the
+// dead and skipped slots read as dead, the reclaimed space is free, and a
+// compaction allocates nothing.
+func TestCompactExcludingKeepsSlotsAndAllocatesNothing(t *testing.T) {
+	pg := &Page{}
+	sp := InitSlotted(pg)
+	model := map[int][]byte{}
+	for i := 0; ; i++ {
+		rec := bytes.Repeat([]byte{byte(i)}, 20+i%37)
+		s, err := sp.Insert(rec)
+		if err != nil {
+			break
+		}
+		model[s] = rec
+	}
+	if len(model) < 50 || sp.FreeSpace() > 60 {
+		t.Fatalf("page not full: %d records, %d bytes free", len(model), sp.FreeSpace())
+	}
+	for s := 0; s < sp.NumSlots(); s += 3 {
+		if err := sp.Delete(s); err != nil {
+			t.Fatal(err)
+		}
+		delete(model, s)
+	}
+	const skip = 4
+	delete(model, skip)
+	var scratch [PageSize]byte
+	sp.compactExcluding(skip, &scratch)
+	for s := 0; s < sp.NumSlots(); s++ {
+		got, err := sp.Get(s)
+		want, live := model[s]
+		if live && (err != nil || !bytes.Equal(got, want)) {
+			t.Fatalf("slot %d after compaction: %x, %v; want %x", s, got, err, want)
+		}
+		if !live && err == nil {
+			t.Fatalf("dead or skipped slot %d reads live after compaction", s)
+		}
+	}
+	used := 0
+	for _, rec := range model {
+		used += len(rec)
+	}
+	if want := PageSize - slotTableStart - sp.NumSlots()*slotSize - used - slotSize; sp.FreeSpace() != want {
+		t.Fatalf("free space after compaction %d, want %d", sp.FreeSpace(), want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sp.compactExcluding(-1, &scratch) }); allocs != 0 {
+		t.Fatalf("compaction allocated %v times, want 0", allocs)
+	}
+}

@@ -127,7 +127,8 @@ func (sp *SlottedPage) InsertAt(slot int, rec []byte) error {
 	} else {
 		needed := (slot + 1 - n) * slotSize
 		if needed+len(rec) > sp.FreeSpace()+slotSize {
-			sp.compactExcluding(-1)
+			var scratch [PageSize]byte
+			sp.compactExcluding(-1, &scratch)
 			if needed+len(rec) > sp.FreeSpace()+slotSize {
 				return ErrPageFull
 			}
@@ -140,7 +141,8 @@ func (sp *SlottedPage) InsertAt(slot int, rec []byte) error {
 	end := sp.freeEnd()
 	off := end - len(rec)
 	if off < slotTableStart+sp.numSlots()*slotSize {
-		sp.compactExcluding(-1)
+		var scratch [PageSize]byte
+		sp.compactExcluding(-1, &scratch)
 		end = sp.freeEnd()
 		off = end - len(rec)
 		if off < slotTableStart+sp.numSlots()*slotSize {
@@ -205,17 +207,16 @@ func (sp *SlottedPage) Update(slot int, rec []byte) error {
 	}
 	if len(rec) > sp.FreeSpace()+slotSize {
 		// Reclaim abandoned space, treating the target slot as dead so its
-		// old copy is not preserved.
-		old := make([]byte, length)
-		copy(old, sp.p.data[off:off+length])
-		sp.compactExcluding(slot)
+		// old copy is not preserved; the scratch copy of the page keeps it.
+		var scratch [PageSize]byte
+		sp.compactExcluding(slot, &scratch)
 		if len(rec) > sp.contiguousFree() {
 			// Still no room: restore the old record (it fit before) and
 			// let the caller relocate.
 			end := sp.freeEnd()
-			noff := end - len(old)
-			copy(sp.p.data[noff:end], old)
-			sp.setSlot(slot, noff, len(old))
+			noff := end - length
+			copy(sp.p.data[noff:end], scratch[off:off+length])
+			sp.setSlot(slot, noff, length)
 			sp.setFreeEnd(noff)
 			sp.p.MarkDirty()
 			return ErrPageFull
@@ -241,34 +242,23 @@ func (sp *SlottedPage) contiguousFree() int {
 }
 
 // compactExcluding rewrites every live record (except skipSlot, treated as
-// dead) contiguously at the end of the page, reclaiming space abandoned by
-// grown updates and deletions. Slot numbers are preserved. Pass -1 to keep
-// every record.
-func (sp *SlottedPage) compactExcluding(skipSlot int) {
+// dead) contiguously at the end of the page, in slot order, reclaiming
+// space abandoned by grown updates and deletions. Slot numbers are
+// preserved. Pass -1 to keep every record. The records are laid out from
+// scratch, a copy of the page as it was, which the caller keeps (and
+// which, being the caller's, costs no allocation).
+func (sp *SlottedPage) compactExcluding(skipSlot int, scratch *[PageSize]byte) {
+	*scratch = sp.p.data
 	n := sp.numSlots()
-	type item struct {
-		slot int
-		data []byte
-	}
-	live := make([]item, 0, n)
-	for i := 0; i < n; i++ {
-		if i == skipSlot {
-			continue
-		}
-		off, l := sp.slot(i)
-		if l == deadLen {
-			continue
-		}
-		d := make([]byte, l)
-		copy(d, sp.p.data[off:off+l])
-		live = append(live, item{i, d})
-	}
 	end := PageSize
-	for _, it := range live {
-		off := end - len(it.data)
-		copy(sp.p.data[off:end], it.data)
-		sp.setSlot(it.slot, off, len(it.data))
-		end = off
+	for i := 0; i < n; i++ {
+		off, l := sp.slot(i)
+		if i == skipSlot || l == deadLen {
+			continue
+		}
+		end -= l
+		copy(sp.p.data[end:end+l], scratch[off:off+l])
+		sp.setSlot(i, end, l)
 	}
 	if skipSlot >= 0 && skipSlot < n {
 		sp.setSlot(skipSlot, 0, deadLen)

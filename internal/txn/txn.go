@@ -21,14 +21,33 @@ const (
 // ErrNotActive reports an operation on a finished transaction.
 var ErrNotActive = errors.New("txn: transaction not active")
 
-// UndoFunc reverses one operation of a transaction during a runtime abort.
-// The storage layer registers one per mutation; it must write the matching
-// compensation log record itself.
-type UndoFunc func() error
+// Undo is one entry of a transaction's undo log: a value, not a closure,
+// so registering one allocates nothing while the Txn's inline entries have
+// room. By reverses it during a runtime abort, writing any compensation
+// log record that takes itself; the other fields are By's to interpret
+// (for the storage layer: the mutation's kind, the row's page and slot,
+// the record it wrote or replaced, and the LSN the CLR's UndoNext names).
+// Rec may alias a buffer the caller reuses once the transaction has ended,
+// never before.
+type Undo struct {
+	By   Undoer
+	Rec  []byte
+	Page uint64
+	Prev wal.LSN
+	Slot uint32
+	Op   uint8
+}
+
+// Undoer reverses undo entries. The storage layer's heaps and tables and
+// the engine's documents implement it with pointer receivers, so an entry
+// naming one costs no allocation.
+type Undoer interface {
+	Undo(tx *Txn, u *Undo) error
+}
 
 // inlineUndo is how many undo entries a Txn holds without allocating: a
-// one-key edit registers four (the run row's and the op row's heap insert
-// and index entries).
+// one-key edit registers two (the run row's and the op row's insert), a
+// delete up to four.
 const inlineUndo = 4
 
 // Txn is one transaction: a unit of atomicity, durability and isolation.
@@ -39,8 +58,8 @@ type Txn struct {
 	firstLSN  wal.LSN // first logged record: the tail of the undo chain
 	lastLSN   wal.LSN
 	commitLSN wal.LSN
-	undo      []UndoFunc
-	undoBuf   [inlineUndo]UndoFunc // undo's first entries
+	undo      []Undo
+	undoBuf   [inlineUndo]Undo // undo's first entries
 	state     State
 }
 
@@ -82,9 +101,9 @@ func (t *Txn) Append(r *wal.Record) (wal.LSN, error) {
 	return lsn, err
 }
 
-// OnUndo registers fn to be run (in reverse order) if the transaction
+// OnUndo registers u to be reversed (newest first) if the transaction
 // aborts.
-func (t *Txn) OnUndo(fn UndoFunc) { t.undo = append(t.undo, fn) }
+func (t *Txn) OnUndo(u Undo) { t.undo = append(t.undo, u) }
 
 // Lock acquires key in mode under strict 2PL; the lock is held until the
 // transaction finishes.
@@ -166,7 +185,7 @@ func (t *Txn) Abort() error {
 	}
 	var logErr error
 	for i := len(t.undo) - 1; i >= 0; i-- {
-		if err := t.undo[i](); err != nil {
+		if err := t.undo[i].By.Undo(t, &t.undo[i]); err != nil {
 			if !errors.Is(err, wal.ErrLogFailed) {
 				return err
 			}
@@ -189,9 +208,10 @@ func (t *Txn) Abort() error {
 
 // end finishes the transaction in state s: it releases its locks, leaves
 // the active set and forgets its undo entries, so a Txn a durability waiter
-// still holds does not keep the records they captured alive.
+// still holds does not keep the records they name alive, and the buffers
+// those records live in may be reused.
 func (t *Txn) end(s State) {
-	t.state, t.undo, t.undoBuf = s, nil, [inlineUndo]UndoFunc{}
+	t.state, t.undo, t.undoBuf = s, nil, [inlineUndo]Undo{}
 	t.mgr.locks.ReleaseAll(t.id)
 	if m := t.mgr; t.firstLSN != 0 {
 		m.mu.Lock()

@@ -205,18 +205,43 @@ func TestTxnLifecycle(t *testing.T) {
 	}
 }
 
+// recorder is an Undoer that notes the slot of every entry it reverses.
+type recorder struct{ order []uint32 }
+
+func (r *recorder) Undo(_ *Txn, u *Undo) error {
+	r.order = append(r.order, u.Slot)
+	return nil
+}
+
 func TestAbortRunsUndoInReverse(t *testing.T) {
 	m := newManager(t)
 	tx, _ := m.Begin()
-	var order []int
-	tx.OnUndo(func() error { order = append(order, 1); return nil })
-	tx.OnUndo(func() error { order = append(order, 2); return nil })
-	tx.OnUndo(func() error { order = append(order, 3); return nil })
+	r := &recorder{}
+	for slot := uint32(1); slot <= 3; slot++ {
+		tx.OnUndo(Undo{By: r, Slot: slot})
+	}
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 3 || order[0] != 3 || order[1] != 2 || order[2] != 1 {
-		t.Fatalf("undo order = %v, want [3 2 1]", order)
+	if o := r.order; len(o) != 3 || o[0] != 3 || o[1] != 2 || o[2] != 1 {
+		t.Fatalf("undo order = %v, want [3 2 1]", o)
+	}
+}
+
+// TestOnUndoAllocatesNothingInline checks that registering as many entries
+// as the Txn holds inline allocates nothing.
+func TestOnUndoAllocatesNothingInline(t *testing.T) {
+	m := newManager(t)
+	r, rec := &recorder{}, []byte("record")
+	allocs := testing.AllocsPerRun(100, func() {
+		tx, _ := m.Begin()
+		for i := 0; i < inlineUndo; i++ {
+			tx.OnUndo(Undo{By: r, Op: 1, Page: 7, Slot: uint32(i), Rec: rec, Prev: 3})
+		}
+		_, _ = tx.CommitAsync()
+	})
+	if allocs > 1 { // the Txn itself
+		t.Fatalf("%v allocations per transaction of %d undo entries, want 1 (the Txn)", allocs, inlineUndo)
 	}
 }
 
@@ -288,8 +313,8 @@ func TestConcurrentIncrementsSerialized(t *testing.T) {
 }
 
 // TestFinishedTxnDropsUndo checks that a committed or aborted transaction
-// forgets its undo closures, inline or spilled, so a Txn that a durability
-// waiter still holds does not keep the records they captured alive.
+// forgets its undo entries, inline or spilled, so a Txn that a durability
+// waiter still holds does not keep the records they name alive.
 func TestFinishedTxnDropsUndo(t *testing.T) {
 	m := newManager(t)
 	for _, commit := range []bool{true, false} {
@@ -299,7 +324,7 @@ func TestFinishedTxnDropsUndo(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
-				tx.OnUndo(func() error { return nil })
+				tx.OnUndo(Undo{By: &recorder{}, Rec: []byte("record")})
 			}
 			if commit {
 				_, err = tx.CommitAsync()
@@ -312,8 +337,8 @@ func TestFinishedTxnDropsUndo(t *testing.T) {
 			if tx.undo != nil {
 				t.Errorf("commit=%v, %d entries: %d undo entries kept", commit, n, len(tx.undo))
 			}
-			for i, fn := range tx.undoBuf {
-				if fn != nil {
+			for i, u := range tx.undoBuf {
+				if u.By != nil || u.Rec != nil {
 					t.Errorf("commit=%v, %d entries: inline undo entry %d kept", commit, n, i)
 				}
 			}
