@@ -4,7 +4,7 @@
 // subscriber to encounter an event cached its redaction for everyone —
 // a subscriber with a wider visibility class could be served a frame
 // redacted for a narrower one, or vice versa (cache poisoning across
-// tenants). The fix keys the cache by (family, Event.VisClass).
+// tenants). The fix keys the cache by Event.VisClass.
 //
 // Two rules:
 //

@@ -111,11 +111,11 @@ type Event struct {
 }
 
 // WireCache memoises the serialized forms of one published event, keyed by
-// frame encoding (in practice: one key per wire protocol family). The
+// the subscriber's visibility class (the server's redaction classes). The
 // cached bytes are immutable once built and may be written to any number
-// of connections concurrently. The first two keys — an all-visible
-// document's two protocol families — are held inline; only a document
-// with restricted readers spills into the map.
+// of connections concurrently. The first two keys — the all-visible class
+// and one restricted class — are held inline; only a document with
+// readers in more classes spills into the map.
 type WireCache struct {
 	mu     sync.Mutex
 	n      int // inline slots in use

@@ -44,11 +44,10 @@ func (e *ThrottledError) Error() string {
 type Client struct {
 	codec  *protocol.Codec
 	user   string
+	shards int // the server's engine-shard count, from the hello
 	nextID atomic.Int64
 
 	mu      sync.Mutex
-	ver     int // negotiated protocol version (Version1 until hello upgrades it)
-	shards  int // server's engine-shard count from hello (0 = not told)
 	pending map[int64]handler
 	docs    map[uint64]*Doc
 	closed  bool
@@ -66,24 +65,21 @@ type Client struct {
 // the response it needs could only come through the loop it blocks.
 type handler func(resp *protocol.Message) (kept bool)
 
-// Option configures a Dial. Options execute their protocol steps (version
-// negotiation, then login) in a fixed order after the connection is
-// established, regardless of the order they are passed in.
+// Option configures a Dial. The handshake's steps (hello, then login) run
+// in a fixed order after the connection is established, regardless of
+// the order the options are passed in.
 type Option func(*dialConfig)
 
 type dialConfig struct {
-	maxVersion int // below Version3 = no negotiation, stay on v1
-	user       string
-	password   string
-	login      bool
+	user     string
+	password string
+	login    bool
 }
 
-// WithMaxVersion negotiates the protocol during Dial when max is at least
-// protocol.Version3, upgrading the connection to v3 binary frames. Without
-// this option, or with a lower max, the connection stays on v1.
-func WithMaxVersion(max int) Option {
-	return func(cfg *dialConfig) { cfg.maxVersion = max }
-}
+// WithMaxVersion does nothing: every connection says hello for protocol
+// v3, the only version there is. It is kept for callers written when a
+// connection could stay on version 1.
+func WithMaxVersion(int) Option { return func(*dialConfig) {} }
 
 // WithUser logs in as user during Dial (empty password unless WithPassword
 // is also given). Dial fails — and closes the connection — if the login is
@@ -97,10 +93,8 @@ func WithPassword(password string) Option {
 	return func(cfg *dialConfig) { cfg.password = password }
 }
 
-// Dial connects to a server and runs the configured handshake: version
-// negotiation first (WithMaxVersion), then login (WithUser/WithPassword).
-// With no options it returns a raw v1 connection, exactly as before the
-// options existed.
+// Dial connects to a server and runs the handshake: a hello for protocol
+// v3, then, if WithUser is given, a login.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -118,13 +112,12 @@ func New(rw io.ReadWriteCloser, opts ...Option) (*Client, error) {
 		o(&cfg)
 	}
 	c := newClient(rw)
-	// WithMaxVersion(protocol.Version1) means "pin to v1": no hello at all.
-	if cfg.maxVersion >= protocol.Version3 {
-		if _, err := c.hello(); err != nil {
-			c.Close()
-			return nil, err
-		}
+	resp, err := c.call(&protocol.Message{Op: protocol.OpHello, Ver: protocol.VersionMax})
+	if err != nil {
+		c.Close()
+		return nil, err
 	}
+	c.shards = resp.Shards
 	if cfg.login {
 		if err := c.Login(cfg.user, cfg.password); err != nil {
 			c.Close()
@@ -134,11 +127,11 @@ func New(rw io.ReadWriteCloser, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// newClient starts a v1 client over an established connection.
+// newClient starts a client's read loop over an established connection,
+// before any handshake.
 func newClient(rw io.ReadWriteCloser) *Client {
 	c := &Client{
 		codec:   protocol.NewCodec(rw),
-		ver:     protocol.Version1,
 		pending: make(map[int64]handler),
 		docs:    make(map[uint64]*Doc),
 		done:    make(chan struct{}),
@@ -266,56 +259,11 @@ func (c *Client) call(req *protocol.Message) (*protocol.Message, error) {
 	return resp, nil
 }
 
-// hello negotiates v3 for Dial's WithMaxVersion and for Doc.Session and
-// returns the version the connection speaks. The first negotiation is
-// final: a later call returns the negotiated version. The hello request
-// is always JSON-framed; landing on v3 switches the connection's outbound
-// framing to the binary codec (inbound frames are auto-detected per frame
-// either way).
-func (c *Client) hello() (int, error) {
-	c.mu.Lock()
-	if c.ver >= protocol.Version3 {
-		v := c.ver
-		c.mu.Unlock()
-		return v, nil
-	}
-	c.mu.Unlock()
-	resp, err := c.call(&protocol.Message{Op: protocol.OpHello, Ver: protocol.VersionMax})
-	if err != nil {
-		return 0, err
-	}
-	v := protocol.Version1
-	if resp.Ver >= protocol.Version3 {
-		v = protocol.Version3
-	}
-	c.mu.Lock()
-	c.ver = v
-	c.shards = resp.Shards
-	c.mu.Unlock()
-	if v == protocol.Version3 {
-		c.codec.EnableBinary()
-	}
-	return v, nil
-}
-
-// Ver returns the negotiated protocol version (Version1 until Dial with
-// WithMaxVersion or Doc.Session negotiates).
-func (c *Client) Ver() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ver
-}
-
 // ShardCount returns the server's engine-shard count as reported in the
-// hello response, or 0 when no hello was exchanged. Documents map onto
-// shards by ID — shard of doc = (doc-1) mod ShardCount — which the
-// multi-node phase will use to route connections; today it is purely
-// informational.
-func (c *Client) ShardCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shards
-}
+// hello response. Documents map onto shards by ID — shard of doc =
+// (doc-1) mod ShardCount — which the multi-node phase will use to route
+// connections; today it is purely informational.
+func (c *Client) ShardCount() int { return c.shards }
 
 // Login authenticates the connection.
 func (c *Client) Login(user, password string) error {
@@ -743,24 +691,19 @@ func (d *Doc) spliceLocked(pos, del int, ins string) {
 }
 
 // Resync brings the replica back in step with the committed state after a
-// gap. On a v3 connection it first attempts a delta resync: the server
-// replays only the events after the replica's sequence number from its
-// bounded op ring — O(gap) on the wire — and falls back to the full text
-// when the gap outlived retention.
+// gap. It first attempts a delta resync: the server replays only the
+// events after the replica's sequence number from its bounded op ring —
+// O(gap) on the wire — and falls back to the full text when the gap
+// outlived retention.
 func (d *Doc) Resync() error { return d.resync(protocol.Event{Name: "explicit"}) }
 
 // resync is Resync that tells the watcher why, as a "resync" event whose
 // Name is the cause.
 func (d *Doc) resync(why protocol.Event) error {
 	why.Doc, why.Kind = d.id, "resync"
-	if d.c.Ver() >= protocol.Version3 {
-		done, err := d.deltaResync(why)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
+	done, err := d.deltaResync(why)
+	if err != nil || done {
+		return err
 	}
 	resp, err := d.c.call(&protocol.Message{Op: protocol.OpText, Doc: d.id})
 	if err != nil {
@@ -835,22 +778,26 @@ func (d *Doc) Anchors(pos, n int) ([]uint64, error) {
 	return resp.IDs, nil
 }
 
+// edit applies one positional op, the paper's editing API, as an edit
+// batch of one and waits for the durable acknowledgement.
+func (d *Doc) edit(op protocol.EditOp) error {
+	_, err := d.EditBatch([]protocol.EditOp{op})
+	return err
+}
+
 // Insert types text at pos through the server.
 func (d *Doc) Insert(pos int, text string) error {
-	_, err := d.c.call(&protocol.Message{Op: protocol.OpInsert, Doc: d.id, Pos: pos, Text: text})
-	return err
+	return d.edit(protocol.EditOp{Kind: protocol.EditInsert, Pos: pos, Text: text})
 }
 
 // Append types text at the end of the document (server-resolved position).
 func (d *Doc) Append(text string) error {
-	_, err := d.c.call(&protocol.Message{Op: protocol.OpAppend, Doc: d.id, Text: text})
-	return err
+	return d.edit(protocol.EditOp{Kind: protocol.EditInsert, Pos: -1, Text: text})
 }
 
 // Delete removes n characters at pos through the server.
 func (d *Doc) Delete(pos, n int) error {
-	_, err := d.c.call(&protocol.Message{Op: protocol.OpDelete, Doc: d.id, Pos: pos, N: n})
-	return err
+	return d.edit(protocol.EditOp{Kind: protocol.EditDelete, Pos: pos, N: n})
 }
 
 // Copy captures a clipboard (with provenance) from the server.
@@ -862,10 +809,11 @@ func (d *Doc) Copy(pos, n int) (*protocol.Clip, error) {
 	return resp.Clip, nil
 }
 
-// Paste inserts a clipboard at pos.
+// Paste inserts a clipboard at pos, naming the clipboard's source as the
+// text's provenance.
 func (d *Doc) Paste(pos int, clip *protocol.Clip) error {
-	_, err := d.c.call(&protocol.Message{Op: protocol.OpPaste, Doc: d.id, Pos: pos, Clip: clip})
-	return err
+	return d.edit(protocol.EditOp{Kind: protocol.EditInsert, Pos: pos, Text: clip.Text,
+		SrcDoc: clip.SrcDoc, SrcChars: clip.SrcChars})
 }
 
 // Undo reverts this user's (scope local) or the document's (scope global)
@@ -883,15 +831,12 @@ func (d *Doc) Redo(scope string) error {
 
 // Layout applies a layout span.
 func (d *Doc) Layout(pos, n int, kind, value string) error {
-	_, err := d.c.call(&protocol.Message{Op: protocol.OpLayout, Doc: d.id,
-		Pos: pos, N: n, Kind: kind, Value: value})
-	return err
+	return d.edit(protocol.EditOp{Kind: protocol.EditLayout, Pos: pos, N: n, Span: kind, Value: value})
 }
 
 // Note anchors a note at pos.
 func (d *Doc) Note(pos int, text string) error {
-	_, err := d.c.call(&protocol.Message{Op: protocol.OpNote, Doc: d.id, Pos: pos, Text: text})
-	return err
+	return d.edit(protocol.EditOp{Kind: protocol.EditNote, Pos: pos, Text: text})
 }
 
 // CreateVersion snapshots the document.

@@ -409,8 +409,8 @@ func TestPushesDuringBaseAreKept(t *testing.T) {
 			case protocol.OpOpenDoc:
 				s.push(protocol.Event{Seq: 4, Kind: "join", User: "me"})
 				s.respond(req, &protocol.Message{Text: "abc", Seq: 4, Snap: 1})
-			case protocol.OpText:
-				s.respond(req, &protocol.Message{Text: "abc", Seq: 4, Snap: 1})
+			case protocol.OpResync:
+				s.respond(req, &protocol.Message{Full: true, Text: "abc", Seq: 4, Snap: 1})
 			}
 		})
 		d, err := c.Open(1)
@@ -431,9 +431,6 @@ func TestPushesDuringBaseAreKept(t *testing.T) {
 		}
 		c, s := startScript(t, func(s *scriptServer, req *protocol.Message) {
 			switch req.Op {
-			case protocol.OpHello:
-				s.codec.EnableBinary()
-				s.respond(req, &protocol.Message{Ver: protocol.Version3, Shards: 1})
 			case protocol.OpSubscribe:
 				s.respond(req, &protocol.Message{Seq: 3})
 			case protocol.OpOpenDoc:
@@ -446,9 +443,6 @@ func TestPushesDuringBaseAreKept(t *testing.T) {
 				s.respond(req, &protocol.Message{Events: []protocol.Event{ins(4, 3, "d"), ins(5, 4, "e")}})
 			}
 		})
-		if _, err := c.hello(); err != nil {
-			t.Fatal(err)
-		}
 		d, err := c.Open(1)
 		if err != nil {
 			t.Fatal(err)
@@ -499,9 +493,6 @@ func startSessionScript(t *testing.T) *sessionScript {
 	edits := make(chan *protocol.Message, 16) // more edits than any test sends
 	c, srv := startScript(t, func(s *scriptServer, req *protocol.Message) {
 		switch req.Op {
-		case protocol.OpHello:
-			s.codec.EnableBinary()
-			s.respond(req, &protocol.Message{Ver: protocol.Version3, Shards: 1})
 		case protocol.OpSubscribe, protocol.OpOpenDoc:
 			s.respond(req, &protocol.Message{Seq: 1, Snap: 1})
 		case protocol.OpListDocs:
@@ -696,16 +687,10 @@ func TestReplicaHeapIndependentOfEvents(t *testing.T) {
 	const limit = 256 << 10
 	c, s := startScript(t, func(s *scriptServer, req *protocol.Message) {
 		switch req.Op {
-		case protocol.OpHello:
-			s.codec.EnableBinary()
-			s.respond(req, &protocol.Message{Ver: protocol.Version3, Shards: 1})
 		case protocol.OpSubscribe, protocol.OpOpenDoc:
 			s.respond(req, &protocol.Message{Seq: 0, Snap: 1})
 		}
 	})
-	if _, err := c.hello(); err != nil {
-		t.Fatal(err)
-	}
 	before := settledHeap() // the connection's buffers are not the replica's
 	d, err := c.Open(1)
 	if err != nil {
@@ -753,9 +738,6 @@ func TestResyncEventsReadableInCallback(t *testing.T) {
 	}
 	c, s := startScript(t, func(s *scriptServer, req *protocol.Message) {
 		switch req.Op {
-		case protocol.OpHello:
-			s.codec.EnableBinary()
-			s.respond(req, &protocol.Message{Ver: protocol.Version3, Shards: 1})
 		case protocol.OpSubscribe, protocol.OpOpenDoc:
 			s.respond(req, &protocol.Message{Seq: 0, Snap: 1})
 		case protocol.OpResync:
@@ -766,9 +748,6 @@ func TestResyncEventsReadableInCallback(t *testing.T) {
 			s.respond(req, &protocol.Message{Events: evs})
 		}
 	})
-	if _, err := c.hello(); err != nil {
-		t.Fatal(err)
-	}
 	d, err := c.Open(1)
 	if err != nil {
 		t.Fatal(err)

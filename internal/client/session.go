@@ -8,11 +8,10 @@ import (
 	"tendax/internal/protocol"
 )
 
-// Session is the protocol-v3 pipelined typing surface of a document: it
-// coalesces keystrokes into ID-anchored edit batches and correlates the
-// durable acknowledgements asynchronously — so typing throughput is no
-// longer bounded by one blocking round-trip (plus one fsync wait) per
-// keystroke.
+// Session is the pipelined typing surface of a document: it coalesces
+// keystrokes into ID-anchored edit batches and correlates the durable
+// acknowledgements asynchronously — so typing throughput is no longer
+// bounded by one blocking round-trip (plus one fsync wait) per keystroke.
 //
 // Batches are ack-clocked (Nagle's rule over durable acknowledgements): a
 // key goes out at once when no batch is in flight; otherwise it waits, and
@@ -79,22 +78,10 @@ type Session struct {
 
 var errSessionClosed = errors.New("client: session closed")
 
-// ErrNeedV3 reports a session request against a server that only speaks
-// protocol v1.
-var ErrNeedV3 = errors.New("client: server does not speak protocol v3")
-
-// Session opens a pipelined editing session on the document, negotiating
-// protocol v3 first if the connection has not already. The cursor starts
-// at the end of the document (MoveTo repositions it). The session's
+// Session opens a pipelined editing session on the document. The cursor
+// starts at the end of the document (MoveTo repositions it). The session's
 // flusher goroutine ends at Close or when the connection does.
 func (d *Doc) Session() (*Session, error) {
-	ver, err := d.c.hello()
-	if err != nil {
-		return nil, err
-	}
-	if ver < protocol.Version3 {
-		return nil, ErrNeedV3
-	}
 	s := &Session{d: d, batchLimit: 128,
 		kick: make(chan struct{}, 1), flushed: make(chan struct{})}
 	s.idle.L = &s.mu

@@ -44,10 +44,10 @@ const (
 //     instance created by an earlier insert of the same batch (the
 //     pipelined-typing case; the caller seeds cross-batch continuation by
 //     rewriting the first AnchorPrev op to an explicit anchor); otherwise
-//     Pos is the v1 fallback, resolved against the batch-start state, with
-//     Pos < 0 meaning the end of the document (resolved under the document
-//     lock, so concurrent appenders never split each other's runs). A
-//     non-nil SrcDoc makes the insert a paste.
+//     Pos is the positional fallback, resolved against the batch-start
+//     state, with Pos < 0 meaning the end of the document (resolved under
+//     the document lock, so concurrent appenders never split each other's
+//     runs). A non-nil SrcDoc makes the insert a paste.
 //   - delete: Chars lists the instances to tombstone (already-deleted and
 //     archived ones are skipped — deletion by identity commutes);
 //     otherwise Pos/N resolves against the batch-start state.
@@ -810,9 +810,9 @@ func appendFlip(items []awareness.BatchItem, kind awareness.EventKind, pos int, 
 
 // publishBatchLocked announces the committed batch as ONE awareness event:
 // an undo or redo publishes its own header with the items in Batch; a
-// single-item batch keeps the legacy event kind and shape (v1 subscribers
-// replay it natively; a lone layout names its span as "kind=value", a
-// span removal as "remove"), a multi-item batch publishes EvBatch with the
+// single-item batch keeps the single-op event kind and shape (a lone
+// layout names its span as "kind=value", a span removal as "remove"), a
+// multi-item batch publishes EvBatch with the
 // items in order. Either way the batch consumes one sequence number.
 func (d *Document) publishBatchLocked(st *batchState, items []awareness.BatchItem) {
 	ev := st.undo

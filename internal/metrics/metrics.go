@@ -17,7 +17,7 @@ import (
 // Conns and QueueDepth (gauges). Increment them directly; they are safe
 // from any goroutine.
 type Metrics struct {
-	Batches    Counter // edit batches committed (a v1 single-op edit is a batch of one)
+	Batches    Counter // edit batches committed (a positional edit is a batch of one)
 	Ops        Counter // ops inside those batches
 	Keystrokes Counter // characters inserted by those batches
 	Pushes     Counter // awareness frames pushed to subscribers

@@ -6,22 +6,17 @@ package protocol
 //
 // where the payload is one Message packed with a presence bitmap: a uvarint
 // whose bit i says "field i follows", with zero-valued fields skipped
-// entirely — exactly the fields JSON's omitempty would have dropped, so a
-// binary frame and a JSON frame of the same message are semantically
-// identical (the codec fuzz pins this). Scalars are varints (zigzag for
-// signed values), strings are length-prefixed bytes, well-known protocol
-// strings (ops, kinds, scopes) compress to a one-byte symbol-table index,
-// and character-ID lists are run-length/delta coded — a freshly typed run
-// of n characters has n consecutive IDs and costs three varints instead of
-// n decimal numbers.
+// entirely — exactly the fields JSON's omitempty drops, so a frame and the
+// JSON spelling of the same message (the tests' canonical form) are
+// semantically identical (the codec fuzz pins this). Scalars are varints
+// (zigzag for signed values), strings are length-prefixed bytes,
+// well-known protocol strings (ops, kinds, scopes) compress to a one-byte
+// symbol-table index, and character-ID lists are run-length/delta coded —
+// a freshly typed run of n characters has n consecutive IDs and costs
+// three varints instead of n decimal numbers.
 //
-// Framing is negotiated per *sender*: each side emits binary only after the
-// hello handshake lands on v3, while the receiver auto-detects every frame
-// by its first byte (0xB3 can never open a JSON line, which always starts
-// with '{'). That makes the upgrade race-free — a push serialized between
-// the hello response and the client's switch is still decoded correctly —
-// and guarantees a binary frame is never sent to a peer that did not
-// negotiate v3.
+// Every frame on a connection is a v3 frame, the hello that opens it
+// included; a receiver refuses a frame that does not open with 0xB3.
 //
 // The symbol table and the bit assignments below are part of the v3 wire
 // format: append-only, never reorder or remove.
@@ -35,8 +30,9 @@ import (
 )
 
 const (
-	// binMagic opens every binary frame. It is not a valid first byte of
-	// any JSON document, so receivers can dispatch per frame.
+	// binMagic opens every frame. It is not a valid first byte of any
+	// JSON document, so a JSON line from a version-1 peer is refused at
+	// its first byte.
 	binMagic = 0xB3
 
 	// MaxBinaryFrame caps a binary frame's payload; a length prefix beyond
@@ -172,9 +168,9 @@ func (d *bdec) str() (string, error) {
 		return "", fmt.Errorf("protocol: string of %d bytes exceeds frame", n)
 	}
 	raw := d.b[d.pos : d.pos+int(n)]
-	// v3 strings are strictly UTF-8: the JSON codec silently replaces
-	// invalid sequences on decode, so accepting them here would let the
-	// two encodings disagree about the same frame.
+	// v3 strings are strictly UTF-8: JSON, the canonical form frames are
+	// checked against, silently replaces invalid sequences on decode, so
+	// accepting them here would let the two disagree about the same frame.
 	if !utf8.Valid(raw) {
 		return "", fmt.Errorf("protocol: string is not valid UTF-8")
 	}
@@ -476,6 +472,8 @@ var editOpSchema = schema[EditOp]{"EditOp", []field[EditOp]{
 	ids(func(o *EditOp) *[]uint64 { return &o.Chars }),
 	sym(func(o *EditOp) *string { return &o.Span }),
 	str(func(o *EditOp) *string { return &o.Value }),
+	u64(func(o *EditOp) *uint64 { return &o.SrcDoc }), // paste provenance
+	ids(func(o *EditOp) *[]uint64 { return &o.SrcChars }),
 }}
 
 var editResultSchema = schema[EditResult]{"EditResult", []field[EditResult]{
@@ -693,7 +691,7 @@ func (d *bdec) messageInto(m *Message) error {
 }
 
 // EncodeBinaryFrame renders m as one complete v3 binary frame (magic,
-// length prefix, payload) — the exact bytes a binary-mode Send writes.
+// length prefix, payload) — the exact bytes Send writes.
 func EncodeBinaryFrame(m *Message) []byte {
 	f, _ := renderFrame(nil, m)
 	return f

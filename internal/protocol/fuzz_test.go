@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -16,8 +17,9 @@ type rwc struct {
 
 func (rwc) Close() error { return nil }
 
-// canon is m's canonical form: Marshal∘Unmarshal must be idempotent on it,
-// and a v3 frame of m must decode back to it.
+// canon is m's canonical form, its JSON spelling: Marshal∘Unmarshal must
+// be idempotent on it, and a v3 frame of m must decode back to it. JSON is
+// the tests' reference spelling only; no connection carries it.
 func canon(t testing.TB, m *Message) []byte {
 	t.Helper()
 	c, err := json.Marshal(m)
@@ -27,11 +29,11 @@ func canon(t testing.TB, m *Message) []byte {
 	return c
 }
 
-// frames the codec must round-trip: one per protocol surface. The hellos
-// asking for version 2 are wire data like any other; a server answers them
-// with v1.
+// frames the codec must round-trip, in their canonical JSON spelling: one
+// per protocol surface. The hellos asking for version 2 and the version-1
+// request ops are wire data like any other; a server refuses them.
 var seedFrames = []string{
-	// v1 request/response/push shapes.
+	// Version-1 request/response/push shapes.
 	`{"type":"req","id":1,"op":"login","user":"alice","password":"pw"}`,
 	`{"type":"req","id":2,"op":"insert","doc":7,"pos":3,"text":"héllo\nworld"}`,
 	`{"type":"req","id":3,"op":"delete","doc":7,"pos":0,"n":4}`,
@@ -81,56 +83,47 @@ var seedFrames = []string{
 	`{"type":"resp","id":25,"ok":true,"ids":[40,30,20,21,22,1000000,5],"seq":10,"snap":2}`,
 	// The hello every library client sends.
 	`{"type":"req","op":"hello","ver":3}`,
+	// A paste as a one-op edit, naming its source.
+	`{"type":"req","id":26,"op":"edit","doc":7,"ops":[{"kind":"insert","pos":2,"text":"ab","srcDoc":3,"srcChars":[10,11]}]}`,
 }
 
-// FuzzCodecRoundTrip feeds arbitrary bytes through the codec: every frame
-// the decoder accepts must survive encode→decode with an identical
-// canonical form — the hello and every v1 exchange are JSON frames, so
-// the codec must never mangle one.
+// FuzzCodecRoundTrip feeds arbitrary bytes to the codec and to the JSON
+// reference decoder. The codec must refuse them cleanly unless they open
+// with the v3 magic byte — a JSON line is never a frame. Every message the
+// JSON decoder accepts must survive a send and a receive through a Codec
+// with an identical canonical form: codec drift is a protocol break.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, s := range seedFrames {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if bytes.ContainsRune(data, '\n') {
-			data = bytes.ReplaceAll(data, []byte("\n"), []byte(" "))
+		raw, err := NewCodec(rwc{Reader: bytes.NewReader(data)}).Recv()
+		if err == nil && data[0] != binMagic {
+			t.Fatalf("codec accepted a frame opening with %#x: %s", data[0], canon(t, raw))
 		}
-		in := NewCodec(rwc{Reader: bytes.NewReader(append(data, '\n'))})
-		m, err := in.Recv()
-		if err != nil {
-			return // not a frame; the codec rejected it cleanly
+		var m Message
+		if json.Unmarshal(data, &m) != nil {
+			return // not a message in the reference spelling
 		}
 		var buf bytes.Buffer
-		out := NewCodec(rwc{Reader: &buf, Writer: &buf})
-		if err := out.Send(m); err != nil {
-			t.Fatalf("re-encode of accepted frame failed: %v", err)
+		codec := NewCodec(rwc{Reader: &buf, Writer: &buf})
+		if err := codec.Send(&m); err != nil {
+			t.Fatalf("send of accepted message failed: %v", err)
 		}
-		m2, err := out.Recv()
+		m2, err := codec.Recv()
 		if err != nil {
-			t.Fatalf("decode of re-encoded frame failed: %v", err)
+			t.Fatalf("receive of sent message failed: %v", err)
 		}
-		// Compare canonical forms: Marshal∘Unmarshal must be idempotent.
-		if c1, c2 := canon(t, m), canon(t, m2); !bytes.Equal(c1, c2) {
-			t.Fatalf("round-trip drift:\n first %s\n second %s", c1, c2)
-		}
-		// The same logical message must survive the v3 binary codec with
-		// an identical canonical form: JSON is the form binary frames are
-		// checked against, so the two encodings must agree on every message
-		// the JSON decoder accepts.
-		m3, err := decodeBinaryMessage(appendBinaryMessage(nil, m))
-		if err != nil {
-			t.Fatalf("binary re-encode of accepted frame failed: %v", err)
-		}
-		if c1, c3 := canon(t, m), canon(t, m3); !bytes.Equal(c1, c3) {
-			t.Fatalf("json/binary drift:\n json   %s\n binary %s", c1, c3)
+		if c1, c2 := canon(t, &m), canon(t, m2); !bytes.Equal(c1, c2) {
+			t.Fatalf("round-trip drift:\n sent     %s\n received %s", c1, c2)
 		}
 	})
 }
 
 // FuzzBinaryPayload feeds arbitrary bytes to the v3 binary decoder: it
 // must reject or accept cleanly (no panics, no unbounded allocation), and
-// everything it accepts must re-encode to a stable canonical form under
-// both the binary and the JSON codec. Decoding into a message that held a
+// everything it accepts must re-encode to a stable canonical form, one
+// its JSON spelling reproduces. Decoding into a message that held a
 // different frame — on the decoder that decoded it, as a read loop does —
 // must give exactly what a fresh decode gives: no field of one frame may
 // leak into the next.
@@ -179,17 +172,12 @@ func FuzzBinaryPayload(f *testing.F) {
 		if c2 := canon(t, m2); !bytes.Equal(c1, c2) {
 			t.Fatalf("binary round-trip drift:\n first %s\n second %s", c1, c2)
 		}
-		// ...and the JSON codec must agree on the canonical form.
-		var buf bytes.Buffer
-		out := NewCodec(rwc{Reader: &buf, Writer: &buf})
-		if err := out.Send(m); err != nil {
-			t.Fatalf("JSON re-encode of binary-accepted message failed: %v", err)
-		}
-		m4, err := out.Recv()
-		if err != nil {
+		// ...and the JSON spelling must agree on the canonical form.
+		var m4 Message
+		if err := json.Unmarshal(c1, &m4); err != nil {
 			t.Fatalf("JSON decode of binary-accepted message failed: %v", err)
 		}
-		if c4 := canon(t, m4); !bytes.Equal(c1, c4) {
+		if c4 := canon(t, &m4); !bytes.Equal(c1, c4) {
 			t.Fatalf("binary→json drift:\n binary %s\n json   %s", c1, c4)
 		}
 	})
@@ -213,26 +201,28 @@ func decodeAfter(t *testing.T, before [][]byte, payload []byte) (*Message, error
 }
 
 // TestCodecSeedFramesRoundTrip pins the seed corpus deterministically (the
-// fuzz target only exercises it under -fuzz).
+// fuzz target only exercises it under -fuzz): each seed's JSON line is
+// refused by a Codec, and the message it spells survives one.
 func TestCodecSeedFramesRoundTrip(t *testing.T) {
 	for _, s := range seedFrames {
-		in := NewCodec(rwc{Reader: bytes.NewReader(append([]byte(s), '\n'))})
-		m, err := in.Recv()
-		if err != nil {
-			t.Fatalf("seed %q rejected: %v", s, err)
+		_, err := NewCodec(rwc{Reader: strings.NewReader(s + "\n")}).Recv()
+		if err == nil || !strings.Contains(err.Error(), "v3") {
+			t.Fatalf("seed %q as a JSON line: %v, want a refusal naming v3", s, err)
+		}
+		var m Message
+		if err := json.Unmarshal([]byte(s), &m); err != nil {
+			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		out := NewCodec(rwc{Reader: &buf, Writer: &buf})
-		if err := out.Send(m); err != nil {
+		codec := NewCodec(rwc{Reader: &buf, Writer: &buf})
+		if err := codec.Send(&m); err != nil {
 			t.Fatal(err)
 		}
-		m2, err := out.Recv()
+		m2, err := codec.Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
-		c1, _ := json.Marshal(m)
-		c2, _ := json.Marshal(m2)
-		if !bytes.Equal(c1, c2) {
+		if c1, c2 := canon(t, &m), canon(t, m2); !bytes.Equal(c1, c2) {
 			t.Fatalf("seed %q drifted: %s vs %s", s, c1, c2)
 		}
 	}
@@ -241,8 +231,8 @@ func TestCodecSeedFramesRoundTrip(t *testing.T) {
 // TestBinarySeedFramesRoundTrip pins every seed frame through the v3
 // binary codec deterministically: JSON-decode, binary encode and decode,
 // and require the canonical forms to match — plus a framed pass through a
-// binary-enabled codec pair, with a JSON frame interleaved mid-stream to
-// pin the per-frame auto-detection.
+// codec pair, with a JSON line spliced mid-stream, which the receiver must
+// refuse once it reaches it.
 func TestBinarySeedFramesRoundTrip(t *testing.T) {
 	for _, s := range seedFrames {
 		var m Message
@@ -257,49 +247,53 @@ func TestBinarySeedFramesRoundTrip(t *testing.T) {
 			t.Fatalf("seed %q drifted under binary: %s vs %s", s, c1, c2)
 		}
 	}
-	// Framed: a binary sender and an auto-detecting receiver, with a JSON
-	// frame spliced between two binary ones on the same stream.
+	// Framed: the frames of seeds 0..3, then a JSON line, then the rest.
+	const splice = 3
 	var buf bytes.Buffer
-	sender := NewCodec(rwc{Reader: &buf, Writer: &buf})
-	receiver := sender
-	sender.EnableBinary()
+	codec := NewCodec(rwc{Reader: &buf, Writer: &buf})
 	var want []string
 	for i, s := range seedFrames {
 		var m Message
 		if err := json.Unmarshal([]byte(s), &m); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, string(canon(t, &m)))
-		if i == 3 {
-			buf.WriteString(s + "\n") // raw JSON line mid-stream
+		if i <= splice {
 			want = append(want, string(canon(t, &m)))
 		}
-		if err := sender.Send(&m); err != nil {
+		if err := codec.Send(&m); err != nil {
 			t.Fatal(err)
+		}
+		if i == splice {
+			buf.WriteString(s + "\n") // raw JSON line mid-stream
 		}
 	}
 	for i, w := range want {
-		m, err := receiver.Recv()
+		m, err := codec.Recv()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		c, _ := json.Marshal(m)
-		if string(c) != w {
+		if c := canon(t, m); string(c) != w {
 			t.Fatalf("frame %d drifted: %s vs %s", i, c, w)
 		}
 	}
+	if m, err := codec.Recv(); err == nil || !strings.Contains(err.Error(), "v3") {
+		t.Fatalf("JSON line mid-stream: %v (decoded %v), want a refusal naming v3", err, m)
+	}
 }
 
-// TestV2FrameFields pins the edit-batch wire surface in its JSON form: the
-// anchors of a batch edit request decode into the typed fields the server
-// relies on.
+// TestV2FrameFields pins the edit-batch wire surface: the anchors of a
+// batch edit request, spelled in JSON, survive a Codec into the typed
+// fields the server relies on.
 func TestV2FrameFields(t *testing.T) {
 	const frame = `{"type":"req","id":7,"op":"edit","doc":7,"ops":[` +
 		`{"kind":"insert","after":0,"text":"a"},` +
 		`{"kind":"insert","after":12,"text":"b"},` +
 		`{"kind":"insert","prev":true,"text":"c"}]}`
-	in := NewCodec(rwc{Reader: bytes.NewReader(append([]byte(frame), '\n'))})
-	m, err := in.Recv()
+	var sent Message
+	if err := json.Unmarshal([]byte(frame), &sent); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewCodec(rwc{Reader: bytes.NewReader(EncodeBinaryFrame(&sent))}).Recv()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 // Package protocol defines the TeNDaX client/server wire format over TCP:
-// newline-delimited JSON messages until a hello negotiates v3, binary
-// frames (binary.go) after. Editors on any operating system speak it — the
+// protocol v3, binary frames (binary.go) only. Every connection opens with
+// a hello asking for v3; a server answers anything else first with an
+// ErrUnsupported error. Editors on any operating system speak it — the
 // paper's demo ran the same editor on Windows, Linux and Mac OS X against
 // one database server.
 //
@@ -8,12 +9,14 @@
 // responses (server → client, correlated by ID), and pushes (server →
 // client, uncorrelated: committed operations and presence changes on
 // subscribed documents).
+//
+// The struct tags spell each message in JSON. No connection carries JSON;
+// it is the canonical form the tests and the fuzzers compare frames in.
 package protocol
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -27,22 +30,20 @@ const (
 	TypePush     = "push"
 )
 
-// Protocol versions. Version 1 is the paper's position-addressed,
-// one-request-per-edit API in JSON lines; version 3 adds ID-anchored edit
-// batches, anchor queries and delta resync, and packs every frame in the
+// Protocol versions. Version 3 is the only one spoken: ID-anchored edit
+// batches, anchor queries and delta resync, every frame packed in the
 // binary encoding of binary.go (varint scalars, presence bitmaps,
-// run-length coded ID lists). A connection speaks v1 until a hello request
-// negotiates v3, so v1 clients keep working against the server unchanged,
-// and a binary frame is only ever sent to a peer that asked for v3. (The
-// number 2 named a JSON-framed dialect of v3's vocabulary; it is no longer
-// negotiated.)
+// run-length coded ID lists). The paper's position-addressed edits travel
+// as one-op edit batches. (Versions 1 and 2 named JSON-framed dialects;
+// a hello asking for either is refused.)
 const (
-	Version1   = 1
 	Version3   = 3
 	VersionMax = Version3
 )
 
-// Operations.
+// Operations. OpInsert, OpAppend, OpDelete, OpPaste, OpLayout and OpNote
+// named version 1's one-request-per-edit ops; no server serves them, and
+// they keep their names for their symbol-table slots.
 const (
 	OpLogin       = "login"
 	OpHello       = "hello"   // version negotiation
@@ -85,15 +86,11 @@ const (
 // is still attached) and resynchronise from the committed state. The
 // event's Seq carries the document's sequence number, and its Name the
 // cause: LaggedRingMiss, with N the events the op ring evicted before the
-// subscriber read them, or LaggedBatch, a multi-op batch a v1 connection
-// cannot fold.
+// subscriber read them.
 const EvLagged = "lagged"
 
-// Causes of an EvLagged push (Event.Name).
-const (
-	LaggedRingMiss = "ring_miss"
-	LaggedBatch    = "batch"
-)
+// LaggedRingMiss is the cause (Event.Name) of an EvLagged push.
+const LaggedRingMiss = "ring_miss"
 
 // EvPresence is a synthetic push carrying a document's full presence
 // roster (one Batch item per present user: Text the user name, Pos the
@@ -109,7 +106,8 @@ const EvPresence = "presence"
 const ErrThrottled = "throttled"
 
 // ErrUnsupported is the machine-readable Code of a response to a request
-// the server cannot serve because it runs without the subsystem behind it
+// the server cannot serve: one sent before a v3 hello, a hello asking for
+// an older version, or a request whose subsystem the server runs without
 // (indexers disabled).
 const ErrUnsupported = "unsupported"
 
@@ -130,10 +128,12 @@ const (
 //     0 = front of document), Prev (chain after the last text this
 //     connection inserted — the pipelined-typing anchor, resolvable
 //     before the previous batch is even acknowledged), or the Pos
-//     fallback (v1 semantics, resolved against the batch-start state).
+//     fallback (the paper's positional edit, resolved against the
+//     batch-start state; -1 appends). A paste also names its source:
+//     SrcDoc and SrcChars, the clipboard's provenance.
 //   - delete: Chars lists the instances to tombstone (stale-position
 //     proof: the server tombstones exactly what the client saw, wherever
-//     concurrent edits moved it); Pos/N is the v1 fallback.
+//     concurrent edits moved it); Pos/N is the positional fallback.
 //   - layout: Chars lists the instances to span (first/last become the
 //     anchors); Pos/N fallback.
 //   - note: After is the instance to anchor at; Pos fallback.
@@ -144,12 +144,16 @@ type EditOp struct {
 	Kind  string   `json:"kind"`
 	After *uint64  `json:"after,omitempty"` // anchor instance (0 = front)
 	Prev  bool     `json:"prev,omitempty"`  // after this connection's last insert
-	Pos   int      `json:"pos,omitempty"`   // v1 position fallback
+	Pos   int      `json:"pos,omitempty"`   // position fallback
 	Text  string   `json:"text,omitempty"`  // insert/note payload
 	N     int      `json:"n,omitempty"`     // delete/layout length (pos fallback)
 	Chars []uint64 `json:"chars,omitempty"` // delete/layout explicit instances
 	Span  string   `json:"span,omitempty"`  // layout span kind
 	Value string   `json:"value,omitempty"` // layout span value
+	// A paste's provenance: the document and instances its text was
+	// copied from (Clip.SrcDoc and Clip.SrcChars).
+	SrcDoc   uint64   `json:"srcDoc,omitempty"`
+	SrcChars []uint64 `json:"srcChars,omitempty"`
 }
 
 // EditResult reports one applied op of an edit batch: the logged operation
@@ -342,21 +346,16 @@ type Message struct {
 	Event *Event `json:"event,omitempty"`
 }
 
-// Codec frames messages over a stream. Outbound frames are JSON lines
-// until EnableBinary flips the codec to v3 binary frames; inbound frames
-// are auto-detected per frame by their first byte ('{' opens a JSON line,
-// 0xB3 a binary frame), which makes the v3 upgrade race-free — frames
-// serialized on either side of the hello exchange decode correctly
-// regardless of ordering.
+// Codec frames messages over a stream as v3 binary frames. A frame that
+// does not open with the v3 magic byte is refused.
 type Codec struct {
 	r       *bufio.Reader
 	w       *bufio.Writer
 	wm      sync.Mutex
 	c       io.Closer
-	bin     atomic.Bool
-	scratch []byte // binary encode buffer, owned by wm
-	dec     bdec   // binary decode cursor, owned by Recv's single reader
-	rbuf    []byte // binary receive buffer, owned by Recv's single reader
+	scratch []byte // encode buffer, owned by wm
+	dec     bdec   // decode cursor, owned by Recv's single reader
+	rbuf    []byte // receive buffer, owned by Recv's single reader
 
 	// Optional wire accounting (tendaxd metrics): total payload bytes
 	// framed out and received in. Nil unless SetByteCounters was called.
@@ -372,14 +371,6 @@ func NewCodec(rw io.ReadWriteCloser) *Codec {
 	}
 }
 
-// EnableBinary switches outbound framing to v3 binary. Call only after a
-// hello exchange lands on Version3: the switch is what keeps the
-// "never send binary to a non-v3 peer" invariant.
-func (c *Codec) EnableBinary() { c.bin.Store(true) }
-
-// BinaryEnabled reports whether outbound frames are v3 binary.
-func (c *Codec) BinaryEnabled() bool { return c.bin.Load() }
-
 // SetByteCounters wires the codec's framed-bytes accounting to the given
 // counters (either may be nil). Counts cover full frames as written to and
 // read from the buffered stream.
@@ -387,53 +378,30 @@ func (c *Codec) SetByteCounters(in, out *atomic.Int64) {
 	c.nIn, c.nOut = in, out
 }
 
-// Send writes one message (safe for concurrent use).
+// Send writes one message (safe for concurrent use). It frames m as magic
+// + uvarint length + packed payload in the codec's scratch buffer and
+// writes the frame in one piece, so a steady edit stream encodes with zero
+// per-frame allocations.
 func (c *Codec) Send(m *Message) error {
-	if c.bin.Load() {
-		return c.sendBinary(m)
-	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("protocol: marshal: %w", err)
-	}
-	c.wm.Lock()
-	defer c.wm.Unlock()
-	if _, err := c.w.Write(data); err != nil {
-		return err
-	}
-	if err := c.w.WriteByte('\n'); err != nil {
-		return err
-	}
-	if c.nOut != nil {
-		c.nOut.Add(int64(len(data)) + 1)
-	}
-	return c.w.Flush()
-}
-
-// sendBinary frames m as magic + uvarint length + packed payload in the
-// codec's scratch buffer and writes the frame in one piece, so a steady
-// edit stream encodes with zero per-frame allocations.
-func (c *Codec) sendBinary(m *Message) error {
 	c.wm.Lock()
 	defer c.wm.Unlock()
 	var frame []byte
 	frame, c.scratch = renderFrame(c.scratch, m)
-	if _, err := c.w.Write(frame); err != nil {
-		return err
-	}
-	if c.nOut != nil {
-		c.nOut.Add(int64(len(frame)))
-	}
-	return c.w.Flush()
+	return c.writeLocked(frame)
 }
 
 // SendRaw writes one pre-encoded frame verbatim (safe for concurrent use).
-// The frame must be exactly what EncodeFrame produced for this peer's
-// protocol version — this is the fan-out path that lets the server encode
-// a pushed event once and share the bytes across every subscriber.
+// The frame must be one a FrameEncoder produced — this is the fan-out path
+// that lets the server encode a pushed event once and share the bytes
+// across every subscriber.
 func (c *Codec) SendRaw(frame []byte) error {
 	c.wm.Lock()
 	defer c.wm.Unlock()
+	return c.writeLocked(frame)
+}
+
+// writeLocked writes and flushes one frame; the caller holds wm.
+func (c *Codec) writeLocked(frame []byte) error {
 	if _, err := c.w.Write(frame); err != nil {
 		return err
 	}
@@ -443,39 +411,32 @@ func (c *Codec) SendRaw(frame []byte) error {
 	return c.w.Flush()
 }
 
-// EncodeFrame renders m as the exact frame bytes Send would write for a
-// peer of the given negotiated version: a newline-terminated JSON line for
-// v1, a binary frame for v3.
+// EncodeFrame renders m as the exact frame bytes Send writes. ver must be
+// Version3, the only version with a frame encoding.
 func EncodeFrame(m *Message, ver int) ([]byte, error) {
-	var e FrameEncoder
-	return e.Encode(m, ver)
+	if ver != Version3 {
+		return nil, fmt.Errorf("protocol: no frame encoding for version %d, only for v3", ver)
+	}
+	return EncodeBinaryFrame(m), nil
 }
 
-// A FrameEncoder renders frames the way EncodeFrame does, for SendRaw's
-// encode-once fan-out, reusing one buffer for the binary encoding: a frame
-// costs one allocation, the returned frame at its exact size. The zero
-// value is ready; one goroutine at a time.
+// A FrameEncoder renders frames the way Send does, for SendRaw's
+// encode-once fan-out, reusing one buffer for the encoding: a frame costs
+// one allocation, the returned frame at its exact size. The zero value is
+// ready; one goroutine at a time.
 type FrameEncoder struct{ buf []byte }
 
-// Encode renders m as EncodeFrame does. The returned frame is the
-// caller's: the encoder keeps no reference to it.
-func (e *FrameEncoder) Encode(m *Message, ver int) ([]byte, error) {
-	if ver < Version3 {
-		data, err := json.Marshal(m)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: marshal: %w", err)
-		}
-		return append(data, '\n'), nil
-	}
+// Encode renders m as one frame. The returned frame is the caller's: the
+// encoder keeps no reference to it.
+func (e *FrameEncoder) Encode(m *Message) []byte {
 	var frame []byte
 	frame, e.buf = renderFrame(e.buf, m)
-	return append([]byte(nil), frame...), nil
+	return append([]byte(nil), frame...)
 }
 
-// Recv reads the next message, blocking. The frame kind is detected from
-// its first byte, so JSON and binary frames can interleave on one stream.
-// One reader at a time: unlike Send, Recv is not safe for concurrent use.
-// The message is the caller's to keep.
+// Recv reads the next message, blocking. One reader at a time: unlike
+// Send, Recv is not safe for concurrent use. The message is the caller's
+// to keep.
 func (c *Codec) Recv() (*Message, error) {
 	m := new(Message)
 	if err := c.RecvInto(m); err != nil {
@@ -484,48 +445,32 @@ func (c *Codec) Recv() (*Message, error) {
 	return m, nil
 }
 
+// minRecvBuf is the receive buffer's least capacity: every frame of
+// ordinary typing traffic fits, so it is never given up between them.
+const minRecvBuf = 4 << 10
+
 // RecvInto is Recv decoding into m, which the next RecvInto overwrites. A
 // read loop that owns one Message decodes every frame into it: m, its
 // Event and its lists of ops and results are reused from frame to frame
 // (see bdec.messageInto), so a caller that keeps any of them past the next
 // RecvInto must take them out of m first. Strings and ID lists are copied
 // out of the frame and may be kept. On error m's contents are undefined.
+// A frame that does not open with the v3 magic byte (a JSON line from a
+// version-1 peer, say) is refused, and the stream is not usable after it.
+//
+// The frame is read into the codec's receive buffer; the decoder copies
+// out every string and ID list, so the buffer is free again as soon as the
+// frame is decoded. A buffer that grew for a large frame (a full-text
+// resync) is given up at the first frame that fills less than a quarter of
+// it, the rule the WAL applies to its spare batch buffer, so one large
+// frame does not stay pinned to the connection.
 func (c *Codec) RecvInto(m *Message) error {
-	first, err := c.r.Peek(1)
+	magic, err := c.r.ReadByte()
 	if err != nil {
 		return err
 	}
-	if first[0] == binMagic {
-		return c.recvBinary(m)
-	}
-	line, err := c.r.ReadBytes('\n')
-	if err != nil {
-		return err
-	}
-	if c.nIn != nil {
-		c.nIn.Add(int64(len(line)))
-	}
-	*m = Message{}
-	if err := json.Unmarshal(line, m); err != nil {
-		return fmt.Errorf("protocol: unmarshal %q: %w", firstN(string(line), 80), err)
-	}
-	return nil
-}
-
-// minRecvBuf is the receive buffer's least capacity: every frame of
-// ordinary typing traffic fits, so it is never given up between them.
-const minRecvBuf = 4 << 10
-
-// recvBinary reads one binary frame into the codec's receive buffer and
-// decodes it into m. The decoder copies out every string and ID list, so
-// the buffer is free again as soon as the frame is decoded. A buffer that
-// grew for a large frame (a full-text resync) is given up at the first
-// frame that fills less than a quarter of it, the rule the WAL applies to
-// its spare batch buffer, so one large frame does not stay pinned to the
-// connection.
-func (c *Codec) recvBinary(m *Message) error {
-	if _, err := c.r.Discard(1); err != nil {
-		return err
+	if magic != binMagic {
+		return fmt.Errorf("protocol: frame opens with %#x, not the v3 magic %#x: only protocol v3 is spoken", magic, binMagic)
 	}
 	n, err := binary.ReadUvarint(c.r)
 	if err != nil {
@@ -555,10 +500,3 @@ func (c *Codec) recvBinary(m *Message) error {
 
 // Close tears the connection down.
 func (c *Codec) Close() error { return c.c.Close() }
-
-func firstN(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
-}

@@ -50,8 +50,8 @@ func TestSendRecvRoundTrip(t *testing.T) {
 }
 
 func TestNewlineInTextSurvives(t *testing.T) {
-	// The framing is newline-delimited JSON; embedded newlines in payloads
-	// must survive (JSON escapes them).
+	// Newlines in payloads must survive framing: a frame is
+	// length-prefixed, not a line.
 	ca, cb := pipeCodecs(t)
 	go ca.Send(&Message{Type: TypePush, Event: &Event{Text: "line1\nline2\n"}})
 	m, err := cb.Recv()

@@ -122,7 +122,7 @@ var wireBits = map[string]string{
 	"Message": "Type ID Op Doc OK Seq Ops Results Event Text Pos N Err OpID Snap IDs Events Full Since Ver " +
 		"User Password Name Kind Value Scope Clip Version Docs Versions Present History Code RetryMS Shards " +
 		"Query Hits Sources",
-	"EditOp":     "Kind After Prev Pos Text N Chars Span Value",
+	"EditOp":     "Kind After Prev Pos Text N Chars Span Value SrcDoc SrcChars",
 	"EditResult": "OpID IDs Span Pos",
 	"BatchItem":  "Kind Pos Text N IDs",
 	"Event":      "Seq Doc Kind User Pos Text N Name Batch AtNS",
@@ -251,7 +251,7 @@ func TestBinaryDecoderRejects(t *testing.T) {
 	}{
 		{"empty payload", nil, "truncated varint"},
 		{"unknown Message bit", appendUvarint(nil, 1<<38), "unknown Message field bit 38"},
-		{"unknown EditOp bit", []byte{1 << 6, 1, 0x80, 0x04}, "unknown EditOp field bit 9"},
+		{"unknown EditOp bit", []byte{1 << 6, 1, 0x80, 0x10}, "unknown EditOp field bit 11"},
 		{"unknown Event bit", []byte{0x80, 0x02, 0x80, 0x08}, "unknown Event field bit 10"},
 		{"trailing byte", []byte{0x01, 0x01, 0x00}, "trailing bytes"},
 		{"truncated varint", []byte{0x02, 0x80}, "truncated varint"},

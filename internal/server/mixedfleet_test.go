@@ -1,8 +1,8 @@
-// Mixed-fleet compatibility: one server simultaneously serving a v1
-// raw-wire client (never says hello, JSON frames) and two v3 library
-// clients (negotiated, binary frames) on the same document. Every replica
-// must converge byte-for-byte — the framing is a per-connection choice,
-// never a semantic fork.
+// Mixed-fleet convergence: one server simultaneously serving a client
+// that edits by position, one edit per request, and two clients typing
+// through pipelined sessions, on the same document. Every replica must
+// converge byte-for-byte — a one-op edit and a coalesced batch are two
+// presentations of the same transaction, never a semantic fork.
 package server
 
 import (
@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"tendax/internal/client"
 	"tendax/internal/core"
 	"tendax/internal/protocol"
 	"tendax/internal/security"
@@ -19,29 +20,25 @@ import (
 func TestMixedFleetConvergence(t *testing.T) {
 	addr, eng := harness(t, false)
 
-	// v1: raw wire, position-addressed ops, no hello.
-	w := dialV1(t, addr)
-	w.call(&protocol.Message{Op: protocol.OpLogin, User: "legacy"})
-	docID := w.call(&protocol.Message{Op: protocol.OpCreateDoc, Name: "fleet"}).Doc
-	w.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: docID})
-
-	// v3: full negotiation, binary frames both ways from here on.
-	c2 := loginVer(t, addr, "modern", "", protocol.VersionMax)
-	c3 := loginVer(t, addr, "binary", "", protocol.VersionMax)
-	if c2.Ver() != protocol.Version3 || c3.Ver() != protocol.Version3 {
-		t.Fatalf("v3 hellos: v%d, v%d", c2.Ver(), c3.Ver())
-	}
-	d2, err := c2.Open(docID)
+	c1 := login(t, addr, "positional", "")
+	docID, err := c1.CreateDocument("fleet")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d3, err := c3.Open(docID)
-	if err != nil {
+	c2 := login(t, addr, "modern", "")
+	c3 := login(t, addr, "binary", "")
+	var docs [3]*client.Doc
+	for i, c := range []*client.Client{c1, c2, c3} {
+		if docs[i], err = c.Open(docID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d1, d2, d3 := docs[0], docs[1], docs[2]
+
+	// Interleave positional edits and session batches.
+	if err := d1.Insert(0, "[pos] "); err != nil {
 		t.Fatal(err)
 	}
-
-	// Interleave edits from both generations.
-	w.call(&protocol.Message{Op: protocol.OpInsert, Doc: docID, Pos: 0, Text: "[v1] "})
 	s2, err := d2.Session()
 	if err != nil {
 		t.Fatal(err)
@@ -49,9 +46,6 @@ func TestMixedFleetConvergence(t *testing.T) {
 	s3, err := d3.Session()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c2.Ver() != protocol.Version3 || c3.Ver() != protocol.Version3 {
-		t.Fatalf("session renegotiated: v%d, v%d", c2.Ver(), c3.Ver())
 	}
 	for i := 0; i < 40; i++ {
 		if err := s2.Type("b"); err != nil {
@@ -67,7 +61,12 @@ func TestMixedFleetConvergence(t *testing.T) {
 	if err := s3.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	w.call(&protocol.Message{Op: protocol.OpInsert, Doc: docID, Pos: 0, Text: "[v1 again] "})
+	if err := d1.Insert(0, "[pos again] "); err != nil {
+		t.Fatal(err)
+	}
+	if err := d1.Delete(0, 5); err != nil {
+		t.Fatal(err)
+	}
 
 	// The engine's committed text is the truth every replica must reach.
 	doc, err := eng.OpenDocument(util.ID(docID))
@@ -75,45 +74,35 @@ func TestMixedFleetConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := doc.Text()
-	if len(want) != len("[v1] ")+len("[v1 again] ")+80 {
+	if len(want) != len("[pos] ")+len("[pos again] ")+80-5 {
 		t.Fatalf("server text %q lost edits", want)
 	}
 
-	// Both v3 replicas converge from live binary pushes — poll briefly,
-	// then compare byte-for-byte.
+	// Every replica converges from live pushes — poll briefly, then
+	// compare byte-for-byte.
 	deadline := time.Now().Add(5 * time.Second)
-	for d2.Text() != want || d3.Text() != want {
+	for d1.Text() != want || d2.Text() != want || d3.Text() != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("replicas diverged:\n server %q\n modern %q\n binary %q",
-				want, d2.Text(), d3.Text())
+			t.Fatalf("replicas diverged:\n server     %q\n positional %q\n modern     %q\n binary     %q",
+				want, d1.Text(), d2.Text(), d3.Text())
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-
-	// The v1 replica recovers via its documented full fetch.
-	if got := w.call(&protocol.Message{Op: protocol.OpText, Doc: docID}).Text; got != want {
-		t.Fatalf("v1 replica diverged:\n server %q\n v1     %q", want, got)
-	}
-
-	// And a v1 edit after all that still round-trips: the server never
-	// sends binary frames to a connection that did not negotiate v3.
-	w.call(&protocol.Message{Op: protocol.OpDelete, Doc: docID, Pos: 0, N: 5})
-	if got := w.call(&protocol.Message{Op: protocol.OpText, Doc: docID}).Text; got != want[5:] {
-		t.Fatalf("post-fleet v1 edit: %q", got)
 	}
 }
 
 // TestCrossTenantRedactionAcrossProtocols pins the multi-tenant isolation
-// contract on every event channel and protocol generation: a user under a
-// range deny-read rule must never observe the denied characters — not in
-// live pushes (v1 JSON, v3 binary), not in EvBatch items, not in
-// a "resync sinceSeq" replay — while unrestricted subscribers keep seeing
-// the unredacted stream (i.e. the per-class wire cache never serves a
-// masked frame to an all-visible connection, or vice versa).
+// contract on every event channel: a user under a range deny-read rule
+// must never observe the denied characters — not in live pushes, not in
+// EvBatch items, not in a "resync sinceSeq" replay — while unrestricted
+// subscribers keep seeing the unredacted stream. The wire cache is keyed
+// by visibility class alone, so bob's three connections (one restricted
+// class) and alice's (the all-visible class) share one event's cache: it
+// must never serve a masked frame to an all-visible connection, or vice
+// versa.
 func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 	addr, eng, store := harnessStore(t, true)
 
-	alice := loginVer(t, addr, "alice", "pw-a", protocol.VersionMax)
+	alice := login(t, addr, "alice", "pw-a")
 	docID, err := alice.CreateDocument("tenants")
 	if err != nil {
 		t.Fatal(err)
@@ -140,12 +129,12 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Raw-wire subscribers: bob at v1 and on two v3 connections, plus an
-	// unrestricted alice observer.
-	bob1 := subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version1)
-	bob2 := subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version3)
-	bob3 := subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version3)
-	aobs := subscribeWire(t, addr, docID, "alice", "pw-a", protocol.Version3)
+	// Raw-wire subscribers: bob on three connections, plus an unrestricted
+	// alice observer.
+	bob1 := subscribeWire(t, addr, docID, "bob", "pw-b")
+	bob2 := subscribeWire(t, addr, docID, "bob", "pw-b")
+	bob3 := subscribeWire(t, addr, docID, "bob", "pw-b")
+	aobs := subscribeWire(t, addr, docID, "alice", "pw-a")
 
 	// Anchors resolved before the edits move positions around.
 	inSecret, err := ad.Anchors(9, 1) // a char inside the denied range
@@ -175,11 +164,12 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 
 	// Drain every subscriber until it has seen the last committed event.
 	wantSeq := eng.Bus().Seq(util.ID(docID))
-	for _, w := range []*v1Wire{bob1, bob2, bob3, aobs} {
+	for _, w := range []*wireConn{bob1, bob2, bob3, aobs} {
 		w.drainTo(docID, wantSeq)
 	}
 
-	for name, w := range map[string]*v1Wire{"v1": bob1, "v3a": bob2, "v3b": bob3} {
+	bobs := map[string]*wireConn{"a": bob1, "b": bob2, "c": bob3}
+	for name, w := range bobs {
 		got := eventTexts(w.pushes)
 		for _, secret := range []string{"SECRET", "XX", "ZZ"} {
 			if strings.Contains(got, secret) {
@@ -190,8 +180,8 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 			t.Fatalf("bob/%s saw no masked pushes at all:\n%s", name, got)
 		}
 	}
-	// The public batch item arrives unredacted for batch-capable bobs…
-	for name, w := range map[string]*v1Wire{"v3a": bob2, "v3b": bob3} {
+	// The public batch item arrives unredacted for bob…
+	for name, w := range bobs {
 		if got := eventTexts(w.pushes); !strings.Contains(got, " tail") {
 			t.Fatalf("bob/%s over-masked the public batch item:\n%s", name, got)
 		}
@@ -210,7 +200,7 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 	// Delta-resync replay: the full history since seq 0 must come back
 	// redacted for bob (including the pre-subscription "SECRET" insert)
 	// and unredacted for alice, on the same ring.
-	for name, w := range map[string]*v1Wire{"v3a": bob2, "v3b": bob3} {
+	for name, w := range bobs {
 		resp := w.call(&protocol.Message{Op: protocol.OpResync, Doc: docID, Since: 0})
 		if resp.Full || len(resp.Events) == 0 {
 			t.Fatalf("bob/%s resync fell back to full text (events=%d)", name, len(resp.Events))
@@ -236,73 +226,4 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 	if !strings.Contains(asb.String(), "SECRET") {
 		t.Fatalf("alice resync replay redacted for the wrong user:\n%s", asb.String())
 	}
-}
-
-// wireAt opens a raw-wire connection logged in as user at protocol
-// version ver (v1, or v3 after a hello), so every received frame is
-// inspectable.
-func wireAt(t *testing.T, addr, user, pw string, ver int) *v1Wire {
-	t.Helper()
-	w := dialV1(t, addr)
-	w.call(&protocol.Message{Op: protocol.OpLogin, User: user, Password: pw})
-	if ver >= protocol.Version3 {
-		if got := w.call(&protocol.Message{Op: protocol.OpHello, Ver: ver}).Ver; got != protocol.Version3 {
-			t.Fatalf("hello: negotiated v%d, want v3", got)
-		}
-		w.codec.EnableBinary()
-	}
-	return w
-}
-
-// subscribeWire is wireAt subscribed to doc.
-func subscribeWire(t *testing.T, addr string, doc uint64, user, pw string, ver int) *v1Wire {
-	t.Helper()
-	w := wireAt(t, addr, user, pw, ver)
-	w.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: doc})
-	return w
-}
-
-// drainTo collects pushes until the subscriber has seen event seq of doc.
-func (w *v1Wire) drainTo(doc, seq uint64) {
-	w.t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		w.call(&protocol.Message{Op: protocol.OpPresence, Doc: doc})
-		var max uint64
-		for _, ev := range w.pushes {
-			if ev.Seq > max {
-				max = ev.Seq
-			}
-		}
-		if max >= seq {
-			return
-		}
-		if time.Now().After(deadline) {
-			w.t.Fatalf("subscriber stuck at seq %d, want %d", max, seq)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// eventTexts flattens everything text-like in evs.
-func eventTexts(evs []*protocol.Event) string {
-	var sb strings.Builder
-	for _, ev := range evs {
-		sb.WriteString(ev.Text)
-		sb.WriteByte('\n')
-		for _, it := range ev.Batch {
-			sb.WriteString(it.Text)
-			sb.WriteByte('\n')
-		}
-	}
-	return sb.String()
-}
-
-// eventPtrs points at each event of a resync response.
-func eventPtrs(evs []protocol.Event) []*protocol.Event {
-	out := make([]*protocol.Event, len(evs))
-	for i := range evs {
-		out[i] = &evs[i]
-	}
-	return out
 }

@@ -1,15 +1,15 @@
-// Protocol-v3 server tests: version negotiation, ID-anchored edit
-// batches, pipelined sessions, delta resync, and the convergence and
-// backwards-compatibility guarantees the redesign is for.
+// Protocol-v3 server tests: the hello and the refusal of anything else,
+// ID-anchored edit batches, pipelined sessions, delta resync, and the
+// convergence guarantees the redesign is for.
 package server
 
 import (
-	"bufio"
-	"encoding/json"
+	"io"
 	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tendax/internal/client"
 	"tendax/internal/protocol"
@@ -23,49 +23,16 @@ func docFromID(id uint64) util.ID { return util.ID(id) }
 // shape rather than the client library's interpretation of it.
 func rawCall(t *testing.T, addr, user string, req *protocol.Message) *protocol.Message {
 	t.Helper()
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec := protocol.NewCodec(nc)
-	t.Cleanup(func() { codec.Close() })
-	send := func(id int64, m *protocol.Message) *protocol.Message {
-		m.Type = protocol.TypeRequest
-		m.ID = id
-		if err := codec.Send(m); err != nil {
-			t.Fatal(err)
-		}
-		for {
-			resp, err := codec.Recv()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.Type == protocol.TypeResponse && resp.ID == id {
-				return resp
-			}
-		}
-	}
-	if resp := send(1, &protocol.Message{Op: protocol.OpLogin, User: user}); resp.Err != "" {
-		t.Fatal(resp.Err)
-	}
-	resp := send(2, req)
-	if resp.Err != "" {
-		t.Fatal(resp.Err)
-	}
-	return resp
+	return wireAt(t, addr, user, "").call(req)
 }
 
 func TestHelloNegotiation(t *testing.T) {
 	addr, _ := harness(t, false)
 	c := login(t, addr, "alice", "")
-	if c.Ver() != protocol.Version1 {
-		t.Fatalf("pre-hello version %d", c.Ver())
+	if c.ShardCount() != 1 {
+		t.Fatalf("hello advertised %d shards, want 1", c.ShardCount())
 	}
-	c = loginVer(t, addr, "alice", "", protocol.VersionMax)
-	if c.Ver() != protocol.Version3 || c.ShardCount() != 1 {
-		t.Fatalf("negotiated v%d with %d shards", c.Ver(), c.ShardCount())
-	}
-	// Idempotent: a session negotiates again and keeps the version.
+	// A session needs no second hello.
 	id, err := c.CreateDocument("re-hello")
 	if err != nil {
 		t.Fatal(err)
@@ -75,47 +42,71 @@ func TestHelloNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := d.Session()
-	if err != nil || c.Ver() != protocol.Version3 {
-		t.Fatalf("re-hello: %v %d", err, c.Ver())
+	if err != nil {
+		t.Fatal(err)
 	}
 	s.Close()
+	// A second hello for v3 is answered like the first.
+	w := wireAt(t, addr, "alice", "")
+	if resp := w.call(&protocol.Message{Op: protocol.OpHello, Ver: protocol.VersionMax}); resp.Ver != protocol.Version3 || resp.Shards != 1 {
+		t.Fatalf("second hello: v%d with %d shards", resp.Ver, resp.Shards)
+	}
+}
 
-	// Version 2 is no longer negotiated: a hello asking for it lands on v1,
-	// and every frame after it stays a JSON line.
-	t.Run("hello for 2 lands on v1", func(t *testing.T) {
+// TestPreV3RequestsRefused pins what a peer that does not open with a v3
+// hello gets: a JSON line ends its connection, and a v3 frame other than a
+// hello for v3 — a login first, or a hello for version 1 or 2 — gets the
+// typed unsupported error naming v3, on a connection that stays usable for
+// the hello it needs.
+func TestPreV3RequestsRefused(t *testing.T) {
+	addr, _, _, srv := harnessSrv(t, false)
+	t.Run("JSON login line", func(t *testing.T) {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer nc.Close()
-		if _, err := nc.Write([]byte(`{"type":"req","id":1,"op":"login","user":"alice"}` + "\n" +
-			`{"type":"req","id":2,"op":"hello","ver":2}` + "\n" +
-			`{"type":"req","id":3,"op":"list"}` + "\n")); err != nil {
+		if _, err := nc.Write([]byte(`{"type":"req","id":1,"op":"login","user":"alice"}` + "\n")); err != nil {
 			t.Fatal(err)
 		}
-		r := bufio.NewReader(nc)
-		for id := int64(1); id <= 3; id++ {
-			line, err := r.ReadBytes('\n')
-			if err != nil {
-				t.Fatal(err)
-			}
-			var m protocol.Message
-			if err := json.Unmarshal(line, &m); err != nil || m.ID != id || !m.OK {
-				t.Fatalf("response %d is not an OK JSON line: %q (%v)", id, line, err)
-			}
-			if id == 2 && m.Ver != protocol.Version1 {
-				t.Fatalf("hello for 2 negotiated v%d, want v1", m.Ver)
-			}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := nc.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("read after a JSON line: %d bytes, %v; want the connection closed", n, err)
 		}
-		if c := loginVer(t, addr, "alice", "", 2); c.Ver() != protocol.Version1 {
-			t.Fatalf("client asking for at most v2 runs v%d, want v1", c.Ver())
+		for deadline := time.Now().Add(5 * time.Second); srv.Metrics().Conns.Load() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("Conns gauge at %d after the refused connection closed, want 0", srv.Metrics().Conns.Load())
+			}
 		}
 	})
+	for _, tc := range []struct {
+		name string
+		req  protocol.Message
+	}{
+		{"login before hello", protocol.Message{Op: protocol.OpLogin, User: "alice"}},
+		{"hello for v1", protocol.Message{Op: protocol.OpHello, Ver: 1}},
+		{"hello for v2", protocol.Message{Op: protocol.OpHello, Ver: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := dialRaw(t, addr)
+			resp := w.callErr(&tc.req)
+			if resp.OK || resp.Code != protocol.ErrUnsupported || !strings.Contains(resp.Err, "v3") {
+				t.Fatalf("response %+v, want the unsupported error naming v3", resp)
+			}
+			// Still no hello: a list is refused the same way.
+			if resp := w.callErr(&protocol.Message{Op: protocol.OpListDocs}); resp.Code != protocol.ErrUnsupported {
+				t.Fatalf("list before hello: %+v", resp)
+			}
+			w.call(&protocol.Message{Op: protocol.OpHello, Ver: protocol.VersionMax})
+			w.call(&protocol.Message{Op: protocol.OpLogin, User: "alice"})
+			w.call(&protocol.Message{Op: protocol.OpListDocs})
+		})
+	}
 }
 
 func TestEditBatchThroughServer(t *testing.T) {
 	addr, eng := harness(t, false)
-	c := loginVer(t, addr, "alice", "", protocol.VersionMax)
+	c := login(t, addr, "alice", "")
 	docID, err := c.CreateDocument("batch-doc")
 	if err != nil {
 		t.Fatal(err)
@@ -253,13 +244,13 @@ func TestSessionMoveToAnchorsMidDocument(t *testing.T) {
 
 // TestConvergenceUnderStalePositions is the convergence regression the
 // redesign exists for: two clients editing around the same region with
-// STALE position knowledge. Under v1 position addressing the late edit is
+// STALE position knowledge. Under position addressing the late edit is
 // demonstrably misplaced; under ID anchors both intents land and both
 // replicas converge byte-for-byte.
 func TestConvergenceUnderStalePositions(t *testing.T) {
 	addr, eng := harness(t, false)
 
-	setup := func(name string, ver int) (h, c1, c2 *client.Doc) {
+	setup := func(name string) (h, c1, c2 *client.Doc) {
 		host := login(t, addr, "host", "")
 		docID, err := host.CreateDocument(name)
 		if err != nil {
@@ -272,8 +263,8 @@ func TestConvergenceUnderStalePositions(t *testing.T) {
 		if err := hd.Insert(0, "AB"); err != nil {
 			t.Fatal(err)
 		}
-		cl1 := loginVer(t, addr, "u1", "", ver)
-		cl2 := loginVer(t, addr, "u2", "", ver)
+		cl1 := login(t, addr, "u1", "")
+		cl2 := login(t, addr, "u2", "")
 		d1, err := cl1.Open(docID)
 		if err != nil {
 			t.Fatal(err)
@@ -285,9 +276,9 @@ func TestConvergenceUnderStalePositions(t *testing.T) {
 		return hd, d1, d2
 	}
 
-	// --- v1: position addressing misplaces the concurrent edit. ---
+	// --- Position addressing misplaces the concurrent edit. ---
 	{
-		_, d1, d2 := setup("v1-stale", protocol.Version1)
+		_, d1, d2 := setup("positional-stale")
 		// u2 decides, from the state "AB", to append YYY after B (pos 2) —
 		// but u1's XXX commits first, so pos 2 now points inside XXX.
 		if err := d1.Insert(1, "XXX"); err != nil {
@@ -301,18 +292,19 @@ func TestConvergenceUnderStalePositions(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := srvDoc.Text()
-		// Intent was "...B YYY at the end"; v1 scatters YYY inside XXX.
+		// Intent was "...B YYY at the end"; the position scatters YYY
+		// inside XXX.
 		if got == "AXXXBYYY" {
-			t.Fatalf("v1 position addressing unexpectedly converged to the intent: %q", got)
+			t.Fatalf("position addressing unexpectedly converged to the intent: %q", got)
 		}
 		if got != "AXYYYXXB" {
-			t.Fatalf("v1 misplacement changed shape: %q", got)
+			t.Fatalf("positional misplacement changed shape: %q", got)
 		}
 	}
 
-	// --- v3: the same race, anchored by identity, lands the intent. ---
+	// --- The same race, anchored by identity, lands the intent. ---
 	{
-		_, d1, d2 := setup("v3-anchored", protocol.VersionMax)
+		_, d1, d2 := setup("anchored")
 		// Both clients resolve their anchors against the SAME initial
 		// state "AB" — everything each one knows is now stale-able.
 		aIDs, err := d1.Anchors(0, 2) // [A B]
@@ -340,7 +332,7 @@ func TestConvergenceUnderStalePositions(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := srvDoc.Text(); got != "AXXXBYYY" {
-			t.Fatalf("v3 anchors: %q, want AXXXBYYY", got)
+			t.Fatalf("anchors: %q, want AXXXBYYY", got)
 		}
 		// Both replicas converge byte-for-byte with the server.
 		if err := d1.WaitSeq(srvDoc.Snapshot().Seq(), 500); err != nil {
@@ -455,7 +447,7 @@ func TestConvergenceConcurrentSessions(t *testing.T) {
 
 func TestDeltaResync(t *testing.T) {
 	addr, eng := harness(t, false)
-	c := loginVer(t, addr, "alice", "", protocol.VersionMax)
+	c := login(t, addr, "alice", "")
 	docID, err := c.CreateDocument("delta")
 	if err != nil {
 		t.Fatal(err)
@@ -521,7 +513,7 @@ func TestDeltaResync(t *testing.T) {
 func TestDeltaResyncTransfersGapNotDoc(t *testing.T) {
 	addr, eng := harness(t, false)
 	eng.Bus().SetRetention(64)
-	c := loginVer(t, addr, "alice", "", protocol.VersionMax)
+	c := login(t, addr, "alice", "")
 	docID, err := c.CreateDocument("gap")
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@
 package server
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -29,7 +28,7 @@ func queryHarness(t *testing.T, sec bool) (addr string, eng *core.Engine, store 
 
 func TestQueryOverWire(t *testing.T) {
 	addr, _, _, srv := queryHarness(t, false)
-	c := loginVer(t, addr, "alice", "", protocol.VersionMax)
+	c := login(t, addr, "alice", "")
 	src, err := c.CreateDocument("sources and methods")
 	if err != nil {
 		t.Fatal(err)
@@ -101,59 +100,17 @@ func TestQueryOverWire(t *testing.T) {
 	}
 }
 
-// TestQueryAcrossProtocolGenerations pins that the same query works from a
-// v1 JSON client and a v3 binary client with identical results.
-func TestQueryAcrossProtocolGenerations(t *testing.T) {
-	addr, _, _, srv := queryHarness(t, false)
-	seed := login(t, addr, "seed", "")
-	doc, err := seed.CreateDocument("shared notes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := seed.Open(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Insert(0, "meeting notes about the migration"); err != nil {
-		t.Fatal(err)
-	}
-	srv.cl.Index().Sync()
-
-	query := func(c *client.Client) []protocol.SearchHit {
-		t.Helper()
-		hits, err := c.Search(client.SearchQuery{Terms: []string{"migration"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hits
-	}
-	v1c := loginVer(t, addr, "v1user", "", protocol.Version1)
-	v3c := loginVer(t, addr, "v3user", "", protocol.VersionMax)
-	if v1c.Ver() != protocol.Version1 || v3c.Ver() != protocol.Version3 {
-		t.Fatalf("negotiated v%d / v%d", v1c.Ver(), v3c.Ver())
-	}
-	h1, h3 := query(v1c), query(v3c)
-	if len(h1) != 1 || len(h3) != 1 {
-		t.Fatalf("hit counts differ: v1=%d v3=%d", len(h1), len(h3))
-	}
-	if fmt.Sprintf("%+v", h1[0]) != fmt.Sprintf("%+v", h3[0]) {
-		t.Fatalf("v1/v3 drift:\n v1 %+v\n v3 %+v", h1[0], h3[0])
-	}
-}
-
 // TestQueryWithoutIndexersUnsupported pins the typed rejection of a
-// query the server cannot serve: without indexers a v1 JSON peer and a v3
-// binary peer alike get code=unsupported, and the library client an error.
+// query the server cannot serve: without indexers a raw wire peer gets
+// code=unsupported, and the library client an error.
 func TestQueryWithoutIndexersUnsupported(t *testing.T) {
 	addr, _ := harness(t, false)
 	q := &protocol.QueryReq{Kind: protocol.QuerySearch, Terms: []string{"x"}}
-	for _, ver := range []int{protocol.Version1, protocol.Version3} {
-		w := wireAt(t, addr, "u", "", ver)
-		if resp := w.callErr(&protocol.Message{Op: protocol.OpQuery, Query: q}); resp.Err == "" || resp.Code != protocol.ErrUnsupported {
-			t.Fatalf("v%d query without indexers: err=%q code=%q", ver, resp.Err, resp.Code)
-		}
+	w := wireAt(t, addr, "u", "")
+	if resp := w.callErr(&protocol.Message{Op: protocol.OpQuery, Query: q}); resp.Err == "" || resp.Code != protocol.ErrUnsupported {
+		t.Fatalf("query without indexers: err=%q code=%q", resp.Err, resp.Code)
 	}
-	c := loginVer(t, addr, "u", "", protocol.VersionMax)
+	c := login(t, addr, "u", "")
 	if _, err := c.Search(client.SearchQuery{Terms: []string{"x"}}); err == nil {
 		t.Fatal("query served with indexers disabled")
 	}
@@ -170,12 +127,10 @@ func TestQueryWithoutIndexersUnsupported(t *testing.T) {
 //   - provenance runs over his denied ranges must be clipped, and runs
 //     sourced FROM a document he cannot read must not name it;
 //   - alice, unrestricted, keeps plaintext on every one of those paths.
-//
-// Both protocol generations are driven: v1 JSON and v3 binary.
 func TestCrossTenantQueryLeakHunt(t *testing.T) {
 	addr, eng, store, srv := queryHarness(t, true)
 
-	alice := loginVer(t, addr, "alice", "pw-a", protocol.VersionMax)
+	alice := login(t, addr, "alice", "pw-a")
 
 	// Secret doc: closed to everyone but alice (a grant to alice flips the
 	// document to closed-by-rule; bob has no rule, so he is denied).
@@ -241,18 +196,7 @@ func TestCrossTenantQueryLeakHunt(t *testing.T) {
 	}
 	srv.cl.Index().Sync()
 
-	bobs := map[string]*client.Client{}
-	for name, max := range map[string]int{"v1-json": protocol.Version1, "v3-binary": protocol.VersionMax} {
-		c, err := client.Dial(addr, client.WithMaxVersion(max))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		if err := c.Login("bob", "pw-b"); err != nil {
-			t.Fatal(err)
-		}
-		bobs[name] = c
-	}
+	bobs := map[string]*client.Client{"bob": login(t, addr, "bob", "pw-b")}
 
 	for name, bob := range bobs {
 		// 1. Doc-level denial: the secret document vanishes from results.

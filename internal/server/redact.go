@@ -26,14 +26,10 @@ import (
 // elision) keeps event positions valid on the receiving replica.
 const MaskRune = '█'
 
-// classKey composes a wire-cache key from the protocol family (2 = JSON,
-// 3 = binary, always < 4) and a dense visibility-class ID. Class 0 yields
-// the family itself, so all-visible subscribers of one family keep
-// sharing one cached frame; each restricted class shares its own.
-func classKey(family, class int) int { return class<<2 | family }
-
-// classOf interns a visibility fingerprint as a small dense class ID
-// (cache keys are ints). Fingerprint 0 — no masking — is always class 0.
+// classOf interns a visibility fingerprint as a small dense class ID, the
+// key of the event's wire cache. Fingerprint 0 — no masking — is always
+// class 0, so all-visible subscribers share one cached frame; each
+// restricted class shares its own.
 func (s *Server) classOf(fingerprint uint64) int {
 	if fingerprint == 0 {
 		return 0

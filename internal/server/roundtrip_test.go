@@ -102,7 +102,7 @@ func TestOneKeyRoundTripAllocs(t *testing.T) {
 	dial := func(user string) *client.Client {
 		serverEnd, clientEnd := net.Pipe()
 		srv.accept(serverEnd)
-		c, err := client.New(clientEnd, client.WithMaxVersion(protocol.Version3), client.WithUser(user))
+		c, err := client.New(clientEnd, client.WithUser(user))
 		if err != nil {
 			t.Fatal(err)
 		}

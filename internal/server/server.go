@@ -14,7 +14,6 @@ import (
 	"net"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unicode/utf8"
 
@@ -27,20 +26,6 @@ import (
 	"tendax/internal/security"
 	"tendax/internal/util"
 )
-
-// Wire-frame cache keys for the awareness encode-once fan-out: v1 peers
-// share one cached JSON line, v3 peers one binary frame.
-const (
-	frameKeyJSON   = 2
-	frameKeyBinary = 3
-)
-
-func frameKeyFor(ver int) int {
-	if ver >= protocol.Version3 {
-		return frameKeyBinary
-	}
-	return frameKeyJSON
-}
 
 // Server hosts a shard cluster on a TCP listener.
 type Server struct {
@@ -192,7 +177,6 @@ func (s *Server) accept(nc net.Conn) {
 		subs:       make(map[util.ID]*awareness.Subscription),
 		redactors:  make(map[util.ID]*redactor)}
 	c.rlEdit, c.rlSub = s.rl.connBuckets()
-	c.ver.Store(protocol.Version1)
 	c.codec.SetByteCounters(&s.metrics.BytesIn, &s.metrics.BytesOut)
 	s.metrics.Conns.Add(1)
 	s.mu.Lock()
@@ -242,16 +226,14 @@ type conn struct {
 	codec *protocol.Codec
 	user  string
 
-	// Negotiated connection state. ver is the negotiated version
-	// (Version1 until a hello upgrades it); it is written by the serve
-	// loop and read by push pumps, hence atomic. lastInsert tracks, per
+	// Connection state, touched only by the serve loop. helloed is set
+	// once the peer has said hello for v3. lastInsert tracks, per
 	// document, the last character instance inserted on this connection —
 	// the seed for "prev" anchors, which let a pipelined client keep
 	// typing after text whose server-assigned IDs it has not yet learned.
 	// Keyed by document so sessions on different documents of one
-	// connection never contaminate each other's anchors; it is touched
-	// only by the serve loop.
-	ver        atomic.Int32
+	// connection never contaminate each other's anchors.
+	helloed    bool
 	lastInsert map[util.ID]util.ID
 
 	// Per-connection rate-limit buckets (nil when the server runs
@@ -312,7 +294,8 @@ func (c *conn) close() {
 
 // serve decodes every request into one message it owns and answers it;
 // nothing kept past a request refers to that message's storage (see
-// protocol.Codec.RecvInto).
+// protocol.Codec.RecvInto). A frame the codec refuses — a JSON line from
+// a version-1 client, say — ends the connection.
 func (c *conn) serve() {
 	defer c.srv.wg.Done()
 	defer c.close()
@@ -346,32 +329,16 @@ func throttledResp(retry time.Duration) *protocol.Message {
 }
 
 func (c *conn) handle(req *protocol.Message) *protocol.Message {
-	if req.Op != protocol.OpLogin && req.Op != protocol.OpHello && c.user == "" {
+	if req.Op == protocol.OpHello || !c.helloed {
+		return c.hello(req)
+	}
+	if req.Op != protocol.OpLogin && c.user == "" {
 		return fail(errors.New("server: not logged in"))
 	}
 	switch req.Op {
 	case protocol.OpLogin:
 		return c.login(req)
-	case protocol.OpHello:
-		// Version negotiation: a peer that asks for v3 or more gets v3,
-		// anyone else v1. Clients that never say hello stay on v1 — the
-		// entire v1 surface keeps working regardless. Landing on v3 flips
-		// this side's outbound framing to binary: the peer asked for it,
-		// and its receiver auto-detects per frame, so even the hello
-		// response itself may already be binary-framed. The switch is
-		// one-way — a later downgrade hello lowers the advertised version
-		// but the peer has proven it decodes binary. Shards is routing
-		// metadata: advisory today (one address serves every shard), the
-		// seam the multi-node phase redirects through.
-		ver := protocol.Version1
-		if req.Ver >= protocol.Version3 {
-			ver = protocol.Version3
-			c.codec.EnableBinary()
-		}
-		c.ver.Store(int32(ver))
-		return &protocol.Message{OK: true, Ver: ver, Shards: c.srv.cl.Shards()}
-	case protocol.OpEdit, protocol.OpInsert, protocol.OpAppend, protocol.OpDelete,
-		protocol.OpPaste, protocol.OpLayout, protocol.OpNote:
+	case protocol.OpEdit:
 		return c.edit(req)
 	case protocol.OpAnchors:
 		return c.anchors(req)
@@ -534,6 +501,21 @@ func (c *conn) handle(req *protocol.Message) *protocol.Message {
 	}
 }
 
+// hello answers the request every connection opens with: a hello asking
+// for v3 or more gets v3. Anything else — a request before the hello, or a
+// hello for an older version — gets the typed unsupported error, and the
+// connection stays open for a hello that asks for v3. Shards is routing
+// metadata: advisory today (one address serves every shard), the seam the
+// multi-node phase redirects through.
+func (c *conn) hello(req *protocol.Message) *protocol.Message {
+	if req.Op != protocol.OpHello || req.Ver < protocol.Version3 {
+		return &protocol.Message{Code: protocol.ErrUnsupported,
+			Err: "server: only protocol v3 is spoken: open the connection with a hello for v3"}
+	}
+	c.helloed = true
+	return &protocol.Message{OK: true, Ver: protocol.Version3, Shards: c.srv.cl.Shards()}
+}
+
 func (c *conn) login(req *protocol.Message) *protocol.Message {
 	if req.User == "" {
 		return fail(errors.New("server: empty user"))
@@ -613,39 +595,23 @@ func (c *conn) pump(docID util.ID, sub *awareness.Subscription) {
 	}
 }
 
-// pushEvent encodes one (already filtered) event for this connection's
-// negotiated version and writes it. The wire-cache key uses the
-// visibility class the redactor stamped into the event while masking it
+// pushEvent encodes one (already filtered) event and writes it. The
+// wire-cache key is the visibility class the redactor stamped into the
+// event while masking it
 // (ev.VisClass) — never a fresh read of the redactor's state, which a
 // concurrent redact on the request goroutine may have moved on from.
 // The frame is rendered in the pump's scratch sc and copied once, at its
 // exact size, into the cache. Returns false once the connection is torn
 // down.
 func (c *conn) pushEvent(ev *awareness.Event, sc *pushScratch) bool {
-	// A multi-op batch pushes as ONE "batch" event. A subscriber that
-	// never negotiated v3 predates that kind: it would advance its
-	// sequence number without folding the text and silently diverge
-	// forever. Translate the event into the v1 vocabulary it does
-	// understand — the advisory "lagged" push, whose documented recovery
-	// (resubscribe + resync) lands the replica on the committed state.
-	// The subscription itself stays live (the resubscribe deduplicates),
-	// so no event is lost around the resync. (This per-connection
-	// translation is deliberately uncached — it is not the shared event.)
-	ver := int(c.ver.Load())
-	if ev.Kind == awareness.EvBatch && ver < protocol.Version3 {
-		return c.pushLagged(protocol.Event{
-			Doc: uint64(ev.Doc), Seq: ev.Seq, AtNS: ev.At.UnixNano(), Name: protocol.LaggedBatch,
-		})
-	}
-	// Encode-once fan-out, keyed by (protocol family, visibility class):
-	// the first pump to push this event for a given key renders the
-	// frame — one JSON line shared by every all-visible v1 subscriber,
-	// one binary frame for v3, and one frame per restricted class — and
-	// all later pumps with the same key reuse the bytes.
-	frame, err := ev.Wire.Get(classKey(frameKeyFor(ver), ev.VisClass), func() ([]byte, error) {
+	// Encode-once fan-out, keyed by visibility class: the first pump to
+	// push this event for a class renders the frame — one shared by every
+	// all-visible subscriber, one per restricted class — and all later
+	// pumps of the same class reuse the bytes.
+	frame, err := ev.Wire.Get(ev.VisClass, func() ([]byte, error) {
 		sc.ids = wireEvent(&sc.ev, ev, sc.ids[:0])
 		sc.m = protocol.Message{Type: protocol.TypePush, Event: &sc.ev}
-		return sc.enc.Encode(&sc.m, ver)
+		return sc.enc.Encode(&sc.m), nil
 	})
 	if err != nil {
 		c.close()
@@ -663,9 +629,9 @@ func (c *conn) pushEvent(ev *awareness.Event, sc *pushScratch) bool {
 // further behind than the op ring reaches: the advisory "lagged" push
 // (cause ring_miss, N = n) tells the client to fetch the committed text
 // (the subscription stays live and resumes after the gap). The
-// join/leave/cursor events inside the gap are gone as well, so a v3 peer
-// also gets the current roster as one synthetic snapshot; v1 has no word
-// for it. Returns false once the connection is torn down.
+// join/leave/cursor events inside the gap are gone as well, so the peer
+// also gets the current roster as one synthetic snapshot. Returns false
+// once the connection is torn down.
 func (c *conn) healGap(docID util.ID, n int, sc *pushScratch) bool {
 	c.srv.metrics.Heals.Add(1)
 	if !c.pushLagged(protocol.Event{
@@ -674,7 +640,7 @@ func (c *conn) healGap(docID util.ID, n int, sc *pushScratch) bool {
 	}) {
 		return false
 	}
-	return int(c.ver.Load()) < protocol.Version3 || c.pushPresence(docID, sc)
+	return c.pushPresence(docID, sc)
 }
 
 // pushPresence sends a synthetic EvPresence snapshot carrying the
@@ -728,16 +694,15 @@ func (c *conn) unsubscribe(doc util.ID) {
 	}
 }
 
-// edit is the server's one editing entry point. An "edit" frame carries
-// the batch; a v1 insert/append/delete/paste/layout/note frame is
-// translated to a batch of one positional op. Either way: one rate-limit
-// admission, every op committed in ONE transaction by
+// edit is the server's one editing entry point: an "edit" frame carries
+// the batch, and the paper's positional edits arrive as batches of one.
+// One rate-limit admission, every op committed in ONE transaction by
 // core.Document.ApplyAsync, and ONE durability wait just before the ack —
 // while this connection sleeps in it, every other connection keeps
 // applying and committing, so independent editors share one WAL fsync.
-// An "edit" frame gets the per-op results (operation IDs, created
-// instance IDs, resolved positions) so the peer learns the identities of
-// the text it typed; a v1 frame gets the single operation (or span) ID.
+// The ack carries the per-op results (operation IDs, created instance
+// IDs, resolved positions) so the peer learns the identities of the text
+// it typed.
 func (c *conn) edit(req *protocol.Message) *protocol.Message {
 	if ok, retry := c.allowEdit(time.Now()); !ok {
 		c.srv.metrics.Throttles.Add(1)
@@ -747,12 +712,7 @@ func (c *conn) edit(req *protocol.Message) *protocol.Message {
 	if err != nil {
 		return fail(err)
 	}
-	var ops []core.EditOp
-	if req.Op == protocol.OpEdit {
-		ops, err = c.batchOps(d.ID(), req.Ops)
-	} else {
-		ops, err = v1Ops(req)
-	}
+	ops, err := c.batchOps(d.ID(), req.Ops)
 	if err != nil {
 		return fail(err)
 	}
@@ -785,21 +745,14 @@ func (c *conn) edit(req *protocol.Message) *protocol.Message {
 	if err := c.srv.engineFor(d.ID()).WaitDurable(lsn); err != nil {
 		return fail(err)
 	}
-	switch req.Op {
-	case protocol.OpEdit:
-		c.results, c.ids = c.results[:0], c.ids[:0]
-		for _, r := range results {
-			er := protocol.EditResult{OpID: uint64(r.OpID), Span: uint64(r.Span), Pos: r.Pos}
-			c.ids, er.IDs = appendWireIDs(c.ids, r.IDs)
-			c.results = append(c.results, er)
-		}
-		c.ack = protocol.Message{OK: true, Results: c.results}
-		return &c.ack
-	case protocol.OpLayout, protocol.OpNote:
-		return &protocol.Message{OK: true, OpID: uint64(results[0].Span)}
-	default:
-		return &protocol.Message{OK: true, OpID: uint64(results[0].OpID)}
+	c.results, c.ids = c.results[:0], c.ids[:0]
+	for _, r := range results {
+		er := protocol.EditResult{OpID: uint64(r.OpID), Span: uint64(r.Span), Pos: r.Pos}
+		c.ids, er.IDs = appendWireIDs(c.ids, r.IDs)
+		c.results = append(c.results, er)
 	}
+	c.ack = protocol.Message{OK: true, Results: c.results}
+	return &c.ack
 }
 
 // batchOps decodes a batch's wire ops, resolving connection-relative
@@ -814,7 +767,8 @@ func (c *conn) batchOps(doc util.ID, wire []protocol.EditOp) ([]core.EditOp, err
 	seenInsert := false
 	for i, op := range wire {
 		co := core.EditOp{Kind: op.Kind, Pos: op.Pos, Text: op.Text, N: op.N,
-			Span: op.Span, Value: op.Value, Chars: coreIDs(op.Chars)}
+			Span: op.Span, Value: op.Value, Chars: coreIDs(op.Chars),
+			SrcDoc: util.ID(op.SrcDoc), SrcChars: coreIDs(op.SrcChars)}
 		switch {
 		case op.Prev:
 			// "Prev" chains after the connection's latest insert. Within a
@@ -841,33 +795,6 @@ func (c *conn) batchOps(doc util.ID, wire []protocol.EditOp) ([]core.EditOp, err
 		ops[i] = co
 	}
 	return ops, nil
-}
-
-// v1Ops translates a v1 single-op edit frame into a batch of one
-// positional op: a position and an instance ID are two presentations of
-// the same operation, and Apply resolves either.
-func v1Ops(req *protocol.Message) ([]core.EditOp, error) {
-	var op core.EditOp
-	switch req.Op {
-	case protocol.OpInsert:
-		op = core.EditOp{Kind: core.EditInsert, Pos: req.Pos, Text: req.Text}
-	case protocol.OpAppend:
-		op = core.EditOp{Kind: core.EditInsert, Pos: -1, Text: req.Text}
-	case protocol.OpDelete:
-		op = core.EditOp{Kind: core.EditDelete, Pos: req.Pos, N: req.N}
-	case protocol.OpPaste:
-		if req.Clip == nil {
-			return nil, errors.New("server: paste without clip")
-		}
-		op = core.EditOp{Kind: core.EditInsert, Pos: req.Pos, Text: req.Clip.Text,
-			SrcDoc: util.ID(req.Clip.SrcDoc), SrcChars: coreIDs(req.Clip.SrcChars)}
-	case protocol.OpLayout:
-		op = core.EditOp{Kind: core.EditLayout, Pos: req.Pos, N: req.N,
-			Span: req.Kind, Value: req.Value}
-	case protocol.OpNote:
-		op = core.EditOp{Kind: core.EditNote, Pos: req.Pos, Text: req.Text}
-	}
-	return []core.EditOp{op}, nil
 }
 
 // coreIDs converts wire instance IDs.
@@ -909,9 +836,8 @@ func (c *conn) anchors(req *protocol.Message) *protocol.Message {
 
 // resync serves a delta resync: the events after req.Since, straight
 // from the awareness bus's bounded op ring — O(gap) on the wire instead of
-// O(document). When the gap has outlived retention, the
-// response falls back to the full consistent text exactly like a v1
-// resync.
+// O(document). When the gap has outlived retention, the response falls
+// back to the full consistent text, as an OpText read gives.
 func (c *conn) resync(req *protocol.Message) *protocol.Message {
 	d, err := c.doc(req)
 	if err != nil {

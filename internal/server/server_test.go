@@ -80,18 +80,6 @@ func login(t *testing.T, addr, user, pw string) *client.Client {
 	return c
 }
 
-// loginVer is login over a connection that Dial negotiated up to protocol
-// version max.
-func loginVer(t *testing.T, addr, user, pw string, max int) *client.Client {
-	t.Helper()
-	c, err := client.Dial(addr, client.WithMaxVersion(max), client.WithUser(user), client.WithPassword(pw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
 func TestLoginRequired(t *testing.T) {
 	addr, _ := harness(t, false)
 	c, err := client.Dial(addr)
@@ -263,8 +251,11 @@ func TestConcurrentTypingLANParty(t *testing.T) {
 	}
 }
 
+// TestCopyPasteAcrossConnections pastes a clipboard copied on one
+// connection into another user's document: the paste, a one-op edit,
+// names its source, and the provenance query reports it.
 func TestCopyPasteAcrossConnections(t *testing.T) {
-	addr, eng := harness(t, false)
+	addr, eng, _, _ := queryHarness(t, false)
 	alice := login(t, addr, "alice", "")
 	bob := login(t, addr, "bob", "")
 
@@ -296,6 +287,13 @@ func TestCopyPasteAcrossConnections(t *testing.T) {
 	}
 	if meta.SourceDoc != util.ID(srcID) {
 		t.Fatalf("provenance lost: %v", meta.SourceDoc)
+	}
+	refs, err := bob.Provenance(dstID, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(refs) != 1 || refs[0].SrcDoc != srcID || refs[0].SrcName != "src" || refs[0].Chars != 8 {
+		t.Fatalf("provenance of the pasted run: %+v, want all 8 chars from doc %d (src)", refs, srcID)
 	}
 }
 
@@ -546,13 +544,12 @@ func throttleHarness(t *testing.T, editRate, subRate float64) (addr string, srv 
 	return a.String(), srv, eng
 }
 
-// TestEditThrottleTypedError pins the rate-limit contract for every edit
-// op — the v1 single-op frames ride the same gate as a batch, paste, layout
-// and note included (they used to bypass it): past the burst allowance an
-// edit is rejected with the typed "throttled" code carrying a positive
-// retry-after hint, the rejection is counted, the document never sees the
-// rejected edit, and a rejected request drains no budget — for a v1 JSON
-// peer and a v3 binary peer alike.
+// TestEditThrottleTypedError pins the rate-limit contract for the
+// positional edits, each a one-op edit batch — append, paste, layout and
+// note: past the burst allowance an edit is rejected with the typed
+// "throttled" code carrying a positive retry-after hint, the rejection is
+// counted, the document never sees the rejected edit, and a rejected
+// request drains no budget.
 func TestEditThrottleTypedError(t *testing.T) {
 	for _, tc := range []struct {
 		op    string
@@ -565,18 +562,15 @@ func TestEditThrottleTypedError(t *testing.T) {
 		{"note", 0, func(d *client.Doc, _ *protocol.Clip) error { return d.Note(0, "nb") }},
 	} {
 		t.Run(tc.op, func(t *testing.T) {
-			for proto, ver := range map[string]int{"v1-json": protocol.Version1, "v3-binary": protocol.VersionMax} {
-				t.Run(proto, func(t *testing.T) { throttleTyped(t, ver, tc.chars, tc.edit) })
-			}
+			t.Run("v3-binary", func(t *testing.T) { throttleTyped(t, tc.chars, tc.edit) })
 		})
 	}
 }
 
-// throttleTyped is one TestEditThrottleTypedError case over a connection
-// at protocol version ver.
-func throttleTyped(t *testing.T, ver, chars int, edit func(d *client.Doc, clip *protocol.Clip) error) {
+// throttleTyped is one TestEditThrottleTypedError case.
+func throttleTyped(t *testing.T, chars int, edit func(d *client.Doc, clip *protocol.Clip) error) {
 	addr, srv, _ := throttleHarness(t, 10, 0) // 10 edits/s, burst 20
-	c := loginVer(t, addr, "spammer", "", ver)
+	c := login(t, addr, "spammer", "")
 	docID, err := c.CreateDocument("busy")
 	if err != nil {
 		t.Fatal(err)
@@ -680,7 +674,7 @@ func TestSubscriberLaggingWithinRingConverges(t *testing.T) {
 	const retention = 64
 	eng.Bus().SetRetention(retention)
 
-	reader := loginVer(t, addr, "reader", "", protocol.VersionMax)
+	reader := login(t, addr, "reader", "")
 	docID, err := reader.CreateDocument("flood")
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 	"tendax/internal/client"
 	"tendax/internal/core"
 	"tendax/internal/db"
-	"tendax/internal/protocol"
 	"tendax/internal/util"
 )
 
@@ -89,7 +88,7 @@ func TestSessionRaceStress(t *testing.T) {
 		}
 		serverEnd, clientEnd := net.Pipe()
 		srv.accept(serverEnd)
-		c, err := client.New(clientEnd, client.WithMaxVersion(protocol.Version3), client.WithUser(user))
+		c, err := client.New(clientEnd, client.WithUser(user))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"tendax/internal/awareness"
+	"tendax/internal/client"
 	"tendax/internal/placement"
 	"tendax/internal/protocol"
 	"tendax/internal/util"
@@ -46,18 +47,16 @@ func clusterHarness(t *testing.T, shards int) (addr string, cl *placement.Cluste
 	return a.String(), cl, srv
 }
 
-// TestMultiShardConvergence runs concurrent v1 and v3 clients against
-// documents spread across four shards and requires (a) the shard count to
-// reach negotiated clients, (b) every edit to be durably acked,
+// TestMultiShardConvergence runs concurrent session typists and a
+// positional editor against documents spread across four shards and
+// requires (a) the shard count to reach every client's hello, (b) every
+// edit to be durably acked,
 // and (c) byte-for-byte convergence of every replica with the owning
 // shard's committed text.
 func TestMultiShardConvergence(t *testing.T) {
 	addr, cl, srv := clusterHarness(t, 4)
 
-	admin := loginVer(t, addr, "admin", "", protocol.VersionMax)
-	if v := admin.Ver(); v != protocol.Version3 {
-		t.Fatalf("v3 hello: v%d", v)
-	}
+	admin := login(t, addr, "admin", "")
 	if got := admin.ShardCount(); got != 4 {
 		t.Fatalf("hello advertised %d shards, want 4", got)
 	}
@@ -85,13 +84,9 @@ func TestMultiShardConvergence(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, nDocs*2)
-	typist := func(user string, ver int, docID uint64, text string) {
+	typist := func(user string, docID uint64, text string) {
 		defer wg.Done()
-		c := loginVer(t, addr, user, "", ver)
-		if v := c.Ver(); v != ver {
-			errs <- fmt.Errorf("%s hello: v%d", user, v)
-			return
-		}
+		c := login(t, addr, user, "")
 		d, err := c.Open(docID)
 		if err != nil {
 			errs <- fmt.Errorf("%s open: %v", user, err)
@@ -116,16 +111,27 @@ func TestMultiShardConvergence(t *testing.T) {
 	}
 	for i, id := range docIDs {
 		wg.Add(2)
-		go typist(fmt.Sprintf("ann-%d", i), protocol.Version3, id, "a")
-		go typist(fmt.Sprintf("bob-%d", i), protocol.Version3, id, "b")
+		go typist(fmt.Sprintf("ann-%d", i), id, "a")
+		go typist(fmt.Sprintf("bob-%d", i), id, "b")
 	}
-	// A v1 raw-wire client interleaves positional edits on two documents
-	// that live on different shards.
-	w := dialV1(t, addr)
-	w.call(&protocol.Message{Op: protocol.OpLogin, User: "legacy"})
+	// A third client interleaves positional edits on two documents that
+	// live on different shards.
+	pc := login(t, addr, "positional", "")
+	var pd [2]*client.Doc
+	for i := range pd {
+		d, err := pc.Open(docIDs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd[i] = d
+	}
 	for i := 0; i < perTypist; i++ {
-		w.call(&protocol.Message{Op: protocol.OpInsert, Doc: docIDs[0], Pos: 0, Text: "v"})
-		w.call(&protocol.Message{Op: protocol.OpInsert, Doc: docIDs[1], Pos: 0, Text: "w"})
+		if err := pd[0].Insert(0, "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := pd[1].Insert(0, "w"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	wg.Wait()
 	close(errs)
@@ -175,25 +181,42 @@ func TestMultiShardConvergence(t *testing.T) {
 	}
 }
 
-// TestV1EditsCountedOnMetrics pins that the v1 single-op frames ride the
-// same edit path as a batch all the way to the scrape: a raw-wire v1
-// typist's inserts, appends and pastes show up in keystrokes, and every
-// one of its edits in batches/ops, globally and on the owning shard's
-// counters alone. (They used to be invisible: only edit batches were
-// counted.)
+// TestV1EditsCountedOnMetrics pins that the paper's positional edits —
+// version 1's single-op requests, now one-op edit batches — are counted
+// all the way to the scrape: a typist's inserts, appends and pastes show
+// up in keystrokes, and every one of its edits in batches/ops, globally
+// and on the owning shard's counters alone.
 func TestV1EditsCountedOnMetrics(t *testing.T) {
 	addr, cl, srv := clusterHarness(t, 2)
-	w := dialV1(t, addr)
-	w.call(&protocol.Message{Op: protocol.OpLogin, User: "legacy"})
-	doc := w.call(&protocol.Message{Op: protocol.OpCreateDoc, Name: "counted"}).Doc
-
-	w.call(&protocol.Message{Op: protocol.OpInsert, Doc: doc, Pos: 0, Text: "héllo"})
-	w.call(&protocol.Message{Op: protocol.OpAppend, Doc: doc, Text: " world"})
-	clip := w.call(&protocol.Message{Op: protocol.OpCopy, Doc: doc, Pos: 0, N: 5}).Clip
-	w.call(&protocol.Message{Op: protocol.OpPaste, Doc: doc, Pos: 0, Clip: clip})
-	w.call(&protocol.Message{Op: protocol.OpDelete, Doc: doc, Pos: 0, N: 2})
-	w.call(&protocol.Message{Op: protocol.OpLayout, Doc: doc, Pos: 0, N: 3, Kind: "bold", Value: "true"})
-	w.call(&protocol.Message{Op: protocol.OpNote, Doc: doc, Pos: 0, Text: "nb"})
+	c := login(t, addr, "positional", "")
+	doc, err := c.CreateDocument("counted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := c.Open(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Insert(0, "héllo"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Append(" world"); err != nil {
+		t.Fatal(err)
+	}
+	clip, err := d.Copy(0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{
+		d.Paste(0, clip),
+		d.Delete(0, 2),
+		d.Layout(0, 3, "bold", "true"),
+		d.Note(0, "nb"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	const edits, keys = 6, 5 + 6 + 5 // runes, not bytes
 
 	m := srv.Metrics()
@@ -229,7 +252,7 @@ func TestPresenceSnapshotAfterHeal(t *testing.T) {
 	const retention = 16
 	bus.SetRetention(retention)
 
-	reader := loginVer(t, addr, "reader", "", protocol.VersionMax)
+	reader := login(t, addr, "reader", "")
 	docID, err := reader.CreateDocument("heal-presence")
 	if err != nil {
 		t.Fatal(err)

@@ -16,31 +16,6 @@ import (
 	"tendax/internal/util"
 )
 
-// callErr is v1Wire.call for requests whose error response is the point:
-// it returns the correlated response without failing the test on Err.
-func (w *v1Wire) callErr(m *protocol.Message) *protocol.Message {
-	w.t.Helper()
-	w.next++
-	m.Type = protocol.TypeRequest
-	m.ID = w.next
-	if err := w.codec.Send(m); err != nil {
-		w.t.Fatal(err)
-	}
-	for {
-		resp, err := w.codec.Recv()
-		if err != nil {
-			w.t.Fatal(err)
-		}
-		if resp.Type == protocol.TypePush && resp.Event != nil {
-			w.pushes = append(w.pushes, resp.Event)
-			continue
-		}
-		if resp.Type == protocol.TypeResponse && resp.ID == m.ID {
-			return resp
-		}
-	}
-}
-
 // TestDocLevelRevocationCutsEventStream pins the high-severity leak: a
 // subscriber whose WHOLE-DOCUMENT read access is revoked mid-subscription
 // (no range rule involved — exactly the case range-rule fingerprinting
@@ -77,8 +52,8 @@ func TestDocLevelRevocationCutsEventStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bob := subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version3)
-	aobs := subscribeWire(t, addr, docID, "alice", "pw-a", protocol.Version3)
+	bob := subscribeWire(t, addr, docID, "bob", "pw-b")
+	aobs := subscribeWire(t, addr, docID, "alice", "pw-a")
 
 	// Revoke bob's grant. Carol's rule keeps the document closed-by-rule,
 	// so bob is now denied doc-level read — and the revocation publishes
@@ -105,7 +80,7 @@ func TestDocLevelRevocationCutsEventStream(t *testing.T) {
 
 	// Drain both subscribers to the latest committed event.
 	wantSeq := eng.Bus().Seq(doc)
-	drain := func(w *v1Wire) {
+	drain := func(w *wireConn) {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			w.call(&protocol.Message{Op: protocol.OpPresence, Doc: docID})
@@ -231,7 +206,7 @@ func TestTakeBothNoCrossDrain(t *testing.T) {
 // visibility classes, and each class's frame is shared within it.
 func TestUndoRestoredRunesRedacted(t *testing.T) {
 	addr, eng, store := harnessStore(t, true)
-	alice := loginVer(t, addr, "alice", "pw-a", protocol.VersionMax)
+	alice := login(t, addr, "alice", "pw-a")
 	docID, err := alice.CreateDocument("restore")
 	if err != nil {
 		t.Fatal(err)
@@ -255,13 +230,13 @@ func TestUndoRestoredRunesRedacted(t *testing.T) {
 		core.RRead, metas[0].ID, metas[len(metas)-1].ID); err != nil {
 		t.Fatal(err)
 	}
-	restricted := map[string]*v1Wire{
-		"bob/a": subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version3),
-		"bob/b": subscribeWire(t, addr, docID, "bob", "pw-b", protocol.Version3),
+	restricted := map[string]*wireConn{
+		"bob/a": subscribeWire(t, addr, docID, "bob", "pw-b"),
+		"bob/b": subscribeWire(t, addr, docID, "bob", "pw-b"),
 	}
-	unrestricted := map[string]*v1Wire{
-		"alice/a": subscribeWire(t, addr, docID, "alice", "pw-a", protocol.Version3),
-		"alice/b": subscribeWire(t, addr, docID, "alice", "pw-a", protocol.Version3),
+	unrestricted := map[string]*wireConn{
+		"alice/a": subscribeWire(t, addr, docID, "alice", "pw-a"),
+		"alice/b": subscribeWire(t, addr, docID, "alice", "pw-a"),
 	}
 
 	// Delete "CRE" inside the denied range, undo (restoring it), redo.
@@ -289,7 +264,7 @@ func TestUndoRestoredRunesRedacted(t *testing.T) {
 		}
 		return sb.String()
 	}
-	check := func(subs map[string]*v1Wire, want string) {
+	check := func(subs map[string]*wireConn, want string) {
 		t.Helper()
 		for name, w := range subs {
 			w.drainTo(docID, wantSeq)

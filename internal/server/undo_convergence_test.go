@@ -31,12 +31,12 @@ func TestUndoConvergesWithoutResync(t *testing.T) {
 
 func undoConvergence(t *testing.T, seed int64, steps int) {
 	addr, eng := harness(t, false)
-	ann := loginVer(t, addr, "ann", "", protocol.VersionMax)
+	ann := login(t, addr, "ann", "")
 	docID, err := ann.CreateDocument("undo-fold")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bob := loginVer(t, addr, "bob", "", protocol.VersionMax)
+	bob := login(t, addr, "bob", "")
 	srvDoc, err := eng.OpenDocument(util.ID(docID))
 	if err != nil {
 		t.Fatal(err)
