@@ -679,19 +679,20 @@ func TestEventsKeepNewest(t *testing.T) {
 // that a scripted server pushed 10k and then 100k one-key batch events
 // into, in the shape the server pushes them (a batch of one op keeps the
 // insert or delete event kind): the event log keeps the newest 1024, so
-// the heap is the same after both counts, and under 256 KB in all.
+// the heap is the same after both counts, and under 256 KB in all, the
+// connection included.
 func TestReplicaHeapIndependentOfEvents(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds shadow memory to every allocation")
 	}
 	const limit = 256 << 10
+	before := settledHeap() // the connection counts with the replica
 	c, s := startScript(t, func(s *scriptServer, req *protocol.Message) {
 		switch req.Op {
 		case protocol.OpSubscribe, protocol.OpOpenDoc:
 			s.respond(req, &protocol.Message{Seq: 0, Snap: 1})
 		}
 	})
-	before := settledHeap() // the connection's buffers are not the replica's
 	d, err := c.Open(1)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -89,35 +90,63 @@ var seedFrames = []string{
 
 // FuzzCodecRoundTrip feeds arbitrary bytes to the codec and to the JSON
 // reference decoder. The codec must refuse them cleanly unless they open
-// with the v3 magic byte — a JSON line is never a frame. Every message the
-// JSON decoder accepts must survive a send and a receive through a Codec
-// with an identical canonical form: codec drift is a protocol break.
+// with the v3 magic byte — a JSON line is never a frame — and must read
+// them the same whether they arrive at once or at most k bytes a Read.
+// Every message the JSON decoder accepts must survive a send and a
+// receive through a Codec with an identical canonical form, its frame
+// sent twice and trickled k bytes a Read, so that headers, payloads and
+// the boundary between frames are split at every offset: codec drift is a
+// protocol break.
 func FuzzCodecRoundTrip(f *testing.F) {
-	for _, s := range seedFrames {
-		f.Add([]byte(s))
+	for i, s := range seedFrames {
+		f.Add([]byte(s), uint8(i))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
 		raw, err := NewCodec(rwc{Reader: bytes.NewReader(data)}).Recv()
 		if err == nil && data[0] != binMagic {
 			t.Fatalf("codec accepted a frame opening with %#x: %s", data[0], canon(t, raw))
+		}
+		split, serr := NewCodec(rwc{Reader: &trickle{data, int(k) + 1}}).Recv()
+		if fmt.Sprint(err) != fmt.Sprint(serr) || err == nil && !reflect.DeepEqual(raw, split) {
+			t.Fatalf("read at once: %v, %d bytes a Read: %v", err, int(k)+1, serr)
 		}
 		var m Message
 		if json.Unmarshal(data, &m) != nil {
 			return // not a message in the reference spelling
 		}
-		var buf bytes.Buffer
-		codec := NewCodec(rwc{Reader: &buf, Writer: &buf})
-		if err := codec.Send(&m); err != nil {
+		var sent bytes.Buffer
+		if err := NewCodec(rwc{Writer: &sent}).Send(&m); err != nil {
 			t.Fatalf("send of accepted message failed: %v", err)
 		}
-		m2, err := codec.Recv()
-		if err != nil {
-			t.Fatalf("receive of sent message failed: %v", err)
+		codec := NewCodec(rwc{Reader: &trickle{bytes.Repeat(sent.Bytes(), 2), int(k) + 1}})
+		for i := 0; i < 2; i++ {
+			m2, err := codec.Recv()
+			if err != nil {
+				t.Fatalf("receive of sent message %d failed: %v", i, err)
+			}
+			if c1, c2 := canon(t, &m), canon(t, m2); !bytes.Equal(c1, c2) {
+				t.Fatalf("round-trip drift:\n sent     %s\n received %s", c1, c2)
+			}
 		}
-		if c1, c2 := canon(t, &m), canon(t, m2); !bytes.Equal(c1, c2) {
-			t.Fatalf("round-trip drift:\n sent     %s\n received %s", c1, c2)
+		if _, err := codec.Recv(); err != io.EOF {
+			t.Fatalf("after the last frame: %v, want io.EOF", err)
 		}
 	})
+}
+
+// trickle returns its bytes at most k a Read.
+type trickle struct {
+	b []byte
+	k int
+}
+
+func (r *trickle) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), r.k)], r.b)
+	r.b = r.b[n:]
+	return n, nil
 }
 
 // FuzzBinaryPayload feeds arbitrary bytes to the v3 binary decoder: it

@@ -15,8 +15,8 @@
 package protocol
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -347,15 +347,17 @@ type Message struct {
 }
 
 // Codec frames messages over a stream as v3 binary frames. A frame that
-// does not open with the v3 magic byte is refused.
+// does not open with the v3 magic byte is refused. It holds one buffer in
+// each direction: Send renders a frame into scratch and writes it to the
+// conn in one Write, and RecvInto reads the conn into rbuf and decodes
+// each frame where it landed.
 type Codec struct {
-	r       *bufio.Reader
-	w       *bufio.Writer
+	rw      io.ReadWriteCloser
 	wm      sync.Mutex
-	c       io.Closer
-	scratch []byte // encode buffer, owned by wm
+	scratch []byte // send buffer, owned by wm
 	dec     bdec   // decode cursor, owned by Recv's single reader
 	rbuf    []byte // receive buffer, owned by Recv's single reader
+	roff    int    // rbuf[roff:] holds the bytes no frame has taken yet
 
 	// Optional wire accounting (tendaxd metrics): total payload bytes
 	// framed out and received in. Nil unless SetByteCounters was called.
@@ -364,16 +366,12 @@ type Codec struct {
 
 // NewCodec wraps a connection.
 func NewCodec(rw io.ReadWriteCloser) *Codec {
-	return &Codec{
-		r: bufio.NewReaderSize(rw, 64*1024),
-		w: bufio.NewWriterSize(rw, 64*1024),
-		c: rw,
-	}
+	return &Codec{rw: rw}
 }
 
 // SetByteCounters wires the codec's framed-bytes accounting to the given
-// counters (either may be nil). Counts cover full frames as written to and
-// read from the buffered stream.
+// counters (either may be nil). Counts cover whole frames, header
+// included, as written to and read from the connection.
 func (c *Codec) SetByteCounters(in, out *atomic.Int64) {
 	c.nIn, c.nOut = in, out
 }
@@ -400,15 +398,16 @@ func (c *Codec) SendRaw(frame []byte) error {
 	return c.writeLocked(frame)
 }
 
-// writeLocked writes and flushes one frame; the caller holds wm.
+// writeLocked writes one frame to the connection in one Write; the caller
+// holds wm.
 func (c *Codec) writeLocked(frame []byte) error {
-	if _, err := c.w.Write(frame); err != nil {
+	if _, err := c.rw.Write(frame); err != nil {
 		return err
 	}
 	if c.nOut != nil {
 		c.nOut.Add(int64(len(frame)))
 	}
-	return c.w.Flush()
+	return nil
 }
 
 // EncodeFrame renders m as the exact frame bytes Send writes. ver must be
@@ -457,46 +456,83 @@ const minRecvBuf = 4 << 10
 // out of the frame and may be kept. On error m's contents are undefined.
 // A frame that does not open with the v3 magic byte (a JSON line from a
 // version-1 peer, say) is refused, and the stream is not usable after it.
+// The stream ending between frames is io.EOF, inside one
+// io.ErrUnexpectedEOF.
 //
-// The frame is read into the codec's receive buffer; the decoder copies
-// out every string and ID list, so the buffer is free again as soon as the
-// frame is decoded. A buffer that grew for a large frame (a full-text
-// resync) is given up at the first frame that fills less than a quarter of
-// it, the rule the WAL applies to its spare batch buffer, so one large
-// frame does not stay pinned to the connection.
+// The frame is decoded where it landed in the codec's receive buffer; the
+// decoder copies out every string and ID list, so its bytes are free as
+// soon as the frame is decoded. The buffer grows only as bytes arrive (see
+// fill), never on a length prefix's word. A buffer that grew for a large
+// frame (a full-text resync) is given up at the first frame that fills
+// less than a quarter of it, the rule the WAL applies to its spare batch
+// buffer, so one large frame does not stay pinned to the connection. The
+// bytes read ahead move into the fresh buffer, so it waits until they fit
+// it: moving a longer read-ahead after every small frame would copy it
+// once per frame.
 func (c *Codec) RecvInto(m *Message) error {
-	magic, err := c.r.ReadByte()
-	if err != nil {
-		return err
+	var n uint64
+	k := 0 // the length prefix's bytes; negative if it overflows
+	for {
+		if b := c.rbuf[c.roff:]; len(b) > 0 {
+			if b[0] != binMagic {
+				return fmt.Errorf("protocol: frame opens with %#x, not the v3 magic %#x: only protocol v3 is spoken", b[0], binMagic)
+			}
+			if n, k = binary.Uvarint(b[1:]); k != 0 {
+				break
+			}
+		}
+		if err := c.fill(); err != nil {
+			return err
+		}
 	}
-	if magic != binMagic {
-		return fmt.Errorf("protocol: frame opens with %#x, not the v3 magic %#x: only protocol v3 is spoken", magic, binMagic)
-	}
-	n, err := binary.ReadUvarint(c.r)
-	if err != nil {
-		return err
+	if k < 0 {
+		return errors.New("protocol: binary frame length overflows 64 bits")
 	}
 	if n > MaxBinaryFrame {
 		return fmt.Errorf("protocol: binary frame of %d bytes exceeds limit", n)
 	}
-	if uint64(cap(c.rbuf)) < n {
-		c.rbuf = make([]byte, max(int(n), minRecvBuf))
+	size := 1 + k + int(n)
+	for len(c.rbuf)-c.roff < size {
+		if err := c.fill(); err != nil {
+			return err
+		}
 	}
-	payload := c.rbuf[:n]
-	if cap(c.rbuf) > minRecvBuf && 4*n < uint64(cap(c.rbuf)) {
-		c.rbuf = nil
-	}
-	if _, err := io.ReadFull(c.r, payload); err != nil {
-		return err
-	}
+	payload := c.rbuf[c.roff+1+k : c.roff+size]
+	c.roff += size
 	if c.nIn != nil {
-		c.nIn.Add(int64(n) + 2) // magic + ~1-byte length prefix
+		c.nIn.Add(int64(size))
 	}
 	c.dec.b, c.dec.pos = payload, 0
-	err = c.dec.messageInto(m)
+	err := c.dec.messageInto(m)
 	c.dec.b = nil // do not pin the payload until the next frame
+	if unread := c.rbuf[c.roff:]; cap(c.rbuf) > minRecvBuf && 4*n < uint64(cap(c.rbuf)) && len(unread) <= minRecvBuf {
+		c.rbuf, c.roff = append(make([]byte, 0, minRecvBuf), unread...), 0
+	}
+	return err
+}
+
+// fill reads what the connection has next into rbuf, behind the bytes no
+// frame has taken yet, which it first moves to the front. It doubles the
+// buffer only when those bytes fill it, so the buffer never holds more
+// than twice what has arrived (or minRecvBuf). The stream ending with
+// some of a frame in the buffer is io.ErrUnexpectedEOF.
+func (c *Codec) fill() error {
+	if c.roff > 0 {
+		c.rbuf, c.roff = c.rbuf[:copy(c.rbuf, c.rbuf[c.roff:])], 0
+	}
+	if len(c.rbuf) == cap(c.rbuf) {
+		c.rbuf = append(make([]byte, 0, max(2*len(c.rbuf), minRecvBuf)), c.rbuf...)
+	}
+	k, err := c.rw.Read(c.rbuf[len(c.rbuf):cap(c.rbuf)])
+	c.rbuf = c.rbuf[:len(c.rbuf)+k]
+	switch {
+	case k > 0:
+		return nil // a reader's error comes again from the next Read
+	case err == io.EOF && len(c.rbuf) > 0:
+		return io.ErrUnexpectedEOF
+	}
 	return err
 }
 
 // Close tears the connection down.
-func (c *Codec) Close() error { return c.c.Close() }
+func (c *Codec) Close() error { return c.rw.Close() }

@@ -2,10 +2,13 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -126,41 +129,138 @@ func TestConcurrentSends(t *testing.T) {
 }
 
 // TestRecvBufferBounded pins the receive buffer's bound: a frame the
-// buffer cannot hold grows it, a frame that fills at least a quarter of it
-// keeps it, and the first frame that fills less gives it up, so a
-// full-text resync does not leave its megabyte pinned to the connection.
+// buffer cannot hold grows it by doubling as its bytes arrive, a frame
+// that fills at least a quarter of it keeps it, and the first frame that
+// fills less gives it up for one of the least capacity, which takes the
+// bytes of the frames read ahead with it; so a full-text resync does not
+// leave its megabyte pinned to the connection.
 func TestRecvBufferBounded(t *testing.T) {
 	resync := func(n int) *Message {
 		return &Message{Type: TypeResponse, ID: 1, OK: true, Full: true, Text: strings.Repeat("x", n)}
 	}
-	frames := []struct {
-		m       *Message
-		wantCap func(c int) bool
-		want    string
-	}{
-		{resync(1 << 20), func(c int) bool { return c >= 1<<20 }, "grown to the frame"},
-		{resync(1 << 18), func(c int) bool { return c >= 1<<20 }, "kept: the frame fills a quarter"},
-		{hotFrames[0].m, func(c int) bool { return c == 0 }, "given up"},
-		{hotFrames[1].m, func(c int) bool { return c == minRecvBuf }, "back to the least capacity"},
-		{hotFrames[2].m, func(c int) bool { return c == minRecvBuf }, "kept at the least capacity"},
-	}
 	var stream bytes.Buffer
+	frames := []*Message{resync(1 << 20), resync(1 << 19), hotFrames[0].m, hotFrames[1].m, hotFrames[2].m}
 	sizes := make([]int, len(frames))
-	for i, f := range frames {
-		sizes[i], _ = stream.Write(EncodeBinaryFrame(f.m))
+	for i, m := range frames {
+		sizes[i], _ = stream.Write(EncodeBinaryFrame(m))
+	}
+	total := stream.Len()
+	wantCap := []struct {
+		ok   func(c int) bool
+		want string
+	}{
+		{func(c int) bool { return c >= sizes[0] && c <= 2*total }, "grown to the frame, at most twice what arrived"},
+		{func(c int) bool { return c >= sizes[0] }, "kept: the frame fills a quarter"},
+		{func(c int) bool { return c == minRecvBuf }, "given up for the least capacity"},
+		{func(c int) bool { return c == minRecvBuf }, "kept at the least capacity"},
+		{func(c int) bool { return c == minRecvBuf }, "kept at the least capacity"},
 	}
 	codec := NewCodec(rwc{Reader: &stream})
 	var m Message
-	for i, f := range frames {
+	for i, want := range frames {
 		if err := codec.RecvInto(&m); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(&m, f.m) {
-			t.Fatalf("frame %d decoded to %s, want %s", i, canon(t, &m), canon(t, f.m))
+		if !reflect.DeepEqual(&m, want) {
+			t.Fatalf("frame %d decoded to %s, want %s", i, canon(t, &m), canon(t, want))
 		}
-		if c := cap(codec.rbuf); !f.wantCap(c) {
+		if c := cap(codec.rbuf); !wantCap[i].ok(c) {
 			t.Errorf("after frame %d (%d bytes), the receive buffer holds %d bytes, want %s",
-				i, sizes[i], c, f.want)
+				i, sizes[i], c, wantCap[i].want)
+		}
+	}
+}
+
+// TestRecvShrinkAfterReadAhead pins that giving a grown buffer up costs
+// time linear in the stream. One large frame arrives with 10,000 small
+// ones read ahead behind it: the grown buffer is kept until the unread
+// bytes fit minRecvBuf, so the small frames together allocate at most the
+// one fresh minRecvBuf buffer, not a copy of what is left per frame.
+func TestRecvShrinkAfterReadAhead(t *testing.T) {
+	const small = 10000
+	var stream bytes.Buffer
+	stream.Write(EncodeBinaryFrame(&Message{Type: TypeResponse, ID: 1, OK: true, Full: true, Text: strings.Repeat("x", 1<<20)}))
+	tiny := EncodeBinaryFrame(&Message{Type: TypeResponse, ID: 2, OK: true})
+	for i := 0; i < small; i++ {
+		stream.Write(tiny)
+	}
+	codec := NewCodec(rwc{Reader: &stream})
+	var m Message
+	if err := codec.RecvInto(&m); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < small; i++ {
+		if err := codec.RecvInto(&m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*minRecvBuf {
+		t.Errorf("%d frames of %d bytes read ahead behind a 1 MiB frame allocated %d bytes, want at most %d",
+			small, len(tiny), grew, 2*minRecvBuf)
+	}
+	if got := cap(codec.rbuf); got != minRecvBuf {
+		t.Errorf("the receive buffer holds %d bytes after the read-ahead drained, want %d", got, minRecvBuf)
+	}
+}
+
+// TestRecvAllocatesAsBytesArrive pins that a length prefix alone claims no
+// memory. A header announcing MaxBinaryFrame bytes, then the end of the
+// stream, fails with io.ErrUnexpectedEOF without growing the receive
+// buffer for the 64 MiB it announced, and a header announcing one byte
+// more is refused as soon as it is read.
+func TestRecvAllocatesAsBytesArrive(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		stream []byte
+		err    string
+	}{
+		{"MaxBinaryFrame, then EOF", []byte{binMagic, 0x80, 0x80, 0x80, 0x20}, io.ErrUnexpectedEOF.Error()},
+		{"MaxBinaryFrame+1", binary.AppendUvarint([]byte{binMagic}, MaxBinaryFrame+1), "exceeds limit"},
+	} {
+		codec := NewCodec(rwc{Reader: bytes.NewReader(c.stream)})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := codec.RecvInto(new(Message))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: %v, want %q", c.name, err, c.err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+			t.Errorf("%s: the receive allocated %d bytes, want under 64 KiB", c.name, grew)
+		}
+		if got := cap(codec.rbuf); got > minRecvBuf {
+			t.Errorf("%s: the receive buffer grew to %d bytes, want at most %d", c.name, got, minRecvBuf)
+		}
+	}
+}
+
+// TestByteCountersAgree wires a sending and a receiving codec to byte
+// counters: for frames whose length prefixes take one, two and three
+// bytes, the receiver counts in exactly the bytes the sender counts out.
+func TestByteCountersAgree(t *testing.T) {
+	var (
+		wire    bytes.Buffer
+		in, out atomic.Int64
+	)
+	send, recv := NewCodec(rwc{Writer: &wire}), NewCodec(rwc{Reader: &wire})
+	send.SetByteCounters(nil, &out)
+	recv.SetByteCounters(&in, nil)
+	for _, c := range []struct{ prefix, text int }{{1, 1}, {2, 200}, {3, 20_000}} {
+		m := &Message{Type: TypePush, Event: &Event{Text: strings.Repeat("x", c.text)}}
+		if _, k := binary.Uvarint(EncodeBinaryFrame(m)[1:]); k != c.prefix {
+			t.Fatalf("a %d-rune text frames with a %d-byte length prefix, want %d", c.text, k, c.prefix)
+		}
+		if err := send.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := recv.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		if in.Load() != out.Load() {
+			t.Errorf("after a frame with a %d-byte length prefix: %d bytes counted in, %d out", c.prefix, in.Load(), out.Load())
 		}
 	}
 }

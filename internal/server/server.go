@@ -368,7 +368,7 @@ func (c *conn) handle(req *protocol.Message) *protocol.Message {
 	// (the seed read the two separately, so an edit committing in between
 	// was dropped by the client as a pre-snapshot duplicate); the response
 	// also carries the snapshot version so clients can order reads.
-	case protocol.OpOpenDoc:
+	case protocol.OpOpenDoc, protocol.OpText:
 		d, err := c.doc(req)
 		if err != nil {
 			return fail(err)
@@ -379,18 +379,6 @@ func (c *conn) handle(req *protocol.Message) *protocol.Message {
 			return fail(err)
 		}
 		return &protocol.Message{OK: true, Doc: req.Doc, Text: text,
-			Seq: seq, Snap: snap.Version()}
-	case protocol.OpText:
-		d, err := c.doc(req)
-		if err != nil {
-			return fail(err)
-		}
-		snap, seq := d.SnapshotSeq()
-		text, err := snap.TextFor(c.user)
-		if err != nil {
-			return fail(err)
-		}
-		return &protocol.Message{OK: true, Text: text,
 			Seq: seq, Snap: snap.Version()}
 	case protocol.OpRead:
 		d, err := c.doc(req)
