@@ -658,7 +658,7 @@ func runE9(quick bool, _ string) error {
 		}
 
 		reopen := func(tear bool) (*core.Document, *db.Database, time.Duration, error) {
-			crashDisk := storage.NewMemDisk() // pages lost entirely: redo rebuilds them
+			crashDisk := disk.SnapshotHead(1) // every page but the superblock lost: redo rebuilds them
 			crashStore := wal.NewMemStore()
 			crashStore.Append(logBytes)
 			if tear {

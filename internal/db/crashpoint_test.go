@@ -2,9 +2,7 @@ package db
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"testing"
 
@@ -228,23 +226,6 @@ func diffModels(got, want model) string {
 		}
 	}
 	return ""
-}
-
-// TestOpenRefusesLegacyLog: a data directory whose log an older record
-// format wrote does not open (and so cannot be written to with LSNs below
-// its page LSNs); the error names the cause.
-func TestOpenRefusesLegacyLog(t *testing.T) {
-	legacy, err := os.ReadFile("../wal/testdata/legacy.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := wal.NewMemStore()
-	if err := store.Append(legacy); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenWith(storage.NewMemDisk(), store, Options{}); !errors.Is(err, wal.ErrFormat) {
-		t.Fatalf("open over a legacy log: %v, want wal.ErrFormat", err)
-	}
 }
 
 // TestCrashAtEveryLogBoundary cuts the log of a scripted heap workload at

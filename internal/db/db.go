@@ -1,7 +1,6 @@
 package db
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"log"
@@ -51,19 +50,6 @@ var catalogSchema = Schema{
 	{Name: "indexes", Type: TString}, // comma-separated indexed columns
 }
 
-// ErrRowFormat reports a data directory whose rows were written in a row
-// format this build does not read.
-var ErrRowFormat = errors.New("db: row format of the data directory not recognised")
-
-// rowFormatRow is the catalog's row for itself, under catalogTableID, which
-// no table is given: its name carries the version of the row format. Open
-// stamps it into a new database and refuses a database whose catalog does
-// not hold its encoding byte for byte. Rows of the fixed-width format that
-// came before it (8-byte ints, 4-byte lengths) start with a zero byte and
-// would decode as short varint rows with primary key 0, so the marker's
-// whole encoding is compared, not a key alone.
-var rowFormatRow = Row{int64(catalogTableID), "__catalog__ rows v2", EncodeSchema(catalogSchema), ""}
-
 // Database is the TeNDaX embedded database: a transactional, recoverable,
 // multi-user store of typed tables.
 type Database struct {
@@ -111,15 +97,26 @@ func Open(opts Options) (*Database, error) {
 			return nil, err
 		}
 	}
-	return OpenWith(disk, store, opts)
+	d, err := OpenWith(disk, store, opts)
+	if err != nil {
+		_ = store.Close() // a failed OpenWith may have closed it already
+		_ = disk.Close()
+	}
+	return d, err
 }
 
 // OpenWith opens a database over explicit storage, letting tests inject
-// crash-simulation stores. If it fails after opening the log, it closes the
-// log (and with it the store), so no flusher outlives the attempt.
+// crash-simulation stores. It checks the superblock on page 0 before it
+// reads the log (see checkFormat); opts.Dir, if set, is the directory
+// holding disk's and store's files, which a new database syncs. If it
+// fails after opening the log, it closes the log (and with it the store),
+// so no flusher outlives the attempt.
 func OpenWith(disk storage.DiskManager, store wal.Store, opts Options) (_ *Database, err error) {
 	if opts.PoolPages <= 0 {
 		opts.PoolPages = 1024
+	}
+	if err := checkFormat(disk, store, opts.Dir); err != nil {
+		return nil, err
 	}
 	pool := storage.NewBufferPool(disk, opts.PoolPages)
 	log, err := wal.Open(store)
@@ -161,10 +158,6 @@ func OpenWith(disk storage.DiskManager, store wal.Store, opts Options) (_ *Datab
 	if err != nil {
 		return nil, err
 	}
-	stamped, err := checkRowFormat(heaps)
-	if err != nil {
-		return nil, err
-	}
 	catHeap := heaps[catalogTableID]
 	if catHeap == nil {
 		catHeap = NewHeap(catalogTableID, pool, log)
@@ -177,19 +170,10 @@ func OpenWith(disk storage.DiskManager, store wal.Store, opts Options) (_ *Datab
 		return nil, err
 	}
 
-	if !stamped {
-		if err := d.stampRowFormat(); err != nil {
-			return nil, err
-		}
-	}
-
 	// Materialise every table in the catalog.
 	var loadErr error
 	err = d.catalog.Scan(nil, func(_ RID, row Row) (bool, error) {
 		id := uint64(row[0].(int64))
-		if id == catalogTableID {
-			return true, nil // the row-format marker
-		}
 		name := row[1].(string)
 		schema, err := DecodeSchema(row[2].([]byte))
 		if err != nil {
@@ -236,50 +220,12 @@ func OpenWith(disk storage.DiskManager, store wal.Store, opts Options) (_ *Datab
 	return d, nil
 }
 
-// checkRowFormat reports whether the catalog heap holds the row-format
-// marker. A database without one is ErrRowFormat unless it is new: its
-// catalog holds no row and no other table has a page.
-func checkRowFormat(heaps map[uint64]*Heap) (stamped bool, err error) {
-	marker, err := EncodeRow(catalogSchema, rowFormatRow)
-	if err != nil {
-		return false, err
-	}
-	rows, others := 0, len(heaps)
-	if cat := heaps[catalogTableID]; cat != nil {
-		others--
-		err = cat.ScanDirty(func(_ RID, rec []byte) error {
-			rows++
-			stamped = stamped || bytes.Equal(rec, marker)
-			return nil
-		})
-		if err != nil {
-			return false, err
-		}
-	}
-	if !stamped && (rows > 0 || others > 0) {
-		return false, ErrRowFormat
-	}
-	return stamped, nil
-}
-
-// stampRowFormat writes the row-format marker into a new database.
-func (d *Database) stampRowFormat() error {
-	tx, err := d.tm.Begin()
-	if err != nil {
-		return err
-	}
-	if _, err := d.catalog.Insert(tx, rowFormatRow); err != nil {
-		_ = tx.Abort()
-		return err
-	}
-	return tx.Commit()
-}
-
-// discoverHeaps scans all pages and groups them by owner tag.
+// discoverHeaps scans every page after the superblock and groups them by
+// owner tag.
 func (d *Database) discoverHeaps() (map[uint64]*Heap, error) {
 	heaps := make(map[uint64]*Heap)
 	n := d.disk.NumPages()
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(1); i < n; i++ {
 		id := storage.PageID(i)
 		pg, err := d.pool.Fetch(id)
 		if err != nil {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -13,7 +11,6 @@ import (
 
 	"tendax/internal/core"
 	"tendax/internal/db"
-	"tendax/internal/placement"
 )
 
 // engineTables returns the engine's table names, sorted, and its tables by
@@ -159,41 +156,4 @@ func FuzzDecodeRow(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestFixedWidthDataDirRefused opens a copy of a data directory written
-// with the fixed-width row format that came before the varint one (a
-// catalog and one table of three rows): db.Open, and the placement layer
-// that opens a shard's database and engine, both fail with ErrRowFormat
-// and leave the directory's files as they were.
-func TestFixedWidthDataDirRefused(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string][]byte{}
-	for _, name := range []string{"pages.db", "wal.log"} {
-		b, err := os.ReadFile(filepath.Join("testdata", "fixedwidth", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		files[name] = b
-	}
-	if d, err := db.Open(db.Options{Dir: dir}); !errors.Is(err, db.ErrRowFormat) {
-		if d != nil {
-			d.Close()
-		}
-		t.Fatalf("db.Open of a fixed-width data directory: %v, want ErrRowFormat", err)
-	}
-	if c, err := placement.Open(placement.Options{Dir: dir}); !errors.Is(err, db.ErrRowFormat) {
-		if c != nil {
-			c.Close()
-		}
-		t.Fatalf("placement.Open of a fixed-width data directory: %v, want ErrRowFormat", err)
-	}
-	for name, want := range files {
-		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("%s changed under the refused opens (%v)", name, err)
-		}
-	}
 }

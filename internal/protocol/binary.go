@@ -625,10 +625,14 @@ func appendBinaryMessage(b []byte, m *Message) []byte { return messageSchema.app
 const frameRoom = 1 + binary.MaxVarintLen64
 
 // renderFrame renders m as one complete v3 binary frame (magic, length
-// prefix, payload) inside buf, reusing its capacity. It returns the frame,
-// a view into the returned buffer that is valid until buf is rendered into
-// again.
-func renderFrame(buf []byte, m *Message) (frame, grown []byte) {
+// prefix, payload) inside buf, reusing its capacity. It returns the frame
+// and the buffer to render the next frame into; the frame is a view into
+// buf, valid until buf is rendered into again. A buffer that grew past
+// minRecvBuf for a large frame is given up at the first frame that fills
+// less than a quarter of it, the receive buffer's rule: the frame keeps
+// it alive until the caller drops the frame, and the next one is rendered
+// into a new buffer.
+func renderFrame(buf []byte, m *Message) (frame, next []byte) {
 	if cap(buf) < frameRoom {
 		buf = make([]byte, frameRoom, 4*frameRoom)
 	}
@@ -638,6 +642,9 @@ func renderFrame(buf []byte, m *Message) (frame, grown []byte) {
 	frame = buf[frameRoom-h:]
 	frame[0] = binMagic
 	binary.PutUvarint(frame[1:h], n)
+	if cap(buf) > minRecvBuf && 4*len(buf) < cap(buf) {
+		return frame, nil
+	}
 	return frame, buf
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"net"
 	"reflect"
 	"runtime"
@@ -171,6 +172,24 @@ func TestRecvBufferBounded(t *testing.T) {
 	}
 }
 
+// leastAlloc reports the least heap bytes that three runs of a measured
+// body allocate, each run over what a fresh call of prepare returns (a new
+// stream and codec). A single reading now and then includes what the
+// runtime allocates for itself meanwhile, a thread it starts say; the
+// least of three is the body's own.
+func leastAlloc(prepare func() (body func())) uint64 {
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		body := prepare()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		body()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
 // TestRecvShrinkAfterReadAhead pins that giving a grown buffer up costs
 // time linear in the stream. One large frame arrives with 10,000 small
 // ones read ahead behind it: the grown buffer is kept until the unread
@@ -184,25 +203,53 @@ func TestRecvShrinkAfterReadAhead(t *testing.T) {
 	for i := 0; i < small; i++ {
 		stream.Write(tiny)
 	}
-	codec := NewCodec(rwc{Reader: &stream})
+	var codec *Codec
 	var m Message
-	if err := codec.RecvInto(&m); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < small; i++ {
+	grew := leastAlloc(func() func() {
+		codec = NewCodec(rwc{Reader: bytes.NewReader(stream.Bytes())})
 		if err := codec.RecvInto(&m); err != nil {
 			t.Fatal(err)
 		}
-	}
-	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*minRecvBuf {
+		return func() {
+			for i := 0; i < small; i++ {
+				if err := codec.RecvInto(&m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	if grew > 2*minRecvBuf {
 		t.Errorf("%d frames of %d bytes read ahead behind a 1 MiB frame allocated %d bytes, want at most %d",
 			small, len(tiny), grew, 2*minRecvBuf)
 	}
 	if got := cap(codec.rbuf); got != minRecvBuf {
 		t.Errorf("the receive buffer holds %d bytes after the read-ahead drained, want %d", got, minRecvBuf)
+	}
+}
+
+// TestSendScratchShrinks pins the send side's quarter rule: a codec that
+// sent one 1 MiB frame and then 100 acks holds at most minRecvBuf of send
+// buffer, not the large frame's, and every frame went out whole.
+func TestSendScratchShrinks(t *testing.T) {
+	var wire bytes.Buffer
+	codec := NewCodec(rwc{Writer: &wire})
+	large := &Message{Type: TypeResponse, ID: 1, OK: true, Full: true, Text: strings.Repeat("x", 1<<20)}
+	ack := &Message{Type: TypeResponse, ID: 2, OK: true}
+	want := EncodeBinaryFrame(large)
+	if err := codec.Send(large); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := codec.Send(ack); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, EncodeBinaryFrame(ack)...)
+	}
+	if got := cap(codec.scratch); got > minRecvBuf {
+		t.Errorf("after a 1 MiB frame and 100 acks the send buffer holds %d bytes, want at most %d", got, minRecvBuf)
+	}
+	if !bytes.Equal(wire.Bytes(), want) {
+		t.Error("the frames sent differ from their encodings")
 	}
 }
 
@@ -220,15 +267,16 @@ func TestRecvAllocatesAsBytesArrive(t *testing.T) {
 		{"MaxBinaryFrame, then EOF", []byte{binMagic, 0x80, 0x80, 0x80, 0x20}, io.ErrUnexpectedEOF.Error()},
 		{"MaxBinaryFrame+1", binary.AppendUvarint([]byte{binMagic}, MaxBinaryFrame+1), "exceeds limit"},
 	} {
-		codec := NewCodec(rwc{Reader: bytes.NewReader(c.stream)})
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := codec.RecvInto(new(Message))
-		runtime.ReadMemStats(&after)
-		if err == nil || !strings.Contains(err.Error(), c.err) {
-			t.Errorf("%s: %v, want %q", c.name, err, c.err)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		var codec *Codec
+		grew := leastAlloc(func() func() {
+			codec = NewCodec(rwc{Reader: bytes.NewReader(c.stream)})
+			return func() {
+				if err := codec.RecvInto(new(Message)); err == nil || !strings.Contains(err.Error(), c.err) {
+					t.Errorf("%s: %v, want %q", c.name, err, c.err)
+				}
+			}
+		})
+		if grew >= 64<<10 {
 			t.Errorf("%s: the receive allocated %d bytes, want under 64 KiB", c.name, grew)
 		}
 		if got := cap(codec.rbuf); got > minRecvBuf {

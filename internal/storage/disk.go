@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 )
@@ -190,12 +191,16 @@ func (d *MemDisk) NumPages() uint64 {
 // tests and experiments use it to freeze the "on stable storage" image at a
 // simulated crash point: with a truncated write-ahead log, recovery needs
 // the page store, not just the log.
-func (d *MemDisk) Snapshot() *MemDisk {
+func (d *MemDisk) Snapshot() *MemDisk { return d.SnapshotHead(math.MaxInt) }
+
+// SnapshotHead is Snapshot of the disk's first n pages: the image of a
+// crash that lost every later one.
+func (d *MemDisk) SnapshotHead(n int) *MemDisk {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	pages := make([][]byte, len(d.pages))
-	for i, p := range d.pages {
-		pages[i] = append([]byte(nil), p...)
+	pages := make([][]byte, min(n, len(d.pages)))
+	for i := range pages {
+		pages[i] = append([]byte(nil), d.pages[i]...)
 	}
 	return &MemDisk{pages: pages}
 }

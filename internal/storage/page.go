@@ -14,8 +14,9 @@ import (
 // PageSize is the fixed size of every page in bytes.
 const PageSize = 4096
 
-// PageID identifies a page within one database file. Page 0 is reserved for
-// the database header.
+// PageID identifies a page within one database file. Page 0 is the
+// database's superblock (see db.FormatVersion): no heap owns it and no log
+// record names it.
 type PageID uint64
 
 // InvalidPageID marks the absence of a page.
