@@ -16,24 +16,35 @@ import (
 	"tendax/internal/storage"
 )
 
-// TestDataDirFormatRefused opens data directories of other formats, and
-// damaged superblocks, through db.Open and through placement.Open, the
-// layer that opens a shard's database and engine. Each fails with the
-// error its case names and leaves both files byte for byte as they were:
-//   - testdata/fixedwidth, written with fixed-width rows by commit f666ef7
-//     (a catalog and one table of three rows, no superblock);
-//   - ../wal/testdata/legacy.log, written before varint log records by
-//     commit 1cd4b33, beside an empty page file;
-//   - a current directory whose superblock names the format before this
-//     one, with a valid checksum: what bumping FormatVersion makes of
-//     every directory written before the bump;
-//   - a current directory with each of its 16 superblock bytes flipped;
-//   - a current directory whose page 0 holds a heap page, as in every
-//     directory written before the superblock.
-func TestDataDirFormatRefused(t *testing.T) {
-	fixedPages := readFile(t, filepath.Join("testdata", "fixedwidth", "pages.db"))
-	fixedLog := readFile(t, filepath.Join("testdata", "fixedwidth", "wal.log"))
+// TestFixedWidthDataDirRefused opens a copy of testdata/fixedwidth, a
+// data directory written with fixed-width rows by commit f666ef7 (a
+// catalog and one table of three rows, no superblock): db.Open and
+// placement.Open both refuse it as format 0 and leave its files as they
+// were.
+func TestFixedWidthDataDirRefused(t *testing.T) {
+	pages := readFile(t, filepath.Join("testdata", "fixedwidth", "pages.db"))
+	log := readFile(t, filepath.Join("testdata", "fixedwidth", "wal.log"))
+	checkOpenRefused(t, pages, log, &db.FormatError{Have: 0, Want: db.FormatVersion})
+}
+
+// TestOpenRefusesLegacyLog opens ../wal/testdata/legacy.log, written
+// before varint log records by commit 1cd4b33, beside an empty page file:
+// a log with no superblock beside it is not a new database, so both opens
+// refuse it as format 0 before the log is read, and write to neither file.
+func TestOpenRefusesLegacyLog(t *testing.T) {
 	legacyLog := readFile(t, filepath.Join("..", "wal", "testdata", "legacy.log"))
+	checkOpenRefused(t, nil, legacyLog, &db.FormatError{Have: 0, Want: db.FormatVersion})
+}
+
+// TestDataDirFormatRefused opens damaged or foreign superblocks in a
+// current data directory through checkOpenRefused:
+//   - a superblock that names the format before this one, with a valid
+//     checksum: what bumping FormatVersion makes of every directory
+//     written before the bump;
+//   - each of the 16 superblock bytes flipped;
+//   - a heap page at page 0, as in every directory written before the
+//     superblock.
+func TestDataDirFormatRefused(t *testing.T) {
 	pages, log := currentDataDir(t)
 
 	none := &db.FormatError{Have: 0, Want: db.FormatVersion}
@@ -42,14 +53,12 @@ func TestDataDirFormatRefused(t *testing.T) {
 		binary.BigEndian.PutUint32(pg[12:16], crc32.Checksum(pg[:12], crc32.MakeTable(crc32.Castagnoli)))
 	})
 	cases := []struct {
-		name       string
-		pages, log []byte
-		want       error
+		name  string
+		pages []byte
+		want  error
 	}{
-		{"fixedwidth", fixedPages, fixedLog, none},
-		{"legacy log", nil, legacyLog, none},
-		{"previous format", older, log, &db.FormatError{Have: db.FormatVersion - 1, Want: db.FormatVersion}},
-		{"heap page at page 0", withPage0(pages, func(pg []byte) { copy(pg, pages[storage.PageSize:]) }), log, none},
+		{"previous format", older, &db.FormatError{Have: db.FormatVersion - 1, Want: db.FormatVersion}},
+		{"heap page at page 0", withPage0(pages, func(pg []byte) { copy(pg, pages[storage.PageSize:]) }), none},
 	}
 	for i := 0; i < 16; i++ {
 		var want error = db.ErrSuperblockChecksum
@@ -57,37 +66,44 @@ func TestDataDirFormatRefused(t *testing.T) {
 			want = none // the magic is gone: a directory from before the superblock
 		}
 		cases = append(cases, struct {
-			name       string
-			pages, log []byte
-			want       error
-		}{fmt.Sprintf("superblock byte %d flipped", i), withPage0(pages, func(pg []byte) { pg[i] ^= 0xff }), log, want})
+			name  string
+			pages []byte
+			want  error
+		}{fmt.Sprintf("superblock byte %d flipped", i), withPage0(pages, func(pg []byte) { pg[i] ^= 0xff }), want})
 	}
 
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			files := map[string][]byte{"pages.db": c.pages, "wal.log": c.log}
-			for name, b := range files {
-				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			d, err := db.Open(db.Options{Dir: dir})
-			if d != nil {
-				d.Close()
-			}
-			checkRefusal(t, "db.Open", err, c.want)
-			cl, err := placement.Open(placement.Options{Dir: dir})
-			if cl != nil {
-				cl.Close()
-			}
-			checkRefusal(t, "placement.Open", err, c.want)
-			for name, want := range files {
-				if got := readFile(t, filepath.Join(dir, name)); !bytes.Equal(got, want) {
-					t.Errorf("%s changed under the refused opens", name)
-				}
-			}
-		})
+		t.Run(c.name, func(t *testing.T) { checkOpenRefused(t, c.pages, log, c.want) })
+	}
+}
+
+// checkOpenRefused writes pages and log as a data directory and opens it
+// through db.Open and through placement.Open, the layer that opens a
+// shard's database and engine. Each must fail with want (see
+// checkRefusal) and leave both files byte for byte as they were.
+func checkOpenRefused(t *testing.T, pages, log []byte, want error) {
+	t.Helper()
+	dir := t.TempDir()
+	files := map[string][]byte{"pages.db": pages, "wal.log": log}
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := db.Open(db.Options{Dir: dir})
+	if d != nil {
+		d.Close()
+	}
+	checkRefusal(t, "db.Open", err, want)
+	cl, err := placement.Open(placement.Options{Dir: dir})
+	if cl != nil {
+		cl.Close()
+	}
+	checkRefusal(t, "placement.Open", err, want)
+	for name, b := range files {
+		if got := readFile(t, filepath.Join(dir, name)); !bytes.Equal(got, b) {
+			t.Errorf("%s changed under the refused opens", name)
+		}
 	}
 }
 
