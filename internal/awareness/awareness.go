@@ -65,7 +65,7 @@ type BatchItem struct {
 	Pos  int       // visible position, valid after the preceding items
 	Text string    // inserted text (insert/paste/note)
 	N    int       // characters affected (delete/layout)
-	IDs  []util.ID // character instance IDs created or tombstoned
+	IDs  util.IDs  // character instance IDs created or tombstoned
 
 	// SrcDoc is a paste item's source document; in-process only, like
 	// Event.SrcDoc.
@@ -83,7 +83,7 @@ type Event struct {
 	Text  string      // inserted text (insert/paste/note)
 	N     int         // number of characters affected (delete)
 	Name  string      // auxiliary name (version, rename, workflow task)
-	IDs   []util.ID   // character instance IDs created (insert/paste) or tombstoned (delete)
+	IDs   util.IDs    // character instance IDs created (insert/paste) or tombstoned (delete)
 	Batch []BatchItem // EvBatch/EvUndo/EvRedo payload, in commit order
 	At    time.Time   // commit time
 

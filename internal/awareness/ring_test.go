@@ -2,6 +2,7 @@ package awareness
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -67,8 +68,8 @@ func TestRingRetainsBatchPayload(t *testing.T) {
 	b := NewBus(0)
 	doc := util.ID(3)
 	b.Publish(Event{Doc: doc, Kind: EvBatch, Batch: []BatchItem{
-		{Kind: EvInsert, Pos: 0, Text: "hi", IDs: []util.ID{7, 8}},
-		{Kind: EvDelete, Pos: 1, N: 1, IDs: []util.ID{7}},
+		{Kind: EvInsert, Pos: 0, Text: "hi", IDs: util.IDsOf([]util.ID{7, 8})},
+		{Kind: EvDelete, Pos: 1, N: 1, IDs: util.Progression(7, 0, 1)},
 	}})
 	evs, ok := b.EventsSince(doc, 0)
 	if !ok || len(evs) != 1 {
@@ -81,23 +82,27 @@ func TestRingRetainsBatchPayload(t *testing.T) {
 
 // TestRingBytesPerQuietDocument gates the settled heap a document costs the
 // bus after it has published one event: its log, its presence map, a ring
-// of one slot and the event's wire cache. The limit is the measured value
-// plus 10 %: 569 B. While the first push allocated the whole retention, a
-// quiet document held 205 KB (1024 slots of 200 B). A document that
-// published more than the retention holds exactly that many events, in a
-// buffer of that many slots.
+// of one slot and the event's wire cache. The reading is the least of three
+// buses'. The limit is the measured value plus 10 %: 569 B. While the first
+// push allocated the whole retention, a quiet document held 205 KB (1024
+// slots of 200 B). A document that published more than the retention
+// holds exactly that many events, in a buffer of that many slots.
 func TestRingBytesPerQuietDocument(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds shadow memory to every allocation")
 	}
 	const docs = 500
-	b := NewBus(0)
-	before := settledHeap()
-	for i := 0; i < docs; i++ {
-		b.Publish(Event{Doc: util.ID(1 + i), Kind: EvInsert, User: "ann", Pos: i})
-	}
-	perDoc := (float64(settledHeap()) - float64(before)) / docs
-	runtime.KeepAlive(b)
+	var b *Bus
+	perDoc := leastOf3(func() float64 {
+		b = NewBus(0)
+		before := settledHeap()
+		for i := 0; i < docs; i++ {
+			b.Publish(Event{Doc: util.ID(1 + i), Kind: EvInsert, User: "ann", Pos: i})
+		}
+		perDoc := (float64(settledHeap()) - float64(before)) / docs
+		runtime.KeepAlive(b)
+		return perDoc
+	})
 	t.Logf("%.0f B of settled heap per quiet document", perDoc)
 	if limit := 569.0; perDoc > limit {
 		t.Errorf("%.0f B per quiet document, limit %.0f", perDoc, limit)
@@ -118,6 +123,17 @@ func TestRingBytesPerQuietDocument(t *testing.T) {
 	if got := len(b.docs[busy].ring.buf); got != retention {
 		t.Fatalf("a busy document's buffer has %d slots, want the retention %d", got, retention)
 	}
+}
+
+// leastOf3 returns the least of three readings of measure. A settled-heap
+// difference reads high, never low, when something else allocates between
+// its two readings, so the least reading is the one a gate compares.
+func leastOf3(measure func() float64) float64 {
+	least := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		least = min(least, measure())
+	}
+	return least
 }
 
 func settledHeap() uint64 {

@@ -288,11 +288,11 @@ type stagedOp struct {
 	kind   string
 	opID   util.ID
 	spanID util.ID
-	prev   util.ID         // insert: resolved predecessor
+	anchor util.ID         // insert: resolved predecessor; layout, note, span flag: first instance named
 	srcDoc util.ID         // insert: paste source document
 	chars  []texttree.Char // insert: records as created (visible), value copies
-	flips  []util.ID       // delete, restore: instances whose visibility flips
-	ids    []util.ID       // insert: minted instances; layout: spanned ones; note, span flag: anchor
+	flips  util.IDs        // delete, restore: instances whose visibility flips
+	ids    util.IDs        // insert: minted instances
 	text   string          // insert/note text; layout: "kind=value"; span flag: event name
 	pos    int             // pos-fallback ops: requested position (apply recomputes committed pos)
 	n      int
@@ -336,13 +336,12 @@ func (st *batchState) setLocked(d *Document, id util.ID, mut func(*texttree.Char
 // buffer or the database: on error the document is exactly as before.
 func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 	user, now := st.user, st.now
-	lastInsert := util.NilID    // last instance created by an earlier insert op
-	var lastInsertIDs []util.ID // all instances of that insert
+	var lastInsert util.IDs // the instances the batch's last insert op created
 
 	for i, op := range ops {
 		switch op.Kind {
 		case EditInsert:
-			prev, err := d.resolveInsertAnchorLocked(st, op, lastInsert)
+			prev, err := d.resolveInsertAnchorLocked(st, op, lastInsert.Last())
 			if err != nil {
 				return fmt.Errorf("core: batch op %d: %w", i, err)
 			}
@@ -352,13 +351,10 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			}
 			// One reservation: the run's IDs form one progression however
 			// many documents are minting, so the buffer keeps it as one
-			// record. The slice is the insert's only copy: the op log, the
-			// published item and the result share it, and none mutates it.
-			ids := make([]util.ID, len(runes))
+			// record, and the op row and the published item hold it as one
+			// stretch. Only the result expands it (applyStagedLocked).
 			first, step := d.eng.ids.NextN(len(runes)), util.ID(d.eng.ids.Stride())
-			for j := range ids {
-				ids[j] = first + util.ID(j)*step
-			}
+			ids := util.Progression(first, int64(step), len(runes))
 			// Two arena blocks per insert: the records as created (replayed
 			// into the buffer — a later delete op of the same batch must not
 			// leak into them) and the final records (mutable via setLocked,
@@ -366,26 +362,26 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			// anchored after its predecessor with its own, freshly minted ID
 			// as key, so it lands right after that predecessor; no existing
 			// row changes.
-			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), prev: prev,
+			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), anchor: prev,
 				srcDoc: op.SrcDoc, text: op.Text, ids: ids, chars: st.arena.alloc(len(runes))}
 			recs := st.arena.alloc(len(runes))
 			for j, r := range runes {
-				ch := texttree.Char{ID: ids[j], Rune: r, Author: user, Created: now,
+				id := first + util.ID(j)*step
+				ch := texttree.Char{ID: id, Rune: r, Author: user, Created: now,
 					SourceDoc: op.SrcDoc}
 				if j < len(op.SrcChars) {
 					ch.SourceChar = op.SrcChars[j]
 				}
-				ch.After, ch.Key = prev, ids[j]
+				ch.After, ch.Key = prev, id
 				if j > 0 {
-					ch.After = ids[j-1]
+					ch.After = id - step
 				}
 				sop.chars[j] = ch // value copy: the record as created
 				recs[j] = ch
 				st.created = append(st.created, &recs[j])
 				st.createdSet[ch.ID] = &recs[j]
 			}
-			lastInsert = ids[len(ids)-1]
-			lastInsertIDs = ids
+			lastInsert = ids
 			logKind := opInsert
 			if !op.SrcDoc.IsNil() {
 				logKind = opPaste
@@ -406,7 +402,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 						i, ErrRange, op.Pos, op.Pos+op.N, d.buf.Len())
 				}
 			}
-			var affected []util.ID
+			var affected util.IDs
 			for _, id := range targets {
 				ch, ok := st.charLocked(d, id)
 				if !ok {
@@ -432,10 +428,10 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 				}); err != nil {
 					return fmt.Errorf("core: batch op %d: %w", i, err)
 				}
-				affected = append(affected, id)
+				affected.Append(id)
 			}
 			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), flips: affected,
-				pos: op.Pos, n: len(affected)}
+				pos: op.Pos, n: affected.Len()}
 			st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: user,
 				Kind: opDelete, CharIDs: affected, Created: now})
 			st.ops = append(st.ops, sop)
@@ -443,10 +439,10 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 		case EditLayout:
 			ids := op.Chars
 			if len(ids) == 0 && op.AnchorPrev {
-				if len(lastInsertIDs) == 0 {
+				if lastInsert.Len() == 0 {
 					return fmt.Errorf("core: batch op %d: prev anchor without a prior insert", i)
 				}
-				ids = lastInsertIDs
+				ids = lastInsert.AppendTo(nil)
 			}
 			if len(ids) == 0 {
 				if op.N <= 0 {
@@ -465,7 +461,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			}
 			spanID := d.eng.ids.Next()
 			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), spanID: spanID,
-				ids: ids, n: len(ids), text: op.Span + "=" + op.Value}
+				anchor: ids[0], n: len(ids), text: op.Span + "=" + op.Value}
 			st.spans = append(st.spans, db.Row{
 				int64(spanID), int64(d.id), op.Span, op.Value,
 				int64(ids[0]), int64(ids[len(ids)-1]), user, now, false,
@@ -483,10 +479,10 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 					return fmt.Errorf("core: batch op %d: %w: %v", i, texttree.ErrUnknownChar, anchor)
 				}
 			case op.AnchorPrev:
-				if lastInsert.IsNil() {
+				if lastInsert.Len() == 0 {
 					return fmt.Errorf("core: batch op %d: prev anchor without a prior insert", i)
 				}
-				anchor = lastInsert
+				anchor = lastInsert.Last()
 			default:
 				id, ok := d.buf.IDAt(op.Pos)
 				if !ok {
@@ -497,7 +493,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			}
 			spanID := d.eng.ids.Next()
 			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), spanID: spanID,
-				ids: []util.ID{anchor}, text: op.Text}
+				anchor: anchor, text: op.Text}
 			st.spans = append(st.spans, db.Row{
 				int64(spanID), int64(d.id), SpanNote, op.Text,
 				int64(anchor), int64(anchor), user, now, false,
@@ -525,7 +521,8 @@ func (d *Document) stageRestoreLocked(st *batchState, ids []util.ID) error {
 	if _, err := d.ensureArchiveLocked(); err != nil {
 		return err
 	}
-	var flips, archived []util.ID
+	var flips util.IDs
+	var archived []util.ID
 	for _, id := range ids {
 		ch, ok := st.charLocked(d, id)
 		switch {
@@ -537,7 +534,7 @@ func (d *Document) stageRestoreLocked(st *batchState, ids []util.ID) error {
 			}); err != nil {
 				return err
 			}
-			flips = append(flips, id)
+			flips.Append(id)
 		case d.buf.Archive().Contains(id):
 			archived = append(archived, id)
 		default:
@@ -556,7 +553,9 @@ func (d *Document) stageRestoreLocked(st *batchState, ids []util.ID) error {
 			recs[i] = ch
 			st.created = append(st.created, &recs[i])
 		}
-		flips = append(flips, archived...)
+		for _, id := range archived {
+			flips.Append(id)
+		}
 	}
 	sop := stagedOp{kind: stepRestore, opID: d.eng.ids.Next(), flips: flips}
 	st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: st.user,
@@ -580,7 +579,7 @@ func (d *Document) stageSpanFlagLocked(st *batchState, spanID util.ID, removed b
 	row[8] = removed
 	st.spanFlags = append(st.spanFlags, row)
 	sop := stagedOp{kind: stepSpanFlag, opID: d.eng.ids.Next(), spanID: spanID,
-		ids: []util.ID{util.ID(row[4].(int64))}, text: "remove"}
+		anchor: util.ID(row[4].(int64)), text: "remove"}
 	st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: st.user,
 		Kind: opLayoutRemove, Ref: spanID, Created: st.now})
 	st.ops = append(st.ops, sop)
@@ -699,20 +698,20 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 		switch sop.kind {
 		case EditInsert:
 			pos := 0
-			if !sop.prev.IsNil() {
-				r, ok := d.buf.RankOf(sop.prev)
+			if !sop.anchor.IsNil() {
+				r, ok := d.buf.RankOf(sop.anchor)
 				if !ok {
-					return nil, nil, fmt.Errorf("core: buffer diverged: lost anchor %v", sop.prev)
+					return nil, nil, fmt.Errorf("core: buffer diverged: lost anchor %v", sop.anchor)
 				}
 				pos = r
-				if anchor, _ := d.buf.Char(sop.prev); !anchor.Deleted {
+				if anchor, _ := d.buf.Char(sop.anchor); !anchor.Deleted {
 					pos++
 				}
 			}
 			// One batched splice for the whole run: the buffer copies the
 			// records, so the arena-backed staging slice is reusable the
 			// moment this returns.
-			if _, err := d.buf.InsertRun(sop.prev, sop.chars); err != nil {
+			if _, err := d.buf.InsertRun(sop.anchor, sop.chars); err != nil {
 				return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
 			}
 			kind := awareness.EvInsert
@@ -720,53 +719,53 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 				kind = awareness.EvPaste
 			}
 			items = append(items, awareness.BatchItem{Kind: kind,
-				Pos: pos, Text: sop.text, N: len(sop.ids), IDs: sop.ids, SrcDoc: sop.srcDoc})
-			results = append(results, EditResult{OpID: sop.opID, IDs: sop.ids, Pos: pos})
+				Pos: pos, Text: sop.text, N: sop.ids.Len(), IDs: sop.ids, SrcDoc: sop.srcDoc})
+			results = append(results, EditResult{OpID: sop.opID, IDs: sop.ids.AppendTo(nil), Pos: pos})
 
 		case EditDelete:
-			resPos, hidden := sop.pos, 0
-			err := d.buf.Delete(sop.flips, st.user, st.now, func(k, pos int) {
+			resPos, hidden, flips := sop.pos, 0, sop.flips.AppendTo(nil)
+			err := d.buf.Delete(flips, st.user, st.now, func(k, pos int) {
 				if k == 0 {
 					resPos = pos
 				}
-				items = appendFlip(items, awareness.EvDelete, pos, sop.flips[k], k > 0)
+				items = appendFlip(items, awareness.EvDelete, pos, flips[k], k > 0)
 				hidden++
 			})
-			if err == nil && hidden != len(sop.flips) {
-				err = fmt.Errorf("%d of %d instances already hidden", len(sop.flips)-hidden, len(sop.flips))
+			if err == nil && hidden != len(flips) {
+				err = fmt.Errorf("%d of %d instances already hidden", len(flips)-hidden, len(flips))
 			}
 			if err != nil {
 				return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
 			}
-			results = append(results, EditResult{OpID: sop.opID, IDs: sop.flips, Pos: resPos})
+			results = append(results, EditResult{OpID: sop.opID, IDs: flips, Pos: resPos})
 
 		case stepRestore:
 			if err := d.buf.ApplyRehydrate(st.rehydrate); err != nil {
 				return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
 			}
-			first, resPos := len(items), 0
-			err := d.buf.Undelete(sop.flips, st.now, func(k, pos int) {
+			first, resPos, flips := len(items), 0, sop.flips.AppendTo(nil)
+			err := d.buf.Undelete(flips, st.now, func(k, pos int) {
 				if k == 0 {
 					resPos = pos
 				}
-				items = appendFlip(items, awareness.EvInsert, pos, sop.flips[k], k > 0)
+				items = appendFlip(items, awareness.EvInsert, pos, flips[k], k > 0)
 			})
 			if err != nil {
 				return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
 			}
-			runes := make([]rune, 0, len(sop.flips)) // restored text, in flip order
-			for _, id := range sop.flips {
+			runes := make([]rune, 0, len(flips)) // restored text, in flip order
+			for _, id := range flips {
 				ch, _ := d.buf.Char(id)
 				runes = append(runes, ch.Rune)
 			}
 			for i := first; i < len(items); i++ {
 				items[i].Text, runes = string(runes[:items[i].N]), runes[items[i].N:]
 			}
-			results = append(results, EditResult{OpID: sop.opID, IDs: sop.flips, Pos: resPos})
+			results = append(results, EditResult{OpID: sop.opID, IDs: flips, Pos: resPos})
 
 		case EditLayout, stepSpanFlag:
 			pos := 0
-			if p, ok := d.buf.RankOf(sop.ids[0]); ok {
+			if p, ok := d.buf.RankOf(sop.anchor); ok {
 				pos = p
 			}
 			items = append(items, awareness.BatchItem{Kind: awareness.EvLayout,
@@ -775,13 +774,13 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 
 		case EditNote:
 			pos := 0
-			if p, ok := d.buf.RankOf(sop.ids[0]); ok {
+			if p, ok := d.buf.RankOf(sop.anchor); ok {
 				pos = p
 			}
 			items = append(items, awareness.BatchItem{Kind: awareness.EvNote,
 				Pos: pos, Text: sop.text})
 			results = append(results, EditResult{OpID: sop.opID, Span: sop.spanID,
-				IDs: sop.ids, Pos: pos})
+				IDs: []util.ID{sop.anchor}, Pos: pos})
 		}
 		d.appendOpLocked(st.opRecs[len(results)-1].head())
 	}
@@ -792,7 +791,8 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 // (EvInsert) at visible position pos. With merge set it extends the last
 // item instead when the two are contiguous: a delete at the position the
 // deletes before it collapsed onto, or an insert right after the text the
-// inserts before it restored. An insert item's Text is the caller's to fill.
+// inserts before it restored; a run of such instances is one stretch of
+// the item's IDs. An insert item's Text is the caller's to fill.
 func appendFlip(items []awareness.BatchItem, kind awareness.EventKind, pos int, id util.ID, merge bool) []awareness.BatchItem {
 	if n := len(items) - 1; merge && n >= 0 && items[n].Kind == kind {
 		end := items[n].Pos
@@ -801,11 +801,11 @@ func appendFlip(items []awareness.BatchItem, kind awareness.EventKind, pos int, 
 		}
 		if end == pos {
 			items[n].N++
-			items[n].IDs = append(items[n].IDs, id)
+			items[n].IDs.Append(id)
 			return items
 		}
 	}
-	return append(items, awareness.BatchItem{Kind: kind, Pos: pos, N: 1, IDs: []util.ID{id}})
+	return append(items, awareness.BatchItem{Kind: kind, Pos: pos, N: 1, IDs: util.Progression(id, 0, 1)})
 }
 
 // publishBatchLocked announces the committed batch as ONE awareness event:

@@ -408,7 +408,7 @@ func TestPositionalAPIEventShapes(t *testing.T) {
 		}
 		ev, _ := sub.Next()
 		got := awareness.Event{Kind: ev.Kind, Pos: ev.Pos, N: ev.N, Text: ev.Text, Name: ev.Name, SrcDoc: ev.SrcDoc}
-		if !reflect.DeepEqual(got, tc.want) || len(ev.IDs) != tc.ids || len(ev.Batch) != 0 {
+		if !reflect.DeepEqual(got, tc.want) || ev.IDs.Len() != tc.ids || len(ev.Batch) != 0 {
 			t.Fatalf("step %d: event %+v, want %+v with %d ids", i, ev, tc.want, tc.ids)
 		}
 		h := d.History()
@@ -517,8 +517,8 @@ func TestUndoRedoEventItems(t *testing.T) {
 		ev, _ := sub.Next()
 		got := make([]awareness.BatchItem, len(ev.Batch))
 		for j, it := range ev.Batch {
-			if len(it.IDs) != it.N {
-				t.Fatalf("step %d: item %+v names %d instances", i, it, len(it.IDs))
+			if it.IDs.Len() != it.N {
+				t.Fatalf("step %d: item %+v names %d instances", i, it, it.IDs.Len())
 			}
 			got[j] = awareness.BatchItem{Kind: it.Kind, Pos: it.Pos, N: it.N, Text: it.Text}
 		}
@@ -539,10 +539,11 @@ func TestBatchAddressesArchivedInstances(t *testing.T) {
 	for _, reopen := range []bool{false, true} {
 		e := newEngine(t)
 		d, _, _, _ := buildCompacted(t, e) // "keep-DELETED-keep", DELETED archived
-		archived, err := d.opIDs(d.ops[len(d.ops)-1].ID)
+		ids, err := d.opIDs(d.ops[len(d.ops)-1].ID)
 		if err != nil {
 			t.Fatal(err)
 		}
+		archived := ids.AppendTo(nil)
 		if reopen {
 			d = reload(t, e, d.ID())
 		}

@@ -269,7 +269,7 @@ func (d *Document) copyLocked(user string, pos, n int) (Clipboard, wal.LSN, erro
 		return Clipboard{}, 0, fmt.Errorf("%w: copy [%d,%d) of %d chars", ErrRange, pos, pos+n, d.buf.Len())
 	}
 	clip := Clipboard{Text: d.buf.Slice(pos, n), SrcDoc: d.id, SrcChars: ids}
-	rec := opRecord{ID: d.eng.ids.Next(), User: user, Kind: opCopy, CharIDs: ids,
+	rec := opRecord{ID: d.eng.ids.Next(), User: user, Kind: opCopy, CharIDs: util.IDsOf(ids),
 		Created: d.eng.clock.Now()}
 	lsn, err := d.eng.withTxnAsync(func(tx *txn.Txn) error {
 		enc := d.eng.tOps.Encoder(1)

@@ -188,8 +188,8 @@ func TestLargeOpChunkingRoundTrip(t *testing.T) {
 		t.Fatalf("history after reload = %+v", h)
 	}
 	for i, want := range [][]util.ID{ids, shuffled} {
-		if got, err := doc2.opIDs(doc2.ops[i].ID); err != nil || !slices.Equal(got, want) {
-			t.Fatalf("op %d's row reads %d IDs (%v), not the %d it logged in order", i, len(got), err, len(want))
+		if got, err := doc2.opIDs(doc2.ops[i].ID); err != nil || !slices.Equal(got.AppendTo(nil), want) {
+			t.Fatalf("op %d's row reads %d IDs (%v), not the %d it logged in order", i, got.Len(), err, len(want))
 		}
 	}
 	if _, err := doc2.UndoLocal("alice"); err != nil {

@@ -401,7 +401,7 @@ func documentDiff(a, b *Document) string {
 		if errA != nil || errB != nil {
 			return fmt.Sprintf("op %d's row reads %v, reopened %v", i, errA, errB)
 		}
-		if !slices.Equal(want, ids) || len(ids) != int(got.Chars) {
+		if !slices.Equal(want.AppendTo(nil), ids.AppendTo(nil)) || ids.Len() != int(got.Chars) {
 			return fmt.Sprintf("op %d (%d IDs) lists %v, reopened %v", i, got.Chars, want, ids)
 		}
 	}
@@ -525,11 +525,11 @@ func TestSplitDeleteCrashPoints(t *testing.T) {
 	}
 }
 
-// TestOpStretches round-trips op payloads through appendStretches and
-// decodeStretches — an insert's run, descending and repeated IDs, IDs
-// above the op's own, a shuffled list — and checks that countStretches
-// counts them, that a run below its op is one stretch of three bytes and
-// that a truncated stretch is refused.
+// TestOpStretches round-trips op payloads, util.IDs' payloads based at the
+// op's ID — an insert's run, descending and repeated IDs, IDs above the
+// op's own, a shuffled list — and checks that util.PayloadLen counts them,
+// that a run below its op is one stretch of three bytes and that a
+// truncated stretch is refused.
 func TestOpStretches(t *testing.T) {
 	const op = util.ID(5000)
 	run := make([]util.ID, 40)
@@ -552,21 +552,22 @@ func TestOpStretches(t *testing.T) {
 		{"above the op", []util.ID{op + 10, op + 12, 1}},
 		{"shuffled", shuffled},
 	} {
-		payload := appendStretches(nil, op, tc.ids)
-		if got, err := decodeStretches(nil, op, payload); err != nil || !slices.Equal(got, tc.ids) {
-			t.Fatalf("%s: decoded %v, %v from %x; want %v", tc.name, got, err, payload, tc.ids)
+		payload := util.IDsOf(tc.ids).AppendPayload(nil, op)
+		got, err := util.DecodeIDs(payload, op)
+		if err != nil || !slices.Equal(got.AppendTo(nil), tc.ids) {
+			t.Fatalf("%s: decoded %v, %v from %x; want %v", tc.name, got.AppendTo(nil), err, payload, tc.ids)
 		}
-		if n, err := countStretches(payload); err != nil || int(n) != len(tc.ids) {
+		if n, err := util.PayloadLen(payload); err != nil || n != len(tc.ids) {
 			t.Fatalf("%s: counted %d, %v; want %d", tc.name, n, err, len(tc.ids))
 		}
 	}
-	if n := len(appendStretches(nil, op, run)); n != 3 {
+	if n := len(util.IDsOf(run).AppendPayload(nil, op)); n != 3 {
 		t.Fatalf("a run of 40 IDs below its op takes %d bytes, want 3", n)
 	}
-	if _, err := decodeStretches(nil, op, []byte{2, 4}); err == nil {
+	if _, err := util.DecodeIDs([]byte{2, 4}, op); err == nil {
 		t.Fatal("a stretch of two without its step decoded")
 	}
-	if _, err := countStretches([]byte{2, 4}); err == nil {
+	if _, err := util.PayloadLen([]byte{2, 4}); err == nil {
 		t.Fatal("a stretch of two without its step counted")
 	}
 }

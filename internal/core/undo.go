@@ -2,10 +2,8 @@ package core
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -61,7 +59,7 @@ type opRecord struct {
 	ID      util.ID
 	User    string
 	Kind    opKind
-	CharIDs []util.ID
+	CharIDs util.IDs
 	Ref     util.ID
 	Created time.Time
 }
@@ -69,7 +67,7 @@ type opRecord struct {
 // head returns the op-log cache entry of op, not yet undone.
 func (op *opRecord) head() opHead {
 	return opHead{ID: op.ID, Ref: op.Ref, User: op.User, Kind: op.Kind,
-		Created: op.Created.UnixNano(), Chars: int32(len(op.CharIDs))}
+		Created: op.Created.UnixNano(), Chars: int32(op.CharIDs.Len())}
 }
 
 // opHead is one ops-table row in the document's op-log cache: everything
@@ -156,17 +154,22 @@ func (d *Document) opPayload(row db.Row) ([]byte, error) {
 }
 
 // opIDs reads the character IDs of op opID from its ops row: the instances
-// an insert created, a delete hid, or an undo or redo flipped.
-func (d *Document) opIDs(opID util.ID) ([]util.ID, error) {
+// an insert created, a delete hid, or an undo or redo flipped. The row's
+// payload is the IDs' payload (util.IDs.AppendPayload) based at opID.
+func (d *Document) opIDs(opID util.ID) (util.IDs, error) {
 	row, _, err := d.eng.tOps.GetByPK(nil, int64(opID))
 	if err != nil {
-		return nil, err
+		return util.IDs{}, err
 	}
 	payload, err := d.opPayload(row)
 	if err != nil {
-		return nil, err
+		return util.IDs{}, err
 	}
-	return decodeStretches(nil, opID, payload)
+	ids, err := util.DecodeIDs(payload, opID)
+	if err != nil {
+		return util.IDs{}, fmt.Errorf("core: char IDs of op %v: %w", opID, err)
+	}
+	return ids, nil
 }
 
 // appendOpChunks appends the payload continuation rows of one op hold to
@@ -201,7 +204,7 @@ func (d *Document) appendOpChunks(payload []byte, opID util.ID) ([]byte, error) 
 // so no row outgrows a page.
 func (d *Document) writeOpRow(tx *txn.Txn, enc *db.RowEncoder, op *opRecord) error {
 	var buf [32]byte
-	payload := appendStretches(buf[:0], op.ID, op.CharIDs)
+	payload := op.CharIDs.AppendPayload(buf[:0], op.ID)
 	first := payload
 	var rest []byte
 	if len(payload) > opChunkBytes {
@@ -236,101 +239,6 @@ func (d *Document) writeOpRow(tx *txn.Txn, enc *db.RowEncoder, op *opRecord) err
 	return nil
 }
 
-// An op's chars payload holds its character IDs as stretches, maximal
-// arithmetic progressions: each is its count (uvarint), how far its first
-// ID lies below the op's own ID (zigzag varint) and, when it holds more
-// than one ID, its step (zigzag varint). An insert's IDs are minted right
-// before its op ID, so a typed run is one stretch of three bytes.
-
-// stretchAt returns the length and step of the stretch of ids at i.
-func stretchAt(ids []util.ID, i int) (n int, step int64) {
-	if i+1 == len(ids) {
-		return 1, 0
-	}
-	step = int64(ids[i+1] - ids[i])
-	for n = 2; i+n < len(ids) && int64(ids[i+n]-ids[i+n-1]) == step; n++ {
-	}
-	return n, step
-}
-
-// appendStretch appends the stretch of n IDs from first by step of op's
-// payload to dst.
-func appendStretch(dst []byte, op, first util.ID, n int, step int64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(n))
-	dst = binary.AppendVarint(dst, int64(op-first))
-	if n > 1 {
-		dst = binary.AppendVarint(dst, step)
-	}
-	return dst
-}
-
-// appendStretches appends op's payload of ids to dst.
-func appendStretches(dst []byte, op util.ID, ids []util.ID) []byte {
-	for i := 0; i < len(ids); {
-		n, step := stretchAt(ids, i)
-		dst = appendStretch(dst, op, ids[i], n, step)
-		i += n
-	}
-	return dst
-}
-
-// errStretches reports a chars payload appendStretches did not write.
-var errStretches = errors.New("core: corrupt char IDs in an op row")
-
-// nextStretch parses the stretch at the front of payload b: its count,
-// how far its first ID lies below the op's ID, its step, and the rest of b.
-func nextStretch(b []byte) (n int, below, step int64, rest []byte, err error) {
-	c, k := binary.Uvarint(b)
-	if k <= 0 || c == 0 || c > math.MaxInt32 {
-		return 0, 0, 0, nil, errStretches
-	}
-	below, k2 := binary.Varint(b[k:])
-	if k2 <= 0 {
-		return 0, 0, 0, nil, errStretches
-	}
-	b = b[k+k2:]
-	if c > 1 {
-		if step, k = binary.Varint(b); k <= 0 {
-			return 0, 0, 0, nil, errStretches
-		}
-		b = b[k:]
-	}
-	return int(c), below, step, b, nil
-}
-
-// decodeStretches appends the IDs of op's payload b to dst.
-func decodeStretches(dst []util.ID, op util.ID, b []byte) ([]util.ID, error) {
-	for len(b) > 0 {
-		n, below, step, rest, err := nextStretch(b)
-		if err != nil {
-			return nil, err
-		}
-		first := op - util.ID(below)
-		for j := int64(0); j < int64(n); j++ {
-			dst = append(dst, first+util.ID(j*step))
-		}
-		b = rest
-	}
-	return dst, nil
-}
-
-// countStretches returns how many IDs payload b holds, checking it as
-// decodeStretches does.
-func countStretches(b []byte) (int32, error) {
-	total := 0
-	for len(b) > 0 {
-		n, _, _, rest, err := nextStretch(b)
-		if err != nil {
-			return 0, err
-		}
-		if total += n; total > math.MaxInt32 {
-			return 0, errStretches
-		}
-		b = rest
-	}
-	return int32(total), nil
-}
-
 // setOpUndone flips the undone flag on a persisted op row, leaving the
 // (possibly chunk-prefixed) payload untouched.
 func (d *Document) setOpUndone(tx *txn.Txn, opID util.ID, undone bool) error {
@@ -356,10 +264,15 @@ func (d *Document) headFromRow(row db.Row) (opHead, error) {
 		return opHead{}, err
 	}
 	payload, err := d.opPayload(row)
-	if err == nil {
-		op.Chars, err = countStretches(payload)
+	if err != nil {
+		return opHead{}, err
 	}
-	return op, err
+	n, err := util.PayloadLen(payload)
+	if err != nil {
+		return opHead{}, fmt.Errorf("core: char IDs of op %v: %w", op.ID, err)
+	}
+	op.Chars = int32(n)
+	return op, nil
 }
 
 // undoable reports whether an operation kind participates in undo history:
@@ -478,7 +391,7 @@ func (d *Document) revertLocked(user string, kind awareness.EventKind, ti int, f
 	}
 	st := getBatch(user, d.eng.clock.Now())
 	defer st.release()
-	if err := d.stageRevertLocked(st, target, ids, kind == awareness.EvUndo); err != nil {
+	if err := d.stageRevertLocked(st, target, ids.AppendTo(nil), kind == awareness.EvUndo); err != nil {
 		return util.NilID, 0, err
 	}
 	rec := &st.opRecs[0]

@@ -337,8 +337,11 @@ func (s *Service) foldEventLocked(id util.ID, st *docState, ev awareness.Event) 
 // base snapshot (counting is idempotent, the changed ranges are not).
 func (s *Service) foldItemLocked(id util.ID, st *docState, it awareness.BatchItem, at time.Time, inBase bool) {
 	if !it.SrcDoc.IsNil() {
-		for _, cid := range it.IDs {
-			s.countCharLocked(id, cid, it.SrcDoc, at)
+		for k := 0; k < it.IDs.Stretches(); k++ {
+			run := it.IDs.Stretch(k)
+			for j := 0; j < run.N; j++ {
+				s.countCharLocked(id, run.At(j), it.SrcDoc, at)
+			}
 		}
 	}
 	if inBase {

@@ -142,7 +142,7 @@ func (r *redactor) redact(ev awareness.Event) awareness.Event {
 		// any future text-bearing kind that forgets to attach IDs) cannot
 		// be classified — fail closed and mask all of it for restricted
 		// subscribers rather than guess.
-		if len(ev.IDs) > 0 {
+		if ev.IDs.Len() > 0 {
 			ev.Text = r.maskLocked(ev.Text, ev.IDs)
 		} else {
 			ev.Text = maskAll(ev.Text)
@@ -155,7 +155,7 @@ func (r *redactor) redact(ev awareness.Event) awareness.Event {
 			if items[i].Text == "" {
 				continue
 			}
-			if len(items[i].IDs) > 0 {
+			if items[i].IDs.Len() > 0 {
 				items[i].Text = r.maskLocked(items[i].Text, items[i].IDs)
 			} else {
 				items[i].Text = maskAll(items[i].Text)
@@ -180,14 +180,24 @@ func maskAll(text string) string {
 // born after the last rebuild — the trigger for rebuilding BEFORE the
 // class is stamped, so one redact call never mixes two hidden sets.
 func (r *redactor) unknownInLocked(ev *awareness.Event) bool {
-	for _, id := range ev.IDs {
-		if !r.known[id] {
+	if r.unknownLocked(ev.IDs) {
+		return true
+	}
+	for i := range ev.Batch {
+		if r.unknownLocked(ev.Batch[i].IDs) {
 			return true
 		}
 	}
-	for i := range ev.Batch {
-		for _, id := range ev.Batch[i].IDs {
-			if !r.known[id] {
+	return false
+}
+
+// unknownLocked reports whether ids names an instance born after the last
+// rebuild.
+func (r *redactor) unknownLocked(ids util.IDs) bool {
+	for k := 0; k < ids.Stretches(); k++ {
+		s := ids.Stretch(k)
+		for j := 0; j < s.N; j++ {
+			if !r.known[s.At(j)] {
 				return true
 			}
 		}
@@ -199,19 +209,20 @@ func (r *redactor) unknownInLocked(ev *awareness.Event) bool {
 // instances. ids parallel the runes of text; runes beyond the identified
 // prefix are masked too — partially-identified text must not fail open
 // any more than text with no IDs at all does.
-func (r *redactor) maskLocked(text string, ids []util.ID) string {
+func (r *redactor) maskLocked(text string, ids util.IDs) string {
 	runes := []rune(text)
 	changed := false
-	for i, id := range ids {
-		if i >= len(runes) {
-			break
-		}
-		if r.hidden[id] || !r.known[id] {
-			runes[i] = MaskRune
-			changed = true
+	i := 0 // the rune the next ID names
+	for k := 0; k < ids.Stretches() && i < len(runes); k++ {
+		s := ids.Stretch(k)
+		for j := 0; j < s.N && i < len(runes); j, i = j+1, i+1 {
+			if id := s.At(j); r.hidden[id] || !r.known[id] {
+				runes[i] = MaskRune
+				changed = true
+			}
 		}
 	}
-	for i := len(ids); i < len(runes); i++ {
+	for ; i < len(runes); i++ {
 		runes[i] = MaskRune
 		changed = true
 	}

@@ -736,7 +736,11 @@ func (c *conn) edit(req *protocol.Message) *protocol.Message {
 	c.results, c.ids = c.results[:0], c.ids[:0]
 	for _, r := range results {
 		er := protocol.EditResult{OpID: uint64(r.OpID), Span: uint64(r.Span), Pos: r.Pos}
-		c.ids, er.IDs = appendWireIDs(c.ids, r.IDs)
+		from := len(c.ids)
+		for _, id := range r.IDs {
+			c.ids = append(c.ids, uint64(id))
+		}
+		er.IDs = c.ids[from:len(c.ids):len(c.ids)]
 		c.results = append(c.results, er)
 	}
 	c.ack = protocol.Message{OK: true, Results: c.results}
@@ -878,12 +882,16 @@ func wireEvent(out *protocol.Event, ev *awareness.Event, ids []uint64) []uint64 
 	return ids
 }
 
-// appendWireIDs appends instance IDs to buf as wire IDs and returns buf
-// and a view of what it appended, which later appends leave intact.
-func appendWireIDs(buf []uint64, ids []util.ID) (grown, view []uint64) {
+// appendWireIDs expands an item's instance IDs, stretch by stretch, into
+// buf as wire IDs and returns buf and a view of what it appended, which
+// later appends leave intact.
+func appendWireIDs(buf []uint64, ids util.IDs) (grown, view []uint64) {
 	from := len(buf)
-	for _, id := range ids {
-		buf = append(buf, uint64(id))
+	for k := 0; k < ids.Stretches(); k++ {
+		s := ids.Stretch(k)
+		for j := 0; j < s.N; j++ {
+			buf = append(buf, uint64(s.At(j)))
+		}
 	}
 	return buf, buf[from:len(buf):len(buf)]
 }
