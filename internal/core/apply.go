@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"tendax/internal/awareness"
 	"tendax/internal/db"
@@ -345,16 +346,16 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			if err != nil {
 				return fmt.Errorf("core: batch op %d: %w", i, err)
 			}
-			runes := []rune(op.Text)
-			if len(runes) == 0 {
+			n := utf8.RuneCountInString(op.Text)
+			if n == 0 {
 				return fmt.Errorf("core: batch op %d: empty insert", i)
 			}
 			// One reservation: the run's IDs form one progression however
 			// many documents are minting, so the buffer keeps it as one
 			// record, and the op row and the published item hold it as one
 			// stretch. Only the result expands it (applyStagedLocked).
-			first, step := d.eng.ids.NextN(len(runes)), util.ID(d.eng.ids.Stride())
-			ids := util.Progression(first, int64(step), len(runes))
+			first, step := d.eng.ids.NextN(n), util.ID(d.eng.ids.Stride())
+			ids := util.Progression(first, int64(step), n)
 			// Two arena blocks per insert: the records as created (replayed
 			// into the buffer — a later delete op of the same batch must not
 			// leak into them) and the final records (mutable via setLocked,
@@ -363,9 +364,10 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			// as key, so it lands right after that predecessor; no existing
 			// row changes.
 			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), anchor: prev,
-				srcDoc: op.SrcDoc, text: op.Text, ids: ids, chars: st.arena.alloc(len(runes))}
-			recs := st.arena.alloc(len(runes))
-			for j, r := range runes {
+				srcDoc: op.SrcDoc, text: op.Text, ids: ids, chars: st.arena.alloc(n)}
+			recs := st.arena.alloc(n)
+			j := 0
+			for _, r := range op.Text {
 				id := first + util.ID(j)*step
 				ch := texttree.Char{ID: id, Rune: r, Author: user, Created: now,
 					SourceDoc: op.SrcDoc}
@@ -380,6 +382,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 				recs[j] = ch
 				st.created = append(st.created, &recs[j])
 				st.createdSet[ch.ID] = &recs[j]
+				j++
 			}
 			lastInsert = ids
 			logKind := opInsert

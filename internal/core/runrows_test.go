@@ -417,12 +417,13 @@ func sameChar(a, b texttree.Char) bool {
 		a.SourceDoc == b.SourceDoc && a.SourceChar == b.SourceChar
 }
 
-// TestSplitDeleteCrashPoints cuts the log at every record boundary of one
-// batch that deletes from the middle of a run — the deleted piece and the
-// rest inserted, the row updated to its first piece, the op row — and
-// in the middle of each of its records, and recovers each cut: the
-// document must come back exactly as before the batch up to its commit
-// record, and exactly as after it from there on.
+// TestSplitDeleteCrashPoints cuts the log of one batch that deletes from
+// the middle of a run — the deleted piece and the rest inserted, the row
+// updated to its first piece, the op row — at every record and frame
+// boundary (offsets from wal.Walk) and at every byte of the last frame,
+// and recovers each cut: the document must come back exactly as before
+// the batch up to the end of its commit record, and exactly as after it
+// there.
 func TestSplitDeleteCrashPoints(t *testing.T) {
 	disk, store := storage.NewMemDisk(), wal.NewMemStore()
 	database, err := db.OpenWith(disk, store, db.Options{})
@@ -454,30 +455,32 @@ func TestSplitDeleteCrashPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The batch's records, their ends and what they are.
+	// The batch's records, their ends and what they are, and where the
+	// last frame starts.
 	type rec struct {
-		start, end int
-		what       string
+		end  int
+		what string
 	}
 	var recs []rec
-	end := 0
-	err = database.Log().Iterate(func(r *wal.Record) error {
-		start := end
-		end += r.Size()
-		if start >= mark {
+	lastStart, whole := 0, 0
+	err = wal.Walk(data, func(r *wal.Record, end, frameEnd int) bool {
+		if end > mark {
 			what := r.Type.String()
 			if r.Type == wal.RecUpdate {
 				what += fmt.Sprintf(" op %d table %d", r.Op, r.Owner)
 			}
-			recs = append(recs, rec{start, end, what})
+			recs = append(recs, rec{end, what})
 		}
-		return nil
+		if end == frameEnd {
+			lastStart, whole = whole, frameEnd
+		}
+		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if end != len(data) {
-		t.Fatalf("record sizes sum to %d, the log holds %d bytes", end, len(data))
+	if whole != len(data) {
+		t.Fatalf("the frames end at byte %d, the log holds %d bytes", whole, len(data))
 	}
 	inserts, updates := 0, 0
 	for _, r := range recs {
@@ -492,36 +495,44 @@ func TestSplitDeleteCrashPoints(t *testing.T) {
 		t.Fatalf("the batch logged %d chars inserts and %d updates, want a split: 2 and 1 (%v)", inserts, updates, recs)
 	}
 
-	for i, r := range recs {
-		for _, cut := range []int{r.start, (r.start + r.end) / 2, r.end} {
-			want, state := before, "before"
-			if i == len(recs)-1 && cut == r.end {
-				want, state = after, "after"
-			}
-			crash := wal.NewMemStore()
-			if err := crash.Append(data[:cut]); err != nil {
-				t.Fatal(err)
-			}
-			db2, err := db.OpenWith(image.Snapshot(), crash, db.Options{})
-			if err != nil {
-				t.Fatalf("cut at byte %d (%s): recovery: %v", cut, r.what, err)
-			}
-			e2, err := NewEngine(db2, clock)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d2, err := e2.OpenDocument(d.ID())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := tombstoneView(t, d2); got != want {
-				t.Fatalf("cut at byte %d (%s): recovered\n%s\nwant the state %s the batch:\n%s", cut, r.what, got, state, want)
-			}
-			if err := d2.CheckInvariants(); err != nil {
-				t.Fatalf("cut at byte %d (%s): %v", cut, r.what, err)
-			}
-			db2.Close()
+	cuts := []int{mark}
+	for _, r := range recs {
+		cuts = append(cuts, r.end)
+	}
+	for cut := max(lastStart, mark); cut <= len(data); cut++ {
+		cuts = append(cuts, cut)
+	}
+	slices.Sort(cuts)
+	for _, cut := range slices.Compact(cuts) {
+		i, _ := slices.BinarySearchFunc(recs, cut, func(r rec, cut int) int { return r.end - cut })
+		what := recs[i].what
+		want, state := before, "before"
+		if cut == len(data) {
+			want, state = after, "after"
 		}
+		crash := wal.NewMemStore()
+		if err := crash.Append(data[:cut]); err != nil {
+			t.Fatal(err)
+		}
+		db2, err := db.OpenWith(image.Snapshot(), crash, db.Options{})
+		if err != nil {
+			t.Fatalf("cut at byte %d (in or at the end of %s): recovery: %v", cut, what, err)
+		}
+		e2, err := NewEngine(db2, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d2, err := e2.OpenDocument(d.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tombstoneView(t, d2); got != want {
+			t.Fatalf("cut at byte %d (in or at the end of %s): recovered\n%s\nwant the state %s the batch:\n%s", cut, what, got, state, want)
+		}
+		if err := d2.CheckInvariants(); err != nil {
+			t.Fatalf("cut at byte %d (in or at the end of %s): %v", cut, what, err)
+		}
+		db2.Close()
 	}
 }
 

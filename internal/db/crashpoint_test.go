@@ -229,12 +229,15 @@ func diffModels(got, want model) string {
 }
 
 // TestCrashAtEveryLogBoundary cuts the log of a scripted heap workload at
-// every record boundary the disk image allows and at every byte inside the
-// last record, recovers each cut twice, and checks the table against the
-// model of exactly the transactions whose commit survived the cut. Redo of
-// an update applies a splice and refuses a page that does not hold its
-// pre-image, so any record redone twice, skipped, or applied to the wrong
-// state fails here rather than in a user's restart.
+// every record and frame boundary the disk image allows and at every byte
+// inside the last frame, recovers each cut twice, and checks the table
+// against the model of exactly the transactions whose commit survived the
+// cut. The offsets come from wal.Walk. A frame is the unit of a flush, so
+// a cut inside one, at a record boundary or not, tears it: recovery sees
+// the log up to the end of the frame before. Redo of an update applies a
+// splice and refuses a page that does not hold its pre-image, so any
+// record redone twice, skipped, or applied to the wrong state fails here
+// rather than in a user's restart.
 func TestCrashAtEveryLogBoundary(t *testing.T) {
 	s := &crashScript{t: t, live: storage.NewMemDisk(), store: wal.NewMemStore()}
 	d, err := OpenWith(s.live, s.store, Options{PoolPages: 64})
@@ -248,39 +251,36 @@ func TestCrashAtEveryLogBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Frame boundaries and LSNs, read back through the log itself.
+	// Record ends, whether a frame ends there too, and the LSN a cut there
+	// keeps: that of the last record of the last whole frame before it.
 	type bound struct {
-		end int
-		lsn wal.LSN // of the record ending at end
-	}
-	replay := wal.NewMemStore()
-	if err := replay.Append(data); err != nil {
-		t.Fatal(err)
-	}
-	log, err := wal.Open(replay)
-	if err != nil {
-		t.Fatal(err)
+		end   int
+		frame bool
+		kept  wal.LSN
 	}
 	var bounds []bound
-	end := 0
+	var kept wal.LSN
+	lastStart, whole := 0, 0
 	types := map[wal.RecordType]int{}
 	ops := map[wal.PageOp]int{}
-	err = log.Iterate(func(r *wal.Record) error {
-		end += r.Size()
-		bounds = append(bounds, bound{end, r.LSN})
+	err = wal.Walk(data, func(r *wal.Record, end, frameEnd int) bool {
+		if end == frameEnd {
+			kept, lastStart, whole = r.LSN, whole, frameEnd
+		}
+		bounds = append(bounds, bound{end, end == frameEnd, kept})
 		if end > s.mark {
 			types[r.Type]++
 			if r.Type == wal.RecUpdate || r.Type == wal.RecCLR {
 				ops[r.Op]++
 			}
 		}
-		return nil
+		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if end != len(data) {
-		t.Fatalf("record sizes sum to %d, the log holds %d bytes", end, len(data))
+	if whole != len(data) {
+		t.Fatalf("the frames end at byte %d, the log holds %d bytes", whole, len(data))
 	}
 	// The cuts must cover what the script promises.
 	if types[wal.RecCLR] < 3 || types[wal.RecAbort] < 1 || ops[wal.OpInsert] < 2 ||
@@ -288,33 +288,30 @@ func TestCrashAtEveryLogBoundary(t *testing.T) {
 		t.Fatalf("records past the write-back: %v, ops %v", types, ops)
 	}
 
-	var cuts, torn int
-	lastLSN := wal.LSN(0)
-	prevEnd := 0
+	var frames, inFrame, torn int
+	var before wal.LSN // what a cut inside the last frame keeps
 	for _, b := range bounds {
-		if prevEnd >= s.mark {
-			if err := s.recoverAt(data, prevEnd, s.expect(lastLSN)); err != nil {
-				t.Errorf("cut at byte %d (after LSN %d): %v", prevEnd, lastLSN, err)
-			}
-			cuts++
+		if b.end <= lastStart {
+			before = b.kept
 		}
-		prevEnd, lastLSN = b.end, b.lsn
+		if b.end < s.mark {
+			continue
+		}
+		if err := s.recoverAt(data, b.end, s.expect(b.kept)); err != nil {
+			t.Errorf("cut at byte %d (frames up to LSN %d kept): %v", b.end, b.kept, err)
+		}
+		if b.frame {
+			frames++
+		} else {
+			inFrame++
+		}
 	}
-	if err := s.recoverAt(data, len(data), s.expect(lastLSN)); err != nil {
-		t.Errorf("whole log: %v", err)
-	}
-	cuts++
-	// Torn inside the last record: recovery sees the log without it.
-	lastStart := 0
-	if len(bounds) > 1 {
-		lastStart = bounds[len(bounds)-2].end
-	}
-	before := s.expect(bounds[len(bounds)-2].lsn)
+	// Torn inside the last frame: recovery sees the log without it.
 	for cut := lastStart + 1; cut < len(data); cut++ {
-		if err := s.recoverAt(data, cut, before); err != nil {
-			t.Errorf("torn at byte %d of the last record: %v", cut-lastStart, err)
+		if err := s.recoverAt(data, cut, s.expect(before)); err != nil {
+			t.Errorf("torn at byte %d of the last frame: %v", cut-lastStart, err)
 		}
 		torn++
 	}
-	t.Logf("%d record boundaries from byte %d, %d torn offsets, each recovered twice", cuts, s.mark, torn)
+	t.Logf("from byte %d: %d frame boundaries, %d record boundaries inside a frame, %d torn offsets, each recovered twice", s.mark, frames, inFrame, torn)
 }

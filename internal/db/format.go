@@ -16,7 +16,7 @@ import (
 // page layout, row encoding, log records and the engine's table layouts
 // together. Changing any of them adds one here and a case to
 // TestDataDirFormatRefused.
-const FormatVersion = 3
+const FormatVersion = 4
 
 // FormatError reports a data directory of another format than this
 // build's. Have is 0 for one written before the superblock.

@@ -14,6 +14,7 @@ import (
 	"tendax/internal/db"
 	"tendax/internal/placement"
 	"tendax/internal/storage"
+	"tendax/internal/wal"
 )
 
 // TestFixedWidthDataDirRefused opens a copy of testdata/fixedwidth, a
@@ -43,7 +44,9 @@ func TestOpenRefusesLegacyLog(t *testing.T) {
 //     written before the bump;
 //   - each of the 16 superblock bytes flipped;
 //   - a heap page at page 0, as in every directory written before the
-//     superblock.
+//     superblock;
+//   - a current superblock beside ../wal/testdata/v3.log, a log of format
+//     3 (a frame per record), refused by the log itself with wal.ErrFormat.
 func TestDataDirFormatRefused(t *testing.T) {
 	pages, log := currentDataDir(t)
 
@@ -75,6 +78,9 @@ func TestDataDirFormatRefused(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { checkOpenRefused(t, c.pages, log, c.want) })
 	}
+	t.Run("format 3 log", func(t *testing.T) {
+		checkOpenRefused(t, pages, readFile(t, filepath.Join("..", "wal", "testdata", "v3.log")), wal.ErrFormat)
+	})
 }
 
 // checkOpenRefused writes pages and log as a data directory and opens it

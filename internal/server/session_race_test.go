@@ -41,9 +41,11 @@ func (*denyWrites) ReadableMask(string, util.ID, []util.ID) []bool { return nil 
 // flushes, flushes race each other and MoveTo, and every session ends with
 // Close while its typists may still be typing. One session's user loses
 // write access mid-run, so one of its batches fails while others are in
-// flight behind it. Every key a healthy session accepted must be in its
-// document; the failing session must return its first error, the same
-// one, from every call after it; and nothing may hang.
+// flight behind it: the typist that turns the access off types once more
+// before that session may close, so a batch always goes out after the
+// denial. Every key a healthy session accepted must be in its document;
+// the failing session must return its first error, the same one, from
+// every call after it; and nothing may hang.
 func TestSessionRaceStress(t *testing.T) {
 	database, err := db.Open(db.Options{})
 	if err != nil {
@@ -79,6 +81,9 @@ func TestSessionRaceStress(t *testing.T) {
 		s        *client.Session
 		accepted atomic.Int64
 		closeErr error
+		// closed once a key was typed after the denial, for the doomed
+		// session; its Close waits for that.
+		typedAfterDenial chan struct{}
 	}
 	runs := make([]*run, sessions)
 	for i := range runs {
@@ -93,7 +98,7 @@ func TestSessionRaceStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
-		r := &run{user: user, letter: rune('a' + i), doc: docs[i%len(docs)]}
+		r := &run{user: user, letter: rune('a' + i), doc: docs[i%len(docs)], typedAfterDenial: make(chan struct{})}
 		d, err := c.Open(uint64(r.doc.ID()))
 		if err != nil {
 			t.Fatal(err)
@@ -117,12 +122,21 @@ func TestSessionRaceStress(t *testing.T) {
 					typists.Add(1)
 					go func() {
 						defer typists.Done()
+						denied := false
 						for n := 0; n < keysPerTypist; n++ {
-							if r.s.Type(string(r.letter)) != nil {
+							err := r.s.Type(string(r.letter))
+							if denied {
+								// Buffered or refused as the denial's sticky
+								// error: either way the session now fails.
+								close(r.typedAfterDenial)
+								denied = false
+							}
+							if err != nil {
 								return
 							}
 							if r.accepted.Add(1) == keysPerTypist/2 && r.user == deny.user {
 								deny.on.Store(true)
+								denied = true
 							}
 						}
 					}()
@@ -138,6 +152,9 @@ func TestSessionRaceStress(t *testing.T) {
 				}
 				if i%2 == 0 {
 					typists.Wait() // the others close while their typists type
+				}
+				if r.user == deny.user {
+					<-r.typedAfterDenial
 				}
 				r.closeErr = r.s.Close()
 				typists.Wait()

@@ -568,18 +568,23 @@ func runModel(t testing.TB, data []byte, loadEvery, loaded int) *modelRun {
 // TestBufferMatchesModel drives random inserts (at the front, after a
 // visible instance, after a tombstone, and as runs), deletes, undeletes
 // and compaction passes with rehydration, and compares the buffer's whole
-// read surface with the model after every step.
+// read surface with the model after every step. Its three seeds run as
+// parallel subtests.
 func TestBufferMatchesModel(t *testing.T) {
 	steps := 2000
 	if testing.Short() {
 		steps = 700
 	}
 	for _, seed := range []uint64{1, 2, 3} {
-		r := runModel(t, randomSteps(seed, steps), 50, 0)
-		if r.moved == 0 || r.b.TotalLen() == r.b.Len() {
-			t.Fatalf("seed %d: degenerate run: %d rehydrated, %d of %d hot visible",
-				seed, r.moved, r.b.Len(), r.b.TotalLen())
-		}
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			r := runModel(t, randomSteps(seed, steps), 50, 0)
+			if r.moved == 0 || r.b.TotalLen() == r.b.Len() {
+				t.Fatalf("seed %d: degenerate run: %d rehydrated, %d of %d hot visible",
+					seed, r.moved, r.b.Len(), r.b.TotalLen())
+			}
+		})
 	}
 }
 

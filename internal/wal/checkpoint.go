@@ -197,22 +197,26 @@ func (l *Log) FuzzyCheckpoint(captureDPT func() ([]storage.DirtyPage, error), ca
 	}, nil
 }
 
-// TruncateBelow discards every durable record with an LSN below lsn,
-// returning the number of bytes reclaimed. The caller guarantees those
-// records are redundant (their effects are durable in the page store and no
-// undo chain reaches them). Records appended concurrently are preserved —
-// only a prefix of the already-durable stream is cut.
+// TruncateBelow discards every durable frame whose records all have an
+// LSN below lsn, returning the number of bytes reclaimed. The caller
+// guarantees those records are redundant (their effects are durable in the
+// page store and no undo chain reaches them). A frame that straddles lsn is
+// kept whole: its records below lsn lie below the redo point too, so
+// recovery reads them and skips them. Records appended concurrently are
+// preserved — only a prefix of the already-durable stream is cut.
 func (l *Log) TruncateBelow(lsn LSN) (int64, error) {
 	data, err := l.store.ReadAll()
 	if err != nil {
 		return 0, err
 	}
 	var off int
-	err = walk(data, func(r *Record, end int) bool {
+	err = Walk(data, func(r *Record, end, frameEnd int) bool {
 		if r.LSN >= lsn {
 			return false
 		}
-		off = end
+		if end == frameEnd {
+			off = end
+		}
 		return true
 	})
 	// A torn tail stops the cut at the last sound boundary; anything else

@@ -46,6 +46,8 @@ func TestCheckpointBodyRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestTruncateBelowCutsExactPrefix: records flushed one at a time are a
+// frame each, so a truncation keeps exactly the records from its LSN on.
 func TestTruncateBelowCutsExactPrefix(t *testing.T) {
 	store := NewMemStore()
 	log := openLog(t, store)
@@ -55,10 +57,10 @@ func TestTruncateBelowCutsExactPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := log.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		lsns = append(lsns, lsn)
-	}
-	if err := log.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	sizeBefore := store.Len()
 	cut := lsns[12]
@@ -83,6 +85,53 @@ func TestTruncateBelowCutsExactPrefix(t *testing.T) {
 	log2 := openLog(t, store)
 	if log2.NextLSN() != lsns[19]+1 {
 		t.Fatalf("NextLSN after truncated reopen = %d, want %d", log2.NextLSN(), lsns[19]+1)
+	}
+}
+
+// TestTruncateBelowKeepsStraddlingFrame: a truncation cuts at a frame
+// boundary, so a frame whose records straddle the truncation LSN stays
+// whole, records below the LSN included, and one whose records all lie
+// below it goes.
+func TestTruncateBelowKeepsStraddlingFrame(t *testing.T) {
+	store := NewMemStore()
+	log := openLog(t, store)
+	var ends []int
+	for batch := 0; batch < 3; batch++ {
+		for i := 0; i < 5; i++ {
+			if _, err := log.Append(&Record{Type: RecUpdate, TxnID: 1, Page: uint64(i), Op: OpInsert, After: []byte("x")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := log.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, store.Len())
+	}
+	// Frames hold LSNs 1-5, 6-10 and 11-15.
+	for _, c := range []struct {
+		below   LSN
+		removed int
+		first   LSN
+	}{
+		{5, 0, 1},
+		{6, ends[0], 6},
+		{8, 0, 6},
+		{11, ends[1] - ends[0], 11},
+	} {
+		removed, err := log.TruncateBelow(c.below)
+		if err != nil || removed != int64(c.removed) {
+			t.Fatalf("TruncateBelow(%d) removed %d bytes (%v), want %d", c.below, removed, err, c.removed)
+		}
+		var kept []LSN
+		if err := log.Iterate(func(r *Record) error {
+			kept = append(kept, r.LSN)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(kept) != int(16-c.first) || kept[0] != c.first {
+			t.Fatalf("after TruncateBelow(%d) the log holds LSNs %v, want %d to 15", c.below, kept, c.first)
+		}
 	}
 }
 
@@ -111,12 +160,15 @@ func TestTruncateBelowZeroAndBeyondTail(t *testing.T) {
 // TestFuzzyCheckpointTruncatesRespectingTables drives the checkpoint
 // protocol directly: the truncation point must honour both the oldest dirty
 // page and the oldest active transaction, and the begin/end pair must
-// survive truncation.
+// survive truncation. Each update is flushed on its own, a frame each.
 func TestFuzzyCheckpointTruncatesRespectingTables(t *testing.T) {
 	store := NewMemStore()
 	log := openLog(t, store)
 	for i := 0; i < 10; i++ {
 		if _, err := log.Append(&Record{Type: RecUpdate, TxnID: 2, Page: uint64(i), Op: OpInsert, After: []byte("y")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +220,8 @@ func TestFuzzyCheckpointTruncatesRespectingTables(t *testing.T) {
 // TestFuzzyCheckpointKeepsLSNsMonotone: a checkpoint that truncates every
 // earlier record leaves exactly its begin/end pair, and LSNs continue
 // monotonically past it and past a reopen of the truncated log, so page
-// LSNs stamped before the checkpoint stay comparable.
+// LSNs stamped before the checkpoint stay comparable. Each transaction
+// waits for its commit, as the engine's do, so it is a frame of its own.
 func TestFuzzyCheckpointKeepsLSNsMonotone(t *testing.T) {
 	store := NewMemStore()
 	log := openLog(t, store)
@@ -176,7 +229,11 @@ func TestFuzzyCheckpointKeepsLSNsMonotone(t *testing.T) {
 		if _, err := log.Append(&Record{Type: RecBegin, TxnID: i}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := log.Append(&Record{Type: RecCommit, TxnID: i}); err != nil {
+		lsn, err := log.Append(&Record{Type: RecCommit, TxnID: i})
+		if err == nil {
+			err = log.WaitFlushed(lsn)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

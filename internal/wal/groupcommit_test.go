@@ -218,9 +218,9 @@ func (s *copyingStore) Append(b []byte) error {
 // TestGroupCommitReusesBatchBuffer runs concurrent writers across hundreds
 // of flusher batches, each batch written from a buffer an earlier batch
 // used. Every batch the store copied must still decode to its own records
-// once later batches have reused the buffer: whole frames, LSNs in order
-// across batches, each record's payload the one its writer appended, and
-// every record exactly once.
+// once later batches have reused the buffer: one whole frame each, LSNs in
+// order across batches, each record's payload the one its writer appended,
+// and every record exactly once.
 func TestGroupCommitReusesBatchBuffer(t *testing.T) {
 	store := &copyingStore{MemStore: NewMemStore()}
 	log := openLog(t, store)
@@ -257,7 +257,10 @@ func TestGroupCommitReusesBatchBuffer(t *testing.T) {
 	seen := make(map[string]bool)
 	var last LSN
 	for bi, batch := range store.batches {
-		err := walk(batch, func(r *Record, _ int) bool {
+		err := Walk(batch, func(r *Record, end, frameEnd int) bool {
+			if end == frameEnd && end != len(batch) {
+				t.Errorf("batch %d: a frame ends at byte %d of %d, want one frame per batch", bi, end, len(batch))
+			}
 			want := fmt.Sprintf("writer %d record %d", r.TxnID-1, r.Slot)
 			if r.LSN != last+1 || string(r.After) != want || seen[want] {
 				t.Errorf("batch %d: record LSN %d (after %d) carries %q, want %q once", bi, r.LSN, last, r.After, want)

@@ -8,10 +8,11 @@
 // record is durable. Recovery replays history to restore all committed
 // effects and rolls back losers with compensation records, so a crash at
 // any point preserves exactly the committed transactions. record.go holds
-// the record format.
+// the format: one checksummed frame per flushed batch.
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -38,7 +39,8 @@ const pendingKick = 1 << 20
 // Log is the write-ahead log. Append assigns LSNs and buffers the record;
 // WaitFlushed is the durability barrier. A single background flusher,
 // started by Open, is the only path from the buffer to the store: it
-// coalesces all pending records into one store.Append+Sync per batch and
+// coalesces all pending records into one frame (several past maxFrame),
+// checksums it outside l.mu and writes it with one store.Append+Sync, and
 // wakes every waiter whose LSN the batch covers, so N concurrent committers
 // share one fsync instead of paying one each. A failed batch poisons the
 // log: its error is sticky, and nothing after it reaches the store.
@@ -48,7 +50,8 @@ type Log struct {
 	nextLSN  LSN
 	flushed  LSN
 	appended LSN
-	pending  []byte
+	pending  []byte // frames of the next batch, their checksums not yet filled in
+	frame    int    // where the last frame of pending starts
 
 	groupDelay  time.Duration // max extra coalescing wait per batch
 	flushReq    chan struct{} // wakes the flusher (capacity 1)
@@ -178,12 +181,13 @@ func (l *Log) flusher() {
 			}
 			continue
 		}
-		batch := l.pending
+		batch, last := l.pending, l.frame
 		l.pending, spare = spare[:0], nil
 		target := l.appended
 		grabbed := l.pendingCommits.Swap(0)
 		l.mu.Unlock()
 
+		sealFrames(batch, last)
 		err := l.store.Append(batch)
 		if err == nil {
 			err = l.store.Sync()
@@ -270,7 +274,14 @@ func (l *Log) Append(r *Record) (LSN, error) {
 	}
 	r.LSN = l.nextLSN
 	l.nextLSN++
-	l.pending = appendFrame(l.pending, r)
+	if n := len(l.pending); n == 0 || n-l.frame >= maxFrame {
+		if n > 0 {
+			binary.BigEndian.PutUint32(l.pending[l.frame:], uint32(n-l.frame-frameHeader))
+		}
+		l.frame = n
+		l.pending = openFrame(l.pending, r.LSN)
+	}
+	l.pending = appendRecord(l.pending, r)
 	l.appended = r.LSN
 	if r.Type == RecCommit {
 		l.pendingCommits.Add(1)
@@ -327,7 +338,7 @@ func iterate(store Store, fn func(*Record) error) error {
 		return err
 	}
 	var ferr error
-	err = walk(data, func(r *Record, _ int) bool {
+	err = Walk(data, func(r *Record, _, _ int) bool {
 		rec := *r // fn may keep it (Recover does)
 		ferr = fn(&rec)
 		return ferr == nil

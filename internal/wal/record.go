@@ -17,9 +17,7 @@ type LSN uint64
 // RecordType discriminates log records.
 type RecordType uint8
 
-// Log record types. Type 0 is never written: every log an earlier record
-// format wrote starts its first payload with a zero byte, and decoding
-// refuses it (ErrFormat).
+// Log record types. Type 0 is never written.
 const (
 	RecBegin RecordType = iota + 1 // no longer written: a transaction's first record opens it
 	RecCommit
@@ -92,21 +90,24 @@ type Record struct {
 var ErrTorn = errors.New("wal: torn log tail")
 
 // ErrFormat reports an intact (checksummed) frame whose payload is not a
-// record of this format — a log written by an older release, never the
+// frame of this format — a log written by an older release, never the
 // residue of a crash. Open, Iterate and Recover return it rather than
 // mistake the log for empty.
 var ErrFormat = errors.New("wal: log record format not recognised")
 
-// A frame is the unit of the log: a 4-byte big-endian payload length, the
-// payload's CRC32C, then the payload.
-const frameHeader = 8
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// The payload of a frame is one record:
+// A frame is the unit of the log and of a flush: a 4-byte big-endian
+// payload length, the payload's CRC32C, then the payload. The flusher
+// writes each batch as one frame (several past maxFrame), so a crash's
+// torn tail lies in the batch being written, none of whose records a
+// commit waiter was told are durable. The payload is
+//
+//	tag        1 byte, frameTag
+//	first LSN  uvarint, not 0
+//	records    one or more, back to back; the i-th (from 0) has LSN first+i
+//
+// and each record is
 //
 //	type      1 byte, 1..8
-//	LSN       uvarint
 //	TxnID     uvarint
 //	PrevLSN   uvarint LSN-PrevLSN (0 = none); not in commit and abort records
 //	update and CLR records only:
@@ -120,28 +121,49 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // Begin, commit, abort and the other checkpoint records carry the header
 // alone. Nothing reads a commit's or an abort's PrevLSN (undo follows a
 // transaction's update and CLR records), so they leave it out: a commit is
-// its type, LSN and transaction. Every value has exactly one encoding
-// (minimal varints, deltas below the LSN, nothing trailing), so decoding
-// and re-encoding a payload gives back the same bytes.
+// its type and transaction. Every value has exactly one encoding (minimal
+// varints, deltas below the LSN, nothing trailing), so decoding and
+// re-encoding a payload gives back the same bytes.
+const frameHeader = 8
 
-// appendFrame appends r, framed, to b.
-func appendFrame(b []byte, r *Record) []byte {
-	start := len(b)
-	var hdr [frameHeader]byte
-	b = appendRecord(append(b, hdr[:]...), r)
-	payload := b[start+frameHeader:]
-	binary.BigEndian.PutUint32(b[start:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(b[start+4:], crc32.Checksum(payload, crcTable))
-	return b
+// frameTag opens every frame payload. Every log an earlier format wrote
+// opens its first payload with a byte from 0 to 8 (the high byte of a
+// fixed-width LSN, or a record type), so decoding refuses it (ErrFormat).
+const frameTag = 0xF4
+
+// maxFrame caps a frame: Append opens a new one once the open frame holds
+// this many bytes, so a batch larger than that (a bulk load's, up to
+// pendingKick) goes out as several frames.
+const maxFrame = 64 << 10
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// openFrame appends the header of a frame whose first record has LSN
+// first; sealFrames fills in its length and checksum.
+func openFrame(b []byte, first LSN) []byte {
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0, frameTag)
+	return binary.AppendUvarint(b, uint64(first))
 }
 
-// Size returns the bytes r occupies in the log, frame included.
-func (r *Record) Size() int { return len(appendFrame(nil, r)) }
+// sealFrames fills in the checksum of every frame of b and the length of
+// the last one, which starts at last; the length of each earlier frame
+// was filled in when the frame after it was opened.
+func sealFrames(b []byte, last int) {
+	binary.BigEndian.PutUint32(b[last:], uint32(len(b)-last-frameHeader))
+	for off := 0; off < len(b); {
+		end := off + frameHeader + int(binary.BigEndian.Uint32(b[off:]))
+		binary.BigEndian.PutUint32(b[off+4:], crc32.Checksum(b[off+frameHeader:end], crcTable))
+		off = end
+	}
+}
 
-// appendRecord appends r's payload to b.
+// Size returns the bytes r occupies inside its frame.
+func (r *Record) Size() int { return len(appendRecord(nil, r)) }
+
+// appendRecord appends r's encoding to b. r.LSN is not written: the
+// record's place in its frame implies it.
 func appendRecord(b []byte, r *Record) []byte {
 	b = append(b, byte(r.Type))
-	b = binary.AppendUvarint(b, uint64(r.LSN))
 	b = binary.AppendUvarint(b, r.TxnID)
 	if r.Type != RecCommit && r.Type != RecAbort {
 		b = appendBack(b, r.LSN, r.PrevLSN)
@@ -196,38 +218,69 @@ func frameAt(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// walk decodes the frames of data in order, calling fn with each record and
-// the offset just past its frame until fn returns false. The record is
-// reused for the next frame and its images alias data: fn copies what it
-// keeps. walk returns ErrTorn at a torn frame and ErrFormat at an intact
-// one that does not decode.
-func walk(data []byte, fn func(r *Record, end int) bool) error {
+// Walk decodes the frames of data in order, calling fn with each record,
+// the offset just past the record's bytes and the offset just past its
+// frame, until fn returns false. The two offsets are equal for the last
+// record of a frame: only there, at a frame boundary, can a cut of the log
+// keep every record before it. The record is reused for the next one and
+// its images alias data: fn copies what it keeps. Walk returns ErrTorn at
+// a torn frame and ErrFormat at an intact one that does not decode.
+func Walk(data []byte, fn func(r *Record, end, frameEnd int) bool) error {
 	var r Record
 	for off := 0; off < len(data); {
 		payload, err := frameAt(data[off:])
 		if err != nil {
 			return err
 		}
-		if err := decode(payload, &r); err != nil {
+		start, frameEnd := off+frameHeader, off+frameHeader+len(payload)
+		stop := false
+		err = decodeFrame(payload, &r, func(end int) bool {
+			stop = !fn(&r, start+end, frameEnd)
+			return !stop
+		})
+		if err != nil {
 			return fmt.Errorf("%w (frame at byte %d)", err, off)
 		}
-		off += frameHeader + len(payload)
-		if !fn(&r, off) {
+		if stop {
 			return nil
 		}
+		off = frameEnd
 	}
 	return nil
 }
 
-// decode parses one payload into r. Before and After alias p (capacity
-// clipped), so decoding allocates nothing.
-func decode(p []byte, r *Record) error {
-	if len(p) == 0 || p[0] < byte(RecBegin) || p[0] > byte(RecCkptEnd) {
+// decodeFrame parses a frame payload into r one record at a time, calling
+// fn with the offset in p just past each until fn returns false. The
+// images alias p (capacity clipped), so decoding allocates nothing.
+func decodeFrame(p []byte, r *Record, fn func(end int) bool) error {
+	if len(p) == 0 || p[0] != frameTag {
 		return ErrFormat
 	}
-	*r = Record{Type: RecordType(p[0])}
 	d := reader{b: p[1:]}
-	r.LSN = LSN(d.uvarint())
+	lsn := LSN(d.uvarint())
+	if lsn == 0 || len(d.b) == 0 {
+		d.fail()
+	}
+	for ; len(d.b) > 0; lsn++ {
+		d.record(r, lsn)
+		if d.err != nil {
+			break
+		}
+		if !fn(len(p) - len(d.b)) {
+			return nil
+		}
+	}
+	return d.err
+}
+
+// record parses one record, whose LSN is lsn, into r; d.b is not empty.
+func (d *reader) record(r *Record, lsn LSN) {
+	if d.b[0] < byte(RecBegin) || d.b[0] > byte(RecCkptEnd) {
+		d.fail()
+		return
+	}
+	*r = Record{LSN: lsn, Type: RecordType(d.b[0])}
+	d.b = d.b[1:]
 	r.TxnID = d.uvarint()
 	if r.Type != RecCommit && r.Type != RecAbort {
 		r.PrevLSN = d.back(r.LSN)
@@ -253,10 +306,6 @@ func decode(p []byte, r *Record) error {
 	case RecCkptEnd:
 		r.After = d.bytes()
 	}
-	if len(d.b) > 0 {
-		d.fail()
-	}
-	return d.err
 }
 
 // reader consumes a payload; the first malformed value sticks as ErrFormat

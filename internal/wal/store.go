@@ -27,7 +27,7 @@ type Store interface {
 	// TruncateHead atomically discards the first off bytes (fuzzy-
 	// checkpoint log reclamation: every record below the redo point is
 	// already durable in the page store). The caller guarantees off lies on
-	// a record boundary; concurrent Appends are preserved.
+	// a frame boundary; concurrent Appends are preserved.
 	TruncateHead(off int64) error
 	// Close releases resources.
 	Close() error

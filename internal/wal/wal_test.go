@@ -22,14 +22,14 @@ func openLog(t *testing.T, store Store) *Log {
 	return log
 }
 
-// roundTrip decodes r's encoding.
+// roundTrip decodes r's encoding, a frame of its own.
 func roundTrip(t *testing.T, r *Record) *Record {
 	t.Helper()
-	var got Record
-	if err := decode(appendRecord(nil, r), &got); err != nil {
-		t.Fatalf("decode %+v: %v", r, err)
+	recs, _, err := walkAll(appendFrame(nil, r))
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("decode %+v: %d records, %v", r, len(recs), err)
 	}
-	return &got
+	return &recs[0]
 }
 
 func sameRecord(a, b *Record) bool {
