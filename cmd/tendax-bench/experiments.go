@@ -413,8 +413,7 @@ func runE5(quick bool, _ string) error {
 		}
 		before := len(docs)
 		_, after, fresh, err := fstore.Freshness(folder, func() error {
-			_, err := d.RecordRead("user0")
-			return err
+			return d.RecordRead("user0")
 		})
 		if err != nil {
 			return err
@@ -662,7 +661,7 @@ func runE9(quick bool, _ string) error {
 			crashStore := wal.NewMemStore()
 			crashStore.Append(logBytes)
 			if tear {
-				crashStore.Truncate(crashStore.Len() - 3)
+				crashStore.TruncateTail(int64(crashStore.Len() - 3))
 			}
 			t0 := time.Now()
 			db2, err := db.OpenWith(crashDisk, crashStore, db.Options{})

@@ -51,7 +51,6 @@ type Client struct {
 	pending map[int64]handler
 	docs    map[uint64]*Doc
 	closed  bool
-	readErr error
 	done    chan struct{} // closed when the read loop has ended
 }
 
@@ -159,18 +158,27 @@ func (c *Client) User() string { return c.user }
 // to the handler its request registered, a push is folded into its
 // document's replica.
 func (c *Client) readLoop() {
-	defer close(c.done)
 	m := new(protocol.Message)
 	for {
 		if err := c.codec.RecvInto(m); err != nil {
 			c.mu.Lock()
-			c.readErr = err
 			c.closed = true
 			pending := c.pending
 			c.pending = nil
+			docs := make([]*Doc, 0, len(c.docs))
+			for _, d := range c.docs {
+				docs = append(docs, d)
+			}
 			c.mu.Unlock()
 			for _, h := range pending {
 				h(nil)
+			}
+			// A replica's waiters see done closed once they wake.
+			close(c.done)
+			for _, d := range docs {
+				d.mu.Lock()
+				d.wake.Broadcast()
+				d.mu.Unlock()
 			}
 			return
 		}
@@ -346,15 +354,21 @@ type Doc struct {
 	// seq is the last event folded into runes: the dedup and gap test of
 	// the next one. told trails it: the last event the watcher has also
 	// been told about — what Seq and WaitSeq report, so that "the replica
-	// is at n" implies "the watcher's callback for n has returned".
+	// is at n" implies "the watcher's callback for n has returned". wake
+	// (on mu) is broadcast whenever told advances, when a resync gives up
+	// and when the connection's read loop ends.
 	seq, told uint64
+	wake      sync.Cond
 	snap      uint64 // MVCC snapshot version of the last full-text read
 	lagged    bool
 	// resyncing is set while the replica waits for a base (its open read
 	// or a resync); pending keeps the pushes that arrive meanwhile, to be
-	// folded on top of the base once it lands.
+	// folded on top of the base once it lands. resyncErr is the error the
+	// last resync gave up on, until a base lands or another resync starts:
+	// while it is set, the replica cannot catch up on its own.
 	resyncing bool
 	pending   []protocol.Event
+	resyncErr error
 	// events is the event log Events reads, a ring of the newest
 	// eventRetention events folded; oldest is its oldest slot once full.
 	events  []protocol.Event
@@ -382,6 +396,7 @@ func (c *Client) Open(docID uint64) (*Doc, error) {
 	// Register before subscribing so no push is dropped: pushes arriving
 	// before the open snapshot wait in pending until it lands.
 	d := &Doc{c: c, id: docID, resyncing: true}
+	d.wake.L = &d.mu
 	c.mu.Lock()
 	c.docs[docID] = d
 	c.mu.Unlock()
@@ -395,11 +410,18 @@ func (c *Client) Open(docID uint64) (*Doc, error) {
 		c.mu.Lock()
 		delete(c.docs, docID)
 		c.mu.Unlock()
+		// A concurrent Open of the same document returned d: its reads
+		// must not wait for a base that is not coming.
+		d.mu.Lock()
+		d.resyncErr = err
+		d.wake.Broadcast()
+		d.mu.Unlock()
 		return nil, err
 	}
 	d.mu.Lock()
 	d.landLocked(resp.Text, resp.Seq, resp.Snap)
 	d.told = d.seq
+	d.wake.Broadcast()
 	d.mu.Unlock()
 	return d, nil
 }
@@ -558,9 +580,11 @@ func (d *Doc) apply(ev *protocol.Event) {
 // replica frozen; a failed resync surfaces on the next read or edit.
 func (d *Doc) resyncLocked(why protocol.Event) {
 	d.resyncing = true
+	d.resyncErr = nil
 	go func() {
+		var err error
 		for attempt := 0; attempt < 5; attempt++ {
-			var err error
+			err = nil
 			if why.Name == "lagged" {
 				_, err = d.c.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: d.id})
 			}
@@ -569,15 +593,55 @@ func (d *Doc) resyncLocked(why protocol.Event) {
 					return
 				}
 			}
-			if errors.Is(err, ErrClosed) {
-				break // connection gone; nothing left to recover
+			// Back off; the wait ends early only once the connection is
+			// gone, and then there is nothing left to recover.
+			d.mu.Lock()
+			gone := d.waitLocked(func() bool { return false }, time.Duration(attempt+1)*50*time.Millisecond)
+			d.mu.Unlock()
+			if gone != nil {
+				err = gone
+				break
 			}
-			time.Sleep(time.Duration(attempt+1) * 50 * time.Millisecond)
 		}
 		d.mu.Lock()
 		d.resyncing = false
+		d.resyncErr = err
+		d.wake.Broadcast()
 		d.mu.Unlock()
 	}()
+}
+
+// noTimeout is waitLocked's timeout for a wait that only ok, the
+// connection or a resync ends.
+const noTimeout = time.Duration(-1)
+
+// waitLocked waits on d.wake (caller holds d.mu) until ok reports true or
+// the timeout has passed, and returns nil; or until the replica cannot
+// catch up, and returns why: ErrClosed once the connection is gone, or the
+// error its last resync gave up on.
+func (d *Doc) waitLocked(ok func() bool, timeout time.Duration) error {
+	expired := timeout == 0
+	if timeout > 0 {
+		t := time.AfterFunc(timeout, func() {
+			d.mu.Lock()
+			expired = true
+			d.wake.Broadcast()
+			d.mu.Unlock()
+		})
+		defer t.Stop()
+	}
+	for !ok() && !expired {
+		select {
+		case <-d.c.done:
+			return ErrClosed
+		default:
+		}
+		if d.resyncErr != nil {
+			return d.resyncErr
+		}
+		d.wake.Wait()
+	}
+	return nil
 }
 
 // landLocked adopts a full-text base that is at least as new as the
@@ -617,13 +681,15 @@ func (d *Doc) foldPendingLocked() {
 		}
 	}
 	d.resyncing = false
+	d.resyncErr = nil
 }
 
 // unlockAndTell releases d.mu (which the caller holds), hands ev to the
 // watcher, and only then lets Seq report seq — the sequence number the
-// caller folded up to under the lock. The callback runs without the lock
-// because watchers call back into the replica; Seq never moves backwards,
-// so a resync finishing after a newer push changes nothing.
+// caller folded up to under the lock — and wakes the replica's waiters.
+// The callback runs without the lock because watchers call back into the
+// replica; Seq never moves backwards, so a resync finishing after a newer
+// push changes nothing.
 func (d *Doc) unlockAndTell(ev protocol.Event, seq uint64) {
 	w := d.watcher
 	if w != nil {
@@ -633,6 +699,7 @@ func (d *Doc) unlockAndTell(ev protocol.Event, seq uint64) {
 	}
 	if seq > d.told {
 		d.told = seq
+		d.wake.Broadcast()
 	}
 	d.mu.Unlock()
 }
@@ -863,13 +930,28 @@ func (d *Doc) VersionText(id uint64) (string, error) {
 	return resp.Text, nil
 }
 
-// Read records a read event and returns the text.
+// Read records a read event on the server and returns the text the read
+// saw, served by the replica: the server answers with the sequence number
+// of the state it read, and Read waits until Seq reports it. So a read
+// holds every edit acknowledged before it (read-your-writes) and costs a
+// few bytes on the wire however long the document. A user whom range
+// rules deny part of the text reads it as the replica holds it, each
+// denied character masked with █ (server.MaskRune) rather than left out.
+// Read fails with ErrClosed once the connection is gone, and with the
+// error a resync gave up on when the replica cannot catch up. Do not call
+// it from a Watch callback: the replica does not advance until the
+// callback returns.
 func (d *Doc) Read() (string, error) {
 	resp, err := d.c.call(&protocol.Message{Op: protocol.OpRead, Doc: d.id})
 	if err != nil {
 		return "", err
 	}
-	return resp.Text, nil
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.waitLocked(func() bool { return d.told >= resp.Seq }, noTimeout); err != nil {
+		return "", err
+	}
+	return string(d.runes), nil
 }
 
 // MoveCursor publishes the user's cursor position (awareness).
@@ -897,19 +979,32 @@ func (d *Doc) History() ([]protocol.HistoryOp, error) {
 }
 
 // WaitSeq blocks until Seq reports seq — the replica has applied it and the
-// watcher's callback for it has returned (tests and deterministic demos);
-// it resyncs if pushes stall.
+// watcher's callback for it has returned (tests and deterministic demos).
+// It waits at most attempts × 2 ms in all, and resyncs if pushes stall for
+// half of that or the replica cannot catch up on its own.
 func (d *Doc) WaitSeq(seq uint64, attempts int) error {
-	for i := 0; i < attempts; i++ {
-		if d.Seq() >= seq {
-			return nil
-		}
-		if i == attempts/2 {
-			if err := d.Resync(); err != nil {
-				return err
-			}
-		}
-		sleepABit()
+	budget := time.Duration(attempts) * 2 * time.Millisecond
+	reached := func() bool { return d.told >= seq }
+	d.mu.Lock()
+	err := d.waitLocked(reached, budget/2)
+	caughtUp := reached()
+	d.mu.Unlock()
+	switch {
+	case caughtUp:
+		return nil
+	case errors.Is(err, ErrClosed):
+		return err
 	}
-	return fmt.Errorf("client: replica stuck at seq %d < %d", d.Seq(), seq)
+	if err := d.Resync(); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.waitLocked(reached, budget-budget/2); err != nil {
+		return err
+	}
+	if !reached() {
+		return fmt.Errorf("client: replica stuck at seq %d < %d", d.told, seq)
+	}
+	return nil
 }

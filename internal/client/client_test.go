@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -379,6 +380,106 @@ func (s *scriptServer) push(ev protocol.Event) {
 	_ = s.codec.Send(&protocol.Message{Type: protocol.TypePush, Event: &ev})
 }
 
+// readWithin runs d.Read and fails the test if it has not returned within
+// ten seconds.
+func readWithin(t *testing.T, d *Doc) (string, error) {
+	t.Helper()
+	type result struct {
+		text string
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		text, err := d.Read()
+		done <- result{text, err}
+	}()
+	select {
+	case r := <-done:
+		return r.text, r.err
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Read hangs with the replica at seq %d", d.Seq())
+		return "", nil
+	}
+}
+
+// TestReadWaitsForReplica pins that Read returns the replica's text only
+// once the replica reaches the sequence number the server read at: the
+// scripted server answers the read at seq 2 and only then pushes events 1
+// and 2.
+func TestReadWaitsForReplica(t *testing.T) {
+	c, _ := startScript(t, func(s *scriptServer, req *protocol.Message) {
+		switch req.Op {
+		case protocol.OpSubscribe, protocol.OpOpenDoc:
+			s.respond(req, &protocol.Message{Seq: 0, Snap: 1})
+		case protocol.OpRead:
+			s.respond(req, &protocol.Message{Seq: 2})
+			s.push(protocol.Event{Seq: 1, Kind: "insert", User: "peer", Pos: 0, Text: "a"})
+			s.push(protocol.Event{Seq: 2, Kind: "insert", User: "peer", Pos: 1, Text: "b"})
+		}
+	})
+	d, err := c.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := readWithin(t, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text != "ab" {
+		t.Fatalf("Read = %q, want %q: it returned before the replica reached the read", text, "ab")
+	}
+}
+
+// TestReadEndsWithConnection pins that a Read waiting for pushes returns
+// ErrClosed when the connection drops instead of waiting forever. The
+// scripted server answers the read at seq 5 and drops the connection a
+// little later, so that the Read is most likely already waiting; either
+// order must end in ErrClosed.
+func TestReadEndsWithConnection(t *testing.T) {
+	c, _ := startScript(t, func(s *scriptServer, req *protocol.Message) {
+		switch req.Op {
+		case protocol.OpSubscribe, protocol.OpOpenDoc:
+			s.respond(req, &protocol.Message{Seq: 0, Snap: 1})
+		case protocol.OpRead:
+			s.respond(req, &protocol.Message{Seq: 5})
+			time.AfterFunc(20*time.Millisecond, func() { s.codec.Close() })
+		}
+	})
+	d, err := c.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readWithin(t, d); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Read on a dropped connection = %v, want ErrClosed", err)
+	}
+}
+
+// TestReadSurfacesAbandonedResync pins that a Read behind a gap the
+// replica cannot close returns the error its resync gave up on: the
+// scripted server refuses every resync.
+func TestReadSurfacesAbandonedResync(t *testing.T) {
+	const refused = "resync refused"
+	c, s := startScript(t, func(s *scriptServer, req *protocol.Message) {
+		switch req.Op {
+		case protocol.OpSubscribe, protocol.OpOpenDoc:
+			s.respond(req, &protocol.Message{Seq: 0, Snap: 1})
+		case protocol.OpResync, protocol.OpText:
+			_ = s.codec.Send(&protocol.Message{Type: protocol.TypeResponse, ID: req.ID, Err: refused})
+		case protocol.OpRead:
+			s.respond(req, &protocol.Message{Seq: 3})
+		}
+	})
+	d, err := c.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.push(protocol.Event{Seq: 3, Kind: "insert", User: "peer", Pos: 0, Text: "c"}) // 1 and 2 are missing
+	var re *RemoteError
+	if _, err := readWithin(t, d); !errors.As(err, &re) || re.Msg != refused {
+		t.Fatalf("Read behind an abandoned resync = %v, want %q", err, refused)
+	}
+}
+
 // TestPushesDuringBaseAreKept pins that a push arriving while the replica
 // waits for its base is kept and folded on top of it, not dropped: the
 // scripted server writes the push ahead of the response carrying the base.
@@ -686,46 +787,64 @@ func TestReplicaHeapIndependentOfEvents(t *testing.T) {
 		t.Skip("the race detector adds shadow memory to every allocation")
 	}
 	const limit = 256 << 10
-	before := settledHeap() // the connection counts with the replica
-	c, s := startScript(t, func(s *scriptServer, req *protocol.Message) {
-		switch req.Op {
-		case protocol.OpSubscribe, protocol.OpOpenDoc:
-			s.respond(req, &protocol.Message{Seq: 0, Snap: 1})
+	// Each gated figure is the least of its readings over three runs.
+	at10k, grew := math.Inf(1), math.Inf(1)
+	at100k := leastOf3(func() float64 {
+		before := settledHeap() // the connection counts with the replica
+		c, s := startScript(t, func(s *scriptServer, req *protocol.Message) {
+			switch req.Op {
+			case protocol.OpSubscribe, protocol.OpOpenDoc:
+				s.respond(req, &protocol.Message{Seq: 0, Snap: 1})
+			}
+		})
+		defer c.Close()
+		d, err := c.Open(1)
+		if err != nil {
+			t.Fatal(err)
 		}
+		seq := uint64(0)
+		pushTo := func(n uint64) float64 {
+			t.Helper()
+			for seq < n {
+				seq++
+				// A key and its backspace, so the text stays one rune or none.
+				ev := protocol.Event{Seq: seq, Kind: "insert", User: "peer", Text: "x", N: 1}
+				if seq%2 == 0 {
+					ev = protocol.Event{Seq: seq, Kind: "delete", User: "peer", N: 1}
+				}
+				s.push(ev)
+			}
+			for deadline := time.Now().Add(30 * time.Second); d.Seq() != n; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("replica at seq %d, want %d", d.Seq(), n)
+				}
+			}
+			return float64(settledHeap()) - float64(before)
+		}
+		ten := pushTo(10_000)
+		hundred := pushTo(100_000)
+		runtime.KeepAlive(d)
+		at10k, grew = min(at10k, ten), min(grew, hundred-ten)
+		return hundred
 	})
-	d, err := c.Open(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := uint64(0)
-	pushTo := func(n uint64) int64 {
-		t.Helper()
-		for seq < n {
-			seq++
-			// A key and its backspace, so the text stays one rune or none.
-			ev := protocol.Event{Seq: seq, Kind: "insert", User: "peer", Text: "x", N: 1}
-			if seq%2 == 0 {
-				ev = protocol.Event{Seq: seq, Kind: "delete", User: "peer", N: 1}
-			}
-			s.push(ev)
-		}
-		for deadline := time.Now().Add(30 * time.Second); d.Seq() != n; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("replica at seq %d, want %d", d.Seq(), n)
-			}
-		}
-		return int64(settledHeap()) - int64(before)
-	}
-	at10k := pushTo(10_000)
-	at100k := pushTo(100_000)
-	runtime.KeepAlive(d)
-	t.Logf("settled heap of the replica: %d B after 10k events, %d B after 100k", at10k, at100k)
+	t.Logf("settled heap of the replica: %.0f B after 10k events, %.0f B after 100k", at10k, at100k)
 	if at100k > limit {
-		t.Errorf("%d B after 100k events, limit %d", at100k, limit)
+		t.Errorf("%.0f B after 100k events, limit %d", at100k, limit)
 	}
-	if grew := at100k - at10k; grew > 32<<10 { // a log of every event grows 11 MB
-		t.Errorf("the heap grew %d B from 10k to 100k events", grew)
+	if grew > 32<<10 { // a log of every event grows 11 MB
+		t.Errorf("the heap grew %.0f B from 10k to 100k events", grew)
 	}
+}
+
+// leastOf3 returns the least of three readings of measure. A settled-heap
+// difference reads high, never low, when something else allocates between
+// its two readings, so the least reading is the one a gate compares.
+func leastOf3(measure func() float64) float64 {
+	least := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		least = min(least, measure())
+	}
+	return least
 }
 
 // TestResyncEventsReadableInCallback pins what keystroke-bench's watcher

@@ -454,7 +454,7 @@ func TestCompactCrashSafety(t *testing.T) {
 		crashStore := wal.NewMemStore()
 		crashStore.Append(logBytes)
 		if tear > 0 {
-			crashStore.Truncate(crashStore.Len() - tear)
+			crashStore.TruncateTail(int64(crashStore.Len() - tear))
 		}
 		// Every page but the superblock is lost: redo rebuilds them from
 		// the log. Page 0 was synced before the log's first byte.

@@ -439,10 +439,10 @@ func TestReadEventsAndProperties(t *testing.T) {
 	e := newEngine(t)
 	d, _ := e.CreateDocument("alice", "meta")
 	d.InsertText("alice", 0, "content")
-	if _, err := d.RecordRead("bob"); err != nil {
+	if err := d.RecordRead("bob"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.RecordRead("carol"); err != nil {
+	if err := d.RecordRead("carol"); err != nil {
 		t.Fatal(err)
 	}
 	reads, err := d.ReadEvents()

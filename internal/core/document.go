@@ -283,22 +283,18 @@ func (d *Document) copyLocked(user string, pos, n int) (Clipboard, wal.LSN, erro
 }
 
 // RecordRead logs that user read the document now (metadata for dynamic
-// folders such as "documents I read this week") and returns the text.
-func (d *Document) RecordRead(user string) (string, error) {
-	text, err := d.TextFor(user)
-	if err != nil {
-		return "", err
+// folders such as "documents I read this week"), once user's right to read
+// it is checked. It renders no text: a reader holds its own replica.
+func (d *Document) RecordRead(user string) error {
+	if err := d.eng.allowed(user, d.id, RRead); err != nil {
+		return err
 	}
 	now := d.eng.clock.Now()
 	id := d.eng.ids.Next()
-	err = d.eng.withTxn(func(tx *txn.Txn) error {
+	return d.eng.withTxn(func(tx *txn.Txn) error {
 		_, err := d.eng.tReads.Insert(tx, db.Row{int64(id), int64(d.id), user, now})
 		return err
 	})
-	if err != nil {
-		return "", err
-	}
-	return text, nil
 }
 
 // SetState transitions the document state (draft, review, final, …);

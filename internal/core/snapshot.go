@@ -92,20 +92,37 @@ func (s *DocSnapshot) TextAt(t time.Time) string {
 // TextFor returns the text user may read, eliding characters masked by
 // range ACLs — the same fine-grained security filter as Document.TextFor,
 // applied to one consistent view.
-func (s *DocSnapshot) TextFor(user string) (string, error) {
+func (s *DocSnapshot) TextFor(user string) (string, error) { return s.textFor(user, -1) }
+
+// MaskedTextFor is TextFor that replaces each character user may not read
+// with mask instead of eliding it, so every position is the unfiltered
+// text's: the positions pushed events carry, which a replica built on this
+// text can replay.
+func (s *DocSnapshot) MaskedTextFor(user string, mask rune) (string, error) {
+	return s.textFor(user, mask)
+}
+
+// textFor renders the text user may read: a masked character becomes mask,
+// or is left out when mask is negative.
+func (s *DocSnapshot) textFor(user string, mask rune) (string, error) {
 	if err := s.d.eng.allowed(user, s.d.id, RRead); err != nil {
 		return "", err
 	}
 	if s.d.eng.check == nil {
 		return s.t.Text(), nil
 	}
-	ids := s.t.VisibleIDs()
-	mask := s.d.eng.check.ReadableMask(user, s.d.id, ids)
+	readable := s.d.eng.check.ReadableMask(user, s.d.id, s.t.VisibleIDs())
+	if readable == nil {
+		return s.t.Text(), nil
+	}
 	var sb strings.Builder
 	i := 0
 	s.t.WalkVisible(func(ch *texttree.Char) bool {
-		if mask == nil || mask[i] {
+		switch {
+		case readable[i]:
 			sb.WriteRune(ch.Rune)
+		case mask >= 0:
+			sb.WriteRune(mask)
 		}
 		i++
 		return true

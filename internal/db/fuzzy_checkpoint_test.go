@@ -26,7 +26,7 @@ func crashImage(t *testing.T, disk *storage.MemDisk, store *wal.MemStore, tearLo
 		t.Fatal(err)
 	}
 	if tearLog > 0 {
-		crashStore.Truncate(crashStore.Len() - tearLog)
+		crashStore.TruncateTail(int64(crashStore.Len() - tearLog))
 	}
 	return disk.Snapshot(), crashStore
 }

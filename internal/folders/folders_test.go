@@ -83,11 +83,11 @@ func TestDynamicFolderReadByLastWeek(t *testing.T) {
 	d3.InsertText("alice", 0, "doc three")
 
 	// carol reads d1, then eight days pass, then she reads d2.
-	if _, err := d1.RecordRead("carol"); err != nil {
+	if err := d1.RecordRead("carol"); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(8 * 24 * time.Hour)
-	if _, err := d2.RecordRead("carol"); err != nil {
+	if err := d2.RecordRead("carol"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -131,7 +131,7 @@ func TestServiceMatchesRebuild(t *testing.T) {
 	if _, err := root.SetHeading("alice", 0, 3, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := root.RecordRead("bob"); err != nil {
+	if err := root.RecordRead("bob"); err != nil {
 		t.Fatal(err)
 	}
 	if err := root.SetState("alice", "final"); err != nil {
@@ -418,7 +418,7 @@ func writer(wg *sync.WaitGroup, errs chan<- error, skipped *atomic.Int64, docs [
 		case 8: // metadata
 			err = d.SetState(user, fmt.Sprintf("rev-%d", i))
 		case 9: // read event
-			_, err = d.RecordRead(user)
+			err = d.RecordRead(user)
 		}
 		switch {
 		case errors.Is(err, core.ErrRange):

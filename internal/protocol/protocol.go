@@ -481,7 +481,7 @@ func (c *Codec) RecvInto(m *Message) error {
 				break
 			}
 		}
-		if err := c.fill(); err != nil {
+		if err := c.fill(0); err != nil {
 			return err
 		}
 	}
@@ -493,7 +493,7 @@ func (c *Codec) RecvInto(m *Message) error {
 	}
 	size := 1 + k + int(n)
 	for len(c.rbuf)-c.roff < size {
-		if err := c.fill(); err != nil {
+		if err := c.fill(size); err != nil {
 			return err
 		}
 	}
@@ -511,17 +511,33 @@ func (c *Codec) RecvInto(m *Message) error {
 	return err
 }
 
+// recvGrowth bounds how far the receive buffer grows ahead of the bytes
+// that have arrived: at most this many times them. A 30 KB frame whose
+// first minRecvBuf bytes are in takes one more Read, and a length prefix
+// alone claims no more than minRecvBuf.
+const recvGrowth = 8
+
 // fill reads what the connection has next into rbuf, behind the bytes no
-// frame has taken yet, which it first moves to the front. It doubles the
-// buffer only when those bytes fill it, so the buffer never holds more
-// than twice what has arrived (or minRecvBuf). The stream ending with
-// some of a frame in the buffer is io.ErrUnexpectedEOF.
-func (c *Codec) fill() error {
+// frame has taken yet, which it first moves to the front. want is the
+// length of the frame being read once its header is parsed, 0 before. The
+// buffer grows toward want, but never past recvGrowth times the bytes that
+// have arrived; without a want it doubles when those bytes fill it. So it
+// never holds more than recvGrowth times what has arrived, or minRecvBuf.
+// The stream ending with some of a frame in the buffer is
+// io.ErrUnexpectedEOF.
+func (c *Codec) fill(want int) error {
 	if c.roff > 0 {
 		c.rbuf, c.roff = c.rbuf[:copy(c.rbuf, c.rbuf[c.roff:])], 0
 	}
-	if len(c.rbuf) == cap(c.rbuf) {
-		c.rbuf = append(make([]byte, 0, max(2*len(c.rbuf), minRecvBuf)), c.rbuf...)
+	size := cap(c.rbuf)
+	switch n := len(c.rbuf); {
+	case want > 0:
+		size = max(size, min(want, recvGrowth*n))
+	case n == size:
+		size = max(2*n, minRecvBuf)
+	}
+	if size > cap(c.rbuf) {
+		c.rbuf = append(make([]byte, 0, size), c.rbuf...)
 	}
 	k, err := c.rw.Read(c.rbuf[len(c.rbuf):cap(c.rbuf)])
 	c.rbuf = c.rbuf[:len(c.rbuf)+k]

@@ -285,6 +285,37 @@ func TestRecvAllocatesAsBytesArrive(t *testing.T) {
 	}
 }
 
+// countingReader counts the Reads made of it.
+type countingReader struct {
+	io.Reader
+	reads int
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	r.reads++
+	return r.Reader.Read(p)
+}
+
+// TestRecvLargeFrameReads pins that a frame larger than the receive buffer
+// takes few Reads once its header is in: a 30 KB frame delivered in one
+// chunk, a late joiner's open, takes at most 2, not one per doubling.
+func TestRecvLargeFrameReads(t *testing.T) {
+	const maxReads = 2
+	want := &Message{Type: TypeResponse, ID: 1, OK: true, Doc: 1, Text: strings.Repeat("x", 30_000), Seq: 7, Snap: 3}
+	r := &countingReader{Reader: bytes.NewReader(EncodeBinaryFrame(want))}
+	codec := NewCodec(rwc{Reader: r})
+	var m Message
+	if err := codec.RecvInto(&m); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&m, want) {
+		t.Fatalf("frame decoded to %s, want %s", canon(t, &m), canon(t, want))
+	}
+	if r.reads > maxReads {
+		t.Errorf("a 30 KB frame in one chunk took %d Reads, want at most %d", r.reads, maxReads)
+	}
+}
+
 // TestByteCountersAgree wires a sending and a receiving codec to byte
 // counters: for frames whose length prefixes take one, two and three
 // bytes, the receiver counts in exactly the bytes the sender counts out.

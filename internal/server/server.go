@@ -360,36 +360,25 @@ func (c *conn) handle(req *protocol.Message) *protocol.Message {
 			out[i] = wireInfo(in)
 		}
 		return &protocol.Message{OK: true, Docs: out}
-	// Full-document reads (open, resync, plain text) are served from the
-	// document's MVCC snapshot: the traversal and the socket write happen
-	// entirely off the document lock, so a slow or resyncing connection
-	// never stalls the editors committing keystrokes. SnapshotSeq pairs the
-	// text with a bus sequence number that is exactly consistent with it
-	// (the seed read the two separately, so an edit committing in between
-	// was dropped by the client as a pre-snapshot duplicate); the response
-	// also carries the snapshot version so clients can order reads.
 	case protocol.OpOpenDoc, protocol.OpText:
 		d, err := c.doc(req)
 		if err != nil {
 			return fail(err)
 		}
-		snap, seq := d.SnapshotSeq()
-		text, err := snap.TextFor(c.user)
-		if err != nil {
-			return fail(err)
-		}
-		return &protocol.Message{OK: true, Doc: req.Doc, Text: text,
-			Seq: seq, Snap: snap.Version()}
+		return c.fullText(d)
+	// A read is recorded, and answered with the sequence number of the
+	// state it read, not with the text: the reader's replica serves the
+	// text once it has folded that far.
 	case protocol.OpRead:
 		d, err := c.doc(req)
 		if err != nil {
 			return fail(err)
 		}
-		text, err := d.RecordRead(c.user)
-		if err != nil {
+		_, seq := d.SnapshotSeq()
+		if err := d.RecordRead(c.user); err != nil {
 			return fail(err)
 		}
-		return &protocol.Message{OK: true, Text: text}
+		return &protocol.Message{OK: true, Seq: seq}
 	case protocol.OpCopy:
 		d, err := c.doc(req)
 		if err != nil {
@@ -836,7 +825,7 @@ func (c *conn) resync(req *protocol.Message) *protocol.Message {
 		return fail(err)
 	}
 	// Same gate as subscribe: a user denied doc-level read gets no event
-	// replay. (The full-text fallback below re-checks through TextFor, but
+	// replay. (The full-text fallback below re-checks through fullText, but
 	// the replay path would otherwise hand redacted-by-range-rules-only
 	// events to a user who may not read the document at all.)
 	if err := c.srv.checkRead(c.user, d.ID()); err != nil {
@@ -856,12 +845,29 @@ func (c *conn) resync(req *protocol.Message) *protocol.Message {
 		}
 		return &protocol.Message{OK: true, Events: out}
 	}
+	resp := c.fullText(d)
+	if resp.OK {
+		resp.Full = true
+	}
+	return resp
+}
+
+// fullText answers a full-document read (an open, an OpText read, a
+// resync's fallback) with the text a replica is built on. It comes from the
+// document's MVCC snapshot: the traversal and the socket write happen
+// entirely off the document lock, so a slow or resyncing connection never
+// stalls the editors committing keystrokes. SnapshotSeq pairs the text with
+// the bus sequence number exactly consistent with it, and the snapshot
+// version lets clients order reads. A character the user may not read is
+// masked with MaskRune, not elided, as in the pushes the replica folds on
+// top: their positions are the unfiltered text's.
+func (c *conn) fullText(d *core.Document) *protocol.Message {
 	snap, seq := d.SnapshotSeq()
-	text, err := snap.TextFor(c.user)
+	text, err := snap.MaskedTextFor(c.user, MaskRune)
 	if err != nil {
 		return fail(err)
 	}
-	return &protocol.Message{OK: true, Full: true, Text: text,
+	return &protocol.Message{OK: true, Doc: uint64(d.ID()), Text: text,
 		Seq: seq, Snap: snap.Version()}
 }
 

@@ -72,19 +72,27 @@ type Log struct {
 }
 
 // Open creates a Log over store, positioning the next LSN after any
-// existing records (scanning stops at a torn tail), and starts its flusher
-// with no coalescing window. A log in an older record format is refused
-// with ErrFormat: opening it as empty would hand out LSNs below the page
-// LSNs already on disk.
+// existing records, and starts its flusher with no coalescing window. A
+// torn tail, the frame a crash cut short, is cut off the store first: left
+// there, it would hide every frame appended after it from the next open. A
+// log in an older record format is refused with ErrFormat: opening it as
+// empty would hand out LSNs below the page LSNs already on disk.
 func Open(store Store) (*Log, error) {
+	data, err := store.ReadAll()
+	if err != nil {
+		return nil, err
+	}
 	l := &Log{store: store, nextLSN: 1}
-	err := iterate(store, func(r *Record) error {
-		if r.LSN >= l.nextLSN {
-			l.nextLSN = r.LSN + 1
-		}
-		return nil
+	whole := 0 // the end of the last whole frame
+	err = Walk(data, func(r *Record, _, frameEnd int) bool {
+		l.nextLSN = max(l.nextLSN, r.LSN+1)
+		whole = frameEnd
+		return true
 	})
-	if err != nil && !errors.Is(err, ErrTorn) {
+	if errors.Is(err, ErrTorn) {
+		err = store.TruncateTail(int64(whole))
+	}
+	if err != nil {
 		return nil, err
 	}
 	l.flushed = l.nextLSN - 1
@@ -330,10 +338,11 @@ func (l *Log) Close() error {
 	return errors.Join(flushErr, l.store.Close())
 }
 
-// iterate decodes every durable record in order. It returns ErrTorn at a
-// torn tail and ErrFormat at an intact record it cannot decode.
-func iterate(store Store, fn func(*Record) error) error {
-	data, err := store.ReadAll()
+// Iterate replays every durable record in LSN order. A torn tail terminates
+// iteration without error (the tail is treated as never written); a record
+// that is intact but undecodable fails it with ErrFormat.
+func (l *Log) Iterate(fn func(*Record) error) error {
+	data, err := l.store.ReadAll()
 	if err != nil {
 		return err
 	}
@@ -343,18 +352,10 @@ func iterate(store Store, fn func(*Record) error) error {
 		ferr = fn(&rec)
 		return ferr == nil
 	})
-	if ferr != nil {
+	switch {
+	case ferr != nil:
 		return ferr
-	}
-	return err
-}
-
-// Iterate replays every durable record in LSN order. A torn tail terminates
-// iteration without error (the tail is treated as never written); a record
-// that is intact but undecodable fails it with ErrFormat.
-func (l *Log) Iterate(fn func(*Record) error) error {
-	err := iterate(l.store, fn)
-	if errors.Is(err, ErrTorn) {
+	case errors.Is(err, ErrTorn):
 		return nil
 	}
 	return err

@@ -29,6 +29,9 @@ type Store interface {
 	// already durable in the page store). The caller guarantees off lies on
 	// a frame boundary; concurrent Appends are preserved.
 	TruncateHead(off int64) error
+	// TruncateTail durably cuts the store back to its first size bytes
+	// (a torn tail, cut at open before anything is appended).
+	TruncateTail(size int64) error
 	// Close releases resources.
 	Close() error
 }
@@ -153,6 +156,16 @@ func (s *FileStore) TruncateHead(off int64) error {
 	return nil
 }
 
+// TruncateTail implements Store.
+func (s *FileStore) TruncateTail(size int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.f.Truncate(size); err != nil {
+		return err
+	}
+	return s.f.Sync()
+}
+
 // Close implements Store.
 func (s *FileStore) Close() error {
 	s.mu.Lock()
@@ -160,8 +173,8 @@ func (s *FileStore) Close() error {
 	return s.f.Close()
 }
 
-// MemStore is an in-memory Store for tests and benchmarks. Truncate allows
-// crash-injection tests to simulate a torn tail.
+// MemStore is an in-memory Store for tests and benchmarks. Crash-injection
+// tests simulate a torn tail with TruncateTail.
 type MemStore struct {
 	mu   sync.Mutex
 	data []byte
@@ -227,15 +240,12 @@ func (s *MemStore) Len() int {
 	return len(s.data)
 }
 
-// Truncate cuts the store to n bytes, simulating a crash that tore the
-// tail of the log.
-func (s *MemStore) Truncate(n int) {
+// TruncateTail implements Store.
+func (s *MemStore) TruncateTail(size int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n < 0 {
-		n = 0
+	if size < int64(len(s.data)) {
+		s.data = s.data[:max(size, 0)]
 	}
-	if n < len(s.data) {
-		s.data = s.data[:n]
-	}
+	return nil
 }

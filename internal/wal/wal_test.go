@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -185,7 +186,7 @@ func TestLogTornTailIgnored(t *testing.T) {
 	if err := log.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	store.Truncate(whole + 3) // tear the last record
+	store.TruncateTail(int64(whole + 3)) // tear the last record
 
 	log2 := openLog(t, store)
 	count := 0
@@ -194,6 +195,65 @@ func TestLogTornTailIgnored(t *testing.T) {
 	}
 	if count != 2 {
 		t.Fatalf("iterated %d records after torn tail, want 2", count)
+	}
+}
+
+// TestTornTailCutAtOpen pins that opening a log cuts a torn tail off its
+// store, for both stores: a commit flushed after reopening over a frame
+// torn 3 bytes in is still there at the next open, after the 2 records
+// before the tear.
+func TestTornTailCutAtOpen(t *testing.T) {
+	for name, open := range map[string]func(t *testing.T) Store{
+		"mem": func(*testing.T) Store { return NewMemStore() },
+		"file": func(t *testing.T) Store {
+			s, err := OpenFileStore(filepath.Join(t.TempDir(), "wal.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			return s
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			store := open(t)
+			log := openLog(t, store)
+			log.Append(&Record{Type: RecBegin, TxnID: 1})
+			log.Append(&Record{Type: RecCommit, TxnID: 1})
+			if err := log.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			whole, err := store.Size()
+			if err != nil {
+				t.Fatal(err)
+			}
+			log.Append(&Record{Type: RecBegin, TxnID: 2})
+			if err := log.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.TruncateTail(whole + 3); err != nil { // tear the last frame
+				t.Fatal(err)
+			}
+
+			log2 := openLog(t, store)
+			if size, err := store.Size(); err != nil || size != whole {
+				t.Fatalf("the store holds %d bytes after open (%v), want the %d of its whole frames", size, err, whole)
+			}
+			lsn, err := log2.Append(&Record{Type: RecCommit, TxnID: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := log2.WaitFlushed(lsn); err != nil {
+				t.Fatal(err)
+			}
+
+			count := 0
+			if err := openLog(t, store).Iterate(func(*Record) error { count++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if count != 3 {
+				t.Fatalf("iterated %d records after reopening, want 3: the commit flushed after the torn tail is lost", count)
+			}
+		})
 	}
 }
 
@@ -417,7 +477,7 @@ func TestRecoveryTornCommitMeansLoser(t *testing.T) {
 	}
 	preCommit := store.Len()
 	tx.commit()
-	store.Truncate(preCommit + 2) // commit record torn
+	store.TruncateTail(int64(preCommit + 2)) // commit record torn
 
 	pool2 := storage.NewBufferPool(disk, 16)
 	log2 := openLog(t, store)

@@ -122,7 +122,7 @@ func BuildCorpus(eng *core.Engine, spec CorpusSpec) ([]*core.Document, error) {
 		}
 		for r := 0; r < reads; r++ {
 			reader := fmt.Sprintf("user%d", rng.Intn(spec.Users))
-			if _, err := d.RecordRead(reader); err != nil {
+			if err := d.RecordRead(reader); err != nil {
 				return nil, err
 			}
 		}
