@@ -574,16 +574,22 @@ func (d *Doc) apply(ev *protocol.Event) {
 	d.unlockAndTell(*ev, ev.Seq)
 }
 
+// resyncAttempts is how many times a resync is tried before it is given
+// up.
+const resyncAttempts = 5
+
 // resyncLocked starts a background resync whose watcher event is why
 // (caller holds d.mu). After a lagged notice it resubscribes first. A
-// transient failure is retried — giving up silently would leave the
-// replica frozen; a failed resync surfaces on the next read or edit.
+// transient failure is retried after a back-off that grows by 50 ms an
+// attempt — giving up silently would leave the replica frozen; a failed
+// resync surfaces on the next read or edit, as soon as the last attempt
+// fails.
 func (d *Doc) resyncLocked(why protocol.Event) {
 	d.resyncing = true
 	d.resyncErr = nil
 	go func() {
 		var err error
-		for attempt := 0; attempt < 5; attempt++ {
+		for attempt := 1; ; attempt++ {
 			err = nil
 			if why.Name == "lagged" {
 				_, err = d.c.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: d.id})
@@ -593,10 +599,13 @@ func (d *Doc) resyncLocked(why protocol.Event) {
 					return
 				}
 			}
+			if attempt == resyncAttempts {
+				break
+			}
 			// Back off; the wait ends early only once the connection is
 			// gone, and then there is nothing left to recover.
 			d.mu.Lock()
-			gone := d.waitLocked(func() bool { return false }, time.Duration(attempt+1)*50*time.Millisecond)
+			gone := d.waitLocked(func() bool { return false }, time.Duration(attempt)*50*time.Millisecond)
 			d.mu.Unlock()
 			if gone != nil {
 				err = gone

@@ -456,14 +456,21 @@ func TestReadEndsWithConnection(t *testing.T) {
 
 // TestReadSurfacesAbandonedResync pins that a Read behind a gap the
 // replica cannot close returns the error its resync gave up on: the
-// scripted server refuses every resync.
+// scripted server refuses every resync. The error surfaces as soon as the
+// last attempt is refused, with no back-off after it: the Read returns
+// within 125 ms of the last refusal, half the 250 ms a fifth back-off
+// would take.
 func TestReadSurfacesAbandonedResync(t *testing.T) {
 	const refused = "resync refused"
+	var last atomic.Int64 // when the server refused the last attempt, in ns
 	c, s := startScript(t, func(s *scriptServer, req *protocol.Message) {
 		switch req.Op {
 		case protocol.OpSubscribe, protocol.OpOpenDoc:
 			s.respond(req, &protocol.Message{Seq: 0, Snap: 1})
 		case protocol.OpResync, protocol.OpText:
+			if s.resyncs.Load() == resyncAttempts {
+				last.Store(time.Now().UnixNano())
+			}
 			_ = s.codec.Send(&protocol.Message{Type: protocol.TypeResponse, ID: req.ID, Err: refused})
 		case protocol.OpRead:
 			s.respond(req, &protocol.Message{Seq: 3})
@@ -477,6 +484,12 @@ func TestReadSurfacesAbandonedResync(t *testing.T) {
 	var re *RemoteError
 	if _, err := readWithin(t, d); !errors.As(err, &re) || re.Msg != refused {
 		t.Fatalf("Read behind an abandoned resync = %v, want %q", err, refused)
+	}
+	if n := s.resyncs.Load(); n != resyncAttempts {
+		t.Fatalf("%d resync attempts, want %d", n, resyncAttempts)
+	}
+	if late := time.Since(time.Unix(0, last.Load())); late > 125*time.Millisecond {
+		t.Fatalf("Read returned %v after the last resync was refused", late)
 	}
 }
 

@@ -210,16 +210,9 @@ func (d *Document) Len() int { return d.snap.Load().snap.t.Len() }
 
 // Text returns the full visible text without access filtering (embedded,
 // trusted callers), resolved against the latest committed snapshot — the
-// traversal runs entirely off the document lock. Use TextFor to apply
-// character-level security.
+// traversal runs entirely off the document lock. DocSnapshot's
+// MaskedTextFor applies character-level security.
 func (d *Document) Text() string { return d.snap.Load().snap.t.Text() }
-
-// TextFor returns the text user is allowed to read: characters masked by
-// range ACLs are elided (paper: fine-grained security). The filter runs
-// against one committed snapshot, off the document lock.
-func (d *Document) TextFor(user string) (string, error) {
-	return d.Snapshot().TextFor(user)
-}
 
 // Info returns the document's metadata as of its latest published state,
 // without the document lock.

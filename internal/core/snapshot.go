@@ -89,22 +89,12 @@ func (s *DocSnapshot) TextAt(t time.Time) string {
 	return s.d.timeTravelTree(s.t).TextAt(t)
 }
 
-// TextFor returns the text user may read, eliding characters masked by
-// range ACLs — the same fine-grained security filter as Document.TextFor,
-// applied to one consistent view.
-func (s *DocSnapshot) TextFor(user string) (string, error) { return s.textFor(user, -1) }
-
-// MaskedTextFor is TextFor that replaces each character user may not read
-// with mask instead of eliding it, so every position is the unfiltered
-// text's: the positions pushed events carry, which a replica built on this
-// text can replay.
+// MaskedTextFor returns the text user may read, applied to one consistent
+// view (paper: fine-grained security): each character a range ACL hides
+// from user becomes mask, so every position is the unfiltered text's — the
+// positions pushed events carry, which a replica built on this text can
+// replay.
 func (s *DocSnapshot) MaskedTextFor(user string, mask rune) (string, error) {
-	return s.textFor(user, mask)
-}
-
-// textFor renders the text user may read: a masked character becomes mask,
-// or is left out when mask is negative.
-func (s *DocSnapshot) textFor(user string, mask rune) (string, error) {
 	if err := s.d.eng.allowed(user, s.d.id, RRead); err != nil {
 		return "", err
 	}
@@ -118,10 +108,9 @@ func (s *DocSnapshot) textFor(user string, mask rune) (string, error) {
 	var sb strings.Builder
 	i := 0
 	s.t.WalkVisible(func(ch *texttree.Char) bool {
-		switch {
-		case readable[i]:
+		if readable[i] {
 			sb.WriteRune(ch.Rune)
-		case mask >= 0:
+		} else {
 			sb.WriteRune(mask)
 		}
 		i++

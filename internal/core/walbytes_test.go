@@ -243,16 +243,22 @@ func newOneKeyDoc(t *testing.T) (*wal.MemStore, *db.Database, *Document) {
 // state, not in an allocation of its own, brings it to 18. Registering
 // the rows' undo entries as values in the transaction's inline buffer,
 // not as closures, and encoding the rows into the pooled batch state's
-// buffers bring it to 12; the budget is that plus 10 %, rounded down.
-const maxOneKeyBatchAllocs = 13
+// buffers bring it to 12. A text mirror that holds a segment per record
+// stretch, not a slot per character, brings it to 10: the key copies a
+// leaf and the root of a two-level tree, not a path of three nodes. The
+// budget is that plus 10 %, rounded down.
+const maxOneKeyBatchAllocs = 11
 
 // maxRunBatchAllocs bounds the heap allocations of a 128-key batch, the
 // bulk regime, typed through the same path. Converting the inserted text
 // to a []rune, which a text over 32 runes puts on the heap, cost 17.
-// Decoding it in the staging loop brings it to 16. Ten per cent more,
-// rounded down, would be 17 again and let the conversion back in, so the
-// budget is the measured count (testing.AllocsPerRun floors its average).
-const maxRunBatchAllocs = 16
+// Decoding it in the staging loop brings it to 16. A text mirror that
+// holds a segment per record stretch brings it to 11: the run is one
+// segment, where its 128 slots overflowed the leaf they landed in into
+// new leaves. Ten per cent more, rounded down, would be 12 and let an
+// allocation back in, so the budget is the measured count
+// (testing.AllocsPerRun floors its average).
+const maxRunBatchAllocs = 11
 
 // TestOneKeyBatchAllocs types one-key batches between two existing
 // characters of the same 20k-character document as TestOneKeyBatchLogBytes,

@@ -21,7 +21,10 @@ import (
 // after ListDocuments (which opens every document), after index.Open (the
 // indexer's prime) and after one edit in every document (which gives each
 // document its op ring on the bus). Each limit is the measured value plus
-// 10 %: 2.9, 23.1, 42.1 and 41.8 B. While rows were written with 8-byte
+// 10 %: 2.9, 8.6, 24.2 and 23.7 B. While the text mirror held a slot per
+// character, not a segment per record stretch, the last three read 23.1,
+// 38.7 and 38.3 B (42.1 and 41.8 B before the last two limits were
+// set). While rows were written with 8-byte
 // ints and 4-byte lengths, so the buffer pool read more pages for the
 // same rows, they read 3.6, 23.8, 42.8 and 42.4 B. While the op-log cache
 // held every op's ID slice, decoded on open, the last three read 32.3,
@@ -111,9 +114,9 @@ func TestResidencyBytesPerChar(t *testing.T) {
 		got, limit float64
 	}{
 		{"after open", opened, 3.2},
-		{"after ListDocuments", listed, 25.4},
-		{"after index.Open", primed, 46.3},
-		{"after one edit in every document", edited, 46.0},
+		{"after ListDocuments", listed, 9.5},
+		{"after index.Open", primed, 26.6},
+		{"after one edit in every document", edited, 26.1},
 	} {
 		t.Logf("%s: %.1f B of settled heap per stored character", p.name, p.got)
 		if p.got > p.limit {

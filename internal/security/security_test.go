@@ -131,15 +131,16 @@ func TestRangeMaskHidesCharacters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := d.TextFor("viewer")
+	got, err := d.Snapshot().MaskedTextFor("viewer", '*')
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != "public  public" {
-		t.Fatalf("masked text = %q, want %q", got, "public  public")
+	// Each denied rune is masked in place; no rune of "SECRET" appears.
+	if got != "public ****** public" {
+		t.Fatalf("masked text = %q, want %q", got, "public ****** public")
 	}
 	// The owner still sees everything.
-	full, err := d.TextFor("owner")
+	full, err := d.Snapshot().MaskedTextFor("owner", '*')
 	if err != nil || full != "public SECRET public" {
 		t.Fatalf("owner text = %q, %v", full, err)
 	}

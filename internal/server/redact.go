@@ -1,5 +1,5 @@
 // Per-subscriber redaction of the event stream. Full-document reads have
-// always been filtered through TextFor's range-ACL masking, but pushed
+// always been filtered through the range-ACL masking, but pushed
 // events and delta resyncs replayed the committed text to every
 // subscriber — the cross-tenant leak this file closes. Each subscriber
 // carries a redactor bound to its user; every text-bearing event passes
@@ -22,8 +22,9 @@ import (
 )
 
 // MaskRune replaces each character a subscriber may not read in pushed
-// and replayed events. Length-preserving masking (rather than TextFor's
-// elision) keeps event positions valid on the receiving replica.
+// and replayed events and in the full texts replicas are built on.
+// Length-preserving masking (rather than elision) keeps event positions
+// valid on the receiving replica.
 const MaskRune = '█'
 
 // classOf interns a visibility fingerprint as a small dense class ID, the

@@ -18,7 +18,10 @@ import (
 // maxOneKeyRoundTripAllocs bounds the heap allocations of one key's round
 // trip through an in-process server: the author's session sends it, the
 // server decodes, commits and acknowledges it and pushes it to both
-// replicas, and the peer's replica folds it. It measured 15 (21 while the
+// replicas, and the peer's replica folds it. It measured 14 (15 while the
+// text mirror held a slot per instance, so a key typed into the 20k
+// characters copied a leaf and two inner nodes rather than a leaf and the
+// root; 21 while the
 // transaction's undo entries were closures and each row encoder allocated
 // a fresh buffer, 22 while a
 // batch allocated each op's log record on its own, 23 while the
@@ -27,7 +30,7 @@ import (
 // the text buffer gave each key a treap node of its own, 29 while each
 // index entry allocated its own key copy); the budget is that plus 10 %,
 // rounded down.
-const maxOneKeyRoundTripAllocs = 16
+const maxOneKeyRoundTripAllocs = 15
 
 // The stages below have budgets of their own, because one allocation more
 // per frame would not trip the total's 10 % margin. A stage is compared

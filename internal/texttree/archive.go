@@ -318,13 +318,14 @@ func (b *Buffer) PlanCompaction(horizon time.Time) *CompactionPlan {
 }
 
 // ApplyCompaction applies a plan computed by PlanCompaction against the
-// unchanged buffer state: the cold instances' slots are dropped, each
-// re-anchored instance's slot is pointed at a new record of its own that
-// carries its new After, the mirror and the order's extents are rebuilt
-// once from a walk of the old mirror (existing snapshots keep the old
-// tree), and the new archive is published.
+// unchanged buffer state: the cold instances are dropped, each
+// re-anchored instance is pointed at a new record of its own that carries
+// its new After, the mirror and the order's extents are rebuilt once from
+// a walk of the old mirror, the instances left joined into the fewest
+// segments (existing snapshots keep the old tree), and the new archive is
+// published.
 func (b *Buffer) ApplyCompaction(plan *CompactionPlan) {
-	keep := make([]slot, 0, b.TotalLen())
+	var keep []seg // the hot instances left, as the fewest segments
 	runs, re := plan.Runs, plan.Reanchored
 	var cold []*Char // the rest of the run being skipped
 	walk(b.root, func(s slot, _ bool) bool {
@@ -349,7 +350,11 @@ func (b *Buffer) ApplyCompaction(plan *CompactionPlan) {
 			rec.after, re = re[0].After, re[1:]
 			s = slot{rec, 0}
 		}
-		keep = append(keep, s)
+		if k := len(keep) - 1; k >= 0 && keep[k].r == s.r && keep[k].hi == s.i {
+			keep[k].hi++
+		} else {
+			keep = append(keep, seg{s.r, s.i, s.i + 1})
+		}
 		return true
 	})
 	if len(runs) > 0 || len(cold) > 0 || len(re) > 0 {
@@ -358,16 +363,10 @@ func (b *Buffer) ApplyCompaction(plan *CompactionPlan) {
 	}
 	b.order = order{}
 	var t *extent
-	for lo := 0; lo < len(keep); {
-		s := keep[lo]
-		hi := lo + 1
-		for hi < len(keep) && keep[hi] == (slot{s.r, s.i + hi - lo}) {
-			hi++
-		}
-		t, _ = b.order.add(t, s.r.id(s.i), s.r.step, hi-lo)
-		lo = hi
+	for _, s := range keep {
+		t, _ = b.order.add(t, s.r.id(s.lo), s.r.step, s.hi-s.lo)
 	}
-	b.root = insert(b.gen, nil, 0, len(keep), func(i int) slot { return keep[i] })
+	b.root = replace(b.gen, nil, 0, 0, keep)
 	b.arch = plan.arch
 	b.version++
 }

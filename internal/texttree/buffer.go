@@ -53,15 +53,16 @@ var ErrUnknownChar = errors.New("texttree: unknown character")
 //
 // The order treap is the ID index: its nodes are ID extents, and it
 // answers the total rank of an ID. The mirror in the embedded view, a
-// persistent B+-tree whose leaves hold up to leafCap slots, each naming a
-// record and an offset in it, answers every positional read, for the
-// buffer as for its snapshots, and lets Snapshot hand out an immutable
-// O(1) view at any time. Records are copy-on-write: a record is never
-// mutated once a slot names it — an edit points the slots it changes at a
-// new record instead. Mirror nodes are copy-on-write per generation: a
-// write copies a node made before the last Snapshot (which may be
-// reachable from it) and updates in place a node it or an earlier write of
-// the same generation made (which no snapshot can reach).
+// persistent B+-tree whose leaves hold up to leafCap segments, each naming
+// a record, a first offset in it and a count, answers every positional
+// read, for the buffer as for its snapshots, and lets Snapshot hand out an
+// immutable O(1) view at any time. Records are copy-on-write: a record is
+// never mutated once a segment names it — an edit points the instances it
+// changes at a new record instead, cutting their segment around them.
+// Mirror nodes are copy-on-write per generation: a write copies a node
+// made before the last Snapshot (which may be reachable from it) and
+// updates in place a node it or an earlier write of the same generation
+// made (which no snapshot can reach).
 type Buffer struct {
 	view
 	order order
@@ -130,21 +131,12 @@ func loadRecords(recs []run) (*Buffer, error) {
 	segs = layOut(segs)
 	b := NewBuffer()
 	var t *extent
-	total := 0
 	for _, s := range segs {
 		if t, err = b.order.add(t, s.r.id(s.lo), s.r.step, s.hi-s.lo); err != nil {
 			return nil, err
 		}
-		total += s.hi - s.lo
 	}
-	k, base := 0, 0
-	b.root = insert(b.gen, nil, 0, total, func(i int) slot {
-		for i >= base+segs[k].hi-segs[k].lo {
-			base += segs[k].hi - segs[k].lo
-			k++
-		}
-		return slot{segs[k].r, segs[k].lo + i - base}
-	})
+	b.root = replace(b.gen, nil, 0, 0, segs)
 	return b, nil
 }
 
@@ -391,12 +383,12 @@ func (b *Buffer) PredecessorForInsert(pos int) (util.ID, error) {
 // prev's current first child. The run is stored as few records as it can
 // be cut into (cutRuns): one for text typed or pasted in one go. One
 // contiguous insertion descends the mirror once, to the leaf at the run's
-// start rank, and splices the whole run there: the leaf is cut into
-// balanced leaves if the run overflows it, and each inner node above takes
-// the new leaves or splits in turn. Only that one root-to-leaf path is
-// copied, however long the run. The buffer copies what it keeps of the
-// run, so the caller's slice is reusable immediately. On error the buffer
-// is unchanged.
+// start rank, and splices the run's records there as segments: the leaf
+// is cut into balanced leaves if they overflow it, and each inner node
+// above takes the new leaves or splits in turn. Only that one root-to-leaf
+// path is copied, however long the run. The buffer copies what it keeps
+// of the run, so the caller's slice is reusable immediately. On error the
+// buffer is unchanged.
 func (b *Buffer) InsertRun(prev util.ID, run []Char) (next util.ID, err error) {
 	r := 0
 	if !prev.IsNil() {
@@ -437,25 +429,28 @@ func (b *Buffer) InsertRun(prev util.ID, run []Char) (next util.ID, err error) {
 			}
 		}
 	}
-	c := runCursor{recs: newRuns(len(run), at, chained, func(lo int) (util.ID, util.ID) {
+	recs := newRuns(len(run), at, chained, func(lo int) (util.ID, util.ID) {
 		if lo == 0 {
 			return prev, keyOf(&run[0])
 		}
 		return run[lo-1].ID, keyOf(&run[lo])
-	})}
-	for i := range c.recs {
-		if rec := &c.recs[i]; b.order.overlaps(rec.first, rec.step, rec.last()) {
+	})
+	for i := range recs {
+		if rec := &recs[i]; b.order.overlaps(rec.first, rec.step, rec.last()) {
 			return util.NilID, fmt.Errorf("texttree: duplicate char in %v..%v", rec.first, rec.last())
 		}
 	}
 
 	// Validated; now mutate.
 	t := b.order.tail(prev)
-	for i := range c.recs {
-		rec := &c.recs[i]
+	var stack [4]seg // a key is one record
+	segs := stack[:0]
+	for i := range recs {
+		rec := &recs[i]
 		t, _ = b.order.add(t, rec.first, rec.step, rec.len())
+		segs = append(segs, seg{rec, 0, rec.len()})
 	}
-	b.root = insert(b.gen, b.root, r, len(run), c.at)
+	b.root = replace(b.gen, b.root, r, 0, segs)
 	b.version++
 	return next, nil
 }
@@ -504,16 +499,15 @@ func (b *Buffer) flip(ids []util.ID, visit func(k, pos int), del bool, state run
 	var last *runMeta // the metadata the last stretch got, shared if equal
 	for k := 0; k < len(ids); {
 		rank, _ := b.order.totalRank(ids[k])
-		s := slotAt(b.root, rank)
-		if s.r.deleted() == del {
+		sg, off := segAt(b.root, rank)
+		if sg.r.deleted() == del {
 			k++
 			continue
 		}
-		n := 1
-		for k+n < len(ids) && s.i+n < s.r.len() && ids[k+n] == s.r.id(s.i+n) && rank+n < b.TotalLen() {
-			if next := slotAt(b.root, rank+n); next != (slot{s.r, s.i + n}) {
-				break
-			}
+		// The stretch ends with the segment: the instances of a record
+		// that sit side by side in the document are one segment.
+		s, n := slot{sg.r, sg.lo + off}, 1
+		for k+n < len(ids) && s.i+n < sg.hi && ids[k+n] == s.r.id(s.i+n) {
 			n++
 		}
 		m := state
@@ -522,7 +516,8 @@ func (b *Buffer) flip(ids []util.ID, visit func(k, pos int), del bool, state run
 		}
 		last = share(last, s.r.subMeta(s.i, m))
 		rec := s.r.sub(s.i, n, last)
-		b.root = setRange(b.gen, b.root, rank, n, func(i int) slot { return slot{rec, i} }, 0)
+		put := [1]seg{{rec, 0, n}}
+		b.root = replace(b.gen, b.root, rank, n, put[:])
 		b.version++
 		if visit != nil {
 			pos := visibleBefore(b.root, rank)

@@ -275,7 +275,7 @@ func (r *modelRun) checkKept(chars bool, label string) {
 // roughly half inserts — single keys, and runs of up to eight with dense or
 // strided IDs, typed or pasted — a quarter deletes and a fifth undeletes,
 // each of one instance or of a span, and every 256 steps a compaction pass
-// and a run longer than a mirror leaf.
+// and a run of more segments than a mirror leaf holds.
 func (r *modelRun) step(op, x, y byte) {
 	r.now++
 	at := time.Unix(r.now, 0)
@@ -289,11 +289,11 @@ func (r *modelRun) step(op, x, y byte) {
 	}
 	switch {
 	case op < 60 && len(vis) > 0:
-		r.insert(vis[int(x)%len(vis)], 1, y, false)
+		r.insert(vis[int(x)%len(vis)], 1, y, false, false)
 	case op < 100 && len(tombs) > 0:
-		r.insert(tombs[int(x)%len(tombs)], 1, y, false)
+		r.insert(tombs[int(x)%len(tombs)], 1, y, false, false)
 	case op < 140:
-		r.insert(int(x)%(len(r.m.hot)+1)-1, 1+int(y)%8, y, true)
+		r.insert(int(x)%(len(r.m.hot)+1)-1, 1+int(y)%8, y, true, false)
 	case op < 170 && len(vis) > 0:
 		r.flip(vis[int(x)%len(vis):][:1], at, true)
 	case op < 200 && len(vis) > 0:
@@ -301,7 +301,7 @@ func (r *modelRun) step(op, x, y byte) {
 		k := int(x) % len(vis)
 		r.flip(vis[k:][:min(1+int(y)%6, len(vis)-k)], at, true)
 	case op == 254:
-		r.insert(int(x)%(len(r.m.hot)+1)-1, leafCap+1+int(y)%leafCap, y, false)
+		r.insert(int(x)%(len(r.m.hot)+1)-1, leafCap+1+int(y)%leafCap, y, false, true)
 	case op < 230 && len(tombs) > 0:
 		r.flip(tombs[int(x)%len(tombs):][:1], at, false)
 	case op < 255 && len(tombs) > 0:
@@ -310,7 +310,7 @@ func (r *modelRun) step(op, x, y byte) {
 	case op == 255:
 		r.compactAndRehydrate(x)
 	default:
-		r.insert(-1, 1, y, false) // at the front
+		r.insert(-1, 1, y, false, false) // at the front
 	}
 }
 
@@ -360,8 +360,10 @@ func (r *modelRun) flip(idx []int, at time.Time, del bool) {
 // insert puts n new instances after hot[after] (-1 = front) in one
 // InsertRun. With varied set, bits of y choose strided IDs (a progression
 // by 2 to 4, the IDs between reserved and unused) and pasted text, whose
-// sources ascend by 0 to 3 or by no step at all.
-func (r *modelRun) insert(after, n int, y byte, varied bool) {
+// sources ascend by 0 to 3 or by no step at all. With mixed set, two
+// authors type the instances in turn, so each is a record and a mirror
+// segment of its own.
+func (r *modelRun) insert(after, n int, y byte, varied, mixed bool) {
 	prev := util.NilID
 	if after >= 0 {
 		prev = r.m.hot[after].ID
@@ -374,6 +376,9 @@ func (r *modelRun) insert(after, n int, y byte, varied bool) {
 	run := make([]Char, n)
 	for i := range run {
 		run[i] = Char{ID: first + util.ID(i)*step, Rune: rune('a' + (int(y)+i)%26), Author: "u", Created: time.Unix(r.now, 0)}
+		if mixed {
+			run[i].Author = authors[i%2]
+		}
 		if varied && y&16 != 0 {
 			run[i].SourceDoc, run[i].SourceChar = 7, util.ID(1000+i*(int(y)%4))
 			if y&32 != 0 {
@@ -589,9 +594,10 @@ func TestBufferMatchesModel(t *testing.T) {
 }
 
 // TestBufferMatchesModelDeepTree runs the model test on a buffer loaded
-// with leafCap*fanout instances: full leaves under one full root, so the
-// first insert splits a leaf, splits the root and grows the tree, and
-// later inserts split leaves under inner nodes that are not the root.
+// with leafCap*fanout segments — instances typed by two authors in turn,
+// each its own record: full leaves under one full root, so the first
+// insert splits a leaf, splits the root and grows the tree, and later
+// inserts split leaves under inner nodes that are not the root.
 func TestBufferMatchesModelDeepTree(t *testing.T) {
 	steps := 600
 	if testing.Short() {
@@ -604,16 +610,20 @@ func TestBufferMatchesModelDeepTree(t *testing.T) {
 	}
 }
 
-// typedRows returns n instances typed one after another: IDs 1..n, each
-// anchored at the one before.
+// typedRows returns n instances typed one after another by alice and bob
+// in turn: IDs 1..n, each anchored at the one before and, as its
+// neighbours have another author, a record and a mirror segment of its
+// own.
 func typedRows(n int) []Char {
 	rows := make([]Char, n)
 	for i := range rows {
 		id := util.ID(i + 1)
-		rows[i] = Char{ID: id, Rune: rune('a' + i%26), Author: "alice", Created: time.Unix(1, 0), After: id - 1, Key: id}
+		rows[i] = Char{ID: id, Rune: rune('a' + i%26), Author: authors[i%2], Created: time.Unix(1, 0), After: id - 1, Key: id}
 	}
 	return rows
 }
+
+var authors = [2]string{"alice", "bob"}
 
 // shape returns the mirror's height in levels and its numbers of leaves
 // and inner nodes.
@@ -656,11 +666,11 @@ func FuzzBufferOps(f *testing.F) {
 	twice := randomSteps(1, maxSteps)
 	twice[3*50], twice[3*100] = 255, 255
 	f.Add(twice)
-	// Type 40 into one leaf and tombstone 20 of them; the snapshot kept
-	// after step 24 holds that leaf when a run of leafCap+1 lands at the
-	// front and splits it; tombstone the first 52 (the first leaf after
-	// the split), type past the horizon and compact, so a whole leaf
-	// empties.
+	// Type 40 into one leaf and tombstone 20 of them, one segment each; the
+	// snapshot kept after step 24 holds that leaf's 23 segments when a
+	// run of leafCap+1 segments lands at the front and splits it into two
+	// of 39; tombstone the first 39 (the first leaf after the split), type
+	// past the horizon and compact, so a whole leaf empties.
 	split := []byte{}
 	for i := 0; i < 5; i++ {
 		split = append(split, 130, 0, 7)
@@ -669,10 +679,10 @@ func FuzzBufferOps(f *testing.F) {
 		split = append(split, 160, 0, 24)
 	}
 	split = append(split, 254, 0, 0)
-	for i := 26; i < 78; i++ {
+	for i := 26; i < 65; i++ {
 		split = append(split, 160, 0, 24)
 	}
-	for i := 78; i < 118; i++ {
+	for i := 65; i < 105; i++ {
 		split = append(split, 70, byte(i), 1)
 	}
 	f.Add(append(split, 255, 0, 0, 130, 1, 3))
@@ -715,11 +725,13 @@ func FuzzBufferOps(f *testing.F) {
 //
 // With a 160 B record, a 48 B treap node and an ID-map entry per instance
 // every case read ~255 B (a 64 B treap node made it 310 B); a record per
-// run puts the typed text at the mirror slot, the rune and its run's share
-// of one record and one extent: 19.0 and 43.2 B. A tombstone between two
-// visible instances is a record of one, whose deletion metadata it shares
-// with its neighbours: 130.7 B. Each limit is its measured value plus
-// 10 %.
+// run put the typed text at a 14 B mirror slot, the rune and its run's
+// share of one record and one extent: 19.0 and 43.2 B. A mirror segment
+// per run takes the slot away: 4.6 and 31.2 B. A tombstone between two
+// visible instances is a record and a segment of one, whose deletion
+// metadata it shares with its neighbours: 135.7 B (130.7 B with slots);
+// its limit stays the slots' 143.8 B. Each other limit is its measured
+// value plus 10 %.
 func TestBufferBytesPerChar(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds shadow memory to every allocation")
@@ -747,8 +759,8 @@ func TestBufferBytesPerChar(t *testing.T) {
 		rows  []Char
 		limit float64
 	}{
-		{"500-rune runs", typed(500), 20.9},
-		{"8-rune runs", typed(8), 47.5},
+		{"500-rune runs", typed(500), 5.1},
+		{"8-rune runs", typed(8), 34.3},
 		{"alternating tombstones", tombstones, 143.8},
 	} {
 		before := settledHeap()

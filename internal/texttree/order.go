@@ -13,9 +13,11 @@
 // progression, each typed after the one before. Two structures sit over
 // the document order, each with one job: order, a treap of ID extents
 // that is the only index by ID and answers the total rank of an ID, and
-// the mirror (snapshot.go), a persistent B+-tree whose slots name
-// (record, offset) and which answers every positional and visibility
-// query for the live buffer and its snapshots alike.
+// the mirror (snapshot.go), a persistent B+-tree whose leaves hold
+// segments — a record, a first offset and a count — and which answers
+// every positional and visibility query for the live buffer and its
+// snapshots alike. Neither holds anything per character: a typed run is
+// one extent and one segment until an edit lands inside it.
 package texttree
 
 import (

@@ -15,10 +15,11 @@ import (
 // every later instance After the instance before it and its own ID as Key.
 // A single key is a run of one.
 //
-// A record is immutable once a mirror slot names it, so snapshots share it
-// freely: an edit that changes some of its instances (a delete, an
-// undelete, a compaction re-anchor) points their slots at one new record
-// for that sub-range, which shares the runes.
+// A record is immutable once a mirror segment names it, so snapshots
+// share it freely: an edit that changes some of its instances (a delete,
+// an undelete, a compaction re-anchor) points them at one new record for
+// that sub-range, which shares the runes, and cuts their segment around
+// it.
 type run struct {
 	first, step util.ID
 	after, key  util.ID
@@ -306,22 +307,4 @@ func newRuns(n int, at func(int) *Char, chained func(int) bool, anchor func(lo i
 		}
 	})
 	return recs
-}
-
-// runCursor maps the instances of records laid end to end, numbered from
-// 0, to their slots; sequential lookups cost O(1) each.
-type runCursor struct {
-	recs    []run
-	k, base int // recs[k] starts at instance base
-}
-
-func (c *runCursor) at(i int) slot {
-	if i < c.base {
-		c.k, c.base = 0, 0
-	}
-	for i >= c.base+c.recs[c.k].len() {
-		c.base += c.recs[c.k].len()
-		c.k++
-	}
-	return slot{&c.recs[c.k], i - c.base}
 }

@@ -14,29 +14,37 @@ import (
 // This file implements the MVCC side of the text representation: a
 // persistent B+-tree over the document, ordered by position, so a Buffer
 // can hand out an immutable Snapshot of the whole document in O(1) without
-// blocking writers. Leaves hold slots in document order — each names a
-// record and the instance's offset in it — with a visibility bitmap; inner
-// nodes hold their children with each child's total and visible counts.
-// Writers address the tree by total rank, which the order's extent treap
-// answers, and mirror every change into it along one root-to-leaf path;
-// readers hold the old root and never observe the change. Copying is per generation, not per write:
-// a node carries the buffer generation that made it, taking a snapshot
-// ends the generation, and a write copies only nodes of earlier
-// generations — a node the current generation already copied is updated in
-// place, as no snapshot can reach it. Nothing removes a slot except
-// compaction, which rebuilds the tree, so nodes never underflow and never
-// merge. Every positional and visibility query, for the live buffer and
-// for snapshots, is answered here. Old snapshots are reclaimed by the
-// garbage collector once the last reader drops them — no epoch bookkeeping
-// is needed.
+// blocking writers. Leaves hold segments in document order — each names a
+// record, a first offset in it and a count: a maximal stretch of the
+// record's instances that sit side by side in the document — with one
+// visibility bit each, as a record has one deletion state; inner nodes hold
+// their children with each child's total and visible counts. A typed or
+// pasted run is one segment however long it is, so the tree's size follows
+// the number of edits that cut the text, not its length. Writers address
+// the tree by total rank, which the order's extent treap answers, and
+// mirror every change into it along one root-to-leaf path, splitting the
+// segment at the rank they change: an insert cuts one segment in two
+// around the new ones, a delete, undelete or re-anchor cuts one into at
+// most three. Readers hold the old root and never observe the change.
+// Copying is per generation, not per write: a node carries the buffer
+// generation that made it, taking a snapshot ends the generation, and a
+// write copies only nodes of earlier generations — a node the current
+// generation already copied is updated in place, as no snapshot can reach
+// it. Nothing removes an instance except compaction, which rebuilds the
+// tree, so nodes never underflow and never merge. Every positional and
+// visibility query, for the live buffer and for snapshots, is answered
+// here, through the per-instance slot view the segments expand to. Old
+// snapshots are reclaimed by the garbage collector once the last reader
+// drops them — no epoch bookkeeping is needed.
 
 const (
-	// leafCap is the number of slots a leaf holds, one bit each in its
-	// visibility bitmap. A full leaf costs 14 B per instance.
-	leafCap = 64
-	// fanout is the number of children an inner node holds. At 20k
-	// instances the tree is a root, one level of inner nodes and the
-	// leaves, so a key typed after a snapshot copies three nodes.
+	// leafCap is the number of segments a leaf holds, one bit each in its
+	// visibility bitmap: as many as fit the 896 B size class.
+	leafCap = 54
+	// fanout is the number of children an inner node holds. Two levels, a
+	// root over full leaves, hold leafCap*fanout segments, so a key typed
+	// after a snapshot into a document of a few hundred segments copies a
+	// leaf and the root; three levels hold fanout times that.
 	fanout = 32
 )
 
@@ -50,16 +58,20 @@ type mnode interface {
 	counts() (total, visible int)
 }
 
-// leaf holds up to leafCap consecutive slots: slot i is instance offs[i]
-// of record recs[i]. Slots from n on are nil and zero, their bits clear.
+// leaf holds up to leafCap consecutive segments: segment i is the lens[i]
+// instances of record recs[i] from offset offs[i] on. Segments from n on
+// are nil and zero, their bits clear.
 type leaf struct {
 	gen uint64 // the buffer generation that made the node
-	n   int
-	// vis has bit i set when slot i is visible (its record is not
+	// vis has bit i set when segment i is visible (its record is not
 	// deleted), so descents by visible count never load a record.
-	vis  uint64
-	recs [leafCap]*run
-	offs [leafCap]int32
+	vis uint64
+	n   int
+	// total and visible count the instances under the leaf, so counts is
+	// O(1).
+	total, visible int32
+	recs           [leafCap]*run
+	offs, lens     [leafCap]int32
 }
 
 // slot names one instance: its record and its offset in it.
@@ -78,7 +90,7 @@ type inner struct {
 	kids  [fanout]mnode
 }
 
-func (l *leaf) counts() (int, int) { return l.n, bits.OnesCount64(l.vis) }
+func (l *leaf) counts() (int, int) { return int(l.total), int(l.visible) }
 
 func (in *inner) counts() (total, visible int) {
 	for i := 0; i < in.n; i++ {
@@ -138,76 +150,79 @@ func visBit(r *run) uint64 {
 	return 1
 }
 
-// put sets slot i of l to s.
-func (l *leaf) put(i int, s slot) {
-	l.recs[i], l.offs[i] = s.r, int32(s.i)
+// put sets segment i of l to s; recount brings the counts up to date.
+func (l *leaf) put(i int, s seg) {
+	l.recs[i], l.offs[i], l.lens[i] = s.r, int32(s.lo), int32(s.hi-s.lo)
 	l.vis = l.vis&^(1<<i) | visBit(s.r)<<i
 }
 
-func (l *leaf) slot(i int) slot { return slot{l.recs[i], int(l.offs[i])} }
-
-// insert returns the root of the tree under root with the m slots
-// at(0), ..., at(m-1) spliced in at total rank r, copying in generation gen
-// the nodes on the path that gen has not made. Each level hands the nodes
-// that replace its node to the level above, and while more than one comes
-// back from the top the root grows. An empty tree is an empty leaf, so Load
-// and compaction build a whole tree through the same splice.
-func insert(gen uint64, root mnode, r, m int, at func(i int) slot) mnode {
-	if m == 0 {
-		return root
-	}
-	if root == nil {
-		root = &leaf{gen: gen}
-	}
-	type step struct {
-		in *inner
-		i  int // the child the path takes
-	}
-	var stack [8]step
-	path := stack[:0]
-	n := root
-	for in, ok := n.(*inner); ok; in, ok = n.(*inner) {
-		i, k := in.child(r)
-		path = append(path, step{in, i})
-		n, r = in.kids[i], k
-	}
-	// A level reads every node it is handed before it appends its own to
-	// the same buffer.
-	var buf [2]mnode
-	nodes := n.(*leaf).splice(gen, r, m, at, buf[:0])
-	for d := len(path) - 1; d >= 0; d-- {
-		nodes = path[d].in.splice(gen, path[d].i, nodes, buf[:0])
-	}
-	for len(nodes) > 1 {
-		nodes = appendInners(gen, nil, nodes)
-	}
-	return nodes[0]
+func (l *leaf) seg(i int) seg {
+	return seg{l.recs[i], int(l.offs[i]), int(l.offs[i] + l.lens[i])}
 }
 
-// splice inserts the m slots at(0), ..., at(m-1) at rank r and appends
-// the nodes that replace l to out: l itself or its copy when they fit,
-// else balanced leaves cut from its slots and the new ones.
-func (l *leaf) splice(gen uint64, r, m int, at func(i int) slot, out []mnode) []mnode {
-	if l.n+m > leafCap {
-		return appendLeaves(gen, out, l.n+m, func(i int) slot {
-			switch {
-			case i < r:
-				return l.slot(i)
-			case i < r+m:
-				return at(i - r)
-			default:
-				return l.slot(i - m)
-			}
-		})
+func (l *leaf) visibleSeg(i int) bool { return l.vis>>i&1 != 0 }
+
+// recount sets the leaf's instance counts from its segments.
+func (l *leaf) recount() {
+	l.total, l.visible = 0, 0
+	for i := 0; i < l.n; i++ {
+		l.total += l.lens[i]
+		if l.visibleSeg(i) {
+			l.visible += l.lens[i]
+		}
+	}
+}
+
+// find returns the segment holding total rank k of l and k's offset in
+// it: (l.n, 0) for k at the leaf's end.
+func (l *leaf) find(k int) (i, off int) {
+	for ; i < l.n && k >= int(l.lens[i]); i++ {
+		k -= int(l.lens[i])
+	}
+	return i, k
+}
+
+// splice replaces segments [i, j) of l with head, the segments mid and
+// tail — head and tail only when they hold instances, and together at
+// least j-i segments, as nothing removes an instance — and appends the
+// nodes that replace l to out: l itself or its copy when the segments
+// fit, else balanced leaves cut from them.
+func (l *leaf) splice(gen uint64, i, j int, head seg, mid []seg, tail seg, out []mnode) []mnode {
+	hb, tb := [1]seg{head}, [1]seg{tail}
+	hs, ts := hb[:0], tb[:0]
+	if head.hi > head.lo {
+		hs = hb[:]
+	}
+	if tail.hi > tail.lo {
+		ts = tb[:]
+	}
+	m := len(hs) + len(mid) + len(ts)
+	n := l.n - (j - i) + m
+	if n > leafCap {
+		all := make([]seg, 0, n)
+		for k := 0; k < i; k++ {
+			all = append(all, l.seg(k))
+		}
+		all = append(append(append(all, hs...), mid...), ts...)
+		for k := j; k < l.n; k++ {
+			all = append(all, l.seg(k))
+		}
+		return appendLeaves(gen, out, all)
 	}
 	c := l.own(gen)
-	copy(c.recs[r+m:c.n+m], c.recs[r:c.n])
-	copy(c.offs[r+m:c.n+m], c.offs[r:c.n])
-	c.vis = (c.vis & (1<<r - 1)) | (c.vis >> r << (r + m))
-	for i := 0; i < m; i++ {
-		c.put(r+i, at(i))
+	copy(c.recs[i+m:n], c.recs[j:c.n])
+	copy(c.offs[i+m:n], c.offs[j:c.n])
+	copy(c.lens[i+m:n], c.lens[j:c.n])
+	c.vis = c.vis&(1<<i-1) | c.vis>>j<<(i+m)
+	c.n = n
+	k := i
+	for _, part := range [][]seg{hs, mid, ts} {
+		for _, s := range part {
+			c.put(k, s)
+			k++
+		}
 	}
-	c.n += m
+	c.recount()
 	return append(out, c)
 }
 
@@ -243,14 +258,15 @@ func cut(m, size int, fn func(lo, hi int)) {
 	}
 }
 
-// appendLeaves cuts the m slots at(0), ..., at(m-1) into balanced leaves
-// made in gen and appends them to out.
-func appendLeaves(gen uint64, out []mnode, m int, at func(i int) slot) []mnode {
-	cut(m, leafCap, func(lo, hi int) {
+// appendLeaves cuts segs into balanced leaves made in gen and appends
+// them to out.
+func appendLeaves(gen uint64, out []mnode, segs []seg) []mnode {
+	cut(len(segs), leafCap, func(lo, hi int) {
 		l := &leaf{gen: gen, n: hi - lo}
-		for i := 0; i < l.n; i++ {
-			l.put(i, at(lo+i))
+		for i, s := range segs[lo:hi] {
+			l.put(i, s)
 		}
+		l.recount()
 		out = append(out, l)
 	})
 	return out
@@ -269,36 +285,64 @@ func appendInners(gen uint64, out, kids []mnode) []mnode {
 	return out
 }
 
-// setRange returns n with the m slots from total rank k on replaced by
-// at(from), ..., at(from+m-1) (and with them the visibility), copying in
-// generation gen the nodes on the paths that gen has not made.
-func setRange(gen uint64, n mnode, k, m int, at func(i int) slot, from int) mnode {
-	if l, ok := n.(*leaf); ok {
-		c := l.own(gen)
-		for i := 0; i < m; i++ {
-			c.put(k+i, at(from+i))
-		}
-		return c
+// replace returns the root of the tree under root with the m instances
+// from total rank r on, which must lie in one segment, replaced by the
+// segments segs, copying in generation gen the nodes on the path that gen
+// has not made. With m = 0 it inserts, cutting the segment r falls inside
+// in two; else it is a delete, undelete or re-anchor, and cuts the
+// segment into at most three. The leaf hands the nodes that replace it to
+// the level above, each level in turn, and while more than one comes back
+// from the top the root grows. An empty tree is an empty leaf, so Load and
+// compaction build a whole tree through the same splice.
+func replace(gen uint64, root mnode, r, m int, segs []seg) mnode {
+	if m == 0 && len(segs) == 0 {
+		return root
 	}
-	c := n.(*inner).own(gen)
-	for i := 0; i < c.n && m > 0; i++ {
-		t := int(c.total[i])
-		if k >= t {
-			k -= t
-			continue
-		}
-		take := min(m, t-k)
-		c.put(i, setRange(gen, c.kids[i], k, take, at, from))
-		from, m, k = from+take, m-take, 0
+	if root == nil {
+		root = &leaf{gen: gen}
 	}
-	return c
+	type step struct {
+		in *inner
+		i  int // the child the path takes
+	}
+	var stack [8]step
+	path := stack[:0]
+	n := root
+	for in, ok := n.(*inner); ok; in, ok = n.(*inner) {
+		i, k := in.child(r)
+		path = append(path, step{in, i})
+		n, r = in.kids[i], k
+	}
+	// A level reads every node it is handed before it appends its own to
+	// the same buffer.
+	var buf [2]mnode
+	var nodes []mnode
+	l := n.(*leaf)
+	if i, off := l.find(r); off == 0 && m == 0 {
+		nodes = l.splice(gen, i, i, seg{}, segs, seg{}, buf[:0])
+	} else {
+		s := l.seg(i)
+		if s.lo+off+m > s.hi {
+			panic(fmt.Sprintf("texttree: %d instances from offset %d overrun a segment of %d", m, off, s.hi-s.lo))
+		}
+		nodes = l.splice(gen, i, i+1, seg{s.r, s.lo, s.lo + off}, segs, seg{s.r, s.lo + off + m, s.hi}, buf[:0])
+	}
+	for d := len(path) - 1; d >= 0; d-- {
+		nodes = path[d].in.splice(gen, path[d].i, nodes, buf[:0])
+	}
+	for len(nodes) > 1 {
+		nodes = appendInners(gen, nil, nodes)
+	}
+	return nodes[0]
 }
 
-// slotAt returns the slot at total rank k under n, which must hold it.
-func slotAt(n mnode, k int) slot {
+// segAt returns the segment under n holding total rank k, which n must
+// hold, and k's offset in it.
+func segAt(n mnode, k int) (seg, int) {
 	for {
 		if l, ok := n.(*leaf); ok {
-			return l.slot(k)
+			i, off := l.find(k)
+			return l.seg(i), off
 		}
 		in := n.(*inner)
 		var i int
@@ -307,14 +351,23 @@ func slotAt(n mnode, k int) slot {
 	}
 }
 
+// slotAt returns the slot at total rank k under n, which must hold it.
+func slotAt(n mnode, k int) slot {
+	s, off := segAt(n, k)
+	return slot{s.r, s.lo + off}
+}
+
 // walk visits every slot under n in order, with its visibility, until fn
 // returns false.
 func walk(n mnode, fn func(s slot, visible bool) bool) bool {
 	switch t := n.(type) {
 	case *leaf:
 		for i := 0; i < t.n; i++ {
-			if !fn(t.slot(i), t.vis>>i&1 != 0) {
-				return false
+			s, visible := t.seg(i), t.visibleSeg(i)
+			for j := s.lo; j < s.hi; j++ {
+				if !fn(slot{s.r, j}, visible) {
+					return false
+				}
 			}
 		}
 	case *inner:
@@ -329,17 +382,24 @@ func walk(n mnode, fn func(s slot, visible bool) bool) bool {
 
 // walkVisibleFrom visits the visible slots under n in order, starting
 // with the one at visible rank skip, until fn returns false. It descends
-// by visible counts — children that hold nothing to visit are never
-// entered — so reading k characters at any position costs O(log n + k).
+// by visible counts — children and segments that hold nothing to visit
+// are never entered — so reading k characters at any position costs
+// O(log n + k).
 func walkVisibleFrom(n mnode, skip int, fn func(s slot) bool) bool {
 	switch t := n.(type) {
 	case *leaf:
 		for b := t.vis; b != 0; b &= b - 1 {
-			if skip > 0 {
-				skip--
-			} else if !fn(t.slot(bits.TrailingZeros64(b))) {
-				return false
+			s := t.seg(bits.TrailingZeros64(b))
+			if n := s.hi - s.lo; skip >= n {
+				skip -= n
+				continue
 			}
+			for j := s.lo + skip; j < s.hi; j++ {
+				if !fn(slot{s.r, j}) {
+					return false
+				}
+			}
+			skip = 0
 		}
 	case *inner:
 		for i, kid := range t.kids[:t.n] {
@@ -362,7 +422,14 @@ func visibleBefore(n mnode, k int) int {
 	v := 0
 	for n != nil {
 		if l, ok := n.(*leaf); ok {
-			return v + bits.OnesCount64(l.vis&(1<<k-1))
+			i, off := l.find(k)
+			for b := l.vis & (1<<i - 1); b != 0; b &= b - 1 {
+				v += int(l.lens[bits.TrailingZeros64(b)])
+			}
+			if i < l.n && l.visibleSeg(i) {
+				v += off
+			}
+			return v
 		}
 		in := n.(*inner)
 		i, rest := in.child(k)
@@ -376,11 +443,13 @@ func visibleBefore(n mnode, k int) int {
 
 // checkTree verifies the mirror's structure under root: every leaf at
 // one depth, no node over capacity, no empty node but an empty root leaf,
-// each cached count the sum of what the child holds, each slot inside its
-// record, each bitmap bit !Deleted of its record, and every slot past a
-// node's end clear.
+// each cached count the sum of what the node holds, each segment a
+// non-empty stretch inside its record and no continuation of the segment
+// before it, each bitmap bit !Deleted of its record, and every segment
+// past a node's end clear.
 func checkTree(root mnode) error {
 	leafDepth := -1
+	var prev seg // the last segment met, in document order
 	var check func(n mnode, depth int) (total, visible int, err error)
 	check = func(n mnode, depth int) (total, visible int, err error) {
 		switch t := n.(type) {
@@ -392,24 +461,35 @@ func checkTree(root mnode) error {
 			case depth != leafDepth:
 				return 0, 0, fmt.Errorf("texttree: mirror leaves at depths %d and %d", leafDepth, depth)
 			case t.n < 0 || t.n > leafCap:
-				return 0, 0, fmt.Errorf("texttree: mirror leaf holds %d records, capacity %d", t.n, leafCap)
+				return 0, 0, fmt.Errorf("texttree: mirror leaf holds %d segments, capacity %d", t.n, leafCap)
 			case t.n == 0 && depth > 0:
 				return 0, 0, fmt.Errorf("texttree: empty mirror leaf at depth %d", depth)
 			}
 			for i, r := range t.recs {
-				bit, off := t.vis>>i&1 != 0, int(t.offs[i])
+				bit, off, cnt := t.visibleSeg(i), int(t.offs[i]), int(t.lens[i])
 				switch {
-				case i >= t.n && (r != nil || off != 0 || bit):
-					return 0, 0, fmt.Errorf("texttree: mirror leaf of %d uses slot %d", t.n, i)
-				case i < t.n && r == nil:
-					return 0, 0, fmt.Errorf("texttree: mirror leaf slot %d without record", i)
-				case i < t.n && (off < 0 || off >= r.len()):
-					return 0, 0, fmt.Errorf("texttree: mirror slot names instance %d of a record of %d", off, r.len())
-				case i < t.n && bit != !r.deleted():
+				case i >= t.n && (r != nil || off != 0 || cnt != 0 || bit):
+					return 0, 0, fmt.Errorf("texttree: mirror leaf of %d uses segment %d", t.n, i)
+				case i >= t.n:
+					continue
+				case r == nil:
+					return 0, 0, fmt.Errorf("texttree: mirror leaf segment %d without record", i)
+				case cnt < 1 || off < 0 || off+cnt > r.len():
+					return 0, 0, fmt.Errorf("texttree: mirror segment names instances [%d, %d) of a record of %d", off, off+cnt, r.len())
+				case bit != !r.deleted():
 					return 0, 0, fmt.Errorf("texttree: mirror visibility of %v disagrees with its record", r.id(off))
+				case r == prev.r && off == prev.hi:
+					return 0, 0, fmt.Errorf("texttree: mirror segment at %v continues the one before it", r.id(off))
+				}
+				prev = t.seg(i)
+				total += cnt
+				if bit {
+					visible += cnt
 				}
 			}
-			total, visible = t.counts()
+			if total != int(t.total) || visible != int(t.visible) {
+				return 0, 0, fmt.Errorf("texttree: mirror leaf counted %d/%d, holds %d/%d", t.total, t.visible, total, visible)
+			}
 			return total, visible, nil
 		case *inner:
 			if t.n < 1 || t.n > fanout {
@@ -615,11 +695,14 @@ func (v *view) slotVisible(pos int) (s slot, ok bool) {
 	}
 	for n := v.root; ; {
 		if l, ok := n.(*leaf); ok {
-			b := l.vis
-			for ; pos > 0; pos-- {
-				b &= b - 1
+			for b := l.vis; ; b &= b - 1 {
+				i := bits.TrailingZeros64(b)
+				if c := int(l.lens[i]); pos >= c {
+					pos -= c
+					continue
+				}
+				return slot{l.recs[i], int(l.offs[i]) + pos}, true
 			}
-			return l.slot(bits.TrailingZeros64(b)), true
 		}
 		in := n.(*inner)
 		i := 0
@@ -747,9 +830,9 @@ type Anchor struct {
 }
 
 // Resolve locates every id in one in-order walk of the frozen mirror,
-// which stops as soon as each wanted hot instance has been met. A leaf
-// whose records hold none of the wanted IDs in their ID ranges is passed
-// by its visible count alone. A tombstone's Rank is where its text would
+// which stops as soon as each wanted hot instance has been met. A segment
+// whose ID range holds none of the wanted IDs costs one binary search of
+// them, whatever its length. A tombstone's Rank is where its text would
 // resume. An archived instance resolves through its run's anchor: no
 // visible character lives inside an archive run, so its text resumes right
 // after the anchor (the anchor's Rank, +1 if the anchor is visible; 0 for
@@ -769,29 +852,30 @@ func (s *Snapshot) Resolve(ids []util.ID) []Anchor {
 		}
 	}
 	slices.Sort(want)
-	wanted := func(r *run) bool {
-		i, _ := slices.BinarySearch(want, r.first)
-		return i < len(want) && want[i] <= r.last()
-	}
 	left, rank := len(want), 0
 	walkLeaves(s.root, func(l *leaf) bool {
-		var last *run
-		in := false
+		v := rank // visible instances before segment i
 		for i := 0; i < l.n && left > 0; i++ {
-			if r := l.recs[i]; r != last {
-				last, in = r, wanted(r)
+			sg, visible := l.seg(i), l.visibleSeg(i)
+			// The wanted IDs in the segment's ID range, some of which other
+			// records may hold.
+			last := sg.r.id(sg.hi - 1)
+			j, _ := slices.BinarySearch(want, sg.r.id(sg.lo))
+			for ; j < len(want) && want[j] <= last; j++ {
+				if at := sg.r.index(want[j]); at >= sg.lo {
+					a := Anchor{Rank: v, Visible: visible, Known: true}
+					if visible {
+						a.Rank += at - sg.lo
+					}
+					hot[want[j]] = a
+					left--
+				}
 			}
-			if !in {
-				continue
-			}
-			id := last.id(int(l.offs[i]))
-			if _, ok := hot[id]; ok {
-				visible := l.vis>>i&1 != 0
-				hot[id] = Anchor{Rank: rank + bits.OnesCount64(l.vis&(1<<i-1)), Visible: visible, Known: true}
-				left--
+			if visible {
+				v += sg.hi - sg.lo
 			}
 		}
-		rank += bits.OnesCount64(l.vis)
+		rank += int(l.visible)
 		return left > 0
 	})
 	out := make([]Anchor, len(ids))
@@ -815,7 +899,7 @@ func (s *Snapshot) Resolve(ids []util.ID) []Anchor {
 
 // Char returns the frozen record of the instance with id, hot or
 // archived. A hot instance costs a walk of the mirror up to it, which
-// tests each record's ID range once and fills no Char but the one found.
+// tests each segment's ID range once and fills no Char but the one found.
 func (s *Snapshot) Char(id util.ID) (Char, bool) {
 	if ch, ok := s.Archive().Char(id); ok {
 		return *ch, true
@@ -823,14 +907,10 @@ func (s *Snapshot) Char(id util.ID) (Char, bool) {
 	var ch Char
 	found := false
 	walkLeaves(s.root, func(l *leaf) bool {
-		var last *run
-		at := -1
 		for i := 0; i < l.n; i++ {
-			if r := l.recs[i]; r != last {
-				last, at = r, r.index(id)
-			}
-			if at >= 0 && int(l.offs[i]) == at {
-				last.fill(&ch, at)
+			sg := l.seg(i)
+			if at := sg.r.index(id); at >= sg.lo && at < sg.hi {
+				sg.r.fill(&ch, at)
 				found = true
 				return false
 			}

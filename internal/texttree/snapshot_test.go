@@ -247,10 +247,10 @@ func TestBufferErrorPathsLeaveStateUnchanged(t *testing.T) {
 }
 
 // TestMirrorNodesFitSizeClass: each mirror node must stay inside the
-// allocation size class it is built for — a leaf, whose slots name a
-// record and an offset, in the 896 B class (14 B per instance when full),
-// an inner node in the 896 B class — or every instance's heap, and every
-// copy a key makes, grows with it.
+// allocation size class it is built for — a leaf, whose leafCap segments
+// name a record, an offset and a count, in the 896 B class (16.6 B per
+// segment when full), an inner node in the 896 B class — or every
+// segment's heap, and every copy a key makes, grows with it.
 func TestMirrorNodesFitSizeClass(t *testing.T) {
 	for _, c := range []struct {
 		name        string
@@ -271,18 +271,24 @@ func TestMirrorNodesFitSizeClass(t *testing.T) {
 // at most once per generation, 23. The B+-tree mirror copies one leaf
 // (two when the key splits it) and the two inner nodes above it: 6 with a
 // record and a treap node per key. A record of one, and extents taken
-// from blocks for the two the key cuts its run into, make it 5; the limit
-// is that plus 10 %.
+// from blocks for the two the key cuts its run into, made it 5 while a
+// leaf held a slot per instance: the loaded leaves were full, and most
+// keys split one. Segments make it 4: a key adds two segments to a leaf,
+// and a loaded leaf splits at its first key only. The limit is that plus
+// 10 %. The text alternates authors every ten instances, so
+// its 4 000 records are 4 000 mirror segments, three levels deep: one
+// typed run would be one segment under a single leaf, and the path one
+// node.
 func TestOneKeyInsertCopiesOnePath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")
 	}
-	const n, limit = 40000, 5.5
+	const n, limit = 40000, 4.4
 	created := time.Unix(1, 0)
 	rows := make([]Char, n)
 	for i := range rows {
 		id := util.ID(i + 1)
-		rows[i] = Char{ID: id, Rune: 'a' + rune(i%26), Author: "alice", Created: created}
+		rows[i] = Char{ID: id, Rune: 'a' + rune(i%26), Author: authors[i/10%2], Created: created}
 		rows[i].After, rows[i].Key = id-1, id
 	}
 	b, err := Load(rows)
@@ -303,6 +309,9 @@ func TestOneKeyInsertCopiesOnePath(t *testing.T) {
 	})
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if h, _, _ := shape(b.root); h != 3 {
+		t.Fatalf("the mirror is %d levels high, want 3", h)
 	}
 	t.Logf("%.1f allocations per key typed after a snapshot", allocs)
 	if allocs > limit {
