@@ -146,21 +146,29 @@ func (d *Document) commitBatchLocked(st *batchState) ([]EditResult, wal.LSN, err
 
 // batchState is a staged edit batch: every row mutation computed and
 // validated against the document state plus the batch's own earlier ops,
-// before anything is persisted or applied. Instances are pooled (see
-// batchPool): all slices, maps and the character arena are recycled
-// across batches, so the steady-state commit path allocates per batch
-// only what outlives it (result IDs, op-log heads).
+// before anything is persisted or applied. Nothing in it is per
+// character: new instances are runs, changed ones stretches. Instances
+// are pooled (see batchPool): all slices are recycled across batches, so
+// the steady-state commit path allocates per batch only what outlives it
+// (result IDs, op-log heads).
 type batchState struct {
 	user string
 	now  time.Time
 	ops  []stagedOp
 
-	created    []*texttree.Char // new instances, creation order (final records)
-	createdSet map[util.ID]*texttree.Char
-	updated    map[util.ID]*texttree.Char // existing instances with a flipped tombstone state
-	spans      []db.Row                   // span rows to insert
-	spanFlags  []db.Row                   // span rows with a flipped removed flag
-	opRecs     []opRecord                 // one log row per op
+	// runs are the batch's new instances in the order created, in row
+	// form with their state at the end of the batch: an insert op stages
+	// one run, a later op that deletes part of it cuts it around that
+	// part, and a rehydrated instance is a run of its own. The runs of
+	// insert ops ascend by ID, so an op finds an instance among them by
+	// binary search.
+	runs []stagedRun
+	// flips are the existing instances whose deletion state the batch
+	// flips, in the order flipped, each a stretch of one buffer record.
+	flips     []rowEdit
+	spans     []db.Row   // span rows to insert
+	spanFlags []db.Row   // span rows with a flipped removed flag
+	opRecs    []opRecord // one log row per op
 
 	// rehydrate plans the archived instances the restore step brings back
 	// into the hot set (at most one restore step per batch).
@@ -171,7 +179,6 @@ type batchState struct {
 	// event: Kind EvUndo or EvRedo, naming the reverted op (Name, N).
 	undo awareness.Event
 
-	arena charArena     // backing store for per-batch character records
 	rows  rowBuf        // encodes and splits the batch's chars rows
 	opEnc db.RowEncoder // encodes the batch's op rows
 
@@ -189,48 +196,13 @@ type opFlag struct {
 	undone bool
 }
 
-// charArena hands out blocks of texttree.Char with pool lifetime. Records
-// allocated here are only reachable from the owning batchState: the buffer
-// copies runs on InsertRun, persistence encodes fields into row records,
-// and results carry IDs, never record pointers — so resetting the arena
-// when the batch is released cannot be observed. A block is never grown in
-// place (createdSet holds pointers into it); exhaustion allocates a fresh,
-// larger block and strands the remainder of the old one, which stays alive
-// exactly as long as the pointers into it do.
-type charArena struct {
-	buf  []texttree.Char
-	next int
-}
+var batchPool = sync.Pool{New: func() interface{} { return new(batchState) }}
 
-func (a *charArena) alloc(n int) []texttree.Char {
-	if a.next+n > len(a.buf) {
-		size := 4 * n
-		if size < 1024 {
-			size = 1024
-		}
-		a.buf = make([]texttree.Char, size)
-		a.next = 0
-	}
-	s := a.buf[a.next : a.next+n : a.next+n]
-	a.next += n
-	return s
-}
-
-func (a *charArena) reset() { a.next = 0 }
-
-var batchPool = sync.Pool{New: func() interface{} {
-	return &batchState{
-		createdSet: make(map[util.ID]*texttree.Char),
-		updated:    make(map[util.ID]*texttree.Char),
-	}
-}}
-
-// getBatch returns a pooled batchState for user's batch at now. Staging
-// state is pooled and arena-backed: a steady stream of batches recycles
-// the same stagedOp slices, per-batch maps and character-record blocks
-// instead of re-allocating them per commit. Nothing reachable from st
-// survives the batch (the buffer, the op log and the results all take
-// their own copies), so the caller releases it on every return.
+// getBatch returns a pooled batchState for user's batch at now. A steady
+// stream of batches recycles the same staging slices instead of
+// re-allocating them per commit. Nothing reachable from st survives the
+// batch (the buffer, the op log and the results all take their own
+// copies), so the caller releases it on every return.
 func getBatch(user string, now time.Time) *batchState {
 	st := batchPool.Get().(*batchState)
 	st.user, st.now = user, now
@@ -244,36 +216,26 @@ func (st *batchState) release() {
 }
 
 // reset clears the state for reuse, zeroing slice elements so recycled
-// batches do not pin the previous batch's op records and ID slices.
+// batches do not pin the previous batch's texts, records and ID slices.
 func (st *batchState) reset() {
 	st.user = ""
 	st.now = time.Time{}
-	for i := range st.ops {
-		st.ops[i] = stagedOp{}
-	}
+	clear(st.ops)
 	st.ops = st.ops[:0]
-	for i := range st.created {
-		st.created[i] = nil
-	}
-	st.created = st.created[:0]
+	clear(st.runs)
+	st.runs = st.runs[:0]
+	st.flips = st.flips[:0]
 	clear(st.rows.recs)
 	st.rows.recs = st.rows.recs[:0]
-	clear(st.createdSet)
-	clear(st.updated)
-	for i := range st.spans {
-		st.spans[i] = nil
-	}
+	clear(st.spans)
 	st.spans = st.spans[:0]
-	for i := range st.spanFlags {
-		st.spanFlags[i] = nil
-	}
+	clear(st.spanFlags)
 	st.spanFlags = st.spanFlags[:0]
 	clear(st.opRecs)
 	st.opRecs = st.opRecs[:0]
 	st.rehydrate = nil
 	st.undone = st.undone[:0]
 	st.undo = awareness.Event{}
-	st.arena.reset()
 }
 
 // The steps only the engine stages: no EditOp kind names them, so no
@@ -289,47 +251,144 @@ type stagedOp struct {
 	kind   string
 	opID   util.ID
 	spanID util.ID
-	anchor util.ID         // insert: resolved predecessor; layout, note, span flag: first instance named
-	srcDoc util.ID         // insert: paste source document
-	chars  []texttree.Char // insert: records as created (visible), value copies
-	flips  util.IDs        // delete, restore: instances whose visibility flips
-	ids    util.IDs        // insert: minted instances
-	text   string          // insert/note text; layout: "kind=value"; span flag: event name
-	pos    int             // pos-fallback ops: requested position (apply recomputes committed pos)
+	anchor util.ID      // insert: resolved predecessor; layout, note, span flag: first instance named
+	run    texttree.Run // insert: the run as created (visible), its paste source document
+	src    []util.ID    // insert: the paste's per-instance sources, or nil
+	flips  util.IDs     // delete, restore: instances whose visibility flips
+	ids    util.IDs     // insert: minted instances
+	text   string       // insert/note text; layout: "kind=value"; span flag: event name
+	pos    int          // pos-fallback ops: requested position (apply recomputes committed pos)
 	n      int
 }
 
-// charLocked resolves an instance against the staged state first, then
-// the hot buffer; d.mu is held by the batch pipeline.
-func (st *batchState) charLocked(d *Document, id util.ID) (texttree.Char, bool) {
-	if ch, ok := st.createdSet[id]; ok {
-		return *ch, true
+// runAt returns the index of the staged insert run holding id and id's
+// offset in it, or -1.
+func (st *batchState) runAt(id util.ID) (int, int) {
+	i, _ := slices.BinarySearchFunc(st.runs, id, func(r stagedRun, id util.ID) int { return cmp.Compare(r.First, id+1) })
+	if i--; i >= 0 {
+		if k := st.runs[i].index(id); k >= 0 {
+			return i, k
+		}
 	}
-	if ch, ok := st.updated[id]; ok {
-		return *ch, true
-	}
-	return d.buf.Char(id)
+	return -1, 0
 }
 
-// setLocked replaces the staged record of an instance, copying a hot
-// record on first touch so published snapshots keep their frozen state;
-// d.mu is held by the batch pipeline.
-func (st *batchState) setLocked(d *Document, id util.ID, mut func(*texttree.Char)) error {
-	if ch, ok := st.createdSet[id]; ok {
-		mut(ch)
-		return nil
+// knownLocked reports whether id is a hot instance of the document or one
+// the batch staged; d.mu is held by the batch pipeline.
+func (st *batchState) knownLocked(d *Document, id util.ID) bool {
+	if i, _ := st.runAt(id); i >= 0 {
+		return true
 	}
-	if ch, ok := st.updated[id]; ok {
-		mut(ch)
-		return nil
+	n, _ := d.buf.Holds(util.Stretch{First: id, N: 1})
+	return n > 0
+}
+
+// deleteStaged marks the instances [lo, hi) of staged run i deleted by the
+// batch's user, cutting the run around them.
+func (st *batchState) deleteStaged(i, lo, hi int) {
+	r := &st.runs[i]
+	var parts [3]stagedRun
+	k := 0
+	if lo > 0 {
+		parts[k], k = r.sub(0, lo), k+1
 	}
-	cp, ok := d.buf.Char(id)
-	if !ok {
-		return fmt.Errorf("%w: %v", texttree.ErrUnknownChar, id)
+	parts[k] = r.sub(lo, hi)
+	parts[k].Deleted, parts[k].DeletedBy, parts[k].DeletedAt, parts[k].Restored = true, st.user, st.now, time.Time{}
+	if k++; hi < r.n {
+		parts[k], k = r.sub(hi, r.n), k+1
 	}
-	mut(&cp)
-	st.updated[id] = &cp
-	return nil
+	st.runs = slices.Replace(st.runs, i, i+1, parts[:k]...)
+}
+
+// flipped reports whether an earlier op of the batch flipped id.
+func (st *batchState) flipped(id util.ID) bool {
+	for i := range st.flips {
+		if st.flips[i].holds(id) {
+			return true
+		}
+	}
+	return false
+}
+
+// stageFlipsLocked stages the flip of the instances ids, in order, to
+// deleted (del) or visible, as if one at a time: an instance already in
+// that state — in the buffer, or after an earlier op of the batch — is
+// skipped. Instances the batch created are cut out of their staged run;
+// hot ones are staged as stretches of their buffer record. It returns the
+// instances it flips, in order, and the archived ones it meets, which a
+// delete skips (archived instances are deleted by construction) and a
+// restore rehydrates. It fails on an instance the document never held.
+func (d *Document) stageFlipsLocked(st *batchState, ids util.IDs, del bool) (flips util.IDs, archived []util.ID, err error) {
+	for k := 0; k < ids.Stretches(); k++ {
+		s := ids.Stretch(k)
+		for j := 0; j < s.N; {
+			rest := util.Stretch{First: s.At(j), Step: s.Step, N: s.N - j}
+			n, err := d.stageFlipLocked(st, rest, del, &flips, &archived)
+			if err != nil {
+				return util.IDs{}, nil, err
+			}
+			j += n
+		}
+	}
+	return flips, archived, nil
+}
+
+// stageFlipLocked stages the flip of the instances of s from its first on
+// that lie in one place — one staged run, one buffer record, or the
+// archive — and returns how many it took.
+func (d *Document) stageFlipLocked(st *batchState, s util.Stretch, del bool, flips *util.IDs, archived *[]util.ID) (int, error) {
+	if i, k := st.runAt(s.First); i >= 0 {
+		r := &st.runs[i]
+		n := 1
+		if s.N > 1 && s.Step == int64(r.Step) {
+			n = min(s.N, r.n-k)
+		}
+		// A restore step is a batch of its own, so only a delete meets
+		// the batch's own instances.
+		if del && !r.Deleted {
+			st.deleteStaged(i, k, k+n)
+			flips.AppendRun(s.First, s.Step, n)
+		}
+		return n, nil
+	}
+	n, deleted := d.buf.Holds(s)
+	if n == 0 {
+		// Compaction may have archived the instance since the client saw
+		// it.
+		if _, err := d.ensureArchiveLocked(); err != nil {
+			return 0, err
+		}
+		if !d.buf.Archive().Contains(s.First) {
+			return 0, fmt.Errorf("%w: %v", texttree.ErrUnknownChar, s.First)
+		}
+		if !del {
+			*archived = append(*archived, s.First)
+		}
+		return 1, nil
+	}
+	step := util.ID(1)
+	if n > 1 {
+		step = util.ID(s.Step)
+	}
+	last := s.First + util.ID(n-1)*step
+	met := false // an earlier op flipped an instance in s's range
+	for i := range st.flips {
+		met = met || st.flips[i].first <= last && st.flips[i].last() >= s.First
+	}
+	if !met {
+		if deleted != del {
+			st.flips = append(st.flips, rowEdit{first: s.First, step: step, n: n})
+			flips.AppendRun(s.First, s.Step, n)
+		}
+		return n, nil
+	}
+	for j := 0; j < n; j++ {
+		if id := s.First + util.ID(j)*step; deleted != st.flipped(id) != del {
+			st.flips = append(st.flips, rowEdit{first: id, step: 1, n: 1})
+			flips.Append(id)
+		}
+	}
+	return n, nil
 }
 
 // stageBatchLocked resolves every op of the batch in order against the evolving
@@ -350,41 +409,26 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			if n == 0 {
 				return fmt.Errorf("core: batch op %d: empty insert", i)
 			}
+			text := op.Text
+			if !utf8.ValidString(text) {
+				text = string([]rune(text)) // each invalid byte is a U+FFFD
+			}
 			// One reservation: the run's IDs form one progression however
-			// many documents are minting, so the buffer keeps it as one
-			// record, and the op row and the published item hold it as one
-			// stretch. Only the result expands it (applyStagedLocked).
+			// many documents are minting, so it is one staged run, one
+			// buffer record, and one stretch in the op row and the
+			// published item. Only the result expands it
+			// (applyStagedLocked). The run is anchored after its
+			// predecessor with its own, freshly minted first ID as key, so
+			// it lands right after that predecessor; no existing row
+			// changes.
 			first, step := d.eng.ids.NextN(n), util.ID(d.eng.ids.Stride())
 			ids := util.Progression(first, int64(step), n)
-			// Two arena blocks per insert: the records as created (replayed
-			// into the buffer — a later delete op of the same batch must not
-			// leak into them) and the final records (mutable via setLocked,
-			// persisted with their end-of-batch state). Each record is
-			// anchored after its predecessor with its own, freshly minted ID
-			// as key, so it lands right after that predecessor; no existing
-			// row changes.
-			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), anchor: prev,
-				srcDoc: op.SrcDoc, text: op.Text, ids: ids, chars: st.arena.alloc(n)}
-			recs := st.arena.alloc(n)
-			j := 0
-			for _, r := range op.Text {
-				id := first + util.ID(j)*step
-				ch := texttree.Char{ID: id, Rune: r, Author: user, Created: now,
-					SourceDoc: op.SrcDoc}
-				if j < len(op.SrcChars) {
-					ch.SourceChar = op.SrcChars[j]
-				}
-				ch.After, ch.Key = prev, id
-				if j > 0 {
-					ch.After = id - step
-				}
-				sop.chars[j] = ch // value copy: the record as created
-				recs[j] = ch
-				st.created = append(st.created, &recs[j])
-				st.createdSet[ch.ID] = &recs[j]
-				j++
-			}
+			run := texttree.Run{First: first, Step: step, After: prev, Key: first, Text: text,
+				Author: user, Created: now, SourceDoc: op.SrcDoc}
+			st.runs = append(st.runs, stagedRun{Run: run, n: n, src: op.SrcChars})
 			lastInsert = ids
+			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), anchor: prev,
+				text: op.Text, ids: ids, run: run, src: op.SrcChars}
 			logKind := opInsert
 			if !op.SrcDoc.IsNil() {
 				logKind = opPaste
@@ -394,80 +438,56 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			st.ops = append(st.ops, sop)
 
 		case EditDelete:
-			targets := op.Chars
-			if len(targets) == 0 {
+			var targets util.IDs
+			if len(op.Chars) > 0 {
+				targets = util.IDsOf(op.Chars)
+			} else {
 				if op.N <= 0 {
 					return fmt.Errorf("core: batch op %d: delete of %d chars", i, op.N)
 				}
-				targets = d.buf.RangeIDs(op.Pos, op.N)
-				if len(targets) != op.N {
+				targets = d.buf.RangeStretches(op.Pos, op.N)
+				if targets.Len() != op.N {
 					return fmt.Errorf("core: batch op %d: %w: delete [%d,%d) of %d chars",
 						i, ErrRange, op.Pos, op.Pos+op.N, d.buf.Len())
 				}
 			}
-			var affected util.IDs
-			for _, id := range targets {
-				ch, ok := st.charLocked(d, id)
-				if !ok {
-					// Compaction may have archived the tombstone since the
-					// client saw it — archived instances are deleted by
-					// construction, so the delete already holds.
-					if _, err := d.ensureArchiveLocked(); err != nil {
-						return fmt.Errorf("core: batch op %d: %w", i, err)
-					}
-					if d.buf.Archive().Contains(id) {
-						continue
-					}
-					return fmt.Errorf("core: batch op %d: %w: %v", i, texttree.ErrUnknownChar, id)
-				}
-				if ch.Deleted {
-					continue // deletion by identity commutes
-				}
-				if err := st.setLocked(d, id, func(c *texttree.Char) {
-					c.Deleted = true
-					c.DeletedBy = user
-					c.DeletedAt = now
-					c.Restored = time.Time{}
-				}); err != nil {
-					return fmt.Errorf("core: batch op %d: %w", i, err)
-				}
-				affected.Append(id)
+			if err := d.stageDeleteLocked(st, targets, op.Pos); err != nil {
+				return fmt.Errorf("core: batch op %d: %w", i, err)
 			}
-			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), flips: affected,
-				pos: op.Pos, n: affected.Len()}
-			st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: user,
-				Kind: opDelete, CharIDs: affected, Created: now})
-			st.ops = append(st.ops, sop)
 
 		case EditLayout:
-			ids := op.Chars
-			if len(ids) == 0 && op.AnchorPrev {
+			var first, last util.ID
+			var n int
+			switch {
+			case len(op.Chars) > 0:
+				for _, id := range op.Chars {
+					if !st.knownLocked(d, id) {
+						return fmt.Errorf("core: batch op %d: %w: %v", i, texttree.ErrUnknownChar, id)
+					}
+				}
+				first, last, n = op.Chars[0], op.Chars[len(op.Chars)-1], len(op.Chars)
+			case op.AnchorPrev:
 				if lastInsert.Len() == 0 {
 					return fmt.Errorf("core: batch op %d: prev anchor without a prior insert", i)
 				}
-				ids = lastInsert.AppendTo(nil)
-			}
-			if len(ids) == 0 {
+				first, last, n = lastInsert.At(0), lastInsert.Last(), lastInsert.Len()
+			default:
 				if op.N <= 0 {
 					return fmt.Errorf("core: batch op %d: layout over %d chars", i, op.N)
 				}
-				ids = d.buf.RangeIDs(op.Pos, op.N)
-				if len(ids) != op.N {
+				ids := d.buf.RangeStretches(op.Pos, op.N)
+				if ids.Len() != op.N {
 					return fmt.Errorf("core: batch op %d: %w: layout [%d,%d) of %d",
 						i, ErrRange, op.Pos, op.Pos+op.N, d.buf.Len())
 				}
-			}
-			for _, id := range ids {
-				if _, ok := st.charLocked(d, id); !ok {
-					return fmt.Errorf("core: batch op %d: %w: %v", i, texttree.ErrUnknownChar, id)
-				}
+				first, last, n = ids.At(0), ids.Last(), op.N
 			}
 			spanID := d.eng.ids.Next()
 			sop := stagedOp{kind: op.Kind, opID: d.eng.ids.Next(), spanID: spanID,
-				anchor: ids[0], n: len(ids), text: op.Span + "=" + op.Value}
+				anchor: first, n: n, text: op.Span + "=" + op.Value}
 			st.spans = append(st.spans, db.Row{
 				int64(spanID), int64(d.id), op.Span, op.Value,
-				int64(ids[0]), int64(ids[len(ids)-1]), user, now, false,
+				int64(first), int64(last), user, now, false,
 			})
 			st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: user,
 				Kind: opLayout, Ref: spanID, Created: now})
@@ -478,7 +498,7 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 			switch {
 			case op.UseAnchor:
 				anchor = op.Anchor
-				if _, ok := st.charLocked(d, anchor); !ok {
+				if !st.knownLocked(d, anchor) {
 					return fmt.Errorf("core: batch op %d: %w: %v", i, texttree.ErrUnknownChar, anchor)
 				}
 			case op.AnchorPrev:
@@ -512,37 +532,37 @@ func (d *Document) stageBatchLocked(st *batchState, ops []EditOp) error {
 	return nil
 }
 
+// stageDeleteLocked stages a delete op of the instances targets: those
+// already deleted or archived are skipped (deletion by identity
+// commutes). pos is a positional op's requested position.
+func (d *Document) stageDeleteLocked(st *batchState, targets util.IDs, pos int) error {
+	affected, _, err := d.stageFlipsLocked(st, targets, true)
+	if err != nil {
+		return err
+	}
+	sop := stagedOp{kind: EditDelete, opID: d.eng.ids.Next(), flips: affected,
+		pos: pos, n: affected.Len()}
+	st.opRecs = append(st.opRecs, opRecord{ID: sop.opID, User: st.user,
+		Kind: opDelete, CharIDs: affected, Created: st.now})
+	st.ops = append(st.ops, sop)
+	return nil
+}
+
 // stageRestoreLocked stages the restore step of an undo or redo: the
-// given instances become visible again. Hot tombstones flip through
-// setLocked, keeping their deletion interval for time travel; archived
+// given instances become visible again. Hot tombstones are flipped as
+// stretches, keeping their deletion interval for time travel; archived
 // ones are planned back into the hot set (rehydration), their rows
 // inserted already flipped. Instances already visible are skipped, so
 // selective undo over tombstones commutes per character. The step's log
 // record is minted after the rehydration keys, so it outranks them: an
 // engine reopened on the data seeds its ID generator above those keys.
-func (d *Document) stageRestoreLocked(st *batchState, ids []util.ID) error {
+func (d *Document) stageRestoreLocked(st *batchState, ids util.IDs) error {
 	if _, err := d.ensureArchiveLocked(); err != nil {
 		return err
 	}
-	var flips util.IDs
-	var archived []util.ID
-	for _, id := range ids {
-		ch, ok := st.charLocked(d, id)
-		switch {
-		case ok && !ch.Deleted:
-		case ok:
-			if err := st.setLocked(d, id, func(c *texttree.Char) {
-				c.Deleted = false
-				c.Restored = st.now
-			}); err != nil {
-				return err
-			}
-			flips.Append(id)
-		case d.buf.Archive().Contains(id):
-			archived = append(archived, id)
-		default:
-			return fmt.Errorf("%w: %v", texttree.ErrUnknownChar, id)
-		}
+	flips, archived, err := d.stageFlipsLocked(st, ids, false)
+	if err != nil {
+		return err
 	}
 	if len(archived) > 0 {
 		plan, err := d.buf.PlanRehydrate(archived, d.eng.ids.Next)
@@ -550,11 +570,11 @@ func (d *Document) stageRestoreLocked(st *batchState, ids []util.ID) error {
 			return err
 		}
 		st.rehydrate = plan
-		recs := st.arena.alloc(len(plan.Chars))
-		for i, ch := range plan.Chars {
-			ch.Deleted, ch.Restored = false, st.now
-			recs[i] = ch
-			st.created = append(st.created, &recs[i])
+		for _, ch := range plan.Chars {
+			st.runs = append(st.runs, stagedRun{n: 1, Run: texttree.Run{First: ch.ID, After: ch.After,
+				Key: ch.Key, Text: string(ch.Rune), Author: ch.Author, Created: ch.Created,
+				DeletedBy: ch.DeletedBy, DeletedAt: ch.DeletedAt, Restored: st.now,
+				SourceDoc: ch.SourceDoc, SourceFirst: ch.SourceChar}})
 		}
 		for _, id := range archived {
 			flips.Append(id)
@@ -602,7 +622,7 @@ func (d *Document) resolveInsertAnchorLocked(st *batchState, op EditOp, lastInse
 		if op.Anchor.IsNil() {
 			return util.NilID, nil // front of document
 		}
-		if _, ok := st.charLocked(d, op.Anchor); ok {
+		if st.knownLocked(d, op.Anchor) {
 			return op.Anchor, nil
 		}
 		// The anchor may have been archived by compaction since the client
@@ -630,26 +650,21 @@ func (d *Document) resolveInsertAnchorLocked(st *batchState, op EditOp, lastInse
 }
 
 // persistBatchLocked writes the staged batch inside one transaction: the
-// new and rehydrated instances as one chars row per run (final tombstone
-// state, so each row is written exactly once even when a later op of the
-// same batch deleted part of it), the rows holding pre-existing instances
-// whose tombstone state flipped, split where the flip ends inside them,
-// span rows and span flags, the archive runs a rehydration shrinks, undone
-// flags, one log row per op, and, on the user's first edit, their name in
-// the docs row.
+// new and rehydrated instances as rows cut from the staged runs (final
+// tombstone state, so each row is written exactly once even when a later
+// op of the same batch deleted part of it), the rows holding pre-existing
+// instances whose tombstone state flipped, split where the flip ends
+// inside them, span rows and span flags, the archive runs a rehydration
+// shrinks, undone flags, one log row per op, and, on the user's first
+// edit, their name in the docs row.
 func (d *Document) persistBatchLocked(tx *txn.Txn, st *batchState) error {
 	d.eng.tChars.ResetEncoder(&st.rows.enc)
 	d.eng.tOps.ResetEncoder(&st.opEnc)
-	if err := d.insertRuns(tx, &st.rows, st.created); err != nil {
+	if err := d.insertRows(tx, &st.rows, st.runs); err != nil {
 		return err
 	}
-	if len(st.updated) > 0 {
-		changes := make([]rowChange, 0, len(st.updated))
-		for id, ch := range st.updated {
-			changes = append(changes, rowChange{id, ch})
-		}
-		slices.SortFunc(changes, func(a, b rowChange) int { return cmp.Compare(a.id, b.id) })
-		if err := d.rewriteRuns(tx, &st.rows, changes); err != nil {
+	if len(st.flips) > 0 {
+		if err := d.rewriteRuns(tx, &st.rows, st.flips, st.user, st.now); err != nil {
 			return err
 		}
 	}
@@ -707,64 +722,63 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 					return nil, nil, fmt.Errorf("core: buffer diverged: lost anchor %v", sop.anchor)
 				}
 				pos = r
-				if anchor, _ := d.buf.Char(sop.anchor); !anchor.Deleted {
+				if _, visible := d.buf.PosOf(sop.anchor); visible {
 					pos++
 				}
 			}
-			// One batched splice for the whole run: the buffer copies the
-			// records, so the arena-backed staging slice is reusable the
-			// moment this returns.
-			if _, err := d.buf.InsertRun(sop.anchor, sop.chars); err != nil {
+			// One splice for the whole run, as created: a later op of the
+			// batch that deletes part of it replays after it.
+			if _, err := d.buf.InsertRecord(&sop.run, sop.src); err != nil {
 				return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
 			}
 			kind := awareness.EvInsert
-			if !sop.srcDoc.IsNil() {
+			if !sop.run.SourceDoc.IsNil() {
 				kind = awareness.EvPaste
 			}
 			items = append(items, awareness.BatchItem{Kind: kind,
-				Pos: pos, Text: sop.text, N: sop.ids.Len(), IDs: sop.ids, SrcDoc: sop.srcDoc})
+				Pos: pos, Text: sop.text, N: sop.ids.Len(), IDs: sop.ids, SrcDoc: sop.run.SourceDoc})
 			results = append(results, EditResult{OpID: sop.opID, IDs: sop.ids.AppendTo(nil), Pos: pos})
 
 		case EditDelete:
-			resPos, hidden, flips := sop.pos, 0, sop.flips.AppendTo(nil)
-			err := d.buf.Delete(flips, st.user, st.now, func(k, pos int) {
+			resPos, hidden := sop.pos, 0
+			err := d.buf.DeleteIDs(sop.flips, st.user, st.now, func(k int, s util.Stretch, pos int) {
 				if k == 0 {
 					resPos = pos
 				}
-				items = appendFlip(items, awareness.EvDelete, pos, flips[k], k > 0)
-				hidden++
+				items = appendFlip(items, awareness.EvDelete, pos, s, k > 0)
+				hidden += s.N
 			})
-			if err == nil && hidden != len(flips) {
-				err = fmt.Errorf("%d of %d instances already hidden", len(flips)-hidden, len(flips))
+			if err == nil && hidden != sop.flips.Len() {
+				err = fmt.Errorf("%d of %d instances already hidden", sop.flips.Len()-hidden, sop.flips.Len())
 			}
 			if err != nil {
 				return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
 			}
-			results = append(results, EditResult{OpID: sop.opID, IDs: flips, Pos: resPos})
+			results = append(results, EditResult{OpID: sop.opID, IDs: sop.flips.AppendTo(nil), Pos: resPos})
 
 		case stepRestore:
 			if err := d.buf.ApplyRehydrate(st.rehydrate); err != nil {
 				return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
 			}
-			first, resPos, flips := len(items), 0, sop.flips.AppendTo(nil)
-			err := d.buf.Undelete(flips, st.now, func(k, pos int) {
+			first, resPos := len(items), 0
+			var runes []rune // restored text, in flip order
+			err := d.buf.UndeleteIDs(sop.flips, st.now, func(k int, s util.Stretch, pos int) {
 				if k == 0 {
 					resPos = pos
 				}
-				items = appendFlip(items, awareness.EvInsert, pos, flips[k], k > 0)
+				items = appendFlip(items, awareness.EvInsert, pos, s, k > 0)
+				d.buf.WalkRunes(pos, s.N, func(r rune) bool {
+					runes = append(runes, r)
+					return true
+				})
 			})
 			if err != nil {
 				return nil, nil, fmt.Errorf("core: buffer diverged: %w", err)
 			}
-			runes := make([]rune, 0, len(flips)) // restored text, in flip order
-			for _, id := range flips {
-				ch, _ := d.buf.Char(id)
-				runes = append(runes, ch.Rune)
-			}
 			for i := first; i < len(items); i++ {
 				items[i].Text, runes = string(runes[:items[i].N]), runes[items[i].N:]
 			}
-			results = append(results, EditResult{OpID: sop.opID, IDs: flips, Pos: resPos})
+			results = append(results, EditResult{OpID: sop.opID, IDs: sop.flips.AppendTo(nil), Pos: resPos})
 
 		case EditLayout, stepSpanFlag:
 			pos := 0
@@ -790,25 +804,26 @@ func (d *Document) applyStagedLocked(st *batchState) ([]EditResult, []awareness.
 	return results, items, nil
 }
 
-// appendFlip appends one instance that turned hidden (EvDelete) or visible
-// (EvInsert) at visible position pos. With merge set it extends the last
-// item instead when the two are contiguous: a delete at the position the
-// deletes before it collapsed onto, or an insert right after the text the
-// inserts before it restored; a run of such instances is one stretch of
-// the item's IDs. An insert item's Text is the caller's to fill.
-func appendFlip(items []awareness.BatchItem, kind awareness.EventKind, pos int, id util.ID, merge bool) []awareness.BatchItem {
+// appendFlip appends a stretch of instances that turned hidden (EvDelete)
+// or visible (EvInsert) at visible position pos, the first of them there.
+// With merge set it extends the last item instead when the two are
+// contiguous: a delete at the position the deletes before it collapsed
+// onto, or an insert right after the text the inserts before it restored;
+// a run of such instances is one stretch of the item's IDs. An insert
+// item's Text is the caller's to fill.
+func appendFlip(items []awareness.BatchItem, kind awareness.EventKind, pos int, s util.Stretch, merge bool) []awareness.BatchItem {
 	if n := len(items) - 1; merge && n >= 0 && items[n].Kind == kind {
 		end := items[n].Pos
 		if kind == awareness.EvInsert {
 			end += items[n].N
 		}
 		if end == pos {
-			items[n].N++
-			items[n].IDs.Append(id)
+			items[n].N += s.N
+			items[n].IDs.AppendRun(s.First, s.Step, s.N)
 			return items
 		}
 	}
-	return append(items, awareness.BatchItem{Kind: kind, Pos: pos, N: 1, IDs: util.Progression(id, 0, 1)})
+	return append(items, awareness.BatchItem{Kind: kind, Pos: pos, N: s.N, IDs: util.Progression(s.First, s.Step, s.N)})
 }
 
 // publishBatchLocked announces the committed batch as ONE awareness event:

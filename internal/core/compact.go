@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"log"
-	"slices"
 	"sort"
 	"time"
 
@@ -92,17 +90,21 @@ func (d *Document) compactLocked(horizon time.Time) (CompactStats, wal.LSN, erro
 		}
 		// The cold instances leave the chars table and the re-anchored ones
 		// take their new After, each row rewritten once.
-		var changes []rowChange
+		var edits []rowEdit
+		stride := d.eng.rowStep()
 		for _, run := range plan.Runs {
 			for _, ch := range run.Chars {
-				changes = append(changes, rowChange{ch.ID, nil})
+				if k := len(edits) - 1; k >= 0 && ch.ID == edits[k].last()+stride {
+					edits[k].n++
+				} else {
+					edits = append(edits, rowEdit{first: ch.ID, step: stride, n: 1, kind: editDrop})
+				}
 			}
 		}
 		for _, ch := range plan.Reanchored {
-			changes = append(changes, rowChange{ch.ID, ch})
+			edits = append(edits, rowEdit{first: ch.ID, step: 1, n: 1, kind: editAnchor, after: ch.After})
 		}
-		slices.SortFunc(changes, func(a, b rowChange) int { return cmp.Compare(a.id, b.id) })
-		return d.rewriteRuns(tx, &rowBuf{enc: d.eng.tChars.Encoder(1)}, changes)
+		return d.rewriteRuns(tx, &rowBuf{enc: d.eng.tChars.Encoder(1)}, edits, "", time.Time{})
 	})
 	if err != nil {
 		return stats, 0, err

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"tendax/internal/db"
-	"tendax/internal/texttree"
 	"tendax/internal/txn"
 	"tendax/internal/util"
 )
@@ -200,7 +199,7 @@ func TestDocRowCacheMatchesTable(t *testing.T) {
 	err = func() error {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		st := &batchState{createdSet: map[util.ID]*texttree.Char{}, updated: map[util.ID]*texttree.Char{}}
+		st := &batchState{}
 		st.user, st.now = "dave", e.clock.Now()
 		if err := d.stageBatchLocked(st, []EditOp{{Kind: EditInsert, Pos: 0, Text: "x"}}); err != nil {
 			return err

@@ -164,12 +164,12 @@ func (d *Document) load() error {
 		return err
 	}
 	runs := make([]texttree.Run, 0, len(rids))
+	var rb rowBuf
 	for _, rid := range rids {
-		row, err := d.eng.tChars.Get(nil, rid)
-		if err != nil {
+		if rb.rec, err = d.eng.tChars.ReadRecord(nil, rid, rb.rec[:0]); err != nil {
 			return err
 		}
-		run, _, err := runFromRow(row)
+		run, _, err := rb.decodeRun(d.eng.tChars, rb.rec)
 		if err != nil {
 			return err
 		}

@@ -227,7 +227,7 @@ func NewEngineShard(database *db.Database, clock util.Clock, shard, shards int) 
 	}
 	// A chars row's key is its first instance: seed above the last
 	// instance of the newest run.
-	if run, _, err := e.runOf(nil, util.ID(e.tChars.MaxPK())); err == nil {
+	if run, _, err := e.runOf(nil, &rowBuf{}, util.ID(e.tChars.MaxPK())); err == nil {
 		e.ids.Seed(run.Last())
 	}
 	return e, nil
@@ -544,8 +544,9 @@ func (p *published) info() DocInfo {
 // build their structures from this stream without opening documents.
 func (e *Engine) ScanCharMeta(fn func(doc util.ID, meta CharMeta) bool) error {
 	var chars []texttree.Char
-	return e.tChars.Scan(nil, func(_ db.RID, row db.Row) (bool, error) {
-		run, doc, err := runFromRow(row)
+	var rb rowBuf
+	return e.tChars.ScanRecords(func(_ db.RID, rec []byte) (bool, error) {
+		run, doc, err := rb.decodeRun(e.tChars, rec)
 		if err != nil {
 			return false, err
 		}
@@ -562,7 +563,7 @@ func (e *Engine) ScanCharMeta(fn func(doc util.ID, meta CharMeta) bool) error {
 // CharByID resolves one character instance anywhere in the store,
 // returning its document and metadata (provenance chain walking).
 func (e *Engine) CharByID(id util.ID) (util.ID, CharMeta, error) {
-	run, doc, err := e.runOf(nil, id)
+	run, doc, err := e.runOf(nil, &rowBuf{}, id)
 	if err != nil {
 		return util.NilID, CharMeta{}, err
 	}

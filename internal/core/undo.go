@@ -391,7 +391,7 @@ func (d *Document) revertLocked(user string, kind awareness.EventKind, ti int, f
 	}
 	st := getBatch(user, d.eng.clock.Now())
 	defer st.release()
-	if err := d.stageRevertLocked(st, target, ids.AppendTo(nil), kind == awareness.EvUndo); err != nil {
+	if err := d.stageRevertLocked(st, target, ids, kind == awareness.EvUndo); err != nil {
 		return util.NilID, 0, err
 	}
 	rec := &st.opRecs[0]
@@ -416,15 +416,15 @@ func (d *Document) revertLocked(user string, kind awareness.EventKind, ti int, f
 // delete op, restoring them through the restore step, or flipping a
 // span's removed flag through the span-flag step. The step's log record
 // is the caller's to relabel as the undo or redo row.
-func (d *Document) stageRevertLocked(st *batchState, op opHead, ids []util.ID, undo bool) error {
+func (d *Document) stageRevertLocked(st *batchState, op opHead, ids util.IDs, undo bool) error {
 	switch op.Kind {
 	case opInsert, opPaste, opDelete:
 		// An empty set flips nothing either way; the delete op refuses a
 		// delete of nothing, so the restore step takes it.
-		if (op.Kind == opDelete) == undo || len(ids) == 0 {
+		if (op.Kind == opDelete) == undo || ids.Len() == 0 {
 			return d.stageRestoreLocked(st, ids)
 		}
-		return d.stageBatchLocked(st, []EditOp{{Kind: EditDelete, Chars: ids}})
+		return d.stageDeleteLocked(st, ids, 0)
 	case opLayout, opLayoutRemove:
 		return d.stageSpanFlagLocked(st, op.Ref, (op.Kind == opLayout) == undo)
 	}

@@ -300,6 +300,12 @@ func (h *Heap) Delete(tx *txn.Txn, rid RID, by txn.Undoer) ([]byte, error) {
 // Get returns a copy of the record at rid. If tx is non-nil the row is
 // share-locked, so the read waits out in-flight writers of that row.
 func (h *Heap) Get(tx *txn.Txn, rid RID) ([]byte, error) {
+	return h.Read(tx, rid, nil)
+}
+
+// Read is Get appending the copy to dst, so a reader of many records can
+// reuse one buffer.
+func (h *Heap) Read(tx *txn.Txn, rid RID, dst []byte) ([]byte, error) {
 	if tx != nil {
 		if err := tx.Lock(rowKey(h.tableID, rid), txn.Shared); err != nil {
 			return nil, err
@@ -316,7 +322,7 @@ func (h *Heap) Get(tx *txn.Txn, rid RID) ([]byte, error) {
 	if err != nil {
 		return nil, ErrNotFound
 	}
-	return append([]byte(nil), rec...), nil
+	return append(dst, rec...), nil
 }
 
 // ScanDirty visits every live record without taking transaction locks. It

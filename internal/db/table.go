@@ -447,6 +447,43 @@ func (t *Table) FloorByPK(tx *txn.Txn, pk int64) (Row, RID, error) {
 	return row, rid, nil
 }
 
+// FloorRecordByPK is FloorByPK returning the row's record, EncodeRow's
+// bytes, appended to dst: with a RowReader over it, a hot reader decodes
+// the row with no value boxed into a Row.
+func (t *Table) FloorRecordByPK(tx *txn.Txn, pk int64, dst []byte) ([]byte, error) {
+	var k [8]byte
+	t.mu.RLock()
+	_, rid, ok := t.pk.Floor(keyOfPK(k[:0], pk))
+	t.mu.RUnlock()
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return t.heap.Read(tx, rid, dst)
+}
+
+// ReadRecord returns the record of the row at rid appended to dst, as Get
+// reads it.
+func (t *Table) ReadRecord(tx *txn.Txn, rid RID, dst []byte) ([]byte, error) {
+	return t.heap.Read(tx, rid, dst)
+}
+
+// ScanRecords visits the record of every row, as Scan with a nil tx reads
+// it, until fn returns false.
+func (t *Table) ScanRecords(fn func(rid RID, rec []byte) (bool, error)) error {
+	stop := false
+	return t.heap.ScanDirty(func(rid RID, rec []byte) error {
+		if stop {
+			return nil
+		}
+		cont, err := fn(rid, rec)
+		stop = !cont
+		return err
+	})
+}
+
+// Reader returns a reader of rec, a record of the table.
+func (t *Table) Reader(rec []byte) RowReader { return RowReader{schema: t.schema, rec: rec} }
+
 // UpdateByPK replaces the row whose primary key equals pk.
 func (t *Table) UpdateByPK(tx *txn.Txn, pk int64, row Row) error {
 	rid, err := t.ridOf(pk)

@@ -258,6 +258,81 @@ func (e *RowEncoder) End() ([]byte, error) {
 	return rec, err
 }
 
+// RowReader reads a record EncodeRow or a RowEncoder wrote a column at a
+// time, with no value boxed into a Row: the mirror of RowEncoder, for hot
+// readers. Each method checks its column's type against the schema and
+// returns the zero value once a column has failed; End reports the first
+// failure, or a missing or extra column, as ErrSchema. String and bytes
+// columns are returned as slices of the record, not copies.
+type RowReader struct {
+	schema Schema
+	rec    []byte // the columns not yet read
+	col    int
+	err    error
+}
+
+// next returns the encoding of the row's next column, which must be of
+// type want (Go type name got), or nil once a column has failed.
+func (r *RowReader) next(want ColType, got string) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if r.col >= len(r.schema) {
+		r.err = fmt.Errorf("%w: more than %d values", ErrSchema, len(r.schema))
+		return nil
+	}
+	col := r.schema[r.col]
+	r.col++
+	if col.Type != want {
+		r.err = typeErr(col, got)
+		return nil
+	}
+	n, err := fieldLen(want, r.rec)
+	if err != nil {
+		r.err = err
+		return nil
+	}
+	f := r.rec[:n]
+	r.rec = r.rec[n:]
+	return f
+}
+
+// Int reads an int column.
+func (r *RowReader) Int() int64 {
+	if f := r.next(TInt, "int64"); f != nil {
+		return intOf(f)
+	}
+	return 0
+}
+
+// StringBytes reads a string column as its UTF-8 bytes.
+func (r *RowReader) StringBytes() []byte { return payload(r.next(TString, "string")) }
+
+// Bytes reads a bytes column.
+func (r *RowReader) Bytes() []byte { return payload(r.next(TBytes, "[]uint8")) }
+
+// Time reads a time column.
+func (r *RowReader) Time() time.Time {
+	if f := r.next(TTime, "time.Time"); f != nil {
+		return time.Unix(0, int64(binary.BigEndian.Uint64(f))).UTC()
+	}
+	return time.Time{}
+}
+
+// End reports the first failed column, or a record with columns left
+// unread or bytes after its last.
+func (r *RowReader) End() error {
+	switch {
+	case r.err != nil:
+		return r.err
+	case r.col != len(r.schema):
+		return fmt.Errorf("%w: %d values read of %d columns", ErrSchema, r.col, len(r.schema))
+	case len(r.rec) != 0:
+		return errTrailing
+	}
+	return nil
+}
+
 // field returns the encoding of column col within rec, a row EncodeRow
 // wrote, without decoding any value: index maintenance compares and keys
 // rows by these bytes. A record that ends before the column is ErrSchema.

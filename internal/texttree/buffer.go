@@ -378,38 +378,14 @@ func (b *Buffer) PredecessorForInsert(pos int) (util.ID, error) {
 // (NilID = front of document) and returns the instance after the run
 // (NilID at the end). Each instance's After is set — prev for the first,
 // its predecessor in the run for the rest — and a zero Key becomes the
-// instance's own ID; no other instance changes. The run must land in front
-// of what prev was typed before: its first Key must exceed the Key of
-// prev's current first child. The run is stored as few records as it can
-// be cut into (cutRuns): one for text typed or pasted in one go. One
-// contiguous insertion descends the mirror once, to the leaf at the run's
-// start rank, and splices the run's records there as segments: the leaf
-// is cut into balanced leaves if they overflow it, and each inner node
-// above takes the new leaves or splits in turn. Only that one root-to-leaf
-// path is copied, however long the run. The buffer copies what it keeps
-// of the run, so the caller's slice is reusable immediately. On error the
-// buffer is unchanged.
+// instance's own ID; no other instance changes. The run is stored as few
+// records as it can be cut into (cutRuns): one for text typed or pasted in
+// one go. It splices them as InsertRecord does. The buffer copies what it
+// keeps of the run, so the caller's slice is reusable immediately. On
+// error the buffer is unchanged.
 func (b *Buffer) InsertRun(prev util.ID, run []Char) (next util.ID, err error) {
-	r := 0
-	if !prev.IsNil() {
-		pr, ok := b.order.totalRank(prev)
-		if !ok {
-			return util.NilID, fmt.Errorf("%w: predecessor %v", ErrUnknownChar, prev)
-		}
-		r = pr + 1
-	}
-	var succ Char
-	if r < b.TotalLen() {
-		s := slotAt(b.root, r)
-		s.r.fill(&succ, s.i)
-		next = succ.ID
-	}
 	if len(run) == 0 {
-		return next, nil
-	}
-	if key := keyOf(&run[0]); !next.IsNil() && succ.After == prev && key <= succ.Key {
-		return util.NilID, fmt.Errorf("texttree: key %v of %v does not precede key %v of %v after %v",
-			key, run[0].ID, succ.Key, succ.ID, prev)
+		return b.insertRecords(prev, nil)
 	}
 	at := func(i int) *Char { return &run[i] }
 	chained := func(i int) bool { return keyOf(&run[i]) == run[i].ID }
@@ -429,12 +405,62 @@ func (b *Buffer) InsertRun(prev util.ID, run []Char) (next util.ID, err error) {
 			}
 		}
 	}
-	recs := newRuns(len(run), at, chained, func(lo int) (util.ID, util.ID) {
+	return b.insertRecords(prev, newRuns(len(run), at, chained, func(lo int) (util.ID, util.ID) {
 		if lo == 0 {
 			return prev, keyOf(&run[0])
 		}
 		return run[lo-1].ID, keyOf(&run[lo])
-	})
+	}))
+}
+
+// InsertRecord inserts the instances of r, a run in row form, right after
+// r.After (NilID = front of document), and returns the instance after
+// them (NilID at the end). A zero Key is the first instance's ID. With src
+// not nil, instance i was copied from src[i], or from nothing past src's
+// end, in place of r.SourceFirst+i*r.SourceStep: a paste's sources need
+// not form one progression, and the run is stored as one record per
+// stretch of them that does. The records are spliced in one descent of
+// the mirror, to the leaf at the run's start rank: the leaf is cut into
+// balanced leaves if they overflow it, and each inner node above takes
+// the new leaves or splits in turn. Only that one root-to-leaf path is
+// copied, however long the run. The run must land in front of what
+// r.After was typed before: its Key must exceed the Key of the current
+// first instance typed after r.After. On error the buffer is unchanged.
+func (b *Buffer) InsertRecord(r *Run, src []util.ID) (next util.ID, err error) {
+	n := r.Len()
+	if n == 0 {
+		return b.insertRecords(r.After, nil)
+	}
+	if n > 1 && r.Step == 0 {
+		return util.NilID, fmt.Errorf("texttree: run %v of %d instances has no step", r.First, n)
+	}
+	return b.insertRecords(r.After, r.records(n, src))
+}
+
+// insertRecords splices recs, records whose instances follow one another,
+// right after prev and returns the instance after them.
+func (b *Buffer) insertRecords(prev util.ID, recs []run) (next util.ID, err error) {
+	r := 0
+	if !prev.IsNil() {
+		pr, ok := b.order.totalRank(prev)
+		if !ok {
+			return util.NilID, fmt.Errorf("%w: predecessor %v", ErrUnknownChar, prev)
+		}
+		r = pr + 1
+	}
+	if r < b.TotalLen() {
+		var succ Char
+		s := slotAt(b.root, r)
+		s.r.fill(&succ, s.i)
+		next = succ.ID
+		if len(recs) > 0 && succ.After == prev && recs[0].key <= succ.Key {
+			return util.NilID, fmt.Errorf("texttree: key %v of %v does not precede key %v of %v after %v",
+				recs[0].key, recs[0].first, succ.Key, succ.ID, prev)
+		}
+	}
+	if len(recs) == 0 {
+		return next, nil
+	}
 	for i := range recs {
 		if rec := &recs[i]; b.order.overlaps(rec.first, rec.step, rec.last()) {
 			return util.NilID, fmt.Errorf("texttree: duplicate char in %v..%v", rec.first, rec.last())
@@ -466,49 +492,100 @@ func keyOf(c *Char) util.ID {
 
 // Delete tombstones the instances ids (logical deletion), in order, as if
 // one at a time; their places are untouched and instances already deleted
-// are skipped. visit, if not nil, is called with the index in ids and the
-// visible position of each instance as it is hidden. Instances that are
+// are skipped. visit, if not nil, is called for each stretch of them that
+// is hidden at once — ids from index k on, the IDs of s — with the visible
+// position each instance of s has as it is hidden, pos. Instances that are
 // adjacent in the document and in one record share one new record, so
-// deleting a span of a run costs one record, not one per character. On
-// an unknown ID the buffer is unchanged.
-func (b *Buffer) Delete(ids []util.ID, by string, at time.Time, visit func(k, pos int)) error {
+// deleting a span of a run costs one record, not one per character. On an
+// unknown ID the buffer is unchanged.
+func (b *Buffer) DeleteIDs(ids util.IDs, by string, at time.Time, visit func(k int, s util.Stretch, pos int)) error {
 	return b.flip(ids, visit, true, runMeta{deleted: true, deletedBy: by, deletedAt: at})
 }
 
-// Undelete makes tombstoned instances visible again at instant at (undo of
-// a delete), in order, as if one at a time; visible ones are skipped.
-// visit, if not nil, is called with the index in ids and the visible
-// position of each instance once it shows. The deletion metadata is kept,
-// not zeroed: the recorded interval [DeletedAt, at) is what lets TextAt
-// inside the interval still see the deletion. On an unknown ID the buffer
-// is unchanged.
-func (b *Buffer) Undelete(ids []util.ID, at time.Time, visit func(k, pos int)) error {
+// UndeleteIDs makes tombstoned instances visible again at instant at (undo
+// of a delete), in order, as if one at a time; visible ones are skipped.
+// visit, if not nil, is called for each stretch of them that shows at once
+// — ids from index k on, the IDs of s — with the visible position of its
+// first instance once it shows, pos; the others follow it. The deletion
+// metadata is kept, not zeroed: the recorded interval [DeletedAt, at) is
+// what lets TextAt inside the interval still see the deletion. On an
+// unknown ID the buffer is unchanged.
+func (b *Buffer) UndeleteIDs(ids util.IDs, at time.Time, visit func(k int, s util.Stretch, pos int)) error {
 	return b.flip(ids, visit, false, runMeta{restored: at})
 }
 
-// flip is Delete (del set) and Undelete: each stretch of ids that are
-// adjacent in the document, consecutive in one record and all in the state
-// flip changes gets one new record, whose deletion state del gives (an
-// undelete keeps each stretch's DeletedBy and DeletedAt).
-func (b *Buffer) flip(ids []util.ID, visit func(k, pos int), del bool, state runMeta) error {
-	for _, id := range ids {
-		if !b.order.has(id) {
-			return fmt.Errorf("%w: %v", ErrUnknownChar, id)
+// Delete is DeleteIDs for a slice of IDs, visited one instance at a time:
+// visit gets the index in ids and the visible position of each.
+func (b *Buffer) Delete(ids []util.ID, by string, at time.Time, visit func(k, pos int)) error {
+	return b.DeleteIDs(util.IDsOf(ids), by, at, eachInstance(visit, true))
+}
+
+// Undelete is UndeleteIDs for a slice of IDs, visited one instance at a
+// time.
+func (b *Buffer) Undelete(ids []util.ID, at time.Time, visit func(k, pos int)) error {
+	return b.UndeleteIDs(util.IDsOf(ids), at, eachInstance(visit, false))
+}
+
+// eachInstance returns a stretch visitor that calls visit for each
+// instance of the stretch: at the stretch's position for a delete, one
+// further on for each instance before it for an undelete.
+func eachInstance(visit func(k, pos int), del bool) func(int, util.Stretch, int) {
+	if visit == nil {
+		return nil
+	}
+	return func(k int, s util.Stretch, pos int) {
+		for j := 0; j < s.N; j++ {
+			if del {
+				visit(k+j, pos)
+			} else {
+				visit(k+j, pos+j)
+			}
+		}
+	}
+}
+
+// Holds reports how many IDs of s, from its first on, the buffer holds
+// side by side in one record, and whether they are deleted; n is 0 if the
+// buffer does not hold s.First.
+func (b *Buffer) Holds(s util.Stretch) (n int, deleted bool) {
+	rank, ok := b.order.totalRank(s.First)
+	if !ok {
+		return 0, false
+	}
+	sg, off := segAt(b.root, rank)
+	n = 1
+	if s.N > 1 && s.Step == int64(sg.r.step) {
+		n = min(s.N, sg.hi-sg.lo-off)
+	}
+	return n, sg.r.deleted()
+}
+
+// flip is DeleteIDs (del set) and UndeleteIDs: each stretch of ids that
+// are adjacent in the document, consecutive in one record and all in the
+// state flip changes gets one new record, whose deletion state del gives
+// (an undelete keeps each stretch's DeletedBy and DeletedAt).
+func (b *Buffer) flip(ids util.IDs, visit func(int, util.Stretch, int), del bool, state runMeta) error {
+	for k := 0; k < ids.Stretches(); k++ {
+		s := ids.Stretch(k)
+		for j := 0; j < s.N; {
+			n, _ := b.Holds(util.Stretch{First: s.At(j), Step: s.Step, N: s.N - j})
+			if n == 0 {
+				return fmt.Errorf("%w: %v", ErrUnknownChar, s.At(j))
+			}
+			j += n
 		}
 	}
 	var last *runMeta // the metadata the last stretch got, shared if equal
-	for k := 0; k < len(ids); {
-		rank, _ := b.order.totalRank(ids[k])
+	for c := (idCursor{ids: ids}); c.k < ids.Stretches(); {
+		id, k := c.id(), c.at
+		rank, _ := b.order.totalRank(id)
 		sg, off := segAt(b.root, rank)
-		if sg.r.deleted() == del {
-			k++
-			continue
-		}
+		s := slot{sg.r, sg.lo + off}
 		// The stretch ends with the segment: the instances of a record
 		// that sit side by side in the document are one segment.
-		s, n := slot{sg.r, sg.lo + off}, 1
-		for k+n < len(ids) && s.i+n < sg.hi && ids[k+n] == s.r.id(s.i+n) {
-			n++
+		n := c.follow(s.r.step, sg.hi-s.i)
+		if sg.r.deleted() == del {
+			continue
 		}
 		m := state
 		if !del && s.r.meta != nil {
@@ -520,18 +597,47 @@ func (b *Buffer) flip(ids []util.ID, visit func(k, pos int), del bool, state run
 		b.root = replace(b.gen, b.root, rank, n, put[:])
 		b.version++
 		if visit != nil {
-			pos := visibleBefore(b.root, rank)
-			for j := 0; j < n; j++ {
-				if del {
-					visit(k+j, pos)
-				} else {
-					visit(k+j, pos+j)
-				}
+			st := util.Stretch{First: id, Step: int64(s.r.step), N: n}
+			if n == 1 {
+				st.Step = 0 // a stretch of one has no step
 			}
+			visit(k, st, visibleBefore(b.root, rank))
 		}
-		k += n
 	}
 	return nil
+}
+
+// idCursor walks an IDs list: it is at ID at of the list, offset j of
+// stretch k.
+type idCursor struct {
+	ids      util.IDs
+	k, j, at int
+}
+
+func (c *idCursor) id() util.ID { return c.ids.Stretch(c.k).At(c.j) }
+
+// follow moves the cursor past the IDs from it on that continue the
+// progression id(), id()+step, ..., at most max of them, and returns how
+// many it passed: at least one. The progression may cross the list's
+// stretches.
+func (c *idCursor) follow(step util.ID, max int) int {
+	n, next := 0, c.id()
+	for n < max && c.k < c.ids.Stretches() {
+		s := c.ids.Stretch(c.k)
+		if s.At(c.j) != next {
+			break
+		}
+		m := 1
+		if s.Step == int64(step) {
+			m = min(s.N-c.j, max-n)
+		}
+		n, next, c.j, c.at = n+m, next+util.ID(m)*step, c.j+m, c.at+m
+		if c.j < s.N {
+			break
+		}
+		c.k, c.j = c.k+1, 0
+	}
+	return n
 }
 
 // CheckInvariants verifies the structural invariants of the buffer: the

@@ -2,6 +2,7 @@ package texttree
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,7 +72,7 @@ func TestInsertRunMatchesInsertAfter(t *testing.T) {
 }
 
 // TestInsertRunCopiesInput verifies the buffer does not retain the
-// caller's slice — the commit path reuses its staging arena per batch.
+// caller's slice, which the caller may reuse at once.
 func TestInsertRunCopiesInput(t *testing.T) {
 	b := NewBuffer()
 	var gen util.IDGen
@@ -116,6 +117,95 @@ func TestInsertRunRejectsDuplicates(t *testing.T) {
 		t.Fatalf("failed insert mutated buffer: %q", got)
 	}
 	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInsertRecordMatchesInsertRun inserts seeded runs in row form —
+// typed, on a stride, and pasted with sources that form one progression,
+// several, or stop short of the run — through InsertRecord into one
+// buffer, and as instances through InsertRun into another, at random
+// places: both must hold the same instances, cut into the same records,
+// and return the same successor.
+func TestInsertRecordMatchesInsertRun(t *testing.T) {
+	got, gen := bufWithText(t, "seed")
+	want, _ := bufWithText(t, "seed")
+	rng := util.NewRand(11)
+	created := time.Unix(3, 0)
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(24)
+		step := util.ID(1 + rng.Intn(3))
+		first := gen.NextN(n * int(step))
+		var text strings.Builder
+		for i := 0; i < n; i++ {
+			text.WriteRune([]rune("aé€😀 ")[rng.Intn(5)])
+		}
+		prev := util.NilID
+		if k := rng.Intn(want.TotalLen() + 1); k > 0 {
+			s := slotAt(want.root, k-1)
+			prev = s.r.id(s.i)
+		}
+		r := Run{First: first, Step: step, After: prev, Text: text.String(), Author: authors[trial%2], Created: created}
+		var src []util.ID
+		switch rng.Intn(4) {
+		case 1: // one progression
+			r.SourceDoc, r.SourceFirst, r.SourceStep = 7, util.ID(500+trial), util.ID(rng.Intn(3))
+		case 2: // several, maybe stopping short of the run
+			r.SourceDoc = 7
+			for i := 0; i < n-rng.Intn(3); i++ {
+				src = append(src, util.ID(900+i*(1+i%3)))
+			}
+			src = src[:len(src):len(src)]
+		case 3: // pasted from nothing
+			src = []util.ID{}
+		}
+		chars := make([]Char, n)
+		for i, c := range []rune(r.Text) {
+			chars[i] = Char{ID: first + util.ID(i)*step, Rune: c, Author: r.Author, Created: created,
+				SourceDoc: r.SourceDoc, SourceChar: r.SourceFirst + util.ID(i)*r.SourceStep}
+			if src != nil {
+				chars[i].SourceChar = 0
+				if i < len(src) {
+					chars[i].SourceChar = src[i]
+				}
+			}
+		}
+		nextGot, err := got.InsertRecord(&r, src)
+		if err != nil {
+			t.Fatalf("trial %d: InsertRecord: %v", trial, err)
+		}
+		nextWant, err := want.InsertRun(prev, chars)
+		if err != nil {
+			t.Fatalf("trial %d: InsertRun: %v", trial, err)
+		}
+		if nextGot != nextWant {
+			t.Fatalf("trial %d: InsertRecord returned %v, InsertRun %v", trial, nextGot, nextWant)
+		}
+	}
+	if !slices.Equal(got.AllChars(), want.AllChars()) {
+		t.Fatal("InsertRecord and InsertRun hold other instances")
+	}
+	var segs [2][]seg
+	for k, b := range []*Buffer{got, want} {
+		walkLeaves(b.root, func(l *leaf) bool {
+			for i := 0; i < l.n; i++ {
+				segs[k] = append(segs[k], l.seg(i))
+			}
+			return true
+		})
+	}
+	if len(segs[0]) != len(segs[1]) {
+		t.Fatalf("InsertRecord made %d segments, InsertRun %d", len(segs[0]), len(segs[1]))
+	}
+	for i, s := range segs[0] {
+		w := segs[1][i]
+		if s.r.first != w.r.first || s.r.step != w.r.step || s.r.len() != w.r.len() || s.lo != w.lo || s.hi != w.hi ||
+			(s.r.meta == nil) != (w.r.meta == nil) || s.r.meta != nil && *s.r.meta != *w.r.meta {
+			t.Fatalf("segment %d: InsertRecord holds %v+%v×%d [%d,%d), InsertRun %v+%v×%d [%d,%d)",
+				i, s.r.first, s.r.step, s.r.len(), s.lo, s.hi, w.r.first, w.r.step, w.r.len(), w.lo, w.hi)
+		}
+	}
+	if err := got.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

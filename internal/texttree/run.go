@@ -232,6 +232,31 @@ func (r *Run) Last() util.ID { return nthID(r.First, r.Step, r.Len()-1) }
 // Index returns the offset of id in r, or -1 if r does not hold it.
 func (r *Run) Index(id util.ID) int { return indexOf(r.First, r.Step, r.Len(), id) }
 
+// Sub returns the instances [lo, hi) of r as a run of their own: the
+// first keeps r's After and Key if lo is 0, else is typed after instance
+// lo-1 and keyed by its own ID; a run of one has no steps.
+func (r *Run) Sub(lo, hi int) Run {
+	s := *r
+	s.First = nthID(r.First, r.Step, lo)
+	if lo > 0 {
+		s.After, s.Key = s.First-r.Step, s.First
+	}
+	s.SourceFirst += util.ID(lo) * r.SourceStep
+	if hi-lo == 1 {
+		s.Step, s.SourceStep = 0, 0
+	}
+	b, e := 0, 0
+	for i := 0; i < hi; i++ {
+		if i == lo {
+			b = e
+		}
+		_, w := utf8.DecodeRuneInString(r.Text[e:])
+		e += w
+	}
+	s.Text = r.Text[b:e]
+	return s
+}
+
 // AppendChars appends the instances of r to dst, in order.
 func (r *Run) AppendChars(dst []Char) []Char {
 	rec, _ := r.record(nil, nil)
@@ -262,6 +287,84 @@ func (r *Run) record(block []rune, last *runMeta) (run, []rune) {
 			deleted: r.Deleted, deletedBy: r.DeletedBy, deletedAt: r.DeletedAt, restored: r.Restored})
 	}
 	return rec, block
+}
+
+// records returns the n instances of r as records in one block with one
+// rune array: one record, or with src not nil one per stretch whose
+// sources src gives as one progression (see InsertRecord), as cutRuns
+// would cut them. Records with equal metadata share one runMeta.
+func (r *Run) records(n int, src []util.ID) []run {
+	srcAt := func(i int) util.ID {
+		switch {
+		case i < len(src):
+			return src[i]
+		case src != nil:
+			return 0
+		}
+		return r.SourceFirst + util.ID(i)*r.SourceStep
+	}
+	// end returns the end of the record starting at lo: the longest
+	// stretch whose sources keep the step of its first two.
+	end := func(lo int) int {
+		hi := lo + 1
+		if src == nil {
+			return n
+		}
+		if hi < n {
+			step := srcAt(hi) - srcAt(lo)
+			for hi++; hi < n && srcAt(hi)-srcAt(hi-1) == step; hi++ {
+			}
+		}
+		return hi
+	}
+	count := 0
+	for lo := 0; lo < n; lo = end(lo) {
+		count++
+	}
+	recs := make([]run, count)
+	var runes []rune
+	if n > 1 {
+		runes = make([]rune, 0, n)
+		for _, c := range r.Text {
+			runes = append(runes, c)
+		}
+	}
+	key := r.Key
+	if key.IsNil() {
+		key = r.First
+	}
+	var last *runMeta
+	for k, lo := 0, 0; lo < n; k++ {
+		hi := end(lo)
+		rec := &recs[k]
+		rec.first, rec.step = r.First+util.ID(lo)*r.Step, 1
+		if hi-lo > 1 {
+			rec.step = r.Step
+		}
+		rec.after, rec.key = r.After, key
+		if lo > 0 {
+			rec.after, rec.key = rec.first-r.Step, rec.first
+		}
+		rec.author, rec.created = r.Author, r.Created
+		if n == 1 {
+			rec.one[0], _ = utf8.DecodeRuneInString(r.Text)
+			rec.runes = rec.one[:]
+		} else {
+			rec.runes = runes[lo:hi:hi]
+		}
+		m := runMeta{srcDoc: r.SourceDoc, srcFirst: srcAt(lo), deleted: r.Deleted,
+			deletedBy: r.DeletedBy, deletedAt: r.DeletedAt, restored: r.Restored}
+		if hi-lo > 1 {
+			m.srcStep = srcAt(lo+1) - m.srcFirst
+		}
+		if r.Deleted || r.DeletedBy != "" || !r.DeletedAt.IsZero() || !r.Restored.IsZero() ||
+			!m.srcDoc.IsNil() || !m.srcFirst.IsNil() || m.srcStep != 0 {
+			last = share(last, m)
+			rec.meta = last
+		}
+		lo = hi
+	}
+	return recs
 }
 
 // newRuns returns the records of the n instances at(0), ..., at(n-1) as

@@ -199,7 +199,13 @@ func (l *leaf) splice(gen uint64, i, j int, head seg, mid []seg, tail seg, out [
 	m := len(hs) + len(mid) + len(ts)
 	n := l.n - (j - i) + m
 	if n > leafCap {
-		all := make([]seg, 0, n)
+		// A split gathers the segments on the stack; only a splice of
+		// many records, a long paste, needs the heap.
+		var buf [leafCap + 8]seg
+		all := buf[:0]
+		if n > len(buf) {
+			all = make([]seg, 0, n)
+		}
 		for k := 0; k < i; k++ {
 			all = append(all, l.seg(k))
 		}
@@ -381,11 +387,24 @@ func walk(n mnode, fn func(s slot, visible bool) bool) bool {
 }
 
 // walkVisibleFrom visits the visible slots under n in order, starting
-// with the one at visible rank skip, until fn returns false. It descends
+// with the one at visible rank skip, until fn returns false.
+func walkVisibleFrom(n mnode, skip int, fn func(s slot) bool) bool {
+	return walkVisibleSegs(n, skip, func(s seg) bool {
+		for j := s.lo; j < s.hi; j++ {
+			if !fn(slot{s.r, j}) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// walkVisibleSegs visits the visible segments under n in order, the first
+// cut to start at visible rank skip, until fn returns false. It descends
 // by visible counts — children and segments that hold nothing to visit
 // are never entered — so reading k characters at any position costs
-// O(log n + k).
-func walkVisibleFrom(n mnode, skip int, fn func(s slot) bool) bool {
+// O(log n + k), and k characters in s segments O(log n + s) by segment.
+func walkVisibleSegs(n mnode, skip int, fn func(s seg) bool) bool {
 	switch t := n.(type) {
 	case *leaf:
 		for b := t.vis; b != 0; b &= b - 1 {
@@ -394,12 +413,11 @@ func walkVisibleFrom(n mnode, skip int, fn func(s slot) bool) bool {
 				skip -= n
 				continue
 			}
-			for j := s.lo + skip; j < s.hi; j++ {
-				if !fn(slot{s.r, j}) {
-					return false
-				}
-			}
+			s.lo += skip
 			skip = 0
+			if !fn(s) {
+				return false
+			}
 		}
 	case *inner:
 		for i, kid := range t.kids[:t.n] {
@@ -407,7 +425,7 @@ func walkVisibleFrom(n mnode, skip int, fn func(s slot) bool) bool {
 				skip -= v
 				continue
 			}
-			if !walkVisibleFrom(kid, skip, fn) {
+			if !walkVisibleSegs(kid, skip, fn) {
 				return false
 			}
 			skip = 0
@@ -758,6 +776,24 @@ func (v *view) RangeIDs(pos, n int) []util.ID {
 
 // VisibleIDs returns the IDs of all visible characters in order.
 func (v *view) VisibleIDs() []util.ID { return v.RangeIDs(0, v.Len()) }
+
+// RangeStretches returns the IDs of visible characters in [pos, pos+n) as
+// stretches, clipped as WalkVisibleFrom clips: RangeIDs at a cost that
+// follows the segments the range crosses, not its length.
+func (v *view) RangeStretches(pos, n int) util.IDs {
+	var ids util.IDs
+	pos, n = v.window(pos, n)
+	if n <= 0 {
+		return ids
+	}
+	walkVisibleSegs(v.root, pos, func(s seg) bool {
+		take := min(n, s.hi-s.lo)
+		ids.AppendRun(s.r.id(s.lo), int64(s.r.step), take)
+		n -= take
+		return n > 0
+	})
+	return ids
+}
 
 // AllChars returns a copy of every hot character instance in document order
 // (warm tombstones included, archived instances excluded): the persistent

@@ -1,6 +1,8 @@
 package texttree
 
 import (
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -273,17 +275,21 @@ func TestMirrorNodesFitSizeClass(t *testing.T) {
 // record and a treap node per key. A record of one, and extents taken
 // from blocks for the two the key cuts its run into, made it 5 while a
 // leaf held a slot per instance: the loaded leaves were full, and most
-// keys split one. Segments make it 4: a key adds two segments to a leaf,
-// and a loaded leaf splits at its first key only. The limit is that plus
-// 10 %. The text alternates authors every ten instances, so
-// its 4 000 records are 4 000 mirror segments, three levels deep: one
-// typed run would be one segment under a single leaf, and the path one
-// node.
+// keys split one. Segments make it 4.79: a key adds two segments to a
+// leaf, and a loaded leaf splits at its first key only. Gathering a split
+// leaf's segments on the stack, not in a slice of their own, makes it
+// 4.43. The count is runtime.MemStats.Mallocs over the keys, the
+// least of three rounds: testing.AllocsPerRun truncates its mean to an
+// integer, so a limit of the reading plus 10 % read as 4.0 tripped only
+// at 5. The limit is the reading plus 10 %. The text alternates authors
+// every ten instances, so its 4 000 records are 4 000 mirror segments,
+// three levels deep: one typed run would be one segment under a single
+// leaf, and the path one node.
 func TestOneKeyInsertCopiesOnePath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")
 	}
-	const n, limit = 40000, 4.4
+	const n, keys, limit = 40000, 200, 4.87
 	created := time.Unix(1, 0)
 	rows := make([]Char, n)
 	for i := range rows {
@@ -291,21 +297,29 @@ func TestOneKeyInsertCopiesOnePath(t *testing.T) {
 		rows[i] = Char{ID: id, Rune: 'a' + rune(i%26), Author: authors[i/10%2], Created: created}
 		rows[i].After, rows[i].Key = id-1, id
 	}
-	b, err := Load(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := util.NewRand(7)
 	next := util.ID(n + 1)
 	key := make([]Char, 1)
-	allocs := testing.AllocsPerRun(200, func() {
-		b.Snapshot()
-		prev := util.ID(1 + rng.Intn(n))
-		key[0] = Char{ID: next, Rune: 'k', Author: "bob", Created: created}
-		if _, err := b.InsertRun(prev, key); err != nil {
+	var b *Buffer
+	allocs := leastOf3(func() float64 {
+		var err error
+		if b, err = Load(rows); err != nil {
 			t.Fatal(err)
 		}
-		next++
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for k := 0; k < keys && err == nil; k++ {
+			b.Snapshot()
+			prev := util.ID(1 + rng.Intn(n))
+			key[0] = Char{ID: next, Rune: 'k', Author: "bob", Created: created}
+			_, err = b.InsertRun(prev, key)
+			next++
+		}
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.Mallocs-before.Mallocs) / keys
 	})
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -313,10 +327,21 @@ func TestOneKeyInsertCopiesOnePath(t *testing.T) {
 	if h, _, _ := shape(b.root); h != 3 {
 		t.Fatalf("the mirror is %d levels high, want 3", h)
 	}
-	t.Logf("%.1f allocations per key typed after a snapshot", allocs)
+	t.Logf("%.2f allocations per key typed after a snapshot", allocs)
 	if allocs > limit {
-		t.Fatalf("one key after a snapshot allocated %.1f times, limit %.1f", allocs, limit)
+		t.Fatalf("one key after a snapshot allocated %.2f times, limit %.2f", allocs, limit)
 	}
+}
+
+// leastOf3 returns the least of three readings of measure: a count of the
+// process's allocations reads high, never low, when something else
+// allocates between its two readings.
+func leastOf3(measure func() float64) float64 {
+	least := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		least = min(least, measure())
+	}
+	return least
 }
 
 func TestSnapshotLoadBuildsMirror(t *testing.T) {

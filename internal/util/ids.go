@@ -79,9 +79,9 @@ func (l *IDs) Append(id ID) {
 	}
 }
 
-// appendRun appends the n IDs first, first+step, … as Append would one
+// AppendRun appends the n IDs first, first+step, … as Append would one
 // by one.
-func (l *IDs) appendRun(first ID, step int64, n int) {
+func (l *IDs) AppendRun(first ID, step int64, n int) {
 	if n <= 0 {
 		return
 	}
@@ -209,7 +209,7 @@ func walkPayload(b []byte, base ID, visit func(Stretch)) error {
 // DecodeIDs returns the list payload b based at base holds.
 func DecodeIDs(b []byte, base ID) (IDs, error) {
 	var l IDs
-	err := walkPayload(b, base, func(s Stretch) { l.appendRun(s.First, s.Step, s.N) })
+	err := walkPayload(b, base, func(s Stretch) { l.AppendRun(s.First, s.Step, s.N) })
 	if err != nil {
 		return IDs{}, err
 	}

@@ -118,10 +118,10 @@ func TestIDsMatchModel(t *testing.T) {
 				prev += ID(r.Intn(7) - 3)
 				l.Append(prev)
 				model = append(model, prev)
-			case 1: // a run, as appendRun or one ID at a time
+			case 1: // a run, as AppendRun or one ID at a time
 				first, d, n := prev+ID(r.Intn(5)-2), int64(r.Intn(7)-3), r.Intn(6)
 				if r.Intn(2) == 0 {
-					l.appendRun(first, d, n)
+					l.AppendRun(first, d, n)
 				} else {
 					for j := 0; j < n; j++ {
 						l.Append(first + ID(int64(j)*d))
@@ -159,7 +159,7 @@ func TestIDsTypedRunIsInline(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		l = Progression(1000, 1, 30)
 		l.Append(1030)
-		l.appendRun(1031, 1, 9)
+		l.AppendRun(1031, 1, 9)
 	})
 	if allocs != 0 || l.Stretches() != 1 || l.Len() != 40 {
 		t.Fatalf("%v allocations, %d stretches of %d IDs; want 0, 1 of 40", allocs, l.Stretches(), l.Len())
@@ -210,7 +210,7 @@ func FuzzIDs(f *testing.F) {
 				model = append(model, prev)
 			case 1:
 				first, step, n := prev+ID(int8(arg)), int64(int8(op)>>2), int(arg%9)
-				l.appendRun(first, step, n)
+				l.AppendRun(first, step, n)
 				for j := 0; j < n; j++ {
 					prev = first + ID(int64(j)*step)
 					model = append(model, prev)
