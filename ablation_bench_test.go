@@ -168,7 +168,7 @@ func BenchmarkAblationVersionReconstruction(b *testing.B) {
 	// Delete every third character late in history.
 	ids := buf.VisibleIDs()
 	for i := 0; i < len(ids); i += 3 {
-		buf.Delete(ids[i:i+1], "u", time.Unix(n+int64(i), 0), nil)
+		buf.DeleteIDs(util.IDsOf(ids[i:i+1]), "u", time.Unix(n+int64(i), 0), nil)
 	}
 	mid := time.Unix(n/2, 0)
 	b.Run("TextAt-midpoint", func(b *testing.B) {

@@ -7,10 +7,14 @@
 //	snapshotread  reads resolve through the published snapshot (PR 3)
 //	visclass      wire-cache keys carry the visibility class (PR 7)
 //	failclosed    security verdicts gate what happens next (PR 7)
+//	testonly      every exported name in internal/ has a non-test user
 //
 // Usage:
 //
 //	go run ./cmd/tendax-vet ./...
+//
+// testonly also reads benchmark/, a module of its own, whenever
+// benchmark/go.mod exists: what keystroke-bench calls counts as used.
 //
 // Findings print as path:line:col: [analyzer] message, and any finding
 // makes the exit status 1 — CI runs this as a gating job. Suppress a
@@ -29,6 +33,7 @@ import (
 	"tendax/internal/analysis/framework"
 	"tendax/internal/analysis/locksync"
 	"tendax/internal/analysis/snapshotread"
+	"tendax/internal/analysis/testonly"
 	"tendax/internal/analysis/visclass"
 )
 
@@ -37,6 +42,7 @@ var analyzers = []*framework.Analyzer{
 	snapshotread.Analyzer,
 	visclass.Analyzer,
 	failclosed.Analyzer,
+	testonly.Analyzer,
 }
 
 func main() {
@@ -63,7 +69,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	findings, err := framework.NewRunner(pkgs).Run(analyzers)
+	extra, err := framework.LoadExtraRoot(wd)
+	if err != nil {
+		fatal(err)
+	}
+	findings, err := framework.NewRunner(pkgs, extra...).Run(analyzers)
 	if err != nil {
 		fatal(err)
 	}

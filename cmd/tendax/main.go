@@ -18,6 +18,8 @@
 //	version <docID> <name>         snapshot a version
 //	versions <docID>               list versions
 //	history <docID>                print the editing history
+//	search <term>...               ranked full-text search
+//	sources <docID> [<pos> <n>]    where the text (or a range of it) was copied from
 //	follow <docID>                 stream live events until interrupted
 package main
 
@@ -102,12 +104,19 @@ func run(c *client.Client, args []string) error {
 		}
 		return d.Insert(pos, rest[2])
 	case "delete":
+		need(rest, 3)
+		pos, err := strconv.Atoi(rest[1])
+		if err != nil {
+			return err
+		}
+		n, err := strconv.Atoi(rest[2])
+		if err != nil {
+			return err
+		}
 		d, err := open(c, rest, 3)
 		if err != nil {
 			return err
 		}
-		pos, _ := strconv.Atoi(rest[1])
-		n, _ := strconv.Atoi(rest[2])
 		return d.Delete(pos, n)
 	case "undo", "redo":
 		d, err := open(c, rest, 1)

@@ -10,7 +10,7 @@
 //
 //   - internal/core — the TeNDaX engine (documents, editing transactions)
 //   - internal/db, storage, wal, txn, btree — the embedded database
-//   - internal/server, client, editor, protocol — the collaborative layer
+//   - internal/server, client, protocol, awareness — the collaborative layer
 //   - internal/security, workflow, folders, lineage, mining, search — the
 //     subsystems demonstrated in the paper
 //

@@ -26,19 +26,35 @@ import (
 // Run loads the fixture packages (plus their fixture-tree dependencies)
 // and applies the analyzer, failing t on any mismatch between
 // diagnostics and the fixtures' want expectations.
+//
+//tendax:allow-testonly the test-support package analysistest: every analyzer test calls it
 func Run(t *testing.T, analyzer *framework.Analyzer, pkgs ...string) {
+	t.Helper()
+	RunWithExtraRoot(t, analyzer, nil, pkgs...)
+}
+
+// RunWithExtraRoot is Run with the fixture packages extra as the run's
+// extra root: loaded by a loader of their own, a second type universe as
+// a nested module is, and handed to End hooks for their uses only.
+func RunWithExtraRoot(t *testing.T, analyzer *framework.Analyzer, extra []string, pkgs ...string) {
 	t.Helper()
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
 	srcRoot := filepath.Join(wd, "testdata", "src")
-	ld := framework.NewLoader(moduleRoot(t, wd))
-	loaded, err := ld.LoadFixture(srcRoot, pkgs...)
+	root := moduleRoot(t, wd)
+	loaded, err := framework.NewLoader(root).LoadFixture(srcRoot, pkgs...)
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}
-	runner := framework.NewRunner(loaded)
+	var extraLoaded []*framework.Package
+	if len(extra) > 0 {
+		if extraLoaded, err = framework.NewLoader(root).LoadFixture(srcRoot, extra...); err != nil {
+			t.Fatalf("loading extra-root fixtures: %v", err)
+		}
+	}
+	runner := framework.NewRunner(loaded, extraLoaded...)
 	findings, err := runner.Run([]*framework.Analyzer{analyzer})
 	if err != nil {
 		t.Fatalf("running %s: %v", analyzer.Name, err)

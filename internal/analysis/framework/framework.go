@@ -23,14 +23,17 @@ import (
 	"strings"
 )
 
-// Analyzer is one invariant checker. Run is called once per loaded
-// package, in dependency order, so facts exported for a package's objects
-// are visible when its dependents are analyzed.
+// Analyzer is one invariant checker. Run, if set, is called once per
+// loaded package, in dependency order, so facts exported for a package's
+// objects are visible when its dependents are analyzed. End, if set, is
+// called once after every package's Run, for a rule about the whole run
+// (what no package uses).
 type Analyzer struct {
 	Name string // short lower-case name; also the allow-comment key
 	Doc  string // one-paragraph description of the invariant enforced
 
 	Run func(*Pass) error
+	End func(*EndPass) error
 }
 
 // Diagnostic is one finding, positioned inside the analyzed package.
@@ -56,7 +59,7 @@ type Pass struct {
 // the runner after the pass completes, so analyzers never reason about
 // comments themselves.
 func (p *Pass) Report(d Diagnostic) {
-	p.runner.report(p, d)
+	p.runner.report(p.Analyzer, d)
 }
 
 // Reportf is Report with formatting.
@@ -85,6 +88,23 @@ func (p *Pass) ImportObjectFact(obj types.Object) (interface{}, bool) {
 	return f, ok
 }
 
+// EndPass is an End hook's view of the whole run.
+type EndPass struct {
+	Analyzer *Analyzer
+	Pkgs     []*Package // the analyzed packages, in dependency order
+	// Extra holds the packages of the extra root (a nested module such
+	// as benchmark/): a type universe of its own, so its objects match
+	// the analyzed packages' only by name. Read, never reported on.
+	Extra []*Package
+
+	runner *Runner
+}
+
+// Reportf records a finding at pos, which lies in one of Pkgs.
+func (p *EndPass) Reportf(pos token.Pos, format string, args ...interface{}) {
+	p.runner.report(p.Analyzer, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+}
+
 // Finding is one post-suppression diagnostic of a run.
 type Finding struct {
 	Analyzer string
@@ -95,6 +115,7 @@ type Finding struct {
 // Runner executes analyzers over loaded packages.
 type Runner struct {
 	pkgs     []*Package
+	extra    []*Package
 	fset     *token.FileSet
 	facts    map[*Analyzer]map[types.Object]interface{}
 	findings []Finding
@@ -105,10 +126,12 @@ type Runner struct {
 }
 
 // NewRunner prepares a run over pkgs (as returned by Load, already in
-// dependency order).
-func NewRunner(pkgs []*Package) *Runner {
+// dependency order). The extra root's packages are only handed to End
+// hooks.
+func NewRunner(pkgs []*Package, extra ...*Package) *Runner {
 	r := &Runner{
 		pkgs:       pkgs,
+		extra:      extra,
 		facts:      make(map[*Analyzer]map[types.Object]interface{}),
 		allowLines: make(map[string]map[int]string),
 	}
@@ -122,11 +145,14 @@ func NewRunner(pkgs []*Package) *Runner {
 }
 
 // Run executes every analyzer over every package, packages outermost in
-// dependency order so facts flow from dependencies to dependents.
-// Findings are returned sorted by position.
+// dependency order so facts flow from dependencies to dependents, then
+// each End hook. Findings are returned sorted by position.
 func (r *Runner) Run(analyzers []*Analyzer) ([]Finding, error) {
 	for _, pkg := range r.pkgs {
 		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
 			pass := &Pass{
 				Analyzer:  a,
 				Pkg:       pkg,
@@ -139,6 +165,14 @@ func (r *Runner) Run(analyzers []*Analyzer) ([]Finding, error) {
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
 			}
+		}
+	}
+	for _, a := range analyzers {
+		if a.End == nil {
+			continue
+		}
+		if err := a.End(&EndPass{Analyzer: a, Pkgs: r.pkgs, Extra: r.extra, runner: r}); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
 	sort.Slice(r.findings, func(i, j int) bool {
@@ -156,21 +190,21 @@ func (r *Runner) Run(analyzers []*Analyzer) ([]Finding, error) {
 
 // report applies the allow-comment suppression protocol and records the
 // finding if it survives.
-func (r *Runner) report(p *Pass, d Diagnostic) {
-	pos := p.Fset.Position(d.Pos)
-	key := p.Analyzer.Name
+func (r *Runner) report(a *Analyzer, d Diagnostic) {
+	pos := r.fset.Position(d.Pos)
+	key := a.Name
 	if directive, _ := r.allowFor(pos, key); directive != "" {
 		reason := strings.TrimSpace(strings.TrimPrefix(directive, "tendax:allow-"+key))
 		if reason == "" {
 			r.findings = append(r.findings, Finding{
-				Analyzer: p.Analyzer.Name,
+				Analyzer: a.Name,
 				Pos:      pos,
 				Message:  fmt.Sprintf("tendax:allow-%s needs a reason (suppressed: %s)", key, d.Message),
 			})
 		}
 		return
 	}
-	r.findings = append(r.findings, Finding{Analyzer: p.Analyzer.Name, Pos: pos, Message: d.Message})
+	r.findings = append(r.findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
 }
 
 // allowFor returns the allow directive covering pos for analyzer name, if

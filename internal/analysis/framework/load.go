@@ -121,6 +121,33 @@ func (ld *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
+// extraRoot is the nested module, relative to the module root, whose
+// uses count as the engine's: keystroke-bench drives the engine from
+// benchmark/, a module of its own (replace tendax => ../).
+const extraRoot = "benchmark"
+
+// LoadExtraRoot loads every package of the extraRoot module under
+// moduleDir with a loader of its own, so its packages and their copies of
+// the module's are a second type universe. It returns nothing when
+// moduleDir has no extraRoot/go.mod.
+func LoadExtraRoot(moduleDir string) ([]*Package, error) {
+	dir := filepath.Join(moduleDir, extraRoot)
+	if _, err := os.Stat(filepath.Join(dir, "go.mod")); err != nil {
+		return nil, nil
+	}
+	pkgs, err := NewLoader(dir).LoadPatterns("./...")
+	if err != nil {
+		return nil, err
+	}
+	own := pkgs[:0]
+	for _, p := range pkgs {
+		if p.Dir == dir || strings.HasPrefix(p.Dir, dir+string(filepath.Separator)) {
+			own = append(own, p)
+		}
+	}
+	return own, nil
+}
+
 // LoadFixture loads the named import paths from a fixture tree laid out
 // as srcRoot/<import path>/*.go (the analysistest convention). Imports
 // resolve against the fixture tree first, then the module and standard

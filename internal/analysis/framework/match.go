@@ -58,19 +58,6 @@ func IsMethod(obj types.Object, pkgSuffix, typeName, method string) bool {
 	return TypeIs(sig.Recv().Type(), pkgSuffix, typeName)
 }
 
-// IsPkgFunc reports whether obj is the package-level function
-// pkgSuffix.name.
-func IsPkgFunc(obj types.Object, pkgSuffix, name string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Name() != name || fn.Pkg() == nil {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return false
-	}
-	return PkgPathMatches(fn.Pkg().Path(), pkgSuffix)
-}
-
 // Callee resolves the called function or method object of a call
 // expression, or nil for calls through function values, built-ins and
 // type conversions.
@@ -86,18 +73,6 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// EnclosingFuncs maps every node in the file to its innermost enclosing
-// function declaration by walking decl bodies; used to attribute findings
-// and check naming conventions. Function literals remain attributed to
-// their enclosing declaration.
-func EnclosingFuncs(file *ast.File, visit func(decl *ast.FuncDecl)) {
-	for _, d := range file.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok {
-			visit(fd)
-		}
-	}
 }
 
 // unparen strips parenthesis expressions (ast.Unparen needs go1.22; the

@@ -20,21 +20,20 @@ type EventKind string
 // Event kinds. Editing kinds mirror the engine's operation kinds; presence
 // kinds are generated by the awareness layer itself.
 const (
-	EvInsert    EventKind = "insert"
-	EvDelete    EventKind = "delete"
-	EvPaste     EventKind = "paste"
-	EvBatch     EventKind = "batch"
-	EvLayout    EventKind = "layout"
-	EvNote      EventKind = "note"
-	EvUndo      EventKind = "undo"
-	EvRedo      EventKind = "redo"
-	EvVersion   EventKind = "version"
-	EvWorkflow  EventKind = "workflow"
-	EvSecurity  EventKind = "security"
-	EvJoin      EventKind = "join"
-	EvLeave     EventKind = "leave"
-	EvCursor    EventKind = "cursor"
-	EvDocRename EventKind = "rename"
+	EvInsert   EventKind = "insert"
+	EvDelete   EventKind = "delete"
+	EvPaste    EventKind = "paste"
+	EvBatch    EventKind = "batch"
+	EvLayout   EventKind = "layout"
+	EvNote     EventKind = "note"
+	EvUndo     EventKind = "undo"
+	EvRedo     EventKind = "redo"
+	EvVersion  EventKind = "version"
+	EvWorkflow EventKind = "workflow"
+	EvSecurity EventKind = "security"
+	EvJoin     EventKind = "join"
+	EvLeave    EventKind = "leave"
+	EvCursor   EventKind = "cursor"
 
 	// EvPresence is a synthetic full presence snapshot, pushed by the
 	// server (never published on the bus) after a gap: the snapshot the

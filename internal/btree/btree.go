@@ -19,7 +19,7 @@
 // a split and the growth of a leaf's arena, both amortised over the entries
 // that fill it. Get and Delete allocate nothing. A key handed to an
 // AscendRange callback is a slice of a leaf's arena and stays valid until the
-// tree's next write; Min and Max return copies.
+// tree's next write; Max returns a copy.
 //
 // Indexes are derived state in this system: they are rebuilt from heap scans
 // when a database opens (see DESIGN.md), so the tree needs no persistence of
@@ -121,11 +121,6 @@ func (t *Tree[V]) Delete(key []byte) bool {
 	return true
 }
 
-// Ascend visits every entry in key order until fn returns false.
-func (t *Tree[V]) Ascend(fn func(key []byte, value V) bool) {
-	t.AscendRange(nil, nil, fn)
-}
-
 // AscendRange visits entries with from <= key < to in order until fn
 // returns false. A nil from starts at the smallest key; a nil to means no
 // upper bound. The key passed to fn stays valid until the tree's next write.
@@ -153,20 +148,6 @@ func (t *Tree[V]) AscendRange(from, to []byte, fn func(key []byte, value V) bool
 			}
 		}
 	}
-}
-
-// Min returns a copy of the smallest key, or nil if the tree is empty.
-func (t *Tree[V]) Min() []byte {
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	for ; n != nil; n = n.next {
-		if len(n.ends) > 0 {
-			return append([]byte{}, n.key(0)...)
-		}
-	}
-	return nil
 }
 
 // Max returns a copy of the largest key, or nil if the tree is empty. It

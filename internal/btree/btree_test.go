@@ -68,7 +68,7 @@ func TestManyKeysSplitAndScan(t *testing.T) {
 	// Full scan is ordered and complete.
 	prev := []byte(nil)
 	count := 0
-	tr.Ascend(func(k []byte, v int) bool {
+	tr.AscendRange(nil, nil, func(k []byte, v int) bool {
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Fatalf("scan out of order: %q then %q", prev, k)
 		}
@@ -107,37 +107,37 @@ func TestAscendRange(t *testing.T) {
 
 // TestHandedOutKeys pins the key lifetimes the package doc states: a key
 // AscendRange hands out is capped at its length, so appending to it cannot
-// write into the leaf, and Min and Max return copies that a later write
+// write into the leaf, and Max returns a copy that a later write
 // leaves alone.
 func TestHandedOutKeys(t *testing.T) {
 	tr := New[int]()
 	for _, k := range []string{"b", "c", "d"} {
 		tr.Put([]byte(k), 0)
 	}
-	tr.Ascend(func(k []byte, _ int) bool {
+	tr.AscendRange(nil, nil, func(k []byte, _ int) bool {
 		if cap(k) != len(k) {
 			t.Fatalf("key %q handed out with capacity %d", k, cap(k))
 		}
 		return true
 	})
-	lo, hi := tr.Min(), tr.Max()
+	hi := tr.Max()
 	tr.Put([]byte("a"), 0) // shifts every key of the leaf
 	tr.Delete([]byte("d"))
-	if string(lo) != "b" || string(hi) != "d" {
-		t.Fatalf("Min, Max read %q, %q after later writes, want \"b\", \"d\"", lo, hi)
+	if string(hi) != "d" {
+		t.Fatalf("Max reads %q after later writes, want \"d\"", hi)
 	}
 }
 
 func TestMinMax(t *testing.T) {
 	tr := New[string]()
-	if tr.Min() != nil || tr.Max() != nil {
-		t.Fatal("Min/Max of empty tree not nil")
+	if tr.Max() != nil {
+		t.Fatal("Max of empty tree not nil")
 	}
 	for _, k := range []string{"m", "a", "z", "q"} {
 		tr.Put([]byte(k), k)
 	}
-	if string(tr.Min()) != "a" || string(tr.Max()) != "z" {
-		t.Fatalf("Min=%q Max=%q", tr.Min(), tr.Max())
+	if string(tr.Max()) != "z" {
+		t.Fatalf("Max=%q", tr.Max())
 	}
 }
 
@@ -171,7 +171,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 	}
 	sort.Strings(refKeys)
 	i := 0
-	tr.Ascend(func(k []byte, v int) bool {
+	tr.AscendRange(nil, nil, func(k []byte, v int) bool {
 		if i >= len(refKeys) {
 			t.Fatalf("tree has extra key %q", k)
 		}
@@ -229,15 +229,18 @@ func TestEmptyKeyAndBinaryKeys(t *testing.T) {
 	if v, ok := tr.Get([]byte{0}); !ok || v != "zero" {
 		t.Fatal("zero-byte key lost")
 	}
-	if string(tr.Min()) != "" {
-		t.Fatal("empty key is not Min")
-	}
+	tr.AscendRange(nil, nil, func(k []byte, _ string) bool {
+		if len(k) != 0 {
+			t.Fatalf("first key %q, want the empty key", k)
+		}
+		return false
+	})
 }
 
 // scanMax is Max by a full scan: the last key Ascend visits.
 func scanMax(tr *Tree[int]) []byte {
 	var best []byte
-	tr.Ascend(func(k []byte, _ int) bool {
+	tr.AscendRange(nil, nil, func(k []byte, _ int) bool {
 		best = k
 		return true
 	})

@@ -242,23 +242,23 @@ func (md *treeModel) ascend(keys []string, from, to []byte) {
 	}
 }
 
-// check compares the whole tree, its Min and Max with the model and checks
-// its structure.
+// check compares the whole tree and its Max with the model and checks its
+// structure.
 func (md *treeModel) check() {
 	if err := checkTree(md.tr); err != nil {
 		md.t.Fatalf("after step %d: %v", md.step, err)
 	}
 	keys := md.sorted()
 	md.ascend(keys, nil, nil)
-	lo, hi := md.tr.Min(), md.tr.Max()
+	hi := md.tr.Max()
 	if len(keys) == 0 {
-		if lo != nil || hi != nil {
-			md.t.Fatalf("empty tree: Min %q, Max %q", lo, hi)
+		if hi != nil {
+			md.t.Fatalf("empty tree: Max %q", hi)
 		}
 		return
 	}
-	if string(lo) != keys[0] || string(hi) != keys[len(keys)-1] {
-		md.t.Fatalf("Min %q, Max %q; model %q, %q", lo, hi, keys[0], keys[len(keys)-1])
+	if string(hi) != keys[len(keys)-1] {
+		md.t.Fatalf("Max %q; model %q", hi, keys[len(keys)-1])
 	}
 }
 
@@ -320,7 +320,7 @@ func runTreeOps(t *testing.T, data []byte) {
 	}
 }
 
-// FuzzTreeOps drives a tree with Put, Delete, Get, Floor, AscendRange, Min and Max
+// FuzzTreeOps drives a tree with Put, Delete, Get, Floor, AscendRange and Max
 // against a sorted-map model, checking the tree's structure with checkTree
 // after every operation.
 func FuzzTreeOps(f *testing.F) {

@@ -43,8 +43,6 @@ func (e *ThrottledError) Error() string {
 // Client is one editor connection to a TeNDaX server.
 type Client struct {
 	codec  *protocol.Codec
-	user   string
-	shards int // the server's engine-shard count, from the hello
 	nextID atomic.Int64
 
 	mu      sync.Mutex
@@ -111,12 +109,11 @@ func New(rw io.ReadWriteCloser, opts ...Option) (*Client, error) {
 		o(&cfg)
 	}
 	c := newClient(rw)
-	resp, err := c.call(&protocol.Message{Op: protocol.OpHello, Ver: protocol.VersionMax})
+	_, err := c.call(&protocol.Message{Op: protocol.OpHello, Ver: protocol.VersionMax})
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
-	c.shards = resp.Shards
 	if cfg.login {
 		if err := c.Login(cfg.user, cfg.password); err != nil {
 			c.Close()
@@ -150,9 +147,6 @@ func (c *Client) Close() error {
 	c.mu.Unlock()
 	return c.codec.Close()
 }
-
-// User returns the logged-in user name.
-func (c *Client) User() string { return c.user }
 
 // readLoop decodes every frame into one message it owns: a response goes
 // to the handler its request registered, a push is folded into its
@@ -267,20 +261,10 @@ func (c *Client) call(req *protocol.Message) (*protocol.Message, error) {
 	return resp, nil
 }
 
-// ShardCount returns the server's engine-shard count as reported in the
-// hello response. Documents map onto shards by ID — shard of doc =
-// (doc-1) mod ShardCount — which the multi-node phase will use to route
-// connections; today it is purely informational.
-func (c *Client) ShardCount() int { return c.shards }
-
 // Login authenticates the connection.
 func (c *Client) Login(user, password string) error {
 	_, err := c.call(&protocol.Message{Op: protocol.OpLogin, User: user, Password: password})
-	if err != nil {
-		return err
-	}
-	c.user = user
-	return nil
+	return err
 }
 
 // CreateDocument creates a document and returns its ID.
@@ -353,13 +337,12 @@ type Doc struct {
 	runes []rune
 	// seq is the last event folded into runes: the dedup and gap test of
 	// the next one. told trails it: the last event the watcher has also
-	// been told about — what Seq and WaitSeq report, so that "the replica
+	// been told about — what Seq reports, so that "the replica
 	// is at n" implies "the watcher's callback for n has returned". wake
 	// (on mu) is broadcast whenever told advances, when a resync gives up
 	// and when the connection's read loop ends.
 	seq, told uint64
 	wake      sync.Cond
-	snap      uint64 // MVCC snapshot version of the last full-text read
 	lagged    bool
 	// resyncing is set while the replica waits for a base (its open read
 	// or a resync); pending keeps the pushes that arrive meanwhile, to be
@@ -374,13 +357,6 @@ type Doc struct {
 	events  []protocol.Event
 	oldest  int
 	watcher func(protocol.Event)
-
-	// peers is the replica's presence view: user → cursor position,
-	// folded from the join/leave/cursor event stream since this replica
-	// subscribed, and replaced wholesale by a server presence snapshot
-	// (pushed after a shed gap is healed, when the incremental updates
-	// were coalesced away).
-	peers map[string]int
 }
 
 // Open subscribes to a document and returns its replica, primed with the
@@ -419,7 +395,7 @@ func (c *Client) Open(docID uint64) (*Doc, error) {
 		return nil, err
 	}
 	d.mu.Lock()
-	d.landLocked(resp.Text, resp.Seq, resp.Snap)
+	d.landLocked(resp.Text, resp.Seq)
 	d.told = d.seq
 	d.wake.Broadcast()
 	d.mu.Unlock()
@@ -443,17 +419,6 @@ func (d *Doc) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.runes)
-}
-
-// SnapVersion returns the server-side MVCC snapshot version of the last
-// full-text read (open or resync): the number of committed text mutations
-// the snapshot had absorbed since the serving process loaded the document.
-// Zero until the first full read lands; only comparable between reads
-// served by the same server process (a restart resets the counter).
-func (d *Doc) SnapVersion() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.snap
 }
 
 // Seq returns the sequence number of the last event the replica has
@@ -484,8 +449,8 @@ func (d *Doc) Lagged() bool {
 // replica fell behind; N copies the lagged push's count of events the op
 // ring evicted unread) or "explicit" (a caller's Resync). One watcher at a
 // time. The callback runs without the replica's lock (it may call Events,
-// Text, …) and sees the event already folded into Text; Seq and WaitSeq
-// report the event's sequence number only once the callback has returned.
+// Text, …) and sees the event already folded into Text; Seq reports the
+// event's sequence number only once the callback has returned.
 func (d *Doc) Watch(fn func(protocol.Event)) {
 	d.mu.Lock()
 	d.watcher = fn
@@ -505,21 +470,6 @@ func (d *Doc) Events() []protocol.Event {
 	out := make([]protocol.Event, 0, len(d.events))
 	out = append(out, d.events[d.oldest:]...)
 	return append(out, d.events[:d.oldest]...)
-}
-
-// Peers returns the replica's live presence view — user → cursor
-// position — as folded from the awareness event stream (no server round
-// trip; Presence() asks the server instead). The view covers activity
-// since this replica subscribed, and is corrected to the authoritative
-// roster whenever the server pushes a presence snapshot.
-func (d *Doc) Peers() map[string]int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[string]int, len(d.peers))
-	for u, pos := range d.peers {
-		out[u] = pos
-	}
-	return out
 }
 
 // apply folds one pushed event into the replica. Events arrive in per-doc
@@ -546,14 +496,9 @@ func (d *Doc) apply(ev *protocol.Event) {
 		// Synthetic full-roster snapshot, out of band with the document
 		// event stream: its sequence number is whatever the bus was at
 		// when the server sent it (often ≤ the replica's — the dedup
-		// below would drop it), and it must apply even mid-resync, since
-		// a resync restores text, never presence. Replace the roster
-		// wholesale and leave d.seq alone.
-		peers := make(map[string]int, len(ev.Batch))
-		for _, it := range ev.Batch {
-			peers[it.Text] = it.Pos
-		}
-		d.peers = peers
+		// below would drop it), and it must reach the watcher even
+		// mid-resync, since a resync restores text, never presence. Tell
+		// it and leave d.seq alone.
 		d.unlockAndTell(*ev, 0)
 		return
 	}
@@ -659,13 +604,11 @@ func (d *Doc) waitLocked(ok func() bool, timeout time.Duration) error {
 // exact event sequence it contains, so the comparison is sound: a push
 // applied while the read was in flight can leave the replica *ahead* of
 // it, and overwriting would drop that edit's text while the sequence
-// number marks it applied. The snapshot version is adopted as-is, not
-// max'd: it is only comparable within one server process.
-func (d *Doc) landLocked(text string, seq, snap uint64) {
+// number marks it applied.
+func (d *Doc) landLocked(text string, seq uint64) {
 	if seq >= d.seq {
 		d.runes = []rune(text)
 		d.seq = seq
-		d.snap = snap
 	}
 	d.foldPendingLocked()
 }
@@ -733,13 +676,6 @@ func (d *Doc) foldLocked(ev *protocol.Event) {
 				d.spliceLocked(it.Pos, it.N, "")
 			}
 		}
-	case "join", "cursor":
-		if d.peers == nil {
-			d.peers = make(map[string]int)
-		}
-		d.peers[ev.User] = ev.Pos
-	case "leave":
-		delete(d.peers, ev.User)
 	}
 	d.logEventLocked(ev)
 }
@@ -827,7 +763,7 @@ func (d *Doc) deltaResync(why protocol.Event) (bool, error) {
 // response) into the replica and tells the watcher why.
 func (d *Doc) adoptFull(resp *protocol.Message, why protocol.Event) {
 	d.mu.Lock()
-	d.landLocked(resp.Text, resp.Seq, resp.Snap)
+	d.landLocked(resp.Text, resp.Seq)
 	d.unlockAndTell(why, d.seq)
 }
 
@@ -877,6 +813,8 @@ func (d *Doc) Delete(pos, n int) error {
 }
 
 // Copy captures a clipboard (with provenance) from the server.
+//
+//tendax:allow-testonly paper capability with no CLI caller yet: copy with provenance; TestEditorHeadless drives it
 func (d *Doc) Copy(pos, n int) (*protocol.Clip, error) {
 	resp, err := d.c.call(&protocol.Message{Op: protocol.OpCopy, Doc: d.id, Pos: pos, N: n})
 	if err != nil {
@@ -887,6 +825,8 @@ func (d *Doc) Copy(pos, n int) (*protocol.Clip, error) {
 
 // Paste inserts a clipboard at pos, naming the clipboard's source as the
 // text's provenance.
+//
+//tendax:allow-testonly paper capability with no CLI caller yet: paste with provenance; TestEditorHeadless drives it
 func (d *Doc) Paste(pos int, clip *protocol.Clip) error {
 	return d.edit(protocol.EditOp{Kind: protocol.EditInsert, Pos: pos, Text: clip.Text,
 		SrcDoc: clip.SrcDoc, SrcChars: clip.SrcChars})
@@ -910,11 +850,6 @@ func (d *Doc) Layout(pos, n int, kind, value string) error {
 	return d.edit(protocol.EditOp{Kind: protocol.EditLayout, Pos: pos, N: n, Span: kind, Value: value})
 }
 
-// Note anchors a note at pos.
-func (d *Doc) Note(pos int, text string) error {
-	return d.edit(protocol.EditOp{Kind: protocol.EditNote, Pos: pos, Text: text})
-}
-
 // CreateVersion snapshots the document.
 func (d *Doc) CreateVersion(name string) error {
 	_, err := d.c.call(&protocol.Message{Op: protocol.OpVersion, Doc: d.id, Name: name})
@@ -928,15 +863,6 @@ func (d *Doc) Versions() ([]protocol.Version, error) {
 		return nil, err
 	}
 	return resp.Versions, nil
-}
-
-// VersionText fetches the text of a version.
-func (d *Doc) VersionText(id uint64) (string, error) {
-	resp, err := d.c.call(&protocol.Message{Op: protocol.OpVersionText, Doc: d.id, Version: id})
-	if err != nil {
-		return "", err
-	}
-	return resp.Text, nil
 }
 
 // Read records a read event on the server and returns the text the read
@@ -964,6 +890,8 @@ func (d *Doc) Read() (string, error) {
 }
 
 // MoveCursor publishes the user's cursor position (awareness).
+//
+//tendax:allow-testonly paper capability with no CLI caller yet: awareness cursors; TestEditorHeadless drives it
 func (d *Doc) MoveCursor(pos int) error {
 	_, err := d.c.call(&protocol.Message{Op: protocol.OpCursor, Doc: d.id, Pos: pos})
 	return err
@@ -985,35 +913,4 @@ func (d *Doc) History() ([]protocol.HistoryOp, error) {
 		return nil, err
 	}
 	return resp.History, nil
-}
-
-// WaitSeq blocks until Seq reports seq — the replica has applied it and the
-// watcher's callback for it has returned (tests and deterministic demos).
-// It waits at most attempts × 2 ms in all, and resyncs if pushes stall for
-// half of that or the replica cannot catch up on its own.
-func (d *Doc) WaitSeq(seq uint64, attempts int) error {
-	budget := time.Duration(attempts) * 2 * time.Millisecond
-	reached := func() bool { return d.told >= seq }
-	d.mu.Lock()
-	err := d.waitLocked(reached, budget/2)
-	caughtUp := reached()
-	d.mu.Unlock()
-	switch {
-	case caughtUp:
-		return nil
-	case errors.Is(err, ErrClosed):
-		return err
-	}
-	if err := d.Resync(); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.waitLocked(reached, budget-budget/2); err != nil {
-		return err
-	}
-	if !reached() {
-		return fmt.Errorf("client: replica stuck at seq %d < %d", d.told, seq)
-	}
-	return nil
 }

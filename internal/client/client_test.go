@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"runtime"
@@ -42,6 +43,35 @@ func harness(t *testing.T) string {
 	return addr.String()
 }
 
+// waitSeq waits until d's Seq reports seq: half the budget of attempts ×
+// 2 ms for the pushes, then a resync and the other half.
+func waitSeq(d *Doc, seq uint64, attempts int) error {
+	budget := time.Duration(attempts) * 2 * time.Millisecond
+	reached := func() bool { return d.told >= seq }
+	d.mu.Lock()
+	err := d.waitLocked(reached, budget/2)
+	caughtUp := reached()
+	d.mu.Unlock()
+	switch {
+	case caughtUp:
+		return nil
+	case errors.Is(err, ErrClosed):
+		return err
+	}
+	if err := d.Resync(); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.waitLocked(reached, budget-budget/2); err != nil {
+		return err
+	}
+	if !reached() {
+		return fmt.Errorf("replica stuck at seq %d < %d", d.told, seq)
+	}
+	return nil
+}
+
 func TestDialLoginClose(t *testing.T) {
 	addr := harness(t)
 	c, err := Dial(addr)
@@ -51,8 +81,11 @@ func TestDialLoginClose(t *testing.T) {
 	if err := c.Login("alice", ""); err != nil {
 		t.Fatal(err)
 	}
-	if c.User() != "alice" {
-		t.Fatalf("User = %q", c.User())
+	if _, err := c.CreateDocument("mine"); err != nil {
+		t.Fatal(err)
+	}
+	if infos, err := c.ListDocuments(); err != nil || len(infos) != 1 || infos[0].Creator != "alice" {
+		t.Fatalf("documents after alice's login = %+v, %v", infos, err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -145,7 +178,7 @@ func TestEventsRecorded(t *testing.T) {
 	base := d.Seq()
 	d.Insert(0, "one")
 	d.Delete(0, 1)
-	if err := d.WaitSeq(base+2, 500); err != nil {
+	if err := waitSeq(d, base+2, 500); err != nil {
 		t.Fatal(err)
 	}
 	evs := d.Events()
@@ -169,7 +202,7 @@ func TestWatchCallback(t *testing.T) {
 	d.Watch(func(ev protocol.Event) { got <- ev })
 	base := d.Seq()
 	d.Insert(0, "ping")
-	if err := d.WaitSeq(base+1, 500); err != nil {
+	if err := waitSeq(d, base+1, 500); err != nil {
 		t.Fatal(err)
 	}
 	ev := <-got
@@ -210,7 +243,7 @@ func TestServerErrorSurfaces(t *testing.T) {
 	}
 }
 
-// TestSeqNeverAheadOfWatcher pins the ordering Seq and WaitSeq promise: the
+// TestSeqNeverAheadOfWatcher pins the ordering Seq promises: the
 // sequence number they report reaches n only after the watcher's callback
 // for event n has returned, on the push path and on the resync path alike.
 // Whoever polls Seq to learn that a replica has caught up (keystroke-bench's
@@ -237,7 +270,7 @@ func TestSeqNeverAheadOfWatcher(t *testing.T) {
 	_, d := open("alice", 0)
 	_, peer := open("bob", d.ID())
 	// Let bob's join reach alice's replica before the watcher goes in.
-	if err := d.WaitSeq(peer.Seq(), 500); err != nil {
+	if err := waitSeq(d, peer.Seq(), 500); err != nil {
 		t.Fatal(err)
 	}
 
@@ -281,7 +314,7 @@ func TestSeqNeverAheadOfWatcher(t *testing.T) {
 		t.Fatalf("Seq() = %d while the callback for event %d is still running, want %d", got, ev.Seq, base)
 	}
 	gate <- struct{}{}
-	if err := d.WaitSeq(ev.Seq, 500); err != nil {
+	if err := waitSeq(d, ev.Seq, 500); err != nil {
 		t.Fatalf("Seq never reached the event after its callback returned: %v", err)
 	}
 
@@ -300,7 +333,7 @@ func TestSeqNeverAheadOfWatcher(t *testing.T) {
 		t.Fatalf("Seq() = %d while the undo callback is still running, want %d", got, base+1)
 	}
 	gate <- struct{}{}
-	if err := d.WaitSeq(base+2, 500); err != nil {
+	if err := waitSeq(d, base+2, 500); err != nil {
 		t.Fatalf("Seq never reached the undo after its callback returned: %v", err)
 	}
 
@@ -332,7 +365,7 @@ func TestSeqNeverAheadOfWatcher(t *testing.T) {
 	d.mu.Lock()
 	d.resyncing = false
 	d.mu.Unlock()
-	if err := d.WaitSeq(base+3, 500); err != nil {
+	if err := waitSeq(d, base+3, 500); err != nil {
 		t.Fatalf("Seq never reached the key after the resync callback returned: %v", err)
 	}
 }

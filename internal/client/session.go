@@ -95,16 +95,6 @@ func (d *Doc) Session() (*Session, error) {
 	return s, nil
 }
 
-// SetBatchLimit sets how many pending keystrokes go out as a batch even
-// while another batch is in flight. Zero keeps the current value.
-func (s *Session) SetBatchLimit(runes int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if runes > 0 {
-		s.batchLimit = runes
-	}
-}
-
 // MoveTo repositions the cursor at visible position pos, resolving the
 // insertion anchor's identity against the server: pending text is flushed
 // first, and the next insert chains after the character currently at

@@ -242,7 +242,7 @@ func (st *batchState) reset() {
 // wire op reaches them (stageBatchLocked refuses unknown kinds).
 const (
 	stepRestore  = "restore"   // undo of a delete, redo of an insert
-	stepSpanFlag = "span-flag" // RemoveSpan, undo and redo of a layout
+	stepSpanFlag = "span-flag" // removeSpan, undo and redo of a layout
 )
 
 // stagedOp carries what the apply phase needs to replay one op against
@@ -588,7 +588,7 @@ func (d *Document) stageRestoreLocked(st *batchState, ids util.IDs) error {
 }
 
 // stageSpanFlagLocked stages the span-flag step: span spanID of this
-// document is removed (RemoveSpan, undo of a layout, redo of a removal)
+// document is removed (removeSpan, undo of a layout, redo of a removal)
 // or restored (undo of a removal, redo of a layout). Its one layout item
 // at the span's start makes the indexer re-resolve headings.
 func (d *Document) stageSpanFlagLocked(st *batchState, spanID util.ID, removed bool) error {
@@ -679,10 +679,11 @@ func (d *Document) persistBatchLocked(tx *txn.Txn, st *batchState) error {
 		}
 	}
 	if st.rehydrate != nil {
-		for anchor, run := range st.rehydrate.RunUpdates {
+		for _, anchor := range sortedAnchors(st.rehydrate.RunUpdates) {
 			if err := d.deleteArchiveRows(tx, anchor); err != nil {
 				return err
 			}
+			run := st.rehydrate.RunUpdates[anchor]
 			if len(run) > 0 {
 				if err := d.insertArchiveRows(tx, anchor, run); err != nil {
 					return err
@@ -909,17 +910,5 @@ func (d *Document) DeleteRange(user string, pos, n int) (util.ID, error) {
 // structure span, as one transaction. Returns the new span's ID.
 func (d *Document) ApplyLayout(user string, pos, n int, kind, value string) (util.ID, error) {
 	res, err := d.applyOne(user, EditOp{Kind: EditLayout, Pos: pos, N: n, Span: kind, Value: value})
-	return res.Span, err
-}
-
-// SetHeading marks [pos, pos+n) as a heading of the given level (structure
-// definition in the paper's terms).
-func (d *Document) SetHeading(user string, pos, n, level int) (util.ID, error) {
-	return d.ApplyLayout(user, pos, n, SpanHeading, fmt.Sprintf("%d", level))
-}
-
-// InsertNote attaches a note to the visible character at pos.
-func (d *Document) InsertNote(user string, pos int, text string) (util.ID, error) {
-	res, err := d.applyOne(user, EditOp{Kind: EditNote, Pos: pos, Text: text})
 	return res.Span, err
 }

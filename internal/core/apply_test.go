@@ -399,7 +399,7 @@ func TestPositionalAPIEventShapes(t *testing.T) {
 			awareness.Event{Kind: awareness.EvDelete, Pos: 0, N: 3}, 3, "delete", "loXY world"},
 		{func() (util.ID, error) { return d.ApplyLayout("alice", 1, 4, SpanBold, "true") },
 			awareness.Event{Kind: awareness.EvLayout, Pos: 1, N: 4, Name: "bold=true"}, 0, "layout", "loXY world"},
-		{func() (util.ID, error) { return d.InsertNote("alice", 2, "nb") },
+		{func() (util.ID, error) { return insertNote(d, "alice", 2, "nb") },
 			awareness.Event{Kind: awareness.EvNote, Pos: 2, Text: "nb"}, 0, "layout", "loXY world"},
 	} {
 		id, err := tc.do()
@@ -646,7 +646,7 @@ func TestRemoveSpanEvent(t *testing.T) {
 	}
 	sub := e.Bus().Subscribe(d.ID(), awareness.SubscribeOpts{})
 	defer sub.Close()
-	if err := d.RemoveSpan("bob", span); err != nil {
+	if err := d.removeSpan("bob", span); err != nil {
 		t.Fatal(err)
 	}
 	ev, _ := sub.Next()
@@ -662,7 +662,7 @@ func TestRemoveSpanEvent(t *testing.T) {
 	if spans, _ := d.Spans(); len(spans) != 1 {
 		t.Fatalf("%d spans after undoing the removal", len(spans))
 	}
-	if err := d.RemoveSpan("bob", util.ID(1<<40)); err == nil {
+	if err := d.removeSpan("bob", util.ID(1<<40)); err == nil {
 		t.Fatal("removal of an unknown span succeeded")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"tendax/internal/db"
@@ -48,7 +49,7 @@ func TestCheckpointedCrashRecoveryDocRoundTrip(t *testing.T) {
 			}
 		}
 		if i%40 == 39 {
-			if _, err := eng.Checkpoint(); err != nil {
+			if _, err := eng.db.FuzzyCheckpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -56,7 +57,7 @@ func TestCheckpointedCrashRecoveryDocRoundTrip(t *testing.T) {
 			maxLog = store.Len()
 		}
 	}
-	if _, err := eng.Checkpoint(); err != nil {
+	if _, err := eng.db.FuzzyCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
 	want := doc.Text()
@@ -72,7 +73,7 @@ func TestCheckpointedCrashRecoveryDocRoundTrip(t *testing.T) {
 	}
 	crashStore := wal.NewMemStore()
 	crashStore.Append(logBytes)
-	db2, err := db.OpenWith(disk.Snapshot(), crashStore, db.Options{})
+	db2, err := db.OpenWith(disk.SnapshotHead(math.MaxInt), crashStore, db.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

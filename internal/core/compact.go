@@ -80,11 +80,11 @@ func (d *Document) compactLocked(horizon time.Time) (CompactStats, wal.LSN, erro
 				return err
 			}
 		}
-		for anchor, merged := range plan.MergedRuns {
+		for _, anchor := range sortedAnchors(plan.MergedRuns) {
 			if err := d.deleteArchiveRows(tx, anchor); err != nil {
 				return err
 			}
-			if err := d.insertArchiveRows(tx, anchor, merged); err != nil {
+			if err := d.insertArchiveRows(tx, anchor, plan.MergedRuns[anchor]); err != nil {
 				return err
 			}
 		}
@@ -120,6 +120,18 @@ func (d *Document) compactLocked(horizon time.Time) (CompactStats, wal.LSN, erro
 	// promise ("contains every text event up to seq").
 	d.republishLocked()
 	return stats, lsn, nil
+}
+
+// sortedAnchors returns the anchors of runs in ascending order: archive
+// rows take their IDs and page slots in the order they are written, so
+// one edit sequence writes the same rows and log bytes every run.
+func sortedAnchors(runs map[util.ID][]*texttree.Char) []util.ID {
+	anchors := make([]util.ID, 0, len(runs))
+	for anchor := range runs {
+		anchors = append(anchors, anchor)
+	}
+	sort.Slice(anchors, func(i, j int) bool { return anchors[i] < anchors[j] })
+	return anchors
 }
 
 // Archive lazy-load states (Document.archState).
@@ -197,10 +209,10 @@ func (d *Document) timeTravelTree(t *texttree.Snapshot) *texttree.Snapshot {
 	return t
 }
 
-// ArchiveResident reports whether the cold archive is decoded in memory
+// archiveResident reports whether the cold archive is decoded in memory
 // (false while lazily parked on disk). Tests and operators use it to
 // verify that opening a document did not pay for its cold history.
-func (d *Document) ArchiveResident() bool { return d.archState.Load() != archPending }
+func (d *Document) archiveResident() bool { return d.archState.Load() != archPending }
 
 // loadArchive rebuilds the document's cold-tombstone archive from the
 // archive table (document open).
@@ -294,10 +306,10 @@ func (d *Document) insertArchiveRows(tx *txn.Txn, anchor util.ID, run []*texttre
 	return flush()
 }
 
-// ArchivedLen returns the number of cold tombstones currently archived.
+// archivedLen returns the number of cold tombstones currently archived.
 // It loads the lazily parked archive if needed — it answers a question
 // about the cold set, so it is a pre-horizon read by definition.
-func (d *Document) ArchivedLen() int {
+func (d *Document) archivedLen() int {
 	_, _ = d.ensureArchive() // best effort; an I/O error reads as "none loaded"
 	return d.snap.Load().snap.t.Archive().Len()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -63,7 +64,7 @@ func buildCompactFixture(t *testing.T, database *db.Database, chunks int) *compa
 		f.instants = append(f.instants, clock.Peek())
 	}
 	for _, at := range f.instants {
-		f.texts = append(f.texts, doc.TextAt(at))
+		f.texts = append(f.texts, doc.textAt(at))
 	}
 	if f.verText, err = doc.VersionText(f.version.ID); err != nil {
 		t.Fatal(err)
@@ -74,7 +75,7 @@ func buildCompactFixture(t *testing.T, database *db.Database, chunks int) *compa
 func (f *compactFixture) checkReads(t *testing.T, label string, d *Document) {
 	t.Helper()
 	for i, at := range f.instants {
-		if got := d.TextAt(at); got != f.texts[i] {
+		if got := d.textAt(at); got != f.texts[i] {
 			t.Fatalf("%s: TextAt instant %d diverged:\n got %q\nwant %q", label, i, got, f.texts[i])
 		}
 	}
@@ -85,18 +86,18 @@ func (f *compactFixture) checkReads(t *testing.T, label string, d *Document) {
 	if vt != f.verText {
 		t.Fatalf("%s: VersionText diverged", label)
 	}
-	hunks, err := d.DiffVersions(f.version.ID, util.NilID)
+	hunks, err := d.diffVersions(f.version.ID, util.NilID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if FormatDiff(DiffTexts(f.verText, d.Text())) != FormatDiff(hunks) {
+	if formatDiff(DiffTexts(f.verText, d.Text())) != formatDiff(hunks) {
 		t.Fatalf("%s: DiffVersions diverged from reference diff", label)
 	}
 }
 
 // TestCompactPreservesEveryRead archives the cold tombstones of a mixed
 // history and verifies Text, TextAt at every sampled instant, VersionText,
-// DiffVersions and Authors are byte-for-byte identical — then reopens the
+// diffVersions and Authors are byte-for-byte identical — then reopens the
 // store from disk and checks it all again (the archive load path).
 func TestCompactPreservesEveryRead(t *testing.T) {
 	dir := t.TempDir()
@@ -107,7 +108,7 @@ func TestCompactPreservesEveryRead(t *testing.T) {
 	f := buildCompactFixture(t, database, 40)
 	doc := f.doc
 	text, authors := doc.Text(), strings.Join(docAuthors(t, doc), ",")
-	hotBefore := doc.Snapshot().TotalLen()
+	hotBefore := doc.Snapshot().totalLen()
 
 	// Horizon strictly after every recorded deletion: everything is cold.
 	stats, err := doc.Compact(f.clock.Peek().Add(time.Millisecond))
@@ -124,8 +125,8 @@ func TestCompactPreservesEveryRead(t *testing.T) {
 	if stats.HotAfter != doc.Len() {
 		t.Fatalf("hot set %d after archiving every cold tombstone, want the %d visible", stats.HotAfter, doc.Len())
 	}
-	if doc.ArchivedLen() != stats.Archived {
-		t.Fatalf("ArchivedLen %d, stats %d", doc.ArchivedLen(), stats.Archived)
+	if doc.archivedLen() != stats.Archived {
+		t.Fatalf("ArchivedLen %d, stats %d", doc.archivedLen(), stats.Archived)
 	}
 	if err := doc.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -169,11 +170,11 @@ func TestCompactPreservesEveryRead(t *testing.T) {
 	if doc2.Text() != text {
 		t.Fatalf("reloaded text diverged:\n got %q\nwant %q", doc2.Text(), text)
 	}
-	if doc2.Snapshot().TotalLen() != stats.HotAfter {
-		t.Fatalf("reloaded hot set %d, want %d", doc2.Snapshot().TotalLen(), stats.HotAfter)
+	if doc2.Snapshot().totalLen() != stats.HotAfter {
+		t.Fatalf("reloaded hot set %d, want %d", doc2.Snapshot().totalLen(), stats.HotAfter)
 	}
-	if doc2.ArchivedLen() != stats.Archived {
-		t.Fatalf("reloaded archive %d, want %d", doc2.ArchivedLen(), stats.Archived)
+	if doc2.archivedLen() != stats.Archived {
+		t.Fatalf("reloaded archive %d, want %d", doc2.archivedLen(), stats.Archived)
 	}
 	if err := doc2.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -183,7 +184,7 @@ func TestCompactPreservesEveryRead(t *testing.T) {
 
 func docAuthors(t *testing.T, d *Document) []string {
 	t.Helper()
-	buf, err := d.Buffer()
+	buf, err := d.buffer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,17 +246,17 @@ func TestUndoRehydratesArchivedDelete(t *testing.T) {
 	if doc.Text() != full {
 		t.Fatalf("undo of archived delete: %q, want %q", doc.Text(), full)
 	}
-	if doc.ArchivedLen() != 0 {
-		t.Fatalf("%d instances still archived after rehydration", doc.ArchivedLen())
+	if doc.archivedLen() != 0 {
+		t.Fatalf("%d instances still archived after rehydration", doc.archivedLen())
 	}
 	if err := doc.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// Time travel must still see the deletion interval.
-	if got := doc.TextAt(postDelete); got != deleted {
+	if got := doc.textAt(postDelete); got != deleted {
 		t.Fatalf("TextAt inside interval = %q, want %q", got, deleted)
 	}
-	if got := doc.TextAt(preDelete); got != full {
+	if got := doc.textAt(preDelete); got != full {
 		t.Fatalf("TextAt before interval = %q, want %q", got, full)
 	}
 
@@ -280,7 +281,7 @@ func TestUndoRehydratesArchivedDelete(t *testing.T) {
 	if doc2.Text() != full {
 		t.Fatalf("reloaded undo state: %q, want %q", doc2.Text(), full)
 	}
-	if doc2.ArchivedLen() != 0 {
+	if doc2.archivedLen() != 0 {
 		t.Fatal("archive rows survived rehydration")
 	}
 	if err := doc2.CheckInvariants(); err != nil {
@@ -355,7 +356,7 @@ func TestCompactReanchorsAtWarmTombstone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := doc2.TextAt(typed); got != "abc" || doc2.Text() != "c" {
+	if got := doc2.textAt(typed); got != "abc" || doc2.Text() != "c" {
 		t.Fatalf("reopened: TextAt(typed) %q, Text %q; want \"abc\", \"c\"", got, doc2.Text())
 	}
 }
@@ -435,7 +436,7 @@ func TestCompactCrashSafety(t *testing.T) {
 	doc := f.doc
 	text := doc.Text()
 	docID := doc.ID()
-	hotBefore := doc.Snapshot().TotalLen()
+	hotBefore := doc.Snapshot().totalLen()
 
 	stats, err := doc.Compact(f.clock.Peek())
 	if err != nil {
@@ -478,11 +479,11 @@ func TestCompactCrashSafety(t *testing.T) {
 	if replayed.Text() != text {
 		t.Fatal("replayed compaction changed the text")
 	}
-	if replayed.ArchivedLen() != stats.Archived {
-		t.Fatalf("replayed archive %d, want %d", replayed.ArchivedLen(), stats.Archived)
+	if replayed.archivedLen() != stats.Archived {
+		t.Fatalf("replayed archive %d, want %d", replayed.archivedLen(), stats.Archived)
 	}
-	if replayed.Snapshot().TotalLen() != stats.HotAfter {
-		t.Fatalf("replayed hot set %d, want %d", replayed.Snapshot().TotalLen(), stats.HotAfter)
+	if replayed.Snapshot().totalLen() != stats.HotAfter {
+		t.Fatalf("replayed hot set %d, want %d", replayed.Snapshot().totalLen(), stats.HotAfter)
 	}
 	if err := replayed.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -496,11 +497,11 @@ func TestCompactCrashSafety(t *testing.T) {
 	if torn.Text() != text {
 		t.Fatal("rolled-back compaction changed the text")
 	}
-	if torn.ArchivedLen() != 0 {
-		t.Fatalf("rolled-back pass left %d archived", torn.ArchivedLen())
+	if torn.archivedLen() != 0 {
+		t.Fatalf("rolled-back pass left %d archived", torn.archivedLen())
 	}
-	if torn.Snapshot().TotalLen() != hotBefore {
-		t.Fatalf("rolled-back hot set %d, want %d", torn.Snapshot().TotalLen(), hotBefore)
+	if torn.Snapshot().totalLen() != hotBefore {
+		t.Fatalf("rolled-back hot set %d, want %d", torn.Snapshot().totalLen(), hotBefore)
 	}
 	if err := torn.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -533,14 +534,14 @@ func TestBackgroundCompactor(t *testing.T) {
 	}
 	e.StartCompactor(5*time.Millisecond, 0)
 	deadline := time.Now().Add(5 * time.Second)
-	for doc.ArchivedLen() == 0 && time.Now().Before(deadline) {
+	for doc.archivedLen() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if err := e.StopCompactor(); err != nil {
 		t.Fatal(err)
 	}
-	if doc.ArchivedLen() != 5 {
-		t.Fatalf("background compactor archived %d, want 5", doc.ArchivedLen())
+	if doc.archivedLen() != 5 {
+		t.Fatalf("background compactor archived %d, want 5", doc.archivedLen())
 	}
 	if err := doc.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -627,7 +628,7 @@ func TestCompactionVsReadersFuzz(t *testing.T) {
 					errCh <- fmt.Errorf("reader %d: snapshot len tore", r)
 					return
 				}
-				_ = s.TextAt(epoch) // crosses the horizon once compaction runs
+				_ = s.textAt(epoch) // crosses the horizon once compaction runs
 			}
 		}(r)
 	}
@@ -763,9 +764,72 @@ func TestSpanAnchorsSurviveCompaction(t *testing.T) {
 	check("after compaction", func() *Document { return doc })
 	check("after reopen", func() *Document {
 		d := reload(t, e, doc.ID())
-		if d.ArchiveResident() {
+		if d.archiveResident() {
 			t.Fatal("reopen decoded the archive eagerly")
 		}
 		return d
 	})
+}
+
+// TestCompactionArchiveRowsDeterministic runs one seeded edit-and-compact
+// sequence on two fresh engines over fake clocks. Later passes merge into
+// several archive runs at once and the undos rehydrate from several, so
+// both engines must write the same archive rows, IDs and bytes, in the
+// same heap order.
+func TestCompactionArchiveRowsDeterministic(t *testing.T) {
+	run := func() []string {
+		database, err := db.Open(db.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer database.Close()
+		clock := util.NewFakeClock(time.Unix(7_000_000, 0).UTC(), time.Millisecond)
+		e, err := NewEngine(database, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := e.CreateDocument("alice", "deterministic")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := doc.AppendText("alice", strings.Repeat("abcdefghij", 30)); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(13))
+		for pass := 0; pass < 4; pass++ {
+			for i := 0; i < 12; i++ {
+				user := [2]string{"alice", "bob"}[i%2]
+				if _, err := doc.DeleteRange(user, rng.Intn(doc.Len()-3), 1+rng.Intn(3)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := doc.InsertText(user, rng.Intn(doc.Len()), "xy"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := doc.Compact(clock.Peek().Add(time.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 6; i++ {
+			if _, err := doc.UndoLocal([2]string{"alice", "bob"}[i%2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var rows []string
+		err = e.tArchive.ScanRecords(func(_ db.RID, rec []byte) (bool, error) {
+			rows = append(rows, fmt.Sprintf("%x", rec))
+			return true, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	a, b := run(), run()
+	if len(a) < 2 {
+		t.Fatalf("the sequence archived %d rows; it must merge several runs", len(a))
+	}
+	if !slices.Equal(a, b) {
+		t.Fatalf("two runs of one sequence wrote different archive rows:\n%v\n%v", a, b)
+	}
 }

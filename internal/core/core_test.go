@@ -333,7 +333,7 @@ func TestLayoutSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.SetHeading("alice", 0, 7, 1); err != nil {
+	if _, err := d.ApplyLayout("alice", 0, 7, SpanHeading, "1"); err != nil {
 		t.Fatal(err)
 	}
 	spans, err := d.Spans()
@@ -354,7 +354,7 @@ func TestLayoutSpans(t *testing.T) {
 	if start != 3 || end != 10 {
 		t.Fatalf("span range after prefix insert = [%d,%d), want [3,10)", start, end)
 	}
-	if err := d.RemoveSpan("alice", spanID); err != nil {
+	if err := d.removeSpan("alice", spanID); err != nil {
 		t.Fatal(err)
 	}
 	spans, _ = d.Spans()
@@ -390,7 +390,7 @@ func TestNotes(t *testing.T) {
 	e := newEngine(t)
 	d, _ := e.CreateDocument("alice", "noted")
 	d.InsertText("alice", 0, "needs review here")
-	if _, err := d.InsertNote("bob", 6, "please verify this claim"); err != nil {
+	if _, err := insertNote(d, "bob", 6, "please verify this claim"); err != nil {
 		t.Fatal(err)
 	}
 	spans, _ := d.Spans()
@@ -445,7 +445,7 @@ func TestReadEventsAndProperties(t *testing.T) {
 	if err := d.RecordRead("carol"); err != nil {
 		t.Fatal(err)
 	}
-	reads, err := d.ReadEvents()
+	reads, err := d.readEvents()
 	if err != nil || len(reads) != 2 {
 		t.Fatalf("ReadEvents = %v, %v", reads, err)
 	}

@@ -97,8 +97,8 @@ func splitLines(s string) []string {
 	return strings.Split(s, "\n")
 }
 
-// FormatDiff renders hunks in unified-ish form.
-func FormatDiff(hunks []Hunk) string {
+// formatDiff renders hunks in unified-ish form.
+func formatDiff(hunks []Hunk) string {
 	var sb strings.Builder
 	for _, h := range hunks {
 		for _, line := range h.Lines {
@@ -108,12 +108,12 @@ func FormatDiff(hunks []Hunk) string {
 	return sb.String()
 }
 
-// DiffVersions diffs two versions of the document (older first). Passing
+// diffVersions diffs two versions of the document (older first). Passing
 // util.NilID as `to` diffs against the current text, so
-// DiffVersions(v, util.NilID) shows what changed since version v. Both
+// diffVersions(v, util.NilID) shows what changed since version v. Both
 // sides reconstruct from one committed snapshot (the seed version read
 // each side under a separate lock acquisition, so an edit landing between
 // them produced a diff of two states that never coexisted).
-func (d *Document) DiffVersions(from, to util.ID) ([]Hunk, error) {
+func (d *Document) diffVersions(from, to util.ID) ([]Hunk, error) {
 	return d.Snapshot().DiffVersions(from, to)
 }

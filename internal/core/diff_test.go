@@ -101,11 +101,11 @@ func TestDiffVersionsOnDocument(t *testing.T) {
 	d.InsertText("alice", 14, "2")
 	v2, _ := d.CreateVersion("alice", "v2")
 
-	hunks, err := d.DiffVersions(v1.ID, v2.ID)
+	hunks, err := d.diffVersions(v1.ID, v2.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rendered := FormatDiff(hunks)
+	rendered := formatDiff(hunks)
 	if !strings.Contains(rendered, "- line two") || !strings.Contains(rendered, "+ line 2") {
 		t.Fatalf("diff:\n%s", rendered)
 	}
@@ -115,11 +115,11 @@ func TestDiffVersionsOnDocument(t *testing.T) {
 
 	// Diff against the current text.
 	d.InsertText("bob", d.Len(), "\nline four")
-	hunks, err = d.DiffVersions(v2.ID, util.NilID)
+	hunks, err = d.diffVersions(v2.ID, util.NilID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(FormatDiff(hunks), "+ line four") {
-		t.Fatalf("diff vs current:\n%s", FormatDiff(hunks))
+	if !strings.Contains(formatDiff(hunks), "+ line four") {
+		t.Fatalf("diff vs current:\n%s", formatDiff(hunks))
 	}
 }

@@ -168,13 +168,13 @@ func TestDocRowCacheMatchesTable(t *testing.T) {
 		}},
 		{"SetState", true, func() error { return d.SetState("alice", "review") }},
 		{"layout", false, func() error { _, err := d.ApplyLayout("alice", 0, 4, SpanBold, "true"); return err }},
-		{"note", true, func() error { _, err := d.InsertNote("carol", 2, "check"); return err }},
+		{"note", true, func() error { _, err := insertNote(d, "carol", 2, "check"); return err }},
 		{"RemoveSpan", false, func() error {
 			spans, err := d.Spans()
 			if err != nil {
 				return err
 			}
-			return d.RemoveSpan("alice", spans[0].ID)
+			return d.removeSpan("alice", spans[0].ID)
 		}},
 		{"undo", false, func() error { _, err := d.UndoLocal("bob"); return err }},
 		{"redo", false, func() error { _, err := d.RedoLocal("bob"); return err }},

@@ -218,13 +218,13 @@ func (d *Document) Text() string { return d.snap.Load().snap.t.Text() }
 // without the document lock.
 func (d *Document) Info() DocInfo { return d.snap.Load().info() }
 
-// Buffer returns an independent mutable copy of the underlying buffer for
+// buffer returns an independent mutable copy of the underlying buffer for
 // callers that need bulk character-level access (the fine-grained readers
 // in this package go through Snapshot/CharMetaAt/RangeMeta instead). It is
 // materialised from the latest committed snapshot, so it is internally
 // consistent, built without ever holding the document lock, and unaffected
 // by concurrent editing after the call.
-func (d *Document) Buffer() (*texttree.Buffer, error) {
+func (d *Document) buffer() (*texttree.Buffer, error) {
 	// Bulk character access includes the cold set; load the parked
 	// archive first (with the error surfaced, unlike the best-effort
 	// time-travel paths).
@@ -327,6 +327,8 @@ func (d *Document) setStateLocked(user, state string) (wal.LSN, error) {
 // SetProperty stores a user-defined document property (paper §2:
 // "user defined properties"). It runs under the document lock, so two
 // concurrent calls with one key cannot both miss the existing row.
+//
+//tendax:allow-testonly paper capability with no wire or CLI caller yet: user-defined properties (§2), which folders.HasProperty reads
 func (d *Document) SetProperty(user, key, value string) error {
 	_, err := commitLocked(d, user, RWrite, func() (struct{}, wal.LSN, error) {
 		lsn, err := d.setPropertyLocked(key, value)
@@ -460,6 +462,8 @@ func (r *rowUndo) Undo(*txn.Txn, *txn.Undo) error {
 // buffer's instance sequence — every hot ID in order with its deleted
 // flag, which a misplaced tombstone breaks even when the visible text
 // survives — and the published metadata (tests and failure injection).
+//
+//tendax:allow-testonly oracle: TestCheckpointedCrashRecoveryDocRoundTrip and TestConvergenceConcurrentSessions compare the buffer against the tables with it
 func (d *Document) CheckInvariants() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -279,15 +279,6 @@ func (e *Engine) Clock() util.Clock { return e.clock }
 // store their own tables).
 func (e *Engine) DB() *db.Database { return e.db }
 
-// Checkpoint takes a fuzzy checkpoint of the underlying database: dirty
-// pages flushed up to the current horizon, a begin/end checkpoint pair
-// logged, and the redundant log prefix truncated — without pausing editors.
-// The server and the db.Options background checkpointer use it to keep
-// restart time and log size flat no matter how long the editing history is.
-func (e *Engine) Checkpoint() (*wal.CheckpointResult, error) {
-	return e.db.FuzzyCheckpoint()
-}
-
 // NewID allocates an engine-unique identifier.
 func (e *Engine) NewID() util.ID { return e.ids.Next() }
 

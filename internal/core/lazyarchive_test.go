@@ -41,7 +41,7 @@ func TestLazyArchiveOpenSkipsDecode(t *testing.T) {
 	// Reopen on a fresh engine: the document must come up WITHOUT the
 	// archive resident — open tracks the hot set alone.
 	d := reload(t, e, d0.ID())
-	if d.ArchiveResident() {
+	if d.archiveResident() {
 		t.Fatal("open decoded the archive eagerly")
 	}
 	if got := d.Text(); got != hotText {
@@ -50,13 +50,13 @@ func TestLazyArchiveOpenSkipsDecode(t *testing.T) {
 
 	// First PRE-horizon read faults the archive in and merges it
 	// byte-identically.
-	if got := d.TextAt(preDelete); got != fullText {
+	if got := d.textAt(preDelete); got != fullText {
 		t.Fatalf("pre-horizon TextAt %q, want %q", got, fullText)
 	}
-	if !d.ArchiveResident() {
+	if !d.archiveResident() {
 		t.Fatal("pre-horizon read did not load the archive")
 	}
-	if got := d.ArchivedLen(); got != 7 {
+	if got := d.archivedLen(); got != 7 {
 		t.Fatalf("ArchivedLen %d, want 7", got)
 	}
 	if err := d.CheckInvariants(); err != nil {
@@ -73,7 +73,7 @@ func TestLazyArchiveSnapshotTakenBeforeLoad(t *testing.T) {
 	// time-travel through it: the lazily loaded archive must merge into
 	// the pre-load snapshot too.
 	snap := d.Snapshot()
-	if got := snap.TextAt(preDelete); got != fullText {
+	if got := snap.textAt(preDelete); got != fullText {
 		t.Fatalf("pre-load snapshot TextAt %q, want %q", got, fullText)
 	}
 }
@@ -83,7 +83,7 @@ func TestLazyArchiveUndoRehydrates(t *testing.T) {
 	d0, _, fullText, _ := buildCompacted(t, e)
 
 	d := reload(t, e, d0.ID())
-	if d.ArchiveResident() {
+	if d.archiveResident() {
 		t.Fatal("archive resident before undo")
 	}
 	// Undo of the archived delete must lazily load, rehydrate, and
@@ -94,7 +94,7 @@ func TestLazyArchiveUndoRehydrates(t *testing.T) {
 	if got := d.Text(); got != fullText {
 		t.Fatalf("after undo %q, want %q", got, fullText)
 	}
-	if !d.ArchiveResident() {
+	if !d.archiveResident() {
 		t.Fatal("undo did not load the archive")
 	}
 	if err := d.CheckInvariants(); err != nil {
@@ -123,7 +123,7 @@ func TestLazyArchiveVersionTextLoads(t *testing.T) {
 	}
 
 	d := reload(t, e, d0.ID())
-	if d.ArchiveResident() {
+	if d.archiveResident() {
 		t.Fatal("archive resident before version read")
 	}
 	// Reconstructing the pre-delete version needs the archived cold set.
@@ -134,7 +134,7 @@ func TestLazyArchiveVersionTextLoads(t *testing.T) {
 	if text != "keep-DELETED-keep" {
 		t.Fatalf("version text %q", text)
 	}
-	if !d.ArchiveResident() {
+	if !d.archiveResident() {
 		t.Fatal("version read did not load the archive")
 	}
 }
@@ -144,13 +144,13 @@ func TestLazyArchiveAnchorResolution(t *testing.T) {
 	d0, _, _, _ := buildCompacted(t, e)
 
 	d := reload(t, e, d0.ID())
-	if d.ArchiveResident() {
+	if d.archiveResident() {
 		t.Fatal("archive resident before anchored edit")
 	}
 	// Find an archived instance ID from the original handle (the archive
 	// there is resident after compaction).
 	var archID util.ID
-	buf, err := d0.Buffer()
+	buf, err := d0.buffer()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,34 @@ import (
 	"testing"
 	"unsafe"
 
+	"tendax/internal/db"
 	"tendax/internal/util"
 )
 
 // TestOpHeadSize pins the op-log cache entry at 48 bytes or less: the cache
 // grows by one per committed op for as long as the document is open. It
 // was 64 while the head named its kind by a string.
+// perm is a permutation of [0, n) drawn from r.
+func perm(r *util.Rand, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		j := r.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	return p
+}
+
+// rowCount counts tbl's rows by a scan.
+func rowCount(t *testing.T, tbl *db.Table) int {
+	t.Helper()
+	n := 0
+	if err := tbl.Scan(nil, func(db.RID, db.Row) (bool, error) { n++; return true, nil }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestOpHeadSize(t *testing.T) {
 	if n := unsafe.Sizeof(opHead{}); n > 48 {
 		t.Fatalf("an opHead is %d B, want at most 48", n)
@@ -180,13 +202,13 @@ func TestUndoRedoReadsOpRows(t *testing.T) {
 		}
 		ids := res[0].IDs
 		shuffled := make([]util.ID, len(ids))
-		for i, j := range util.NewRand(7).Perm(len(ids)) {
+		for i, j := range perm(util.NewRand(7), len(ids)) {
 			shuffled[i] = ids[j]
 		}
 		if _, err := d.Apply("alice", []EditOp{{Kind: EditDelete, Chars: shuffled}}); err != nil {
 			t.Fatal(err)
 		}
-		spilled := e.tOpChunks.Count()
+		spilled := rowCount(t, e.tOpChunks)
 		if spilled < 2 {
 			t.Fatalf("the delete's payload took %d continuation rows, want several", spilled)
 		}
@@ -197,7 +219,7 @@ func TestUndoRedoReadsOpRows(t *testing.T) {
 			{false, ""},   // undo the insert
 			{true, text},  // redo the insert
 		})
-		if n := e.tOpChunks.Count(); n < 4*spilled {
+		if n := rowCount(t, e.tOpChunks); n < 4*spilled {
 			t.Fatalf("%d continuation rows: the undo and redo rows of the delete did not spill", n)
 		}
 		for _, op := range d.History() {

@@ -33,7 +33,7 @@ func TestEverythingSurvivesReopen(t *testing.T) {
 	clip, _ := src.Copy("bob", 0, 6)
 	doc.Paste("bob", 0, clip) // "sourceworld, ..."
 	spanID, _ := doc.ApplyLayout("alice", 0, 6, SpanBold, "true")
-	noteID, _ := doc.InsertNote("carol", 3, "check spelling")
+	noteID, _ := insertNote(doc, "carol", 3, "check spelling")
 	v, _ := doc.CreateVersion("alice", "milestone")
 	doc.UndoLocal("bob") // undo the paste
 	doc.SetProperty("alice", "project", "tendax")
@@ -125,7 +125,7 @@ func TestEverythingSurvivesReopen(t *testing.T) {
 	if props["project"] != "tendax" {
 		t.Fatalf("props = %v", props)
 	}
-	reads, _ := doc2.ReadEvents()
+	reads, _ := doc2.readEvents()
 	if len(reads) != 1 || reads[0].User != "dave" {
 		t.Fatalf("reads = %+v", reads)
 	}
@@ -166,13 +166,13 @@ func TestLargeOpChunkingRoundTrip(t *testing.T) {
 	}
 	ids := res[0].IDs
 	shuffled := make([]util.ID, len(ids))
-	for i, j := range util.NewRand(7).Perm(len(ids)) {
+	for i, j := range perm(util.NewRand(7), len(ids)) {
 		shuffled[i] = ids[j]
 	}
 	if _, err := doc.Apply("alice", []EditOp{{Kind: EditDelete, Chars: shuffled}}); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.tOpChunks.Count(); n < 2 {
+	if n := rowCount(t, e.tOpChunks); n < 2 {
 		t.Fatalf("the delete's payload took %d continuation rows, want it to spill into several", n)
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"tendax/internal/db"
@@ -63,7 +64,7 @@ func TestCrashAfterRelocatingDeleteRecovers(t *testing.T) {
 	if err := crashStore.Append(logBytes); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := db.OpenWith(disk.Snapshot(), crashStore, db.Options{})
+	db2, err := db.OpenWith(disk.SnapshotHead(math.MaxInt), crashStore, db.Options{})
 	if err != nil {
 		t.Fatalf("recovery refused the crash image: %v", err)
 	}
@@ -93,7 +94,7 @@ func TestCrashAfterRelocatingDeleteRecovers(t *testing.T) {
 // deletion state.
 func tombstoneView(t *testing.T, d *Document) string {
 	t.Helper()
-	buf, err := d.Buffer()
+	buf, err := d.buffer()
 	if err != nil {
 		t.Fatal(err)
 	}

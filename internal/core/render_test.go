@@ -2,13 +2,25 @@ package core
 
 import (
 	"testing"
+
+	"tendax/internal/util"
 )
+
+// insertNote attaches a note to the visible character at pos and returns
+// its span.
+func insertNote(d *Document, user string, pos int, text string) (util.ID, error) {
+	res, err := d.Apply(user, []EditOp{{Kind: EditNote, Pos: pos, Text: text}})
+	if err != nil {
+		return util.NilID, err
+	}
+	return res[0].Span, nil
+}
 
 func TestRenderMarkupBasics(t *testing.T) {
 	e := newEngine(t)
 	d, _ := e.CreateDocument("alice", "styled")
 	d.InsertText("alice", 0, "Title and body text")
-	d.SetHeading("alice", 0, 5, 1)
+	d.ApplyLayout("alice", 0, 5, SpanHeading, "1")
 	d.ApplyLayout("bob", 10, 4, SpanBold, "true")
 
 	got, err := d.RenderMarkup()
@@ -45,7 +57,7 @@ func TestRenderMarkupNotes(t *testing.T) {
 	e := newEngine(t)
 	d, _ := e.CreateDocument("alice", "noted")
 	d.InsertText("alice", 0, "check this")
-	d.InsertNote("bob", 6, "verify!")
+	insertNote(d, "bob", 6, "verify!")
 	got, err := d.RenderMarkup()
 	if err != nil {
 		t.Fatal(err)
@@ -60,9 +72,9 @@ func TestOutline(t *testing.T) {
 	e := newEngine(t)
 	d, _ := e.CreateDocument("alice", "structured")
 	d.InsertText("alice", 0, "Intro\nbody one\nMethods\nbody two\nResults\n")
-	d.SetHeading("alice", 0, 5, 1)  // Intro
-	d.SetHeading("alice", 15, 7, 2) // Methods
-	d.SetHeading("alice", 32, 7, 1) // Results
+	d.ApplyLayout("alice", 0, 5, SpanHeading, "1")  // Intro
+	d.ApplyLayout("alice", 15, 7, SpanHeading, "2") // Methods
+	d.ApplyLayout("alice", 32, 7, SpanHeading, "1") // Results
 
 	outline, err := d.Outline()
 	if err != nil {

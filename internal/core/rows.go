@@ -20,7 +20,7 @@ import (
 // rune of its text, the first typed after `after` with key `key` and every
 // later one after the one before it, all with one author, instant,
 // deletion state and source document. Typing a run writes one row, cut
-// only by the buffer's rule (texttree.CutRuns), a text cap and the
+// only by the buffer's rule (texttree's cutRuns), a text cap and the
 // generator's stride: the step of a row of more than one instance is the
 // stride, so its ID range holds the row's own instances and no ID another
 // insert, of any document, was given. A delete, restore or compaction that
@@ -241,7 +241,7 @@ func sameState(r, c *texttree.Run) bool {
 }
 
 // insertRows writes runs, a batch's new instances in the order created,
-// as chars rows cut by the rule texttree.CutRuns states for instances:
+// as chars rows cut by the rule texttree's cutRuns states for instances:
 // each row the longest stretch, in order, of instances with one author,
 // Created, deletion state and source document, each typed after the one
 // before it at the next ID of the stride, with sources ascending by one

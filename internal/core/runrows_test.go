@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -318,7 +319,7 @@ func checkReopened(t *testing.T, label string, disk *storage.MemDisk, store *wal
 	if err := crash.Append(logBytes); err != nil {
 		t.Fatal(err)
 	}
-	database, err := db.OpenWith(disk.Snapshot(), crash, db.Options{})
+	database, err := db.OpenWith(disk.SnapshotHead(math.MaxInt), crash, db.Options{})
 	if err != nil {
 		t.Fatalf("%s: recovery: %v", label, err)
 	}
@@ -346,11 +347,11 @@ func checkReopened(t *testing.T, label string, disk *storage.MemDisk, store *wal
 // one by anchor, field by field (instants compared with Equal), and the op
 // log.
 func documentDiff(a, b *Document) string {
-	ba, err := a.Buffer()
+	ba, err := a.buffer()
 	if err != nil {
 		return err.Error()
 	}
-	bb, err := b.Buffer()
+	bb, err := b.buffer()
 	if err != nil {
 		return err.Error()
 	}
@@ -444,7 +445,7 @@ func TestSplitDeleteCrashPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := tombstoneView(t, d)
-	image := disk.Snapshot() // nothing below is written back before the cuts
+	image := disk.SnapshotHead(math.MaxInt) // nothing below is written back before the cuts
 	mark := store.Len()
 	if _, err := d.DeleteRange("bo", 60, 6); err != nil {
 		t.Fatal(err)
@@ -514,7 +515,7 @@ func TestSplitDeleteCrashPoints(t *testing.T) {
 		if err := crash.Append(data[:cut]); err != nil {
 			t.Fatal(err)
 		}
-		db2, err := db.OpenWith(image.Snapshot(), crash, db.Options{})
+		db2, err := db.OpenWith(image.SnapshotHead(math.MaxInt), crash, db.Options{})
 		if err != nil {
 			t.Fatalf("cut at byte %d (in or at the end of %s): recovery: %v", cut, what, err)
 		}
@@ -548,7 +549,7 @@ func TestOpStretches(t *testing.T) {
 		run[i] = op - 40 + util.ID(i)
 	}
 	shuffled := make([]util.ID, 2000)
-	for i, j := range util.NewRand(3).Perm(len(shuffled)) {
+	for i, j := range perm(util.NewRand(3), len(shuffled)) {
 		shuffled[i] = util.ID(100 + 3*j)
 	}
 	for _, tc := range []struct {

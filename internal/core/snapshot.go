@@ -66,9 +66,6 @@ func (s *DocSnapshot) Seq() uint64 { return s.seq }
 // access (tests, analyzers).
 func (s *DocSnapshot) Tree() *texttree.Snapshot { return s.t }
 
-// Doc returns the snapshotted document's ID.
-func (s *DocSnapshot) Doc() util.ID { return s.d.id }
-
 // Version identifies the committed buffer state this snapshot captured;
 // it increases monotonically with every committed text mutation.
 func (s *DocSnapshot) Version() uint64 { return s.t.Version() }
@@ -76,16 +73,16 @@ func (s *DocSnapshot) Version() uint64 { return s.t.Version() }
 // Len returns the number of visible characters.
 func (s *DocSnapshot) Len() int { return s.t.Len() }
 
-// TotalLen returns the number of character instances, tombstones included.
-func (s *DocSnapshot) TotalLen() int { return s.t.TotalLen() }
+// totalLen returns the number of character instances, tombstones included.
+func (s *DocSnapshot) totalLen() int { return s.t.TotalLen() }
 
 // Text returns the full visible text without access filtering.
 func (s *DocSnapshot) Text() string { return s.t.Text() }
 
-// TextAt reconstructs the text as of instant t (time travel), as seen by
+// textAt reconstructs the text as of instant t (time travel), as seen by
 // this snapshot: edits committed after the snapshot do not exist in it.
 // The first pre-horizon reconstruction loads the lazily parked archive.
-func (s *DocSnapshot) TextAt(t time.Time) string {
+func (s *DocSnapshot) textAt(t time.Time) string {
 	return s.d.timeTravelTree(s.t).TextAt(t)
 }
 
@@ -216,7 +213,7 @@ func (s *DocSnapshot) VersionText(versionID util.ID) (string, error) {
 	return s.d.timeTravelTree(s.t).TextAt(row[4].(time.Time)), nil
 }
 
-// DiffVersions diffs two versions (older first) against this snapshot.
+// diffVersions diffs two versions (older first) against this snapshot.
 // Passing util.NilID as `to` diffs against the snapshot's text. Both sides
 // reconstruct from the same view, so the diff is never torn by a write
 // landing between the two reads.

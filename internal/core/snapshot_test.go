@@ -91,7 +91,7 @@ func TestRenderMarkupNotTornByLaterWrites(t *testing.T) {
 	if _, err := d.InsertText("alice", 0, "title and body text"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.SetHeading("alice", 0, 5, 1); err != nil {
+	if _, err := d.ApplyLayout("alice", 0, 5, SpanHeading, "1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.ApplyLayout("alice", 10, 9, SpanBold, "true"); err != nil {
@@ -157,10 +157,10 @@ func TestOutlineResolvesAgainstOneSnapshot(t *testing.T) {
 	if _, err := d.InsertText("alice", 0, "intro\nchapter one\nbody"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.SetHeading("alice", 0, 5, 1); err != nil {
+	if _, err := d.ApplyLayout("alice", 0, 5, SpanHeading, "1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.SetHeading("alice", 6, 11, 2); err != nil {
+	if _, err := d.ApplyLayout("alice", 6, 11, SpanHeading, "2"); err != nil {
 		t.Fatal(err)
 	}
 	s := d.Snapshot()
@@ -224,8 +224,8 @@ func TestDiffVersionsNotTornByLaterWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if FormatDiff(got) != FormatDiff(want) {
-		t.Fatalf("snapshot diff torn:\n%s\nvs\n%s", FormatDiff(got), FormatDiff(want))
+	if formatDiff(got) != formatDiff(want) {
+		t.Fatalf("snapshot diff torn:\n%s\nvs\n%s", formatDiff(got), formatDiff(want))
 	}
 	adds := 0
 	for _, h := range got {
@@ -241,7 +241,7 @@ func TestDiffVersionsNotTornByLaterWrites(t *testing.T) {
 		}
 	}
 	if adds != 1 {
-		t.Fatalf("diff missing the snapshot-visible addition:\n%s", FormatDiff(got))
+		t.Fatalf("diff missing the snapshot-visible addition:\n%s", formatDiff(got))
 	}
 }
 
@@ -326,7 +326,7 @@ func TestBufferCopyIsOffLockAndStable(t *testing.T) {
 	if _, err := d.AppendText("alice", "frozen"); err != nil {
 		t.Fatal(err)
 	}
-	buf, err := d.Buffer()
+	buf, err := d.buffer()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,15 +28,13 @@ type Span struct {
 const (
 	SpanBold    = "bold"
 	SpanItalic  = "italic"
-	SpanFont    = "font"
 	SpanHeading = "heading"
-	SpanStyle   = "style"
 	SpanNote    = "note"
 )
 
-// RemoveSpan retracts a span (layout removal), as one transaction: the
+// removeSpan retracts a span (layout removal), as one transaction: the
 // span-flag step staged on its own, committed and published like a batch.
-func (d *Document) RemoveSpan(user string, spanID util.ID) error {
+func (d *Document) removeSpan(user string, spanID util.ID) error {
 	_, err := commitLocked(d, user, RWrite, func() ([]EditResult, wal.LSN, error) {
 		st := getBatch(user, d.eng.clock.Now())
 		defer st.release()

@@ -81,11 +81,11 @@ func (d *Document) VersionText(versionID util.ID) (string, error) {
 	return d.Snapshot().VersionText(versionID)
 }
 
-// TextAt reconstructs the text at an arbitrary instant (time travel over
+// textAt reconstructs the text at an arbitrary instant (time travel over
 // the editing history), against the latest committed snapshot. The first
 // pre-horizon reconstruction after open loads the lazily parked cold
 // archive.
-func (d *Document) TextAt(t time.Time) string {
+func (d *Document) textAt(t time.Time) string {
 	return d.timeTravelTree(d.snap.Load().snap.t).TextAt(t)
 }
 
@@ -96,8 +96,8 @@ type ReadEvent struct {
 	At   time.Time
 }
 
-// ReadEvents returns all recorded reads of the document, oldest first.
-func (d *Document) ReadEvents() ([]ReadEvent, error) {
+// readEvents returns all recorded reads of the document, oldest first.
+func (d *Document) readEvents() ([]ReadEvent, error) {
 	return d.eng.ReadEventsOf(d.id)
 }
 

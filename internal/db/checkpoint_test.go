@@ -51,8 +51,8 @@ func TestCheckpointCompactsLog(t *testing.T) {
 		t.Fatalf("recovery redid %d records after checkpoint", d2.Recovery.Redone)
 	}
 	tbl2 := d2.Table("t")
-	if tbl2.Count() != 100 {
-		t.Fatalf("rows after checkpointed reopen = %d", tbl2.Count())
+	if tbl2.count() != 100 {
+		t.Fatalf("rows after checkpointed reopen = %d", tbl2.count())
 	}
 	row, _, err := tbl2.GetByPK(nil, 42)
 	if err != nil || row[1].(string) != "doc-42" {
@@ -96,8 +96,8 @@ func TestEditsAfterCheckpointRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl3 := d3.Table("t")
-	if tbl3.Count() != 30 {
-		t.Fatalf("rows after crash = %d, want 30", tbl3.Count())
+	if tbl3.count() != 30 {
+		t.Fatalf("rows after crash = %d, want 30", tbl3.count())
 	}
 	got, _, err := tbl3.GetByPK(nil, 5)
 	if err != nil || got[1].(string) != "updated-after-checkpoint" {
@@ -138,7 +138,7 @@ func TestRepeatedCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.Table("t").Count() != 200 {
-		t.Fatalf("rows = %d, want 200", d2.Table("t").Count())
+	if d2.Table("t").count() != 200 {
+		t.Fatalf("rows = %d, want 200", d2.Table("t").count())
 	}
 }

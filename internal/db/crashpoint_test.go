@@ -3,6 +3,7 @@ package db
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -125,7 +126,7 @@ func (s *crashScript) run() {
 
 	s.must(s.d.Pool().FlushAll())
 	s.mark = s.store.Len()
-	s.disk = s.live.Snapshot()
+	s.disk = s.live.SnapshotHead(math.MaxInt)
 
 	// From here on, everything is in the log only.
 	s.delete(t2, 4)
@@ -177,7 +178,7 @@ func (s *crashScript) expect(last wal.LSN) model {
 // data, crashes again straight after, recovers again, and compares the
 // table with want after each recovery.
 func (s *crashScript) recoverAt(data []byte, cut int, want model) error {
-	disk := s.disk.Snapshot()
+	disk := s.disk.SnapshotHead(math.MaxInt)
 	store := wal.NewMemStore()
 	if err := store.Append(data[:cut]); err != nil {
 		return err

@@ -254,6 +254,8 @@ func (d *Database) discoverHeaps() (map[uint64]*Heap, error) {
 func (d *Database) Begin() (*txn.Txn, error) { return d.tm.Begin() }
 
 // Table returns the named table, or nil.
+//
+//tendax:allow-testonly oracle-side naming: the golden row and log tests (TestRowGolden, FuzzDecodeRow, TestOneKeyBatchLogBytes, TestSplitDeleteCrashPoints) find the engine's tables by it
 func (d *Database) Table(name string) *Table {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -261,6 +263,8 @@ func (d *Database) Table(name string) *Table {
 }
 
 // Tables returns all user table names, sorted.
+//
+//tendax:allow-testonly oracle-side naming: the golden row and log tests (TestRowGolden, FuzzDecodeRow, TestOneKeyBatchLogBytes, TestSplitDeleteCrashPoints) find the engine's tables by it
 func (d *Database) Tables() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -347,9 +351,9 @@ func (d *Database) FuzzyCheckpoint() (*wal.CheckpointResult, error) {
 	return res, nil
 }
 
-// CheckpointCount returns the number of fuzzy checkpoints taken, and the
+// checkpointCount returns the number of fuzzy checkpoints taken, and the
 // last background checkpoint error if any (nil when healthy).
-func (d *Database) CheckpointCount() (uint64, error) {
+func (d *Database) checkpointCount() (uint64, error) {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	return d.ckpts, d.ckptErr
@@ -432,10 +436,6 @@ func (d *Database) WaitDurable(lsn wal.LSN) error { return d.log.WaitFlushed(lsn
 
 // Log exposes the write-ahead log (durability metrics, benchmarks).
 func (d *Database) Log() *wal.Log { return d.log }
-
-// TxnManager exposes the transaction manager (for subsystems that manage
-// their own transactions).
-func (d *Database) TxnManager() *txn.Manager { return d.tm }
 
 // Pool exposes the buffer pool (for metrics).
 func (d *Database) Pool() *storage.BufferPool { return d.pool }

@@ -248,8 +248,8 @@ func TestUpdateDeleteAndIndexMaintenance(t *testing.T) {
 	if rids, _ := tbl.LookupEq("title", "renamed"); len(rids) != 0 {
 		t.Fatal("index entry survived delete")
 	}
-	if tbl.Count() != 4 {
-		t.Fatalf("Count = %d, want 4", tbl.Count())
+	if tbl.count() != 4 {
+		t.Fatalf("Count = %d, want 4", tbl.count())
 	}
 }
 
@@ -347,8 +347,8 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if names := d2.Tables(); !reflect.DeepEqual(names, []string{"docs"}) {
 		t.Fatalf("tables after reopen: %q, want only docs", names)
 	}
-	if tbl2.Count() != 50 {
-		t.Fatalf("Count after reopen = %d, want 50", tbl2.Count())
+	if tbl2.count() != 50 {
+		t.Fatalf("Count after reopen = %d, want 50", tbl2.count())
 	}
 	row, _, err := tbl2.GetByPK(nil, 37)
 	if err != nil || row[1].(string) != "doc-37" {
@@ -379,7 +379,7 @@ func TestCrashRecoveryDropsUncommitted(t *testing.T) {
 	}
 	// Make the uncommitted work durable in the log, then "crash" without
 	// committing: reopen over the same disk+store without closing.
-	d.TxnManager().Log().Flush()
+	d.log.Flush()
 	d.Pool().FlushAll()
 
 	d2, err := OpenWith(disk, store, Options{})
@@ -387,8 +387,8 @@ func TestCrashRecoveryDropsUncommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl2 := d2.Table("docs")
-	if tbl2.Count() != 1 {
-		t.Fatalf("Count after crash = %d, want 1", tbl2.Count())
+	if tbl2.count() != 1 {
+		t.Fatalf("Count after crash = %d, want 1", tbl2.count())
 	}
 	if _, _, err := tbl2.GetByPK(nil, 1); err != nil {
 		t.Fatal("committed row lost in crash")
@@ -433,18 +433,18 @@ func TestConcurrentInsertsDistinctRows(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if tbl.Count() != 160 {
-		t.Fatalf("Count = %d, want 160", tbl.Count())
+	if tbl.count() != 160 {
+		t.Fatalf("Count = %d, want 160", tbl.count())
 	}
 }
 
 func TestRIDRoundTrip(t *testing.T) {
 	r := RID{Page: 77, Slot: 12}
-	got, err := RIDFromBytes(r.Bytes())
+	got, err := ridFromBytes(r.bytes())
 	if err != nil || got != r {
 		t.Fatalf("RID round trip: %v, %v", got, err)
 	}
-	if _, err := RIDFromBytes([]byte{1, 2}); err == nil {
+	if _, err := ridFromBytes([]byte{1, 2}); err == nil {
 		t.Fatal("short RID accepted")
 	}
 }

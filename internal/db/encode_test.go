@@ -33,7 +33,7 @@ func TestRowEncoderMatchesEncodeRow(t *testing.T) {
 	for i := int64(1); i <= 5; i++ {
 		enc.Int(i)
 		if i%2 == 0 {
-			enc.StringBytes([]byte{byte('a' + i)})
+			enc.String(string([]byte{byte('a' + i)}))
 		} else {
 			enc.String(string(rune('a' + i)))
 		}
@@ -160,7 +160,7 @@ func TestInsertRecordsChecks(t *testing.T) {
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if n := tbl.Count(); n != 3 {
+	if n := tbl.count(); n != 3 {
 		t.Fatalf("after the abort the table counts %d rows, want 3", n)
 	}
 	if rids, err := tbl.LookupEq("tag", "a"); err != nil || len(rids) != 1 {

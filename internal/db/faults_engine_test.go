@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -272,13 +273,13 @@ func runSyncFailure(t *testing.T, seed uint64) {
 
 	// Both page images must recover: the one a crash leaves, and the one
 	// Close leaves after writing back every page the WAL barrier allows.
-	crashed := disk.Snapshot()
+	crashed := disk.SnapshotHead(math.MaxInt)
 	database.Close() // returns the failure again
 	data, _ := mem.ReadAll()
 	for _, img := range []struct {
 		name string
 		disk *storage.MemDisk
-	}{{"crash", crashed}, {"close", disk.Snapshot()}} {
+	}{{"crash", crashed}, {"close", disk.SnapshotHead(math.MaxInt)}} {
 		kept := wal.NewMemStore()
 		if err := kept.Append(data[:synced()]); err != nil {
 			t.Fatal(err)

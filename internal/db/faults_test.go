@@ -3,6 +3,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -199,7 +200,7 @@ func TestFailedSyncStaysFailed(t *testing.T) {
 		}
 	}
 	size, _ := fs.Size()
-	crashed := disk.Snapshot()
+	crashed := disk.SnapshotHead(math.MaxInt)
 	if err := d.Close(); err == nil {
 		t.Error("Close of a poisoned log reported success")
 	}
@@ -348,7 +349,7 @@ func TestUnloggedRollbackStaysOffDisk(t *testing.T) {
 	if err := kept.Append(data[:synced]); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := OpenWith(disk.Snapshot(), kept, Options{})
+	d2, err := OpenWith(disk.SnapshotHead(math.MaxInt), kept, Options{})
 	if err != nil {
 		t.Fatalf("reopen after the unlogged rollback: %v", err)
 	}
@@ -464,8 +465,8 @@ func TestRelocatedRowKeepsIdentity(t *testing.T) {
 	if err != nil || got[0].(int64) != 1 {
 		t.Fatalf("index points at wrong row: %v, %v", got, err)
 	}
-	if tbl.Count() != 12 {
-		t.Fatalf("Count = %d after relocation", tbl.Count())
+	if tbl.count() != 12 {
+		t.Fatalf("Count = %d after relocation", tbl.count())
 	}
 }
 
@@ -531,7 +532,7 @@ func TestIndexMatchesScanProperty(t *testing.T) {
 			t.Fatalf("bucket %s: index %d vs scan %d", bucket, len(rids), scanBuckets[bucket])
 		}
 	}
-	if tbl.Count() != len(live) {
-		t.Fatalf("Count = %d, model = %d", tbl.Count(), len(live))
+	if tbl.count() != len(live) {
+		t.Fatalf("Count = %d, model = %d", tbl.count(), len(live))
 	}
 }

@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -28,7 +29,7 @@ func crashImage(t *testing.T, disk *storage.MemDisk, store *wal.MemStore, tearLo
 	if tearLog > 0 {
 		crashStore.TruncateTail(int64(crashStore.Len() - tearLog))
 	}
-	return disk.Snapshot(), crashStore
+	return disk.SnapshotHead(math.MaxInt), crashStore
 }
 
 // TestFuzzyCheckpointCrashRecoveryBoundsLogAndRedo checkpoints while
@@ -92,7 +93,7 @@ func TestFuzzyCheckpointCrashRecoveryBoundsLogAndRedo(t *testing.T) {
 		t.Fatal("recovery did not adopt the checkpoint redo point")
 	}
 	tbl2 := d2.Table("t")
-	if got := tbl2.Count(); got != batches*perBatch {
+	if got := tbl2.count(); got != batches*perBatch {
 		t.Fatalf("rows after checkpointed crash = %d, want %d", got, batches*perBatch)
 	}
 	row, _, err := tbl2.GetByPK(nil, 42)
@@ -179,7 +180,7 @@ func TestTornEndCheckpointFallsBack(t *testing.T) {
 			t.Fatalf("%s: recovery used checkpoint at %d, want the previous complete one at %d",
 				label, d2.Recovery.CheckpointLSN, complete.EndLSN)
 		}
-		if got := d2.Table("t").Count(); got != 40 {
+		if got := d2.Table("t").count(); got != 40 {
 			t.Fatalf("%s: rows = %d, want 40", label, got)
 		}
 	}
@@ -278,7 +279,7 @@ func TestTruncationKeepsLoserUndoChain(t *testing.T) {
 	if row[1].(string) != "doc-1" {
 		t.Fatalf("loser's update survived the crash: row 1 = %v", row)
 	}
-	if got := d2.Table("t").Count(); got != int(next-1) {
+	if got := d2.Table("t").count(); got != int(next-1) {
 		t.Fatalf("committed rows = %d, want %d", got, next-1)
 	}
 }
@@ -350,7 +351,7 @@ func TestConcurrentCheckpointCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d2.Table("t").Count(); got != writers*perWriter {
+	if got := d2.Table("t").count(); got != writers*perWriter {
 		t.Fatalf("rows after concurrent-checkpoint crash = %d, want %d", got, writers*perWriter)
 	}
 }
@@ -386,7 +387,7 @@ func TestBackgroundCheckpointerTriggers(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		n, err := d.CheckpointCount()
+		n, err := d.checkpointCount()
 		if err != nil {
 			t.Fatalf("background checkpoint failed: %v", err)
 		}
@@ -406,7 +407,7 @@ func TestBackgroundCheckpointerTriggers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if got := d2.Table("t").Count(); got != 50 {
+	if got := d2.Table("t").count(); got != 50 {
 		t.Fatalf("rows after checkpointed reopen = %d, want 50", got)
 	}
 }
@@ -560,7 +561,7 @@ func TestCheckpointRaceKeepsFirstRecords(t *testing.T) {
 	// the log holds every record behind a page in the image. Every commit
 	// durable before the cut began is in the image.
 	durable := d.Log().FlushedLSN()
-	crashDisk := disk.Snapshot()
+	crashDisk := disk.SnapshotHead(math.MaxInt)
 	logBytes, err := store.ReadAll()
 	if err != nil {
 		t.Fatal(err)

@@ -20,16 +20,16 @@ type RID struct {
 	Slot int
 }
 
-// Bytes returns a fixed 12-byte encoding of the RID.
-func (r RID) Bytes() []byte { return r.appendTo(make([]byte, 0, 12)) }
+// bytes returns a fixed 12-byte encoding of the RID.
+func (r RID) bytes() []byte { return r.appendTo(make([]byte, 0, 12)) }
 
 func (r RID) appendTo(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Page))
 	return binary.BigEndian.AppendUint32(dst, uint32(r.Slot))
 }
 
-// RIDFromBytes decodes a RID encoded by Bytes.
-func RIDFromBytes(b []byte) (RID, error) {
+// ridFromBytes decodes a RID encoded by bytes.
+func ridFromBytes(b []byte) (RID, error) {
 	if len(b) < 12 {
 		return RID{}, errors.New("db: short RID encoding")
 	}
@@ -85,9 +85,6 @@ func (h *Heap) AttachPage(id storage.PageID, freeSpace int) {
 	h.pages = append(h.pages, id)
 	h.free[id] = freeSpace
 }
-
-// TableID returns the owning table's ID.
-func (h *Heap) TableID() uint64 { return h.tableID }
 
 // Pages returns a snapshot of the heap's page list.
 func (h *Heap) Pages() []storage.PageID {

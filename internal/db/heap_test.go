@@ -141,7 +141,7 @@ func TestConcurrentUpdateAndInsertBatchNeverPageFull(t *testing.T) {
 					fail("begin", err)
 					return
 				}
-				rids, err := tbl.InsertBatch(tx, rows)
+				rids, err := tbl.insertBatch(tx, rows)
 				if err != nil {
 					tx.Abort()
 					fail("insert batch", err)
@@ -190,7 +190,7 @@ func TestConcurrentUpdateAndInsertBatchNeverPageFull(t *testing.T) {
 
 	// Crash: reopen over the same disk and log without closing. Redo repeats
 	// the log, so a record in it that was never applied would show here.
-	if err := d.TxnManager().Log().Flush(); err != nil {
+	if err := d.log.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	d2, err := OpenWith(disk, store, Options{})

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -120,19 +121,19 @@ func tableState(tbl *Table) string {
 		return nil
 	})
 	tbl.mu.RLock()
-	tbl.pk.Ascend(func(k []byte, rid RID) bool {
+	tbl.pk.AscendRange(nil, nil, func(k []byte, rid RID) bool {
 		lines = append(lines, fmt.Sprintf("pk %x %v", k, rid))
 		return true
 	})
 	for _, ix := range tbl.indexes {
-		ix.tree.Ascend(func(k []byte, rid RID) bool {
+		ix.tree.AscendRange(nil, nil, func(k []byte, rid RID) bool {
 			lines = append(lines, fmt.Sprintf("index %s %x %v", ix.Column, k, rid))
 			return true
 		})
 	}
 	tbl.mu.RUnlock()
 	slices.Sort(lines)
-	return strings.Join(lines, "\n") + fmt.Sprintf("\ncount %d", tbl.Count())
+	return strings.Join(lines, "\n") + fmt.Sprintf("\ncount %d", tbl.count())
 }
 
 // txnRecords renders every record transaction id logged, in log order.
@@ -243,7 +244,7 @@ func TestRollbackRestoresState(t *testing.T) {
 			if err := kept.Append(data); err != nil {
 				t.Fatal(err)
 			}
-			d2, err := OpenWith(disk.Snapshot(), kept, Options{})
+			d2, err := OpenWith(disk.SnapshotHead(math.MaxInt), kept, Options{})
 			if err != nil {
 				t.Fatalf("%s: reopen: %v", label, err)
 			}

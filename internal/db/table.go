@@ -74,9 +74,13 @@ func NewTable(id uint64, name string, schema Schema, heap *Heap) (*Table, error)
 }
 
 // ID returns the table's catalog ID.
+//
+//tendax:allow-testonly oracle-side naming: the golden row and log tests (TestRowGolden, FuzzDecodeRow, TestOneKeyBatchLogBytes, TestSplitDeleteCrashPoints) find the engine's tables by it
 func (t *Table) ID() uint64 { return t.id }
 
 // Name returns the table name.
+//
+//tendax:allow-testonly oracle-side naming: the golden row and log tests (TestRowGolden, FuzzDecodeRow, TestOneKeyBatchLogBytes, TestSplitDeleteCrashPoints) find the engine's tables by it
 func (t *Table) Name() string { return t.name }
 
 // Schema returns the table schema.
@@ -233,10 +237,10 @@ func (t *Table) Insert(tx *txn.Txn, row Row) (RID, error) {
 	return rid[0], nil
 }
 
-// InsertBatch adds rows under tx as one heap batch, maintaining all
+// insertBatch adds rows under tx as one heap batch, maintaining all
 // indexes, and returns one RID per row in order. The heap acquires each
 // page once per run of rows instead of once per row.
-func (t *Table) InsertBatch(tx *txn.Txn, rows []Row) ([]RID, error) {
+func (t *Table) insertBatch(tx *txn.Txn, rows []Row) ([]RID, error) {
 	if len(rows) == 0 {
 		return nil, nil
 	}
@@ -256,7 +260,7 @@ func (t *Table) InsertBatch(tx *txn.Txn, rows []Row) ([]RID, error) {
 }
 
 // InsertRecords adds recs, rows a RowEncoder of t wrote, under tx as one
-// heap batch, maintaining all indexes — what InsertBatch does after
+// heap batch, maintaining all indexes — what insertBatch does after
 // encoding, which makes it the writer of the engine's hottest path (one
 // run row and one op row per keystroke batch). A record that is not
 // framed as a row of t is refused with ErrSchema. recs is not retained,
@@ -428,11 +432,11 @@ func (t *Table) GetByPK(tx *txn.Txn, pk int64) (Row, RID, error) {
 	return row, rid, nil
 }
 
-// FloorByPK returns the row with the greatest primary key at or below pk
+// floorByPK returns the row with the greatest primary key at or below pk
 // (ErrNotFound if every key is above it): a row that stands for a range of
 // keys from its own, such as a run of characters, is found by any key in
 // the range.
-func (t *Table) FloorByPK(tx *txn.Txn, pk int64) (Row, RID, error) {
+func (t *Table) floorByPK(tx *txn.Txn, pk int64) (Row, RID, error) {
 	var k [8]byte
 	t.mu.RLock()
 	_, rid, ok := t.pk.Floor(keyOfPK(k[:0], pk))
@@ -569,8 +573,8 @@ func (t *Table) Scan(tx *txn.Txn, fn func(rid RID, row Row) (bool, error)) error
 	return err
 }
 
-// Count returns the number of live rows (by primary-key index).
-func (t *Table) Count() int {
+// count returns the number of live rows (by primary-key index).
+func (t *Table) count() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.pk.Len()

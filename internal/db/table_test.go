@@ -123,7 +123,7 @@ type tableAnswers struct {
 // and returns what it answered.
 func answers(t *testing.T, tbl *Table, model map[int64]Row) tableAnswers {
 	t.Helper()
-	a := tableAnswers{rids: map[int64]RID{}, byTag: map[string][]RID{}, count: tbl.Count()}
+	a := tableAnswers{rids: map[int64]RID{}, byTag: map[string][]RID{}, count: tbl.count()}
 	if a.count != len(model) {
 		t.Fatalf("Count = %d, model has %d rows", a.count, len(model))
 	}
@@ -215,7 +215,7 @@ func TestFloorByPK(t *testing.T) {
 		if !found {
 			i--
 		}
-		row, _, err := tbl.FloorByPK(nil, pk)
+		row, _, err := tbl.floorByPK(nil, pk)
 		if i < 0 {
 			if err != ErrNotFound {
 				t.Fatalf("FloorByPK(%d) = %v, %v; want ErrNotFound", pk, row, err)
@@ -268,7 +268,7 @@ func TestKeysAcrossVarintWidths(t *testing.T) {
 
 	check := func(when string, tbl *Table) {
 		t.Helper()
-		if n := tbl.Count(); n != len(keys) {
+		if n := tbl.count(); n != len(keys) {
 			t.Fatalf("%s: Count = %d, want %d", when, n, len(keys))
 		}
 		if m := tbl.MaxPK(); m != math.MaxInt64 {
@@ -291,7 +291,7 @@ func TestKeysAcrossVarintWidths(t *testing.T) {
 				floors[k-1] = keys[i-1]
 			}
 			for probe, want := range floors {
-				if row, _, err := tbl.FloorByPK(nil, probe); err != nil || row[0] != want {
+				if row, _, err := tbl.floorByPK(nil, probe); err != nil || row[0] != want {
 					t.Fatalf("%s: FloorByPK(%d) = %v, %v; want the row of %d", when, probe, row, err, want)
 				}
 			}
@@ -308,7 +308,7 @@ func TestKeysAcrossVarintWidths(t *testing.T) {
 			}
 		}
 		var byPK []int64
-		tbl.pk.Ascend(func(_ []byte, rid RID) bool {
+		tbl.pk.AscendRange(nil, nil, func(_ []byte, rid RID) bool {
 			byPK = append(byPK, pkOf[rid])
 			return true
 		})
@@ -322,7 +322,7 @@ func TestKeysAcrossVarintWidths(t *testing.T) {
 			}
 		}
 		var vs []int64
-		tbl.indexes[0].tree.Ascend(func(_ []byte, rid RID) bool {
+		tbl.indexes[0].tree.AscendRange(nil, nil, func(_ []byte, rid RID) bool {
 			vs = append(vs, vOf[rid])
 			return true
 		})

@@ -212,14 +212,6 @@ func (e *RowEncoder) String(v string) {
 	}
 }
 
-// StringBytes appends a string column whose UTF-8 encoding is v, for a
-// caller that assembles the text in a buffer of its own.
-func (e *RowEncoder) StringBytes(v []byte) {
-	if e.next(TString, "string") {
-		e.buf = appendBytes(e.buf, v)
-	}
-}
-
 // Bytes appends a bytes column.
 func (e *RowEncoder) Bytes(v []byte) {
 	if e.next(TBytes, "[]uint8") {

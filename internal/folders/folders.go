@@ -91,6 +91,8 @@ func (s *Store) CreateDynamic(owner, name string, pred Predicate) (DynamicFolder
 }
 
 // DynamicFolders lists a user's dynamic folders.
+//
+//tendax:allow-testonly paper capability with no wire or CLI caller yet: folders (static folders and their members, stored dynamic folders)
 func (s *Store) DynamicFolders(owner string) ([]DynamicFolder, error) {
 	rids, err := s.tDyn.LookupEq("owner", owner)
 	if err != nil {
@@ -113,25 +115,6 @@ func (s *Store) DynamicFolders(owner string) ([]DynamicFolder, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
-}
-
-// DynamicByID fetches one stored dynamic folder.
-func (s *Store) DynamicByID(id util.ID) (DynamicFolder, error) {
-	row, _, err := s.tDyn.GetByPK(nil, int64(id))
-	if errors.Is(err, db.ErrNotFound) {
-		return DynamicFolder{}, ErrFolderNotFound
-	}
-	if err != nil {
-		return DynamicFolder{}, err
-	}
-	pred, err := Parse(row[3].(string))
-	if err != nil {
-		return DynamicFolder{}, err
-	}
-	return DynamicFolder{
-		ID: util.ID(row[0].(int64)), Name: row[1].(string),
-		Owner: row[2].(string), Pred: pred,
-	}, nil
 }
 
 // Eval returns the folder's current content: every document whose metadata
@@ -194,6 +177,8 @@ func (s *Store) evalCtx() *EvalCtx {
 }
 
 // CreateStatic creates a static folder (parent NilID = root).
+//
+//tendax:allow-testonly paper capability with no wire or CLI caller yet: folders (static folders and their members, stored dynamic folders)
 func (s *Store) CreateStatic(owner, name string, parent util.ID) (StaticFolder, error) {
 	id := s.eng.NewID()
 	err := s.withTxn(func(tx *txn.Txn) error {
@@ -208,6 +193,8 @@ func (s *Store) CreateStatic(owner, name string, parent util.ID) (StaticFolder, 
 
 // Place puts a document into a static folder (a document may be in several
 // folders at once — folders are metadata, not containers).
+//
+//tendax:allow-testonly paper capability with no wire or CLI caller yet: folders (static folders and their members, stored dynamic folders)
 func (s *Store) Place(folder, doc util.ID) error {
 	if _, _, err := s.tStatic.GetByPK(nil, int64(folder)); err != nil {
 		return ErrFolderNotFound
@@ -230,6 +217,8 @@ func (s *Store) Place(folder, doc util.ID) error {
 }
 
 // Remove takes a document out of a static folder.
+//
+//tendax:allow-testonly paper capability with no wire or CLI caller yet: folders (static folders and their members, stored dynamic folders)
 func (s *Store) Remove(folder, doc util.ID) error {
 	rids, err := s.tMembers.LookupEq("folder", int64(folder))
 	if err != nil {
@@ -251,6 +240,8 @@ func (s *Store) Remove(folder, doc util.ID) error {
 }
 
 // Contents lists the documents placed in a static folder.
+//
+//tendax:allow-testonly paper capability with no wire or CLI caller yet: folders (static folders and their members, stored dynamic folders)
 func (s *Store) Contents(folder util.ID) ([]core.DocInfo, error) {
 	rids, err := s.tMembers.LookupEq("folder", int64(folder))
 	if err != nil {
@@ -273,6 +264,8 @@ func (s *Store) Contents(folder util.ID) ([]core.DocInfo, error) {
 }
 
 // FoldersOf lists the static folders containing a document.
+//
+//tendax:allow-testonly paper capability with no wire or CLI caller yet: folders (static folders and their members, stored dynamic folders)
 func (s *Store) FoldersOf(doc util.ID) ([]StaticFolder, error) {
 	rids, err := s.tMembers.LookupEq("doc", int64(doc))
 	if err != nil {

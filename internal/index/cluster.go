@@ -38,6 +38,8 @@ func OpenCluster(engines []*core.Engine, route func(util.ID) int) (*Cluster, err
 }
 
 // Shard returns the per-shard service at position i.
+//
+//tendax:allow-testonly oracle-side: TestClusterEquivalenceUnderStorm compares each shard's answers and the merged graph against a from-scratch rebuild
 func (c *Cluster) Shard(i int) *Service { return c.svcs[i] }
 
 // Query fans out to every shard and merges under the requested ranking.
@@ -114,11 +116,6 @@ func (c *Cluster) Provenance(doc util.ID, pos, n int) ([]lineage.SourceRef, erro
 	return refs, nil
 }
 
-// Chain routes to the shard that minted the character instance.
-func (c *Cluster) Chain(charID util.ID) ([]core.CharMeta, error) {
-	return c.svcs[c.route(charID)].Chain(charID)
-}
-
 // CitationCount sums the distinct citing documents across all shards.
 func (c *Cluster) CitationCount(doc util.ID) int {
 	n := 0
@@ -131,6 +128,8 @@ func (c *Cluster) CitationCount(doc util.ID) int {
 // Graph merges every shard's provenance graph into one copy. Edge keys
 // are (src, dst) with dst owned by exactly one shard, and each shard only
 // holds nodes for its own documents, so the merge is a disjoint union.
+//
+//tendax:allow-testonly oracle-side: TestClusterEquivalenceUnderStorm compares each shard's answers and the merged graph against a from-scratch rebuild
 func (c *Cluster) Graph() *lineage.Graph {
 	g := lineage.NewGraph()
 	for _, svc := range c.svcs {

@@ -177,13 +177,14 @@ func deltaFoldRun(t *testing.T, seed int64) {
 				{Kind: core.EditDelete, Pos: rng.Intn(l - 2), N: 2},
 			})
 			must(err)
-		case op == 9: // heading over a random range, now and then retracted
+		case op == 9: // heading over a random range, now and then retracted by an undo
 			if l := d.Len(); l > 12 {
 				pos := rng.Intn(l - 10)
-				id, err := d.SetHeading(user, pos, 2+rng.Intn(8), 1)
+				_, err := d.ApplyLayout(user, pos, 2+rng.Intn(8), core.SpanHeading, "1")
 				must(err)
 				if rng.Intn(3) == 0 {
-					must(d.RemoveSpan(user, id))
+					_, err := d.UndoLocal(user)
+					must(err)
 				}
 			}
 		case op == 10: // type inside a heading span, if there is one
@@ -221,7 +222,7 @@ func deltaFoldRun(t *testing.T, seed int64) {
 			must(err)
 			_, err = d.Paste(user, rng.Intn(d.Len()+1), clip)
 			must(err)
-			_, err = d.InsertNote(user, rng.Intn(d.Len()), "n")
+			_, err = d.Apply(user, []core.EditOp{{Kind: core.EditNote, Pos: rng.Intn(d.Len()), Text: "n"}})
 			must(err)
 		case op == 14: // fall behind by 5..12 events: the 16-event ring still holds them all
 			release := svc.Stall()
@@ -372,7 +373,7 @@ func foldCostGate(t *testing.T, heading bool, limit float64) {
 			}
 		}
 		if heading {
-			if _, err := d.SetHeading("seed", 1000, 40, 1); err != nil {
+			if _, err := d.ApplyLayout("seed", 1000, 40, core.SpanHeading, "1"); err != nil {
 				t.Fatal(err)
 			}
 		}

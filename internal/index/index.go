@@ -482,11 +482,6 @@ func (s *Service) Provenance(doc util.ID, pos, n int) ([]lineage.SourceRef, erro
 	return lineage.ProvenanceOfRange(s.eng, doc, pos, n)
 }
 
-// Chain returns the transitive pedigree of one character instance.
-func (s *Service) Chain(charID util.ID) ([]core.CharMeta, error) {
-	return lineage.ProvenanceChain(s.eng, charID)
-}
-
 // CitationCount returns how many distinct documents pasted from doc,
 // according to the incrementally maintained graph.
 func (s *Service) CitationCount(doc util.ID) int {

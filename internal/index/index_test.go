@@ -128,7 +128,7 @@ func TestServiceMatchesRebuild(t *testing.T) {
 	if _, err := root.DeleteRange("alice", 4, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := root.SetHeading("alice", 0, 3, 1); err != nil {
+	if _, err := root.ApplyLayout("alice", 0, 3, core.SpanHeading, "1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := root.RecordRead("bob"); err != nil {
@@ -318,10 +318,8 @@ func TestClusterEquivalenceUnderStorm(t *testing.T) {
 	}
 
 	// From-scratch oracle cluster over the same engines.
-	engines := make([]*core.Engine, cl.Shards())
-	for i := range engines {
-		engines[i] = cl.Shard(i).Engine
-	}
+	var engines []*core.Engine
+	cl.Each(func(s *placement.Shard) { engines = append(engines, s.Engine) })
 	fresh, err := index.OpenCluster(engines, cl.ShardFor)
 	if err != nil {
 		t.Fatal(err)

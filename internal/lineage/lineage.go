@@ -144,9 +144,9 @@ func (g *Graph) Sources(doc util.ID) []Edge {
 	return out
 }
 
-// Derived returns the direct edges out of doc (documents that pasted from
+// derived returns the direct edges out of doc (documents that pasted from
 // it), largest first.
-func (g *Graph) Derived(doc util.ID) []Edge {
+func (g *Graph) derived(doc util.ID) []Edge {
 	var out []Edge
 	for _, e := range g.Edges {
 		if e.From == doc {
@@ -274,9 +274,9 @@ func ProvenanceOfRange(eng *core.Engine, doc util.ID, pos, n int) ([]SourceRef, 
 	return out, nil
 }
 
-// ProvenanceChain follows a character's source links transitively: the
+// provenanceChain follows a character's source links transitively: the
 // full pedigree of one character instance, nearest origin first.
-func ProvenanceChain(eng *core.Engine, charID util.ID) ([]core.CharMeta, error) {
+func provenanceChain(eng *core.Engine, charID util.ID) ([]core.CharMeta, error) {
 	var out []core.CharMeta
 	seen := map[util.ID]bool{}
 	cur := charID

@@ -140,7 +140,7 @@ func TestProvenanceChainTransitive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain, err := ProvenanceChain(eng, meta.ID)
+	chain, err := provenanceChain(eng, meta.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestDerivedAndSources(t *testing.T) {
 		d.Paste(user, 0, clip)
 	}
 	g, _ := Build(eng)
-	derived := g.Derived(hub.ID())
+	derived := g.derived(hub.ID())
 	if len(derived) != 3 {
 		t.Fatalf("derived = %v", derived)
 	}

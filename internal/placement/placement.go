@@ -118,8 +118,8 @@ func Wrap(eng *core.Engine) *Cluster {
 // Shards returns the shard count.
 func (c *Cluster) Shards() int { return len(c.shards) }
 
-// Shard returns shard i.
-func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
+// shard returns shard i.
+func (c *Cluster) shard(i int) *Shard { return c.shards[i] }
 
 // ShardFor maps a document ID to its owning shard index.
 func (c *Cluster) ShardFor(doc util.ID) int {
@@ -159,9 +159,9 @@ func (c *Cluster) OpenDocument(id util.ID) (*core.Document, error) {
 	return c.EngineFor(id).OpenDocument(id)
 }
 
-// FindDocument resolves a document by name across all shards (first match
+// findDocument resolves a document by name across all shards (first match
 // in shard order).
-func (c *Cluster) FindDocument(name string) (*core.Document, error) {
+func (c *Cluster) findDocument(name string) (*core.Document, error) {
 	for _, s := range c.shards {
 		d, err := s.Engine.FindDocument(name)
 		if err == nil {
@@ -174,8 +174,8 @@ func (c *Cluster) FindDocument(name string) (*core.Document, error) {
 	return nil, core.ErrDocNotFound
 }
 
-// DocInfoByID routes to the owning shard.
-func (c *Cluster) DocInfoByID(id util.ID) (core.DocInfo, error) {
+// docInfoByID routes to the owning shard.
+func (c *Cluster) docInfoByID(id util.ID) (core.DocInfo, error) {
 	return c.EngineFor(id).DocInfoByID(id)
 }
 
@@ -221,17 +221,6 @@ func (c *Cluster) StopCompactors() error {
 	var errs []error
 	for _, s := range c.shards {
 		if err := s.Engine.StopCompactor(); err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", s.Index, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// Checkpoint takes a fuzzy checkpoint on every shard.
-func (c *Cluster) Checkpoint() error {
-	var errs []error
-	for _, s := range c.shards {
-		if _, err := s.Engine.Checkpoint(); err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", s.Index, err))
 		}
 	}

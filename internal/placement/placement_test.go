@@ -31,7 +31,7 @@ func TestPlacementDeterministic(t *testing.T) {
 		}
 		shard := cl.ShardFor(d.ID())
 		perShard[shard]++
-		if eng := cl.EngineFor(d.ID()); eng != cl.Shard(shard).Engine {
+		if eng := cl.EngineFor(d.ID()); eng != cl.shard(shard).Engine {
 			t.Fatalf("doc %v: EngineFor disagrees with ShardFor", d.ID())
 		}
 		// The owning shard must serve the document; every other shard
@@ -40,7 +40,7 @@ func TestPlacementDeterministic(t *testing.T) {
 			t.Fatalf("doc %v: open via cluster: %v", d.ID(), err)
 		}
 		for s := 0; s < cl.Shards(); s++ {
-			_, err := cl.Shard(s).Engine.OpenDocument(d.ID())
+			_, err := cl.shard(s).Engine.OpenDocument(d.ID())
 			if s == shard && err != nil {
 				t.Fatalf("doc %v: owning shard %d cannot open it: %v", d.ID(), s, err)
 			}
@@ -74,21 +74,21 @@ func TestClusterListAndFind(t *testing.T) {
 		t.Fatalf("listed %d docs, want %d", len(infos), len(names))
 	}
 	for i := 1; i < len(infos); i++ {
-		if !infos[i-1].ID.Less(infos[i].ID) {
+		if infos[i-1].ID >= infos[i].ID {
 			t.Fatalf("listing not ordered by ID: %v before %v", infos[i-1].ID, infos[i].ID)
 		}
 	}
 	for _, n := range names {
-		d, err := cl.FindDocument(n)
+		d, err := cl.findDocument(n)
 		if err != nil {
 			t.Fatalf("find %q: %v", n, err)
 		}
-		info, err := cl.DocInfoByID(d.ID())
+		info, err := cl.docInfoByID(d.ID())
 		if err != nil || info.Name != n {
 			t.Fatalf("find %q resolved to %q (%v)", n, info.Name, err)
 		}
 	}
-	if _, err := cl.FindDocument("nope"); err != core.ErrDocNotFound {
+	if _, err := cl.findDocument("nope"); err != core.ErrDocNotFound {
 		t.Fatalf("missing name: got %v, want ErrDocNotFound", err)
 	}
 }
@@ -134,7 +134,7 @@ func TestPerShardRecovery(t *testing.T) {
 		t.Fatalf("reopened with %d shards", cl2.Shards())
 	}
 	for s := 0; s < 3; s++ {
-		if cl2.Shard(s).DB.Recovery == nil {
+		if cl2.shard(s).DB.Recovery == nil {
 			t.Fatalf("shard %d has no recovery stats", s)
 		}
 	}

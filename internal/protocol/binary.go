@@ -704,8 +704,8 @@ func EncodeBinaryFrame(m *Message) []byte {
 	return f
 }
 
-// DecodeBinaryPayload unpacks the payload of one v3 frame (the bytes after
+// decodeBinaryPayload unpacks the payload of one v3 frame (the bytes after
 // the magic and length prefix). Exposed for tests and fuzzing.
-func DecodeBinaryPayload(payload []byte) (*Message, error) {
+func decodeBinaryPayload(payload []byte) (*Message, error) {
 	return decodeBinaryMessage(payload)
 }

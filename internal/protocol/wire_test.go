@@ -263,7 +263,7 @@ func TestBinaryDecoderRejects(t *testing.T) {
 		{"ID list over the limit", append([]byte{0x80, 0x80, 0x02}, appendUvarint(nil, maxListElems+1)...), "exceeds limit"},
 		{"ID run past its list", []byte{0x80, 0x80, 0x02, 0x02, 0x02, 0x05}, "overflows list"},
 	} {
-		m, err := DecodeBinaryPayload(c.payload)
+		m, err := decodeBinaryPayload(c.payload)
 		if err == nil {
 			t.Errorf("%s: decoded to %s", c.name, canon(t, m))
 		} else if !strings.Contains(err.Error(), c.errPart) {
@@ -356,7 +356,7 @@ func BenchmarkHotFrames(b *testing.B) {
 			b.ReportAllocs()
 			payload := appendBinaryMessage(nil, c.m)
 			for i := 0; i < b.N; i++ {
-				if _, err := DecodeBinaryPayload(payload); err != nil {
+				if _, err := decodeBinaryPayload(payload); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -127,6 +127,8 @@ func New(eng *core.Engine) *Index {
 // It is the reference oracle: index.Service folds the awareness op stream
 // into the same structures in O(ops), and TestDeltaFoldMatchesRebuild and
 // TestServiceMatchesRebuild check the folded state against this rescan.
+//
+//tendax:allow-testonly oracle: TestPostingsMatchTermsView and TestServiceMatchesRebuild compare the folded index against this rescan
 func BuildIndex(eng *core.Engine) (*Index, error) {
 	ix := New(eng)
 	infos, err := eng.ListDocuments()
@@ -460,9 +462,6 @@ func (ix *Index) setLength(doc util.ID, n int) {
 // (maintained edge-by-edge by the incremental indexer).
 func (ix *Index) SetCites(doc util.ID, n int) { ix.cites[doc] = n }
 
-// SetReads overrides the read count used by ByMostRead ranking.
-func (ix *Index) SetReads(doc util.ID, n int) { ix.reads[doc] = n }
-
 // RefreshReads recomputes read counts for every indexed document from the
 // reads table. Reads are recorded without publishing a bus event, so the
 // incremental indexer calls this lazily when a ByMostRead query arrives.
@@ -477,8 +476,8 @@ func (ix *Index) RefreshReads() error {
 	return nil
 }
 
-// DocCount returns the number of indexed documents.
-func (ix *Index) DocCount() int { return len(ix.docs) }
+// docCount returns the number of indexed documents.
+func (ix *Index) docCount() int { return len(ix.docs) }
 
 // Search executes a query.
 func (ix *Index) Search(q Query) ([]Result, error) {

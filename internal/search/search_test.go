@@ -70,7 +70,7 @@ func TestSearchInHeadings(t *testing.T) {
 	eng, _ := fixture(t)
 	a, _, _ := corpus(t, eng)
 	// Mark "Native database" as a heading in a.
-	if _, err := a.SetHeading("alice", 0, 15, 1); err != nil {
+	if _, err := a.ApplyLayout("alice", 0, 15, core.SpanHeading, "1"); err != nil {
 		t.Fatal(err)
 	}
 	ix, _ := BuildIndex(eng)
@@ -106,7 +106,7 @@ func TestHeadingTextSkipsSpanNewerThanSnapshot(t *testing.T) {
 	if _, err := d.InsertText("alice", 17, "NEW "); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.SetHeading("alice", 17, 8, 1); err != nil { // "NEW TAIL"
+	if _, err := d.ApplyLayout("alice", 17, 8, core.SpanHeading, "1"); err != nil { // "NEW TAIL"
 		t.Fatal(err)
 	}
 	spans, err := d.Spans()
@@ -231,7 +231,7 @@ func TestLimitAndSnippet(t *testing.T) {
 	if rs[0].Snippet == "" {
 		t.Fatal("empty snippet")
 	}
-	if ix.DocCount() != 3 {
-		t.Fatalf("DocCount = %d", ix.DocCount())
+	if ix.docCount() != 3 {
+		t.Fatalf("DocCount = %d", ix.docCount())
 	}
 }

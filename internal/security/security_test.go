@@ -62,7 +62,7 @@ func TestRoles(t *testing.T) {
 	if len(roles) != 2 {
 		t.Fatal("duplicate role assigned")
 	}
-	users, err := s.UsersInRole("reviewer")
+	users, err := s.usersInRole("reviewer")
 	if err != nil || len(users) != 1 || users[0] != "bob" {
 		t.Fatalf("UsersInRole = %v, %v", users, err)
 	}
@@ -185,18 +185,18 @@ func TestGranterMustBeAuthorized(t *testing.T) {
 func TestSessions(t *testing.T) {
 	_, s := fixture(t)
 	s.CreateUser("alice", "pw")
-	sess, err := s.NewSession("alice", "pw")
+	sess, err := s.newSession("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sess.User != "alice" || len(sess.Token) != 32 {
 		t.Fatalf("session = %+v", sess)
 	}
-	sess2, _ := s.NewSession("alice", "pw")
+	sess2, _ := s.newSession("alice", "pw")
 	if sess.Token == sess2.Token {
 		t.Fatal("session tokens collide")
 	}
-	if _, err := s.NewSession("alice", "bad"); !errors.Is(err, ErrBadCredentials) {
+	if _, err := s.newSession("alice", "bad"); !errors.Is(err, ErrBadCredentials) {
 		t.Fatalf("bad login minted session: %v", err)
 	}
 }
@@ -209,7 +209,7 @@ func TestSplitPrincipal(t *testing.T) {
 		{"plain", "user", "plain"},
 	}
 	for _, c := range cases {
-		k, n := SplitPrincipal(c.in)
+		k, n := splitPrincipal(c.in)
 		if k != c.kind || n != c.name {
 			t.Fatalf("SplitPrincipal(%q) = %q,%q", c.in, k, n)
 		}

@@ -158,7 +158,7 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ad.Note(2, "note quoting SECRET"); err != nil {
+	if err := note(ad, 2, "note quoting SECRET"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -28,10 +28,10 @@ func rawCall(t *testing.T, addr, user string, req *protocol.Message) *protocol.M
 
 func TestHelloNegotiation(t *testing.T) {
 	addr, _ := harness(t, false)
-	c := login(t, addr, "alice", "")
-	if c.ShardCount() != 1 {
-		t.Fatalf("hello advertised %d shards, want 1", c.ShardCount())
+	if got := helloShards(t, addr); got != 1 {
+		t.Fatalf("hello advertised %d shards, want 1", got)
 	}
+	c := login(t, addr, "alice", "")
 	// A session needs no second hello.
 	id, err := c.CreateDocument("re-hello")
 	if err != nil {
@@ -141,7 +141,7 @@ func TestEditBatchThroughServer(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WaitSeq(base+3, 500); err != nil {
+	if err := waitSeq(d, base+3, 500); err != nil {
 		t.Fatal(err)
 	}
 	const want = " world!"
@@ -175,7 +175,6 @@ func TestSessionPipelinedTyping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetBatchLimit(16)
 	var want strings.Builder
 	for i := 0; i < 300; i++ {
 		ch := string(rune('a' + i%26))
@@ -335,10 +334,10 @@ func TestConvergenceUnderStalePositions(t *testing.T) {
 			t.Fatalf("anchors: %q, want AXXXBYYY", got)
 		}
 		// Both replicas converge byte-for-byte with the server.
-		if err := d1.WaitSeq(srvDoc.Snapshot().Seq(), 500); err != nil {
+		if err := waitSeq(d1, srvDoc.Snapshot().Seq(), 500); err != nil {
 			t.Fatal(err)
 		}
-		if err := d2.WaitSeq(srvDoc.Snapshot().Seq(), 500); err != nil {
+		if err := waitSeq(d2, srvDoc.Snapshot().Seq(), 500); err != nil {
 			t.Fatal(err)
 		}
 		if d1.Text() != "AXXXBYYY" || d2.Text() != "AXXXBYYY" {
@@ -390,7 +389,6 @@ func TestConvergenceConcurrentSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetBatchLimit(4) // small batches behind in-flight ones: more interleavings
 		if err := s.MoveTo(ty.pos); err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +431,7 @@ func TestConvergenceConcurrentSessions(t *testing.T) {
 	// All replicas converge to the server text.
 	seq := srvDoc.Snapshot().Seq()
 	for _, ty := range typists {
-		if err := ty.d.WaitSeq(seq, 500); err != nil {
+		if err := waitSeq(ty.d, seq, 500); err != nil {
 			t.Fatal(err)
 		}
 		if ty.d.Text() != got {

@@ -12,7 +12,6 @@ import (
 	"tendax/internal/client"
 	"tendax/internal/core"
 	"tendax/internal/db"
-	"tendax/internal/editor"
 	"tendax/internal/protocol"
 	"tendax/internal/security"
 	"tendax/internal/util"
@@ -65,6 +64,33 @@ func harnessSrv(t *testing.T, sec bool) (addr string, eng *core.Engine, store *s
 		database.Close()
 	})
 	return a.String(), eng, store, srv
+}
+
+// waitSeq waits until d's Seq reports seq: half the budget of attempts ×
+// 2 ms for the pushes, then a resync and the other half, as a replica
+// whose pushes stalled catches up.
+func waitSeq(d *client.Doc, seq uint64, attempts int) error {
+	budget := time.Duration(attempts) * 2 * time.Millisecond
+	for try := 0; ; try++ {
+		for deadline := time.Now().Add(budget / 2); d.Seq() < seq && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if d.Seq() >= seq {
+			return nil
+		}
+		if try == 1 {
+			return fmt.Errorf("replica stuck at seq %d < %d", d.Seq(), seq)
+		}
+		if err := d.Resync(); err != nil {
+			return err
+		}
+	}
+}
+
+// note attaches a note at pos through an edit batch.
+func note(d *client.Doc, pos int, text string) error {
+	_, err := d.EditBatch([]protocol.EditOp{{Kind: protocol.EditNote, Pos: pos, Text: text}})
+	return err
 }
 
 func login(t *testing.T, addr, user, pw string) *client.Client {
@@ -131,7 +157,7 @@ func TestEditThroughServer(t *testing.T) {
 	if err := d.Delete(0, 6); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WaitSeq(base+2, 500); err != nil {
+	if err := waitSeq(d, base+2, 500); err != nil {
 		t.Fatal(err)
 	}
 	if d.Text() != "over tcp" {
@@ -169,7 +195,7 @@ func TestRealTimePropagationBetweenEditors(t *testing.T) {
 	if err := da.Insert(0, "alice says hi"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db2.WaitSeq(bobBase+1, 500); err != nil {
+	if err := waitSeq(db2, bobBase+1, 500); err != nil {
 		t.Fatal(err)
 	}
 	if db2.Text() != "alice says hi" {
@@ -273,7 +299,7 @@ func TestCopyPasteAcrossConnections(t *testing.T) {
 	if err := dst.Paste(0, clip); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.WaitSeq(base+1, 500); err != nil {
+	if err := waitSeq(dst, base+1, 500); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Text() != "valuable" {
@@ -316,7 +342,7 @@ func TestUndoRedoOverWire(t *testing.T) {
 	if err := d.Undo(protocol.ScopeLocal); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WaitSeq(base+3, 500); err != nil {
+	if err := waitSeq(d, base+3, 500); err != nil {
 		t.Fatal(err)
 	}
 	if d.Text() != "first " {
@@ -325,7 +351,7 @@ func TestUndoRedoOverWire(t *testing.T) {
 	if err := d.Redo(protocol.ScopeLocal); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WaitSeq(base+4, 500); err != nil {
+	if err := waitSeq(d, base+4, 500); err != nil {
 		t.Fatal(err)
 	}
 	if d.Text() != "first second" {
@@ -350,9 +376,9 @@ func TestVersionsOverWire(t *testing.T) {
 	if err != nil || len(vs) != 1 {
 		t.Fatalf("versions = %v, %v", vs, err)
 	}
-	text, err := d.VersionText(vs[0].ID)
-	if err != nil || text != "v1 text" {
-		t.Fatalf("version text = %q, %v", text, err)
+	resp := rawCall(t, addr, "alice", &protocol.Message{Op: protocol.OpVersionText, Doc: docID, Version: vs[0].ID})
+	if resp.Text != "v1 text" {
+		t.Fatalf("version text = %q", resp.Text)
 	}
 }
 
@@ -403,57 +429,54 @@ func TestHistoryOverWire(t *testing.T) {
 	}
 }
 
+// TestEditorHeadless drives the editing a headless editor does through
+// client.Doc alone: type, backspace, copy, bold, move the cursor, paste
+// and undo, each a wire round trip folded into the replica.
 func TestEditorHeadless(t *testing.T) {
 	addr, _ := harness(t, false)
 	alice := login(t, addr, "alice", "")
 	docID, _ := alice.CreateDocument("edited")
 	d, _ := alice.Open(docID)
-	ed := editor.New(d)
 	base := d.Seq()
 
-	if err := ed.Type("Hello world"); err != nil {
+	if err := d.Insert(0, "Hello world"); err != nil {
 		t.Fatal(err)
 	}
-	d.WaitSeq(base+1, 500)
-	if ed.Cursor() != 11 {
-		t.Fatalf("cursor = %d", ed.Cursor())
-	}
-	if err := ed.Backspace(); err != nil {
+	if err := d.Delete(10, 1); err != nil {
 		t.Fatal(err)
 	}
-	d.WaitSeq(base+2, 500)
+	waitSeq(d, base+2, 500)
 	if d.Text() != "Hello worl" {
 		t.Fatalf("text = %q", d.Text())
 	}
-	if err := ed.Select(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	clip, err := ed.Copy()
+	clip, err := d.Copy(0, 5)
 	if err != nil || clip.Text != "Hello" {
 		t.Fatalf("clip = %v, %v", clip, err)
 	}
-	if err := ed.Bold(); err != nil {
+	if err := d.Layout(0, 5, "bold", "true"); err != nil {
 		t.Fatal(err)
 	}
-	ed.MoveTo(d.Len())
-	if err := ed.Paste(clip); err != nil {
+	if err := d.MoveCursor(10); err != nil {
 		t.Fatal(err)
 	}
-	// Events so far: insert, delete, layout(Bold), cursor(MoveTo), paste.
-	d.WaitSeq(base+5, 500)
+	present, err := d.Presence()
+	if err != nil || len(present) != 1 || present[0].User != "alice" || present[0].Cursor != 10 {
+		t.Fatalf("presence = %+v, %v", present, err)
+	}
+	if err := d.Paste(10, clip); err != nil {
+		t.Fatal(err)
+	}
+	// Events so far: insert, delete, layout, cursor, paste.
+	waitSeq(d, base+5, 500)
 	if d.Text() != "Hello worlHello" {
 		t.Fatalf("after paste: %q", d.Text())
 	}
-	view := ed.Render(40)
-	if !strings.Contains(view, "▎") {
-		t.Fatal("render has no cursor")
-	}
-	if err := ed.Undo(); err != nil {
+	if err := d.Undo(protocol.ScopeLocal); err != nil {
 		t.Fatal(err)
 	}
-	d.WaitSeq(base+6, 500)
+	waitSeq(d, base+6, 500)
 	if d.Text() != "Hello worl" {
-		t.Fatalf("after editor undo: %q", d.Text())
+		t.Fatalf("after undo: %q", d.Text())
 	}
 }
 
@@ -469,7 +492,7 @@ func TestReplicaResyncAfterGap(t *testing.T) {
 	srvDoc, _ := eng.OpenDocument(util.ID(docID))
 	base := d.Seq()
 	srvDoc.InsertText("ghost", 0, "server side text")
-	if err := d.WaitSeq(base+1, 500); err != nil {
+	if err := waitSeq(d, base+1, 500); err != nil {
 		t.Fatal(err)
 	}
 	if d.Text() != "server side text" {
@@ -477,7 +500,7 @@ func TestReplicaResyncAfterGap(t *testing.T) {
 	}
 	base = d.Seq()
 	srvDoc.UndoLocal("ghost")
-	if err := d.WaitSeq(base+1, 500); err != nil {
+	if err := waitSeq(d, base+1, 500); err != nil {
 		t.Fatal(err)
 	}
 	if d.Text() != "" {
@@ -559,7 +582,7 @@ func TestEditThrottleTypedError(t *testing.T) {
 		{"append", 1, func(d *client.Doc, _ *protocol.Clip) error { return d.Append("x") }},
 		{"paste", 1, func(d *client.Doc, clip *protocol.Clip) error { return d.Paste(0, clip) }},
 		{"layout", 0, func(d *client.Doc, _ *protocol.Clip) error { return d.Layout(0, 1, "bold", "true") }},
-		{"note", 0, func(d *client.Doc, _ *protocol.Clip) error { return d.Note(0, "nb") }},
+		{"note", 0, func(d *client.Doc, _ *protocol.Clip) error { return note(d, 0, "nb") }},
 	} {
 		t.Run(tc.op, func(t *testing.T) {
 			t.Run("v3-binary", func(t *testing.T) { throttleTyped(t, tc.chars, tc.edit) })
@@ -719,7 +742,7 @@ func TestSubscriberLaggingWithinRingConverges(t *testing.T) {
 		t.Fatalf("the stalled reader is not behind: seq %d of %d", rd.Seq(), wantSeq)
 	}
 	release()
-	if err := rd.WaitSeq(wantSeq, 5000); err != nil {
+	if err := waitSeq(rd, wantSeq, 5000); err != nil {
 		t.Fatalf("replica stuck at seq %d, want %d: %v", rd.Seq(), wantSeq, err)
 	}
 	if got, want := rd.Text(), srvDoc.Text(); got != want {

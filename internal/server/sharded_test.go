@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,10 +57,10 @@ func clusterHarness(t *testing.T, shards int) (addr string, cl *placement.Cluste
 func TestMultiShardConvergence(t *testing.T) {
 	addr, cl, srv := clusterHarness(t, 4)
 
-	admin := login(t, addr, "admin", "")
-	if got := admin.ShardCount(); got != 4 {
+	if got := helloShards(t, addr); got != 4 {
 		t.Fatalf("hello advertised %d shards, want 4", got)
 	}
+	admin := login(t, addr, "admin", "")
 
 	// Round-robin creation must touch every shard.
 	const nDocs = 8
@@ -211,7 +212,7 @@ func TestV1EditsCountedOnMetrics(t *testing.T) {
 		d.Paste(0, clip),
 		d.Delete(0, 2),
 		d.Layout(0, 3, "bold", "true"),
-		d.Note(0, "nb"),
+		note(d, 0, "nb"),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -263,20 +264,22 @@ func TestPresenceSnapshotAfterHeal(t *testing.T) {
 	}
 	doc := util.ID(docID)
 
-	// Prime the replica's roster with a peer it will have to forget.
-	bus.Join(doc, "peer-stale", time.Now())
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, ok := rd.Peers()["peer-stale"]; ok {
-			break
+	// The roster the reader's pushes build: joins, cursors and leaves,
+	// replaced wholesale by a presence snapshot.
+	var rosterMu sync.Mutex
+	roster := make(map[string]int)
+	peers := func() map[string]int {
+		rosterMu.Lock()
+		defer rosterMu.Unlock()
+		out := make(map[string]int, len(roster))
+		for u, pos := range roster {
+			out[u] = pos
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never saw the primed peer; roster %v", rd.Peers())
-		}
-		time.Sleep(2 * time.Millisecond)
+		return out
 	}
-
-	// Stop the reader: the watcher runs on its connection's read loop.
+	// Once stall is set, the watcher stops the reader: it runs on the
+	// connection's read loop.
+	var stall atomic.Bool
 	stalled, resume := make(chan struct{}), make(chan struct{})
 	release := sync.OnceFunc(func() { close(resume) })
 	t.Cleanup(release)
@@ -284,16 +287,45 @@ func TestPresenceSnapshotAfterHeal(t *testing.T) {
 	var lagMu sync.Mutex
 	var lagged []int // N of each "lagged" resync the replica tells
 	rd.Watch(func(ev protocol.Event) {
-		once.Do(func() {
-			close(stalled)
-			<-resume
-		})
+		rosterMu.Lock()
+		switch ev.Kind {
+		case "join", "cursor":
+			roster[ev.User] = ev.Pos
+		case "leave":
+			delete(roster, ev.User)
+		case protocol.EvPresence:
+			roster = make(map[string]int, len(ev.Batch))
+			for _, it := range ev.Batch {
+				roster[it.Text] = it.Pos
+			}
+		}
+		rosterMu.Unlock()
+		if stall.Load() {
+			once.Do(func() {
+				close(stalled)
+				<-resume
+			})
+		}
 		if ev.Kind == "resync" && ev.Name == "lagged" {
 			lagMu.Lock()
 			lagged = append(lagged, ev.N)
 			lagMu.Unlock()
 		}
 	})
+
+	// Prime the roster with a peer it will have to forget.
+	bus.Join(doc, "peer-stale", time.Now())
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if _, ok := peers()["peer-stale"]; ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica never saw the primed peer; roster %v", peers())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	stall.Store(true)
 	sub := serverSub(t, srv, doc)
 	// Feed the pump large cursor events (a long user name; the text does
 	// not grow) one at a time, each taken before the next is published,
@@ -333,7 +365,7 @@ func TestPresenceSnapshotAfterHeal(t *testing.T) {
 	release()
 
 	wantSeq := bus.Seq(doc)
-	if err := rd.WaitSeq(wantSeq, 5000); err != nil {
+	if err := waitSeq(rd, wantSeq, 5000); err != nil {
 		t.Fatalf("replica stuck at seq %d, want %d: %v", rd.Seq(), wantSeq, err)
 	}
 	if got, want := rd.Text(), srvDoc.Text(); got != want {
@@ -358,7 +390,7 @@ func TestPresenceSnapshotAfterHeal(t *testing.T) {
 	}
 	deadline = time.Now().Add(2 * time.Second)
 	for {
-		got := rd.Peers()
+		got := peers()
 		if peersEqual(got, expect) {
 			break
 		}

@@ -33,6 +33,13 @@ func dialRaw(t *testing.T, addr string) *wireConn {
 	return w
 }
 
+// helloShards says hello on a raw connection and returns the engine-shard
+// count the server advertises.
+func helloShards(t *testing.T, addr string) int {
+	t.Helper()
+	return dialRaw(t, addr).call(&protocol.Message{Op: protocol.OpHello, Ver: protocol.VersionMax}).Shards
+}
+
 // wireAt opens a raw connection that has said hello and logged in as user.
 func wireAt(t *testing.T, addr, user, pw string) *wireConn {
 	t.Helper()

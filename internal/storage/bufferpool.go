@@ -128,22 +128,6 @@ func (bp *BufferPool) unpinPage(pg *Page) {
 	bp.mu.Unlock()
 }
 
-// Flush writes page id back to disk if resident and dirty.
-func (bp *BufferPool) Flush(id PageID) error {
-	bp.mu.Lock()
-	idx, ok := bp.table[id]
-	if !ok {
-		bp.mu.Unlock()
-		return nil
-	}
-	pg := bp.frames[idx]
-	pg.pins++
-	bp.mu.Unlock()
-	err := bp.flushPage(pg)
-	bp.unpinPage(pg)
-	return err
-}
-
 // DirtyPage is one dirty-page-table entry: a resident page with logged
 // effects not yet written back, and the LSN of the earliest such effect.
 type DirtyPage struct {

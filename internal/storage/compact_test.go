@@ -14,7 +14,7 @@ func TestUpdateGrowthTriggersCompaction(t *testing.T) {
 	sp := InitSlotted(pg)
 	var slots []int
 	for i := 0; i < 8; i++ {
-		s, err := sp.Insert(bytes.Repeat([]byte{byte(i)}, 200))
+		s, err := sp.insert(bytes.Repeat([]byte{byte(i)}, 200))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestCompactionPreservesAllRecords(t *testing.T) {
 		switch rng.Intn(4) {
 		case 0, 1: // insert
 			rec := []byte(rng.Letters(20 + rng.Intn(100)))
-			if s, err := sp.Insert(rec); err == nil {
+			if s, err := sp.insert(rec); err == nil {
 				model[s] = rec
 			}
 		case 2: // delete
@@ -85,13 +85,13 @@ func TestCompactionPreservesAllRecords(t *testing.T) {
 func TestUpdateRestoresOldRecordWhenStillFull(t *testing.T) {
 	pg := &Page{}
 	sp := InitSlotted(pg)
-	s0, err := sp.Insert(bytes.Repeat([]byte{7}, 100))
+	s0, err := sp.insert(bytes.Repeat([]byte{7}, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Fill the rest of the page.
 	for {
-		if _, err := sp.Insert(bytes.Repeat([]byte{9}, 500)); err != nil {
+		if _, err := sp.insert(bytes.Repeat([]byte{9}, 500)); err != nil {
 			break
 		}
 	}
@@ -117,7 +117,7 @@ func TestCompactExcludingKeepsSlotsAndAllocatesNothing(t *testing.T) {
 	model := map[int][]byte{}
 	for i := 0; ; i++ {
 		rec := bytes.Repeat([]byte{byte(i)}, 20+i%37)
-		s, err := sp.Insert(rec)
+		s, err := sp.insert(rec)
 		if err != nil {
 			break
 		}

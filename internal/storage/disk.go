@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync"
 )
@@ -187,14 +186,8 @@ func (d *MemDisk) NumPages() uint64 {
 	return uint64(len(d.pages))
 }
 
-// Snapshot returns a deep copy of the disk's current pages. Crash-recovery
-// tests and experiments use it to freeze the "on stable storage" image at a
-// simulated crash point: with a truncated write-ahead log, recovery needs
-// the page store, not just the log.
-func (d *MemDisk) Snapshot() *MemDisk { return d.SnapshotHead(math.MaxInt) }
-
-// SnapshotHead is Snapshot of the disk's first n pages: the image of a
-// crash that lost every later one.
+// SnapshotHead copies the disk's first n pages (all of them when n is at
+// least NumPages): the image of a crash that lost every later one.
 func (d *MemDisk) SnapshotHead(n int) *MemDisk {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

@@ -6,7 +6,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -21,9 +20,6 @@ type PageID uint64
 
 // InvalidPageID marks the absence of a page.
 const InvalidPageID PageID = ^PageID(0)
-
-// ErrPageBounds reports an access outside a page's payload.
-var ErrPageBounds = errors.New("storage: access outside page bounds")
 
 // Page is an in-memory image of one on-disk page plus buffer-pool state.
 // All mutation must happen while the page is pinned; the buffer pool never
@@ -47,15 +43,8 @@ type Page struct {
 // ID returns the page's identifier.
 func (p *Page) ID() PageID { return p.id }
 
-// Data returns the page payload. Callers that mutate it must hold the page
-// pinned and call MarkDirty.
-func (p *Page) Data() []byte { return p.data[:] }
-
 // MarkDirty records that the page differs from its on-disk image.
 func (p *Page) MarkDirty() { p.dirty = true }
-
-// Dirty reports whether the page has unflushed modifications.
-func (p *Page) Dirty() bool { return p.dirty }
 
 // Lock acquires the page's writer latch.
 func (p *Page) Lock() { p.mu.Lock() }
@@ -85,10 +74,6 @@ func (p *Page) SetLSN(lsn uint64) {
 	}
 	binary.BigEndian.PutUint64(p.data[:8], lsn)
 }
-
-// RecLSN returns the page's recovery LSN (0 when no logged update is
-// pending write-back). Caller holds the page latch.
-func (p *Page) RecLSN() uint64 { return p.recLSN }
 
 // Owner returns the page's owner tag (bytes 8–16): the ID of the table
 // heap the page belongs to, or 0 for unowned pages. The database layer

@@ -96,8 +96,8 @@ func (sp *SlottedPage) FreeSpace() int {
 // including dead ones.
 func (sp *SlottedPage) NumSlots() int { return sp.numSlots() }
 
-// Insert stores rec in the page and returns its slot number.
-func (sp *SlottedPage) Insert(rec []byte) (int, error) {
+// insert stores rec in the page and returns its slot number.
+func (sp *SlottedPage) insert(rec []byte) (int, error) {
 	if len(rec) >= deadLen {
 		return 0, fmt.Errorf("storage: record of %d bytes exceeds page capacity", len(rec))
 	}
@@ -265,13 +265,4 @@ func (sp *SlottedPage) compactExcluding(skipSlot int, scratch *[PageSize]byte) {
 	}
 	sp.setFreeEnd(end)
 	sp.p.MarkDirty()
-}
-
-// Live reports whether slot holds a live record.
-func (sp *SlottedPage) Live(slot int) bool {
-	if slot < 0 || slot >= sp.numSlots() {
-		return false
-	}
-	_, length := sp.slot(slot)
-	return length != deadLen
 }

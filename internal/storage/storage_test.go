@@ -124,7 +124,7 @@ func TestBufferPoolFetchCachesPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg.Data()[PageHeaderSize] = 7
+	pg.data[:][PageHeaderSize] = 7
 	pg.MarkDirty()
 	if err := bp.Unpin(pg.ID(), true); err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestBufferPoolFetchCachesPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Data()[PageHeaderSize] != 7 {
+	if again.data[:][PageHeaderSize] != 7 {
 		t.Fatal("cached page lost its content")
 	}
 	if err := bp.Unpin(pg.ID(), false); err != nil {
@@ -159,7 +159,7 @@ func TestBufferPoolEvictsAndWritesBack(t *testing.T) {
 		if i == 0 {
 			first = pg.ID()
 		}
-		pg.Data()[PageHeaderSize] = byte(i + 1)
+		pg.data[:][PageHeaderSize] = byte(i + 1)
 		pg.MarkDirty()
 		if err := bp.Unpin(pg.ID(), true); err != nil {
 			t.Fatal(err)
@@ -169,7 +169,7 @@ func TestBufferPoolEvictsAndWritesBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pg.Data()[PageHeaderSize] != 1 {
+	if pg.data[:][PageHeaderSize] != 1 {
 		t.Fatal("evicted dirty page was not written back")
 	}
 	bp.Unpin(first, false)
@@ -208,11 +208,11 @@ func TestBufferPoolUnpinErrors(t *testing.T) {
 func TestSlottedInsertGetDelete(t *testing.T) {
 	pg := &Page{}
 	sp := InitSlotted(pg)
-	s0, err := sp.Insert([]byte("alpha"))
+	s0, err := sp.insert([]byte("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := sp.Insert([]byte("beta"))
+	s1, err := sp.insert([]byte("beta"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestSlottedInsertGetDelete(t *testing.T) {
 func TestSlottedUpdateInPlaceAndGrow(t *testing.T) {
 	pg := &Page{}
 	sp := InitSlotted(pg)
-	s, err := sp.Insert([]byte("small"))
+	s, err := sp.insert([]byte("small"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestSlottedPageFull(t *testing.T) {
 	rec := bytes.Repeat([]byte("x"), 512)
 	inserted := 0
 	for {
-		if _, err := sp.Insert(rec); err != nil {
+		if _, err := sp.insert(rec); err != nil {
 			if err != ErrPageFull {
 				t.Fatalf("unexpected error %v", err)
 			}
@@ -290,7 +290,7 @@ func TestSlottedInsertAtForRedo(t *testing.T) {
 	}
 	// Slots 0-2 must be dead placeholders.
 	for i := 0; i < 3; i++ {
-		if sp.Live(i) {
+		if _, err := sp.Get(i); err == nil {
 			t.Fatalf("slot %d unexpectedly live", i)
 		}
 	}
@@ -309,7 +309,7 @@ func TestSlottedRoundTripProperty(t *testing.T) {
 			if len(r) > 1024 {
 				r = r[:1024]
 			}
-			s, err := sp.Insert(r)
+			s, err := sp.insert(r)
 			if err != nil {
 				break
 			}
@@ -348,7 +348,7 @@ func TestBufferPoolManyPagesStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids[i] = pg.ID()
-		copy(pg.Data()[PageHeaderSize:], fmt.Sprintf("content-%03d", i))
+		copy(pg.data[:][PageHeaderSize:], fmt.Sprintf("content-%03d", i))
 		pg.MarkDirty()
 		bp.Unpin(pg.ID(), true)
 	}
@@ -358,7 +358,7 @@ func TestBufferPoolManyPagesStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := fmt.Sprintf("content-%03d", i)
-		if string(pg.Data()[PageHeaderSize:PageHeaderSize+len(want)]) != want {
+		if string(pg.data[:][PageHeaderSize:PageHeaderSize+len(want)]) != want {
 			t.Fatalf("page %v content lost through eviction", id)
 		}
 		bp.Unpin(id, false)

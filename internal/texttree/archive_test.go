@@ -59,8 +59,8 @@ func runArchiveScript(t *testing.T, seed uint64, steps int, delBias float64) *ar
 			if tomb.IsNil() {
 				continue
 			}
-			ch, _ := s.b.Char(tomb)
-			if err := s.b.Undelete([]util.ID{tomb}, at, nil); err != nil {
+			ch, _ := s.b.char(tomb)
+			if err := s.b.undeleteEach([]util.ID{tomb}, at, nil); err != nil {
 				t.Fatal(err)
 			}
 			pos, ok := s.b.PosOf(tomb)
@@ -80,7 +80,7 @@ func runArchiveScript(t *testing.T, seed uint64, steps int, delBias float64) *ar
 				if !ok {
 					t.Fatalf("step %d: IDAt(%d)", step, p)
 				}
-				ch, _ := s.b.Char(id)
+				ch, _ := s.b.char(id)
 				if ch.Restored.IsZero() {
 					pos = p
 					break
@@ -90,7 +90,7 @@ func runArchiveScript(t *testing.T, seed uint64, steps int, delBias float64) *ar
 				continue
 			}
 			id, _ := s.b.IDAt(pos)
-			if err := s.b.Delete([]util.ID{id}, "u", at, nil); err != nil {
+			if err := s.b.deleteEach([]util.ID{id}, "u", at, nil); err != nil {
 				t.Fatal(err)
 			}
 			ref = append(ref[:pos], ref[pos+1:]...)
@@ -270,7 +270,7 @@ func TestRehydrateRoundTrip(t *testing.T) {
 		t.Fatal("rehydration lost instances")
 	}
 	for _, id := range ids {
-		ch, ok := s.b.Char(id)
+		ch, ok := s.b.char(id)
 		if !ok {
 			t.Fatalf("rehydrated %v not hot", id)
 		}
@@ -282,14 +282,14 @@ func TestRehydrateRoundTrip(t *testing.T) {
 
 	// Undelete one, then re-compact: the undeleted char must stay hot.
 	s.now += 5
-	if err := s.b.Undelete([]util.ID{ids[0]}, time.Unix(s.now, 0), nil); err != nil {
+	if err := s.b.undeleteEach([]util.ID{ids[0]}, time.Unix(s.now, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	compact(s.b, time.Unix(s.now+1, 0))
 	if err := s.b.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.b.Char(ids[0]); !ok {
+	if _, ok := s.b.char(ids[0]); !ok {
 		t.Fatal("undeleted char was re-archived")
 	}
 	s.checkHistory(t, "after re-compact")
@@ -315,13 +315,13 @@ func TestUndeleteTimeTravelInterval(t *testing.T) {
 		ids = append(ids, id)
 	}
 	// Delete 'c' at t=20, undelete at t=30.
-	if err := b.Delete([]util.ID{ids[2]}, "u", time.Unix(20, 0), nil); err != nil {
+	if err := b.deleteEach([]util.ID{ids[2]}, "u", time.Unix(20, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Undelete([]util.ID{ids[2]}, time.Unix(30, 0), nil); err != nil {
+	if err := b.undeleteEach([]util.ID{ids[2]}, time.Unix(30, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := b.Char(ids[2])
+	ch, _ := b.char(ids[2])
 	if ch.DeletedAt.IsZero() || ch.Restored.IsZero() {
 		t.Fatalf("undelete zeroed the deletion interval: %+v", ch)
 	}
@@ -345,7 +345,7 @@ func TestUndeleteTimeTravelInterval(t *testing.T) {
 	// Delete 'b' at t=40 and compact past it: 'b' is archived while the
 	// undeleted 'c' stays hot. The interval must survive on both sides of
 	// the horizon.
-	if err := b.Delete([]util.ID{ids[1]}, "u", time.Unix(40, 0), nil); err != nil {
+	if err := b.deleteEach([]util.ID{ids[1]}, "u", time.Unix(40, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := compact(b, time.Unix(50, 0)); n != 1 {
@@ -409,7 +409,7 @@ func TestOrderRemove(t *testing.T) {
 	// Remove via compaction of single deleted chars at scattered ranks.
 	for _, pos := range []int{7, 3, 0} {
 		id, _ := b.IDAt(pos)
-		if err := b.Delete([]util.ID{id}, "u", time.Unix(50, 0), nil); err != nil {
+		if err := b.deleteEach([]util.ID{id}, "u", time.Unix(50, 0), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

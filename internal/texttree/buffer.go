@@ -49,7 +49,7 @@ var ErrUnknownChar = errors.New("texttree: unknown character")
 // per run of hot instances (run.go) and two trees over the document order.
 // The database rows remain the source of truth; a Buffer can always be
 // rebuilt from them: with LoadRuns from runs as a database stores them
-// (Run, CutRuns), one record per run, or with Load from instances.
+// (Run, cutRuns), one record per run, or with Load from instances.
 //
 // The order treap is the ID index: its nodes are ID extents, and it
 // answers the total rank of an ID. The mirror in the embedded view, a
@@ -331,8 +331,8 @@ func runOrder(recs []run) ([]seg, error) {
 	return nil, fmt.Errorf("texttree: %d chars unreachable from the front", total-seen)
 }
 
-// Char returns the character instance with id.
-func (b *Buffer) Char(id util.ID) (Char, bool) {
+// char returns the character instance with id.
+func (b *Buffer) char(id util.ID) (Char, bool) {
 	r, ok := b.order.totalRank(id)
 	if !ok {
 		return Char{}, false
@@ -514,15 +514,15 @@ func (b *Buffer) UndeleteIDs(ids util.IDs, at time.Time, visit func(k int, s uti
 	return b.flip(ids, visit, false, runMeta{restored: at})
 }
 
-// Delete is DeleteIDs for a slice of IDs, visited one instance at a time:
+// deleteEach is DeleteIDs for a slice of IDs, visited one instance at a time:
 // visit gets the index in ids and the visible position of each.
-func (b *Buffer) Delete(ids []util.ID, by string, at time.Time, visit func(k, pos int)) error {
+func (b *Buffer) deleteEach(ids []util.ID, by string, at time.Time, visit func(k, pos int)) error {
 	return b.DeleteIDs(util.IDsOf(ids), by, at, eachInstance(visit, true))
 }
 
-// Undelete is UndeleteIDs for a slice of IDs, visited one instance at a
+// undeleteEach is UndeleteIDs for a slice of IDs, visited one instance at a
 // time.
-func (b *Buffer) Undelete(ids []util.ID, at time.Time, visit func(k, pos int)) error {
+func (b *Buffer) undeleteEach(ids []util.ID, at time.Time, visit func(k, pos int)) error {
 	return b.UndeleteIDs(util.IDsOf(ids), at, eachInstance(visit, false))
 }
 

@@ -38,7 +38,7 @@ func TestInsertRunMatchesInsertAfter(t *testing.T) {
 			// Tombstone one char so the run crosses real-world state.
 			for _, b := range []*Buffer{ref, got} {
 				id, _ := b.IDAt(3)
-				if err := b.Delete([]util.ID{id}, "u", time.Unix(5, 0), nil); err != nil {
+				if err := b.deleteEach([]util.ID{id}, "u", time.Unix(5, 0), nil); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -113,7 +113,7 @@ func (m *model) check(t testing.TB, b *Buffer, label string) {
 	var vis []util.ID
 	var text []rune
 	for _, c := range m.hot {
-		if ch, ok := b.Char(c.ID); !ok || !sameInstance(ch, c) {
+		if ch, ok := b.char(c.ID); !ok || !sameInstance(ch, c) {
 			t.Fatalf("%s: Char(%v) = %+v, %v; want %+v", label, c.ID, ch, ok, c)
 		}
 		if r, ok := b.RankOf(c.ID); !ok || r != len(vis) {
@@ -345,9 +345,9 @@ func (r *modelRun) flip(idx []int, at time.Time, del bool) {
 	}
 	var err error
 	if del {
-		err = r.b.Delete(ids, "u", at, visit)
+		err = r.b.deleteEach(ids, "u", at, visit)
 	} else {
-		err = r.b.Undelete(ids, at, visit)
+		err = r.b.undeleteEach(ids, at, visit)
 	}
 	if err != nil {
 		r.t.Fatal(err)
@@ -444,7 +444,7 @@ func (m *model) checkReload(t testing.TB, b *Buffer, label string) {
 		if c != all[i] {
 			t.Fatalf("%s: reloaded instance %d is %+v, the buffer walks %+v", label, i, c, all[i])
 		}
-		if ch, _ := b.Char(c.ID); ch != c {
+		if ch, _ := b.char(c.ID); ch != c {
 			t.Fatalf("%s: Char(%v) = %+v, the buffer walks %+v", label, c.ID, ch, c)
 		}
 	}
@@ -472,7 +472,8 @@ func runsOf(all []Char, maxBytes int) []Run {
 	byID := slices.Clone(all)
 	slices.SortFunc(byID, func(a, b Char) int { return cmp.Compare(a.ID, b.ID) })
 	var runs []Run
-	CutRuns(len(byID), func(i int) *Char { return &byID[i] }, 0, maxBytes, func(lo, hi int) {
+	at := func(i int) *Char { return &byID[i] }
+	cutRuns(len(byID), at, chainedAt(at), 0, maxBytes, func(lo, hi int) {
 		f := &byID[lo]
 		r := Run{First: f.ID, Step: 1, After: f.After, Key: f.Key, Author: f.Author, Created: f.Created,
 			Deleted: f.Deleted, DeletedBy: f.DeletedBy, DeletedAt: f.DeletedAt, Restored: f.Restored,
@@ -545,7 +546,7 @@ func runModel(t testing.TB, data []byte, loadEvery, loaded int) *modelRun {
 				if got, ok := r.b.Archive().AnchorOf(c.ID); !ok || got != anchor {
 					t.Fatalf("%s: archived %v anchored at %v, %v; model %v", label, c.ID, got, ok, anchor)
 				}
-				if _, ok := r.b.Char(c.ID); ok {
+				if _, ok := r.b.char(c.ID); ok {
 					t.Fatalf("%s: archived %v is hot", label, c.ID)
 				}
 			}

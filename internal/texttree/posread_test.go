@@ -50,7 +50,7 @@ func TestPositionalReadsMatchHeadWalk(t *testing.T) {
 			// Delete a short run so whole subtrees go invisible.
 			pos := rng.Intn(b.Len())
 			for _, id := range b.RangeIDs(pos, 1+rng.Intn(6)) {
-				if err := b.Delete([]util.ID{id}, "u", time.Unix(now, 0), nil); err != nil {
+				if err := b.deleteEach([]util.ID{id}, "u", time.Unix(now, 0), nil); err != nil {
 					t.Fatal(err)
 				}
 			}

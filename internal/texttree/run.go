@@ -190,18 +190,6 @@ func chainedAt(at func(int) *Char) func(int) bool {
 	}
 }
 
-// CutRuns calls fn with the bounds [lo, hi) of each run the n instances
-// at(0), ..., at(n-1) are cut into as the buffer cuts its records — the
-// longest stretches with one author, Created, deletion state and source
-// document, whose IDs ascend by one step and source IDs by one source
-// step, each instance typed after the one before it and keyed by its own
-// ID — with at most maxBytes of UTF-8 text in each: the rule by which a
-// database stores instances as runs. A run of more than one instance
-// ascends by idStep, unless it is 0.
-func CutRuns(n int, at func(int) *Char, idStep util.ID, maxBytes int, fn func(lo, hi int)) {
-	cutRuns(n, at, chainedAt(at), idStep, maxBytes, fn)
-}
-
 // Run is a record in the form a database stores it: the instances First,
 // First+Step, ..., one per rune of Text; the first typed after After with
 // Key Key, every later one after the one before it with its own ID as Key;

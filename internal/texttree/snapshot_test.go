@@ -28,7 +28,7 @@ func TestSnapshotIsolationFromLaterWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	id, _ := b.IDAt(0)
-	if err := b.Delete([]util.ID{id}, "u2", time.Unix(3, 0), nil); err != nil {
+	if err := b.deleteEach([]util.ID{id}, "u2", time.Unix(3, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if s1.Text() != "hello" || s1.Len() != 5 || s1.TotalLen() != 5 {
@@ -62,7 +62,7 @@ func TestSnapshotIsolationFromLaterWrites(t *testing.T) {
 func TestSnapshotRanksAndRanges(t *testing.T) {
 	b, _ := bufWithText(t, "0123456789")
 	id3, _ := b.IDAt(3)
-	if err := b.Delete([]util.ID{id3}, "u", time.Unix(5, 0), nil); err != nil {
+	if err := b.deleteEach([]util.ID{id3}, "u", time.Unix(5, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	s := b.Snapshot()
@@ -125,7 +125,7 @@ func TestSnapshotTimeTravelAgreement(t *testing.T) {
 		} else {
 			pos := rng.Intn(b.Len())
 			id, _ := b.IDAt(pos)
-			if err := b.Delete([]util.ID{id}, "u", at, nil); err != nil {
+			if err := b.deleteEach([]util.ID{id}, "u", at, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -179,7 +179,7 @@ func TestSnapshotRandomisedMatchesBuffer(t *testing.T) {
 		case r < 8:
 			pos := rng.Intn(b.Len())
 			id, _ := b.IDAt(pos)
-			if err := b.Delete([]util.ID{id}, "u", time.Unix(now, 0), nil); err != nil {
+			if err := b.deleteEach([]util.ID{id}, "u", time.Unix(now, 0), nil); err != nil {
 				t.Fatal(err)
 			}
 			tombstones = append(tombstones, id)
@@ -189,7 +189,7 @@ func TestSnapshotRandomisedMatchesBuffer(t *testing.T) {
 			}
 			id := tombstones[len(tombstones)-1]
 			tombstones = tombstones[:len(tombstones)-1]
-			if err := b.Undelete([]util.ID{id}, time.Unix(now, 0), nil); err != nil {
+			if err := b.undeleteEach([]util.ID{id}, time.Unix(now, 0), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -231,10 +231,10 @@ func TestBufferErrorPathsLeaveStateUnchanged(t *testing.T) {
 	if _, err := b.InsertRun(util.NilID, []Char{{ID: 888, Rune: 'x', Key: id0}, {ID: 889, Rune: 'y'}}); err == nil {
 		t.Fatal("insert keyed behind the anchor's first child succeeded")
 	}
-	if err := b.Delete([]util.ID{util.ID(777)}, "u", time.Unix(9, 0), nil); err == nil {
+	if err := b.deleteEach([]util.ID{util.ID(777)}, "u", time.Unix(9, 0), nil); err == nil {
 		t.Fatal("delete of unknown id succeeded")
 	}
-	if err := b.Undelete([]util.ID{util.ID(777)}, time.Unix(9, 0), nil); err == nil {
+	if err := b.undeleteEach([]util.ID{util.ID(777)}, time.Unix(9, 0), nil); err == nil {
 		t.Fatal("undelete of unknown id succeeded")
 	}
 	if b.Version() != v {
@@ -347,7 +347,7 @@ func leastOf3(measure func() float64) float64 {
 func TestSnapshotLoadBuildsMirror(t *testing.T) {
 	b, gen := bufWithText(t, "persistent mirror")
 	id, _ := b.IDAt(4)
-	b.Delete([]util.ID{id}, "u", time.Unix(5, 0), nil)
+	b.deleteEach([]util.ID{id}, "u", time.Unix(5, 0), nil)
 	prev, _ := b.PredecessorForInsert(0)
 	insertAfter(b, prev, Char{ID: gen.Next(), Rune: '>', Author: "u", Created: time.Unix(6, 0)})
 

@@ -80,7 +80,7 @@ func TestBufferInsertMiddleViaPredecessor(t *testing.T) {
 func TestBufferDeleteUndelete(t *testing.T) {
 	b, _ := bufWithText(t, "abcdef")
 	id, _ := b.IDAt(2) // 'c'
-	if err := b.Delete([]util.ID{id}, "u2", time.Unix(5, 0), nil); err != nil {
+	if err := b.deleteEach([]util.ID{id}, "u2", time.Unix(5, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if b.Text() != "abdef" {
@@ -89,7 +89,7 @@ func TestBufferDeleteUndelete(t *testing.T) {
 	if b.TotalLen() != 6 {
 		t.Fatal("tombstone was physically removed")
 	}
-	if err := b.Undelete([]util.ID{id}, time.Unix(9, 0), nil); err != nil {
+	if err := b.undeleteEach([]util.ID{id}, time.Unix(9, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if b.Text() != "abcdef" {
@@ -103,13 +103,13 @@ func TestBufferDeleteUndelete(t *testing.T) {
 func TestBufferDeleteIsIdempotent(t *testing.T) {
 	b, _ := bufWithText(t, "ab")
 	id, _ := b.IDAt(0)
-	if err := b.Delete([]util.ID{id}, "u1", time.Unix(2, 0), nil); err != nil {
+	if err := b.deleteEach([]util.ID{id}, "u1", time.Unix(2, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Delete([]util.ID{id}, "u2", time.Unix(3, 0), nil); err != nil {
+	if err := b.deleteEach([]util.ID{id}, "u2", time.Unix(3, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := b.Char(id)
+	ch, _ := b.char(id)
 	if ch.DeletedBy != "u1" {
 		t.Fatal("second delete overwrote tombstone metadata")
 	}
@@ -118,7 +118,7 @@ func TestBufferDeleteIsIdempotent(t *testing.T) {
 func TestBufferInsertAfterTombstone(t *testing.T) {
 	b, gen := bufWithText(t, "ab")
 	id0, _ := b.IDAt(0)
-	if err := b.Delete([]util.ID{id0}, "u1", time.Unix(2, 0), nil); err != nil {
+	if err := b.deleteEach([]util.ID{id0}, "u1", time.Unix(2, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Chain insert directly after the tombstone.
@@ -145,7 +145,7 @@ func TestBufferTextAtTimeTravel(t *testing.T) {
 		prev = ids[i]
 	}
 	// t=10: delete 'b'.
-	b.Delete([]util.ID{ids[1]}, "u1", time.Unix(10, 0), nil)
+	b.deleteEach([]util.ID{ids[1]}, "u1", time.Unix(10, 0), nil)
 	// t=12: insert 'X' after 'c'.
 	insertAfter(b, ids[2], Char{ID: gen.Next(), Rune: 'X', Author: "u2", Created: time.Unix(12, 0)})
 
@@ -175,7 +175,7 @@ func TestBufferTextAtTimeTravel(t *testing.T) {
 func TestBufferLoadRoundTrip(t *testing.T) {
 	b, gen := bufWithText(t, "persistent text")
 	id, _ := b.IDAt(3)
-	b.Delete([]util.ID{id}, "u1", time.Unix(9, 0), nil)
+	b.deleteEach([]util.ID{id}, "u1", time.Unix(9, 0), nil)
 	prev, _ := b.PredecessorForInsert(0)
 	insertAfter(b, prev, Char{ID: gen.Next(), Rune: '>', Author: "u2", Created: time.Unix(10, 0)})
 
@@ -274,7 +274,7 @@ func TestBufferRandomisedAgainstReference(t *testing.T) {
 			if !ok {
 				t.Fatalf("step %d: IDAt(%d) failed", step, pos)
 			}
-			if err := b.Delete([]util.ID{id}, "u", time.Unix(now, 0), nil); err != nil {
+			if err := b.deleteEach([]util.ID{id}, "u", time.Unix(now, 0), nil); err != nil {
 				t.Fatal(err)
 			}
 			ref = append(ref[:pos], ref[pos+1:]...)

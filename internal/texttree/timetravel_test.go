@@ -48,7 +48,7 @@ func TestTextAtMatchesEventReplay(t *testing.T) {
 			if !ok {
 				t.Fatalf("step %d: IDAt(%d)", step, pos)
 			}
-			if err := b.Delete([]util.ID{id}, "u", at, nil); err != nil {
+			if err := b.deleteEach([]util.ID{id}, "u", at, nil); err != nil {
 				t.Fatal(err)
 			}
 			ref = append(ref[:pos], ref[pos+1:]...)
@@ -78,7 +78,7 @@ func TestTextAtMatchesEventReplay(t *testing.T) {
 func TestVisibleIDsAreOrderedByPosition(t *testing.T) {
 	b, _ := bufWithText(t, strings.Repeat("abcdefgh", 20))
 	id3, _ := b.IDAt(3)
-	b.Delete([]util.ID{id3}, "u", time.Unix(99, 0), nil)
+	b.deleteEach([]util.ID{id3}, "u", time.Unix(99, 0), nil)
 	ids := b.VisibleIDs()
 	if len(ids) != b.Len() {
 		t.Fatalf("VisibleIDs %d vs Len %d", len(ids), b.Len())

@@ -234,8 +234,8 @@ func (lm *LockManager) ReleaseAll(txn uint64) {
 	}
 }
 
-// Held returns the number of keys txn currently holds (for tests/metrics).
-func (lm *LockManager) Held(txn uint64) int {
+// heldCount returns the number of keys txn currently holds (for tests/metrics).
+func (lm *LockManager) heldCount(txn uint64) int {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	return len(lm.held[txn])

@@ -64,6 +64,8 @@ type Txn struct {
 }
 
 // ID returns the transaction identifier.
+//
+//tendax:allow-testonly oracle-side: TestRollbackRestoresState and TestRepeatedCheckpoints key their models of the log by it
 func (t *Txn) ID() uint64 { return t.id }
 
 // FirstLSN returns the LSN of the transaction's first logged record, the
@@ -71,9 +73,13 @@ func (t *Txn) ID() uint64 { return t.id }
 // logged nothing. A fuzzy checkpoint must never let log truncation pass
 // the smallest nonzero FirstLSN of any active transaction, or a crash-time
 // rollback would find its undo chain cut.
+//
+//tendax:allow-testonly oracle-side: TestTruncationKeepsLoserUndoChain and TestCheckpointRaceKeepsFirstRecords check truncation against it
 func (t *Txn) FirstLSN() wal.LSN { return t.firstLSN }
 
 // State returns the lifecycle state.
+//
+//tendax:allow-testonly oracle-side: TestTxnLifecycle and TestPoisonedLogRollbackReleasesLocks read the state a rollback leaves
 func (t *Txn) State() State { return t.state }
 
 // LastLSN returns the LSN of the transaction's most recent log record; the
@@ -152,6 +158,8 @@ func (t *Txn) WaitDurable() error {
 }
 
 // CommitLSN returns the LSN of the commit record (zero before CommitAsync).
+//
+//tendax:allow-testonly oracle-side: TestRepeatedCheckpoints models each crash cut by the commits below it
 func (t *Txn) CommitLSN() wal.LSN { return t.commitLSN }
 
 // Commit makes the transaction's effects durable and visible, then releases
@@ -271,19 +279,9 @@ func (m *Manager) ActiveSnapshot() []wal.ActiveTxn {
 	return out
 }
 
-// ActiveCount returns the number of in-flight transactions that logged.
-func (m *Manager) ActiveCount() int {
+// activeCount returns the number of in-flight transactions that logged.
+func (m *Manager) activeCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.active)
 }
-
-// Log exposes the write-ahead log for the storage layer.
-func (m *Manager) Log() *wal.Log { return m.log }
-
-// Locks exposes the lock manager.
-func (m *Manager) Locks() *LockManager { return m.locks }
-
-// WaitDurable blocks until the log's durable horizon covers lsn — the
-// durability barrier used by callers that committed with CommitAsync.
-func (m *Manager) WaitDurable(lsn wal.LSN) error { return m.log.WaitFlushed(lsn) }

@@ -72,7 +72,7 @@ func TestReacquireAndUpgrade(t *testing.T) {
 	if err := lm.Acquire(1, k, Shared); err != nil { // weaker re-acquire
 		t.Fatal(err)
 	}
-	if got := lm.Held(1); got != 1 {
+	if got := lm.heldCount(1); got != 1 {
 		t.Fatalf("Held = %d, want 1", got)
 	}
 	lm.ReleaseAll(1)
@@ -98,7 +98,7 @@ func TestWaiterGrantedOnReleaseAll(t *testing.T) {
 	if err := <-granted; err != nil {
 		t.Fatal(err)
 	}
-	if h1, h2 := lm.Held(1), lm.Held(2); h1 != 0 || h2 != 1 {
+	if h1, h2 := lm.heldCount(1), lm.heldCount(2); h1 != 0 || h2 != 1 {
 		t.Fatalf("Held after hand-over: txn 1 %d, txn 2 %d; want 0 and 1", h1, h2)
 	}
 	lm.timeout = 20 * time.Millisecond
@@ -112,7 +112,7 @@ func TestWaiterGrantedOnReleaseAll(t *testing.T) {
 	if err := lm.Acquire(3, k, Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if got := lm.Held(3); got != 1 {
+	if got := lm.heldCount(3); got != 1 {
 		t.Fatalf("Held(3) = %d, want 1", got)
 	}
 	lm.ReleaseAll(3)
@@ -200,7 +200,7 @@ func TestTxnLifecycle(t *testing.T) {
 	if err := tx.Commit(); !errors.Is(err, ErrNotActive) {
 		t.Fatalf("double commit = %v, want ErrNotActive", err)
 	}
-	if m.ActiveCount() != 0 {
+	if m.activeCount() != 0 {
 		t.Fatal("active count nonzero after commit")
 	}
 }

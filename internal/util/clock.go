@@ -44,6 +44,8 @@ type FakeClock struct {
 
 // NewFakeClock returns a FakeClock starting at start, advancing by tick per
 // Now call. A zero tick defaults to one millisecond.
+//
+//tendax:allow-testonly ROADMAP simulation (c): the deterministic clock a simulated run drives
 func NewFakeClock(start time.Time, tick time.Duration) *FakeClock {
 	if tick <= 0 {
 		tick = time.Millisecond
@@ -60,6 +62,8 @@ func (c *FakeClock) Now() time.Time {
 }
 
 // Advance moves the clock forward by d without producing a reading.
+//
+//tendax:allow-testonly ROADMAP simulation (c): the deterministic clock a simulated run drives
 func (c *FakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -67,6 +71,8 @@ func (c *FakeClock) Advance(d time.Duration) {
 }
 
 // Peek returns the current time without advancing the clock.
+//
+//tendax:allow-testonly ROADMAP simulation (c): the deterministic clock a simulated run drives
 func (c *FakeClock) Peek() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()

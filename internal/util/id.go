@@ -18,26 +18,23 @@ type ID uint64
 // NilID is the zero ID; it never identifies a real object.
 const NilID ID = 0
 
-// Less reports whether id was allocated before other.
-func (id ID) Less(other ID) bool { return id < other }
-
 // IsNil reports whether id is the zero identifier.
 func (id ID) IsNil() bool { return id == NilID }
 
 // String renders the ID in a short fixed-width hexadecimal form.
 func (id ID) String() string { return fmt.Sprintf("%012x", uint64(id)) }
 
-// Bytes returns the big-endian encoding of the ID. Big-endian keeps the
+// bytes returns the big-endian encoding of the ID. Big-endian keeps the
 // lexicographic order of encoded keys equal to numeric ID order, which the
 // B-tree indexes depend on.
-func (id ID) Bytes() []byte {
+func (id ID) bytes() []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], uint64(id))
 	return b[:]
 }
 
-// IDFromBytes decodes an ID previously encoded with Bytes.
-func IDFromBytes(b []byte) ID {
+// idFromBytes decodes an ID previously encoded with Bytes.
+func idFromBytes(b []byte) ID {
 	if len(b) < 8 {
 		return NilID
 	}

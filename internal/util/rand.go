@@ -39,8 +39,8 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
+// perm returns a pseudo-random permutation of [0, n).
+func (r *Rand) perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
 		j := r.Intn(i + 1)

@@ -12,7 +12,7 @@ func TestIDGenMonotonic(t *testing.T) {
 	prev := NilID
 	for i := 0; i < 1000; i++ {
 		id := g.Next()
-		if !prev.Less(id) {
+		if prev >= id {
 			t.Fatalf("id %v not greater than %v", id, prev)
 		}
 		prev = id
@@ -68,7 +68,7 @@ func TestIDGenStrideResidue(t *testing.T) {
 		prev := NilID
 		for i := 0; i < 500; i++ {
 			id := g.Next()
-			if !prev.Less(id) {
+			if prev >= id {
 				t.Fatalf("shard %d: id %v not greater than %v", s, id, prev)
 			}
 			if got := int((uint64(id) - 1) % shards); got != s {
@@ -207,11 +207,11 @@ func TestIDGenNextNSeed(t *testing.T) {
 func TestIDBytesRoundTripAndOrder(t *testing.T) {
 	f := func(a, b uint64) bool {
 		ida, idb := ID(a), ID(b)
-		if IDFromBytes(ida.Bytes()) != ida {
+		if idFromBytes(ida.bytes()) != ida {
 			return false
 		}
 		// Byte order == numeric order.
-		ba, bb := ida.Bytes(), idb.Bytes()
+		ba, bb := ida.bytes(), idb.bytes()
 		less := false
 		for i := range ba {
 			if ba[i] != bb[i] {
@@ -230,7 +230,7 @@ func TestIDBytesRoundTripAndOrder(t *testing.T) {
 }
 
 func TestIDFromShortBytes(t *testing.T) {
-	if IDFromBytes([]byte{1, 2}) != NilID {
+	if idFromBytes([]byte{1, 2}) != NilID {
 		t.Fatal("short bytes decoded to non-nil ID")
 	}
 }
@@ -304,7 +304,7 @@ func TestRandFloat64Range(t *testing.T) {
 
 func TestRandPerm(t *testing.T) {
 	r := NewRand(11)
-	p := r.Perm(50)
+	p := r.perm(50)
 	seen := make([]bool, 50)
 	for _, v := range p {
 		if v < 0 || v >= 50 || seen[v] {

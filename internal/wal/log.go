@@ -118,6 +118,8 @@ func (l *Log) StartGroupCommit(maxDelay time.Duration) {
 
 // SyncCount returns the number of store.Sync calls performed so far; the
 // ratio of commits to syncs measures group-commit batching.
+//
+//tendax:allow-testonly oracle-side: TestGroupCommitCoalescesSyncs and TestStressConcurrentAppendDistinctDocs count fsyncs by it
 func (l *Log) SyncCount() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -309,6 +311,8 @@ func (l *Log) Flush() error {
 }
 
 // FlushedLSN returns the LSN of the last durable record.
+//
+//tendax:allow-testonly ROADMAP durable horizon: the flushed LSN it stamps on each event
 func (l *Log) FlushedLSN() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()

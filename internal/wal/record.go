@@ -158,6 +158,8 @@ func sealFrames(b []byte, last int) {
 }
 
 // Size returns the bytes r occupies inside its frame.
+//
+//tendax:allow-testonly oracle-side: TestOneKeyBatchLogBytes and TestRunBatchLogBytes sum the log by record with it
 func (r *Record) Size() int { return len(appendRecord(nil, r)) }
 
 // appendRecord appends r's encoding to b. r.LSN is not written: the

@@ -358,7 +358,7 @@ func TestRecoveryCommittedSurvivesUncommittedRollsBack(t *testing.T) {
 	if err != nil || string(got) != "committed row" {
 		t.Fatalf("committed row lost: %q, %v", got, err)
 	}
-	if sp.Live(int(lSlot)) {
+	if _, err := sp.Get(int(lSlot)); err == nil {
 		t.Fatal("uncommitted row survived recovery")
 	}
 	pool2.Unpin(storage.PageID(page), false)
@@ -397,7 +397,7 @@ func TestRecoveryIdempotent(t *testing.T) {
 	}
 	n := 0
 	for i := 0; i < sp.NumSlots(); i++ {
-		if sp.Live(i) {
+		if _, err := sp.Get(i); err == nil {
 			n++
 		}
 	}
@@ -489,7 +489,7 @@ func TestRecoveryTornCommitMeansLoser(t *testing.T) {
 		t.Fatalf("losers = %d, want 1 (torn commit)", stats.Losers)
 	}
 	pg, _ := pool2.Fetch(storage.PageID(page))
-	if storage.Slotted(pg).Live(int(slot)) {
+	if _, err := storage.Slotted(pg).Get(int(slot)); err == nil {
 		t.Fatal("row with torn commit record survived")
 	}
 	pool2.Unpin(storage.PageID(page), false)

@@ -21,7 +21,6 @@ import (
 const (
 	ProcActive    = "active"
 	ProcCompleted = "completed"
-	ProcCancelled = "cancelled"
 
 	TaskPending  = "pending"
 	TaskActive   = "active" // accepted by an assignee
@@ -269,11 +268,15 @@ func (s *Store) Complete(user string, taskID util.ID, note string) error {
 
 // Reject declines a task with a reason; the process stays active so the
 // coordinator can reroute or skip.
+//
+//tendax:allow-testonly paper capability with no wire or CLI caller yet: workflow transitions
 func (s *Store) Reject(user string, taskID util.ID, reason string) error {
 	return s.finish(user, taskID, TaskRejected, reason)
 }
 
 // Skip cancels a single task (coordinator action).
+//
+//tendax:allow-testonly paper capability with no wire or CLI caller yet: workflow transitions
 func (s *Store) Skip(user string, taskID util.ID) error {
 	t, err := s.TaskByID(taskID)
 	if err != nil {
@@ -339,24 +342,6 @@ func (s *Store) NextFor(user string) ([]Task, error) {
 		return out[i].Order < out[j].Order
 	})
 	return out, err
-}
-
-// Processes returns the processes of a document.
-func (s *Store) Processes(doc util.ID) ([]Process, error) {
-	rids, err := s.tProcs.LookupEq("doc", int64(doc))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Process, 0, len(rids))
-	for _, rid := range rids {
-		row, err := s.tProcs.Get(nil, rid)
-		if err != nil {
-			continue
-		}
-		out = append(out, procFromRow(row))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
 }
 
 // ProcessByID fetches one process.

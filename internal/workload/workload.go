@@ -23,8 +23,8 @@ type Typist struct {
 	BurstLen    int     // characters per insert burst (default 8)
 }
 
-// NewTypist returns a deterministic typist.
-func NewTypist(user string, seed uint64) *Typist {
+// newTypist returns a deterministic typist.
+func newTypist(user string, seed uint64) *Typist {
 	return &Typist{User: user, rng: util.NewRand(seed), DeleteRatio: 0.15, BurstLen: 8}
 }
 
@@ -51,8 +51,8 @@ func (t *Typist) Step(doc *core.Document) (kind string, err error) {
 	return "insert", err
 }
 
-// Run performs steps operations.
-func (t *Typist) Run(doc *core.Document, steps int) error {
+// run performs steps operations.
+func (t *Typist) run(doc *core.Document, steps int) error {
 	for i := 0; i < steps; i++ {
 		if _, err := t.Step(doc); err != nil {
 			return fmt.Errorf("workload: %s step %d: %w", t.User, i, err)
@@ -219,8 +219,8 @@ type LatencyRecorder struct {
 // Record adds one sample.
 func (l *LatencyRecorder) Record(d time.Duration) { l.samples = append(l.samples, d) }
 
-// N returns the number of samples.
-func (l *LatencyRecorder) N() int { return len(l.samples) }
+// count returns the number of samples.
+func (l *LatencyRecorder) count() int { return len(l.samples) }
 
 // Percentile returns the p-th percentile (0 < p <= 100).
 func (l *LatencyRecorder) Percentile(p float64) time.Duration {

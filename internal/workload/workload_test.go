@@ -27,8 +27,8 @@ func TestTypistDeterministic(t *testing.T) {
 	run := func() string {
 		eng := fixture(t)
 		doc, _ := eng.CreateDocument("u", "d")
-		ty := NewTypist("u", 42)
-		if err := ty.Run(doc, 200); err != nil {
+		ty := newTypist("u", 42)
+		if err := ty.run(doc, 200); err != nil {
 			t.Fatal(err)
 		}
 		return doc.Text()
@@ -45,8 +45,8 @@ func TestTypistDeterministic(t *testing.T) {
 func TestTypistKeepsInvariants(t *testing.T) {
 	eng := fixture(t)
 	doc, _ := eng.CreateDocument("u", "d")
-	ty := NewTypist("u", 7)
-	if err := ty.Run(doc, 500); err != nil {
+	ty := newTypist("u", 7)
+	if err := ty.run(doc, 500); err != nil {
 		t.Fatal(err)
 	}
 	if err := doc.CheckInvariants(); err != nil {
@@ -125,8 +125,8 @@ func TestLatencyRecorder(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		r.Record(time.Duration(i) * time.Millisecond)
 	}
-	if r.N() != 100 {
-		t.Fatalf("N = %d", r.N())
+	if r.count() != 100 {
+		t.Fatalf("N = %d", r.count())
 	}
 	if p := r.Percentile(50); p != 50*time.Millisecond {
 		t.Fatalf("p50 = %v", p)
