@@ -14,7 +14,10 @@
 //	go run ./cmd/tendax-vet ./...
 //
 // testonly also reads benchmark/, a module of its own, whenever
-// benchmark/go.mod exists: what keystroke-bench calls counts as used.
+// benchmark/go.mod exists under the module root: what keystroke-bench
+// calls counts as used. It judges what no package uses, so it runs only
+// when the patterns load the whole module, and is skipped (with a note on
+// stderr) on a partial run such as ./internal/core.
 //
 // Findings print as path:line:col: [analyzer] message, and any finding
 // makes the exit status 1 — CI runs this as a gating job. Suppress a
@@ -69,11 +72,32 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	extra, err := framework.LoadExtraRoot(wd)
+	root, err := framework.ModuleRoot(wd)
 	if err != nil {
 		fatal(err)
 	}
-	findings, err := framework.NewRunner(pkgs, extra...).Run(analyzers)
+	// A whole-run rule (an End hook) judges what no package uses, so it
+	// runs only when the patterns load the whole module.
+	run, extra := analyzers, []*framework.Package(nil)
+	whole, err := framework.WholeModule(root, pkgs)
+	if err != nil {
+		fatal(err)
+	}
+	if whole {
+		if extra, err = framework.LoadExtraRoot(root); err != nil {
+			fatal(err)
+		}
+	} else {
+		run = nil
+		for _, a := range analyzers {
+			if a.End == nil {
+				run = append(run, a)
+			} else {
+				fmt.Fprintf(os.Stderr, "tendax-vet: %s skipped: it needs the whole module (./... in %s)\n", a.Name, root)
+			}
+		}
+	}
+	findings, err := framework.NewRunner(pkgs, extra...).Run(run)
 	if err != nil {
 		fatal(err)
 	}

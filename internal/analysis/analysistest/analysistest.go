@@ -43,7 +43,10 @@ func RunWithExtraRoot(t *testing.T, analyzer *framework.Analyzer, extra []string
 		t.Fatal(err)
 	}
 	srcRoot := filepath.Join(wd, "testdata", "src")
-	root := moduleRoot(t, wd)
+	root, err := framework.ModuleRoot(wd)
+	if err != nil {
+		t.Fatal(err)
+	}
 	loaded, err := framework.NewLoader(root).LoadFixture(srcRoot, pkgs...)
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
@@ -139,20 +142,5 @@ func splitPatterns(s string) []string {
 		}
 		out = append(out, s[1:1+end])
 		s = s[end+2:]
-	}
-}
-
-// moduleRoot walks up from dir to the enclosing go.mod.
-func moduleRoot(t *testing.T, dir string) string {
-	t.Helper()
-	for d := dir; ; {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			t.Fatalf("no go.mod above %s", dir)
-		}
-		d = parent
 	}
 }

@@ -121,6 +121,49 @@ func (ld *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
+// ModuleRoot returns the nearest directory at or above dir that holds a
+// go.mod.
+func ModuleRoot(dir string) (string, error) {
+	for d := dir; ; {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return d, nil
+		}
+		parent := filepath.Dir(d)
+		if parent == d {
+			return "", fmt.Errorf("no go.mod at or above %s", dir)
+		}
+		d = parent
+	}
+}
+
+// WholeModule reports whether pkgs are exactly the packages of the module
+// rooted at root (its ./...): only then does a rule about what no package
+// uses see every use.
+func WholeModule(root string, pkgs []*Package) (bool, error) {
+	cmd := exec.Command("go", "list", "./...")
+	cmd.Dir = root
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return false, fmt.Errorf("go list ./...: %v\n%s", err, stderr.String())
+	}
+	paths := strings.Fields(string(out))
+	if len(paths) != len(pkgs) {
+		return false, nil
+	}
+	have := make(map[string]bool, len(pkgs))
+	for _, p := range pkgs {
+		have[p.PkgPath] = true
+	}
+	for _, path := range paths {
+		if !have[path] {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
 // extraRoot is the nested module, relative to the module root, whose
 // uses count as the engine's: keystroke-bench drives the engine from
 // benchmark/, a module of its own (replace tendax => ../).

@@ -51,15 +51,14 @@ type Session struct {
 	// after is the explicit anchor req points at (op's After).
 	after uint64
 
-	mu         sync.Mutex
-	idle       sync.Cond // broadcast on every acknowledgement; Wait rechecks inflight
-	anchor     uint64    // explicit anchor for the next flush (0 = front)
-	useAnchor  bool      // anchor set and not yet consumed
-	batchLimit int       // pending runes that go out even behind an in-flight batch
-	inflight   int       // batches sent and not yet acknowledged, and a handoff
-	handoff    bool      // an acknowledgement left its place in flight to the next batch
-	closed     bool
-	err        error // first failure, sticky
+	mu        sync.Mutex
+	idle      sync.Cond // broadcast on every acknowledgement; Wait rechecks inflight
+	anchor    uint64    // explicit anchor for the next flush (0 = front)
+	useAnchor bool      // anchor set and not yet consumed
+	inflight  int       // batches sent and not yet acknowledged, and a handoff
+	handoff   bool      // an acknowledgement left its place in flight to the next batch
+	closed    bool
+	err       error // first failure, sticky
 
 	// The text typed and not yet sent, npend runes of it. While one Type
 	// call supplied all of it, it is that call's string, sent as it is;
@@ -78,12 +77,15 @@ type Session struct {
 
 var errSessionClosed = errors.New("client: session closed")
 
+// batchLimit is how many pending runes go out as a batch even while
+// another batch is in flight.
+const batchLimit = 128
+
 // Session opens a pipelined editing session on the document. The cursor
 // starts at the end of the document (MoveTo repositions it). The session's
 // flusher goroutine ends at Close or when the connection does.
 func (d *Doc) Session() (*Session, error) {
-	s := &Session{d: d, batchLimit: 128,
-		kick: make(chan struct{}, 1), flushed: make(chan struct{})}
+	s := &Session{d: d, kick: make(chan struct{}, 1), flushed: make(chan struct{})}
 	s.idle.L = &s.mu
 	s.ack = s.onAck
 	s.req.Op, s.req.Doc = protocol.OpEdit, d.id
@@ -165,7 +167,7 @@ func (s *Session) Type(text string) error {
 // ack-clocked rule: nothing is in flight, the last acknowledgement handed
 // its place to them, or they reached the batch limit. Caller holds s.mu.
 func (s *Session) dueLocked() bool {
-	return s.npend > 0 && (s.inflight == 0 || s.handoff || s.npend >= s.batchLimit)
+	return s.npend > 0 && (s.inflight == 0 || s.handoff || s.npend >= batchLimit)
 }
 
 // flush ships the pending runes as one edit batch — when they are due, or

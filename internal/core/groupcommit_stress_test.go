@@ -122,7 +122,6 @@ func TestStressConcurrentAppendDistinctDocs(t *testing.T) {
 		}
 	}
 
-	syncs0 := database.Log().SyncCount()
 	var wg sync.WaitGroup
 	errs := make(chan error, stressWriters)
 	for i := 0; i < stressWriters; i++ {
@@ -154,13 +153,6 @@ func TestStressConcurrentAppendDistinctDocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids[i] = d.ID()
-	}
-	// The realized batch size is reported but not asserted: on a loaded
-	// single-core machine a short run can legitimately serialize with no
-	// commit overlap.
-	ops := uint64(stressWriters * stressOps)
-	if syncs := database.Log().SyncCount() - syncs0; syncs >= ops {
-		t.Logf("note: %d syncs for %d durable commits (no batching this run)", syncs, ops)
 	}
 	if err := database.Close(); err != nil {
 		t.Fatal(err)

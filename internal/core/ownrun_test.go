@@ -168,7 +168,11 @@ func stretches(l util.IDs) string {
 // primary-key order, a column at a time.
 func writeRows(t *testing.T, out *strings.Builder, e *Engine, doc util.ID) {
 	t.Helper()
-	for _, tbl := range []*db.Table{e.tChars, e.tOps} {
+	for _, nt := range []struct {
+		name string
+		tbl  *db.Table
+	}{{"chars", e.tChars}, {"ops", e.tOps}} {
+		name, tbl := nt.name, nt.tbl
 		var lines []string
 		err := tbl.Scan(nil, func(_ db.RID, row db.Row) (bool, error) {
 			if util.ID(row[1].(int64)) != doc {
@@ -187,7 +191,7 @@ func writeRows(t *testing.T, out *strings.Builder, e *Engine, doc util.ID) {
 					cols = append(cols, fmt.Sprint(v))
 				}
 			}
-			lines = append(lines, fmt.Sprintf("%016d %s %s", row[0].(int64), tbl.Name(), strings.Join(cols, " ")))
+			lines = append(lines, fmt.Sprintf("%016d %s %s", row[0].(int64), name, strings.Join(cols, " ")))
 			return true, nil
 		})
 		if err != nil {

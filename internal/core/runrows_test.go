@@ -59,9 +59,10 @@ func TestReopenMintsAboveNewestRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, tbl := range []*db.Table{e.tDocs, e.tChars, e.tSpans, e.tOps, e.tOpChunks, e.tArchive} {
+			for i, tbl := range []*db.Table{e.tDocs, e.tChars, e.tSpans, e.tOps, e.tOpChunks, e.tArchive} {
 				if pk := util.ID(tbl.MaxPK()); pk >= last {
-					t.Fatalf("table %s holds key %v, not below the run's last instance %v", tbl.Name(), pk, last)
+					name := []string{"docs", "chars", "spans", "ops", "opchunks", "archive"}[i]
+					t.Fatalf("table %s holds key %v, not below the run's last instance %v", name, pk, last)
 				}
 			}
 			if err := database.Close(); err != nil {

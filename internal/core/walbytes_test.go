@@ -46,7 +46,7 @@ const maxOneKeyBatchWorstLogBytes = 117
 // fails if the keys log more than maxOneKeyBatchLogBytes each on average,
 // any batch logs more than maxOneKeyBatchWorstLogBytes, or a batch by an
 // author the docs row already lists writes that row. It logs what the
-// bytes are: records, frames and bytes per key, by record type and table.
+// bytes are: records and bytes per key, by record type and table.
 func TestOneKeyBatchLogBytes(t *testing.T) {
 	store, database, d := newOneKeyDoc(t)
 
@@ -70,7 +70,7 @@ func TestOneKeyBatchLogBytes(t *testing.T) {
 		}
 	}
 
-	lines, total := logLines(t, database, store, from, func(r *wal.Record, table string) {
+	lines, total := logLines(t, d.eng, store, from, func(r *wal.Record, table string) {
 		batch, _ := slices.BinarySearch(starts, r.LSN+1)
 		if batch--; table == "docs" && listed[batch] {
 			t.Errorf("batch %d wrote the docs row, but its author was listed already", batch)
@@ -109,23 +109,27 @@ func TestRunBatchLogBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lines, total := logLines(t, database, store, from, nil)
+	lines, total := logLines(t, d.eng, store, from, nil)
 	t.Logf("WAL per key of %d-key batches, %d batches into a 20k-character document:\n%s", keys, batches, lines.per(batches*keys))
 	if perKey := float64(total) / (batches * keys); perKey > maxRunBatchLogBytes {
 		t.Errorf("%d-key batches logged %.2f B per key, over the %.1f B budget", keys, perKey, maxRunBatchLogBytes)
 	}
 }
 
-// logLines sums the frames of store's log from LSN from on: its records
-// by record type, page operation and table, and the frames' own bytes
-// (length, checksum, tag and first LSN) as one more kind. It calls each,
-// if not nil, with every update or compensation record and its table, and
-// returns the sums and the total.
-func logLines(t *testing.T, database *db.Database, store *wal.MemStore, from wal.LSN, each func(r *wal.Record, table string)) (logSums, int) {
+// logLines sums the frames of store's log from LSN from on by record type,
+// page operation and table, a record's bytes running from the end of the
+// one before it: a frame's own bytes (length, checksum, tag and first
+// LSN) count with its first record. It calls each, if not nil, with every
+// update or compensation record and its table, and returns the sums and
+// the total.
+func logLines(t *testing.T, e *Engine, store *wal.MemStore, from wal.LSN, each func(r *wal.Record, table string)) (logSums, int) {
 	t.Helper()
 	tables := map[uint64]string{}
-	for _, name := range database.Tables() {
-		tables[database.Table(name).ID()] = name
+	for name, tbl := range map[string]*db.Table{
+		"docs": e.tDocs, "chars": e.tChars, "spans": e.tSpans, "ops": e.tOps, "opchunks": e.tOpChunks,
+		"versions": e.tVersions, "reads": e.tReads, "props": e.tProps, "archive": e.tArchive,
+	} {
+		tables[tbl.ID()] = name
 	}
 	data, err := store.ReadAll()
 	if err != nil {
@@ -139,16 +143,10 @@ func logLines(t *testing.T, database *db.Database, store *wal.MemStore, from wal
 		sums[kind].records++
 		sums[kind].bytes += bytes
 	}
-	total, frameStart, recBytes := 0, 0, 0
-	err = wal.Walk(data, func(r *wal.Record, end, frameEnd int) bool {
-		recBytes += r.Size()
-		if end == frameEnd {
-			if r.LSN >= from {
-				add("frame", frameEnd-frameStart-recBytes)
-				total += frameEnd - frameStart - recBytes
-			}
-			frameStart, recBytes = frameEnd, 0
-		}
+	total, prev := 0, 0
+	err = wal.Walk(data, func(r *wal.Record, end, _ int) bool {
+		bytes := end - prev
+		prev = end
 		if r.LSN < from {
 			return true
 		}
@@ -159,8 +157,8 @@ func logLines(t *testing.T, database *db.Database, store *wal.MemStore, from wal
 				each(r, tables[r.Owner])
 			}
 		}
-		add(kind, r.Size())
-		total += r.Size()
+		add(kind, bytes)
+		total += bytes
 		return true
 	})
 	if err != nil {
@@ -169,8 +167,7 @@ func logLines(t *testing.T, database *db.Database, store *wal.MemStore, from wal
 	return sums, total
 }
 
-// logSums holds the records (or frames) and bytes of each kind of log
-// record, and of the frames.
+// logSums holds the records and bytes of each kind of log record.
 type logSums map[string]*logSum
 
 type logSum struct{ records, bytes int }
@@ -186,7 +183,7 @@ func (s logSums) per(units int) string {
 	}
 	sort.Slice(kinds, func(i, j int) bool { return s[kinds[i]].bytes > s[kinds[j]].bytes })
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %9s %9s\n", "record or frame per unit", "count", "B/unit")
+	fmt.Fprintf(&b, "%-28s %9s %9s\n", "record per unit", "count", "B/unit")
 	for _, k := range kinds {
 		fmt.Fprintf(&b, "%-28s %9.2f %9.1f\n", k, float64(s[k].records)/float64(units), float64(s[k].bytes)/float64(units))
 	}

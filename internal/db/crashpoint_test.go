@@ -27,15 +27,15 @@ type crashScript struct {
 	live    *storage.MemDisk
 	store   *wal.MemStore
 	tbl     *Table
-	effects map[uint64]func(model) // by transaction ID
-	commits []committed            // in commit order
+	effects map[*txn.Txn]func(model)
+	commits []committed // in commit order
 	mark    int
 	disk    *storage.MemDisk
 }
 
 type committed struct {
 	lsn wal.LSN
-	txn uint64
+	txn *txn.Txn
 }
 
 func fill(c byte, n int) []byte { return bytes.Repeat([]byte{c}, n) }
@@ -56,8 +56,10 @@ func (s *crashScript) begin() *txn.Txn {
 
 func (s *crashScript) commit(tx *txn.Txn) {
 	s.t.Helper()
-	s.must(tx.Commit())
-	s.commits = append(s.commits, committed{tx.CommitLSN(), tx.ID()})
+	lsn, err := tx.CommitAsync()
+	s.must(err)
+	s.must(tx.WaitDurable())
+	s.commits = append(s.commits, committed{lsn, tx})
 }
 
 func (s *crashScript) rid(pk int64) RID {
@@ -68,8 +70,8 @@ func (s *crashScript) rid(pk int64) RID {
 }
 
 func (s *crashScript) also(tx *txn.Txn, fn func(model)) {
-	prev := s.effects[tx.ID()]
-	s.effects[tx.ID()] = func(m model) {
+	prev := s.effects[tx]
+	s.effects[tx] = func(m model) {
 		if prev != nil {
 			prev(m)
 		}
@@ -97,7 +99,7 @@ func (s *crashScript) delete(tx *txn.Txn, pk int64) {
 }
 
 func (s *crashScript) run() {
-	s.effects = map[uint64]func(model){}
+	s.effects = map[*txn.Txn]func(model){}
 	tbl, err := s.d.CreateTable("rows", Schema{{Name: "id", Type: TInt}, {Name: "body", Type: TBytes}})
 	s.must(err)
 	s.tbl = tbl

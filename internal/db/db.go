@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -252,29 +251,6 @@ func (d *Database) discoverHeaps() (map[uint64]*Heap, error) {
 
 // Begin starts a transaction.
 func (d *Database) Begin() (*txn.Txn, error) { return d.tm.Begin() }
-
-// Table returns the named table, or nil.
-//
-//tendax:allow-testonly oracle-side naming: the golden row and log tests (TestRowGolden, FuzzDecodeRow, TestOneKeyBatchLogBytes, TestSplitDeleteCrashPoints) find the engine's tables by it
-func (d *Database) Table(name string) *Table {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.tables[name]
-}
-
-// Tables returns all user table names, sorted.
-//
-//tendax:allow-testonly oracle-side naming: the golden row and log tests (TestRowGolden, FuzzDecodeRow, TestOneKeyBatchLogBytes, TestSplitDeleteCrashPoints) find the engine's tables by it
-func (d *Database) Tables() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	names := make([]string, 0, len(d.tables))
-	for n := range d.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // CreateTable creates (or opens, if it already exists) a table. indexCols
 // name columns to maintain secondary indexes on.

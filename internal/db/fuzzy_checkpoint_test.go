@@ -238,6 +238,7 @@ func TestTruncationKeepsLoserUndoChain(t *testing.T) {
 	if err := tbl.UpdateByPK(loser, 1, mutated); err != nil {
 		t.Fatal(err)
 	}
+	loserFirst := loser.LastLSN() // one row updated, one record logged
 
 	var lastRes *wal.CheckpointResult
 	next := int64(11)
@@ -259,9 +260,9 @@ func TestTruncationKeepsLoserUndoChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if lastRes.TruncLSN > loser.FirstLSN() {
+	if lastRes.TruncLSN > loserFirst {
 		t.Fatalf("truncation point %d passed the active transaction's first record %d",
-			lastRes.TruncLSN, loser.FirstLSN())
+			lastRes.TruncLSN, loserFirst)
 	}
 
 	crashDisk, crashStore := crashImage(t, disk, store, 0)
@@ -444,7 +445,7 @@ func TestCheckpointRaceKeepsFirstRecords(t *testing.T) {
 	// A transaction as its writer saw it: its rows, its first LSN, and
 	// the LSN of its commit or abort record (0 while it is open).
 	type written struct {
-		id          uint64
+		id          int // the transaction's place in begin order
 		rows        []int64
 		first, last wal.LSN
 		committed   bool
@@ -466,8 +467,8 @@ func TestCheckpointRaceKeepsFirstRecords(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		w := &written{id: tx.ID()}
 		mu.Lock()
+		w := &written{id: len(txns)}
 		txns = append(txns, w)
 		mu.Unlock()
 		for i := 0; i < 3; i++ {
@@ -477,7 +478,7 @@ func TestCheckpointRaceKeepsFirstRecords(t *testing.T) {
 			}
 			if i == 0 {
 				mu.Lock()
-				w.first = tx.FirstLSN()
+				w.first = tx.LastLSN() // one row inserted, one record logged
 				mu.Unlock()
 				if hold != nil {
 					<-hold

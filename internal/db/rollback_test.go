@@ -83,15 +83,8 @@ func rollbackDB(t *testing.T) (*Database, *Table, *storage.MemDisk, *wal.MemStor
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
-	probe, err := d.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := probe.Abort(); err != nil {
-		t.Fatal(err)
-	}
 	d.tm = txn.NewManager(d.log, txn.NewLockManager(time.Millisecond))
-	d.tm.SeedIDs(probe.ID())
+	d.tm.SeedIDs(loggedMaxTxnID(t, d))
 	tbl, err := d.CreateTable("rows", rollbackSchema, "tag")
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +127,36 @@ func tableState(tbl *Table) string {
 	tbl.mu.RUnlock()
 	slices.Sort(lines)
 	return strings.Join(lines, "\n") + fmt.Sprintf("\ncount %d", tbl.count())
+}
+
+// loggedTxnID returns tx's ID as its newest log record carries it, or 0
+// while it has logged nothing.
+func loggedTxnID(t *testing.T, d *Database, tx *txn.Txn) uint64 {
+	t.Helper()
+	var id uint64
+	if err := d.Log().Iterate(func(r *wal.Record) error {
+		if r.LSN == tx.LastLSN() {
+			id = r.TxnID
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// loggedMaxTxnID returns the largest transaction ID the log holds: a new
+// manager seeded above it reuses none, as after recovery.
+func loggedMaxTxnID(t *testing.T, d *Database) uint64 {
+	t.Helper()
+	var id uint64
+	if err := d.Log().Iterate(func(r *wal.Record) error {
+		id = max(id, r.TxnID)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return id
 }
 
 // txnRecords renders every record transaction id logged, in log order.
@@ -180,8 +203,9 @@ func TestRollbackRestoresState(t *testing.T) {
 			t.Fatal(err)
 		}
 		var rows []RID
+		id := loggedTxnID(t, d, tx)
 		if err := d.Log().Iterate(func(r *wal.Record) error {
-			if r.TxnID == tx.ID() && r.Type == wal.RecUpdate {
+			if r.TxnID == id && r.Type == wal.RecUpdate {
 				rows = append(rows, RID{storage.PageID(r.Page), int(r.Slot)})
 			}
 			return nil
@@ -226,7 +250,7 @@ func TestRollbackRestoresState(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			logged := txnRecords(t, d, tx.ID())
+			logged := txnRecords(t, d, loggedTxnID(t, d, tx))
 			// cut updates, cut CLRs and the abort.
 			if len(logged) != 2*cut+1 {
 				t.Fatalf("%s: the transaction logged %d records, want %d:\n%s",

@@ -124,35 +124,36 @@ func FuzzDecodeRow(f *testing.F) {
 	}
 	f.Add(byte(0), []byte{0x80, 0x00})
 	f.Fuzz(func(t *testing.T, table byte, rec []byte) {
-		tbl := tables[names[int(table)%len(names)]]
+		name := names[int(table)%len(names)]
+		tbl := tables[name]
 		schema := tbl.Schema()
 		for col := range schema {
 			_, _ = db.Field(schema, rec, col)
 		}
 		row, err := db.DecodeRow(schema, rec)
 		if checked := db.CheckRecord(schema, rec); (err == nil) != (checked == nil) {
-			t.Fatalf("%s: DecodeRow says %v, CheckRecord %v", tbl.Name(), err, checked)
+			t.Fatalf("%s: DecodeRow says %v, CheckRecord %v", name, err, checked)
 		}
 		if err != nil {
 			if !errors.Is(err, db.ErrSchema) {
-				t.Fatalf("%s: DecodeRow error %v is not ErrSchema", tbl.Name(), err)
+				t.Fatalf("%s: DecodeRow error %v is not ErrSchema", name, err)
 			}
 			return
 		}
 		if got, err := db.EncodeRow(schema, row); err != nil || !bytes.Equal(got, rec) {
-			t.Fatalf("%s: %v re-encodes to %x, %v; from %x", tbl.Name(), row, got, err, rec)
+			t.Fatalf("%s: %v re-encodes to %x, %v; from %x", name, row, got, err, rec)
 		}
 		enc := tbl.Encoder(1)
 		if got, err := encodeWith(&enc, schema, row); err != nil || !bytes.Equal(got, rec) {
-			t.Fatalf("%s: the RowEncoder wrote %x, %v; from %x", tbl.Name(), got, err, rec)
+			t.Fatalf("%s: the RowEncoder wrote %x, %v; from %x", name, got, err, rec)
 		}
 		for col, c := range schema {
 			fld, err := db.Field(schema, rec, col)
 			if err != nil {
-				t.Fatalf("%s: column %d of a decoded row: %v", tbl.Name(), col, err)
+				t.Fatalf("%s: column %d of a decoded row: %v", name, col, err)
 			}
 			if want, _ := db.EncodeRow(db.Schema{c}, db.Row{row[col]}); !bytes.Equal(fld, want) {
-				t.Fatalf("%s: column %d is %x, its value %v encodes to %x", tbl.Name(), col, fld, row[col], want)
+				t.Fatalf("%s: column %d is %x, its value %v encodes to %x", name, col, fld, row[col], want)
 			}
 		}
 	})

@@ -75,13 +75,8 @@ func NewTable(id uint64, name string, schema Schema, heap *Heap) (*Table, error)
 
 // ID returns the table's catalog ID.
 //
-//tendax:allow-testonly oracle-side naming: the golden row and log tests (TestRowGolden, FuzzDecodeRow, TestOneKeyBatchLogBytes, TestSplitDeleteCrashPoints) find the engine's tables by it
+//tendax:allow-testonly test observation point: core's log tests (TestOneKeyBatchLogBytes, TestRunBatchLogBytes, TestSplitDeleteCrashPoints) name a record's table by its owner ID, which nothing else reveals
 func (t *Table) ID() uint64 { return t.id }
-
-// Name returns the table name.
-//
-//tendax:allow-testonly oracle-side naming: the golden row and log tests (TestRowGolden, FuzzDecodeRow, TestOneKeyBatchLogBytes, TestSplitDeleteCrashPoints) find the engine's tables by it
-func (t *Table) Name() string { return t.name }
 
 // Schema returns the table schema.
 func (t *Table) Schema() Schema { return t.schema }

@@ -37,11 +37,6 @@ func OpenCluster(engines []*core.Engine, route func(util.ID) int) (*Cluster, err
 	return c, nil
 }
 
-// Shard returns the per-shard service at position i.
-//
-//tendax:allow-testonly oracle-side: TestClusterEquivalenceUnderStorm compares each shard's answers and the merged graph against a from-scratch rebuild
-func (c *Cluster) Shard(i int) *Service { return c.svcs[i] }
-
 // Query fans out to every shard and merges under the requested ranking.
 // Relevance scores are BM25 over shard-local collection statistics (df
 // and average length are per-shard); citation counts are summed across
@@ -123,25 +118,6 @@ func (c *Cluster) CitationCount(doc util.ID) int {
 		n += svc.CitationCount(doc)
 	}
 	return n
-}
-
-// Graph merges every shard's provenance graph into one copy. Edge keys
-// are (src, dst) with dst owned by exactly one shard, and each shard only
-// holds nodes for its own documents, so the merge is a disjoint union.
-//
-//tendax:allow-testonly oracle-side: TestClusterEquivalenceUnderStorm compares each shard's answers and the merged graph against a from-scratch rebuild
-func (c *Cluster) Graph() *lineage.Graph {
-	g := lineage.NewGraph()
-	for _, svc := range c.svcs {
-		part := svc.Graph()
-		for id, n := range part.Nodes {
-			g.Nodes[id] = n
-		}
-		for k, e := range part.Edges {
-			g.Edges[k] = e
-		}
-	}
-	return g
 }
 
 // Sync quiesces every shard's indexer (tests, benchmarks).

@@ -2,6 +2,9 @@ package index
 
 import "tendax/internal/util"
 
+// Shard returns the per-shard service at position i.
+func (c *Cluster) Shard(i int) *Service { return c.svcs[i] }
+
 // Stall blocks every fold and refresh until the returned release is
 // called: events published meanwhile wait in the op ring behind the
 // stalled cursors, and more of them than the ring retains force a ring

@@ -26,6 +26,25 @@ func rawCall(t *testing.T, addr, user string, req *protocol.Message) *protocol.M
 	return wireAt(t, addr, user, "").call(req)
 }
 
+// stallAcks holds d's connection's read loop inside the replica's watcher
+// from the first event it is told until release. While it is held no
+// acknowledgement reaches a session on that connection, so what the
+// session types goes out at the batch limit, behind batches in flight.
+// held is closed once the loop is held.
+func stallAcks(t *testing.T, d *client.Doc) (held <-chan struct{}, release func()) {
+	stalled, resume := make(chan struct{}), make(chan struct{})
+	release = sync.OnceFunc(func() { close(resume) })
+	t.Cleanup(release)
+	var once sync.Once
+	d.Watch(func(protocol.Event) {
+		once.Do(func() {
+			close(stalled)
+			<-resume
+		})
+	})
+	return stalled, release
+}
+
 func TestHelloNegotiation(t *testing.T) {
 	addr, _ := harness(t, false)
 	if got := helloShards(t, addr); got != 1 {
@@ -175,6 +194,9 @@ func TestSessionPipelinedTyping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The first key's push holds the read loop, so the keys after it
+	// queue behind unacknowledged batches.
+	held, release := stallAcks(t, d)
 	var want strings.Builder
 	for i := 0; i < 300; i++ {
 		ch := string(rune('a' + i%26))
@@ -182,7 +204,17 @@ func TestSessionPipelinedTyping(t *testing.T) {
 			t.Fatal(err)
 		}
 		want.WriteString(ch)
+		if i == 0 {
+			<-held
+		}
 	}
+	// At most two batches went out with none in flight: the first key's,
+	// and the second key's if the first acknowledgement was read before
+	// the stall. The other 298 keys went out per 128 behind them.
+	if s.Flushes() < 3 {
+		t.Fatalf("%d flushes before any acknowledgement: want a batch behind one in flight", s.Flushes())
+	}
+	release()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -370,10 +402,14 @@ func TestConvergenceConcurrentSessions(t *testing.T) {
 		s    *client.Session
 		pos  int
 		text string
+		// held and release stall the typist's acknowledgements (stallAcks).
+		held    <-chan struct{}
+		release func()
 	}
+	// Each typist types more than four batch limits' worth of keys.
 	typists := []*typist{
-		{c: login(t, addr, "left", ""), pos: 1, text: "llll-llll-llll"},
-		{c: login(t, addr, "right", ""), pos: 2, text: "rrrr-rrrr-rrrr"},
+		{c: login(t, addr, "left", ""), pos: 1, text: strings.Repeat("llll-", 104)},
+		{c: login(t, addr, "right", ""), pos: 2, text: strings.Repeat("rrrr-", 104)},
 	}
 	// Anchors resolve sequentially against the same initial state "<>";
 	// the typing itself then races. Each session's continuation anchors
@@ -394,17 +430,33 @@ func TestConvergenceConcurrentSessions(t *testing.T) {
 		}
 		ty.s = s
 	}
+	// Once a typist's first key is out, its read loop is held, so the
+	// keys after it go out as batches behind ones in flight: pipelined
+	// batches from both sessions interleave at the server.
+	for _, ty := range typists {
+		ty.held, ty.release = stallAcks(t, ty.d)
+	}
 	var wg sync.WaitGroup
 	for _, ty := range typists {
 		wg.Add(1)
 		go func(ty *typist) {
 			defer wg.Done()
-			for _, r := range ty.text {
+			for i, r := range ty.text {
 				if err := ty.s.Type(string(r)); err != nil {
 					t.Error(err)
 					return
 				}
+				if i == 0 {
+					<-ty.held
+				}
 			}
+			// At most two batches went out with none in flight
+			// (TestSessionPipelinedTyping); 518 keys went out per 128
+			// behind them.
+			if f := ty.s.Flushes(); f < 5 {
+				t.Errorf("%d flushes before any acknowledgement: want three batches behind one in flight", f)
+			}
+			ty.release()
 			if err := ty.s.Close(); err != nil {
 				t.Error(err)
 			}

@@ -337,15 +337,29 @@ func TestRestrictedReplicaConverges(t *testing.T) {
 	stalled, resume := make(chan struct{}), make(chan struct{})
 	release := sync.OnceFunc(func() { close(resume) })
 	t.Cleanup(release)
+	// A full-text resync folds no events into the replica's event log: in
+	// its callback the newest logged event is the one the watcher was told
+	// of before it, where a delta resync would have folded newer ones.
+	newest := func() uint64 {
+		evs := bd.Events()
+		if len(evs) == 0 {
+			return 0
+		}
+		return evs[len(evs)-1].Seq
+	}
 	var once sync.Once
-	var resyncs atomic.Int32
+	var told atomic.Uint64 // the newest logged event as of the last event told
+	var fulls atomic.Int32 // lagged resyncs that folded no event
 	bd.Watch(func(ev protocol.Event) {
 		once.Do(func() {
 			close(stalled)
 			<-resume
 		})
-		if ev.Kind == "resync" {
-			resyncs.Add(1)
+		switch {
+		case ev.Kind != "resync":
+			told.Store(newest())
+		case ev.Name == "lagged" && newest() == told.Load():
+			fulls.Add(1)
 		}
 	})
 	for _, ins := range []struct {
@@ -363,8 +377,8 @@ func TestRestrictedReplicaConverges(t *testing.T) {
 	}
 	release()
 	converged("resync", "aYpublic ███████ publicXc")
-	if !bd.Lagged() || resyncs.Load() == 0 {
-		t.Fatalf("bob's replica took no resync (lagged %v, resyncs %d)", bd.Lagged(), resyncs.Load())
+	if !bd.Lagged() || fulls.Load() == 0 {
+		t.Fatalf("bob's replica took no full resync after it lagged (lagged %v, full resyncs %d)", bd.Lagged(), fulls.Load())
 	}
 	if got := srvDoc.Text(); got != "aYpublic SECbRET publicXc" {
 		t.Fatalf("committed text %q", got)

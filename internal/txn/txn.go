@@ -53,34 +53,18 @@ const inlineUndo = 4
 // Txn is one transaction: a unit of atomicity, durability and isolation.
 // A Txn is not safe for concurrent use by multiple goroutines.
 type Txn struct {
-	id        uint64
-	mgr       *Manager
-	firstLSN  wal.LSN // first logged record: the tail of the undo chain
+	id  uint64
+	mgr *Manager
+	// firstLSN is the first logged record, the tail of the undo chain (0
+	// while it has logged nothing): log truncation must never pass the
+	// smallest nonzero firstLSN of an active transaction (ActiveSnapshot).
+	firstLSN  wal.LSN
 	lastLSN   wal.LSN
 	commitLSN wal.LSN
 	undo      []Undo
 	undoBuf   [inlineUndo]Undo // undo's first entries
 	state     State
 }
-
-// ID returns the transaction identifier.
-//
-//tendax:allow-testonly oracle-side: TestRollbackRestoresState and TestRepeatedCheckpoints key their models of the log by it
-func (t *Txn) ID() uint64 { return t.id }
-
-// FirstLSN returns the LSN of the transaction's first logged record, the
-// one that opened it in the log (its PrevLSN is 0), or 0 while it has
-// logged nothing. A fuzzy checkpoint must never let log truncation pass
-// the smallest nonzero FirstLSN of any active transaction, or a crash-time
-// rollback would find its undo chain cut.
-//
-//tendax:allow-testonly oracle-side: TestTruncationKeepsLoserUndoChain and TestCheckpointRaceKeepsFirstRecords check truncation against it
-func (t *Txn) FirstLSN() wal.LSN { return t.firstLSN }
-
-// State returns the lifecycle state.
-//
-//tendax:allow-testonly oracle-side: TestTxnLifecycle and TestPoisonedLogRollbackReleasesLocks read the state a rollback leaves
-func (t *Txn) State() State { return t.state }
 
 // LastLSN returns the LSN of the transaction's most recent log record; the
 // storage layer uses it to chain undo records.
@@ -156,11 +140,6 @@ func (t *Txn) WaitDurable() error {
 	}
 	return t.mgr.log.WaitFlushed(t.commitLSN)
 }
-
-// CommitLSN returns the LSN of the commit record (zero before CommitAsync).
-//
-//tendax:allow-testonly oracle-side: TestRepeatedCheckpoints models each crash cut by the commits below it
-func (t *Txn) CommitLSN() wal.LSN { return t.commitLSN }
 
 // Commit makes the transaction's effects durable and visible, then releases
 // its locks. It is CommitAsync followed by WaitDurable.

@@ -185,7 +185,7 @@ func TestTxnLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tx.State() != Active {
+	if tx.state != Active {
 		t.Fatal("new txn not active")
 	}
 	if err := tx.Lock(Key{Table: 4, Page: 1}, Exclusive); err != nil {
@@ -194,7 +194,7 @@ func TestTxnLifecycle(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if tx.State() != Committed {
+	if tx.state != Committed {
 		t.Fatal("txn not committed")
 	}
 	if err := tx.Commit(); !errors.Is(err, ErrNotActive) {
@@ -268,8 +268,8 @@ func TestManagerSeedIDs(t *testing.T) {
 	m := newManager(t)
 	m.SeedIDs(100)
 	tx, _ := m.Begin()
-	if tx.ID() <= 100 {
-		t.Fatalf("txn id %d not above seed floor", tx.ID())
+	if tx.id <= 100 {
+		t.Fatalf("txn id %d not above seed floor", tx.id)
 	}
 }
 

@@ -68,6 +68,9 @@ func appendFrame(b []byte, recs ...*Record) []byte {
 	return b
 }
 
+// recordSize returns the bytes r occupies inside its frame.
+func recordSize(r *Record) int { return len(appendRecord(nil, r)) }
+
 // frameOf encodes recs as one frame.
 func frameOf(recs []Record) []byte {
 	ps := make([]*Record, len(recs))
@@ -140,13 +143,13 @@ func TestRecordGolden(t *testing.T) {
 		}
 		start := len(want)
 		for i := range g.recs {
-			start -= g.recs[i].Size()
+			start -= recordSize(&g.recs[i])
 		}
 		for i := range recs {
 			if !sameRecord(&recs[i], &g.recs[i]) {
 				t.Errorf("%s: golden record %d decodes to %+v", g.name, i, recs[i])
 			}
-			if start += g.recs[i].Size(); ends[i] != start {
+			if start += recordSize(&g.recs[i]); ends[i] != start {
 				t.Errorf("%s: record %d ends at byte %d, its Size puts the end at %d", g.name, i, ends[i], start)
 			}
 		}
@@ -213,8 +216,8 @@ func TestFrameCap(t *testing.T) {
 		}
 		i++
 		if end == frameEnd {
-			if n := frameEnd - size; n > maxFrame+r.Size() {
-				t.Errorf("frame %d holds %d bytes, over %d", frames, n, maxFrame+r.Size())
+			if n := frameEnd - size; n > maxFrame+recordSize(r) {
+				t.Errorf("frame %d holds %d bytes, over %d", frames, n, maxFrame+recordSize(r))
 			}
 			frames, size = frames+1, frameEnd
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -13,7 +14,7 @@ import (
 // background flusher and verifies every record they waited on is readable
 // back from the store in LSN order.
 func TestGroupCommitDurability(t *testing.T) {
-	store := NewMemStore()
+	store := &countSyncStore{MemStore: NewMemStore()}
 	log := openLog(t, store)
 	log.StartGroupCommit(time.Millisecond)
 
@@ -67,7 +68,7 @@ func TestGroupCommitDurability(t *testing.T) {
 	if count != writers*per*2 {
 		t.Fatalf("store holds %d records, want %d", count, writers*per*2)
 	}
-	if log.SyncCount() == 0 {
+	if store.syncs.Load() == 0 {
 		t.Fatal("flusher never synced")
 	}
 	if err := log.Close(); err != nil {
@@ -75,10 +76,21 @@ func TestGroupCommitDurability(t *testing.T) {
 	}
 }
 
-// heldSyncStore is a MemStore whose Sync blocks until release is closed,
-// signalling entered each time a Sync begins.
-type heldSyncStore struct {
+// countSyncStore is a MemStore that counts its Syncs.
+type countSyncStore struct {
 	*MemStore
+	syncs atomic.Int64
+}
+
+func (s *countSyncStore) Sync() error {
+	s.syncs.Add(1)
+	return s.MemStore.Sync()
+}
+
+// heldSyncStore is a countSyncStore whose Sync blocks until release is
+// closed, signalling entered each time a Sync begins.
+type heldSyncStore struct {
+	countSyncStore
 	entered chan struct{}
 	release chan struct{}
 }
@@ -89,7 +101,7 @@ func (s *heldSyncStore) Sync() error {
 	default:
 	}
 	<-s.release
-	return s.MemStore.Sync()
+	return s.countSyncStore.Sync()
 }
 
 // TestGroupCommitCoalescesSyncs pins that group commit coalesces: commits
@@ -98,7 +110,8 @@ func (s *heldSyncStore) Sync() error {
 // commits have been appended, so the schedule is fixed: one sync for the
 // first commit, one for the other seven.
 func TestGroupCommitCoalescesSyncs(t *testing.T) {
-	store := &heldSyncStore{MemStore: NewMemStore(), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	store := &heldSyncStore{countSyncStore: countSyncStore{MemStore: NewMemStore()},
+		entered: make(chan struct{}, 1), release: make(chan struct{})}
 	log := openLog(t, store)
 
 	const commits = 8
@@ -128,7 +141,7 @@ func TestGroupCommitCoalescesSyncs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if syncs := log.SyncCount(); syncs != 2 {
+	if syncs := store.syncs.Load(); syncs != 2 {
 		t.Fatalf("%d commits took %d syncs, want 2 (one held, one shared)", commits, syncs)
 	}
 	if err := log.Close(); err != nil {

@@ -59,7 +59,6 @@ type Log struct {
 	durable     *sync.Cond // broadcast after every batch reaches disk
 	flushErr    error      // sticky: a failed batch poisons the log
 	closed      bool
-	syncs       uint64 // store.Sync calls (batching observability)
 
 	// Self-clocking batch sizing: the flusher waits (up to groupDelay) for
 	// as many commits as the previous batch carried before syncing, so a
@@ -114,16 +113,6 @@ func (l *Log) StartGroupCommit(maxDelay time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.groupDelay = max(maxDelay, 0)
-}
-
-// SyncCount returns the number of store.Sync calls performed so far; the
-// ratio of commits to syncs measures group-commit batching.
-//
-//tendax:allow-testonly oracle-side: TestGroupCommitCoalescesSyncs and TestStressConcurrentAppendDistinctDocs count fsyncs by it
-func (l *Log) SyncCount() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncs
 }
 
 // coalesce implements the self-clocked batch window: after a wake-up the
@@ -217,7 +206,6 @@ func (l *Log) flusher() {
 			l.flushErr = fmt.Errorf("%w: %w", ErrLogFailed, err)
 		} else {
 			l.flushed = target
-			l.syncs++
 		}
 		l.durable.Broadcast()
 		if len(l.pending) > 0 || l.closed {

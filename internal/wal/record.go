@@ -157,11 +157,6 @@ func sealFrames(b []byte, last int) {
 	}
 }
 
-// Size returns the bytes r occupies inside its frame.
-//
-//tendax:allow-testonly oracle-side: TestOneKeyBatchLogBytes and TestRunBatchLogBytes sum the log by record with it
-func (r *Record) Size() int { return len(appendRecord(nil, r)) }
-
 // appendRecord appends r's encoding to b. r.LSN is not written: the
 // record's place in its frame implies it.
 func appendRecord(b []byte, r *Record) []byte {
