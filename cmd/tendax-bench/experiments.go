@@ -137,7 +137,7 @@ func runE1(quick bool, _ string) error {
 		if err != nil {
 			return err
 		}
-		if err := observer.Resync(); err != nil {
+		if _, err := observer.Read(); err != nil {
 			return err
 		}
 		baseSeq := observer.Seq()

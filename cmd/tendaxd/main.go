@@ -56,7 +56,7 @@ func main() {
 	compactRetention := flag.Duration("compact-retention", time.Hour,
 		"tombstones deleted more than this long ago are archived out of the hot structures")
 	opRing := flag.Int("op-ring", 0,
-		"per-document op-ring retention: how far a subscriber may fall behind before it resyncs, and the delta-resync window (0 = default 1024 events)")
+		"per-document op-ring retention: how far a subscriber may fall behind before the server pushes it a fresh base (0 = default 1024 events)")
 	rateLimit := flag.Float64("rate-limit", 0,
 		"edit batches per second allowed per connection before a typed throttle (0 = unlimited)")
 	subRateLimit := flag.Float64("sub-rate-limit", 0,

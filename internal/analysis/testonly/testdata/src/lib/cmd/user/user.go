@@ -5,6 +5,7 @@ import "lib/internal/a"
 
 func Main() int {
 	a.UsedElsewhere()
+	a.Entry()
 	var t a.Tree[int]
 	var s a.Shape = a.Sq{N: 2}
 	_ = a.T{}

@@ -54,3 +54,33 @@ func Oracle() {}
 
 //tendax:allow-testonly
 func NoReason() {} // want `tendax:allow-testonly needs a reason`
+
+// Chained is called only by Via, which only tests call: a use from a name
+// no program reaches does not count.
+func Chained() {} // want `func Chained has no non-test use`
+
+func Via() { Chained() } // want `func Via has no non-test use`
+
+// Hidden is called only by an unexported function nobody calls.
+func Hidden() {} // want `func Hidden has no non-test use`
+
+func hidden() { Hidden() }
+
+// Reached is called by an unexported helper that Entry, which package
+// user calls, calls.
+func Reached() {}
+
+func helper() { Reached() }
+
+func Entry() { helper() }
+
+// FromVar is referenced by a package-level initializer, which runs.
+func FromVar() {}
+
+var table = map[string]func(){"x": FromVar}
+
+// ForOracle is called only by an allowed name.
+func ForOracle() {}
+
+//tendax:allow-testonly the oracle the package's tests compare against
+func Oracle2() { ForOracle() }

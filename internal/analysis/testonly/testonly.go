@@ -4,13 +4,19 @@
 // and it holds the engine to a contract no user has.
 //
 // The analyzer reports each exported function, method, type, variable
-// and constant of a package under internal/ that no non-test file
-// references, in the analyzed packages (./... reaches cmd/ and examples/)
-// or in the extra root (benchmark/, a module of its own). A use is keyed
-// by name — a function's generic origin and full name, else its package
-// path and name — because the extra root is a type universe of its own,
-// and because a call through an instantiation (btree.Tree[int].Get) is a
-// use of the generic method. A use inside the declaration it names (a
+// and constant of a package under internal/ that no program reaches. A
+// use counts only if it comes from a declaration a program reaches, so
+// the check runs to a fixed point: a name called only by a function that
+// only tests call is reported as well. The roots are every declaration
+// outside internal/, in the analyzed packages (./... reaches cmd/ and
+// examples/) or in the extra root (benchmark/, a module of its own), and
+// in internal/ the code that runs or is kept without a caller: init
+// functions, package-level variable initializers, methods called through
+// an interface, and names allowed below. A use is keyed by name — a
+// function's generic origin and full name, else its package path and
+// name — because the extra root is a type universe of its own, and
+// because a call through an instantiation (btree.Tree[int].Get) is a use
+// of the generic method. A use inside the declaration it names (a
 // recursive call, a method's own receiver type) does not count. A method
 // that implements a method of an interface the code refers to, or of
 // error or fmt.Stringer, is called through that interface and is not
@@ -18,11 +24,12 @@
 //
 // Keep a name with `//tendax:allow-testonly <reason>`: a paper capability
 // with no caller yet, an oracle a named test compares against, or the
-// ROADMAP item that will call it.
+// ROADMAP item that will call it. What an allowed name uses is reached.
 package testonly
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -40,8 +47,17 @@ var Analyzer = &framework.Analyzer{
 // agree on it.
 type method struct{ name, sig string }
 
+// node is one declaration — a function, or one spec of a general
+// declaration — with the keys it declares and the keys it uses.
+type node struct {
+	pkg  *framework.Package
+	decl ast.Decl
+	fn   *types.Func // nil unless decl is a function
+	defs []string
+	uses []string
+}
+
 func end(pass *framework.EndPass) error {
-	used := make(map[string]bool)
 	// Every interface method a program can call dynamically: those of
 	// the interfaces the code names or spells, error's and Stringer's.
 	ifaces := [][]method{
@@ -62,10 +78,40 @@ func end(pass *framework.EndPass) error {
 		}
 		ifaces = append(ifaces, ms)
 	}
+	var nodes []*node
 	for _, pkgs := range [][]*framework.Package{pass.Pkgs, pass.Extra} {
 		for _, pkg := range pkgs {
-			collectUses(pkg, used, addIface)
+			nodes = collectNodes(pkg, nodes, addIface)
 		}
+	}
+
+	// Reach from the roots: a name is used once a reached node uses it,
+	// and every node declaring a used name is reached in turn.
+	users := make(map[string][]*node)
+	for _, n := range nodes {
+		for _, k := range n.defs {
+			users[k] = append(users[k], n)
+		}
+	}
+	used := make(map[string]bool)
+	var work []*node
+	reach := func(n *node) {
+		for _, k := range n.uses {
+			if !used[k] {
+				used[k] = true
+				work = append(work, users[k]...)
+			}
+		}
+	}
+	for _, n := range nodes {
+		if isRoot(n, ifaces) {
+			reach(n)
+		}
+	}
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		reach(n)
 	}
 
 	for _, pkg := range pass.Pkgs {
@@ -90,40 +136,120 @@ func end(pass *framework.EndPass) error {
 	return nil
 }
 
-// collectUses records the key of every object pkg's files refer to, and
-// hands addIface every interface type they name or spell.
-func collectUses(pkg *framework.Package, used map[string]bool, addIface func(types.Type)) {
+// isRoot reports whether what n uses counts without a caller of n: n is
+// outside internal/, an init function, a package-level variable with an
+// initializer, a method called through an interface, or allowed.
+func isRoot(n *node, ifaces [][]method) bool {
+	if !inInternal(n.pkg.PkgPath) {
+		return true
+	}
+	switch d := n.decl.(type) {
+	case *ast.FuncDecl:
+		if d.Recv == nil && d.Name.Name == "init" {
+			return true
+		}
+		if n.fn != nil && implementsCalled(n.fn, ifaces) {
+			return true
+		}
+		return allowed(d.Doc)
+	case *ast.GenDecl:
+		return d.Tok == token.VAR || allowed(d.Doc)
+	}
+	return false
+}
+
+// allowed reports whether doc carries a testonly allow directive.
+func allowed(doc *ast.CommentGroup) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "tendax:allow-testonly") {
+			return true
+		}
+	}
+	return false
+}
+
+// collectNodes appends a node for every declaration of pkg's files — one
+// per spec of a general declaration — with the keys it declares and uses,
+// and hands addIface every interface type the files name or spell.
+func collectNodes(pkg *framework.Package, nodes []*node, addIface func(types.Type)) []*node {
 	info := pkg.TypesInfo
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, _ := decl.(*ast.FuncDecl)
-			var self types.Object
-			if fd != nil {
-				self = info.Defs[fd.Name]
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FieldList:
-					// A method's receiver names its type, but is no use of it.
-					return fd == nil || n != fd.Recv
-				case *ast.InterfaceType:
-					addIface(info.TypeOf(n))
-				case *ast.Ident:
-					obj := info.Uses[n]
-					if obj == nil || obj == self {
-						return true
-					}
-					if tn, ok := obj.(*types.TypeName); ok {
-						addIface(tn.Type())
-					}
-					if k := key(obj); k != "" {
-						used[k] = true
+			for _, part := range parts(decl) {
+				n := &node{pkg: pkg, decl: decl}
+				var self types.Object
+				for _, id := range partNames(part) {
+					if obj := info.Defs[id]; obj != nil {
+						if k := key(obj); k != "" {
+							n.defs = append(n.defs, k)
+						}
+						self = obj
 					}
 				}
-				return true
-			})
+				if fd == nil {
+					self = nil // a spec may use a name it declares beside
+				} else {
+					n.fn, _ = self.(*types.Func)
+				}
+				ast.Inspect(part, func(x ast.Node) bool {
+					switch x := x.(type) {
+					case *ast.FieldList:
+						// A method's receiver names its type, but is no use of it.
+						return fd == nil || x != fd.Recv
+					case *ast.InterfaceType:
+						addIface(info.TypeOf(x))
+					case *ast.Ident:
+						obj := info.Uses[x]
+						if obj == nil || obj == self {
+							return true
+						}
+						if tn, ok := obj.(*types.TypeName); ok {
+							addIface(tn.Type())
+						}
+						if k := key(obj); k != "" {
+							n.uses = append(n.uses, k)
+						}
+					}
+					return true
+				})
+				nodes = append(nodes, n)
+			}
 		}
 	}
+	return nodes
+}
+
+// parts splits a top-level declaration into the pieces that declare
+// names: a function, or each spec of a general declaration.
+func parts(decl ast.Decl) []ast.Node {
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		return []ast.Node{d}
+	case *ast.GenDecl:
+		out := make([]ast.Node, len(d.Specs))
+		for i, spec := range d.Specs {
+			out[i] = spec
+		}
+		return out
+	}
+	return nil
+}
+
+// partNames returns the identifiers one function or spec declares.
+func partNames(part ast.Node) []*ast.Ident {
+	switch p := part.(type) {
+	case *ast.FuncDecl:
+		return []*ast.Ident{p.Name}
+	case *ast.TypeSpec:
+		return []*ast.Ident{p.Name}
+	case *ast.ValueSpec:
+		return p.Names
+	}
+	return nil
 }
 
 // key names a package-level object or a method so that every type
@@ -204,22 +330,11 @@ func sigString(fn *types.Func) string {
 
 // declaredNames returns the identifiers a top-level declaration declares.
 func declaredNames(decl ast.Decl) []*ast.Ident {
-	switch d := decl.(type) {
-	case *ast.FuncDecl:
-		return []*ast.Ident{d.Name}
-	case *ast.GenDecl:
-		var ids []*ast.Ident
-		for _, spec := range d.Specs {
-			switch s := spec.(type) {
-			case *ast.TypeSpec:
-				ids = append(ids, s.Name)
-			case *ast.ValueSpec:
-				ids = append(ids, s.Names...)
-			}
-		}
-		return ids
+	var ids []*ast.Ident
+	for _, part := range parts(decl) {
+		ids = append(ids, partNames(part)...)
 	}
-	return nil
+	return ids
 }
 
 func describe(obj types.Object) string {

@@ -36,8 +36,8 @@ const (
 	EvCursor   EventKind = "cursor"
 
 	// EvPresence is a synthetic full presence snapshot, pushed by the
-	// server (never published on the bus) after a gap: the snapshot the
-	// client recovers from restores the text, but the join/leave/cursor
+	// server (never published on the bus) after a gap: the base the
+	// server answers the gap with restores the text, but the join/leave/cursor
 	// events inside the gap are gone, so the roster is re-sent whole.
 	// The roster rides in Batch — one item per present user, Text the
 	// user name, Pos the cursor — and replaces the receiver's presence
@@ -49,7 +49,7 @@ const (
 	// has already evicted gets one EvGap whose Seq is the document's
 	// newest sequence number and whose N counts the events skipped, and
 	// then continues from Seq+1. The consumer recovers from a snapshot at
-	// or after Seq.
+	// or after Seq: the server pushes the subscriber a fresh base.
 	EvGap EventKind = "gap"
 )
 
@@ -303,11 +303,8 @@ type Presence struct {
 //
 // Every published event — edits and presence alike — is stored once, in a
 // ring of the most recent events of its document, whose memory follows the
-// events it holds up to the retention bound. The ring is the
-// delivery path (each subscription is a cursor into it) and the
-// delta-resync source: a replica that knows it applied events up to
-// sequence S asks for everything after S and receives O(gap) events
-// instead of the O(doc) full text, as long as the gap still fits the ring.
+// events it holds up to the retention bound. The ring is the delivery
+// path: each subscription is a cursor into it.
 type Bus struct {
 	mu        sync.Mutex
 	docs      map[util.ID]*docLog
@@ -439,30 +436,6 @@ func (r *evRing) realloc(size int) {
 		buf[i] = r.buf[(r.start+r.n-keep+i)%len(r.buf)]
 	}
 	r.buf, r.start, r.n = buf, 0, keep
-}
-
-// EventsSince returns every event of doc with sequence number > since, in
-// order, provided the retention ring still covers the whole gap; ok is
-// false when the gap exceeds retention (the caller must fall back to a
-// full resync). since >= the current sequence returns an empty covered
-// slice. The returned events are copies; the Batch slices are shared with
-// the published events, which are never mutated after publication.
-func (b *Bus) EventsSince(doc util.ID, since uint64) ([]Event, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	d := b.docs[doc]
-	if d == nil || since >= d.seq {
-		return nil, true
-	}
-	if _, ok := d.ring.at(since + 1); !ok {
-		return nil, false // gap predates the ring
-	}
-	out := make([]Event, 0, d.seq-since)
-	for seq := since + 1; seq <= d.seq; seq++ {
-		e, _ := d.ring.at(seq)
-		out = append(out, e)
-	}
-	return out, true
 }
 
 // Subscribe registers for events on doc published from now on. The zero

@@ -328,30 +328,31 @@ func (c *Client) Provenance(docID uint64, pos, n int) ([]protocol.SourceRef, err
 	return resp.Sources, nil
 }
 
-// Doc is a live local replica of one document.
+// Doc is a live local replica of one document, built from the one stream
+// of pushes its subscription gets: a base, the text at a sequence number,
+// then every event after it in sequence order, and a fresh base wherever
+// the server answers a gap with one.
 type Doc struct {
 	c  *Client
 	id uint64
 
 	mu    sync.Mutex
 	runes []rune
-	// seq is the last event folded into runes: the dedup and gap test of
-	// the next one. told trails it: the last event the watcher has also
+	// seq is the last event folded into runes: the dedup and sequence test
+	// of the next one. told trails it: the last event the watcher has also
 	// been told about — what Seq reports, so that "the replica
 	// is at n" implies "the watcher's callback for n has returned". wake
-	// (on mu) is broadcast whenever told advances, when a resync gives up
-	// and when the connection's read loop ends.
+	// (on mu) is broadcast whenever told advances, when err is set and when
+	// the connection's read loop ends.
 	seq, told uint64
 	wake      sync.Cond
-	lagged    bool
-	// resyncing is set while the replica waits for a base (its open read
-	// or a resync); pending keeps the pushes that arrive meanwhile, to be
-	// folded on top of the base once it lands. resyncErr is the error the
-	// last resync gave up on, until a base lands or another resync starts:
-	// while it is set, the replica cannot catch up on its own.
-	resyncing bool
-	pending   []protocol.Event
-	resyncErr error
+	// based is set once the first base has landed, lagged once a later
+	// one has.
+	based, lagged bool
+	// err is why the replica cannot follow its document: a push that
+	// skipped a sequence number (until a base lands), or the end of its
+	// feed (for good).
+	err error
 	// events is the event log Events reads, a ring of the newest
 	// eventRetention events folded; oldest is its oldest slot once full.
 	events  []protocol.Event
@@ -359,46 +360,29 @@ type Doc struct {
 	watcher func(protocol.Event)
 }
 
-// Open subscribes to a document and returns its replica, primed with the
-// current text.
+// Open subscribes to a document and returns its replica once the
+// subscription's first push, its base, has landed.
 func (c *Client) Open(docID uint64) (*Doc, error) {
 	c.mu.Lock()
-	if d, ok := c.docs[docID]; ok {
-		c.mu.Unlock()
-		return d, nil
+	d, open := c.docs[docID]
+	if !open {
+		// Register before subscribing, so the base finds the replica.
+		d = &Doc{c: c, id: docID}
+		d.wake.L = &d.mu
+		c.docs[docID] = d
 	}
 	c.mu.Unlock()
-
-	// Register before subscribing so no push is dropped: pushes arriving
-	// before the open snapshot wait in pending until it lands.
-	d := &Doc{c: c, id: docID, resyncing: true}
-	d.wake.L = &d.mu
-	c.mu.Lock()
-	c.docs[docID] = d
-	c.mu.Unlock()
-
-	_, err := c.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: docID})
-	var resp *protocol.Message
-	if err == nil {
-		resp, err = c.call(&protocol.Message{Op: protocol.OpOpenDoc, Doc: docID})
-	}
-	if err != nil {
-		c.mu.Lock()
-		delete(c.docs, docID)
-		c.mu.Unlock()
-		// A concurrent Open of the same document returned d: its reads
-		// must not wait for a base that is not coming.
-		d.mu.Lock()
-		d.resyncErr = err
-		d.wake.Broadcast()
-		d.mu.Unlock()
-		return nil, err
+	if !open {
+		if _, err := c.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: docID}); err != nil {
+			d.end(err) // a concurrent Open of the same document waits on d
+			return nil, err
+		}
 	}
 	d.mu.Lock()
-	d.landLocked(resp.Text, resp.Seq)
-	d.told = d.seq
-	d.wake.Broadcast()
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	if err := d.waitLocked(func() bool { return d.based }); err != nil {
+		return nil, err
+	}
 	return d, nil
 }
 
@@ -434,8 +418,9 @@ func (d *Doc) Seq() uint64 {
 	return d.told
 }
 
-// Lagged reports whether the server ever dropped this replica's
-// subscription for falling behind (it has since resubscribed and resynced).
+// Lagged reports whether the replica ever fell further behind than the
+// server's op ring reaches, so that a fresh base replaced the events it
+// missed.
 func (d *Doc) Lagged() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -443,14 +428,14 @@ func (d *Doc) Lagged() bool {
 }
 
 // Watch installs a callback invoked on every applied event (UI updates,
-// test synchronisation), and with a synthetic "resync" event after the
-// replica caught up by other means; that event's Name is the cause: "gap"
-// (a push skipped a sequence number), "lagged" (the server said the
-// replica fell behind; N copies the lagged push's count of events the op
-// ring evicted unread) or "explicit" (a caller's Resync). One watcher at a
-// time. The callback runs without the replica's lock (it may call Events,
-// Text, …) and sees the event already folded into Text; Seq reports the
-// event's sequence number only once the callback has returned.
+// test synchronisation) and on every base that lands after the one Open
+// waited for, an event of kind "resync" whose Name is the cause,
+// protocol.LaggedRingMiss, and whose N counts the events the base stands
+// in for. The replica folds no event of those N, so the callback is not
+// told them one by one. One watcher at a time. The callback runs without
+// the replica's lock (it may call Events, Text, …) and sees the event
+// already folded into Text; Seq reports the event's sequence number only
+// once the callback has returned.
 func (d *Doc) Watch(fn func(protocol.Event)) {
 	d.mu.Lock()
 	d.watcher = fn
@@ -458,12 +443,12 @@ func (d *Doc) Watch(fn func(protocol.Event)) {
 }
 
 // eventRetention is how many events a replica's event log keeps: the bus's
-// awareness.DefaultRetention, the most events one delta resync can fold.
+// awareness.DefaultRetention, the most a subscriber may fall behind by
+// before a base replaces what it missed.
 const eventRetention = 1024
 
 // Events returns a copy of the newest events applied, at most 1024, in
-// sequence order. Inside a "resync" watcher callback they include every
-// event the resync folded, up to that bound.
+// sequence order. A base adds none.
 func (d *Doc) Events() []protocol.Event {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -472,176 +457,89 @@ func (d *Doc) Events() []protocol.Event {
 	return append(out, d.events[:d.oldest]...)
 }
 
-// apply folds one pushed event into the replica. Events arrive in per-doc
-// sequence order; only a gap (the bus dropped us) or a lagged notice forces
-// a resync — every text-changing event, undo and redo included, carries
-// the positions to replay. While a base is in flight, pushes wait in
-// pending rather than being dropped.
-//
-// apply runs on the connection's read loop, so it must never issue a
-// request itself — the response could only be delivered by the very loop
-// that would be blocked waiting for it. Resyncs therefore run on their own
-// goroutine.
+// apply folds one push into the replica. A base replaces the text wherever
+// it arrives; any other event must continue the replica's sequence. The
+// server pushes each subscription a contiguous stream and answers its own
+// gaps with a base, so the replica never asks to catch up: a push that
+// skips a sequence number stops it — it folds nothing more, and reads
+// fail, until a base lands. An EvLagged push ends the feed for good. apply
+// runs on the connection's read loop, so it never sends a request.
 func (d *Doc) apply(ev *protocol.Event) {
-	d.mu.Lock()
-	if ev.Kind == protocol.EvLagged {
-		// The server says we fell behind: the replica has holes. Resubscribe,
-		// then fetch the committed state.
-		d.lagged = true
-		d.resyncLocked(protocol.Event{Name: "lagged", N: ev.N})
-		d.mu.Unlock()
+	switch ev.Kind {
+	case protocol.EvLagged:
+		d.end(&RemoteError{Msg: ev.Name})
 		return
-	}
-	if ev.Kind == protocol.EvPresence {
+	case protocol.EvPresence:
 		// Synthetic full-roster snapshot, out of band with the document
 		// event stream: its sequence number is whatever the bus was at
-		// when the server sent it (often ≤ the replica's — the dedup
-		// below would drop it), and it must reach the watcher even
-		// mid-resync, since a resync restores text, never presence. Tell
-		// it and leave d.seq alone.
+		// when the server sent it. Tell it and leave d.seq alone.
+		d.mu.Lock()
 		d.unlockAndTell(*ev, 0)
 		return
 	}
-	if ev.Seq <= d.seq { // duplicate or pre-snapshot event
+	d.mu.Lock()
+	switch {
+	case ev.Kind == protocol.EvResync:
+		d.runes = []rune(ev.Text)
+		d.seq, d.err = ev.Seq, nil
+		d.lagged = d.lagged || d.based
+		d.based = true
+	case ev.Seq <= d.seq: // a duplicate
 		d.mu.Unlock()
 		return
-	}
-	if d.resyncing || ev.Seq != d.seq+1 {
-		d.pending = append(d.pending, *ev)
-		if !d.resyncing {
-			d.resyncLocked(protocol.Event{Name: "gap"})
-		}
-		d.mu.Unlock()
-		return
-	}
-	d.seq = ev.Seq
-	d.foldLocked(ev)
-	d.unlockAndTell(*ev, ev.Seq)
-}
-
-// resyncAttempts is how many times a resync is tried before it is given
-// up.
-const resyncAttempts = 5
-
-// resyncLocked starts a background resync whose watcher event is why
-// (caller holds d.mu). After a lagged notice it resubscribes first. A
-// transient failure is retried after a back-off that grows by 50 ms an
-// attempt — giving up silently would leave the replica frozen; a failed
-// resync surfaces on the next read or edit, as soon as the last attempt
-// fails.
-func (d *Doc) resyncLocked(why protocol.Event) {
-	d.resyncing = true
-	d.resyncErr = nil
-	go func() {
-		var err error
-		for attempt := 1; ; attempt++ {
-			err = nil
-			if why.Name == "lagged" {
-				_, err = d.c.call(&protocol.Message{Op: protocol.OpSubscribe, Doc: d.id})
-			}
-			if err == nil {
-				if err = d.resync(why); err == nil {
-					return
-				}
-			}
-			if attempt == resyncAttempts {
-				break
-			}
-			// Back off; the wait ends early only once the connection is
-			// gone, and then there is nothing left to recover.
-			d.mu.Lock()
-			gone := d.waitLocked(func() bool { return false }, time.Duration(attempt)*50*time.Millisecond)
-			d.mu.Unlock()
-			if gone != nil {
-				err = gone
-				break
-			}
-		}
-		d.mu.Lock()
-		d.resyncing = false
-		d.resyncErr = err
-		d.wake.Broadcast()
-		d.mu.Unlock()
-	}()
-}
-
-// noTimeout is waitLocked's timeout for a wait that only ok, the
-// connection or a resync ends.
-const noTimeout = time.Duration(-1)
-
-// waitLocked waits on d.wake (caller holds d.mu) until ok reports true or
-// the timeout has passed, and returns nil; or until the replica cannot
-// catch up, and returns why: ErrClosed once the connection is gone, or the
-// error its last resync gave up on.
-func (d *Doc) waitLocked(ok func() bool, timeout time.Duration) error {
-	expired := timeout == 0
-	if timeout > 0 {
-		t := time.AfterFunc(timeout, func() {
-			d.mu.Lock()
-			expired = true
+	case !d.based || d.err != nil || ev.Seq != d.seq+1:
+		if d.err == nil {
+			d.err = fmt.Errorf("client: push %d of document %d does not follow %d", ev.Seq, d.id, d.seq)
 			d.wake.Broadcast()
-			d.mu.Unlock()
-		})
-		defer t.Stop()
+		}
+		d.mu.Unlock()
+		return
+	default:
+		d.seq = ev.Seq
+		d.foldLocked(ev)
 	}
-	for !ok() && !expired {
+	d.unlockAndTell(*ev, d.seq)
+}
+
+// end cuts the replica off its document: it leaves the client's replicas,
+// so that a later Open subscribes afresh, and its waiters and reads get
+// err from now on.
+func (d *Doc) end(err error) {
+	c := d.c
+	c.mu.Lock()
+	if c.docs[d.id] == d {
+		delete(c.docs, d.id)
+	}
+	c.mu.Unlock()
+	d.mu.Lock()
+	d.err = err
+	d.wake.Broadcast()
+	d.mu.Unlock()
+}
+
+// waitLocked waits on d.wake (caller holds d.mu) until ok reports true and
+// returns nil, or until the replica cannot follow its document and returns
+// why: ErrClosed once the connection is gone, or d.err.
+func (d *Doc) waitLocked(ok func() bool) error {
+	for !ok() {
 		select {
 		case <-d.c.done:
 			return ErrClosed
 		default:
 		}
-		if d.resyncErr != nil {
-			return d.resyncErr
+		if d.err != nil {
+			return d.err
 		}
 		d.wake.Wait()
 	}
 	return nil
 }
 
-// landLocked adopts a full-text base that is at least as new as the
-// replica, then folds the pending pushes that continue the replica's
-// sequence (caller holds d.mu). The server pairs a full text with the
-// exact event sequence it contains, so the comparison is sound: a push
-// applied while the read was in flight can leave the replica *ahead* of
-// it, and overwriting would drop that edit's text while the sequence
-// number marks it applied.
-func (d *Doc) landLocked(text string, seq uint64) {
-	if seq >= d.seq {
-		d.runes = []rune(text)
-		d.seq = seq
-	}
-	d.foldPendingLocked()
-}
-
-// foldPendingLocked runs once a base has landed (caller holds d.mu): it
-// drops the pending pushes the base already holds and folds the run that
-// continues it. If a gap remains, another resync starts; otherwise the
-// replica is live again.
-func (d *Doc) foldPendingLocked() {
-	pend := d.pending
-	d.pending = nil
-	for i := range pend {
-		switch ev := &pend[i]; {
-		case ev.Seq <= d.seq:
-		case ev.Seq == d.seq+1:
-			d.seq = ev.Seq
-			d.foldLocked(ev)
-		default:
-			d.pending = pend[i:]
-			d.resyncLocked(protocol.Event{Name: "gap"})
-			return
-		}
-	}
-	d.resyncing = false
-	d.resyncErr = nil
-}
-
 // unlockAndTell releases d.mu (which the caller holds), hands ev to the
 // watcher, and only then lets Seq report seq — the sequence number the
 // caller folded up to under the lock — and wakes the replica's waiters.
 // The callback runs without the lock because watchers call back into the
-// replica; Seq never moves backwards, so a resync finishing after a newer
-// push changes nothing.
+// replica; Seq never moves backwards.
 func (d *Doc) unlockAndTell(ev protocol.Event, seq uint64) {
 	w := d.watcher
 	if w != nil {
@@ -700,71 +598,6 @@ func (d *Doc) spliceLocked(pos, del int, ins string) {
 		return
 	}
 	d.runes = slices.Replace(d.runes, pos, pos+del, []rune(ins)...)
-}
-
-// Resync brings the replica back in step with the committed state after a
-// gap. It first attempts a delta resync: the server replays only the
-// events after the replica's sequence number from its bounded op ring —
-// O(gap) on the wire — and falls back to the full text when the gap
-// outlived retention.
-func (d *Doc) Resync() error { return d.resync(protocol.Event{Name: "explicit"}) }
-
-// resync is Resync that tells the watcher why, as a "resync" event whose
-// Name is the cause.
-func (d *Doc) resync(why protocol.Event) error {
-	why.Doc, why.Kind = d.id, "resync"
-	done, err := d.deltaResync(why)
-	if err != nil || done {
-		return err
-	}
-	resp, err := d.c.call(&protocol.Message{Op: protocol.OpText, Doc: d.id})
-	if err != nil {
-		return err
-	}
-	d.adoptFull(resp, why)
-	return nil
-}
-
-// deltaResync asks for the events after the replica's sequence number and
-// folds them in. It reports done=false when the replica must fall back to
-// a full fetch (a torn delta — possible only on a server bug — rather
-// than a covered-but-empty one).
-func (d *Doc) deltaResync(why protocol.Event) (bool, error) {
-	d.mu.Lock()
-	since := d.seq
-	d.mu.Unlock()
-	resp, err := d.c.call(&protocol.Message{Op: protocol.OpResync, Doc: d.id, Since: since})
-	if err != nil {
-		return false, err
-	}
-	if resp.Full {
-		d.adoptFull(resp, why)
-		return true, nil
-	}
-	d.mu.Lock()
-	for i := range resp.Events {
-		ev := &resp.Events[i]
-		if ev.Seq <= d.seq {
-			continue // a concurrent push already applied it
-		}
-		if ev.Seq != d.seq+1 {
-			d.mu.Unlock()
-			return false, nil // torn delta: take the full path
-		}
-		d.seq = ev.Seq
-		d.foldLocked(ev)
-	}
-	d.foldPendingLocked()
-	d.unlockAndTell(why, d.seq)
-	return true, nil
-}
-
-// adoptFull folds a full-text read (OpText response or a Full resync
-// response) into the replica and tells the watcher why.
-func (d *Doc) adoptFull(resp *protocol.Message, why protocol.Event) {
-	d.mu.Lock()
-	d.landLocked(resp.Text, resp.Seq)
-	d.unlockAndTell(why, d.seq)
 }
 
 // EditBatch applies an edit batch — ops anchored by character identity,
@@ -872,8 +705,9 @@ func (d *Doc) Versions() ([]protocol.Version, error) {
 // few bytes on the wire however long the document. A user whom range
 // rules deny part of the text reads it as the replica holds it, each
 // denied character masked with █ (server.MaskRune) rather than left out.
-// Read fails with ErrClosed once the connection is gone, and with the
-// error a resync gave up on when the replica cannot catch up. Do not call
+// Read fails with ErrClosed once the connection is gone, with the error
+// that ended the replica's feed, and, until a base lands, with an error
+// naming the sequence number a push skipped to. Do not call
 // it from a Watch callback: the replica does not advance until the
 // callback returns.
 func (d *Doc) Read() (string, error) {
@@ -883,7 +717,7 @@ func (d *Doc) Read() (string, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.waitLocked(func() bool { return d.told >= resp.Seq }, noTimeout); err != nil {
+	if err := d.waitLocked(func() bool { return d.told >= resp.Seq }); err != nil {
 		return "", err
 	}
 	return string(d.runes), nil

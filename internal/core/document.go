@@ -75,7 +75,7 @@ func newDocument(e *Engine, id util.ID, row db.Row) *Document {
 // published pairs an immutable text snapshot with the awareness-bus
 // sequence number of the event that announced it. Serving reads from the
 // pair (rather than reading the text and the bus sequence separately, as
-// the seed did) is what lets a resync response promise "this text contains
+// the seed did) is what lets a subscriber's base promise "this text contains
 // exactly the edits up to this Seq" — without the pairing, an edit
 // committing between the two reads is silently dropped by the client as a
 // pre-snapshot duplicate. The pair is kept as the DocSnapshot every reader

@@ -553,6 +553,8 @@ func (e *Engine) ScanCharMeta(fn func(doc util.ID, meta CharMeta) bool) error {
 
 // CharByID resolves one character instance anywhere in the store,
 // returning its document and metadata (provenance chain walking).
+//
+//tendax:allow-testonly paper capability with no wire or CLI caller yet: a character's transitive pedigree, which lineage's provenanceChain follows
 func (e *Engine) CharByID(id util.ID) (util.ID, CharMeta, error) {
 	run, doc, err := e.runOf(nil, &rowBuf{}, id)
 	if err != nil {

@@ -151,6 +151,28 @@ func leastOf3(measure func() float64) float64 {
 	return least
 }
 
+// mallocsPerRun returns the heap allocations of one call of a body,
+// averaged over runs calls: the exact mean, where testing.AllocsPerRun
+// floors it. It takes three rounds, each over the body a fresh call of
+// prepare returns, and returns the least, since something else allocating
+// in a round can only raise its count. As AllocsPerRun does, a round calls
+// the body once to warm up and counts runtime.MemStats.Mallocs with
+// GOMAXPROCS at 1.
+func mallocsPerRun(runs int, prepare func() (body func())) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	return leastOf3(func() float64 {
+		body := prepare()
+		body()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			body()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / float64(runs)
+	})
+}
+
 func settledHeap() uint64 {
 	runtime.GC()
 	runtime.GC()

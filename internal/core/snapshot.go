@@ -17,7 +17,7 @@ import (
 // spans, metadata, versions and diffs against that single view. Taking a
 // snapshot is O(1) and never blocks writers; every method on it runs
 // without touching the document lock, so any number of readers (renderers,
-// resyncs, diffs, searches, slow sockets) proceed while editors keep
+// subscribers' bases, diffs, searches, slow sockets) proceed while editors keep
 // committing. TeNDaX makes every edit a transaction, so read-mostly
 // collaborative traffic must come off the write path entirely — this type
 // is where it comes off.
@@ -65,10 +65,6 @@ func (s *DocSnapshot) Seq() uint64 { return s.seq }
 // Tree exposes the underlying texttree snapshot for bulk character-level
 // access (tests, analyzers).
 func (s *DocSnapshot) Tree() *texttree.Snapshot { return s.t }
-
-// Version identifies the committed buffer state this snapshot captured;
-// it increases monotonically with every committed text mutation.
-func (s *DocSnapshot) Version() uint64 { return s.t.Version() }
 
 // Len returns the number of visible characters.
 func (s *DocSnapshot) Len() int { return s.t.Len() }
@@ -213,10 +209,12 @@ func (s *DocSnapshot) VersionText(versionID util.ID) (string, error) {
 	return s.d.timeTravelTree(s.t).TextAt(row[4].(time.Time)), nil
 }
 
-// diffVersions diffs two versions (older first) against this snapshot.
+// DiffVersions diffs two versions (older first) against this snapshot.
 // Passing util.NilID as `to` diffs against the snapshot's text. Both sides
 // reconstruct from the same view, so the diff is never torn by a write
 // landing between the two reads.
+//
+//tendax:allow-testonly paper capability with no wire or CLI caller yet: comparing two versions of a document (DESIGN §5)
 func (s *DocSnapshot) DiffVersions(from, to util.ID) ([]Hunk, error) {
 	fromText, err := s.VersionText(from)
 	if err != nil {

@@ -20,7 +20,7 @@ func TestDocumentSnapshotIsolation(t *testing.T) {
 	if s.Text() != "hello world" || s.Len() != 11 {
 		t.Fatalf("snapshot %q/%d", s.Text(), s.Len())
 	}
-	v := s.Version()
+	v := s.Tree().Version()
 
 	// Writes after the snapshot must be invisible to it.
 	if _, err := d.DeleteRange("alice", 0, 6); err != nil {
@@ -29,8 +29,8 @@ func TestDocumentSnapshotIsolation(t *testing.T) {
 	if _, err := d.InsertText("bob", 0, "goodbye "); err != nil {
 		t.Fatal(err)
 	}
-	if s.Text() != "hello world" || s.Version() != v {
-		t.Fatalf("snapshot observed later writes: %q v%d", s.Text(), s.Version())
+	if s.Text() != "hello world" || s.Tree().Version() != v {
+		t.Fatalf("snapshot observed later writes: %q v%d", s.Text(), s.Tree().Version())
 	}
 	if err := s.Tree().CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -39,8 +39,8 @@ func TestDocumentSnapshotIsolation(t *testing.T) {
 		t.Fatalf("live text %q", d.Text())
 	}
 	s2 := d.Snapshot()
-	if s2.Version() <= v {
-		t.Fatalf("version did not advance: %d <= %d", s2.Version(), v)
+	if s2.Tree().Version() <= v {
+		t.Fatalf("version did not advance: %d <= %d", s2.Tree().Version(), v)
 	}
 	meta, err := s2.RangeMeta(0, 7)
 	if err != nil {
@@ -57,12 +57,12 @@ func TestDocumentSnapshotVersionMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := d.Snapshot().Version()
+	last := d.Snapshot().Tree().Version()
 	for i := 0; i < 5; i++ {
 		if _, err := d.AppendText("alice", "x"); err != nil {
 			t.Fatal(err)
 		}
-		v := d.Snapshot().Version()
+		v := d.Snapshot().Tree().Version()
 		if v <= last {
 			t.Fatalf("version not monotonic: %d after %d", v, last)
 		}
@@ -71,7 +71,7 @@ func TestDocumentSnapshotVersionMonotonic(t *testing.T) {
 	if _, err := d.UndoGlobal("alice"); err != nil {
 		t.Fatal(err)
 	}
-	if v := d.Snapshot().Version(); v <= last {
+	if v := d.Snapshot().Tree().Version(); v <= last {
 		t.Fatalf("undo did not publish a new snapshot: %d after %d", v, last)
 	}
 }

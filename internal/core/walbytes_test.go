@@ -243,7 +243,9 @@ func newOneKeyDoc(t *testing.T) (*wal.MemStore, *db.Database, *Document) {
 // buffers bring it to 12. A text mirror that holds a segment per record
 // stretch, not a slot per character, brings it to 10: the key copies a
 // leaf and the root of a two-level tree, not a path of three nodes. The
-// budget is that plus 10 %, rounded down.
+// budget is that plus 10 %, rounded down. (Counts until here are
+// testing.AllocsPerRun's floored mean; the exact mean the gate reads
+// measured 10.61.)
 const maxOneKeyBatchAllocs = 11
 
 // maxRunBatchAllocs bounds the heap allocations of a 128-key batch, the
@@ -253,41 +255,44 @@ const maxOneKeyBatchAllocs = 11
 // holds a segment per record stretch brings it to 11: the run is one
 // segment, where its 128 slots overflowed the leaf they landed in into
 // new leaves. Ten per cent more, rounded down, would be 12 and let an
-// allocation back in, so the budget is the measured count
-// (testing.AllocsPerRun floors its average).
-const maxRunBatchAllocs = 11
+// allocation back in, so the budget is the measured count: 11 while it
+// was testing.AllocsPerRun's floored mean, and the exact mean, 11.64,
+// rounded up to a tenth since.
+const maxRunBatchAllocs = 11.7
 
 // TestOneKeyBatchAllocs types one-key batches between two existing
 // characters of the same 20k-character document as TestOneKeyBatchLogBytes,
 // two authors alternating, and fails if a batch allocates more than
-// maxOneKeyBatchAllocs times on average; then 128-key batches the same way,
-// against maxRunBatchAllocs.
+// maxOneKeyBatchAllocs times on average (the exact mean, mallocsPerRun);
+// then 128-key batches the same way, against maxRunBatchAllocs.
 func TestOneKeyBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")
 	}
-	_, _, d := newOneKeyDoc(t)
 	run := strings.Repeat("dolor sit amet ", 128/15+1)[:128]
 	for _, c := range []struct {
 		text   string
 		budget float64
 	}{{"k", maxOneKeyBatchAllocs}, {run, maxRunBatchAllocs}} {
-		i := 0
 		var err error
-		allocs := testing.AllocsPerRun(200, func() {
-			user := [2]string{"alice", "bob"}[i%2]
-			if _, e := d.InsertText(user, 1+(i*7919)%(d.Len()-1), c.text); e != nil && err == nil {
-				err = e
+		allocs := mallocsPerRun(200, func() func() {
+			_, _, d := newOneKeyDoc(t)
+			i := 0
+			return func() {
+				user := [2]string{"alice", "bob"}[i%2]
+				if _, e := d.InsertText(user, 1+(i*7919)%(d.Len()-1), c.text); e != nil && err == nil {
+					err = e
+				}
+				i++
 			}
-			i++
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		keys := utf8.RuneCountInString(c.text)
-		t.Logf("%.1f allocations per %d-key batch", allocs, keys)
+		t.Logf("%.2f allocations per %d-key batch", allocs, keys)
 		if allocs > c.budget {
-			t.Errorf("a %d-key batch allocated %.1f times, over the budget of %v", keys, allocs, c.budget)
+			t.Errorf("a %d-key batch allocated %.2f times, over the budget of %v", keys, allocs, c.budget)
 		}
 	}
 }

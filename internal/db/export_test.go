@@ -20,3 +20,10 @@ func (d *Database) Tables() []string {
 	sort.Strings(names)
 	return names
 }
+
+// count returns the number of live rows (by primary-key index).
+func (t *Table) count() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.pk.Len()
+}

@@ -568,13 +568,6 @@ func (t *Table) Scan(tx *txn.Txn, fn func(rid RID, row Row) (bool, error)) error
 	return err
 }
 
-// count returns the number of live rows (by primary-key index).
-func (t *Table) count() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.pk.Len()
-}
-
 // MaxPK returns the largest primary key, or 0 if the table is empty.
 func (t *Table) MaxPK() int64 {
 	t.mu.RLock()

@@ -31,7 +31,7 @@ const (
 )
 
 // Protocol versions. Version 3 is the only one spoken: ID-anchored edit
-// batches, anchor queries and delta resync, every frame packed in the
+// batches, anchor queries and base pushes, every frame packed in the
 // binary encoding of binary.go (varint scalars, presence bitmaps,
 // run-length coded ID lists). The paper's position-addressed edits travel
 // as one-op edit batches. (Versions 1 and 2 named JSON-framed dialects;
@@ -42,13 +42,15 @@ const (
 )
 
 // Operations. OpInsert, OpAppend, OpDelete, OpPaste, OpLayout and OpNote
-// named version 1's one-request-per-edit ops; no server serves them, and
-// they keep their names for their symbol-table slots.
+// named version 1's one-request-per-edit ops, and OpResync, OpOpenDoc,
+// OpText and OpUnsubscribe the reads and the unsubscribe a replica has no
+// use for since a subscription pushes its own base (EvResync); no server
+// serves them, and they keep their names for their symbol-table slots.
 const (
 	OpLogin       = "login"
-	OpHello       = "hello"   // version negotiation
-	OpEdit        = "edit"    // ID-anchored edit batch, one transaction
-	OpResync      = "resync"  // delta resync from a sequence number
+	OpHello       = "hello" // version negotiation
+	OpEdit        = "edit"  // ID-anchored edit batch, one transaction
+	OpResync      = "resync"
 	OpAnchors     = "anchors" // visible char IDs of a position range
 	OpCreateDoc   = "create"
 	OpOpenDoc     = "open"
@@ -81,21 +83,29 @@ const (
 	ScopeGlobal = "global"
 )
 
-// EvLagged is the kind of the advisory push that tells a subscriber its
-// replica has a hole: it must resubscribe (a no-op while the subscription
-// is still attached) and resynchronise from the committed state. The
-// event's Seq carries the document's sequence number, and its Name the
-// cause: LaggedRingMiss, with N the events the op ring evicted before the
-// subscriber read them.
-const EvLagged = "lagged"
+// EvResync is the kind of a base push, the first push of every
+// subscription and the server's answer to a subscriber that fell further
+// behind than the op ring reaches. Text is the document's text as the
+// subscriber may read it, each denied character masked, and Seq the
+// sequence number of the newest event it holds: the pushes that follow
+// continue from Seq+1. Name is LaggedRingMiss on a base that stands in for
+// events the ring evicted before the subscriber read them, N of them, and
+// empty on a subscription's first base.
+const EvResync = "resync"
 
-// LaggedRingMiss is the cause (Event.Name) of an EvLagged push.
+// LaggedRingMiss is the cause (Event.Name) of an EvResync push that
+// answers a ring miss.
 const LaggedRingMiss = "ring_miss"
+
+// EvLagged is the kind of the push that ends a subscription the server can
+// give no base, because the user may no longer read the document. Name is
+// the error; no push for the document follows.
+const EvLagged = "lagged"
 
 // EvPresence is a synthetic push carrying a document's full presence
 // roster (one Batch item per present user: Text the user name, Pos the
-// cursor). The server sends it after healing a shed gap, because the
-// join/leave/cursor updates coalesced into the gap are not in the replay;
+// cursor). The server sends it after the base that heals a shed gap,
+// because the join/leave/cursor updates inside the gap are gone;
 // the receiver replaces its presence state wholesale and does not advance
 // its event sequence number.
 const EvPresence = "presence"
@@ -299,7 +309,7 @@ type Message struct {
 	Version  uint64   `json:"version,omitempty"`
 	Ver      int      `json:"ver,omitempty"`   // hello: highest version the sender speaks
 	Ops      []EditOp `json:"ops,omitempty"`   // edit: the batch
-	Since    uint64   `json:"since,omitempty"` // resync: last applied sequence number
+	Since    uint64   `json:"since,omitempty"` // the retired resync's last applied sequence number
 	// Query is the OpQuery request payload.
 	Query *QueryReq `json:"query,omitempty"`
 
@@ -314,12 +324,10 @@ type Message struct {
 	RetryMS int64  `json:"retryMs,omitempty"`
 	Seq     uint64 `json:"seq,omitempty"`
 	OpID    uint64 `json:"opId,omitempty"`
-	// Snap is the MVCC snapshot version the returned Text was read from:
-	// within one server process it increases monotonically with every
-	// committed text mutation of the document, so a client can tell which
-	// of two reads is fresher. A restarted server starts the counter over
-	// (it counts in-memory buffer mutations since load), so versions are
-	// only comparable between reads served by the same process.
+	// Snap, Events, Full and Shards are filled by no server: Snap was a
+	// full read's MVCC snapshot version, Events and Full a delta resync's
+	// answer, Shards the hello's count of engine shards. They keep their
+	// slots in the field tables, which are append-only.
 	Snap     uint64       `json:"snap,omitempty"`
 	Docs     []DocInfo    `json:"docs,omitempty"`
 	Versions []Version    `json:"versions,omitempty"`
@@ -327,16 +335,9 @@ type Message struct {
 	History  []HistoryOp  `json:"history,omitempty"`
 	Results  []EditResult `json:"results,omitempty"` // edit: one per op, in order
 	IDs      []uint64     `json:"ids,omitempty"`     // anchors: instance IDs of the range
-	Events   []Event      `json:"events,omitempty"`  // resync: the delta, in sequence order
-	// Full marks a resync response that fell back to the complete text
-	// because the gap outlived the server's op-ring retention: Text, Seq
-	// and Snap carry a full consistent read, Events is empty.
-	Full bool `json:"full,omitempty"`
-	// Shards is routing metadata on the hello response: how many engine
-	// shards this process runs (documents map to shards by ID). Today it
-	// is advisory — every shard is served by this one address — but the
-	// multi-node phase will use it to pre-place connections.
-	Shards int `json:"shards,omitempty"`
+	Events   []Event      `json:"events,omitempty"`
+	Full     bool         `json:"full,omitempty"`
+	Shards   int          `json:"shards,omitempty"`
 	// Hits / Sources answer an OpQuery (QuerySearch / QuerySources).
 	// Both are ACL-filtered per requesting user before encoding.
 	Hits    []SearchHit `json:"hits,omitempty"`
@@ -463,7 +464,7 @@ const minRecvBuf = 4 << 10
 // decoder copies out every string and ID list, so its bytes are free as
 // soon as the frame is decoded. The buffer grows only as bytes arrive (see
 // fill), never on a length prefix's word. A buffer that grew for a large
-// frame (a full-text resync) is given up at the first frame that fills
+// frame (a subscriber's base) is given up at the first frame that fills
 // less than a quarter of it, the rule the WAL applies to its spare batch
 // buffer, so one large frame does not stay pinned to the connection. The
 // bytes read ahead move into the fresh buffer, so it waits until they fit

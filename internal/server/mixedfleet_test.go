@@ -93,7 +93,7 @@ func TestMixedFleetConvergence(t *testing.T) {
 // TestCrossTenantRedactionAcrossProtocols pins the multi-tenant isolation
 // contract on every event channel: a user under a range deny-read rule
 // must never observe the denied characters — not in live pushes, not in
-// EvBatch items, not in a "resync sinceSeq" replay — while unrestricted
+// EvBatch items, not in a subscription's base — while unrestricted
 // subscribers keep seeing the unredacted stream. The wire cache is keyed
 // by visibility class alone, so bob's three connections (one restricted
 // class) and alice's (the all-visible class) share one event's cache: it
@@ -197,33 +197,24 @@ func TestCrossTenantRedactionAcrossProtocols(t *testing.T) {
 		t.Fatalf("all-visible subscriber received a masked frame:\n%s", aliceGot)
 	}
 
-	// Delta-resync replay: the full history since seq 0 must come back
-	// redacted for bob (including the pre-subscription "SECRET" insert)
-	// and unredacted for alice, on the same ring.
-	for name, w := range bobs {
-		resp := w.call(&protocol.Message{Op: protocol.OpResync, Doc: docID, Since: 0})
-		if resp.Full || len(resp.Events) == 0 {
-			t.Fatalf("bob/%s resync fell back to full text (events=%d)", name, len(resp.Events))
-		}
-		got := eventTexts(eventPtrs(resp.Events))
-		for _, secret := range []string{"SECRET", "XX", "ZZ"} {
-			if strings.Contains(got, secret) {
-				t.Fatalf("bob/%s resync replay leaked %q:\n%s", name, secret, got)
+	// Bases: each subscription opened on the text as its user may read it,
+	// the pre-subscription "SECRET" masked for bob, length-preserving, and
+	// plain for alice.
+	base := func(w *wireConn) string {
+		for _, ev := range w.pushes {
+			if ev.Kind == protocol.EvResync {
+				return ev.Text
 			}
 		}
-		if !strings.Contains(got, "public ") {
-			t.Fatalf("bob/%s resync replay over-masked public text:\n%s", name, got)
+		t.Fatal("a subscriber got no base")
+		return ""
+	}
+	for name, w := range bobs {
+		if got := base(w); got != "public ██████ public" {
+			t.Fatalf("bob/%s base %q, want the masked text", name, got)
 		}
 	}
-	aresp := aobs.call(&protocol.Message{Op: protocol.OpResync, Doc: docID, Since: 0})
-	if aresp.Full {
-		t.Fatal("alice resync fell back to full text")
-	}
-	var asb strings.Builder
-	for i := range aresp.Events {
-		asb.WriteString(aresp.Events[i].Text)
-	}
-	if !strings.Contains(asb.String(), "SECRET") {
-		t.Fatalf("alice resync replay redacted for the wrong user:\n%s", asb.String())
+	if got := base(aobs); got != "public SECRET public" {
+		t.Fatalf("alice base %q, want the plain text", got)
 	}
 }

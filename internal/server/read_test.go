@@ -35,7 +35,7 @@ func TestReadServedByReplica(t *testing.T) {
 	if err := d.Insert(0, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := waitSeq(d, eng.Bus().Seq(util.ID(docID)), 5000); err != nil {
+	if err := waitSeq(d, eng.Bus().Seq(util.ID(docID))); err != nil {
 		t.Fatal(err)
 	}
 	before := srv.Metrics().BytesOut.Load()
@@ -99,7 +99,7 @@ func TestReadYourWrites(t *testing.T) {
 
 // TestReadAcrossShedAndResync races a read with a shed: the reader's
 // connection stops reading while the document's bus floods past its ring,
-// so the server sheds the subscriber and the replica must resync. The
+// so the server sheds the subscriber and pushes it a fresh base. The
 // read, sent meanwhile, returns only once the replica has caught up to
 // the read's sequence number: the text then holds the edit committed
 // inside the gap.
@@ -174,7 +174,7 @@ func TestReadAcrossShedAndResync(t *testing.T) {
 		t.Fatalf("read returned with the replica at seq %d, below the read's %d", got, readSeq)
 	}
 	if !rd.Lagged() {
-		t.Fatal("the flood never shed the reader: the read raced no resync")
+		t.Fatal("the flood never shed the reader: the read raced no base")
 	}
 }
 
@@ -264,12 +264,12 @@ func TestReadsCounted(t *testing.T) {
 
 // TestRestrictedReplicaConverges pins the replica of a user whom a range
 // rule denies part of the text. Pushes carry unfiltered positions with the
-// denied runes masked, so every full text the replica is built on (the
-// open, a full resync) must be the masked text too, not the elided one:
-// on an elided base an insert after the hidden range lands off its end
-// and is dropped. Inserts before, inside and after the range, folded live
-// and across a full resync, leave the replica equal to the masked view,
-// and Read returns that view.
+// denied runes masked, so every base the replica is built on (its
+// subscription's first, and the one after a gap) must be the masked text
+// too, not the elided one: on an elided base an insert after the hidden
+// range lands off its end and is dropped. Inserts before, inside and after
+// the range, folded live and across a gap, leave the replica equal to the
+// masked view, and Read returns that view.
 func TestRestrictedReplicaConverges(t *testing.T) {
 	addr, eng, store := harnessStore(t, true)
 	alice := login(t, addr, "alice", "pw-a")
@@ -305,7 +305,7 @@ func TestRestrictedReplicaConverges(t *testing.T) {
 	}
 	converged := func(stage, want string) {
 		t.Helper()
-		if err := waitSeq(bd, eng.Bus().Seq(util.ID(docID)), 5000); err != nil {
+		if err := waitSeq(bd, eng.Bus().Seq(util.ID(docID))); err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
 		if got := bd.Text(); got != want {
@@ -330,36 +330,22 @@ func TestRestrictedReplicaConverges(t *testing.T) {
 	}
 	converged("live", "Ypublic ██████ publicX")
 
-	// Across a full resync: bob's connection stops reading while the
-	// document's bus floods past its ring, so bob is shed and his replica
-	// refetches the whole text; the inserts before, inside and after the
-	// range land in the meantime.
+	// Across a gap: bob's connection stops reading while the document's
+	// bus floods past its ring, so bob is shed and the server pushes his
+	// replica a fresh base; the inserts before, inside and after the range
+	// land in the meantime.
 	stalled, resume := make(chan struct{}), make(chan struct{})
 	release := sync.OnceFunc(func() { close(resume) })
 	t.Cleanup(release)
-	// A full-text resync folds no events into the replica's event log: in
-	// its callback the newest logged event is the one the watcher was told
-	// of before it, where a delta resync would have folded newer ones.
-	newest := func() uint64 {
-		evs := bd.Events()
-		if len(evs) == 0 {
-			return 0
-		}
-		return evs[len(evs)-1].Seq
-	}
 	var once sync.Once
-	var told atomic.Uint64 // the newest logged event as of the last event told
-	var fulls atomic.Int32 // lagged resyncs that folded no event
+	var bases atomic.Int32 // bases after a gap
 	bd.Watch(func(ev protocol.Event) {
 		once.Do(func() {
 			close(stalled)
 			<-resume
 		})
-		switch {
-		case ev.Kind != "resync":
-			told.Store(newest())
-		case ev.Name == "lagged" && newest() == told.Load():
-			fulls.Add(1)
+		if ev.Kind == protocol.EvResync && ev.Name == protocol.LaggedRingMiss {
+			bases.Add(1)
 		}
 	})
 	for _, ins := range []struct {
@@ -376,9 +362,9 @@ func TestRestrictedReplicaConverges(t *testing.T) {
 		eng.Bus().MoveCursor(util.ID(docID), "flood", i, now)
 	}
 	release()
-	converged("resync", "aYpublic ███████ publicXc")
-	if !bd.Lagged() || fulls.Load() == 0 {
-		t.Fatalf("bob's replica took no full resync after it lagged (lagged %v, full resyncs %d)", bd.Lagged(), fulls.Load())
+	converged("gap", "aYpublic ███████ publicXc")
+	if !bd.Lagged() || bases.Load() == 0 {
+		t.Fatalf("bob's replica took no base after it lagged (lagged %v, bases %d)", bd.Lagged(), bases.Load())
 	}
 	if got := srvDoc.Text(); got != "aYpublic SECbRET publicXc" {
 		t.Fatalf("committed text %q", got)

@@ -1,7 +1,7 @@
 // Per-subscriber redaction of the event stream. Full-document reads have
 // always been filtered through the range-ACL masking, but pushed
-// events and delta resyncs replayed the committed text to every
-// subscriber — the cross-tenant leak this file closes. Each subscriber
+// events replayed the committed text to every subscriber — the
+// cross-tenant leak this file closes. Each subscriber
 // carries a redactor bound to its user; every text-bearing event passes
 // through it before encoding, with the runes of masked character
 // instances replaced in place (length-preserving, so positional replay
@@ -111,11 +111,10 @@ func (r *redactor) rebuildLocked() {
 
 // redact returns the event as this subscriber may see it, with the
 // visibility class it was redacted for stamped into Event.VisClass.
-// Stamp and masking happen under one lock acquisition: the redactor is
-// shared between the subscription pump and the connection's request
-// goroutine (resync replay), and a class read in a separate call could
-// disagree with the hidden set the text was actually masked with — the
-// wire cache would then serve those bytes to the wrong class. Events
+// Stamp and masking happen under one lock acquisition: a class read in a
+// separate call could disagree with the hidden set the text was actually
+// masked with — the wire cache would then serve those bytes to the wrong
+// class. Events
 // without readable payload pass through; an ACL change (and an event
 // naming instances born after the last rebuild) triggers a rebuild so
 // the class and hidden set track the new rules.

@@ -18,7 +18,8 @@ import (
 // maxOneKeyRoundTripAllocs bounds the heap allocations of one key's round
 // trip through an in-process server: the author's session sends it, the
 // server decodes, commits and acknowledges it and pushes it to both
-// replicas, and the peer's replica folds it. It measured 14 (15 while the
+// replicas, and the peer's replica folds it. It measured 14.5 as an exact
+// mean, 14 as testing.AllocsPerRun's floored one (15 while the
 // text mirror held a slot per instance, so a key typed into the 20k
 // characters copied a leaf and two inner nodes rather than a leaf and the
 // root; 21 while the
@@ -28,13 +29,14 @@ import (
 // published item and the result took a second copy of the key's ID slice,
 // 24 while its op row's payload was a fresh slice of 8-byte IDs, 25 while
 // the text buffer gave each key a treap node of its own, 29 while each
-// index entry allocated its own key copy); the budget is that plus 10 %,
-// rounded down.
+// index entry allocated its own key copy, each floored); the budget is
+// the exact mean plus 10 %, rounded down.
 const maxOneKeyRoundTripAllocs = 15
 
 // The stages below have budgets of their own, because one allocation more
 // per frame would not trip the total's 10 % margin. A stage is compared
-// truncated, as AllocsPerRun truncates the total.
+// truncated: the profile counts every allocation in the window, a stray
+// one too.
 const (
 	// maxOneKeyServerDecodeAllocs bounds the server's decode of the key's
 	// edit frame. It measured 0: the message and its op list are the serve
@@ -158,8 +160,8 @@ func TestOneKeyRoundTripAllocs(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 	before := allocProfile()
-	allocs := testing.AllocsPerRun(keys, key)
-	stages := allocStages(before, allocProfile(), keys+1) // AllocsPerRun warms up with one more
+	allocs := mallocsPerRun(keys, key)
+	stages := allocStages(before, allocProfile(), 3*(keys+1)) // three rounds, each warmed up with one more
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,17 +171,39 @@ func TestOneKeyRoundTripAllocs(t *testing.T) {
 	}
 	// The profile records a block of the tiny allocator once, so the
 	// stages can sum to less than the total.
-	t.Logf("%.1f allocations per key; by stage:\n%s", allocs, b.String())
+	t.Logf("%.2f allocations per key; by stage:\n%s", allocs, b.String())
 	if allocs > maxOneKeyRoundTripAllocs {
 		t.Errorf("a key's round trip allocated %.1f times, over the budget of %d", allocs, maxOneKeyRoundTripAllocs)
 	}
 	for _, st := range stages {
-		// Truncated as AllocsPerRun truncates the total, so a stray
-		// allocation in the window is not one per key.
+		// Truncated, so a stray allocation in the window is not one per
+		// key.
 		if budget, ok := maxOneKeyStageAllocs[st.name]; ok && math.Floor(st.perKey) > float64(budget) {
 			t.Errorf("stage %q allocated %.1f times per key, over its budget of %d", st.name, st.perKey, budget)
 		}
 	}
+}
+
+// mallocsPerRun returns the heap allocations of one call of body,
+// averaged over runs calls: the exact mean, where testing.AllocsPerRun
+// floors it. It takes three rounds and returns the least, since something
+// else allocating in a round can only raise its count. As AllocsPerRun
+// does, a round calls body once to warm up and counts
+// runtime.MemStats.Mallocs with GOMAXPROCS at 1.
+func mallocsPerRun(runs int, body func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	least := math.Inf(1)
+	for round := 0; round < 3; round++ {
+		body()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			body()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, float64(after.Mallocs-before.Mallocs)/float64(runs))
+	}
+	return least
 }
 
 // allocProfile returns the process's allocation counts by call stack. The

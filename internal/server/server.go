@@ -254,9 +254,9 @@ type conn struct {
 	ids     []uint64
 }
 
-// redactor returns this connection's (lazily created) redactor for doc —
-// shared by the subscription pump and the resync path so both see one
-// consistent hidden set. Nil without a security store.
+// redactor returns this connection's (lazily created) redactor for doc,
+// which the document's subscription pump filters with. Nil without a
+// security store.
 func (c *conn) redactor(doc util.ID) *redactor {
 	if c.srv.sec == nil {
 		return nil
@@ -342,8 +342,6 @@ func (c *conn) handle(req *protocol.Message) *protocol.Message {
 		return c.edit(req)
 	case protocol.OpAnchors:
 		return c.anchors(req)
-	case protocol.OpResync:
-		return c.resync(req)
 	case protocol.OpCreateDoc:
 		d, err := c.srv.cl.CreateDocument(c.user, req.Name)
 		if err != nil {
@@ -360,12 +358,6 @@ func (c *conn) handle(req *protocol.Message) *protocol.Message {
 			out[i] = wireInfo(in)
 		}
 		return &protocol.Message{OK: true, Docs: out}
-	case protocol.OpOpenDoc, protocol.OpText:
-		d, err := c.doc(req)
-		if err != nil {
-			return fail(err)
-		}
-		return c.fullText(d)
 	// A read is recorded, and answered with the sequence number of the
 	// state it read, not with the text: the reader's replica serves the
 	// text once it has folded that far.
@@ -458,9 +450,6 @@ func (c *conn) handle(req *protocol.Message) *protocol.Message {
 		return &protocol.Message{OK: true, History: out}
 	case protocol.OpSubscribe:
 		return c.subscribe(req)
-	case protocol.OpUnsubscribe:
-		c.unsubscribe(util.ID(req.Doc))
-		return &protocol.Message{OK: true}
 	case protocol.OpCursor:
 		c.srv.busFor(util.ID(req.Doc)).MoveCursor(util.ID(req.Doc), c.user, req.Pos, c.srv.clock().Now())
 		return &protocol.Message{OK: true}
@@ -481,16 +470,14 @@ func (c *conn) handle(req *protocol.Message) *protocol.Message {
 // hello answers the request every connection opens with: a hello asking
 // for v3 or more gets v3. Anything else — a request before the hello, or a
 // hello for an older version — gets the typed unsupported error, and the
-// connection stays open for a hello that asks for v3. Shards is routing
-// metadata: advisory today (one address serves every shard), the seam the
-// multi-node phase redirects through.
+// connection stays open for a hello that asks for v3.
 func (c *conn) hello(req *protocol.Message) *protocol.Message {
 	if req.Op != protocol.OpHello || req.Ver < protocol.Version3 {
 		return &protocol.Message{Code: protocol.ErrUnsupported,
 			Err: "server: only protocol v3 is spoken: open the connection with a hello for v3"}
 	}
 	c.helloed = true
-	return &protocol.Message{OK: true, Ver: protocol.Version3, Shards: c.srv.cl.Shards()}
+	return &protocol.Message{OK: true, Ver: protocol.Version3}
 }
 
 func (c *conn) login(req *protocol.Message) *protocol.Message {
@@ -510,11 +497,12 @@ func (c *conn) doc(req *protocol.Message) (*core.Document, error) {
 	return c.srv.cl.OpenDocument(util.ID(req.Doc))
 }
 
-// subscribe registers for a document's events and starts the push pump.
-// Subscription churn is rate-limited like edit traffic. The subscription
-// is a cursor into the document's op ring, with the connection's
-// redactor installed as the per-subscriber filter so every pushed event
-// is already ACL-filtered when the pump encodes it.
+// subscribe registers for a document's events and starts the push pump,
+// whose first push is the subscriber's base. Subscription churn is
+// rate-limited like edit traffic. The subscription is a cursor into the
+// document's op ring, with the connection's redactor installed as the
+// per-subscriber filter so every pushed event is already ACL-filtered when
+// the pump encodes it.
 func (c *conn) subscribe(req *protocol.Message) *protocol.Message {
 	if ok, retry := c.allowSubscribe(time.Now()); !ok {
 		c.srv.metrics.Throttles.Add(1)
@@ -539,8 +527,8 @@ func (c *conn) subscribe(req *protocol.Message) *protocol.Message {
 	c.mu.Unlock()
 
 	bus.Join(docID, c.user, c.srv.clock().Now())
-	go c.pump(docID, sub)
-	return &protocol.Message{OK: true, Seq: bus.Seq(docID)}
+	go c.pump(docID, c.user, sub)
+	return &protocol.Message{OK: true}
 }
 
 // pushScratch is one subscription pump's reusable wire state: the push
@@ -553,30 +541,36 @@ type pushScratch struct {
 	enc protocol.FrameEncoder
 }
 
-// pump drains one subscription onto the wire until it closes.
-func (c *conn) pump(docID util.ID, sub *awareness.Subscription) {
+// pump drains one subscription onto the wire until it closes. The
+// subscriber's replica is built from this one stream: the first push is
+// the subscriber's base, taken after the subscription and its join are
+// registered, and a gap — the reader fell further behind than the op ring
+// reaches — is answered with a fresh base and then the presence roster,
+// since the join/leave/cursor events inside the gap are gone as well. An
+// event a base already holds is not pushed.
+func (c *conn) pump(docID util.ID, user string, sub *awareness.Subscription) {
 	sc := new(pushScratch)
-	for {
-		ev, ok := sub.Next()
-		if !ok {
+	base, ok := c.pushBase(docID, user, sub, 0)
+	for ok {
+		ev, more := sub.Next()
+		switch {
+		case !more:
 			return
-		}
-		if ev.Kind == awareness.EvGap {
-			ok = c.healGap(docID, ev.N, sc)
-		} else {
+		case ev.Kind == awareness.EvGap:
+			c.srv.metrics.Heals.Add(1)
+			if base, ok = c.pushBase(docID, user, sub, ev.N); ok {
+				ok = c.pushPresence(docID)
+			}
+		case ev.Seq > base:
 			ok = c.pushEvent(&ev, sc)
-		}
-		if !ok {
-			return
 		}
 	}
 }
 
 // pushEvent encodes one (already filtered) event and writes it. The
 // wire-cache key is the visibility class the redactor stamped into the
-// event while masking it
-// (ev.VisClass) — never a fresh read of the redactor's state, which a
-// concurrent redact on the request goroutine may have moved on from.
+// event while masking it (ev.VisClass), never a fresh read of the
+// redactor's state.
 // The frame is rendered in the pump's scratch sc and copied once, at its
 // exact size, into the cache. Returns false once the connection is torn
 // down.
@@ -602,73 +596,82 @@ func (c *conn) pushEvent(ev *awareness.Event, sc *pushScratch) bool {
 	return true
 }
 
-// healGap answers a gap of n events, which always means the reader fell
-// further behind than the op ring reaches: the advisory "lagged" push
-// (cause ring_miss, N = n) tells the client to fetch the committed text
-// (the subscription stays live and resumes after the gap). The
-// join/leave/cursor events inside the gap are gone as well, so the peer
-// also gets the current roster as one synthetic snapshot. Returns false
-// once the connection is torn down.
-func (c *conn) healGap(docID util.ID, n int, sc *pushScratch) bool {
-	c.srv.metrics.Heals.Add(1)
-	if !c.pushLagged(protocol.Event{
-		Doc: uint64(docID), Seq: c.srv.busFor(docID).Seq(docID),
-		AtNS: c.srv.clock().Now().UnixNano(), Name: protocol.LaggedRingMiss, N: n,
-	}) {
-		return false
+// pushBase sends user's base of a document: its text from the document's
+// MVCC snapshot, so the traversal and the socket write happen off the
+// document lock, with the bus sequence number exactly consistent with it
+// (SnapshotSeq). A character the user may not read is masked with
+// MaskRune, not elided, as in the pushes folded on top: their positions
+// are the unfiltered text's. evicted counts the events the base stands in
+// for, 0 on a subscription's first. A user who may no longer read the
+// document gets no base, and the feed ends (endFeed). Returns the base's
+// sequence number, and false once the feed or the connection is gone.
+func (c *conn) pushBase(docID util.ID, user string, sub *awareness.Subscription, evicted int) (uint64, bool) {
+	var (
+		text string
+		seq  uint64
+	)
+	d, err := c.srv.cl.OpenDocument(docID)
+	if err == nil {
+		var snap *core.DocSnapshot
+		snap, seq = d.SnapshotSeq()
+		text, err = snap.MaskedTextFor(user, MaskRune)
 	}
-	return c.pushPresence(docID, sc)
+	if err != nil {
+		c.endFeed(docID, user, sub, err)
+		return 0, false
+	}
+	ev := protocol.Event{Kind: protocol.EvResync, Doc: uint64(docID), Seq: seq, Text: text,
+		N: evicted, AtNS: c.srv.clock().Now().UnixNano()}
+	if evicted > 0 {
+		ev.Name = protocol.LaggedRingMiss
+	}
+	return seq, c.push(&ev)
+}
+
+// endFeed drops a subscription its pump cannot give a base, as the
+// connection's close would, and tells the subscriber why with an EvLagged
+// push naming the error: no push for the document follows.
+func (c *conn) endFeed(docID util.ID, user string, sub *awareness.Subscription, why error) {
+	c.mu.Lock()
+	live := c.subs[docID] == sub
+	if live {
+		delete(c.subs, docID)
+	}
+	c.mu.Unlock()
+	sub.Close()
+	if live { // else the connection is closing, and its close leaves
+		c.srv.busFor(docID).Leave(docID, user, c.srv.clock().Now())
+		c.push(&protocol.Event{Kind: protocol.EvLagged, Doc: uint64(docID), Name: why.Error()})
+	}
 }
 
 // pushPresence sends a synthetic EvPresence snapshot carrying the
 // document's full current roster (one Batch item per present user: Text
-// the name, Pos the cursor). It is per-connection and never cached across
-// subscribers — the event was not published on the bus, so it carries a
-// private wire cache. Presence is user names and cursor positions, never
-// document text, so it bypasses the redactor exactly like the live
+// the name, Pos the cursor). Presence is user names and cursor positions,
+// never document text, so it bypasses the redactor exactly like the live
 // EvJoin/EvLeave/EvCursor stream does. Returns false once the connection
 // is torn down.
-func (c *conn) pushPresence(docID util.ID, sc *pushScratch) bool {
+func (c *conn) pushPresence(docID util.ID) bool {
 	bus := c.srv.busFor(docID)
 	ps := bus.Present(docID)
-	items := make([]awareness.BatchItem, len(ps))
+	ev := protocol.Event{Seq: bus.Seq(docID), Doc: uint64(docID), Kind: protocol.EvPresence,
+		N: len(ps), Batch: make([]protocol.BatchItem, len(ps)), AtNS: c.srv.clock().Now().UnixNano()}
 	for i, p := range ps {
-		items[i] = awareness.BatchItem{Kind: awareness.EvCursor, Text: p.User, Pos: p.Cursor}
+		ev.Batch[i] = protocol.BatchItem{Kind: string(awareness.EvCursor), Text: p.User, Pos: p.Cursor}
 	}
-	ev := awareness.Event{
-		Seq:   bus.Seq(docID),
-		Doc:   docID,
-		Kind:  awareness.EvPresence,
-		N:     len(items),
-		Batch: items,
-		At:    c.srv.clock().Now(),
-		Wire:  &awareness.WireCache{},
-	}
-	return c.pushEvent(&ev, sc)
+	return c.push(&ev)
 }
 
-// pushLagged sends ev as the advisory "lagged" push: the client
-// resubscribes (a no-op if still subscribed) and resynchronises from
-// committed state. Returns false once the connection is torn down.
-func (c *conn) pushLagged(ev protocol.Event) bool {
-	ev.Kind = protocol.EvLagged
-	if err := c.codec.Send(&protocol.Message{Type: protocol.TypePush, Event: &ev}); err != nil {
+// push writes one push built for this connection alone — a base, a roster,
+// the end of a feed — through the codec. Returns false once the connection
+// is torn down.
+func (c *conn) push(ev *protocol.Event) bool {
+	if err := c.codec.Send(&protocol.Message{Type: protocol.TypePush, Event: ev}); err != nil {
 		c.close()
 		return false
 	}
+	c.srv.metrics.Pushes.Add(1)
 	return true
-}
-
-func (c *conn) unsubscribe(doc util.ID) {
-	c.mu.Lock()
-	sub := c.subs[doc]
-	delete(c.subs, doc)
-	user := c.user
-	c.mu.Unlock()
-	if sub != nil {
-		sub.Close()
-		c.srv.busFor(doc).Leave(doc, user, c.srv.clock().Now())
-	}
 }
 
 // edit is the server's one editing entry point: an "edit" frame carries
@@ -792,8 +795,8 @@ func coreIDs(wire []uint64) []util.ID {
 
 // anchors returns the character-instance IDs of the visible range
 // [pos, pos+n), from one consistent snapshot, paired with the sequence
-// number and snapshot version of the state they were resolved against. A
-// client uses them to anchor subsequent edits by identity.
+// number of the state they were resolved against. A client uses them to
+// anchor subsequent edits by identity.
 func (c *conn) anchors(req *protocol.Message) *protocol.Message {
 	d, err := c.doc(req)
 	if err != nil {
@@ -812,67 +815,11 @@ func (c *conn) anchors(req *protocol.Message) *protocol.Message {
 	for i, id := range ids {
 		out[i] = uint64(id)
 	}
-	return &protocol.Message{OK: true, IDs: out, Seq: seq, Snap: snap.Version()}
+	return &protocol.Message{OK: true, IDs: out, Seq: seq}
 }
 
-// resync serves a delta resync: the events after req.Since, straight
-// from the awareness bus's bounded op ring — O(gap) on the wire instead of
-// O(document). When the gap has outlived retention, the response falls
-// back to the full consistent text, as an OpText read gives.
-func (c *conn) resync(req *protocol.Message) *protocol.Message {
-	d, err := c.doc(req)
-	if err != nil {
-		return fail(err)
-	}
-	// Same gate as subscribe: a user denied doc-level read gets no event
-	// replay. (The full-text fallback below re-checks through fullText, but
-	// the replay path would otherwise hand redacted-by-range-rules-only
-	// events to a user who may not read the document at all.)
-	if err := c.srv.checkRead(c.user, d.ID()); err != nil {
-		return fail(err)
-	}
-	evs, ok := c.srv.busFor(d.ID()).EventsSince(d.ID(), req.Since)
-	if ok {
-		red := c.redactor(d.ID())
-		out := make([]protocol.Event, len(evs))
-		var ids []uint64
-		for i := range evs {
-			ev := evs[i]
-			if red != nil {
-				ev = red.redact(ev)
-			}
-			ids = wireEvent(&out[i], &ev, ids)
-		}
-		return &protocol.Message{OK: true, Events: out}
-	}
-	resp := c.fullText(d)
-	if resp.OK {
-		resp.Full = true
-	}
-	return resp
-}
-
-// fullText answers a full-document read (an open, an OpText read, a
-// resync's fallback) with the text a replica is built on. It comes from the
-// document's MVCC snapshot: the traversal and the socket write happen
-// entirely off the document lock, so a slow or resyncing connection never
-// stalls the editors committing keystrokes. SnapshotSeq pairs the text with
-// the bus sequence number exactly consistent with it, and the snapshot
-// version lets clients order reads. A character the user may not read is
-// masked with MaskRune, not elided, as in the pushes the replica folds on
-// top: their positions are the unfiltered text's.
-func (c *conn) fullText(d *core.Document) *protocol.Message {
-	snap, seq := d.SnapshotSeq()
-	text, err := snap.MaskedTextFor(c.user, MaskRune)
-	if err != nil {
-		return fail(err)
-	}
-	return &protocol.Message{OK: true, Doc: uint64(d.ID()), Text: text,
-		Seq: seq, Snap: snap.Version()}
-}
-
-// wireEvent writes a bus event's wire form into out (pushes and resync
-// deltas share it), reusing out's batch list. The items' instance IDs go
+// wireEvent writes a bus event's wire form into out, reusing out's batch
+// list. The items' instance IDs go
 // into ids (see appendWireIDs), which is returned.
 func wireEvent(out *protocol.Event, ev *awareness.Event, ids []uint64) []uint64 {
 	*out = protocol.Event{

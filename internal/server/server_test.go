@@ -66,25 +66,15 @@ func harnessSrv(t *testing.T, sec bool) (addr string, eng *core.Engine, store *s
 	return a.String(), eng, store, srv
 }
 
-// waitSeq waits until d's Seq reports seq: half the budget of attempts ×
-// 2 ms for the pushes, then a resync and the other half, as a replica
-// whose pushes stalled catches up.
-func waitSeq(d *client.Doc, seq uint64, attempts int) error {
-	budget := time.Duration(attempts) * 2 * time.Millisecond
-	for try := 0; ; try++ {
-		for deadline := time.Now().Add(budget / 2); d.Seq() < seq && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-		if d.Seq() >= seq {
-			return nil
-		}
-		if try == 1 {
+// waitSeq waits up to ten seconds until d's Seq reports seq: the pushes
+// alone bring a replica there, a lagging one by a fresh base.
+func waitSeq(d *client.Doc, seq uint64) error {
+	for deadline := time.Now().Add(10 * time.Second); d.Seq() < seq; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
 			return fmt.Errorf("replica stuck at seq %d < %d", d.Seq(), seq)
 		}
-		if err := d.Resync(); err != nil {
-			return err
-		}
 	}
+	return nil
 }
 
 // note attaches a note at pos through an edit batch.
@@ -157,7 +147,7 @@ func TestEditThroughServer(t *testing.T) {
 	if err := d.Delete(0, 6); err != nil {
 		t.Fatal(err)
 	}
-	if err := waitSeq(d, base+2, 500); err != nil {
+	if err := waitSeq(d, base+2); err != nil {
 		t.Fatal(err)
 	}
 	if d.Text() != "over tcp" {
@@ -195,7 +185,7 @@ func TestRealTimePropagationBetweenEditors(t *testing.T) {
 	if err := da.Insert(0, "alice says hi"); err != nil {
 		t.Fatal(err)
 	}
-	if err := waitSeq(db2, bobBase+1, 500); err != nil {
+	if err := waitSeq(db2, bobBase+1); err != nil {
 		t.Fatal(err)
 	}
 	if db2.Text() != "alice says hi" {
@@ -210,10 +200,7 @@ func TestRealTimePropagationBetweenEditors(t *testing.T) {
 		if strings.HasSuffix(da.Text(), "bob too") {
 			break
 		}
-		if i == 250 {
-			da.Resync()
-		}
-		if i > 500 {
+		if i > 5000 {
 			t.Fatalf("alice's replica = %q", da.Text())
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -299,7 +286,7 @@ func TestCopyPasteAcrossConnections(t *testing.T) {
 	if err := dst.Paste(0, clip); err != nil {
 		t.Fatal(err)
 	}
-	if err := waitSeq(dst, base+1, 500); err != nil {
+	if err := waitSeq(dst, base+1); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Text() != "valuable" {
@@ -342,7 +329,7 @@ func TestUndoRedoOverWire(t *testing.T) {
 	if err := d.Undo(protocol.ScopeLocal); err != nil {
 		t.Fatal(err)
 	}
-	if err := waitSeq(d, base+3, 500); err != nil {
+	if err := waitSeq(d, base+3); err != nil {
 		t.Fatal(err)
 	}
 	if d.Text() != "first " {
@@ -351,7 +338,7 @@ func TestUndoRedoOverWire(t *testing.T) {
 	if err := d.Redo(protocol.ScopeLocal); err != nil {
 		t.Fatal(err)
 	}
-	if err := waitSeq(d, base+4, 500); err != nil {
+	if err := waitSeq(d, base+4); err != nil {
 		t.Fatal(err)
 	}
 	if d.Text() != "first second" {
@@ -445,7 +432,7 @@ func TestEditorHeadless(t *testing.T) {
 	if err := d.Delete(10, 1); err != nil {
 		t.Fatal(err)
 	}
-	waitSeq(d, base+2, 500)
+	waitSeq(d, base+2)
 	if d.Text() != "Hello worl" {
 		t.Fatalf("text = %q", d.Text())
 	}
@@ -467,21 +454,21 @@ func TestEditorHeadless(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Events so far: insert, delete, layout, cursor, paste.
-	waitSeq(d, base+5, 500)
+	waitSeq(d, base+5)
 	if d.Text() != "Hello worlHello" {
 		t.Fatalf("after paste: %q", d.Text())
 	}
 	if err := d.Undo(protocol.ScopeLocal); err != nil {
 		t.Fatal(err)
 	}
-	waitSeq(d, base+6, 500)
+	waitSeq(d, base+6)
 	if d.Text() != "Hello worl" {
 		t.Fatalf("after undo: %q", d.Text())
 	}
 }
 
 func TestReplicaResyncAfterGap(t *testing.T) {
-	addr, eng, _, srv := harnessSrv(t, false)
+	addr, eng := harness(t, false)
 	alice := login(t, addr, "alice", "")
 	docID, _ := alice.CreateDocument("gapdoc")
 	d, _ := alice.Open(docID)
@@ -492,7 +479,7 @@ func TestReplicaResyncAfterGap(t *testing.T) {
 	srvDoc, _ := eng.OpenDocument(util.ID(docID))
 	base := d.Seq()
 	srvDoc.InsertText("ghost", 0, "server side text")
-	if err := waitSeq(d, base+1, 500); err != nil {
+	if err := waitSeq(d, base+1); err != nil {
 		t.Fatal(err)
 	}
 	if d.Text() != "server side text" {
@@ -500,43 +487,11 @@ func TestReplicaResyncAfterGap(t *testing.T) {
 	}
 	base = d.Seq()
 	srvDoc.UndoLocal("ghost")
-	if err := waitSeq(d, base+1, 500); err != nil {
+	if err := waitSeq(d, base+1); err != nil {
 		t.Fatal(err)
 	}
 	if d.Text() != "" {
 		t.Fatalf("replica after remote undo = %q", d.Text())
-	}
-
-	// A gap: alice's subscription is dropped server-side, an edit commits
-	// unseen, and the resubscription's join reaches her replica with the
-	// sequence numbers in between missing. The replica resyncs and says so.
-	resynced := make(chan protocol.Event, 1) // the one resync the gap causes
-	d.Watch(func(ev protocol.Event) {
-		if ev.Kind == "resync" {
-			resynced <- ev
-		}
-	})
-	srv.mu.Lock()
-	var ac *conn
-	for c := range srv.conns {
-		ac = c
-	}
-	srv.mu.Unlock()
-	ac.unsubscribe(util.ID(docID))
-	srvDoc.InsertText("ghost", 0, "unseen")
-	if resp := ac.subscribe(&protocol.Message{Doc: docID}); !resp.OK {
-		t.Fatalf("resubscribe: %s", resp.Err)
-	}
-	select {
-	case ev := <-resynced:
-		if ev.Name != "gap" {
-			t.Fatalf("resync cause %q, want gap", ev.Name)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the gap never led to a resync")
-	}
-	if d.Text() != "unseen" {
-		t.Fatalf("replica after the gap = %q", d.Text())
 	}
 }
 
@@ -691,7 +646,7 @@ func TestSubscribeThrottle(t *testing.T) {
 // below the ring's reach: a reader that stops reading while the document
 // takes fewer events than the op ring retains loses nothing. Once it reads
 // again the replica converges byte-for-byte from the pushes alone, with no
-// shed, no heal, no lagged notice and no resync.
+// shed, no heal and no base after the first.
 func TestSubscriberLaggingWithinRingConverges(t *testing.T) {
 	addr, srv, eng := throttleHarness(t, 0, 0)
 	const retention = 64
@@ -742,7 +697,7 @@ func TestSubscriberLaggingWithinRingConverges(t *testing.T) {
 		t.Fatalf("the stalled reader is not behind: seq %d of %d", rd.Seq(), wantSeq)
 	}
 	release()
-	if err := waitSeq(rd, wantSeq, 5000); err != nil {
+	if err := waitSeq(rd, wantSeq); err != nil {
 		t.Fatalf("replica stuck at seq %d, want %d: %v", rd.Seq(), wantSeq, err)
 	}
 	if got, want := rd.Text(), srvDoc.Text(); got != want {

@@ -6,9 +6,9 @@
 // on different shards and every replica converges byte-for-byte.
 //
 // The presence test pins an old heal bug: when a subscriber's gap
-// outlives the retention ring, the full resync restores text but the
-// presence updates inside the gap are gone forever. The fix pushes a
-// synthetic roster snapshot after every heal.
+// outlives the retention ring, the base the server pushes restores text
+// but the presence updates inside the gap are gone forever. The fix
+// pushes a synthetic roster snapshot after every such base.
 package server
 
 import (
@@ -50,16 +50,10 @@ func clusterHarness(t *testing.T, shards int) (addr string, cl *placement.Cluste
 
 // TestMultiShardConvergence runs concurrent session typists and a
 // positional editor against documents spread across four shards and
-// requires (a) the shard count to reach every client's hello, (b) every
-// edit to be durably acked,
-// and (c) byte-for-byte convergence of every replica with the owning
-// shard's committed text.
+// requires (a) every edit to be durably acked, and (b) byte-for-byte
+// convergence of every replica with the owning shard's committed text.
 func TestMultiShardConvergence(t *testing.T) {
 	addr, cl, srv := clusterHarness(t, 4)
-
-	if got := helloShards(t, addr); got != 4 {
-		t.Fatalf("hello advertised %d shards, want 4", got)
-	}
 	admin := login(t, addr, "admin", "")
 
 	// Round-robin creation must touch every shard.
@@ -240,7 +234,7 @@ func TestV1EditsCountedOnMetrics(t *testing.T) {
 
 // TestPresenceSnapshotAfterHeal is the regression test for a heal bug:
 // presence churn skipped along with edit events used to be lost when the
-// gap outlived the retention ring — the full resync restored the text but
+// gap outlived the retention ring — the full text restored the text but
 // the replica's roster kept departed users and missed arrivals forever.
 // The fix pushes a Bus.Present snapshot after every heal.
 //
@@ -285,7 +279,7 @@ func TestPresenceSnapshotAfterHeal(t *testing.T) {
 	t.Cleanup(release)
 	var once sync.Once
 	var lagMu sync.Mutex
-	var lagged []int // N of each "lagged" resync the replica tells
+	var lagged []int // N of each base the replica tells after a gap
 	rd.Watch(func(ev protocol.Event) {
 		rosterMu.Lock()
 		switch ev.Kind {
@@ -306,7 +300,7 @@ func TestPresenceSnapshotAfterHeal(t *testing.T) {
 				<-resume
 			})
 		}
-		if ev.Kind == "resync" && ev.Name == "lagged" {
+		if ev.Kind == protocol.EvResync && ev.Name == protocol.LaggedRingMiss {
 			lagMu.Lock()
 			lagged = append(lagged, ev.N)
 			lagMu.Unlock()
@@ -365,14 +359,14 @@ func TestPresenceSnapshotAfterHeal(t *testing.T) {
 	release()
 
 	wantSeq := bus.Seq(doc)
-	if err := waitSeq(rd, wantSeq, 5000); err != nil {
+	if err := waitSeq(rd, wantSeq); err != nil {
 		t.Fatalf("replica stuck at seq %d, want %d: %v", rd.Seq(), wantSeq, err)
 	}
 	if got, want := rd.Text(), srvDoc.Text(); got != want {
 		t.Fatalf("replica text after the heal = %q, want %q", got, want)
 	}
 	if !rd.Lagged() {
-		t.Fatal("the gap reached the replica without a lagged notice")
+		t.Fatal("the gap reached the replica without a base")
 	}
 	if m := srv.Metrics(); m.Sheds.Load() == 0 || m.Heals.Load() == 0 {
 		t.Fatalf("sheds=%d heals=%d after a forced gap", m.Sheds.Load(), m.Heals.Load())
@@ -400,8 +394,8 @@ func TestPresenceSnapshotAfterHeal(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// The lagged pushes say how many events the ring evicted unread, and
-	// the replica passes the count on: together they are the reader's sheds.
+	// The gaps' bases say how many events the ring evicted unread, and the
+	// replica passes the count on: together they are the reader's sheds.
 	sheds := sub.Sheds()
 	deadline = time.Now().Add(2 * time.Second)
 	for {
@@ -416,7 +410,7 @@ func TestPresenceSnapshotAfterHeal(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("lagged resyncs counted %v evicted events, the reader shed %d", got, sheds)
+			t.Fatalf("the gaps' bases counted %v evicted events, the reader shed %d", got, sheds)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -121,18 +121,19 @@ func TestRandomizedCollaborationStress(t *testing.T) {
 	}
 	want := srvDoc.Text()
 
-	// Every replica converges after a resync (pushes may still be in
-	// flight; Resync fetches the authoritative committed state).
+	// Every replica converges: a Read returns once the replica has folded
+	// the pushes still in flight.
 	for i, d := range replicas {
 		if d == nil {
 			continue
 		}
-		if err := d.Resync(); err != nil {
+		text, err := d.Read()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Text() != want {
+		if text != want {
 			t.Fatalf("replica %d diverged: %d chars vs server %d",
-				i, len(d.Text()), len(want))
+				i, len(text), len(want))
 		}
 	}
 

@@ -1,15 +1,17 @@
 // Regression tests for the multi-tenant hardening review findings: a
-// doc-level read revocation must cut off the live event stream and the
-// resync replay (not just range-rule masking), partially-identified text
+// doc-level read revocation must cut off the live event stream and a
+// lagging subscriber's base (not just range-rule masking), partially-identified text
 // must fail closed, and a rejected request must not drain the other
 // rate-limit budget.
 package server
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"tendax/internal/client"
 	"tendax/internal/core"
 	"tendax/internal/protocol"
 	"tendax/internal/security"
@@ -21,8 +23,8 @@ import (
 // (no range rule involved — exactly the case range-rule fingerprinting
 // alone misses) must stop receiving plaintext on every channel: live
 // pushes mask fully from the revocation's EvSecurity event on, and the
-// delta-resync replay refuses outright. Unrestricted subscribers keep the
-// unredacted fast path throughout.
+// retired full-text and replay reads are unknown ops. Unrestricted
+// subscribers keep the unredacted fast path throughout.
 func TestDocLevelRevocationCutsEventStream(t *testing.T) {
 	addr, eng, store := harnessStore(t, true)
 	if err := store.CreateUser("carol", "pw-c"); err != nil {
@@ -122,24 +124,102 @@ func TestDocLevelRevocationCutsEventStream(t *testing.T) {
 		t.Fatalf("unrestricted subscriber received a masked frame:\n%s", aliceTexts.String())
 	}
 
-	// The resync replay path must refuse a doc-level-denied user — with
-	// range redaction only, the full pre-revocation history would replay.
-	if resp := bob.callErr(&protocol.Message{Op: protocol.OpResync, Doc: docID, Since: 0}); resp.Err == "" {
-		t.Fatalf("resync replay served to a doc-level-denied user: full=%v events=%d",
-			resp.Full, len(resp.Events))
+	// The retired full-text and replay reads are unknown ops: they serve
+	// bob nothing.
+	for _, op := range []string{protocol.OpResync, protocol.OpText, protocol.OpOpenDoc} {
+		resp := bob.callErr(&protocol.Message{Op: op, Doc: docID})
+		if !strings.Contains(resp.Err, "unknown op") || resp.Text != "" || len(resp.Events) != 0 {
+			t.Fatalf("%s answered a doc-level-denied user: %+v", op, resp)
+		}
 	}
-	// And the full-text read path agrees.
-	if resp := bob.callErr(&protocol.Message{Op: protocol.OpText, Doc: docID}); resp.Err == "" {
-		t.Fatalf("full text served to a doc-level-denied user: %q", resp.Text)
+}
+
+// TestRevokedLaggingSubscriberGetsNoBase pins the base path under
+// revocation: a subscriber whose document-level read is revoked, and who
+// then falls further behind than the op ring reaches, is given no base but
+// the end of its feed. Its pushes carry no text written after the
+// revocation, and its replica's Read fails with the access error.
+func TestRevokedLaggingSubscriberGetsNoBase(t *testing.T) {
+	addr, eng, store := harnessStore(t, true)
+	if err := store.CreateUser("carol", "pw-c"); err != nil {
+		t.Fatal(err)
 	}
-	// The unrestricted user's replay still works, unredacted.
-	aresp := aobs.call(&protocol.Message{Op: protocol.OpResync, Doc: docID, Since: 0})
-	var asb strings.Builder
-	for i := range aresp.Events {
-		asb.WriteString(aresp.Events[i].Text)
+	alice := login(t, addr, "alice", "pw-a")
+	docID, err := alice.CreateDocument("revoked")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(asb.String(), "TOPSECRET") {
-		t.Fatalf("unrestricted resync replay over-masked:\n%s", asb.String())
+	ad, err := alice.Open(docID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ad.Insert(0, "public "); err != nil {
+		t.Fatal(err)
+	}
+	doc := util.ID(docID)
+	// Carol's grant keeps the document closed by rule once bob's goes.
+	bobRule, err := store.Grant("alice", doc, security.UserPrefix+"bob", core.RRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Grant("alice", doc, security.UserPrefix+"carol", core.RRead); err != nil {
+		t.Fatal(err)
+	}
+	eng.Bus().SetRetention(8)
+	bob := subscribeWire(t, addr, docID, "bob", "pw-b") // reads nothing until it calls
+	bd, err := login(t, addr, "bob", "pw-b").Open(docID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, release := stallAcks(t, bd)
+
+	if err := store.Revoke("alice", bobRule); err != nil {
+		t.Fatal(err)
+	}
+	if err := ad.Insert(0, "TOPSECRET "); err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	now := eng.Clock().Now()
+	for i := 0; i < 30000; i++ {
+		eng.Bus().MoveCursor(doc, "flood", i, now)
+	}
+	release()
+
+	ended := func() *protocol.Event {
+		for _, ev := range bob.pushes {
+			if ev.Kind == protocol.EvLagged {
+				return ev
+			}
+		}
+		return nil
+	}
+	for deadline := time.Now().Add(10 * time.Second); ended() == nil; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the lagging revoked subscriber's feed never ended")
+		}
+		bob.callErr(&protocol.Message{Op: protocol.OpPresence, Doc: docID})
+	}
+	if ev := ended(); ev.Doc != docID || !strings.Contains(ev.Name, "denied") {
+		t.Fatalf("feed end %+v, want doc %d and the access error", ev, docID)
+	}
+	bases := 0
+	for _, ev := range bob.pushes {
+		if ev.Kind == protocol.EvResync {
+			bases++
+		}
+	}
+	if texts := eventTexts(bob.pushes); strings.Contains(texts, "TOPSECRET") || bases != 1 {
+		t.Fatalf("revoked subscriber got %d bases, want its first only; texts:\n%s", bases, texts)
+	}
+
+	_, err = bd.Read()
+	var re *client.RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "denied") {
+		t.Fatalf("revoked replica's Read = %v, want the access error", err)
+	}
+	if strings.Contains(bd.Text(), "TOPSECRET") {
+		t.Fatalf("revoked replica holds %q", bd.Text())
 	}
 }
 
@@ -201,7 +281,7 @@ func TestTakeBothNoCrossDrain(t *testing.T) {
 // TestUndoRestoredRunesRedacted pins that undo and redo, which publish
 // the instances they flip as positional items, pass the redactor like any
 // edit: denied runes an undo restores reach both restricted subscribers
-// masked, live and in a "resync since" replay, while both unrestricted
+// masked, while both unrestricted
 // subscribers get them in plaintext — so no frame is shared across
 // visibility classes, and each class's frame is shared within it.
 func TestUndoRestoredRunesRedacted(t *testing.T) {
@@ -240,7 +320,6 @@ func TestUndoRestoredRunesRedacted(t *testing.T) {
 	}
 
 	// Delete "CRE" inside the denied range, undo (restoring it), redo.
-	since := eng.Bus().Seq(util.ID(docID))
 	if err := ad.Delete(9, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -270,13 +349,6 @@ func TestUndoRestoredRunesRedacted(t *testing.T) {
 			w.drainTo(docID, wantSeq)
 			if got := restoredText(w.pushes); got != want {
 				t.Fatalf("%s live undo/redo items carry %q, want %q", name, got, want)
-			}
-			resp := w.call(&protocol.Message{Op: protocol.OpResync, Doc: docID, Since: since})
-			if resp.Full {
-				t.Fatalf("%s resync over an undo fell back to full text", name)
-			}
-			if got := restoredText(eventPtrs(resp.Events)); got != want {
-				t.Fatalf("%s resync undo/redo items carry %q, want %q", name, got, want)
 			}
 		}
 	}

@@ -33,13 +33,6 @@ func dialRaw(t *testing.T, addr string) *wireConn {
 	return w
 }
 
-// helloShards says hello on a raw connection and returns the engine-shard
-// count the server advertises.
-func helloShards(t *testing.T, addr string) int {
-	t.Helper()
-	return dialRaw(t, addr).call(&protocol.Message{Op: protocol.OpHello, Ver: protocol.VersionMax}).Shards
-}
-
 // wireAt opens a raw connection that has said hello and logged in as user.
 func wireAt(t *testing.T, addr, user, pw string) *wireConn {
 	t.Helper()
@@ -129,13 +122,4 @@ func eventTexts(evs []*protocol.Event) string {
 		}
 	}
 	return sb.String()
-}
-
-// eventPtrs points at each event of a resync response.
-func eventPtrs(evs []protocol.Event) []*protocol.Event {
-	out := make([]*protocol.Event, len(evs))
-	for i := range evs {
-		out[i] = &evs[i]
-	}
-	return out
 }

@@ -820,7 +820,7 @@ type Snapshot struct {
 
 	// Text() is memoised: a snapshot is immutable, so its visible text is
 	// rendered exactly once into a buffer sized up front and then shared by
-	// every open/resync/read that hits the same published version.
+	// every base and read that hits the same published version.
 	textOnce sync.Once
 	text     string
 }
