@@ -3,11 +3,7 @@
 // stamps outside the redactor.
 package c
 
-import (
-	"sync"
-
-	"awareness"
-)
+import "awareness"
 
 func classKey(family, class int) int { return class<<2 | family }
 
@@ -45,7 +41,6 @@ func sendBadVar(ev *awareness.Event, family int) ([]byte, error) {
 }
 
 type redactor struct {
-	mu    sync.Mutex
 	class int
 }
 
@@ -53,8 +48,6 @@ type redactor struct {
 //
 //tendax:visclass-stamp
 func (r *redactor) redact(ev *awareness.Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	ev.VisClass = r.class
 }
 

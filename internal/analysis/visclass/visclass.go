@@ -13,9 +13,9 @@
 //     one level of local variable assignment.
 //  2. Event.VisClass may be written only inside functions whose doc
 //     comment carries the `//tendax:visclass-stamp` directive: the class
-//     is assigned exactly once, by the redactor, under its lock. Stamping
-//     anywhere else (including composite literals) bypasses the redaction
-//     pipeline.
+//     is assigned exactly once, by the redactor, in the same call that
+//     masks the event's text. Stamping anywhere else (including composite
+//     literals) bypasses the redaction pipeline.
 //
 // Suppress with `//tendax:allow-visclass <reason>`.
 package visclass
@@ -113,7 +113,7 @@ func checkStamp(pass *framework.Pass, as *ast.AssignStmt) {
 	for _, lhs := range as.Lhs {
 		if sel, ok := lhs.(*ast.SelectorExpr); ok && isVisClassField(pass, sel) {
 			pass.Reportf(sel.Pos(),
-				"Event.VisClass stamped outside a //tendax:visclass-stamp function: visibility classes are assigned only by the redactor, under its lock (PR 7)")
+				"Event.VisClass stamped outside a //tendax:visclass-stamp function: visibility classes are assigned only by the redactor, in the call that masks the event")
 		}
 	}
 }
@@ -128,7 +128,7 @@ func checkLitStamp(pass *framework.Pass, lit *ast.CompositeLit) {
 		if kv, ok := el.(*ast.KeyValueExpr); ok {
 			if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "VisClass" {
 				pass.Reportf(kv.Pos(),
-					"Event.VisClass stamped outside a //tendax:visclass-stamp function: visibility classes are assigned only by the redactor, under its lock (PR 7)")
+					"Event.VisClass stamped outside a //tendax:visclass-stamp function: visibility classes are assigned only by the redactor, in the call that masks the event")
 			}
 		}
 	}

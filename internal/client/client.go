@@ -6,6 +6,8 @@
 package client
 
 import (
+	"bytes"
+	"compress/flate"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"tendax/internal/protocol"
 )
@@ -432,7 +435,8 @@ func (d *Doc) Lagged() bool {
 // waited for, an event of kind "resync" whose Name is the cause,
 // protocol.LaggedRingMiss, and whose N counts the events the base stands
 // in for. The replica folds no event of those N, so the callback is not
-// told them one by one. One watcher at a time. The callback runs without
+// told them one by one. A base is told with its text in Text, packed on
+// the wire or not. One watcher at a time. The callback runs without
 // the replica's lock (it may call Events, Text, …) and sees the event
 // already folded into Text; Seq reports the event's sequence number only
 // once the callback has returned.
@@ -477,10 +481,21 @@ func (d *Doc) apply(ev *protocol.Event) {
 		d.unlockAndTell(*ev, 0)
 		return
 	}
+	var base []rune
+	if ev.Kind == protocol.EvResync {
+		var err error
+		if base, err = baseRunes(ev); err != nil {
+			d.end(fmt.Errorf("client: base %d of document %d: %w", ev.Seq, d.id, err))
+			return
+		}
+	}
 	d.mu.Lock()
 	switch {
 	case ev.Kind == protocol.EvResync:
-		d.runes = []rune(ev.Text)
+		d.runes = base
+		if len(ev.Packed) > 0 && d.watcher != nil {
+			ev.Text, ev.Packed = string(base), nil
+		}
 		d.seq, d.err = ev.Seq, nil
 		d.lagged = d.lagged || d.based
 		d.based = true
@@ -499,6 +514,68 @@ func (d *Doc) apply(ev *protocol.Event) {
 		d.foldLocked(ev)
 	}
 	d.unlockAndTell(*ev, d.seq)
+}
+
+// inflater is the state baseRunes inflates with. A flate reader holds a
+// 32 KB window and its tables, so it is taken from a sync.Pool, which
+// lets the collector free what it holds: no replica or connection keeps
+// one.
+type inflater struct {
+	src bytes.Reader
+	zr  io.Reader
+}
+
+var inflaters = sync.Pool{New: func() any {
+	in := new(inflater)
+	in.zr = flate.NewReader(&in.src)
+	return in
+}}
+
+// baseRunes is a base's text as runes, from Text or inflated from Packed.
+// It inflates outside the replica's lock, into a buffer that grows as
+// bytes come out of the stream and no further than MaxBinaryFrame, the
+// most a Text could have carried, and decodes that into runes of the
+// text's exact length. A stream that is corrupt, ends early, inflates
+// past the cap or is not UTF-8 is an error.
+func baseRunes(ev *protocol.Event) ([]rune, error) {
+	if len(ev.Packed) == 0 {
+		return []rune(ev.Text), nil
+	}
+	const limit = protocol.MaxBinaryFrame
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
+	in.src.Reset(ev.Packed)
+	defer in.src.Reset(nil)
+	if err := in.zr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+		return nil, err
+	}
+	b := make([]byte, 0, min(4*len(ev.Packed), limit+1))
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(max(len(b), 512), limit+1-len(b)))
+		}
+		n, err := in.zr.Read(b[len(b):min(cap(b), limit+1)])
+		b = b[:len(b)+n]
+		if len(b) > limit {
+			return nil, fmt.Errorf("packed text inflates past %d bytes", limit)
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("inflate: %w", err)
+		}
+	}
+	runes := make([]rune, 0, utf8.RuneCount(b))
+	for len(b) > 0 {
+		r, n := utf8.DecodeRune(b)
+		if r == utf8.RuneError && n == 1 {
+			return nil, errors.New("packed text is not UTF-8")
+		}
+		runes = append(runes, r)
+		b = b[n:]
+	}
+	return runes, nil
 }
 
 // end cuts the replica off its document: it leaves the client's replicas,

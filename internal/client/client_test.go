@@ -1,6 +1,8 @@
 package client
 
 import (
+	"bytes"
+	"compress/flate"
 	"errors"
 	"fmt"
 	"math"
@@ -561,6 +563,108 @@ func TestPushesDuringBaseAreKept(t *testing.T) {
 			t.Fatalf("replica %q at seq %d, want \"abcd\" at 5", d.Text(), d.Seq())
 		}
 	})
+}
+
+// deflate packs text the way a server packs a base.
+func deflate(t testing.TB, text []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	w, err := flate.NewWriter(&b, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(text); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestPackedBaseFolds pins a packed base: the replica holds the inflated
+// text, and the watcher is told the same EvResync event a Text base
+// gives it, Text filled in and Packed left out.
+func TestPackedBaseFolds(t *testing.T) {
+	const text = "héllo, wörld ██ "
+	c, s := startScript(t, func(s *scriptServer, req *protocol.Message) {
+		if req.Op == protocol.OpSubscribe {
+			s.subscribed(req, 1, "a")
+		}
+	})
+	d, err := c.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	told := make(chan protocol.Event, 1)
+	d.Watch(func(ev protocol.Event) { told <- ev })
+	s.push(protocol.Event{Kind: protocol.EvResync, Seq: 3, Packed: deflate(t, []byte(text)),
+		Name: protocol.LaggedRingMiss, N: 2})
+	ev := <-told
+	if ev.Text != text || ev.Packed != nil || ev.Kind != protocol.EvResync || ev.Seq != 3 {
+		t.Fatalf("the watcher was told %+v, want the base's text and no packed bytes", ev)
+	}
+	if err := waitSeq(d, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Text(); got != text {
+		t.Fatalf("replica %q after a packed base, want %q", got, text)
+	}
+}
+
+// TestBadPackedBaseEndsReplica pins a packed base the client cannot
+// inflate: a stream that is corrupt, cut short, not UTF-8, or inflates
+// past MaxBinaryFrame ends the replica with an error, on its first base
+// (Open fails) or on a later one (Read fails), and nothing panics.
+func TestBadPackedBaseEndsReplica(t *testing.T) {
+	good := deflate(t, []byte(strings.Repeat("a packed base ", 100)))
+	cases := []struct {
+		name, errPart string
+		packed        func(t *testing.T) []byte
+	}{
+		{"corrupt", "inflate", func(*testing.T) []byte { return []byte{0xff, 0xff, 0xff, 0xff} }},
+		{"cut short", "inflate", func(*testing.T) []byte { return good[:len(good)/2] }},
+		{"not UTF-8", "not UTF-8", func(t *testing.T) []byte { return deflate(t, []byte{'a', 0xff, 'b'}) }},
+		{"past the cap", "inflates past", func(t *testing.T) []byte {
+			if testing.Short() {
+				t.Skip("inflates 64 MiB")
+			}
+			return deflate(t, make([]byte, protocol.MaxBinaryFrame+1))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name+"/first base", func(t *testing.T) {
+			packed := tc.packed(t)
+			c, _ := startScript(t, func(s *scriptServer, req *protocol.Message) {
+				if req.Op == protocol.OpSubscribe {
+					s.push(protocol.Event{Kind: protocol.EvResync, Seq: 1, Packed: packed})
+					s.respond(req, &protocol.Message{})
+				}
+			})
+			if d, err := c.Open(1); err == nil || !strings.Contains(err.Error(), tc.errPart) {
+				t.Fatalf("Open on a bad packed base = %v, %v, want an error naming %q", d, err, tc.errPart)
+			}
+		})
+		t.Run(tc.name+"/later base", func(t *testing.T) {
+			packed := tc.packed(t)
+			c, s := startScript(t, func(s *scriptServer, req *protocol.Message) {
+				switch req.Op {
+				case protocol.OpSubscribe:
+					s.subscribed(req, 1, "a")
+				case protocol.OpRead:
+					s.respond(req, &protocol.Message{Seq: 3})
+				}
+			})
+			d, err := c.Open(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.push(protocol.Event{Kind: protocol.EvResync, Seq: 3, Packed: packed, Name: protocol.LaggedRingMiss, N: 2})
+			if text, err := readWithin(t, d); err == nil || !strings.Contains(err.Error(), tc.errPart) {
+				t.Fatalf("Read after a bad packed base = %q, %v, want an error naming %q", text, err, tc.errPart)
+			}
+		})
+	}
 }
 
 // sessionScript is a scripted v3 server holding an empty document 1, with

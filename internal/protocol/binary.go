@@ -9,8 +9,8 @@ package protocol
 // entirely — exactly the fields JSON's omitempty drops, so a frame and the
 // JSON spelling of the same message (the tests' canonical form) are
 // semantically identical (the codec fuzz pins this). Scalars are varints
-// (zigzag for signed values), strings are length-prefixed bytes,
-// well-known protocol strings (ops, kinds, scopes) compress to a one-byte
+// (zigzag for signed values), strings are length-prefixed UTF-8 and byte
+// strings (a packed base) length-prefixed bytes, well-known protocol strings (ops, kinds, scopes) compress to a one-byte
 // symbol-table index, and character-ID lists are run-length/delta coded —
 // a freshly typed run of n characters has n consecutive IDs and costs
 // three varints instead of n decimal numbers.
@@ -179,6 +179,24 @@ func (d *bdec) str() (string, error) {
 	return s, nil
 }
 
+// bytes reads a length-prefixed byte string; an empty one reads as nil,
+// the absent field it encodes the same as.
+func (d *bdec) bytes() ([]byte, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(d.rem()) {
+		return nil, fmt.Errorf("protocol: byte string of %d bytes exceeds frame", n)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	b := append([]byte(nil), d.b[d.pos:d.pos+int(n)]...)
+	d.pos += int(n)
+	return b, nil
+}
+
 func (d *bdec) sym() (string, error) {
 	v, err := d.uvarint()
 	if err != nil {
@@ -331,6 +349,20 @@ func (s *schema[T]) decode(d *bdec, v *T) error {
 //
 // Every kind takes an accessor returning the address of the field inside
 // the struct — plain Go, checked by the compiler, no reflection.
+
+// raw is a byte string, omitted when empty: a str whose bytes need not be
+// UTF-8 (a packed base). Like str it checks its length against the frame
+// before it allocates, and the decoder copies the bytes out of the frame.
+func raw[T any](at func(*T) *[]byte) field[T] {
+	return field[T]{
+		has: func(v *T) bool { return len(*at(v)) > 0 },
+		enc: func(b []byte, v *T) []byte {
+			p := *at(v)
+			return append(appendUvarint(b, uint64(len(p))), p...)
+		},
+		dec: func(d *bdec, v *T) (err error) { *at(v), err = d.bytes(); return err },
+	}
+}
 
 // scalar is a field omitted when it equals F's zero value and coded by
 // put/get otherwise.
@@ -502,6 +534,7 @@ var eventSchema = schema[Event]{"Event", []field[Event]{
 	str(func(e *Event) *string { return &e.Name }),
 	structs(func(e *Event) *[]BatchItem { return &e.Batch }, &batchItemSchema),
 	i64(func(e *Event) *int64 { return &e.AtNS }),
+	raw(func(e *Event) *[]byte { return &e.Packed }), // 10: a packed base
 }}
 
 var clipSchema = schema[Clip]{"Clip", []field[Clip]{

@@ -86,6 +86,8 @@ var seedFrames = []string{
 	`{"type":"req","op":"hello","ver":3}`,
 	// A paste as a one-op edit, naming its source.
 	`{"type":"req","id":26,"op":"edit","doc":7,"ops":[{"kind":"insert","pos":2,"text":"ab","srcDoc":3,"srcChars":[10,11]}]}`,
+	// A packed base: its text deflated, bytes that are not UTF-8.
+	`{"type":"push","event":{"seq":51,"doc":7,"kind":"resync","user":"","pos":0,"packed":"ACIA3f9ow6lsbG8g4paI4paIIGjDqWxsbyDilojiloggaMOpbGxvAQAA//8=","atNs":10}}`,
 }
 
 // FuzzCodecRoundTrip feeds arbitrary bytes to the codec and to the JSON

@@ -86,7 +86,8 @@ const (
 // EvResync is the kind of a base push, the first push of every
 // subscription and the server's answer to a subscriber that fell further
 // behind than the op ring reaches. Text is the document's text as the
-// subscriber may read it, each denied character masked, and Seq the
+// subscriber may read it, each denied character masked (Packed instead,
+// deflated, once that text is 4 KiB or more), and Seq the
 // sequence number of the newest event it holds: the pushes that follow
 // continue from Seq+1. Name is LaggedRingMiss on a base that stands in for
 // events the ring evicted before the subscriber read them, N of them, and
@@ -235,6 +236,10 @@ type Event struct {
 	Name  string      `json:"name,omitempty"`
 	Batch []BatchItem `json:"batch,omitempty"`
 	AtNS  int64       `json:"atNs"`
+	// Packed is a base's text deflated (RFC 1951), sent in place of Text
+	// when the text is at least 4 KiB. Only a client inflates it: a server
+	// never expands a Packed it receives.
+	Packed []byte `json:"packed,omitempty"`
 }
 
 // QueryReq is the payload of an OpQuery request. Kind selects

@@ -125,7 +125,7 @@ var wireBits = map[string]string{
 	"EditOp":     "Kind After Prev Pos Text N Chars Span Value SrcDoc SrcChars",
 	"EditResult": "OpID IDs Span Pos",
 	"BatchItem":  "Kind Pos Text N IDs",
-	"Event":      "Seq Doc Kind User Pos Text N Name Batch AtNS",
+	"Event":      "Seq Doc Kind User Pos Text N Name Batch AtNS Packed",
 	"Clip":       "Text SrcDoc SrcChars",
 	"DocInfo":    "ID Name Creator Size State Authors ModifiedNS",
 	"Version":    "ID Name Author AtNS",
@@ -143,7 +143,7 @@ func setNonZero(v reflect.Value) {
 		v.SetString("x")
 	case reflect.Int, reflect.Int64:
 		v.SetInt(1)
-	case reflect.Uint64:
+	case reflect.Uint64, reflect.Uint8:
 		v.SetUint(1)
 	case reflect.Float64:
 		v.SetFloat(1.5)
@@ -252,11 +252,12 @@ func TestBinaryDecoderRejects(t *testing.T) {
 		{"empty payload", nil, "truncated varint"},
 		{"unknown Message bit", appendUvarint(nil, 1<<38), "unknown Message field bit 38"},
 		{"unknown EditOp bit", []byte{1 << 6, 1, 0x80, 0x10}, "unknown EditOp field bit 11"},
-		{"unknown Event bit", []byte{0x80, 0x02, 0x80, 0x08}, "unknown Event field bit 10"},
+		{"unknown Event bit", []byte{0x80, 0x02, 0x80, 0x10}, "unknown Event field bit 11"},
 		{"trailing byte", []byte{0x01, 0x01, 0x00}, "trailing bytes"},
 		{"truncated varint", []byte{0x02, 0x80}, "truncated varint"},
 		{"string past the frame", []byte{0x80, 0x04, 0x05, 'a'}, "exceeds frame"},
 		{"invalid UTF-8", []byte{0x80, 0x04, 0x02, 0xff, 0xfe}, "not valid UTF-8"},
+		{"byte string past the frame", []byte{0x80, 0x02, 0x80, 0x08, 0x05, 0xff}, "exceeds frame"},
 		{"symbol beyond the table", []byte{0x01, 0x7f}, "unknown symbol"},
 		{"struct list past the frame", []byte{1 << 6, 0x7f, 0x00}, "exceeds frame"},
 		{"string list past the frame", append(appendUvarint(nil, 1<<35), 0x02, 0x09), "exceeds frame"},

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -43,9 +44,18 @@ const (
 // join to every earlier subscriber, a cost that grows with the number of
 // pairs). Per pair it gates the settled heap, the goroutines exactly (the
 // server's serve loop and the client's read loop, and the subscription's
-// pump once subscribed), and heap plus stack once subscribed.
+// pump once subscribed), and heap plus stack once subscribed. A last leg
+// opens packedPairs more pairs, each on a document of its own whose base
+// goes out packed: per pair they must cost what a subscribed pair costs
+// plus the replica's runes, within 10 %, so nothing that deflated or
+// inflated the base stays behind.
 func TestConnectionCost(t *testing.T) {
 	const pairs = 1000
+	// A packed document holds packedChars characters, 40 KiB of runes (an
+	// exact number of heap pages) in its replica. Its text repeats one
+	// 1 KiB paragraph, so its base packs to well under 4 KiB and no
+	// connection buffer grows for it.
+	const packedPairs, packedChars = 200, 10 << 10
 	database, err := db.Open(db.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -69,6 +79,19 @@ func TestConnectionCost(t *testing.T) {
 			t.Fatal(err)
 		}
 		docs[i] = uint64(d.ID())
+	}
+	packedDocs := make([]uint64, packedPairs)
+	text := strings.Repeat(prose(1<<10, 1), packedChars>>10)
+	for i := range packedDocs {
+		d, err := eng.CreateDocument(users[i], "packed")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.AppendText(users[i], text); err != nil {
+			t.Fatal(err)
+		}
+		d.Text() // the snapshot keeps the text it renders: before base, not after
+		packedDocs[i] = uint64(d.ID())
 	}
 
 	base := settle(t, 0, 0)
@@ -94,6 +117,19 @@ func TestConnectionCost(t *testing.T) {
 		}
 	}
 	subscribed := settle(t, base.goroutines, 3*pairs)
+	for i, doc := range packedDocs {
+		serverEnd, clientEnd := net.Pipe()
+		srv.accept(serverEnd)
+		c, err := client.New(clientEnd, client.WithUser(users[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, c)
+		if _, err := c.Open(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	packed := settle(t, base.goroutines, 3*(pairs+packedPairs))
 	runtime.KeepAlive(clients)
 
 	perPair := func(f footprint, stack bool) float64 {
@@ -104,10 +140,15 @@ func TestConnectionCost(t *testing.T) {
 		return float64(b) / pairs
 	}
 	idleHeap, subHeap, subBytes := perPair(idle, false), perPair(subscribed, false), perPair(subscribed, true)
-	t.Logf("per pair: idle %.0f B heap, %.0f B heap and stack; subscribed %.0f B heap, %.0f B heap and stack",
-		idleHeap, perPair(idle, true), subHeap, subBytes)
+	packedHeap := float64(packed.heap-subscribed.heap) / packedPairs
+	t.Logf("per pair: idle %.0f B heap, %.0f B heap and stack; subscribed %.0f B heap, %.0f B heap and stack; packed %.0f B heap",
+		idleHeap, perPair(idle, true), subHeap, subBytes, packedHeap)
 	if raceEnabled {
 		return // the race detector adds shadow memory to every allocation
+	}
+	if want := subHeap + 4*packedChars; math.Abs(packedHeap-want) > want/10 {
+		t.Errorf("a pair on a packed document holds %.0f B of heap, want a subscribed pair's %.0f B plus its replica's %d B of runes, within 10 %%",
+			packedHeap, subHeap, 4*packedChars)
 	}
 	if !strings.HasPrefix(runtime.Version(), measuredOn+".") {
 		t.Logf("heap budgets were measured on %s, not %s: checking heap and stack only", measuredOn, runtime.Version())
@@ -132,6 +173,9 @@ type footprint struct {
 // settle waits until the process runs base+want goroutines (want 0: any
 // number) and returns its settled heap, stack and goroutine count; it
 // fails the test if the count does not reach that within ten seconds.
+// Heap and stack are each the least of three settled readings: something
+// else allocating between the collections and the reading makes one read
+// high, never low.
 func settle(t *testing.T, base, want int) footprint {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -141,9 +185,13 @@ func settle(t *testing.T, base, want int) footprint {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	runtime.GC()
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return footprint{heap: m.HeapAlloc, stack: m.StackInuse, goroutines: runtime.NumGoroutine()}
+	f := footprint{heap: math.MaxUint64, stack: math.MaxUint64, goroutines: runtime.NumGoroutine()}
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		f.heap, f.stack = min(f.heap, m.HeapAlloc), min(f.stack, m.StackInuse)
+	}
+	return f
 }

@@ -13,8 +13,6 @@
 package server
 
 import (
-	"sync"
-
 	"tendax/internal/awareness"
 	"tendax/internal/core"
 	"tendax/internal/security"
@@ -45,18 +43,19 @@ func (s *Server) classOf(fingerprint uint64) int {
 	return id
 }
 
-// redactor filters one subscriber's view of one document's event stream.
-// It caches the set of character instances hidden from its user, rebuilt
-// lazily: on the first event, on every ACL change (EvSecurity), and when
-// an event mentions instances born after the last rebuild. Instances
-// that remain unknown after a rebuild are masked — fail closed: text the
-// redactor cannot classify is never forwarded.
+// redactor filters one subscription's view of one document's event
+// stream. It caches the set of character instances hidden from its user,
+// rebuilt lazily: on the first event, on every ACL change (EvSecurity),
+// and when an event mentions instances born after the last rebuild.
+// Instances that remain unknown after a rebuild are masked — fail closed:
+// text the redactor cannot classify is never forwarded. Each subscription
+// has its own, used only by its pump goroutine (through subscribeFilter
+// and Subscription.Next), so it needs no lock.
 type redactor struct {
 	srv  *Server
 	user string
 	doc  util.ID
 
-	mu     sync.Mutex
 	built  bool
 	class  int              // dense visibility class, 0 = all visible
 	hidden map[util.ID]bool // instances the user may not read
@@ -72,11 +71,11 @@ func (s *Server) newRedactor(user string, doc util.ID) *redactor {
 	return &redactor{srv: s, user: user, doc: doc}
 }
 
-// rebuildLocked re-evaluates the user's visibility fingerprint and, when
+// rebuild re-evaluates the user's visibility fingerprint and, when
 // masking applies, the hidden-instance set from the document's current
 // snapshot. O(doc * rules), paid only by restricted subscribers and only
 // at rebuild points.
-func (r *redactor) rebuildLocked() {
+func (r *redactor) rebuild() {
 	r.built = true
 	fp := r.srv.sec.ReadVisibility(r.user, r.doc)
 	r.class = r.srv.classOf(fp)
@@ -111,10 +110,10 @@ func (r *redactor) rebuildLocked() {
 
 // redact returns the event as this subscriber may see it, with the
 // visibility class it was redacted for stamped into Event.VisClass.
-// Stamp and masking happen under one lock acquisition: a class read in a
-// separate call could disagree with the hidden set the text was actually
-// masked with — the wire cache would then serve those bytes to the wrong
-// class. Events
+// Stamp and masking happen in one call, after any rebuild it needs: a
+// class read in a separate call could disagree with the hidden set the
+// text was actually masked with — the wire cache would then serve those
+// bytes to the wrong class. Events
 // without readable payload pass through; an ACL change (and an event
 // naming instances born after the last rebuild) triggers a rebuild so
 // the class and hidden set track the new rules.
@@ -124,14 +123,8 @@ func (r *redactor) redact(ev awareness.Event) awareness.Event {
 	if r == nil {
 		return ev
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rebuild := ev.Kind == awareness.EvSecurity || !r.built
-	if !rebuild && r.class != 0 && r.unknownInLocked(&ev) {
-		rebuild = true
-	}
-	if rebuild {
-		r.rebuildLocked()
+	if ev.Kind == awareness.EvSecurity || !r.built || r.class != 0 && r.unknownIn(&ev) {
+		r.rebuild()
 	}
 	ev.VisClass = r.class
 	if r.class == 0 {
@@ -143,7 +136,7 @@ func (r *redactor) redact(ev awareness.Event) awareness.Event {
 		// be classified — fail closed and mask all of it for restricted
 		// subscribers rather than guess.
 		if ev.IDs.Len() > 0 {
-			ev.Text = r.maskLocked(ev.Text, ev.IDs)
+			ev.Text = r.mask(ev.Text, ev.IDs)
 		} else {
 			ev.Text = maskAll(ev.Text)
 		}
@@ -156,7 +149,7 @@ func (r *redactor) redact(ev awareness.Event) awareness.Event {
 				continue
 			}
 			if items[i].IDs.Len() > 0 {
-				items[i].Text = r.maskLocked(items[i].Text, items[i].IDs)
+				items[i].Text = r.mask(items[i].Text, items[i].IDs)
 			} else {
 				items[i].Text = maskAll(items[i].Text)
 			}
@@ -176,24 +169,24 @@ func maskAll(text string) string {
 	return string(runes)
 }
 
-// unknownInLocked reports whether the event names a character instance
+// unknownIn reports whether the event names a character instance
 // born after the last rebuild — the trigger for rebuilding BEFORE the
 // class is stamped, so one redact call never mixes two hidden sets.
-func (r *redactor) unknownInLocked(ev *awareness.Event) bool {
-	if r.unknownLocked(ev.IDs) {
+func (r *redactor) unknownIn(ev *awareness.Event) bool {
+	if r.unknown(ev.IDs) {
 		return true
 	}
 	for i := range ev.Batch {
-		if r.unknownLocked(ev.Batch[i].IDs) {
+		if r.unknown(ev.Batch[i].IDs) {
 			return true
 		}
 	}
 	return false
 }
 
-// unknownLocked reports whether ids names an instance born after the last
+// unknown reports whether ids names an instance born after the last
 // rebuild.
-func (r *redactor) unknownLocked(ids util.IDs) bool {
+func (r *redactor) unknown(ids util.IDs) bool {
 	for k := 0; k < ids.Stretches(); k++ {
 		s := ids.Stretch(k)
 		for j := 0; j < s.N; j++ {
@@ -205,11 +198,11 @@ func (r *redactor) unknownLocked(ids util.IDs) bool {
 	return false
 }
 
-// maskLocked replaces the runes of hidden (or unknown — fail closed)
+// mask replaces the runes of hidden (or unknown — fail closed)
 // instances. ids parallel the runes of text; runes beyond the identified
 // prefix are masked too — partially-identified text must not fail open
 // any more than text with no IDs at all does.
-func (r *redactor) maskLocked(text string, ids util.IDs) string {
+func (r *redactor) mask(text string, ids util.IDs) string {
 	runes := []rune(text)
 	changed := false
 	i := 0 // the rune the next ID names

@@ -8,6 +8,8 @@
 package server
 
 import (
+	"bytes"
+	"compress/flate"
 	"errors"
 	"fmt"
 	"log"
@@ -174,8 +176,7 @@ func (s *Server) Serve() error {
 func (s *Server) accept(nc net.Conn) {
 	c := &conn{srv: s, codec: protocol.NewCodec(nc),
 		lastInsert: make(map[util.ID]util.ID),
-		subs:       make(map[util.ID]*awareness.Subscription),
-		redactors:  make(map[util.ID]*redactor)}
+		subs:       make(map[util.ID]*awareness.Subscription)}
 	c.rlEdit, c.rlSub = s.rl.connBuckets()
 	c.codec.SetByteCounters(&s.metrics.BytesIn, &s.metrics.BytesOut)
 	s.metrics.Conns.Add(1)
@@ -240,10 +241,9 @@ type conn struct {
 	// unlimited); the matching per-user buckets live on the server.
 	rlEdit, rlSub *tokenBucket
 
-	mu        sync.Mutex
-	subs      map[util.ID]*awareness.Subscription
-	redactors map[util.ID]*redactor
-	dead      bool
+	mu   sync.Mutex
+	subs map[util.ID]*awareness.Subscription
+	dead bool
 
 	// The serve loop's scratch for an edit: the batch's engine ops, and
 	// the acknowledgement with its results and their instance IDs, which
@@ -252,23 +252,6 @@ type conn struct {
 	ack     protocol.Message
 	results []protocol.EditResult
 	ids     []uint64
-}
-
-// redactor returns this connection's (lazily created) redactor for doc,
-// which the document's subscription pump filters with. Nil without a
-// security store.
-func (c *conn) redactor(doc util.ID) *redactor {
-	if c.srv.sec == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r := c.redactors[doc]
-	if r == nil {
-		r = c.srv.newRedactor(c.user, doc)
-		c.redactors[doc] = r
-	}
-	return r
 }
 
 func (c *conn) close() {
@@ -500,7 +483,7 @@ func (c *conn) doc(req *protocol.Message) (*core.Document, error) {
 // subscribe registers for a document's events and starts the push pump,
 // whose first push is the subscriber's base. Subscription churn is
 // rate-limited like edit traffic. The subscription is a cursor into the
-// document's op ring, with the connection's redactor installed as the
+// document's op ring, with a redactor of its own installed as the
 // per-subscriber filter so every pushed event is already ACL-filtered when
 // the pump encodes it.
 func (c *conn) subscribe(req *protocol.Message) *protocol.Message {
@@ -516,12 +499,12 @@ func (c *conn) subscribe(req *protocol.Message) *protocol.Message {
 		return fail(err)
 	}
 	bus := c.srv.busFor(docID)
-	red := c.redactor(docID)
 	c.mu.Lock()
 	if _, dup := c.subs[docID]; dup {
 		c.mu.Unlock()
 		return &protocol.Message{OK: true}
 	}
+	red := c.srv.newRedactor(c.user, docID)
 	sub := bus.Subscribe(docID, awareness.SubscribeOpts{Filter: red.subscribeFilter()})
 	c.subs[docID] = sub
 	c.mu.Unlock()
@@ -605,6 +588,7 @@ func (c *conn) pushEvent(ev *awareness.Event, sc *pushScratch) bool {
 // for, 0 on a subscription's first. A user who may no longer read the
 // document gets no base, and the feed ends (endFeed). Returns the base's
 // sequence number, and false once the feed or the connection is gone.
+// A text of packMin bytes or more goes out packed, masked first.
 func (c *conn) pushBase(docID util.ID, user string, sub *awareness.Subscription, evicted int) (uint64, bool) {
 	var (
 		text string
@@ -620,12 +604,53 @@ func (c *conn) pushBase(docID util.ID, user string, sub *awareness.Subscription,
 		c.endFeed(docID, user, sub, err)
 		return 0, false
 	}
-	ev := protocol.Event{Kind: protocol.EvResync, Doc: uint64(docID), Seq: seq, Text: text,
+	ev := protocol.Event{Kind: protocol.EvResync, Doc: uint64(docID), Seq: seq,
 		N: evicted, AtNS: c.srv.clock().Now().UnixNano()}
+	if len(text) >= packMin {
+		ev.Packed = pack(text)
+	} else {
+		ev.Text = text
+	}
 	if evicted > 0 {
 		ev.Name = protocol.LaggedRingMiss
 	}
 	return seq, c.push(&ev)
+}
+
+// packMin is the least base text, in bytes, that goes out packed. Bases
+// on the typing path are far shorter, and a text under 4 KiB already fits
+// a few TCP segments: packing it would save a round trip on no link and
+// cost CPU on every open.
+const packMin = 4 << 10
+
+// packer is the state pack deflates with. A flate.Writer holds over 1 MB
+// of tables, so it is taken from a sync.Pool, which lets the collector
+// free what it holds: no connection keeps a writer.
+type packer struct {
+	w     *flate.Writer
+	chunk [4 << 10]byte // text on its way into w, which takes bytes
+}
+
+var packers = sync.Pool{New: func() any {
+	w, _ := flate.NewWriter(nil, flate.BestSpeed) // BestSpeed is a valid level
+	return &packer{w: w}
+}}
+
+// pack deflates a base's text at BestSpeed, the level that costs an open
+// the least CPU.
+func pack(text string) []byte {
+	p := packers.Get().(*packer)
+	out := bytes.NewBuffer(make([]byte, 0, len(text)/2))
+	p.w.Reset(out)
+	for len(text) > 0 {
+		n := copy(p.chunk[:], text)
+		_, _ = p.w.Write(p.chunk[:n]) // a bytes.Buffer write cannot fail
+		text = text[n:]
+	}
+	_ = p.w.Close()
+	p.w.Reset(nil) // the pool must not keep out alive
+	packers.Put(p)
+	return out.Bytes()
 }
 
 // endFeed drops a subscription its pump cannot give a base, as the

@@ -232,10 +232,10 @@ func TestMaskFailClosedTail(t *testing.T) {
 		known:  map[util.ID]bool{1: true, 2: true},
 		hidden: map[util.ID]bool{},
 	}
-	if got := r.maskLocked("abcd", util.IDsOf([]util.ID{1, 2})); got != "ab██" {
+	if got := r.mask("abcd", util.IDsOf([]util.ID{1, 2})); got != "ab██" {
 		t.Fatalf("unidentified tail fails open: %q", got)
 	}
-	if got := r.maskLocked("ab", util.IDsOf([]util.ID{1, 2})); got != "ab" {
+	if got := r.mask("ab", util.IDsOf([]util.ID{1, 2})); got != "ab" {
 		t.Fatalf("fully identified visible text masked: %q", got)
 	}
 }
